@@ -177,34 +177,30 @@ func BenchmarkE19_CheckpointOverhead(b *testing.B) {
 }
 
 // E22: incremental checkpoints — the E19 mem-100ms stress row rerun under
-// the three chain configurations: full snapshots encoded inside the
-// barrier stall (the pre-chain baseline), full snapshots with the encode
-// moved off-barrier, and the base+delta chain at the default cadence.
+// the two chain configurations: full snapshots every round and the
+// base+delta chain at the default cadence, both encoded off the barrier.
 // Extra metrics report per-round barrier-stall ns and written-vs-full
 // bytes; the written/full ratio is the steady-state bytes reduction.
 func BenchmarkE22_IncrementalCheckpoints(b *testing.B) {
-	b.Run("full-onbarrier", experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 1, true))
-	b.Run("full-offbarrier", experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 1, false))
-	b.Run("delta-k8", experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 0, false))
+	b.Run("full-offbarrier", experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 1))
+	b.Run("delta-k8", experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 0))
 }
 
-// E20: scalar vs batched transfer on the filter/map-dense traffic chain,
-// plus the E19 graph rerun on the batch lane (checkpoint overhead must
-// survive batching).
+// E20: frame-size sweep on the filter/map-dense traffic chain (frame 1 is
+// the paper's per-element hand-off), plus the E19 graph rerun at frame 64
+// (checkpoint overhead must survive batching).
 func BenchmarkE20_BatchedTransfer(b *testing.B) {
-	b.Run("scalar", experiments.E20Batch(0, experiments.CheckpointOff, 0))
 	for _, f := range []int{1, 8, 64, 256} {
-		b.Run(bname("batch", f), experiments.E20Batch(f, experiments.CheckpointOff, 0))
+		b.Run(bname("frame", f), experiments.E20Batch(f, experiments.CheckpointOff, 0))
 	}
-	b.Run("segment/scalar", experiments.E20Segment(0))
 	for _, f := range []int{1, 8, 64, 256} {
-		b.Run(bname("segment/batch", f), experiments.E20Segment(f))
+		b.Run(bname("segment/frame", f), experiments.E20Segment(f))
 	}
-	b.Run("scalar-cp-1s", experiments.E20Batch(0, experiments.CheckpointMem, time.Second))
-	b.Run(bname("cp-1s/batch", 64), experiments.E20Batch(64, experiments.CheckpointMem, time.Second))
-	b.Run("e19-batch64/off", experiments.E19CheckpointBatched(experiments.CheckpointOff, 0, 64))
-	b.Run("e19-batch64/mem-1s", experiments.E19CheckpointBatched(experiments.CheckpointMem, time.Second, 64))
-	b.Run("e19-batch64/file-1s", experiments.E19CheckpointBatched(experiments.CheckpointFile, time.Second, 64))
+	b.Run(bname("cp-1s/frame", 1), experiments.E20Batch(1, experiments.CheckpointMem, time.Second))
+	b.Run(bname("cp-1s/frame", 64), experiments.E20Batch(64, experiments.CheckpointMem, time.Second))
+	b.Run("e19-frame64/off", experiments.E19CheckpointBatched(experiments.CheckpointOff, 0, 64))
+	b.Run("e19-frame64/mem-1s", experiments.E19CheckpointBatched(experiments.CheckpointMem, time.Second, 64))
+	b.Run("e19-frame64/file-1s", experiments.E19CheckpointBatched(experiments.CheckpointFile, time.Second, 64))
 }
 
 // E21: monitoring overhead on the batch lane — the E20 chain at frame 64
@@ -216,5 +212,5 @@ func BenchmarkE21_FlightOverhead(b *testing.B) {
 	b.Run("off", experiments.E21FlightOverhead(64, experiments.FlightOff))
 	b.Run("flight", experiments.E21FlightOverhead(64, experiments.FlightOn))
 	b.Run("flight+monitors", experiments.E21FlightOverhead(64, experiments.FlightFull))
-	b.Run(bname("flight/batch", 8), experiments.E21FlightOverhead(8, experiments.FlightOn))
+	b.Run(bname("flight/frame", 8), experiments.E21FlightOverhead(8, experiments.FlightOn))
 }

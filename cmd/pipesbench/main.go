@@ -158,35 +158,32 @@ func main() {
 	}
 	if run("E22") {
 		section("E22 — incremental checkpoints (avg-HOV-speed query, mem store @100ms stress)")
-		row("full-onbarrier", bench(experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 1, true)))
-		row("full-offbarrier", bench(experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 1, false)))
-		row("delta-k8", bench(experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 0, false)))
+		row("full-offbarrier", bench(experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 1)))
+		row("delta-k8", bench(experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 0)))
 	}
 	if run("E20") {
-		section("E20 — batched transfer (filter/map-dense traffic chain, ns/element)")
-		row("scalar", bench(experiments.E20Batch(0, experiments.CheckpointOff, 0)))
+		section("E20 — frame-size sweep (filter/map-dense traffic chain, ns/element)")
 		for _, f := range []int{1, 8, 64, 256} {
-			row(fmt.Sprintf("batch=%d", f), bench(experiments.E20Batch(f, experiments.CheckpointOff, 0)))
+			row(fmt.Sprintf("frame=%d", f), bench(experiments.E20Batch(f, experiments.CheckpointOff, 0)))
 		}
 		section("E20 — filter/map-dense segment alone (selection/projection hops, ns/element)")
-		row("scalar", bench(experiments.E20Segment(0)))
 		for _, f := range []int{1, 8, 64, 256} {
-			row(fmt.Sprintf("batch=%d", f), bench(experiments.E20Segment(f)))
+			row(fmt.Sprintf("frame=%d", f), bench(experiments.E20Segment(f)))
 		}
 		section("E20 — full query with checkpointing (ns/element)")
-		row("scalar+cp-1s", bench(experiments.E20Batch(0, experiments.CheckpointMem, time.Second)))
-		row("batch=64+cp-1s", bench(experiments.E20Batch(64, experiments.CheckpointMem, time.Second)))
-		section("E20 — checkpoint overhead on the batch lane (avg-HOV-speed query, frame=64, ns/element)")
+		row("frame=1+cp-1s", bench(experiments.E20Batch(1, experiments.CheckpointMem, time.Second)))
+		row("frame=64+cp-1s", bench(experiments.E20Batch(64, experiments.CheckpointMem, time.Second)))
+		section("E20 — checkpoint overhead at frame 64 (avg-HOV-speed query, ns/element)")
 		row("off", bench(experiments.E19CheckpointBatched(experiments.CheckpointOff, 0, 64)))
 		row("mem-1s", bench(experiments.E19CheckpointBatched(experiments.CheckpointMem, time.Second, 64)))
 		row("file-1s", bench(experiments.E19CheckpointBatched(experiments.CheckpointFile, time.Second, 64)))
 	}
 	if run("E21") {
-		section("E21 — flight-recorder overhead on the batch lane (E20 full chain, frame=64, ns/element)")
+		section("E21 — flight-recorder overhead (E20 full chain, frame=64, ns/element)")
 		row("off", bench(experiments.E21FlightOverhead(64, experiments.FlightOff)))
 		row("flight", bench(experiments.E21FlightOverhead(64, experiments.FlightOn)))
 		row("flight+monitors", bench(experiments.E21FlightOverhead(64, experiments.FlightFull)))
-		row("flight/batch=8", bench(experiments.E21FlightOverhead(8, experiments.FlightOn)))
+		row("flight/frame=8", bench(experiments.E21FlightOverhead(8, experiments.FlightOn)))
 	}
 }
 

@@ -179,22 +179,21 @@ type Map struct {
 	frame temporal.Batch
 }
 
-// Process is a hot root: the raw time.Now inside is the seeded
-// hotpathclock violation.
-func (m *Map) Process(e temporal.Element, _ int) {
-	_ = time.Now().UnixNano()
-	// Seeded traceslot violation: fresh element, trace dropped.
-	m.out = append(m.out, temporal.Element{Value: e.Value, Interval: e.Interval})
-	// Clean: Derive propagates the slot.
-	m.out = append(m.out, temporal.Derive(e.Value, e.Interval, e))
-}
-
-// ProcessBatch carries the seeded frameborrow violation: the borrowed
-// frame's header is retained past the call. The spread append below it is
-// the sanctioned copy, proving the negative.
+// ProcessBatch is the operator's one frame method and a hot root: the raw
+// time.Now inside is the seeded hotpathclock violation. It also carries
+// the seeded frameborrow violation — the borrowed frame's header is
+// retained past the call; the spread append below it is the sanctioned
+// copy, proving the negative.
 func (m *Map) ProcessBatch(b temporal.Batch, _ int) {
+	_ = time.Now().UnixNano()
 	m.frame = b
 	m.out = append(m.out, b...)
+	for _, e := range b {
+		// Seeded traceslot violation: fresh element, trace dropped.
+		m.out = append(m.out, temporal.Element{Value: e.Value, Interval: e.Interval})
+		// Clean: Derive propagates the slot.
+		m.out = append(m.out, temporal.Derive(e.Value, e.Interval, e))
+	}
 }
 
 // Spawn carries the seeded nogoroutine violation; the suppressed second

@@ -89,11 +89,15 @@ func ExampleNewEquiJoin() {
 	out := pipes.NewCollector("out", 1)
 	j.Subscribe(out, 0)
 
-	j.Process(pipes.NewElement("a1", 0, 10), 0)
-	j.Process(pipes.NewElement("a2", 2, 12), 1) // matches a1 during [2,10)
-	j.Process(pipes.NewElement("b1", 5, 15), 1) // no partner
-	j.Done(0)
-	j.Done(1)
+	left := pipes.NewSliceSource("left", []pipes.Element{pipes.NewElement("a1", 0, 10)})
+	right := pipes.NewSliceSource("right", []pipes.Element{
+		pipes.NewElement("a2", 2, 12), // matches a1 during [2,10)
+		pipes.NewElement("b1", 5, 15), // no partner
+	})
+	left.Subscribe(j, 0)
+	right.Subscribe(j, 1)
+	pipes.Drive(left)
+	pipes.Drive(right)
 	out.Wait()
 	for _, e := range out.Elements() {
 		fmt.Printf("%v during %s\n", e.Value, e.Interval)

@@ -1,6 +1,6 @@
 // Package atomicmix enforces a single access discipline per shared word.
 // The metadata monitor, the telemetry registry and the flight recorder
-// all keep hot counters that the batch lane updates while observers read
+// all keep hot counters that the transfer path updates while observers read
 // them concurrently; those words are safe only if *every* access goes
 // through sync/atomic. A lone plain read ("it's just a counter, a torn
 // read is fine") is how the seqlock-era bugs started: the race detector

@@ -5,8 +5,8 @@
 // array as scratch for its next frame the moment the publishing
 // TransferBatch returns — so retaining the slice, a subslice, or a
 // pointer to an element past the call is a use-after-reuse data race that
-// the scalar-vs-batch differential harness can only catch probabilistically
-// (a stress schedule has to overwrite the retained storage before the
+// the frame-size invariance harness can only catch probabilistically (a
+// stress schedule has to overwrite the retained storage before the
 // snapshot oracle looks).
 //
 // In the frame-handling packages the analyzer treats every parameter of
@@ -20,9 +20,9 @@
 //     (returned, or stored into a field or package-level variable).
 //
 // Copies do not propagate the taint: `append(dst, b...)` aliases dst, not
-// b, so the idiomatic per-operator scratch compaction
-// (`o.scratch = append(o.scratch[:0], b...)`) and the Buffer's free-list
-// copy at enqueue are both clean. Forwarding the frame to another call
+// b, so the idiomatic scratch compaction
+// (`o.scratch = append(o.scratch[:0], b...)`, PipeBase.Emit) and the
+// Buffer's copy at enqueue are both clean. Forwarding the frame to another call
 // (`s.TransferBatch(b)`, `sink.ProcessBatch(b, i)`) is clean too: the
 // borrow nests through synchronous hops.
 package frameborrow
@@ -49,11 +49,11 @@ var Analyzer = &analysis.Analyzer{
 
 func init() { vetutil.RegisterAnalyzer(name) }
 
-// scope is where frames are consumed and forwarded: the vectorized
-// operators, the checkpoint taps, the pubsub batch lane and the telemetry
-// decorators. metadata is included alongside the issue's four because the
-// Monitored decorator is a frame subscriber on every monitored edge.
-var scope = []string{"ops", "ft", "pubsub", "telemetry", "flight", "metadata", "aggregate"}
+// scope is where frames are consumed and forwarded — every package with a
+// ProcessBatch: the operators, the checkpoint taps, pubsub, the metadata
+// decorator, the service result sink and the remote writers — plus the
+// telemetry packages they call into with frames in hand.
+var scope = []string{"ops", "ft", "pubsub", "telemetry", "flight", "metadata", "aggregate", "service", "remote"}
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name) // before the scope check: directive misuse is validated everywhere

@@ -1,6 +1,6 @@
 // Package pubsub exercises frameborrow against the hand-off buffer's
-// enqueue patterns: the free-list copy is clean, a zero-copy enqueue is
-// the bug the analyzer exists to catch.
+// enqueue patterns: the free-list copy and the append into the tail chunk
+// are clean, a zero-copy enqueue is the bug the analyzer exists to catch.
 package pubsub
 
 import "temporal"
@@ -26,6 +26,14 @@ func (b *buffer) ProcessBatch(batch temporal.Batch, input int) {
 	own := b.alloc()
 	own = append(own, batch...)
 	b.q = append(b.q, own)
+}
+
+// appendToTail mirrors the buffer's coalescing of small frames: the spread
+// copies the borrowed elements behind the tail chunk's own.
+func (b *buffer) appendToTail(batch temporal.Batch) {
+	if n := len(b.q); n > 0 {
+		b.q[n-1] = append(b.q[n-1], batch...)
+	}
 }
 
 // badEnqueue stores the borrowed header: by the time the drain side runs,

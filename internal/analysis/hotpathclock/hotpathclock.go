@@ -1,13 +1,14 @@
-// Package hotpathclock forbids raw wall-clock reads on the per-element
-// hot path. E18 (EXPERIMENTS.md) measured per-element `time.Now()` as the
+// Package hotpathclock forbids raw wall-clock reads on the per-frame hot
+// path. E18 (EXPERIMENTS.md) measured per-element `time.Now()` as the
 // dominant decorator overhead (+68% before the fix); the sanctioned
 // patterns are the injected metadata.Clock and the 1-in-16 maintenance
 // stride, under which one clock reading is amortised over maintainEvery
 // elements.
 //
-// A function is "hot" when it is a Process, Transfer or Drain method of a
-// scoped package, or is statically reachable from one within the same
-// package. Inside hot functions, calls to time.Now / time.Since /
+// A function is "hot" when it is a ProcessBatch, TransferBatch or Drain
+// method of a scoped package (or one of the per-element edge adapters,
+// Process and Transfer), or is statically reachable from one within the
+// same package. Inside hot functions, calls to time.Now / time.Since /
 // time.Until are flagged unless:
 //
 //   - the call sits lexically inside an if-statement whose condition
@@ -34,24 +35,26 @@ const name = "hotpathclock"
 // Analyzer is the hotpathclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc:  "forbids raw time.Now/time.Since on operator Process/Transfer/Drain paths outside the injected metadata.Clock and the 1-in-16 maintenance stride",
+	Doc:  "forbids raw time.Now/time.Since on operator ProcessBatch/TransferBatch/Drain paths outside the injected metadata.Clock and the 1-in-16 maintenance stride",
 	Run:  run,
 }
 
 // scope is the set of package-path suffixes whose element flow is the hot
 // path. telemetry and telemetry/flight are scoped because histogram
-// observation and flight recording sit directly on Transfer/Process
-// paths; their sanctioned clock reads live behind stride guards or Clock
+// observation and flight recording sit directly on TransferBatch/
+// ProcessBatch paths; their sanctioned clock reads live behind stride guards or Clock
 // implementations.
 var scope = []string{"ops", "pubsub", "aggregate", "metadata", "sweeparea", "temporal", "xds", "telemetry", "flight"}
 
-// hotRoots are the method names that begin a per-element (or per-frame)
-// code path. ProcessBatch/TransferBatch are the batch lane's equivalents
-// of Process/Transfer: a clock read there repeats per frame, which at
-// small frame sizes is per-element cost in disguise.
+// hotRoots are the method names that begin a per-frame code path: the
+// frame method every node implements, the publish call and the buffer
+// drain — a clock read there repeats per frame, which at small frame
+// sizes is per-element cost in disguise — plus the per-element edge
+// adapters, Process (a user sink behind the Subscribe-time wrapper) and
+// Transfer (a one-element frame).
 var hotRoots = map[string]bool{
-	"Process": true, "Transfer": true, "Drain": true,
-	"ProcessBatch": true, "TransferBatch": true,
+	"ProcessBatch": true, "TransferBatch": true, "Drain": true,
+	"Process": true, "Transfer": true,
 }
 
 func init() { vetutil.RegisterAnalyzer(name) }

@@ -1,6 +1,7 @@
-// Package ops exercises the hot-path clock contract: Process/Transfer/
-// Drain and everything statically reachable from them must not read the
-// wall clock outside the sanctioned patterns.
+// Package ops exercises the hot-path clock contract: ProcessBatch/
+// TransferBatch/Drain (and the per-element edge adapter Transfer) and
+// everything statically reachable from them must not read the wall clock
+// outside the sanctioned patterns.
 package ops
 
 import "time"
@@ -13,7 +14,7 @@ type op struct {
 	n int
 }
 
-func (o *op) Process(x int) {
+func (o *op) ProcessBatch(xs []int) {
 	_ = time.Now() // want `raw time.Now on the hot path`
 	o.helper()
 }
@@ -31,6 +32,10 @@ func (o *op) Drain(max int) int {
 	//pipesvet:allow hotpathclock sanctioned one-off read for this fixture
 	_ = time.Now()
 	return 0
+}
+
+func (o *op) TransferBatch(xs []int) {
+	_ = time.Now() // want `raw time.Now on the hot path`
 }
 
 func (o *op) Transfer(x int) {

@@ -1,11 +1,11 @@
-// Package snapshotclosure enforces the HandleSaver capture contract
+// Package snapshotclosure enforces the ft.StateSaver capture contract
 // (FAULT_TOLERANCE.md): SnapshotState runs under the checkpoint barrier
 // (ProcMu held, element flow paused) and must capture a *copy* of the
 // operator's state into locals; the encode closure it returns runs later
 // on the checkpoint manager's background writer, off-barrier, while the
 // operator is processing again. A closure that reaches back into the
 // receiver — a map or slice field, a pointer to state, or a method call —
-// therefore reads live mutable state concurrently with Process, which is
+// therefore reads live mutable state concurrently with ProcessBatch, which is
 // both a data race and a torn snapshot (the bytes written mix pre- and
 // post-barrier state).
 //
@@ -48,9 +48,10 @@ var Analyzer = &analysis.Analyzer{
 
 func init() { vetutil.RegisterAnalyzer(name) }
 
-// scope: the packages that implement ft.HandleSaver — stateful operators,
-// the checkpoint machinery itself, and the hand-off buffer.
-var scope = []string{"ops", "ft", "pubsub"}
+// scope: the packages that implement ft.StateSaver — stateful operators
+// and the metadata decorator delegating to them — plus the checkpoint
+// machinery itself.
+var scope = []string{"ops", "ft", "metadata"}
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name) // before the scope check: directive misuse is validated everywhere

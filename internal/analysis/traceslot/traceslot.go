@@ -42,9 +42,9 @@ var Analyzer = &analysis.Analyzer{
 func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope is where the contract applies: packages whose operators rewrite
-// elements. pubsub is in scope since the batch lane: the buffer and the
-// frame sources construct elements on the transfer path, where a
-// dropped trace ends attribution for every downstream hop.
+// elements. pubsub is in scope because its sources and the publish hook
+// handle elements on the transfer path, where a dropped trace ends
+// attribution for every downstream hop.
 var scope = []string{"ops", "aggregate", "ft", "pubsub"}
 
 func run(pass *analysis.Pass) (any, error) {

@@ -41,11 +41,12 @@ func a1(window temporal.Time, factory aggregate.Factory) func(b *testing.B) {
 		g := ops.NewAggregate("sum", factory)
 		c := pubsub.NewCounter("c", 1)
 		g.Subscribe(c, 0)
+		push := feed(g)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ts := temporal.Time(i)
-			g.Process(temporal.NewElement(i%100, ts, ts+window), 0)
+			push(temporal.NewElement(i%100, ts, ts+window), 0)
 		}
 	}
 }
@@ -103,10 +104,10 @@ func newNaiveMerge(inputs int) *naiveMerge {
 	return &naiveMerge{PipeBase: pubsub.NewPipeBase("naive", inputs)}
 }
 
-func (m *naiveMerge) Process(e temporal.Element, _ int) {
+func (m *naiveMerge) ProcessBatch(b temporal.Batch, _ int) {
 	m.ProcMu.Lock()
 	defer m.ProcMu.Unlock()
-	m.Transfer(e)
+	m.TransferBatch(b)
 }
 
 // A3UnionOrdered measures the real union (heap + watermarks).
@@ -123,9 +124,10 @@ func A3UnionNaive(b *testing.B) {
 func a3(b *testing.B, merge pubsub.Pipe) {
 	c := pubsub.NewCounter("c", 1)
 	merge.Subscribe(c, 0)
+	push := feed(merge)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merge.Process(temporal.At(i, temporal.Time(i)), i%2)
+		push(temporal.At(i, temporal.Time(i)), i%2)
 	}
 }

@@ -14,13 +14,14 @@ import (
 	"pipes/internal/traffic"
 )
 
-// E20 measures the batched transfer lane against the scalar lane on the
-// filter/map-dense segment of the traffic workload: the per-element cost
-// of this chain is almost entirely virtual dispatch, lock acquisition and
-// per-hop transfer — exactly what temporal.Batch frames amortise. The
+// E20 sweeps the frame size on the filter/map-dense segment of the
+// traffic workload (frame 1 is the paper's per-element hand-off): the
+// per-element cost of this chain is almost entirely virtual dispatch, lock
+// acquisition and per-hop transfer — exactly what larger frames amortise.
+// The
 // readings are pre-generated once into a pool and cycled with shifted
 // timestamps, so the generator's own cost (a per-reading scan of the
-// arrival heap) stays out of the measurement and both lanes pump
+// arrival heap) stays out of the measurement and every frame size pumps
 // identical streams.
 
 const e20PoolSize = 1 << 16
@@ -74,8 +75,8 @@ func e20Source(name string, n int) *pubsub.FuncSource {
 //	global average → counter
 //
 // The two scheduler boundaries are the architecture's hand-off points
-// (layer-1 buffers between virtual nodes): the scalar lane pays a queue
-// enqueue/dequeue per element there, the batch lane one per frame. The
+// (layer-1 buffers between virtual nodes): they pay one queue
+// enqueue/dequeue per frame. The
 // first hops see the full stream rate (the dense segment); only ~10% of
 // readings survive to the stateful tail. The returned GroupBy is the
 // chain's one stateful operator (for checkpoint registration); the tasks
@@ -122,9 +123,9 @@ func e20Graph(feed pubsub.Source) (*ops.GroupBy, *pubsub.Counter, []*sched.Buffe
 // e20Segment wires only the filter/map-dense segment of the chain — the
 // selection/projection hops that see the full stream rate — into a
 // counter, leaving out the stateful window/aggregate tail whose heap
-// maintenance costs the same per element in both lanes. This isolates
-// the cost the batch lane exists to amortise: dispatch, locks and
-// per-hop transfer.
+// maintenance costs the same per element at every frame size. This
+// isolates the cost frames exist to amortise: dispatch, locks and per-hop
+// transfer.
 func e20Segment(feed pubsub.Source) (*pubsub.Counter, []*sched.BufferTask) {
 	f1 := ops.NewFilter("oakland", func(v any) bool {
 		return v.(traffic.Reading).Direction == traffic.DirOakland
@@ -161,8 +162,8 @@ func e20Segment(feed pubsub.Source) (*pubsub.Counter, []*sched.BufferTask) {
 }
 
 // E20Segment benchmarks the filter/map-dense segment alone at the given
-// frame size (frame <= 0 drives the scalar lane) — the number the ≥2×
-// batch-lane acceptance bar is measured against.
+// frame size (frame <= 0 means frame 1) — the number PR 6's ≥2×
+// frame-64-over-frame-1 acceptance bar was measured against.
 func E20Segment(frame int) func(b *testing.B) {
 	return func(b *testing.B) {
 		src := e20Source("traffic", b.N)
@@ -178,10 +179,10 @@ func E20Segment(frame int) func(b *testing.B) {
 }
 
 // e20Drive pumps the source and drains the boundary tasks on the same
-// element cadence in both lanes: one full drain pass (upstream to
+// element cadence at every frame size: one full drain pass (upstream to
 // downstream) per 256 emitted elements, then drain to completion once the
-// source exhausts. frame <= 0 uses the scalar lane.
-func e20Drive(feed pubsub.Emitter, frame int, tasks []*sched.BufferTask) {
+// source exhausts. frame <= 0 means frame 1.
+func e20Drive(feed pubsub.BatchEmitter, frame int, tasks []*sched.BufferTask) {
 	pending := 0
 	drain := func() {
 		for _, t := range tasks {
@@ -189,16 +190,9 @@ func e20Drive(feed pubsub.Emitter, frame int, tasks []*sched.BufferTask) {
 		}
 		pending = 0
 	}
-	be, _ := feed.(pubsub.BatchEmitter)
 	for {
-		more := false
-		if frame > 0 {
-			var n int
-			n, more = be.EmitBatch(frame)
-			pending += n
-		} else if more = feed.EmitNext(); more {
-			pending++
-		}
+		n, more := feed.EmitBatch(frame)
+		pending += n
 		if !more {
 			break
 		}
@@ -220,13 +214,13 @@ func e20Drive(feed pubsub.Emitter, frame int, tasks []*sched.BufferTask) {
 }
 
 // E20Batch benchmarks the chain at the given frame size (frame <= 0
-// drives the scalar lane). A non-off mode wraps the source in a
+// means frame 1). A non-off mode wraps the source in a
 // CheckpointSource and checkpoints the aggregate on the E19 schedule, so
 // the barrier punctuation-cut rides the measured path.
 func E20Batch(frame int, mode CheckpointMode, interval time.Duration) func(b *testing.B) {
 	return func(b *testing.B) {
 		src := e20Source("traffic", b.N)
-		var feed pubsub.Emitter = src
+		var feed pubsub.BatchEmitter = src
 		var mgr *ft.Manager
 		if mode != CheckpointOff {
 			store := ft.CheckpointStore(ft.NewMemStore())

@@ -45,22 +45,22 @@ func E19Checkpoint(mode CheckpointMode, interval time.Duration) func(b *testing.
 // The zero value means "engine defaults, report only the E19 metrics".
 type chainCfg struct {
 	baseEvery int  // full-base cadence; 0 = engine default, 1 = every round full
-	onBarrier bool // legacy mode: encode under the barrier stall
 	report    bool // report per-round stall/written/full metrics
 }
 
-// E22Incremental measures what the incremental delta chain and the
-// off-barrier encode buy on the E19 graph: the same workload runs with
-// full snapshots encoded under the barrier stall (the pre-chain
-// baseline), full snapshots encoded off-barrier, and delta chains at the
-// default base cadence. Per-round barrier-stall nanoseconds and
-// written-vs-full bytes come from the manager's round accounting — the
-// bytes ratio is the steady-state reduction the chain achieves.
-func E22Incremental(mode CheckpointMode, interval time.Duration, baseEvery int, onBarrier bool) func(b *testing.B) {
-	return e19Checkpoint(mode, interval, 0, chainCfg{baseEvery: baseEvery, onBarrier: onBarrier, report: true})
+// E22Incremental measures what the incremental delta chain buys on the
+// E19 graph: the same workload runs with full snapshots every round and
+// with delta chains at the default base cadence, both encoded off the
+// barrier. Per-round barrier-stall nanoseconds and written-vs-full bytes
+// come from the manager's round accounting — the bytes ratio is the
+// steady-state reduction the chain achieves. (The pre-chain baseline that
+// encoded under the barrier stall is a recorded row in
+// BENCH_checkpoint.json; its code path is gone.)
+func E22Incremental(mode CheckpointMode, interval time.Duration, baseEvery int) func(b *testing.B) {
+	return e19Checkpoint(mode, interval, 0, chainCfg{baseEvery: baseEvery, report: true})
 }
 
-// E19CheckpointBatched reruns E19 on the batch lane: the identical
+// E19CheckpointBatched reruns E19 at a larger frame size: the identical
 // optimizer-built graph driven frame elements per activation, with the
 // CheckpointSource injecting barriers strictly between frames (the
 // punctuation-cut rule). Comparing against E19Checkpoint shows whether
@@ -79,7 +79,7 @@ func e19Checkpoint(mode CheckpointMode, interval time.Duration, frame int, cc ch
 			mgr *ft.Manager
 			cs  *ft.CheckpointSource
 		)
-		feed := pubsub.Emitter(src)
+		feed := pubsub.FrameEmitter(src)
 		if mode != CheckpointOff {
 			store := ft.CheckpointStore(ft.NewMemStore())
 			if mode == CheckpointFile {
@@ -93,7 +93,6 @@ func e19Checkpoint(mode CheckpointMode, interval time.Duration, frame int, cc ch
 			if cc.baseEvery > 0 {
 				mgr.SetBaseEvery(cc.baseEvery)
 			}
-			mgr.SetOnBarrierEncode(cc.onBarrier)
 			cs = ft.NewCheckpointSource(src)
 			mgr.RegisterSource(cs)
 			feed = cs
@@ -135,11 +134,7 @@ func e19Checkpoint(mode CheckpointMode, interval time.Duration, frame int, cc ch
 		if mgr != nil {
 			mgr.Start(interval)
 		}
-		if frame > 0 {
-			pubsub.DriveBatched(feed.(pubsub.BatchEmitter), frame)
-		} else {
-			pubsub.Drive(feed)
-		}
+		pubsub.DriveBatched(feed, frame)
 		if mgr != nil {
 			mgr.Stop()
 		}

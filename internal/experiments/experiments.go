@@ -19,6 +19,21 @@ import (
 	"pipes/internal/temporal"
 )
 
+// feed returns the per-element entry into a node for benchmark loops: each
+// call hands over one element as a one-element frame in reusable scratch —
+// what SourceBase.Transfer does for a subscribed sink.
+func feed(to pubsub.Sink) func(e temporal.Element, input int) {
+	frames, err := pubsub.Frames(to)
+	if err != nil {
+		panic(err)
+	}
+	one := make(temporal.Batch, 1)
+	return func(e temporal.Element, input int) {
+		one[0] = e
+		frames.ProcessBatch(one, input)
+	}
+}
+
 // evenFilter and tenfold are the standard cheap operators of the
 // transport benchmarks.
 func evenFilter(name string) *ops.Filter {
@@ -38,10 +53,11 @@ func E2Direct(b *testing.B) {
 	c := pubsub.NewCounter("c", 1)
 	f.Subscribe(m, 0)
 	m.Subscribe(c, 0)
+	push := feed(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Process(temporal.At(i, temporal.Time(i)), 0)
+		push(temporal.At(i, temporal.Time(i)), 0)
 	}
 }
 
@@ -58,10 +74,11 @@ func E2Queued(b *testing.B) {
 	buf1.Subscribe(m, 0)
 	m.Subscribe(buf2, 0)
 	buf2.Subscribe(c, 0)
+	push := feed(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Process(temporal.At(i, temporal.Time(i)), 0)
+		push(temporal.At(i, temporal.Time(i)), 0)
 		if i%64 == 63 {
 			buf1.Drain(0)
 			buf2.Drain(0)
@@ -79,10 +96,11 @@ func E3Fusion(chainLen int) func(b *testing.B) {
 		head, _ := buildFilterChain(chainLen)
 		buf := pubsub.NewBuffer("boundary")
 		buf.Subscribe(head, 0)
+		push := feed(buf)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf.Process(temporal.At(i, temporal.Time(i)), 0)
+			push(temporal.At(i, temporal.Time(i)), 0)
 			if i%64 == 63 {
 				buf.Drain(0)
 			}
@@ -96,10 +114,11 @@ func E3Fusion(chainLen int) func(b *testing.B) {
 func E3Unfused(chainLen int) func(b *testing.B) {
 	return func(b *testing.B) {
 		head, bufs := buildBufferedChain(chainLen)
+		push := feed(head)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			head.Process(temporal.At(i, temporal.Time(i)), 0)
+			push(temporal.At(i, temporal.Time(i)), 0)
 			if i%64 == 63 {
 				for _, q := range bufs {
 					q.Drain(0)
@@ -189,10 +208,11 @@ func RunE4(strategy sched.Factory, bursts, burstSize, capacity int) E4Result {
 
 	res := E4Result{Strategy: strat.Name()}
 	next := 0
+	push := feed(q1)
 	for tick := 0; ; tick++ {
 		if tick < bursts {
 			for i := 0; i < burstSize; i++ {
-				q1.Process(temporal.At(next, temporal.Time(next)), 0)
+				push(temporal.At(next, temporal.Time(next)), 0)
 				next++
 			}
 		}
@@ -254,9 +274,10 @@ func e5Matches(kind string, n int, window temporal.Time) int64 {
 	j := ops.NewJoin("j", la, ra, nil, nil)
 	c := pubsub.NewCounter("c", 1)
 	j.Subscribe(c, 0)
+	push := feed(j)
 	for i := 0; i < n; i++ {
 		ts := temporal.Time(i)
-		j.Process(temporal.NewElement(i, ts, ts+window), i%2)
+		push(temporal.NewElement(i, ts, ts+window), i%2)
 	}
 	j.Done(0)
 	j.Done(1)
@@ -272,11 +293,12 @@ func E5Join(kind string, window temporal.Time) func(b *testing.B) {
 		j := ops.NewJoin("j", la, ra, nil, nil)
 		c := pubsub.NewCounter("c", 1)
 		j.Subscribe(c, 0)
+		push := feed(j)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ts := temporal.Time(i)
-			j.Process(temporal.NewElement(i, ts, ts+window), i%2)
+			push(temporal.NewElement(i, ts, ts+window), i%2)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(c.Count())/float64(b.N), "results/elem")
@@ -289,11 +311,12 @@ func E6MJoin(b *testing.B) {
 	m := ops.NewMJoin("m", 3, key)
 	c := pubsub.NewCounter("c", 1)
 	m.Subscribe(c, 0)
+	push := feed(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := temporal.Time(i)
-		m.Process(temporal.NewElement(i, ts, ts+200), i%3)
+		push(temporal.NewElement(i, ts, ts+200), i%3)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(c.Count())/float64(b.N), "results/elem")
@@ -311,6 +334,8 @@ func E6BinaryTree(b *testing.B) {
 	j1.Subscribe(j2, 0)
 	c := pubsub.NewCounter("c", 1)
 	j2.Subscribe(c, 0)
+	pushJ1 := feed(j1)
+	pushJ2 := feed(j2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,11 +343,11 @@ func E6BinaryTree(b *testing.B) {
 		e := temporal.NewElement(i, ts, ts+200)
 		switch i % 3 {
 		case 0:
-			j1.Process(e, 0)
+			pushJ1(e, 0)
 		case 1:
-			j1.Process(e, 1)
+			pushJ1(e, 1)
 		default:
-			j2.Process(e, 1)
+			pushJ2(e, 1)
 		}
 	}
 	b.StopTimer()
@@ -355,11 +380,12 @@ func e9(b *testing.B, coalesce bool) {
 	} else {
 		bucket.Subscribe(c, 0)
 	}
+	push := feed(agg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := temporal.Time(i)
-		agg.Process(temporal.NewElement(i, ts, ts+64), 0)
+		push(temporal.NewElement(i, ts, ts+64), 0)
 	}
 	agg.Done(0)
 	b.StopTimer()
@@ -388,10 +414,11 @@ func E10Metadata(mode string) func(b *testing.B) {
 			m.Subscribe(c, 0)
 			sink = m
 		}
+		push := feed(sink)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sink.Process(temporal.At(i, temporal.Time(i)), 0)
+			push(temporal.At(i, temporal.Time(i)), 0)
 		}
 	}
 }
@@ -415,8 +442,9 @@ func E14CursorBridge(b *testing.B) {
 func newBenchBridge(elems []temporal.Element) func() int64 {
 	return func() int64 {
 		sink := cursor.NewSink("bridge")
+		push := feed(sink)
 		for _, e := range elems {
-			sink.Process(e, 0)
+			push(e, 0)
 		}
 		sink.Done(0)
 		n := int64(0)

@@ -97,7 +97,7 @@ func E18Telemetry(mode TelemetryMode, traceEvery int) func(b *testing.B) {
 type FlightMode int
 
 const (
-	// FlightOff runs the bare batch lane.
+	// FlightOff runs the bare chain.
 	FlightOff FlightMode = iota
 	// FlightOn attaches flight-recorder handles to every hop: frame
 	// occupancy and edge counters on each transfer, strided buffer
@@ -109,8 +109,8 @@ const (
 	FlightFull
 )
 
-// E21FlightOverhead measures monitoring overhead on the batched transfer
-// lane: the E20 full chain (boundaries included) at the given frame size,
+// E21FlightOverhead measures monitoring overhead on the transfer path:
+// the E20 full chain (boundaries included) at the given frame size,
 // bare vs flight-recorded vs flight+metadata. The flight recorder hangs
 // off the hot path at every TransferBatch and buffer enqueue/drain, so
 // the flight-vs-off delta is the number the ≤8% acceptance envelope is

@@ -47,9 +47,10 @@ func RunShedding(elements, budgetEntries int) SheddingResult {
 			sub = mgr.Subscribe(j, memory.DropState(), 1)
 		}
 		peak := 0
+		push := feed(j)
 		for i := 0; i < elements; i++ {
 			ts := temporal.Time(i)
-			j.Process(temporal.NewElement(i, ts, ts+temporal.Time(elements)), i%2)
+			push(temporal.NewElement(i, ts, ts+temporal.Time(elements)), i%2)
 			if budget > 0 && i%64 == 63 {
 				if u := j.MemoryUsage(); u > peak {
 					peak = u

@@ -241,7 +241,7 @@ func TestManagerWritesDeltaChain(t *testing.T) {
 		// The cut is injected ahead of this round's elements, so the
 		// expected full image is the operator's state right now.
 		var full bytes.Buffer
-		if err := win.SaveState(gob.NewEncoder(&full)); err != nil {
+		if err := ft.EncodeState(win, gob.NewEncoder(&full)); err != nil {
 			t.Fatal(err)
 		}
 		id, err := mgr.Trigger()
@@ -274,40 +274,30 @@ func TestManagerWritesDeltaChain(t *testing.T) {
 	}
 }
 
-// SaveState and the SnapshotState closure must produce byte-identical
-// encodings — SaveState delegates, and the differential harness snapshots
-// through SaveState while the manager encodes through the handle.
-func TestSnapshotStateMatchesSaveState(t *testing.T) {
+// The SnapshotState closure runs on the checkpoint writer while the
+// operator keeps processing: it must encode the state as of the capture,
+// not the live state.
+func TestSnapshotStateCapturesAtCall(t *testing.T) {
 	join := ops.NewEquiJoin("join", func(v any) any { return v }, func(v any) any { return v }, nil)
-	join.Process(el(1, 1, 10), 0)
-	join.Process(el(2, 2, 10), 1)
-	join.Process(el(1, 3, 8), 1)
+	join.ProcessBatch(temporal.Batch{el(1, 1, 10)}, 0)
+	join.ProcessBatch(temporal.Batch{el(2, 2, 10)}, 1)
+	join.ProcessBatch(temporal.Batch{el(1, 3, 8)}, 1)
 
-	saver, ok := any(join).(ft.StateSaver)
-	if !ok {
-		t.Fatal("join is not a StateSaver")
-	}
-	hs, ok := any(join).(ft.HandleSaver)
-	if !ok {
-		t.Fatal("join is not a HandleSaver")
-	}
 	var direct bytes.Buffer
-	if err := saver.SaveState(gob.NewEncoder(&direct)); err != nil {
+	if err := ft.EncodeState(join, gob.NewEncoder(&direct)); err != nil {
 		t.Fatal(err)
 	}
-	fn, err := hs.SnapshotState()
+	fn, err := join.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutate the operator after the capture: the closure must encode the
-	// state as of the capture, not the live state.
-	join.Process(el(3, 4, 9), 0)
+	join.ProcessBatch(temporal.Batch{el(3, 4, 9)}, 0) // mutate after the capture
 	var viaHandle bytes.Buffer
 	if err := fn(gob.NewEncoder(&viaHandle)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(direct.Bytes(), viaHandle.Bytes()) {
-		t.Fatalf("SnapshotState closure (%dB) differs from SaveState (%dB)",
+		t.Fatalf("closure encoded %dB after a later mutation, %dB at capture time",
 			viaHandle.Len(), direct.Len())
 	}
 }

@@ -27,12 +27,12 @@
 // # State contract
 //
 // Operators participate through the structural StateSaver/StateLoader
-// contract (implemented in internal/ops and on pubsub.Buffer, without an
-// ft import): SaveState runs under the operator's ProcMu at alignment —
-// it must serialise into the provided in-memory encoder and do no I/O;
-// the durable write happens on the Manager's background writer, off the
-// hot path. Element trace slots are dropped: traces do not survive a
-// crash. LoadState runs on a freshly built, not-yet-started operator.
+// contract (implemented in internal/ops, without an ft import):
+// SnapshotState runs under the operator's ProcMu at alignment and only
+// captures; the returned closure encodes on the Manager's background
+// writer, which also does the durable write — both off the hot path.
+// Element trace slots are dropped: traces do not survive a crash.
+// LoadState runs on a freshly built, not-yet-started operator.
 //
 // # Recovery
 //
@@ -48,11 +48,23 @@ package ft
 
 import "encoding/gob"
 
-// StateSaver is implemented by every checkpointable operator: it writes
-// the operator's state to enc. Called with the operator quiescent (under
-// ProcMu, inputs aligned); implementations take no locks and do no I/O.
+// StateSaver is implemented by every checkpointable operator.
+// SnapshotState captures a cheap immutable snapshot handle of the
+// operator's state (slice copies of the live collections — no encoding)
+// and returns a closure that serialises that handle later. The closure is
+// invoked exactly once, on the Manager's background writer after the
+// barrier gates have released, so the gob encode — the dominant cost of a
+// large snapshot — leaves the barrier stall entirely.
+//
+// SnapshotState is called with the operator quiescent (under ProcMu,
+// inputs aligned); it takes no locks and does no I/O. The returned closure
+// must depend only on the captured copies (and on element values, which
+// are immutable by the engine's purity contract — see CONCURRENCY.md) so
+// it can run concurrently with post-barrier processing. The interface is
+// declared with std-library types only so implementations stay
+// structurally matchable without importing ft.
 type StateSaver interface {
-	SaveState(enc *gob.Encoder) error
+	SnapshotState() (func(enc *gob.Encoder) error, error)
 }
 
 // StateLoader restores state saved by the same operator type's
@@ -62,26 +74,15 @@ type StateLoader interface {
 	LoadState(dec *gob.Decoder) error
 }
 
-// HandleSaver is the copy-on-write refinement of StateSaver: instead of
-// serialising under the barrier, SnapshotState captures a cheap immutable
-// snapshot handle of the operator's state (slice copies of the live
-// collections — no encoding) and returns a closure that serialises that
-// handle later. The closure is invoked exactly once, on the Manager's
-// background writer after the barrier gates have released, so the gob
-// encode — the dominant cost of a large snapshot — leaves the barrier
-// stall entirely.
-//
-// The contract mirrors SaveState's: SnapshotState runs under the
-// operator's ProcMu at alignment, takes no locks and does no I/O; the
-// returned closure must depend only on the captured copies (and on
-// element values, which are immutable by the engine's purity contract —
-// see CONCURRENCY.md) so it can run concurrently with post-barrier
-// processing. SaveState and the closure must produce byte-identical
-// encodings — the differential harness's oracle. The interface is
-// declared with std-library types only so implementations stay
-// structurally matchable without importing ft.
-type HandleSaver interface {
-	SnapshotState() (func(enc *gob.Encoder) error, error)
+// EncodeState captures op's state and encodes it in place — the
+// synchronous form for callers that need the bytes now (tests, tools).
+// Like SnapshotState it requires op to be quiescent.
+func EncodeState(op StateSaver, enc *gob.Encoder) error {
+	fn, err := op.SnapshotState()
+	if err != nil {
+		return err
+	}
+	return fn(enc)
 }
 
 // RegisterType makes a concrete type encodable inside the `any` slots of

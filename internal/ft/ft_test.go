@@ -249,19 +249,19 @@ func waitSealed(t *testing.T, mgr *ft.Manager, id uint64) {
 	t.Fatalf("round %d never sealed", id)
 }
 
-// Round-trip every stateful operator through SaveState/LoadState and
+// Round-trip every stateful operator through SnapshotState/LoadState and
 // verify the restored operator produces identical output for identical
 // further input.
 func TestOperatorStateRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		make  func() pubsub.Pipe
+		make  func() statefulOp
 		feed  []feedStep
 		after []feedStep
 	}{
 		{
 			name: "join",
-			make: func() pubsub.Pipe {
+			make: func() statefulOp {
 				return ops.NewEquiJoin("op", func(v any) any { return v }, func(v any) any { return v }, nil)
 			},
 			feed:  []feedStep{{el(1, 1, 10), 0}, {el(2, 2, 10), 1}, {el(1, 3, 8), 1}},
@@ -269,7 +269,7 @@ func TestOperatorStateRoundTrip(t *testing.T) {
 		},
 		{
 			name: "groupby",
-			make: func() pubsub.Pipe {
+			make: func() statefulOp {
 				return ops.NewGroupBy("op", func(v any) any { return v.(int) % 2 }, aggregate.NewCount, nil)
 			},
 			feed:  []feedStep{{el(1, 1, 5), 0}, {el(2, 2, 6), 0}, {el(3, 3, 7), 0}},
@@ -277,31 +277,31 @@ func TestOperatorStateRoundTrip(t *testing.T) {
 		},
 		{
 			name:  "union",
-			make:  func() pubsub.Pipe { return ops.NewUnion("op", 2) },
+			make:  func() statefulOp { return ops.NewUnion("op", 2) },
 			feed:  []feedStep{{el(1, 1, 5), 0}, {el(2, 3, 6), 1}},
 			after: []feedStep{{el(3, 4, 8), 0}, {el(4, 5, 9), 1}},
 		},
 		{
 			name:  "difference",
-			make:  func() pubsub.Pipe { return ops.NewDifference("op", nil) },
+			make:  func() statefulOp { return ops.NewDifference("op", nil) },
 			feed:  []feedStep{{el(1, 1, 9), 0}, {el(1, 2, 6), 1}, {el(2, 3, 7), 0}},
 			after: []feedStep{{el(1, 4, 8), 0}, {el(2, 5, 6), 1}},
 		},
 		{
 			name:  "intersect",
-			make:  func() pubsub.Pipe { return ops.NewIntersect("op", nil) },
+			make:  func() statefulOp { return ops.NewIntersect("op", nil) },
 			feed:  []feedStep{{el(1, 1, 9), 0}, {el(1, 2, 6), 1}, {el(2, 3, 7), 0}},
 			after: []feedStep{{el(2, 4, 8), 1}, {el(1, 5, 6), 0}},
 		},
 		{
 			name:  "countwindow",
-			make:  func() pubsub.Pipe { return ops.NewCountWindow("op", 2) },
+			make:  func() statefulOp { return ops.NewCountWindow("op", 2) },
 			feed:  []feedStep{{el(1, 1, 1), 0}, {el(2, 2, 2), 0}, {el(3, 3, 3), 0}},
 			after: []feedStep{{el(4, 4, 4), 0}, {el(5, 5, 5), 0}},
 		},
 		{
 			name: "partitionedwindow",
-			make: func() pubsub.Pipe {
+			make: func() statefulOp {
 				return ops.NewPartitionedWindow("op", func(v any) any { return v.(int) % 2 }, 2)
 			},
 			feed:  []feedStep{{el(1, 1, 1), 0}, {el(2, 2, 2), 0}, {el(3, 3, 3), 0}},
@@ -316,7 +316,7 @@ func TestOperatorStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range append(append([]feedStep{}, tc.feed...), tc.after...) {
-				ref.Process(s.e, s.input)
+				ref.ProcessBatch(temporal.Batch{s.e}, s.input)
 			}
 			doneAll(ref)
 
@@ -330,10 +330,10 @@ func TestOperatorStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range tc.feed {
-				orig.Process(s.e, s.input)
+				orig.ProcessBatch(temporal.Batch{s.e}, s.input)
 			}
 			var buf bytes.Buffer
-			if err := orig.(ft.StateSaver).SaveState(gob.NewEncoder(&buf)); err != nil {
+			if err := ft.EncodeState(orig.(ft.StateSaver), gob.NewEncoder(&buf)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -346,7 +346,7 @@ func TestOperatorStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, s := range tc.after {
-				restored.Process(s.e, s.input)
+				restored.ProcessBatch(temporal.Batch{s.e}, s.input)
 			}
 			doneAll(restored)
 
@@ -369,6 +369,12 @@ func TestOperatorStateRoundTrip(t *testing.T) {
 type feedStep struct {
 	e     temporal.Element
 	input int
+}
+
+// statefulOp is what the round-trip table drives: an engine operator.
+type statefulOp interface {
+	pubsub.Pipe
+	pubsub.BatchSink
 }
 
 func doneAll(p pubsub.Pipe) {

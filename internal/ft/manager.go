@@ -44,14 +44,14 @@ const DefaultBaseEvery = 8
 // them to the store — the only place state touches I/O, off the
 // processing hot path.
 //
-// Operators implementing HandleSaver publish a copy-on-write snapshot
-// handle at the barrier (cheap collection copies, no serialisation); the
+// Operators publish a copy-on-write snapshot handle at the barrier (cheap
+// collection copies, no serialisation — the StateSaver contract); the
 // background writer encodes the handle after the gates release and — when
 // the store supports ChainWriter — writes only a binary delta against the
 // previous sealed round, with a full base every SetBaseEvery rounds.
 //
 // Configure (RegisterSource/RegisterOperator/RegisterSink/OnEvent/
-// SetBaseEvery/SetOnBarrierEncode) before Start; Trigger and the periodic
+// SetBaseEvery) before Start; Trigger and the periodic
 // ticker drive rounds afterwards.
 type Manager struct {
 	store CheckpointStore
@@ -67,22 +67,8 @@ type Manager struct {
 	started bool
 
 	// baseEvery is the full-base cadence of the delta chain (<=1 writes
-	// every round full); onBarrierEncode restores the legacy behaviour of
-	// serialising under the barrier stall (benchmark baseline — it also
-	// forces full entries, since the single scratch buffer cannot hold
-	// the previous round's bytes). Both are set before Start.
-	baseEvery       int
-	onBarrierEncode bool
-
-	// scratch holds one reusable gob-encode buffer per operator for the
-	// *barrier-side* encode paths (legacy mode, and savers without
-	// SnapshotState). Rounds never overlap (Trigger returns
-	// ErrRoundInFlight until the writer retires the round), so by the
-	// time a round's saveState runs, the previous round's buffer has been
-	// fully consumed by the store write — reuse is safe and keeps a
-	// multi-megabyte snapshot from allocating fresh buffers every
-	// interval.
-	scratch map[string]*bytes.Buffer
+	// every round full). Set before Start.
+	baseEvery int
 
 	// Writer-goroutine state (plus Stop's post-Wait drain — never
 	// concurrent): per-operator double encode buffers so the previous
@@ -160,9 +146,9 @@ type pending struct {
 
 	mu          sync.Mutex
 	offsets     map[string]int
-	states      map[string][]byte // barrier-side encodings (nil = poisoned)
 	handles     map[string]func(*gob.Encoder) error
-	stallNS     int64 // summed barrier-side capture/encode time
+	failed      map[string]error // operators whose SnapshotState failed: the round cannot seal
+	stallNS     int64            // summed barrier-side capture time
 	needOffsets map[string]bool
 	needAcks    map[string]bool
 	completed   bool
@@ -178,7 +164,6 @@ func NewManager(store CheckpointStore) *Manager {
 		stallHist: telemetry.NewHistogram(),
 		writeCh:   make(chan *pending, 1),
 		stopCh:    make(chan struct{}),
-		scratch:   map[string]*bytes.Buffer{},
 		enc:       map[string]*opScratch{},
 		chainBase: map[uint64]uint64{},
 		baseEvery: DefaultBaseEvery,
@@ -195,12 +180,6 @@ func (m *Manager) SetBaseEvery(k int) {
 	m.baseEvery = k
 }
 
-// SetOnBarrierEncode restores the legacy encode-under-the-barrier
-// behaviour (and full, chain-free rounds): the benchmark baseline that
-// quantifies what the copy-on-write handle layer buys. Must be called
-// before Start.
-func (m *Manager) SetOnBarrierEncode(v bool) { m.onBarrierEncode = v }
-
 // RegisterSource adds a source to the rounds: every Trigger injects the
 // barrier there and records its replay offset.
 func (m *Manager) RegisterSource(cs *CheckpointSource) {
@@ -208,10 +187,9 @@ func (m *Manager) RegisterSource(cs *CheckpointSource) {
 	m.sources = append(m.sources, cs)
 }
 
-// RegisterOperator adds a stateful operator: its state is saved each
-// round (via the StateSaver contract — operators also implementing
-// HandleSaver snapshot copy-on-write handles and encode off the barrier)
-// and the round completes only after its ack. The operator must also
+// RegisterOperator adds a stateful operator: its state is captured each
+// round (via the StateSaver contract) and encoded off the barrier, and
+// the round completes only after its ack. The operator must also
 // satisfy BarrierHooked (every ops operator does, via pubsub.PipeBase).
 func (m *Manager) RegisterOperator(op BarrierHooked, saver StateSaver) {
 	name := op.Name()
@@ -396,7 +374,7 @@ func (m *Manager) Trigger() (uint64, error) {
 		id:          id,
 		begun:       time.Now(),
 		offsets:     map[string]int{},
-		states:      map[string][]byte{},
+		failed:      map[string]error{},
 		handles:     map[string]func(*gob.Encoder) error{},
 		needOffsets: map[string]bool{},
 		needAcks:    map[string]bool{},
@@ -430,11 +408,9 @@ func (m *Manager) current(b pubsub.Barrier) *pending {
 }
 
 // saveState is the operator save hook: it runs under the operator's
-// ProcMu at barrier alignment, so whatever it does is barrier stall. A
-// HandleSaver pays only the copy-on-write capture here (the encode moves
-// to the writer goroutine); a plain StateSaver — or any saver when
-// SetOnBarrierEncode is on — serialises into the staging buffer in place,
-// the legacy behaviour.
+// ProcMu at barrier alignment, so whatever it does is barrier stall —
+// only the copy-on-write capture; the encode moves to the writer
+// goroutine.
 func (m *Manager) saveState(b pubsub.Barrier, name string, saver StateSaver) {
 	p := m.current(b)
 	if p == nil {
@@ -446,48 +422,20 @@ func (m *Manager) saveState(b pubsub.Barrier, name string, saver StateSaver) {
 	} else {
 		start = time.Now().UnixNano()
 	}
-	if hs, ok := saver.(HandleSaver); ok && !m.onBarrierEncode {
-		fn, err := hs.SnapshotState()
-		stall := m.sinceNS(start)
-		if m.flightRec != nil {
-			if ref := m.flightRef(name); ref != nil {
-				ref.Phase(flight.KindSnapshot, int64(b.ID), stall, 0)
-			}
-		}
-		p.mu.Lock()
-		if err != nil {
-			// A state that cannot snapshot poisons the round: mark it
-			// absent and let the round fail at write time.
-			p.states[name] = nil
-		} else {
-			p.handles[name] = fn
-		}
-		p.stallNS += stall
-		p.mu.Unlock()
-		m.emit(Event{Stage: "save", Node: name, ID: b.ID})
-		return
-	}
-
-	m.mu.Lock()
-	buf := m.scratch[name]
-	if buf == nil {
-		buf = &bytes.Buffer{}
-		m.scratch[name] = buf
-	}
-	m.mu.Unlock()
-	buf.Reset()
-	err := saver.SaveState(gob.NewEncoder(buf))
+	fn, err := saver.SnapshotState()
 	stall := m.sinceNS(start)
 	if m.flightRec != nil {
 		if ref := m.flightRef(name); ref != nil {
-			ref.Phase(flight.KindSnapshot, int64(b.ID), stall, int64(buf.Len()))
+			ref.Phase(flight.KindSnapshot, int64(b.ID), stall, 0)
 		}
 	}
 	p.mu.Lock()
 	if err != nil {
-		p.states[name] = nil
+		// A state that cannot snapshot poisons the round: let it fail at
+		// write time.
+		p.failed[name] = err
 	} else {
-		p.states[name] = buf.Bytes()
+		p.handles[name] = fn
 	}
 	p.stallNS += stall
 	p.mu.Unlock()
@@ -645,15 +593,15 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 	cw, chainOK := w.(ChainWriter)
 	parent := m.prevSealedID
 	// A base round: no parent to delta against, chains disabled or
-	// unsupported, legacy on-barrier mode, or the cadence is due.
-	isBase := parent == 0 || !chainOK || m.baseEvery <= 1 || m.onBarrierEncode ||
-		m.sinceBase >= m.baseEvery-1
+	// unsupported, or the cadence is due.
+	isBase := parent == 0 || !chainOK || m.baseEvery <= 1 || m.sinceBase >= m.baseEvery-1
 
 	p.mu.Lock()
-	names := make([]string, 0, len(p.states)+len(p.handles))
-	for name := range p.states {
-		names = append(names, name)
+	for name, err := range p.failed {
+		p.mu.Unlock()
+		return stats, fmt.Errorf("ft: round %d: state of %s failed to snapshot: %w", p.id, name, err)
 	}
+	names := make([]string, 0, len(p.handles))
 	for name := range p.handles {
 		names = append(names, name)
 	}
@@ -710,9 +658,8 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 }
 
 // encodeState produces one operator's full encoding for this round into
-// its double-buffered scratch: handles are serialised here (the
-// off-barrier encode), barrier-side encodings are copied in so they too
-// survive as the next round's delta parent.
+// its double-buffered scratch (the off-barrier encode), where it survives
+// as the next round's delta parent.
 func (m *Manager) encodeState(p *pending, name string) ([]byte, int64, error) {
 	sc := m.enc[name]
 	if sc == nil {
@@ -722,31 +669,23 @@ func (m *Manager) encodeState(p *pending, name string) ([]byte, int64, error) {
 	buf := sc.next()
 	p.mu.Lock()
 	fn := p.handles[name]
-	st, stStaged := p.states[name]
 	p.mu.Unlock()
-	if fn != nil {
-		var start int64
-		if m.flightRec != nil {
-			start = m.flightRec.NowNS()
-		} else {
-			start = time.Now().UnixNano()
-		}
-		if err := fn(gob.NewEncoder(buf)); err != nil {
-			return nil, 0, fmt.Errorf("ft: round %d: state of %s failed to serialise: %w", p.id, name, err)
-		}
-		encNS := m.sinceNS(start)
-		if m.flightRec != nil {
-			if ref := m.flightRef(name); ref != nil {
-				ref.Phase(flight.KindEncode, int64(p.id), encNS, int64(buf.Len()))
-			}
-		}
-		return buf.Bytes(), encNS, nil
+	var start int64
+	if m.flightRec != nil {
+		start = m.flightRec.NowNS()
+	} else {
+		start = time.Now().UnixNano()
 	}
-	if !stStaged || st == nil {
-		return nil, 0, fmt.Errorf("ft: round %d: state of %s failed to serialise", p.id, name)
+	if err := fn(gob.NewEncoder(buf)); err != nil {
+		return nil, 0, fmt.Errorf("ft: round %d: state of %s failed to serialise: %w", p.id, name, err)
 	}
-	buf.Write(st)
-	return buf.Bytes(), 0, nil
+	encNS := m.sinceNS(start)
+	if m.flightRec != nil {
+		if ref := m.flightRef(name); ref != nil {
+			ref.Phase(flight.KindEncode, int64(p.id), encNS, int64(buf.Len()))
+		}
+	}
+	return buf.Bytes(), encNS, nil
 }
 
 // LastCheckpointID returns the ID of the last sealed round (0 when none).

@@ -383,7 +383,7 @@ func testCrashRecovery(t *testing.T, sh shape, inputs [][]temporal.Element, poin
 // A crash that corrupts the newest checkpoint's delta payload after seal
 // must not poison recovery — the store falls back to the last intact
 // sealed prefix of the chain, and the state it resolves (base plus the
-// surviving deltas) must be byte-identical to the scalar SaveState
+// surviving deltas) must be byte-identical to the direct EncodeState
 // snapshot captured at that cut.
 func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
@@ -412,7 +412,7 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	var lastID uint64
 	for round := 0; round < rounds; round++ {
 		var full bytes.Buffer
-		if err := win.SaveState(gob.NewEncoder(&full)); err != nil {
+		if err := ft.EncodeState(win, gob.NewEncoder(&full)); err != nil {
 			t.Fatal(err)
 		}
 		id, err := mgr.Trigger()
@@ -483,7 +483,7 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
-	if err := fresh.SaveState(gob.NewEncoder(&again)); err != nil {
+	if err := ft.EncodeState(fresh, gob.NewEncoder(&again)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), snaps[cp.ID]) {

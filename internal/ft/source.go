@@ -14,7 +14,7 @@ import (
 // and the inner source's elements pass through it synchronously.
 type CheckpointSource struct {
 	pubsub.SourceBase
-	inner pubsub.Emitter
+	inner pubsub.BatchEmitter
 
 	mu     sync.Mutex
 	offset int
@@ -26,7 +26,7 @@ type CheckpointSource struct {
 // NewCheckpointSource wraps inner. The wrapper takes over inner's
 // subscribers: subscribe sinks to the wrapper, not to inner.
 func NewCheckpointSource(inner pubsub.Emitter) *CheckpointSource {
-	cs := &CheckpointSource{SourceBase: pubsub.NewSourceBase(inner.Name()), inner: inner}
+	cs := &CheckpointSource{SourceBase: pubsub.NewSourceBase(inner.Name()), inner: pubsub.FrameEmitter(inner)}
 	if err := inner.Subscribe((*csTap)(cs), 0); err != nil {
 		panic("ft: cannot subscribe checkpoint tap: " + err.Error())
 	}
@@ -39,14 +39,6 @@ func NewCheckpointSource(inner pubsub.Emitter) *CheckpointSource {
 type csTap CheckpointSource
 
 func (t *csTap) Name() string { return (*CheckpointSource)(t).Name() + "/ft-tap" }
-
-func (t *csTap) Process(e temporal.Element, _ int) {
-	cs := (*CheckpointSource)(t)
-	cs.mu.Lock()
-	cs.offset++
-	cs.mu.Unlock()
-	cs.Transfer(e)
-}
 
 // ProcessBatch implements pubsub.BatchSink: frames pass through whole,
 // advancing the replay offset by the frame length.
@@ -76,29 +68,14 @@ func (t *csTap) Done(_ int) {
 	cs.SignalDone()
 }
 
-// EmitNext implements pubsub.Emitter: a pending barrier is injected
-// before the next element, taking the stream position between the
-// elements emitted so far and all later ones.
-func (cs *CheckpointSource) EmitNext() bool {
-	cs.mu.Lock()
-	req, onReq, off := cs.req, cs.onReq, cs.offset
-	cs.req = nil
-	cs.mu.Unlock()
-	if req != nil {
-		cs.TransferControl(*req)
-		if onReq != nil {
-			onReq(*req, cs.Name(), off)
-		}
-	}
-	return cs.inner.EmitNext()
-}
+// EmitNext implements pubsub.Emitter.
+func (cs *CheckpointSource) EmitNext() bool { _, more := cs.EmitBatch(1); return more }
 
 // EmitBatch implements pubsub.BatchEmitter: the punctuation-cut rule for
 // checkpoints. A pending barrier is injected strictly between frames —
 // before the next frame the inner source publishes — so the barrier's
 // stream position is a frame boundary and the replay offset counts exactly
-// the pre-barrier elements, exactly as in the scalar lane. An inner source
-// without batch support falls back to one element per call.
+// the pre-barrier elements.
 func (cs *CheckpointSource) EmitBatch(max int) (int, bool) {
 	cs.mu.Lock()
 	req, onReq, off := cs.req, cs.onReq, cs.offset
@@ -110,13 +87,7 @@ func (cs *CheckpointSource) EmitBatch(max int) (int, bool) {
 			onReq(*req, cs.Name(), off)
 		}
 	}
-	if be, ok := cs.inner.(pubsub.BatchEmitter); ok {
-		return be.EmitBatch(max)
-	}
-	if !cs.inner.EmitNext() {
-		return 0, false
-	}
-	return 1, true
+	return cs.inner.EmitBatch(max)
 }
 
 // RequestBarrier asks the source to inject b at its next emission (or
@@ -188,10 +159,11 @@ func NewCheckpointSink(name string) *CheckpointSink {
 // Name implements pubsub.Node.
 func (s *CheckpointSink) Name() string { return s.name }
 
-// Process implements pubsub.Sink.
-func (s *CheckpointSink) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink: the append copies the elements
+// out of the borrowed frame.
+func (s *CheckpointSink) ProcessBatch(b temporal.Batch, _ int) {
 	s.mu.Lock()
-	s.elems = append(s.elems, e)
+	s.elems = append(s.elems, b...)
 	s.mu.Unlock()
 }
 

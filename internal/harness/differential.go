@@ -1,28 +1,28 @@
-// Scalar-vs-batch differential execution: the same plan is driven twice
-// by a deterministic single-threaded driver — once element-at-a-time
-// through the scalar transfer path (Transfer/Process) and once in frames
-// through the batch lane (TransferBatch/ProcessBatch) — and the two runs
-// must agree EXACTLY: identical output sequences, identical checkpoint
+// Frame-size invariance: the same plan is driven by a deterministic
+// single-threaded driver at different frame sizes, and the runs must
+// agree EXACTLY: identical output sequences, identical checkpoint
 // snapshots (byte-for-byte gob state) at every punctuation round, and
-// identical sink cut indices. This is a stronger oracle than snapshot
-// equivalence: the batch lane's contract (pubsub.BatchSink) is per-element
-// equivalence in frame order, so nothing — not even the physical emission
-// order of simultaneous elements — may differ between the lanes.
+// identical sink cut indices. A frame is by definition the run of its
+// elements processed one by one (SEMANTICS.md §3.7), so frame size 1 is
+// the baseline every other size is compared against, and nothing — not
+// even the physical emission order of simultaneous elements — may depend
+// on how a stream is cut into frames. This is a stronger oracle than
+// snapshot equivalence.
 //
 // The driver emits sources one at a time (source 0's segment, then source
 // 1's, ...) and drains every hand-off buffer to quiescence between
-// segments, so the per-edge delivery sequence at every operator is a pure
-// function of the schedule and identical across lanes; only the frame
+// frames, so the per-edge delivery sequence at every operator is a pure
+// function of the schedule and identical across runs; only the frame
 // grouping differs. Punctuation rounds inject a pubsub.Barrier at a
-// randomized per-source element offset — in the batch lane the offset cuts
-// the current frame (the punctuation-cut rule) — and the barrier save
-// hooks capture each stateful operator's gob snapshot for comparison.
+// randomized per-source element offset — the offset cuts the current
+// frame (the punctuation-cut rule) — and the barrier save hooks capture
+// each stateful operator's gob snapshot for comparison.
 //
 // Limitation: the exact-equality argument requires that every multi-input
 // operator's inputs descend from disjoint sources. A diamond (one source
-// reaching one operator on two inputs) interleaves its edges per element
-// in the scalar lane but per frame in the batch lane; such plans need the
-// snapshot-equivalence oracle (Stress), not this driver.
+// reaching one operator on two inputs) interleaves its edges per frame,
+// so its physical emission order varies with the frame size; such plans
+// need the snapshot-equivalence oracle (Stress), not this driver.
 package harness
 
 import (
@@ -34,27 +34,28 @@ import (
 	"reflect"
 	"sort"
 
+	"pipes/internal/ft"
 	"pipes/internal/pubsub"
 	"pipes/internal/sched"
 	"pipes/internal/temporal"
 )
 
-// DiffConfig parameterises one differential execution.
+// DiffConfig parameterises one driver run.
 type DiffConfig struct {
-	// FrameSize is the batch lane's frame size; 1 degenerates to scalar
-	// granularity by construction, <= 0 means "maxed": each source segment
-	// is published as a single frame. Ignored by the scalar lane.
+	// FrameSize is the frame size sources publish at; 1 is the baseline,
+	// <= 0 means whole-segment: each source segment between two
+	// punctuations is published as a single frame.
 	FrameSize int
 	// Rounds is the number of punctuation rounds: barriers with IDs 1..Rounds
 	// are injected at randomized per-source offsets.
 	Rounds int
-	// Seed drives the punctuation-offset rng; both lanes derive identical
-	// offsets from it.
+	// Seed drives the punctuation-offset rng; runs at every frame size
+	// derive identical offsets from it.
 	Seed int64
 }
 
-// LaneResult is everything one lane produced, in comparable form.
-type LaneResult struct {
+// RunResult is everything one run produced, in comparable form.
+type RunResult struct {
 	// Output is the exact element sequence received by the sink.
 	Output []temporal.Element
 	// Snapshots[r] maps an operator key (discovery index + name) to the
@@ -75,19 +76,14 @@ type LaneResult struct {
 // (plans routing through ops.Parallel, which drops control elements).
 var ErrDiffUnsupported = errors.New("harness: plan does not propagate barriers end-to-end")
 
-// RunScalarLane executes the plan through the per-element transfer path.
-func RunScalarLane(plan Plan, cfg DiffConfig) (LaneResult, error) {
-	return runLane(plan, cfg, false, nil)
+// RunFrames executes the plan at cfg.FrameSize.
+func RunFrames(plan Plan, cfg DiffConfig) (RunResult, error) {
+	return runFrames(plan, cfg, nil)
 }
 
-// RunBatchLane executes the plan through the frame transfer path.
-func RunBatchLane(plan Plan, cfg DiffConfig) (LaneResult, error) {
-	return runLane(plan, cfg, true, nil)
-}
-
-// DiffLanes compares two lane results for exact agreement and reports the
-// first divergence.
-func DiffLanes(want, got LaneResult) error {
+// DiffRuns compares two runs for exact agreement and reports the first
+// divergence.
+func DiffRuns(want, got RunResult) error {
 	if len(want.Output) != len(got.Output) {
 		return fmt.Errorf("output length: want %d, got %d", len(want.Output), len(got.Output))
 	}
@@ -125,13 +121,13 @@ func DiffLanes(want, got LaneResult) error {
 }
 
 // sameElement compares logical element content; the telemetry trace slot
-// is transport metadata and takes no part in lane equality.
+// is transport metadata and takes no part in run equality.
 func sameElement(a, b temporal.Element) bool {
 	return a.Interval == b.Interval && reflect.DeepEqual(a.Value, b.Value)
 }
 
-// RunCrashRecovery runs the full crash-mid-batch scenario on the batch
-// lane: an uninterrupted run for reference, a run abandoned mid-frame a
+// RunCrashRecovery runs the full crash-mid-frame scenario: an
+// uninterrupted run for reference, a run abandoned mid-frame a
 // few elements after round crashRound completed, then a recovery run —
 // fresh graph, operator state loaded from the round's snapshots, sources
 // replayed from the recorded offsets. The pre-crash output truncated at
@@ -142,7 +138,7 @@ func RunCrashRecovery(plan Plan, cfg DiffConfig, crashRound int) error {
 	if crashRound < 1 || crashRound > cfg.Rounds {
 		return fmt.Errorf("harness: crash round %d outside 1..%d", crashRound, cfg.Rounds)
 	}
-	full, err := runLane(plan, cfg, true, nil)
+	full, err := runFrames(plan, cfg, nil)
 	if err != nil {
 		return fmt.Errorf("uninterrupted run: %w", err)
 	}
@@ -162,7 +158,7 @@ func RunCrashRecovery(plan Plan, cfg DiffConfig, crashRound int) error {
 	for i := range extra {
 		extra[i] = 1 + rng.Intn(2*frame-1)
 	}
-	crashed, err := runLane(plan, cfg, true, &crashSpec{round: crashRound, extra: extra})
+	crashed, err := runFrames(plan, cfg, &crashSpec{round: crashRound, extra: extra})
 	if err != nil {
 		return fmt.Errorf("crashed run: %w", err)
 	}
@@ -173,7 +169,7 @@ func RunCrashRecovery(plan Plan, cfg DiffConfig, crashRound int) error {
 	for i, in := range plan.Inputs {
 		replay[i] = in[crashed.Offsets[i][crashRound-1]:]
 	}
-	recovered, err := recoverLane(plan, cfg, replay, snaps)
+	recovered, err := recoverFrames(plan, cfg, replay, snaps)
 	if err != nil {
 		return err
 	}
@@ -201,9 +197,9 @@ type diffSink struct {
 	cuts  map[uint64]int
 }
 
-func (s *diffSink) Name() string                      { return "diff-sink" }
-func (s *diffSink) Process(e temporal.Element, _ int) { s.elems = append(s.elems, e) }
-func (s *diffSink) Done(_ int)                        {}
+func (s *diffSink) Name() string                         { return "diff-sink" }
+func (s *diffSink) ProcessBatch(b temporal.Batch, _ int) { s.elems = append(s.elems, b...) }
+func (s *diffSink) Done(_ int)                           {}
 func (s *diffSink) HandleControl(c pubsub.Control, _ int) {
 	if b, ok := c.(pubsub.Barrier); ok {
 		if _, dup := s.cuts[b.ID]; !dup {
@@ -212,26 +208,18 @@ func (s *diffSink) HandleControl(c pubsub.Control, _ int) {
 	}
 }
 
-// barrierHooked and stateSaver are the structural capability pair a
+// barrierHooked and ft.StateSaver are the capability pair a
 // snapshot-capturable operator exposes (pubsub.PipeBase + ops state
-// contract); stateLoader is the recovery half.
+// contract); ft.StateLoader is the recovery half.
 type barrierHooked interface {
 	SetBarrierHooks(save, ack func(pubsub.Barrier))
-}
-
-type stateSaver interface {
-	SaveState(enc *gob.Encoder) error
-}
-
-type stateLoader interface {
-	LoadState(dec *gob.Decoder) error
 }
 
 // saverRef is one snapshot-capturable operator found by graph discovery.
 type saverRef struct {
 	key    string
 	hooked barrierHooked
-	saver  stateSaver
+	saver  ft.StateSaver
 }
 
 // discoverSavers walks the graph breadth-first from the sources (through
@@ -262,7 +250,7 @@ func discoverSavers(roots []pubsub.Source) []saverRef {
 			op = dec.Inner()
 		}
 		if hooked, ok := op.(barrierHooked); ok {
-			if sv, ok := op.(stateSaver); ok {
+			if sv, ok := op.(ft.StateSaver); ok {
 				name := "?"
 				if node, ok := op.(interface{ Name() string }); ok {
 					name = node.Name()
@@ -290,8 +278,8 @@ func discoverSavers(roots []pubsub.Source) []saverRef {
 
 // punctOffsets derives the per-source punctuation offsets from the seed:
 // Rounds draws in [0, len(input)], sorted so successive rounds cut at
-// non-decreasing stream positions. Both lanes call this with the same
-// config and therefore agree on every cut.
+// non-decreasing stream positions. Runs at every frame size call this with
+// the same config and therefore agree on every cut.
 func punctOffsets(plan Plan, cfg DiffConfig) [][]int {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	offs := make([][]int, len(plan.Inputs))
@@ -322,46 +310,36 @@ func drainAll(tasks []sched.Task) {
 	}
 }
 
-// laneDriver drives one lane's sources deterministically.
-type laneDriver struct {
+// frameDriver drives one run's sources deterministically.
+type frameDriver struct {
 	srcs  []*pubsub.SliceSource
 	pos   []int
 	tasks []sched.Task
-	batch bool
-	frame int // <= 0: maxed
+	frame int // <= 0: whole-segment
 }
 
 // emitTo advances source i to absolute offset target, in frames of at
-// most the configured size (scalar lane: one element at a time), draining
-// the graph to quiescence after every publication.
-func (d *laneDriver) emitTo(i, target int) {
+// most the configured size, draining the graph to quiescence after every
+// publication.
+func (d *frameDriver) emitTo(i, target int) {
 	for d.pos[i] < target {
-		if d.batch {
-			n := target - d.pos[i]
-			if d.frame > 0 && n > d.frame {
-				n = d.frame
-			}
-			k, _ := d.srcs[i].EmitBatch(n)
-			d.pos[i] += k
-		} else {
-			d.srcs[i].EmitNext()
-			d.pos[i]++
+		n := target - d.pos[i]
+		if d.frame > 0 && n > d.frame {
+			n = d.frame
 		}
+		k, _ := d.srcs[i].EmitBatch(n)
+		d.pos[i] += k
 		drainAll(d.tasks)
 	}
 }
 
 // finish exhausts every source, signals end-of-stream and drains until
 // every task completes.
-func (d *laneDriver) finish(inputs [][]temporal.Element) error {
+func (d *frameDriver) finish(inputs [][]temporal.Element) error {
 	for i := range d.srcs {
 		d.emitTo(i, len(inputs[i]))
 		// One more emit observes exhaustion and signals done.
-		if d.batch {
-			d.srcs[i].EmitBatch(d.frame)
-		} else {
-			d.srcs[i].EmitNext()
-		}
+		d.srcs[i].EmitBatch(d.frame)
 		drainAll(d.tasks)
 	}
 	// Done propagation may need extra passes (a buffer forwards done only
@@ -386,10 +364,10 @@ func (d *laneDriver) finish(inputs [][]temporal.Element) error {
 	}
 }
 
-// runLane executes one lane of the differential pair.
-func runLane(plan Plan, cfg DiffConfig, batch bool, crash *crashSpec) (LaneResult, error) {
+// runFrames executes one run of the plan at cfg.FrameSize.
+func runFrames(plan Plan, cfg DiffConfig, crash *crashSpec) (RunResult, error) {
 	if plan.Build == nil {
-		return LaneResult{}, fmt.Errorf("harness: plan %q has no Build", plan.Name)
+		return RunResult{}, fmt.Errorf("harness: plan %q has no Build", plan.Name)
 	}
 	srcs := make([]*pubsub.SliceSource, len(plan.Inputs))
 	sources := make([]pubsub.Source, len(plan.Inputs))
@@ -399,14 +377,14 @@ func runLane(plan Plan, cfg DiffConfig, batch bool, crash *crashSpec) (LaneResul
 	}
 	out, extra, err := plan.Build(sources)
 	if err != nil {
-		return LaneResult{}, fmt.Errorf("harness: plan %q: %w", plan.Name, err)
+		return RunResult{}, fmt.Errorf("harness: plan %q: %w", plan.Name, err)
 	}
 	sink := &diffSink{cuts: map[uint64]int{}}
 	if err := out.Subscribe(sink, 0); err != nil {
-		return LaneResult{}, fmt.Errorf("harness: plan %q: %w", plan.Name, err)
+		return RunResult{}, fmt.Errorf("harness: plan %q: %w", plan.Name, err)
 	}
 
-	res := LaneResult{
+	res := RunResult{
 		Snapshots: make([]map[string][]byte, cfg.Rounds),
 		Cuts:      make([]int, cfg.Rounds),
 		Offsets:   punctOffsets(plan, cfg),
@@ -418,14 +396,14 @@ func runLane(plan Plan, cfg DiffConfig, batch bool, crash *crashSpec) (LaneResul
 		ref := ref
 		ref.hooked.SetBarrierHooks(func(b pubsub.Barrier) {
 			var buf bytes.Buffer
-			if err := ref.saver.SaveState(gob.NewEncoder(&buf)); err != nil {
+			if err := ft.EncodeState(ref.saver, gob.NewEncoder(&buf)); err != nil {
 				panic(fmt.Sprintf("harness: snapshot of %s: %v", ref.key, err))
 			}
 			res.Snapshots[b.ID-1][ref.key] = buf.Bytes()
 		}, nil)
 	}
 
-	d := &laneDriver{srcs: srcs, pos: make([]int, len(srcs)), tasks: extra, batch: batch, frame: cfg.FrameSize}
+	d := &frameDriver{srcs: srcs, pos: make([]int, len(srcs)), tasks: extra, frame: cfg.FrameSize}
 	for r := 0; r < cfg.Rounds; r++ {
 		for i := range srcs {
 			d.emitTo(i, res.Offsets[i][r])
@@ -450,12 +428,12 @@ func runLane(plan Plan, cfg DiffConfig, batch bool, crash *crashSpec) (LaneResul
 		d.emitTo(i, len(plan.Inputs[i]))
 	}
 	if err := d.finish(plan.Inputs); err != nil {
-		return LaneResult{}, err
+		return RunResult{}, err
 	}
 	return finishResult(res, sink), nil
 }
 
-func finishResult(res LaneResult, sink *diffSink) LaneResult {
+func finishResult(res RunResult, sink *diffSink) RunResult {
 	res.Output = sink.elems
 	for r := range res.Cuts {
 		if cut, ok := sink.cuts[uint64(r+1)]; ok {
@@ -467,9 +445,9 @@ func finishResult(res LaneResult, sink *diffSink) LaneResult {
 	return res
 }
 
-// recoverLane rebuilds the plan on replay inputs, loads the snapshot into
-// every discovered operator and drives the batch lane to completion.
-func recoverLane(plan Plan, cfg DiffConfig, replay [][]temporal.Element, snaps map[string][]byte) ([]temporal.Element, error) {
+// recoverFrames rebuilds the plan on replay inputs, loads the snapshot
+// into every discovered operator and drives the graph to completion.
+func recoverFrames(plan Plan, cfg DiffConfig, replay [][]temporal.Element, snaps map[string][]byte) ([]temporal.Element, error) {
 	srcs := make([]*pubsub.SliceSource, len(replay))
 	sources := make([]pubsub.Source, len(replay))
 	for i, in := range replay {
@@ -491,7 +469,7 @@ func recoverLane(plan Plan, cfg DiffConfig, replay [][]temporal.Element, snaps m
 			// state is unknown and recovery cannot be exact.
 			return nil, ErrDiffUnsupported
 		}
-		loader, ok := ref.saver.(stateLoader)
+		loader, ok := ref.saver.(ft.StateLoader)
 		if !ok {
 			return nil, fmt.Errorf("harness: %s saves state but cannot load it", ref.key)
 		}
@@ -499,7 +477,7 @@ func recoverLane(plan Plan, cfg DiffConfig, replay [][]temporal.Element, snaps m
 			return nil, fmt.Errorf("harness: restoring %s: %w", ref.key, err)
 		}
 	}
-	d := &laneDriver{srcs: srcs, pos: make([]int, len(srcs)), tasks: extra, batch: true, frame: cfg.FrameSize}
+	d := &frameDriver{srcs: srcs, pos: make([]int, len(srcs)), tasks: extra, frame: cfg.FrameSize}
 	for i := range srcs {
 		d.emitTo(i, len(replay[i]))
 	}

@@ -9,15 +9,14 @@ import (
 	"pipes/internal/harness"
 )
 
-// frameSizes are the batch-lane granularities the differential suite
-// sweeps: degenerate (must equal scalar by construction), odd (frames and
-// punctuation cuts misalign), the scheduler default, and maxed (each
-// source segment is one frame).
-var frameSizes = []int{1, 7, 64, 0}
+// frameSizes are the granularities the invariance suite compares against
+// the frame-1 baseline: odd (frames and punctuation cuts misalign), the
+// scheduler default, and whole-segment (each source segment is one frame).
+var frameSizes = []int{7, 64, 0}
 
 func frameName(f int) string {
 	if f <= 0 {
-		return "maxed"
+		return "whole-segment"
 	}
 	return fmt.Sprintf("%d", f)
 }
@@ -26,43 +25,40 @@ func frameName(f int) string {
 // The parallel-* plans fan one source across ops.Parallel replicas and
 // reconverge at a merge union, so the physical emission order of
 // simultaneous elements legitimately varies with frame granularity (the
-// diamond limitation in the differential driver's doc comment); those
-// shapes are held to the snapshot-equivalence oracle instead. Frame size 1
-// remains exact even for them, because a one-element frame reproduces the
-// scalar interleaving by construction.
+// diamond limitation in the driver's doc comment); those shapes are held
+// to the snapshot-equivalence oracle instead.
 func exactOracle(name string) bool { return !strings.HasPrefix(name, "parallel") }
 
-// checkLanes applies the strongest oracle the plan supports.
-func checkLanes(plan harness.Plan, frame int, scalar, batch harness.LaneResult) error {
-	if exactOracle(plan.Name) || frame == 1 {
-		return harness.DiffLanes(scalar, batch)
+// checkRuns applies the strongest oracle the plan supports.
+func checkRuns(plan harness.Plan, base, got harness.RunResult) error {
+	if exactOracle(plan.Name) {
+		return harness.DiffRuns(base, got)
 	}
-	return harness.Equivalent(scalar.Output, batch.Output)
+	return harness.Equivalent(base.Output, got.Output)
 }
 
-// TestDifferentialScalarVsBatch is the headline oracle: every stress-suite
-// graph shape, driven deterministically through the scalar and the batch
-// transfer lanes with identical schedules and punctuation placement, must
-// produce the exact same output sequence, byte-identical operator
-// snapshots at every barrier, and identical sink cuts — at every frame
-// size.
-func TestDifferentialScalarVsBatch(t *testing.T) {
+// TestFrameSizeInvariance is the headline oracle: every stress-suite
+// graph shape, driven deterministically with identical schedules and
+// punctuation placement, must produce the exact same output sequence,
+// byte-identical operator snapshots at every barrier, and identical sink
+// cuts at every frame size as at frame 1.
+func TestFrameSizeInvariance(t *testing.T) {
 	for i, plan := range plans(t) {
 		plan, i := plan, i
 		t.Run(plan.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := harness.DiffConfig{Rounds: 3, Seed: int64(4200 + i)}
-			scalar, err := harness.RunScalarLane(plan, cfg)
+			cfg := harness.DiffConfig{FrameSize: 1, Rounds: 3, Seed: int64(4200 + i)}
+			base, err := harness.RunFrames(plan, cfg)
 			if err != nil {
-				t.Fatalf("scalar lane: %v", err)
+				t.Fatalf("frame=1: %v", err)
 			}
 			for _, frame := range frameSizes {
 				cfg.FrameSize = frame
-				batch, err := harness.RunBatchLane(plan, cfg)
+				got, err := harness.RunFrames(plan, cfg)
 				if err != nil {
-					t.Fatalf("batch lane frame=%s: %v", frameName(frame), err)
+					t.Fatalf("frame=%s: %v", frameName(frame), err)
 				}
-				if err := checkLanes(plan, frame, scalar, batch); err != nil {
+				if err := checkRuns(plan, base, got); err != nil {
 					t.Errorf("frame=%s: %v", frameName(frame), err)
 				}
 			}
@@ -70,51 +66,33 @@ func TestDifferentialScalarVsBatch(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneDegeneratesToScalar pins the acceptance criterion by
-// name: a batch lane of frame size 1 is indistinguishable from the scalar
-// lane — outputs, snapshots and cuts all byte-identical.
-func TestBatchSizeOneDegeneratesToScalar(t *testing.T) {
-	for i, plan := range plans(t) {
-		cfg := harness.DiffConfig{FrameSize: 1, Rounds: 2, Seed: int64(880 + i)}
-		scalar, err := harness.RunScalarLane(plan, cfg)
-		if err != nil {
-			t.Fatalf("%s: scalar lane: %v", plan.Name, err)
-		}
-		batch, err := harness.RunBatchLane(plan, cfg)
-		if err != nil {
-			t.Fatalf("%s: batch lane: %v", plan.Name, err)
-		}
-		if err := harness.DiffLanes(scalar, batch); err != nil {
-			t.Errorf("%s: %v", plan.Name, err)
-		}
-	}
-}
-
-// TestDifferentialRandomizedPunctuation widens the punctuation space:
-// many seeds move the barrier cuts (and thus the frame splits) across the
-// streams; every placement must keep the lanes in exact agreement.
-func TestDifferentialRandomizedPunctuation(t *testing.T) {
+// TestFrameSizeInvarianceRandomizedPunctuation widens the punctuation
+// space: many seeds move the barrier cuts (and thus the frame splits)
+// across the streams; every placement must keep every frame size in exact
+// agreement with frame 1.
+func TestFrameSizeInvarianceRandomizedPunctuation(t *testing.T) {
 	for i, plan := range plans(t) {
 		plan, i := plan, i
 		t.Run(plan.Name, func(t *testing.T) {
 			t.Parallel()
 			for seed := 0; seed < 6; seed++ {
 				cfg := harness.DiffConfig{
-					Rounds: 1 + seed%4,
-					Seed:   int64(31*i + seed),
+					FrameSize: 1,
+					Rounds:    1 + seed%4,
+					Seed:      int64(31*i + seed),
 				}
-				scalar, err := harness.RunScalarLane(plan, cfg)
+				base, err := harness.RunFrames(plan, cfg)
 				if err != nil {
-					t.Fatalf("seed=%d scalar lane: %v", seed, err)
+					t.Fatalf("seed=%d frame=1: %v", seed, err)
 				}
-				for _, frame := range []int{7, 64} {
+				for _, frame := range frameSizes {
 					cfg.FrameSize = frame
-					batch, err := harness.RunBatchLane(plan, cfg)
+					got, err := harness.RunFrames(plan, cfg)
 					if err != nil {
-						t.Fatalf("seed=%d frame=%d batch lane: %v", seed, frame, err)
+						t.Fatalf("seed=%d frame=%s: %v", seed, frameName(frame), err)
 					}
-					if err := checkLanes(plan, frame, scalar, batch); err != nil {
-						t.Errorf("seed=%d frame=%d: %v", seed, frame, err)
+					if err := checkRuns(plan, base, got); err != nil {
+						t.Errorf("seed=%d frame=%s: %v", seed, frameName(frame), err)
 					}
 				}
 			}
@@ -122,14 +100,14 @@ func TestDifferentialRandomizedPunctuation(t *testing.T) {
 	}
 }
 
-// TestDifferentialCrashMidBatch abandons the batch-lane run a few
-// elements past a checkpoint — mid-frame — and verifies exact-state
+// TestCrashMidFrame abandons a run a few elements past a checkpoint —
+// mid-frame — and verifies exact-state
 // recovery: a rebuilt graph loaded from the round's snapshots and
 // replayed from the recorded offsets must produce output that, appended
 // to the pre-crash output truncated at the round's sink cut, is
 // snapshot-equivalent to the uninterrupted run. Plans that cannot align
 // barriers end-to-end (ops.Parallel drops control elements) are skipped.
-func TestDifferentialCrashMidBatch(t *testing.T) {
+func TestCrashMidFrame(t *testing.T) {
 	for i, plan := range plans(t) {
 		plan, i := plan, i
 		t.Run(plan.Name, func(t *testing.T) {

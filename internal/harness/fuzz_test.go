@@ -1,11 +1,11 @@
 package harness_test
 
-// FuzzBatchSplit fuzzes the batch lane's frame splitting: arbitrary input
-// bytes become an ordered element stream, the fuzzer picks the frame size
-// and the punctuation-offset seed, and a filter → window → group-aggregate
-// chain is executed through both transfer lanes. Any divergence — output
+// FuzzBatchSplit fuzzes frame splitting: arbitrary input bytes become an
+// ordered element stream, the fuzzer picks the frame size and the
+// punctuation-offset seed, and a filter → window → group-aggregate chain
+// is executed at that frame size and at frame 1. Any divergence — output
 // sequence, snapshot bytes, sink cuts — is a bug in the punctuation-cut
-// rule or a vectorized Process loop. Run longer with
+// rule or an operator's frame loop. Run longer with
 // `go test -fuzz=FuzzBatchSplit ./internal/harness`.
 //
 // The byte corpus is seeded from the CQL plan-execute fuzz corpus
@@ -91,20 +91,21 @@ func FuzzBatchSplit(f *testing.F) {
 		}
 		plan := chainPlan(in)
 		cfg := harness.DiffConfig{
-			// 0 means maxed: each segment becomes one frame.
-			FrameSize: int(frame % 80),
+			FrameSize: 1,
 			Rounds:    1 + int(uint64(seed)%3),
 			Seed:      seed,
 		}
-		scalar, err := harness.RunScalarLane(plan, cfg)
+		base, err := harness.RunFrames(plan, cfg)
 		if err != nil {
-			t.Fatalf("scalar lane: %v", err)
+			t.Fatalf("frame=1: %v", err)
 		}
-		batch, err := harness.RunBatchLane(plan, cfg)
+		// 0 means whole-segment: each segment becomes one frame.
+		cfg.FrameSize = int(frame % 80)
+		got, err := harness.RunFrames(plan, cfg)
 		if err != nil {
-			t.Fatalf("batch lane: %v", err)
+			t.Fatalf("frame=%d: %v", cfg.FrameSize, err)
 		}
-		if err := harness.DiffLanes(scalar, batch); err != nil {
+		if err := harness.DiffRuns(base, got); err != nil {
 			t.Fatalf("frame=%d seed=%d: %v", cfg.FrameSize, seed, err)
 		}
 	})

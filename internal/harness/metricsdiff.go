@@ -1,8 +1,8 @@
-// Metrics-equivalence oracle for the scalar-vs-batch differential pair:
-// a plan whose operators are wrapped in metadata decorators must collect
-// the SAME time-independent secondary metadata through both transfer
-// lanes. Counts and application-time stamps are per-element exact in both
-// lanes; selectivity derives from the counts; and the maintenance stride
+// Metrics-equivalence oracle for frame-size invariance: a plan whose
+// operators are wrapped in metadata decorators must collect the SAME
+// time-independent secondary metadata at every frame size. Counts and
+// application-time stamps are per-element exact; selectivity derives from
+// the counts; and the maintenance stride
 // fires on the same 1-based element ordinals (1, 17, 33, ...) regardless
 // of frame grouping, so even the *number* of service-time samples must
 // agree. Rates, EWMA costs and latency quantiles are wall-clock-dependent
@@ -16,7 +16,7 @@ import (
 )
 
 // MonitorSnapshot is the comparable, time-independent metadata of one
-// decorator after a lane ran to completion.
+// decorator after a run completed.
 type MonitorSnapshot struct {
 	// Op is the inner operator's name.
 	Op string
@@ -49,15 +49,15 @@ func SnapshotMonitors(ms []*metadata.Monitored) []MonitorSnapshot {
 	return out
 }
 
-// MetricsDiff compares the two lanes' snapshots for exact agreement and
-// reports the first divergence.
-func MetricsDiff(scalar, batch []MonitorSnapshot) error {
-	if len(scalar) != len(batch) {
-		return fmt.Errorf("monitors: scalar lane has %d, batch lane has %d", len(scalar), len(batch))
+// MetricsDiff compares two runs' snapshots for exact agreement and reports
+// the first divergence.
+func MetricsDiff(want, got []MonitorSnapshot) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("monitors: want %d, got %d", len(want), len(got))
 	}
-	for i := range scalar {
-		if scalar[i] != batch[i] {
-			return fmt.Errorf("monitor %s: scalar %+v, batch %+v", scalar[i].Op, scalar[i], batch[i])
+	for i := range want {
+		if want[i] != got[i] {
+			return fmt.Errorf("monitor %s: want %+v, got %+v", want[i].Op, want[i], got[i])
 		}
 	}
 	return nil

@@ -13,21 +13,20 @@ import (
 	"pipes/internal/temporal"
 )
 
-// TestDifferentialMetricsEquivalence extends the differential oracle to
-// the secondary-metadata framework: a plan whose operators are wrapped in
+// TestMetricsFrameSizeInvariance extends the invariance oracle to the
+// secondary-metadata framework: a plan whose operators are wrapped in
 // metadata decorators must tally identical input/output counts,
 // selectivity and application-time stamps — and the same number of
-// service-time samples — through the scalar and the batch transfer lanes,
-// at every frame size. This pins the per-element accounting of
-// Monitored.ProcessBatch; before it existed, every frame collapsed to one
-// count and the batch lane undercounted by the frame size.
-func TestDifferentialMetricsEquivalence(t *testing.T) {
+// service-time samples — at every frame size as at frame 1. This pins the
+// per-element accounting of Monitored.ProcessBatch (a decorator that
+// counted frames would undercount by the frame size).
+func TestMetricsFrameSizeInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5317))
 	mod3 := func(v any) any { return v.(int) % 3 }
 	combine := func(l, r any) any { return ops.Pair{Left: l, Right: r} }
 
-	// Build closures reset and refill mons, so after each lane runs the
-	// slice holds exactly that lane's decorators in wiring order.
+	// Build closures reset and refill mons, so after each run the slice
+	// holds exactly that run's decorators in wiring order.
 	var mons []*metadata.Monitored
 	wrap := func(p pubsub.Pipe) *metadata.Monitored {
 		m := metadata.NewMonitored(p)
@@ -70,22 +69,22 @@ func TestDifferentialMetricsEquivalence(t *testing.T) {
 	for i, plan := range plans {
 		plan, i := plan, i
 		t.Run(plan.Name, func(t *testing.T) {
-			cfg := harness.DiffConfig{Rounds: 2, Seed: int64(7600 + i)}
-			scalar, err := harness.RunScalarLane(plan, cfg)
+			cfg := harness.DiffConfig{FrameSize: 1, Rounds: 2, Seed: int64(7600 + i)}
+			base, err := harness.RunFrames(plan, cfg)
 			if err != nil {
-				t.Fatalf("scalar lane: %v", err)
+				t.Fatalf("frame=1: %v", err)
 			}
-			scalarSnap := harness.SnapshotMonitors(mons)
+			baseSnap := harness.SnapshotMonitors(mons)
 			for _, frame := range frameSizes {
 				cfg.FrameSize = frame
-				batch, err := harness.RunBatchLane(plan, cfg)
+				got, err := harness.RunFrames(plan, cfg)
 				if err != nil {
-					t.Fatalf("batch lane frame=%s: %v", frameName(frame), err)
+					t.Fatalf("frame=%s: %v", frameName(frame), err)
 				}
-				if err := harness.DiffLanes(scalar, batch); err != nil {
+				if err := harness.DiffRuns(base, got); err != nil {
 					t.Errorf("frame=%s output: %v", frameName(frame), err)
 				}
-				if err := harness.MetricsDiff(scalarSnap, harness.SnapshotMonitors(mons)); err != nil {
+				if err := harness.MetricsDiff(baseSnap, harness.SnapshotMonitors(mons)); err != nil {
 					t.Errorf("frame=%s metrics: %v", frameName(frame), err)
 				}
 			}
@@ -102,7 +101,7 @@ func TestMetricsDiffRejectsDivergence(t *testing.T) {
 	}
 	undercounted := []harness.MonitorSnapshot{{Op: "f", InputCount: 2, OutputCount: 16, Selectivity: 8, SvcSamples: 2}}
 	if err := harness.MetricsDiff(base, undercounted); err == nil {
-		t.Fatal("frame-undercounted lane not flagged")
+		t.Fatal("frame-undercounted run not flagged")
 	}
 	fewerSamples := []harness.MonitorSnapshot{{Op: "f", InputCount: 32, OutputCount: 16, Selectivity: 0.5, SvcSamples: 1}}
 	if err := harness.MetricsDiff(base, fewerSamples); err == nil {

@@ -149,7 +149,7 @@ func TestManagerBoundsRealJoin(t *testing.T) {
 
 	for i := 0; i < 3000; i++ {
 		ts := temporal.Time(i)
-		j.Process(temporal.NewElement(i, ts, ts+100000), i%2)
+		j.ProcessBatch(temporal.Batch{temporal.NewElement(i, ts, ts+100000)}, i%2)
 		if i%50 == 0 {
 			m.Step()
 		}

@@ -194,33 +194,34 @@ type Monitored struct {
 	inner pubsub.Pipe
 	clock Clock
 
-	// innerBatch caches the inner node's frame-consuming identity (nil
-	// when the inner operator has no ProcessBatch), so the decorator's
-	// batch path pays no per-frame type assertion — the same trick
-	// pubsub.Subscribe plays.
-	innerBatch pubsub.BatchSink
+	// frames is the inner node's frame-consuming identity (pubsub.Frames),
+	// resolved once like a subscription's.
+	frames pubsub.BatchSink
 
 	// svcHist and queueHist are the decorator's latency histograms:
-	// service time (inner Process duration, sampled 1-in-maintainEvery
+	// service time (inner ProcessBatch duration per element, sampled
+	// 1-in-maintainEvery
 	// while a service/processing-cost kind is active) and queue time
-	// (upstream publish to Process hand-off delay, via traced elements).
+	// (upstream publish to ProcessBatch hand-off delay, via traced
+	// elements).
 	svcHist   *telemetry.Histogram
 	queueHist *telemetry.Histogram
 
 	// tracer, when set, enables element tracing. Sampled (traced) inputs
-	// take traceMu for the duration of inner.Process and publish their
-	// context in active, so the output tap can attribute fresh elements
-	// built by the inner operator (map/aggregate/join) to the input's
-	// trace. Unsampled inputs stay lock-free: under the scheduler's
-	// single-owner activation contract an operator processes one element
-	// at a time, so the attribution is exact; callers that drive one
-	// operator from several goroutines directly may, at worst, attribute
-	// a sampled span to a neighbouring element.
-	tracer  *telemetry.Tracer
-	traceMu sync.Mutex
-	active  atomic.Pointer[telemetry.Trace]
+	// take traceMu while they are inside the inner operator and publish
+	// their context in active, so the output tap can attribute fresh
+	// elements built by the inner operator (map/aggregate/join) to the
+	// input's trace. Unsampled inputs stay lock-free: under the
+	// scheduler's single-owner activation contract an operator processes
+	// one frame at a time, so the attribution is exact; callers that drive
+	// one operator from several goroutines directly may, at worst,
+	// attribute a sampled span to a neighbouring element.
+	tracer     *telemetry.Tracer
+	traceMu    sync.Mutex
+	active     atomic.Pointer[telemetry.Trace]
+	tapScratch temporal.Batch // traceOut's re-attachment frame
 
-	// Hot-path state is atomic so Process/recordOut never take a lock
+	// Hot-path state is atomic so ProcessBatch and the tap never take a lock
 	// unless a rate estimator is active; flags caches the kind set as a
 	// bitmask (map lookups per element showed up in E18).
 	flags    atomic.Uint32
@@ -229,7 +230,7 @@ type Monitored struct {
 	lastIn   atomic.Int64 // temporal.Time of last input
 	lastOut  atomic.Int64
 	costNS   atomic.Uint64 // math.Float64bits of the EWMA ns/element
-	nowNano  atomic.Int64  // clock reading at last Process entry, reused by the tap
+	nowNano  atomic.Int64  // clock reading at last sampled ProcessBatch entry, reused by the tap
 
 	inRate  *rateEstimator
 	outRate *rateEstimator
@@ -280,8 +281,9 @@ func WithClock(c Clock) Option { return func(m *Monitored) { m.clock = c } }
 
 // WithTracer enables element-level tracing: traced inputs get an "in"
 // span, outputs an "out" span, and trace contexts are re-attached across
-// operators that construct fresh elements. Tracing mode serialises this
-// decorator's Process (see OBSERVABILITY.md for the hand-off contract).
+// operators that construct fresh elements. Tracing mode serialises the
+// decorator's traced elements (see OBSERVABILITY.md for the hand-off
+// contract).
 func WithTracer(t *telemetry.Tracer) Option { return func(m *Monitored) { m.tracer = t } }
 
 // WithKinds restricts the computed metrics to the given kinds. By default
@@ -318,9 +320,11 @@ func NewMonitored(inner pubsub.Pipe, opts ...Option) *Monitored {
 		}
 	}
 	m.recomputeFlags()
-	if bs, ok := inner.(pubsub.BatchSink); ok {
-		m.innerBatch = bs
+	frames, err := pubsub.Frames(inner)
+	if err != nil {
+		panic("metadata: " + err.Error())
 	}
+	m.frames = frames
 	inner.Subscribe((*monitorTap)(m), 0)
 	return m
 }
@@ -328,9 +332,8 @@ func NewMonitored(inner pubsub.Pipe, opts ...Option) *Monitored {
 // maintainHitsIn reports how many maintenance-stride samples land in a
 // run of frameLen elements counted after prev earlier ones: the stride
 // fires on (1-based) elements 1, 1+maintainEvery, 1+2·maintainEvery, …
-// — exactly the elements the scalar path's (n-1)%maintainEvery == 0 test
-// selects, so a frame of any size advances the stride as if delivered
-// element by element.
+// — so a frame of any size advances the stride as if delivered element by
+// element.
 func maintainHitsIn(prev, frameLen int64) int64 {
 	hitsUpTo := func(x int64) int64 {
 		if x < 0 {
@@ -348,59 +351,48 @@ type monitorTap Monitored
 // Name implements pubsub.Node.
 func (t *monitorTap) Name() string { return (*Monitored)(t).Name() + "~tap" }
 
-// Process implements pubsub.Sink.
-func (t *monitorTap) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink: output counting is
+// per-element exact while the frame passes through whole.
+func (t *monitorTap) ProcessBatch(b temporal.Batch, _ int) {
 	m := (*Monitored)(t)
-	m.recordOut(e)
-	if tr := telemetry.FromElement(e); tr != nil {
-		// The inner operator forwarded the traced element itself.
-		tr.Hop(m.inner.Name(), "out", e.Start)
-	} else if m.tracer != nil {
-		if act := m.active.Load(); act != nil {
-			// The inner operator built a fresh element while processing a
-			// traced input (map/aggregate/join): re-attach the input's
-			// trace. The slot is non-nil only while a traced input is
-			// inside inner.Process.
-			e = telemetry.Attach(e, act)
-			act.Hop(m.inner.Name(), "out", e.Start)
-		}
-	}
-	m.Transfer(e)
-}
-
-// ProcessBatch implements pubsub.BatchSink: output counting stays
-// per-element exact while the frame passes through whole. A frame
-// carrying a traced element (the inner operator forwarded one, or a
-// trace context is active) falls back to the per-element tap so hop
-// attribution stays exact.
-func (t *monitorTap) ProcessBatch(b temporal.Batch, input int) {
-	if len(b) == 0 {
-		return
-	}
-	m := (*Monitored)(t)
-	if m.tracer != nil {
-		if m.active.Load() != nil {
-			for _, e := range b {
-				t.Process(e, input)
-			}
-			return
-		}
-		for i := range b {
-			if b[i].Trace != nil {
-				for _, e := range b {
-					t.Process(e, input)
-				}
-				return
-			}
-		}
-	}
 	frame := int64(len(b))
 	prev := m.outCount.Add(frame) - frame
 	m.lastOut.Store(int64(b[len(b)-1].Start))
 	if maintain := maintainHitsIn(prev, frame); maintain > 0 && m.flags.Load()&flagOutRate != 0 {
+		// Outputs are stamped with the clock reading taken at the last
+		// sampled ProcessBatch entry: outputs are emitted synchronously
+		// inside the inner operator, so the skew is bounded by one
+		// maintenance stride.
 		m.outRate.observe(time.Unix(0, m.nowNano.Load()), float64(maintain*maintainEvery))
 	}
+	if m.tracer != nil {
+		b = m.traceOut(b)
+	}
 	m.TransferBatch(b)
+}
+
+// traceOut records the "out" hop of every traced element of an output
+// frame. While a traced input is inside the inner operator (active is
+// non-nil only then), the fresh elements the operator built from it
+// (map/aggregate/join) get its trace re-attached — into tap-owned scratch,
+// since the frame is borrowed. The inner operator publishes serially, so
+// the scratch needs no lock.
+func (m *Monitored) traceOut(b temporal.Batch) temporal.Batch {
+	act := m.active.Load()
+	if act != nil {
+		m.tapScratch = append(m.tapScratch[:0], b...)
+		b = m.tapScratch
+	}
+	for i, e := range b {
+		if tr := telemetry.FromElement(e); tr != nil {
+			// The inner operator forwarded the traced element itself.
+			tr.Hop(m.inner.Name(), "out", e.Start)
+		} else if act != nil {
+			b[i] = telemetry.Attach(e, act)
+			act.Hop(m.inner.Name(), "out", e.Start)
+		}
+	}
+	return b
 }
 
 // Done implements pubsub.Sink.
@@ -440,93 +432,23 @@ func (m *Monitored) Shrink(factor float64) {
 	}
 }
 
-// Process implements pubsub.Sink: record, optionally time, and forward.
-func (m *Monitored) Process(e temporal.Element, input int) {
-	flags := m.flags.Load()
-	n := m.inCount.Add(1)
-	m.lastIn.Store(int64(e.Start))
-
-	// Maintenance sample? One clock reading then serves the input-rate
-	// estimator, the service timer, and (via nowNano) the output tap's
-	// rate estimator.
-	maintain := (n-1)%maintainEvery == 0
-	var now time.Time
-	if maintain && flags&(flagInRate|flagOutRate|flagTiming) != 0 {
-		now = m.clock.Now()
-		m.nowNano.Store(now.UnixNano())
-		if flags&flagInRate != 0 {
-			m.inRate.observe(now, maintainEvery)
-		}
-	}
-
-	tr := telemetry.FromElement(e)
-	if tr != nil {
-		// The gap since the previous hop is the hand-off (queue) delay
-		// between the upstream publish and this operator.
-		if gap := tr.Hop(m.inner.Name(), "in", e.Start); gap > 0 {
-			m.queueHist.Observe(gap)
-		}
-		// Publish the context for the tap; traced inputs serialise with
-		// each other so two sampled elements can't swap attributions.
-		m.traceMu.Lock()
-		m.active.Store(tr)
-		defer func() {
-			m.active.Store(nil)
-			m.traceMu.Unlock()
-		}()
-	}
-
-	if maintain && flags&flagTiming != 0 {
-		start := now
-		if _, sys := m.clock.(SystemClock); !sys {
-			// Service time is real wall time even under a fake clock.
-			start = time.Now()
-		}
-		m.inner.Process(e, input)
-		ns := time.Since(start).Nanoseconds()
-		m.svcHist.Observe(ns)
-		elapsed := float64(ns)
-		// EWMA update; a lost update under concurrent writers only drops
-		// one sample from the smoothing.
-		if old := math.Float64frombits(m.costNS.Load()); old == 0 {
-			m.costNS.Store(math.Float64bits(elapsed))
-		} else {
-			m.costNS.Store(math.Float64bits(0.2*elapsed + 0.8*old))
-		}
-		return
-	}
-	m.inner.Process(e, input)
-}
-
-// ProcessBatch implements pubsub.BatchSink: the decorator consumes whole
-// frames so the batch lane survives decoration (without it every frame
-// would de-batch into per-element fallback calls at each monitored
-// operator — the undercounting *and* un-batching E21 measures). Counts,
-// stamps and selectivity stay per-element exact; rate estimators and the
-// service timer advance by the same 1-in-maintainEvery stride as the
-// scalar path, with the whole-frame measurement apportioned per element.
-// Frames carrying a traced element take the scalar path element by
-// element, which keeps trace attribution (traceMu/active hand-off) exact.
+// ProcessBatch implements pubsub.BatchSink: record, optionally time, and
+// forward. Counts, stamps and selectivity are per-element exact; rate
+// estimators and the service timer advance on the 1-in-maintainEvery
+// element stride whatever the frame size, with the whole-frame
+// measurement apportioned per element.
 func (m *Monitored) ProcessBatch(b temporal.Batch, input int) {
 	if len(b) == 0 {
 		return
 	}
-	if m.tracer != nil {
-		for i := range b {
-			if b[i].Trace != nil {
-				for _, e := range b {
-					m.Process(e, input)
-				}
-				return
-			}
-		}
-	}
-
 	flags := m.flags.Load()
 	frame := int64(len(b))
 	prev := m.inCount.Add(frame) - frame
 	m.lastIn.Store(int64(b[len(b)-1].Start))
 
+	// Maintenance sample? One clock reading then serves the input-rate
+	// estimator, the service timer, and (via nowNano) the output tap's
+	// rate estimator.
 	maintain := maintainHitsIn(prev, frame)
 	var now time.Time
 	if maintain > 0 && flags&(flagInRate|flagOutRate|flagTiming) != 0 {
@@ -545,10 +467,12 @@ func (m *Monitored) ProcessBatch(b temporal.Batch, input int) {
 			// Service time is real wall time even under a fake clock.
 			start = time.Now()
 		}
-		m.processFrame(b, input)
+		m.deliver(b, input)
 		perElem := time.Since(start).Nanoseconds() / frame
 		m.svcHist.ObserveN(perElem, uint64(maintain))
 		elapsed := float64(perElem)
+		// EWMA update; a lost update under concurrent writers only drops
+		// one sample from the smoothing.
 		if old := math.Float64frombits(m.costNS.Load()); old == 0 {
 			m.costNS.Store(math.Float64bits(elapsed))
 		} else {
@@ -556,18 +480,44 @@ func (m *Monitored) ProcessBatch(b temporal.Batch, input int) {
 		}
 		return
 	}
-	m.processFrame(b, input)
+	m.deliver(b, input)
 }
 
-// processFrame hands one frame to the inner operator, falling back to
-// per-element delivery when it has no batch lane.
-func (m *Monitored) processFrame(b temporal.Batch, input int) {
-	if m.innerBatch != nil {
-		m.innerBatch.ProcessBatch(b, input)
+// deliver hands a frame to the inner operator. With tracing on, every
+// traced element travels as its own one-element sub-frame, its context
+// published in active for the tap while it is inside the operator; the
+// untraced runs between them pass as sub-frames too (all views of the
+// borrowed frame, which nests through synchronous hops).
+func (m *Monitored) deliver(b temporal.Batch, input int) {
+	if m.tracer == nil {
+		m.frames.ProcessBatch(b, input)
 		return
 	}
-	for _, e := range b {
-		m.inner.Process(e, input)
+	start := 0
+	for i, e := range b {
+		tr := telemetry.FromElement(e)
+		if tr == nil {
+			continue
+		}
+		if i > start {
+			m.frames.ProcessBatch(b[start:i], input)
+		}
+		// The gap since the previous hop is the hand-off (queue) delay
+		// between the upstream publish and this operator.
+		if gap := tr.Hop(m.inner.Name(), "in", e.Start); gap > 0 {
+			m.queueHist.Observe(gap)
+		}
+		// Traced inputs serialise with each other so two sampled elements
+		// can't swap attributions.
+		m.traceMu.Lock()
+		m.active.Store(tr)
+		m.frames.ProcessBatch(b[i:i+1], input)
+		m.active.Store(nil)
+		m.traceMu.Unlock()
+		start = i + 1
+	}
+	if start < len(b) {
+		m.frames.ProcessBatch(b[start:], input)
 	}
 }
 
@@ -592,7 +542,7 @@ func (m *Monitored) HandleControl(c pubsub.Control, input int) {
 
 // BarrierGate implements pubsub.Gated by delegating to the inner node,
 // so barrier alignment at a decorated multi-input operator holds and
-// replays elements exactly as it would undecorated. Held elements are
+// replays frames exactly as it would undecorated. Held frames are
 // replayed through the decorator (the upstream subscription's sink),
 // keeping the metadata counts exact across an alignment.
 func (m *Monitored) BarrierGate() *pubsub.Gate {
@@ -613,13 +563,15 @@ func (m *Monitored) SetBarrierHooks(save, ack func(pubsub.Barrier)) {
 	}
 }
 
-// SaveState delegates operator-state serialisation to the inner node
+// SnapshotState delegates operator-state capture to the inner node
 // (see internal/ft.StateSaver).
-func (m *Monitored) SaveState(enc *gob.Encoder) error {
-	if s, ok := m.inner.(interface{ SaveState(*gob.Encoder) error }); ok {
-		return s.SaveState(enc)
+func (m *Monitored) SnapshotState() (func(*gob.Encoder) error, error) {
+	if s, ok := m.inner.(interface {
+		SnapshotState() (func(*gob.Encoder) error, error)
+	}); ok {
+		return s.SnapshotState()
 	}
-	return fmt.Errorf("metadata: %s holds no serialisable state", m.inner.Name())
+	return nil, fmt.Errorf("metadata: %s holds no serialisable state", m.inner.Name())
 }
 
 // LoadState delegates operator-state restoration to the inner node
@@ -629,17 +581,6 @@ func (m *Monitored) LoadState(dec *gob.Decoder) error {
 		return l.LoadState(dec)
 	}
 	return fmt.Errorf("metadata: %s holds no serialisable state", m.inner.Name())
-}
-
-func (m *Monitored) recordOut(e temporal.Element) {
-	n := m.outCount.Add(1)
-	m.lastOut.Store(int64(e.Start))
-	if (n-1)%maintainEvery == 0 && m.flags.Load()&flagOutRate != 0 {
-		// Outputs are stamped with the clock reading taken at the last
-		// sampled Process entry: outputs are emitted synchronously inside
-		// inner.Process, so the skew is bounded by one maintenance stride.
-		m.outRate.observe(time.Unix(0, m.nowNano.Load()), maintainEvery)
-	}
 }
 
 // SetKinds replaces the active metric composition at runtime.

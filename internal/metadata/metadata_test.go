@@ -33,7 +33,7 @@ func pump(m *Monitored, n int) *pubsub.Collector {
 	col := pubsub.NewCollector("col", 1)
 	m.Subscribe(col, 0)
 	for i := 0; i < n; i++ {
-		m.Process(temporal.At(i, temporal.Time(i)), 0)
+		m.ProcessBatch(temporal.Batch{temporal.At(i, temporal.Time(i))}, 0)
 	}
 	m.Done(0)
 	col.Wait()
@@ -72,7 +72,7 @@ func TestRatesWithFakeClock(t *testing.T) {
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
 	// One input every 10ms => instantaneous rate 100/s.
 	for i := 0; i < 50; i++ {
-		m.Process(temporal.At(i*2, temporal.Time(i)), 0) // even: all pass
+		m.ProcessBatch(temporal.Batch{temporal.At(i*2, temporal.Time(i))}, 0) // even: all pass
 		clock.Advance(10 * time.Millisecond)
 	}
 	in, ok := m.Get(InputRate)
@@ -108,8 +108,8 @@ func TestMemoryUsageMetric(t *testing.T) {
 func TestQueueLenMetric(t *testing.T) {
 	buf := pubsub.NewBuffer("buf")
 	m := NewMonitored(buf)
-	m.Process(temporal.At(1, 1), 0)
-	m.Process(temporal.At(2, 2), 0)
+	m.ProcessBatch(temporal.Batch{temporal.At(1, 1)}, 0)
+	m.ProcessBatch(temporal.Batch{temporal.At(2, 2)}, 0)
 	if v, ok := m.Get(QueueLen); !ok || v != 2 {
 		t.Errorf("QueueLen = (%v,%v), want (2,true)", v, ok)
 	}
@@ -118,7 +118,7 @@ func TestQueueLenMetric(t *testing.T) {
 func TestSetKindsAtRuntime(t *testing.T) {
 	m := NewMonitored(newPassPipe(), WithKinds(InputCount))
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
-	m.Process(temporal.At(0, 0), 0)
+	m.ProcessBatch(temporal.Batch{temporal.At(0, 0)}, 0)
 	if _, ok := m.Get(OutputCount); ok {
 		t.Error("OutputCount active despite WithKinds(InputCount)")
 	}
@@ -135,7 +135,7 @@ func TestSetKindsAtRuntime(t *testing.T) {
 func TestSnapshotContainsActiveDefinedMetrics(t *testing.T) {
 	m := NewMonitored(newPassPipe(), WithKinds(InputCount, OutputCount, MemoryUsage))
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
-	m.Process(temporal.At(2, 0), 0)
+	m.ProcessBatch(temporal.Batch{temporal.At(2, 0)}, 0)
 	snap := m.Snapshot()
 	if snap[InputCount] != 1 || snap[OutputCount] != 1 {
 		t.Errorf("snapshot = %v", snap)
@@ -149,7 +149,7 @@ func TestProcessingCostMeasured(t *testing.T) {
 	m := NewMonitored(newPassPipe(), WithKinds(ProcessingCost))
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
 	for i := 0; i < 100; i++ {
-		m.Process(temporal.At(i*2, temporal.Time(i)), 0)
+		m.ProcessBatch(temporal.Batch{temporal.At(i*2, temporal.Time(i))}, 0)
 	}
 	if v, ok := m.Get(ProcessingCost); !ok || v <= 0 {
 		t.Errorf("ProcessingCost = (%v,%v), want positive", v, ok)
@@ -159,7 +159,7 @@ func TestProcessingCostMeasured(t *testing.T) {
 func TestTimestampMetrics(t *testing.T) {
 	m := NewMonitored(newPassPipe())
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
-	m.Process(temporal.At(2, 42), 0)
+	m.ProcessBatch(temporal.Batch{temporal.At(2, 42)}, 0)
 	if v, _ := m.Get(LastInputStamp); v != 42 {
 		t.Errorf("LastInputStamp = %v, want 42", v)
 	}

@@ -37,7 +37,7 @@ func TestTraceSpanPropagationThroughChain(t *testing.T) {
 
 	tr := tracer.MaybeTrace()
 	tr.Hop("src", "emit", 5)
-	d1.Process(telemetry.Attach(temporal.At(7, 5), tr), 0)
+	d1.ProcessBatch(temporal.Batch{telemetry.Attach(temporal.At(7, 5), tr)}, 0)
 	d1.Done(0)
 	col.Wait()
 
@@ -100,7 +100,7 @@ func TestUntracedElementsUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		d.Process(temporal.At(i, temporal.Time(i)), 0)
+		d.ProcessBatch(temporal.Batch{temporal.At(i, temporal.Time(i))}, 0)
 	}
 	d.Done(0)
 	col.Wait()
@@ -148,5 +148,82 @@ func TestCountersAddResetSortedSnapshot(t *testing.T) {
 	c.Add("a.first", 1)
 	if c.Get("a.first") != 1 {
 		t.Fatal("counter dead after Reset")
+	}
+}
+
+// freshPipe rebuilds every element from scratch, dropping the trace slot,
+// so only the decorator's re-attachment can carry a trace across it.
+type freshPipe struct{ pubsub.PipeBase }
+
+func (p *freshPipe) ProcessBatch(b temporal.Batch, _ int) {
+	p.ProcMu.Lock()
+	defer p.ProcMu.Unlock()
+	for _, e := range b {
+		p.Emit(temporal.Element{Value: e.Value.(int) * 10, Interval: e.Interval, Trace: nil})
+	}
+	p.Flush()
+}
+
+// TestTracedElementsInsideAFrame pins trace attribution at frame
+// granularity: traced elements in the middle of a frame get their in/out
+// hops and — across an operator that builds fresh elements — their trace
+// re-attached to exactly their own output, while the untraced elements
+// around them stay untraced and every count stays per-element exact.
+func TestTracedElementsInsideAFrame(t *testing.T) {
+	tracer := telemetry.NewTracer(1, 0)
+	d1 := NewMonitored(ops.NewFilter("f", func(any) bool { return true }), WithTracer(tracer))
+	d2 := NewMonitored(&freshPipe{PipeBase: pubsub.NewPipeBase("fresh", 1)}, WithTracer(tracer))
+	if err := d1.Subscribe(d2, 0); err != nil {
+		t.Fatal(err)
+	}
+	col := pubsub.NewCollector("out", 1)
+	if err := d2.Subscribe(col, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	frame := make(temporal.Batch, 8)
+	traces := map[int]*telemetry.Trace{}
+	for i := range frame {
+		frame[i] = temporal.At(i, temporal.Time(i))
+		if i == 2 || i == 5 {
+			traces[i] = tracer.MaybeTrace()
+			frame[i] = telemetry.Attach(frame[i], traces[i])
+		}
+	}
+	d1.ProcessBatch(frame, 0)
+	d1.Done(0)
+	col.Wait()
+
+	out := col.Elements()
+	if len(out) != len(frame) {
+		t.Fatalf("sink got %d elements, want %d", len(out), len(frame))
+	}
+	for i, e := range out {
+		if e.Value != i*10 {
+			t.Fatalf("output %d = %v: frame order lost", i, e.Value)
+		}
+		if got, want := telemetry.FromElement(e), traces[i]; got != want {
+			t.Fatalf("output %d carries trace %p, want %p", i, got, want)
+		}
+	}
+	for i, tr := range traces {
+		want := []struct{ op, event string }{{"f", "in"}, {"f", "out"}, {"fresh", "in"}, {"fresh", "out"}}
+		spans := tr.Spans()
+		if len(spans) != len(want) {
+			t.Fatalf("element %d: spans %v, want %d hops", i, spans, len(want))
+		}
+		for k, w := range want {
+			if spans[k].Op != w.op || spans[k].Event != w.event {
+				t.Fatalf("element %d span %d = %s/%s, want %s/%s", i, k, spans[k].Op, spans[k].Event, w.op, w.event)
+			}
+		}
+	}
+	for _, d := range []*Monitored{d1, d2} {
+		if in, _ := d.Get(InputCount); in != 8 {
+			t.Fatalf("%s counted %v inputs, want 8", d.Name(), in)
+		}
+		if out, _ := d.Get(OutputCount); out != 8 {
+			t.Fatalf("%s counted %v outputs, want 8", d.Name(), out)
+		}
 	}
 }

@@ -56,11 +56,18 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 // values: the snapshot at any instant contains each value at most once.
 func NewDistinct(name string) *Coalesce { return NewCoalesce(name, nil) }
 
-// Process implements pubsub.Sink.
-func (c *Coalesce) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (c *Coalesce) ProcessBatch(b temporal.Batch, _ int) {
 	c.ProcMu.Lock()
 	defer c.ProcMu.Unlock()
+	for _, e := range b {
+		c.processOne(e)
+	}
+	c.Flush()
+}
 
+// processOne is the per-element body, under ProcMu.
+func (c *Coalesce) processOne(e temporal.Element) {
 	// Finalise pending spans no future element can extend: their End lies
 	// strictly before the new watermark.
 	for {
@@ -85,7 +92,7 @@ func (c *Coalesce) Process(e temporal.Element, _ int) {
 				c.ends.Push(endEntry{end: p.value.End, key: k})
 			}
 			c.out.observe(0, e.Start)
-			c.out.release(c.bound(), c.Transfer)
+			c.out.release(c.bound(), c.Emit)
 			return
 		}
 		// Gap: the old span is final.
@@ -97,7 +104,7 @@ func (c *Coalesce) Process(e temporal.Element, _ int) {
 	c.lows.Push(lowEntry{lb: e.Start, key: k})
 
 	c.out.observe(0, e.Start)
-	c.out.release(c.bound(), c.Transfer)
+	c.out.release(c.bound(), c.Emit)
 }
 
 // bound is min(watermark, earliest pending span start).
@@ -132,7 +139,7 @@ func (c *Coalesce) finish() {
 		c.out.add(c.pending[k].value)
 		delete(c.pending, k)
 	}
-	c.out.flush(c.Transfer)
+	c.out.flush(c.Emit)
 }
 
 // PendingSpans returns the number of open spans — for memory accounting.

@@ -62,18 +62,21 @@ func NewDifference(name string, key KeyFunc) *Difference {
 	d.OnAllDone = func() {
 		d.pump()
 		d.advance(temporal.MaxTime)
-		d.out.flush(d.Transfer)
+		d.out.flush(d.Emit)
 	}
 	return d
 }
 
-// Process implements pubsub.Sink.
-func (d *Difference) Process(e temporal.Element, input int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (d *Difference) ProcessBatch(b temporal.Batch, input int) {
 	d.ProcMu.Lock()
 	defer d.ProcMu.Unlock()
-	d.inQ[input].Enqueue(e)
-	d.out.observe(input, e.Start)
-	d.pump()
+	for _, e := range b {
+		d.inQ[input].Enqueue(e)
+		d.out.observe(input, e.Start)
+		d.pump()
+	}
+	d.Flush()
 }
 
 // pump applies queued arrivals in global Start order; an arrival is
@@ -88,7 +91,7 @@ func (d *Difference) pump() {
 		e, _ := d.inQ[i].Dequeue()
 		d.apply(i, e)
 	}
-	d.out.release(d.bound(), d.Transfer)
+	d.out.release(d.bound(), d.Emit)
 }
 
 func (d *Difference) nextInput() int {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"pipes/internal/aggregate"
+	"pipes/internal/ft"
 	"pipes/internal/pubsub"
 	"pipes/internal/snapshot"
 	"pipes/internal/temporal"
@@ -271,7 +272,7 @@ func TestSnapshotEquivalencePipelineComposition(t *testing.T) {
 		sink := newCollectSink(&col)
 		g.Subscribe(sink, 0)
 		for _, e := range raw {
-			w.Process(e, 0)
+			w.ProcessBatch(temporal.Batch{e}, 0)
 		}
 		w.Done(0)
 
@@ -354,13 +355,12 @@ func TestSnapshotEquivalenceIntersect(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar-vs-batch differential suite: every stateful operator is driven
-// twice over the same deterministic merged schedule — once per-element
-// through Process, once in frames through the batch lane (ProcessBatch
-// where implemented, the per-element fallback otherwise) with checkpoint
-// barriers injected at random schedule positions cutting the frames — and
-// the two executions must agree exactly: identical output sequences and
-// byte-identical StateSaver snapshots at every barrier.
+// Frame-size invariance suite: every operator is driven over the same
+// deterministic merged schedule at several frame sizes — consecutive
+// same-input items accumulated into frames, with checkpoint barriers
+// injected at random schedule positions cutting the frames — and every
+// run must agree exactly with the frame-1 baseline: identical output
+// sequences and byte-identical StateSaver snapshots at every barrier.
 
 // feedItem is one step of a deterministic multi-input schedule.
 type feedItem struct {
@@ -391,15 +391,19 @@ func mergedFeed(inputs [][]temporal.Element) []feedItem {
 	}
 }
 
-// runOpLane drives one freshly built operator over the schedule. frame 0
-// selects the scalar lane (Process per element); frame > 0 accumulates
-// consecutive same-input items into frames of at most that size, cut at
-// every barrier position, delivered through the batch lane. barriers are
-// sorted schedule positions; barrier k+1 is injected on every input when
-// position barriers[k] is reached. Returns the exact output sequence and
-// the per-barrier gob snapshot (nil entries when the operator saves no
-// state).
-func runOpLane(op pubsub.Pipe, arity int, schedule []feedItem, barriers []int, frame int) ([]temporal.Element, [][]byte) {
+// frameOp is what the invariance table drives: an engine operator.
+type frameOp interface {
+	pubsub.Pipe
+	pubsub.BatchSink
+}
+
+// runOpFrames drives one freshly built operator over the schedule,
+// accumulating consecutive same-input items into frames of at most frame
+// elements, cut at every barrier position. barriers are sorted schedule
+// positions; barrier k+1 is injected on every input when position
+// barriers[k] is reached. Returns the exact output sequence and the
+// per-barrier gob snapshot (nil entries when the operator saves no state).
+func runOpFrames(op frameOp, arity int, schedule []feedItem, barriers []int, frame int) ([]temporal.Element, [][]byte) {
 	var out []temporal.Element
 	op.Subscribe(newCollectSink(&out), 0)
 
@@ -407,36 +411,25 @@ func runOpLane(op pubsub.Pipe, arity int, schedule []feedItem, barriers []int, f
 	type hooked interface {
 		SetBarrierHooks(save, ack func(pubsub.Barrier))
 	}
-	type saver interface {
-		SaveState(enc *gob.Encoder) error
-	}
 	if h, ok := op.(hooked); ok {
-		if sv, ok := op.(saver); ok {
+		if sv, ok := op.(ft.StateSaver); ok {
 			h.SetBarrierHooks(func(b pubsub.Barrier) {
 				var buf bytes.Buffer
-				if err := sv.SaveState(gob.NewEncoder(&buf)); err != nil {
-					panic("differential snapshot: " + err.Error())
+				if err := ft.EncodeState(sv, gob.NewEncoder(&buf)); err != nil {
+					panic("invariance snapshot: " + err.Error())
 				}
 				snaps[b.ID-1] = buf.Bytes()
 			}, nil)
 		}
 	}
 
-	bs, _ := op.(pubsub.BatchSink)
 	var pending temporal.Batch
 	pendingInput := -1
 	flush := func() {
-		if len(pending) == 0 {
-			return
+		if len(pending) > 0 {
+			op.ProcessBatch(pending, pendingInput)
+			pending = nil
 		}
-		if bs != nil {
-			bs.ProcessBatch(pending, pendingInput)
-		} else {
-			for _, e := range pending {
-				op.Process(e, pendingInput)
-			}
-		}
-		pending = nil
 	}
 	inject := func(id uint64) {
 		flush()
@@ -455,10 +448,6 @@ func runOpLane(op pubsub.Pipe, arity int, schedule []feedItem, barriers []int, f
 			inject(uint64(next + 1))
 			next++
 		}
-		if frame <= 0 {
-			op.Process(item.e, item.input)
-			continue
-		}
 		if item.input != pendingInput || len(pending) >= frame {
 			flush()
 			pendingInput = item.input
@@ -476,11 +465,11 @@ func runOpLane(op pubsub.Pipe, arity int, schedule []feedItem, barriers []int, f
 	return out, snaps
 }
 
-// TestScalarBatchDifferential is the operator-level differential table:
-// for every stateful operator, random inputs, random barrier placement
-// and every frame size, the batch lane must replicate the scalar lane
-// exactly — outputs and snapshot bytes.
-func TestScalarBatchDifferential(t *testing.T) {
+// TestFrameSizeInvariance is the operator-level invariance table: for
+// every operator, random inputs, random barrier placement and every frame
+// size, the run must replicate the frame-1 baseline exactly — outputs and
+// snapshot bytes.
+func TestFrameSizeInvariance(t *testing.T) {
 	key3 := func(v any) any { return v.(int) % 3 }
 	combine := func(l, r any) any { return Pair{Left: l, Right: r} }
 	pred := func(l, r any) bool { return l.(int)%4 == r.(int)%4 }
@@ -488,20 +477,36 @@ func TestScalarBatchDifferential(t *testing.T) {
 	cases := []struct {
 		name  string
 		arity int
-		mk    func() pubsub.Pipe
+		mk    func() frameOp
 	}{
-		{"groupby-count", 1, func() pubsub.Pipe { return NewGroupBy("g", key3, aggregate.NewCount, nil) }},
-		{"groupby-sum", 1, func() pubsub.Pipe { return NewGroupBy("g", key3, aggregate.NewSum, nil) }},
-		{"equi-join", 2, func() pubsub.Pipe { return NewEquiJoin("j", key3, key3, combine) }},
-		{"theta-join", 2, func() pubsub.Pipe { return NewThetaJoin("j", pred, combine) }},
-		{"mjoin", 3, func() pubsub.Pipe { return NewMJoin("m", 3, key3) }},
-		{"difference", 2, func() pubsub.Pipe { return NewDifference("d", nil) }},
-		{"intersect", 2, func() pubsub.Pipe { return NewIntersect("i", nil) }},
-		{"union", 3, func() pubsub.Pipe { return NewUnion("u", 3) }},
-		{"time-window", 1, func() pubsub.Pipe { return NewTimeWindow("w", 9) }},
-		{"tumbling-window", 1, func() pubsub.Pipe { return NewTumblingWindow("w", 10) }},
-		{"count-window", 1, func() pubsub.Pipe { return NewCountWindow("w", 5) }},
-		{"partitioned-window", 1, func() pubsub.Pipe { return NewPartitionedWindow("w", key3, 4) }},
+		{"filter", 1, func() frameOp { return NewFilter("f", func(v any) bool { return v.(int)%3 != 0 }) }},
+		{"map", 1, func() frameOp { return NewMap("m", func(v any) any { return v.(int) + 1 }) }},
+		{"groupby-count", 1, func() frameOp { return NewGroupBy("g", key3, aggregate.NewCount, nil) }},
+		{"groupby-sum", 1, func() frameOp { return NewGroupBy("g", key3, aggregate.NewSum, nil) }},
+		{"equi-join", 2, func() frameOp { return NewEquiJoin("j", key3, key3, combine) }},
+		{"theta-join", 2, func() frameOp { return NewThetaJoin("j", pred, combine) }},
+		{"mjoin", 3, func() frameOp { return NewMJoin("m", 3, key3) }},
+		{"difference", 2, func() frameOp { return NewDifference("d", nil) }},
+		{"intersect", 2, func() frameOp { return NewIntersect("i", nil) }},
+		{"union", 3, func() frameOp { return NewUnion("u", 3) }},
+		{"coalesce", 1, func() frameOp { return NewCoalesce("c", key3) }},
+		{"distinct", 1, func() frameOp { return NewDistinct("d") }},
+		{"split", 1, func() frameOp { return NewSplit("s", 4) }},
+		{"sample", 1, func() frameOp { return NewSample("s", 5) }},
+		{"sequencer", 1, func() frameOp { return NewSequencer("s", 3) }},
+		{"shedder", 1, func() frameOp {
+			s := NewShedder("s", 42)
+			s.SetDropProbability(0.3)
+			return s
+		}},
+		{"istream", 1, func() frameOp { return NewIStream("i") }},
+		{"dstream", 1, func() frameOp { return NewDStream("d") }},
+		{"time-window", 1, func() frameOp { return NewTimeWindow("w", 9) }},
+		{"unbounded-window", 1, func() frameOp { return NewUnboundedWindow("w") }},
+		{"now-window", 1, func() frameOp { return NewNowWindow("w") }},
+		{"tumbling-window", 1, func() frameOp { return NewTumblingWindow("w", 10) }},
+		{"count-window", 1, func() frameOp { return NewCountWindow("w", 5) }},
+		{"partitioned-window", 1, func() frameOp { return NewPartitionedWindow("w", key3, 4) }},
 	}
 
 	for ci, tc := range cases {
@@ -521,24 +526,24 @@ func TestScalarBatchDifferential(t *testing.T) {
 				}
 				sort.Ints(barriers)
 
-				scalarOut, scalarSnaps := runOpLane(tc.mk(), tc.arity, schedule, barriers, 0)
-				for _, frame := range []int{1, 7, 64} {
-					batchOut, batchSnaps := runOpLane(tc.mk(), tc.arity, schedule, barriers, frame)
-					if len(batchOut) != len(scalarOut) {
-						t.Fatalf("trial %d frame %d: output length %d, scalar %d",
-							trial, frame, len(batchOut), len(scalarOut))
+				baseOut, baseSnaps := runOpFrames(tc.mk(), tc.arity, schedule, barriers, 1)
+				for _, frame := range []int{7, 64, len(schedule)} {
+					out, snaps := runOpFrames(tc.mk(), tc.arity, schedule, barriers, frame)
+					if len(out) != len(baseOut) {
+						t.Fatalf("trial %d frame %d: output length %d, frame 1 gave %d",
+							trial, frame, len(out), len(baseOut))
 					}
-					for i := range scalarOut {
-						if scalarOut[i].Interval != batchOut[i].Interval ||
-							!reflect.DeepEqual(scalarOut[i].Value, batchOut[i].Value) {
-							t.Fatalf("trial %d frame %d: output[%d] = %v, scalar %v",
-								trial, frame, i, batchOut[i], scalarOut[i])
+					for i := range baseOut {
+						if baseOut[i].Interval != out[i].Interval ||
+							!reflect.DeepEqual(baseOut[i].Value, out[i].Value) {
+							t.Fatalf("trial %d frame %d: output[%d] = %v, frame 1 gave %v",
+								trial, frame, i, out[i], baseOut[i])
 						}
 					}
-					for r := range scalarSnaps {
-						if !bytes.Equal(scalarSnaps[r], batchSnaps[r]) {
+					for r := range baseSnaps {
+						if !bytes.Equal(baseSnaps[r], snaps[r]) {
 							t.Fatalf("trial %d frame %d: snapshot %d differs (%d vs %d bytes)",
-								trial, frame, r+1, len(batchSnaps[r]), len(scalarSnaps[r]))
+								trial, frame, r+1, len(snaps[r]), len(baseSnaps[r]))
 						}
 					}
 				}

@@ -36,7 +36,6 @@ type GroupBy struct {
 	expiry  *xds.Heap[expiryEvent]
 	lows    *xds.Heap[lowEntry]
 	out     *orderBuffer
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
 }
 
 type group struct {
@@ -93,16 +92,18 @@ func NewAggregate(name string, factory aggregate.Factory) *GroupBy {
 	return NewGroupBy(name, nil, factory, nil)
 }
 
-// Process implements pubsub.Sink.
-func (g *GroupBy) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (g *GroupBy) ProcessBatch(b temporal.Batch, _ int) {
 	g.ProcMu.Lock()
 	defer g.ProcMu.Unlock()
-	g.processOne(e, g.Transfer)
+	for _, e := range b {
+		g.processOne(e)
+	}
+	g.Flush()
 }
 
-// processOne is the Process body under ProcMu; releases go through emit so
-// the batch lane can collect them into one downstream frame.
-func (g *GroupBy) processOne(e temporal.Element, emit func(temporal.Element)) {
+// processOne is the per-element body, under ProcMu.
+func (g *GroupBy) processOne(e temporal.Element) {
 	g.advance(e.Start)
 
 	k := g.key(e.Value)
@@ -130,7 +131,7 @@ func (g *GroupBy) processOne(e temporal.Element, emit func(temporal.Element)) {
 	g.lows.Push(lowEntry{lb: grp.lb, key: k})
 
 	g.out.observe(0, e.Start)
-	g.out.release(g.bound(), emit)
+	g.out.release(g.bound(), g.Emit)
 }
 
 // advance processes every interval end up to and including t, emitting the
@@ -218,7 +219,7 @@ func (g *GroupBy) finish() {
 	// Groups containing elements valid forever never see a closing
 	// boundary; advance(MaxTime) pops their expiry events (end==MaxTime)
 	// and emits their final spans, so nothing remains here.
-	g.out.flush(g.Transfer)
+	g.out.flush(g.Emit)
 }
 
 // GroupCount returns the number of live groups — exposed for memory

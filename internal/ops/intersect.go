@@ -46,18 +46,21 @@ func NewIntersect(name string, key KeyFunc) *Intersect {
 	in.OnAllDone = func() {
 		in.pump()
 		in.advance(temporal.MaxTime)
-		in.out.flush(in.Transfer)
+		in.out.flush(in.Emit)
 	}
 	return in
 }
 
-// Process implements pubsub.Sink.
-func (in *Intersect) Process(e temporal.Element, input int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (in *Intersect) ProcessBatch(b temporal.Batch, input int) {
 	in.ProcMu.Lock()
 	defer in.ProcMu.Unlock()
-	in.inQ[input].Enqueue(e)
-	in.out.observe(input, e.Start)
-	in.pump()
+	for _, e := range b {
+		in.inQ[input].Enqueue(e)
+		in.out.observe(input, e.Start)
+		in.pump()
+	}
+	in.Flush()
 }
 
 func (in *Intersect) pump() {
@@ -69,7 +72,7 @@ func (in *Intersect) pump() {
 		e, _ := in.inQ[i].Dequeue()
 		in.apply(i, e)
 	}
-	in.out.release(in.bound(), in.Transfer)
+	in.out.release(in.bound(), in.Emit)
 }
 
 func (in *Intersect) nextInput() int {

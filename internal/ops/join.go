@@ -59,9 +59,9 @@ func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, comb
 	j.OnInputDone = func(input int) {
 		j.inDone[input] = true
 		j.out.markDone(input)
-		j.out.release(j.out.watermark(), j.Transfer)
+		j.out.release(j.out.watermark(), j.Emit)
 	}
-	j.OnAllDone = func() { j.out.flush(j.Transfer) }
+	j.OnAllDone = func() { j.out.flush(j.Emit) }
 	return j
 }
 
@@ -87,10 +87,18 @@ func NewEquiJoin(name string, leftKey, rightKey sweeparea.KeyFunc, combine Combi
 	return NewJoin(name, left, right, nil, combine)
 }
 
-// Process implements pubsub.Sink.
-func (j *Join) Process(e temporal.Element, input int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (j *Join) ProcessBatch(b temporal.Batch, input int) {
 	j.ProcMu.Lock()
 	defer j.ProcMu.Unlock()
+	for _, e := range b {
+		j.processOne(e, input)
+	}
+	j.Flush()
+}
+
+// processOne is the per-element body, under ProcMu.
+func (j *Join) processOne(e temporal.Element, input int) {
 	opp := 1 - input
 	j.areas[opp].Reorganize(e.Start)
 	j.areas[opp].Probe(e, func(s temporal.Element) {
@@ -115,7 +123,7 @@ func (j *Join) Process(e temporal.Element, input int) {
 		j.areas[input].Insert(e)
 	}
 	j.out.observe(input, e.Start)
-	j.out.release(j.out.watermark(), j.Transfer)
+	j.out.release(j.out.watermark(), j.Emit)
 }
 
 // MemoryUsage reports the footprint of both areas plus pending results.

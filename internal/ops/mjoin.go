@@ -42,17 +42,24 @@ func NewMJoin(name string, inputs int, key KeyFunc) *MJoin {
 	}
 	m.OnInputDone = func(input int) {
 		m.out.markDone(input)
-		m.out.release(m.out.watermark(), m.Transfer)
+		m.out.release(m.out.watermark(), m.Emit)
 	}
-	m.OnAllDone = func() { m.out.flush(m.Transfer) }
+	m.OnAllDone = func() { m.out.flush(m.Emit) }
 	return m
 }
 
-// Process implements pubsub.Sink.
-func (m *MJoin) Process(e temporal.Element, input int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (m *MJoin) ProcessBatch(b temporal.Batch, input int) {
 	m.ProcMu.Lock()
 	defer m.ProcMu.Unlock()
+	for _, e := range b {
+		m.processOne(e, input)
+	}
+	m.Flush()
+}
 
+// processOne is the per-element body, under ProcMu.
+func (m *MJoin) processOne(e temporal.Element, input int) {
 	for i, a := range m.areas {
 		if i != input {
 			a.Reorganize(e.Start)
@@ -67,7 +74,7 @@ func (m *MJoin) Process(e temporal.Element, input int) {
 
 	m.areas[input].Insert(e)
 	m.out.observe(input, e.Start)
-	m.out.release(m.out.watermark(), m.Transfer)
+	m.out.release(m.out.watermark(), m.Emit)
 }
 
 func (m *MJoin) expand(probe temporal.Element, origin, i int, partial []any, iv temporal.Interval) {

@@ -16,6 +16,13 @@
 // internal heap and release them as input watermarks advance; sources with
 // unbounded validity intervals therefore require window operators upstream
 // of stateful operators, exactly as the paper prescribes.
+//
+// Every operator states its logic once, as ProcessBatch: it takes the
+// processing lock once per frame, runs its per-element body in frame
+// order, Emits results into the PipeBase output frame and Flushes them as
+// one downstream frame. Processing a frame is by definition processing its
+// elements one by one, so behaviour never depends on how a stream is cut
+// into frames (SEMANTICS.md §3.7; internal/harness checks the invariance).
 package ops
 
 import (
@@ -37,8 +44,7 @@ type KeyFunc func(v any) any
 // predicate, leaving validity intervals untouched (temporal selection σ).
 type Filter struct {
 	pubsub.PipeBase
-	pred    Predicate
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
+	pred Predicate
 }
 
 // NewFilter returns a selection operator.
@@ -49,21 +55,35 @@ func NewFilter(name string, pred Predicate) *Filter {
 	return &Filter{PipeBase: pubsub.NewPipeBase(name, 1), pred: pred}
 }
 
-// Process implements pubsub.Sink.
-func (f *Filter) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink: a frame that passes entirely
+// is forwarded as-is (the borrow nests through synchronous hops).
+func (f *Filter) ProcessBatch(b temporal.Batch, _ int) {
 	f.ProcMu.Lock()
 	defer f.ProcMu.Unlock()
-	if f.pred(e.Value) {
-		f.Transfer(e)
+	i := 0
+	for i < len(b) && f.pred(b[i].Value) {
+		i++
 	}
+	if i == len(b) {
+		f.TransferBatch(b)
+		return
+	}
+	for _, e := range b[:i] {
+		f.Emit(e)
+	}
+	for _, e := range b[i+1:] {
+		if f.pred(e.Value) {
+			f.Emit(e)
+		}
+	}
+	f.Flush()
 }
 
 // Map transforms each value, leaving validity intervals untouched
 // (temporal projection/function application π).
 type Map struct {
 	pubsub.PipeBase
-	fn      Mapper
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
+	fn Mapper
 }
 
 // NewMap returns a mapping operator.
@@ -74,11 +94,14 @@ func NewMap(name string, fn Mapper) *Map {
 	return &Map{PipeBase: pubsub.NewPipeBase(name, 1), fn: fn}
 }
 
-// Process implements pubsub.Sink.
-func (m *Map) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (m *Map) ProcessBatch(b temporal.Batch, _ int) {
 	m.ProcMu.Lock()
 	defer m.ProcMu.Unlock()
-	m.Transfer(temporal.Derive(m.fn(e.Value), e.Interval, e))
+	for _, e := range b {
+		m.Emit(temporal.Derive(m.fn(e.Value), e.Interval, e))
+	}
+	m.Flush()
 }
 
 // orderBuffer restores the stream-order invariant for operators whose raw

@@ -14,11 +14,11 @@ import (
 func el(v any, s, e temporal.Time) temporal.Element { return temporal.NewElement(v, s, e) }
 
 // runSingle feeds one ordered input through op and returns the output.
-func runSingle(op pubsub.Pipe, in []temporal.Element) []temporal.Element {
+func runSingle(op frameOp, in []temporal.Element) []temporal.Element {
 	col := pubsub.NewCollector("col", 1)
 	op.Subscribe(col, 0)
 	for _, e := range in {
-		op.Process(e, 0)
+		op.ProcessBatch(temporal.Batch{e}, 0)
 	}
 	op.Done(0)
 	col.Wait()
@@ -27,7 +27,7 @@ func runSingle(op pubsub.Pipe, in []temporal.Element) []temporal.Element {
 
 // runMerged feeds multiple per-input-ordered streams into op interleaved
 // in global Start order (ties: lower input first), then closes all inputs.
-func runMerged(op pubsub.Pipe, inputs ...[]temporal.Element) []temporal.Element {
+func runMerged(op frameOp, inputs ...[]temporal.Element) []temporal.Element {
 	col := pubsub.NewCollector("col", 1)
 	op.Subscribe(col, 0)
 	idx := make([]int, len(inputs))
@@ -44,7 +44,7 @@ func runMerged(op pubsub.Pipe, inputs ...[]temporal.Element) []temporal.Element 
 		if best < 0 {
 			break
 		}
-		op.Process(inputs[best][idx[best]], best)
+		op.ProcessBatch(temporal.Batch{inputs[best][idx[best]]}, best)
 		idx[best]++
 	}
 	for i := range inputs {
@@ -56,12 +56,12 @@ func runMerged(op pubsub.Pipe, inputs ...[]temporal.Element) []temporal.Element 
 
 // runSequential feeds each input completely before the next (worst-case
 // watermark skew).
-func runSequential(op pubsub.Pipe, inputs ...[]temporal.Element) []temporal.Element {
+func runSequential(op frameOp, inputs ...[]temporal.Element) []temporal.Element {
 	col := pubsub.NewCollector("col", 1)
 	op.Subscribe(col, 0)
 	for i, in := range inputs {
 		for _, e := range in {
-			op.Process(e, i)
+			op.ProcessBatch(temporal.Batch{e}, i)
 		}
 		op.Done(i)
 	}
@@ -294,7 +294,7 @@ func TestJoinStatePurging(t *testing.T) {
 	j.Subscribe(col, 0)
 	for i := 0; i < 1000; i++ {
 		ts := temporal.Time(i)
-		j.Process(el(i, ts, ts+5), i%2)
+		j.ProcessBatch(temporal.Batch{el(i, ts, ts+5)}, i%2)
 	}
 	if s := j.StateSize(); s > 50 {
 		t.Fatalf("join state grew to %d entries despite 5-tick windows", s)
@@ -549,7 +549,7 @@ func TestJoinShedReducesState(t *testing.T) {
 	col := pubsub.NewCollector("col", 1)
 	j.Subscribe(col, 0)
 	for i := 0; i < 100; i++ {
-		j.Process(el(i, temporal.Time(i), temporal.Time(i+1000)), 0)
+		j.ProcessBatch(temporal.Batch{el(i, temporal.Time(i), temporal.Time(i+1000))}, 0)
 	}
 	before := j.StateSize()
 	dropped := j.Shed(40)
@@ -570,7 +570,7 @@ func TestGroupCountAndMemory(t *testing.T) {
 	col := pubsub.NewCollector("col", 1)
 	g.Subscribe(col, 0)
 	for i := 0; i < 50; i++ {
-		g.Process(el(i, temporal.Time(i), temporal.Time(i+100)), 0)
+		g.ProcessBatch(temporal.Batch{el(i, temporal.Time(i), temporal.Time(i+100))}, 0)
 	}
 	if g.GroupCount() != 5 {
 		t.Fatalf("GroupCount = %d, want 5", g.GroupCount())
@@ -584,8 +584,8 @@ func TestUnionPendingAccounting(t *testing.T) {
 	u := NewUnion("u", 2)
 	col := pubsub.NewCollector("col", 1)
 	u.Subscribe(col, 0)
-	u.Process(el(1, 0, 1), 0)
-	u.Process(el(2, 5, 6), 0)
+	u.ProcessBatch(temporal.Batch{el(1, 0, 1)}, 0)
+	u.ProcessBatch(temporal.Batch{el(2, 5, 6)}, 0)
 	if u.Pending() != 2 { // input 1 silent: nothing released
 		t.Fatalf("Pending = %d, want 2", u.Pending())
 	}
@@ -632,7 +632,7 @@ func TestIntersectMemoryReported(t *testing.T) {
 	in := NewIntersect("i", nil)
 	col := pubsub.NewCollector("col", 1)
 	in.Subscribe(col, 0)
-	in.Process(el("v", 0, 100), 0)
+	in.ProcessBatch(temporal.Batch{el("v", 0, 100)}, 0)
 	if in.MemoryUsage() <= 0 {
 		t.Fatal("no memory reported")
 	}
@@ -655,9 +655,9 @@ func TestSequencerDropsBeyondSlack(t *testing.T) {
 	s := NewSequencer("seq", 2)
 	col := pubsub.NewCollector("col", 1)
 	s.Subscribe(col, 0)
-	s.Process(el("a", 100, 101), 0)
-	s.Process(el("b", 103, 104), 0) // bound 101: releases a, watermark 100
-	s.Process(el("late", 50, 51), 0)
+	s.ProcessBatch(temporal.Batch{el("a", 100, 101)}, 0)
+	s.ProcessBatch(temporal.Batch{el("b", 103, 104)}, 0) // bound 101: releases a, watermark 100
+	s.ProcessBatch(temporal.Batch{el("late", 50, 51)}, 0)
 	s.Done(0)
 	col.Wait()
 	if s.LateDrops() != 1 {
@@ -732,7 +732,7 @@ func TestShedderDropRate(t *testing.T) {
 	s.Subscribe(col, 0)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		s.Process(el(i, temporal.Time(i), temporal.Time(i+1)), 0)
+		s.ProcessBatch(temporal.Batch{el(i, temporal.Time(i), temporal.Time(i+1))}, 0)
 	}
 	s.Done(0)
 	col.Wait()
@@ -768,14 +768,14 @@ func TestShedderRuntimeAdjustment(t *testing.T) {
 	col := pubsub.NewCollector("col", 1)
 	s.Subscribe(col, 0)
 	for i := 0; i < 100; i++ {
-		s.Process(el(i, temporal.Time(i), temporal.Time(i+1)), 0)
+		s.ProcessBatch(temporal.Batch{el(i, temporal.Time(i), temporal.Time(i+1))}, 0)
 	}
 	if s.Dropped() != 0 {
 		t.Fatal("dropped before adjustment")
 	}
 	s.SetDropProbability(1)
 	for i := 100; i < 200; i++ {
-		s.Process(el(i, temporal.Time(i), temporal.Time(i+1)), 0)
+		s.ProcessBatch(temporal.Batch{el(i, temporal.Time(i), temporal.Time(i+1))}, 0)
 	}
 	if s.Dropped() != 100 {
 		t.Fatalf("dropped %d after p=1", s.Dropped())

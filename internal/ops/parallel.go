@@ -102,12 +102,28 @@ func (p *Parallel) Name() string { return p.name }
 // Inputs returns the operator arity.
 func (p *Parallel) Inputs() int { return p.inputs }
 
-// Process implements pubsub.Sink: route the element to its partition's
-// hand-off buffer. Buffer enqueueing is thread-safe, so concurrently
-// publishing upstream sources need no further serialisation here.
-func (p *Parallel) Process(e temporal.Element, input int) {
-	r := int(hashKey(p.key(e.Value)) % uint64(len(p.replicas)))
-	p.bufs[r][input].Process(e, 0)
+// ProcessBatch implements pubsub.BatchSink: route every run of
+// consecutive elements with the same partition to that partition's
+// hand-off buffer, as a view of the borrowed frame (the buffer copies at
+// enqueue and coalesces small frames, so the replicas still see frames).
+// Buffer enqueueing is thread-safe, so concurrently publishing upstream
+// sources need no further serialisation here.
+func (p *Parallel) ProcessBatch(b temporal.Batch, input int) {
+	if len(b) == 0 {
+		return
+	}
+	start, r := 0, p.replicaOf(b[0])
+	for i := 1; i < len(b); i++ {
+		if next := p.replicaOf(b[i]); next != r {
+			p.bufs[r][input].ProcessBatch(b[start:i], 0)
+			start, r = i, next
+		}
+	}
+	p.bufs[r][input].ProcessBatch(b[start:], 0)
+}
+
+func (p *Parallel) replicaOf(e temporal.Element) int {
+	return int(hashKey(p.key(e.Value)) % uint64(len(p.replicas)))
 }
 
 // Done implements pubsub.Sink: end-of-stream on one input propagates to

@@ -30,7 +30,7 @@ func runParallel(p *Parallel, inputs ...[]temporal.Element) []temporal.Element {
 		if best < 0 {
 			break
 		}
-		p.Process(inputs[best][idx[best]], best)
+		p.ProcessBatch(temporal.Batch{inputs[best][idx[best]]}, best)
 		idx[best]++
 	}
 	for i := range inputs {

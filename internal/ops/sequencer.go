@@ -42,16 +42,24 @@ func NewSequencer(name string, slack temporal.Time) *Sequencer {
 			if !ok {
 				return
 			}
-			s.Transfer(e)
+			s.Emit(e)
 		}
 	}
 	return s
 }
 
-// Process implements pubsub.Sink.
-func (s *Sequencer) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (s *Sequencer) ProcessBatch(b temporal.Batch, _ int) {
 	s.ProcMu.Lock()
 	defer s.ProcMu.Unlock()
+	for _, e := range b {
+		s.processOne(e)
+	}
+	s.Flush()
+}
+
+// processOne is the per-element body, under ProcMu.
+func (s *Sequencer) processOne(e temporal.Element) {
 	if s.seeded && e.Start < s.released {
 		s.late++ // too late: releasing it would violate the invariant
 		return
@@ -71,7 +79,7 @@ func (s *Sequencer) Process(e temporal.Element, _ int) {
 		if top.Start > s.released {
 			s.released = top.Start
 		}
-		s.Transfer(top)
+		s.Emit(top)
 	}
 }
 

@@ -50,16 +50,19 @@ func (s *Shedder) DropProbability() float64 {
 	return s.prob
 }
 
-// Process implements pubsub.Sink.
-func (s *Shedder) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (s *Shedder) ProcessBatch(b temporal.Batch, _ int) {
 	s.ProcMu.Lock()
 	defer s.ProcMu.Unlock()
-	s.seen++
-	if s.prob > 0 && s.rng.Float64() < s.prob {
-		s.dropped++
-		return
+	for _, e := range b {
+		s.seen++
+		if s.prob > 0 && s.rng.Float64() < s.prob {
+			s.dropped++
+			continue
+		}
+		s.Emit(e)
 	}
-	s.Transfer(e)
+	s.Flush()
 }
 
 // Dropped returns how many elements were shed.

@@ -23,25 +23,28 @@ func NewSplit(name string, granule temporal.Time) *Split {
 		panic("ops: split granule must be positive")
 	}
 	s := &Split{PipeBase: pubsub.NewPipeBase(name, 1), granule: granule, out: newOrderBuffer(1)}
-	s.OnAllDone = func() { s.out.flush(s.Transfer) }
+	s.OnAllDone = func() { s.out.flush(s.Emit) }
 	return s
 }
 
-// Process implements pubsub.Sink.
-func (s *Split) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (s *Split) ProcessBatch(b temporal.Batch, _ int) {
 	s.ProcMu.Lock()
 	defer s.ProcMu.Unlock()
-	cur := e.Start
-	for cur < e.End {
-		next := (floorDiv(cur, s.granule) + 1) * s.granule
-		if next > e.End || next < cur { // clamp tail and MaxTime overflow
-			next = e.End
+	for _, e := range b {
+		cur := e.Start
+		for cur < e.End {
+			next := (floorDiv(cur, s.granule) + 1) * s.granule
+			if next > e.End || next < cur { // clamp tail and MaxTime overflow
+				next = e.End
+			}
+			s.out.add(e.WithInterval(temporal.NewInterval(cur, next)))
+			cur = next
 		}
-		s.out.add(e.WithInterval(temporal.NewInterval(cur, next)))
-		cur = next
+		s.out.observe(0, e.Start)
+		s.out.release(s.out.watermark(), s.Emit)
 	}
-	s.out.observe(0, e.Start)
-	s.out.release(s.out.watermark(), s.Transfer)
+	s.Flush()
 }
 
 // Sample materialises periodic snapshots (CQL RSTREAM with a SLIDE): at
@@ -74,21 +77,24 @@ func NewSample(name string, every temporal.Time) *Sample {
 	return s
 }
 
-// Process implements pubsub.Sink.
-func (s *Sample) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (s *Sample) ProcessBatch(b temporal.Batch, _ int) {
 	s.ProcMu.Lock()
 	defer s.ProcMu.Unlock()
-	if !s.seeded {
-		s.nextB = floorDiv(e.Start, s.every) * s.every
-		if s.nextB < e.Start {
-			s.nextB += s.every
+	for _, e := range b {
+		if !s.seeded {
+			s.nextB = floorDiv(e.Start, s.every) * s.every
+			if s.nextB < e.Start {
+				s.nextB += s.every
+			}
+			s.seeded = true
 		}
-		s.seeded = true
+		// Emit all boundaries strictly before the new element's start: no
+		// further element can contribute to them.
+		s.emitBoundaries(e.Start)
+		s.active.Push(e)
 	}
-	// Emit all boundaries strictly before the new element's start: no
-	// further element can contribute to them.
-	s.emitBoundaries(e.Start)
-	s.active.Push(e)
+	s.Flush()
 }
 
 // emitBoundaries emits every due boundary strictly below limit.
@@ -105,7 +111,7 @@ func (s *Sample) emitBoundaries(limit temporal.Time) {
 		}
 		for _, e := range s.active.Items() {
 			if e.Start <= b {
-				s.Transfer(e.WithInterval(temporal.NewInterval(b, b+s.every)))
+				s.Emit(e.WithInterval(temporal.NewInterval(b, b+s.every)))
 			}
 		}
 		s.nextB += s.every

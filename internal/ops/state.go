@@ -1,21 +1,17 @@
 // Checkpoint state serialisation for the stateful operators. Each
-// operator exposes SaveState/LoadState (the structural contract
+// operator exposes SnapshotState/LoadState (the structural contract
 // internal/ft declares as StateSaver/StateLoader — declared there, not
 // here, so ops stays free of an ft import) encoding exactly the
 // information a rebuilt operator needs to continue from a barrier cut:
 //
-//   - SnapshotState is the copy-on-write capture (the structural
-//     ft.HandleSaver contract): invoked by the barrier save hook under
-//     ProcMu, it copies the live collections — flat slice copies, no
-//     canonical ordering, no encoding — and returns a closure that
-//     serialises the captured copies later, on the checkpoint writer's
-//     goroutine. The closure reads only its captures and the immutable
-//     element values (the engine's purity contract), so it runs safely
-//     concurrent with post-barrier processing; sorting, canonKey
+//   - SnapshotState is the copy-on-write capture: invoked by the barrier
+//     save hook under ProcMu, it copies the live collections — flat slice
+//     copies, no canonical ordering, no encoding — and returns a closure
+//     that serialises the captured copies later, on the checkpoint
+//     writer's goroutine. The closure reads only its captures and the
+//     immutable element values (the engine's purity contract), so it runs
+//     safely concurrent with post-barrier processing; sorting, canonKey
 //     rendering and the gob encode all move off the barrier stall.
-//   - SaveState (the legacy synchronous form) delegates to SnapshotState
-//     and invokes the closure in place, so both paths produce
-//     byte-identical encodings — the differential harness's oracle.
 //   - LoadState runs on a freshly constructed, not-yet-started operator.
 //   - Trace slots are dropped: element traces are diagnostic context of
 //     the run that produced them and do not survive a crash (restored
@@ -80,7 +76,7 @@ func init() {
 
 // canonKey renders a map key for canonical checkpoint ordering. Checkpoint
 // bytes must be a pure function of the operator's logical state — the
-// byte-identical-snapshot guarantee the batch/scalar differential harness
+// byte-identical-snapshot guarantee the frame-size invariance harness
 // asserts — so every map-derived collection is sorted by this rendering
 // before encoding instead of leaking Go's randomised map iteration order.
 // Rendering cost is paid only at checkpoint time, never on the hot path.
@@ -128,10 +124,6 @@ func (c orderBufferCapture) wire() orderBufferState {
 	return orderBufferState{Pending: toWire(c.pending), WM: c.wm}
 }
 
-func (b *orderBuffer) saveState() orderBufferState {
-	return b.capture().wire()
-}
-
 func (b *orderBuffer) loadState(st orderBufferState) {
 	for _, e := range fromWire(st.Pending) {
 		b.heap.Push(e)
@@ -147,7 +139,7 @@ type joinState struct {
 	Out   orderBufferState
 }
 
-// SnapshotState implements the ft.HandleSaver contract: sweep-area and
+// SnapshotState implements the ft.StateSaver contract: sweep-area and
 // order-buffer contents are copied under the barrier (SweepArea.Items
 // already returns a fresh slice); ordering and encoding run in the
 // closure, off the stall.
@@ -160,15 +152,6 @@ func (j *Join) SnapshotState() (func(enc *gob.Encoder) error, error) {
 		sortWire(w1)
 		return enc.Encode(joinState{Areas: [2][]wireElem{w0, w1}, Out: out.wire()})
 	}, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (j *Join) SaveState(enc *gob.Encoder) error {
-	fn, err := j.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -208,7 +191,7 @@ type groupCapture struct {
 	active []temporal.Element
 }
 
-// SnapshotState implements the ft.HandleSaver contract. The live
+// SnapshotState implements the ft.StateSaver contract. The live
 // multisets are canonically sorted in the closure (they are reloaded by
 // re-insertion, so serialised order is free) — that both moves the sort
 // off the barrier and gives consecutive rounds byte-stable encodings for
@@ -233,15 +216,6 @@ func (g *GroupBy) SnapshotState() (func(enc *gob.Encoder) error, error) {
 		sort.Slice(st.Groups, func(i, j int) bool { return canonKey(st.Groups[i].Key) < canonKey(st.Groups[j].Key) })
 		return enc.Encode(st)
 	}, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (g *GroupBy) SaveState(enc *gob.Encoder) error {
-	fn, err := g.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -348,19 +322,10 @@ func loadDiffLike(st diffOpState, state map[any]*diffState, expiry *xds.Heap[dif
 	out.loadState(st.Out)
 }
 
-// SnapshotState implements the ft.HandleSaver contract.
+// SnapshotState implements the ft.StateSaver contract.
 func (d *Difference) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	c := captureDiffLike(d.state, d.expiry, d.inQ, d.out)
 	return func(enc *gob.Encoder) error { return enc.Encode(c.wire()) }, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (d *Difference) SaveState(enc *gob.Encoder) error {
-	fn, err := d.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -373,19 +338,10 @@ func (d *Difference) LoadState(dec *gob.Decoder) error {
 	return nil
 }
 
-// SnapshotState implements the ft.HandleSaver contract.
+// SnapshotState implements the ft.StateSaver contract.
 func (in *Intersect) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	c := captureDiffLike(in.state, in.expiry, in.inQ, in.out)
 	return func(enc *gob.Encoder) error { return enc.Encode(c.wire()) }, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (in *Intersect) SaveState(enc *gob.Encoder) error {
-	fn, err := in.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -403,19 +359,10 @@ type unionState struct {
 	Out orderBufferState
 }
 
-// SnapshotState implements the ft.HandleSaver contract.
+// SnapshotState implements the ft.StateSaver contract.
 func (u *Union) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	out := u.out.capture()
 	return func(enc *gob.Encoder) error { return enc.Encode(unionState{Out: out.wire()}) }, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (u *Union) SaveState(enc *gob.Encoder) error {
-	fn, err := u.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -434,20 +381,11 @@ type countWindowState struct {
 	Buf []wireElem
 }
 
-// SnapshotState implements the ft.HandleSaver contract. Arrival order is
+// SnapshotState implements the ft.StateSaver contract. Arrival order is
 // the state (displacement order), so the capture is the queue copy as-is.
 func (w *CountWindow) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	buf := w.buf.Items()
 	return func(enc *gob.Encoder) error { return enc.Encode(countWindowState{Buf: toWire(buf)}) }, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (w *CountWindow) SaveState(enc *gob.Encoder) error {
-	fn, err := w.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -469,7 +407,7 @@ type mjoinState struct {
 	Out   orderBufferState
 }
 
-// SnapshotState implements the ft.HandleSaver contract.
+// SnapshotState implements the ft.StateSaver contract.
 func (m *MJoin) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	areas := make([][]temporal.Element, len(m.areas))
 	for i, a := range m.areas {
@@ -485,15 +423,6 @@ func (m *MJoin) SnapshotState() (func(enc *gob.Encoder) error, error) {
 		}
 		return enc.Encode(st)
 	}, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (m *MJoin) SaveState(enc *gob.Encoder) error {
-	fn, err := m.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -533,7 +462,7 @@ type partCapture struct {
 	elems []temporal.Element
 }
 
-// SnapshotState implements the ft.HandleSaver contract.
+// SnapshotState implements the ft.StateSaver contract.
 func (w *PartitionedWindow) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	caps := make([]partCapture, 0, len(w.part))
 	for k, q := range w.part {
@@ -548,15 +477,6 @@ func (w *PartitionedWindow) SnapshotState() (func(enc *gob.Encoder) error, error
 		sort.Slice(st.Parts, func(i, j int) bool { return canonKey(st.Parts[i].Key) < canonKey(st.Parts[j].Key) })
 		return enc.Encode(st)
 	}, nil
-}
-
-// SaveState implements the ft.StateSaver contract.
-func (w *PartitionedWindow) SaveState(enc *gob.Encoder) error {
-	fn, err := w.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
 }
 
 // LoadState implements the ft.StateLoader contract.

@@ -17,11 +17,14 @@ func NewIStream(name string) *IStream {
 	return &IStream{PipeBase: pubsub.NewPipeBase(name, 1)}
 }
 
-// Process implements pubsub.Sink.
-func (s *IStream) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (s *IStream) ProcessBatch(b temporal.Batch, _ int) {
 	s.ProcMu.Lock()
 	defer s.ProcMu.Unlock()
-	s.Transfer(e.WithInterval(temporal.NewInterval(e.Start, e.Start+1)))
+	for _, e := range b {
+		s.Emit(e.WithInterval(temporal.NewInterval(e.Start, e.Start+1)))
+	}
+	s.Flush()
 }
 
 // DStream emits a chronon element whenever a value leaves the snapshot —
@@ -36,17 +39,20 @@ type DStream struct {
 // NewDStream returns a DSTREAM converter.
 func NewDStream(name string) *DStream {
 	d := &DStream{PipeBase: pubsub.NewPipeBase(name, 1), out: newOrderBuffer(1)}
-	d.OnAllDone = func() { d.out.flush(d.Transfer) }
+	d.OnAllDone = func() { d.out.flush(d.Emit) }
 	return d
 }
 
-// Process implements pubsub.Sink.
-func (d *DStream) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (d *DStream) ProcessBatch(b temporal.Batch, _ int) {
 	d.ProcMu.Lock()
 	defer d.ProcMu.Unlock()
-	if e.End != temporal.MaxTime {
-		d.out.add(e.WithInterval(temporal.NewInterval(e.End, e.End+1)))
+	for _, e := range b {
+		if e.End != temporal.MaxTime {
+			d.out.add(e.WithInterval(temporal.NewInterval(e.End, e.End+1)))
+		}
+		d.out.observe(0, e.Start)
+		d.out.release(d.out.watermark(), d.Emit)
 	}
-	d.out.observe(0, e.Start)
-	d.out.release(d.out.watermark(), d.Transfer)
+	d.Flush()
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pipes/internal/aggregate"
-	"pipes/internal/pubsub"
 	"pipes/internal/telemetry"
 	"pipes/internal/temporal"
 )
@@ -43,13 +42,13 @@ func TestMapPropagatesTrace(t *testing.T) {
 func TestWindowsPropagateTrace(t *testing.T) {
 	cases := []struct {
 		name string
-		mk   func() pubsub.Pipe
+		mk   func() frameOp
 	}{
-		{"time", func() pubsub.Pipe { return NewTimeWindow("w", 100) }},
-		{"unbounded", func() pubsub.Pipe { return NewUnboundedWindow("w") }},
-		{"now", func() pubsub.Pipe { return NewNowWindow("w") }},
-		{"tumbling", func() pubsub.Pipe { return NewTumblingWindow("w", 100) }},
-		{"partitioned", func() pubsub.Pipe {
+		{"time", func() frameOp { return NewTimeWindow("w", 100) }},
+		{"unbounded", func() frameOp { return NewUnboundedWindow("w") }},
+		{"now", func() frameOp { return NewNowWindow("w") }},
+		{"tumbling", func() frameOp { return NewTumblingWindow("w", 100) }},
+		{"partitioned", func() frameOp {
 			return NewPartitionedWindow("w", func(v any) any { return v }, 1)
 		}},
 	}

@@ -11,8 +11,7 @@ import (
 // watermark has passed it.
 type Union struct {
 	pubsub.PipeBase
-	out     *orderBuffer
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
+	out *orderBuffer
 }
 
 // NewUnion returns a union over `inputs` streams (inputs >= 2).
@@ -23,25 +22,22 @@ func NewUnion(name string, inputs int) *Union {
 	u := &Union{PipeBase: pubsub.NewPipeBase(name, inputs), out: newOrderBuffer(inputs)}
 	u.OnInputDone = func(input int) {
 		u.out.markDone(input)
-		u.out.release(u.out.watermark(), u.Transfer)
+		u.out.release(u.out.watermark(), u.Emit)
 	}
-	u.OnAllDone = func() { u.out.flush(u.Transfer) }
+	u.OnAllDone = func() { u.out.flush(u.Emit) }
 	return u
 }
 
-// Process implements pubsub.Sink.
-func (u *Union) Process(e temporal.Element, input int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (u *Union) ProcessBatch(b temporal.Batch, input int) {
 	u.ProcMu.Lock()
 	defer u.ProcMu.Unlock()
-	u.processOne(e, input, u.Transfer)
-}
-
-// processOne is the Process body under ProcMu; releases go through emit so
-// the batch lane can collect them into one downstream frame.
-func (u *Union) processOne(e temporal.Element, input int, emit func(temporal.Element)) {
-	u.out.add(e)
-	u.out.observe(input, e.Start)
-	u.out.release(u.out.watermark(), emit)
+	for _, e := range b {
+		u.out.add(e)
+		u.out.observe(input, e.Start)
+		u.out.release(u.out.watermark(), u.Emit)
+	}
+	u.Flush()
 }
 
 // Pending returns the number of buffered (not yet releasable) elements —

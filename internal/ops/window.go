@@ -14,8 +14,7 @@ import (
 // t the snapshot contains the values that arrived during (t-size, t].
 type TimeWindow struct {
 	pubsub.PipeBase
-	size    temporal.Time
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
+	size temporal.Time
 }
 
 // NewTimeWindow returns a sliding time window of the given positive size.
@@ -49,22 +48,24 @@ func (w *TimeWindow) Shrink(factor float64) {
 	}
 }
 
-// Process implements pubsub.Sink.
-func (w *TimeWindow) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (w *TimeWindow) ProcessBatch(b temporal.Batch, _ int) {
 	w.ProcMu.Lock()
 	defer w.ProcMu.Unlock()
-	end := e.Start + w.size
-	if end < e.Start { // overflow
-		end = temporal.MaxTime
+	for _, e := range b {
+		end := e.Start + w.size
+		if end < e.Start { // overflow
+			end = temporal.MaxTime
+		}
+		w.Emit(e.WithInterval(temporal.NewInterval(e.Start, end)))
 	}
-	w.Transfer(e.WithInterval(temporal.NewInterval(e.Start, end)))
+	w.Flush()
 }
 
 // UnboundedWindow gives every element unbounded validity (CQL: RANGE
 // UNBOUNDED) — the stream-to-relation mapping for monotone accumulation.
 type UnboundedWindow struct {
 	pubsub.PipeBase
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
 }
 
 // NewUnboundedWindow returns an unbounded window.
@@ -72,18 +73,20 @@ func NewUnboundedWindow(name string) *UnboundedWindow {
 	return &UnboundedWindow{PipeBase: pubsub.NewPipeBase(name, 1)}
 }
 
-// Process implements pubsub.Sink.
-func (w *UnboundedWindow) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (w *UnboundedWindow) ProcessBatch(b temporal.Batch, _ int) {
 	w.ProcMu.Lock()
 	defer w.ProcMu.Unlock()
-	w.Transfer(e.WithInterval(temporal.NewInterval(e.Start, temporal.MaxTime)))
+	for _, e := range b {
+		w.Emit(e.WithInterval(temporal.NewInterval(e.Start, temporal.MaxTime)))
+	}
+	w.Flush()
 }
 
 // NowWindow restricts each element to the single instant of its arrival
 // (CQL: NOW).
 type NowWindow struct {
 	pubsub.PipeBase
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
 }
 
 // NewNowWindow returns a NOW window.
@@ -91,11 +94,14 @@ func NewNowWindow(name string) *NowWindow {
 	return &NowWindow{PipeBase: pubsub.NewPipeBase(name, 1)}
 }
 
-// Process implements pubsub.Sink.
-func (w *NowWindow) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (w *NowWindow) ProcessBatch(b temporal.Batch, _ int) {
 	w.ProcMu.Lock()
 	defer w.ProcMu.Unlock()
-	w.Transfer(e.WithInterval(temporal.NewInterval(e.Start, e.Start+1)))
+	for _, e := range b {
+		w.Emit(e.WithInterval(temporal.NewInterval(e.Start, e.Start+1)))
+	}
+	w.Flush()
 }
 
 // TumblingWindow assigns each element to its fixed, gap-free time granule
@@ -105,8 +111,7 @@ func (w *NowWindow) Process(e temporal.Element, _ int) {
 // last g" query shape.
 type TumblingWindow struct {
 	pubsub.PipeBase
-	size    temporal.Time
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
+	size temporal.Time
 }
 
 // NewTumblingWindow returns a tumbling window of the given positive size.
@@ -117,12 +122,15 @@ func NewTumblingWindow(name string, size temporal.Time) *TumblingWindow {
 	return &TumblingWindow{PipeBase: pubsub.NewPipeBase(name, 1), size: size}
 }
 
-// Process implements pubsub.Sink.
-func (w *TumblingWindow) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (w *TumblingWindow) ProcessBatch(b temporal.Batch, _ int) {
 	w.ProcMu.Lock()
 	defer w.ProcMu.Unlock()
-	start := floorDiv(e.Start, w.size) * w.size
-	w.Transfer(e.WithInterval(temporal.NewInterval(start, start+w.size)))
+	for _, e := range b {
+		start := floorDiv(e.Start, w.size) * w.size
+		w.Emit(e.WithInterval(temporal.NewInterval(start, start+w.size)))
+	}
+	w.Flush()
 }
 
 func floorDiv(a, b temporal.Time) temporal.Time {
@@ -139,9 +147,8 @@ func floorDiv(a, b temporal.Time) temporal.Time {
 // forever and are emitted at end-of-stream.
 type CountWindow struct {
 	pubsub.PipeBase
-	n       int
-	buf     xds.Queue[temporal.Element]
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
+	n   int
+	buf xds.Queue[temporal.Element]
 }
 
 // NewCountWindow returns a count window of n rows, n > 0.
@@ -154,19 +161,22 @@ func NewCountWindow(name string, n int) *CountWindow {
 	return w
 }
 
-// Process implements pubsub.Sink.
-func (w *CountWindow) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (w *CountWindow) ProcessBatch(b temporal.Batch, _ int) {
 	w.ProcMu.Lock()
 	defer w.ProcMu.Unlock()
-	if w.buf.Len() == w.n {
-		old, _ := w.buf.Dequeue()
-		end := e.Start
-		if end <= old.Start {
-			end = old.Start + 1 // simultaneous arrivals: keep interval non-empty
+	for _, e := range b {
+		if w.buf.Len() == w.n {
+			old, _ := w.buf.Dequeue()
+			end := e.Start
+			if end <= old.Start {
+				end = old.Start + 1 // simultaneous arrivals: keep interval non-empty
+			}
+			w.Emit(old.WithInterval(temporal.NewInterval(old.Start, end)))
 		}
-		w.Transfer(old.WithInterval(temporal.NewInterval(old.Start, end)))
+		w.buf.Enqueue(e)
 	}
-	w.buf.Enqueue(e)
+	w.Flush()
 }
 
 func (w *CountWindow) fflush() {
@@ -175,7 +185,7 @@ func (w *CountWindow) fflush() {
 		if !ok {
 			return
 		}
-		w.Transfer(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
+		w.Emit(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 	}
 }
 
@@ -190,9 +200,8 @@ type PartitionedWindow struct {
 	part map[any]xds.Queue[temporal.Element]
 	// heads lazily tracks the start of each partition's oldest element —
 	// the holdback bound for ordered release.
-	heads   *xds.Heap[partHead]
-	out     *orderBuffer
-	scratch temporal.Batch // reusable output frame of the batch lane (under ProcMu)
+	heads *xds.Heap[partHead]
+	out   *orderBuffer
 }
 
 type partHead struct {
@@ -220,16 +229,18 @@ func NewPartitionedWindow(name string, key KeyFunc, n int) *PartitionedWindow {
 	return w
 }
 
-// Process implements pubsub.Sink.
-func (w *PartitionedWindow) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (w *PartitionedWindow) ProcessBatch(b temporal.Batch, _ int) {
 	w.ProcMu.Lock()
 	defer w.ProcMu.Unlock()
-	w.processOne(e, w.Transfer)
+	for _, e := range b {
+		w.processOne(e)
+	}
+	w.Flush()
 }
 
-// processOne is the Process body under ProcMu; releases go through emit so
-// the batch lane can collect them into one downstream frame.
-func (w *PartitionedWindow) processOne(e temporal.Element, emit func(temporal.Element)) {
+// processOne is the per-element body, under ProcMu.
+func (w *PartitionedWindow) processOne(e temporal.Element) {
 	k := w.key(e.Value)
 	q := w.part[k]
 	if q == nil {
@@ -252,7 +263,7 @@ func (w *PartitionedWindow) processOne(e temporal.Element, emit func(temporal.El
 	}
 	q.Enqueue(e)
 	w.out.observe(0, e.Start)
-	w.out.release(w.holdback(e.Start), emit)
+	w.out.release(w.holdback(e.Start), w.Emit)
 }
 
 // holdback returns min(arrival watermark, oldest buffered element start):
@@ -299,7 +310,7 @@ func (w *PartitionedWindow) fflush() {
 			w.out.add(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 		}
 	}
-	w.out.flush(w.Transfer)
+	w.out.flush(w.Emit)
 }
 
 // String describes the window for EXPLAIN output.

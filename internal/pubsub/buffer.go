@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"encoding/gob"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,30 +10,18 @@ import (
 	"pipes/internal/xds"
 )
 
-// queued is one buffered element plus its enqueue wall-stamp (0 when
-// queue-time telemetry is off, so the hot path pays no clock read).
-// When ctl is non-nil the entry is an in-band control element occupying
-// its stream position in the queue, and e is zero. When b is non-nil the
-// entry is a whole frame (batch lane): the buffer owns a copy of the
-// published frame — the buffer is the one asynchronous consumer, so it
-// cannot borrow (temporal.Batch) — and re-publishes it as one unit on
-// drain, recycling the backing array through a free list afterwards.
-// Controls always occupy their own entry, so a punctuation still cuts
-// cleanly between frames.
-type queued struct {
-	e   temporal.Element
+// chunk is one queue entry: either a buffer-owned frame of data elements
+// or (ctl non-nil) one in-band control element occupying its stream
+// position. The buffer is the one asynchronous consumer, so it cannot
+// borrow a published frame (temporal.Batch): it copies at enqueue and
+// re-publishes the copy on drain, recycling the chunk through a free list
+// afterwards. Controls always occupy their own entry, so a punctuation
+// still cuts cleanly between frames.
+type chunk struct {
 	b   temporal.Batch
-	at  int64
+	off int   // elements of b already drained (a Drain quantum may split a chunk)
+	at  int64 // enqueue wall-stamp; 0 when queue-time telemetry is off, so the hot path pays no clock read
 	ctl Control
-}
-
-// size returns how many work units (elements or controls) the entry
-// represents.
-func (q queued) size() int {
-	if q.b != nil {
-		return len(q.b)
-	}
-	return 1
 }
 
 // Clock is the injectable time source for queue-time telemetry. It is
@@ -56,11 +43,12 @@ func (systemClock) Now() time.Time { return time.Now() }
 // Buffer is an explicit inter-operator queue, modelled as a pipe. PIPES
 // connects operators directly and inserts buffers only at virtual-node
 // boundaries, where the scheduler decouples producer and consumer threads:
-// Process enqueues, Drain (called by the scheduler) dequeues and publishes.
+// ProcessBatch enqueues, Drain (called by the scheduler) dequeues and
+// publishes.
 //
 // Done is deferred until the queue has drained, preserving end-of-stream
 // ordering. A buffer must be drained by a single scheduler thread at a
-// time; Process may be called concurrently with Drain.
+// time; ProcessBatch may be called concurrently with Drain.
 type Buffer struct {
 	SourceBase
 
@@ -76,11 +64,12 @@ type Buffer struct {
 	clock atomic.Pointer[Clock]
 
 	mu           sync.Mutex
-	q            xds.Queue[queued]
-	count        int              // buffered work units: elements (frames count len) + controls
-	free         []temporal.Batch // recycled frame storage for ProcessBatch copies
+	q            xds.Queue[*chunk]
+	tail         *chunk   // newest data chunk while it is still queued and open for appends
+	count        int      // buffered work units: elements + controls
+	free         []*chunk // recycled chunks for enqueue copies
 	upstreamDone bool
-	// draining marks an in-progress Drain: a dequeued element may still be
+	// draining marks an in-progress Drain: a dequeued frame may still be
 	// in flight downstream even though the queue reads empty, so Done must
 	// leave end-of-stream propagation to the drainer (otherwise a sink
 	// could observe done before the final element).
@@ -89,7 +78,7 @@ type Buffer struct {
 
 // NewBuffer returns an unbounded buffer.
 func NewBuffer(name string) *Buffer {
-	return &Buffer{SourceBase: NewSourceBase(name), q: xds.NewQueue[queued]()}
+	return &Buffer{SourceBase: NewSourceBase(name), q: xds.NewQueue[*chunk]()}
 }
 
 // SetQueueTimeHistogram attaches (or with nil detaches) the histogram
@@ -118,26 +107,13 @@ func (b *Buffer) now() int64 {
 	return systemClock{}.Now().UnixNano()
 }
 
-// Process implements Sink by enqueueing.
-func (b *Buffer) Process(e temporal.Element, _ int) {
-	var at int64
-	if b.queueHist.Load() != nil || e.Trace != nil {
-		at = b.now()
-	}
-	b.mu.Lock()
-	b.q.Enqueue(queued{e: e, at: at}) // unbounded queue: cannot fail
-	b.count++
-	d := b.count
-	b.mu.Unlock()
-	if ref := b.fref.Load(); ref != nil {
-		ref.Enqueue(1, d)
-	}
-}
-
-// ProcessBatch implements BatchSink by enqueueing the whole frame as one
-// entry. The published frame is only borrowed for this call, so the
-// buffer copies it into buffer-owned storage (recycled from the free
-// list Drain refills) and re-publishes the copy as one unit by Drain.
+// ProcessBatch implements BatchSink by enqueueing a copy of the frame
+// (the published frame is only borrowed for this call). A small frame is
+// appended to the tail chunk, up to frameCap elements, rather than given
+// its own, which makes the buffer a re-framing point: elements enqueued
+// one by one leave in frames (a published frame larger than frameCap is
+// kept whole). Chunks coalesce only under the same enqueue stamp, so
+// residence times stay exact when queue-time telemetry is on.
 func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 	if len(batch) == 0 {
 		return
@@ -147,14 +123,20 @@ func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 		at = b.now()
 	}
 	b.mu.Lock()
-	var own temporal.Batch
-	if n := len(b.free); n > 0 {
-		own = b.free[n-1][:0]
-		b.free = b.free[:n-1]
+	if t := b.tail; t != nil && t.at == at && len(t.b)+len(batch) <= frameCap {
+		t.b = append(t.b, batch...)
+	} else {
+		var c *chunk
+		if n := len(b.free); n > 0 {
+			c, b.free = b.free[n-1], b.free[:n-1]
+		} else {
+			c = &chunk{b: make(temporal.Batch, 0, max(frameCap, len(batch)))}
+		}
+		c.b, c.at = append(c.b, batch...), at
+		b.q.Enqueue(c) // unbounded queue: cannot fail
+		b.tail = c
 	}
-	own = append(own, batch...)
-	b.q.Enqueue(queued{b: own, at: at})
-	b.count += len(own)
+	b.count += len(batch)
 	d := b.count
 	b.mu.Unlock()
 	if ref := b.fref.Load(); ref != nil {
@@ -166,10 +148,12 @@ func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 // arrival position: it is re-published by the Drain call that dequeues
 // it, after every data element that preceded it — FIFO passage is what
 // lets checkpoints treat buffer contents as pre-barrier state recorded
-// upstream (see FAULT_TOLERANCE.md).
+// upstream, so a Buffer holds no checkpoint state of its own (see
+// FAULT_TOLERANCE.md).
 func (b *Buffer) HandleControl(c Control, _ int) {
 	b.mu.Lock()
-	b.q.Enqueue(queued{ctl: c})
+	b.q.Enqueue(&chunk{ctl: c})
+	b.tail = nil
 	b.count++
 	b.mu.Unlock()
 }
@@ -187,54 +171,56 @@ func (b *Buffer) Done(_ int) {
 	}
 }
 
-// Drain dequeues and publishes up to max elements (all buffered elements
-// if max <= 0) and returns how many were transferred. A frame entry is
-// always re-published whole — a drain never splits a frame, so the count
-// may overshoot max by at most one frame. If the upstream has signalled
-// done and the buffer empties, done is propagated downstream. At most one
-// goroutine may drain at a time (the scheduler guarantees this via
-// single-owner task activation); Process and Done may be called
-// concurrently with Drain.
+// Drain dequeues and publishes up to max work units (everything buffered
+// if max <= 0) and returns how many were transferred: each chunk leaves as
+// one frame, split when it exceeds what is left of max. If the upstream
+// has signalled done and the buffer empties, done is propagated
+// downstream. At most one goroutine may drain at a time (the scheduler
+// guarantees this via single-owner task activation); ProcessBatch and
+// Done may be called concurrently with Drain.
 func (b *Buffer) Drain(max int) int {
 	n := 0
 	b.mu.Lock()
 	b.draining = true
 	for max <= 0 || n < max {
-		qe, ok := b.q.Dequeue()
+		c, ok := b.q.Peek()
 		if !ok {
 			break
 		}
-		b.count -= qe.size()
-		b.mu.Unlock()
-		switch {
-		case qe.ctl != nil:
-			b.TransferControl(qe.ctl)
-			n++
-		case qe.b != nil:
-			b.observeFrame(qe)
-			b.TransferBatch(qe.b)
-			n += len(qe.b)
-			// The downstream borrow ended with TransferBatch's return:
-			// recycle the buffer-owned frame for future enqueue copies.
-			b.mu.Lock()
-			if len(b.free) < 16 {
-				b.free = append(b.free, qe.b)
-			}
+		if c.ctl != nil {
+			b.q.Dequeue()
+			b.count--
 			b.mu.Unlock()
-		default:
-			if qe.at != 0 {
-				wait := b.now() - qe.at
-				if h := b.queueHist.Load(); h != nil {
-					h.Observe(wait)
-				}
-			}
-			if tr := telemetry.FromElement(qe.e); tr != nil {
-				tr.Hop(b.Name(), "queue", qe.e.Start)
-			}
-			b.Transfer(qe.e)
+			b.TransferControl(c.ctl)
 			n++
+			b.mu.Lock()
+			continue
 		}
+		// A split leaves the chunk queued (and, if it is the tail, open:
+		// appends land behind the view in flight and never touch it).
+		frame := c.b[c.off:]
+		whole := max <= 0 || len(frame) <= max-n
+		if whole {
+			b.q.Dequeue()
+			if b.tail == c {
+				b.tail = nil
+			}
+		} else {
+			frame = frame[:max-n]
+			c.off += len(frame)
+		}
+		b.count -= len(frame)
+		at := c.at
+		b.mu.Unlock()
+		b.observeFrame(frame, at)
+		b.TransferBatch(frame)
+		n += len(frame)
 		b.mu.Lock()
+		// The downstream borrow ended with TransferBatch's return.
+		if whole && len(b.free) < 16 {
+			c.b, c.off = c.b[:0], 0
+			b.free = append(b.free, c)
+		}
 	}
 	b.draining = false
 	finished := b.upstreamDone && b.q.Len() == 0
@@ -250,106 +236,23 @@ func (b *Buffer) Drain(max int) int {
 }
 
 // observeFrame records queue-time telemetry for a dequeued frame: one
-// residence-time observation per element (keeping histogram counts
-// element-denominated, like the scalar lane) and one "queue" hop per
-// traced element.
-func (b *Buffer) observeFrame(qe queued) {
-	if qe.at != 0 {
+// residence-time observation per element (histogram counts stay
+// element-denominated) and one "queue" hop per traced element.
+func (b *Buffer) observeFrame(frame temporal.Batch, at int64) {
+	if at != 0 {
 		if h := b.queueHist.Load(); h != nil {
-			wait := b.now() - qe.at
-			for range qe.b {
-				h.Observe(wait)
-			}
+			h.ObserveN(b.now()-at, uint64(len(frame)))
 		}
 	}
-	for _, e := range qe.b {
+	for _, e := range frame {
 		if tr := telemetry.FromElement(e); tr != nil {
 			tr.Hop(b.Name(), "queue", e.Start)
 		}
 	}
 }
 
-// bufferState is the serialised checkpoint form of a Buffer: the queued
-// data elements with trace slots and telemetry stamps dropped. Controls
-// are not saved — a checkpoint is only sealed after its barrier drained
-// through, and any later control belongs to the next round.
-//
-// Note that barrier checkpoints never actually need this: the barrier is
-// enqueued behind all pre-barrier data, so by the time downstream
-// operators snapshot (on barrier receipt) every pre-barrier element has
-// drained out of the buffer and into their state (see FAULT_TOLERANCE.md).
-// Save/LoadState exist for completeness — e.g. quiesced whole-graph
-// suspension, where buffers may hold data.
-type bufferState struct {
-	Elems []struct {
-		Value any
-		Start temporal.Time
-		End   temporal.Time
-	}
-}
-
-// SnapshotState implements the ft.HandleSaver contract: the queued data
-// elements are flattened into a capture slice under b.mu; the returned
-// closure encodes the capture without touching the live queue, so the
-// gob encode runs on the checkpoint writer while the buffer keeps
-// accepting post-barrier work.
-func (b *Buffer) SnapshotState() (func(enc *gob.Encoder) error, error) {
-	b.mu.Lock()
-	var st bufferState
-	add := func(e temporal.Element) {
-		st.Elems = append(st.Elems, struct {
-			Value any
-			Start temporal.Time
-			End   temporal.Time
-		}{e.Value, e.Start, e.End})
-	}
-	for _, qe := range b.q.Items() {
-		switch {
-		case qe.ctl != nil:
-		case qe.b != nil:
-			for _, e := range qe.b {
-				add(e)
-			}
-		default:
-			add(qe.e)
-		}
-	}
-	b.mu.Unlock()
-	return func(enc *gob.Encoder) error { return enc.Encode(st) }, nil
-}
-
-// SaveState implements the ft.StateSaver contract. Unlike operator
-// SaveState it locks internally: Buffer has no ProcMu and the barrier
-// protocol never calls this on the hot path.
-func (b *Buffer) SaveState(enc *gob.Encoder) error {
-	fn, err := b.SnapshotState()
-	if err != nil {
-		return err
-	}
-	return fn(enc)
-}
-
-// LoadState implements the ft.StateLoader contract.
-func (b *Buffer) LoadState(dec *gob.Decoder) error {
-	var st bufferState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	for _, w := range st.Elems {
-		b.q.Enqueue(queued{e: temporal.Element{
-			Value:    w.Value,
-			Interval: temporal.Interval{Start: w.Start, End: w.End},
-			Trace:    nil,
-		}})
-		b.count++
-	}
-	b.mu.Unlock()
-	return nil
-}
-
-// Len returns the number of buffered work units: data elements (a frame
-// counts its length) plus in-band controls.
+// Len returns the number of buffered work units: data elements plus
+// in-band controls.
 func (b *Buffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -25,8 +25,8 @@ func TestBufferQueueTimeFakeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b.Process(temporal.At(1, 10), 0)
-	b.Process(temporal.At(2, 11), 0)
+	b.ProcessBatch(temporal.Batch{temporal.At(1, 10)}, 0)
+	b.ProcessBatch(temporal.Batch{temporal.At(2, 11)}, 0)
 	clk.Advance(5 * time.Millisecond)
 	if n := b.Drain(0); n != 2 {
 		t.Fatalf("Drain = %d, want 2", n)
@@ -58,7 +58,7 @@ func TestBufferSetClockNilRestoresSystem(t *testing.T) {
 	if err := b.Subscribe(sink, 0); err != nil {
 		t.Fatal(err)
 	}
-	b.Process(temporal.At(1, 10), 0)
+	b.ProcessBatch(temporal.Batch{temporal.At(1, 10)}, 0)
 	b.Drain(0)
 
 	if got := h.Count(); got != 1 {

@@ -16,20 +16,21 @@
 //     re-published when drained, so they keep their stream position
 //     across scheduler boundaries.
 //   - Multi-input operators: barriers align. The first barrier of a round
-//     blocks its input — subsequently published data elements on that
-//     input are held inside the operator's Gate, not processed — until
+//     blocks its input — subsequently published frames on that input
+//     are held inside the operator's Gate, not processed — until
 //     the same barrier has arrived on every other open input. On
 //     alignment the operator snapshots (OnBarrier hook, under ProcMu),
 //     forwards the barrier downstream, replays the held elements and
 //     finally acks. Inputs that have signalled done count as aligned.
 //
 // Everything here is strictly pay-for-what-you-use: a graph that never
-// sees a control element pays one nil pointer check per Transfer on
+// sees a control element pays one nil pointer check per frame on
 // multi-input edges and nothing anywhere else.
 package pubsub
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,14 +62,15 @@ func (b Barrier) ControlString() string { return fmt.Sprintf("barrier#%d", b.ID)
 // Sinks that do not implement it simply never see controls.
 type ControlSink interface {
 	// HandleControl consumes one control element arriving on the given
-	// input. Like Process it is invoked synchronously by the publishing
-	// source and must be serialised by the caller per input edge.
+	// input. Like ProcessBatch it is invoked synchronously by the
+	// publishing source and must be serialised by the caller per input
+	// edge.
 	HandleControl(c Control, input int)
 }
 
 // Gated is implemented by sinks whose inputs can be blocked during
 // barrier alignment. Subscribe caches the gate in the subscription so
-// Transfer can consult it without a per-element type assertion.
+// TransferBatch can consult it without a per-frame type assertion.
 type Gated interface {
 	// BarrierGate returns the alignment gate, or nil when the sink never
 	// blocks (single-input operators).
@@ -77,8 +79,8 @@ type Gated interface {
 
 // TransferControl publishes a control element synchronously to every
 // subscribed ControlSink, in subscriber order. Callers must serialise
-// TransferControl with their own Transfer/SignalDone sequence, exactly
-// like Transfer — the control takes the stream position of the call.
+// TransferControl with their own TransferBatch/SignalDone sequence — the
+// control takes the stream position of the call.
 func (s *SourceBase) TransferControl(c Control) {
 	for _, sub := range s.loadSubs() {
 		if cs, ok := sub.Sink.(ControlSink); ok {
@@ -87,50 +89,46 @@ func (s *SourceBase) TransferControl(c Control) {
 	}
 }
 
-// heldElem is one data element parked during barrier alignment.
-type heldElem struct {
-	e     temporal.Element
+// heldFrame is one frame parked during barrier alignment: a gate-owned
+// copy, since the published frame is only borrowed. A nil b is the input's
+// parked end-of-stream: done must not overtake the frames held before it.
+type heldFrame struct {
+	b     temporal.Batch
 	input int
 }
 
 // Gate blocks individual inputs of a multi-input operator during barrier
 // alignment. The unblocked fast path is a single atomic load; the blocked
-// path locks and parks the element in arrival order.
+// path locks and parks the frame in arrival order.
 type Gate struct {
 	blocked atomic.Uint64 // bitmask of currently blocked inputs
 
 	mu   sync.Mutex
-	sink Sink // the operator (set on first hold; replay target)
-	held []heldElem
+	sink BatchSink // the operator (set on first hold; replay target)
+	held []heldFrame
 }
 
-// deliver intercepts one published element. It returns true when the
-// element was parked (the caller must not invoke Process) and false when
-// the input is open and the caller should deliver normally.
-func (g *Gate) deliver(e temporal.Element, input int, sink Sink) bool {
+// park intercepts one published frame, or with a nil b the input's done
+// signal. It returns true when it was parked (the caller must not deliver
+// it) and false when the input is open and the caller should deliver
+// normally. A false result is stable for the caller: an input is only ever
+// blocked from its own (serialised) control stream, so it cannot flip to
+// blocked concurrently with a data transfer on the same edge.
+func (g *Gate) park(b temporal.Batch, input int, sink BatchSink) bool {
 	if g.blocked.Load()&(1<<uint(input)) == 0 {
 		return false
 	}
 	g.mu.Lock()
 	// Re-check under the lock: an unblock may have completed in between,
-	// and once it has, parking would reorder this element behind none.
+	// and once it has, parking would reorder this frame behind none.
 	if g.blocked.Load()&(1<<uint(input)) == 0 {
 		g.mu.Unlock()
 		return false
 	}
 	g.sink = sink
-	g.held = append(g.held, heldElem{e: e, input: input})
+	g.held = append(g.held, heldFrame{b: slices.Clone(b), input: input})
 	g.mu.Unlock()
 	return true
-}
-
-// blockedInput reports whether input is currently blocked — the one-load
-// frame-level check of TransferBatch. A false result is stable for the
-// caller: an input is only ever blocked from its own (serialised) control
-// stream, so it cannot flip to blocked concurrently with a data transfer
-// on the same edge.
-func (g *Gate) blockedInput(input int) bool {
-	return g.blocked.Load()&(1<<uint(input)) != 0
 }
 
 // block marks input as blocked: subsequently published elements on it are
@@ -141,11 +139,11 @@ func (g *Gate) block(input int) {
 	g.mu.Unlock()
 }
 
-// release unblocks every input and replays the parked elements, in
-// arrival order, into the operator, returning how many were replayed.
+// release unblocks every input and replays the parked frames, in arrival
+// order, into the operator, returning how many elements were replayed.
 // Publishers racing with the replay keep parking (the mask stays set
 // until the backlog is empty), so per-edge order is preserved; the mask
-// is cleared under the lock only when no parked element remains.
+// is cleared under the lock only when no parked frame remains.
 func (g *Gate) release() int {
 	replayed := 0
 	for {
@@ -155,14 +153,18 @@ func (g *Gate) release() int {
 			g.mu.Unlock()
 			return replayed
 		}
-		batch := g.held
+		held := g.held
 		sink := g.sink
 		g.held = nil
 		g.mu.Unlock()
-		for _, h := range batch {
-			sink.Process(h.e, h.input)
+		for _, h := range held {
+			if h.b == nil {
+				sink.Done(h.input)
+				continue
+			}
+			sink.ProcessBatch(h.b, h.input)
+			replayed += len(h.b)
 		}
-		replayed += len(batch)
 	}
 }
 
@@ -171,7 +173,11 @@ func (g *Gate) release() int {
 func (g *Gate) Held() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.held)
+	n := 0
+	for _, h := range g.held {
+		n += len(h.b)
+	}
+	return n
 }
 
 // barrierState is the per-operator alignment bookkeeping embedded in
@@ -261,7 +267,7 @@ func (p *PipeBase) HandleControl(c Control, input int) {
 func (p *PipeBase) completeBarrier(b Barrier, holdStart int64) {
 	// 1: snapshot while quiescent. Blocked inputs are parked in the gate
 	// and the aligning input's publisher is inside this call chain, so no
-	// data element can enter Process between the snapshot and the forward.
+	// frame can enter ProcessBatch between the snapshot and the forward.
 	if p.onBarrierSave != nil {
 		p.ProcMu.Lock()
 		p.onBarrierSave(b)

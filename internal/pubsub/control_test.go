@@ -260,3 +260,34 @@ func TestBarrierDeduplication(t *testing.T) {
 		t.Fatalf("sink saw %d controls, want 1 (dedupe): %v", len(sink.order), sink.order)
 	}
 }
+
+// End-of-stream on a blocked input must not overtake the frames parked
+// before it: the operator would otherwise treat the input as closed
+// (watermark +inf) and then receive its held elements late.
+func TestDoneOnBlockedInputFollowsParkedFrames(t *testing.T) {
+	left, right := NewSourceBase("left"), NewSourceBase("right")
+	m := newMergePipe("merge")
+	if err := left.Subscribe(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := right.Subscribe(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	var closedAt []int // elements seen when an input closed
+	m.OnInputDone = func(int) { closedAt = append(closedAt, len(m.seen)) }
+
+	left.TransferControl(Barrier{ID: 1}) // input 0 now blocked
+	left.Transfer(elem(1, 10))           // parked
+	left.SignalDone()                    // parked behind it
+	if m.InputDone(0) {
+		t.Fatal("done reached the operator ahead of the input's parked frame")
+	}
+	right.TransferControl(Barrier{ID: 1}) // aligns: replays the frame, then done
+
+	if !m.InputDone(0) {
+		t.Fatal("parked done was never replayed")
+	}
+	if len(closedAt) != 1 || closedAt[0] != 1 {
+		t.Fatalf("input closed after %v elements, want exactly once after the 1 parked element", closedAt)
+	}
+}

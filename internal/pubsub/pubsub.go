@@ -1,10 +1,16 @@
 // Package pubsub implements the inherent publish-subscribe architecture of
 // PIPES: directed acyclic query graphs whose nodes are sources, sinks and
 // pipes (operators). Subscriptions connect a source directly to the
-// Process method of each subscribed sink — no inter-operator queue is
+// ProcessBatch method of each subscribed sink — no inter-operator queue is
 // involved — which is the paper's central overhead reduction. Explicit
 // Buffer nodes reintroduce queues only where the scheduler places
 // virtual-node boundaries.
+//
+// The unit of transfer is the frame (temporal.Batch): every node in the
+// engine implements the frame method once. The paper's per-element calls
+// survive as thin adapters at the graph edge — Transfer(e) publishes a
+// one-element frame, EmitNext is EmitBatch(1), and a user sink that only
+// has Process(e) is wrapped once at Subscribe (SEMANTICS.md §3.7).
 //
 // Node taxonomy (paper, section "Query Plans"):
 //
@@ -32,18 +38,59 @@ type Node interface {
 
 // Sink consumes stream elements from one or more subscribed sources. The
 // input index distinguishes the sources of a multi-input operator (e.g. a
-// join's left/right inputs).
+// join's left/right inputs). A sink takes its elements through exactly one
+// of two methods: ProcessBatch (BatchSink — every node of the engine) or
+// the paper's per-element Process (ElementSink — user sinks at the graph
+// edge, wrapped once at Subscribe). Subscribe rejects a sink with neither.
 type Sink interface {
 	Node
-	// Process consumes one element arriving on the given input. It is
-	// invoked synchronously by the publishing source; implementations
-	// must serialise internally if they can be subscribed to concurrently
-	// publishing sources.
-	Process(e temporal.Element, input int)
 	// Done signals that no further elements will arrive on the given
 	// input. Multi-input sinks act (flush, propagate) once all inputs are
 	// done.
 	Done(input int)
+}
+
+// BatchSink is a sink consuming one frame per call. ProcessBatch is
+// invoked synchronously by the publishing source; implementations must
+// serialise internally if they can be subscribed to concurrently
+// publishing sources. The frame is borrowed for the duration of the call
+// (see temporal.Batch): the sink may forward it downstream synchronously,
+// but must copy out any element it keeps and must not retain or mutate
+// the slice after returning.
+type BatchSink interface {
+	Sink
+	ProcessBatch(b temporal.Batch, input int)
+}
+
+// ElementSink is the paper's per-element sink interface, kept for user
+// sinks outside the engine.
+type ElementSink interface {
+	Sink
+	Process(e temporal.Element, input int)
+}
+
+// elementEdge is the edge adapter delivering frames to an ElementSink
+// one element at a time.
+type elementEdge struct{ ElementSink }
+
+func (a elementEdge) ProcessBatch(b temporal.Batch, input int) {
+	for _, e := range b {
+		a.Process(e, input)
+	}
+}
+
+// Frames returns sink's frame-consuming identity: the sink itself when it
+// is a BatchSink, the edge adapter around an ElementSink otherwise.
+func Frames(sink Sink) (BatchSink, error) {
+	switch s := sink.(type) {
+	case nil:
+		return nil, errors.New("pubsub: nil sink")
+	case BatchSink:
+		return s, nil
+	case ElementSink:
+		return elementEdge{s}, nil
+	}
+	return nil, fmt.Errorf("pubsub: sink %s has neither ProcessBatch nor Process", sink.Name())
 }
 
 // Source publishes stream elements to its subscribed sinks.
@@ -69,15 +116,13 @@ type Subscription struct {
 	Sink  Sink
 	Input int
 
-	// gate is the sink's barrier-alignment gate, cached at Subscribe time
-	// so Transfer avoids a per-element type assertion. Nil for sinks that
-	// never block (everything except multi-input operators).
-	gate *Gate
+	// frames is the sink's frame-consuming identity (Frames), resolved at
+	// Subscribe time so TransferBatch pays no per-frame type assertion.
+	frames BatchSink
 
-	// batch is the sink's frame-consuming identity, cached at Subscribe
-	// time so TransferBatch avoids a per-frame type assertion. Nil for
-	// sinks served by the per-element fallback.
-	batch BatchSink
+	// gate is the sink's barrier-alignment gate, cached likewise. Nil for
+	// sinks that never block (everything except multi-input operators).
+	gate *Gate
 }
 
 // ErrDone is returned by Subscribe when the source has already signalled
@@ -89,31 +134,33 @@ var ErrDone = errors.New("pubsub: source already signalled done")
 var ErrNotSubscribed = errors.New("pubsub: not subscribed")
 
 // SourceBase provides the reusable publishing half of a node: a
-// thread-safe subscriber list plus Transfer/SignalDone. Embed it in
+// thread-safe subscriber list plus TransferBatch/SignalDone. Embed it in
 // sources and (via PipeBase) in operators.
 //
 // The subscriber list is copy-on-write: Subscribe/Unsubscribe build a new
-// immutable slice under the write mutex, while Transfer and SignalDone
-// read the current snapshot through an atomic pointer. Publishing is
-// therefore lock-free and never races with subscription changes — the
-// property that lets multiple scheduler workers drive disjoint parts of
-// one query graph concurrently (see CONCURRENCY.md).
+// immutable slice under the write mutex, while TransferBatch and
+// SignalDone read the current snapshot through an atomic pointer.
+// Publishing is therefore lock-free and never races with subscription
+// changes — the property that lets multiple scheduler workers drive
+// disjoint parts of one query graph concurrently (see CONCURRENCY.md).
 type SourceBase struct {
 	name string
 
 	mu   sync.Mutex                     // serialises subscription writes
-	subs atomic.Pointer[[]Subscription] // immutable snapshot read by Transfer
+	subs atomic.Pointer[[]Subscription] // immutable snapshot read by TransferBatch
 	done atomic.Bool
-	hook atomic.Pointer[TransferHook] // optional telemetry tap on Transfer
+	hook atomic.Pointer[TransferHook] // optional telemetry tap on TransferBatch
 
 	// fref is the node's flight-recorder handle (nil = flight recording
 	// detached; the hot-path cost is then one atomic pointer load).
 	fref atomic.Pointer[flight.OpRef]
 
-	// hookScratch is the publisher-owned frame TransferBatch annotates
-	// into when a hook is installed (published frames may be views the
-	// hook must not write through). Guarded by the Transfer serialisation
-	// rule: one goroutine publishes at a time.
+	// Publisher-owned scratch, guarded by the serialisation rule that one
+	// goroutine publishes at a time: one is the frame Transfer publishes
+	// its element in, hookScratch the frame TransferBatch annotates into
+	// when a hook is installed (published frames may be views the hook
+	// must not write through).
+	one         [1]temporal.Element
 	hookScratch temporal.Batch
 }
 
@@ -142,8 +189,9 @@ func (s *SourceBase) loadSubs() []Subscription {
 
 // Subscribe implements Source.
 func (s *SourceBase) Subscribe(sink Sink, input int) error {
-	if sink == nil {
-		return errors.New("pubsub: nil sink")
+	frames, err := Frames(sink)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,12 +206,9 @@ func (s *SourceBase) Subscribe(sink Sink, input int) error {
 	}
 	next := make([]Subscription, len(cur)+1)
 	copy(next, cur)
-	sub := Subscription{Sink: sink, Input: input}
+	sub := Subscription{Sink: sink, Input: input, frames: frames}
 	if g, ok := sink.(Gated); ok {
 		sub.gate = g.BarrierGate()
-	}
-	if bs, ok := sink.(BatchSink); ok {
-		sub.batch = bs
 	}
 	next[len(cur)] = sub
 	s.subs.Store(&next)
@@ -195,25 +240,53 @@ func (s *SourceBase) Subscriptions() []Subscription {
 	return out
 }
 
-// Transfer publishes e synchronously to every subscribed sink. This direct
-// hand-off — a plain method call into the consumer — is what replaces
-// inter-operator queues. Transfer is lock-free; callers must serialise
-// their own Transfer/SignalDone sequence (operators do so via ProcMu, the
-// scheduler via single-owner task activation).
-func (s *SourceBase) Transfer(e temporal.Element) {
+// TransferBatch publishes a frame synchronously to every subscribed sink.
+// This direct hand-off — a plain method call into the consumer — is what
+// replaces inter-operator queues. TransferBatch is lock-free; callers must
+// serialise their own TransferBatch/TransferControl/SignalDone sequence
+// (operators do so via ProcMu, the scheduler via single-owner task
+// activation). The publish hook runs once per element, so 1-in-N trace
+// sampling counts elements whatever the frame size. The frame is only
+// borrowed by the subscribers (temporal.Batch): when the call returns,
+// ownership is back with the caller, which may reuse the backing array
+// for its next frame.
+func (s *SourceBase) TransferBatch(b temporal.Batch) {
+	if len(b) == 0 {
+		return
+	}
+	if ref := s.fref.Load(); ref != nil {
+		ref.Frame(len(b))
+	}
 	if h := s.hook.Load(); h != nil {
-		e = (*h)(e)
+		// Hooks annotate elements (trace attachment), so they must not
+		// write through b: sources may publish views of slices they do not
+		// own exclusively (SliceSource publishes its backing array).
+		hb := s.hookScratch[:0]
+		for _, e := range b {
+			hb = append(hb, (*h)(e))
+		}
+		s.hookScratch = hb
+		b = hb
 	}
 	for _, sub := range s.loadSubs() {
-		if sub.gate != nil && sub.gate.deliver(e, sub.Input, sub.Sink) {
-			continue // parked during barrier alignment; replayed on release
+		if sub.gate != nil && sub.gate.park(b, sub.Input, sub.frames) {
+			continue // held during barrier alignment; replayed on release
 		}
-		sub.Sink.Process(e, sub.Input)
+		sub.frames.ProcessBatch(b, sub.Input)
 	}
 }
 
+// Transfer publishes e as a one-element frame: the paper's per-element
+// call, kept as the edge adapter for sources that produce one element at a
+// time. The frame lives in publisher-owned scratch, so it allocates
+// nothing.
+func (s *SourceBase) Transfer(e temporal.Element) {
+	s.one[0] = e
+	s.TransferBatch(s.one[:])
+}
+
 // SetTransferHook installs (or, with nil, removes) the publish tap. The
-// cost when unset is one atomic pointer load per Transfer.
+// cost when unset is one atomic pointer load per frame.
 func (s *SourceBase) SetTransferHook(h TransferHook) {
 	if h == nil {
 		s.hook.Store(nil)
@@ -223,7 +296,7 @@ func (s *SourceBase) SetTransferHook(h TransferHook) {
 }
 
 // SetFlightRef attaches (or with nil detaches) the node's flight-recorder
-// handle. Attached, the batch lane records frame occupancy and buffers
+// handle. Attached, TransferBatch records frame occupancy and buffers
 // record depth waterlines through it, behind the recorder's 1-in-16
 // stride.
 func (s *SourceBase) SetFlightRef(ref *flight.OpRef) { s.fref.Store(ref) }
@@ -237,6 +310,9 @@ func (s *SourceBase) SignalDone() {
 		return
 	}
 	for _, sub := range s.loadSubs() {
+		if sub.gate != nil && sub.gate.park(nil, sub.Input, sub.frames) {
+			continue // held behind the input's parked frames; replayed on release
+		}
 		sub.Sink.Done(sub.Input)
 	}
 }
@@ -245,24 +321,33 @@ func (s *SourceBase) SignalDone() {
 func (s *SourceBase) IsDone() bool { return s.done.Load() }
 
 // PipeBase provides the reusable consuming half of an operator on top of
-// SourceBase: a processing mutex serialising Process/Done across
-// concurrently publishing upstream sources, open-input bookkeeping and a
-// flush hook invoked once when every input has signalled done.
+// SourceBase: a processing mutex serialising ProcessBatch/Done across
+// concurrently publishing upstream sources, the operator's output frame,
+// open-input bookkeeping and a flush hook invoked once when every input
+// has signalled done.
 //
-// Concrete operators embed PipeBase, implement Process themselves (taking
-// ProcMu) and may set OnAllDone to flush buffered state before done
+// Concrete operators embed PipeBase, implement ProcessBatch themselves
+// (taking ProcMu, Emit-ing results and Flush-ing them as one downstream
+// frame) and may set OnAllDone to emit buffered state before done
 // propagates.
 type PipeBase struct {
 	SourceBase
 
-	// ProcMu serialises element processing. Operators lock it in Process.
+	// ProcMu serialises frame processing. Operators lock it in
+	// ProcessBatch.
 	ProcMu sync.Mutex
+
+	// out is the pending output frame (under ProcMu): Emit appends, Flush
+	// publishes. The backing array is reused across frames — legal under
+	// the temporal.Batch borrow contract, the downstream borrow ends when
+	// TransferBatch returns.
+	out temporal.Batch
 
 	// OnAllDone, if non-nil, runs under ProcMu once after the last input
 	// signals done and before done is propagated downstream. Operators use
-	// it to emit buffered results (the algebra stays non-blocking: results
+	// it to Emit buffered results (the algebra stays non-blocking: results
 	// are emitted as early as timestamps permit, this hook only drains the
-	// tail).
+	// tail); Done flushes what the hooks emitted.
 	OnAllDone func()
 
 	// OnInputDone, if non-nil, runs under ProcMu when an individual input
@@ -307,6 +392,31 @@ func NewPipeBase(name string, inputs int) PipeBase {
 // Inputs returns the operator arity.
 func (p *PipeBase) Inputs() int { return p.inputs }
 
+// frameCap bounds the frames the engine forms itself — the scheduler's
+// default batch size. An operator with unbounded fan-out (a join) publishes
+// its results in frames of this size instead of materialising them all,
+// and a Buffer coalesces small frames into chunks of it, so frame storage
+// stays bounded along the graph whatever a source publishes.
+const frameCap = 64
+
+// Emit appends one result to the pending output frame, publishing it when
+// full. Callers hold ProcMu.
+func (p *PipeBase) Emit(e temporal.Element) {
+	p.out = append(p.out, e)
+	if len(p.out) >= frameCap {
+		p.Flush()
+	}
+}
+
+// Flush publishes the pending output as one downstream frame. Callers
+// hold ProcMu.
+func (p *PipeBase) Flush() {
+	if len(p.out) > 0 {
+		p.TransferBatch(p.out)
+		p.out = p.out[:0]
+	}
+}
+
 // Done implements Sink. It tolerates duplicate done signals per input and
 // out-of-range inputs are ignored (defensive: a miswired graph should not
 // crash the runtime).
@@ -326,6 +436,7 @@ func (p *PipeBase) Done(input int) {
 	if last && p.OnAllDone != nil {
 		p.OnAllDone()
 	}
+	p.Flush()
 	p.ProcMu.Unlock()
 	p.barrierInputClosed()
 	if last {

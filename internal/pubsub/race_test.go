@@ -111,7 +111,7 @@ func TestBufferDoneNeverOvertakesDrainedElements(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			buf.Process(temporal.At(i, temporal.Time(i)), 0)
+			buf.ProcessBatch(temporal.Batch{temporal.At(i, temporal.Time(i))}, 0)
 		}
 		var wg sync.WaitGroup
 		wg.Add(2)

@@ -32,10 +32,11 @@ func NewCollector(name string, inputs int) *Collector {
 // Name implements Node.
 func (c *Collector) Name() string { return c.name }
 
-// Process implements Sink.
-func (c *Collector) Process(e temporal.Element, _ int) {
+// ProcessBatch implements BatchSink: the append copies the elements out
+// of the borrowed frame.
+func (c *Collector) ProcessBatch(b temporal.Batch, _ int) {
 	c.mu.Lock()
-	c.elems = append(c.elems, e)
+	c.elems = append(c.elems, b...)
 	c.mu.Unlock()
 }
 
@@ -106,8 +107,12 @@ func NewFuncSink(name string, inputs int, fn func(e temporal.Element, input int)
 // Name implements Node.
 func (s *FuncSink) Name() string { return s.name }
 
-// Process implements Sink.
-func (s *FuncSink) Process(e temporal.Element, input int) { s.fn(e, input) }
+// ProcessBatch implements BatchSink.
+func (s *FuncSink) ProcessBatch(b temporal.Batch, input int) {
+	for _, e := range b {
+		s.fn(e, input)
+	}
+}
 
 // Done implements Sink.
 func (s *FuncSink) Done(_ int) {
@@ -136,8 +141,8 @@ func NewCounter(name string, inputs int) *Counter {
 // Name implements Node.
 func (c *Counter) Name() string { return c.name }
 
-// Process implements Sink.
-func (c *Counter) Process(_ temporal.Element, _ int) { c.count.Add(1) }
+// ProcessBatch implements BatchSink.
+func (c *Counter) ProcessBatch(b temporal.Batch, _ int) { c.count.Add(int64(len(b))) }
 
 // Done implements Sink.
 func (c *Counter) Done(_ int) {

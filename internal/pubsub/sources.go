@@ -7,9 +7,10 @@ import (
 	"pipes/internal/temporal"
 )
 
-// Emitter is an active source that can be driven stepwise, one element per
-// EmitNext call. The scheduler activates emitters this way; Drive loops an
-// emitter to exhaustion for tests and simple programs.
+// Emitter is the paper's per-element active source: one element per
+// EmitNext call. It is the edge interface for sources outside the engine
+// (file and protocol adapters) and for Drive; the engine itself drives
+// BatchEmitters.
 type Emitter interface {
 	Source
 	// EmitNext publishes the next element to the subscribers and reports
@@ -18,9 +19,58 @@ type Emitter interface {
 	EmitNext() bool
 }
 
-// Drive runs an emitter to exhaustion synchronously.
+// BatchEmitter is an active source driven stepwise, one frame per
+// EmitBatch call. The scheduler activates emitters this way. Engine
+// sources implement EmitBatch and delegate EmitNext to EmitBatch(1).
+type BatchEmitter interface {
+	Emitter
+	// EmitBatch publishes the next frame of at most max elements
+	// (max <= 0 means one) and reports how many were published and
+	// whether more may follow. A source with nothing ready right now
+	// returns (0, true) without waiting. On exhaustion it signals done
+	// and returns (0, false).
+	EmitBatch(max int) (n int, more bool)
+}
+
+// elementEmitter is the edge adapter driving a per-element Emitter in
+// frames: up to max EmitNext calls per EmitBatch.
+type elementEmitter struct{ Emitter }
+
+func (a elementEmitter) EmitBatch(max int) (int, bool) {
+	if max <= 0 {
+		max = 1
+	}
+	for n := 0; n < max; n++ {
+		if !a.EmitNext() {
+			return n, false
+		}
+	}
+	return max, true
+}
+
+// FrameEmitter returns e's frame-publishing identity: e itself when it is
+// a BatchEmitter, the edge adapter around a per-element Emitter otherwise.
+func FrameEmitter(e Emitter) BatchEmitter {
+	if be, ok := e.(BatchEmitter); ok {
+		return be
+	}
+	return elementEmitter{e}
+}
+
+// Drive runs an emitter to exhaustion synchronously, one element per
+// step.
 func Drive(e Emitter) {
 	for e.EmitNext() {
+	}
+}
+
+// DriveBatched runs a batch emitter to exhaustion synchronously, frame
+// elements per activation.
+func DriveBatched(e BatchEmitter, frame int) {
+	for {
+		if _, more := e.EmitBatch(frame); !more {
+			return
+		}
 	}
 }
 
@@ -37,37 +87,28 @@ func NewSliceSource(name string, elems []temporal.Element) *SliceSource {
 	return &SliceSource{SourceBase: NewSourceBase(name), elems: elems}
 }
 
-// EmitNext implements Emitter. At most one goroutine may emit at a time
-// (the scheduler guarantees this via single-owner task activation).
-func (s *SliceSource) EmitNext() bool {
-	p := int(s.pos.Load())
-	if p >= len(s.elems) {
-		s.SignalDone()
-		return false
-	}
-	s.pos.Store(int64(p + 1))
-	s.Transfer(s.elems[p])
-	return true
-}
+// EmitNext implements Emitter.
+func (s *SliceSource) EmitNext() bool { _, more := s.EmitBatch(1); return more }
 
 // EmitBatch implements BatchEmitter: the next up-to-max elements are
-// published as a zero-copy view of the backing slice in one
-// TransferBatch. Publishing a view is legal under the temporal.Batch
-// borrow contract: subscribers read the frame only for the duration of
-// the call and never write through it (TransferBatch annotates into its
-// own scratch when a hook is installed).
+// published as a zero-copy view of the backing slice. Publishing a view is
+// legal under the temporal.Batch borrow contract: subscribers read the
+// frame only for the duration of the call and never write through it
+// (TransferBatch annotates into its own scratch when a hook is
+// installed). At most one goroutine may emit at a time (the scheduler
+// guarantees this via single-owner task activation).
 func (s *SliceSource) EmitBatch(max int) (int, bool) {
 	p := int(s.pos.Load())
 	if p >= len(s.elems) {
 		s.SignalDone()
 		return 0, false
 	}
-	n := len(s.elems) - p
-	if max > 0 && n > max {
-		n = max
+	n := 1
+	if max > 1 {
+		n = min(max, len(s.elems)-p)
 	}
 	s.pos.Store(int64(p + n))
-	s.TransferBatch(temporal.Batch(s.elems[p : p+n]))
+	s.TransferBatch(s.elems[p : p+n])
 	return n, true
 }
 
@@ -90,15 +131,7 @@ func NewFuncSource(name string, next func() (temporal.Element, bool)) *FuncSourc
 }
 
 // EmitNext implements Emitter.
-func (s *FuncSource) EmitNext() bool {
-	e, ok := s.next()
-	if !ok {
-		s.SignalDone()
-		return false
-	}
-	s.Transfer(e)
-	return true
-}
+func (s *FuncSource) EmitNext() bool { _, more := s.EmitBatch(1); return more }
 
 // EmitBatch implements BatchEmitter: up to max generator pulls fill the
 // reusable scratch frame, published in one TransferBatch. Exhaustion
@@ -108,21 +141,21 @@ func (s *FuncSource) EmitBatch(max int) (int, bool) {
 		max = 1
 	}
 	frame := s.frame[:0]
+	more := true
 	for len(frame) < max {
 		e, ok := s.next()
 		if !ok {
-			if len(frame) > 0 {
-				s.TransferBatch(frame)
-			}
-			s.frame = frame
-			s.SignalDone()
-			return len(frame), false
+			more = false
+			break
 		}
 		frame = append(frame, e)
 	}
-	s.TransferBatch(frame)
 	s.frame = frame
-	return len(frame), true
+	s.TransferBatch(frame)
+	if !more {
+		s.SignalDone()
+	}
+	return len(frame), more
 }
 
 // ChanSource adapts a Go channel of elements to a source: the idiomatic
@@ -131,7 +164,8 @@ func (s *FuncSource) EmitBatch(max int) (int, bool) {
 // closes or the context is cancelled.
 type ChanSource struct {
 	SourceBase
-	ch <-chan temporal.Element
+	ch    <-chan temporal.Element
+	frame temporal.Batch // reusable scratch EmitBatch publishes
 }
 
 // NewChanSource returns a source fed by ch.
@@ -159,20 +193,37 @@ func (s *ChanSource) Run(ctx context.Context) error {
 	}
 }
 
-// EmitNext implements Emitter with a non-blocking receive so a scheduler
-// can poll the channel without stalling other nodes. It returns true (keep
-// polling) while the channel is open, even if no element was available.
-func (s *ChanSource) EmitNext() bool {
-	//pipesvet:allow nogoroutine ChanSource poll path: non-blocking receive feeding the scheduler
-	select {
-	case e, ok := <-s.ch: //pipesvet:allow nogoroutine non-blocking external-producer receive: the default case keeps the scheduler task from stalling
-		if !ok {
-			s.SignalDone()
-			return false
-		}
-		s.Transfer(e)
-		return true
-	default:
-		return true
+// EmitNext implements Emitter.
+func (s *ChanSource) EmitNext() bool { _, more := s.EmitBatch(1); return more }
+
+// EmitBatch implements BatchEmitter with non-blocking receives, so a
+// scheduler can poll the channel without stalling other nodes: it drains
+// what is ready, up to max, and never waits to fill a frame. An empty poll
+// is not progress — it returns (0, true).
+func (s *ChanSource) EmitBatch(max int) (int, bool) {
+	if max <= 0 {
+		max = 1
 	}
+	frame := s.frame[:0]
+	more := true
+poll:
+	for len(frame) < max {
+		//pipesvet:allow nogoroutine ChanSource poll path: non-blocking receive feeding the scheduler
+		select {
+		case e, ok := <-s.ch: //pipesvet:allow nogoroutine non-blocking external-producer receive: the default case keeps the scheduler task from stalling
+			if !ok {
+				more = false
+				break poll
+			}
+			frame = append(frame, e)
+		default:
+			break poll
+		}
+	}
+	s.frame = frame
+	s.TransferBatch(frame)
+	if !more {
+		s.SignalDone()
+	}
+	return len(frame), more
 }

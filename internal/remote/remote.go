@@ -7,6 +7,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -54,14 +55,16 @@ func NewWriter(name string, w io.Writer) *Writer {
 // Name implements pubsub.Node.
 func (w *Writer) Name() string { return w.name }
 
-// Process implements pubsub.Sink.
-func (w *Writer) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink.
+func (w *Writer) ProcessBatch(b temporal.Batch, _ int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return
+	for _, e := range b {
+		if w.err != nil {
+			return
+		}
+		w.err = w.enc.Encode(wireElement{Value: e.Value, Start: e.Start, End: e.End})
 	}
-	w.err = w.enc.Encode(wireElement{Value: e.Value, Start: e.Start, End: e.End})
 }
 
 // Done implements pubsub.Sink: writes the end-of-stream marker (an
@@ -87,31 +90,51 @@ func (w *Writer) Err() error {
 // one.
 type Reader struct {
 	pubsub.SourceBase
-	dec *gob.Decoder
-	err error
+	in    *bufio.Reader // the decoder's input, kept to see what has already arrived
+	dec   *gob.Decoder
+	err   error
+	frame temporal.Batch // reusable scratch EmitBatch publishes
 }
 
 // NewReader returns a deserialising source.
 func NewReader(name string, r io.Reader) *Reader {
-	return &Reader{SourceBase: pubsub.NewSourceBase(name), dec: gob.NewDecoder(r)}
+	in := bufio.NewReader(r)
+	return &Reader{SourceBase: pubsub.NewSourceBase(name), in: in, dec: gob.NewDecoder(in)}
 }
 
 // EmitNext implements pubsub.Emitter.
-func (r *Reader) EmitNext() bool {
-	var we wireElement
-	if err := r.dec.Decode(&we); err != nil {
-		if !errors.Is(err, io.EOF) {
-			r.err = err
+func (r *Reader) EmitNext() bool { _, more := r.EmitBatch(1); return more }
+
+// EmitBatch implements pubsub.BatchEmitter: it blocks for one element,
+// then keeps decoding while input has already arrived, up to max — it
+// never waits on the stream to fill a frame.
+func (r *Reader) EmitBatch(max int) (int, bool) {
+	frame := r.frame[:0]
+	more := true
+	for {
+		var we wireElement
+		if err := r.dec.Decode(&we); err != nil {
+			if !errors.Is(err, io.EOF) {
+				r.err = err
+			}
+			more = false
+			break
 		}
+		if we.Start == temporal.MaxTime && we.End == temporal.MinTime {
+			more = false // end-of-stream marker
+			break
+		}
+		frame = append(frame, temporal.NewElement(we.Value, we.Start, we.End))
+		if len(frame) >= max || r.in.Buffered() == 0 {
+			break
+		}
+	}
+	r.frame = frame
+	r.TransferBatch(frame)
+	if !more {
 		r.SignalDone()
-		return false
 	}
-	if we.Start == temporal.MaxTime && we.End == temporal.MinTime {
-		r.SignalDone() // end-of-stream marker
-		return false
-	}
-	r.Transfer(temporal.NewElement(we.Value, we.Start, we.End))
-	return true
+	return len(frame), more
 }
 
 // Err returns the first deserialisation error, if any (EOF without a
@@ -173,13 +196,13 @@ type serverSink Server
 // Name implements pubsub.Node.
 func (s *serverSink) Name() string { return (*Server)(s).name }
 
-// Process implements pubsub.Sink: fan out to every live client.
-func (s *serverSink) Process(e temporal.Element, _ int) {
+// ProcessBatch implements pubsub.BatchSink: fan out to every live client.
+func (s *serverSink) ProcessBatch(b temporal.Batch, _ int) {
 	srv := (*Server)(s)
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	for conn, w := range srv.writers {
-		w.Process(e, 0)
+		w.ProcessBatch(b, 0)
 		if w.Err() != nil {
 			conn.Close()
 			delete(srv.writers, conn)

@@ -24,7 +24,7 @@ func TestReaderTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter("file", &buf)
 	for _, e := range elems(20) {
-		w.Process(e, 0)
+		w.ProcessBatch(temporal.Batch{e}, 0)
 	}
 	// No Done: the stream ends with element 20 and no end-of-stream
 	// marker. Chopping two bytes is then guaranteed to land mid-message
@@ -89,12 +89,12 @@ type unregisteredType struct{ X int }
 func TestWriterUnregisteredType(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter("file", &buf)
-	w.Process(temporal.NewElement(neverRegistered{X: 1}, 0, 10), 0)
+	w.ProcessBatch(temporal.Batch{temporal.NewElement(neverRegistered{X: 1}, 0, 10)}, 0)
 	if w.Err() == nil {
 		t.Fatal("encoding an unregistered type succeeded")
 	}
 	before := buf.Len()
-	w.Process(temporal.NewElement(1, 1, 11), 0)
+	w.ProcessBatch(temporal.Batch{temporal.NewElement(1, 1, 11)}, 0)
 	w.Done(0)
 	if buf.Len() != before {
 		t.Fatal("writer kept writing after a latched error")
@@ -112,7 +112,7 @@ func TestReaderUnregisteredTypeName(t *testing.T) {
 	RegisterType(unregisteredType{})
 	var buf bytes.Buffer
 	w := NewWriter("file", &buf)
-	w.Process(temporal.NewElement(unregisteredType{X: 7}, 0, 10), 0)
+	w.ProcessBatch(temporal.Batch{temporal.NewElement(unregisteredType{X: 7}, 0, 10)}, 0)
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}
@@ -199,7 +199,7 @@ func TestReaderConnClosedMidElement(t *testing.T) {
 		var buf bytes.Buffer
 		w := NewWriter("srv", &buf)
 		for _, e := range elems(3) {
-			w.Process(e, 0)
+			w.ProcessBatch(temporal.Batch{e}, 0)
 		}
 		raw := buf.Bytes()
 		conn.Write(raw[:len(raw)-5])

@@ -63,7 +63,7 @@ func TestReaderCleanEOFWithoutMarker(t *testing.T) {
 	buf.Reset()
 	w2 := NewWriter("f2", &buf)
 	for _, e := range elems(3) {
-		w2.Process(e, 0)
+		w2.ProcessBatch(temporal.Batch{e}, 0)
 	}
 	// no Done -> no marker
 	r := NewReader("replay", &buf)
@@ -224,11 +224,11 @@ func TestServerCloseStopsAccepting(t *testing.T) {
 
 func TestWriterAfterErrorIsNoop(t *testing.T) {
 	w := NewWriter("w", failingWriter{})
-	w.Process(elems(1)[0], 0)
+	w.ProcessBatch(temporal.Batch{elems(1)[0]}, 0)
 	if w.Err() == nil {
 		t.Fatal("write error not recorded")
 	}
-	w.Process(elems(1)[0], 0) // must not panic
+	w.ProcessBatch(temporal.Batch{elems(1)[0]}, 0) // must not panic
 	w.Done(0)
 }
 

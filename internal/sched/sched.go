@@ -48,14 +48,11 @@ type Profiled interface {
 	CostNS() float64
 }
 
-// EmitterTask drives an active source. Emitters implementing
-// pubsub.BatchEmitter publish whole frames per activation (the batch
-// lane); everything else is driven one element per work unit.
+// EmitterTask drives an active source, one frame per EmitBatch call.
 type EmitterTask struct {
-	emitter pubsub.Emitter
-	// batch is the emitter's frame-publishing identity, cached at
-	// construction so RunBatch pays no per-activation type assertion.
-	batch pubsub.BatchEmitter
+	// emitter is the source's frame-publishing identity
+	// (pubsub.FrameEmitter), resolved at construction.
+	emitter pubsub.BatchEmitter
 	// done is atomic because Backlog is consulted lock-free by other
 	// workers probing for stealable work, concurrently with RunBatch.
 	done atomic.Bool
@@ -63,43 +60,30 @@ type EmitterTask struct {
 
 // NewEmitterTask wraps an emitter.
 func NewEmitterTask(e pubsub.Emitter) *EmitterTask {
-	t := &EmitterTask{emitter: e}
-	if be, ok := e.(pubsub.BatchEmitter); ok {
-		t.batch = be
-	}
-	return t
+	return &EmitterTask{emitter: pubsub.FrameEmitter(e)}
 }
 
 // Name implements Task.
 func (t *EmitterTask) Name() string { return t.emitter.Name() }
 
-// RunBatch implements Task.
+// RunBatch implements Task. Only published elements count as work: an
+// empty poll of a live source reports 0, so an idle source neither
+// inflates the task's stats nor keeps its worker off the idle path.
 func (t *EmitterTask) RunBatch(max int) (int, bool) {
 	if t.done.Load() {
 		return 0, true
 	}
-	if t.batch != nil {
-		n := 0
-		for n < max {
-			k, more := t.batch.EmitBatch(max - n)
-			n += k
-			if !more {
-				t.done.Store(true)
-				return n, true
-			}
-			if k == 0 {
-				break // nothing ready right now (poll-style source)
-			}
-		}
-		return n, false
-	}
 	n := 0
 	for n < max {
-		if !t.emitter.EmitNext() {
+		k, more := t.emitter.EmitBatch(max - n)
+		n += k
+		if !more {
 			t.done.Store(true)
 			return n, true
 		}
-		n++
+		if k == 0 {
+			break // nothing ready right now (poll-style source)
+		}
 	}
 	return n, false
 }

@@ -106,6 +106,36 @@ func TestSchedulerStats(t *testing.T) {
 	}
 }
 
+// An empty poll is not progress: a live source on an open, empty channel
+// must report zero work units, so TaskStats counts only the elements that
+// were actually published (an idle poll used to count as a full quantum).
+func TestIdleLiveSourceReportsNoWork(t *testing.T) {
+	ch := make(chan temporal.Element, 8)
+	src := pubsub.NewChanSource("live", ch)
+	sink := pubsub.NewCounter("ctr", 1)
+	src.Subscribe(sink, 0)
+	task := NewEmitterTask(src)
+	if n, done := task.RunBatch(64); n != 0 || done {
+		t.Fatalf("RunBatch on an open, empty channel = (%d, %v), want (0, false)", n, done)
+	}
+
+	s := New(Config{Workers: 1})
+	s.Add(task)
+	s.Start()
+	time.Sleep(5 * time.Millisecond) // idle polls only
+	for i := 0; i < 5; i++ {
+		ch <- temporal.At(i, temporal.Time(i))
+	}
+	close(ch)
+	s.Wait()
+	if sink.Count() != 5 {
+		t.Fatalf("sink saw %d elements, want 5", sink.Count())
+	}
+	if st := s.Stats()[0]; st.Processed != 5 || !st.Done {
+		t.Fatalf("stats = %+v, want exactly the 5 published elements and done", st)
+	}
+}
+
 func TestSchedulerStop(t *testing.T) {
 	// An emitter that never finishes; Stop must terminate the workers.
 	i := 0

@@ -191,10 +191,11 @@ func (s *Scheduler) runWorker(w int) {
 		}
 		if len(raw) > 0 {
 			if idx := strategy.Next(raw); idx >= 0 {
-				if ran, _, _ := s.runTask(mine[idx], s.cfg.BatchSize, false); ran {
+				if ran, n, fin := s.runTask(mine[idx], s.cfg.BatchSize, false); ran && (n > 0 || fin) {
 					continue
 				}
-				// Lost the task to a stealing worker; fall through.
+				// Lost the task to a stealing worker, or it had nothing
+				// ready (an idle live source); fall through.
 			}
 		}
 		// Nothing ready locally. Sweep own tasks once: a task whose

@@ -484,7 +484,7 @@ func (s *Service) TenantStats() []TenantStats {
 
 // resultSink is the graph-facing delivery adapter: a terminal sink that
 // renders each result to JSON and appends it to the query's bounded
-// buffer. Process never blocks and never takes a lock beyond the
+// buffer. ProcessBatch never blocks and never takes a lock beyond the
 // buffer's leaf mutex, so a slow or stalled remote consumer cannot
 // backpressure the shared graph.
 type resultSink struct {
@@ -495,11 +495,6 @@ func newResultSink(buf *ResultBuffer) *resultSink { return &resultSink{buf: buf}
 
 // Name implements pubsub.Node.
 func (k *resultSink) Name() string { return "service-results" }
-
-// Process implements pubsub.Sink.
-func (k *resultSink) Process(e temporal.Element, _ int) {
-	k.buf.Append(marshalValue(e.Value), e.Start, e.End)
-}
 
 // ProcessBatch implements pubsub.BatchSink. Rendering to JSON copies
 // everything the sink keeps, honouring the frame borrow contract

@@ -48,7 +48,7 @@ func (q *fakeQuery) emit(v any, t temporal.Time) {
 	sink := q.sink
 	q.mu.Unlock()
 	if sink != nil {
-		sink.Process(temporal.At(v, t), 0)
+		sink.(pubsub.BatchSink).ProcessBatch(temporal.Batch{temporal.At(v, t)}, 0)
 	}
 }
 

@@ -12,7 +12,7 @@ type KeyFunc func(v any) any
 // probe touches only its own bucket. Buckets are insertion-ordered slices
 // (not maps): probes scan contiguously and — crucially — emit matches in
 // deterministic insertion order, which makes join output reproducible
-// run-to-run and lets the batch/scalar differential harness compare
+// run-to-run and lets the frame-size invariance harness compare
 // output sequences and state bytes exactly. Expiration uses a min-heap on
 // interval end with lazy tombstones, keeping Reorganize amortised
 // O(removed · log n); dead slots are compacted once they outnumber the

@@ -32,7 +32,7 @@ type Kind uint8
 // Event kinds. The A/B/C payload fields are kind-specific; see the
 // comments and OBSERVABILITY.md's inventory table.
 const (
-	// KindFrame: one frame published on the batch lane.
+	// KindFrame: one frame published (TransferBatch).
 	// A = frame occupancy (elements). Strided 1-in-16 per op.
 	KindFrame Kind = iota + 1
 	// KindEnqueue: work accepted by a pubsub.Buffer.
@@ -395,7 +395,8 @@ func (o *OpRef) Frame(n int) {
 }
 
 // Enqueue records n work units entering a buffer whose depth is now d.
-// Called per element on the scalar lane, so everything — histogram, clock
+// Called per frame, which for one-element frames is per element, so
+// everything — histogram, clock
 // and ring — hides behind the stride; the off-stride cost is one atomic
 // add.
 func (o *OpRef) Enqueue(n, d int) {

@@ -79,10 +79,9 @@ func (h *Histogram) Observe(ns int64) {
 	}
 }
 
-// ObserveN records n identical observations of ns in one shot. The batch
-// lane's stride-apportioned service timing uses it to keep observation
-// counts identical to the scalar lane without paying n atomic passes per
-// frame.
+// ObserveN records n identical observations of ns in one shot. Per-frame
+// measurements apportioned per element use it to keep observation counts
+// element-denominated without paying n atomic passes per frame.
 func (h *Histogram) ObserveN(ns int64, n uint64) {
 	if n == 0 {
 		return

@@ -51,7 +51,11 @@ type (
 
 	// Source publishes elements to subscribed sinks.
 	Source = pubsub.Source
-	// Sink consumes elements from subscribed sources.
+	// Batch is a frame of elements, the engine's unit of transfer.
+	Batch = temporal.Batch
+
+	// Sink consumes elements from subscribed sources, through either
+	// ProcessBatch(Batch, int) or the per-element Process(Element, int).
 	Sink = pubsub.Sink
 	// Pipe is an operator: both sink and source.
 	Pipe = pubsub.Pipe
