@@ -8,7 +8,6 @@ import (
 
 	"pipes/internal/cql"
 	"pipes/internal/ft"
-	"pipes/internal/metadata"
 	"pipes/internal/pubsub"
 )
 
@@ -83,19 +82,15 @@ func (d *DSMS) checkpointSource(src pubsub.Source) pubsub.Source {
 }
 
 // registerCheckpointed registers a query operator with the checkpoint
-// manager if it holds serialisable state. Metadata decorators are
-// unwrapped so the snapshot name is the optimizer's deterministic
-// operator name — the property that lets a rebuilt graph find its state.
+// manager if it holds serialisable state. The snapshot name is the
+// optimizer's deterministic operator name — the property that lets a
+// rebuilt graph find its state.
 func (d *DSMS) registerCheckpointed(p pubsub.Pipe) {
 	if d.Checkpoints == nil {
 		return
 	}
-	op := p
-	if m, ok := p.(*metadata.Monitored); ok {
-		op = m.Inner()
-	}
-	hooked, okH := op.(ft.BarrierHooked)
-	saver, okS := op.(ft.StateSaver)
+	hooked, okH := p.(ft.BarrierHooked)
+	saver, okS := p.(ft.StateSaver)
 	if okH && okS {
 		d.Checkpoints.RegisterOperator(hooked, saver)
 	}

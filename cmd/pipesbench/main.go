@@ -102,7 +102,7 @@ func main() {
 		row("without", bench(experiments.E9WithoutCoalesce))
 	}
 	if run("E10") {
-		section("E10 — metadata decoration overhead (ns/element)")
+		section("E10 — secondary-metadata overhead on one operator (ns/element)")
 		for _, mode := range []string{"off", "counts", "full"} {
 			row(mode, bench(experiments.E10Metadata(mode)))
 		}

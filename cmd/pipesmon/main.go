@@ -168,7 +168,7 @@ func runAttached(addr string, interval, duration time.Duration) int {
 	}
 }
 
-// monitorRows converts in-process metadata decorators to dashboard rows,
+// monitorRows converts the in-process metadata monitors to dashboard rows,
 // with the engine's own bottleneck attribution as the why-slow column.
 func monitorRows(dsms *pipes.DSMS) []row {
 	why := map[string]flight.Diagnosis{}

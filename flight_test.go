@@ -110,11 +110,15 @@ func TestFlightMetricsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Flight refs must be keyed by the inner operator name — the same
-	// namespace pipes_metadata uses — never by the ~mon decorator alias.
+	// One block per node: every monitored operator's flight ref is keyed
+	// by the operator's own name, the namespace pipes_metadata uses.
+	refs := map[string]bool{}
 	for _, ref := range dsms.Flight.Refs() {
-		if strings.Contains(ref.Name(), "~mon") {
-			t.Errorf("flight ref %q leaked the decorator alias", ref.Name())
+		refs[ref.Name()] = true
+	}
+	for _, m := range dsms.Monitors() {
+		if !refs[m.Inner().Name()] {
+			t.Errorf("monitored operator %q has no flight ref under its own name", m.Inner().Name())
 		}
 	}
 }
@@ -190,7 +194,7 @@ func TestBottleneckEndpoint(t *testing.T) {
 }
 
 // TestDisableFlight pins the off switch: no recorder, no pipes_edge_*
-// families, and /flight.json degrades to an empty trace rather than 404
+// families, metadata unaffected, and /flight.json degrades to an empty trace rather than 404
 // (so a viewer pointed at a disabled engine still loads).
 func TestDisableFlight(t *testing.T) {
 	dsms := runTelemetryWorkload(t, Config{Workers: 1, MonitorQueries: true, DisableFlight: true})
@@ -203,6 +207,10 @@ func TestDisableFlight(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if strings.Contains(rec.Body.String(), "pipes_edge_") {
 		t.Error("pipes_edge_* exported with the flight recorder disabled")
+	}
+	// Only the recorder is off: the monitors read recorder-less blocks.
+	if !strings.Contains(rec.Body.String(), `kind="input_count"`) || len(dsms.Monitors()) == 0 {
+		t.Error("MonitorQueries stopped working with the flight recorder disabled")
 	}
 
 	rec = httptest.NewRecorder()

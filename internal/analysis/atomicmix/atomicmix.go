@@ -1,5 +1,5 @@
 // Package atomicmix enforces a single access discipline per shared word.
-// The metadata monitor, the telemetry registry and the flight recorder
+// The instrumentation blocks, the telemetry registry and the flight ring
 // all keep hot counters that the transfer path updates while observers read
 // them concurrently; those words are safe only if *every* access goes
 // through sync/atomic. A lone plain read ("it's just a counter, a torn
@@ -48,9 +48,9 @@ var Analyzer = &analysis.Analyzer{
 func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope covers the packages whose counters are concurrently observed: the
-// monitor taps (metadata), the metrics registry (telemetry), the flight
-// recorder ring (telemetry/flight), the hand-off buffers and sinks
-// (pubsub) and the scheduler (sched).
+// named counters (metadata), the metrics registry (telemetry), the
+// per-node blocks and the ring (telemetry/flight), the hand-off buffers
+// and sinks (pubsub) and the scheduler (sched).
 var scope = []string{"metadata", "telemetry", "flight", "pubsub", "sched"}
 
 func run(pass *analysis.Pass) (any, error) {

@@ -50,10 +50,11 @@ var Analyzer = &analysis.Analyzer{
 func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope is where frames are consumed and forwarded — every package with a
-// ProcessBatch: the operators, the checkpoint taps, pubsub, the metadata
-// decorator, the service result sink and the remote writers — plus the
-// telemetry packages they call into with frames in hand.
-var scope = []string{"ops", "ft", "pubsub", "telemetry", "flight", "metadata", "aggregate", "service", "remote"}
+// ProcessBatch: the operators, the checkpoint taps, pubsub, the service
+// result sink and the remote writers — plus the telemetry packages they
+// call into with frames in hand (the flight block delivers and re-frames
+// them).
+var scope = []string{"ops", "ft", "pubsub", "telemetry", "flight", "aggregate", "service", "remote"}
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name) // before the scope check: directive misuse is validated everywhere

@@ -1,9 +1,9 @@
 // Package hotpathclock forbids raw wall-clock reads on the per-frame hot
 // path. E18 (EXPERIMENTS.md) measured per-element `time.Now()` as the
-// dominant decorator overhead (+68% before the fix); the sanctioned
-// patterns are the injected metadata.Clock and the 1-in-16 maintenance
-// stride, under which one clock reading is amortised over maintainEvery
-// elements.
+// dominant monitoring overhead (+68% before the fix); the sanctioned
+// patterns are the injected telemetry.Clock and the 1-in-16 stride
+// (flight's strideEvery), under which one clock reading is amortised over
+// strideEvery elements.
 //
 // A function is "hot" when it is a ProcessBatch, TransferBatch or Drain
 // method of a scoped package (or one of the per-element edge adapters,
@@ -12,8 +12,8 @@
 // time.Until are flagged unless:
 //
 //   - the call sits lexically inside an if-statement whose condition
-//     mentions a maintenance-stride identifier (`maintain`,
-//     `maintainEvery`): the sanctioned amortised sample;
+//     mentions a stride identifier (`strideEvery`, `strideHits`, any name
+//     containing "stride"): the sanctioned amortised sample;
 //   - the enclosing function is a `Now()` method returning time.Time — by
 //     construction a Clock implementation, which is the injection point;
 //   - an explicit `//pipesvet:allow hotpathclock` directive covers it.
@@ -35,15 +35,15 @@ const name = "hotpathclock"
 // Analyzer is the hotpathclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc:  "forbids raw time.Now/time.Since on operator ProcessBatch/TransferBatch/Drain paths outside the injected metadata.Clock and the 1-in-16 maintenance stride",
+	Doc:  "forbids raw time.Now/time.Since on operator ProcessBatch/TransferBatch/Drain paths outside the injected telemetry.Clock and the 1-in-16 stride (strideEvery)",
 	Run:  run,
 }
 
 // scope is the set of package-path suffixes whose element flow is the hot
 // path. telemetry and telemetry/flight are scoped because histogram
-// observation and flight recording sit directly on TransferBatch/
-// ProcessBatch paths; their sanctioned clock reads live behind stride guards or Clock
-// implementations.
+// observation and the instrumentation block sit directly on
+// TransferBatch/ProcessBatch paths; their sanctioned clock reads go through
+// telemetry.Clock, behind the stride.
 var scope = []string{"ops", "pubsub", "aggregate", "metadata", "sweeparea", "temporal", "xds", "telemetry", "flight"}
 
 // hotRoots are the method names that begin a per-frame code path: the
@@ -93,11 +93,11 @@ func run(pass *analysis.Pass) (any, error) {
 			default:
 				return
 			}
-			if allow.Allowed(call.Pos()) || underMaintenanceGuard(guards) {
+			if allow.Allowed(call.Pos()) || underStrideGuard(guards) {
 				return
 			}
 			pass.Reportf(call.Pos(),
-				"raw time.%s on the hot path (reachable from %s): read the injected metadata.Clock or amortise under the 1-in-16 maintenance stride (E18; OBSERVABILITY.md)",
+				"raw time.%s on the hot path (reachable from %s): read the injected telemetry.Clock or amortise under the 1-in-16 stride, strideEvery (E18; OBSERVABILITY.md)",
 				callee.Name(), fn.Name())
 		})
 	}
@@ -157,15 +157,14 @@ func walk(n ast.Node, guards []ast.Expr, f func(*ast.CallExpr, []ast.Expr)) {
 	})
 }
 
-// underMaintenanceGuard reports whether any enclosing if-condition
-// references a maintenance-stride identifier.
-func underMaintenanceGuard(guards []ast.Expr) bool {
+// underStrideGuard reports whether any enclosing if-condition references
+// a stride identifier.
+func underStrideGuard(guards []ast.Expr) bool {
 	for _, g := range guards {
 		found := false
 		ast.Inspect(g, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				name := strings.ToLower(id.Name)
-				if strings.Contains(name, "maintain") || strings.Contains(name, "stride") {
+				if strings.Contains(strings.ToLower(id.Name), "stride") {
 					found = true
 					return false
 				}

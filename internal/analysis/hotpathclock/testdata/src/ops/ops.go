@@ -6,9 +6,9 @@ package ops
 
 import "time"
 
-// maintainEvery is the maintenance stride (name-matched by the guard
-// exemption, as in internal/metadata).
-const maintainEvery = 16
+// strideEvery is the sampling stride (name-matched by the guard
+// exemption, as in internal/telemetry/flight).
+const strideEvery = 16
 
 type op struct {
 	n int
@@ -25,7 +25,7 @@ func (o *op) helper() {
 
 func (o *op) Drain(max int) int {
 	o.n++
-	if o.n%maintainEvery == 0 {
+	if o.n%strideEvery == 0 {
 		// Amortised under the stride: sanctioned.
 		_ = time.Now()
 	}

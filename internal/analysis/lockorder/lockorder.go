@@ -1,11 +1,13 @@
 // Package lockorder enforces the lock hierarchy documented in
-// CONCURRENCY.md §"memory, metadata": the metadata decorator's statistics
-// mutexes are *leaf* locks. An inner node (operator ProcMu, Buffer/
-// SourceBase mutex) may be held while calling back into the decorator —
-// the end-of-stream tap flush does exactly that — so the decorator must
-// never hold a stats mutex while acquiring an inner lock, directly or
-// through any call that might. Inverting the order is the exact ABBA
-// deadlock PR 2 fixed in Monitored.Get.
+// CONCURRENCY.md §"memory, metadata": the instrumentation substrate's
+// statistics mutexes (the flight block's rate estimators, the recorder's
+// intern table) are *leaf* locks. An inner lock (operator ProcMu, Buffer/
+// SourceBase mutex) may be held while the block records — an operator
+// publishes, and so feeds its block's output side, under its own ProcMu —
+// so statistics code must never hold a stats mutex while acquiring an
+// inner lock, directly or through any call that might. Inverting the order
+// is the ABBA deadlock PR 2 fixed in the metadata decorator's Get, when
+// the statistics still had a node and a mutex of their own.
 //
 // Mechanically, for every region where a stats-class mutex is held the
 // analyzer flags:
@@ -15,7 +17,7 @@
 //     methods that take each lock);
 //   - any dynamic (interface) method call: under a leaf lock the callee
 //     is unknown code that may take an inner lock, which is precisely how
-//     Monitored.Get deadlocked against the Buffer flush.
+//     that Get deadlocked against the Buffer flush.
 //
 // Lock classes come from a built-in table of the repo's synchronisation
 // fields plus `//pipesvet:lockclass inner|stats` directives on mutex
@@ -50,7 +52,7 @@ type class int
 const (
 	classNone  class = iota
 	classInner       // operator/pubsub locks: may be held while calling into stats code
-	classStats       // decorator statistics locks: leaves, nothing may be acquired under them
+	classStats       // statistics locks: leaves, nothing may be acquired under them
 )
 
 func (c class) String() string {
@@ -71,13 +73,13 @@ type lockField struct {
 
 // builtinClasses is the repo's documented hierarchy (CONCURRENCY.md).
 var builtinClasses = map[lockField]class{
-	{"pubsub", "PipeBase", "ProcMu"}:    classInner,
-	{"pubsub", "Buffer", "mu"}:          classInner,
-	{"pubsub", "SourceBase", "mu"}:      classInner,
-	{"metadata", "Monitored", "mu"}:     classStats,
-	{"metadata", "rateEstimator", "mu"}: classStats,
-	{"service", "Service", "mu"}:        classStats,
-	{"service", "ResultBuffer", "mu"}:   classStats,
+	{"pubsub", "PipeBase", "ProcMu"}:  classInner,
+	{"pubsub", "Buffer", "mu"}:        classInner,
+	{"pubsub", "SourceBase", "mu"}:    classInner,
+	{"flight", "Recorder", "mu"}:      classStats,
+	{"flight", "rateEstimator", "mu"}: classStats,
+	{"service", "Service", "mu"}:      classStats,
+	{"service", "ResultBuffer", "mu"}: classStats,
 }
 
 // lockEvent is one Lock/Unlock call inside a function body.
@@ -207,7 +209,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if cls, key, unlock, isLock := lockCall(call, classify); isLock {
 				if cls == classInner && !unlock {
 					pass.Reportf(call.Pos(),
-						"acquiring inner-class lock %s while holding stats-class lock %s inverts the documented inner→stats lock order (ABBA deadlock against the tap flush path; CONCURRENCY.md)",
+						"acquiring inner-class lock %s while holding stats-class lock %s inverts the documented inner→stats lock order (ABBA deadlock against a publish under the inner lock; CONCURRENCY.md)",
 						key, held.key)
 				}
 				return true

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockorder(t *testing.T) {
-	analyzertest.Run(t, "testdata", lockorder.Analyzer, "metadata", "store", "service")
+	analyzertest.Run(t, "testdata", lockorder.Analyzer, "flight", "store", "service")
 }

@@ -9,7 +9,7 @@ type PipeBase struct {
 	ProcMu sync.Mutex
 }
 
-// Pipe is the inner-node interface a decorator delegates to.
+// Pipe is the node interface statistics code may be tempted to call.
 type Pipe interface {
 	Len() int
 }

@@ -48,10 +48,9 @@ var Analyzer = &analysis.Analyzer{
 
 func init() { vetutil.RegisterAnalyzer(name) }
 
-// scope: the packages that implement ft.StateSaver — stateful operators
-// and the metadata decorator delegating to them — plus the checkpoint
-// machinery itself.
-var scope = []string{"ops", "ft", "metadata"}
+// scope: the packages that implement ft.StateSaver — the stateful
+// operators — plus the checkpoint machinery itself.
+var scope = []string{"ops", "ft"}
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name) // before the scope check: directive misuse is validated everywhere

@@ -392,33 +392,29 @@ func e9(b *testing.B, coalesce bool) {
 	b.ReportMetric(float64(c.Count())/float64(b.N), "out/elem")
 }
 
-// E10Metadata measures the per-element overhead of metadata decoration:
-// mode "off" (bare operator), "counts" (counts+selectivity only) or
-// "full" (every kind incl. rate estimators and cost timing).
+// E10Metadata measures the per-element overhead of secondary metadata on
+// one operator fed element by element: mode "off" (no block), "counts"
+// (counts+selectivity only: the block's exact side) or "full" (every kind
+// incl. rate estimators and cost timing: the strided side too). The
+// operator's input side is recorded where its upstream publishes, so every
+// mode is fed through a source.
 func E10Metadata(mode string) func(b *testing.B) {
 	return func(b *testing.B) {
+		src := pubsub.NewSourceBase("src")
 		f := evenFilter("f")
-		c := pubsub.NewCounter("c", 1)
-		var sink pubsub.Sink
+		pubsub.Connect(&src, f).Subscribe(pubsub.NewCounter("c", 1), 0)
 		switch mode {
 		case "off":
-			f.Subscribe(c, 0)
-			sink = f
 		case "counts":
-			m := metadata.NewMonitored(f, metadata.WithKinds(
+			metadata.Monitor(f, metadata.WithKinds(
 				metadata.InputCount, metadata.OutputCount, metadata.Selectivity))
-			m.Subscribe(c, 0)
-			sink = m
 		default:
-			m := metadata.NewMonitored(f)
-			m.Subscribe(c, 0)
-			sink = m
+			metadata.Monitor(f)
 		}
-		push := feed(sink)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			push(temporal.At(i, temporal.Time(i)), 0)
+			src.Transfer(temporal.At(i, temporal.Time(i)))
 		}
 	}
 }

@@ -22,20 +22,20 @@ type TelemetryMode int
 const (
 	// TelemetryOff runs the bare physical operators.
 	TelemetryOff TelemetryMode = iota
-	// TelemetryMonitored wraps every operator in the secondary-metadata
-	// decorator (counts, rates, EWMA cost, service-time histograms).
+	// TelemetryMonitored turns every metadata kind on for every operator
+	// (counts, rates, EWMA cost, service-time histograms).
 	TelemetryMonitored
-	// TelemetryTraced adds 1-in-N element tracing on top of the
-	// decorators: sampled elements carry a trace context and every hop
-	// appends spans and feeds the queue-time histograms.
+	// TelemetryTraced adds 1-in-N element tracing on top: sampled
+	// elements carry a trace context and every hop appends spans and feeds
+	// the queue-time histograms.
 	TelemetryTraced
 )
 
 // E18Telemetry measures the overhead of the observability layer on the
 // traffic workload (avg-HOV-speed query, b.N readings). The same graph
-// runs undecorated, decorated, and decorated+traced; comparing ns/op
-// across the three variants gives the per-element cost of metadata
-// collection and sampled tracing.
+// runs bare, monitored, and monitored+traced; comparing ns/op across the
+// three variants gives the per-element cost of metadata collection and
+// sampled tracing.
 func E18Telemetry(mode TelemetryMode, traceEvery int) func(b *testing.B) {
 	return func(b *testing.B) {
 		gen := traffic.NewGenerator(traffic.Config{Seed: 1, MaxReadings: b.N})
@@ -44,19 +44,6 @@ func E18Telemetry(mode TelemetryMode, traceEvery int) func(b *testing.B) {
 		cat.Register("traffic", src, 1000)
 		o := optimizer.New(cat)
 
-		var tracer *telemetry.Tracer
-		switch mode {
-		case TelemetryMonitored:
-			o.SetDecorator(func(p pubsub.Pipe) pubsub.Pipe {
-				return metadata.NewMonitored(p)
-			})
-		case TelemetryTraced:
-			tracer = telemetry.NewTracer(traceEvery, 256)
-			o.SetDecorator(func(p pubsub.Pipe) pubsub.Pipe {
-				return metadata.NewMonitored(p, metadata.WithTracer(tracer))
-			})
-		}
-
 		parsed, err := cql.Parse(traffic.QueryAvgHOVSpeed)
 		if err != nil {
 			b.Fatal(err)
@@ -64,6 +51,15 @@ func E18Telemetry(mode TelemetryMode, traceEvery int) func(b *testing.B) {
 		inst, err := o.AddQuery(parsed)
 		if err != nil {
 			b.Fatal(err)
+		}
+		var tracer *telemetry.Tracer
+		if mode == TelemetryTraced {
+			tracer = telemetry.NewTracer(traceEvery, 256)
+		}
+		if mode != TelemetryOff {
+			for _, p := range inst.Created {
+				metadata.Monitor(p, metadata.WithTracer(tracer))
+			}
 		}
 		c := pubsub.NewCounter("c", 1)
 		if err := inst.Root.Subscribe(c, 0); err != nil {
@@ -103,7 +99,7 @@ const (
 	// occupancy and edge counters on each transfer, strided buffer
 	// depth waterlines at the boundaries, ring events 1-in-16.
 	FlightOn
-	// FlightFull adds the secondary-metadata decorators on top — the
+	// FlightFull turns every metadata kind on over the same blocks — the
 	// engine's complete always-on monitoring stack, matching what a
 	// default-config DSMS (MonitorQueries plus flight recorder) runs.
 	FlightFull
@@ -111,17 +107,17 @@ const (
 
 // E21FlightOverhead measures monitoring overhead on the transfer path:
 // the E20 full chain (boundaries included) at the given frame size,
-// bare vs flight-recorded vs flight+metadata. The flight recorder hangs
-// off the hot path at every TransferBatch and buffer enqueue/drain, so
-// the flight-vs-off delta is the number the ≤8% acceptance envelope is
+// bare vs flight-recorded vs flight+metadata. The blocks hang off the
+// hot path at every TransferBatch and buffer enqueue/drain, so the
+// flight-vs-off delta is the number the ≤8% acceptance envelope is
 // measured against; flight+metadata reports the complete default stack.
 func E21FlightOverhead(frame int, mode FlightMode) func(b *testing.B) {
 	return func(b *testing.B) {
 		src := e20Source("traffic", b.N)
-		c, tasks, instrumented := e21Graph(src, mode == FlightFull)
+		c, tasks, chain := e21Graph(src)
 		var rec *flight.Recorder
 		if mode != FlightOff {
-			rec = newE21Recorder(src, tasks, instrumented)
+			rec = newE21Recorder(src, tasks, chain, mode == FlightFull)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -142,20 +138,13 @@ func E21FlightOverhead(frame int, mode FlightMode) func(b *testing.B) {
 }
 
 // e21Graph wires the E20 full chain (filter/map-dense segment plus the
-// stateful window/aggregate tail, both scheduler boundaries) with optional
-// metadata decoration, returning the per-operator flight attachment points
-// keyed by name (the decorators delegate transfers through their own
-// SourceBase, so refs attach to whichever node actually publishes).
-func e21Graph(feed pubsub.Source, monitored bool) (*pubsub.Counter, []*sched.BufferTask, map[string]flightAttachable) {
-	instrumented := map[string]flightAttachable{}
+// stateful window/aggregate tail, both scheduler boundaries) and returns
+// its operators in chain order.
+func e21Graph(feed pubsub.Source) (*pubsub.Counter, []*sched.BufferTask, []pubsub.Pipe) {
+	var chain []pubsub.Pipe
 	wrap := func(p pubsub.Pipe) pubsub.Pipe {
-		name := p.(pubsub.Node).Name()
-		var out pubsub.Pipe = p
-		if monitored {
-			out = metadata.NewMonitored(p)
-		}
-		instrumented[name] = out.(flightAttachable)
-		return out
+		chain = append(chain, p)
+		return p
 	}
 	f1 := wrap(ops.NewFilter("oakland", func(v any) bool {
 		return v.(traffic.Reading).Direction == traffic.DirOakland
@@ -192,26 +181,24 @@ func e21Graph(feed pubsub.Source, monitored bool) (*pubsub.Counter, []*sched.Buf
 	m2.Subscribe(w, 0)
 	w.Subscribe(g, 0)
 	g.Subscribe(c, 0)
-	return c, []*sched.BufferTask{t1, t2}, instrumented
+	return c, []*sched.BufferTask{t1, t2}, chain
 }
 
-// flightAttachable is the attachment half of the facade's
-// flightInstrumented probe (every SourceBase-embedding node satisfies it).
-type flightAttachable interface {
-	SetFlightRef(*flight.OpRef)
-}
-
-// newE21Recorder attaches a fresh flight recorder to every hop of the E21
-// chain: the feed, both boundary buffers, and each operator's publishing
-// base — mirroring DSMS.attachFlight.
-func newE21Recorder(src *pubsub.FuncSource, tasks []*sched.BufferTask, instrumented map[string]flightAttachable) *flight.Recorder {
+// newE21Recorder attaches a fresh flight recorder's blocks to every hop of
+// the E21 chain — the feed, both boundary buffers and each operator — and,
+// monitored, turns every metadata kind on over the operators' blocks:
+// mirroring DSMS.instrument.
+func newE21Recorder(src *pubsub.FuncSource, tasks []*sched.BufferTask, chain []pubsub.Pipe, monitored bool) *flight.Recorder {
 	rec := flight.New(0)
 	src.SetFlightRef(rec.Ref("traffic"))
 	for _, t := range tasks {
 		t.Buffer().SetFlightRef(rec.Ref(t.Name()))
 	}
-	for name, node := range instrumented {
-		node.SetFlightRef(rec.Ref(name))
+	for _, p := range chain {
+		p.(interface{ SetFlightRef(*flight.OpRef) }).SetFlightRef(rec.Ref(p.Name()))
+		if monitored {
+			metadata.Monitor(p)
+		}
 	}
 	return rec
 }

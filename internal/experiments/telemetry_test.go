@@ -12,9 +12,9 @@ import (
 func TestE21InstrumentationIsInert(t *testing.T) {
 	run := func(mode FlightMode) int64 {
 		src := e20Source("traffic", 20_000)
-		c, tasks, instrumented := e21Graph(src, mode == FlightFull)
+		c, tasks, chain := e21Graph(src)
 		if mode != FlightOff {
-			rec := newE21Recorder(src, tasks, instrumented)
+			rec := newE21Recorder(src, tasks, chain, mode == FlightFull)
 			defer func() {
 				var frames int64
 				for _, ref := range rec.Refs() {

@@ -241,18 +241,10 @@ func discoverSavers(roots []pubsub.Source) []saverRef {
 			continue
 		}
 		seen[n] = true
-		// Metadata decorators delegate the hook/save pair to their inner
-		// node; unwrap before probing (as the engine's checkpoint
-		// registration does) so a decorated stateless operator is not
-		// mistaken for a saver, and snapshot keys use the inner name.
-		op := n
-		if dec, ok := n.(interface{ Inner() pubsub.Pipe }); ok {
-			op = dec.Inner()
-		}
-		if hooked, ok := op.(barrierHooked); ok {
-			if sv, ok := op.(ft.StateSaver); ok {
+		if hooked, ok := n.(barrierHooked); ok {
+			if sv, ok := n.(ft.StateSaver); ok {
 				name := "?"
-				if node, ok := op.(interface{ Name() string }); ok {
+				if node, ok := n.(interface{ Name() string }); ok {
 					name = node.Name()
 				}
 				refs = append(refs, saverRef{

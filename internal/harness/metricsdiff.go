@@ -1,6 +1,6 @@
 // Metrics-equivalence oracle for frame-size invariance: a plan whose
-// operators are wrapped in metadata decorators must collect the SAME
-// time-independent secondary metadata at every frame size. Counts and
+// operators are monitored must collect the SAME time-independent
+// secondary metadata at every frame size. Counts and
 // application-time stamps are per-element exact; selectivity derives from
 // the counts; and the maintenance stride
 // fires on the same 1-based element ordinals (1, 17, 33, ...) regardless
@@ -16,9 +16,9 @@ import (
 )
 
 // MonitorSnapshot is the comparable, time-independent metadata of one
-// decorator after a run completed.
+// monitored operator after a run completed.
 type MonitorSnapshot struct {
-	// Op is the inner operator's name.
+	// Op is the operator's name.
 	Op string
 	// InputCount and OutputCount are exact element tallies.
 	InputCount  float64
@@ -33,8 +33,8 @@ type MonitorSnapshot struct {
 	SvcSamples uint64
 }
 
-// SnapshotMonitors captures each decorator's comparable metadata, in
-// registration order.
+// SnapshotMonitors captures each monitor's comparable metadata, in the
+// given order.
 func SnapshotMonitors(ms []*metadata.Monitored) []MonitorSnapshot {
 	out := make([]MonitorSnapshot, 0, len(ms))
 	for _, m := range ms {

@@ -14,24 +14,23 @@ import (
 )
 
 // TestMetricsFrameSizeInvariance extends the invariance oracle to the
-// secondary-metadata framework: a plan whose operators are wrapped in
-// metadata decorators must tally identical input/output counts,
-// selectivity and application-time stamps — and the same number of
-// service-time samples — at every frame size as at frame 1. This pins the
-// per-element accounting of Monitored.ProcessBatch (a decorator that
-// counted frames would undercount by the frame size).
+// secondary-metadata framework: a plan whose operators are monitored must
+// tally identical input/output counts, selectivity and application-time
+// stamps — and the same number of service-time samples — at every frame
+// size as at frame 1. This pins the per-element accounting of the
+// instrumentation block (one that counted frames would undercount by the
+// frame size).
 func TestMetricsFrameSizeInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5317))
 	mod3 := func(v any) any { return v.(int) % 3 }
 	combine := func(l, r any) any { return ops.Pair{Left: l, Right: r} }
 
 	// Build closures reset and refill mons, so after each run the slice
-	// holds exactly that run's decorators in wiring order.
+	// holds exactly that run's monitors in wiring order.
 	var mons []*metadata.Monitored
-	wrap := func(p pubsub.Pipe) *metadata.Monitored {
-		m := metadata.NewMonitored(p)
-		mons = append(mons, m)
-		return m
+	wrap := func(p pubsub.Pipe) pubsub.Pipe {
+		mons = append(mons, metadata.Monitor(p))
+		return p
 	}
 
 	plans := []harness.Plan{

@@ -20,18 +20,19 @@ func (r *ctlRecorder) Process(e temporal.Element, _ int)     { r.order = append(
 func (r *ctlRecorder) Done(_ int)                            { r.done = true }
 func (r *ctlRecorder) HandleControl(c pubsub.Control, _ int) { r.order = append(r.order, c) }
 
-// TestMonitoredForwardsControlsInStreamOrder checks that decoration is
-// transparent to the control plane: a barrier entering a Monitored pipe
-// passes through the inner operator and exits the decorator in stream
-// position, with the decorator's counts unaffected.
+// TestMonitoredForwardsControlsInStreamOrder checks that monitoring is
+// transparent to the control plane: a barrier entering a monitored pipe
+// passes through the operator in stream position, with the monitor's
+// counts unaffected.
 func TestMonitoredForwardsControlsInStreamOrder(t *testing.T) {
 	src := pubsub.NewSourceBase("src")
-	m := NewMonitored(ops.NewFilter("f", func(any) bool { return true }))
+	f := ops.NewFilter("f", func(any) bool { return true })
+	m := Monitor(f)
 	rec := &ctlRecorder{name: "rec"}
-	if err := src.Subscribe(m, 0); err != nil {
+	if err := src.Subscribe(f, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Subscribe(rec, 0); err != nil {
+	if err := f.Subscribe(rec, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,23 +58,24 @@ func TestMonitoredForwardsControlsInStreamOrder(t *testing.T) {
 	}
 }
 
-// TestMonitoredDelegatesBarrierAlignment wraps a two-input operator and
-// checks the gate still aligns: after the barrier arrives on input 0,
+// TestMonitoredBarrierAlignmentReplayCounted monitors a two-input operator
+// and checks the gate still aligns: after the barrier arrives on input 0,
 // further input-0 elements are held until input 1 delivers its barrier,
-// and the replayed elements pass through the decorator (counted).
-func TestMonitoredDelegatesBarrierAlignment(t *testing.T) {
+// and the replayed elements are counted when they are replayed.
+func TestMonitoredBarrierAlignmentReplayCounted(t *testing.T) {
 	left := pubsub.NewSourceBase("left")
 	right := pubsub.NewSourceBase("right")
 	ident := func(v any) any { return v }
-	m := NewMonitored(ops.NewEquiJoin("j", ident, ident, nil))
+	j := ops.NewEquiJoin("j", ident, ident, nil)
+	m := Monitor(j)
 	rec := &ctlRecorder{name: "rec"}
-	if err := left.Subscribe(m, 0); err != nil {
+	if err := left.Subscribe(j, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := right.Subscribe(m, 1); err != nil {
+	if err := right.Subscribe(j, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Subscribe(rec, 0); err != nil {
+	if err := j.Subscribe(rec, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,6 +85,9 @@ func TestMonitoredDelegatesBarrierAlignment(t *testing.T) {
 	left.Transfer(temporal.NewElement(1, 1, 11)) // must be held by the gate
 	if len(rec.order) != 0 {
 		t.Fatalf("output crossed an un-aligned barrier: %v", rec.order)
+	}
+	if got, _ := m.Get(InputCount); got != 1 {
+		t.Fatalf("held element counted before its replay: %v", got)
 	}
 	right.Transfer(temporal.NewElement(1, 1, 11)) // joins with the first left element
 	right.TransferControl(b)                      // aligns: barrier emitted, held element replayed

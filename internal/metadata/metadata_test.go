@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"pipes/internal/pubsub"
+	"pipes/internal/telemetry"
+	"pipes/internal/telemetry/flight"
 	"pipes/internal/temporal"
 )
 
@@ -29,7 +31,27 @@ func (p *passPipe) Process(e temporal.Element, _ int) {
 
 func (p *passPipe) MemoryUsage() int { return p.mem }
 
-func pump(m *Monitored, n int) *pubsub.Collector {
+// fed is a monitored pipe together with the source feeding it: a pipe's
+// input side is recorded where its upstream publishes, so the tests push
+// frames through src rather than calling the pipe.
+type fed struct {
+	*Monitored
+	src pubsub.SourceBase
+}
+
+func monitorFed(p pubsub.Pipe, opts ...Option) *fed {
+	f := &fed{Monitored: Monitor(p, opts...), src: pubsub.NewSourceBase("src")}
+	if err := f.src.Subscribe(p, 0); err != nil {
+		panic(err)
+	}
+	return f
+}
+
+func (f *fed) ProcessBatch(b temporal.Batch, _ int)     { f.src.TransferBatch(b) }
+func (f *fed) Done(int)                                 { f.src.SignalDone() }
+func (f *fed) Subscribe(s pubsub.Sink, input int) error { return f.Inner().Subscribe(s, input) }
+
+func pump(m *fed, n int) *pubsub.Collector {
 	col := pubsub.NewCollector("col", 1)
 	m.Subscribe(col, 0)
 	for i := 0; i < n; i++ {
@@ -41,7 +63,7 @@ func pump(m *Monitored, n int) *pubsub.Collector {
 }
 
 func TestCountsAndSelectivity(t *testing.T) {
-	m := NewMonitored(newPassPipe())
+	m := monitorFed(newPassPipe())
 	col := pump(m, 10)
 	if col.Len() != 5 {
 		t.Fatalf("downstream received %d, want 5", col.Len())
@@ -58,7 +80,7 @@ func TestCountsAndSelectivity(t *testing.T) {
 }
 
 func TestSubscribersMetric(t *testing.T) {
-	m := NewMonitored(newPassPipe())
+	m := monitorFed(newPassPipe())
 	m.Subscribe(pubsub.NewCollector("a", 1), 0)
 	m.Subscribe(pubsub.NewCollector("b", 1), 0)
 	if v, ok := m.Get(Subscribers); !ok || v != 2 {
@@ -68,7 +90,7 @@ func TestSubscribersMetric(t *testing.T) {
 
 func TestRatesWithFakeClock(t *testing.T) {
 	clock := NewFakeClock(time.Unix(0, 0))
-	m := NewMonitored(newPassPipe(), WithClock(clock))
+	m := monitorFed(newPassPipe(), WithClock(clock))
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
 	// One input every 10ms => instantaneous rate 100/s.
 	for i := 0; i < 50; i++ {
@@ -99,7 +121,7 @@ func TestRatesWithFakeClock(t *testing.T) {
 func TestMemoryUsageMetric(t *testing.T) {
 	p := newPassPipe()
 	p.mem = 4096
-	m := NewMonitored(p)
+	m := monitorFed(p)
 	if v, ok := m.Get(MemoryUsage); !ok || v != 4096 {
 		t.Errorf("MemoryUsage = (%v,%v), want (4096,true)", v, ok)
 	}
@@ -107,7 +129,7 @@ func TestMemoryUsageMetric(t *testing.T) {
 
 func TestQueueLenMetric(t *testing.T) {
 	buf := pubsub.NewBuffer("buf")
-	m := NewMonitored(buf)
+	m := monitorFed(buf)
 	m.ProcessBatch(temporal.Batch{temporal.At(1, 1)}, 0)
 	m.ProcessBatch(temporal.Batch{temporal.At(2, 2)}, 0)
 	if v, ok := m.Get(QueueLen); !ok || v != 2 {
@@ -116,7 +138,7 @@ func TestQueueLenMetric(t *testing.T) {
 }
 
 func TestSetKindsAtRuntime(t *testing.T) {
-	m := NewMonitored(newPassPipe(), WithKinds(InputCount))
+	m := monitorFed(newPassPipe(), WithKinds(InputCount))
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
 	m.ProcessBatch(temporal.Batch{temporal.At(0, 0)}, 0)
 	if _, ok := m.Get(OutputCount); ok {
@@ -133,7 +155,7 @@ func TestSetKindsAtRuntime(t *testing.T) {
 }
 
 func TestSnapshotContainsActiveDefinedMetrics(t *testing.T) {
-	m := NewMonitored(newPassPipe(), WithKinds(InputCount, OutputCount, MemoryUsage))
+	m := monitorFed(newPassPipe(), WithKinds(InputCount, OutputCount, MemoryUsage))
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
 	m.ProcessBatch(temporal.Batch{temporal.At(2, 0)}, 0)
 	snap := m.Snapshot()
@@ -146,7 +168,7 @@ func TestSnapshotContainsActiveDefinedMetrics(t *testing.T) {
 }
 
 func TestProcessingCostMeasured(t *testing.T) {
-	m := NewMonitored(newPassPipe(), WithKinds(ProcessingCost))
+	m := monitorFed(newPassPipe(), WithKinds(ProcessingCost))
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
 	for i := 0; i < 100; i++ {
 		m.ProcessBatch(temporal.Batch{temporal.At(i*2, temporal.Time(i))}, 0)
@@ -157,7 +179,7 @@ func TestProcessingCostMeasured(t *testing.T) {
 }
 
 func TestTimestampMetrics(t *testing.T) {
-	m := NewMonitored(newPassPipe())
+	m := monitorFed(newPassPipe())
 	m.Subscribe(pubsub.NewCollector("col", 1), 0)
 	m.ProcessBatch(temporal.Batch{temporal.At(2, 42)}, 0)
 	if v, _ := m.Get(LastInputStamp); v != 42 {
@@ -168,16 +190,16 @@ func TestTimestampMetrics(t *testing.T) {
 	}
 }
 
-func TestDecoratorTransparency(t *testing.T) {
-	// Same pipeline with and without decoration must produce identical
+func TestMonitoringTransparency(t *testing.T) {
+	// Same pipeline with and without monitoring must produce identical
 	// output, including done propagation.
-	run := func(decorate bool) []any {
+	run := func(monitored bool) []any {
 		src := pubsub.NewSliceSource("src", []temporal.Element{
 			temporal.At(0, 0), temporal.At(1, 1), temporal.At(2, 2), temporal.At(3, 3),
 		})
-		var node pubsub.Pipe = newPassPipe()
-		if decorate {
-			node = NewMonitored(node)
+		node := newPassPipe()
+		if monitored {
+			Monitor(node)
 		}
 		col := pubsub.NewCollector("col", 1)
 		src.Subscribe(node, 0)
@@ -186,13 +208,13 @@ func TestDecoratorTransparency(t *testing.T) {
 		col.Wait()
 		return col.Values()
 	}
-	plain, decorated := run(false), run(true)
-	if len(plain) != len(decorated) {
-		t.Fatalf("decoration changed output: %v vs %v", plain, decorated)
+	plain, monitored := run(false), run(true)
+	if len(plain) != len(monitored) {
+		t.Fatalf("monitoring changed output: %v vs %v", plain, monitored)
 	}
 	for i := range plain {
-		if plain[i] != decorated[i] {
-			t.Fatalf("decoration changed output at %d: %v vs %v", i, plain[i], decorated[i])
+		if plain[i] != monitored[i] {
+			t.Fatalf("monitoring changed output at %d: %v vs %v", i, plain[i], monitored[i])
 		}
 	}
 }
@@ -206,5 +228,33 @@ func TestAllKindsSortedAndComplete(t *testing.T) {
 		if ks[i-1] >= ks[i] {
 			t.Errorf("AllKinds not sorted: %v", ks)
 		}
+	}
+}
+
+// TestMonitoredTransferAllocatesNothing pins the frame path's allocation
+// contract: publishing an untraced frame into an operator whose block has
+// all 23 kinds (and tracing) on allocates nothing — counts are atomics,
+// everything else sits behind the stride in preallocated state.
+func TestMonitoredTransferAllocatesNothing(t *testing.T) {
+	src := pubsub.NewSourceBase("src")
+	src.SetFlightRef(flight.NewRef("src"))
+	p := newPassPipe()
+	m := Monitor(p, WithTracer(telemetry.NewTracer(128, 0)))
+	if len(m.Kinds()) != 23 {
+		t.Fatalf("%d kinds active, want all 23", len(m.Kinds()))
+	}
+	pubsub.Connect(&src, p).Subscribe(pubsub.NewCounter("c", 1), 0)
+	frame := make(temporal.Batch, 64)
+	for i := range frame {
+		frame[i] = temporal.At(i, temporal.Time(i))
+	}
+	if allocs := testing.AllocsPerRun(200, func() { src.TransferBatch(frame) }); allocs != 0 {
+		t.Fatalf("TransferBatch into a fully monitored operator allocates %v per frame, want 0", allocs)
+	}
+	if in, _ := m.Get(InputCount); in != 201*64 {
+		t.Fatalf("InputCount = %v, want %d", in, 201*64)
+	}
+	if m.ServiceTimeHistogram().Count() == 0 {
+		t.Fatal("the strided side never ran: the test measured a detached block")
 	}
 }

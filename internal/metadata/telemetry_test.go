@@ -11,8 +11,8 @@ import (
 
 // TestTraceSpanPropagationThroughChain follows one traced element through
 // a 3-operator monitored chain: a filter (forwards the element unchanged,
-// so the trace rides along), a map (constructs a fresh element, so the
-// decorator must re-attach the trace) and a second filter. Every hop must
+// so the trace rides along), a map (constructs a fresh element, so its
+// block must re-attach the trace) and a second filter. Every hop must
 // append in/out spans in graph order and the element arriving at the sink
 // must still carry the context.
 func TestTraceSpanPropagationThroughChain(t *testing.T) {
@@ -21,17 +21,11 @@ func TestTraceSpanPropagationThroughChain(t *testing.T) {
 	mp := ops.NewMap("m", func(v any) any { return v.(int) * 10 })
 	f2 := ops.NewFilter("f2", func(any) bool { return true })
 
-	d1 := NewMonitored(f1, WithTracer(tracer))
-	d2 := NewMonitored(mp, WithTracer(tracer))
-	d3 := NewMonitored(f2, WithTracer(tracer))
-	if err := d1.Subscribe(d2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Subscribe(d3, 0); err != nil {
-		t.Fatal(err)
-	}
+	d1 := monitorFed(f1, WithTracer(tracer))
+	d2 := Monitor(mp, WithTracer(tracer))
+	d3 := Monitor(f2, WithTracer(tracer))
 	col := pubsub.NewCollector("out", 1)
-	if err := d3.Subscribe(col, 0); err != nil {
+	if err := pubsub.Connect(f1, mp, f2).Subscribe(col, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,9 +67,9 @@ func TestTraceSpanPropagationThroughChain(t *testing.T) {
 
 	// The traced hand-offs feed the queue-time histograms and every
 	// processed element feeds the service-time histograms.
-	for _, d := range []*Monitored{d1, d2, d3} {
+	for _, d := range []*Monitored{d1.Monitored, d2, d3} {
 		if d.ServiceTimeHistogram().Count() == 0 {
-			t.Fatalf("%s recorded no service time", d.Name())
+			t.Fatalf("%s recorded no service time", d.Inner().Name())
 		}
 	}
 	if d2.QueueTimeHistogram().Count() == 0 {
@@ -94,7 +88,7 @@ func TestTraceSpanPropagationThroughChain(t *testing.T) {
 func TestUntracedElementsUnaffected(t *testing.T) {
 	tracer := telemetry.NewTracer(1_000_000, 0) // effectively never samples
 	f := ops.NewFilter("f", func(any) bool { return true })
-	d := NewMonitored(f, WithTracer(tracer))
+	d := monitorFed(f, WithTracer(tracer))
 	col := pubsub.NewCollector("out", 1)
 	if err := d.Subscribe(col, 0); err != nil {
 		t.Fatal(err)
@@ -152,7 +146,7 @@ func TestCountersAddResetSortedSnapshot(t *testing.T) {
 }
 
 // freshPipe rebuilds every element from scratch, dropping the trace slot,
-// so only the decorator's re-attachment can carry a trace across it.
+// so only the block's re-attachment can carry a trace across it.
 type freshPipe struct{ pubsub.PipeBase }
 
 func (p *freshPipe) ProcessBatch(b temporal.Batch, _ int) {
@@ -171,13 +165,11 @@ func (p *freshPipe) ProcessBatch(b temporal.Batch, _ int) {
 // around them stay untraced and every count stays per-element exact.
 func TestTracedElementsInsideAFrame(t *testing.T) {
 	tracer := telemetry.NewTracer(1, 0)
-	d1 := NewMonitored(ops.NewFilter("f", func(any) bool { return true }), WithTracer(tracer))
-	d2 := NewMonitored(&freshPipe{PipeBase: pubsub.NewPipeBase("fresh", 1)}, WithTracer(tracer))
-	if err := d1.Subscribe(d2, 0); err != nil {
-		t.Fatal(err)
-	}
+	f, fresh := ops.NewFilter("f", func(any) bool { return true }), &freshPipe{PipeBase: pubsub.NewPipeBase("fresh", 1)}
+	d1 := monitorFed(f, WithTracer(tracer))
+	d2 := Monitor(fresh, WithTracer(tracer))
 	col := pubsub.NewCollector("out", 1)
-	if err := d2.Subscribe(col, 0); err != nil {
+	if err := pubsub.Connect(f, fresh).Subscribe(col, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,12 +210,12 @@ func TestTracedElementsInsideAFrame(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range []*Monitored{d1, d2} {
+	for _, d := range []*Monitored{d1.Monitored, d2} {
 		if in, _ := d.Get(InputCount); in != 8 {
-			t.Fatalf("%s counted %v inputs, want 8", d.Name(), in)
+			t.Fatalf("%s counted %v inputs, want 8", d.Inner().Name(), in)
 		}
 		if out, _ := d.Get(OutputCount); out != 8 {
-			t.Fatalf("%s counted %v outputs, want 8", d.Name(), out)
+			t.Fatalf("%s counted %v outputs, want 8", d.Inner().Name(), out)
 		}
 	}
 }

@@ -6,17 +6,19 @@ import (
 	"pipes/internal/xds"
 )
 
-// Difference computes the temporal multiset difference S₀ ∖ S₁: at every
-// instant t the output snapshot contains each value max(0, m₀−m₁) times,
-// where mᵢ is its multiplicity in input i's snapshot. Values are compared
-// via the key function (identity by default; values must be comparable).
+// setOp is the temporal multiset operator over two inputs that Difference
+// and Intersect share; they differ only in mult, the output multiplicity
+// of a value given its multiplicities m₀, m₁ in the two input snapshots.
+// Values are compared via the key function (identity by default; values
+// must be comparable).
 //
 // Both inputs are internally merged into global Start order; per key the
 // operator tracks the two active multiplicities and emits one batch of
 // output copies per maximal span of constant multiplicity.
-type Difference struct {
+type setOp struct {
 	pubsub.PipeBase
 	key    KeyFunc
+	mult   func(m0, m1 int) int
 	inQ    [2]xds.Queue[temporal.Element]
 	inDone [2]bool
 	state  map[any]*diffState
@@ -24,6 +26,16 @@ type Difference struct {
 	lows   *xds.Heap[lowEntry]
 	out    *orderBuffer
 }
+
+// Difference computes the temporal multiset difference S₀ ∖ S₁: at every
+// instant t the output snapshot contains each value max(0, m₀−m₁) times,
+// where mᵢ is its multiplicity in input i's snapshot.
+type Difference struct{ setOp }
+
+// Intersect computes the temporal multiset intersection S₀ ∩ S₁: at every
+// instant the output contains each value min(m₀, m₁) times. It completes
+// the extended relational algebra alongside Union and Difference.
+type Intersect struct{ setOp }
 
 type diffState struct {
 	value  any // representative output value for the key
@@ -41,12 +53,28 @@ type diffExpiry struct {
 // NewDifference returns the difference operator (input 0 minus input 1).
 // A nil key compares whole values.
 func NewDifference(name string, key KeyFunc) *Difference {
+	d := &Difference{}
+	d.init(name, key, func(m0, m1 int) int { return m0 - m1 })
+	return d
+}
+
+// NewIntersect returns the intersection operator. A nil key compares
+// whole values (they must be comparable).
+func NewIntersect(name string, key KeyFunc) *Intersect {
+	in := &Intersect{}
+	in.init(name, key, func(m0, m1 int) int { return min(m0, m1) })
+	return in
+}
+
+// init sets d up in place: the done hooks capture its address.
+func (d *setOp) init(name string, key KeyFunc, mult func(m0, m1 int) int) {
 	if key == nil {
 		key = func(v any) any { return v }
 	}
-	d := &Difference{
+	*d = setOp{
 		PipeBase: pubsub.NewPipeBase(name, 2),
 		key:      key,
+		mult:     mult,
 		state:    map[any]*diffState{},
 		expiry:   xds.NewHeap[diffExpiry](func(a, b diffExpiry) bool { return a.end < b.end }),
 		lows:     xds.NewHeap[lowEntry](func(a, b lowEntry) bool { return a.lb < b.lb }),
@@ -64,11 +92,10 @@ func NewDifference(name string, key KeyFunc) *Difference {
 		d.advance(temporal.MaxTime)
 		d.out.flush(d.Emit)
 	}
-	return d
 }
 
 // ProcessBatch implements pubsub.BatchSink.
-func (d *Difference) ProcessBatch(b temporal.Batch, input int) {
+func (d *setOp) ProcessBatch(b temporal.Batch, input int) {
 	d.ProcMu.Lock()
 	defer d.ProcMu.Unlock()
 	for _, e := range b {
@@ -82,7 +109,7 @@ func (d *Difference) ProcessBatch(b temporal.Batch, input int) {
 // pump applies queued arrivals in global Start order; an arrival is
 // applicable once the other input's queue has a head (or is done) that
 // proves no earlier element can arrive.
-func (d *Difference) pump() {
+func (d *setOp) pump() {
 	for {
 		i := d.nextInput()
 		if i < 0 {
@@ -94,7 +121,7 @@ func (d *Difference) pump() {
 	d.out.release(d.bound(), d.Emit)
 }
 
-func (d *Difference) nextInput() int {
+func (d *setOp) nextInput() int {
 	h0, ok0 := d.inQ[0].Peek()
 	h1, ok1 := d.inQ[1].Peek()
 	switch {
@@ -111,7 +138,7 @@ func (d *Difference) nextInput() int {
 	return -1
 }
 
-func (d *Difference) apply(input int, e temporal.Element) {
+func (d *setOp) apply(input int, e temporal.Element) {
 	d.advance(e.Start)
 	k := d.key(e.Value)
 	st := d.state[k]
@@ -131,7 +158,7 @@ func (d *Difference) apply(input int, e temporal.Element) {
 }
 
 // advance processes expiry boundaries up to and including t.
-func (d *Difference) advance(t temporal.Time) {
+func (d *setOp) advance(t temporal.Time) {
 	for {
 		ev, ok := d.expiry.Peek()
 		if !ok || ev.end > t {
@@ -154,17 +181,17 @@ func (d *Difference) advance(t temporal.Time) {
 	}
 }
 
-// emitSpan buffers max(0, m₀−m₁) copies of the key's value over
+// emitSpan buffers mult(m₀, m₁) copies of the key's value over
 // [st.lb, to).
-func (d *Difference) emitSpan(st *diffState, to temporal.Time) {
-	m := st.counts[0] - st.counts[1]
+func (d *setOp) emitSpan(st *diffState, to temporal.Time) {
+	m := d.mult(st.counts[0], st.counts[1])
 	for i := 0; i < m; i++ {
 		d.out.add(temporal.Element{Value: st.value, Interval: temporal.NewInterval(st.lb, to), Trace: st.trace})
 	}
 }
 
 // bound is min(input watermarks, earliest open span start).
-func (d *Difference) bound() temporal.Time {
+func (d *setOp) bound() temporal.Time {
 	wm := d.out.watermark()
 	// Queued-but-unapplied arrivals also hold back emission.
 	for i := 0; i < 2; i++ {
@@ -190,7 +217,7 @@ func (d *Difference) bound() temporal.Time {
 }
 
 // MemoryUsage implements the metadata/memory reporter.
-func (d *Difference) MemoryUsage() int {
+func (d *setOp) MemoryUsage() int {
 	d.ProcMu.Lock()
 	defer d.ProcMu.Unlock()
 	return len(d.state)*72 + d.out.len()*64 + (d.inQ[0].Len()+d.inQ[1].Len())*64

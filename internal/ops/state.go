@@ -322,35 +322,21 @@ func loadDiffLike(st diffOpState, state map[any]*diffState, expiry *xds.Heap[dif
 	out.loadState(st.Out)
 }
 
-// SnapshotState implements the ft.StateSaver contract.
-func (d *Difference) SnapshotState() (func(enc *gob.Encoder) error, error) {
+// SnapshotState implements the ft.StateSaver contract for Difference and
+// Intersect.
+func (d *setOp) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	c := captureDiffLike(d.state, d.expiry, d.inQ, d.out)
 	return func(enc *gob.Encoder) error { return enc.Encode(c.wire()) }, nil
 }
 
-// LoadState implements the ft.StateLoader contract.
-func (d *Difference) LoadState(dec *gob.Decoder) error {
+// LoadState implements the ft.StateLoader contract for Difference and
+// Intersect.
+func (d *setOp) LoadState(dec *gob.Decoder) error {
 	var st diffOpState
 	if err := dec.Decode(&st); err != nil {
 		return err
 	}
 	loadDiffLike(st, d.state, d.expiry, d.lows, d.inQ, d.out)
-	return nil
-}
-
-// SnapshotState implements the ft.StateSaver contract.
-func (in *Intersect) SnapshotState() (func(enc *gob.Encoder) error, error) {
-	c := captureDiffLike(in.state, in.expiry, in.inQ, in.out)
-	return func(enc *gob.Encoder) error { return enc.Encode(c.wire()) }, nil
-}
-
-// LoadState implements the ft.StateLoader contract.
-func (in *Intersect) LoadState(dec *gob.Decoder) error {
-	var st diffOpState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	loadDiffLike(st, in.state, in.expiry, in.lows, in.inQ, in.out)
 	return nil
 }
 

@@ -69,8 +69,8 @@ type Instance struct {
 	// NewNodes and SharedNodes count physical operators created vs reused.
 	NewNodes    int
 	SharedNodes int
-	// Created lists the newly created pipes (possibly decorated; for
-	// memory-manager and scheduler registration).
+	// Created lists the newly created pipes (for memory-manager,
+	// checkpoint and monitoring registration).
 	Created []pubsub.Pipe
 
 	// sigs are the signatures of every node this instance references
@@ -97,7 +97,6 @@ type Optimizer struct {
 	mu       sync.Mutex
 	registry map[string]*regEntry
 	seq      int
-	decorate func(pubsub.Pipe) pubsub.Pipe
 }
 
 // regEntry is one registered physical subplan with its upstream wiring
@@ -111,16 +110,6 @@ type regEntry struct {
 // New returns an optimizer over the given catalog.
 func New(cat *Catalog) *Optimizer {
 	return &Optimizer{cat: cat, registry: map[string]*regEntry{}}
-}
-
-// SetDecorator installs a hook wrapping every newly built physical
-// operator before it is wired and registered — this is how the metadata
-// framework decorates whole query plans transparently (Fig. 3). Must be
-// set before queries are added.
-func (o *Optimizer) SetDecorator(fn func(pubsub.Pipe) pubsub.Pipe) {
-	o.mu.Lock()
-	o.decorate = fn
-	o.mu.Unlock()
 }
 
 // AddQuery plans, optimises and instantiates a parsed CQL query: the
@@ -261,8 +250,8 @@ type wiring struct {
 }
 
 // lookupOrBuild returns a registered node for sig or builds one with mk,
-// applies the decorator, wires the given upstream subscriptions into the
-// (possibly decorated) node, and registers it with a query refcount.
+// wires the given upstream subscriptions into it, and registers it with a
+// query refcount.
 func (o *Optimizer) lookupOrBuild(sig string, inst *Instance, mk func() (pubsub.Pipe, error), inputs ...wiring) (pubsub.Source, error) {
 	o.mu.Lock()
 	if e, ok := o.registry[sig]; ok {
@@ -272,15 +261,11 @@ func (o *Optimizer) lookupOrBuild(sig string, inst *Instance, mk func() (pubsub.
 		inst.sigs = append(inst.sigs, sig)
 		return e.node, nil
 	}
-	decorate := o.decorate
 	o.mu.Unlock()
 
 	p, err := mk()
 	if err != nil {
 		return nil, err
-	}
-	if decorate != nil {
-		p = decorate(p)
 	}
 	for _, w := range inputs {
 		if err := w.src.Subscribe(p, w.input); err != nil {

@@ -2,8 +2,6 @@ package pubsub
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"pipes/internal/telemetry"
 	"pipes/internal/temporal"
@@ -19,26 +17,9 @@ import (
 // still cuts cleanly between frames.
 type chunk struct {
 	b   temporal.Batch
-	off int   // elements of b already drained (a Drain quantum may split a chunk)
-	at  int64 // enqueue wall-stamp; 0 when queue-time telemetry is off, so the hot path pays no clock read
+	off int // elements of b already drained (a Drain quantum may split a chunk)
 	ctl Control
 }
-
-// Clock is the injectable time source for queue-time telemetry. It is
-// declared structurally (rather than importing metadata.Clock, which
-// would cycle: metadata imports pubsub) so metadata.SystemClock and
-// metadata.FakeClock satisfy it implicitly. Raw time.Now in operator
-// hot paths is forbidden (pipesvet:hotpathclock); the buffer reads the
-// wall clock only through this seam, and only when telemetry asked it
-// to.
-type Clock interface {
-	Now() time.Time
-}
-
-// systemClock is the default Clock: the real time.
-type systemClock struct{}
-
-func (systemClock) Now() time.Time { return time.Now() }
 
 // Buffer is an explicit inter-operator queue, modelled as a pipe. PIPES
 // connects operators directly and inserts buffers only at virtual-node
@@ -51,17 +32,6 @@ func (systemClock) Now() time.Time { return time.Now() }
 // time; ProcessBatch may be called concurrently with Drain.
 type Buffer struct {
 	SourceBase
-
-	// queueHist, when set, records per-element residence time (enqueue to
-	// dequeue) — the "queue time" half of the telemetry layer's latency
-	// split. Swapped atomically so it can be attached to a running buffer.
-	queueHist atomic.Pointer[telemetry.Histogram]
-
-	// clock stamps enqueue/dequeue times for queue-time telemetry.
-	// Defaults to the system clock; tests inject a fake via SetClock.
-	// Swapped atomically for the same reason as queueHist: it can be
-	// attached while the buffer is live.
-	clock atomic.Pointer[Clock]
 
 	mu           sync.Mutex
 	q            xds.Queue[*chunk]
@@ -81,49 +51,18 @@ func NewBuffer(name string) *Buffer {
 	return &Buffer{SourceBase: NewSourceBase(name), q: xds.NewQueue[*chunk]()}
 }
 
-// SetQueueTimeHistogram attaches (or with nil detaches) the histogram
-// recording element residence time in this buffer, in nanoseconds.
-func (b *Buffer) SetQueueTimeHistogram(h *telemetry.Histogram) { b.queueHist.Store(h) }
-
-// QueueTimeHistogram returns the attached residence-time histogram (nil
-// when telemetry is off).
-func (b *Buffer) QueueTimeHistogram() *telemetry.Histogram { return b.queueHist.Load() }
-
-// SetClock injects the time source used for residence-time stamps.
-// Passing nil restores the system clock.
-func (b *Buffer) SetClock(c Clock) {
-	if c == nil {
-		b.clock.Store(nil)
-		return
-	}
-	b.clock.Store(&c)
-}
-
-// now reads the injected clock, falling back to the system clock.
-func (b *Buffer) now() int64 {
-	if c := b.clock.Load(); c != nil {
-		return (*c).Now().UnixNano()
-	}
-	return systemClock{}.Now().UnixNano()
-}
-
 // ProcessBatch implements BatchSink by enqueueing a copy of the frame
 // (the published frame is only borrowed for this call). A small frame is
 // appended to the tail chunk, up to frameCap elements, rather than given
 // its own, which makes the buffer a re-framing point: elements enqueued
 // one by one leave in frames (a published frame larger than frameCap is
-// kept whole). Chunks coalesce only under the same enqueue stamp, so
-// residence times stay exact when queue-time telemetry is on.
+// kept whole).
 func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 	if len(batch) == 0 {
 		return
 	}
-	var at int64
-	if b.queueHist.Load() != nil {
-		at = b.now()
-	}
 	b.mu.Lock()
-	if t := b.tail; t != nil && t.at == at && len(t.b)+len(batch) <= frameCap {
+	if t := b.tail; t != nil && len(t.b)+len(batch) <= frameCap {
 		t.b = append(t.b, batch...)
 	} else {
 		var c *chunk
@@ -132,7 +71,7 @@ func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 		} else {
 			c = &chunk{b: make(temporal.Batch, 0, max(frameCap, len(batch)))}
 		}
-		c.b, c.at = append(c.b, batch...), at
+		c.b = append(c.b, batch...)
 		b.q.Enqueue(c) // unbounded queue: cannot fail
 		b.tail = c
 	}
@@ -210,9 +149,12 @@ func (b *Buffer) Drain(max int) int {
 			c.off += len(frame)
 		}
 		b.count -= len(frame)
-		at := c.at
 		b.mu.Unlock()
-		b.observeFrame(frame, at)
+		for _, e := range frame {
+			if tr := telemetry.FromElement(e); tr != nil {
+				tr.Hop(b.Name(), "queue", e.Start)
+			}
+		}
 		b.TransferBatch(frame)
 		n += len(frame)
 		b.mu.Lock()
@@ -233,22 +175,6 @@ func (b *Buffer) Drain(max int) int {
 		b.SignalDone()
 	}
 	return n
-}
-
-// observeFrame records queue-time telemetry for a dequeued frame: one
-// residence-time observation per element (histogram counts stay
-// element-denominated) and one "queue" hop per traced element.
-func (b *Buffer) observeFrame(frame temporal.Batch, at int64) {
-	if at != 0 {
-		if h := b.queueHist.Load(); h != nil {
-			h.ObserveN(b.now()-at, uint64(len(frame)))
-		}
-	}
-	for _, e := range frame {
-		if tr := telemetry.FromElement(e); tr != nil {
-			tr.Hop(b.Name(), "queue", e.Start)
-		}
-	}
 }
 
 // Len returns the number of buffered work units: data elements plus

@@ -93,8 +93,8 @@ func (s *SourceBase) TransferControl(c Control) {
 // copy, since the published frame is only borrowed. A nil b is the input's
 // parked end-of-stream: done must not overtake the frames held before it.
 type heldFrame struct {
-	b     temporal.Batch
-	input int
+	b   temporal.Batch
+	sub Subscription
 }
 
 // Gate blocks individual inputs of a multi-input operator during barrier
@@ -104,29 +104,27 @@ type Gate struct {
 	blocked atomic.Uint64 // bitmask of currently blocked inputs
 
 	mu   sync.Mutex
-	sink BatchSink // the operator (set on first hold; replay target)
 	held []heldFrame
 }
 
-// park intercepts one published frame, or with a nil b the input's done
-// signal. It returns true when it was parked (the caller must not deliver
-// it) and false when the input is open and the caller should deliver
-// normally. A false result is stable for the caller: an input is only ever
-// blocked from its own (serialised) control stream, so it cannot flip to
-// blocked concurrently with a data transfer on the same edge.
-func (g *Gate) park(b temporal.Batch, input int, sink BatchSink) bool {
-	if g.blocked.Load()&(1<<uint(input)) == 0 {
+// park intercepts one frame published on sub, or with a nil b the input's
+// done signal. It returns true when it was parked (the caller must not
+// deliver it) and false when the input is open and the caller should
+// deliver normally. A false result is stable for the caller: an input is
+// only ever blocked from its own (serialised) control stream, so it cannot
+// flip to blocked concurrently with a data transfer on the same edge.
+func (g *Gate) park(b temporal.Batch, sub Subscription) bool {
+	if g.blocked.Load()&(1<<uint(sub.Input)) == 0 {
 		return false
 	}
 	g.mu.Lock()
 	// Re-check under the lock: an unblock may have completed in between,
 	// and once it has, parking would reorder this frame behind none.
-	if g.blocked.Load()&(1<<uint(input)) == 0 {
+	if g.blocked.Load()&(1<<uint(sub.Input)) == 0 {
 		g.mu.Unlock()
 		return false
 	}
-	g.sink = sink
-	g.held = append(g.held, heldFrame{b: slices.Clone(b), input: input})
+	g.held = append(g.held, heldFrame{b: slices.Clone(b), sub: sub})
 	g.mu.Unlock()
 	return true
 }
@@ -140,7 +138,9 @@ func (g *Gate) block(input int) {
 }
 
 // release unblocks every input and replays the parked frames, in arrival
-// order, into the operator, returning how many elements were replayed.
+// order, into the operator — delivered like any published frame, so the
+// operator's input side counts them when they are processed, not when they
+// were held — returning how many elements were replayed.
 // Publishers racing with the replay keep parking (the mask stays set
 // until the backlog is empty), so per-edge order is preserved; the mask
 // is cleared under the lock only when no parked frame remains.
@@ -154,15 +154,14 @@ func (g *Gate) release() int {
 			return replayed
 		}
 		held := g.held
-		sink := g.sink
 		g.held = nil
 		g.mu.Unlock()
 		for _, h := range held {
 			if h.b == nil {
-				sink.Done(h.input)
+				h.sub.Sink.Done(h.sub.Input)
 				continue
 			}
-			sink.ProcessBatch(h.b, h.input)
+			h.sub.deliver(h.b)
 			replayed += len(h.b)
 		}
 	}

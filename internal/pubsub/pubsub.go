@@ -118,11 +118,36 @@ type Subscription struct {
 
 	// frames is the sink's frame-consuming identity (Frames), resolved at
 	// Subscribe time so TransferBatch pays no per-frame type assertion.
-	frames BatchSink
+	frames flight.FrameSink
 
 	// gate is the sink's barrier-alignment gate, cached likewise. Nil for
 	// sinks that never block (everything except multi-input operators).
 	gate *Gate
+
+	// block is where the sink keeps its instrumentation block, cached
+	// likewise. Nil for sinks that are not SourceBase nodes (terminal
+	// sinks): nothing records their input side.
+	block *atomic.Pointer[flight.OpRef]
+}
+
+// ref returns the sink's block, nil when detached (one pointer load).
+func (sub *Subscription) ref() *flight.OpRef {
+	if sub.block == nil {
+		return nil
+	}
+	return sub.block.Load()
+}
+
+// deliver hands a published frame to the subscribed sink — through the
+// sink's instrumentation block when it has one, which records the
+// operator's input side (OBSERVABILITY.md) without a node of its own in
+// the graph.
+func (sub *Subscription) deliver(b temporal.Batch) {
+	if ref := sub.ref(); ref != nil {
+		ref.Deliver(sub.frames, b, sub.Input)
+	} else {
+		sub.frames.ProcessBatch(b, sub.Input)
+	}
 }
 
 // ErrDone is returned by Subscribe when the source has already signalled
@@ -151,8 +176,8 @@ type SourceBase struct {
 	done atomic.Bool
 	hook atomic.Pointer[TransferHook] // optional telemetry tap on TransferBatch
 
-	// fref is the node's flight-recorder handle (nil = flight recording
-	// detached; the hot-path cost is then one atomic pointer load).
+	// fref is the node's instrumentation block (nil = detached; the
+	// hot-path cost is then one atomic pointer load per side).
 	fref atomic.Pointer[flight.OpRef]
 
 	// Publisher-owned scratch, guarded by the serialisation rule that one
@@ -176,7 +201,7 @@ func NewSourceBase(name string) SourceBase { return SourceBase{name: name} }
 // Name implements Node.
 func (s *SourceBase) Name() string { return s.name }
 
-// SetName replaces the display name (used by decorators).
+// SetName replaces the display name.
 func (s *SourceBase) SetName(name string) { s.name = name }
 
 // loadSubs returns the current immutable subscription snapshot.
@@ -209,6 +234,11 @@ func (s *SourceBase) Subscribe(sink Sink, input int) error {
 	sub := Subscription{Sink: sink, Input: input, frames: frames}
 	if g, ok := sink.(Gated); ok {
 		sub.gate = g.BarrierGate()
+	}
+	if n, ok := sink.(interface {
+		flightBlock() *atomic.Pointer[flight.OpRef]
+	}); ok {
+		sub.block = n.flightBlock()
 	}
 	next[len(cur)] = sub
 	s.subs.Store(&next)
@@ -255,7 +285,7 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 		return
 	}
 	if ref := s.fref.Load(); ref != nil {
-		ref.Frame(len(b))
+		b = ref.Out(b)
 	}
 	if h := s.hook.Load(); h != nil {
 		// Hooks annotate elements (trace attachment), so they must not
@@ -268,11 +298,19 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 		s.hookScratch = hb
 		b = hb
 	}
-	for _, sub := range s.loadSubs() {
-		if sub.gate != nil && sub.gate.park(b, sub.Input, sub.frames) {
+	subs := s.loadSubs()
+	for i := range subs {
+		sub := &subs[i]
+		if sub.gate != nil && sub.gate.park(b, *sub) {
 			continue // held during barrier alignment; replayed on release
 		}
-		sub.frames.ProcessBatch(b, sub.Input)
+		// deliver, spelled out: it is past the inlining budget, and the
+		// detached path should cost a pointer load, not a call.
+		if ref := sub.ref(); ref != nil {
+			ref.Deliver(sub.frames, b, sub.Input)
+		} else {
+			sub.frames.ProcessBatch(b, sub.Input)
+		}
 	}
 }
 
@@ -295,14 +333,17 @@ func (s *SourceBase) SetTransferHook(h TransferHook) {
 	s.hook.Store(&h)
 }
 
-// SetFlightRef attaches (or with nil detaches) the node's flight-recorder
-// handle. Attached, TransferBatch records frame occupancy and buffers
-// record depth waterlines through it, behind the recorder's 1-in-16
-// stride.
+// SetFlightRef attaches (or with nil detaches) the node's instrumentation
+// block. Attached, TransferBatch records the node's output side through it
+// and every upstream TransferBatch its input side; buffers record depth
+// waterlines. See flight.OpRef for what is exact and what is strided.
 func (s *SourceBase) SetFlightRef(ref *flight.OpRef) { s.fref.Store(ref) }
 
-// FlightRef returns the attached flight handle (nil when detached).
+// FlightRef returns the attached block (nil when detached).
 func (s *SourceBase) FlightRef() *flight.OpRef { return s.fref.Load() }
+
+// flightBlock is how Subscribe finds a sink's block slot.
+func (s *SourceBase) flightBlock() *atomic.Pointer[flight.OpRef] { return &s.fref }
 
 // SignalDone propagates end-of-stream to all subscribers exactly once.
 func (s *SourceBase) SignalDone() {
@@ -310,7 +351,7 @@ func (s *SourceBase) SignalDone() {
 		return
 	}
 	for _, sub := range s.loadSubs() {
-		if sub.gate != nil && sub.gate.park(nil, sub.Input, sub.frames) {
+		if sub.gate != nil && sub.gate.park(nil, sub) {
 			continue // held behind the input's parked frames; replayed on release
 		}
 		sub.Sink.Done(sub.Input)

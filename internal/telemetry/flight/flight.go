@@ -1,14 +1,22 @@
-// Package flight is the always-on flight recorder of the PIPES runtime: a
-// fixed-size, lock-free ring of *system* events — frame transfers with
-// occupancy, buffer enqueue/drain depth waterlines, checkpoint barrier
-// phases (alignment hold, state encode, store write), gate replays,
-// memory sheds and scheduler steals. Where the element tracer
-// (internal/telemetry.Tracer) follows sampled *data* through the graph,
-// the flight recorder watches the machinery move underneath it, with the
-// same ~zero-cost discipline as the metadata layer's 1-in-16 maintenance
-// stride: hot-path call sites pay one atomic pointer load when detached,
-// and an attached OpRef amortises its clock reads and ring writes behind
-// a per-op stride counter.
+// Package flight is the engine's one instrumentation substrate
+// (OBSERVABILITY.md states the contract). It has two halves:
+//
+//   - the block (OpRef, block.go): one per node, hung off its
+//     pubsub.SourceBase. It counts every frame the node publishes and every
+//     frame delivered to it, exactly, and samples everything that needs a
+//     clock — rates, service time, frame occupancy, buffer depth — one
+//     occurrence in strideEvery. The secondary-metadata kinds
+//     (internal/metadata) are views computed over it at read time.
+//   - the ring (this file): a fixed-size, lock-free record of *system*
+//     events — strided frame transfers with occupancy, buffer enqueue/drain
+//     depth waterlines, checkpoint barrier phases (alignment hold, state
+//     encode, store write), gate replays, memory sheds and scheduler
+//     steals. Where the element tracer (internal/telemetry.Tracer) follows
+//     sampled *data* through the graph, the ring watches the machinery move
+//     underneath it.
+//
+// A node without a block pays one atomic pointer load per frame on each
+// side.
 //
 // The ring is written with a seqlock-per-slot scheme over all-atomic
 // fields, so writers never block each other or the readers, and the race
@@ -113,19 +121,6 @@ type Event struct {
 	C      int64
 }
 
-// Clock is the injectable time source, declared structurally (like
-// pubsub.Clock) so metadata.SystemClock / metadata.FakeClock satisfy it
-// implicitly and no import cycle forms. All flight timestamps flow
-// through it — the golden tests pin it to a fake.
-type Clock interface {
-	Now() time.Time
-}
-
-// systemClock is the default Clock: the real time.
-type systemClock struct{}
-
-func (systemClock) Now() time.Time { return time.Now() }
-
 // slot is one ring entry. Every field is atomic so concurrent writers and
 // readers stay race-free without a lock: a writer invalidates seq, stores
 // the payload, then publishes seq; a reader re-checks seq around its
@@ -154,7 +149,7 @@ type Recorder struct {
 	mask   uint64
 	slots  []slot
 
-	clock atomic.Pointer[Clock]
+	clock atomic.Pointer[telemetry.Clock]
 
 	mu   sync.Mutex
 	refs map[string]*OpRef
@@ -194,7 +189,7 @@ func New(size int) *Recorder {
 }
 
 // SetClock injects the time source (nil restores the system clock).
-func (r *Recorder) SetClock(c Clock) {
+func (r *Recorder) SetClock(c telemetry.Clock) {
 	if c == nil {
 		r.clock.Store(nil)
 		return
@@ -205,11 +200,18 @@ func (r *Recorder) SetClock(c Clock) {
 // NowNS reads the recorder's clock. Instrumentation sites that need a
 // start stamp (barrier hold timing) use this so fake clocks govern every
 // flight timestamp.
-func (r *Recorder) NowNS() int64 {
-	if c := r.clock.Load(); c != nil {
-		return (*c).Now().UnixNano()
+func (r *Recorder) NowNS() int64 { return r.now().UnixNano() }
+
+// now reads the injected clock, the system clock without one. A nil
+// recorder (a block no recorder rings for, see NewRef) reads the system
+// clock.
+func (r *Recorder) now() time.Time {
+	if r != nil {
+		if c := r.clock.Load(); c != nil {
+			return (*c).Now()
+		}
 	}
-	return systemClock{}.Now().UnixNano()
+	return telemetry.SystemClock{}.Now()
 }
 
 // PhaseHistograms returns the checkpoint round phase histograms
@@ -219,28 +221,23 @@ func (r *Recorder) PhaseHistograms() (align, snapshot, encode, write *telemetry.
 	return r.alignHist, r.snapHist, r.encodeHist, r.writeHist
 }
 
-// Ref interns name and returns its operator handle. Idempotent; the
-// handle is valid for the recorder's lifetime. Call at wiring time, not
-// on the hot path.
+// Ref interns name and returns the block this recorder rings for under
+// it. Idempotent; the block is valid for the recorder's lifetime. Call at
+// wiring time, not on the hot path.
 func (r *Recorder) Ref(name string) *OpRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ref, ok := r.refs[name]; ok {
 		return ref
 	}
-	ref := &OpRef{
-		rec:   r,
-		idx:   uint32(len(r.byID)),
-		name:  name,
-		occ:   telemetry.NewHistogram(),
-		depth: telemetry.NewHistogram(),
-	}
+	ref := NewRef(name)
+	ref.rec, ref.idx = r, uint32(len(r.byID))
 	r.refs[name] = ref
 	r.byID = append(r.byID, ref)
 	return ref
 }
 
-// Refs snapshots the interned operator handles in intern order.
+// Refs snapshots the interned blocks in intern order.
 func (r *Recorder) Refs() []*OpRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -262,8 +259,8 @@ func (r *Recorder) opName(idx uint32) string {
 
 // Record appends one event to the ring, stamping it with the recorder's
 // clock, and feeds the checkpoint phase histograms for barrier-phase
-// kinds. Already-strided call sites (OpRef hot paths) and rare events
-// (barrier phases, sheds, steals) call it directly.
+// kinds. Blocks record behind their strides; rare events (sheds, steals)
+// are recorded directly.
 func (r *Recorder) Record(op *OpRef, k Kind, a, b, c int64) {
 	r.record(op, k, r.NowNS(), a, b, c)
 }
@@ -334,89 +331,4 @@ func sortEvents(evs []Event) {
 			evs[j-1], evs[j] = evs[j], evs[j-1]
 		}
 	}
-}
-
-// strideEvery is the hot-path sampling stride: high-frequency events
-// (frames, enqueues) hit the ring and the clock once per strideEvery
-// occurrences per op, mirroring metadata's maintenance stride.
-const strideEvery = 16
-
-// OpRef is one interned operator's recording handle: always-on aggregate
-// counters and histograms (the pipes_edge_* scrape families) plus the
-// strided ring taps. Attach it once at wiring time (atomic pointer on the
-// node); hot paths then record through it without locks, allocation or —
-// off-stride — clock reads.
-type OpRef struct {
-	rec  *Recorder
-	idx  uint32
-	name string
-
-	stride atomic.Uint64
-
-	frames atomic.Int64
-	elems  atomic.Int64
-	occ    *telemetry.Histogram // frame occupancy, in elements
-	depth  *telemetry.Histogram // buffer depth waterline, in work units
-}
-
-// Name returns the interned operator name.
-func (o *OpRef) Name() string { return o.name }
-
-// NowNS reads the owning recorder's clock (for hold-start stamps).
-func (o *OpRef) NowNS() int64 { return o.rec.NowNS() }
-
-// Frames returns the total frames published through this op.
-func (o *OpRef) Frames() int64 { return o.frames.Load() }
-
-// Elements returns the total elements published through this op.
-func (o *OpRef) Elements() int64 { return o.elems.Load() }
-
-// OccupancyHistogram returns the frame-occupancy histogram (elements per
-// frame).
-func (o *OpRef) OccupancyHistogram() *telemetry.Histogram { return o.occ }
-
-// DepthHistogram returns the buffer-depth waterline histogram (work units
-// observed at enqueue/drain).
-func (o *OpRef) DepthHistogram() *telemetry.Histogram { return o.depth }
-
-// Frame records one published frame of n elements: throughput counters
-// always (two atomic adds, amortised across the frame), the occupancy
-// histogram and a ring event 1-in-strideEvery frames — occupancy is a
-// sampled waterline like buffer depth, so counters stay the exact
-// surface.
-func (o *OpRef) Frame(n int) {
-	o.frames.Add(1)
-	o.elems.Add(int64(n))
-	if o.stride.Add(1)%strideEvery != 0 {
-		return
-	}
-	o.occ.Observe(int64(n))
-	o.rec.Record(o, KindFrame, int64(n), 0, 0)
-}
-
-// Enqueue records n work units entering a buffer whose depth is now d.
-// Called per frame, which for one-element frames is per element, so
-// everything — histogram, clock
-// and ring — hides behind the stride; the off-stride cost is one atomic
-// add.
-func (o *OpRef) Enqueue(n, d int) {
-	if o.stride.Add(1)%strideEvery != 0 {
-		return
-	}
-	o.depth.Observe(int64(d))
-	o.rec.Record(o, KindEnqueue, int64(n), int64(d), 0)
-}
-
-// Drained records one scheduler drain of n work units leaving a buffer
-// whose depth is now d. Drains are already batched (one call per
-// activation), so the event is unconditional.
-func (o *OpRef) Drained(n, d int) {
-	o.depth.Observe(int64(d))
-	o.rec.Record(o, KindDrain, int64(n), int64(d), 0)
-}
-
-// Phase records one rare, unconditional event (barrier phases, replays,
-// sheds, steals) attributed to this op.
-func (o *OpRef) Phase(k Kind, a, b, c int64) {
-	o.rec.Record(o, k, a, b, c)
 }

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"pipes/internal/telemetry/flight"
+	"pipes/internal/temporal"
 )
 
-// fakeClock is a manually advanced Clock (satisfies flight.Clock
-// structurally, like metadata.FakeClock does in production tests).
+// fakeClock is a manually advanced telemetry.Clock.
 type fakeClock struct{ ns int64 }
 
 func (c *fakeClock) Now() time.Time { return time.Unix(0, c.ns) }
@@ -74,8 +74,9 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 func TestFrameAggregatesAlwaysRingStrided(t *testing.T) {
 	rec := flight.New(256)
 	op := rec.Ref("src")
+	frame := make(temporal.Batch, 48)
 	for i := 0; i < 32; i++ {
-		op.Frame(48)
+		op.Out(frame)
 	}
 	if op.Frames() != 32 || op.Elements() != 32*48 {
 		t.Fatalf("frames=%d elements=%d, want 32 and %d", op.Frames(), op.Elements(), 32*48)
@@ -134,13 +135,14 @@ func TestPhaseHistogramsFedByBarrierKinds(t *testing.T) {
 func TestConcurrentRecordAndScan(t *testing.T) {
 	rec := flight.New(512)
 	var writers sync.WaitGroup
+	frame := make(temporal.Batch, 64)
 	for g := 0; g < 4; g++ {
 		op := rec.Ref("op" + string(rune('0'+g)))
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 5000; i++ {
-				op.Frame(64)
+				op.Out(frame)
 				op.Enqueue(1, i)
 				op.Drained(1, i/2)
 			}
@@ -167,4 +169,28 @@ func TestConcurrentRecordAndScan(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	<-scanned
+}
+
+// TestSampledSurfacesKeepTheirOwnStride is the boundary buffer in scheduler
+// lockstep: Enqueue and Out strictly alternate on one block. With one
+// shared stride counter Enqueue only ever saw odd counts and its depth
+// samples vanished; each sampled surface has its own, so both kinds land.
+func TestSampledSurfacesKeepTheirOwnStride(t *testing.T) {
+	rec := flight.New(256)
+	op := rec.Ref("q.in")
+	frame := make(temporal.Batch, 64)
+	for i := 0; i < 32; i++ {
+		op.Enqueue(64, i)
+		op.Out(frame)
+	}
+	kinds := map[flight.Kind]int{}
+	for _, ev := range rec.Events() {
+		kinds[ev.Kind]++
+	}
+	if kinds[flight.KindEnqueue] != 2 || kinds[flight.KindFrame] != 2 {
+		t.Fatalf("64 alternating calls recorded %d enqueue and %d frame events, want 2 and 2", kinds[flight.KindEnqueue], kinds[flight.KindFrame])
+	}
+	if n := op.DepthHistogram().Count(); n != 2 {
+		t.Fatalf("depth waterline sampled %d times, want 2", n)
+	}
 }

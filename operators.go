@@ -172,14 +172,15 @@ type Archive = archive.Archive
 // it to any source to persist that stream.
 var NewArchive = archive.New
 
-// Monitored decorates a pipe with secondary metadata.
+// Monitored is the secondary-metadata handle over one monitored pipe.
 type Monitored = metadata.Monitored
 
-// Metadata decoration.
+// Secondary metadata: Monitor turns it on for a pipe, in place, and
+// returns the handle.
 var (
-	NewMonitored = metadata.NewMonitored
-	WithKinds    = metadata.WithKinds
-	AllKinds     = metadata.AllKinds
+	Monitor   = metadata.Monitor
+	WithKinds = metadata.WithKinds
+	AllKinds  = metadata.AllKinds
 )
 
 // Kind identifies one secondary-metadata quantity.

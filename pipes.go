@@ -117,8 +117,8 @@ type Config struct {
 	// Shedding is the load-shedding strategy applied to stateful
 	// operators when over budget (default: drop soonest-expiring state).
 	Shedding memory.Strategy
-	// MonitorQueries decorates every newly created query operator with
-	// the secondary-metadata framework.
+	// MonitorQueries turns the secondary-metadata framework on for every
+	// newly created query operator (all kinds; see OBSERVABILITY.md).
 	MonitorQueries bool
 	// TelemetryAddr, when non-empty, serves the live telemetry endpoint
 	// (Prometheus /metrics, /topology.json, /traces.json, /debug/pprof)
@@ -166,8 +166,9 @@ type Config struct {
 	// and feeds /flight.json, /bottleneck.json and the pipes_edge_* /
 	// pipes_checkpoint_round_* scrape families.
 	FlightEvents int
-	// DisableFlight turns the flight recorder off entirely: no ring, no
-	// per-edge aggregates, empty /flight.json and /bottleneck.json.
+	// DisableFlight turns the flight recorder off: no ring, no
+	// pipes_edge_* export, empty /flight.json and /bottleneck.json.
+	// MonitorQueries keeps working on recorder-less blocks.
 	DisableFlight bool
 }
 
@@ -201,7 +202,6 @@ type DSMS struct {
 
 	mu        sync.Mutex
 	queries   []*Query
-	monitors  []*metadata.Monitored
 	started   bool
 	tserver   *telemetry.Server
 	telemetry bool
@@ -255,21 +255,6 @@ func NewDSMS(cfg Config) *DSMS {
 		d.Scheduler.SetFlightRecorder(d.Flight)
 		d.Memory.SetFlightRecorder(d.Flight)
 	}
-	if cfg.MonitorQueries {
-		// Decorate every operator the optimizer builds so metadata is
-		// collected inline on both the input and output side (Fig. 3).
-		d.Optimizer.SetDecorator(func(p pubsub.Pipe) pubsub.Pipe {
-			var opts []metadata.Option
-			if d.Tracer != nil {
-				opts = append(opts, metadata.WithTracer(d.Tracer))
-			}
-			m := metadata.NewMonitored(p, opts...)
-			d.mu.Lock()
-			d.monitors = append(d.monitors, m)
-			d.mu.Unlock()
-			return m
-		})
-	}
 	if err := d.initCheckpoints(); err != nil {
 		panic(err.Error())
 	}
@@ -303,8 +288,8 @@ func (d *DSMS) RegisterStream(name string, src pubsub.Source, rate float64) {
 // RegisterQuery parses, optimises and instantiates a CQL query against
 // the running graph, sharing operators with earlier queries where
 // signatures match. Stateful new operators are subscribed to the memory
-// manager; with MonitorQueries set they are wrapped in metadata
-// decorators (retrievable via Monitors).
+// manager; with MonitorQueries set every new operator is monitored
+// (retrievable via Monitors).
 func (d *DSMS) RegisterQuery(text string) (*Query, error) {
 	return d.RegisterQueryAdmitted(text, nil)
 }
@@ -328,22 +313,33 @@ func (d *DSMS) RegisterQueryAdmitted(text string, admit optimizer.Admission) (*Q
 	defer d.mu.Unlock()
 	d.queries = append(d.queries, q)
 	for _, p := range inst.Created {
-		// Subscribe stateful operators (joins etc.) to the memory
-		// manager; metadata decorators delegate capabilities to their
-		// inner node, so inspect through them.
-		inner := pubsub.Pipe(p)
-		if m, ok := p.(*metadata.Monitored); ok {
-			inner = m.Inner()
-		}
-		if _, isShedder := inner.(memory.Shedder); isShedder {
+		// Subscribe stateful operators (joins etc.) to the memory manager.
+		if _, isShedder := p.(memory.Shedder); isShedder {
 			if u, ok := p.(memory.User); ok {
 				q.memSubs = append(q.memSubs, d.Memory.Subscribe(u, d.cfg.Shedding, 1))
 			}
 		}
-		d.registerCheckpointed(p)
 	}
-	d.attachFlight()
+	d.instrument(inst.Created)
 	return q, nil
+}
+
+// instrument registers newly built query operators with the checkpoint
+// manager, hands every node of the live graph its flight block and, with
+// MonitorQueries, turns the metadata kinds on over the new operators'
+// blocks. It takes no DSMS lock.
+func (d *DSMS) instrument(created []pubsub.Pipe) {
+	d.attachFlight()
+	var opts []metadata.Option
+	if d.Tracer != nil {
+		opts = append(opts, metadata.WithTracer(d.Tracer))
+	}
+	for _, p := range created {
+		d.registerCheckpointed(p)
+		if d.cfg.MonitorQueries {
+			metadata.Monitor(p, opts...)
+		}
+	}
 }
 
 // DeregisterQuery removes a query from the engine: its plan drops its
@@ -380,10 +376,7 @@ func (d *DSMS) RegisterPlan(plan optimizer.Plan) (*Query, error) {
 	d.mu.Lock()
 	d.queries = append(d.queries, q)
 	d.mu.Unlock()
-	for _, p := range inst.Created {
-		d.registerCheckpointed(p)
-	}
-	d.attachFlight()
+	d.instrument(inst.Created)
 	return q, nil
 }
 
@@ -406,13 +399,16 @@ func (d *DSMS) Queries() []*Query {
 	return out
 }
 
-// Monitors returns the metadata decorators created for query operators
-// (only populated with Config.MonitorQueries).
+// Monitors returns a metadata handle for every monitored operator of the
+// live graph, in graph (BFS) order — the query operators, with
+// Config.MonitorQueries.
 func (d *DSMS) Monitors() []*metadata.Monitored {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*metadata.Monitored, len(d.monitors))
-	copy(out, d.monitors)
+	var out []*metadata.Monitored
+	for _, n := range d.Graph.Nodes() {
+		if m := metadata.Of(n); m != nil {
+			out = append(out, m)
+		}
+	}
 	return out
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"runtime"
 
-	"pipes/internal/metadata"
 	"pipes/internal/pubsub"
 	"pipes/internal/telemetry"
 	"pipes/internal/telemetry/flight"
@@ -160,16 +159,6 @@ func (d *DSMS) registerExports() {
 	}
 }
 
-// flightNodeName keys a graph node for the flight recorder. Metadata
-// decorators report under their inner operator's name so flight tracks,
-// pipes_metadata rows and pipesmon rows all line up.
-func flightNodeName(n pubsub.Node) string {
-	if m, ok := n.(*metadata.Monitored); ok {
-		return m.Inner().Name()
-	}
-	return n.Name()
-}
-
 // flightInstrumented is the capability contract pubsub.SourceBase
 // implements: an interned per-operator flight handle.
 type flightInstrumented interface {
@@ -178,7 +167,9 @@ type flightInstrumented interface {
 }
 
 // attachFlight hands every source node of the live graph its flight
-// handle. Idempotent (already-attached nodes are skipped) and called from
+// block — one per node, shared by the recorder and the metadata views, so
+// flight tracks, pipes_metadata rows and pipesmon rows line up by
+// construction. Idempotent (already-attached nodes are skipped) and called from
 // every registration path plus Start, so nodes added late still record.
 // It takes no DSMS lock — Graph and the recorder synchronise themselves —
 // and is therefore safe to call while d.mu is held.
@@ -191,7 +182,7 @@ func (d *DSMS) attachFlight() {
 		if !ok || fi.FlightRef() != nil {
 			continue
 		}
-		fi.SetFlightRef(d.Flight.Ref(flightNodeName(n)))
+		fi.SetFlightRef(d.Flight.Ref(n.Name()))
 	}
 }
 
@@ -211,8 +202,7 @@ func (d *DSMS) Bottleneck() flight.Report {
 	// (queue depth, frame occupancy) live on the nodes feeding it.
 	up := map[string][]string{}
 	for _, e := range d.Graph.Edges() {
-		to := flightNodeName(e.To)
-		up[to] = append(up[to], flightNodeName(e.From))
+		up[e.To.Name()] = append(up[e.To.Name()], e.From.Name())
 	}
 	in := flight.Input{
 		Events:   d.Flight.Events(),
@@ -232,7 +222,7 @@ func (d *DSMS) Bottleneck() flight.Report {
 		// Every operator reachable upstream of the query root belongs to
 		// the query's blame set.
 		seen := map[string]bool{}
-		frontier := []string{flightNodeName(q.Instance.Root)}
+		frontier := []string{q.Instance.Root.Name()}
 		for len(frontier) > 0 {
 			name := frontier[len(frontier)-1]
 			frontier = frontier[:len(frontier)-1]
