@@ -101,7 +101,8 @@ func (d *DSMS) registerCheckpointed(p pubsub.Pipe) {
 // empty). Recovery needs it before the graph exists: the per-source
 // replay offsets decide what to feed the rebuilt engine, so the order is
 // LatestCheckpoint → RegisterStream(replay sources) → RegisterQuery/
-// RegisterPlan → RecoverLatest → Start.
+// RegisterPlan → Recover(cp) → Start, which resolves the store's delta
+// chain once.
 func (d *DSMS) LatestCheckpoint() (*Checkpoint, error) {
 	if d.ckptStore == nil {
 		return nil, fmt.Errorf("pipes: checkpointing not configured")
@@ -109,26 +110,28 @@ func (d *DSMS) LatestCheckpoint() (*Checkpoint, error) {
 	return d.ckptStore.LatestComplete()
 }
 
-// RecoverLatest loads the latest complete checkpoint from the configured
-// store and restores its operator snapshots into the operators registered
+// Recover restores cp's operator snapshots into the operators registered
 // so far. Call it after rebuilding the graph (RegisterStream +
 // RegisterQuery/RegisterPlan, in the original order, so the optimizer
 // reproduces the original operator names) and before Start. The caller
 // then replays each source from cp.Offset(name) — internal/archive's
-// ReplayFrom is the standard replay source. Returns ErrNoCheckpoint when
-// the store is empty (recover from scratch: replay everything).
-func (d *DSMS) RecoverLatest() (*Checkpoint, error) {
+// ReplayFrom is the standard replay source. A nil cp is ErrNoCheckpoint
+// (recover from scratch: replay everything).
+func (d *DSMS) Recover(cp *Checkpoint) error {
 	if d.Checkpoints == nil {
-		return nil, fmt.Errorf("pipes: checkpointing not configured")
+		return fmt.Errorf("pipes: checkpointing not configured")
 	}
-	cp, err := d.ckptStore.LatestComplete()
+	return d.Checkpoints.Restore(cp)
+}
+
+// RecoverLatest is LatestCheckpoint followed by Recover, for callers that
+// do not need the checkpoint's offsets before they build the graph.
+func (d *DSMS) RecoverLatest() (*Checkpoint, error) {
+	cp, err := d.LatestCheckpoint()
 	if err != nil {
 		return nil, err
 	}
-	if cp == nil {
-		return nil, ErrNoCheckpoint
-	}
-	if err := d.Checkpoints.Restore(cp); err != nil {
+	if err := d.Recover(cp); err != nil {
 		return nil, err
 	}
 	return cp, nil

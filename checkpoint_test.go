@@ -27,12 +27,23 @@ func bidStream(n int) []Element {
 // latest checkpoint and replays the sources from the recorded offsets
 // out of an archive; the stitched output (pre-crash output cut at the
 // checkpoint + recovered output) must be snapshot-equivalent to an
-// uninterrupted run.
+// uninterrupted run. The group plan checkpoints live source tuples and
+// pending output rows, the self-join both sweep areas and pending pairs:
+// every value a plan edge carries (SEMANTICS.md §5) goes through a store.
 func TestCheckpointRecoveryThroughFacade(t *testing.T) {
+	for name, query := range map[string]string{
+		"group": `SELECT auction, AVG(price) FROM bids [RANGE 50] GROUP BY auction`,
+		"join": `SELECT hi.price AS hi, lo.price AS lo FROM bids [RANGE 50] AS hi, bids [RANGE 20] AS lo
+			WHERE hi.auction = lo.auction AND hi.price > lo.price`,
+	} {
+		t.Run(name, func(t *testing.T) { recoverThroughFacade(t, query) })
+	}
+}
+
+func recoverThroughFacade(t *testing.T, query string) {
 	const total = 120
 	const fed = 60
 	input := bidStream(total)
-	query := `SELECT auction, AVG(price) FROM bids [RANGE 50] GROUP BY auction`
 
 	// The durable ingest log: in a deployment the archive sits upstream of
 	// the crash domain and holds everything the producers ever sent.
@@ -116,12 +127,8 @@ func TestCheckpointRecoveryThroughFacade(t *testing.T) {
 	if err := qb.Subscribe(colB); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.RecoverLatest()
-	if err != nil {
+	if err := b.Recover(cp); err != nil {
 		t.Fatal(err)
-	}
-	if got.ID != cp.ID {
-		t.Fatalf("restored checkpoint %d, expected %d", got.ID, cp.ID)
 	}
 	b.Start()
 	b.Wait()
@@ -187,4 +194,3 @@ func TestCheckpointMetricsExposed(t *testing.T) {
 		}
 	}
 }
-

@@ -88,57 +88,11 @@ func (b Binary) Eval(t Tuple) any {
 	case "OR":
 		return truthy(b.L.Eval(t)) || truthy(b.R.Eval(t))
 	}
-	l, r := b.L.Eval(t), b.R.Eval(t)
-	switch b.Op {
-	case "=":
-		return equal(l, r)
-	case "!=", "<>":
-		return !equal(l, r)
-	case "<", "<=", ">", ">=":
-		lf, lok := aggregate.ToFloat(l)
-		rf, rok := aggregate.ToFloat(r)
-		if !lok || !rok {
-			ls, lIsS := l.(string)
-			rs, rIsS := r.(string)
-			if lIsS && rIsS {
-				return compareStrings(b.Op, ls, rs)
-			}
-			return false
-		}
-		switch b.Op {
-		case "<":
-			return lf < rf
-		case "<=":
-			return lf <= rf
-		case ">":
-			return lf > rf
-		default:
-			return lf >= rf
-		}
-	case "+", "-", "*", "/", "%":
-		lf, lok := aggregate.ToFloat(l)
-		rf, rok := aggregate.ToFloat(r)
-		if !lok || !rok {
-			return nil
-		}
-		switch b.Op {
-		case "+":
-			return lf + rf
-		case "-":
-			return lf - rf
-		case "*":
-			return lf * rf
-		case "/":
-			if rf == 0 {
-				return nil
-			}
-			return lf / rf
-		default:
-			if rf == 0 {
-				return nil
-			}
-			return float64(int64(lf) % int64(rf))
-		}
+	switch op := parseOp(b.Op); {
+	case op.compares():
+		return compare(op, b.L.Eval(t), b.R.Eval(t))
+	case op.computes():
+		return arith(op, b.L.Eval(t), b.R.Eval(t))
 	}
 	return nil
 }
@@ -159,13 +113,7 @@ func (n Not) String() string { return "(NOT " + n.E.String() + ")" }
 type Neg struct{ E Expr }
 
 // Eval implements Expr.
-func (n Neg) Eval(t Tuple) any {
-	f, ok := aggregate.ToFloat(n.E.Eval(t))
-	if !ok {
-		return nil
-	}
-	return -f
-}
+func (n Neg) Eval(t Tuple) any { return negate(n.E.Eval(t)) }
 
 func (n Neg) String() string { return "(-" + n.E.String() + ")" }
 
@@ -192,32 +140,149 @@ func (c Call) String() string {
 	return c.Fn + "(" + c.Arg.String() + ")"
 }
 
+// binOp is a parsed infix operator. Binary.Eval parses its Op on every
+// call, Compile once; both then meet in the kernels below, so the
+// interpreter and the compiled closures cannot drift apart.
+type binOp uint8
+
+const (
+	opUnknown binOp = iota
+	opAnd
+	opOr
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+)
+
+func parseOp(s string) binOp {
+	switch s {
+	case "AND":
+		return opAnd
+	case "OR":
+		return opOr
+	case "=":
+		return opEq
+	case "!=", "<>":
+		return opNe
+	case "<":
+		return opLt
+	case "<=":
+		return opLe
+	case ">":
+		return opGt
+	case ">=":
+		return opGe
+	case "+":
+		return opAdd
+	case "-":
+		return opSub
+	case "*":
+		return opMul
+	case "/":
+		return opDiv
+	case "%":
+		return opMod
+	}
+	return opUnknown
+}
+
+func (op binOp) compares() bool { return op >= opEq && op <= opGe }
+func (op binOp) computes() bool { return op >= opAdd && op <= opMod }
+
 func truthy(v any) bool {
 	b, ok := v.(bool)
 	return ok && b
 }
 
-func equal(l, r any) bool {
-	if lf, ok := aggregate.ToFloat(l); ok {
-		if rf, ok2 := aggregate.ToFloat(r); ok2 {
+// compare is the comparison kernel: numbers compare as float64 whatever
+// their Go type, strings order against strings, anything else is equal
+// only to itself and ordered against nothing.
+func compare(op binOp, l, r any) bool {
+	lf, lnum := aggregate.ToFloat(l)
+	rf, rnum := aggregate.ToFloat(r)
+	if lnum && rnum {
+		switch op {
+		case opEq:
 			return lf == rf
+		case opNe:
+			return lf != rf
+		case opLt:
+			return lf < rf
+		case opLe:
+			return lf <= rf
+		case opGt:
+			return lf > rf
+		default:
+			return lf >= rf
 		}
+	}
+	switch op {
+	case opEq:
+		return !lnum && !rnum && l == r
+	case opNe:
+		return lnum || rnum || l != r
+	}
+	ls, lstr := l.(string)
+	rs, rstr := r.(string)
+	if !lstr || !rstr {
 		return false
 	}
-	return l == r
+	switch op {
+	case opLt:
+		return ls < rs
+	case opLe:
+		return ls <= rs
+	case opGt:
+		return ls > rs
+	default:
+		return ls >= rs
+	}
 }
 
-func compareStrings(op, l, r string) bool {
-	switch op {
-	case "<":
-		return l < r
-	case "<=":
-		return l <= r
-	case ">":
-		return l > r
-	default:
-		return l >= r
+// arith is the arithmetic kernel: float64 results, nil for a non-numeric
+// operand or a zero divisor.
+func arith(op binOp, l, r any) any {
+	lf, lok := aggregate.ToFloat(l)
+	rf, rok := aggregate.ToFloat(r)
+	if !lok || !rok {
+		return nil
 	}
+	switch op {
+	case opAdd:
+		return lf + rf
+	case opSub:
+		return lf - rf
+	case opMul:
+		return lf * rf
+	}
+	if op == opDiv {
+		if rf == 0 {
+			return nil
+		}
+		return lf / rf
+	}
+	// Modulo is over the integer parts, so a divisor in (-1, 1) is zero too.
+	d := int64(rf)
+	if d == 0 {
+		return nil
+	}
+	return float64(int64(lf) % d)
+}
+
+func negate(v any) any {
+	f, ok := aggregate.ToFloat(v)
+	if !ok {
+		return nil
+	}
+	return -f
 }
 
 // CollectCalls returns every aggregate Call inside e, left to right.

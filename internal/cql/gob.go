@@ -6,7 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Gob's reflective path for map[string]any re-derives the map layout and
@@ -36,12 +36,20 @@ const (
 
 // GobEncode implements gob.GobEncoder.
 func (t Tuple) GobEncode() ([]byte, error) {
-	keys := make([]string, 0, len(t))
+	return t.AppendFrame(make([]byte, 0, 16+24*len(t)))
+}
+
+// AppendFrame appends the tuple's frame to buf. The frame is the one
+// canonical rendering of a tuple: a pure function of its contents, typed
+// (1 and 1.0 differ), and what DISTINCT compares as well as what a
+// checkpoint stores.
+func (t Tuple) AppendFrame(buf []byte) ([]byte, error) {
+	var few [8]string
+	keys := few[:0]
 	for k := range t {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	buf := make([]byte, 0, 16+24*len(t))
+	slices.Sort(keys)
 	buf = binary.AppendUvarint(buf, uint64(len(t)))
 	for _, k := range keys {
 		v := t[k]
@@ -69,8 +77,11 @@ func (t Tuple) GobEncode() ([]byte, error) {
 				buf = append(buf, 0)
 			}
 		default:
+			// Encode takes an address; a copy keeps v itself off the heap
+			// for the tagged types above.
+			boxed := v
 			var nested bytes.Buffer
-			if err := gob.NewEncoder(&nested).Encode(&v); err != nil {
+			if err := gob.NewEncoder(&nested).Encode(&boxed); err != nil {
 				return nil, fmt.Errorf("cql: tuple field %q: %w", k, err)
 			}
 			buf = append(buf, tupTagGob)

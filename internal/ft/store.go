@@ -55,7 +55,9 @@ type CheckpointStore interface {
 	// store is empty. Newer corrupt checkpoints are skipped in favour of
 	// older intact ones — the caller's fallback path; an error is
 	// returned only when sealed checkpoints exist but none can be
-	// reconstructed (a corrupt chain with nothing to fall back to).
+	// reconstructed (a corrupt chain with nothing to fall back to), or
+	// when the newest readable one was sealed under another StateVersion
+	// (ErrStateVersion: nothing older is tried, nothing is restored).
 	LatestComplete() (*Checkpoint, error)
 	// Drop removes superseded checkpoints with ID at or below id —
 	// retention management once a newer checkpoint is sealed. A
@@ -67,6 +69,29 @@ type CheckpointStore interface {
 // ErrNoCheckpoint is returned by recovery helpers when the store holds no
 // complete checkpoint.
 var ErrNoCheckpoint = errors.New("ft: no complete checkpoint")
+
+// StateVersion is stamped on every sealed checkpoint. State entries are
+// matched to operators by name alone and decoded by whatever operator now
+// bears that name, so a change to what operators hold, or to how the
+// optimizer numbers them, must bump it: stores then refuse a checkpoint
+// sealed under another version instead of loading it into the wrong
+// operator. History (FAULT_TOLERANCE.md §state version): 0 is every
+// checkpoint sealed before the field existed; 1 — CQL plans carry source
+// tuples, pairs and rows between operators and have no qualifier node.
+const StateVersion = 1
+
+// ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint,
+// or a link of its delta chain, carries another StateVersion.
+var ErrStateVersion = errors.New("ft: checkpoint state version mismatch")
+
+// checkVersion refuses a sealed checkpoint of another state version.
+func checkVersion(id uint64, sealedUnder int) error {
+	if sealedUnder != StateVersion {
+		return fmt.Errorf("%w: checkpoint %d was sealed under state version %d, this build reads version %d; its state cannot be restored — recover from the sources or with the build that wrote it",
+			ErrStateVersion, id, sealedUnder, StateVersion)
+	}
+	return nil
+}
 
 // maxChainDepth bounds base+delta chain resolution — a defence against a
 // corrupt store with a reference cycle, far above any real chain (the
@@ -101,6 +126,7 @@ type memEntry struct {
 
 type memCP struct {
 	id      uint64
+	version int // StateVersion at Seal
 	offsets map[string]int
 	entries map[string]memEntry
 }
@@ -146,6 +172,7 @@ func (w *memWriter) Seal() error {
 		return errors.New("ft: checkpoint already sealed")
 	}
 	w.done = true
+	w.cp.version = StateVersion
 	w.store.mu.Lock()
 	w.store.sealed[w.cp.id] = w.cp
 	w.store.mu.Unlock()
@@ -167,6 +194,9 @@ func (s *MemStore) LatestComplete() (*Checkpoint, error) {
 		if err == nil {
 			return cp, nil
 		}
+		if errors.Is(err, ErrStateVersion) {
+			return nil, err // another build's store: no older fallback
+		}
 		if firstErr == nil {
 			firstErr = err
 		}
@@ -183,6 +213,9 @@ func (s *MemStore) resolve(id uint64) (*Checkpoint, error) {
 	mc := s.sealed[id]
 	if mc == nil {
 		return nil, fmt.Errorf("ft: checkpoint %d not sealed", id)
+	}
+	if err := checkVersion(id, mc.version); err != nil {
+		return nil, err
 	}
 	cp := &Checkpoint{ID: id, Offsets: map[string]int{}, States: map[string][]byte{}}
 	for src, off := range mc.offsets {
@@ -205,6 +238,9 @@ func (s *MemStore) resolveState(id uint64, op string, depth int) ([]byte, error)
 	mc := s.sealed[id]
 	if mc == nil {
 		return nil, fmt.Errorf("ft: chain for %q references missing checkpoint %d", op, id)
+	}
+	if err := checkVersion(id, mc.version); err != nil {
+		return nil, err
 	}
 	e, ok := mc.entries[op]
 	if !ok {
@@ -350,8 +386,10 @@ type manifestEntry struct {
 }
 
 type manifest struct {
-	ID      uint64          `json:"id"`
-	Entries []manifestEntry `json:"entries"`
+	ID uint64 `json:"id"`
+	// StateVersion is absent (0) in manifests sealed before it existed.
+	StateVersion int             `json:"state_version"`
+	Entries      []manifestEntry `json:"entries"`
 }
 
 type fileWriter struct {
@@ -418,7 +456,7 @@ func (w *fileWriter) Seal() error {
 		return errors.New("ft: checkpoint already sealed")
 	}
 	w.done = true
-	data, err := json.Marshal(manifest{ID: w.id, Entries: w.entries})
+	data, err := json.Marshal(manifest{ID: w.id, StateVersion: StateVersion, Entries: w.entries})
 	if err != nil {
 		return err
 	}
@@ -451,6 +489,9 @@ func (s *FileStore) LatestComplete() (*Checkpoint, error) {
 		cp, err := s.load(ids[i])
 		if err == nil {
 			return cp, nil
+		}
+		if errors.Is(err, ErrStateVersion) {
+			return nil, err // another build's store: no older fallback
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -499,6 +540,9 @@ func (s *FileStore) readManifest(id uint64, mans map[uint64]*manifest) (*manifes
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
+	if err := checkVersion(id, m.StateVersion); err != nil {
 		return nil, err
 	}
 	mans[id] = &m

@@ -2,8 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"pipes/internal/cql"
@@ -197,12 +195,11 @@ func (o *Optimizer) previewCounts(p Plan) (newNodes, sharedNodes int) {
 
 // planSignatures appends the registry signatures instantiate would look
 // up for p, bottom-up in instantiation order. The Scan case mirrors
-// buildScan: a qualifier-map signature always, the window signature only
-// for windowed scans.
+// buildScan: a windowless scan is the raw source itself and builds
+// nothing.
 func planSignatures(p Plan, sigs *[]string) {
 	switch v := p.(type) {
 	case *Scan:
-		*sigs = append(*sigs, fmt.Sprintf("qualify(%s as %s)", v.Stream, v.Qualifier))
 		if v.Window.Kind != cql.WindowNone {
 			*sigs = append(*sigs, v.Signature())
 		}
@@ -285,6 +282,10 @@ func (o *Optimizer) lookupOrBuild(sig string, inst *Instance, mk func() (pubsub.
 // from XML via planio) against the running graph, with the same sharing
 // semantics as AddQuery.
 func (o *Optimizer) AddPlan(p Plan) (*Instance, error) {
+	p, err := delivered(p)
+	if err != nil {
+		return nil, err
+	}
 	o.addMu.Lock()
 	defer o.addMu.Unlock()
 	o.mu.Lock()
@@ -352,72 +353,89 @@ func (o *Optimizer) RemoveQuery(inst *Instance) error {
 	return firstErr
 }
 
+// delivered closes p the way the edge contract asks (SEMANTICS.md §5): a
+// query root delivers projected tuples, so a hand-built plan whose root
+// does not end in a projection gets SELECT * there — below DISTINCT and
+// the relation-to-stream operator, where FromQuery puts it. A plan
+// FromQuery built comes back as it is.
+func delivered(p Plan) (Plan, error) {
+	switch v := p.(type) {
+	case *Rel:
+		in, err := delivered(v.Input)
+		if err != nil || in == v.Input {
+			return p, err
+		}
+		return &Rel{Input: in, Op: v.Op, Slide: v.Slide}, nil
+	case *Distinct:
+		in, err := delivered(v.Input)
+		if err != nil || in == v.Input {
+			return p, err
+		}
+		return &Distinct{Input: in}, nil
+	}
+	shape, err := ShapeOf(p)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := shape.(tupleShape); ok {
+		return p, nil
+	}
+	return &Project{Input: p, Items: []cql.SelectItem{{Star: true}}}, nil
+}
+
 // instantiate translates a logical plan bottom-up into physical operators,
-// sharing by signature.
+// sharing by signature. Every expression a node carries is compiled, when
+// the node is built, against the shape of the edge it reads (shape.go):
+// nothing an operator runs per element resolves a name, renames a field
+// or formats a key.
 func (o *Optimizer) instantiate(p Plan, inst *Instance) (pubsub.Source, error) {
 	switch v := p.(type) {
 	case *Scan:
 		return o.buildScan(v, inst)
 	case *Select:
-		in, err := o.instantiate(v.Input, inst)
+		in, shape, err := o.input(v.Input, inst)
 		if err != nil {
 			return nil, err
 		}
-		pred := v.Pred
 		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
-			return ops.NewFilter(o.nodeName("σ"), predFn(pred)), nil
+			return ops.NewFilter(o.nodeName("σ"), predFn(v.Pred, shape)), nil
 		}, wiring{in, 0})
 	case *Join:
-		left, err := o.instantiate(v.Left, inst)
+		left, lshape, err := o.input(v.Left, inst)
 		if err != nil {
 			return nil, err
 		}
-		right, err := o.instantiate(v.Right, inst)
+		right, rshape, err := o.input(v.Right, inst)
 		if err != nil {
 			return nil, err
 		}
 		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
-			return o.buildJoin(v), nil
+			return o.buildJoin(v, lshape, rshape), nil
 		}, wiring{left, 0}, wiring{right, 1})
 	case *Group:
-		in, err := o.instantiate(v.Input, inst)
+		in, shape, err := o.input(v.Input, inst)
 		if err != nil {
 			return nil, err
 		}
 		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
-			factory, _, err := newTupleAggFactory(v.Keys, v.Calls)
+			factory, err := newRowAggFactory(v.Keys, v.Calls, shape)
 			if err != nil {
 				return nil, err
 			}
-			var keyFn ops.KeyFunc
+			var key ops.KeyFunc
 			if len(v.Keys) > 0 {
-				keys := v.Keys
-				keyFn = func(val any) any { return keyFingerprint(val.(cql.Tuple), keys) }
+				key = keyFn(v.Keys, shape)
 			}
-			return ops.NewGroupBy(o.nodeName("γ"), keyFn, factory,
-				func(_, agg any) any { return agg }), nil
+			return ops.NewGroupBy(o.nodeName("γ"), key, factory,
+				func(_, row any) any { return row }), nil
 		}, wiring{in, 0})
 	case *Project:
-		in, err := o.instantiate(v.Input, inst)
+		in, shape, err := o.input(v.Input, inst)
 		if err != nil {
 			return nil, err
 		}
-		items := v.Items
 		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
-			return ops.NewMap(o.nodeName("π"), func(val any) any {
-				t := val.(cql.Tuple)
-				out := cql.Tuple{}
-				for _, it := range items {
-					if it.Star {
-						for k, fv := range t {
-							out[k] = fv
-						}
-						continue
-					}
-					out[it.OutName()] = it.Expr.Eval(t)
-				}
-				return out
-			}), nil
+			return ops.NewMap(o.nodeName("π"), projectFn(v.Items, shape)), nil
 		}, wiring{in, 0})
 	case *Distinct:
 		in, err := o.instantiate(v.Input, inst)
@@ -425,9 +443,7 @@ func (o *Optimizer) instantiate(p Plan, inst *Instance) (pubsub.Source, error) {
 			return nil, err
 		}
 		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
-			return ops.NewCoalesce(o.nodeName("δ"), func(val any) any {
-				return tupleFingerprint(val.(cql.Tuple))
-			}), nil
+			return ops.NewCoalesce(o.nodeName("δ"), frameKey), nil
 		}, wiring{in, 0})
 	case *Rel:
 		in, err := o.instantiate(v.Input, inst)
@@ -454,31 +470,27 @@ func (o *Optimizer) instantiate(p Plan, inst *Instance) (pubsub.Source, error) {
 	return nil, fmt.Errorf("optimizer: unknown plan node %T", p)
 }
 
-// buildScan wires raw source → qualifier map → window. The qualifier map
-// is registered separately so scans differing only in window still share
-// it.
+// input instantiates a node's input and derives the shape of the edge
+// between them.
+func (o *Optimizer) input(p Plan, inst *Instance) (pubsub.Source, Shape, error) {
+	shape, err := ShapeOf(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := o.instantiate(p, inst)
+	return src, shape, err
+}
+
+// buildScan wires raw source → window. Nothing stands between them: the
+// scan edge carries the source's own tuples, and a windowless scan is the
+// source itself.
 func (o *Optimizer) buildScan(s *Scan, inst *Instance) (pubsub.Source, error) {
 	raw, ok := o.cat.Lookup(s.Stream)
 	if !ok {
 		return nil, fmt.Errorf("optimizer: unknown stream %q", s.Stream)
 	}
-	qualSig := fmt.Sprintf("qualify(%s as %s)", s.Stream, s.Qualifier)
-	qual := s.Qualifier
-	qualified, err := o.lookupOrBuild(qualSig, inst, func() (pubsub.Pipe, error) {
-		return ops.NewMap(o.nodeName("qual"), func(val any) any {
-			t := val.(cql.Tuple)
-			out := make(cql.Tuple, len(t))
-			for k, fv := range t {
-				out[qual+"."+k] = fv
-			}
-			return out
-		}), nil
-	}, wiring{raw, 0})
-	if err != nil {
-		return nil, err
-	}
 	if s.Window.Kind == cql.WindowNone {
-		return qualified, nil
+		return raw, nil
 	}
 	win := s.Window
 	return o.lookupOrBuild(s.Signature(), inst, func() (pubsub.Pipe, error) {
@@ -495,81 +507,111 @@ func (o *Optimizer) buildScan(s *Scan, inst *Instance) (pubsub.Source, error) {
 		case cql.WindowUnbounded:
 			return ops.NewUnboundedWindow(o.nodeName("ω-unbounded")), nil
 		case cql.WindowPartitionRows:
-			field := win.PartitionBy
-			if !strings.Contains(field, ".") {
-				field = qual + "." + field
-			}
-			fieldName := field
-			return ops.NewPartitionedWindow(o.nodeName("ω-part"), func(val any) any {
-				v, _ := val.(cql.Tuple).Get(fieldName)
-				return v
-			}, int(win.N)), nil
+			by := []cql.Expr{cql.Field{Name: win.PartitionBy}}
+			return ops.NewPartitionedWindow(o.nodeName("ω-part"),
+				keyFn(by, scanShape{qual: s.Qualifier}), int(win.N)), nil
 		}
 		return nil, fmt.Errorf("optimizer: unknown window kind %d", win.Kind)
-	}, wiring{qualified, 0})
+	}, wiring{raw, 0})
 }
 
-// buildJoin creates the physical join for a logical join node.
-func (o *Optimizer) buildJoin(v *Join) *ops.Join {
-	combine := func(l, r any) any {
-		lt, rt := l.(cql.Tuple), r.(cql.Tuple)
-		out := make(cql.Tuple, len(lt)+len(rt))
-		for k, fv := range lt {
-			out[k] = fv
-		}
-		for k, fv := range rt {
-			out[k] = fv
-		}
-		return out
-	}
+// buildJoin creates the physical join for a logical join node. Its value
+// is the pair of its inputs' values (the join's default combiner), so a
+// match copies nothing.
+func (o *Optimizer) buildJoin(v *Join, l, r Shape) *ops.Join {
 	var pred ops.Predicate2
 	if v.Residual != nil {
-		res := v.Residual
-		pred = func(l, r any) bool {
-			t := combine(l, r).(cql.Tuple)
-			b, _ := res.Eval(t).(bool)
+		residual := cql.Compile(v.Residual, pairShape{l: l, r: r}.Resolve)
+		pred = func(lv, rv any) bool {
+			b, _ := residual(ops.Pair{Left: lv, Right: rv}).(bool)
 			return b
 		}
 	}
 	if len(v.EquiLeft) > 0 {
-		lKeys, rKeys := v.EquiLeft, v.EquiRight
-		leftKey := func(val any) any { return keyFingerprint(val.(cql.Tuple), lKeys) }
-		rightKey := func(val any) any { return keyFingerprint(val.(cql.Tuple), rKeys) }
+		leftKey, rightKey := keyFn(v.EquiLeft, l), keyFn(v.EquiRight, r)
 		la := sweeparea.NewHash(rightKey, leftKey)
 		ra := sweeparea.NewHash(leftKey, rightKey)
-		return ops.NewJoin(o.nodeName("⋈"), la, ra, pred, combine)
+		return ops.NewJoin(o.nodeName("⋈"), la, ra, pred, nil)
 	}
-	return ops.NewThetaJoin(o.nodeName("⋈θ"), pred, combine)
+	return ops.NewThetaJoin(o.nodeName("⋈θ"), pred, nil)
 }
 
-// predFn adapts a boolean expression to an ops predicate.
-func predFn(e cql.Expr) ops.Predicate {
+// compileAll compiles each expression against the edge it reads.
+func compileAll(exprs []cql.Expr, in Shape) []func(v any) any {
+	out := make([]func(any) any, len(exprs))
+	for i, e := range exprs {
+		out[i] = cql.Compile(e, in.Resolve)
+	}
+	return out
+}
+
+// predFn compiles a boolean expression into an ops predicate.
+func predFn(e cql.Expr, in Shape) ops.Predicate {
+	eval := cql.Compile(e, in.Resolve)
 	return func(v any) bool {
-		b, _ := e.Eval(v.(cql.Tuple)).(bool)
+		b, _ := eval(v).(bool)
 		return b
 	}
 }
 
-// keyFingerprint renders the evaluated key expressions of a tuple to a
-// comparable string.
-func keyFingerprint(t cql.Tuple, keys []cql.Expr) string {
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%#v", k.Eval(t))
+// keyFn compiles the key expressions of a group-by, an equi-join side or
+// a partitioned window. One column is its normalised value; several are
+// one string of their renderings (cql.Key, cql.AppendKey).
+func keyFn(keys []cql.Expr, in Shape) func(v any) any {
+	cols := compileAll(keys, in)
+	if len(cols) == 1 {
+		col := cols[0]
+		return func(v any) any { return cql.Key(col(v)) }
 	}
-	return strings.Join(parts, "\x1f")
+	return func(v any) any {
+		buf := make([]byte, 0, 64)
+		for i, col := range cols {
+			if i > 0 {
+				buf = append(buf, '\x1f')
+			}
+			buf = cql.AppendKey(buf, col(v))
+		}
+		return string(buf)
+	}
 }
 
-// tupleFingerprint renders a whole tuple deterministically (sorted keys).
-func tupleFingerprint(t cql.Tuple) string {
-	names := make([]string, 0, len(t))
-	for k := range t {
-		names = append(names, k)
+// projectFn compiles a select list: the one place a plan builds a
+// cql.Tuple.
+func projectFn(items []cql.SelectItem, in Shape) ops.Mapper {
+	type column struct {
+		name string
+		eval func(v any) any
+		star func(v any, out cql.Tuple)
 	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, k := range names {
-		parts[i] = k + "=" + fmt.Sprintf("%#v", t[k])
+	cols := make([]column, len(items))
+	for i, it := range items {
+		if it.Star {
+			cols[i].star = in.star()
+			continue
+		}
+		cols[i] = column{name: it.OutName(), eval: cql.Compile(it.Expr, in.Resolve)}
 	}
-	return strings.Join(parts, "\x1f")
+	return func(v any) any {
+		out := make(cql.Tuple, len(cols))
+		for _, c := range cols {
+			if c.star != nil {
+				c.star(v, out)
+				continue
+			}
+			out[c.name] = c.eval(v)
+		}
+		return out
+	}
+}
+
+// frameKey keys DISTINCT on the tuple's canonical frame.
+func frameKey(v any) any {
+	var few [128]byte
+	frame, err := v.(cql.Tuple).AppendFrame(few[:0])
+	if err != nil {
+		// The tuple holds a value no checkpoint could carry either; it
+		// is kept as its own duplicate class rather than dropped.
+		return new(byte)
+	}
+	return string(frame)
 }

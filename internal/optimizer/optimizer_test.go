@@ -29,9 +29,13 @@ func plan(t *testing.T, q string) Plan {
 
 func TestPlanPushesSingleStreamPredicates(t *testing.T) {
 	p := plan(t, "SELECT * FROM s [RANGE 10] WHERE x > 3")
-	sel, ok := p.(*Select)
+	proj, ok := p.(*Project)
+	if !ok || len(proj.Items) != 1 || !proj.Items[0].Star {
+		t.Fatalf("root = %T, want the star projection that closes every query", p)
+	}
+	sel, ok := proj.Input.(*Select)
 	if !ok {
-		t.Fatalf("root = %T, want *Select", p)
+		t.Fatalf("below the projection = %T, want *Select", proj.Input)
 	}
 	if _, ok := sel.Input.(*Scan); !ok {
 		t.Fatalf("selection not directly above scan: %T", sel.Input)
@@ -418,64 +422,242 @@ func TestPartitionedWindowQuery(t *testing.T) {
 	}
 }
 
-func TestInvertibleTupleAgg(t *testing.T) {
-	factory, invertible, err := newTupleAggFactory(nil, []cql.Call{
+func TestInvertibleRowAgg(t *testing.T) {
+	factory, err := newRowAggFactory(nil, []cql.Call{
 		{Fn: "COUNT", Star: true},
 		{Fn: "SUM", Arg: cql.Field{Name: "x"}},
-	})
+	}, scanShape{qual: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !invertible {
-		t.Fatal("COUNT+SUM should be invertible")
-	}
-	agg := factory().(interface {
+	agg, ok := factory().(interface {
 		Insert(any)
 		Remove(any)
 		Value() any
 	})
+	if !ok {
+		t.Fatal("COUNT+SUM should be invertible")
+	}
 	agg.Insert(cql.Tuple{"x": 5})
 	agg.Insert(cql.Tuple{"x": 3})
 	agg.Remove(cql.Tuple{"x": 5})
-	out := agg.Value().(cql.Tuple)
-	if out["COUNT(*)"] != int64(1) || out["SUM(x)"] != 3.0 {
-		t.Fatalf("agg tuple = %v", out)
+	row := agg.Value().([]any)
+	if len(row) != 2 || row[0] != int64(1) || row[1] != 3.0 {
+		t.Fatalf("agg row = %v", row)
 	}
 }
 
-func TestNonInvertibleTupleAgg(t *testing.T) {
-	factory, invertible, err := newTupleAggFactory(nil, []cql.Call{
+func TestNonInvertibleRowAgg(t *testing.T) {
+	factory, err := newRowAggFactory([]cql.Expr{cql.Field{Name: "s.k"}}, []cql.Call{
 		{Fn: "MIN", Arg: cql.Field{Name: "x"}},
-	})
+	}, scanShape{qual: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invertible {
+	agg := factory()
+	if _, ok := agg.(interface{ Remove(any) }); ok {
 		t.Fatal("MIN must not be invertible")
 	}
-	agg := factory()
-	agg.Insert(cql.Tuple{"x": 5})
-	agg.Insert(cql.Tuple{"x": 3})
-	out := agg.Value().(cql.Tuple)
-	if out["MIN(x)"] != 3.0 {
-		t.Fatalf("agg tuple = %v", out)
+	agg.Insert(cql.Tuple{"x": 5, "k": "a"})
+	agg.Insert(cql.Tuple{"x": 3, "k": "a"})
+	row := agg.Value().([]any)
+	if len(row) != 2 || row[0] != "a" || row[1] != 3.0 {
+		t.Fatalf("agg row = %v, want key then MIN", row)
 	}
 }
 
-func TestTupleAggUnknownFunction(t *testing.T) {
-	if _, _, err := newTupleAggFactory(nil, []cql.Call{{Fn: "FROB"}}); err == nil {
+func TestRowAggUnknownFunction(t *testing.T) {
+	if _, err := newRowAggFactory(nil, []cql.Call{{Fn: "FROB"}}, scanShape{}); err == nil {
 		t.Fatal("unknown aggregate accepted")
 	}
 }
 
-func TestTupleFingerprintDeterministic(t *testing.T) {
+func TestDistinctKeyIsTheTupleFrame(t *testing.T) {
 	a := cql.Tuple{"x": 1, "y": "b"}
 	b := cql.Tuple{"y": "b", "x": 1}
-	if tupleFingerprint(a) != tupleFingerprint(b) {
-		t.Fatal("fingerprint depends on map order")
+	if frameKey(a) != frameKey(b) {
+		t.Fatal("DISTINCT key depends on map order")
 	}
-	c := cql.Tuple{"x": 2, "y": "b"}
-	if tupleFingerprint(a) == tupleFingerprint(c) {
-		t.Fatal("different tuples share fingerprint")
+	if frameKey(a) == frameKey(cql.Tuple{"x": 2, "y": "b"}) {
+		t.Fatal("different tuples share a DISTINCT key")
+	}
+	// A value the frame cannot render keeps its tuple apart from every
+	// other instead of failing the operator.
+	odd := cql.Tuple{"x": struct{ c chan int }{}}
+	if frameKey(odd) == frameKey(odd) {
+		t.Fatal("unrenderable tuples were called duplicates")
+	}
+}
+
+// run registers one query over the catalog's sources, drives them in the
+// order given and returns the delivered tuples.
+func run(t *testing.T, cat *Catalog, query string, drive ...*pubsub.SliceSource) []cql.Tuple {
+	t.Helper()
+	inst, err := New(cat).AddQuery(parse(t, query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := pubsub.NewCollector("col", 1)
+	if err := inst.Root.Subscribe(col, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range drive {
+		pubsub.Drive(src)
+	}
+	col.Wait()
+	out := make([]cql.Tuple, 0, col.Len())
+	for _, v := range col.Values() {
+		out = append(out, v.(cql.Tuple))
+	}
+	return out
+}
+
+// Numbers group by value, not by Go type: 5, int64(5) and 5.0 are one
+// group (as the comparison kernel says they are equal), "5" is another.
+func TestGroupKeysMeetAcrossNumericTypes(t *testing.T) {
+	cat := NewCatalog()
+	src := tupleSource("s", []cql.Tuple{{"k": 5}, {"k": int64(5)}, {"k": 5.0}, {"k": "5"}})
+	cat.Register("s", src, 100)
+	final := map[any]any{} // group key as delivered → last count seen
+	for _, tp := range run(t, cat, "SELECT k, COUNT(*) AS n FROM s [UNBOUNDED] GROUP BY k", src) {
+		key := tp["k"]
+		if s, ok := key.(string); !ok || s != "5" {
+			key = "number"
+		}
+		final[key] = tp["n"]
+	}
+	if len(final) != 2 || final["number"] != int64(3) || final["5"] != int64(1) {
+		t.Fatalf("groups = %v, want the three numeric 5s together and the string apart", final)
+	}
+
+	// Composite keys draw the same classes.
+	cat = NewCatalog()
+	src = tupleSource("s", []cql.Tuple{{"k": 5, "j": "x"}, {"k": 5.0, "j": "x"}, {"k": "5", "j": "x"}, {"k": 5, "j": "y"}})
+	cat.Register("s", src, 100)
+	groups := map[string]bool{}
+	for _, tp := range run(t, cat, "SELECT k, j, COUNT(*) AS n FROM s [UNBOUNDED] GROUP BY k, j", src) {
+		class := "number"
+		if _, ok := tp["k"].(string); ok {
+			class = "string"
+		}
+		groups[class+"/"+tp["j"].(string)] = true
+	}
+	if len(groups) != 3 {
+		t.Fatalf("composite groups = %v, want number/x, string/x, number/y", groups)
+	}
+}
+
+// An equi-join matches an int id against the float64 id a CSV adapter
+// produces, and the partitioned window keeps them in one partition.
+func TestJoinAndPartitionKeysMeetAcrossNumericTypes(t *testing.T) {
+	cat := NewCatalog()
+	bids := tupleSource("bids", []cql.Tuple{{"auction": 1, "price": 10}, {"auction": 2, "price": 20}})
+	auctions := tupleSource("auctions", []cql.Tuple{{"id": 1.0, "item": "vase"}, {"id": "2", "item": "lamp"}})
+	cat.Register("bids", bids, 100)
+	cat.Register("auctions", auctions, 10)
+	got := run(t, cat, `SELECT bids.price, auctions.item FROM bids [RANGE 1000], auctions [UNBOUNDED]
+		WHERE bids.auction = auctions.id`, auctions, bids)
+	if len(got) != 1 || got[0]["auctions.item"] != "vase" || got[0]["bids.price"] != 10 {
+		t.Fatalf("join results = %v, want the int 1 to meet the float 1.0 and nothing to meet the string", got)
+	}
+
+	cat = NewCatalog()
+	src := tupleSource("s", []cql.Tuple{{"k": 7, "x": 1}, {"k": 7.0, "x": 2}, {"k": int64(7), "x": 3}})
+	cat.Register("s", src, 100)
+	open := 0
+	inst, err := New(cat).AddQuery(parse(t, "SELECT x FROM s [PARTITION BY k ROWS 1]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := pubsub.NewCollector("col", 1)
+	inst.Root.Subscribe(col, 0)
+	pubsub.Drive(src)
+	col.Wait()
+	for _, e := range col.Elements() {
+		if e.End == temporal.MaxTime {
+			open++
+		}
+	}
+	if col.Len() != 3 || open != 1 {
+		t.Fatalf("%d rows, %d still open: want one partition whose two older rows were displaced", col.Len(), open)
+	}
+}
+
+// SELECT * delivers every field under stream.field, bare and over a join,
+// though nothing below the projection carries such a name any more.
+func TestSelectStarDeliversQualifiedNames(t *testing.T) {
+	cat := NewCatalog()
+	src := tupleSource("s", []cql.Tuple{{"x": 1, "k": "a"}})
+	cat.Register("s", src, 100)
+	got := run(t, cat, "SELECT * FROM s", src)
+	if len(got) != 1 || len(got[0]) != 2 || got[0]["s.x"] != 1 || got[0]["s.k"] != "a" {
+		t.Fatalf("SELECT * FROM s = %v", got)
+	}
+
+	cat = NewCatalog()
+	l := tupleSource("l", []cql.Tuple{{"k": 1, "v": "left"}})
+	r := tupleSource("r", []cql.Tuple{{"k": 1, "v": "right"}})
+	cat.Register("l", l, 100)
+	cat.Register("r", r, 100)
+	got = run(t, cat, "SELECT *, a.v AS mine FROM l [UNBOUNDED] AS a, r [UNBOUNDED] AS b WHERE a.k = b.k", l, r)
+	want := cql.Tuple{"l.k": 1, "l.v": "left", "r.k": 1, "r.v": "right", "mine": "left"}
+	if len(got) != 1 || len(got[0]) != len(want) {
+		t.Fatalf("SELECT * over a join = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[0][k] != v {
+			t.Fatalf("SELECT * over a join = %v, want %v", got[0], want)
+		}
+	}
+}
+
+// A name two join sides both have answers nil; qualified, it is a path
+// into one side.
+func TestUnqualifiedNameOnBothJoinSidesIsAmbiguous(t *testing.T) {
+	cat := NewCatalog()
+	l := tupleSource("l", []cql.Tuple{{"k": 1, "only": "l"}})
+	r := tupleSource("r", []cql.Tuple{{"k": 1}})
+	cat.Register("l", l, 100)
+	cat.Register("r", r, 100)
+	got := run(t, cat, "SELECT k AS both, l.k AS mine, only AS one FROM l [UNBOUNDED], r [UNBOUNDED] WHERE l.k = r.k", l, r)
+	if len(got) != 1 || got[0]["both"] != nil || got[0]["mine"] != 1 || got[0]["one"] != "l" {
+		t.Fatalf("results = %v, want both=nil mine=1 one=l", got)
+	}
+}
+
+// One qualifier on both sides of a join leaves qualified names without a
+// side to point into: refused before anything is built.
+func TestJoinRefusesOneQualifierOnBothSides(t *testing.T) {
+	cat := NewCatalog()
+	cat.Register("s", tupleSource("s", nil), 100)
+	o := New(cat)
+	if _, err := o.AddQuery(parse(t, "SELECT * FROM s [RANGE 5], s [RANGE 9]")); err == nil {
+		t.Fatal("a self-join without aliases was accepted")
+	}
+	if n := o.OperatorCount(); n != 0 {
+		t.Fatalf("the refused query left %d operators behind", n)
+	}
+}
+
+// AddPlan closes a hand-built plan the way FromQuery closes a query: the
+// root delivers projected tuples under qualified names.
+func TestAddPlanClosesUnprojectedPlans(t *testing.T) {
+	cat := NewCatalog()
+	src := tupleSource("s", []cql.Tuple{{"x": 1}, {"x": 1}})
+	cat.Register("s", src, 100)
+	inst, err := New(cat).AddPlan(&Distinct{Input: &Scan{Stream: "s", Qualifier: "s",
+		Window: cql.Window{Kind: cql.WindowUnbounded}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := pubsub.NewCollector("col", 1)
+	inst.Root.Subscribe(col, 0)
+	pubsub.Drive(src)
+	col.Wait()
+	if col.Len() != 1 || col.Values()[0].(cql.Tuple)["s.x"] != 1 {
+		t.Fatalf("results = %v, want one tuple {s.x: 1}", col.Values())
+	}
+	if _, ok := inst.Plan.(*Distinct).Input.(*Project); !ok {
+		t.Fatalf("plan = %s, want the projection under DISTINCT", inst.Plan.Signature())
 	}
 }

@@ -29,8 +29,9 @@ type Plan interface {
 	Qualifiers() map[string]bool
 }
 
-// Scan reads a registered raw stream and applies its window. Output
-// tuples carry fields qualified by Qualifier.
+// Scan reads a registered raw stream and applies its window. Its output
+// is the source's own tuples; Qualifier is how expressions above may
+// refer to them (shape.go).
 type Scan struct {
 	Stream    string
 	Qualifier string // stream name, or alias for self-join disambiguation
@@ -67,7 +68,7 @@ func (s *Select) Qualifiers() map[string]bool { return s.Input.Qualifiers() }
 
 // Join combines two inputs. EquiLeft/EquiRight hold the equi-join key
 // expressions (parallel slices, possibly empty); Residual holds remaining
-// join predicates evaluated on the combined tuple.
+// join predicates evaluated on the pair.
 type Join struct {
 	Left, Right Plan
 	EquiLeft    []cql.Expr
@@ -102,7 +103,7 @@ func (j *Join) Qualifiers() map[string]bool {
 	return out
 }
 
-// Group is grouped aggregation: output tuples carry one field per key
+// Group is grouped aggregation: output rows carry one column per key
 // expression and one per aggregate call, named by their canonical strings.
 type Group struct {
 	Input Plan
@@ -204,8 +205,9 @@ func Explain(p Plan) string {
 
 // FromQuery builds the canonical logical plan of a parsed query:
 // selections pushed onto single-stream inputs, a left-deep join tree in
-// FROM order, grouping/having, projection, distinct and the
-// relation-to-stream wrapper. Alias references are rewritten to stream
+// FROM order, grouping/having, projection (always, SELECT * included: it
+// is the one node that builds the tuples a query delivers), distinct and
+// the relation-to-stream wrapper. Alias references are rewritten to stream
 // qualifiers so that identical logic from different queries produces
 // identical signatures (maximal sharing); a stream scanned twice keeps its
 // aliases as distinct qualifiers.
@@ -313,25 +315,29 @@ func FromQuery(q *cql.Query) (Plan, error) {
 		}
 	}
 
-	// Projection (skip for a bare SELECT *).
-	if !(len(q.Select) == 1 && q.Select[0].Star) {
-		items := make([]cql.SelectItem, len(q.Select))
-		for i, it := range q.Select {
-			items[i] = it
-			if !it.Star {
-				items[i].Expr = rw(it.Expr)
-				if it.Alias == "" {
-					items[i].Alias = items[i].Expr.String()
-				}
+	// Projection, always: it is where the query's tuples are built, with
+	// the names it delivers them by (SELECT * included).
+	items := make([]cql.SelectItem, len(q.Select))
+	for i, it := range q.Select {
+		items[i] = it
+		if !it.Star {
+			items[i].Expr = rw(it.Expr)
+			if it.Alias == "" {
+				items[i].Alias = items[i].Expr.String()
 			}
 		}
-		root = &Project{Input: root, Items: items}
 	}
+	root = &Project{Input: root, Items: items}
 	if q.Distinct {
 		root = &Distinct{Input: root}
 	}
 	if q.Relation != cql.RelNone {
 		root = &Rel{Input: root, Op: q.Relation, Slide: q.RStreamSlide}
+	}
+	// Every expression will be compiled against the shape of the edge
+	// below it; a plan without one is refused before anything is built.
+	if _, err := ShapeOf(root); err != nil {
+		return nil, err
 	}
 	return root, nil
 }

@@ -132,8 +132,8 @@ type Config struct {
 	// CheckpointInterval enables the fault-tolerance subsystem (see
 	// FAULT_TOLERANCE.md): the engine periodically checkpoints every
 	// registered emitter stream's offset and every stateful query
-	// operator's state at this cadence. Recovery: rebuild the same graph,
-	// call RecoverLatest, replay sources from the returned offsets.
+	// operator's state at this cadence. Recovery: LatestCheckpoint, rebuild
+	// the same graph over sources replaying from its offsets, Recover.
 	CheckpointInterval time.Duration
 	// CheckpointDir selects the durable file-backed checkpoint store. An
 	// empty dir with CheckpointInterval set keeps checkpoints in memory
