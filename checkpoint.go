@@ -21,7 +21,8 @@ func init() {
 type (
 	// Checkpoint is one durable, complete checkpoint (see internal/ft).
 	Checkpoint = ft.Checkpoint
-	// CheckpointStore persists checkpoints (MemStore/FileStore).
+	// CheckpointStore persists checkpoints (see internal/ft: one store
+	// over a directory or, without CheckpointDir, over a map).
 	CheckpointStore = ft.CheckpointStore
 	// CheckpointSink is an output sink recording per-checkpoint cut
 	// indexes, for exactly-once output stitching after recovery.

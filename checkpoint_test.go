@@ -52,20 +52,7 @@ func recoverThroughFacade(t *testing.T, query string) {
 		arch.Process(e, 0)
 	}
 
-	// Uninterrupted reference run (no checkpointing).
-	ref := NewDSMS(Config{})
-	ref.RegisterStream("bids", NewSliceSource("bids", input), 100)
-	refQ, err := ref.RegisterQuery(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCol := NewCollector("ref", 1)
-	if err := refQ.Subscribe(refCol); err != nil {
-		t.Fatal(err)
-	}
-	ref.Start()
-	ref.Wait()
-	refCol.Wait()
+	ref := referenceRun(t, query, input)
 
 	dir := t.TempDir()
 
@@ -141,10 +128,30 @@ func recoverThroughFacade(t *testing.T, query string) {
 	merged := make([]temporal.Element, 0, cut+len(colB.Elements()))
 	merged = append(merged, sinkA.Elements()[:cut]...)
 	merged = append(merged, colB.Elements()...)
-	if err := harness.Equivalent(refCol.Elements(), merged); err != nil {
+	if err := harness.Equivalent(ref, merged); err != nil {
 		t.Fatalf("recovered output not snapshot-equivalent: %v\n(cut %d, recovered %d, reference %d)",
-			err, cut, len(colB.Elements()), len(refCol.Elements()))
+			err, cut, len(colB.Elements()), len(ref))
 	}
+}
+
+// referenceRun returns the output of query over input on an engine that
+// is never interrupted and does not checkpoint.
+func referenceRun(t *testing.T, query string, input []Element) []temporal.Element {
+	t.Helper()
+	ref := NewDSMS(Config{})
+	ref.RegisterStream("bids", NewSliceSource("bids", input), 100)
+	refQ, err := ref.RegisterQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCol := NewCollector("ref", 1)
+	if err := refQ.Subscribe(refCol); err != nil {
+		t.Fatal(err)
+	}
+	ref.Start()
+	ref.Wait()
+	refCol.Wait()
+	return refCol.Elements()
 }
 
 // TestRecoverLatestEmptyStore covers the cold-start path: recovery on a
@@ -192,5 +199,112 @@ func TestCheckpointMetricsExposed(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("scrape output lacks %s:\n%s", want, text)
 		}
+	}
+}
+
+// TestCheckpointIDsContinueAcrossRestarts runs three engine lives over one
+// checkpoint directory: checkpoint → crash → recover → checkpoint again →
+// crash → recover. The second life seals fewer rounds than the first, so
+// if its IDs restarted at 1 the store's newest ID would still be the
+// first life's — stale, and chained onto parents the second life
+// overwrote. The second recovery must restore the second life's newest
+// round, and the three lives' outputs, each cut at the checkpoint the next
+// one recovered from, must stitch to the uninterrupted run's.
+func TestCheckpointIDsContinueAcrossRestarts(t *testing.T) {
+	const query = `SELECT auction, AVG(price) FROM bids [RANGE 50] GROUP BY auction`
+	const total, stretch = 150, 10
+	input := bidStream(total)
+
+	ref := referenceRun(t, query, input)
+
+	dir := t.TempDir()
+	// life is one engine from open to crash. It recovers from whatever the
+	// directory holds — a checkpoint of the life before it, whose source
+	// started at prevStart of the input and counts offsets from there — is
+	// fed the input from that point a stretch at a time with a round
+	// triggered ahead of every stretch after the first, and crashes after
+	// `rounds` sealed rounds (0: it runs to the end of the input).
+	life := func(prevStart, rounds int) (start int, cp *Checkpoint, sink *CheckpointSink, sealed []uint64) {
+		d := NewDSMS(Config{CheckpointDir: dir})
+		cp, err := d.LatestCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		start = prevStart + cp.Offset("bids")
+		feed := make(chan Element, total)
+		d.RegisterStream("bids", NewChanSource("bids", feed), 100)
+		q, err := d.RegisterQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = NewCheckpointSink("out")
+		if err := q.Subscribe(sink); err != nil {
+			t.Fatal(err)
+		}
+		d.Checkpoints.RegisterSink(sink)
+		if cp != nil {
+			if err := d.Recover(cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Start()
+		rest := input[start:]
+		if rounds > 0 {
+			rest = rest[:(rounds+1)*stretch]
+		}
+		for len(rest) > 0 {
+			n := min(stretch, len(rest))
+			for _, e := range rest[:n] {
+				feed <- e // after a Trigger, the first one has the barrier ahead of it
+			}
+			rest = rest[n:]
+			deadline := time.Now().Add(10 * time.Second)
+			for len(sealed) > 0 && d.Checkpoints.LastCheckpointID() != sealed[len(sealed)-1] {
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d never sealed", sealed[len(sealed)-1])
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if len(sealed) < rounds {
+				id, err := d.Checkpoints.Trigger()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sealed = append(sealed, id)
+			}
+		}
+		close(feed) // the crash: the input log is longer than what was fed
+		d.Wait()
+		d.Stop()
+		return start, cp, sink, sealed
+	}
+
+	startA, cp0, outA, sealedA := life(0, 3)
+	if cp0 != nil || startA != 0 {
+		t.Fatalf("fresh directory: recovered %+v, start %d", cp0, startA)
+	}
+	startB, cp1, outB, sealedB := life(startA, 2)
+	if cp1 == nil || cp1.ID != sealedA[2] {
+		t.Fatalf("second life recovered from %+v, first life sealed %v", cp1, sealedA)
+	}
+	if sealedB[0] <= sealedA[2] {
+		t.Fatalf("second life sealed %v over a directory holding %v: IDs must continue", sealedB, sealedA)
+	}
+	_, cp2, outC, _ := life(startB, 0)
+	if cp2 == nil || cp2.ID != sealedB[1] {
+		t.Fatalf("third life recovered from %+v, want the second life's newest round of %v", cp2, sealedB)
+	}
+
+	cut1, ok1 := outA.Cut(cp1.ID)
+	cut2, ok2 := outB.Cut(cp2.ID)
+	if !ok1 || !ok2 {
+		t.Fatalf("missing output cuts for checkpoints %d (%v) and %d (%v)", cp1.ID, ok1, cp2.ID, ok2)
+	}
+	merged := append([]temporal.Element(nil), outA.Elements()[:cut1]...)
+	merged = append(merged, outB.Elements()[:cut2]...)
+	merged = append(merged, outC.Elements()...)
+	if err := harness.Equivalent(ref, merged); err != nil {
+		t.Fatalf("output stitched across two recoveries not snapshot-equivalent: %v\n(cuts %d and %d, last life %d, reference %d)",
+			err, cut1, cut2, len(outC.Elements()), len(ref))
 	}
 }

@@ -3,8 +3,6 @@ package ft_test
 import (
 	"bytes"
 	"encoding/gob"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,99 +17,6 @@ import (
 
 func el(v any, start, end temporal.Time) temporal.Element {
 	return temporal.Element{Value: v, Interval: temporal.Interval{Start: start, End: end}, Trace: nil}
-}
-
-func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]int, states map[string][]byte) {
-	t.Helper()
-	w, err := s.Begin(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, off := range offsets {
-		if err := w.PutOffset(name, off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, st := range states {
-		if err := w.PutState(name, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStoresRoundTrip(t *testing.T) {
-	fileStore, err := ft.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, store := range map[string]ft.CheckpointStore{
-		"mem":  ft.NewMemStore(),
-		"file": fileStore,
-	} {
-		t.Run(name, func(t *testing.T) {
-			if cp, err := store.LatestComplete(); err != nil || cp != nil {
-				t.Fatalf("empty store: got %v, %v", cp, err)
-			}
-			mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": []byte("one")})
-			mustSeal(t, store, 2, map[string]int{"src": 25}, map[string][]byte{"op": []byte("two")})
-			cp, err := store.LatestComplete()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cp == nil || cp.ID != 2 || cp.Offsets["src"] != 25 || string(cp.States["op"]) != "two" {
-				t.Fatalf("latest: got %+v", cp)
-			}
-			if err := store.Drop(1); err != nil {
-				t.Fatal(err)
-			}
-			cp, err = store.LatestComplete()
-			if err != nil || cp == nil || cp.ID != 2 {
-				t.Fatalf("after drop: got %+v, %v", cp, err)
-			}
-		})
-	}
-}
-
-// An unsealed checkpoint (crash before the manifest rename) must be
-// invisible; a sealed checkpoint with a corrupted state file must be
-// skipped in favour of the previous complete one.
-func TestFileStoreSkipsTornCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	store, err := ft.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")})
-
-	// Torn write: state written, no manifest.
-	w, err := store.Begin(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.PutState("op", []byte("unsealed")); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := store.LatestComplete()
-	if err != nil || cp == nil || cp.ID != 1 {
-		t.Fatalf("unsealed checkpoint visible: got %+v, %v", cp, err)
-	}
-
-	// Sealed but corrupted: flip the state file's content.
-	mustSeal(t, store, 3, map[string]int{"src": 9}, map[string][]byte{"op": []byte("later")})
-	des, err := filepath.Glob(filepath.Join(dir, "cp-3", "state-*.gob"))
-	if err != nil || len(des) != 1 {
-		t.Fatalf("state files of cp-3: %v, %v", des, err)
-	}
-	if err := os.WriteFile(des[0], []byte("XXXXX"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err = store.LatestComplete()
-	if err != nil || cp == nil || cp.ID != 1 {
-		t.Fatalf("corrupt checkpoint not skipped: got %+v, %v", cp, err)
-	}
 }
 
 // CheckpointSource must inject a requested barrier between elements,

@@ -46,9 +46,9 @@ const DefaultBaseEvery = 8
 //
 // Operators publish a copy-on-write snapshot handle at the barrier (cheap
 // collection copies, no serialisation — the StateSaver contract); the
-// background writer encodes the handle after the gates release and — when
-// the store supports ChainWriter — writes only a binary delta against the
-// previous sealed round, with a full base every SetBaseEvery rounds.
+// background writer encodes the handle after the gates release and writes
+// only a binary delta against the previous sealed round, with a full base
+// every SetBaseEvery rounds.
 //
 // Configure (RegisterSource/RegisterOperator/RegisterSink/OnEvent/
 // SetBaseEvery) before Start; Trigger and the periodic
@@ -72,12 +72,11 @@ type Manager struct {
 
 	// Writer-goroutine state (plus Stop's post-Wait drain — never
 	// concurrent): per-operator double encode buffers so the previous
-	// sealed round's bytes survive as the delta parent, and the chain
-	// bookkeeping retention needs.
+	// sealed round's bytes survive as the delta parent, and the base
+	// cadence.
 	enc          map[string]*opScratch
-	prevSealedID uint64            // last sealed round (0 when none)
-	chainBase    map[uint64]uint64 // sealed id → id of its chain's base round
-	sinceBase    int               // sealed rounds since the last full base
+	prevSealedID uint64 // last round this manager sealed (0 when none)
+	sinceBase    int    // sealed rounds since the last full base
 
 	writeCh chan *pending
 	stopCh  chan struct{}
@@ -154,10 +153,14 @@ type pending struct {
 	completed   bool
 }
 
-// NewManager returns a Manager persisting to store.
+// NewManager returns a Manager persisting to store. Its rounds are
+// numbered above every checkpoint the store already holds, and its first
+// round is a full base: a restarted process extends the store, it never
+// overwrites or chains onto what an earlier one sealed.
 func NewManager(store CheckpointStore) *Manager {
 	return &Manager{
 		store:     store,
+		nextID:    store.LastID(),
 		savers:    map[string]StateSaver{},
 		ackers:    map[string]bool{},
 		durHist:   telemetry.NewHistogram(),
@@ -165,7 +168,6 @@ func NewManager(store CheckpointStore) *Manager {
 		writeCh:   make(chan *pending, 1),
 		stopCh:    make(chan struct{}),
 		enc:       map[string]*opScratch{},
-		chainBase: map[uint64]uint64{},
 		baseEvery: DefaultBaseEvery,
 	}
 }
@@ -521,41 +523,23 @@ func (m *Manager) write(p *pending) {
 		return
 	}
 	// Seal succeeded: this round's encodings become the next round's
-	// delta parents, and the chain bookkeeping advances.
+	// delta parents, and the base cadence advances.
 	for _, sc := range m.enc {
 		sc.flip()
 	}
-	base := p.id
 	if stats.usedParent {
-		base = m.chainBase[m.prevSealedID]
-		if base == 0 {
-			base = m.prevSealedID
-		}
 		m.sinceBase++
 		m.deltaRounds.Add(1)
 	} else {
 		m.sinceBase = 0
 		m.baseRounds.Add(1)
 	}
-	m.chainBase[p.id] = base
-	// Retention: keep the last two sealed checkpoints (recovery falls
-	// back at most one on a torn write) plus every chain ancestor either
-	// still needs. The floor is listing- and chain-driven, not an
-	// assumption of dense IDs — failed rounds leave gaps. Best-effort: a
-	// failed drop never fails the round.
-	floor := base
-	if m.prevSealedID != 0 {
-		if pb := m.chainBase[m.prevSealedID]; pb != 0 && pb < floor {
-			floor = pb
-		}
-	}
-	if floor > 1 {
-		_ = m.store.Drop(floor - 1)
-		for id := range m.chainBase {
-			if id < floor {
-				delete(m.chainBase, id)
-			}
-		}
+	// Retention: the last two sealed checkpoints stay (recovery falls
+	// back at most one on a torn write); the store keeps every chain
+	// ancestor either still needs. Best-effort: a failed drop never fails
+	// the round.
+	if m.prevSealedID > 1 {
+		_ = m.store.Drop(m.prevSealedID - 1)
 	}
 	m.prevSealedID = p.id
 
@@ -590,11 +574,10 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	cw, chainOK := w.(ChainWriter)
 	parent := m.prevSealedID
-	// A base round: no parent to delta against, chains disabled or
-	// unsupported, or the cadence is due.
-	isBase := parent == 0 || !chainOK || m.baseEvery <= 1 || m.sinceBase >= m.baseEvery-1
+	// A base round: no parent to delta against, chains disabled, or the
+	// cadence is due.
+	isBase := parent == 0 || m.baseEvery <= 1 || m.sinceBase >= m.baseEvery-1
 
 	p.mu.Lock()
 	for name, err := range p.failed {
@@ -629,14 +612,14 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 			}
 			stats.writtenBytes += int64(len(cur))
 		case bytes.Equal(prev, cur):
-			if err := cw.PutStateUnchanged(name, parent); err != nil {
+			if err := w.PutStateUnchanged(name, parent, cur); err != nil {
 				return stats, err
 			}
 			stats.usedParent = true
 			m.sameStates.Add(1)
 		default:
 			if d := MakeDelta(prev, cur); d != nil {
-				if err := cw.PutStateDelta(name, parent, d); err != nil {
+				if err := w.PutStateDelta(name, parent, d, cur); err != nil {
 					return stats, err
 				}
 				stats.writtenBytes += int64(len(d))

@@ -224,22 +224,20 @@ func testCrashRecovery(t *testing.T, sh shape, inputs [][]temporal.Element, poin
 		}
 	}
 
-	// Checkpointed run with fault injection. The store is the delta-chain
-	// MemStore most runs and the durable FileStore on some, and the
+	// Checkpointed run with fault injection. The store sits on the map
+	// backend most runs and on the directory backend on some, and the
 	// full-base cadence varies so the fault windows strike base rounds,
 	// delta rounds and chain-free (baseEvery=1) runs alike.
-	var inner ft.CheckpointStore = ft.NewMemStore()
-	storeKind := "mem"
+	inner, backend := ft.NewMemStore(), "mem"
 	if rng.Intn(3) == 0 {
 		fs, err := ft.NewFileStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		inner = fs
-		storeKind = "file"
+		inner, backend = fs, "dir"
 	}
 	baseEvery := 1 + rng.Intn(4)
-	t.Logf("store=%s baseEvery=%d", storeKind, baseEvery)
+	t.Logf("backend=%s baseEvery=%d", backend, baseEvery)
 	store := harness.NewTornStore(inner)
 	mgr := ft.NewManager(store)
 	mgr.SetBaseEvery(baseEvery)

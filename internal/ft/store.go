@@ -5,18 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+	"io/fs"
 	"sync"
 )
 
 // Checkpoint is one sealed, complete checkpoint: per-source replay
 // offsets and per-operator serialised state, keyed by node name. State
-// entries are always the *full* reconstructed encoding — stores resolve
-// base+delta chains internally, so readers never see chain plumbing.
+// entries are always the *full* reconstructed encoding — the store
+// resolves base+delta chains internally, so readers never see chain
+// plumbing.
 type Checkpoint struct {
 	ID      uint64
 	Offsets map[string]int
@@ -26,29 +23,30 @@ type Checkpoint struct {
 // CheckpointWriter stages one checkpoint. Entries may be added in any
 // order; nothing is visible to readers until Seal. A writer that is
 // abandoned without Seal leaves no complete checkpoint (a torn write —
-// readers skip it).
+// readers skip it). Byte slices are the caller's again once a method
+// returns.
+//
+// An operator's state is staged in one of three forms: the full encoding
+// (PutState), a MakeDelta blob against the same operator's entry in the
+// sealed checkpoint parent (PutStateDelta), or a marker that it is
+// byte-identical to the parent's (PutStateUnchanged). The chained forms
+// also take the full encoding they stand for: its checksum is sealed with
+// the link, so a reader can tell a link applied to the parent it was cut
+// against from one applied to another checkpoint of the same ID.
 type CheckpointWriter interface {
 	PutOffset(source string, offset int) error
 	PutState(op string, state []byte) error
+	PutStateDelta(op string, parent uint64, delta, state []byte) error
+	PutStateUnchanged(op string, parent uint64, state []byte) error
 	// Seal atomically publishes the checkpoint as complete.
 	Seal() error
 }
 
-// ChainWriter is the incremental-checkpoint extension of
-// CheckpointWriter: stores that support base+delta chains stage an
-// operator's state as a binary delta against the same operator's entry
-// in checkpoint parent (PutStateDelta), or as a marker that the state is
-// byte-identical to the parent's (PutStateUnchanged). Readers resolve the
-// chain transparently; the Manager falls back to full PutState entries
-// when the writer does not implement this interface.
-type ChainWriter interface {
-	PutStateDelta(op string, parent uint64, delta []byte) error
-	PutStateUnchanged(op string, parent uint64) error
-}
-
-// CheckpointStore persists checkpoints. Implementations must make Seal
-// atomic: LatestComplete never observes a partially written checkpoint.
+// CheckpointStore persists checkpoints. Store is the implementation; the
+// interface is the seam fault injection wraps (harness.TornStore).
 type CheckpointStore interface {
+	// Begin stages checkpoint id. A sealed checkpoint is never
+	// overwritten (ErrSealed); unsealed debris under id is discarded.
 	Begin(id uint64) (CheckpointWriter, error)
 	// LatestComplete returns the newest sealed checkpoint whose every
 	// entry (including its base+delta chain) verifies, or nil when the
@@ -64,41 +62,45 @@ type CheckpointStore interface {
 	// checkpoint referenced by a surviving checkpoint's delta chain is
 	// retained regardless of its ID: dropping it would tear the chain.
 	Drop(id uint64) error
+	// LastID returns the highest ID sealed in the store, by this process
+	// or one before it (0 when none). A writer numbers its checkpoints
+	// above it.
+	LastID() uint64
 }
 
 // ErrNoCheckpoint is returned by recovery helpers when the store holds no
 // complete checkpoint.
 var ErrNoCheckpoint = errors.New("ft: no complete checkpoint")
 
+// ErrSealed is wrapped by Begin when the ID already names a sealed
+// checkpoint: chains refer to their parents by ID, so a sealed ID is
+// never reused.
+var ErrSealed = errors.New("ft: checkpoint already sealed")
+
 // StateVersion is stamped on every sealed checkpoint. State entries are
 // matched to operators by name alone and decoded by whatever operator now
-// bears that name, so a change to what operators hold, or to how the
-// optimizer numbers them, must bump it: stores then refuse a checkpoint
-// sealed under another version instead of loading it into the wrong
-// operator. History (FAULT_TOLERANCE.md §state version): 0 is every
-// checkpoint sealed before the field existed; 1 — CQL plans carry source
-// tuples, pairs and rows between operators and have no qualifier node.
-const StateVersion = 1
+// bears that name, so a change to what operators hold, to how the
+// optimizer numbers them, or to what a manifest must record, bumps it:
+// the store then refuses a checkpoint sealed under another version
+// instead of loading it into the wrong operator. History
+// (FAULT_TOLERANCE.md §state version): 0 is every checkpoint sealed
+// before the field existed; 1 — CQL plans carry source tuples, pairs and
+// rows between operators and have no qualifier node; 2 — every chain link
+// records the checksum of the full state it resolves to.
+const StateVersion = 2
 
 // ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint,
 // or a link of its delta chain, carries another StateVersion.
 var ErrStateVersion = errors.New("ft: checkpoint state version mismatch")
-
-// checkVersion refuses a sealed checkpoint of another state version.
-func checkVersion(id uint64, sealedUnder int) error {
-	if sealedUnder != StateVersion {
-		return fmt.Errorf("%w: checkpoint %d was sealed under state version %d, this build reads version %d; its state cannot be restored — recover from the sources or with the build that wrote it",
-			ErrStateVersion, id, sealedUnder, StateVersion)
-	}
-	return nil
-}
 
 // maxChainDepth bounds base+delta chain resolution — a defence against a
 // corrupt store with a reference cycle, far above any real chain (the
 // Manager writes a full base every few rounds).
 const maxChainDepth = 4096
 
-// Entry kinds shared by both stores' chain formats.
+const manifestName = "MANIFEST.json"
+
+// Entry kinds of the manifest.
 const (
 	entryOffset    = "offset"
 	entryState     = "state" // full encoding
@@ -106,283 +108,18 @@ const (
 	entryUnchanged = "same"  // byte-identical to the parent's entry
 )
 
-// MemStore is the in-memory CheckpointStore: checkpoints survive a
-// simulated crash (the graph is abandoned, the store object is kept) but
-// not a process restart. It is the store of the fault-injection tests and
-// mirrors FileStore's base+delta chain format so the stress suite
-// exercises chain resolution without touching disk.
-type MemStore struct {
-	mu     sync.Mutex
-	sealed map[uint64]*memCP
-}
-
-// memEntry is one staged state entry: a full encoding, a delta against
-// the parent checkpoint's entry, or an unchanged marker.
-type memEntry struct {
-	kind   string
-	parent uint64
-	data   []byte
-}
-
-type memCP struct {
-	id      uint64
-	version int // StateVersion at Seal
-	offsets map[string]int
-	entries map[string]memEntry
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{sealed: map[uint64]*memCP{}} }
-
-type memWriter struct {
-	store *MemStore
-	cp    *memCP
-	done  bool
-}
-
-// Begin implements CheckpointStore.
-func (s *MemStore) Begin(id uint64) (CheckpointWriter, error) {
-	return &memWriter{store: s, cp: &memCP{id: id, offsets: map[string]int{}, entries: map[string]memEntry{}}}, nil
-}
-
-func (w *memWriter) PutOffset(source string, offset int) error {
-	w.cp.offsets[source] = offset
-	return nil
-}
-
-func (w *memWriter) PutState(op string, state []byte) error {
-	w.cp.entries[op] = memEntry{kind: entryState, data: append([]byte(nil), state...)}
-	return nil
-}
-
-// PutStateDelta implements ChainWriter.
-func (w *memWriter) PutStateDelta(op string, parent uint64, delta []byte) error {
-	w.cp.entries[op] = memEntry{kind: entryDelta, parent: parent, data: append([]byte(nil), delta...)}
-	return nil
-}
-
-// PutStateUnchanged implements ChainWriter.
-func (w *memWriter) PutStateUnchanged(op string, parent uint64) error {
-	w.cp.entries[op] = memEntry{kind: entryUnchanged, parent: parent}
-	return nil
-}
-
-func (w *memWriter) Seal() error {
-	if w.done {
-		return errors.New("ft: checkpoint already sealed")
-	}
-	w.done = true
-	w.cp.version = StateVersion
-	w.store.mu.Lock()
-	w.store.sealed[w.cp.id] = w.cp
-	w.store.mu.Unlock()
-	return nil
-}
-
-// LatestComplete implements CheckpointStore.
-func (s *MemStore) LatestComplete() (*Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]uint64, 0, len(s.sealed))
-	for id := range s.sealed {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var firstErr error
-	for i := len(ids) - 1; i >= 0; i-- {
-		cp, err := s.resolve(ids[i])
-		if err == nil {
-			return cp, nil
-		}
-		if errors.Is(err, ErrStateVersion) {
-			return nil, err // another build's store: no older fallback
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("ft: no reconstructable checkpoint: %w", firstErr)
-	}
-	return nil, nil
-}
-
-// resolve reconstructs one sealed checkpoint, following delta chains.
-// Caller holds s.mu.
-func (s *MemStore) resolve(id uint64) (*Checkpoint, error) {
-	mc := s.sealed[id]
-	if mc == nil {
-		return nil, fmt.Errorf("ft: checkpoint %d not sealed", id)
-	}
-	if err := checkVersion(id, mc.version); err != nil {
-		return nil, err
-	}
-	cp := &Checkpoint{ID: id, Offsets: map[string]int{}, States: map[string][]byte{}}
-	for src, off := range mc.offsets {
-		cp.Offsets[src] = off
-	}
-	for op := range mc.entries {
-		b, err := s.resolveState(id, op, 0)
-		if err != nil {
-			return nil, err
-		}
-		cp.States[op] = b
-	}
-	return cp, nil
-}
-
-func (s *MemStore) resolveState(id uint64, op string, depth int) ([]byte, error) {
-	if depth > maxChainDepth {
-		return nil, fmt.Errorf("ft: checkpoint %d: chain for %q exceeds depth %d", id, op, maxChainDepth)
-	}
-	mc := s.sealed[id]
-	if mc == nil {
-		return nil, fmt.Errorf("ft: chain for %q references missing checkpoint %d", op, id)
-	}
-	if err := checkVersion(id, mc.version); err != nil {
-		return nil, err
-	}
-	e, ok := mc.entries[op]
-	if !ok {
-		return nil, fmt.Errorf("ft: checkpoint %d has no entry for %q", id, op)
-	}
-	switch e.kind {
-	case entryState:
-		return e.data, nil
-	case entryUnchanged:
-		if e.parent >= id {
-			return nil, fmt.Errorf("ft: checkpoint %d entry %q references non-ancestor %d", id, op, e.parent)
-		}
-		return s.resolveState(e.parent, op, depth+1)
-	case entryDelta:
-		if e.parent >= id {
-			return nil, fmt.Errorf("ft: checkpoint %d entry %q references non-ancestor %d", id, op, e.parent)
-		}
-		base, err := s.resolveState(e.parent, op, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return ApplyDelta(base, e.data)
-	}
-	return nil, fmt.Errorf("ft: checkpoint %d entry %q has unknown kind %q", id, op, e.kind)
-}
-
-// Drop implements CheckpointStore: checkpoints at or below id are removed
-// unless a surviving checkpoint's delta chain still references them.
-func (s *MemStore) Drop(id uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	protected := map[uint64]bool{}
-	for survivor, mc := range s.sealed {
-		if survivor <= id {
-			continue
-		}
-		cur := mc
-		for cur != nil {
-			next := uint64(0)
-			for _, e := range cur.entries {
-				if (e.kind == entryDelta || e.kind == entryUnchanged) && e.parent > next {
-					next = e.parent
-				}
-			}
-			if next == 0 || protected[next] {
-				break
-			}
-			protected[next] = true
-			cur = s.sealed[next]
-		}
-	}
-	for k := range s.sealed {
-		if k <= id && !protected[k] {
-			delete(s.sealed, k)
-		}
-	}
-	return nil
-}
-
-// Len returns the number of sealed checkpoints (for tests).
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sealed)
-}
-
-// FileStore is the durable CheckpointStore: one directory per checkpoint
-// (`cp-<id>/`) holding one file per entry, sealed by writing a manifest
-// (entry list with sizes and CRC32 checksums) to a temp file and renaming
-// it into place — the atomic commit point. State entries may be full
-// encodings, deltas against an earlier checkpoint's entry, or unchanged
-// markers; loading resolves the chain. LatestComplete verifies every
-// entry (transitively, down the chain) against the manifests, so torn or
-// corrupted writes — crash mid-write, truncated file, flipped bits, a
-// GC'd chain parent — demote the checkpoint to incomplete and recovery
-// falls back to the previous one.
-type FileStore struct {
-	dir string
-	mu  sync.Mutex
-}
-
-// NewFileStore returns a store rooted at dir, creating it if needed.
-// Opening sweeps the debris of crashed runs: a `cp-<id>` directory
-// without a sealed manifest (a writer abandoned before Seal) is removed
-// so dead state files don't accumulate, and a stale manifest temp file
-// next to a sealed manifest is deleted.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	s := &FileStore{dir: dir}
-	if err := s.sweepUnsealed(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// sweepUnsealed removes unsealed checkpoint directories and stale
-// manifest temp files left behind by a crash.
-func (s *FileStore) sweepUnsealed() error {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, de := range des {
-		if !de.IsDir() || !strings.HasPrefix(de.Name(), "cp-") {
-			continue
-		}
-		cpDir := filepath.Join(s.dir, de.Name())
-		if _, err := os.Stat(filepath.Join(cpDir, manifestName)); err != nil {
-			if !os.IsNotExist(err) {
-				return err
-			}
-			if err := os.RemoveAll(cpDir); err != nil {
-				return err
-			}
-			continue
-		}
-		// Sealed: a leftover manifest temp file is junk from a crash
-		// between write and rename of a *re-used* ID; remove it.
-		tmp := filepath.Join(cpDir, manifestName+".tmp")
-		if _, err := os.Stat(tmp); err == nil {
-			if err := os.Remove(tmp); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-const manifestName = "MANIFEST.json"
-
 type manifestEntry struct {
 	File string `json:"file"`
 	Kind string `json:"kind"` // "offset", "state", "delta" or "same"
 	Name string `json:"name"` // node name
 	Size int64  `json:"size"`
-	CRC  uint32 `json:"crc32"`
+	CRC  uint32 `json:"crc32"` // of the payload in File
 	// Offset is inlined for offset entries (File empty).
 	Offset int `json:"offset,omitempty"`
-	// Parent is the checkpoint ID a delta/same entry resolves against.
-	Parent uint64 `json:"parent,omitempty"`
+	// Parent is the checkpoint ID a delta/same entry resolves against,
+	// StateCRC the checksum of the full state it must resolve to.
+	Parent   uint64 `json:"parent,omitempty"`
+	StateCRC uint32 `json:"state_crc32,omitempty"`
 }
 
 type manifest struct {
@@ -392,101 +129,169 @@ type manifest struct {
 	Entries      []manifestEntry `json:"entries"`
 }
 
-type fileWriter struct {
-	store   *FileStore
-	id      uint64
-	dir     string
-	entries []manifestEntry
-	seq     int
-	done    bool
+// state returns the state entry of op.
+func (m *manifest) state(op string) (manifestEntry, bool) {
+	for _, e := range m.Entries {
+		if e.Name == op && e.Kind != entryOffset {
+			return e, true
+		}
+	}
+	return manifestEntry{}, false
+}
+
+// parent returns the checkpoint m's chained entries resolve against (0
+// for a base). The entries of one round share one parent.
+func (m *manifest) parent() uint64 {
+	var p uint64
+	for _, e := range m.Entries {
+		if e.Kind == entryDelta || e.Kind == entryUnchanged {
+			p = max(p, e.Parent)
+		}
+	}
+	return p
+}
+
+// backend is where a Store's bytes live: named payloads grouped under
+// checkpoint IDs. It knows nothing of entry kinds, chains or versions;
+// the one structure it keeps is that a group is committed exactly when it
+// holds a payload called manifestName, and that commit makes it appear
+// atomically.
+type backend interface {
+	// put stores one payload under id. data is the caller's on return.
+	put(id uint64, name string, data []byte) error
+	// get returns a payload (read-only), or an error matching
+	// fs.ErrNotExist.
+	get(id uint64, name string) ([]byte, error)
+	// commit atomically stores id's manifest.
+	commit(id uint64, manifest []byte) error
+	// ids lists the IDs present, committed or not, ascending.
+	ids() ([]uint64, error)
+	// remove deletes everything under id; an absent id is not an error.
+	remove(id uint64) error
+}
+
+// Store is the CheckpointStore: it owns the manifest format, the
+// newest-first fallback, chain resolution and retention, over a backend
+// that only stores bytes — a directory (NewFileStore) or a map
+// (NewMemStore).
+//
+// Sealing writes a manifest (entry list with sizes, checksums and chain
+// parents) through the backend's atomic commit. LatestComplete verifies
+// every entry, transitively down the chain, against the manifests, so a
+// torn or corrupted write — crash mid-write, truncated payload, flipped
+// bits, a missing or replaced chain parent — demotes the checkpoint to
+// incomplete and recovery falls back to the previous one.
+type Store struct {
+	mu   sync.Mutex
+	b    backend
+	last uint64 // highest ID sealed: found at open, then by every Seal
+}
+
+// LastID implements CheckpointStore.
+func (s *Store) LastID() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.last
+}
+
+type writer struct {
+	s    *Store
+	m    manifest
+	seq  int
+	done bool
 }
 
 // Begin implements CheckpointStore.
-func (s *FileStore) Begin(id uint64) (CheckpointWriter, error) {
-	dir := filepath.Join(s.dir, fmt.Sprintf("cp-%d", id))
-	if err := os.RemoveAll(dir); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &fileWriter{store: s, id: id, dir: dir}, nil
-}
-
-func (w *fileWriter) PutOffset(source string, offset int) error {
-	w.entries = append(w.entries, manifestEntry{Kind: entryOffset, Name: source, Offset: offset})
-	return nil
-}
-
-// putFile writes one payload-carrying entry (full state or delta).
-func (w *fileWriter) putFile(kind, op string, parent uint64, data []byte) error {
-	w.seq++
-	file := fmt.Sprintf("state-%d.gob", w.seq)
-	if err := os.WriteFile(filepath.Join(w.dir, file), data, 0o644); err != nil {
-		return err
-	}
-	w.entries = append(w.entries, manifestEntry{
-		File:   file,
-		Kind:   kind,
-		Name:   op,
-		Size:   int64(len(data)),
-		CRC:    crc32.ChecksumIEEE(data),
-		Parent: parent,
-	})
-	return nil
-}
-
-func (w *fileWriter) PutState(op string, state []byte) error {
-	return w.putFile(entryState, op, 0, state)
-}
-
-// PutStateDelta implements ChainWriter.
-func (w *fileWriter) PutStateDelta(op string, parent uint64, delta []byte) error {
-	return w.putFile(entryDelta, op, parent, delta)
-}
-
-// PutStateUnchanged implements ChainWriter.
-func (w *fileWriter) PutStateUnchanged(op string, parent uint64) error {
-	w.entries = append(w.entries, manifestEntry{Kind: entryUnchanged, Name: op, Parent: parent})
-	return nil
-}
-
-func (w *fileWriter) Seal() error {
-	if w.done {
-		return errors.New("ft: checkpoint already sealed")
-	}
-	w.done = true
-	data, err := json.Marshal(manifest{ID: w.id, StateVersion: StateVersion, Entries: w.entries})
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(w.dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(w.dir, manifestName))
-}
-
-// LatestComplete implements CheckpointStore: scans checkpoint directories
-// highest ID first and returns the first one whose manifest exists and
-// whose every entry — including its delta chain — verifies. Directories
-// without a manifest (a writer in flight, or pre-sweep crash debris) are
-// skipped silently; sealed-but-unloadable checkpoints are skipped in
-// favour of older intact ones, and only when nothing loads at all does
-// the corruption surface as an error.
-func (s *FileStore) LatestComplete() (*Checkpoint, error) {
+func (s *Store) Begin(id uint64) (CheckpointWriter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids, err := s.ids()
+	if _, err := s.b.get(id, manifestName); err == nil {
+		return nil, fmt.Errorf("%w: checkpoint %d", ErrSealed, id)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	if err := s.b.remove(id); err != nil {
+		return nil, err
+	}
+	return &writer{s: s, m: manifest{ID: id, StateVersion: StateVersion}}, nil
+}
+
+func (w *writer) PutOffset(source string, offset int) error {
+	w.m.Entries = append(w.m.Entries, manifestEntry{Kind: entryOffset, Name: source, Offset: offset})
+	return nil
+}
+
+// putPayload stores one payload-carrying entry (full state or delta).
+func (w *writer) putPayload(e manifestEntry, data []byte) error {
+	w.seq++
+	e.File = fmt.Sprintf("state-%d.gob", w.seq)
+	e.Size = int64(len(data))
+	e.CRC = crc32.ChecksumIEEE(data)
+	w.s.mu.Lock()
+	err := w.s.b.put(w.m.ID, e.File, data)
+	w.s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	w.m.Entries = append(w.m.Entries, e)
+	return nil
+}
+
+func (w *writer) PutState(op string, state []byte) error {
+	return w.putPayload(manifestEntry{Kind: entryState, Name: op}, state)
+}
+
+func (w *writer) PutStateDelta(op string, parent uint64, delta, state []byte) error {
+	return w.putPayload(manifestEntry{Kind: entryDelta, Name: op, Parent: parent, StateCRC: crc32.ChecksumIEEE(state)}, delta)
+}
+
+func (w *writer) PutStateUnchanged(op string, parent uint64, state []byte) error {
+	w.m.Entries = append(w.m.Entries, manifestEntry{Kind: entryUnchanged, Name: op, Parent: parent, StateCRC: crc32.ChecksumIEEE(state)})
+	return nil
+}
+
+func (w *writer) Seal() error {
+	if w.done {
+		return fmt.Errorf("%w: checkpoint %d", ErrSealed, w.m.ID)
+	}
+	w.done = true
+	data, err := json.Marshal(w.m)
+	if err != nil {
+		return err
+	}
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	if err := w.s.b.commit(w.m.ID, data); err != nil {
+		return err
+	}
+	w.s.last = max(w.s.last, w.m.ID)
+	return nil
+}
+
+// LatestComplete implements CheckpointStore: newest ID first, the first
+// checkpoint whose manifest exists and whose every entry — including its
+// delta chain — verifies. IDs without a manifest (a writer in flight,
+// debris of a failed round) are skipped silently; sealed-but-unloadable
+// checkpoints are skipped in favour of older intact ones, and only when
+// nothing loads at all does the corruption surface as an error.
+func (s *Store) LatestComplete() (*Checkpoint, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids, err := s.b.ids()
 	if err != nil {
 		return nil, err
 	}
+	mans := map[uint64]*manifest{}
 	var firstErr error
 	for i := len(ids) - 1; i >= 0; i-- {
-		if !s.sealedAt(ids[i]) {
+		m, err := s.manifest(ids[i], mans)
+		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
-		cp, err := s.load(ids[i])
+		var cp *Checkpoint
+		if err == nil {
+			cp, err = s.load(m, mans)
+		}
 		if err == nil {
 			return cp, nil
 		}
@@ -503,38 +308,13 @@ func (s *FileStore) LatestComplete() (*Checkpoint, error) {
 	return nil, nil
 }
 
-// sealedAt reports whether cp-id has a sealed manifest. Caller holds s.mu.
-func (s *FileStore) sealedAt(id uint64) bool {
-	_, err := os.Stat(filepath.Join(s.dir, fmt.Sprintf("cp-%d", id), manifestName))
-	return err == nil
-}
-
-func (s *FileStore) ids() ([]uint64, error) {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var ids []uint64
-	for _, de := range des {
-		if !de.IsDir() || !strings.HasPrefix(de.Name(), "cp-") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimPrefix(de.Name(), "cp-"), 10, 64)
-		if err != nil {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
-}
-
-// readManifest parses cp-id's manifest (caching in mans across one load).
-func (s *FileStore) readManifest(id uint64, mans map[uint64]*manifest) (*manifest, error) {
+// manifest parses id's manifest, caching in mans across one scan, and
+// refuses one sealed under another state version.
+func (s *Store) manifest(id uint64, mans map[uint64]*manifest) (*manifest, error) {
 	if m, ok := mans[id]; ok {
 		return m, nil
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, fmt.Sprintf("cp-%d", id), manifestName))
+	data, err := s.b.get(id, manifestName)
 	if err != nil {
 		return nil, err
 	}
@@ -542,16 +322,17 @@ func (s *FileStore) readManifest(id uint64, mans map[uint64]*manifest) (*manifes
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, err
 	}
-	if err := checkVersion(id, m.StateVersion); err != nil {
-		return nil, err
+	if m.StateVersion != StateVersion {
+		return nil, fmt.Errorf("%w: checkpoint %d was sealed under state version %d, this build reads version %d; its state cannot be restored — recover from the sources or with the build that wrote it",
+			ErrStateVersion, id, m.StateVersion, StateVersion)
 	}
 	mans[id] = &m
 	return &m, nil
 }
 
-// readEntryFile reads and verifies one payload file of cp-id.
-func (s *FileStore) readEntryFile(id uint64, e manifestEntry) ([]byte, error) {
-	b, err := os.ReadFile(filepath.Join(s.dir, fmt.Sprintf("cp-%d", id), e.File))
+// payload reads and verifies the payload of entry e of checkpoint id.
+func (s *Store) payload(id uint64, e manifestEntry) ([]byte, error) {
+	b, err := s.b.get(id, e.File)
 	if err != nil {
 		return nil, err
 	}
@@ -561,114 +342,101 @@ func (s *FileStore) readEntryFile(id uint64, e manifestEntry) ([]byte, error) {
 	return b, nil
 }
 
-// load reads and verifies one checkpoint, resolving delta chains; any
-// missing file, size mismatch, checksum failure or broken chain link is
-// an error (the checkpoint is torn).
-func (s *FileStore) load(id uint64) (*Checkpoint, error) {
-	mans := map[uint64]*manifest{}
-	m, err := s.readManifest(id, mans)
-	if err != nil {
-		return nil, err
-	}
+// load verifies one sealed checkpoint and resolves its delta chains; any
+// missing payload, size mismatch, checksum failure or broken chain link
+// is an error (the checkpoint is torn).
+func (s *Store) load(m *manifest, mans map[uint64]*manifest) (*Checkpoint, error) {
 	cp := &Checkpoint{ID: m.ID, Offsets: map[string]int{}, States: map[string][]byte{}}
 	for _, e := range m.Entries {
-		switch e.Kind {
-		case entryOffset:
+		if e.Kind == entryOffset {
 			cp.Offsets[e.Name] = e.Offset
-		case entryState, entryDelta, entryUnchanged:
-			b, err := s.resolveState(id, e.Name, mans, 0)
-			if err != nil {
-				return nil, err
-			}
-			cp.States[e.Name] = b
-		default:
-			return nil, fmt.Errorf("ft: checkpoint %d has unknown entry kind %q", id, e.Kind)
+			continue
 		}
+		b, err := s.resolve(m.ID, e, mans, 0)
+		if err != nil {
+			return nil, err
+		}
+		cp.States[e.Name] = b
 	}
 	return cp, nil
 }
 
-// resolveState reconstructs one operator's full state at checkpoint id by
-// walking its base+delta chain.
-func (s *FileStore) resolveState(id uint64, op string, mans map[uint64]*manifest, depth int) ([]byte, error) {
-	if depth > maxChainDepth {
-		return nil, fmt.Errorf("ft: checkpoint %d: chain for %q exceeds depth %d", id, op, maxChainDepth)
+// resolve reconstructs the full state entry e of checkpoint id stands for
+// by walking its base+delta chain.
+func (s *Store) resolve(id uint64, e manifestEntry, mans map[uint64]*manifest, depth int) ([]byte, error) {
+	switch e.Kind {
+	case entryState:
+		return s.payload(id, e)
+	case entryDelta, entryUnchanged:
+	default:
+		return nil, fmt.Errorf("ft: checkpoint %d entry %q has unknown kind %q", id, e.Name, e.Kind)
 	}
-	m, err := s.readManifest(id, mans)
+	if depth >= maxChainDepth {
+		return nil, fmt.Errorf("ft: checkpoint %d: chain for %q exceeds depth %d", id, e.Name, maxChainDepth)
+	}
+	if e.Parent >= id {
+		return nil, fmt.Errorf("ft: checkpoint %d entry %q references non-ancestor %d", id, e.Name, e.Parent)
+	}
+	pm, err := s.manifest(e.Parent, mans)
 	if err != nil {
-		return nil, fmt.Errorf("ft: chain for %q: checkpoint %d: %w", op, id, err)
+		return nil, fmt.Errorf("ft: chain for %q: checkpoint %d: %w", e.Name, e.Parent, err)
 	}
-	for _, e := range m.Entries {
-		if e.Name != op || e.Kind == entryOffset {
-			continue
+	pe, ok := pm.state(e.Name)
+	if !ok {
+		return nil, fmt.Errorf("ft: checkpoint %d has no state entry for %q", e.Parent, e.Name)
+	}
+	state, err := s.resolve(e.Parent, pe, mans, depth+1)
+	if err != nil {
+		return nil, err
+	}
+	if e.Kind == entryDelta {
+		d, err := s.payload(id, e)
+		if err != nil {
+			return nil, err
 		}
-		switch e.Kind {
-		case entryState:
-			return s.readEntryFile(id, e)
-		case entryUnchanged:
-			if e.Parent >= id {
-				return nil, fmt.Errorf("ft: checkpoint %d entry %q references non-ancestor %d", id, op, e.Parent)
-			}
-			return s.resolveState(e.Parent, op, mans, depth+1)
-		case entryDelta:
-			if e.Parent >= id {
-				return nil, fmt.Errorf("ft: checkpoint %d entry %q references non-ancestor %d", id, op, e.Parent)
-			}
-			d, err := s.readEntryFile(id, e)
-			if err != nil {
-				return nil, err
-			}
-			base, err := s.resolveState(e.Parent, op, mans, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			return ApplyDelta(base, d)
+		if state, err = ApplyDelta(state, d); err != nil {
+			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("ft: checkpoint %d has no state entry for %q", id, op)
+	if crc32.ChecksumIEEE(state) != e.StateCRC {
+		return nil, fmt.Errorf("ft: checkpoint %d entry %q does not resolve to the state it was cut from: checkpoint %d is not the parent it was written against", id, e.Name, e.Parent)
+	}
+	return state, nil
 }
 
-// Drop implements CheckpointStore: the scan is driven by the directory
-// listing (IDs need not be dense — torn rounds and earlier drops leave
-// gaps), and checkpoints still referenced by a surviving checkpoint's
-// delta chain are retained regardless of their ID.
-func (s *FileStore) Drop(id uint64) error {
+// Drop implements CheckpointStore. The scan is driven by the backend's
+// listing (IDs need not be dense — failed rounds and earlier drops leave
+// gaps); debris of failed rounds at or below id goes with it.
+func (s *Store) Drop(id uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids, err := s.ids()
+	ids, err := s.b.ids()
 	if err != nil {
 		return err
 	}
 	protected := map[uint64]bool{}
 	mans := map[uint64]*manifest{}
-	for _, i := range ids {
-		if i <= id || !s.sealedAt(i) {
+	for _, cur := range ids {
+		if cur <= id {
 			continue
 		}
 		// Walk the survivor's chain; an unreadable manifest protects
 		// nothing (the checkpoint is torn and will be skipped by loads).
-		cur := i
 		for {
-			m, err := s.readManifest(cur, mans)
+			m, err := s.manifest(cur, mans)
 			if err != nil {
 				break
 			}
-			next := uint64(0)
-			for _, e := range m.Entries {
-				if (e.Kind == entryDelta || e.Kind == entryUnchanged) && e.Parent > next {
-					next = e.Parent
-				}
-			}
-			if next == 0 || protected[next] {
+			cur = m.parent()
+			if cur == 0 || protected[cur] {
 				break
 			}
-			protected[next] = true
-			cur = next
+			protected[cur] = true
 		}
 	}
 	for _, i := range ids {
 		if i <= id && !protected[i] {
-			if err := os.RemoveAll(filepath.Join(s.dir, fmt.Sprintf("cp-%d", i))); err != nil {
+			if err := s.b.remove(i); err != nil {
 				return err
 			}
 		}

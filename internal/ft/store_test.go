@@ -1,0 +1,477 @@
+package ft_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pipes/internal/ft"
+)
+
+// eachBackend is the one table of the store tests: fn runs once per
+// backend of the one store. open returns the store as whoever opens it
+// next finds it — the directory is opened again, sweep and all; the map,
+// which no process outlives, is the same store again.
+func eachBackend(t *testing.T, fn func(t *testing.T, open func() *ft.Store)) {
+	t.Run("mem", func(t *testing.T) {
+		s := ft.NewMemStore()
+		fn(t, func() *ft.Store { return s })
+	})
+	t.Run("dir", func(t *testing.T) {
+		dir := t.TempDir()
+		fn(t, func() *ft.Store {
+			s, err := ft.NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		})
+	})
+}
+
+// link is one chained state entry: a delta against parent's entry, or
+// (delta nil) a marker that the state is the parent's.
+type link struct {
+	parent uint64
+	delta  []byte
+	state  []byte // the full state the link stands for
+}
+
+// mustSeal stages full states, chain links and offsets, then seals.
+func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]int, full map[string][]byte, links map[string]link) {
+	t.Helper()
+	w, err := s.Begin(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, off := range offsets {
+		if err := w.PutOffset(name, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for op, st := range full {
+		if err := w.PutState(op, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for op, l := range links {
+		if l.delta == nil {
+			err = w.PutStateUnchanged(op, l.parent, l.state)
+		} else {
+			err = w.PutStateDelta(op, l.parent, l.delta, l.state)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustLatest(t *testing.T, s ft.CheckpointStore, wantID uint64) *ft.Checkpoint {
+	t.Helper()
+	cp, err := s.LatestComplete()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil || cp.ID != wantID {
+		t.Fatalf("latest = %+v, want checkpoint %d", cp, wantID)
+	}
+	return cp
+}
+
+func mustIDs(t *testing.T, s *ft.Store, want ...uint64) {
+	t.Helper()
+	got, err := s.RawIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store holds checkpoints %v, want %v", got, want)
+	}
+}
+
+func TestStoreRoundTrip(t *testing.T) {
+	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
+		store := open()
+		if cp, err := store.LatestComplete(); err != nil || cp != nil {
+			t.Fatalf("empty store: got %v, %v", cp, err)
+		}
+		mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": []byte("one")}, nil)
+		mustSeal(t, store, 2, map[string]int{"src": 25}, map[string][]byte{"op": []byte("two")}, nil)
+		cp := mustLatest(t, store, 2)
+		if cp.Offsets["src"] != 25 || string(cp.States["op"]) != "two" {
+			t.Fatalf("latest: got %+v", cp)
+		}
+		if err := store.Drop(1); err != nil {
+			t.Fatal(err)
+		}
+		mustLatest(t, store, 2)
+		mustIDs(t, store, 2)
+	})
+}
+
+// An unsealed checkpoint (crash before the manifest commit) must be
+// invisible; a sealed checkpoint with a corrupted payload must be
+// skipped in favour of the previous complete one.
+func TestStoreSkipsTornCheckpoints(t *testing.T) {
+	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
+		store := open()
+		mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")}, nil)
+
+		// Torn write: state written, no manifest.
+		w, err := store.Begin(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.PutState("op", []byte("unsealed")); err != nil {
+			t.Fatal(err)
+		}
+		mustLatest(t, store, 1)
+
+		// Sealed but corrupted: overwrite the one payload's content.
+		mustSeal(t, store, 3, map[string]int{"src": 9}, map[string][]byte{"op": []byte("later")}, nil)
+		if b, err := store.RawGet(3, "state-1.gob"); err != nil || string(b) != "later" {
+			t.Fatalf("payload of checkpoint 3: %q, %v", b, err)
+		}
+		if err := store.RawPut(3, "state-1.gob", []byte("XXXXX")); err != nil {
+			t.Fatal(err)
+		}
+		mustLatest(t, store, 1)
+	})
+}
+
+// varied returns n bytes of varied content (CDC needs content entropy to
+// place chunk boundaries).
+func varied(n, salt int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*131 + i>>8 + salt)
+	}
+	return b
+}
+
+// The store must resolve a base+delta+unchanged chain back to the full
+// state image, byte-identical to what a full write would have stored,
+// over either backend.
+func TestStoreResolvesDeltaChains(t *testing.T) {
+	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
+		store := open()
+		// Mutated by tail appends like a filling window.
+		base := varied(32<<10, 0)
+		v2 := append(append([]byte(nil), base...), []byte("round-two-suffix")...)
+		v3 := append(append([]byte(nil), v2...), []byte("round-three-suffix")...)
+		d2 := ft.MakeDelta(base, v2)
+		d3 := ft.MakeDelta(v2, v3)
+		if d2 == nil || d3 == nil {
+			t.Fatal("tail-append states produced no deltas")
+		}
+		idle := []byte("idle")
+
+		mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"win": base, "quiet": idle}, nil)
+		mustSeal(t, store, 2, map[string]int{"src": 20}, nil,
+			map[string]link{"win": {1, d2, v2}, "quiet": {1, nil, idle}})
+		mustSeal(t, store, 3, map[string]int{"src": 30}, nil,
+			map[string]link{"win": {2, d3, v3}, "quiet": {2, nil, idle}})
+
+		cp := mustLatest(t, store, 3)
+		if !bytes.Equal(cp.States["win"], v3) {
+			t.Fatalf("win resolved to %dB, want %dB (v3)", len(cp.States["win"]), len(v3))
+		}
+		if string(cp.States["quiet"]) != "idle" {
+			t.Fatalf("quiet resolved to %q through unchanged chain", cp.States["quiet"])
+		}
+		if cp.Offsets["src"] != 30 {
+			t.Fatalf("offsets = %v", cp.Offsets)
+		}
+
+		// Retention must refuse to tear the live chain: every ancestor
+		// of checkpoint 3 survives a Drop(2).
+		if err := store.Drop(2); err != nil {
+			t.Fatal(err)
+		}
+		cp = mustLatest(t, store, 3)
+		if !bytes.Equal(cp.States["win"], v3) {
+			t.Fatal("chain torn by Drop: win no longer resolves")
+		}
+		mustIDs(t, store, 1, 2, 3)
+	})
+}
+
+// A chain link applies only to the parent it was cut against. A parent
+// swapped for another self-consistent checkpoint of the same ID — what a
+// writer reusing sealed IDs leaves behind — has valid payload checksums
+// and a state of the right length, so the delta applies and a marker
+// resolves; only the link's full-state checksum tells. The link is then
+// torn: recovery falls back to the next older checkpoint that resolves.
+func TestStoreRefusesLinkToAnotherParent(t *testing.T) {
+	base, other := varied(32<<10, 0), varied(32<<10, 7)
+	v2 := append(append([]byte(nil), base...), []byte("round-two-suffix")...)
+	d2 := ft.MakeDelta(base, v2)
+	if d2 == nil {
+		t.Fatal("tail-append state produced no delta")
+	}
+	if wrong, err := ft.ApplyDelta(other, d2); err != nil || bytes.Equal(wrong, v2) {
+		t.Fatalf("the delta must apply to the other parent and yield another state (err %v)", err)
+	}
+	for name, links := range map[string]map[string]link{
+		"delta": {"op": {1, d2, v2}},
+		"same":  {"op": {1, nil, base}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eachBackend(t, func(t *testing.T, open func() *ft.Store) {
+				store := open()
+				mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": base}, nil)
+				mustSeal(t, store, 2, map[string]int{"src": 20}, nil, links)
+				if cp := mustLatest(t, store, 2); !bytes.Equal(cp.States["op"], links["op"].state) {
+					t.Fatal("intact chain does not resolve")
+				}
+
+				if err := store.RawRemove(1); err != nil {
+					t.Fatal(err)
+				}
+				mustSeal(t, store, 1, map[string]int{"src": 11}, map[string][]byte{"op": other}, nil)
+				cp := mustLatest(t, open(), 1)
+				if !bytes.Equal(cp.States["op"], other) || cp.Offsets["src"] != 11 {
+					t.Fatal("fallback did not return the replaced checkpoint 1 as sealed")
+				}
+			})
+		})
+	}
+}
+
+// A sealed checkpoint is never mutated: Begin refuses its ID by name, in
+// this process and the next. Unsealed debris under an ID is not a
+// checkpoint — Begin starts clean over it.
+func TestBeginRefusesSealedID(t *testing.T) {
+	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
+		store := open()
+		mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("first")}, nil)
+		manifest, err := store.RawGet(1, ft.ManifestName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*ft.Store{store, open()} {
+			if w, err := s.Begin(1); w != nil || !errors.Is(err, ft.ErrSealed) {
+				t.Fatalf("Begin on sealed ID = %v, %v; want ErrSealed", w, err)
+			}
+			if got := s.LastID(); got != 1 {
+				t.Fatalf("LastID = %d, want 1", got)
+			}
+			cp := mustLatest(t, s, 1)
+			after, err := s.RawGet(1, ft.ManifestName)
+			if err != nil || !bytes.Equal(after, manifest) || string(cp.States["op"]) != "first" {
+				t.Fatalf("sealed checkpoint mutated by a refused Begin (err %v)", err)
+			}
+		}
+
+		// A failed round in this process: two payloads, no seal.
+		w, err := store.Begin(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []string{"a", "b"} {
+			if err := w.PutState(op, []byte("doomed")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustSeal(t, store, 2, nil, map[string][]byte{"c": []byte("retried")}, nil)
+		if _, err := store.RawGet(2, "state-2.gob"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("debris payload survived Begin (err %v)", err)
+		}
+		cp := mustLatest(t, store, 2)
+		if len(cp.States) != 1 || string(cp.States["c"]) != "retried" {
+			t.Fatalf("checkpoint over debris: %+v", cp)
+		}
+		if got := open().LastID(); got != 2 {
+			t.Fatalf("LastID = %d, want 2", got)
+		}
+	})
+}
+
+// A crash between data write and seal must not leave the orphan cp-<id>
+// directory (with its data files and manifest temp) behind — NewFileStore
+// sweeps unsealed directories on open. This is also the test that pins the
+// directory backend's layout: cp-<id>/, state-<seq>.gob, MANIFEST.json,
+// MANIFEST.json.tmp.
+func TestDirSweepsUnsealedOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	store, err := ft.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")}, nil)
+	for _, f := range []string{"state-1.gob", "MANIFEST.json"} {
+		if _, err := os.Stat(filepath.Join(dir, "cp-1", f)); err != nil {
+			t.Fatalf("sealed layout: %v", err)
+		}
+	}
+
+	// Injected crash between write and seal: data staged, manifest never
+	// renamed into place. Also fake the half-written manifest temp file a
+	// crash mid-Seal leaves.
+	w, err := store.Begin(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.PutState("op", []byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cp-2", "state-1.gob")); err != nil {
+		t.Fatalf("staged layout: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cp-2", "MANIFEST.json.tmp"), []byte("{partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// w abandoned here — the crash.
+
+	reopened, err := ft.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cp-2")); !os.IsNotExist(err) {
+		t.Fatalf("orphan cp-2 survived reopen (stat err = %v)", err)
+	}
+	mustLatest(t, reopened, 1)
+
+	// The swept ID was never sealed, so it is free.
+	mustSeal(t, reopened, 2, map[string]int{"src": 9}, map[string][]byte{"op": []byte("retried")}, nil)
+	if cp := mustLatest(t, reopened, 2); string(cp.States["op"]) != "retried" {
+		t.Fatalf("ID reused after sweep: %+v", cp)
+	}
+
+	// A stale manifest temp next to a *sealed* manifest is junk;
+	// reopening removes the temp, keeps the checkpoint.
+	tmp := filepath.Join(dir, "cp-2", "MANIFEST.json.tmp")
+	if err := os.WriteFile(tmp, []byte("{partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ft.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stale manifest temp survived reopen (stat err = %v)", err)
+	}
+	mustLatest(t, again, 2)
+}
+
+// Drop must be driven by the backend's listing, not an assumed-dense ID
+// walk — gaps left by torn rounds and earlier drops must not shadow older
+// checkpoints from retention, and a failed round's debris goes too.
+func TestStoreDropHandlesGappedLayout(t *testing.T) {
+	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
+		store := open()
+		// Sparse IDs: failed rounds 2, 4-6 left gaps, 5 left payloads.
+		for _, id := range []uint64{1, 3, 7} {
+			mustSeal(t, store, id, map[string]int{"src": int(id)}, map[string][]byte{"op": {byte(id)}}, nil)
+		}
+		w, err := store.Begin(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.PutState("op", []byte("never sealed")); err != nil {
+			t.Fatal(err)
+		}
+		mustIDs(t, store, 1, 3, 5, 7)
+		if err := store.Drop(6); err != nil {
+			t.Fatal(err)
+		}
+		mustIDs(t, store, 7)
+		mustLatest(t, store, 7)
+	})
+}
+
+// sealVersioned seals checkpoint id holding one full state entry, then
+// rewrites its stamp to version the way a build of that version would
+// have left it (absent from the manifest for 0).
+func sealVersioned(t *testing.T, s *ft.Store, id uint64, version int) {
+	t.Helper()
+	mustSeal(t, s, id, map[string]int{"src": 7}, map[string][]byte{"γ#5": []byte("state")}, nil)
+	if version == ft.StateVersion {
+		return
+	}
+	raw, err := s.RawGet(id, ft.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "state_version")
+	if version != 0 {
+		fields["state_version"] = json.RawMessage(fmt.Sprint(version))
+	}
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RawCommit(id, raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A store sealed by another build names operators the way that build
+// numbered them ("γ#5" there is not "γ#5" here) and records what that
+// build's manifests recorded. It must be refused with both versions
+// named, never handed to RestoreStates — also when an older checkpoint
+// would load, and also when only a delta parent is old.
+func TestStoreRefusesOtherStateVersion(t *testing.T) {
+	refused := func(t *testing.T, s *ft.Store, sealedUnder int) {
+		t.Helper()
+		cp, err := s.LatestComplete()
+		if cp != nil || !errors.Is(err, ft.ErrStateVersion) {
+			t.Fatalf("LatestComplete = %v, %v; want no checkpoint and ErrStateVersion", cp, err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("state version %d,", sealedUnder),
+			fmt.Sprintf("reads version %d", ft.StateVersion),
+		} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not say %q", err, want)
+			}
+		}
+	}
+	for name, c := range map[string]func(t *testing.T, s *ft.Store){
+		"current version loads": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, ft.StateVersion)
+			if cp := mustLatest(t, s, 1); string(cp.States["γ#5"]) != "state" {
+				t.Fatalf("latest = %+v", cp)
+			}
+		},
+		"version 0": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, 0)
+			refused(t, s, 0)
+		},
+		"previous version": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, ft.StateVersion-1)
+			refused(t, s, ft.StateVersion-1)
+		},
+		"newer build": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, ft.StateVersion+1)
+			refused(t, s, ft.StateVersion+1)
+		},
+		"no fallback past it": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, ft.StateVersion)
+			sealVersioned(t, s, 2, 0)
+			refused(t, s, 0)
+		},
+		"old delta parent": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, 0)
+			mustSeal(t, s, 2, nil, nil, map[string]link{"γ#5": {1, nil, []byte("state")}})
+			refused(t, s, 0)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eachBackend(t, func(t *testing.T, open func() *ft.Store) { c(t, open()) })
+		})
+	}
+}

@@ -84,19 +84,18 @@ func (c *Crash) Fired() bool {
 }
 
 // TornStore wraps a CheckpointStore so seals can be suppressed: while
-// armed, Seal writes nothing durable and reports failure — the on-disk
-// (or in-memory) image is exactly that of a crash between the round's
-// completion and its commit point. With a FileStore underneath the
-// state files of the torn round are still written, so recovery also
-// exercises the manifest-missing path.
+// armed, Seal writes nothing durable and reports failure — the stored
+// image is exactly that of a crash between the round's completion and its
+// commit point: the round's payloads are there, its manifest is not, so
+// recovery also exercises the manifest-missing path.
 type TornStore struct {
-	inner    ft.CheckpointStore
+	ft.CheckpointStore
 	failSeal atomic.Bool
 	torn     atomic.Int64
 }
 
 // NewTornStore wraps inner.
-func NewTornStore(inner ft.CheckpointStore) *TornStore { return &TornStore{inner: inner} }
+func NewTornStore(inner ft.CheckpointStore) *TornStore { return &TornStore{CheckpointStore: inner} }
 
 // ArmSealFailure makes every subsequent Seal fail (until Disarm).
 func (s *TornStore) ArmSealFailure() { s.failSeal.Store(true) }
@@ -109,60 +108,16 @@ func (s *TornStore) TornSeals() int64 { return s.torn.Load() }
 
 // Begin implements ft.CheckpointStore.
 func (s *TornStore) Begin(id uint64) (ft.CheckpointWriter, error) {
-	w, err := s.inner.Begin(id)
+	w, err := s.CheckpointStore.Begin(id)
 	if err != nil {
 		return nil, err
 	}
-	return &tornWriter{inner: w, store: s}, nil
+	return &tornWriter{CheckpointWriter: w, store: s}, nil
 }
-
-// LatestComplete implements ft.CheckpointStore.
-func (s *TornStore) LatestComplete() (*ft.Checkpoint, error) { return s.inner.LatestComplete() }
-
-// Drop implements ft.CheckpointStore.
-func (s *TornStore) Drop(id uint64) error { return s.inner.Drop(id) }
 
 type tornWriter struct {
-	inner ft.CheckpointWriter
+	ft.CheckpointWriter
 	store *TornStore
-}
-
-func (w *tornWriter) PutOffset(source string, offset int) error {
-	return w.inner.PutOffset(source, offset)
-}
-
-func (w *tornWriter) PutState(op string, state []byte) error {
-	return w.inner.PutState(op, state)
-}
-
-// PutStateDelta forwards the ft.ChainWriter contract so incremental
-// delta rounds flow through fault injection unchanged — the wrapped
-// store's chain support is what the manager detects, so a TornStore over
-// a chain-capable store stays chain-capable.
-func (w *tornWriter) PutStateDelta(op string, parent uint64, delta []byte) error {
-	cw, ok := w.inner.(ft.ChainWriter)
-	if !ok {
-		return errNoChainSupport
-	}
-	return cw.PutStateDelta(op, parent, delta)
-}
-
-// PutStateUnchanged forwards the ft.ChainWriter contract (see
-// PutStateDelta).
-func (w *tornWriter) PutStateUnchanged(op string, parent uint64) error {
-	cw, ok := w.inner.(ft.ChainWriter)
-	if !ok {
-		return errNoChainSupport
-	}
-	return cw.PutStateUnchanged(op, parent)
-}
-
-var errNoChainSupport = chainSupportError{}
-
-type chainSupportError struct{}
-
-func (chainSupportError) Error() string {
-	return "harness: wrapped checkpoint store does not support chain writes"
 }
 
 func (w *tornWriter) Seal() error {
@@ -170,7 +125,7 @@ func (w *tornWriter) Seal() error {
 		w.store.torn.Add(1)
 		return errTornSeal
 	}
-	return w.inner.Seal()
+	return w.CheckpointWriter.Seal()
 }
 
 var errTornSeal = tornSealError{}
