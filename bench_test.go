@@ -1,19 +1,16 @@
 package pipes
 
-// The benchmark harness regenerating the paper's claims; one Benchmark
-// function per experiment of DESIGN.md's index. Expected shapes (who
-// wins, by what factor) are recorded in EXPERIMENTS.md.
+// The paper-claim rows that have no cell in bench/ yet, one Benchmark
+// function per row; this file is their only driver. EXPERIMENTS.md
+// indexes every claim to its bench/ cell, its row here, or its test.
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"pipes/internal/experiments"
-	"pipes/internal/nexmark"
 	"pipes/internal/sched"
-	"pipes/internal/traffic"
 )
 
 // E2: direct publish-subscribe hand-off vs queued connections.
@@ -83,26 +80,6 @@ func BenchmarkE9_Coalesce(b *testing.B) {
 	b.Run("without", experiments.E9WithoutCoalesce)
 }
 
-// E10: metadata decoration overhead.
-func BenchmarkE10_MetadataOverhead(b *testing.B) {
-	b.Run("off", experiments.E10Metadata("off"))
-	b.Run("counts", experiments.E10Metadata("counts"))
-	b.Run("full", experiments.E10Metadata("full"))
-}
-
-// E12: traffic-management queries end to end.
-func BenchmarkE12_Traffic(b *testing.B) {
-	b.Run("avg-hov-speed", experiments.E12Traffic(traffic.QueryAvgHOVSpeed))
-	b.Run("section-averages", experiments.E12Traffic(traffic.QueryAvgSectionSpeed))
-}
-
-// E13: NEXMark-style auction queries end to end.
-func BenchmarkE13_NEXMark(b *testing.B) {
-	b.Run("highest-bid", experiments.E13NEXMark(nexmark.QueryHighestBid))
-	b.Run("currency", experiments.E13NEXMark(nexmark.QueryCurrencyConversion))
-	b.Run("bid-counts", experiments.E13NEXMark(nexmark.QueryBidCounts))
-}
-
 // E14: stream⇄cursor translation round trip.
 func BenchmarkE14_CursorBridge(b *testing.B) {
 	b.Run("roundtrip", experiments.E14CursorBridge)
@@ -155,62 +132,4 @@ func BenchmarkE17_PartitionedParallelism(b *testing.B) {
 	}
 	b.Run(bname("workers", 1), experiments.E17Parallel(1, replicas, 50_000))
 	b.Run(bname("workers", cpus), experiments.E17Parallel(cpus, replicas, 50_000))
-}
-
-// E18: telemetry overhead — the avg-HOV-speed traffic query undecorated,
-// wrapped in metadata monitors, and with 1-in-128 element tracing on top.
-func BenchmarkE18_TelemetryOverhead(b *testing.B) {
-	b.Run("bare", experiments.E18Telemetry(experiments.TelemetryOff, 0))
-	b.Run("monitored", experiments.E18Telemetry(experiments.TelemetryMonitored, 0))
-	b.Run("traced-1in128", experiments.E18Telemetry(experiments.TelemetryTraced, 128))
-}
-
-// E19: checkpoint overhead — the avg-HOV-speed traffic query bare, with
-// 1s barrier checkpoints (the deployment-realistic rate for multi-MB
-// state) into in-memory and file-backed stores, plus a 100ms stress
-// variant showing the cost of re-snapshotting a large window 10×/s.
-func BenchmarkE19_CheckpointOverhead(b *testing.B) {
-	b.Run("off", experiments.E19Checkpoint(experiments.CheckpointOff, 0))
-	b.Run("mem-1s", experiments.E19Checkpoint(experiments.CheckpointMem, time.Second))
-	b.Run("file-1s", experiments.E19Checkpoint(experiments.CheckpointFile, time.Second))
-	b.Run("mem-100ms", experiments.E19Checkpoint(experiments.CheckpointMem, 100*time.Millisecond))
-}
-
-// E22: incremental checkpoints — the E19 mem-100ms stress row rerun under
-// the two chain configurations: full snapshots every round and the
-// base+delta chain at the default cadence, both encoded off the barrier.
-// Extra metrics report per-round barrier-stall ns and written-vs-full
-// bytes; the written/full ratio is the steady-state bytes reduction.
-func BenchmarkE22_IncrementalCheckpoints(b *testing.B) {
-	b.Run("full-offbarrier", experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 1))
-	b.Run("delta-k8", experiments.E22Incremental(experiments.CheckpointMem, 100*time.Millisecond, 0))
-}
-
-// E20: frame-size sweep on the filter/map-dense traffic chain (frame 1 is
-// the paper's per-element hand-off), plus the E19 graph rerun at frame 64
-// (checkpoint overhead must survive batching).
-func BenchmarkE20_BatchedTransfer(b *testing.B) {
-	for _, f := range []int{1, 8, 64, 256} {
-		b.Run(bname("frame", f), experiments.E20Batch(f, experiments.CheckpointOff, 0))
-	}
-	for _, f := range []int{1, 8, 64, 256} {
-		b.Run(bname("segment/frame", f), experiments.E20Segment(f))
-	}
-	b.Run(bname("cp-1s/frame", 1), experiments.E20Batch(1, experiments.CheckpointMem, time.Second))
-	b.Run(bname("cp-1s/frame", 64), experiments.E20Batch(64, experiments.CheckpointMem, time.Second))
-	b.Run("e19-frame64/off", experiments.E19CheckpointBatched(experiments.CheckpointOff, 0, 64))
-	b.Run("e19-frame64/mem-1s", experiments.E19CheckpointBatched(experiments.CheckpointMem, time.Second, 64))
-	b.Run("e19-frame64/file-1s", experiments.E19CheckpointBatched(experiments.CheckpointFile, time.Second, 64))
-}
-
-// E21: monitoring overhead on the batch lane — the E20 chain at frame 64
-// bare, with the flight recorder attached at every hop, and with the full
-// default monitoring stack (flight + metadata decorators). The ≤8%
-// acceptance envelope is the flight recorder (all its surfaces) vs bare;
-// the flight+monitors variant reports the complete stack for context.
-func BenchmarkE21_FlightOverhead(b *testing.B) {
-	b.Run("off", experiments.E21FlightOverhead(64, experiments.FlightOff))
-	b.Run("flight", experiments.E21FlightOverhead(64, experiments.FlightOn))
-	b.Run("flight+monitors", experiments.E21FlightOverhead(64, experiments.FlightFull))
-	b.Run(bname("flight/frame", 8), experiments.E21FlightOverhead(8, experiments.FlightOn))
 }

@@ -1,6 +1,7 @@
 // Package hotpathclock forbids raw wall-clock reads on the per-frame hot
-// path. E18 (EXPERIMENTS.md) measured per-element `time.Now()` as the
-// dominant monitoring overhead (+68% before the fix); the sanctioned
+// path. Per-element `time.Now()` was the dominant monitoring overhead
+// (+68% before the stride; bench/'s metadata.monitored_ratio is the cell
+// that watches it now); the sanctioned
 // patterns are the injected telemetry.Clock and the 1-in-16 stride
 // (flight's strideEvery), under which one clock reading is amortised over
 // strideEvery elements.
@@ -97,7 +98,7 @@ func run(pass *analysis.Pass) (any, error) {
 				return
 			}
 			pass.Reportf(call.Pos(),
-				"raw time.%s on the hot path (reachable from %s): read the injected telemetry.Clock or amortise under the 1-in-16 stride, strideEvery (E18; OBSERVABILITY.md)",
+				"raw time.%s on the hot path (reachable from %s): read the injected telemetry.Clock or amortise under the 1-in-16 stride, strideEvery (OBSERVABILITY.md)",
 				callee.Name(), fn.Name())
 		})
 	}

@@ -5,7 +5,7 @@
 // between cursors and data-driven streams. This is how PIPES "gracefully
 // combines data-driven and demand-driven query processing": persistent
 // relations are cursors, live feeds are streams, and either can cross
-// over (experiments E13, E14).
+// over (experiment E14; examples/auction joins a stream with a relation).
 package cursor
 
 import (

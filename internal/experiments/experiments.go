@@ -1,8 +1,8 @@
-// Package experiments implements the benchmark bodies that regenerate the
-// paper's claims and figures (the per-experiment index lives in
-// DESIGN.md). Each function takes *testing.B so the same code backs both
-// `go test -bench` (bench_test.go) and the cmd/pipesbench table printer
-// via testing.Benchmark.
+// Package experiments implements the benchmark bodies for the paper's
+// claims that have no cell in bench/ yet (EXPERIMENTS.md is the claim →
+// cell | row | test index). They run one way: `go test -bench` through
+// the root package's bench_test.go. Claims that are counts rather than
+// timings are also asserted by this package's tests.
 package experiments
 
 import (
@@ -11,7 +11,6 @@ import (
 
 	"pipes/internal/aggregate"
 	"pipes/internal/cursor"
-	"pipes/internal/metadata"
 	"pipes/internal/ops"
 	"pipes/internal/pubsub"
 	"pipes/internal/sched"
@@ -172,15 +171,15 @@ func buildBufferedChain(n int) (pubsub.Sink, []*pubsub.Buffer) {
 	return headSink, bufs
 }
 
-// E4Result is one scheduling-strategy simulation outcome.
-type E4Result struct {
+// e4Result is one scheduling-strategy simulation outcome.
+type e4Result struct {
 	Strategy   string
 	MaxBacklog int   // peak total queued elements (memory proxy)
 	SumBacklog int64 // time-integrated backlog (average memory proxy)
 	Ticks      int   // ticks until both queues drained
 }
 
-// RunE4 reproduces the Chain-scheduling setting [4] inside the layer-2
+// runE4 reproduces the Chain-scheduling setting [4] inside the layer-2
 // framework: a two-stage plan src→q1→opA(σ=1.0)→q2→opB(σ=0.1)→sink with
 // bursty external arrivals into q1 and a bounded per-tick service
 // capacity. The strategy decides, tick by tick, which queue's virtual
@@ -188,7 +187,7 @@ type E4Result struct {
 // destroys tuples, and should minimise queue memory; FIFO-style static
 // order prefers q1 (moving tuples, not destroying them) and accumulates
 // backlog.
-func RunE4(strategy sched.Factory, bursts, burstSize, capacity int) E4Result {
+func runE4(strategy sched.Factory, bursts, burstSize, capacity int) e4Result {
 	opA := ops.NewFilter("opA", func(v any) bool { return true })
 	opB := ops.NewFilter("opB", func(v any) bool { return v.(int)%10 == 0 })
 	sinkC := pubsub.NewCounter("c", 1)
@@ -206,7 +205,7 @@ func RunE4(strategy sched.Factory, bursts, burstSize, capacity int) E4Result {
 	tasks := []sched.Task{t1, t2}
 	strat := strategy()
 
-	res := E4Result{Strategy: strat.Name()}
+	res := e4Result{Strategy: strat.Name()}
 	next := 0
 	push := feed(q1)
 	for tick := 0; ; tick++ {
@@ -239,11 +238,11 @@ func RunE4(strategy sched.Factory, bursts, burstSize, capacity int) E4Result {
 	}
 }
 
-// E4Strategy wraps RunE4 as a benchmark reporting peak and mean backlog.
+// E4Strategy wraps runE4 as a benchmark reporting peak and mean backlog.
 func E4Strategy(strategy sched.Factory, bursts int) func(b *testing.B) {
 	return func(b *testing.B) {
 		for iter := 0; iter < b.N; iter++ {
-			r := RunE4(strategy, bursts, 30, 35)
+			r := runE4(strategy, bursts, 30, 35)
 			b.ReportMetric(float64(r.MaxBacklog), "maxq")
 			b.ReportMetric(float64(r.SumBacklog)/float64(r.Ticks+1), "meanq")
 		}
@@ -366,9 +365,16 @@ func E9WithoutCoalesce(b *testing.B) {
 }
 
 func e9(b *testing.B, coalesce bool) {
-	// Aggregate: COUNT over a tumbling window; within one granule the
-	// count takes many values but the *bucketed* output value (count/8)
-	// is mostly stable — coalesce merges its runs.
+	b.ReportAllocs()
+	out := runCoalesce(b.N, coalesce)
+	b.ReportMetric(float64(out)/float64(b.N), "out/elem")
+}
+
+// runCoalesce pushes n elements through COUNT over a sliding window
+// bucketed to count/8 — a value that is mostly stable from one output to
+// the next — with or without the coalesce that merges its runs, and
+// returns the number of output elements.
+func runCoalesce(n int, coalesce bool) int64 {
 	agg := ops.NewAggregate("cnt", aggregate.NewCount)
 	bucket := ops.NewMap("bucket", func(v any) any { return v.(int64) / 8 })
 	c := pubsub.NewCounter("c", 1)
@@ -381,42 +387,12 @@ func e9(b *testing.B, coalesce bool) {
 		bucket.Subscribe(c, 0)
 	}
 	push := feed(agg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < n; i++ {
 		ts := temporal.Time(i)
 		push(temporal.NewElement(i, ts, ts+64), 0)
 	}
 	agg.Done(0)
-	b.StopTimer()
-	b.ReportMetric(float64(c.Count())/float64(b.N), "out/elem")
-}
-
-// E10Metadata measures the per-element overhead of secondary metadata on
-// one operator fed element by element: mode "off" (no block), "counts"
-// (counts+selectivity only: the block's exact side) or "full" (every kind
-// incl. rate estimators and cost timing: the strided side too). The
-// operator's input side is recorded where its upstream publishes, so every
-// mode is fed through a source.
-func E10Metadata(mode string) func(b *testing.B) {
-	return func(b *testing.B) {
-		src := pubsub.NewSourceBase("src")
-		f := evenFilter("f")
-		pubsub.Connect(&src, f).Subscribe(pubsub.NewCounter("c", 1), 0)
-		switch mode {
-		case "off":
-		case "counts":
-			metadata.Monitor(f, metadata.WithKinds(
-				metadata.InputCount, metadata.OutputCount, metadata.Selectivity))
-		default:
-			metadata.Monitor(f)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src.Transfer(temporal.At(i, temporal.Time(i)))
-		}
-	}
+	return c.Count()
 }
 
 // E14CursorBridge measures the stream→cursor→stream round trip per
@@ -456,38 +432,44 @@ func newBenchBridge(elems []temporal.Element) func() int64 {
 	}
 }
 
-// E15Ripple reports how many elements the ripple join consumes before its
-// online COUNT estimate stays within 5% of the exact answer.
+// E15Ripple reports the fraction of the input the ripple join consumes
+// before its online COUNT estimate stays within 5% of the exact answer.
 func E15Ripple(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
-		const n = 4000
-		mk := func(seed int) []temporal.Element {
-			out := make([]temporal.Element, n)
-			for i := range out {
-				out[i] = temporal.NewElement((i*7+seed)%100, temporal.Time(i), temporal.MaxTime)
-			}
-			return out
-		}
-		left, right := mk(1), mk(13)
-		pred := func(l, r any) bool { return l.(int) == r.(int) }
-		exact := sweeparea.NewRippleJoin(left, right, pred, nil, nil, nil).Run()
-
-		rj := sweeparea.NewRippleJoin(left, right, pred, nil, nil, nil)
-		steps := 0
-		firstStable := 0
-		for rj.Step() {
-			steps++
-			est, _ := rj.Estimate()
-			if est > exact*0.95 && est < exact*1.05 {
-				if firstStable == 0 {
-					firstStable = steps
-				}
-			} else {
-				firstStable = 0
-			}
-		}
+		firstStable, steps := runRipple()
 		b.ReportMetric(float64(firstStable)/float64(steps), "converge-frac")
 	}
+}
+
+// runRipple steps a 4000×4000 ripple equi-join to exhaustion and returns
+// the step from which the online COUNT estimate stayed within 5% of the
+// exact answer, and the total number of steps.
+func runRipple() (firstStable, steps int) {
+	const n = 4000
+	mk := func(seed int) []temporal.Element {
+		out := make([]temporal.Element, n)
+		for i := range out {
+			out[i] = temporal.NewElement((i*7+seed)%100, temporal.Time(i), temporal.MaxTime)
+		}
+		return out
+	}
+	left, right := mk(1), mk(13)
+	pred := func(l, r any) bool { return l.(int) == r.(int) }
+	exact := sweeparea.NewRippleJoin(left, right, pred, nil, nil, nil).Run()
+
+	rj := sweeparea.NewRippleJoin(left, right, pred, nil, nil, nil)
+	for rj.Step() {
+		steps++
+		est, _ := rj.Estimate()
+		if est > exact*0.95 && est < exact*1.05 {
+			if firstStable == 0 {
+				firstStable = steps
+			}
+		} else {
+			firstStable = 0
+		}
+	}
+	return firstStable, steps
 }
 
 // E16Threads runs a fan-out of independent filter chains under the given

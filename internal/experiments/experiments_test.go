@@ -10,9 +10,9 @@ import (
 )
 
 func TestE4ChainMinimizesBacklog(t *testing.T) {
-	chain := RunE4(sched.Chain(), 200, 30, 35)
-	fifo := RunE4(sched.FIFO(), 200, 30, 35)
-	rate := RunE4(sched.RateBased(), 200, 30, 35)
+	chain := runE4(sched.Chain(), 200, 30, 35)
+	fifo := runE4(sched.FIFO(), 200, 30, 35)
+	rate := runE4(sched.RateBased(), 200, 30, 35)
 	if chain.MaxBacklog >= fifo.MaxBacklog {
 		t.Fatalf("chain maxq %d not below fifo %d", chain.MaxBacklog, fifo.MaxBacklog)
 	}
@@ -24,7 +24,7 @@ func TestE4ChainMinimizesBacklog(t *testing.T) {
 	if rate.MaxBacklog < chain.MaxBacklog {
 		t.Fatalf("rate-based maxq %d below chain %d", rate.MaxBacklog, chain.MaxBacklog)
 	}
-	for _, r := range []E4Result{chain, fifo, rate} {
+	for _, r := range []e4Result{chain, fifo, rate} {
 		if r.Ticks >= 200*100 {
 			t.Fatalf("%s failed to drain", r.Strategy)
 		}
@@ -32,13 +32,13 @@ func TestE4ChainMinimizesBacklog(t *testing.T) {
 }
 
 func TestE7MemoryBoundHonoredAndRecallDegrades(t *testing.T) {
-	unlimited := RunShedding(4000, 0)
+	unlimited := runShedding(4000, 0)
 	if unlimited.Recall() != 1 {
 		t.Fatalf("unlimited recall = %v", unlimited.Recall())
 	}
 	prev := 2.0
 	for _, budget := range []int{1000, 500, 250} {
-		r := RunShedding(4000, budget)
+		r := runShedding(4000, budget)
 		// Peak memory near the budget (entries*64 bytes, with slack for
 		// the enforcement interval and heap bookkeeping).
 		if r.PeakBytes > budget*64*4 {
@@ -63,11 +63,11 @@ func TestE7MemoryBoundHonoredAndRecallDegrades(t *testing.T) {
 
 func TestE8OptimizerShares(t *testing.T) {
 	for _, n := range []int{2, 4} {
-		shared, err := RunSharing(n, 2000, true)
+		shared, err := runSharing(n, 2000, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		unshared, err := RunSharing(n, 2000, false)
+		unshared, err := runSharing(n, 2000, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +81,13 @@ func TestE8OptimizerShares(t *testing.T) {
 		}
 	}
 	// Sharing keeps the operator count (nearly) flat as queries grow.
-	s2, _ := RunSharing(2, 1000, true)
-	s8, _ := RunSharing(8, 1000, true)
+	s2, _ := runSharing(2, 1000, true)
+	s8, _ := runSharing(8, 1000, true)
 	if s8.Operators != s2.Operators {
 		t.Fatalf("shared operators grew: %d → %d", s2.Operators, s8.Operators)
 	}
-	u2, _ := RunSharing(2, 1000, false)
-	u8, _ := RunSharing(8, 1000, false)
+	u2, _ := runSharing(2, 1000, false)
+	u8, _ := runSharing(8, 1000, false)
 	if u8.Operators != 4*u2.Operators {
 		t.Fatalf("unshared operators not linear: %d → %d", u2.Operators, u8.Operators)
 	}
@@ -106,5 +106,24 @@ func TestE5WorkloadProducesMatches(t *testing.T) {
 	}
 	if counts["list"] != counts["hash"] || counts["hash"] != counts["tree"] {
 		t.Errorf("area kinds disagree on E5 workload: %v", counts)
+	}
+}
+
+func TestE9CoalesceReducesOutputRate(t *testing.T) {
+	const n = 10000
+	without := runCoalesce(n, false)
+	with := runCoalesce(n, true)
+	if without < n/2 {
+		t.Fatalf("baseline emits %d outputs for %d inputs: the workload no longer changes per element", without, n)
+	}
+	if with == 0 || with >= without {
+		t.Fatalf("coalesce emitted %d outputs, baseline %d: want strictly fewer and non-empty", with, without)
+	}
+}
+
+func TestE15RippleEstimateSettlesEarly(t *testing.T) {
+	firstStable, steps := runRipple()
+	if firstStable == 0 || firstStable >= steps {
+		t.Fatalf("estimate settled at step %d of %d: want inside the run, before the inputs are exhausted", firstStable, steps)
 	}
 }

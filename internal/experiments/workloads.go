@@ -5,16 +5,14 @@ import (
 
 	"pipes/internal/cql"
 	"pipes/internal/memory"
-	"pipes/internal/nexmark"
 	"pipes/internal/ops"
 	"pipes/internal/optimizer"
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
-	"pipes/internal/traffic"
 )
 
-// SheddingResult captures one E7 run: bounded memory, answer loss.
-type SheddingResult struct {
+// sheddingResult captures one E7 run: bounded memory, answer loss.
+type sheddingResult struct {
 	BudgetEntries int // 0 = unlimited
 	Results       int64
 	ExactResults  int64
@@ -23,17 +21,17 @@ type SheddingResult struct {
 }
 
 // Recall returns the fraction of the exact answer retained.
-func (r SheddingResult) Recall() float64 {
+func (r sheddingResult) Recall() float64 {
 	if r.ExactResults == 0 {
 		return 1
 	}
 	return float64(r.Results) / float64(r.ExactResults)
 }
 
-// RunShedding executes a window self-join of `elements` elements under a
+// runShedding executes a window self-join of `elements` elements under a
 // memory budget of budgetEntries stored entries (0 = unlimited) with the
 // drop-soonest-expiring strategy, enforcing every 64 arrivals.
-func RunShedding(elements, budgetEntries int) SheddingResult {
+func runShedding(elements, budgetEntries int) sheddingResult {
 	run := func(budget int) (int64, int, int64) {
 		// Consecutive elements land on alternating inputs; key on i/2 so
 		// matches exist across the two inputs.
@@ -72,7 +70,7 @@ func RunShedding(elements, budgetEntries int) SheddingResult {
 	if budgetEntries == 0 {
 		results = exact
 	}
-	return SheddingResult{
+	return sheddingResult{
 		BudgetEntries: budgetEntries,
 		Results:       results,
 		ExactResults:  exact,
@@ -81,28 +79,28 @@ func RunShedding(elements, budgetEntries int) SheddingResult {
 	}
 }
 
-// E7Shedding wraps RunShedding as a benchmark reporting recall.
+// E7Shedding wraps runShedding as a benchmark reporting recall.
 func E7Shedding(elements, budgetEntries int) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := RunShedding(elements, budgetEntries)
+			r := runShedding(elements, budgetEntries)
 			b.ReportMetric(r.Recall(), "recall")
 			b.ReportMetric(float64(r.PeakBytes), "peakB")
 		}
 	}
 }
 
-// SharingResult captures one E8 run.
-type SharingResult struct {
+// sharingResult captures one E8 run.
+type sharingResult struct {
 	Queries   int
 	Operators int
 	Results   int64
 }
 
-// RunSharing registers n overlapping CQL queries — shared through one
+// runSharing registers n overlapping CQL queries — shared through one
 // optimizer or deliberately unshared (fresh optimizer per query) — pumps
 // `elements` bid-like tuples and reports the physical operator count.
-func RunSharing(n, elements int, shared bool) (SharingResult, error) {
+func runSharing(n, elements int, shared bool) (sharingResult, error) {
 	queries := make([]string, n)
 	for i := range queries {
 		// All queries share scan+window+filter; half also share the
@@ -140,15 +138,15 @@ func RunSharing(n, elements int, shared bool) (SharingResult, error) {
 		}
 		parsed, err := cql.Parse(qs)
 		if err != nil {
-			return SharingResult{}, err
+			return sharingResult{}, err
 		}
 		inst, err := o.AddQuery(parsed)
 		if err != nil {
-			return SharingResult{}, err
+			return sharingResult{}, err
 		}
 		counters[i] = pubsub.NewCounter("c", 1)
 		if err := inst.Root.Subscribe(counters[i], 0); err != nil {
-			return SharingResult{}, err
+			return sharingResult{}, err
 		}
 	}
 	for _, o := range opts {
@@ -160,68 +158,18 @@ func RunSharing(n, elements int, shared bool) (SharingResult, error) {
 		c.Wait()
 		results += c.Count()
 	}
-	return SharingResult{Queries: n, Operators: total, Results: results}, nil
+	return sharingResult{Queries: n, Operators: total, Results: results}, nil
 }
 
-// E8Sharing wraps RunSharing as a benchmark reporting the operator count.
+// E8Sharing wraps runSharing as a benchmark reporting the operator count.
 func E8Sharing(n int, shared bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := RunSharing(n, 20000, shared)
+			res, err := runSharing(n, 20000, shared)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(res.Operators), "operators")
 		}
-	}
-}
-
-// E12Traffic pumps FSP-style readings through one of the demo queries.
-func E12Traffic(query string) func(b *testing.B) {
-	return func(b *testing.B) {
-		gen := traffic.NewGenerator(traffic.Config{Seed: 1, MaxReadings: b.N})
-		cat := optimizer.NewCatalog()
-		src := gen.Source("traffic")
-		cat.Register("traffic", src, 1000)
-		o := optimizer.New(cat)
-		parsed, err := cql.Parse(query)
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst, err := o.AddQuery(parsed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := pubsub.NewCounter("c", 1)
-		inst.Root.Subscribe(c, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		pubsub.Drive(src)
-		b.StopTimer()
-		b.ReportMetric(float64(c.Count())/float64(b.N), "out/elem")
-	}
-}
-
-// E13NEXMark pumps auction events through one of the demo queries.
-func E13NEXMark(query string) func(b *testing.B) {
-	return func(b *testing.B) {
-		gen := nexmark.NewGenerator(nexmark.Config{Seed: 1, MaxEvents: b.N + 50}, nil)
-		cat := optimizer.NewCatalog()
-		src := gen.BidSource("bids")
-		cat.Register("bids", src, 1000)
-		o := optimizer.New(cat)
-		parsed, err := cql.Parse(query)
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst, err := o.AddQuery(parsed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := pubsub.NewCounter("c", 1)
-		inst.Root.Subscribe(c, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		pubsub.Drive(src)
 	}
 }

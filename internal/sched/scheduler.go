@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,6 +8,12 @@ import (
 	"pipes/internal/metadata"
 	"pipes/internal/telemetry/flight"
 )
+
+// idleQuantum is how long a worker parks when a pass over its own tasks
+// and a steal scan made no progress. Live sources are polled, so an
+// element arriving at an idle engine waits up to this long, plus the
+// host's timer slack, to be picked up.
+const idleQuantum = 50 * time.Microsecond
 
 // Config parameterises a Scheduler.
 type Config struct {
@@ -19,9 +24,6 @@ type Config struct {
 	// BatchSize is the number of work units per activation (default 64).
 	// Larger batches amortise scheduling overhead; smaller bound latency.
 	BatchSize int
-	// IdleSleep is how long a worker parks when none of its tasks is ready
-	// (default 50µs). Zero yields the processor instead.
-	IdleSleep time.Duration
 	// DisableStealing turns off work stealing: idle workers then park
 	// instead of running ready tasks owned by other workers. Stealing is
 	// on by default; single-owner activation locks keep it race-free.
@@ -37,11 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.IdleSleep < 0 {
-		c.IdleSleep = 0
-	} else if c.IdleSleep == 0 {
-		c.IdleSleep = 50 * time.Microsecond
 	}
 	return c
 }
@@ -147,27 +144,32 @@ func (s *Scheduler) Start() {
 	}
 }
 
-// runTask runs one batch of t if its activation lock is free. It returns
-// whether the batch ran and, if so, how much progress it made.
-func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) (ran bool, n int, fin bool) {
+// runTask runs one batch of t if its activation lock is free and reports
+// whether that made progress: elements moved, or the task finished. A
+// batch that ran without either — the empty poll of an idle live source —
+// is not progress; the strategy pick, the own-task sweep and a steal all
+// go by this one definition, so a worker with nothing to move reaches the
+// idle park whoever owns the idle source.
+func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) (progress bool) {
 	if t.isDone() {
-		return false, 0, false
+		return false
 	}
 	if !t.tryAcquire() {
 		s.conflicts.Add(1)
-		return false, 0, false
+		return false
 	}
 	defer t.release()
 	if t.isDone() {
-		return false, 0, false
+		return false
 	}
-	n, fin = t.RunBatch(batch)
+	n, fin := t.RunBatch(batch)
 	s.batches.Add(1)
-	t.observe(n, stolen)
+	progress = n > 0 || fin
+	t.observe(n, stolen && progress)
 	if fin && t.markDone() {
 		s.finished.Add(1)
 	}
-	return true, n, fin
+	return progress
 }
 
 func (s *Scheduler) runWorker(w int) {
@@ -191,7 +193,7 @@ func (s *Scheduler) runWorker(w int) {
 		}
 		if len(raw) > 0 {
 			if idx := strategy.Next(raw); idx >= 0 {
-				if ran, n, fin := s.runTask(mine[idx], s.cfg.BatchSize, false); ran && (n > 0 || fin) {
+				if s.runTask(mine[idx], s.cfg.BatchSize, false) {
 					continue
 				}
 				// Lost the task to a stealing worker, or it had nothing
@@ -203,29 +205,27 @@ func (s *Scheduler) runWorker(w int) {
 		// batch to detect completion and propagate done.
 		progressed := false
 		for _, t := range mine {
-			if ran, n, fin := s.runTask(t, s.cfg.BatchSize, false); ran && (n > 0 || fin) {
+			if s.runTask(t, s.cfg.BatchSize, false) {
 				progressed = true
 			}
 		}
-		if !progressed && !s.cfg.DisableStealing && len(s.tasks) > 1 {
+		if progressed {
+			continue
+		}
+		if !s.cfg.DisableStealing && len(s.tasks) > 1 {
 			if s.trySteal(w) {
 				continue
 			}
 			s.stealMiss.Add(1)
 		}
-		if progressed {
-			continue
-		}
-		if s.cfg.IdleSleep > 0 {
-			time.Sleep(s.cfg.IdleSleep)
-		} else {
-			runtime.Gosched()
-		}
+		time.Sleep(idleQuantum)
 	}
 }
 
 // trySteal scans the other workers' tasks for ready work and runs one
-// batch of the first task it can acquire. It reports whether a batch ran.
+// batch of each until one makes progress: that batch is the steal, and it
+// is counted and recorded. A task that reports backlog but moves nothing
+// (an idle live source) is passed over.
 func (s *Scheduler) trySteal(w int) bool {
 	workers := len(s.tasks)
 	for off := 1; off < workers; off++ {
@@ -234,7 +234,7 @@ func (s *Scheduler) trySteal(w int) bool {
 			if t.isDone() || t.Backlog() == 0 {
 				continue
 			}
-			if ran, _, _ := s.runTask(t, s.cfg.BatchSize, true); ran {
+			if s.runTask(t, s.cfg.BatchSize, true) {
 				s.steals.Add(1)
 				if ref := s.stealRef.Load(); ref != nil {
 					ref.Phase(flight.KindSteal, int64(w), int64(victim), 0)

@@ -168,6 +168,38 @@ func TestWorkStealingRescuesPinnedBacklog(t *testing.T) {
 	}
 }
 
+// An idle live source is not stealable work: its task reports backlog
+// until the channel closes, but an empty poll moves nothing, so the other
+// worker must count no steal and both must reach the idle park (the thief
+// used to count every empty poll as a steal and never sleep).
+func TestIdleLiveSourceIsNotStolen(t *testing.T) {
+	ch := make(chan temporal.Element, 1)
+	src := pubsub.NewChanSource("live", ch)
+	sink := pubsub.NewCounter("ctr", 1)
+	src.Subscribe(sink, 0)
+	s := New(Config{Workers: 2})
+	s.AddTo(0, NewEmitterTask(src))
+	start := time.Now()
+	s.Start()
+	time.Sleep(100 * time.Millisecond) // idle polls only
+	rounds := int64(time.Since(start) / idleQuantum)
+	if c := s.Contention(); c.Steals != 0 || c.StealMisses == 0 {
+		t.Fatalf("idle source: %+v, want no steals and the scans ending in misses", c)
+	}
+	// Per park the owner polls twice (strategy pick, sweep) and the other
+	// worker once (steal scan).
+	if got := s.Counters().Get("sched.batches"); got > 4*rounds {
+		t.Fatalf("%d batches in %d idle quanta: the workers are not parking", got, rounds)
+	}
+
+	ch <- temporal.At(7, 0)
+	close(ch)
+	s.Wait()
+	if sink.Count() != 1 {
+		t.Fatalf("sink saw %d elements, want the one sent", sink.Count())
+	}
+}
+
 func TestDisableStealingKeepsTasksPinned(t *testing.T) {
 	emit, buf, col := buildChain(400)
 	s := New(Config{Workers: 2, DisableStealing: true, BatchSize: 16})

@@ -216,9 +216,9 @@ func (r *Reader) Close() {
 	r.b.mu.Unlock()
 }
 
-// collectLocked moves up to max available entries past the cursor into
-// out, reporting how many were lost to eviction since the last read and
-// whether the stream is complete (done and fully consumed).
+// collectLocked returns up to max available entries past the cursor and
+// advances it, reporting how many were lost to eviction since the last
+// read and whether the stream is complete (done and fully consumed).
 func (r *Reader) collectLocked(max int) (out []Entry, dropped int64, done bool) {
 	b := r.b
 	first := b.firstRetainedLocked()
@@ -226,15 +226,17 @@ func (r *Reader) collectLocked(max int) (out []Entry, dropped int64, done bool) 
 		dropped = int64(first - 1 - r.cursor)
 		r.cursor = first - 1
 	}
-	for _, e := range b.entries {
-		if e.Seq <= r.cursor {
-			continue
-		}
-		if len(out) >= max {
-			break
-		}
-		out = append(out, e)
-		r.cursor = e.Seq
+	// Retained seqs are contiguous from first, so the entry after the
+	// cursor sits at a known index. A cursor ahead of the stream (a
+	// client-supplied ?after=) has nothing to read yet.
+	if skip := r.cursor + 1 - first; skip < uint64(len(b.entries)) {
+		n := min(max, len(b.entries)-int(skip))
+		// A view, not a copy: entries are immutable once appended,
+		// eviction re-slices and Append writes only past len, so the view
+		// stays valid after the lock is released; its capped capacity
+		// keeps a caller's append out of the ring.
+		out = b.entries[skip:][:n:n]
+		r.cursor += uint64(n)
 	}
 	done = b.done && r.cursor == b.nextSeq
 	return out, dropped, done

@@ -81,6 +81,56 @@ func TestBufferShedOnlyBehindAttachedReader(t *testing.T) {
 	}
 }
 
+// Paging across an eviction: the reader reports the gap once, resumes at
+// the oldest retained entry, and every page after it is gap-free — also
+// when a page was handed out before the eviction and the ring has moved
+// under it since.
+func TestBufferPagesAcrossEviction(t *testing.T) {
+	b := NewResultBuffer(8 * (100 + entryOverhead))
+	appendN(b, 8, 100) // ring holds seqs 1..8
+	r := b.NewReader(0)
+	defer r.Close()
+
+	held, dropped, _ := r.TryNext(3)
+	if len(held) != 3 || dropped != 0 || held[0].Seq != 1 || held[2].Seq != 3 {
+		t.Fatalf("first page = %d entries from %v, dropped %d; want seqs 1..3, 0", len(held), held, dropped)
+	}
+	appendN(b, 10, 100) // evicts 1..10, ring holds 11..18; cursor is 3
+	for i, e := range held {
+		if e.Seq != uint64(i+1) || string(e.Data[:1]) != fmt.Sprint(i) {
+			t.Fatalf("page handed out before the eviction changed under the reader: entry %d = seq %d %q", i, e.Seq, e.Data[:1])
+		}
+	}
+
+	want, gap := uint64(11), int64(7) // seqs 4..10 were never read
+	for want <= 18 {
+		out, dropped, _ := r.TryNext(3)
+		if dropped != gap {
+			t.Fatalf("page at seq %d reported %d dropped, want %d", want, dropped, gap)
+		}
+		gap = 0
+		if len(out) == 0 || len(out) > 3 {
+			t.Fatalf("page at seq %d has %d entries, want 1..3", want, len(out))
+		}
+		for _, e := range out {
+			if e.Seq != want {
+				t.Fatalf("seq %d where %d was due", e.Seq, want)
+			}
+			want++
+		}
+	}
+	if out, dropped, _ := r.TryNext(3); len(out) != 0 || dropped != 0 || r.Cursor() != 18 {
+		t.Fatalf("caught-up read = %d entries, dropped %d, cursor %d; want 0, 0, 18", len(out), dropped, r.Cursor())
+	}
+
+	// A cursor ahead of the stream reads nothing until the stream gets there.
+	ahead := b.NewReader(25)
+	defer ahead.Close()
+	if out, dropped, _ := ahead.TryNext(3); len(out) != 0 || dropped != 0 {
+		t.Fatalf("reader ahead of the stream got %d entries, dropped %d", len(out), dropped)
+	}
+}
+
 func TestBufferNextWakesOnAppendAndDone(t *testing.T) {
 	b := NewResultBuffer(1 << 20)
 	r := b.NewReader(0)

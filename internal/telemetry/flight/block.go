@@ -16,8 +16,9 @@ import (
 // elements for the rate estimators and the service timer (ordinals 1, 17,
 // 33, …, whatever the frame size), of calls for frame occupancy and
 // enqueue depth. The estimators compensate (a rate sample stands for the
-// whole gap since the last one) and E18/E21 measure the difference: clock
-// reads and estimator locks per element were most of the monitoring cost.
+// whole gap since the last one); bench/'s metadata.monitored_ratio and
+// telemetry.flight_ratio cells measure what is left: clock reads and
+// estimator locks per element were most of the monitoring cost.
 const strideEvery = 16
 
 // Work bits: what a block does on the frame path beyond its exact counts
@@ -388,8 +389,8 @@ type Rate struct {
 // mean and variance with an inline Welford recurrence (the same online
 // aggregation the aggregate package implements, unboxed: going through
 // the Aggregate interface costs one float64 allocation per Insert, which
-// E18 showed dominating the per-element overhead). It carries its own
-// lock, taken on stride samples only.
+// dominated the per-element overhead that metadata.monitored_ratio now
+// measures). It carries its own lock, taken on stride samples only.
 type rateEstimator struct {
 	mu   sync.Mutex
 	last time.Time
