@@ -219,18 +219,18 @@ func TestCheckpointIDsContinueAcrossRestarts(t *testing.T) {
 
 	dir := t.TempDir()
 	// life is one engine from open to crash. It recovers from whatever the
-	// directory holds — a checkpoint of the life before it, whose source
-	// started at prevStart of the input and counts offsets from there — is
-	// fed the input from that point a stretch at a time with a round
+	// directory holds — a checkpoint of the life before it, whose offsets
+	// are absolute positions in the input however many lives came before —
+	// is fed the input from that point a stretch at a time with a round
 	// triggered ahead of every stretch after the first, and crashes after
 	// `rounds` sealed rounds (0: it runs to the end of the input).
-	life := func(prevStart, rounds int) (start int, cp *Checkpoint, sink *CheckpointSink, sealed []uint64) {
+	life := func(rounds int) (start int, cp *Checkpoint, sink *CheckpointSink, sealed []uint64) {
 		d := NewDSMS(Config{CheckpointDir: dir})
 		cp, err := d.LatestCheckpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		start = prevStart + cp.Offset("bids")
+		start = cp.Offset("bids")
 		feed := make(chan Element, total)
 		d.RegisterStream("bids", NewChanSource("bids", feed), 100)
 		q, err := d.RegisterQuery(query)
@@ -279,18 +279,18 @@ func TestCheckpointIDsContinueAcrossRestarts(t *testing.T) {
 		return start, cp, sink, sealed
 	}
 
-	startA, cp0, outA, sealedA := life(0, 3)
+	startA, cp0, outA, sealedA := life(3)
 	if cp0 != nil || startA != 0 {
 		t.Fatalf("fresh directory: recovered %+v, start %d", cp0, startA)
 	}
-	startB, cp1, outB, sealedB := life(startA, 2)
+	_, cp1, outB, sealedB := life(2)
 	if cp1 == nil || cp1.ID != sealedA[2] {
 		t.Fatalf("second life recovered from %+v, first life sealed %v", cp1, sealedA)
 	}
 	if sealedB[0] <= sealedA[2] {
 		t.Fatalf("second life sealed %v over a directory holding %v: IDs must continue", sealedB, sealedA)
 	}
-	_, cp2, outC, _ := life(startB, 0)
+	_, cp2, outC, _ := life(0)
 	if cp2 == nil || cp2.ID != sealedB[1] {
 		t.Fatalf("third life recovered from %+v, want the second life's newest round of %v", cp2, sealedB)
 	}

@@ -43,8 +43,10 @@ func (cp *Checkpoint) Offset(source string) int {
 // Restore applies cp's operator snapshots to the operators registered
 // with this manager — the facade-level recovery path: rebuild the graph,
 // re-register every participant, Restore, then replay each source from
-// cp's recorded offset. Each registered saver must also implement
-// StateLoader (every ops operator does).
+// cp's recorded offset. Restore starts each registered source's count at
+// that offset, so the rounds of the recovered run record absolute
+// offsets too. Each registered saver must also implement StateLoader
+// (every ops operator does).
 func (m *Manager) Restore(cp *Checkpoint) error {
 	loaders := make(map[string]StateLoader, len(m.savers))
 	for name, s := range m.savers {
@@ -54,5 +56,11 @@ func (m *Manager) Restore(cp *Checkpoint) error {
 		}
 		loaders[name] = l
 	}
-	return RestoreStates(cp, loaders)
+	if err := RestoreStates(cp, loaders); err != nil {
+		return err
+	}
+	for _, cs := range m.sources {
+		cs.resumeAt(cp.Offset(cs.Name()))
+	}
+	return nil
 }

@@ -120,6 +120,14 @@ func (cs *CheckpointSource) setOnRequest(fn func(b pubsub.Barrier, sourceName st
 	cs.mu.Unlock()
 }
 
+// resumeAt sets the offset count to where a recovered run's replay of
+// this source starts.
+func (cs *CheckpointSource) resumeAt(offset int) {
+	cs.mu.Lock()
+	cs.offset = offset
+	cs.mu.Unlock()
+}
+
 // Ended reports whether the inner stream has completed (done reached the
 // counting tap and has propagated downstream).
 func (cs *CheckpointSource) Ended() bool {
@@ -128,7 +136,8 @@ func (cs *CheckpointSource) Ended() bool {
 	return cs.done
 }
 
-// Offset returns the number of elements published so far.
+// Offset returns the stream position reached: the elements published so
+// far, plus the replay start a recovery set (Manager.Restore).
 func (cs *CheckpointSource) Offset() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()

@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"sort"
-
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 	"pipes/internal/xds"
@@ -134,7 +132,7 @@ func (c *Coalesce) finish() {
 	for k := range c.pending {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return canonKey(keys[i]) < canonKey(keys[j]) })
+	sortByKey(keys, func(k any) any { return k })
 	for _, k := range keys {
 		c.out.add(c.pending[k].value)
 		delete(c.pending, k)

@@ -10,8 +10,15 @@
 //     that serialises the captured copies later, on the checkpoint
 //     writer's goroutine. The closure reads only its captures and the
 //     immutable element values (the engine's purity contract), so it runs
-//     safely concurrent with post-barrier processing; sorting, canonKey
-//     rendering and the gob encode all move off the barrier stall.
+//     safely concurrent with post-barrier processing; sorting and the gob
+//     encode both move off the barrier stall. A capture allocates O(1)
+//     per operator: GroupBy and PartitionedWindow copy every live element
+//     into one shared slice and keep one (key, bounds) record per group
+//     or partition.
+//   - Map-derived collections are encoded in one canonical order (keyCmp,
+//     sortByKey), which compares typed keys by value and renders a key
+//     only when its kind is outside the typed set — once per key per
+//     sort, never inside a comparator.
 //   - LoadState runs on a freshly constructed, not-yet-started operator.
 //   - Trace slots are dropped: element traces are diagnostic context of
 //     the run that produced them and do not survive a crash (restored
@@ -27,9 +34,11 @@
 package ops
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"pipes/internal/aggregate"
 	"pipes/internal/temporal"
@@ -74,26 +83,128 @@ func init() {
 	gob.Register([]any{}) // MJoin result tuples
 }
 
-// canonKey renders a map key for canonical checkpoint ordering. Checkpoint
-// bytes must be a pure function of the operator's logical state — the
-// byte-identical-snapshot guarantee the frame-size invariance harness
-// asserts — so every map-derived collection is sorted by this rendering
-// before encoding instead of leaking Go's randomised map iteration order.
-// Rendering cost is paid only at checkpoint time, never on the hot path.
+// canonKey renders a value for canonical checkpoint ordering where no
+// typed comparison applies: keys outside keyCmp's typed set and the
+// values that tie a sweep area's equal intervals. It is never called from
+// a comparator — sortRendered computes it once per element before
+// sorting, so a sort of n elements renders at most n times, not n log n.
 func canonKey(k any) string { return fmt.Sprintf("%T|%v", k, k) }
 
+// rankOther is keyRank's rank of every kind outside the typed set.
+const rankOther = 7
+
+// keyRank ranks a key's kind for keyCmp: nil < bool < int < int64 <
+// uint64 < float64 < string < any other kind. The typed kinds are every
+// kind cql.Key produces, its uint64 NaN sentinel and "\x00"-rendered
+// string form included.
+func keyRank(k any) int {
+	switch k.(type) {
+	case nil:
+		return 0
+	case bool:
+		return 1
+	case int:
+		return 2
+	case int64:
+		return 3
+	case uint64:
+		return 4
+	case float64:
+		return 5
+	case string:
+		return 6
+	}
+	return rankOther
+}
+
+// keyCmp is the canonical order of map keys. Checkpoint bytes must be a
+// pure function of the operator's logical state — the
+// byte-identical-snapshot guarantee the frame-size invariance harness
+// asserts — so every map-derived collection is sorted by key before
+// encoding instead of leaking Go's randomised map iteration order. Keys
+// compare by kind (keyRank), then by value. Two keys of kinds outside the
+// typed set tie here; sortByKey breaks that tie by rendering.
+func keyCmp(a, b any) int {
+	if ra, rb := keyRank(a), keyRank(b); ra != rb {
+		return cmp.Compare(ra, rb)
+	}
+	switch x := a.(type) {
+	case bool:
+		y := b.(bool)
+		switch {
+		case x == y:
+			return 0
+		case y:
+			return -1
+		}
+		return 1
+	case int:
+		return cmp.Compare(x, b.(int))
+	case int64:
+		return cmp.Compare(x, b.(int64))
+	case uint64:
+		return cmp.Compare(x, b.(uint64))
+	case float64:
+		return cmp.Compare(x, b.(float64))
+	case string:
+		return strings.Compare(x, b.(string))
+	}
+	return 0
+}
+
+// sortByKey sorts s into canonical key order: keyCmp, which ranks keys
+// outside the typed set last, then that tail by rendering.
+func sortByKey[T any](s []T, key func(T) any) {
+	slices.SortFunc(s, func(a, b T) int { return keyCmp(key(a), key(b)) })
+	i := len(s)
+	for i > 0 && keyRank(key(s[i-1])) == rankOther {
+		i--
+	}
+	if len(s)-i > 1 {
+		sortRendered(s[i:], func(v T) string { return canonKey(key(v)) })
+	}
+}
+
+// rendering pairs an element with its canonKey rendering for sortRendered.
+type rendering[T any] struct {
+	r string
+	v T
+}
+
+// sortRendered orders s by a rendering of each element, computed once per
+// element before the sort.
+func sortRendered[T any](s []T, render func(T) string) {
+	rs := make([]rendering[T], len(s))
+	for i, v := range s {
+		rs[i] = rendering[T]{r: render(v), v: v}
+	}
+	slices.SortFunc(rs, func(a, b rendering[T]) int { return strings.Compare(a.r, b.r) })
+	for i := range rs {
+		s[i] = rs[i].v
+	}
+}
+
 // sortWire canonically orders a multiset of wire elements whose source
-// order is not semantically meaningful (sweep-area contents).
+// order is not semantically meaningful (sweep-area contents): by
+// interval, then — only within a run of equal intervals, which [NOW]
+// windows produce all the time — by the values' renderings.
 func sortWire(ws []wireElem) {
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Start != ws[j].Start {
-			return ws[i].Start < ws[j].Start
+	slices.SortFunc(ws, func(a, b wireElem) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if ws[i].End != ws[j].End {
-			return ws[i].End < ws[j].End
-		}
-		return canonKey(ws[i].Value) < canonKey(ws[j].Value)
+		return cmp.Compare(a.End, b.End)
 	})
+	for i := 0; i < len(ws); {
+		j := i + 1
+		for j < len(ws) && ws[j].Start == ws[i].Start && ws[j].End == ws[i].End {
+			j++
+		}
+		if j-i > 1 {
+			sortRendered(ws[i:j], func(w wireElem) string { return canonKey(w.Value) })
+		}
+		i = j
+	}
 }
 
 // orderBufferState is the serialised form of an orderBuffer: the pending
@@ -184,36 +295,45 @@ type groupByState struct {
 	Out    orderBufferState
 }
 
-// groupCapture is one live group's copy-on-write capture.
+// groupCapture is one live group's record in a flat capture: its key,
+// open-span left boundary and the bounds of its live elements in the
+// capture's shared element slice.
 type groupCapture struct {
-	key    any
-	lb     temporal.Time
-	active []temporal.Element
+	key      any
+	lb       temporal.Time
+	off, end int
 }
 
-// SnapshotState implements the ft.StateSaver contract. The live
-// multisets are canonically sorted in the closure (they are reloaded by
-// re-insertion, so serialised order is free) — that both moves the sort
-// off the barrier and gives consecutive rounds byte-stable encodings for
-// the delta chain, where raw heap layout would shuffle unchanged groups.
+// SnapshotState implements the ft.StateSaver contract. Under the barrier
+// it copies every group's live elements into one slice; the closure
+// converts that slice to wire form once and hands each group its
+// sub-slice. The live multisets are canonically sorted in the closure
+// (they are reloaded by re-insertion, so serialised order is free) — that
+// both moves the sort off the barrier and gives consecutive rounds
+// byte-stable encodings for the delta chain, where raw heap layout would
+// shuffle unchanged groups.
 func (g *GroupBy) SnapshotState() (func(enc *gob.Encoder) error, error) {
+	n := 0
+	for _, grp := range g.groups {
+		n += grp.active.Len()
+	}
 	caps := make([]groupCapture, 0, len(g.groups))
+	elems := make([]temporal.Element, 0, n)
 	for k, grp := range g.groups {
-		caps = append(caps, groupCapture{
-			key:    k,
-			lb:     grp.lb,
-			active: append([]temporal.Element(nil), grp.active.Items()...),
-		})
+		off := len(elems)
+		elems = append(elems, grp.active.Items()...)
+		caps = append(caps, groupCapture{key: k, lb: grp.lb, off: off, end: len(elems)})
 	}
 	out := g.out.capture()
 	return func(enc *gob.Encoder) error {
-		st := groupByState{Out: out.wire()}
-		for _, c := range caps {
-			ws := toWire(c.active)
-			sortWire(ws)
-			st.Groups = append(st.Groups, groupState{Key: c.key, LB: c.lb, Active: ws})
+		sortByKey(caps, func(c groupCapture) any { return c.key })
+		ws := toWire(elems)
+		st := groupByState{Groups: make([]groupState, len(caps)), Out: out.wire()}
+		for i, c := range caps {
+			active := ws[c.off:c.end]
+			sortWire(active)
+			st.Groups[i] = groupState{Key: c.key, LB: c.lb, Active: active}
 		}
-		sort.Slice(st.Groups, func(i, j int) bool { return canonKey(st.Groups[i].Key) < canonKey(st.Groups[j].Key) })
 		return enc.Encode(st)
 	}, nil
 }
@@ -299,7 +419,7 @@ func (c diffCapture) wire() diffOpState {
 		InQ:  [2][]wireElem{toWire(c.inQ[0]), toWire(c.inQ[1])},
 		Out:  c.out.wire(),
 	}
-	sort.Slice(st.Keys, func(i, j int) bool { return canonKey(st.Keys[i].Key) < canonKey(st.Keys[j].Key) })
+	sortByKey(st.Keys, func(k diffKeyState) any { return k.Key })
 	for _, ev := range c.expiry {
 		st.Expiry = append(st.Expiry, wireDiffExpiry{End: ev.end, Key: ev.key, Input: ev.input})
 	}
@@ -441,26 +561,36 @@ type partWindowState struct {
 	Out   orderBufferState
 }
 
-// partCapture is one partition's copy-on-write capture. Elems stay in
-// arrival order — that order IS the partition's state.
+// partCapture is one partition's record in a flat capture: its key and
+// the bounds of its elements in the capture's shared element slice. The
+// elements stay in arrival order — that order IS the partition's state.
 type partCapture struct {
-	key   any
-	elems []temporal.Element
+	key      any
+	off, end int
 }
 
-// SnapshotState implements the ft.StateSaver contract.
+// SnapshotState implements the ft.StateSaver contract, capturing flat
+// like GroupBy's.
 func (w *PartitionedWindow) SnapshotState() (func(enc *gob.Encoder) error, error) {
+	n := 0
+	for _, q := range w.part {
+		n += q.Len()
+	}
 	caps := make([]partCapture, 0, len(w.part))
+	elems := make([]temporal.Element, 0, n)
 	for k, q := range w.part {
-		caps = append(caps, partCapture{key: k, elems: q.Items()})
+		off := len(elems)
+		elems = q.AppendTo(elems)
+		caps = append(caps, partCapture{key: k, off: off, end: len(elems)})
 	}
 	out := w.out.capture()
 	return func(enc *gob.Encoder) error {
-		st := partWindowState{Out: out.wire()}
-		for _, c := range caps {
-			st.Parts = append(st.Parts, partitionState{Key: c.key, Elems: toWire(c.elems)})
+		sortByKey(caps, func(c partCapture) any { return c.key })
+		ws := toWire(elems)
+		st := partWindowState{Parts: make([]partitionState, len(caps)), Out: out.wire()}
+		for i, c := range caps {
+			st.Parts[i] = partitionState{Key: c.key, Elems: ws[c.off:c.end]}
 		}
-		sort.Slice(st.Parts, func(i, j int) bool { return canonKey(st.Parts[i].Key) < canonKey(st.Parts[j].Key) })
 		return enc.Encode(st)
 	}, nil
 }

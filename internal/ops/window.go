@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"sort"
 
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
@@ -299,7 +298,7 @@ func (w *PartitionedWindow) fflush() {
 	for k := range w.part {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return canonKey(keys[i]) < canonKey(keys[j]) })
+	sortByKey(keys, func(k any) any { return k })
 	for _, k := range keys {
 		q := w.part[k]
 		for {

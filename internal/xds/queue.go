@@ -28,6 +28,10 @@ type Queue[T any] interface {
 	// (oldest first) without consuming them. Checkpointing serialises
 	// queues through it.
 	Items() []T
+	// AppendTo appends the buffered elements to dst in FIFO order, like
+	// Items without a slice of its own: flat checkpoint captures copy
+	// many queues into one.
+	AppendTo(dst []T) []T
 }
 
 // ringQueue is an unbounded FIFO backed by a growable circular buffer.
@@ -84,12 +88,14 @@ func (q *ringQueue[T]) Peek() (T, bool) {
 
 func (q *ringQueue[T]) Len() int { return q.size }
 
-func (q *ringQueue[T]) Items() []T {
-	out := make([]T, q.size)
-	for i := 0; i < q.size; i++ {
-		out[i] = q.buf[(q.head+i)%len(q.buf)]
+func (q *ringQueue[T]) Items() []T { return q.AppendTo(make([]T, 0, q.size)) }
+
+func (q *ringQueue[T]) AppendTo(dst []T) []T {
+	if tail := q.head + q.size; tail <= len(q.buf) {
+		return append(dst, q.buf[q.head:tail]...)
 	}
-	return out
+	dst = append(dst, q.buf[q.head:]...)
+	return append(dst, q.buf[:q.head+q.size-len(q.buf)]...)
 }
 
 func (q *ringQueue[T]) grow() {

@@ -44,6 +44,16 @@ func TestQueueInterleaved(t *testing.T) {
 			}
 			expect++
 		}
+		// AppendTo copies the live window across the wrap, after dst.
+		got := q.AppendTo([]int{-1})
+		if len(got) != q.Len()+1 || got[0] != -1 {
+			t.Fatalf("step %d: AppendTo = %v, want -1 then %d..%d", step, got, expect, next-1)
+		}
+		for i, v := range got[1:] {
+			if v != expect+i {
+				t.Fatalf("step %d: AppendTo = %v, want -1 then %d..%d", step, got, expect, next-1)
+			}
+		}
 	}
 	for q.Len() > 0 {
 		v, _ := q.Dequeue()
