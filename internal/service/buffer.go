@@ -1,8 +1,9 @@
 // Bounded per-query result delivery. A ResultBuffer sits between a
 // query's root operator and its remote consumers: the graph-facing side
-// (Append, via resultSink.Process) NEVER blocks — it renders the result,
-// appends it to a byte-bounded ring and, when over budget, sheds the
-// oldest entries and counts what an attached reader loses. Consumers
+// (resultSink.ProcessBatch, which renders a frame and appends it in one
+// lock acquisition, or Append with an already-rendered result) NEVER
+// blocks — it appends to a byte-bounded ring and, when over budget, sheds
+// the oldest entries and counts what an attached reader loses. Consumers
 // (SSE streams, long-polls) read through cursor-positioned Readers that
 // wait on the buffer without ever backpressuring the shared graph: a
 // stalled consumer costs shed results, not graph throughput.
@@ -25,8 +26,11 @@ const entryOverhead = 48
 type Entry struct {
 	Seq        uint64
 	Start, End temporal.Time
-	// Data is the JSON rendering of the result value. It is immutable
-	// once appended; readers may share it without copying.
+	// Data is the compact JSON rendering of the result value, written to
+	// the wire verbatim. It is immutable once appended; readers may share
+	// it without copying. Entries appended by one resultSink frame are
+	// capped views of one shared arena, which stays alive until the last
+	// of them is evicted and released by every reader holding it.
 	Data []byte
 }
 
@@ -71,9 +75,11 @@ type ResultBuffer struct {
 	shed       int64
 	done       bool
 
-	// notify is closed and replaced whenever new data or done arrives;
-	// readers wait on the channel they snapshot under mu.
+	// notify is closed and replaced when new data or done arrives and
+	// armed says a reader parked on it; readers arm it and snapshot it
+	// under mu, so an append after the snapshot always sees armed.
 	notify  chan struct{}
+	armed   bool
 	readers map[*Reader]struct{}
 }
 
@@ -111,24 +117,49 @@ func (b *ResultBuffer) minCursorLocked() (uint64, bool) {
 	return min, any
 }
 
-// Append renders nothing itself — data must already be an immutable JSON
-// rendering — and never blocks: over budget it evicts oldest-first,
-// counting as shed every evicted entry at least one attached reader had
-// not consumed. Appending after Done is ignored.
+// Append renders nothing itself — data must already be an immutable,
+// compact JSON rendering — and never blocks. Appending after Done is
+// ignored.
 func (b *ResultBuffer) Append(data []byte, start, end temporal.Time) {
-	size := len(data) + entryOverhead
 	b.mu.Lock()
-	if b.done {
-		b.mu.Unlock()
-		return
+	if !b.done {
+		b.appendLocked(data, start, end)
+		b.signalLocked()
 	}
-	minCursor, haveReader := b.minCursorLocked()
-	for b.bytes+size > b.capBytes && len(b.entries) > 0 {
-		evicted := b.entries[0]
-		b.entries = b.entries[1:]
-		b.bytes -= len(evicted.Data) + entryOverhead
-		if haveReader && evicted.Seq > minCursor {
-			b.shed++
+	b.mu.Unlock()
+}
+
+// appendFrame appends one frame's results under one lock acquisition and
+// one wake-up: result i of frame is arena[ends[i-1]:ends[i]], capped so
+// no entry can grow into its neighbour.
+func (b *ResultBuffer) appendFrame(frame temporal.Batch, arena []byte, ends []int) {
+	b.mu.Lock()
+	if !b.done {
+		lo := 0
+		for i, e := range frame {
+			hi := ends[i]
+			b.appendLocked(arena[lo:hi:hi], e.Start, e.End)
+			lo = hi
+		}
+		b.signalLocked()
+	}
+	b.mu.Unlock()
+}
+
+// appendLocked pushes one entry. Over budget it evicts oldest-first,
+// counting as shed every evicted entry at least one attached reader had
+// not consumed.
+func (b *ResultBuffer) appendLocked(data []byte, start, end temporal.Time) {
+	size := len(data) + entryOverhead
+	if b.bytes+size > b.capBytes && len(b.entries) > 0 {
+		minCursor, haveReader := b.minCursorLocked()
+		for b.bytes+size > b.capBytes && len(b.entries) > 0 {
+			evicted := b.entries[0]
+			b.entries = b.entries[1:]
+			b.bytes -= len(evicted.Data) + entryOverhead
+			if haveReader && evicted.Seq > minCursor {
+				b.shed++
+			}
 		}
 	}
 	b.nextSeq++
@@ -136,15 +167,17 @@ func (b *ResultBuffer) Append(data []byte, start, end temporal.Time) {
 	b.bytes += size
 	b.total++
 	b.totalBytes += int64(len(data))
-	b.signalLocked()
-	b.mu.Unlock()
 }
 
-// signalLocked wakes every waiting reader. close() is not a channel
-// communication: it never blocks the graph-facing caller.
+// signalLocked wakes every parked reader, if any armed notify. close()
+// is not a channel communication: it never blocks the graph-facing
+// caller.
 func (b *ResultBuffer) signalLocked() {
-	close(b.notify)
-	b.notify = make(chan struct{})
+	if b.armed {
+		close(b.notify)
+		b.notify = make(chan struct{})
+		b.armed = false
+	}
 }
 
 // MarkDone records end-of-stream and wakes waiting readers. Idempotent.
@@ -238,7 +271,9 @@ func (r *Reader) collectLocked(max int) (out []Entry, dropped int64, done bool) 
 		out = b.entries[skip:][:n:n]
 		r.cursor += uint64(n)
 	}
-	done = b.done && r.cursor == b.nextSeq
+	// >=, not ==: a cursor ahead of a finished stream (a stale ?after=)
+	// will never be reached and must see done rather than wait forever.
+	done = b.done && r.cursor >= b.nextSeq
 	return out, dropped, done
 }
 
@@ -258,11 +293,13 @@ func (r *Reader) Next(ctx context.Context, max int) (out []Entry, dropped int64,
 	for {
 		r.b.mu.Lock()
 		out, dropped, done = r.collectLocked(max)
-		ch := r.b.notify
-		r.b.mu.Unlock()
 		if len(out) > 0 || dropped > 0 || done {
+			r.b.mu.Unlock()
 			return out, dropped, done, nil
 		}
+		r.b.armed = true
+		ch := r.b.notify
+		r.b.mu.Unlock()
 		//pipesvet:allow nogoroutine consumer-side wait: Readers run on HTTP handler goroutines, the sanctioned boundary between the graph and remote consumers; the graph-facing Append path never touches a channel
 		select {
 		case <-ch: //pipesvet:allow nogoroutine wake-up receive on the consumer goroutine, outside the operator graph

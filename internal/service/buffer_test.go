@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"pipes/internal/cql"
 	"pipes/internal/temporal"
 )
 
@@ -175,5 +177,109 @@ func TestBufferAppendAfterDoneIgnored(t *testing.T) {
 	b.Append([]byte(`1`), 0, 1)
 	if st := b.Stats(); st.Results != 0 || st.Buffered != 0 {
 		t.Fatalf("append after done recorded: %+v", st)
+	}
+}
+
+// A cursor ahead of a finished stream (a ?after= saved before a restart)
+// will never be reached: it must see done, not wait for its context.
+func TestBufferCursorAheadOfFinishedStreamIsDone(t *testing.T) {
+	b := NewResultBuffer(1 << 20)
+	b.Append([]byte(`1`), 0, 1)
+	b.MarkDone()
+	r := b.NewReader(5)
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	out, dropped, done, err := r.Next(ctx, 10)
+	if err != nil || len(out) != 0 || dropped != 0 || !done {
+		t.Fatalf("Next = %d entries, dropped %d, done %v, err %v; want 0, 0, true, nil", len(out), dropped, done, err)
+	}
+}
+
+// The oracle for the armed wake-up: readers park and re-park while frames
+// and single appends land from another goroutine, then MarkDone. A lost
+// wake-up shows as a reader stuck until its deadline; every reader must
+// see every seq exactly once, in order, then done. Run it with -race
+// -count=10.
+func TestBufferParkedReadersSeeEverySeqOnce(t *testing.T) {
+	const readers, frames, perFrame = 4, 200, 7
+	const total = frames * (perFrame + 1)
+	b := NewResultBuffer(1 << 30)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		r := b.NewReader(0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer r.Close()
+			want := uint64(1)
+			for {
+				out, dropped, done, err := r.Next(ctx, 5)
+				if err != nil {
+					t.Errorf("reader stuck at seq %d of %d: %v", want, total, err)
+					return
+				}
+				if dropped != 0 {
+					t.Errorf("reader dropped %d with no eviction", dropped)
+				}
+				for _, e := range out {
+					if e.Seq != want {
+						t.Errorf("seq %d where %d was due", e.Seq, want)
+						return
+					}
+					want++
+				}
+				if done {
+					if want != total+1 {
+						t.Errorf("done after seq %d of %d", want-1, total)
+					}
+					return
+				}
+			}
+		}()
+	}
+
+	sink := newResultSink(b)
+	frame := make(temporal.Batch, perFrame)
+	for f := 0; f < frames; f++ {
+		for i := range frame {
+			frame[i] = temporal.At(cql.Tuple{"f": f, "i": i}, temporal.Time(f))
+		}
+		sink.ProcessBatch(frame, 0)
+		b.Append([]byte(`{}`), temporal.Time(f), temporal.Time(f+1))
+		if f%16 == 0 {
+			time.Sleep(50 * time.Microsecond) // let readers park
+		}
+	}
+	sink.Done(0)
+	wg.Wait()
+}
+
+// One 64-result frame of 3-field tuples, delivered and read by one
+// reader, costs its arena and nothing per result (576 allocations per
+// frame when every result was marshalled and signalled on its own).
+func TestResultSinkFrameAllocations(t *testing.T) {
+	b := NewResultBuffer(DefaultBufferBytes)
+	sink := newResultSink(b)
+	r := b.NewReader(0)
+	defer r.Close()
+	frame := make(temporal.Batch, 64)
+	for i := range frame {
+		frame[i] = temporal.At(cql.Tuple{"id": i, "price": 100.5 + float64(i), "name": "bid"}, temporal.Time(i))
+	}
+	deliver := func() {
+		sink.ProcessBatch(frame, 0)
+		if out, _, _ := r.TryNext(len(frame)); len(out) != len(frame) {
+			t.Fatalf("read %d of %d results", len(out), len(frame))
+		}
+	}
+	for i := 0; i < 200; i++ { // fill the ring: steady state evicts
+		deliver()
+	}
+	if got := testing.AllocsPerRun(200, deliver); got > 2 {
+		t.Fatalf("%.1f allocations per 64-result frame, want <= 2", got)
 	}
 }

@@ -176,19 +176,34 @@ func (s *Service) handleTenant(w http.ResponseWriter, _ *http.Request, tenant st
 // queryUint parses an unsigned query parameter, returning def when
 // absent.
 func queryUint(r *http.Request, name string, def uint64) (uint64, *Error) {
-	raw := r.URL.Query().Get(name)
+	return parseUint(r.URL.Query().Get(name), name, "parameter", def)
+}
+
+// parseUint parses raw, the value of the request's name parameter or
+// header (kind), returning def when raw is empty.
+func parseUint(raw, name, kind string, def uint64) (uint64, *Error) {
 	if raw == "" {
 		return def, nil
 	}
 	v, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		return 0, errBadRequest(fmt.Sprintf("invalid %q parameter: %v", name, err))
+		return 0, errBadRequest(fmt.Sprintf("invalid %q %s: %v", name, kind, err))
 	}
 	return v, nil
 }
 
+// resumeCursor is the seq a results request reads after: ?after= when
+// given, else the Last-Event-ID header an EventSource sends when it
+// reconnects (SSE ids are seqs), else 0.
+func resumeCursor(r *http.Request) (uint64, *Error) {
+	if raw := r.URL.Query().Get("after"); raw != "" {
+		return parseUint(raw, "after", "parameter", 0)
+	}
+	return parseUint(r.Header.Get("Last-Event-ID"), "Last-Event-ID", "header", 0)
+}
+
 func (s *Service) handleResults(w http.ResponseWriter, r *http.Request, tenant string) {
-	after, serr := queryUint(r, "after", 0)
+	after, serr := resumeCursor(r)
 	if serr != nil {
 		writeError(w, serr)
 		return
@@ -262,7 +277,8 @@ func (s *Service) serveLongPoll(w http.ResponseWriter, r *http.Request, reader *
 // serveSSE streams results as server-sent events until end-of-stream or
 // client disconnect. Frames: `event: result` with the resultItem JSON,
 // `event: shed` with {"dropped":n} when the cursor skipped evicted
-// entries, `event: done` at end-of-stream.
+// entries, `event: done` at end-of-stream. Each batch is framed into
+// one reused buffer and written once.
 func (s *Service) serveSSE(w http.ResponseWriter, r *http.Request, reader *Reader, batch int) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -276,25 +292,48 @@ func (s *Service) serveSSE(w http.ResponseWriter, r *http.Request, reader *Reade
 	flusher.Flush()
 
 	ctx := r.Context()
+	var frame []byte
 	for {
 		entries, dropped, done, err := reader.Next(ctx, batch)
 		if err != nil {
 			return // client went away
 		}
-		if dropped > 0 {
-			fmt.Fprintf(w, "event: shed\ndata: {\"dropped\":%d}\n\n", dropped)
-		}
-		for _, e := range entries {
-			item, _ := json.Marshal(resultItem{
-				Seq: e.Seq, Start: int64(e.Start), End: int64(e.End), Value: json.RawMessage(e.Data),
-			})
-			fmt.Fprintf(w, "id: %d\nevent: result\ndata: %s\n\n", e.Seq, item)
+		frame = appendSSE(frame[:0], entries, dropped, done)
+		if _, err := w.Write(frame); err != nil {
+			return
 		}
 		flusher.Flush()
 		if done {
-			fmt.Fprint(w, "event: done\ndata: {}\n\n")
-			flusher.Flush()
 			return
 		}
 	}
+}
+
+// appendSSE appends one batch's events to dst: a shed event when dropped
+// is positive, one result event per entry, and the done event last. A
+// result's data line is the resultItem's JSON, with Data spliced in
+// verbatim as its value.
+func appendSSE(dst []byte, entries []Entry, dropped int64, done bool) []byte {
+	if dropped > 0 {
+		dst = append(dst, "event: shed\ndata: {\"dropped\":"...)
+		dst = strconv.AppendInt(dst, dropped, 10)
+		dst = append(dst, "}\n\n"...)
+	}
+	for _, e := range entries {
+		dst = append(dst, "id: "...)
+		dst = strconv.AppendUint(dst, e.Seq, 10)
+		dst = append(dst, "\nevent: result\ndata: {\"seq\":"...)
+		dst = strconv.AppendUint(dst, e.Seq, 10)
+		dst = append(dst, `,"start":`...)
+		dst = strconv.AppendInt(dst, int64(e.Start), 10)
+		dst = append(dst, `,"end":`...)
+		dst = strconv.AppendInt(dst, int64(e.End), 10)
+		dst = append(dst, `,"value":`...)
+		dst = append(dst, e.Data...)
+		dst = append(dst, "}\n\n"...)
+	}
+	if done {
+		dst = append(dst, "event: done\ndata: {}\n\n"...)
+	}
+	return dst
 }

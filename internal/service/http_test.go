@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pipes/internal/cql"
 	"pipes/internal/temporal"
 )
 
@@ -351,5 +352,135 @@ func TestHTTPStalledConsumerSheds(t *testing.T) {
 	st := tenantStatsFor(t, f.s, "alice")
 	if st.ResultShed != got.Shed {
 		t.Fatalf("tenant shed %d != query shed %d", st.ResultShed, got.Shed)
+	}
+}
+
+// An EventSource that reconnects sends the last id it saw as
+// Last-Event-ID; the stream resumes after it. ?after= wins when both are
+// given, and a malformed header is a 400 like a malformed ?after=.
+func TestHTTPSSEResumesFromLastEventID(t *testing.T) {
+	f := newHTTPFixture(t)
+	var info QueryInfo
+	f.do(t, "POST", "/v1/queries", "alice-secret", map[string]any{"cql": "SELECT resume"}, &info)
+	fq := f.fakeQueryOf(t, info.ID)
+	for i := 1; i <= 4; i++ {
+		fq.emit(i, temporal.Time(i))
+	}
+	firstID := func(query, lastEventID string) (int, string) {
+		t.Helper()
+		req, _ := http.NewRequest("GET", f.srv.URL+"/v1/queries/"+info.ID+"/results?stream=sse"+query, nil)
+		req.Header.Set("Authorization", "Bearer alice-secret")
+		req.Header.Set("Last-Event-ID", lastEventID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			return resp.StatusCode, ""
+		}
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if id, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+				return resp.StatusCode, id
+			}
+		}
+		t.Fatalf("stream ended without an event: %v", sc.Err())
+		return 0, ""
+	}
+	if status, id := firstID("", "2"); status != 200 || id != "3" {
+		t.Fatalf("Last-Event-ID 2: status %d, first id %q; want 200, 3", status, id)
+	}
+	if status, id := firstID("&after=1", "3"); status != 200 || id != "2" {
+		t.Fatalf("after=1 with Last-Event-ID 3: status %d, first id %q; want 200, 2", status, id)
+	}
+	if status, _ := firstID("", "zap"); status != 400 {
+		t.Fatalf("malformed Last-Event-ID: status %d, want 400", status)
+	}
+}
+
+// The exact bytes of an SSE stream and of a long-poll page: framing,
+// shed and done events, and each value spliced in as rendered.
+func TestHTTPResultWireGolden(t *testing.T) {
+	const sse = "event: shed\ndata: {\"dropped\":2}\n\n" +
+		"id: 3\nevent: result\ndata: {\"seq\":3,\"start\":20,\"end\":25,\"value\":\"x\\u003cy\"}\n\n" +
+		"id: 4\nevent: result\ndata: {\"seq\":4,\"start\":30,\"end\":35,\"value\":{\"e\":1e+21,\"s\":\"bid 12\",\"t\":true,\"z\":null}}\n\n" +
+		"id: 5\nevent: result\ndata: {\"seq\":5,\"start\":40,\"end\":45,\"value\":{\"k\":[1,2]}}\n\n" +
+		"event: done\ndata: {}\n\n"
+	const page = `{
+  "results": [
+    {
+      "seq": 3,
+      "start": 20,
+      "end": 25,
+      "value": "x\u003cy"
+    },
+    {
+      "seq": 4,
+      "start": 30,
+      "end": 35,
+      "value": {
+        "e": 1e+21,
+        "s": "bid 12",
+        "t": true,
+        "z": null
+      }
+    },
+    {
+      "seq": 5,
+      "start": 40,
+      "end": 45,
+      "value": {
+        "k": [
+          1,
+          2
+        ]
+      }
+    }
+  ],
+  "dropped": 2,
+  "next": 5,
+  "done": true
+}
+`
+	// A finished query whose two oldest results were evicted: a reader
+	// from 0 sees a shed gap, three results of different renderings, then
+	// end-of-stream.
+	values := []any{
+		cql.Tuple{"id": 1, "price": 9.5, "name": "a"},
+		int64(-7),
+		"x<y",
+		cql.Tuple{"e": 1e21, "t": true, "z": nil, "s": "bid 12"},
+		map[string]any{"k": []int{1, 2}},
+	}
+	capBytes := 0
+	for _, v := range values[2:] {
+		capBytes += len(marshalValue(v)) + entryOverhead
+	}
+	b := NewResultBuffer(capBytes)
+	sink := newResultSink(b)
+	for i, v := range values {
+		sink.ProcessBatch(temporal.Batch{temporal.NewElement(v, temporal.Time(10*i), temporal.Time(10*i+5))}, 0)
+	}
+	sink.Done(0)
+
+	s := &Service{}
+	for _, tc := range []struct {
+		name, query, want string
+		// batch 2 splits the SSE stream over two reads: its bytes must
+		// not depend on where batches end.
+		batch int
+		serve func(http.ResponseWriter, *http.Request, *Reader, int)
+	}{
+		{"sse", "?stream=sse", sse, 2, s.serveSSE},
+		{"long-poll", "?wait=0", page, 10, s.serveLongPoll},
+	} {
+		r := b.NewReader(0)
+		rec := httptest.NewRecorder()
+		tc.serve(rec, httptest.NewRequest("GET", "/v1/queries/q1/results"+tc.query, nil), r, tc.batch)
+		r.Close()
+		if got := rec.Body.String(); got != tc.want {
+			t.Errorf("%s bytes:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
 	}
 }

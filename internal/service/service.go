@@ -18,6 +18,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -487,8 +488,14 @@ func (s *Service) TenantStats() []TenantStats {
 // buffer. ProcessBatch never blocks and never takes a lock beyond the
 // buffer's leaf mutex, so a slow or stalled remote consumer cannot
 // backpressure the shared graph.
+//
+// scratch and ends are reused across frames without a lock: the sink
+// subscribes to one query root, and one goroutine publishes on a node
+// at a time (CONCURRENCY.md).
 type resultSink struct {
-	buf *ResultBuffer
+	buf     *ResultBuffer
+	scratch []byte // the frame's renderings, back to back
+	ends    []int  // ends[i] is where result i's rendering ends in scratch
 }
 
 func newResultSink(buf *ResultBuffer) *resultSink { return &resultSink{buf: buf} }
@@ -496,20 +503,46 @@ func newResultSink(buf *ResultBuffer) *resultSink { return &resultSink{buf: buf}
 // Name implements pubsub.Node.
 func (k *resultSink) Name() string { return "service-results" }
 
-// ProcessBatch implements pubsub.BatchSink. Rendering to JSON copies
-// everything the sink keeps, honouring the frame borrow contract
-// (SEMANTICS.md §3.7): nothing of b is retained after return.
+// ProcessBatch implements pubsub.BatchSink. The frame is rendered into
+// the sink's scratch, then copied once into an exact-size arena the
+// buffer's entries share, so a frame costs one allocation and one lock
+// acquisition. Rendering copies everything the sink keeps, honouring the
+// frame borrow contract (SEMANTICS.md §3.7): nothing of b is retained
+// after return.
 func (k *resultSink) ProcessBatch(b temporal.Batch, _ int) {
+	k.scratch, k.ends = k.scratch[:0], k.ends[:0]
 	for _, e := range b {
-		k.buf.Append(marshalValue(e.Value), e.Start, e.End)
+		k.scratch = appendValue(k.scratch, e.Value)
+		k.ends = append(k.ends, len(k.scratch))
 	}
+	k.buf.appendFrame(b, bytes.Clone(k.scratch), k.ends)
 }
 
 // Done implements pubsub.Sink.
 func (k *resultSink) Done(_ int) { k.buf.MarkDone() }
 
+// jsonAppender is a result value that renders itself without
+// reflection: AppendJSON appends exactly json.Marshal's bytes, or
+// reports false for content it does not render. cql.Tuple implements
+// it; declaring it here keeps the service engine-agnostic.
+type jsonAppender interface {
+	AppendJSON(dst []byte) ([]byte, bool)
+}
+
+// appendValue appends v's JSON rendering to dst: the value's own
+// AppendJSON when it has one and it succeeds, else marshalValue.
+func appendValue(dst []byte, v any) []byte {
+	if a, ok := v.(jsonAppender); ok {
+		if out, ok := a.AppendJSON(dst); ok {
+			return out
+		}
+	}
+	return append(dst, marshalValue(v)...)
+}
+
 // marshalValue renders a result value to JSON; values that do not
 // marshal (exotic user types) degrade to their Go string rendering.
+// It is the reference appendValue's fast path is tested against.
 func marshalValue(v any) []byte {
 	data, err := json.Marshal(v)
 	if err != nil {

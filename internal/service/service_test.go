@@ -2,10 +2,12 @@ package service
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"pipes/internal/cql"
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 )
@@ -329,4 +331,45 @@ func tenantStatsFor(t *testing.T, s *Service, name string) TenantStats {
 	}
 	t.Fatalf("no stats for %q", name)
 	return TenantStats{}
+}
+
+// The sink renders each result exactly as marshalValue, the reflective
+// reference, would: tuples through their own AppendJSON, tuples it
+// refuses and every other value through json.Marshal, and values json
+// cannot marshal through the unserializable wrapper.
+func TestResultSinkRenderingMatchesMarshalValue(t *testing.T) {
+	type point struct{ X, Y int }
+	values := []any{
+		cql.Tuple{"id": 7, "price": 12.5, "name": "bid", "ok": true, "none": nil},
+		cql.Tuple{"tiny": 1e-9, "huge": 1e22, "big": int64(math.MaxInt64)},
+		cql.Tuple{"html": "a<b&c"},             // refused: json escapes it
+		cql.Tuple{"nested": cql.Tuple{"a": 1}}, // refused: a kind outside the set
+		cql.Tuple{},
+		cql.Tuple(nil),
+		cql.Tuple{"nan": math.NaN()},       // unserializable
+		cql.Tuple{"ch": make(chan int)},    // unserializable
+		map[string]any{"m": []int{1, 2}},   // not a tuple
+		"plain", 42, 2.5, nil, point{1, 2}, // not a tuple
+		func() {}, // unserializable
+	}
+	b := NewResultBuffer(1 << 20)
+	frame := make(temporal.Batch, len(values))
+	for i, v := range values {
+		frame[i] = temporal.At(v, temporal.Time(i))
+	}
+	newResultSink(b).ProcessBatch(frame, 0)
+	r := b.NewReader(0)
+	defer r.Close()
+	out, _, _ := r.TryNext(len(values))
+	if len(out) != len(values) {
+		t.Fatalf("delivered %d of %d results", len(out), len(values))
+	}
+	for i, e := range out {
+		if want := marshalValue(values[i]); string(e.Data) != string(want) {
+			t.Errorf("result %d (%T): sink rendered %s, marshalValue %s", i, values[i], e.Data, want)
+		}
+		if cap(e.Data) != len(e.Data) {
+			t.Errorf("result %d: Data has spare capacity %d into its neighbour", i, cap(e.Data)-len(e.Data))
+		}
+	}
 }
