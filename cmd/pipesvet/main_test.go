@@ -3,104 +3,119 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestVettoolEndToEnd builds the pipesvet binary and runs it via
-// `go vet -vettool` over a scratch module seeded with exactly one
-// violation per analyzer, asserting every analyzer fires exactly once.
-// This is the integration seam the unit fixtures cannot cover: the
-// unitchecker protocol, suffix-based package scoping, and the CI
-// invocation all go through this path.
-func TestVettoolEndToEnd(t *testing.T) {
+// TestTextEndToEnd builds pipesvet and runs it in its default text mode
+// over the fixture module: the run exits 1 and prints one
+// `file:line:col: message` line per finding — every analyzer's seeded
+// violation once, plus the one unknown-analyzer directive — in the same
+// order as the -json report.
+func TestTextEndToEnd(t *testing.T) {
+	bin, mod := setup(t)
+	out := runFixture(t, bin, mod)
+	report := parseReport(t, runFixture(t, bin, mod, "-json"))
+	checkSuite(t, report.Diagnostics)
+
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	if len(lines) != len(report.Diagnostics) {
+		t.Fatalf("text mode printed %d lines, -json reported %d findings\noutput:\n%s", len(lines), len(report.Diagnostics), out)
+	}
+	lineRE := regexp.MustCompile(`^([^:]+):(\d+):(\d+): (.+)$`)
+	for i, line := range lines {
+		m := lineRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("line %q is not file:line:col: message", line)
+			continue
+		}
+		d := report.Diagnostics[i]
+		if got, want := m[1]+":"+m[2]+": "+m[4], fmt.Sprintf("%s:%d: %s", d.File, d.Line, d.Message); got != want {
+			t.Errorf("text line %d = %q, want the -json finding %q", i, got, want)
+		}
+		if m[3] == "0" {
+			t.Errorf("line %q has no column", line)
+		}
+	}
+}
+
+// setup builds the pipesvet binary and writes the fixture module,
+// returning both paths.
+func setup(t *testing.T) (bin, mod string) {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not in PATH")
 	}
 	tmp := t.TempDir()
-
-	vettool := filepath.Join(tmp, "pipesvet")
-	build := exec.Command("go", "build", "-o", vettool, "pipes/cmd/pipesvet")
-	build.Env = offlineEnv()
+	bin = filepath.Join(tmp, "pipesvet")
+	build := exec.Command("go", "build", "-o", bin, "pipes/cmd/pipesvet")
+	build.Env = append(os.Environ(), "GOPROXY=off", "GOWORK=off")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building pipesvet: %v\n%s", err, out)
 	}
-
-	mod := filepath.Join(tmp, "vetfixture")
+	mod = filepath.Join(tmp, "vetfixture")
 	writeFixtureModule(t, mod)
-
-	vet := exec.Command("go", "vet", "-vettool="+vettool, "-json", "./...")
-	vet.Dir = mod
-	vet.Env = offlineEnv()
-	out, err := vet.CombinedOutput()
-	if err != nil {
-		// In -json mode diagnostics do not fail the run; an error here is
-		// a broken fixture or tool crash.
-		t.Fatalf("go vet: %v\n%s", err, out)
-	}
-
-	counts := countDiagnostics(t, out)
-	want := []string{"atomicmix", "frameborrow", "hotpathclock", "lockorder", "nogoroutine", "sealedsub", "snapshotclosure", "traceslot"}
-	for _, name := range want {
-		if counts[name] != 1 {
-			t.Errorf("analyzer %s fired %d times, want exactly 1\noutput:\n%s",
-				name, counts[name], out)
-		}
-	}
-	for name, n := range counts {
-		found := false
-		for _, w := range want {
-			if w == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("unexpected analyzer %s fired %d times", name, n)
-		}
-	}
+	return bin, mod
 }
 
-// offlineEnv returns the environment for child go commands with all
-// network access disabled: everything the fixture needs is local.
-func offlineEnv() []string {
-	return append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod", "GOWORK=off")
+// runFixture runs pipesvet over the whole fixture module and returns its
+// stdout, requiring exit status 1: findings, not a driver error.
+func runFixture(t *testing.T, bin, mod string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(bin, append(args, "./...")...)
+	cmd.Dir = mod
+	out, err := cmd.Output()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("pipesvet %v: want exit status 1 (findings), got err=%v\nstdout:\n%s", args, err, out)
+	}
+	return out
 }
 
-// countDiagnostics parses `go vet -json` output: a stream of JSON
-// objects {pkg: {analyzer: [diagnostics]}} interleaved with `# pkg`
-// comment lines.
-func countDiagnostics(t *testing.T, out []byte) map[string]int {
+func parseReport(t *testing.T, out []byte) jsonReport {
+	t.Helper()
+	var report jsonReport
+	if err := json.Unmarshal(out, &report); err != nil {
+		t.Fatalf("parsing -json report: %v\n%s", err, out)
+	}
+	return report
+}
+
+// checkSuite asserts the full-suite findings over the fixture module:
+// each analyzer of the suite fires exactly once on its seeded violation,
+// the misspelt allow directive is reported once, and the nested module
+// contributes nothing.
+func checkSuite(t *testing.T, diags []finding) {
+	t.Helper()
 	counts := map[string]int{}
-	dec := json.NewDecoder(strings.NewReader(stripComments(string(out))))
-	for dec.More() {
-		var byPkg map[string]map[string][]struct {
-			Message string `json:"message"`
+	unknown := 0
+	for _, d := range diags {
+		if strings.HasPrefix(d.File, "nested/") {
+			t.Errorf("finding in the nested module %s:%d: %s", d.File, d.Line, d.Message)
 		}
-		if err := dec.Decode(&byPkg); err != nil {
-			t.Fatalf("parsing vet -json output: %v\n%s", err, out)
-		}
-		for _, byAnalyzer := range byPkg {
-			for name, diags := range byAnalyzer {
-				counts[name] += len(diags)
-			}
-		}
-	}
-	return counts
-}
-
-func stripComments(s string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+		if strings.Contains(d.Message, "unknown analyzer") {
+			unknown++
 			continue
 		}
-		b.WriteString(line)
-		b.WriteString("\n")
+		counts[d.Analyzer]++
 	}
-	return b.String()
+	for _, a := range Analyzers() {
+		if counts[a.Name] != 1 {
+			t.Errorf("analyzer %s fired %d times, want exactly 1", a.Name, counts[a.Name])
+		}
+		delete(counts, a.Name)
+	}
+	for name, n := range counts {
+		t.Errorf("unexpected analyzer %s fired %d times", name, n)
+	}
+	if unknown != 1 {
+		t.Errorf("got %d unknown-analyzer diagnostics, want 1", unknown)
+	}
 }
 
 // writeFixtureModule lays out a minimal module whose package paths end
@@ -233,7 +248,8 @@ func (c *Cache) Bad() {
 }
 `,
 
-		// app: sealedsub violation — registration after Start.
+		// app: sealedsub violation — registration after Start — and an
+		// allow directive whose analyzer name is misspelt.
 		"app/app.go": `package app
 
 import "vetfixture/sched"
@@ -241,8 +257,17 @@ import "vetfixture/sched"
 func Wire() {
 	s := sched.New()
 	s.Start()
+	//pipesvet:allow frameborow typo: names no analyzer of the suite
 	s.Add(1)
 }
+`,
+
+		// nested: a module of its own, so ./... stops at it, as the go
+		// tool does; the goroutine below must not be reported.
+		"nested/go.mod": "module nested\n\ngo 1.24\n",
+		"nested/ops/ops.go": `package ops
+
+func Spawn() { go func() {}() }
 `,
 	}
 	for rel, content := range files {
@@ -256,51 +281,15 @@ func Wire() {
 	}
 }
 
-// TestStandaloneJSON covers the direct `pipesvet -json <patterns>`
-// invocation: the in-process driver must find the same seeded violations
-// as the vettool path, emit them in the machine-readable schema, count
-// allow-suppressed findings, and exit 1.
+// TestStandaloneJSON covers `pipesvet -json`: the report carries the same
+// findings in the machine-readable schema, with module-relative paths,
+// and counts the allow-suppressed finding.
 func TestStandaloneJSON(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool not in PATH")
-	}
-	tmp := t.TempDir()
-
-	vettool := filepath.Join(tmp, "pipesvet")
-	build := exec.Command("go", "build", "-o", vettool, "pipes/cmd/pipesvet")
-	build.Env = offlineEnv()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building pipesvet: %v\n%s", err, out)
-	}
-
-	mod := filepath.Join(tmp, "vetfixture")
-	writeFixtureModule(t, mod)
-
-	cmd := exec.Command(vettool, "-json", "./...")
-	cmd.Dir = mod
-	cmd.Env = offlineEnv()
-	out, err := cmd.Output()
-	var exitErr *exec.ExitError
-	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
-		t.Fatalf("pipesvet -json: want exit status 1 (diagnostics found), got err=%v\nstdout:\n%s", err, out)
-	}
-
-	var report struct {
-		Diagnostics []struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		} `json:"diagnostics"`
-		AllowSuppressed int `json:"allowSuppressed"`
-	}
-	if err := json.Unmarshal(out, &report); err != nil {
-		t.Fatalf("parsing -json report: %v\n%s", err, out)
-	}
-
-	counts := map[string]int{}
+	bin, mod := setup(t)
+	out := runFixture(t, bin, mod, "-json")
+	report := parseReport(t, out)
+	checkSuite(t, report.Diagnostics)
 	for _, d := range report.Diagnostics {
-		counts[d.Analyzer]++
 		if d.File == "" || filepath.IsAbs(d.File) {
 			t.Errorf("diagnostic file %q: want a module-relative path", d.File)
 		}
@@ -311,18 +300,9 @@ func TestStandaloneJSON(t *testing.T) {
 			t.Errorf("diagnostic %s at %s:%d has an empty message", d.Analyzer, d.File, d.Line)
 		}
 	}
-	want := []string{"atomicmix", "frameborrow", "hotpathclock", "lockorder", "nogoroutine", "sealedsub", "snapshotclosure", "traceslot"}
-	for _, name := range want {
-		if counts[name] != 1 {
-			t.Errorf("analyzer %s fired %d times in -json mode, want exactly 1\noutput:\n%s", name, counts[name], out)
-		}
-	}
-	if len(report.Diagnostics) != len(want) {
-		t.Errorf("got %d diagnostics, want %d\noutput:\n%s", len(report.Diagnostics), len(want), out)
-	}
 	// The fixture suppresses one goroutine launch with a reasoned allow
 	// directive; the aggregate must see it.
-	if report.AllowSuppressed < 1 {
-		t.Errorf("allowSuppressed = %d, want >= 1\noutput:\n%s", report.AllowSuppressed, out)
+	if report.AllowSuppressed != 1 {
+		t.Errorf("allowSuppressed = %d, want 1\noutput:\n%s", report.AllowSuppressed, out)
 	}
 }

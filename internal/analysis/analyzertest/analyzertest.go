@@ -1,12 +1,11 @@
-// Package analyzertest runs a go/analysis analyzer over fixture packages
-// and checks its diagnostics against `// want` comments — a small,
-// dependency-free stand-in for golang.org/x/tools/go/analysis/analysistest
-// (which needs go/packages and is not vendored with the toolchain).
+// Package analyzertest runs a pipesvet analyzer over fixture packages and
+// checks its diagnostics against `// want` comments — a small stand-in for
+// golang.org/x/tools/go/analysis/analysistest.
 //
 // Fixtures live under testdata/src/<importpath>/ and are plain GOPATH-style
 // packages: imports between fixture packages resolve within testdata/src,
-// everything else resolves from the standard library via the source
-// importer, so the harness works fully offline.
+// everything else resolves from the standard library through the shared
+// offline loader of package analysis.
 //
 // Expectations are written on the offending line:
 //
@@ -21,150 +20,44 @@ package analyzertest
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 )
 
-// Run loads each fixture package and applies the analyzer (and its
-// Requires closure), failing t on any mismatch between reported and
-// wanted diagnostics.
+// Run loads each fixture package and applies the analyzer through the
+// shared runner, failing t on any mismatch between reported and wanted
+// diagnostics. The analyzer is the whole suite of the run, so an allow
+// directive naming any other analyzer is reported as unknown.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	l := newLoader(testdata)
+	// Fixture packages shadow the standard library.
+	l := analysis.NewLoader(func(path string) (string, bool) {
+		dir := filepath.Join(testdata, "src", path)
+		fi, err := os.Stat(dir)
+		return dir, err == nil && fi.IsDir()
+	})
 	for _, path := range pkgpaths {
-		pkg, err := l.load(path)
+		pkg, err := l.Load(path)
+		if err == nil && pkg == nil {
+			err = fmt.Errorf("no Go files")
+		}
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
-		_, diags := runPass(t, l.fset, a, pkg)
-		checkWants(t, l.fset, pkg.files, diags)
-	}
-}
-
-// loadedPkg is one typechecked fixture package.
-type loadedPkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
-type loader struct {
-	testdata string
-	fset     *token.FileSet
-	std      types.Importer
-	cache    map[string]*loadedPkg
-}
-
-func newLoader(testdata string) *loader {
-	l := &loader{
-		testdata: testdata,
-		fset:     token.NewFileSet(),
-		cache:    map[string]*loadedPkg{},
-	}
-	// The source importer typechecks stdlib packages from $GOROOT/src: no
-	// export data, no network, no build cache needed.
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	return l
-}
-
-// Import implements types.Importer: fixture packages shadow the standard
-// library.
-func (l *loader) Import(path string) (*types.Package, error) {
-	if dir := filepath.Join(l.testdata, "src", path); isDir(dir) {
-		p, err := l.load(path)
-		if err != nil {
-			return nil, err
+		var diags []analysis.Diagnostic
+		if _, err := l.Run(pkg, []*analysis.Analyzer{a}, func(_ *analysis.Analyzer, d analysis.Diagnostic) {
+			diags = append(diags, d)
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return p.pkg, nil
+		checkWants(t, l.Fset, pkg.Files, diags)
 	}
-	return l.std.Import(path)
-}
-
-func (l *loader) load(path string) (*loadedPkg, error) {
-	if p, ok := l.cache[path]; ok {
-		return p, nil
-	}
-	dir := filepath.Join(l.testdata, "src", path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	p := &loadedPkg{pkg: pkg, files: files, info: info}
-	l.cache[path] = p
-	return p, nil
-}
-
-// runPass applies a to pkg, running its Requires closure first, and
-// returns a's result and diagnostics (prerequisite diagnostics are
-// discarded — expectations target the analyzer under test).
-func runPass(t *testing.T, fset *token.FileSet, a *analysis.Analyzer, pkg *loadedPkg) (any, []analysis.Diagnostic) {
-	t.Helper()
-	resultOf := map[*analysis.Analyzer]any{}
-	for _, req := range a.Requires {
-		res, _ := runPass(t, fset, req, pkg)
-		resultOf[req] = res
-	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:          a,
-		Fset:              fset,
-		Files:             pkg.files,
-		Pkg:               pkg.pkg,
-		TypesInfo:         pkg.info,
-		TypesSizes:        types.SizesFor("gc", "amd64"),
-		ResultOf:          resultOf,
-		Report:            func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:          os.ReadFile,
-		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportObjectFact:  func(types.Object, analysis.Fact) {},
-		ExportPackageFact: func(analysis.Fact) {},
-		AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		AllPackageFacts:   func() []analysis.PackageFact { return nil },
-	}
-	res, err := a.Run(pass)
-	if err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-	return res, diags
 }
 
 // want is one expectation parsed from a fixture comment.
@@ -224,10 +117,4 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 	for _, msg := range unmatched {
 		t.Error(msg)
 	}
-}
-
-// isDir reports whether path exists and is a directory.
-func isDir(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
 }

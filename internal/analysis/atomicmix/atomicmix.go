@@ -30,7 +30,7 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -44,8 +44,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "flags plain reads/writes of fields that are elsewhere accessed via sync/atomic, and value copies of atomic.* typed fields",
 	Run:  run,
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope covers the packages whose counters are concurrently observed: the
 // named counters (metadata), the metrics registry (telemetry), the

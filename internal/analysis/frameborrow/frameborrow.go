@@ -32,7 +32,7 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -46,8 +46,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "flags temporal.Batch frame storage retained past the borrowing call (SEMANTICS.md §3.7): frames must be copied, not kept",
 	Run:  run,
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope is where frames are consumed and forwarded — every package with a
 // ProcessBatch: the operators, the checkpoint taps, pubsub, the service

@@ -25,7 +25,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -57,8 +57,6 @@ var hotRoots = map[string]bool{
 	"ProcessBatch": true, "TransferBatch": true, "Drain": true,
 	"Process": true, "Transfer": true,
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name) // before the scope check: directive misuse is validated everywhere

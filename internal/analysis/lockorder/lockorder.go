@@ -31,7 +31,7 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -98,8 +98,6 @@ type region struct {
 	key      string
 	cls      class
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name)

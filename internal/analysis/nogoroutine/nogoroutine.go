@@ -19,7 +19,7 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -33,8 +33,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "flags goroutine launches and channel operations inside single-owner operator packages (CONCURRENCY.md)",
 	Run:  run,
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope: operator implementation packages, plus the control-plane
 // service whose graph-facing sink must never block the scheduler. sched

@@ -24,7 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -38,8 +38,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "flags scheduler Add/AddTo and pubsub Subscribe calls placed after sched.Start in the same function (registration is sealed at Start, CONCURRENCY.md)",
 	Run:  run,
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name)

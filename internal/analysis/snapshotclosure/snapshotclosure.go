@@ -31,7 +31,7 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -45,8 +45,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "flags SnapshotState encode closures that reference live receiver state instead of under-barrier copies (FAULT_TOLERANCE.md)",
 	Run:  run,
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope: the packages that implement ft.StateSaver — the stateful
 // operators — plus the checkpoint machinery itself.

@@ -24,7 +24,7 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 
 	"pipes/internal/analysis/vetutil"
 )
@@ -38,8 +38,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "requires operator code constructing temporal.Element values to propagate (or explicitly drop) the telemetry trace slot",
 	Run:  run,
 }
-
-func init() { vetutil.RegisterAnalyzer(name) }
 
 // scope is where the contract applies: packages whose operators rewrite
 // elements. pubsub is in scope because its sources and the publish hook

@@ -9,9 +9,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
+	"pipes/internal/analysis"
 )
 
 // InScope reports whether a package import path matches one of the given
@@ -47,33 +48,6 @@ func SourceFiles(pass *analysis.Pass) []*ast.File {
 	return out
 }
 
-// registered is the set of analyzer names linked into this binary. Each
-// analyzer package registers its name from an init function, so a
-// directive naming an analyzer that does not exist (a typo, or a rule
-// that was renamed) is detectable whenever the full suite is loaded —
-// cmd/pipesvet and the internal/analysis registry link every analyzer.
-var registered = map[string]bool{}
-
-// RegisterAnalyzer records name as a member of the pipesvet suite for
-// allow-directive validation. Call it from the analyzer package's init,
-// with the same string used as the Analyzer.Name.
-func RegisterAnalyzer(name string) { registered[name] = true }
-
-// isDirectiveReporter reports whether analyzer is the designated reporter
-// for suite-wide directive misuse: the alphabetically first registered
-// name. Misuse that no single analyzer owns (a directive naming an
-// unknown analyzer) must still be reported exactly once per package even
-// though every analyzer scans the same comments, so exactly one member of
-// the suite — stable under full linkage — speaks for all of them.
-func isDirectiveReporter(analyzer string) bool {
-	for name := range registered {
-		if name < analyzer {
-			return false
-		}
-	}
-	return true
-}
-
 // Allower answers whether a position is covered by an explicit
 // `//pipesvet:allow <analyzer> <reason>` directive. A directive suppresses
 // diagnostics of that analyzer on its own line and on the line directly
@@ -85,20 +59,21 @@ func isDirectiveReporter(analyzer string) bool {
 // itself reported), so the mandatory-reason practice STATIC_ANALYSIS.md
 // states is enforced mechanically rather than by review.
 type Allower struct {
-	fset  *token.FileSet
+	pass  *analysis.Pass
 	lines map[string]map[int]bool // filename -> line with a directive
 }
 
 // NewAllower scans the pass's files for allow directives naming the given
 // analyzer, and validates directive well-formedness as it goes: a
 // directive naming this analyzer without a reason is reported and ignored;
-// a directive naming no analyzer at all, or one that is not part of the
-// linked suite, is reported by the suite's designated reporter. Call it
-// before any scope check so directive misuse is caught in every package,
-// not just the packages a given analyzer inspects.
+// a directive naming no analyzer at all, or one that is not in the run's
+// suite, is reported once, by the suite's first analyzer (every analyzer
+// scans the same comments, so exactly one speaks for all of them). Call
+// it before any scope check so directive misuse is caught in every
+// package, not just the packages a given analyzer inspects.
 func NewAllower(pass *analysis.Pass, analyzer string) *Allower {
-	a := &Allower{fset: pass.Fset, lines: map[string]map[int]bool{}}
-	reporter := isDirectiveReporter(analyzer)
+	a := &Allower{pass: pass, lines: map[string]map[int]bool{}}
+	reporter := len(pass.Suite) > 0 && pass.Suite[0] == analyzer
 	for _, f := range pass.Files {
 		validate := !IsTestFile(pass.Fset, f.Package)
 		for _, cg := range f.Comments {
@@ -115,7 +90,7 @@ func NewAllower(pass *analysis.Pass, analyzer string) *Allower {
 					continue
 				}
 				if fields[0] != analyzer {
-					if validate && reporter && len(registered) > 0 && !registered[fields[0]] {
+					if validate && reporter && !slices.Contains(pass.Suite, fields[0]) {
 						pass.Reportf(c.Pos(), "pipesvet:allow directive names unknown analyzer %q: the suite has no such rule, so this suppression does nothing (see STATIC_ANALYSIS.md for the analyzer list)", fields[0])
 					}
 					continue
@@ -140,28 +115,17 @@ func NewAllower(pass *analysis.Pass, analyzer string) *Allower {
 }
 
 // Allowed reports whether pos is suppressed by a directive on the same
-// line or the line above.
+// line or the line above. Each analyzer asks once per candidate
+// diagnostic, so every hit counts as one suppressed finding of the pass.
 func (a *Allower) Allowed(pos token.Pos) bool {
-	p := a.fset.Position(pos)
+	p := a.pass.Fset.Position(pos)
 	m := a.lines[p.Filename]
 	hit := m != nil && (m[p.Line] || m[p.Line-1])
 	if hit {
-		suppressedHits++
+		a.pass.Suppressed++
 	}
 	return hit
 }
-
-// suppressedHits counts diagnostics suppressed by allow directives across
-// every Allower in the process. Each analyzer consults its Allower once
-// per candidate diagnostic, so a hit is one suppressed finding. The count
-// is meaningful for in-process drivers (pipesvet -json, the fixture
-// tests); under the unitchecker each package runs in its own process and
-// the count dies with it.
-var suppressedHits int
-
-// SuppressedHits returns the process-wide number of diagnostics
-// suppressed by //pipesvet:allow directives.
-func SuppressedHits() int { return suppressedHits }
 
 // CallGraph is the static, same-package call graph: edges follow direct
 // (non-interface) calls between functions and methods declared in the
