@@ -108,9 +108,11 @@ func runStandalone(readings int, interval time.Duration, workers int, telAddr st
 		case <-done:
 			dead := render(monitorRows(dsms), true)
 			fmt.Println("\nscheduler counters:")
-			for _, cv := range dsms.Scheduler.Counters().SortedSnapshot() {
-				fmt.Printf("  %-24s %d\n", cv.Name, cv.Value)
-			}
+			c := dsms.Scheduler.Contention()
+			fmt.Printf("  %-24s %d\n", "sched.batches", c.Batches)
+			fmt.Printf("  %-24s %d\n", "sched.lock_conflicts", c.LockConflicts)
+			fmt.Printf("  %-24s %d\n", "sched.steal_misses", c.StealMisses)
+			fmt.Printf("  %-24s %d\n", "sched.steals", c.Steals)
 			fmt.Println("\nworkload complete")
 			return deadExit(dead)
 		case <-tick.C:

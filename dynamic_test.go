@@ -107,3 +107,46 @@ func TestRegisterPlanFromXMLRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterPlanSubscribesMemory pins that both registration paths give
+// a stateful operator the same memory-manager wiring: the join built
+// through PlanFromQuery + RegisterPlan holds one subscription, as through
+// RegisterQuery, so a loaded plan can be shed and its deregistration
+// releases the state.
+func TestRegisterPlanSubscribesMemory(t *testing.T) {
+	const text = `SELECT * FROM a [RANGE 10], b [RANGE 10] WHERE a.k = b.k`
+	register := map[string]func(*DSMS) (*Query, error){
+		"RegisterQuery": func(d *DSMS) (*Query, error) { return d.RegisterQuery(text) },
+		"RegisterPlan": func(d *DSMS) (*Query, error) {
+			parsed, err := ParseCQL(text)
+			if err != nil {
+				return nil, err
+			}
+			plan, err := PlanFromQuery(parsed)
+			if err != nil {
+				return nil, err
+			}
+			return d.RegisterPlan(plan)
+		},
+	}
+	for name, reg := range register {
+		t.Run(name, func(t *testing.T) {
+			dsms := NewDSMS(Config{MemoryBudget: 1 << 20})
+			dsms.RegisterStream("a", NewSliceSource("a", nil), 10)
+			dsms.RegisterStream("b", NewSliceSource("b", nil), 10)
+			q, err := reg(dsms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(dsms.Memory.Stats().Subs); got != 1 {
+				t.Fatalf("join holds %d memory subscriptions, want 1", got)
+			}
+			if err := dsms.DeregisterQuery(q); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(dsms.Memory.Stats().Subs); got != 0 {
+				t.Fatalf("%d memory subscriptions left after DeregisterQuery, want 0", got)
+			}
+		})
+	}
+}

@@ -85,10 +85,10 @@ type Manager struct {
 	// Flight recording (nil = detached): per-operator snapshot-capture
 	// (barrier side) and state-encode (writer side) durations plus the
 	// per-round store-write/round-done phases land in the system event
-	// ring next to the alignment holds pubsub records.
-	flightRec  *flight.Recorder
-	flightRefs map[string]*flight.OpRef
-	storeRef   *flight.OpRef
+	// ring next to the alignment holds pubsub records. The recorder is
+	// also the Manager's clock (see now).
+	flightRec *flight.Recorder
+	storeRef  *flight.OpRef
 
 	// Metrics, wired into telemetry via RegisterMetrics.
 	durHist       *telemetry.Histogram
@@ -141,7 +141,7 @@ func (s *opScratch) flip() {
 // pending is one in-flight checkpoint round.
 type pending struct {
 	id    uint64
-	begun time.Time
+	begun int64 // now() at Trigger
 
 	mu          sync.Mutex
 	offsets     map[string]int
@@ -220,28 +220,23 @@ func (m *Manager) OnEvent(fn func(Event)) { m.onEvent = fn }
 // encode per operator, store write and round completion per round) are
 // recorded through it.
 func (m *Manager) SetFlightRecorder(r *flight.Recorder) {
-	m.flightRec = r
-	if r == nil {
-		m.flightRefs, m.storeRef = nil, nil
-		return
+	m.flightRec, m.storeRef = r, nil
+	if r != nil {
+		m.storeRef = r.Ref("checkpoint.store")
 	}
-	m.flightRefs = map[string]*flight.OpRef{}
-	m.storeRef = r.Ref("checkpoint.store")
 }
 
-// flightRef interns one operator's handle lazily (under mu).
-func (m *Manager) flightRef(name string) *flight.OpRef {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.flightRefs == nil {
-		return nil
+// now is the Manager's one clock, in Unix nanoseconds: the flight
+// recorder's when one is attached, so a fake clock governs the round
+// metrics and the flight slices alike, and the system clock otherwise.
+func (m *Manager) now() int64 { return m.flightRec.NowNS() }
+
+// phase records one barrier-phase event on name's flight track, if a
+// recorder is attached.
+func (m *Manager) phase(name string, k flight.Kind, id uint64, ns, c int64) {
+	if m.flightRec != nil {
+		m.flightRec.Ref(name).Phase(k, int64(id), ns, c)
 	}
-	ref := m.flightRefs[name]
-	if ref == nil {
-		ref = m.flightRec.Ref(name)
-		m.flightRefs[name] = ref
-	}
-	return ref
 }
 
 func (m *Manager) emit(ev Event) {
@@ -374,7 +369,7 @@ func (m *Manager) Trigger() (uint64, error) {
 	id := m.nextID
 	p := &pending{
 		id:          id,
-		begun:       time.Now(),
+		begun:       m.now(),
 		offsets:     map[string]int{},
 		failed:      map[string]error{},
 		handles:     map[string]func(*gob.Encoder) error{},
@@ -418,19 +413,10 @@ func (m *Manager) saveState(b pubsub.Barrier, name string, saver StateSaver) {
 	if p == nil {
 		return
 	}
-	var start int64
-	if m.flightRec != nil {
-		start = m.flightRec.NowNS()
-	} else {
-		start = time.Now().UnixNano()
-	}
+	start := m.now()
 	fn, err := saver.SnapshotState()
-	stall := m.sinceNS(start)
-	if m.flightRec != nil {
-		if ref := m.flightRef(name); ref != nil {
-			ref.Phase(flight.KindSnapshot, int64(b.ID), stall, 0)
-		}
-	}
+	stall := m.now() - start
+	m.phase(name, flight.KindSnapshot, b.ID, stall, 0)
 	p.mu.Lock()
 	if err != nil {
 		// A state that cannot snapshot poisons the round: let it fail at
@@ -442,16 +428,6 @@ func (m *Manager) saveState(b pubsub.Barrier, name string, saver StateSaver) {
 	p.stallNS += stall
 	p.mu.Unlock()
 	m.emit(Event{Stage: "save", Node: name, ID: b.ID})
-}
-
-// sinceNS returns nanoseconds elapsed since a stamp taken from the same
-// clock (the flight recorder's, so fake clocks govern the stall metric
-// too; wall time when detached).
-func (m *Manager) sinceNS(start int64) int64 {
-	if m.flightRec != nil {
-		return m.flightRec.NowNS() - start
-	}
-	return time.Now().UnixNano() - start
 }
 
 // acked marks one participant's barrier receipt.
@@ -507,10 +483,7 @@ type roundStats struct {
 
 // write persists one completed round and retires it.
 func (m *Manager) write(p *pending) {
-	var writeStart int64
-	if m.flightRec != nil {
-		writeStart = m.flightRec.NowNS()
-	}
+	writeStart := m.now()
 	stats, err := m.writeStore(p)
 	m.mu.Lock()
 	if m.cur == p {
@@ -543,7 +516,8 @@ func (m *Manager) write(p *pending) {
 	}
 	m.prevSealedID = p.id
 
-	roundNS := time.Since(p.begun).Nanoseconds()
+	end := m.now()
+	roundNS := end - p.begun
 	m.durHist.Observe(roundNS)
 	p.mu.Lock()
 	stallNS := p.stallNS
@@ -553,14 +527,14 @@ func (m *Manager) write(p *pending) {
 	m.encNanosTot.Add(stats.encodeNS)
 	m.fullBytesTot.Add(stats.fullBytes)
 	m.writtenTot.Add(stats.writtenBytes)
-	if m.flightRec != nil {
-		m.storeRef.Phase(flight.KindStoreWrite, int64(p.id), m.flightRec.NowNS()-writeStart, stats.writtenBytes)
+	if m.storeRef != nil {
+		m.storeRef.Phase(flight.KindStoreWrite, int64(p.id), end-writeStart, stats.writtenBytes)
 		m.storeRef.Phase(flight.KindRoundDone, int64(p.id), roundNS, stats.fullBytes)
 	}
 	m.lastID.Store(p.id)
 	m.lastBytes.Store(stats.fullBytes)
 	m.lastWritten.Store(stats.writtenBytes)
-	m.lastUnixNanos.Store(time.Now().UnixNano())
+	m.lastUnixNanos.Store(end)
 	m.completed.Add(1)
 	m.emit(Event{Stage: "sealed", ID: p.id})
 }
@@ -653,21 +627,12 @@ func (m *Manager) encodeState(p *pending, name string) ([]byte, int64, error) {
 	p.mu.Lock()
 	fn := p.handles[name]
 	p.mu.Unlock()
-	var start int64
-	if m.flightRec != nil {
-		start = m.flightRec.NowNS()
-	} else {
-		start = time.Now().UnixNano()
-	}
+	start := m.now()
 	if err := fn(gob.NewEncoder(buf)); err != nil {
 		return nil, 0, fmt.Errorf("ft: round %d: state of %s failed to serialise: %w", p.id, name, err)
 	}
-	encNS := m.sinceNS(start)
-	if m.flightRec != nil {
-		if ref := m.flightRef(name); ref != nil {
-			ref.Phase(flight.KindEncode, int64(p.id), encNS, int64(buf.Len()))
-		}
-	}
+	encNS := m.now() - start
+	m.phase(name, flight.KindEncode, p.id, encNS, int64(buf.Len()))
 	return buf.Bytes(), encNS, nil
 }
 
@@ -696,8 +661,7 @@ func (m *Manager) WrittenBytesTotal() int64 { return m.writtenTot.Load() }
 func (m *Manager) FullBytesTotal() int64 { return m.fullBytesTot.Load() }
 
 // StallNanosTotal returns the cumulative barrier-side stall spent in
-// save hooks (snapshot captures; full encodes in legacy mode) across all
-// sealed rounds.
+// save hooks (snapshot captures) across all sealed rounds.
 func (m *Manager) StallNanosTotal() int64 { return m.stallNanosTot.Load() }
 
 // EncodeNanosTotal returns the cumulative off-barrier encode time spent
@@ -709,23 +673,21 @@ func (m *Manager) EncodeNanosTotal() int64 { return m.encNanosTot.Load() }
 // checkpoint sizes (full and written), last success wall time, and
 // completed/failed/skipped/base/delta counters.
 func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
-	reg.RegisterHistogram("pipes_checkpoint_duration_nanos", nil, m.durHist)
-	reg.RegisterHistogram("pipes_checkpoint_barrier_stall_nanos", nil, m.stallHist)
-	reg.RegisterGauge("pipes_checkpoint_last_id", nil, func() float64 { return float64(m.lastID.Load()) })
-	reg.RegisterGauge("pipes_checkpoint_last_bytes", nil, func() float64 { return float64(m.lastBytes.Load()) })
-	reg.RegisterGauge("pipes_checkpoint_last_written_bytes", nil, func() float64 { return float64(m.lastWritten.Load()) })
-	reg.RegisterGauge("pipes_checkpoint_last_success_unix_nanos", nil, func() float64 { return float64(m.lastUnixNanos.Load()) })
-	reg.RegisterCounterSet("pipes_checkpoint_", func() map[string]int64 {
-		return map[string]int64{
-			"completed_total":        m.completed.Load(),
-			"failed_total":           m.failed.Load(),
-			"skipped_total":          m.skipped.Load(),
-			"base_rounds_total":      m.baseRounds.Load(),
-			"delta_rounds_total":     m.deltaRounds.Load(),
-			"unchanged_states_total": m.sameStates.Load(),
-			"full_bytes_total":       m.fullBytesTot.Load(),
-			"written_bytes_total":    m.writtenTot.Load(),
-			"encode_nanos_total":     m.encNanosTot.Load(),
-		}
+	reg.RegisterCollector(func(c *telemetry.Collect) {
+		c.Histogram("pipes_checkpoint_duration_nanos", nil, m.durHist)
+		c.Histogram("pipes_checkpoint_barrier_stall_nanos", nil, m.stallHist)
+		c.Gauge("pipes_checkpoint_last_id", nil, float64(m.lastID.Load()))
+		c.Gauge("pipes_checkpoint_last_bytes", nil, float64(m.lastBytes.Load()))
+		c.Gauge("pipes_checkpoint_last_written_bytes", nil, float64(m.lastWritten.Load()))
+		c.Gauge("pipes_checkpoint_last_success_unix_nanos", nil, float64(m.lastUnixNanos.Load()))
+		c.Counter("pipes_checkpoint_completed_total", nil, m.completed.Load())
+		c.Counter("pipes_checkpoint_failed_total", nil, m.failed.Load())
+		c.Counter("pipes_checkpoint_skipped_total", nil, m.skipped.Load())
+		c.Counter("pipes_checkpoint_base_rounds_total", nil, m.baseRounds.Load())
+		c.Counter("pipes_checkpoint_delta_rounds_total", nil, m.deltaRounds.Load())
+		c.Counter("pipes_checkpoint_unchanged_states_total", nil, m.sameStates.Load())
+		c.Counter("pipes_checkpoint_full_bytes_total", nil, m.fullBytesTot.Load())
+		c.Counter("pipes_checkpoint_written_bytes_total", nil, m.writtenTot.Load())
+		c.Counter("pipes_checkpoint_encode_nanos_total", nil, m.encNanosTot.Load())
 	})
 }

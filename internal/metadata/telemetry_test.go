@@ -113,38 +113,6 @@ func TestUntracedElementsUnaffected(t *testing.T) {
 	}
 }
 
-func TestCountersAddResetSortedSnapshot(t *testing.T) {
-	c := NewCounters()
-	c.Add("z.last", 3)
-	c.Add("a.first", 1)
-	c.Add("m.middle", 2)
-	c.Add("a.first", 4)
-	snap := c.SortedSnapshot()
-	if len(snap) != 3 {
-		t.Fatalf("got %d counters", len(snap))
-	}
-	wantNames := []string{"a.first", "m.middle", "z.last"}
-	wantVals := []int64{5, 2, 3}
-	for i := range snap {
-		if snap[i].Name != wantNames[i] || snap[i].Value != wantVals[i] {
-			t.Fatalf("snapshot[%d] = %+v, want %s=%d", i, snap[i], wantNames[i], wantVals[i])
-		}
-	}
-	c.Reset()
-	for _, cv := range c.SortedSnapshot() {
-		if cv.Value != 0 {
-			t.Fatalf("%s not reset: %d", cv.Name, cv.Value)
-		}
-	}
-	if c.Get("a.first") != 0 {
-		t.Fatal("handle broken after Reset")
-	}
-	c.Add("a.first", 1)
-	if c.Get("a.first") != 1 {
-		t.Fatal("counter dead after Reset")
-	}
-}
-
 // freshPipe rebuilds every element from scratch, dropping the trace slot,
 // so only the block's re-attachment can carry a trace across it.
 type freshPipe struct{ pubsub.PipeBase }

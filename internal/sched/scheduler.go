@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pipes/internal/metadata"
 	"pipes/internal/telemetry/flight"
 )
 
@@ -54,7 +53,7 @@ func (c Config) withDefaults() Config {
 // publish-subscribe hand-off inside a virtual node never runs concurrently
 // with itself. Idle workers steal batches from other workers' ready tasks
 // (unless DisableStealing is set), which keeps pinned placements from
-// serialising the whole graph. Contention is observable via Counters.
+// serialising the whole graph. Contention is observable via Contention.
 type Scheduler struct {
 	cfg      Config
 	mu       sync.Mutex
@@ -66,11 +65,10 @@ type Scheduler struct {
 	total    atomic.Int64 // registered tasks
 	finished atomic.Int64 // tasks that reported done
 
-	counters  *metadata.Counters
-	batches   *atomic.Int64 // total batches executed across all workers
-	steals    *atomic.Int64 // batches run on tasks owned by another worker
-	stealMiss *atomic.Int64 // idle scans that found nothing to steal
-	conflicts *atomic.Int64 // activation-lock acquisition failures
+	batches   atomic.Int64 // total batches executed across all workers
+	steals    atomic.Int64 // batches run on tasks owned by another worker
+	stealMiss atomic.Int64 // idle scans that found nothing to steal
+	conflicts atomic.Int64 // activation-lock acquisition failures
 
 	// stealRef records steal events into the flight ring (nil = detached).
 	stealRef atomic.Pointer[flight.OpRef]
@@ -90,16 +88,10 @@ func (s *Scheduler) SetFlightRecorder(r *flight.Recorder) {
 // New returns a scheduler with the given configuration.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	ctr := metadata.NewCounters()
 	return &Scheduler{
-		cfg:       cfg,
-		tasks:     make([][]*trackedTask, cfg.Workers),
-		stop:      make(chan struct{}),
-		counters:  ctr,
-		batches:   ctr.Counter("sched.batches"),
-		steals:    ctr.Counter("sched.steals"),
-		stealMiss: ctr.Counter("sched.steal_misses"),
-		conflicts: ctr.Counter("sched.lock_conflicts"),
+		cfg:   cfg,
+		tasks: make([][]*trackedTask, cfg.Workers),
+		stop:  make(chan struct{}),
 	}
 }
 
@@ -274,14 +266,12 @@ func (s *Scheduler) Stats() []TaskStats {
 	return out
 }
 
-// Counters exposes the scheduler's contention counters through the
-// secondary-metadata framework: sched.batches, sched.steals,
-// sched.steal_misses and sched.lock_conflicts.
-func (s *Scheduler) Counters() *metadata.Counters { return s.counters }
-
 // Contention is an aggregate snapshot of the scheduler's synchronization
-// counters.
+// counters — the one read of them, in process and for the pipes_sched_*
+// scrape series.
 type Contention struct {
+	// Batches counts task batches executed across all workers.
+	Batches int64
 	// Steals counts batches an idle worker ran on another worker's task.
 	Steals int64
 	// StealMisses counts idle scans that found no stealable work.
@@ -294,6 +284,7 @@ type Contention struct {
 // Contention returns the current contention counter values.
 func (s *Scheduler) Contention() Contention {
 	return Contention{
+		Batches:       s.batches.Load(),
 		Steals:        s.steals.Load(),
 		StealMisses:   s.stealMiss.Load(),
 		LockConflicts: s.conflicts.Load(),

@@ -163,9 +163,6 @@ func TestWorkStealingRescuesPinnedBacklog(t *testing.T) {
 	if stolen == 0 {
 		t.Fatalf("steal counter is %d but no task reports stolen batches", c.Steals)
 	}
-	if got := s.Counters().Get("sched.steals"); got != c.Steals {
-		t.Fatalf("metadata counter sched.steals = %d, Contention().Steals = %d", got, c.Steals)
-	}
 }
 
 // An idle live source is not stealable work: its task reports backlog
@@ -188,7 +185,7 @@ func TestIdleLiveSourceIsNotStolen(t *testing.T) {
 	}
 	// Per park the owner polls twice (strategy pick, sweep) and the other
 	// worker once (steal scan).
-	if got := s.Counters().Get("sched.batches"); got > 4*rounds {
+	if got := s.Contention().Batches; got > 4*rounds {
 		t.Fatalf("%d batches in %d idle quanta: the workers are not parking", got, rounds)
 	}
 

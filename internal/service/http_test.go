@@ -26,7 +26,8 @@ type httpFixture struct {
 func newHTTPFixture(t *testing.T) *httpFixture {
 	t.Helper()
 	s, eng := newTestService()
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewUnstartedServer(s.Handler())
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return &httpFixture{s: s, eng: eng, srv: srv}
 }

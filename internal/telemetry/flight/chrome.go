@@ -80,7 +80,7 @@ func chromeify(r *Recorder, ev Event) chromeEvent {
 		ce.Dur = float64(ev.B) / 1e3
 		ce.Name = fmt.Sprintf("%s#%d", ev.Kind, ev.A)
 		ce.Args["round"] = ev.A
-		if ev.Kind == KindSnapshot || ev.Kind == KindEncode || ev.Kind == KindStoreWrite {
+		if ev.Kind == KindEncode || ev.Kind == KindStoreWrite {
 			ce.Args["bytes"] = ev.C
 		}
 		if ev.Kind == KindStoreWrite || ev.Kind == KindRoundDone {

@@ -73,11 +73,10 @@ const (
 	// A = thief worker, B = victim worker.
 	KindSteal
 	// KindSnapshot: one operator's state captured at barrier alignment —
-	// the copy-on-write handle grab (or, in legacy on-barrier mode, the
-	// full encode). This is the per-operator barrier stall; KindEncode is
-	// the off-barrier serialisation of the captured handle.
-	// A = round ID, B = capture duration ns, C = encoded bytes (0 when the
-	// encode happens off-barrier).
+	// the copy-on-write handle grab. This is the per-operator barrier
+	// stall; KindEncode is the off-barrier serialisation of the captured
+	// handle.
+	// A = round ID, B = capture duration ns.
 	KindSnapshot
 )
 
@@ -199,7 +198,7 @@ func (r *Recorder) SetClock(c telemetry.Clock) {
 
 // NowNS reads the recorder's clock. Instrumentation sites that need a
 // start stamp (barrier hold timing) use this so fake clocks govern every
-// flight timestamp.
+// flight timestamp. A nil recorder reads the system clock.
 func (r *Recorder) NowNS() int64 { return r.now().UnixNano() }
 
 // now reads the injected clock, the system clock without one. A nil

@@ -84,9 +84,8 @@ func (c *Collect) Histogram(name string, labels Labels, h *Histogram) {
 }
 
 // Registry collects metric sources and renders them in Prometheus text
-// exposition format. Sources are either registered statically (a fixed
-// gauge or histogram) or as collectors evaluated at scrape time — the
-// latter is how the DSMS exports a monitor set that grows as queries
+// exposition format. Every source is a collector evaluated at scrape time
+// — which is how the DSMS exports a monitor set that grows as queries
 // register. Output is sorted by series, so scrapes are deterministic.
 type Registry struct {
 	mu         sync.Mutex
@@ -101,28 +100,6 @@ func (r *Registry) RegisterCollector(fn func(*Collect)) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
-}
-
-// RegisterGauge adds a scalar metric evaluated at scrape time.
-func (r *Registry) RegisterGauge(name string, labels Labels, fn func() float64) {
-	r.RegisterCollector(func(c *Collect) { c.Gauge(name, labels, fn()) })
-}
-
-// RegisterHistogram adds a histogram exported under name with the given
-// labels.
-func (r *Registry) RegisterHistogram(name string, labels Labels, h *Histogram) {
-	r.RegisterCollector(func(c *Collect) { c.Histogram(name, labels, h) })
-}
-
-// RegisterCounterSet adds a dynamic set of monotonic counters: fn is
-// called at scrape time and each entry is exported as
-// `<prefix><sanitized key>`.
-func (r *Registry) RegisterCounterSet(prefix string, fn func() map[string]int64) {
-	r.RegisterCollector(func(c *Collect) {
-		for k, v := range fn() {
-			c.Counter(prefix+k, nil, v)
-		}
-	})
 }
 
 // SanitizeMetricName maps an arbitrary identifier onto the Prometheus

@@ -200,15 +200,14 @@ type DSMS struct {
 	Checkpoints *ft.Manager
 	ckptStore   ft.CheckpointStore
 
-	mu        sync.Mutex
-	queries   []*Query
-	started   bool
-	tserver   *telemetry.Server
-	telemetry bool
+	mu      sync.Mutex
+	queries []*Query
+	started bool
+	tserver *listener // Config.TelemetryAddr (telemetry.go)
 
 	// Control plane (service.go; nil unless Config enables it).
 	service *service.Service
-	sserver *svcServer
+	sserver *listener // Config.ServiceAddr
 }
 
 // Query is one registered continuous query.
@@ -242,10 +241,9 @@ func NewDSMS(cfg Config) *DSMS {
 			Strategy:  cfg.Strategy,
 			BatchSize: cfg.BatchSize,
 		}),
-		Memory:    memory.NewManager(cfg.MemoryBudget),
-		Graph:     pubsub.NewGraph(),
-		Registry:  telemetry.NewRegistry(),
-		telemetry: cfg.TelemetryAddr != "",
+		Memory:   memory.NewManager(cfg.MemoryBudget),
+		Graph:    pubsub.NewGraph(),
+		Registry: telemetry.NewRegistry(),
 	}
 	if cfg.TraceEvery > 0 {
 		d.Tracer = telemetry.NewTracer(cfg.TraceEvery, 0)
@@ -308,12 +306,19 @@ func (d *DSMS) RegisterQueryAdmitted(text string, admit optimizer.Admission) (*Q
 	if err != nil {
 		return nil, err
 	}
+	return d.register(text, inst), nil
+}
+
+// register is the one registration step behind RegisterQueryAdmitted and
+// RegisterPlan: it records the instantiated query, subscribes its new
+// stateful operators (joins etc.) to the memory manager and instruments
+// them. Holding d.mu serialises concurrent registrations' wiring.
+func (d *DSMS) register(text string, inst *optimizer.Instance) *Query {
 	q := &Query{Text: text, Instance: inst, dsms: d}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.queries = append(d.queries, q)
 	for _, p := range inst.Created {
-		// Subscribe stateful operators (joins etc.) to the memory manager.
 		if _, isShedder := p.(memory.Shedder); isShedder {
 			if u, ok := p.(memory.User); ok {
 				q.memSubs = append(q.memSubs, d.Memory.Subscribe(u, d.cfg.Shedding, 1))
@@ -321,7 +326,7 @@ func (d *DSMS) RegisterQueryAdmitted(text string, admit optimizer.Admission) (*Q
 		}
 	}
 	d.instrument(inst.Created)
-	return q, nil
+	return q
 }
 
 // instrument registers newly built query operators with the checkpoint
@@ -372,12 +377,7 @@ func (d *DSMS) RegisterPlan(plan optimizer.Plan) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Query{Text: plan.Signature(), Instance: inst, dsms: d}
-	d.mu.Lock()
-	d.queries = append(d.queries, q)
-	d.mu.Unlock()
-	d.instrument(inst.Created)
-	return q, nil
+	return d.register(plan.Signature(), inst), nil
 }
 
 // Subscribe attaches a sink to the query's result stream.
@@ -419,11 +419,8 @@ func (d *DSMS) Start() {
 	d.started = true
 	d.mu.Unlock()
 	d.attachFlight()
-	if err := d.startTelemetry(); err != nil {
-		panic(fmt.Sprintf("pipes: telemetry endpoint: %v", err))
-	}
-	if err := d.startService(); err != nil {
-		panic(fmt.Sprintf("pipes: service endpoint: %v", err))
+	if err := d.startListeners(); err != nil {
+		panic(fmt.Sprintf("pipes: %v", err))
 	}
 	if d.Checkpoints != nil {
 		d.Checkpoints.Start(d.cfg.CheckpointInterval)
@@ -448,17 +445,11 @@ func (d *DSMS) Stop() {
 		d.Checkpoints.Stop()
 	}
 	d.mu.Lock()
-	srv := d.tserver
-	d.tserver = nil
-	ssrv := d.sserver
-	d.sserver = nil
+	tserver, sserver := d.tserver, d.sserver
+	d.tserver, d.sserver = nil, nil
 	d.mu.Unlock()
-	if srv != nil {
-		_ = srv.Close()
-	}
-	if ssrv != nil {
-		_ = ssrv.Close()
-	}
+	tserver.close()
+	sserver.close()
 }
 
 // Explain renders the live query graph (textual Fig. 2 stand-in).

@@ -1,7 +1,6 @@
 package pipes
 
 import (
-	"net"
 	"net/http"
 
 	"pipes/internal/optimizer"
@@ -12,9 +11,9 @@ import (
 
 // This file wires the multi-tenant continuous-query service
 // (internal/service, SERVICE.md) into the DSMS facade: the Engine
-// adapter over dynamic query integration, the /v1/ mount on the
-// telemetry endpoint, the dedicated Config.ServiceAddr listener and the
-// pipes_tenant_* scrape families.
+// adapter over dynamic query integration and the pipes_tenant_* scrape
+// families. The /v1/ mount on the telemetry endpoint and the dedicated
+// Config.ServiceAddr listener are in telemetry.go.
 
 // Service re-exports for engine embedders.
 type (
@@ -76,35 +75,6 @@ func (d *DSMS) initService() {
 	})
 }
 
-// svcServer is the dedicated control-plane listener (Config.ServiceAddr).
-type svcServer struct {
-	ln net.Listener
-	hs *http.Server
-}
-
-func (s *svcServer) Close() error { return s.hs.Close() }
-
-// startService binds Config.ServiceAddr; a no-op without it (the /v1/
-// mount on the telemetry endpoint does not need a second socket).
-func (d *DSMS) startService() error {
-	if d.service == nil || d.cfg.ServiceAddr == "" {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.sserver != nil {
-		return nil
-	}
-	ln, err := net.Listen("tcp", d.cfg.ServiceAddr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: d.service.Handler()}
-	d.sserver = &svcServer{ln: ln, hs: hs}
-	go func() { _ = hs.Serve(ln) }()
-	return nil
-}
-
 // Service returns the control plane (nil unless Config enables it).
 func (d *DSMS) Service() *service.Service { return d.service }
 
@@ -113,10 +83,7 @@ func (d *DSMS) Service() *service.Service { return d.service }
 func (d *DSMS) ServiceAddr() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.sserver == nil {
-		return ""
-	}
-	return d.sserver.ln.Addr().String()
+	return d.sserver.addr()
 }
 
 // ServiceHandler returns the control plane's HTTP handler without

@@ -3,6 +3,7 @@ package pipes
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"runtime"
 
@@ -95,8 +96,12 @@ func (d *DSMS) registerExports() {
 		}
 	})
 	// Scheduler: contention counters and per-task progress.
-	d.Registry.RegisterCounterSet("pipes_", d.Scheduler.Counters().Snapshot)
 	d.Registry.RegisterCollector(func(c *telemetry.Collect) {
+		ct := d.Scheduler.Contention()
+		c.Counter("pipes_sched_batches", nil, ct.Batches)
+		c.Counter("pipes_sched_steals", nil, ct.Steals)
+		c.Counter("pipes_sched_steal_misses", nil, ct.StealMisses)
+		c.Counter("pipes_sched_lock_conflicts", nil, ct.LockConflicts)
 		for _, ts := range d.Scheduler.Stats() {
 			lb := telemetry.Labels{"task": ts.Name}
 			c.Counter("pipes_task_processed", lb, ts.Processed)
@@ -257,13 +262,17 @@ func (d *DSMS) instrumentSource(name string, src pubsub.Source) {
 	})
 }
 
-// newTelemetryServer assembles the scrape endpoint with the facade's
-// extra documents: the flight-recorder timeline at /flight.json (Chrome
-// trace_event JSON, one track per operator plus the checkpoint-round
-// track) and the bottleneck attribution report at /bottleneck.json.
-func (d *DSMS) newTelemetryServer() *telemetry.Server {
-	srv := telemetry.NewServer(d.Registry, func() any { return d.Topology() }, d.Tracer)
-	srv.Handle("/flight.json", func(w http.ResponseWriter, _ *http.Request) {
+// TelemetryHandler returns the telemetry endpoint's HTTP handler without
+// binding a socket — the hook for embedding the scrape surface into an
+// existing server or an httptest harness. Beside the telemetry package's
+// documents it serves the flight-recorder timeline at /flight.json
+// (Chrome trace_event JSON, one track per operator plus the
+// checkpoint-round track), the bottleneck attribution report at
+// /bottleneck.json and, with the continuous-query service enabled, its
+// API under /v1/ (SERVICE.md).
+func (d *DSMS) TelemetryHandler() http.Handler {
+	mux := telemetry.Mux(d.Registry, func() any { return d.Topology() }, d.Tracer)
+	mux.HandleFunc("/flight.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if d.Flight == nil {
 			_, _ = w.Write([]byte(`{"traceEvents":[]}`))
@@ -271,35 +280,14 @@ func (d *DSMS) newTelemetryServer() *telemetry.Server {
 		}
 		_ = d.Flight.WriteChromeTrace(w)
 	})
-	srv.Handle("/bottleneck.json", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/bottleneck.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(d.Bottleneck())
 	})
-	// With the continuous-query service enabled, its API shares the
-	// operator-facing endpoint under /v1/ (SERVICE.md).
 	if d.service != nil {
-		srv.Handle("/v1/", d.service.Handler().ServeHTTP)
+		mux.Handle("/v1/", d.service.Handler())
 	}
-	return srv
-}
-
-// startTelemetry binds Config.TelemetryAddr and serves the endpoint; a
-// no-op when telemetry is off.
-func (d *DSMS) startTelemetry() error {
-	if !d.telemetry {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.tserver != nil {
-		return nil
-	}
-	srv := d.newTelemetryServer()
-	if err := srv.Serve(d.cfg.TelemetryAddr); err != nil {
-		return err
-	}
-	d.tserver = srv
-	return nil
+	return mux
 }
 
 // TelemetryAddr returns the bound address of the live telemetry endpoint
@@ -308,15 +296,64 @@ func (d *DSMS) startTelemetry() error {
 func (d *DSMS) TelemetryAddr() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.tserver == nil {
-		return ""
-	}
-	return d.tserver.Addr()
+	return d.tserver.addr()
 }
 
-// TelemetryHandler returns the endpoint's HTTP handler without binding a
-// socket — the hook for embedding the scrape surface into an existing
-// server or an httptest harness.
-func (d *DSMS) TelemetryHandler() http.Handler {
-	return d.newTelemetryServer().Handler()
+// listener is one bound HTTP endpoint of the facade: the telemetry
+// endpoint (Config.TelemetryAddr) and the control plane
+// (Config.ServiceAddr) are served by one each.
+type listener struct {
+	ln net.Listener
+	hs *http.Server
+}
+
+// listen binds addr (host:port; port 0 picks a free one) and serves h on a
+// background goroutine until close.
+func listen(addr string, h http.Handler) (*listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	l := &listener{ln: ln, hs: &http.Server{Handler: h}}
+	go func() { _ = l.hs.Serve(ln) }()
+	return l, nil
+}
+
+// addr returns the bound address ("" for a nil listener: not serving).
+func (l *listener) addr() string {
+	if l == nil {
+		return ""
+	}
+	return l.ln.Addr().String()
+}
+
+// close stops serving; a no-op on a nil listener.
+func (l *listener) close() {
+	if l != nil {
+		_ = l.hs.Close()
+	}
+}
+
+// startListeners binds Config.TelemetryAddr and Config.ServiceAddr, each
+// when set and not already serving.
+func (d *DSMS) startListeners() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.cfg.TelemetryAddr != "" && d.tserver == nil {
+		l, err := listen(d.cfg.TelemetryAddr, d.TelemetryHandler())
+		if err != nil {
+			return fmt.Errorf("telemetry endpoint: %w", err)
+		}
+		d.tserver = l
+	}
+	// Without ServiceAddr the /v1/ mount on the telemetry endpoint does not
+	// need a second socket.
+	if d.service != nil && d.cfg.ServiceAddr != "" && d.sserver == nil {
+		l, err := listen(d.cfg.ServiceAddr, d.service.Handler())
+		if err != nil {
+			return fmt.Errorf("service endpoint: %w", err)
+		}
+		d.sserver = l
+	}
+	return nil
 }

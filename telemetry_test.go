@@ -171,3 +171,152 @@ func TestTelemetryAddrServesLive(t *testing.T) {
 		t.Fatal("endpoint still serving after Stop")
 	}
 }
+
+// TestListenerServeAndClose drives the facade's one listener type: it
+// binds a free port, serves its handler there, and close stops it; an
+// unbound (nil) listener reports no address and closes as a no-op.
+func TestListenerServeAndClose(t *testing.T) {
+	l, err := listen("127.0.0.1:0", telemetry.Mux(telemetry.NewRegistry(), nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.addr()
+	if addr == "" {
+		t.Fatal("no bound address")
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	l.close()
+	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
+		t.Fatal("listener still serving after close")
+	}
+	var unbound *listener
+	if unbound.addr() != "" {
+		t.Fatal("unbound listener reports an address")
+	}
+	unbound.close()
+}
+
+// TestScrapeSurfaceFamilies pins the set of metric names /metrics serves
+// with every telemetry source on — flight recorder, monitors, tracing,
+// checkpointing with a sealed round and the service — against a list
+// written out here: OBSERVABILITY.md calls each name stable API, so a
+// family appearing or vanishing must show up as a diff of this list.
+func TestScrapeSurfaceFamilies(t *testing.T) {
+	gen := traffic.NewGenerator(traffic.Config{Seed: 1, MaxReadings: 10_000})
+	dsms := NewDSMS(Config{
+		Workers:        1,
+		MonitorQueries: true,
+		TraceEvery:     16,
+		CheckpointDir:  t.TempDir(),
+		ServiceTenants: []TenantConfig{{Name: "acme", Token: "acme-token"}},
+	})
+	t.Cleanup(dsms.Stop)
+	dsms.RegisterStream("traffic", gen.Source("traffic"), 1000)
+	q, err := dsms.RegisterQuery(traffic.QueryAvgHOVSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := NewCounter("results", 1)
+	if err := q.Subscribe(out); err != nil {
+		t.Fatal(err)
+	}
+	// Requested before Start, the barrier enters at the first element.
+	if _, err := dsms.Checkpoints.Trigger(); err != nil {
+		t.Fatal(err)
+	}
+	dsms.Start()
+	dsms.Wait()
+	out.Wait()
+	if got := dsms.Checkpoints.Completed(); got != 1 {
+		t.Fatalf("%d checkpoint rounds sealed, want 1", got)
+	}
+
+	rec := httptest.NewRecorder()
+	dsms.TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	metrics, err := telemetry.ParsePrometheus(strings.NewReader(rec.Body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, m := range metrics {
+		got[m.Name] = true
+	}
+	want := map[string]bool{}
+	for _, name := range scrapeScalarFamilies {
+		want[name] = true
+	}
+	for _, name := range scrapeHistogramFamilies {
+		for _, suffix := range []string{"_bucket", "_sum", "_count", "_quantile_ns", "_max_ns"} {
+			want[name+suffix] = true
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Errorf("%s missing from the scrape", name)
+		}
+	}
+	for name := range got {
+		if !want[name] {
+			t.Errorf("%s served but not in the pinned list", name)
+		}
+	}
+}
+
+// The scrape surface of TestScrapeSurfaceFamilies's engine. Families that
+// need a stateful query operator (pipes_memory_sub_*) or a boundary buffer
+// (pipes_edge_queue_depth) are absent from its single-chain workload.
+var (
+	scrapeScalarFamilies = []string{
+		"pipes_checkpoint_base_rounds_total",
+		"pipes_checkpoint_completed_total",
+		"pipes_checkpoint_delta_rounds_total",
+		"pipes_checkpoint_encode_nanos_total",
+		"pipes_checkpoint_failed_total",
+		"pipes_checkpoint_full_bytes_total",
+		"pipes_checkpoint_last_bytes",
+		"pipes_checkpoint_last_id",
+		"pipes_checkpoint_last_success_unix_nanos",
+		"pipes_checkpoint_last_written_bytes",
+		"pipes_checkpoint_skipped_total",
+		"pipes_checkpoint_unchanged_states_total",
+		"pipes_checkpoint_written_bytes_total",
+		"pipes_edge_elements_total",
+		"pipes_edge_frames_total",
+		"pipes_goroutines",
+		"pipes_graph_nodes",
+		"pipes_memory_budget_bytes",
+		"pipes_memory_usage_bytes",
+		"pipes_metadata",
+		"pipes_queries",
+		"pipes_sched_batches",
+		"pipes_sched_lock_conflicts",
+		"pipes_sched_steal_misses",
+		"pipes_sched_steals",
+		"pipes_task_done",
+		"pipes_task_max_backlog",
+		"pipes_task_processed",
+		"pipes_task_stolen_batches",
+		"pipes_tenant_admission_rejects",
+		"pipes_tenant_buffer_bytes",
+		"pipes_tenant_operators",
+		"pipes_tenant_queries",
+		"pipes_tenant_result_shed",
+		"pipes_tenant_results",
+		"pipes_trace_every",
+		"pipes_traces_sampled",
+	}
+	scrapeHistogramFamilies = []string{
+		"pipes_checkpoint_barrier_stall_nanos",
+		"pipes_checkpoint_duration_nanos",
+		"pipes_checkpoint_round_phase_ns",
+		"pipes_edge_frame_occupancy",
+		"pipes_op_latency_ns",
+	}
+)
