@@ -60,8 +60,7 @@ type RunResult struct {
 	Output []temporal.Element
 	// Snapshots[r] maps an operator key (discovery index + name) to the
 	// operator's gob state captured when barrier r+1 aligned. Operators the
-	// barrier never reaches (e.g. behind an ops.Parallel, which does not
-	// forward controls) are absent.
+	// barrier never reaches are absent.
 	Snapshots []map[string][]byte
 	// Cuts[r] is the number of output elements before barrier r+1 reached
 	// the sink, or -1 when it never arrived.
@@ -72,8 +71,9 @@ type RunResult struct {
 }
 
 // ErrDiffUnsupported marks a plan outside the crash-recovery scenario's
-// reach: the barrier did not reach the sink or some stateful operator
-// (plans routing through ops.Parallel, which drops control elements).
+// reach: the barrier did not reach the sink or some stateful operator.
+// Every operator forwards controls, so this is a loud failure, not a
+// skip: a shape that stops propagating barriers is a bug.
 var ErrDiffUnsupported = errors.New("harness: plan does not propagate barriers end-to-end")
 
 // RunFrames executes the plan at cfg.FrameSize.
@@ -222,10 +222,9 @@ type saverRef struct {
 	saver  ft.StateSaver
 }
 
-// discoverSavers walks the graph breadth-first from the sources (through
-// Subscriptions, descending into ops.Parallel hand-off buffers) and
-// returns every operator that both aligns barriers and saves state, in
-// deterministic discovery order. The order is a pure function of the
+// discoverSavers walks the graph breadth-first from the sources through
+// Subscriptions and returns every operator that both aligns barriers and
+// saves state, in deterministic discovery order. The order is a pure function of the
 // Build wiring, so a rebuilt graph yields the same keys.
 func discoverSavers(roots []pubsub.Source) []saverRef {
 	var refs []saverRef
@@ -252,11 +251,6 @@ func discoverSavers(roots []pubsub.Source) []saverRef {
 					hooked: hooked,
 					saver:  sv,
 				})
-			}
-		}
-		if p, ok := n.(interface{ Buffers() []*pubsub.Buffer }); ok {
-			for _, b := range p.Buffers() {
-				queue = append(queue, b)
 			}
 		}
 		if src, ok := n.(pubsub.Source); ok {

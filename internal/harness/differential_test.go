@@ -1,9 +1,7 @@
 package harness_test
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"pipes/internal/harness"
@@ -19,22 +17,6 @@ func frameName(f int) string {
 		return "whole-segment"
 	}
 	return fmt.Sprintf("%d", f)
-}
-
-// exactOracle reports whether the plan supports the exact-equality oracle.
-// The parallel-* plans fan one source across ops.Parallel replicas and
-// reconverge at a merge union, so the physical emission order of
-// simultaneous elements legitimately varies with frame granularity (the
-// diamond limitation in the driver's doc comment); those shapes are held
-// to the snapshot-equivalence oracle instead.
-func exactOracle(name string) bool { return !strings.HasPrefix(name, "parallel") }
-
-// checkRuns applies the strongest oracle the plan supports.
-func checkRuns(plan harness.Plan, base, got harness.RunResult) error {
-	if exactOracle(plan.Name) {
-		return harness.DiffRuns(base, got)
-	}
-	return harness.Equivalent(base.Output, got.Output)
 }
 
 // TestFrameSizeInvariance is the headline oracle: every stress-suite
@@ -58,7 +40,7 @@ func TestFrameSizeInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("frame=%s: %v", frameName(frame), err)
 				}
-				if err := checkRuns(plan, base, got); err != nil {
+				if err := harness.DiffRuns(base, got); err != nil {
 					t.Errorf("frame=%s: %v", frameName(frame), err)
 				}
 			}
@@ -91,7 +73,7 @@ func TestFrameSizeInvarianceRandomizedPunctuation(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed=%d frame=%s: %v", seed, frameName(frame), err)
 					}
-					if err := checkRuns(plan, base, got); err != nil {
+					if err := harness.DiffRuns(base, got); err != nil {
 						t.Errorf("seed=%d frame=%s: %v", seed, frameName(frame), err)
 					}
 				}
@@ -105,8 +87,8 @@ func TestFrameSizeInvarianceRandomizedPunctuation(t *testing.T) {
 // recovery: a rebuilt graph loaded from the round's snapshots and
 // replayed from the recorded offsets must produce output that, appended
 // to the pre-crash output truncated at the round's sink cut, is
-// snapshot-equivalent to the uninterrupted run. Plans that cannot align
-// barriers end-to-end (ops.Parallel drops control elements) are skipped.
+// snapshot-equivalent to the uninterrupted run. A plan that stops
+// propagating barriers fails here with ErrDiffUnsupported.
 func TestCrashMidFrame(t *testing.T) {
 	for i, plan := range plans(t) {
 		plan, i := plan, i
@@ -115,11 +97,7 @@ func TestCrashMidFrame(t *testing.T) {
 			for seed := 0; seed < 4; seed++ {
 				for _, frame := range []int{7, 64} {
 					cfg := harness.DiffConfig{FrameSize: frame, Rounds: 3, Seed: int64(1700 + 13*i + seed)}
-					err := harness.RunCrashRecovery(plan, cfg, 2)
-					if errors.Is(err, harness.ErrDiffUnsupported) {
-						t.Skipf("plan does not propagate barriers end-to-end")
-					}
-					if err != nil {
+					if err := harness.RunCrashRecovery(plan, cfg, 2); err != nil {
 						t.Errorf("seed=%d frame=%d: %v", seed, frame, err)
 					}
 				}

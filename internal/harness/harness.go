@@ -24,9 +24,8 @@ import (
 // Plan is one operator graph under test. Build is called once per run
 // with fresh slice sources (one per Inputs entry, in order) and must wire
 // a fresh operator graph onto them, returning the graph's output and any
-// extra tasks beyond the input emitters — boundary BufferTasks,
-// ops.Parallel hand-off buffers, and so on. Build must not retain state
-// between calls: every run gets its own operators.
+// extra tasks beyond the input emitters (boundary BufferTasks). Build must
+// not retain state between calls: every run gets its own operators.
 type Plan struct {
 	Name   string
 	Inputs [][]temporal.Element

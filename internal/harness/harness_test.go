@@ -37,15 +37,6 @@ func boundary(t *testing.T, name string, src pubsub.Source, sink pubsub.Sink, in
 	*tasks = append(*tasks, bt)
 }
 
-// parallelTasks wraps every hand-off buffer of p as a scheduler task.
-func parallelTasks(p *ops.Parallel) []sched.Task {
-	var tasks []sched.Task
-	for _, b := range p.Buffers() {
-		tasks = append(tasks, sched.NewBufferTask(b))
-	}
-	return tasks
-}
-
 // plans is the table of query-graph shapes stressed below. Every Build
 // places explicit buffers at virtual-node boundaries so the graph
 // decomposes into several schedulable tasks — single-task plans would not
@@ -115,37 +106,6 @@ func plans(t *testing.T) []harness.Plan {
 				g := ops.NewGroupBy("g", mod3, aggregate.NewSum, nil)
 				boundary(t, "b.g", w, g, 0, &tasks)
 				return g, tasks, nil
-			},
-		},
-		{
-			// Partitioned intra-operator parallelism: the replicas' hand-off
-			// buffers become tasks that different workers drain concurrently.
-			Name:   "parallel-groupby",
-			Inputs: [][]temporal.Element{randStream(rng, 70, 12, 12)},
-			Build: func(in []pubsub.Source) (pubsub.Source, []sched.Task, error) {
-				p := ops.NewParallel("pg", 1, 3, mod3, func(r int) pubsub.Pipe {
-					return ops.NewGroupBy("g", mod3, aggregate.NewCount, nil)
-				})
-				if err := in[0].Subscribe(p, 0); err != nil {
-					return nil, nil, err
-				}
-				return p, parallelTasks(p), nil
-			},
-		},
-		{
-			Name:   "parallel-join",
-			Inputs: [][]temporal.Element{randStream(rng, 40, 12, 10), randStream(rng, 40, 12, 10)},
-			Build: func(in []pubsub.Source) (pubsub.Source, []sched.Task, error) {
-				p := ops.NewParallel("pj", 2, 2, mod3, func(r int) pubsub.Pipe {
-					return ops.NewEquiJoin("j", mod3, mod3, combine)
-				})
-				if err := in[0].Subscribe(p, 0); err != nil {
-					return nil, nil, err
-				}
-				if err := in[1].Subscribe(p, 1); err != nil {
-					return nil, nil, err
-				}
-				return p, parallelTasks(p), nil
 			},
 		},
 	}

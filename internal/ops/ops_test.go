@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -308,6 +309,38 @@ func TestBandJoin(t *testing.T) {
 	j := NewBandJoin("bj", num, num, 2, join2)
 	out := runMerged(j, left, right)
 	sameElements(t, out, []temporal.Element{el(Pair{Left: 10, Right: 12}, 1, 100)})
+}
+
+// TestBandJoinNaNKeysMatchNothing checks a band join whose inputs carry
+// NaN keys against a nested-loop reference: a NaN key matches nothing
+// under |k − k'| ≤ band, and must not disturb the matches of the others.
+func TestBandJoinNaNKeysMatchNothing(t *testing.T) {
+	nan := math.NaN()
+	const band = 0.5
+	var left, right []temporal.Element
+	for i, k := range []float64{1, 5, nan, 7, 9, nan, 3, 4, 6, 8, 2} {
+		left = append(left, el(k, temporal.Time(i), 100))
+	}
+	for i, k := range []float64{nan, 1, 2, 3, 4, nan, 5, 6, 7, 8, 9} {
+		right = append(right, el(k, temporal.Time(20+i), 100))
+	}
+	var want []temporal.Element
+	for _, l := range left {
+		for _, r := range right {
+			if !(math.Abs(l.Value.(float64)-r.Value.(float64)) <= band) {
+				continue
+			}
+			if iv, ok := l.Intersect(r.Interval); ok {
+				want = append(want, temporal.Element{Value: Pair{Left: l.Value, Right: r.Value}, Interval: iv})
+			}
+		}
+	}
+	if len(want) != 9 {
+		t.Fatalf("reference has %d matches, want 9", len(want))
+	}
+	num := func(v any) float64 { return v.(float64) }
+	out := runMerged(NewBandJoin("bj", num, num, band, join2), left, right)
+	sameElements(t, out, want)
 }
 
 func TestMJoinMatchesBinaryJoinTree(t *testing.T) {

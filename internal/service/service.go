@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"pipes/internal/pubsub"
+	"pipes/internal/telemetry"
 	"pipes/internal/temporal"
 )
 
@@ -144,7 +145,7 @@ type tenantState struct {
 // Service is the control plane over one Engine.
 type Service struct {
 	eng   Engine
-	clock func() time.Time
+	clock telemetry.Clock
 
 	// mu guards the tenant and query registries. It is a leaf lock for
 	// the engine: no Engine/EngineQuery method is called while holding
@@ -164,7 +165,7 @@ type Service struct {
 func New(eng Engine, tenants []TenantConfig) *Service {
 	s := &Service{
 		eng:     eng,
-		clock:   time.Now,
+		clock:   telemetry.SystemClock{},
 		tenants: map[string]*tenantState{},
 		queries: map[string]*Query{},
 	}
@@ -177,9 +178,6 @@ func New(eng Engine, tenants []TenantConfig) *Service {
 	}
 	return s
 }
-
-// SetClock replaces the wall clock (tests).
-func (s *Service) SetClock(clock func() time.Time) { s.clock = clock }
 
 // Authenticate resolves a bearer token to a tenant name.
 func (s *Service) Authenticate(token string) (string, *Error) {
@@ -248,7 +246,7 @@ func (s *Service) Submit(tenant, text string, bufBytes int) (QueryInfo, *Error) 
 		newN:    eq.NewNodes(),
 		sharedN: eq.SharedNodes(),
 		bufCap:  bufBytes,
-		created: s.clock(),
+		created: s.clock.Now(),
 		eq:      eq,
 		buf:     buf,
 	}
@@ -421,7 +419,7 @@ func (s *Service) info(q *Query) QueryInfo {
 		status = "done"
 	}
 	s.mu.Unlock()
-	elapsed := s.clock().Sub(q.created).Seconds()
+	elapsed := s.clock.Now().Sub(q.created).Seconds()
 	rate := 0.0
 	if elapsed > 0 {
 		rate = float64(st.Results) / elapsed

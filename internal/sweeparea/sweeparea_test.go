@@ -1,6 +1,7 @@
 package sweeparea
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -187,6 +188,36 @@ func TestTreeInsertKeepsSorted(t *testing.T) {
 			t.Fatal("tree entries not sorted after random inserts")
 		}
 	}
+}
+
+// TestTreeNaNKeyIsNotStored: a NaN key compares false with everything,
+// so stored in the sorted slice it would misdirect every later binary
+// search. It matches no probe under |k − k'| ≤ band, so Insert drops it.
+func TestTreeNaNKeyIsNotStored(t *testing.T) {
+	nan := math.NaN()
+	key := func(v any) float64 { return v.(float64) }
+	tr := NewTree(key, key, 0)
+	for _, k := range []float64{1, 5, nan, 7, 9, nan, 3, 4, 6, 8, 2} {
+		tr.Insert(temporal.NewElement(k, 0, 100))
+	}
+	if tr.Len() != 9 {
+		t.Errorf("Len = %d, want 9", tr.Len())
+	}
+	for i := 1; i < len(tr.entries); i++ {
+		if !(tr.entries[i-1].key <= tr.entries[i].key) {
+			t.Fatalf("entries out of order at %d: %v then %v", i, tr.entries[i-1].key, tr.entries[i].key)
+		}
+	}
+	for k := 1.0; k <= 9; k++ {
+		n := 0
+		tr.Probe(temporal.NewElement(k, 0, 1), func(temporal.Element) { n++ })
+		if n != 1 {
+			t.Errorf("probe %v found %d matches, want 1", k, n)
+		}
+	}
+	tr.Probe(temporal.NewElement(nan, 0, 1), func(s temporal.Element) {
+		t.Errorf("NaN probe matched %v", s.Value)
+	})
 }
 
 // TestImplementationsAgree is the cross-implementation property: for random

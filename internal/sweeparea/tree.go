@@ -1,6 +1,7 @@
 package sweeparea
 
 import (
+	"math"
 	"sort"
 
 	"pipes/internal/temporal"
@@ -37,9 +38,14 @@ func NewTree(probeKey, storedKey NumKeyFunc, band float64) *Tree {
 	return &Tree{probeKey: probeKey, storedKey: storedKey, band: band}
 }
 
-// Insert implements SweepArea.
+// Insert implements SweepArea. An element whose key is NaN is not
+// stored: it matches no probe under |k − k'| ≤ band, and a NaN in the
+// slice would break the key order every later binary search relies on.
 func (t *Tree) Insert(e temporal.Element) {
 	k := t.storedKey(e.Value)
+	if math.IsNaN(k) {
+		return
+	}
 	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].key >= k })
 	t.entries = append(t.entries, treeEntry{})
 	copy(t.entries[i+1:], t.entries[i:])

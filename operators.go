@@ -42,14 +42,7 @@ var (
 	NewShedder           = ops.NewShedder
 	NewIStream           = ops.NewIStream
 	NewDStream           = ops.NewDStream
-	// NewParallel hash-partitions an operator across replicas and merges
-	// the outputs in temporal order (partitioned intra-operator
-	// parallelism).
-	NewParallel = ops.NewParallel
 )
-
-// Parallel is the partitioned-execution helper returned by NewParallel.
-type Parallel = ops.Parallel
 
 // Pair is the default combined value of a binary join.
 type Pair = ops.Pair
