@@ -65,19 +65,14 @@ func (d *DSMS) initCheckpoints() error {
 	return nil
 }
 
-// checkpointSource wraps an emitter-backed stream in a CheckpointSource
-// so barrier rounds record its replay offset. Non-emitter sources (push
-// APIs) pass through unwrapped: they cannot be replayed and therefore
-// take no part in offset bookkeeping.
+// checkpointSource wraps a stream in a CheckpointSource so barrier rounds
+// record its replay offset, whether an emitter or a push source drives
+// it.
 func (d *DSMS) checkpointSource(src pubsub.Source) pubsub.Source {
 	if d.Checkpoints == nil {
 		return src
 	}
-	e, ok := src.(pubsub.Emitter)
-	if !ok {
-		return src
-	}
-	cs := ft.NewCheckpointSource(e)
+	cs := ft.NewCheckpointSource(src)
 	d.Checkpoints.RegisterSource(cs)
 	return cs
 }

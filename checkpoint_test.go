@@ -308,3 +308,55 @@ func TestCheckpointIDsContinueAcrossRestarts(t *testing.T) {
 			err, cut1, cut2, len(outC.Elements()), len(ref))
 	}
 }
+
+// A round triggered while a channel stream is idle goes in at once (no
+// worker polls the source, so no later emission would carry the barrier)
+// and seals at the count fed so far.
+func TestCheckpointRoundOnIdleChanStream(t *testing.T) {
+	const fed = 25
+	d := NewDSMS(Config{CheckpointDir: t.TempDir()})
+	defer d.Stop()
+	feed := make(chan Element)
+	d.RegisterStream("bids", NewChanSource("bids", feed), 100)
+	q, err := d.RegisterQuery(`SELECT auction, AVG(price) FROM bids [RANGE 50] GROUP BY auction`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewCheckpointSink("out")
+	if err := q.Subscribe(sink); err != nil {
+		t.Fatal(err)
+	}
+	d.Checkpoints.RegisterSink(sink)
+	src, _ := d.Catalog.Lookup("bids")
+	published := NewCounter("published", 1)
+	if err := src.Subscribe(published, 0); err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	for _, e := range bidStream(fed) {
+		feed <- e
+	}
+	for deadline := time.Now().Add(10 * time.Second); published.Count() < fed; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d fed elements published", published.Count(), fed)
+		}
+	}
+	id, err := d.Checkpoints.Trigger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); d.Checkpoints.LastCheckpointID() != id; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("round %d never sealed on an idle stream", id)
+		}
+	}
+	cp, err := d.LatestCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cp.Offset("bids"); got != fed {
+		t.Fatalf("round %d sealed at offset %d, want the %d fed", id, got, fed)
+	}
+	close(feed)
+	d.Wait()
+}

@@ -54,7 +54,7 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 			t.Fatal(err)
 		}
 		for i := 0; i < perRound; i++ {
-			src.EmitNext() // the first emit injects the barrier
+			src.EmitNext() // Trigger injected the barrier ahead of these
 		}
 		waitSealed(t, mgr, id)
 		if cp := mustLatest(t, store, id); !bytes.Equal(cp.States["win"], full.Bytes()) {

@@ -19,49 +19,37 @@ func el(v any, start, end temporal.Time) temporal.Element {
 	return temporal.Element{Value: v, Interval: temporal.Interval{Start: start, End: end}, Trace: nil}
 }
 
-// CheckpointSource must inject a requested barrier between elements,
-// report the element count before the barrier as the offset, and flush a
-// pending barrier before propagating done.
+// CheckpointSource injects a requested barrier at once, between two
+// frames, with the element count before it as the offset; a barrier
+// requested after done passes through at the final offset.
 func TestCheckpointSourceInjectsBarrierAtOffset(t *testing.T) {
 	inner := pubsub.NewSliceSource("src", []temporal.Element{
 		el(1, 1, 2), el(2, 2, 3), el(3, 3, 4),
 	})
 	cs := ft.NewCheckpointSource(inner)
-	col := pubsub.NewCollector("col", 1)
-	if err := cs.Subscribe(col, 0); err != nil {
+	sink := ft.NewCheckpointSink("sink")
+	if err := cs.Subscribe(sink, 0); err != nil {
 		t.Fatal(err)
 	}
-
-	var gotOffset = -1
-	cs.RequestBarrier(pubsub.Barrier{ID: 1})
-	// The test reaches into the callback seam via the Manager in real
-	// runs; here, observe the offset through Offset() around emission.
-	cs.EmitNext() // injects barrier (offset 0), then emits element 1
-	if got := cs.Offset(); got != 1 {
-		t.Fatalf("offset after first emit: %d, want 1", got)
+	request := func(id uint64, want int) {
+		t.Helper()
+		cs.RequestBarrier(pubsub.Barrier{ID: id})
+		if cut, ok := sink.Cut(id); !ok || cut != want || cs.Offset() != want {
+			t.Fatalf("barrier %d: cut (%d, %v), offset %d, want both %d on return", id, cut, ok, cs.Offset(), want)
+		}
 	}
+	request(1, 0)
 	cs.EmitNext()
-	cs.RequestBarrier(pubsub.Barrier{ID: 2})
-	gotOffset = cs.Offset()
-	cs.EmitNext() // injects barrier 2 at offset 2, emits element 3
-	if gotOffset != 2 {
-		t.Fatalf("offset before barrier 2: %d, want 2", gotOffset)
+	cs.EmitNext()
+	request(2, 2)
+	for cs.EmitNext() {
 	}
-	cs.RequestBarrier(pubsub.Barrier{ID: 3})
-	for cs.EmitNext() { // exhausts: barrier 3 flushed before done
-	}
-	if got := len(col.Elements()); got != 3 {
-		t.Fatalf("collector got %d elements, want 3", got)
-	}
-	select {
-	case <-col.DoneC():
-	default:
+	if !sink.IsDone() || !cs.Ended() {
 		t.Fatal("done did not propagate")
 	}
-	// A barrier requested after done passes through immediately.
-	cs.RequestBarrier(pubsub.Barrier{ID: 4})
-	if got := cs.Offset(); got != 3 {
-		t.Fatalf("final offset: %d, want 3", got)
+	request(3, 3)
+	if got := len(sink.Elements()); got != 3 {
+		t.Fatalf("sink got %d elements, want 3", got)
 	}
 }
 
@@ -103,7 +91,7 @@ func TestManagerChecksAndSealsRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	left.EmitNext() // injects barrier at left
+	left.EmitNext()
 	right.EmitNext()
 	waitSealed(t, mgr, id1)
 

@@ -278,8 +278,8 @@ func (m *Manager) Stop() {
 	close(m.stopCh)
 	m.wg.Wait()
 	// A round can complete on the tick goroutine concurrently with
-	// shutdown (a barrier requested after stream end injects and collects
-	// inline in Trigger): its writeCh send may land after the writer's own
+	// shutdown (barriers inject at once, so a round can collect inline in
+	// Trigger): its writeCh send may land after the writer's own
 	// drain already looked. After wg.Wait the trigger and writer
 	// goroutines are gone, so whatever sits in the buffer now is the final
 	// word — write it here rather than losing a sealed-complete round.
@@ -336,9 +336,10 @@ var ErrRoundInFlight = errors.New("ft: checkpoint round in flight")
 // aggregates), so a barrier injected after done has propagated would
 // snapshot post-flush state at the final offset — a checkpoint that
 // double-counts the flushed windows when recovery replays further input
-// into it. Barriers requested *before* the end are still flushed ahead of
-// done (CheckpointSource.Done ordering), so mid-stream rounds racing
-// stream completion stay valid; only new rounds are refused.
+// into it. A barrier goes in when it is requested, so a round Trigger
+// starts while a source is live reaches that source ahead of its done;
+// only a source that ends between this check and the injection sees the
+// barrier after done, at its final offset.
 var ErrStreamEnded = errors.New("ft: all sources ended; no further checkpoint rounds")
 
 // Trigger starts one checkpoint round: it allocates the next barrier ID

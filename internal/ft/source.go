@@ -8,25 +8,33 @@ import (
 )
 
 // CheckpointSource wraps a graph source, counting published elements (the
-// replay offset) and injecting requested barriers between two elements —
-// the injection point of every checkpoint round. It is an Emitter driving
-// the wrapped emitter: the scheduler (or Drive) pumps the CheckpointSource
-// and the inner source's elements pass through it synchronously.
+// replay offset) and injecting requested barriers between two frames —
+// the injection point of every checkpoint round. The inner source's
+// frames pass through it synchronously, whoever drives the inner source:
+// a scheduler worker, Drive, or a push source's own thread.
 type CheckpointSource struct {
 	pubsub.SourceBase
-	inner pubsub.BatchEmitter
+	emit pubsub.BatchEmitter // the inner source, when it is an emitter
 
+	// pub serialises what the wrapper publishes — frames, barriers and
+	// done — so a barrier requested from another thread lands between two
+	// frames.
+	pub sync.Mutex
+
+	// mu is the leaf lock over the offset and the callback: Offset never
+	// waits for a publish in flight.
 	mu     sync.Mutex
 	offset int
-	req    *pubsub.Barrier // barrier awaiting injection at the next emit
 	onReq  func(b pubsub.Barrier, sourceName string, offset int)
-	done   bool
 }
 
 // NewCheckpointSource wraps inner. The wrapper takes over inner's
 // subscribers: subscribe sinks to the wrapper, not to inner.
-func NewCheckpointSource(inner pubsub.Emitter) *CheckpointSource {
-	cs := &CheckpointSource{SourceBase: pubsub.NewSourceBase(inner.Name()), inner: pubsub.FrameEmitter(inner)}
+func NewCheckpointSource(inner pubsub.Source) *CheckpointSource {
+	cs := &CheckpointSource{SourceBase: pubsub.NewSourceBase(inner.Name())}
+	if e, ok := inner.(pubsub.Emitter); ok {
+		cs.emit = pubsub.FrameEmitter(e)
+	}
 	if err := inner.Subscribe((*csTap)(cs), 0); err != nil {
 		panic("ft: cannot subscribe checkpoint tap: " + err.Error())
 	}
@@ -44,73 +52,43 @@ func (t *csTap) Name() string { return (*CheckpointSource)(t).Name() + "/ft-tap"
 // advancing the replay offset by the frame length.
 func (t *csTap) ProcessBatch(b temporal.Batch, _ int) {
 	cs := (*CheckpointSource)(t)
+	cs.pub.Lock()
 	cs.mu.Lock()
 	cs.offset += len(b)
 	cs.mu.Unlock()
 	cs.TransferBatch(b)
+	cs.pub.Unlock()
 }
 
 func (t *csTap) Done(_ int) {
 	cs := (*CheckpointSource)(t)
-	cs.mu.Lock()
-	cs.done = true
-	req, onReq, off := cs.req, cs.onReq, cs.offset
-	cs.req = nil
-	cs.mu.Unlock()
-	// A barrier requested but not yet injected is flushed at the final
-	// offset before done propagates: downstream sees barrier, then done.
-	if req != nil {
-		cs.TransferControl(*req)
-		if onReq != nil {
-			onReq(*req, cs.Name(), off)
-		}
-	}
+	cs.pub.Lock()
 	cs.SignalDone()
+	cs.pub.Unlock()
 }
 
 // EmitNext implements pubsub.Emitter.
 func (cs *CheckpointSource) EmitNext() bool { _, more := cs.EmitBatch(1); return more }
 
-// EmitBatch implements pubsub.BatchEmitter: the punctuation-cut rule for
-// checkpoints. A pending barrier is injected strictly between frames —
-// before the next frame the inner source publishes — so the barrier's
-// stream position is a frame boundary and the replay offset counts exactly
-// the pre-barrier elements.
-func (cs *CheckpointSource) EmitBatch(max int) (int, bool) {
-	cs.mu.Lock()
-	req, onReq, off := cs.req, cs.onReq, cs.offset
-	cs.req = nil
-	cs.mu.Unlock()
-	if req != nil {
-		cs.TransferControl(*req)
-		if onReq != nil {
-			onReq(*req, cs.Name(), off)
-		}
-	}
-	return cs.inner.EmitBatch(max)
-}
+// EmitBatch implements pubsub.BatchEmitter by driving the inner source,
+// which must be an emitter; its frame comes back through the tap.
+func (cs *CheckpointSource) EmitBatch(max int) (int, bool) { return cs.emit.EmitBatch(max) }
 
-// RequestBarrier asks the source to inject b at its next emission (or
-// immediately when the source has already finished). The offset callback
-// installed via setOnRequest fires at injection with the element count
-// before the barrier — the replay offset of this source for round b.
+// RequestBarrier injects b at once, between two frames (after done, the
+// barrier passes through at the final offset). The offset callback
+// installed via setOnRequest fires with the element count before the
+// barrier — the replay offset of this source for round b. It must not be
+// called from inside the wrapper's own publish.
 func (cs *CheckpointSource) RequestBarrier(b pubsub.Barrier) {
+	cs.pub.Lock()
 	cs.mu.Lock()
-	if cs.done {
-		onReq, off := cs.onReq, cs.offset
-		cs.mu.Unlock()
-		// The stream is complete; the barrier passes through at the final
-		// offset so the round can still complete downstream (done inputs
-		// count as aligned, but direct-connected operators still get the
-		// barrier for their snapshot hooks via closed-input dedupe).
-		cs.TransferControl(b)
-		if onReq != nil {
-			onReq(b, cs.Name(), off)
-		}
-		return
-	}
-	cs.req = &b
+	onReq, off := cs.onReq, cs.offset
 	cs.mu.Unlock()
+	cs.TransferControl(b)
+	cs.pub.Unlock()
+	if onReq != nil {
+		onReq(b, cs.Name(), off)
+	}
 }
 
 // setOnRequest installs the Manager's offset callback.
@@ -129,12 +107,8 @@ func (cs *CheckpointSource) resumeAt(offset int) {
 }
 
 // Ended reports whether the inner stream has completed (done reached the
-// counting tap and has propagated downstream).
-func (cs *CheckpointSource) Ended() bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.done
-}
+// counting tap). Like Offset it never waits for a publish in flight.
+func (cs *CheckpointSource) Ended() bool { return cs.IsDone() }
 
 // Offset returns the stream position reached: the elements published so
 // far, plus the replay start a recovery set (Manager.Restore).

@@ -34,12 +34,11 @@ type Plan struct {
 
 // Config parameterises one execution of a plan.
 type Config struct {
-	// Workers, Strategy, BatchSize and DisableStealing are passed to the
-	// scheduler (zero values = scheduler defaults).
-	Workers         int
-	Strategy        sched.Factory
-	BatchSize       int
-	DisableStealing bool
+	// Workers, Strategy and BatchSize are passed to the scheduler (zero
+	// values = scheduler defaults).
+	Workers   int
+	Strategy  sched.Factory
+	BatchSize int
 	// StrategyName labels Strategy in failure messages.
 	StrategyName string
 	// JitterSeed, when non-zero, wraps every task so batches are split at
@@ -55,8 +54,8 @@ func (c Config) String() string {
 	if name == "" {
 		name = "default"
 	}
-	return fmt.Sprintf("workers=%d strategy=%s batch=%d jitter=%d nosteal=%v",
-		c.Workers, name, c.BatchSize, c.JitterSeed, c.DisableStealing)
+	return fmt.Sprintf("workers=%d strategy=%s batch=%d jitter=%d",
+		c.Workers, name, c.BatchSize, c.JitterSeed)
 }
 
 // Run executes the plan once under cfg and returns the collected output.
@@ -80,12 +79,7 @@ func Run(plan Plan, cfg Config) ([]temporal.Element, error) {
 		return nil, fmt.Errorf("harness: plan %q: %w", plan.Name, err)
 	}
 
-	s := sched.New(sched.Config{
-		Workers:         cfg.Workers,
-		Strategy:        cfg.Strategy,
-		BatchSize:       cfg.BatchSize,
-		DisableStealing: cfg.DisableStealing,
-	})
+	s := sched.New(sched.Config{Workers: cfg.Workers, Strategy: cfg.Strategy, BatchSize: cfg.BatchSize})
 	var jitter *rand.Rand
 	if cfg.JitterSeed != 0 {
 		jitter = rand.New(rand.NewSource(cfg.JitterSeed))
@@ -153,9 +147,9 @@ func Equivalent(ref, got []temporal.Element) error {
 
 // Stress runs the plan `runs` times under randomized configurations
 // (workers 1..8, shuffled strategies, batch sizes 1..16, random yield
-// injection, stealing on and off) and fails the test on the first run
-// whose output is not snapshot-equivalent to the serial reference. The
-// failure message carries the full configuration for replay.
+// injection) and fails the test on the first run whose output is not
+// snapshot-equivalent to the serial reference. The failure message
+// carries the full configuration for replay.
 func Stress(t *testing.T, plan Plan, runs int, seed int64) {
 	t.Helper()
 	ref, err := Reference(plan)
@@ -190,11 +184,10 @@ func RandomConfig(rng *rand.Rand) Config {
 	}
 	pick := strategies[rng.Intn(len(strategies))]
 	cfg := Config{
-		Workers:         1 + rng.Intn(8),
-		Strategy:        pick.mk(),
-		StrategyName:    pick.name,
-		BatchSize:       1 + rng.Intn(16),
-		DisableStealing: rng.Intn(4) == 0,
+		Workers:      1 + rng.Intn(8),
+		Strategy:     pick.mk(),
+		StrategyName: pick.name,
+		BatchSize:    1 + rng.Intn(16),
 	}
 	if rng.Intn(2) == 0 {
 		cfg.JitterSeed = rng.Int63() | 1 // non-zero

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"pipes/internal/telemetry"
 	"pipes/internal/temporal"
@@ -29,9 +30,15 @@ type chunk struct {
 //
 // Done is deferred until the queue has drained, preserving end-of-stream
 // ordering. A buffer must be drained by a single scheduler thread at a
-// time; ProcessBatch may be called concurrently with Drain.
+// time; ProcessBatch may be called concurrently with Drain. The ready hook
+// (SetReady) runs after every enqueue and Done, so a parked drainer can be
+// woken instead of polling.
 type Buffer struct {
 	SourceBase
+
+	// ready is atomic because a publisher may enqueue — a barrier
+	// injected from the checkpoint ticker — while the hook is installed.
+	ready atomic.Pointer[func()]
 
 	mu           sync.Mutex
 	q            xds.Queue[*chunk]
@@ -81,6 +88,7 @@ func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 	if ref := b.fref.Load(); ref != nil {
 		ref.Enqueue(len(batch), d)
 	}
+	b.notify()
 }
 
 // HandleControl implements ControlSink by enqueueing the control at its
@@ -95,6 +103,7 @@ func (b *Buffer) HandleControl(c Control, _ int) {
 	b.tail = nil
 	b.count++
 	b.mu.Unlock()
+	b.notify()
 }
 
 // Done implements Sink. Completion propagates immediately if the buffer is
@@ -107,6 +116,18 @@ func (b *Buffer) Done(_ int) {
 	b.mu.Unlock()
 	if fire {
 		b.SignalDone()
+	}
+	b.notify() // the drainer still owes the final batch
+}
+
+// SetReady installs fn as the hook run after every enqueue, control and
+// Done: the scheduler's wake-up for the buffer's drainer. fn must not
+// block.
+func (b *Buffer) SetReady(fn func()) { b.ready.Store(&fn) }
+
+func (b *Buffer) notify() {
+	if fn := b.ready.Load(); fn != nil {
+		(*fn)()
 	}
 }
 

@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"context"
 	"testing"
 
 	"pipes/internal/temporal"
@@ -98,41 +99,34 @@ func TestDrainSplitsChunkAtQuantum(t *testing.T) {
 	}
 }
 
-// An empty poll of a live source is not progress: EmitBatch drains what is
-// ready, up to max, never waits to fill a frame, and reports (0, true) on
-// an open, empty channel.
-func TestChanSourceEmptyPollIsNotProgress(t *testing.T) {
-	ch := make(chan temporal.Element, 8)
+// Run publishes one element waited for plus what is already queued behind
+// it, up to frameCap, as one frame: frameCap+6 queued elements on a closed
+// channel leave as frames of frameCap and 6, in order, then done.
+func TestChanSourceRunFramesWhatIsQueued(t *testing.T) {
+	const n = frameCap + 6
+	ch := make(chan temporal.Element, n)
+	for _, e := range batchElems(n) {
+		ch <- e
+	}
+	close(ch)
 	src := NewChanSource("live", ch)
 	sink := &frameSink{}
 	if err := src.Subscribe(sink, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n, more := src.EmitBatch(64); n != 0 || !more {
-		t.Fatalf("empty poll = (%d, %v), want (0, true)", n, more)
-	}
-	if !src.EmitNext() {
-		t.Fatal("EmitNext on an open, empty channel must keep polling")
-	}
-	for i := 0; i < 5; i++ {
-		ch <- temporal.At(i, temporal.Time(i))
-	}
-	if n, more := src.EmitBatch(3); n != 3 || !more {
-		t.Fatalf("EmitBatch(3) with 5 ready = (%d, %v), want (3, true)", n, more)
-	}
-	if n, more := src.EmitBatch(64); n != 2 || !more {
-		t.Fatalf("EmitBatch(64) with 2 ready = (%d, %v), want (2, true)", n, more)
-	}
-	ch <- temporal.At(5, 5)
-	close(ch)
-	if n, more := src.EmitBatch(64); n != 1 || more {
-		t.Fatalf("EmitBatch at close = (%d, %v), want (1, false)", n, more)
+	if err := src.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if !src.IsDone() {
 		t.Fatal("closed channel did not signal done")
 	}
-	if len(sink.sizes) != 3 || sink.sizes[0] != 3 || sink.sizes[1] != 2 || sink.sizes[2] != 1 {
-		t.Fatalf("published frames of %v elements, want [3 2 1]", sink.sizes)
+	if len(sink.sizes) != 2 || sink.sizes[0] != frameCap || sink.sizes[1] != 6 {
+		t.Fatalf("published frames of %v elements, want [%d 6]", sink.sizes, frameCap)
+	}
+	for i, e := range sink.elems {
+		if e.Value != i {
+			t.Fatalf("element %d out of order: %v", i, e)
+		}
 	}
 }
 

@@ -33,12 +33,15 @@ func TestTransferDuringSubscribeUnsubscribeStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each publisher brings its own frame: Transfer's one-element
+			// scratch belongs to a single publisher at a time.
+			frame := temporal.Batch{temporal.At(1, 0)}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					src.Transfer(temporal.At(1, 0))
+					src.TransferBatch(frame)
 					published.Add(1)
 				}
 			}

@@ -27,8 +27,10 @@ type BatchEmitter interface {
 	// EmitBatch publishes the next frame of at most max elements
 	// (max <= 0 means one) and reports how many were published and
 	// whether more may follow. A source with nothing ready right now
-	// returns (0, true) without waiting. On exhaustion it signals done
-	// and returns (0, false).
+	// returns (0, true) without waiting; the scheduler retries it only
+	// when its worker wakes, so a source fed from outside the engine is
+	// autonomous instead (ChanSource: Run on a thread of its own). On
+	// exhaustion it signals done and returns (0, false).
 	EmitBatch(max int) (n int, more bool)
 }
 
@@ -160,12 +162,12 @@ func (s *FuncSource) EmitBatch(max int) (int, bool) {
 
 // ChanSource adapts a Go channel of elements to a source: the idiomatic
 // wrapper for autonomous data sources (sensors, network feeds) that push
-// asynchronously. Run pumps the channel into the graph until the channel
-// closes or the context is cancelled.
+// asynchronously. It is a push source: Run, on the source's own thread
+// (sched.Scheduler.Go), publishes what arrives, and nothing polls it.
 type ChanSource struct {
 	SourceBase
 	ch    <-chan temporal.Element
-	frame temporal.Batch // reusable scratch EmitBatch publishes
+	frame temporal.Batch // reusable scratch Run publishes
 }
 
 // NewChanSource returns a source fed by ch.
@@ -173,57 +175,34 @@ func NewChanSource(name string, ch <-chan temporal.Element) *ChanSource {
 	return &ChanSource{SourceBase: NewSourceBase(name), ch: ch}
 }
 
-// Run pumps elements until the channel closes (then signals done) or ctx
-// is cancelled (then signals done without draining). It returns ctx.Err()
-// on cancellation and nil on clean channel closure.
+// Run publishes frames until the channel closes (then signals done) or ctx
+// is cancelled (then signals done without draining). A frame is one
+// element waited for plus what is already queued behind it, up to
+// frameCap: it never waits to fill. Run returns ctx.Err() on cancellation
+// and nil on clean channel closure, and must be the channel's only
+// receiver.
 func (s *ChanSource) Run(ctx context.Context) error {
 	for {
+		var e temporal.Element
+		ok := false
 		//pipesvet:allow nogoroutine ChanSource is the sanctioned entry adapter between external producers and the graph
 		select {
-		case <-ctx.Done(): //pipesvet:allow nogoroutine cancellation receive on the caller's pump goroutine, outside the operator graph
+		case <-ctx.Done(): //pipesvet:allow nogoroutine cancellation receive on the source's own thread, outside the operator graph
 			s.SignalDone()
 			return ctx.Err()
-		case e, ok := <-s.ch: //pipesvet:allow nogoroutine external-producer receive on the caller's pump goroutine, outside the operator graph
-			if !ok {
-				s.SignalDone()
-				return nil
-			}
-			s.Transfer(e)
+		case e, ok = <-s.ch: //pipesvet:allow nogoroutine external-producer receive on the source's own thread, outside the operator graph
 		}
-	}
-}
-
-// EmitNext implements Emitter.
-func (s *ChanSource) EmitNext() bool { _, more := s.EmitBatch(1); return more }
-
-// EmitBatch implements BatchEmitter with non-blocking receives, so a
-// scheduler can poll the channel without stalling other nodes: it drains
-// what is ready, up to max, and never waits to fill a frame. An empty poll
-// is not progress — it returns (0, true).
-func (s *ChanSource) EmitBatch(max int) (int, bool) {
-	if max <= 0 {
-		max = 1
-	}
-	frame := s.frame[:0]
-	more := true
-poll:
-	for len(frame) < max {
-		//pipesvet:allow nogoroutine ChanSource poll path: non-blocking receive feeding the scheduler
-		select {
-		case e, ok := <-s.ch: //pipesvet:allow nogoroutine non-blocking external-producer receive: the default case keeps the scheduler task from stalling
-			if !ok {
-				more = false
-				break poll
-			}
-			frame = append(frame, e)
-		default:
-			break poll
+		if !ok {
+			s.SignalDone()
+			return nil
 		}
+		frame := append(s.frame[:0], e)
+		// Run is the only receiver, so the len(ch) queued elements are
+		// there to take without waiting.
+		for n := min(len(s.ch), frameCap-1); n > 0; n-- {
+			frame = append(frame, <-s.ch) //pipesvet:allow nogoroutine receive of an element already queued, on the source's own thread
+		}
+		s.frame = frame
+		s.TransferBatch(frame)
 	}
-	s.frame = frame
-	s.TransferBatch(frame)
-	if !more {
-		s.SignalDone()
-	}
-	return len(frame), more
 }

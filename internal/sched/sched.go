@@ -53,9 +53,10 @@ type EmitterTask struct {
 	// emitter is the source's frame-publishing identity
 	// (pubsub.FrameEmitter), resolved at construction.
 	emitter pubsub.BatchEmitter
-	// done is atomic because Backlog is consulted lock-free by other
-	// workers probing for stealable work, concurrently with RunBatch.
-	done atomic.Bool
+	// done and idle are atomic because Backlog is consulted lock-free by
+	// other workers probing for stealable work, concurrently with
+	// RunBatch. idle records that the last batch found nothing ready.
+	done, idle atomic.Bool
 }
 
 // NewEmitterTask wraps an emitter.
@@ -66,32 +67,25 @@ func NewEmitterTask(e pubsub.Emitter) *EmitterTask {
 // Name implements Task.
 func (t *EmitterTask) Name() string { return t.emitter.Name() }
 
-// RunBatch implements Task. Only published elements count as work: an
-// empty poll of a live source reports 0, so an idle source neither
-// inflates the task's stats nor keeps its worker off the idle path.
+// RunBatch implements Task with one EmitBatch call: a short frame is what
+// the source had ready, and asking again could wait on input that has not
+// arrived. Only published elements count as work, so a poll that found
+// nothing neither inflates the task's stats nor keeps its worker awake.
 func (t *EmitterTask) RunBatch(max int) (int, bool) {
 	if t.done.Load() {
 		return 0, true
 	}
-	n := 0
-	for n < max {
-		k, more := t.emitter.EmitBatch(max - n)
-		n += k
-		if !more {
-			t.done.Store(true)
-			return n, true
-		}
-		if k == 0 {
-			break // nothing ready right now (poll-style source)
-		}
-	}
-	return n, false
+	n, more := t.emitter.EmitBatch(max)
+	t.done.Store(!more)
+	t.idle.Store(n == 0)
+	return n, !more
 }
 
-// Backlog implements Task: emitters always have (potential) work until
-// exhausted.
+// Backlog implements Task: an emitter has (potential) work until it is
+// exhausted, except right after a poll that found nothing ready — then
+// only its owner's sweep, when the worker next wakes, polls it again.
 func (t *EmitterTask) Backlog() int {
-	if t.done.Load() {
+	if t.done.Load() || t.idle.Load() {
 		return 0
 	}
 	return 1
@@ -101,8 +95,10 @@ func (t *EmitterTask) Backlog() int {
 // executes the entire downstream virtual node synchronously (direct
 // connections), so one BufferTask represents one fused virtual node.
 type BufferTask struct {
-	buf  *pubsub.Buffer
-	done bool
+	buf *pubsub.Buffer
+	// done is atomic because Backlog reads it from workers probing for
+	// stealable work, concurrently with RunBatch.
+	done atomic.Bool
 
 	// static profile used by profile-driven strategies when no live
 	// metadata is attached.
@@ -121,6 +117,10 @@ func (t *BufferTask) SetProfile(selectivity, costNS float64) {
 	t.sel, t.cost = selectivity, costNS
 }
 
+// SetReady installs fn as the buffer's ready hook (Buffer.SetReady): the
+// scheduler's Add passes its worker wake-up.
+func (t *BufferTask) SetReady(fn func()) { t.buf.SetReady(fn) }
+
 // Name implements Task.
 func (t *BufferTask) Name() string { return t.buf.Name() }
 
@@ -133,13 +133,21 @@ func (t *BufferTask) RunBatch(max int) (int, bool) {
 	n := t.buf.Drain(max)
 	if t.buf.UpstreamDone() && t.buf.Len() == 0 {
 		// Drain(0 remaining) has propagated done downstream.
-		t.done = true
+		t.done.Store(true)
 	}
-	return n, t.done
+	return n, t.done.Load()
 }
 
-// Backlog implements Task.
-func (t *BufferTask) Backlog() int { return t.buf.Len() }
+// Backlog implements Task. Once the upstream is done and the buffer is
+// empty, the batch that finishes the task is work too (1): any worker may
+// run it, not only the owner's sweep.
+func (t *BufferTask) Backlog() int {
+	n := t.buf.Len()
+	if n == 0 && !t.done.Load() && t.buf.UpstreamDone() {
+		return 1
+	}
+	return n
+}
 
 // Selectivity implements Profiled.
 func (t *BufferTask) Selectivity() float64 { return t.sel }
@@ -202,16 +210,17 @@ func (t *trackedTask) isDone() bool { return t.done.Load() }
 // was the transition.
 func (t *trackedTask) markDone() bool { return t.done.CompareAndSwap(false, true) }
 
-func (t *trackedTask) observe(n int, stolen bool) {
+// observe records one batch and returns the backlog it left.
+func (t *trackedTask) observe(n int, stolen bool) int {
+	b := t.Backlog()
 	t.mu.Lock()
 	t.processed += int64(n)
-	if b := t.Backlog(); b > t.maxBacklog {
-		t.maxBacklog = b
-	}
+	t.maxBacklog = max(t.maxBacklog, b)
 	if stolen {
 		t.stolen++
 	}
 	t.mu.Unlock()
+	return b
 }
 
 func (t *trackedTask) stats() TaskStats {

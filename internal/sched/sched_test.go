@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"io"
 	"testing"
 	"time"
 
 	"pipes/internal/ops"
 	"pipes/internal/pubsub"
+	"pipes/internal/remote"
 	"pipes/internal/temporal"
 )
 
@@ -106,33 +108,88 @@ func TestSchedulerStats(t *testing.T) {
 	}
 }
 
-// An empty poll is not progress: a live source on an open, empty channel
-// must report zero work units, so TaskStats counts only the elements that
-// were actually published (an idle poll used to count as a full quantum).
+// pollEmitter is a live source seen through its poll side: its first
+// `empty` EmitBatch calls find nothing ready and return (0, true), then it
+// publishes elems and ends. With empty < 0 it is never ready.
+type pollEmitter struct {
+	pubsub.SourceBase
+	empty int
+	elems []temporal.Element
+}
+
+func (p *pollEmitter) EmitNext() bool { _, more := p.EmitBatch(1); return more }
+
+func (p *pollEmitter) EmitBatch(max int) (int, bool) {
+	if p.empty != 0 {
+		if p.empty > 0 {
+			p.empty--
+		}
+		return 0, true
+	}
+	if len(p.elems) == 0 {
+		p.SignalDone()
+		return 0, false
+	}
+	n := min(max, len(p.elems))
+	p.TransferBatch(p.elems[:n])
+	p.elems = p.elems[n:]
+	return n, true
+}
+
+// A poll that finds nothing is not progress: the task reports zero work
+// units and no backlog, so TaskStats counts only the elements that were
+// actually published, and the owner's sweep is what polls it again.
 func TestIdleLiveSourceReportsNoWork(t *testing.T) {
-	ch := make(chan temporal.Element, 8)
-	src := pubsub.NewChanSource("live", ch)
+	src := &pollEmitter{SourceBase: pubsub.NewSourceBase("live"), empty: 1, elems: chronons(5)}
 	sink := pubsub.NewCounter("ctr", 1)
 	src.Subscribe(sink, 0)
 	task := NewEmitterTask(src)
 	if n, done := task.RunBatch(64); n != 0 || done {
-		t.Fatalf("RunBatch on an open, empty channel = (%d, %v), want (0, false)", n, done)
+		t.Fatalf("RunBatch on a source with nothing ready = (%d, %v), want (0, false)", n, done)
+	}
+	if b := task.Backlog(); b != 0 {
+		t.Fatalf("backlog after an empty poll = %d, want 0", b)
 	}
 
 	s := New(Config{Workers: 1})
 	s.Add(task)
 	s.Start()
-	time.Sleep(5 * time.Millisecond) // idle polls only
-	for i := 0; i < 5; i++ {
-		ch <- temporal.At(i, temporal.Time(i))
-	}
-	close(ch)
 	s.Wait()
 	if sink.Count() != 5 {
 		t.Fatalf("sink saw %d elements, want 5", sink.Count())
 	}
 	if st := s.Stats()[0]; st.Processed != 5 || !st.Done {
 		t.Fatalf("stats = %+v, want exactly the 5 published elements and done", st)
+	}
+}
+
+// One batch is one EmitBatch call: a remote stream whose producer has sent
+// three elements and keeps the connection open hands those three over
+// without the worker blocking on a fourth.
+func TestEmitterBatchDoesNotWaitForMoreInput(t *testing.T) {
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go remote.NewWriter("w", pw).ProcessBatch(chronons(3), 0)
+	rd := remote.NewReader("r", pr)
+	sink := pubsub.NewCounter("ctr", 1)
+	rd.Subscribe(sink, 0)
+	task := NewEmitterTask(rd)
+	got := make(chan int, 1)
+	go func() {
+		n := 0
+		for n < 3 {
+			k, _ := task.RunBatch(64)
+			n += k
+		}
+		got <- n
+	}()
+	select {
+	case n := <-got:
+		if n != 3 || sink.Count() != 3 {
+			t.Fatalf("batches moved %d elements, sink saw %d, want 3", n, sink.Count())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunBatch still blocked after 2 s on input that has not arrived")
 	}
 }
 

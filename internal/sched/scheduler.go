@@ -1,18 +1,12 @@
 package sched
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pipes/internal/telemetry/flight"
 )
-
-// idleQuantum is how long a worker parks when a pass over its own tasks
-// and a steal scan made no progress. Live sources are polled, so an
-// element arriving at an idle engine waits up to this long, plus the
-// host's timer slack, to be picked up.
-const idleQuantum = 50 * time.Microsecond
 
 // Config parameterises a Scheduler.
 type Config struct {
@@ -23,10 +17,6 @@ type Config struct {
 	// BatchSize is the number of work units per activation (default 64).
 	// Larger batches amortise scheduling overhead; smaller bound latency.
 	BatchSize int
-	// DisableStealing turns off work stealing: idle workers then park
-	// instead of running ready tasks owned by other workers. Stealing is
-	// on by default; single-owner activation locks keep it race-free.
-	DisableStealing bool
 }
 
 func (c Config) withDefaults() Config {
@@ -46,20 +36,27 @@ func (c Config) withDefaults() Config {
 // each worker applying its own strategy instance (layer 2) over the tasks
 // assigned to it. Tasks added before Start are spread round-robin across
 // workers; AddTo pins a task to a specific worker for explicit placement.
+// An autonomous source gets a thread of its own instead (Go): it pushes
+// into the graph when its input arrives, and nothing polls it.
 //
 // Concurrency model: every task carries an activation lock, so at most one
 // worker executes a given task at any moment — operators activated by a
 // task are therefore driven by a single thread at a time, and the direct
 // publish-subscribe hand-off inside a virtual node never runs concurrently
-// with itself. Idle workers steal batches from other workers' ready tasks
-// (unless DisableStealing is set), which keeps pinned placements from
-// serialising the whole graph. Contention is observable via Contention.
+// with itself. Idle workers steal batches from other workers' ready tasks,
+// which keeps pinned placements from serialising the whole graph. A worker
+// with nothing to run or steal parks until it is woken: by a boundary
+// buffer receiving work, by a task released with backlog left, or by the
+// last task finishing. Contention is observable via Contention.
 type Scheduler struct {
 	cfg      Config
 	mu       sync.Mutex
 	tasks    [][]*trackedTask
+	runs     []func(context.Context) error // autonomous sources' threads, started at Start
 	started  bool
-	stop     chan struct{}
+	ctx      context.Context // cancelled by Stop
+	cancel   context.CancelFunc
+	wake     chan struct{} // wake-up tokens: one per worker that can park, so none is lost while all are parked
 	wg       sync.WaitGroup
 	nextW    int
 	total    atomic.Int64 // registered tasks
@@ -88,10 +85,13 @@ func (s *Scheduler) SetFlightRecorder(r *flight.Recorder) {
 // New returns a scheduler with the given configuration.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Scheduler{
-		cfg:   cfg,
-		tasks: make([][]*trackedTask, cfg.Workers),
-		stop:  make(chan struct{}),
+		cfg:    cfg,
+		tasks:  make([][]*trackedTask, cfg.Workers),
+		ctx:    ctx,
+		cancel: cancel,
+		wake:   make(chan struct{}, cfg.Workers),
 	}
 }
 
@@ -101,12 +101,8 @@ func New(cfg Config) *Scheduler {
 func (s *Scheduler) Add(t Task) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.started {
-		panic("sched: Add after Start (register all tasks before starting the workers)")
-	}
-	s.tasks[s.nextW] = append(s.tasks[s.nextW], &trackedTask{Task: t})
+	s.add("Add", s.nextW, t)
 	s.nextW = (s.nextW + 1) % s.cfg.Workers
-	s.total.Add(1)
 }
 
 // AddTo registers a task on a specific worker (layer-3 placement). Like
@@ -114,14 +110,40 @@ func (s *Scheduler) Add(t Task) {
 func (s *Scheduler) AddTo(worker int, t Task) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.started {
-		panic("sched: AddTo after Start (register all tasks before starting the workers)")
+	s.add("AddTo", worker%s.cfg.Workers, t)
+}
+
+// add registers t on worker w; callers hold mu. A task that can announce
+// new work (BufferTask) gets the workers' wake-up as its hook.
+func (s *Scheduler) add(op string, w int, t Task) {
+	s.sealed(op)
+	if r, ok := t.(interface{ SetReady(func()) }); ok {
+		r.SetReady(s.signal)
 	}
-	s.tasks[worker%s.cfg.Workers] = append(s.tasks[worker%s.cfg.Workers], &trackedTask{Task: t})
+	s.tasks[w] = append(s.tasks[w], &trackedTask{Task: t})
 	s.total.Add(1)
 }
 
-// Start launches the workers. Tasks must not be added afterwards.
+// sealed panics once the workers run; callers hold mu.
+func (s *Scheduler) sealed(op string) {
+	if s.started {
+		panic("sched: " + op + " after Start (register all tasks before starting the workers)")
+	}
+}
+
+// Go registers fn as an autonomous source's own thread (ChanSource.Run):
+// Start runs it on a goroutine of its own, Stop cancels its context and
+// Wait waits for it to return. Its error is dropped: ChanSource.Run
+// returns only ctx's cancellation. Like Add, Go panics after Start.
+func (s *Scheduler) Go(fn func(ctx context.Context) error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealed("Go")
+	s.runs = append(s.runs, fn)
+}
+
+// Start launches the workers and the autonomous sources' threads. Tasks
+// must not be added afterwards.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
 	if s.started {
@@ -130,18 +152,33 @@ func (s *Scheduler) Start() {
 	}
 	s.started = true
 	s.mu.Unlock()
+	for _, fn := range s.runs {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			_ = fn(s.ctx)
+		}()
+	}
 	for w := 0; w < s.cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.runWorker(w)
 	}
 }
 
+// signal wakes one parked worker, or leaves a token for the next worker
+// to park; with Workers tokens pending it does nothing. It never blocks.
+func (s *Scheduler) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
 // runTask runs one batch of t if its activation lock is free and reports
 // whether that made progress: elements moved, or the task finished. A
-// batch that ran without either — the empty poll of an idle live source —
-// is not progress; the strategy pick, the own-task sweep and a steal all
-// go by this one definition, so a worker with nothing to move reaches the
-// idle park whoever owns the idle source.
+// batch that ran without either — a poll that found nothing ready — is
+// not progress; the strategy pick, the own-task sweep and a steal all go
+// by this one definition, so a worker with nothing to move parks.
 func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) (progress bool) {
 	if t.isDone() {
 		return false
@@ -150,16 +187,22 @@ func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) (progress bo
 		s.conflicts.Add(1)
 		return false
 	}
-	defer t.release()
 	if t.isDone() {
+		t.release()
 		return false
 	}
 	n, fin := t.RunBatch(batch)
 	s.batches.Add(1)
 	progress = n > 0 || fin
-	t.observe(n, stolen && progress)
+	backlog := t.observe(n, stolen && progress)
 	if fin && t.markDone() {
 		s.finished.Add(1)
+	}
+	t.release()
+	if backlog > 0 {
+		// A worker that lost the activation lock to this batch may have
+		// parked meanwhile: hand the rest on.
+		s.signal()
 	}
 	return progress
 }
@@ -167,6 +210,7 @@ func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) (progress bo
 func (s *Scheduler) runWorker(w int) {
 	defer s.wg.Done()
 	strategy := s.cfg.Strategy()
+	stop := s.ctx.Done()
 	// Task lists are sealed at Start (Add panics afterwards), so reading
 	// them without the mutex is safe.
 	mine := s.tasks[w]
@@ -176,25 +220,20 @@ func (s *Scheduler) runWorker(w int) {
 	}
 	for {
 		select {
-		case <-s.stop:
+		case <-stop:
 			return
 		default:
 		}
 		if s.finished.Load() >= s.total.Load() {
-			return // every task of every worker is done
+			s.signal() // every task is done: pass that on to a parked worker
+			return
 		}
-		if len(raw) > 0 {
-			if idx := strategy.Next(raw); idx >= 0 {
-				if s.runTask(mine[idx], s.cfg.BatchSize, false) {
-					continue
-				}
-				// Lost the task to a stealing worker, or it had nothing
-				// ready (an idle live source); fall through.
-			}
+		if idx := strategy.Next(raw); idx >= 0 && s.runTask(mine[idx], s.cfg.BatchSize, false) {
+			continue
 		}
-		// Nothing ready locally. Sweep own tasks once: a task whose
-		// upstream completed while its backlog reads 0 still needs a final
-		// batch to detect completion and propagate done.
+		// Nothing ready locally, or the pick was lost to a stealing worker
+		// or found nothing. Sweep own tasks once: a task can need a batch
+		// its backlog does not show (a poll emitter after an empty poll).
 		progressed := false
 		for _, t := range mine {
 			if s.runTask(t, s.cfg.BatchSize, false) {
@@ -204,20 +243,24 @@ func (s *Scheduler) runWorker(w int) {
 		if progressed {
 			continue
 		}
-		if !s.cfg.DisableStealing && len(s.tasks) > 1 {
+		if len(s.tasks) > 1 {
 			if s.trySteal(w) {
 				continue
 			}
 			s.stealMiss.Add(1)
 		}
-		time.Sleep(idleQuantum)
+		select {
+		case <-s.wake:
+		case <-stop:
+			return
+		}
 	}
 }
 
 // trySteal scans the other workers' tasks for ready work and runs one
 // batch of each until one makes progress: that batch is the steal, and it
 // is counted and recorded. A task that reports backlog but moves nothing
-// (an idle live source) is passed over.
+// (a poll emitter before its first empty poll) is passed over.
 func (s *Scheduler) trySteal(w int) bool {
 	workers := len(s.tasks)
 	for off := 1; off < workers; off++ {
@@ -238,18 +281,14 @@ func (s *Scheduler) trySteal(w int) bool {
 	return false
 }
 
-// Wait blocks until every task has finished.
+// Wait blocks until every task has finished and every autonomous source's
+// thread has returned.
 func (s *Scheduler) Wait() { s.wg.Wait() }
 
-// Stop aborts the workers without waiting for task completion.
+// Stop aborts the workers without waiting for task completion, cancels
+// the autonomous sources' threads and waits for all of them to exit.
 func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	s.mu.Unlock()
+	s.cancel()
 	s.wg.Wait()
 }
 

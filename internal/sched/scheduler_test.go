@@ -165,55 +165,41 @@ func TestWorkStealingRescuesPinnedBacklog(t *testing.T) {
 	}
 }
 
-// An idle live source is not stealable work: its task reports backlog
-// until the channel closes, but an empty poll moves nothing, so the other
-// worker must count no steal and both must reach the idle park (the thief
-// used to count every empty poll as a steal and never sleep).
+// An idle poll emitter is not stealable work: after a poll that found
+// nothing its task reports no backlog, so the other worker counts no steal
+// and both park (the thief used to count every empty poll as a steal and
+// never sleep).
 func TestIdleLiveSourceIsNotStolen(t *testing.T) {
-	ch := make(chan temporal.Element, 1)
-	src := pubsub.NewChanSource("live", ch)
-	sink := pubsub.NewCounter("ctr", 1)
-	src.Subscribe(sink, 0)
+	src := &pollEmitter{SourceBase: pubsub.NewSourceBase("live"), empty: -1}
 	s := New(Config{Workers: 2})
 	s.AddTo(0, NewEmitterTask(src))
-	start := time.Now()
 	s.Start()
-	time.Sleep(100 * time.Millisecond) // idle polls only
-	rounds := int64(time.Since(start) / idleQuantum)
+	time.Sleep(100 * time.Millisecond)
 	if c := s.Contention(); c.Steals != 0 || c.StealMisses == 0 {
 		t.Fatalf("idle source: %+v, want no steals and the scans ending in misses", c)
 	}
-	// Per park the owner polls twice (strategy pick, sweep) and the other
-	// worker once (steal scan).
-	if got := s.Contention().Batches; got > 4*rounds {
-		t.Fatalf("%d batches in %d idle quanta: the workers are not parking", got, rounds)
-	}
-
-	ch <- temporal.At(7, 0)
-	close(ch)
-	s.Wait()
-	if sink.Count() != 1 {
-		t.Fatalf("sink saw %d elements, want the one sent", sink.Count())
+	s.Stop()
+	if st := s.Stats()[0]; st.Stolen != 0 || st.Processed != 0 {
+		t.Fatalf("idle source: %+v, want no stolen batches and no work", st)
 	}
 }
 
-func TestDisableStealingKeepsTasksPinned(t *testing.T) {
-	emit, buf, col := buildChain(400)
-	s := New(Config{Workers: 2, DisableStealing: true, BatchSize: 16})
-	s.AddTo(0, emit)
-	s.AddTo(0, buf)
+// Idle workers park instead of polling: with a source that is never ready,
+// the workers run at most the owner's pick and sweep and one probe by the
+// other worker, then no batch at all.
+func TestIdleWorkersRunNoBatches(t *testing.T) {
+	src := &pollEmitter{SourceBase: pubsub.NewSourceBase("live"), empty: -1}
+	s := New(Config{Workers: 2})
+	s.AddTo(0, NewEmitterTask(src))
 	s.Start()
-	s.Wait()
-	col.Wait()
-	if col.Len() != 200 {
-		t.Fatalf("collected %d, want 200", col.Len())
+	defer s.Stop()
+	time.Sleep(20 * time.Millisecond)
+	settled := s.Contention().Batches
+	if settled > 3 {
+		t.Fatalf("%d batches before parking, want at most 3", settled)
 	}
-	if c := s.Contention(); c.Steals != 0 {
-		t.Fatalf("stealing disabled but Steals = %d", c.Steals)
-	}
-	for _, st := range s.Stats() {
-		if st.Stolen != 0 {
-			t.Fatalf("stealing disabled but task %s reports %d stolen batches", st.Name, st.Stolen)
-		}
+	time.Sleep(100 * time.Millisecond)
+	if got := s.Contention().Batches; got != settled {
+		t.Fatalf("%d batches in 100 ms of idle: the workers are not parking", got-settled)
 	}
 }

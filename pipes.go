@@ -21,6 +21,7 @@
 package pipes
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -131,7 +132,7 @@ type Config struct {
 	TraceEvery int
 	// CheckpointInterval enables the fault-tolerance subsystem (see
 	// FAULT_TOLERANCE.md): the engine periodically checkpoints every
-	// registered emitter stream's offset and every stateful query
+	// registered stream's offset and every stateful query
 	// operator's state at this cadence. Recovery: LatestCheckpoint, rebuild
 	// the same graph over sources replaying from its offsets, Recover.
 	CheckpointInterval time.Duration
@@ -202,7 +203,6 @@ type DSMS struct {
 
 	mu      sync.Mutex
 	queries []*Query
-	started bool
 	tserver *listener // Config.TelemetryAddr (telemetry.go)
 
 	// Control plane (service.go; nil unless Config enables it).
@@ -265,20 +265,24 @@ func NewDSMS(cfg Config) *DSMS {
 }
 
 // RegisterStream adds a raw tuple stream under name with a rate estimate
-// for the cost model. If src is an active emitter it is additionally
-// scheduled when Start runs.
+// for the cost model. When Start runs, a source with Run(ctx) (an
+// autonomous source: ChanSource) gets a thread of its own, and an active
+// emitter is scheduled.
 func (d *DSMS) RegisterStream(name string, src pubsub.Source, rate float64) {
-	// With checkpointing on, emitter streams are wrapped so barrier rounds
-	// record their replay offsets (recovery replays an archive.ReplayFrom
-	// emitter through the same path). Offsets are keyed by src.Name().
-	src = d.checkpointSource(src)
-	d.Catalog.Register(name, src, rate)
-	d.Graph.AddRoot(src)
+	// With checkpointing on, streams are wrapped so barrier rounds record
+	// their replay offsets (recovery replays an archive.ReplayFrom emitter
+	// through the same path). Offsets are keyed by src.Name().
+	pub := d.checkpointSource(src)
+	d.Catalog.Register(name, pub, rate)
+	d.Graph.AddRoot(pub)
 	if d.Tracer != nil {
-		d.instrumentSource(name, src)
+		d.instrumentSource(name, pub)
 	}
-	if e, ok := src.(pubsub.Emitter); ok {
-		d.Scheduler.Add(sched.NewEmitterTask(e))
+	switch s := src.(type) {
+	case interface{ Run(context.Context) error }:
+		d.Scheduler.Go(s.Run)
+	case pubsub.Emitter:
+		d.Scheduler.Add(sched.NewEmitterTask(s))
 	}
 	d.attachFlight()
 }
@@ -412,12 +416,10 @@ func (d *DSMS) Monitors() []*metadata.Monitored {
 	return out
 }
 
-// Start launches the scheduler workers driving the registered emitters
-// and, with Config.TelemetryAddr set, the telemetry scrape endpoint.
+// Start launches the scheduler workers driving the registered emitters,
+// the autonomous sources' threads and, with Config.TelemetryAddr set, the
+// telemetry scrape endpoint.
 func (d *DSMS) Start() {
-	d.mu.Lock()
-	d.started = true
-	d.mu.Unlock()
 	d.attachFlight()
 	if err := d.startListeners(); err != nil {
 		panic(fmt.Sprintf("pipes: %v", err))

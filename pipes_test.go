@@ -1,8 +1,10 @@
 package pipes
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pipes/internal/nexmark"
 	"pipes/internal/traffic"
@@ -213,6 +215,33 @@ func TestMemoryManagedJoinQuery(t *testing.T) {
 			return
 		default:
 			dsms.Memory.Step()
+		}
+	}
+}
+
+// An idle channel stream costs the scheduler nothing: its source runs on a
+// thread of its own, so no worker polls it, and Stop leaves no goroutine
+// behind.
+func TestIdleChanStreamCostsNoBatches(t *testing.T) {
+	base := runtime.NumGoroutine()
+	dsms := NewDSMS(Config{Workers: 2})
+	dsms.RegisterStream("s", NewChanSource("s", make(chan Element)), 1000)
+	q, err := dsms.RegisterQuery(`SELECT a FROM s [NOW]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Subscribe(NewCounter("out", 1)); err != nil {
+		t.Fatal(err)
+	}
+	dsms.Start()
+	time.Sleep(100 * time.Millisecond)
+	if got := dsms.Scheduler.Contention().Batches; got != 0 {
+		t.Fatalf("%d scheduler batches over 100 ms of an idle channel stream, want 0", got)
+	}
+	dsms.Stop()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before the engine", runtime.NumGoroutine(), base)
 		}
 	}
 }
