@@ -5,9 +5,13 @@
 // carries (flight.OpRef, OBSERVABILITY.md). Monitoring an operator adds no
 // node to the query graph: it selects which kinds the operator's block
 // exposes and turns on the strided work those kinds need. The runtime
-// components (scheduler, memory manager, optimizer) parameterise their
-// strategies with this metadata, and the monitor tool (cmd/pipesmon)
-// visualises it.
+// components read the same block directly, never through a view: the
+// scheduler's Chain and rate-based strategies read each task's virtual
+// node — output counts for selectivity, the measured service time
+// (ProcessingCost) for cost — and the optimizer's cost model reads a
+// stream's or running subplan's output count over the block clock for its
+// rate. The memory manager asks each operator for its MemoryUsage. The
+// monitor tool (cmd/pipesmon) and the scrape endpoint show the views.
 //
 // The metric composition of a monitored node can be altered at runtime
 // with SetKinds, matching the paper's requirement.

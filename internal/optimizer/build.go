@@ -8,12 +8,13 @@ import (
 	"pipes/internal/ops"
 	"pipes/internal/pubsub"
 	"pipes/internal/sweeparea"
+	"pipes/internal/telemetry/flight"
 	"pipes/internal/temporal"
 )
 
 // Catalog maps stream names to their registered raw sources (publishing
-// cql.Tuple elements with unqualified field names) and carries rate
-// estimates for the cost model.
+// cql.Tuple elements with unqualified field names) and carries their
+// declared rates, the cost model's prior until a stream is measured.
 type Catalog struct {
 	mu      sync.Mutex
 	streams map[string]pubsub.Source
@@ -25,8 +26,10 @@ func NewCatalog() *Catalog {
 	return &Catalog{streams: map[string]pubsub.Source{}, rates: map[string]float64{}}
 }
 
-// Register adds a raw stream under name with an expected element rate
-// (elements/second; 0 uses the default).
+// Register adds a raw stream under name with a declared element rate
+// (elements/second; 0 uses the default). The declared rate is only the
+// prior: once the source's flight block has counted elements, the
+// optimizer prices the stream at its measured rate.
 func (c *Catalog) Register(name string, src pubsub.Source, rate float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -42,18 +45,11 @@ func (c *Catalog) Lookup(name string) (pubsub.Source, bool) {
 	return s, ok
 }
 
-// RateOf implements Stats.
+// RateOf returns the declared rate of name (0 when unknown).
 func (c *Catalog) RateOf(name string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rates[name]
-}
-
-// SetRate updates a stream's rate estimate (e.g. from live metadata).
-func (c *Catalog) SetRate(name string, rate float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rates[name] = rate
 }
 
 // Instance describes one instantiated (or shared) physical query.
@@ -94,20 +90,93 @@ type Optimizer struct {
 
 	mu       sync.Mutex
 	registry map[string]*regEntry
+	streams  map[string]*meter // the catalog's streams as measured, by name
+	pass     int               // planning passes so far (meter readings are per pass)
 	seq      int
 }
 
 // regEntry is one registered physical subplan with its upstream wiring
-// (needed to splice it back out) and a query refcount.
+// (needed to splice it back out), a query refcount and its meter.
 type regEntry struct {
 	node      pubsub.Source
 	upstreams []wiring
 	refs      int
+	meter     meter
 }
 
 // New returns an optimizer over the given catalog.
 func New(cat *Catalog) *Optimizer {
-	return &Optimizer{cat: cat, registry: map[string]*regEntry{}}
+	return &Optimizer{cat: cat, registry: map[string]*regEntry{}, streams: map[string]*meter{}}
+}
+
+// meter measures a running node's output rate off its flight block: the
+// elements the block counted since the optimizer first looked at it, over
+// the block clock's elapsed time since then. It reads 0 — unmeasured —
+// until the node carries a block that has counted elements since that
+// first look. A meter is read once per planning pass and keeps the reading
+// for the pass, so every enumerated variant is priced on one reading.
+// Callers hold the optimizer's mu.
+type meter struct {
+	ref       *flight.OpRef // the block first looked at; another block restarts the meter
+	elems, at int64         // its count and clock at the first look
+	pass      int           // the pass of the reading
+	reading   float64
+}
+
+func (m *meter) rate(n pubsub.Node, pass int) float64 {
+	if m.pass == pass {
+		return m.reading
+	}
+	m.pass, m.reading = pass, 0
+	b, ok := n.(interface{ FlightRef() *flight.OpRef })
+	if !ok {
+		return 0
+	}
+	ref := b.FlightRef()
+	if ref == nil {
+		return 0
+	}
+	if ref != m.ref {
+		m.ref, m.elems, m.at = ref, ref.Elements(), ref.NowNS()
+		return 0
+	}
+	if k, dt := ref.Elements()-m.elems, ref.NowNS()-m.at; k > 0 && dt > 0 {
+		m.reading = float64(k) * 1e9 / float64(dt)
+	}
+	return m.reading
+}
+
+// cost prices p against the running graph in the current planning pass: a
+// stream, and a running subplan, emit at their measured rates (a running
+// subplan costing nothing more); until measured, the declared rate or the
+// heuristic estimate stands. Caller holds o.mu.
+func (o *Optimizer) cost(p Plan) float64 {
+	_, c := costRec(p, o.streamRate, func(sig string) (float64, bool) {
+		e, ok := o.registry[sig]
+		if !ok {
+			return 0, false
+		}
+		return e.meter.rate(e.node, o.pass), true
+	})
+	return c
+}
+
+// streamRate is a stream's measured rate, the catalog's declared one until
+// it is measured. Caller holds o.mu.
+func (o *Optimizer) streamRate(name string) float64 {
+	src, ok := o.cat.Lookup(name)
+	if !ok {
+		return 0
+	}
+	m := o.streams[name]
+	if m == nil {
+		m = &meter{}
+		o.streams[name] = m
+	}
+	if r := m.rate(src, o.pass); r > 0 {
+		return r
+	}
+	return o.cat.RateOf(name)
 }
 
 // AddQuery plans, optimises and instantiates a parsed CQL query: the
@@ -139,13 +208,10 @@ func (o *Optimizer) AddQueryAdmitted(q *cql.Query, admit Admission) (*Instance, 
 	o.addMu.Lock()
 	defer o.addMu.Unlock()
 	o.mu.Lock()
-	shared := func(sig string) bool {
-		_, ok := o.registry[sig]
-		return ok
-	}
-	best, bestCost := plan, Cost(plan, o.cat, shared)
+	o.pass++
+	best, bestCost := plan, o.cost(plan)
 	for _, v := range Enumerate(plan) {
-		if c := Cost(v, o.cat, shared); c < bestCost {
+		if c := o.cost(v); c < bestCost {
 			best, bestCost = v, c
 		}
 	}
@@ -289,11 +355,8 @@ func (o *Optimizer) AddPlan(p Plan) (*Instance, error) {
 	o.addMu.Lock()
 	defer o.addMu.Unlock()
 	o.mu.Lock()
-	shared := func(sig string) bool {
-		_, ok := o.registry[sig]
-		return ok
-	}
-	cost := Cost(p, o.cat, shared)
+	o.pass++
+	cost := o.cost(p)
 	o.mu.Unlock()
 	inst := &Instance{Plan: p, Cost: cost}
 	root, err := o.instantiate(p, inst)

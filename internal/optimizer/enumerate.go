@@ -137,47 +137,52 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// Stats supplies stream rate estimates to the cost model; the catalog
-// implements it, optionally refreshed from live metadata.
-type Stats interface {
-	RateOf(stream string) float64
-}
-
-// Cost estimates a plan's processing cost under per-stream input rates: a
-// classic rate-based model where each operator contributes its input rate
-// (work) and produces an output rate derived from heuristic
-// selectivities. Subplans already running (per the shared predicate) cost
-// nothing extra — this is what makes the optimizer prefer plans maximally
-// overlapping the live query graph.
-func Cost(p Plan, stats Stats, shared func(signature string) bool) float64 {
-	_, cost := costRec(p, stats, shared)
+// Cost estimates a plan's processing cost under the catalog's declared
+// stream rates (nil: the default rate for every stream): a classic
+// rate-based model where each operator contributes its input rate (work)
+// and produces an output rate derived from heuristic selectivities.
+// Subplans already running (per the shared predicate) cost nothing extra —
+// this is what makes the optimizer prefer plans maximally overlapping the
+// live query graph.
+func Cost(p Plan, cat *Catalog, shared func(signature string) bool) float64 {
+	rateOf := func(string) float64 { return 0 }
+	if cat != nil {
+		rateOf = cat.RateOf
+	}
+	_, cost := costRec(p, rateOf, func(sig string) (float64, bool) {
+		return 0, shared != nil && shared(sig)
+	})
 	return cost
 }
 
-func costRec(p Plan, stats Stats, shared func(string) bool) (rate, cost float64) {
-	if shared != nil && shared(p.Signature()) {
-		r, _ := costRec2(p, stats, shared)
-		return r, 0
+// costRec prices p. rateOf gives a stream's rate (0: the default); running
+// reports whether a subplan already runs and its measured output rate (0:
+// unmeasured, the estimate stands). A running subplan costs nothing.
+func costRec(p Plan, rateOf func(string) float64, running func(string) (float64, bool)) (rate, cost float64) {
+	r, ok := running(p.Signature())
+	if !ok {
+		return costNode(p, rateOf, running)
 	}
-	return costRec2(p, stats, shared)
+	if r <= 0 {
+		r, _ = costNode(p, rateOf, running)
+	}
+	return r, 0
 }
 
-func costRec2(p Plan, stats Stats, shared func(string) bool) (rate, cost float64) {
+func costNode(p Plan, rateOf func(string) float64, running func(string) (float64, bool)) (rate, cost float64) {
 	switch v := p.(type) {
 	case *Scan:
 		r := 1000.0
-		if stats != nil {
-			if sr := stats.RateOf(v.Stream); sr > 0 {
-				r = sr
-			}
+		if sr := rateOf(v.Stream); sr > 0 {
+			r = sr
 		}
 		return r, r
 	case *Select:
-		inR, inC := costRec(v.Input, stats, shared)
+		inR, inC := costRec(v.Input, rateOf, running)
 		return inR * selEstimate(v.Pred), inC + inR
 	case *Join:
-		lR, lC := costRec(v.Left, stats, shared)
-		rR, rC := costRec(v.Right, stats, shared)
+		lR, lC := costRec(v.Left, rateOf, running)
+		rR, rC := costRec(v.Right, rateOf, running)
 		sel := 0.5
 		if len(v.EquiLeft) > 0 {
 			sel = 0.05
@@ -194,16 +199,16 @@ func costRec2(p Plan, stats Stats, shared func(string) bool) (rate, cost float64
 		}
 		return out, lC + rC + probe + out
 	case *Group:
-		inR, inC := costRec(v.Input, stats, shared)
+		inR, inC := costRec(v.Input, rateOf, running)
 		return inR * 0.2, inC + inR
 	case *Project:
-		inR, inC := costRec(v.Input, stats, shared)
+		inR, inC := costRec(v.Input, rateOf, running)
 		return inR, inC + inR
 	case *Distinct:
-		inR, inC := costRec(v.Input, stats, shared)
+		inR, inC := costRec(v.Input, rateOf, running)
 		return inR * 0.5, inC + inR
 	case *Rel:
-		inR, inC := costRec(v.Input, stats, shared)
+		inR, inC := costRec(v.Input, rateOf, running)
 		return inR, inC + inR
 	}
 	return 0, 0

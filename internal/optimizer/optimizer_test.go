@@ -1,11 +1,15 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"pipes/internal/cql"
 	"pipes/internal/pubsub"
+	"pipes/internal/telemetry"
+	"pipes/internal/telemetry/flight"
 	"pipes/internal/temporal"
 )
 
@@ -153,8 +157,8 @@ func TestEnumerateNoJoinReturnsOriginal(t *testing.T) {
 
 func TestCostPrefersSelectiveJoinOrder(t *testing.T) {
 	cat := NewCatalog()
-	cat.SetRate("fast", 10000)
-	cat.SetRate("slow", 10)
+	cat.Register("fast", pubsub.NewSliceSource("fast", nil), 10000)
+	cat.Register("slow", pubsub.NewSliceSource("slow", nil), 10)
 	// Joining slow ⋈ fast should beat fast ⋈ slow only via enumeration —
 	// both have the same cost here (symmetric model), so just verify Cost
 	// is monotone in rates.
@@ -660,4 +664,81 @@ func TestAddPlanClosesUnprojectedPlans(t *testing.T) {
 	if _, ok := inst.Plan.(*Distinct).Input.(*Project); !ok {
 		t.Fatalf("plan = %s, want the projection under DISTINCT", inst.Plan.Signature())
 	}
+}
+
+// firstJoin returns the streams the innermost join of p reads, in order.
+func firstJoin(p Plan) (streams []string) {
+	var walk func(Plan)
+	walk = func(p Plan) {
+		if s, ok := p.(*Scan); ok {
+			streams = append(streams, s.Stream)
+		}
+		for _, c := range p.Children() {
+			walk(c)
+		}
+	}
+	for {
+		j, ok := p.(*Join)
+		if ok {
+			if _, deeper := j.Left.(*Join); !deeper {
+				walk(j)
+				return streams
+			}
+		}
+		kids := p.Children()
+		if len(kids) == 0 {
+			return nil
+		}
+		p = kids[0]
+	}
+}
+
+// The cost model prices a stream at its measured rate: three streams
+// declared at equal rates and measured at 1 000 : 10 : 10 elements per
+// second (under a fake block clock) get a three-way join that joins the
+// two slow streams first. Registered before anything was counted, the same
+// query keeps the canonical order.
+func TestCostJoinsMeasuredSlowStreamsFirst(t *testing.T) {
+	clock := telemetry.NewFakeClock(time.Unix(0, 0))
+	cat := NewCatalog()
+	srcs := map[string]*pubsub.SliceSource{}
+	for _, name := range []string{"a", "b", "c"} {
+		src := pubsub.NewSliceSource(name, nil)
+		ref := flight.NewRef(name)
+		ref.SetClock(clock)
+		src.SetFlightRef(ref)
+		cat.Register(name, src, 100)
+		srcs[name] = src
+	}
+	o := New(cat)
+	q := parse(t, "SELECT * FROM a [RANGE 5], b [RANGE 5], c [RANGE 5] WHERE a.k = b.k AND b.k = c.k")
+	before, err := o.AddQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := firstJoin(before.Plan); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("before any count the first join reads %v, want the canonical [a b]", got)
+	}
+	if err := o.RemoveQuery(before); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"a": 1000, "b": 10, "c": 10} {
+		srcs[name].TransferBatch(chronons(n))
+	}
+	clock.Advance(time.Second)
+	after, err := o.AddQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := firstJoin(after.Plan); !slices.Equal(got, []string{"b", "c"}) && !slices.Equal(got, []string{"c", "b"}) {
+		t.Fatalf("measured at 1000:10:10 the first join reads %v, want the slow streams b and c", got)
+	}
+}
+
+func chronons(n int) temporal.Batch {
+	b := make(temporal.Batch, n)
+	for i := range b {
+		b[i] = temporal.At(i, temporal.Time(i))
+	}
+	return b
 }

@@ -101,7 +101,8 @@ type Source interface {
 	Subscribe(sink Sink, input int) error
 	// Unsubscribe removes a previously registered subscription.
 	Unsubscribe(sink Sink, input int) error
-	// Subscriptions returns a snapshot of the current subscriptions.
+	// Subscriptions returns a snapshot of the current subscriptions, which
+	// the caller must not modify.
 	Subscriptions() []Subscription
 }
 
@@ -262,13 +263,10 @@ func (s *SourceBase) Unsubscribe(sink Sink, input int) error {
 	return ErrNotSubscribed
 }
 
-// Subscriptions implements Source.
-func (s *SourceBase) Subscriptions() []Subscription {
-	cur := s.loadSubs()
-	out := make([]Subscription, len(cur))
-	copy(out, cur)
-	return out
-}
+// Subscriptions implements Source. The slice is the current immutable
+// snapshot itself (Subscribe and Unsubscribe replace it, never write it),
+// so reading it allocates nothing; callers must not modify it.
+func (s *SourceBase) Subscriptions() []Subscription { return s.loadSubs() }
 
 // TransferBatch publishes a frame synchronously to every subscribed sink.
 // This direct hand-off — a plain method call into the consumer — is what

@@ -85,10 +85,11 @@ type e4Result struct {
 // framework: a two-stage plan src→q1→opA(σ=1.0)→q2→opB(σ=0.1)→sink with
 // bursty external arrivals into q1 and a bounded per-tick service
 // capacity. The strategy decides, tick by tick, which queue's virtual
-// node runs. Chain (priority (1−σ)/cost) prefers q2, whose operator
-// destroys tuples, and should minimise queue memory; FIFO-style static
-// order prefers q1 (moving tuples, not destroying them) and accumulates
-// backlog.
+// node runs. Every node carries a flight block and no profile is set: σ is
+// what the blocks count. Chain (priority (1−σ)/cost) learns that q2's
+// operator destroys tuples, prefers q2 and should minimise queue memory;
+// FIFO-style static order prefers q1 (moving tuples, not destroying them)
+// and accumulates backlog.
 func runE4(strategy Factory, bursts, burstSize, capacity int) e4Result {
 	opA := ops.NewFilter("opA", func(v any) bool { return true })
 	opB := ops.NewFilter("opB", func(v any) bool { return v.(int)%10 == 0 })
@@ -100,11 +101,8 @@ func runE4(strategy Factory, bursts, burstSize, capacity int) e4Result {
 	q2.Subscribe(opB, 0)
 	opB.Subscribe(sinkC, 0)
 
-	t1 := NewBufferTask(q1)
-	t1.SetProfile(1.0, 1)
-	t2 := NewBufferTask(q2)
-	t2.SetProfile(0.1, 1)
-	tasks := []Task{t1, t2}
+	attachBlocks(q1, opA, q2, opB)
+	tasks := []Task{NewBufferTask(q1), NewBufferTask(q2)}
 	strat := strategy()
 
 	res := e4Result{Strategy: strat.Name()}
@@ -159,6 +157,7 @@ func TestClaimE4ChainMinimizesBacklog(t *testing.T) {
 		t.Fatalf("rate-based maxq %d below chain %d", rate.MaxBacklog, chain.MaxBacklog)
 	}
 	for _, r := range []e4Result{chain, fifo, rate} {
+		t.Logf("%s: peak backlog %d, summed backlog %d, %d ticks", r.Strategy, r.MaxBacklog, r.SumBacklog, r.Ticks)
 		if r.Ticks >= 200*100 {
 			t.Fatalf("%s failed to drain", r.Strategy)
 		}

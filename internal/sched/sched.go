@@ -20,10 +20,12 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"pipes/internal/pubsub"
+	"pipes/internal/telemetry/flight"
 )
 
 // Task is one schedulable unit of work.
@@ -39,13 +41,88 @@ type Task interface {
 	Backlog() int
 }
 
-// Profiled is optionally implemented by tasks that can report cost and
-// selectivity estimates; the Chain and rate-based strategies consult it.
+// Profiled is implemented by tasks that report their virtual node's
+// measured profile (BufferTask, EmitterTask); the Chain and rate-based
+// strategies read it. A task without one counts as σ = 1, cost = 1.
 type Profiled interface {
-	// Selectivity is the task's outputs-per-input estimate.
-	Selectivity() float64
-	// CostNS is the estimated processing cost per element in nanoseconds.
-	CostNS() float64
+	// Profile returns the selectivity (elements out per element in) and
+	// the per-element cost in nanoseconds, which is positive.
+	Profile() (selectivity, costNS float64)
+}
+
+// virtualNode reads a task's profile off the flight blocks of the nodes
+// the task runs: everything its publisher — the boundary buffer, or the
+// emitter's source — reaches through direct subscriptions. Elements leave
+// the virtual node where a node publishes them to a Buffer (the next
+// virtual node) or to a terminal sink. σ is the elements leaving over the
+// elements the publisher published; cost is the nodes' summed measured
+// service time (OpRef.Cost, kept while a view times the node). σ is 1
+// while a block is missing or nothing has been counted, cost 1 while no
+// node is timed. Only the profiled strategies read it, from the owning
+// worker, so a task's batches never pay for a read.
+type virtualNode struct {
+	pub  pubsub.Source
+	seen []pubsub.Source // one read's visited nodes, reused across reads
+}
+
+// blockOf returns n's flight block, nil when it carries none.
+func blockOf(n pubsub.Node) *flight.OpRef {
+	if b, ok := n.(interface{ FlightRef() *flight.OpRef }); ok {
+		return b.FlightRef()
+	}
+	return nil
+}
+
+// profile reads the virtual node's selectivity and cost.
+func (v *virtualNode) profile() (sel, cost float64) {
+	pub := blockOf(v.pub)
+	if pub == nil {
+		return 1, 1
+	}
+	in := pub.Elements()
+	if in == 0 {
+		return 1, 1
+	}
+	v.seen = v.seen[:0]
+	out, ns, ok := v.walk(v.pub, pub)
+	if !ok {
+		return 1, 1
+	}
+	if ns <= 0 {
+		ns = 1
+	}
+	return float64(out) / float64(in), ns
+}
+
+// walk visits what n publishes to inside the virtual node and returns the
+// elements its exits published and the service time its nodes measured;
+// ok is false at a node without a block, where nothing can be counted.
+func (v *virtualNode) walk(n pubsub.Source, ref *flight.OpRef) (out int64, ns float64, ok bool) {
+	exit := false
+	for _, sub := range n.Subscriptions() {
+		next, pipe := sub.Sink.(pubsub.Source)
+		if _, buf := sub.Sink.(*pubsub.Buffer); buf || !pipe {
+			exit = true
+			continue
+		}
+		if slices.Contains(v.seen, next) {
+			continue
+		}
+		v.seen = append(v.seen, next)
+		nref := blockOf(next)
+		if nref == nil {
+			return 0, 0, false
+		}
+		o, c, counted := v.walk(next, nref)
+		if !counted {
+			return 0, 0, false
+		}
+		out, ns = out+o, ns+c+nref.Cost()
+	}
+	if exit {
+		out += ref.Elements()
+	}
+	return out, ns, true
 }
 
 // EmitterTask drives an active source, one frame per EmitBatch call.
@@ -57,12 +134,18 @@ type EmitterTask struct {
 	// other workers probing for stealable work, concurrently with
 	// RunBatch. idle records that the last batch found nothing ready.
 	done, idle atomic.Bool
+
+	vn virtualNode // read by the profiled strategies only
 }
 
 // NewEmitterTask wraps an emitter.
 func NewEmitterTask(e pubsub.Emitter) *EmitterTask {
-	return &EmitterTask{emitter: pubsub.FrameEmitter(e)}
+	return &EmitterTask{emitter: pubsub.FrameEmitter(e), vn: virtualNode{pub: e}}
 }
+
+// Profile implements Profiled: the virtual node the source publishes
+// into.
+func (t *EmitterTask) Profile() (float64, float64) { return t.vn.profile() }
 
 // Name implements Task.
 func (t *EmitterTask) Name() string { return t.emitter.Name() }
@@ -100,21 +183,12 @@ type BufferTask struct {
 	// stealable work, concurrently with RunBatch.
 	done atomic.Bool
 
-	// static profile used by profile-driven strategies when no live
-	// metadata is attached.
-	sel  float64
-	cost float64
+	vn virtualNode // read by the profiled strategies only
 }
 
 // NewBufferTask wraps a boundary buffer.
 func NewBufferTask(b *pubsub.Buffer) *BufferTask {
-	return &BufferTask{buf: b, sel: 1, cost: 1}
-}
-
-// SetProfile sets the selectivity and per-element cost estimates consulted
-// by Chain and rate-based strategies (live metadata may overwrite them).
-func (t *BufferTask) SetProfile(selectivity, costNS float64) {
-	t.sel, t.cost = selectivity, costNS
+	return &BufferTask{buf: b, vn: virtualNode{pub: b}}
 }
 
 // SetReady installs fn as the buffer's ready hook (Buffer.SetReady): the
@@ -149,11 +223,8 @@ func (t *BufferTask) Backlog() int {
 	return n
 }
 
-// Selectivity implements Profiled.
-func (t *BufferTask) Selectivity() float64 { return t.sel }
-
-// CostNS implements Profiled.
-func (t *BufferTask) CostNS() float64 { return t.cost }
+// Profile implements Profiled: the virtual node the buffer drains into.
+func (t *BufferTask) Profile() (float64, float64) { return t.vn.profile() }
 
 // Boundary splices a buffer between src and (sink, input) and returns its
 // task: the layer-1 primitive that ends one virtual node and starts the

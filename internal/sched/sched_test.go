@@ -8,6 +8,7 @@ import (
 	"pipes/internal/ops"
 	"pipes/internal/pubsub"
 	"pipes/internal/remote"
+	"pipes/internal/telemetry/flight"
 	"pipes/internal/temporal"
 )
 
@@ -245,11 +246,10 @@ type strategyTask struct {
 	cost    float64
 }
 
-func (t *strategyTask) Name() string             { return t.name }
-func (t *strategyTask) RunBatch(int) (int, bool) { return 0, false }
-func (t *strategyTask) Backlog() int             { return t.backlog }
-func (t *strategyTask) Selectivity() float64     { return t.sel }
-func (t *strategyTask) CostNS() float64          { return t.cost }
+func (t *strategyTask) Name() string                { return t.name }
+func (t *strategyTask) RunBatch(int) (int, bool)    { return 0, false }
+func (t *strategyTask) Backlog() int                { return t.backlog }
+func (t *strategyTask) Profile() (float64, float64) { return t.sel, t.cost }
 
 func TestRoundRobinCycles(t *testing.T) {
 	tasks := []Task{
@@ -319,17 +319,6 @@ func TestAllStrategiesReturnMinusOneWhenIdle(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, n := range []string{"round-robin", "rr", "fifo", "random", "chain", "rate", "backlog"} {
-		if _, ok := ByName(n, 1); !ok {
-			t.Errorf("ByName(%q) unknown", n)
-		}
-	}
-	if _, ok := ByName("nope", 1); ok {
-		t.Error("ByName accepted unknown strategy")
-	}
-}
-
 func TestChainReducesBacklogVersusFIFOUnderBurst(t *testing.T) {
 	// A two-stage plan where stage 1 drops 90% of elements. Chain should
 	// keep (max) queue memory no worse than FIFO-on-registration-order
@@ -341,8 +330,7 @@ func TestChainReducesBacklogVersusFIFOUnderBurst(t *testing.T) {
 		// boundary 1: src -> buf1 -> drop ; boundary 2: drop -> buf2 -> col
 		b1, _ := Boundary("buf1", src, drop, 0)
 		b2, _ := Boundary("buf2", drop, col, 0)
-		b1.SetProfile(0.1, 1)
-		b2.SetProfile(1.0, 1)
+		attachBlocks(src, b1.Buffer(), drop, b2.Buffer())
 		s := New(Config{Workers: 1, Strategy: mk, BatchSize: 16})
 		s.Add(NewEmitterTask(src))
 		s.Add(b2) // register the productive stage first,
@@ -365,5 +353,91 @@ func TestChainReducesBacklogVersusFIFOUnderBurst(t *testing.T) {
 	fifoMax := run(FIFO())
 	if chainMax > fifoMax*2 {
 		t.Fatalf("chain max backlog %d much worse than fifo %d", chainMax, fifoMax)
+	}
+}
+
+// attachBlocks gives every node its own flight block, as the facade's
+// recorder does: the tasks' profiles are then measured.
+func attachBlocks(nodes ...interface {
+	Name() string
+	SetFlightRef(*flight.OpRef)
+}) {
+	for _, n := range nodes {
+		n.SetFlightRef(flight.NewRef(n.Name()))
+	}
+}
+
+// measuredTask wires src → boundary → filter(keep) → counter with a block on
+// every node, runs 100 elements through and leaves 10 queued: the task's
+// profile is measured, never set.
+func measuredTask(t *testing.T, name string, keep ops.Predicate) *BufferTask {
+	t.Helper()
+	src := pubsub.NewSliceSource(name+".src", chronons(110))
+	f := ops.NewFilter(name, keep)
+	bt, err := Boundary(name+".buf", src, f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Subscribe(pubsub.NewCounter(name+".out", 1), 0)
+	attachBlocks(src, bt.Buffer(), f)
+	src.EmitBatch(100)
+	bt.RunBatch(0)
+	src.EmitBatch(10)
+	return bt
+}
+
+func passAll(any) bool    { return true }
+func oneInTen(v any) bool { return v.(int)%10 == 0 }
+
+// Chain and rate-based scheduling read σ off the blocks: the filter's task
+// measures 0.1 and the pass-through's 1, so Chain drains the filter's task
+// first and rate-based the pass-through's. Each wanted task sits at index
+// 1, where a tie on unmeasured profiles would never pick it.
+func TestProfiledStrategiesReadMeasuredSelectivity(t *testing.T) {
+	pass, filter := measuredTask(t, "pass", passAll), measuredTask(t, "filter", oneInTen)
+	if sel, _ := filter.Profile(); sel != 0.1 {
+		t.Fatalf("filter task σ = %v, want 0.1", sel)
+	}
+	if idx := Chain()().Next([]Task{pass, filter}); idx != 1 {
+		t.Errorf("chain picked %d, want the filter's task (1)", idx)
+	}
+	if idx := RateBased()().Next([]Task{filter, pass}); idx != 1 {
+		t.Errorf("rate-based picked %d, want the pass-through's task (1)", idx)
+	}
+}
+
+// Without blocks nothing is counted: every task reports σ = 1, cost = 1.
+func TestUnmeasuredTaskProfileIsUniform(t *testing.T) {
+	emit, buf, _ := buildChain(100)
+	pubsub.DriveBatched(emit.emitter, 64)
+	for _, p := range []Profiled{emit, buf} {
+		if sel, cost := p.Profile(); sel != 1 || cost != 1 {
+			t.Errorf("%T profile = (%v, %v) without blocks, want (1, 1)", p, sel, cost)
+		}
+	}
+}
+
+// A profiled strategy picks the one ready task whatever its priority: a
+// fan-out task (σ > 2) has a Chain priority below −1.
+func TestProfiledStrategiesPickAnyReadyTask(t *testing.T) {
+	for _, sel := range []float64{0.1, 1, 3} {
+		tasks := []Task{&strategyTask{name: "a", backlog: 1, sel: sel, cost: 1}}
+		for _, mk := range []Factory{Chain(), RateBased()} {
+			if idx := mk().Next(tasks); idx != 0 {
+				t.Errorf("%s with one ready task of σ = %v picked %d, want 0", mk().Name(), sel, idx)
+			}
+		}
+	}
+}
+
+// No strategy allocates to pick: not Random's choice among the ready
+// tasks, not the profiled strategies' reads of measured profiles.
+func TestStrategiesPickWithoutAllocating(t *testing.T) {
+	tasks := []Task{measuredTask(t, "pass", passAll), measuredTask(t, "filter", oneInTen)}
+	for _, mk := range []Factory{RoundRobin(), FIFO(), Random(1), Chain(), RateBased(), HighestBacklog()} {
+		s := mk()
+		if n := testing.AllocsPerRun(2*profileEvery, func() { s.Next(tasks) }); n != 0 {
+			t.Errorf("%s: %v allocations per pick, want 0", s.Name(), n)
+		}
 	}
 }

@@ -194,14 +194,14 @@ func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) (progress bo
 	n, fin := t.RunBatch(batch)
 	s.batches.Add(1)
 	progress = n > 0 || fin
-	backlog := t.observe(n, stolen && progress)
 	if fin && t.markDone() {
 		s.finished.Add(1)
 	}
 	t.release()
-	if backlog > 0 {
-		// A worker that lost the activation lock to this batch may have
-		// parked meanwhile: hand the rest on.
+	// The backlog is read after the release: a worker woken by work that
+	// arrived during this batch lost the activation lock to it and may have
+	// parked meanwhile, so whatever is left is handed on.
+	if t.observe(n, stolen && progress) > 0 {
 		s.signal()
 	}
 	return progress

@@ -65,80 +65,79 @@ func Random(seed int64) Factory {
 
 func (*random) Name() string { return "random" }
 
+// Next keeps the k-th ready task it meets with probability 1/k (reservoir
+// sampling), so one pass picks uniformly without collecting the ready set.
 func (s *random) Next(tasks []Task) int {
-	ready := make([]int, 0, len(tasks))
-	for i, t := range tasks {
-		if t.Backlog() > 0 {
-			ready = append(ready, i)
-		}
-	}
-	if len(ready) == 0 {
-		return -1
-	}
-	return ready[s.rng.Intn(len(ready))]
-}
-
-// chain implements Chain scheduling [Babcock et al., 4]: run the ready
-// task with the steepest drop in expected queue memory per unit cost,
-// i.e. the greatest (1 − selectivity)/cost. Chain provably minimises total
-// queue memory for single-stream plans.
-type chain struct{}
-
-// Chain returns the memory-minimising strategy.
-func Chain() Factory { return func() Strategy { return chain{} } }
-
-func (chain) Name() string { return "chain" }
-
-func (chain) Next(tasks []Task) int {
-	best, bestPrio := -1, -1.0
+	best, ready := -1, 0
 	for i, t := range tasks {
 		if t.Backlog() == 0 {
 			continue
 		}
-		prio := 1.0
-		if p, ok := t.(Profiled); ok {
-			cost := p.CostNS()
-			if cost <= 0 {
-				cost = 1
-			}
-			prio = (1 - p.Selectivity()) / cost
-		}
-		if prio > bestPrio {
-			best, bestPrio = i, prio
+		if ready++; s.rng.Intn(ready) == 0 {
+			best = i
 		}
 	}
 	return best
 }
 
-// rateBased implements rate-based scheduling [Carney et al., 9]: run the
-// ready task with the greatest output rate per unit cost,
-// selectivity/cost — the dual of Chain, minimising result latency.
-type rateBased struct{}
+// profileEvery is how many picks a profiled strategy makes on one reading
+// of its tasks' profiles: a reading walks every task's virtual node, a
+// pick only compares the cached priorities.
+const profileEvery = 16
 
-// RateBased returns the output-rate-maximising strategy.
-func RateBased() Factory { return func() Strategy { return rateBased{} } }
+// profiled is the pick loop Chain and rate-based scheduling share: run the
+// ready task of highest priority, a function of the task's measured
+// selectivity and cost (Profiled).
+type profiled struct {
+	name  string
+	prio  func(sel, cost float64) float64
+	cache []float64 // priority per task, read every profileEvery picks
+	picks int
+}
 
-func (rateBased) Name() string { return "rate" }
+func (s *profiled) Name() string { return s.name }
 
-func (rateBased) Next(tasks []Task) int {
-	best, bestPrio := -1, -1.0
-	for i, t := range tasks {
-		if t.Backlog() == 0 {
-			continue
+func (s *profiled) Next(tasks []Task) int {
+	if s.picks%profileEvery == 0 || len(s.cache) != len(tasks) {
+		if cap(s.cache) < len(tasks) {
+			s.cache = make([]float64, len(tasks))
 		}
-		prio := 1.0
-		if p, ok := t.(Profiled); ok {
-			cost := p.CostNS()
-			if cost <= 0 {
-				cost = 1
+		s.cache = s.cache[:len(tasks)]
+		for i, t := range tasks {
+			sel, cost := 1.0, 1.0
+			if p, ok := t.(Profiled); ok {
+				sel, cost = p.Profile()
 			}
-			prio = p.Selectivity() / cost
+			s.cache[i] = s.prio(sel, cost)
 		}
-		if prio > bestPrio {
-			best, bestPrio = i, prio
+	}
+	s.picks++
+	best := -1
+	for i, t := range tasks {
+		if t.Backlog() > 0 && (best < 0 || s.cache[i] > s.cache[best]) {
+			best = i
 		}
 	}
 	return best
+}
+
+// Chain returns Chain scheduling [Babcock et al., 4]: run the ready task
+// with the steepest drop in expected queue memory per unit cost, i.e. the
+// greatest (1 − selectivity)/cost. Chain provably minimises total queue
+// memory for single-stream plans.
+func Chain() Factory {
+	return func() Strategy {
+		return &profiled{name: "chain", prio: func(sel, cost float64) float64 { return (1 - sel) / cost }}
+	}
+}
+
+// RateBased returns rate-based scheduling [Carney et al., 9]: run the ready
+// task with the greatest output rate per unit cost, selectivity/cost — the
+// dual of Chain, minimising result latency.
+func RateBased() Factory {
+	return func() Strategy {
+		return &profiled{name: "rate", prio: func(sel, cost float64) float64 { return sel / cost }}
+	}
 }
 
 // highestBacklog runs the task with the longest queue — a latency bound
@@ -158,23 +157,4 @@ func (highestBacklog) Next(tasks []Task) int {
 		}
 	}
 	return best
-}
-
-// ByName resolves a strategy factory from its name; tools use it.
-func ByName(name string, seed int64) (Factory, bool) {
-	switch name {
-	case "round-robin", "rr":
-		return RoundRobin(), true
-	case "fifo":
-		return FIFO(), true
-	case "random":
-		return Random(seed), true
-	case "chain":
-		return Chain(), true
-	case "rate":
-		return RateBased(), true
-	case "backlog":
-		return HighestBacklog(), true
-	}
-	return nil, false
 }

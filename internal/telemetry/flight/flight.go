@@ -133,8 +133,8 @@ type slot struct {
 	c    atomic.Int64
 }
 
-// DefaultRingSize is the event capacity used when the config leaves
-// FlightEvents zero.
+// DefaultRingSize is the event capacity of the facade's recorder, and of
+// New given a size <= 0.
 const DefaultRingSize = 4096
 
 // minRingSize keeps degenerate configs usable.

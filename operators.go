@@ -111,7 +111,6 @@ var (
 	Chain          = sched.Chain
 	RateBased      = sched.RateBased
 	HighestBacklog = sched.HighestBacklog
-	StrategyByName = sched.ByName
 	// Boundary splices a scheduler buffer between two nodes (a
 	// virtual-node boundary).
 	Boundary = sched.Boundary

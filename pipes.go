@@ -161,15 +161,13 @@ type Config struct {
 	// should be reachable separately from the operator-facing telemetry
 	// endpoint.
 	ServiceAddr string
-	// FlightEvents sizes the flight recorder's system-event ring (0 =
-	// default 4096 events, rounded up to a power of two). The recorder is
-	// always on — see internal/telemetry/flight and OBSERVABILITY.md —
-	// and feeds /flight.json, /bottleneck.json and the pipes_edge_* /
-	// pipes_checkpoint_round_* scrape families.
-	FlightEvents int
-	// DisableFlight turns the flight recorder off: no ring, no
-	// pipes_edge_* export, empty /flight.json and /bottleneck.json.
-	// MonitorQueries keeps working on recorder-less blocks.
+	// DisableFlight turns the flight recorder off. The recorder is on by
+	// default (a ring of flight.DefaultRingSize events; see
+	// internal/telemetry/flight and OBSERVABILITY.md) and hands every node
+	// the block the scheduler and the cost model measure with. Off: no
+	// ring, no pipes_edge_* export, empty /flight.json and
+	// /bottleneck.json, and the task profiles and stream rates go
+	// unmeasured. MonitorQueries keeps working on recorder-less blocks.
 	DisableFlight bool
 }
 
@@ -249,7 +247,7 @@ func NewDSMS(cfg Config) *DSMS {
 		d.Tracer = telemetry.NewTracer(cfg.TraceEvery, 0)
 	}
 	if !cfg.DisableFlight {
-		d.Flight = flight.New(cfg.FlightEvents)
+		d.Flight = flight.New(flight.DefaultRingSize)
 		d.Scheduler.SetFlightRecorder(d.Flight)
 		d.Memory.SetFlightRecorder(d.Flight)
 	}
@@ -264,8 +262,10 @@ func NewDSMS(cfg Config) *DSMS {
 	return d
 }
 
-// RegisterStream adds a raw tuple stream under name with a rate estimate
-// for the cost model. When Start runs, a source with Run(ctx) (an
+// RegisterStream adds a raw tuple stream under name with a declared rate
+// (elements/second), the cost model's prior until the stream's flight
+// block has counted elements: from then on queries are planned against its
+// measured rate. When Start runs, a source with Run(ctx) (an
 // autonomous source: ChanSource) gets a thread of its own, and an active
 // emitter is scheduled.
 func (d *DSMS) RegisterStream(name string, src pubsub.Source, rate float64) {
