@@ -6,16 +6,10 @@ package pipes
 import (
 	"fmt"
 
-	"pipes/internal/cql"
 	"pipes/internal/ft"
 	"pipes/internal/pubsub"
+	"pipes/internal/wire"
 )
-
-func init() {
-	// Tuples flow through every CQL-built plan, so their snapshots must be
-	// transportable by default, like the basic types.
-	ft.RegisterType(cql.Tuple{})
-}
 
 // Checkpoint re-exports for facade users driving recovery by hand.
 type (
@@ -38,9 +32,10 @@ var ErrNoCheckpoint = ft.ErrNoCheckpoint
 var NewCheckpointSink = ft.NewCheckpointSink
 
 // RegisterCheckpointType makes a concrete stream value type serialisable
-// in checkpoints (a thin wrapper over gob registration). Call once per
-// custom type before Start.
-var RegisterCheckpointType = ft.RegisterType
+// in checkpoints: the basic kinds and cql.Tuple are built in, any other
+// type travels through the state codec's gob fallback once registered.
+// Call once per custom type before Start.
+var RegisterCheckpointType = wire.RegisterType
 
 // initCheckpoints builds the checkpoint store and manager when the
 // configuration enables them. Called from NewDSMS.

@@ -3,16 +3,16 @@
 // copies captured in the method body.
 package ops
 
-import "encoding/gob"
+import "fmt"
 
 type liveJoin struct {
 	m map[int]string
 }
 
 // Bad: the closure reaches back into the receiver off-barrier.
-func (j *liveJoin) SnapshotState() (func(enc *gob.Encoder) error, error) {
-	return func(enc *gob.Encoder) error {
-		return enc.Encode(j.m) // want `encode closure references the receiver`
+func (j *liveJoin) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	return func(dst []byte) ([]byte, error) {
+		return fmt.Appendf(dst, "%v", j.m), nil // want `encode closure references the receiver`
 	}, nil
 }
 
@@ -23,15 +23,12 @@ type headerWindow struct {
 
 // Bad: a map/slice header assignment is not a copy — st shares the
 // receiver's storage, and the named-closure indirection doesn't launder it.
-func (w *headerWindow) SnapshotState() (func(enc *gob.Encoder) error, error) {
+func (w *headerWindow) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	st := w.q
 	byKey := w.byKey
-	encode := func(enc *gob.Encoder) error {
-		err := enc.Encode(st) // want `references state aliased from the receiver`
-		if err != nil {
-			return err
-		}
-		return enc.Encode(byKey) // want `references state aliased from the receiver`
+	encode := func(dst []byte) ([]byte, error) {
+		dst = fmt.Appendf(dst, "%v", st)          // want `references state aliased from the receiver`
+		return fmt.Appendf(dst, "%v", byKey), nil // want `references state aliased from the receiver`
 	}
 	return encode, nil
 }
@@ -42,10 +39,10 @@ type pointerOp struct {
 
 // Bad: a pointer into the receiver carries live state past the barrier
 // even though the field itself is a scalar.
-func (p *pointerOp) SnapshotState() (func(enc *gob.Encoder) error, error) {
+func (p *pointerOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	n := &p.count
-	return func(enc *gob.Encoder) error {
-		return enc.Encode(*n) // want `references state aliased from the receiver`
+	return func(dst []byte) ([]byte, error) {
+		return fmt.Appendf(dst, "%d", *n), nil // want `references state aliased from the receiver`
 	}, nil
 }
 
@@ -56,10 +53,10 @@ type methodOp struct {
 func (m *methodOp) flush() {}
 
 // Bad: calling any receiver method off-barrier is live-state access.
-func (m *methodOp) SnapshotState() (func(enc *gob.Encoder) error, error) {
-	return func(enc *gob.Encoder) error {
+func (m *methodOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	return func(dst []byte) ([]byte, error) {
 		m.flush() // want `encode closure references the receiver`
-		return nil
+		return dst, nil
 	}, nil
 }
 
@@ -82,7 +79,7 @@ func (a *area) Items() []int {
 }
 
 // Good: every value the closure uses is a copy made under the barrier.
-func (g *goodOp) SnapshotState() (func(enc *gob.Encoder) error, error) {
+func (g *goodOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	q := append([]int(nil), g.q...)
 	byKey := make(map[string][]int, len(g.byKey))
 	for k, v := range g.byKey {
@@ -90,16 +87,11 @@ func (g *goodOp) SnapshotState() (func(enc *gob.Encoder) error, error) {
 	}
 	n := g.count
 	items := g.area.Items()
-	return func(enc *gob.Encoder) error {
+	return func(dst []byte) ([]byte, error) {
 		for _, v := range [][]int{q, items} {
-			if err := enc.Encode(v); err != nil {
-				return err
-			}
+			dst = fmt.Appendf(dst, "%v", v)
 		}
-		if err := enc.Encode(byKey); err != nil {
-			return err
-		}
-		return enc.Encode(n)
+		return fmt.Appendf(dst, "%v %d", byKey, n), nil
 	}, nil
 }
 
@@ -108,9 +100,9 @@ type reviewedOp struct {
 }
 
 // Good: the escape hatch, with its mandatory reason.
-func (r *reviewedOp) SnapshotState() (func(enc *gob.Encoder) error, error) {
-	return func(enc *gob.Encoder) error {
+func (r *reviewedOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	return func(dst []byte) ([]byte, error) {
 		//pipesvet:allow snapshotclosure fixture: frozen is write-once before Start and never mutated
-		return enc.Encode(r.frozen)
+		return fmt.Appendf(dst, "%v", r.frozen), nil
 	}, nil
 }

@@ -1,12 +1,12 @@
 // Package other is outside the snapshotclosure scope.
 package other
 
-import "encoding/gob"
+import "fmt"
 
 type op struct{ m map[int]int }
 
-func (o *op) SnapshotState() (func(enc *gob.Encoder) error, error) {
-	return func(enc *gob.Encoder) error {
-		return enc.Encode(o.m) // out of scope: no diagnostic
+func (o *op) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	return func(dst []byte) ([]byte, error) {
+		return fmt.Appendf(dst, "%v", o.m), nil // out of scope: no diagnostic
 	}, nil
 }

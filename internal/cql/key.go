@@ -9,7 +9,8 @@ import (
 )
 
 // Grouping, equi-join and partition keys are map keys inside operators
-// and travel in checkpoints, so they must be comparable gob builtins, and
+// and travel in checkpoints, so they must be comparable kinds the state
+// codec tags (internal/wire), and
 // values the comparison kernel calls equal must meet under them: 5,
 // int64(5) and 5.0 are one key, "5" is another (SEMANTICS.md §5).
 

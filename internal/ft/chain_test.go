@@ -2,7 +2,6 @@ package ft_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +13,7 @@ import (
 )
 
 // sealRounds runs one manager's life over store: a source feeding a count
-// window (values from, from+1, …) in rounds+1 stretches of 256 elements,
+// window (values from, from+1, …) in rounds+1 stretches of 512 elements,
 // with a manually triggered round ahead of every stretch but the first. It
 // checks after every seal that the store resolves the round to the
 // window's full encoding at its cut — whatever mix of base, delta and
@@ -24,7 +23,9 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 	t.Helper()
 	mgr = ft.NewManager(store)
 	mgr.SetBaseEvery(baseEvery)
-	const perRound = 256
+	// A stretch is long enough that every round's delta against the last
+	// comes out smaller than the full state, so chains form.
+	const perRound = 512
 	es := manyElements((rounds + 1) * perRound)
 	for i := range es {
 		es[i].Value = from + i
@@ -45,8 +46,8 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 	for round := 0; round < rounds; round++ {
 		// The cut is injected ahead of this round's elements, so the
 		// expected full image is the operator's state right now.
-		var full bytes.Buffer
-		if err := ft.EncodeState(win, gob.NewEncoder(&full)); err != nil {
+		full, err := ft.EncodeState(win)
+		if err != nil {
 			t.Fatal(err)
 		}
 		id, err := mgr.Trigger()
@@ -57,12 +58,12 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 			src.EmitNext() // Trigger injected the barrier ahead of these
 		}
 		waitSealed(t, mgr, id)
-		if cp := mustLatest(t, store, id); !bytes.Equal(cp.States["win"], full.Bytes()) {
+		if cp := mustLatest(t, store, id); !bytes.Equal(cp.States["win"], full) {
 			t.Fatalf("round %d: resolved state (%dB) differs from the cut's full encoding (%dB)",
-				id, len(cp.States["win"]), full.Len())
+				id, len(cp.States["win"]), len(full))
 		}
 		ids = append(ids, id)
-		snaps = append(snaps, full.Bytes())
+		snaps = append(snaps, full)
 	}
 	return mgr, ids, snaps
 }
@@ -142,8 +143,8 @@ func TestSnapshotStateCapturesAtCall(t *testing.T) {
 	join.ProcessBatch(temporal.Batch{el(2, 2, 10)}, 1)
 	join.ProcessBatch(temporal.Batch{el(1, 3, 8)}, 1)
 
-	var direct bytes.Buffer
-	if err := ft.EncodeState(join, gob.NewEncoder(&direct)); err != nil {
+	direct, err := ft.EncodeState(join)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fn, err := join.SnapshotState()
@@ -151,13 +152,13 @@ func TestSnapshotStateCapturesAtCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	join.ProcessBatch(temporal.Batch{el(3, 4, 9)}, 0) // mutate after the capture
-	var viaHandle bytes.Buffer
-	if err := fn(gob.NewEncoder(&viaHandle)); err != nil {
+	viaHandle, err := fn(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(direct.Bytes(), viaHandle.Bytes()) {
+	if !bytes.Equal(direct, viaHandle) {
 		t.Fatalf("closure encoded %dB after a later mutation, %dB at capture time",
-			viaHandle.Len(), direct.Len())
+			len(viaHandle), len(direct))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Chunking parameters. The minimum keeps per-chunk bookkeeping amortised,
@@ -96,13 +97,16 @@ func chunkHash(b []byte) uint64 {
 	return h
 }
 
-// MakeDelta encodes cur as a delta against parent: copy ops referencing
-// byte ranges of parent plus literal ops for new content. It returns nil
-// when a delta is not worthwhile (the encoding would not be smaller than
-// cur itself) — the caller then writes cur as a full entry.
-func MakeDelta(parent, cur []byte) []byte {
+// MakeDelta appends to dst the encoding of cur as a delta against parent:
+// copy ops referencing byte ranges of parent plus literal ops for new
+// content. It returns dst unchanged when a delta is not worthwhile (the
+// encoding would not be smaller than cur itself) — the caller then writes
+// cur as a full entry. The output is sized for a delta as large as cur up
+// front, so a buffer the caller reuses stops growing after its first
+// round.
+func MakeDelta(dst, parent, cur []byte) []byte {
 	if len(parent) == 0 || len(cur) == 0 {
-		return nil
+		return dst
 	}
 	index := make(map[uint64][]chunkSpan)
 	for _, c := range cdcChunks(parent) {
@@ -110,8 +114,7 @@ func MakeDelta(parent, cur []byte) []byte {
 		index[h] = append(index[h], c)
 	}
 
-	out := make([]byte, 0, len(cur)/4+len(deltaMagic))
-	out = append(out, deltaMagic...)
+	out := append(slices.Grow(dst, len(cur)+len(deltaMagic)), deltaMagic...)
 	var varint [2 * binary.MaxVarintLen64]byte
 
 	litStart := -1 // start of the pending literal run in cur
@@ -166,52 +169,69 @@ func MakeDelta(parent, cur []byte) []byte {
 	flushLit(len(cur))
 	flushCopy()
 
-	if len(out) >= len(cur) {
-		return nil
+	if len(out)-len(dst) >= len(cur) {
+		return dst
 	}
 	return out
 }
 
 // ApplyDelta reconstructs the full state encoded by a MakeDelta blob
-// against the same parent bytes. Malformed input (bad magic, truncated
-// ops, out-of-range copies) is an error, never a panic: recovery treats
-// it as a torn entry and falls back along the chain.
+// against the same parent bytes. A first pass checks every op and sums
+// the output length, so the output is allocated once, at its final size.
+// Malformed input (bad magic, truncated ops, out-of-range copies) is an
+// error, never a panic: recovery treats it as a torn entry and falls back
+// along the chain.
 func ApplyDelta(parent, delta []byte) ([]byte, error) {
 	if len(delta) < len(deltaMagic) || !bytes.Equal(delta[:len(deltaMagic)], deltaMagic) {
 		return nil, fmt.Errorf("ft: delta blob has bad magic")
 	}
-	rest := delta[len(deltaMagic):]
-	var out []byte
+	ops := delta[len(deltaMagic):]
+	size, err := applyOps(parent, ops, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, size)
+	_, err = applyOps(parent, ops, &out)
+	return out, err
+}
+
+// applyOps walks a delta's ops and returns the length of the output they
+// produce, appending that output to *out when out is not nil.
+func applyOps(parent, rest []byte, out *[]byte) (int, error) {
+	size := 0
 	for len(rest) > 0 {
 		op := rest[0]
 		rest = rest[1:]
+		var piece []byte
 		switch op {
 		case deltaOpLiteral:
 			n, used := binary.Uvarint(rest)
 			if used <= 0 || uint64(len(rest)-used) < n {
-				return nil, fmt.Errorf("ft: delta literal op truncated")
+				return 0, fmt.Errorf("ft: delta literal op truncated")
 			}
-			rest = rest[used:]
-			out = append(out, rest[:n]...)
-			rest = rest[n:]
+			piece, rest = rest[used:used+int(n)], rest[used+int(n):]
 		case deltaOpCopy:
 			off, used := binary.Uvarint(rest)
 			if used <= 0 {
-				return nil, fmt.Errorf("ft: delta copy op truncated")
+				return 0, fmt.Errorf("ft: delta copy op truncated")
 			}
 			rest = rest[used:]
 			n, used := binary.Uvarint(rest)
 			if used <= 0 {
-				return nil, fmt.Errorf("ft: delta copy op truncated")
+				return 0, fmt.Errorf("ft: delta copy op truncated")
 			}
 			rest = rest[used:]
 			if off+n < off || off+n > uint64(len(parent)) {
-				return nil, fmt.Errorf("ft: delta copy [%d,%d) outside parent of %d bytes", off, off+n, len(parent))
+				return 0, fmt.Errorf("ft: delta copy [%d,%d) outside parent of %d bytes", off, off+n, len(parent))
 			}
-			out = append(out, parent[off:off+n]...)
+			piece = parent[off : off+n]
 		default:
-			return nil, fmt.Errorf("ft: delta blob has unknown op 0x%02x", op)
+			return 0, fmt.Errorf("ft: delta blob has unknown op 0x%02x", op)
+		}
+		size += len(piece)
+		if out != nil {
+			*out = append(*out, piece...)
 		}
 	}
-	return out, nil
+	return size, nil
 }

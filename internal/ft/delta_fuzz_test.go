@@ -39,7 +39,7 @@ func FuzzApplyDelta(f *testing.F) {
 	}
 	cur = append(cur, tail...)
 
-	if d := MakeDelta(parent, cur); d != nil {
+	if d := MakeDelta(nil, parent, cur); d != nil {
 		f.Add(parent, cur, d)
 		f.Add(parent, cur, d[:len(d)/2])          // torn tail
 		f.Add(parent, cur, d[:len(deltaMagic)+1]) // torn just past the magic
@@ -53,7 +53,7 @@ func FuzzApplyDelta(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, parent, cur, blob []byte) {
 		// Round-trip oracle.
-		if d := MakeDelta(parent, cur); d != nil {
+		if d := MakeDelta(nil, parent, cur); d != nil {
 			if len(d) >= len(cur) {
 				t.Fatalf("MakeDelta returned a delta of %d bytes for %d bytes of state: worthwhile contract violated", len(d), len(cur))
 			}

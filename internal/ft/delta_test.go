@@ -29,10 +29,15 @@ func mutate(rng *rand.Rand, parent []byte) []byte {
 
 func TestDeltaRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var reused []byte // the writer's delta buffer, carried across rounds
 	for trial := 0; trial < 200; trial++ {
 		parent := randBytes(rng, 1+rng.Intn(64<<10))
 		cur := mutate(rng, parent)
-		d := MakeDelta(parent, cur)
+		d := MakeDelta(nil, parent, cur)
+		reused = MakeDelta(reused[:0], parent, cur)
+		if !bytes.Equal(reused, d) {
+			t.Fatalf("trial %d: a delta into a reused buffer differs from a fresh one", trial)
+		}
 		if d == nil {
 			continue // not worthwhile for this pair — the caller writes full
 		}
@@ -56,7 +61,7 @@ func TestDeltaCompressesTailAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parent := randBytes(rng, 256<<10)
 	cur := append(append([]byte(nil), parent...), randBytes(rng, 1024)...)
-	d := MakeDelta(parent, cur)
+	d := MakeDelta(nil, parent, cur)
 	if d == nil {
 		t.Fatal("tail append produced no delta")
 	}
@@ -69,6 +74,28 @@ func TestDeltaCompressesTailAppend(t *testing.T) {
 	}
 }
 
+// ApplyDelta sizes its output in a first pass over the ops and allocates
+// it once, however many ops the chain link holds.
+func TestApplyDeltaAllocatesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	parent := randBytes(rng, 256<<10)
+	cur := parent
+	for i := 0; i < 8; i++ {
+		cur = mutate(rng, cur)
+	}
+	d := MakeDelta(nil, parent, cur)
+	if d == nil {
+		t.Fatal("no delta for an edited state")
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ApplyDelta(parent, d); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("ApplyDelta made %.0f allocations, want 1", allocs)
+	}
+}
+
 // Delta bytes must be a pure function of (parent, cur): the chunk table
 // is seeded deterministically, so two processes checkpointing identical
 // state produce identical chains.
@@ -76,8 +103,8 @@ func TestDeltaDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	parent := randBytes(rng, 32<<10)
 	cur := mutate(rng, parent)
-	d1 := MakeDelta(parent, cur)
-	d2 := MakeDelta(parent, cur)
+	d1 := MakeDelta(nil, parent, cur)
+	d2 := MakeDelta(nil, parent, cur)
 	if !bytes.Equal(d1, d2) {
 		t.Fatal("MakeDelta is not deterministic")
 	}
@@ -89,13 +116,13 @@ func TestDeltaNotWorthwhileReturnsNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	parent := randBytes(rng, 8<<10)
 	cur := randBytes(rng, 8<<10) // unrelated content: nothing to copy
-	if d := MakeDelta(parent, cur); d != nil {
+	if d := MakeDelta(nil, parent, cur); d != nil {
 		t.Fatalf("unrelated content produced a %dB delta; want nil", len(d))
 	}
-	if d := MakeDelta(nil, cur); d != nil {
+	if d := MakeDelta(nil, nil, cur); d != nil {
 		t.Fatal("empty parent produced a delta; want nil")
 	}
-	if d := MakeDelta(parent, nil); d != nil {
+	if d := MakeDelta(nil, parent, nil); d != nil {
 		t.Fatal("empty cur produced a delta; want nil")
 	}
 }
@@ -106,7 +133,7 @@ func TestApplyDeltaRejectsMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	parent := randBytes(rng, 4<<10)
 	cur := append(append([]byte(nil), parent...), randBytes(rng, 64)...)
-	good := MakeDelta(parent, cur)
+	good := MakeDelta(nil, parent, cur)
 	if good == nil {
 		t.Fatal("no delta for tail append")
 	}

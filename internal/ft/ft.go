@@ -31,6 +31,9 @@
 // SnapshotState runs under the operator's ProcMu at alignment and only
 // captures; the returned closure encodes on the Manager's background
 // writer, which also does the durable write — both off the hot path.
+// State is bytes in the engine's value codec (internal/wire): a value
+// type outside its tagged set travels through its gob fallback once
+// registered with wire.RegisterType (the facade's RegisterCheckpointType).
 // Element trace slots are dropped: traces do not survive a crash.
 // LoadState runs on a freshly built, not-yet-started operator.
 //
@@ -46,15 +49,14 @@
 // uninterrupted run — the oracle checked by the recovery stress test.
 package ft
 
-import "encoding/gob"
-
 // StateSaver is implemented by every checkpointable operator.
 // SnapshotState captures a cheap immutable snapshot handle of the
 // operator's state (slice copies of the live collections — no encoding)
-// and returns a closure that serialises that handle later. The closure is
-// invoked exactly once, on the Manager's background writer after the
-// barrier gates have released, so the gob encode — the dominant cost of a
-// large snapshot — leaves the barrier stall entirely.
+// and returns a closure that appends the handle's encoding to dst later
+// and returns the extended slice. The closure is invoked on the Manager's
+// background writer after the barrier gates have released, so the encode
+// — the dominant cost of a large snapshot — leaves the barrier stall
+// entirely; the writer passes a buffer it reuses round after round.
 //
 // SnapshotState is called with the operator quiescent (under ProcMu,
 // inputs aligned); it takes no locks and does no I/O. The returned closure
@@ -64,41 +66,24 @@ import "encoding/gob"
 // declared with std-library types only so implementations stay
 // structurally matchable without importing ft.
 type StateSaver interface {
-	SnapshotState() (func(enc *gob.Encoder) error, error)
+	SnapshotState() (func(dst []byte) ([]byte, error), error)
 }
 
 // StateLoader restores state saved by the same operator type's
 // StateSaver. Called on a freshly constructed operator before the graph
-// starts.
+// starts; state is the closure's whole output, and anything it cannot
+// decode to the end is an error.
 type StateLoader interface {
-	LoadState(dec *gob.Decoder) error
+	LoadState(state []byte) error
 }
 
-// EncodeState captures op's state and encodes it in place — the
+// EncodeState captures op's state and encodes it at once — the
 // synchronous form for callers that need the bytes now (tests, tools).
 // Like SnapshotState it requires op to be quiescent.
-func EncodeState(op StateSaver, enc *gob.Encoder) error {
+func EncodeState(op StateSaver) ([]byte, error) {
 	fn, err := op.SnapshotState()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return fn(enc)
-}
-
-// RegisterType makes a concrete type encodable inside the `any` slots of
-// checkpointed state (element values, group keys). Alias of gob.Register;
-// call it for every custom value type that flows through a checkpointed
-// graph.
-func RegisterType(v any) { gob.Register(v) }
-
-func init() {
-	// Basic types that commonly travel in element values and group keys.
-	RegisterType(int(0))
-	RegisterType(int64(0))
-	RegisterType(uint64(0))
-	RegisterType(float64(0))
-	RegisterType("")
-	RegisterType(false)
-	RegisterType([]any{})
-	RegisterType(map[string]any{})
+	return fn(nil)
 }

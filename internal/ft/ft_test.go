@@ -1,8 +1,6 @@
 package ft_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,13 +223,13 @@ func TestOperatorStateRoundTrip(t *testing.T) {
 			for _, s := range tc.feed {
 				orig.ProcessBatch(temporal.Batch{s.e}, s.input)
 			}
-			var buf bytes.Buffer
-			if err := ft.EncodeState(orig.(ft.StateSaver), gob.NewEncoder(&buf)); err != nil {
+			state, err := ft.EncodeState(orig.(ft.StateSaver))
+			if err != nil {
 				t.Fatal(err)
 			}
 
 			restored := tc.make()
-			if err := restored.(ft.StateLoader).LoadState(gob.NewDecoder(bytes.NewReader(buf.Bytes()))); err != nil {
+			if err := restored.(ft.StateLoader).LoadState(state); err != nil {
 				t.Fatal(err)
 			}
 			restCol := pubsub.NewCollector("rest", 1)

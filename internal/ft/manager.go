@@ -2,7 +2,6 @@ package ft
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -71,9 +70,8 @@ type Manager struct {
 	baseEvery int
 
 	// Writer-goroutine state (plus Stop's post-Wait drain — never
-	// concurrent): per-operator double encode buffers so the previous
-	// sealed round's bytes survive as the delta parent, and the base
-	// cadence.
+	// concurrent): per-operator encode and delta buffers, reused round
+	// after round, and the base cadence.
 	enc          map[string]*opScratch
 	prevSealedID uint64 // last round this manager sealed (0 when none)
 	sinceBase    int    // sealed rounds since the last full base
@@ -109,28 +107,25 @@ type Manager struct {
 	encNanosTot   atomic.Int64 // cumulative off-barrier encode time
 }
 
-// opScratch double-buffers one operator's encoded state across rounds:
-// cur receives this round's encoding while the other buffer still holds
-// the previous *sealed* round's bytes — the delta parent. The buffers
-// flip only on a successful seal, so a failed round never corrupts the
-// parent.
+// opScratch holds one operator's buffers, reused across rounds: bufs
+// double-buffers its encoded state — cur receives this round's encoding
+// while the other buffer still holds the previous *sealed* round's bytes,
+// the delta parent — and delta receives the delta between the two. The
+// state buffers flip only on a successful seal, so a failed round never
+// corrupts the parent. Reuse is safe because the store copies or writes
+// out every payload before PutState/PutStateDelta return.
 type opScratch struct {
-	bufs     [2]bytes.Buffer
+	bufs     [2][]byte
+	delta    []byte
 	cur      int
 	havePrev bool
-}
-
-func (s *opScratch) next() *bytes.Buffer {
-	b := &s.bufs[s.cur]
-	b.Reset()
-	return b
 }
 
 func (s *opScratch) prev() []byte {
 	if !s.havePrev {
 		return nil
 	}
-	return s.bufs[1-s.cur].Bytes()
+	return s.bufs[1-s.cur]
 }
 
 func (s *opScratch) flip() {
@@ -145,7 +140,7 @@ type pending struct {
 
 	mu          sync.Mutex
 	offsets     map[string]int
-	handles     map[string]func(*gob.Encoder) error
+	handles     map[string]func(dst []byte) ([]byte, error)
 	failed      map[string]error // operators whose SnapshotState failed: the round cannot seal
 	stallNS     int64            // summed barrier-side capture time
 	needOffsets map[string]bool
@@ -373,7 +368,7 @@ func (m *Manager) Trigger() (uint64, error) {
 		begun:       m.now(),
 		offsets:     map[string]int{},
 		failed:      map[string]error{},
-		handles:     map[string]func(*gob.Encoder) error{},
+		handles:     map[string]func(dst []byte) ([]byte, error){},
 		needOffsets: map[string]bool{},
 		needAcks:    map[string]bool{},
 	}
@@ -593,11 +588,11 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 			stats.usedParent = true
 			m.sameStates.Add(1)
 		default:
-			if d := MakeDelta(prev, cur); d != nil {
-				if err := w.PutStateDelta(name, parent, d, cur); err != nil {
+			if sc.delta = MakeDelta(sc.delta[:0], prev, cur); len(sc.delta) > 0 {
+				if err := w.PutStateDelta(name, parent, sc.delta, cur); err != nil {
 					return stats, err
 				}
-				stats.writtenBytes += int64(len(d))
+				stats.writtenBytes += int64(len(sc.delta))
 				stats.usedParent = true
 			} else {
 				if err := w.PutState(name, cur); err != nil {
@@ -624,17 +619,18 @@ func (m *Manager) encodeState(p *pending, name string) ([]byte, int64, error) {
 		sc = &opScratch{}
 		m.enc[name] = sc
 	}
-	buf := sc.next()
 	p.mu.Lock()
 	fn := p.handles[name]
 	p.mu.Unlock()
 	start := m.now()
-	if err := fn(gob.NewEncoder(buf)); err != nil {
+	buf, err := fn(sc.bufs[sc.cur][:0])
+	if err != nil {
 		return nil, 0, fmt.Errorf("ft: round %d: state of %s failed to serialise: %w", p.id, name, err)
 	}
+	sc.bufs[sc.cur] = buf
 	encNS := m.now() - start
-	m.phase(name, flight.KindEncode, p.id, encNS, int64(buf.Len()))
-	return buf.Bytes(), encNS, nil
+	m.phase(name, flight.KindEncode, p.id, encNS, int64(len(buf)))
+	return buf, encNS, nil
 }
 
 // LastCheckpointID returns the ID of the last sealed round (0 when none).

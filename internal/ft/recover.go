@@ -1,10 +1,6 @@
 package ft
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // RestoreStates applies a checkpoint's operator snapshots to a freshly
 // rebuilt graph: loaders maps operator name (as registered during the
@@ -24,7 +20,7 @@ func RestoreStates(cp *Checkpoint, loaders map[string]StateLoader) error {
 		if !ok {
 			return fmt.Errorf("ft: checkpoint %d has state for unknown operator %q", cp.ID, name)
 		}
-		if err := l.LoadState(gob.NewDecoder(bytes.NewReader(state))); err != nil {
+		if err := l.LoadState(state); err != nil {
 			return fmt.Errorf("ft: restoring %q from checkpoint %d: %w", name, cp.ID, err)
 		}
 	}

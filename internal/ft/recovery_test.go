@@ -2,7 +2,6 @@ package ft_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -409,15 +408,15 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	snaps := map[uint64][]byte{}
 	var lastID uint64
 	for round := 0; round < rounds; round++ {
-		var full bytes.Buffer
-		if err := ft.EncodeState(win, gob.NewEncoder(&full)); err != nil {
+		full, err := ft.EncodeState(win)
+		if err != nil {
 			t.Fatal(err)
 		}
 		id, err := mgr.Trigger()
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps[id] = full.Bytes()
+		snaps[id] = full
 		for i := 0; i < perRound; i++ {
 			src.EmitNext()
 		}
@@ -442,7 +441,7 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	}
 
 	// Tear the tail: truncate the delta payload of the newest checkpoint.
-	payloads, err := filepath.Glob(filepath.Join(tailDir, "state-*.gob"))
+	payloads, err := filepath.Glob(filepath.Join(tailDir, "state-*.bin"))
 	if err != nil || len(payloads) == 0 {
 		t.Fatalf("no state payloads in %s (err %v)", tailDir, err)
 	}
@@ -480,11 +479,11 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	if err := ft.RestoreStates(cp, map[string]ft.StateLoader{"win": fresh}); err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if err := ft.EncodeState(fresh, gob.NewEncoder(&again)); err != nil {
+	again, err := ft.EncodeState(fresh)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again.Bytes(), snaps[cp.ID]) {
+	if !bytes.Equal(again, snaps[cp.ID]) {
 		t.Fatal("restored operator re-encodes differently from the scalar snapshot")
 	}
 }

@@ -86,8 +86,9 @@ var ErrSealed = errors.New("ft: checkpoint already sealed")
 // (FAULT_TOLERANCE.md §state version): 0 is every checkpoint sealed
 // before the field existed; 1 — CQL plans carry source tuples, pairs and
 // rows between operators and have no qualifier node; 2 — every chain link
-// records the checksum of the full state it resolves to.
-const StateVersion = 2
+// records the checksum of the full state it resolves to; 3 — state is
+// written with the engine's value codec (internal/wire) instead of gob.
+const StateVersion = 3
 
 // ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint,
 // or a link of its delta chain, carries another StateVersion.
@@ -224,7 +225,7 @@ func (w *writer) PutOffset(source string, offset int) error {
 // putPayload stores one payload-carrying entry (full state or delta).
 func (w *writer) putPayload(e manifestEntry, data []byte) error {
 	w.seq++
-	e.File = fmt.Sprintf("state-%d.gob", w.seq)
+	e.File = fmt.Sprintf("state-%d.bin", w.seq)
 	e.Size = int64(len(data))
 	e.CRC = crc32.ChecksumIEEE(data)
 	w.s.mu.Lock()

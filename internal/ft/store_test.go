@@ -139,10 +139,10 @@ func TestStoreSkipsTornCheckpoints(t *testing.T) {
 
 		// Sealed but corrupted: overwrite the one payload's content.
 		mustSeal(t, store, 3, map[string]int{"src": 9}, map[string][]byte{"op": []byte("later")}, nil)
-		if b, err := store.RawGet(3, "state-1.gob"); err != nil || string(b) != "later" {
+		if b, err := store.RawGet(3, "state-1.bin"); err != nil || string(b) != "later" {
 			t.Fatalf("payload of checkpoint 3: %q, %v", b, err)
 		}
-		if err := store.RawPut(3, "state-1.gob", []byte("XXXXX")); err != nil {
+		if err := store.RawPut(3, "state-1.bin", []byte("XXXXX")); err != nil {
 			t.Fatal(err)
 		}
 		mustLatest(t, store, 1)
@@ -169,8 +169,8 @@ func TestStoreResolvesDeltaChains(t *testing.T) {
 		base := varied(32<<10, 0)
 		v2 := append(append([]byte(nil), base...), []byte("round-two-suffix")...)
 		v3 := append(append([]byte(nil), v2...), []byte("round-three-suffix")...)
-		d2 := ft.MakeDelta(base, v2)
-		d3 := ft.MakeDelta(v2, v3)
+		d2 := ft.MakeDelta(nil, base, v2)
+		d3 := ft.MakeDelta(nil, v2, v3)
 		if d2 == nil || d3 == nil {
 			t.Fatal("tail-append states produced no deltas")
 		}
@@ -215,7 +215,7 @@ func TestStoreResolvesDeltaChains(t *testing.T) {
 func TestStoreRefusesLinkToAnotherParent(t *testing.T) {
 	base, other := varied(32<<10, 0), varied(32<<10, 7)
 	v2 := append(append([]byte(nil), base...), []byte("round-two-suffix")...)
-	d2 := ft.MakeDelta(base, v2)
+	d2 := ft.MakeDelta(nil, base, v2)
 	if d2 == nil {
 		t.Fatal("tail-append state produced no delta")
 	}
@@ -284,7 +284,7 @@ func TestBeginRefusesSealedID(t *testing.T) {
 			}
 		}
 		mustSeal(t, store, 2, nil, map[string][]byte{"c": []byte("retried")}, nil)
-		if _, err := store.RawGet(2, "state-2.gob"); !errors.Is(err, fs.ErrNotExist) {
+		if _, err := store.RawGet(2, "state-2.bin"); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("debris payload survived Begin (err %v)", err)
 		}
 		cp := mustLatest(t, store, 2)
@@ -300,7 +300,7 @@ func TestBeginRefusesSealedID(t *testing.T) {
 // A crash between data write and seal must not leave the orphan cp-<id>
 // directory (with its data files and manifest temp) behind — NewFileStore
 // sweeps unsealed directories on open. This is also the test that pins the
-// directory backend's layout: cp-<id>/, state-<seq>.gob, MANIFEST.json,
+// directory backend's layout: cp-<id>/, state-<seq>.bin, MANIFEST.json,
 // MANIFEST.json.tmp.
 func TestDirSweepsUnsealedOnOpen(t *testing.T) {
 	dir := t.TempDir()
@@ -309,7 +309,7 @@ func TestDirSweepsUnsealedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")}, nil)
-	for _, f := range []string{"state-1.gob", "MANIFEST.json"} {
+	for _, f := range []string{"state-1.bin", "MANIFEST.json"} {
 		if _, err := os.Stat(filepath.Join(dir, "cp-1", f)); err != nil {
 			t.Fatalf("sealed layout: %v", err)
 		}
@@ -325,7 +325,7 @@ func TestDirSweepsUnsealedOnOpen(t *testing.T) {
 	if err := w.PutState("op", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "cp-2", "state-1.gob")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "cp-2", "state-1.bin")); err != nil {
 		t.Fatalf("staged layout: %v", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "cp-2", "MANIFEST.json.tmp"), []byte("{partial"), 0o644); err != nil {

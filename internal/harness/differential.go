@@ -1,7 +1,7 @@
 // Frame-size invariance: the same plan is driven by a deterministic
 // single-threaded driver at different frame sizes, and the runs must
 // agree EXACTLY: identical output sequences, identical checkpoint
-// snapshots (byte-for-byte gob state) at every punctuation round, and
+// snapshots (byte-for-byte codec state) at every punctuation round, and
 // identical sink cut indices. A frame is by definition the run of its
 // elements processed one by one (SEMANTICS.md §3.7), so frame size 1 is
 // the baseline every other size is compared against, and nothing — not
@@ -16,7 +16,7 @@
 // grouping differs. Punctuation rounds inject a pubsub.Barrier at a
 // randomized per-source element offset — the offset cuts the current
 // frame (the punctuation-cut rule) — and the barrier save hooks capture
-// each stateful operator's gob snapshot for comparison.
+// each stateful operator's encoded snapshot for comparison.
 //
 // Limitation: the exact-equality argument requires that every multi-input
 // operator's inputs descend from disjoint sources. A diamond (one source
@@ -27,7 +27,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -59,8 +58,8 @@ type RunResult struct {
 	// Output is the exact element sequence received by the sink.
 	Output []temporal.Element
 	// Snapshots[r] maps an operator key (discovery index + name) to the
-	// operator's gob state captured when barrier r+1 aligned. Operators the
-	// barrier never reaches are absent.
+	// operator's encoded state captured when barrier r+1 aligned.
+	// Operators the barrier never reaches are absent.
 	Snapshots []map[string][]byte
 	// Cuts[r] is the number of output elements before barrier r+1 reached
 	// the sink, or -1 when it never arrived.
@@ -381,11 +380,11 @@ func runFrames(plan Plan, cfg DiffConfig, crash *crashSpec) (RunResult, error) {
 	for _, ref := range discoverSavers(sources) {
 		ref := ref
 		ref.hooked.SetBarrierHooks(func(b pubsub.Barrier) {
-			var buf bytes.Buffer
-			if err := ft.EncodeState(ref.saver, gob.NewEncoder(&buf)); err != nil {
+			state, err := ft.EncodeState(ref.saver)
+			if err != nil {
 				panic(fmt.Sprintf("harness: snapshot of %s: %v", ref.key, err))
 			}
-			res.Snapshots[b.ID-1][ref.key] = buf.Bytes()
+			res.Snapshots[b.ID-1][ref.key] = state
 		}, nil)
 	}
 
@@ -459,7 +458,7 @@ func recoverFrames(plan Plan, cfg DiffConfig, replay [][]temporal.Element, snaps
 		if !ok {
 			return nil, fmt.Errorf("harness: %s saves state but cannot load it", ref.key)
 		}
-		if err := loader.LoadState(gob.NewDecoder(bytes.NewReader(state))); err != nil {
+		if err := loader.LoadState(state); err != nil {
 			return nil, fmt.Errorf("harness: restoring %s: %w", ref.key, err)
 		}
 	}

@@ -8,7 +8,6 @@ package ops
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -402,7 +401,7 @@ type frameOp interface {
 // elements, cut at every barrier position. barriers are sorted schedule
 // positions; barrier k+1 is injected on every input when position
 // barriers[k] is reached. Returns the exact output sequence and the
-// per-barrier gob snapshot (nil entries when the operator saves no state).
+// per-barrier encoded snapshot (nil entries when the operator saves no state).
 func runOpFrames(op frameOp, arity int, schedule []feedItem, barriers []int, frame int) ([]temporal.Element, [][]byte) {
 	var out []temporal.Element
 	op.Subscribe(newCollectSink(&out), 0)
@@ -414,11 +413,11 @@ func runOpFrames(op frameOp, arity int, schedule []feedItem, barriers []int, fra
 	if h, ok := op.(hooked); ok {
 		if sv, ok := op.(ft.StateSaver); ok {
 			h.SetBarrierHooks(func(b pubsub.Barrier) {
-				var buf bytes.Buffer
-				if err := ft.EncodeState(sv, gob.NewEncoder(&buf)); err != nil {
+				state, err := ft.EncodeState(sv)
+				if err != nil {
 					panic("invariance snapshot: " + err.Error())
 				}
-				snaps[b.ID-1] = buf.Bytes()
+				snaps[b.ID-1] = state
 			}, nil)
 		}
 	}

@@ -7,19 +7,23 @@
 //   - SnapshotState is the copy-on-write capture: invoked by the barrier
 //     save hook under ProcMu, it copies the live collections — flat slice
 //     copies, no canonical ordering, no encoding — and returns a closure
-//     that serialises the captured copies later, on the checkpoint
-//     writer's goroutine. The closure reads only its captures and the
-//     immutable element values (the engine's purity contract), so it runs
-//     safely concurrent with post-barrier processing; sorting and the gob
-//     encode both move off the barrier stall. A capture allocates O(1)
+//     that appends the captured copies to a buffer later, on the
+//     checkpoint writer's goroutine. The closure reads only its captures
+//     and the immutable element values (the engine's purity contract), so
+//     it runs safely concurrent with post-barrier processing; sorting and
+//     encoding both move off the barrier stall. A capture allocates O(1)
 //     per operator: GroupBy and PartitionedWindow copy every live element
 //     into one shared slice and keep one (key, bounds) record per group
 //     or partition.
-//   - Map-derived collections are encoded in one canonical order (keyCmp,
+//   - Each operator appends its fields in one fixed order with the state
+//     codec (internal/wire); values and keys carry the codec's tags.
+//     Map-derived collections are written in one canonical order (keyCmp,
 //     sortByKey), which compares typed keys by value and renders a key
 //     only when its kind is outside the typed set — once per key per
 //     sort, never inside a comparator.
 //   - LoadState runs on a freshly constructed, not-yet-started operator.
+//     Corrupt state is an error, never a panic, and so are bytes left over
+//     after the operator's fields.
 //   - Trace slots are dropped: element traces are diagnostic context of
 //     the run that produced them and do not survive a crash (restored
 //     elements carry an explicit nil trace).
@@ -35,52 +39,35 @@ package ops
 
 import (
 	"cmp"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
 
 	"pipes/internal/aggregate"
 	"pipes/internal/temporal"
+	"pipes/internal/wire"
 	"pipes/internal/xds"
 )
 
-// wireElem is one element on the wire: the value and interval, with the
-// trace slot deliberately dropped.
-type wireElem struct {
-	Value any
-	Start temporal.Time
-	End   temporal.Time
-}
-
-func toWire(es []temporal.Element) []wireElem {
-	out := make([]wireElem, len(es))
-	for i, e := range es {
-		out[i] = wireElem{Value: e.Value, Start: e.Start, End: e.End}
-	}
-	return out
-}
-
-func fromWire(ws []wireElem) []temporal.Element {
-	out := make([]temporal.Element, len(ws))
-	for i, w := range ws {
-		out[i] = temporal.Element{
-			Value:    w.Value,
-			Interval: temporal.Interval{Start: w.Start, End: w.End},
-			Trace:    nil, // traces do not survive a crash
-		}
-	}
-	return out
-}
-
 func init() {
-	// Concrete types that travel inside the `any` slots of checkpointed
-	// state. Users with custom value or key types register them with
-	// ft.RegisterType (an alias of gob.Register).
-	gob.Register(Pair{})
-	gob.Register(GroupResult{})
-	gob.Register(globalGroup{})
-	gob.Register([]any{}) // MJoin result tuples
+	// The engine's values that travel inside checkpointed state: join
+	// pairs, group results and the key of an ungrouped aggregation.
+	wire.Register(wire.TagPair, func(dst []byte, p Pair) ([]byte, error) { return appendTwo(dst, p.Left, p.Right) },
+		func(d *wire.Decoder) Pair { return Pair{Left: d.Value(), Right: d.Value()} })
+	wire.Register(wire.TagGroupResult, func(dst []byte, r GroupResult) ([]byte, error) { return appendTwo(dst, r.Key, r.Agg) },
+		func(d *wire.Decoder) GroupResult { return GroupResult{Key: d.Value(), Agg: d.Value()} })
+	wire.Register(wire.TagGlobalGroup, func(dst []byte, _ globalGroup) ([]byte, error) { return dst, nil },
+		func(*wire.Decoder) globalGroup { return globalGroup{} })
+}
+
+// appendTwo appends two values: the fields of a Pair or a GroupResult.
+func appendTwo(dst []byte, a, b any) ([]byte, error) {
+	dst, err := wire.AppendValue(dst, a)
+	if err != nil {
+		return dst, err
+	}
+	return wire.AppendValue(dst, b)
 }
 
 // canonKey renders a value for canonical checkpoint ordering where no
@@ -184,41 +171,74 @@ func sortRendered[T any](s []T, render func(T) string) {
 	}
 }
 
-// sortWire canonically orders a multiset of wire elements whose source
-// order is not semantically meaningful (sweep-area contents): by
-// interval, then — only within a run of equal intervals, which [NOW]
-// windows produce all the time — by the values' renderings.
-func sortWire(ws []wireElem) {
-	slices.SortFunc(ws, func(a, b wireElem) int {
+// sortWire canonically orders a multiset of elements whose source order
+// is not semantically meaningful (sweep-area contents): by interval, then
+// — only within a run of equal intervals, which [NOW] windows produce all
+// the time — by the values' renderings.
+func sortWire(es []temporal.Element) {
+	slices.SortFunc(es, func(a, b temporal.Element) int {
 		if c := cmp.Compare(a.Start, b.Start); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.End, b.End)
 	})
-	for i := 0; i < len(ws); {
+	for i := 0; i < len(es); {
 		j := i + 1
-		for j < len(ws) && ws[j].Start == ws[i].Start && ws[j].End == ws[i].End {
+		for j < len(es) && es[j].Interval == es[i].Interval {
 			j++
 		}
 		if j-i > 1 {
-			sortRendered(ws[i:j], func(w wireElem) string { return canonKey(w.Value) })
+			sortRendered(es[i:j], func(e temporal.Element) string { return canonKey(e.Value) })
 		}
 		i = j
 	}
 }
 
-// orderBufferState is the serialised form of an orderBuffer: the pending
-// (unreleased) results and the per-input watermarks. Done marks are
-// re-established by the replayed inputs.
-type orderBufferState struct {
-	Pending []wireElem
-	WM      []temporal.Time
+// appendElems appends a count and the elements.
+func appendElems(dst []byte, es []temporal.Element) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(es)))
+	for _, e := range es {
+		var err error
+		if dst, err = wire.AppendElement(dst, e); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// readElems reads what appendElems wrote into scratch[:0].
+func readElems(d *wire.Decoder, scratch []temporal.Element) []temporal.Element {
+	es := scratch[:0]
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		es = append(es, d.Element())
+	}
+	if d.Err() != nil {
+		return es[:0]
+	}
+	return es
+}
+
+// loadState decodes one operator's state with load and requires every
+// byte to be consumed. Corrupt state can decode to a value of a shape the
+// operator cannot take — an unhashable key for one of its maps, a value
+// its key function rejects — and the panic that causes is reported as an
+// error like any other corruption.
+func loadState(state []byte, load func(d *wire.Decoder)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("ops: state does not fit the operator: %v", r)
+		}
+	}()
+	d := wire.NewDecoder(state)
+	load(d)
+	return d.Finish()
 }
 
 // orderBufferCapture is the copy-on-write capture of an orderBuffer:
 // plain slice copies taken under ProcMu (xds.Heap.Items returns its
-// backing array, so the capture must copy), converted to wire form only
-// at encode time.
+// backing array, so the capture must copy). Its encoding is the pending
+// (unreleased) results and the per-input watermarks; done marks are
+// re-established by the replayed inputs.
 type orderBufferCapture struct {
 	pending []temporal.Element
 	wm      []temporal.Time
@@ -231,68 +251,62 @@ func (b *orderBuffer) capture() orderBufferCapture {
 	}
 }
 
-func (c orderBufferCapture) wire() orderBufferState {
-	return orderBufferState{Pending: toWire(c.pending), WM: c.wm}
+func (c orderBufferCapture) append(dst []byte) ([]byte, error) {
+	dst, err := appendElems(dst, c.pending)
+	if err != nil {
+		return dst, err
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(c.wm)))
+	for _, t := range c.wm {
+		dst = binary.AppendVarint(dst, int64(t))
+	}
+	return dst, nil
 }
 
-func (b *orderBuffer) loadState(st orderBufferState) {
-	for _, e := range fromWire(st.Pending) {
+func (b *orderBuffer) load(d *wire.Decoder) {
+	for _, e := range readElems(d, nil) {
 		b.heap.Push(e)
 	}
-	copy(b.wm, st.WM)
+	if n := d.Count(); n != len(b.wm) {
+		d.Fail(fmt.Errorf("ops: state has %d watermarks, the operator %d inputs", n, len(b.wm)))
+		return
+	}
+	for i := range b.wm {
+		b.wm[i] = temporal.Time(d.Varint())
+	}
 }
 
-// joinState is the serialised form of a Join: both sweep areas plus the
-// pending output. Area entry order is not preserved — area semantics are
-// insertion-order independent.
-type joinState struct {
-	Areas [2][]wireElem
-	Out   orderBufferState
-}
-
-// SnapshotState implements the ft.StateSaver contract: sweep-area and
-// order-buffer contents are copied under the barrier (SweepArea.Items
-// already returns a fresh slice); ordering and encoding run in the
-// closure, off the stall.
-func (j *Join) SnapshotState() (func(enc *gob.Encoder) error, error) {
+// SnapshotState implements the ft.StateSaver contract: both sweep areas
+// (SweepArea.Items already returns a fresh slice), then the pending
+// output. Area contents are written in canonical order — area semantics
+// are insertion-order independent — sorted in the closure, off the stall.
+func (j *Join) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	a0, a1 := j.areas[0].Items(), j.areas[1].Items()
 	out := j.out.capture()
-	return func(enc *gob.Encoder) error {
-		w0, w1 := toWire(a0), toWire(a1)
-		sortWire(w0)
-		sortWire(w1)
-		return enc.Encode(joinState{Areas: [2][]wireElem{w0, w1}, Out: out.wire()})
+	return func(dst []byte) ([]byte, error) {
+		for _, a := range [2][]temporal.Element{a0, a1} {
+			sortWire(a)
+			var err error
+			if dst, err = appendElems(dst, a); err != nil {
+				return dst, err
+			}
+		}
+		return out.append(dst)
 	}, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
-func (j *Join) LoadState(dec *gob.Decoder) error {
-	var st joinState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	for i := 0; i < 2; i++ {
-		for _, e := range fromWire(st.Areas[i]) {
-			j.areas[i].Insert(e)
+func (j *Join) LoadState(state []byte) error {
+	return loadState(state, func(d *wire.Decoder) {
+		var es []temporal.Element
+		for _, area := range j.areas {
+			es = readElems(d, es)
+			for _, e := range es {
+				area.Insert(e)
+			}
 		}
-	}
-	j.out.loadState(st.Out)
-	return nil
-}
-
-// groupState is one live group: its key, open-span left boundary and live
-// element multiset. The aggregate is rebuilt by re-inserting the live
-// elements (for invertible aggregates every expired removal has already
-// been applied, so the live multiset reproduces the aggregate exactly).
-type groupState struct {
-	Key    any
-	LB     temporal.Time
-	Active []wireElem
-}
-
-type groupByState struct {
-	Groups []groupState
-	Out    orderBufferState
+		j.out.load(d)
+	})
 }
 
 // groupCapture is one live group's record in a flat capture: its key,
@@ -305,14 +319,17 @@ type groupCapture struct {
 }
 
 // SnapshotState implements the ft.StateSaver contract. Under the barrier
-// it copies every group's live elements into one slice; the closure
-// converts that slice to wire form once and hands each group its
-// sub-slice. The live multisets are canonically sorted in the closure
-// (they are reloaded by re-insertion, so serialised order is free) — that
-// both moves the sort off the barrier and gives consecutive rounds
-// byte-stable encodings for the delta chain, where raw heap layout would
-// shuffle unchanged groups.
-func (g *GroupBy) SnapshotState() (func(enc *gob.Encoder) error, error) {
+// it copies every group's live elements into one slice. The closure
+// writes the groups in key order, each as its key, open-span left
+// boundary and live element multiset, then the pending output. The
+// aggregate is rebuilt on load by re-inserting the live elements (for
+// invertible aggregates every expired removal has already been applied,
+// so the live multiset reproduces the aggregate exactly). The multisets
+// are canonically sorted in the closure (they are reloaded by
+// re-insertion, so their order is free) — that both moves the sort off the
+// barrier and gives consecutive rounds byte-stable encodings for the delta
+// chain, where raw heap layout would shuffle unchanged groups.
+func (g *GroupBy) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	n := 0
 	for _, grp := range g.groups {
 		n += grp.active.Len()
@@ -325,75 +342,68 @@ func (g *GroupBy) SnapshotState() (func(enc *gob.Encoder) error, error) {
 		caps = append(caps, groupCapture{key: k, lb: grp.lb, off: off, end: len(elems)})
 	}
 	out := g.out.capture()
-	return func(enc *gob.Encoder) error {
+	return func(dst []byte) ([]byte, error) {
 		sortByKey(caps, func(c groupCapture) any { return c.key })
-		ws := toWire(elems)
-		st := groupByState{Groups: make([]groupState, len(caps)), Out: out.wire()}
-		for i, c := range caps {
-			active := ws[c.off:c.end]
+		dst = binary.AppendUvarint(dst, uint64(len(caps)))
+		for _, c := range caps {
+			active := elems[c.off:c.end]
 			sortWire(active)
-			st.Groups[i] = groupState{Key: c.key, LB: c.lb, Active: active}
+			var err error
+			if dst, err = wire.AppendValue(dst, c.key); err != nil {
+				return dst, err
+			}
+			if dst, err = appendElems(binary.AppendVarint(dst, int64(c.lb)), active); err != nil {
+				return dst, err
+			}
 		}
-		return enc.Encode(st)
+		return out.append(dst)
 	}, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
-func (g *GroupBy) LoadState(dec *gob.Decoder) error {
-	var st groupByState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	for _, gs := range st.Groups {
-		agg := g.factory()
-		inv, _ := agg.(aggregate.Invertible)
-		grp := &group{
-			active: xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
-			agg:    agg,
-			inv:    inv,
-			lb:     gs.LB,
+func (g *GroupBy) LoadState(state []byte) error {
+	return loadState(state, func(d *wire.Decoder) {
+		var es []temporal.Element
+		for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+			key := d.Value()
+			agg := g.factory()
+			inv, _ := agg.(aggregate.Invertible)
+			grp := &group{
+				active: xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
+				agg:    agg,
+				inv:    inv,
+				lb:     temporal.Time(d.Varint()),
+			}
+			es = readElems(d, es)
+			for _, e := range es {
+				grp.active.Push(e)
+				grp.agg.Insert(e.Value)
+				// One expiry event per live element: exactly the non-stale
+				// subset of the original heap.
+				g.expiry.Push(expiryEvent{end: e.End, key: key})
+			}
+			if d.Err() == nil {
+				g.groups[key] = grp
+				g.lows.Push(lowEntry{lb: grp.lb, key: key})
+			}
 		}
-		for _, e := range fromWire(gs.Active) {
-			grp.active.Push(e)
-			grp.agg.Insert(e.Value)
-			// One expiry event per live element: exactly the non-stale
-			// subset of the original heap.
-			g.expiry.Push(expiryEvent{end: e.End, key: gs.Key})
-		}
-		g.groups[gs.Key] = grp
-		g.lows.Push(lowEntry{lb: grp.lb, key: gs.Key})
-	}
-	g.out.loadState(st.Out)
-	return nil
+		g.out.load(d)
+	})
 }
 
 // diffKeyState is one per-key multiplicity record of Difference/Intersect.
 type diffKeyState struct {
-	Key    any
-	Value  any
-	Counts [2]int
-	LB     temporal.Time
-}
-
-// wireDiffExpiry mirrors diffExpiry. The expiry heap is serialised
-// verbatim: which interval ends remain pending per input is not
-// recoverable from the counters alone.
-type wireDiffExpiry struct {
-	End   temporal.Time
-	Key   any
-	Input int
-}
-
-type diffOpState struct {
-	Keys   []diffKeyState
-	Expiry []wireDiffExpiry
-	InQ    [2][]wireElem
-	Out    orderBufferState
+	key    any
+	value  any
+	counts [2]int
+	lb     temporal.Time
 }
 
 // diffCapture is the copy-on-write capture shared by Difference and
 // Intersect: per-key records and the expiry heap's backing array copied
-// flat; sorting and wire conversion happen in the encode closure.
+// flat; sorting happens in the encode closure. The expiry heap is
+// serialised verbatim: which interval ends remain pending per input is
+// not recoverable from the counters alone.
 type diffCapture struct {
 	keys   []diffKeyState
 	expiry []diffExpiry
@@ -408,157 +418,154 @@ func captureDiffLike(state map[any]*diffState, expiry *xds.Heap[diffExpiry], inQ
 		out:    out.capture(),
 	}
 	for k, ds := range state {
-		c.keys = append(c.keys, diffKeyState{Key: k, Value: ds.value, Counts: ds.counts, LB: ds.lb})
+		c.keys = append(c.keys, diffKeyState{key: k, value: ds.value, counts: ds.counts, lb: ds.lb})
 	}
 	return c
 }
 
-func (c diffCapture) wire() diffOpState {
-	st := diffOpState{
-		Keys: c.keys,
-		InQ:  [2][]wireElem{toWire(c.inQ[0]), toWire(c.inQ[1])},
-		Out:  c.out.wire(),
+// append writes the per-key records in key order, the expiry heap, both
+// input queues and the pending output.
+func (c diffCapture) append(dst []byte) ([]byte, error) {
+	sortByKey(c.keys, func(k diffKeyState) any { return k.key })
+	var err error
+	dst = binary.AppendUvarint(dst, uint64(len(c.keys)))
+	for _, k := range c.keys {
+		if dst, err = wire.AppendValue(dst, k.key); err != nil {
+			return dst, err
+		}
+		if dst, err = wire.AppendValue(dst, k.value); err != nil {
+			return dst, err
+		}
+		dst = binary.AppendVarint(dst, int64(k.counts[0]))
+		dst = binary.AppendVarint(dst, int64(k.counts[1]))
+		dst = binary.AppendVarint(dst, int64(k.lb))
 	}
-	sortByKey(st.Keys, func(k diffKeyState) any { return k.Key })
+	dst = binary.AppendUvarint(dst, uint64(len(c.expiry)))
 	for _, ev := range c.expiry {
-		st.Expiry = append(st.Expiry, wireDiffExpiry{End: ev.end, Key: ev.key, Input: ev.input})
+		if dst, err = wire.AppendValue(binary.AppendVarint(dst, int64(ev.end)), ev.key); err != nil {
+			return dst, err
+		}
+		dst = binary.AppendUvarint(dst, uint64(ev.input))
 	}
-	return st
-}
-
-func loadDiffLike(st diffOpState, state map[any]*diffState, expiry *xds.Heap[diffExpiry], lows *xds.Heap[lowEntry], inQ [2]xds.Queue[temporal.Element], out *orderBuffer) {
-	for _, ks := range st.Keys {
-		state[ks.Key] = &diffState{value: ks.Value, counts: ks.Counts, lb: ks.LB}
-		lows.Push(lowEntry{lb: ks.LB, key: ks.Key})
-	}
-	for _, ev := range st.Expiry {
-		expiry.Push(diffExpiry{end: ev.End, key: ev.Key, input: ev.Input})
-	}
-	for i := 0; i < 2; i++ {
-		for _, e := range fromWire(st.InQ[i]) {
-			inQ[i].Enqueue(e)
+	for _, q := range c.inQ {
+		if dst, err = appendElems(dst, q); err != nil {
+			return dst, err
 		}
 	}
-	out.loadState(st.Out)
+	return c.out.append(dst)
+}
+
+func loadDiffLike(d *wire.Decoder, state map[any]*diffState, expiry *xds.Heap[diffExpiry], lows *xds.Heap[lowEntry], inQ [2]xds.Queue[temporal.Element], out *orderBuffer) {
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		key, value := d.Value(), d.Value()
+		ds := &diffState{value: value, counts: [2]int{int(d.Varint()), int(d.Varint())}, lb: temporal.Time(d.Varint())}
+		if d.Err() == nil {
+			state[key] = ds
+			lows.Push(lowEntry{lb: ds.lb, key: key})
+		}
+	}
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		ev := diffExpiry{end: temporal.Time(d.Varint()), key: d.Value()}
+		if input := d.Uvarint(); input > 1 {
+			d.Fail(fmt.Errorf("ops: expiry event of input %d", input))
+		} else {
+			ev.input = int(input)
+		}
+		if d.Err() == nil {
+			expiry.Push(ev)
+		}
+	}
+	var es []temporal.Element
+	for _, q := range inQ {
+		es = readElems(d, es)
+		for _, e := range es {
+			q.Enqueue(e)
+		}
+	}
+	out.load(d)
 }
 
 // SnapshotState implements the ft.StateSaver contract for Difference and
 // Intersect.
-func (d *setOp) SnapshotState() (func(enc *gob.Encoder) error, error) {
+func (d *setOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	c := captureDiffLike(d.state, d.expiry, d.inQ, d.out)
-	return func(enc *gob.Encoder) error { return enc.Encode(c.wire()) }, nil
+	return c.append, nil
 }
 
 // LoadState implements the ft.StateLoader contract for Difference and
 // Intersect.
-func (d *setOp) LoadState(dec *gob.Decoder) error {
-	var st diffOpState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	loadDiffLike(st, d.state, d.expiry, d.lows, d.inQ, d.out)
-	return nil
+func (d *setOp) LoadState(state []byte) error {
+	return loadState(state, func(dec *wire.Decoder) {
+		loadDiffLike(dec, d.state, d.expiry, d.lows, d.inQ, d.out)
+	})
 }
 
-// unionState is the serialised form of a Union: only the pending output.
-type unionState struct {
-	Out orderBufferState
-}
-
-// SnapshotState implements the ft.StateSaver contract.
-func (u *Union) SnapshotState() (func(enc *gob.Encoder) error, error) {
-	out := u.out.capture()
-	return func(enc *gob.Encoder) error { return enc.Encode(unionState{Out: out.wire()}) }, nil
+// SnapshotState implements the ft.StateSaver contract: a Union holds
+// only its pending output.
+func (u *Union) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	return u.out.capture().append, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
-func (u *Union) LoadState(dec *gob.Decoder) error {
-	var st unionState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	u.out.loadState(st.Out)
-	return nil
+func (u *Union) LoadState(state []byte) error {
+	return loadState(state, u.out.load)
 }
 
-// countWindowState is the serialised form of a CountWindow: the not-yet-
-// displaced elements in arrival order.
-type countWindowState struct {
-	Buf []wireElem
-}
-
-// SnapshotState implements the ft.StateSaver contract. Arrival order is
-// the state (displacement order), so the capture is the queue copy as-is.
-func (w *CountWindow) SnapshotState() (func(enc *gob.Encoder) error, error) {
+// SnapshotState implements the ft.StateSaver contract: the not-yet-
+// displaced elements. Arrival order is the state (displacement order), so
+// the capture is the queue copy as-is.
+func (w *CountWindow) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	buf := w.buf.Items()
-	return func(enc *gob.Encoder) error { return enc.Encode(countWindowState{Buf: toWire(buf)}) }, nil
+	return func(dst []byte) ([]byte, error) { return appendElems(dst, buf) }, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
-func (w *CountWindow) LoadState(dec *gob.Decoder) error {
-	var st countWindowState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	for _, e := range fromWire(st.Buf) {
-		w.buf.Enqueue(e)
-	}
-	return nil
+func (w *CountWindow) LoadState(state []byte) error {
+	return loadState(state, func(d *wire.Decoder) {
+		for _, e := range readElems(d, nil) {
+			w.buf.Enqueue(e)
+		}
+	})
 }
 
-// mjoinState is the serialised form of an MJoin: one area per input plus
-// the pending output, areas in canonical order like joinState.
-type mjoinState struct {
-	Areas [][]wireElem
-	Out   orderBufferState
-}
-
-// SnapshotState implements the ft.StateSaver contract.
-func (m *MJoin) SnapshotState() (func(enc *gob.Encoder) error, error) {
+// SnapshotState implements the ft.StateSaver contract: the number of
+// areas, one per input in canonical order like Join's, then the pending
+// output.
+func (m *MJoin) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	areas := make([][]temporal.Element, len(m.areas))
 	for i, a := range m.areas {
 		areas[i] = a.Items()
 	}
 	out := m.out.capture()
-	return func(enc *gob.Encoder) error {
-		st := mjoinState{Areas: make([][]wireElem, len(areas)), Out: out.wire()}
-		for i, es := range areas {
-			ws := toWire(es)
-			sortWire(ws)
-			st.Areas[i] = ws
+	return func(dst []byte) ([]byte, error) {
+		dst = binary.AppendUvarint(dst, uint64(len(areas)))
+		for _, es := range areas {
+			sortWire(es)
+			var err error
+			if dst, err = appendElems(dst, es); err != nil {
+				return dst, err
+			}
 		}
-		return enc.Encode(st)
+		return out.append(dst)
 	}, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
-func (m *MJoin) LoadState(dec *gob.Decoder) error {
-	var st mjoinState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	for i, ws := range st.Areas {
-		if i >= len(m.areas) {
-			break
+func (m *MJoin) LoadState(state []byte) error {
+	return loadState(state, func(d *wire.Decoder) {
+		if n := d.Count(); n != len(m.areas) {
+			d.Fail(fmt.Errorf("ops: state has %d join areas, the operator %d", n, len(m.areas)))
+			return
 		}
-		for _, e := range fromWire(ws) {
-			m.areas[i].Insert(e)
+		var es []temporal.Element
+		for _, area := range m.areas {
+			es = readElems(d, es)
+			for _, e := range es {
+				area.Insert(e)
+			}
 		}
-	}
-	m.out.loadState(st.Out)
-	return nil
-}
-
-// partitionState is one partition of a PartitionedWindow, in arrival
-// order; the heads heap is rebuilt from the restored queue heads.
-type partitionState struct {
-	Key   any
-	Elems []wireElem
-}
-
-type partWindowState struct {
-	Parts []partitionState
-	Out   orderBufferState
+		m.out.load(d)
+	})
 }
 
 // partCapture is one partition's record in a flat capture: its key and
@@ -570,8 +577,10 @@ type partCapture struct {
 }
 
 // SnapshotState implements the ft.StateSaver contract, capturing flat
-// like GroupBy's.
-func (w *PartitionedWindow) SnapshotState() (func(enc *gob.Encoder) error, error) {
+// like GroupBy's: the partitions in key order, each as its key and its
+// elements, then the pending output. The heads heap is rebuilt on load
+// from the restored queue heads.
+func (w *PartitionedWindow) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	n := 0
 	for _, q := range w.part {
 		n += q.Len()
@@ -584,33 +593,41 @@ func (w *PartitionedWindow) SnapshotState() (func(enc *gob.Encoder) error, error
 		caps = append(caps, partCapture{key: k, off: off, end: len(elems)})
 	}
 	out := w.out.capture()
-	return func(enc *gob.Encoder) error {
+	return func(dst []byte) ([]byte, error) {
 		sortByKey(caps, func(c partCapture) any { return c.key })
-		ws := toWire(elems)
-		st := partWindowState{Parts: make([]partitionState, len(caps)), Out: out.wire()}
-		for i, c := range caps {
-			st.Parts[i] = partitionState{Key: c.key, Elems: ws[c.off:c.end]}
+		dst = binary.AppendUvarint(dst, uint64(len(caps)))
+		for _, c := range caps {
+			var err error
+			if dst, err = wire.AppendValue(dst, c.key); err != nil {
+				return dst, err
+			}
+			if dst, err = appendElems(dst, elems[c.off:c.end]); err != nil {
+				return dst, err
+			}
 		}
-		return enc.Encode(st)
+		return out.append(dst)
 	}, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
-func (w *PartitionedWindow) LoadState(dec *gob.Decoder) error {
-	var st partWindowState
-	if err := dec.Decode(&st); err != nil {
-		return err
-	}
-	for _, ps := range st.Parts {
-		q := xds.NewQueue[temporal.Element]()
-		for _, e := range fromWire(ps.Elems) {
-			q.Enqueue(e)
+func (w *PartitionedWindow) LoadState(state []byte) error {
+	return loadState(state, func(d *wire.Decoder) {
+		var es []temporal.Element
+		for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+			key := d.Value()
+			es = readElems(d, es)
+			if d.Err() != nil {
+				return
+			}
+			q := xds.NewQueue[temporal.Element]()
+			for _, e := range es {
+				q.Enqueue(e)
+			}
+			w.part[key] = q
+			if head, ok := q.Peek(); ok {
+				w.heads.Push(partHead{start: head.Start, key: key})
+			}
 		}
-		w.part[ps.Key] = q
-		if head, ok := q.Peek(); ok {
-			w.heads.Push(partHead{start: head.Start, key: ps.Key})
-		}
-	}
-	w.out.loadState(st.Out)
-	return nil
+		w.out.load(d)
+	})
 }

@@ -1,81 +1,92 @@
 // Package remote implements PIPES' connectivity building blocks: stream
 // elements serialised to any io.Writer/io.Reader (files, pipes) and
 // served/consumed over TCP, so autonomous remote data sources plug into a
-// local query graph and query results feed remote consumers. Values are
-// gob-encoded; applications register their concrete value types once via
-// RegisterType (cql.Tuple and the basic types work out of the box).
+// local query graph and query results feed remote consumers.
+//
+// The stream format is a sequence of records, each a uvarint length and
+// that many bytes: one element — its value, start and end in the
+// engine's value codec (internal/wire) — per record, and an empty record
+// for end of stream. cql.Tuple and the codec's basic kinds travel as they
+// are; applications register any other concrete value type once with
+// wire.RegisterType (the facade's RegisterWireType).
 package remote
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
-	"pipes/internal/cql"
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
+	"pipes/internal/wire"
 )
 
-func init() {
-	gob.Register(cql.Tuple{})
-	gob.Register(map[string]any{})
-	gob.Register([]any{})
-}
-
-// RegisterType makes a concrete value type transportable (a thin wrapper
-// over gob.Register).
-func RegisterType(v any) { gob.Register(v) }
-
-// wireElement is the on-the-wire representation.
-type wireElement struct {
-	Value any
-	Start temporal.Time
-	End   temporal.Time
-}
-
 // Writer is a sink that serialises every received element to an
-// io.Writer and emits an end-of-stream marker on Done — persisting a
-// stream to a file or socket.
+// io.Writer and emits an end-of-stream record on Done — persisting a
+// stream to a file or socket. A frame's records are appended into one
+// buffer the writer reuses, and written with one Write.
 type Writer struct {
 	name string
 	mu   sync.Mutex
-	enc  *gob.Encoder
+	out  io.Writer
+	buf  []byte // the frame's records
+	rec  []byte // one element's encoding
 	err  error
 }
 
 // NewWriter returns a serialising sink.
 func NewWriter(name string, w io.Writer) *Writer {
-	return &Writer{name: name, enc: gob.NewEncoder(w)}
+	return &Writer{name: name, out: w}
 }
 
 // Name implements pubsub.Node.
 func (w *Writer) Name() string { return w.name }
 
-// ProcessBatch implements pubsub.BatchSink.
+// ProcessBatch implements pubsub.BatchSink. An element whose value cannot
+// be encoded latches the error: the records before it are written, the
+// element and everything after it are not.
 func (w *Writer) ProcessBatch(b temporal.Batch, _ int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, e := range b {
-		if w.err != nil {
-			return
-		}
-		w.err = w.enc.Encode(wireElement{Value: e.Value, Start: e.Start, End: e.End})
-	}
-}
-
-// Done implements pubsub.Sink: writes the end-of-stream marker (an
-// element with an invalid interval).
-func (w *Writer) Done(_ int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
-	w.err = w.enc.Encode(wireElement{Start: temporal.MaxTime, End: temporal.MinTime})
+	buf := w.buf[:0]
+	for _, e := range b {
+		rec, err := wire.AppendElement(w.rec[:0], e)
+		w.rec = rec
+		if err != nil {
+			w.err = err
+			break
+		}
+		buf = append(binary.AppendUvarint(buf, uint64(len(rec))), rec...)
+	}
+	w.buf = buf
+	w.write(buf)
+}
+
+// write hands buf to the underlying writer, latching its error.
+func (w *Writer) write(buf []byte) {
+	if len(buf) == 0 {
+		return
+	}
+	if _, err := w.out.Write(buf); err != nil && w.err == nil {
+		w.err = err
+	}
+}
+
+// Done implements pubsub.Sink: writes the end-of-stream record.
+func (w *Writer) Done(_ int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.write([]byte{0})
+	}
 }
 
 // Err returns the first serialisation error, if any.
@@ -90,16 +101,16 @@ func (w *Writer) Err() error {
 // one.
 type Reader struct {
 	pubsub.SourceBase
-	in    *bufio.Reader // the decoder's input, kept to see what has already arrived
-	dec   *gob.Decoder
+	in    *bufio.Reader
+	rec   []byte       // scratch the current record is read into
+	dec   wire.Decoder // reads rec
 	err   error
 	frame temporal.Batch // reusable scratch EmitBatch publishes
 }
 
 // NewReader returns a deserialising source.
 func NewReader(name string, r io.Reader) *Reader {
-	in := bufio.NewReader(r)
-	return &Reader{SourceBase: pubsub.NewSourceBase(name), in: in, dec: gob.NewDecoder(in)}
+	return &Reader{SourceBase: pubsub.NewSourceBase(name), in: bufio.NewReader(r)}
 }
 
 // EmitNext implements pubsub.Emitter.
@@ -112,19 +123,13 @@ func (r *Reader) EmitBatch(max int) (int, bool) {
 	frame := r.frame[:0]
 	more := true
 	for {
-		var we wireElement
-		if err := r.dec.Decode(&we); err != nil {
-			if !errors.Is(err, io.EOF) {
-				r.err = err
-			}
+		e, ok, err := r.next()
+		if err != nil || !ok {
+			r.err = err
 			more = false
 			break
 		}
-		if we.Start == temporal.MaxTime && we.End == temporal.MinTime {
-			more = false // end-of-stream marker
-			break
-		}
-		frame = append(frame, temporal.NewElement(we.Value, we.Start, we.End))
+		frame = append(frame, e)
 		if len(frame) >= max || r.in.Buffered() == 0 {
 			break
 		}
@@ -137,8 +142,45 @@ func (r *Reader) EmitBatch(max int) (int, bool) {
 	return len(frame), more
 }
 
-// Err returns the first deserialisation error, if any (EOF without a
-// marker is treated as clean termination).
+// next reads one record: an element, or ok false at the end of the
+// stream — its end-of-stream record, or EOF on a record boundary.
+func (r *Reader) next() (e temporal.Element, ok bool, err error) {
+	n, err := binary.ReadUvarint(r.in)
+	switch {
+	case errors.Is(err, io.EOF):
+		return e, false, nil
+	case err != nil:
+		return e, false, fmt.Errorf("remote: record length: %w", err)
+	case n == 0:
+		return e, false, nil
+	}
+	// The scratch grows with the bytes that arrive, never to a length the
+	// stream merely declares.
+	rec := r.rec[:0]
+	for uint64(len(rec)) < n {
+		if len(rec) == cap(rec) {
+			rec = slices.Grow(rec, int(min(n-uint64(len(rec)), uint64(max(len(rec), 512)))))
+		}
+		m, err := r.in.Read(rec[len(rec):min(uint64(cap(rec)), n)])
+		rec = rec[:len(rec)+m]
+		if err != nil && uint64(len(rec)) < n {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return e, false, fmt.Errorf("remote: record of %d bytes: %w", n, err)
+		}
+	}
+	r.rec = rec
+	r.dec.Reset(rec)
+	e = r.dec.Element()
+	if err := r.dec.Finish(); err != nil {
+		return e, false, fmt.Errorf("remote: %w", err)
+	}
+	return e, true, nil
+}
+
+// Err returns the first deserialisation error, if any (EOF without an
+// end-of-stream record is treated as clean termination).
 func (r *Reader) Err() error { return r.err }
 
 // Server publishes a source's elements to every connected TCP client. It

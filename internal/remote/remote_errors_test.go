@@ -8,13 +8,16 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
+	"pipes/internal/wire"
 )
 
 // TestReaderTruncatedStream cuts a serialised stream mid-element: the
@@ -27,8 +30,8 @@ func TestReaderTruncatedStream(t *testing.T) {
 		w.ProcessBatch(temporal.Batch{e}, 0)
 	}
 	// No Done: the stream ends with element 20 and no end-of-stream
-	// marker. Chopping two bytes is then guaranteed to land mid-message
-	// (a cut on a message boundary would read as clean EOF instead).
+	// record. Chopping two bytes is then guaranteed to land mid-record
+	// (a cut on a record boundary would read as clean EOF instead).
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}
@@ -55,7 +58,7 @@ func TestReaderTruncatedStream(t *testing.T) {
 	}
 }
 
-// TestReaderGarbageStream feeds bytes that were never a gob stream: the
+// TestReaderGarbageStream feeds bytes that were never a record stream: the
 // reader must fail fast, deliver nothing, and still signal Done so
 // downstream operators terminate.
 func TestReaderGarbageStream(t *testing.T) {
@@ -73,9 +76,10 @@ func TestReaderGarbageStream(t *testing.T) {
 	}
 }
 
-// neverRegistered is deliberately never passed to RegisterType (and,
-// unlike unregisteredType, no other test registers it either — gob
-// registration is process-global, so the two tests need distinct types).
+// neverRegistered is deliberately never passed to wire.RegisterType (and,
+// unlike unregisteredType, no other test registers it either — the gob
+// fallback's registration is process-global, so the two tests need
+// distinct types).
 type neverRegistered struct{ X int }
 
 // unregisteredType starts unregistered; TestReaderUnregisteredTypeName
@@ -83,7 +87,7 @@ type neverRegistered struct{ X int }
 type unregisteredType struct{ X int }
 
 // TestWriterUnregisteredType checks that the writer latches the encode
-// error for a value type gob has never seen, and that later (valid)
+// error for a value type the codec has never seen, and that later (valid)
 // elements are dropped rather than written after the failure — a
 // half-written stream must not silently continue.
 func TestWriterUnregisteredType(t *testing.T) {
@@ -102,14 +106,14 @@ func TestWriterUnregisteredType(t *testing.T) {
 }
 
 // TestReaderUnregisteredTypeName covers the receiving side: the wire
-// carries a type name the reader's process never registered. gob fails
-// the decode; the reader must surface it and terminate.
+// carries a type name the reader's process never registered. The codec's
+// gob fallback fails the decode; the reader must surface it and terminate.
 func TestReaderUnregisteredTypeName(t *testing.T) {
 	// Build a stream whose concrete type is registered here (sender side
 	// in a real deployment) but unknown to a fresh decoder — simulate by
 	// corrupting the registered name lookup: encode with a type that IS
 	// registered, then flip its wire name so the decoder cannot resolve it.
-	RegisterType(unregisteredType{})
+	wire.RegisterType(unregisteredType{})
 	var buf bytes.Buffer
 	w := NewWriter("file", &buf)
 	w.ProcessBatch(temporal.Batch{temporal.NewElement(unregisteredType{X: 7}, 0, 10)}, 0)
@@ -232,5 +236,28 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestReaderHugeRecordLength declares a record far longer than the bytes
+// that follow: the reader must fail on the truncation having grown its
+// scratch only with the bytes that arrived.
+func TestReaderHugeRecordLength(t *testing.T) {
+	raw := binary.AppendUvarint(nil, 1<<40)
+	raw = append(raw, bytes.Repeat([]byte{7}, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader("replay", bytes.NewReader(raw))
+	col := pubsub.NewCollector("col", 1)
+	r.Subscribe(col, 0)
+	pubsub.Drive(r)
+	col.Wait()
+	runtime.ReadMemStats(&after)
+
+	if r.Err() == nil || len(col.Elements()) != 0 {
+		t.Fatalf("a truncated record decoded: err %v, %d elements", r.Err(), len(col.Elements()))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("reading 100 bytes of a record declared 1 TiB long allocated %d bytes", grew)
 	}
 }

@@ -3,6 +3,8 @@ package remote
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +54,43 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// A frame goes out in one Write, and a record longer than one length
+// byte can say round-trips.
+func TestWriterOneWritePerFrame(t *testing.T) {
+	var buf bytes.Buffer
+	cw := &countingWriter{w: &buf}
+	w := NewWriter("file", cw)
+	long := strings.Repeat("x", 1000)
+	frame := append(elems(3), temporal.NewElement(cql.Tuple{"s": long}, 3, 13))
+	w.ProcessBatch(frame, 0)
+	w.Done(0)
+	if w.Err() != nil || cw.writes != 2 {
+		t.Fatalf("a frame and the end of stream took %d writes (err %v), want 2", cw.writes, w.Err())
+	}
+	r := NewReader("replay", &buf)
+	col := pubsub.NewCollector("col", 1)
+	r.Subscribe(col, 0)
+	pubsub.Drive(r)
+	col.Wait()
+	got := col.Elements()
+	if r.Err() != nil || len(got) != 4 {
+		t.Fatalf("replayed %d elements (err %v), want 4", len(got), r.Err())
+	}
+	if s, _ := got[3].Value.(cql.Tuple).Get("s"); s != long || got[3].End != 13 {
+		t.Fatalf("long record lost: %v", got[3])
+	}
+}
+
+type countingWriter struct {
+	w      io.Writer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.w.Write(p)
+}
+
 func TestReaderCleanEOFWithoutMarker(t *testing.T) {
 	var buf bytes.Buffer
 	src := pubsub.NewSliceSource("src", elems(3))
@@ -59,13 +98,13 @@ func TestReaderCleanEOFWithoutMarker(t *testing.T) {
 	src.Subscribe(w, 0)
 	for src.EmitNext() {
 	} // Drive emits done too; emulate a truncated stream instead:
-	// re-encode without marker
+	// re-encode without the end-of-stream record
 	buf.Reset()
 	w2 := NewWriter("f2", &buf)
 	for _, e := range elems(3) {
 		w2.ProcessBatch(temporal.Batch{e}, 0)
 	}
-	// no Done -> no marker
+	// no Done -> no end-of-stream record
 	r := NewReader("replay", &buf)
 	col := pubsub.NewCollector("col", 1)
 	r.Subscribe(col, 0)
@@ -80,7 +119,7 @@ func TestReaderCleanEOFWithoutMarker(t *testing.T) {
 }
 
 func TestReaderCorruptInput(t *testing.T) {
-	r := NewReader("bad", bytes.NewReader([]byte("this is not gob")))
+	r := NewReader("bad", bytes.NewReader([]byte("this is not a record stream")))
 	col := pubsub.NewCollector("col", 1)
 	r.Subscribe(col, 0)
 	pubsub.Drive(r)

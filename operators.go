@@ -11,6 +11,7 @@ import (
 	"pipes/internal/remote"
 	"pipes/internal/sched"
 	"pipes/internal/sweeparea"
+	"pipes/internal/wire"
 )
 
 // Operator algebra re-exports: every operation of the extended relational
@@ -132,8 +133,10 @@ var (
 	NewStreamReader = remote.NewReader
 	ServeStream     = remote.Serve
 	DialStream      = remote.Dial
-	// RegisterWireType registers a concrete value type for transport.
-	RegisterWireType = remote.RegisterType
+	// RegisterWireType registers a concrete value type for transport; it
+	// is RegisterCheckpointType, since streams and checkpoints share one
+	// value codec.
+	RegisterWireType = wire.RegisterType
 )
 
 // CSV adapters: typed CSV rows ⇄ tuple streams.
