@@ -148,34 +148,45 @@ func (m *Manager) Redistribute() {
 	m.redistributeLocked()
 }
 
-// redistributeLocked assigns each subscription its weighted base share,
-// then moves surplus (base share unused by low-demand users) to users
-// whose demand exceeds their base — the adaptive part: budgets follow
-// demand at runtime.
-func (m *Manager) redistributeLocked() {
-	if len(m.subs) == 0 {
+// usage reads each subscription's footprint once.
+func usage(subs []*Subscription) []int {
+	use := make([]int, len(subs))
+	for i, s := range subs {
+		use[i] = s.user.MemoryUsage()
+	}
+	return use
+}
+
+// redistributeLocked assigns limits from a fresh usage reading.
+func (m *Manager) redistributeLocked() { m.assignLocked(m.subs, usage(m.subs)) }
+
+// assignLocked gives each subscription its weighted base share, then
+// moves surplus (base share unused by low-demand users) to users whose
+// demand exceeds their base — the adaptive part: budgets follow demand at
+// runtime. use[i] is subs[i]'s footprint.
+func (m *Manager) assignLocked(subs []*Subscription, use []int) {
+	if len(subs) == 0 {
 		return
 	}
 	if m.total <= 0 {
-		for _, s := range m.subs {
+		for _, s := range subs {
 			s.limit.Store(int64(int(^uint(0) >> 1))) // unlimited
 		}
 		return
 	}
 	var sumW float64
-	for _, s := range m.subs {
+	for _, s := range subs {
 		sumW += s.weight
 	}
 	surplus := 0
-	var needy []*Subscription
+	var needy []int
 	deficit := 0
-	for _, s := range m.subs {
+	for i, s := range subs {
 		base := int(float64(m.total) * s.weight / sumW)
-		use := s.user.MemoryUsage()
-		if use < base {
+		if use[i] < base {
 			// Demand below share: keep headroom of 2x demand (so the
 			// operator can grow), release the rest.
-			keep := use * 2
+			keep := use[i] * 2
 			if keep > base {
 				keep = base
 			}
@@ -183,15 +194,15 @@ func (m *Manager) redistributeLocked() {
 			surplus += base - keep
 		} else {
 			s.limit.Store(int64(base))
-			needy = append(needy, s)
-			deficit += use - base
+			needy = append(needy, i)
+			deficit += use[i] - base
 		}
 	}
 	if surplus > 0 && deficit > 0 {
-		for _, s := range needy {
-			need := s.user.MemoryUsage() - s.Limit()
+		for _, i := range needy {
+			need := use[i] - subs[i].Limit()
 			grant := int(float64(surplus) * float64(need) / float64(deficit))
-			s.limit.Add(int64(grant))
+			subs[i].limit.Add(int64(grant))
 		}
 	}
 }
@@ -200,22 +211,26 @@ func (m *Manager) redistributeLocked() {
 // assignment and returns the total bytes shed.
 func (m *Manager) Enforce() int {
 	m.mu.Lock()
-	subs := make([]*Subscription, len(m.subs))
-	copy(subs, m.subs)
+	subs := append([]*Subscription(nil), m.subs...)
 	m.mu.Unlock()
+	return m.enforce(subs, usage(subs))
+}
+
+// enforce sheds what each subs[i] holds above its limit, judged by the
+// reading use[i].
+func (m *Manager) enforce(subs []*Subscription, use []int) int {
 	total := 0
-	for _, s := range subs {
-		use := s.user.MemoryUsage()
+	for i, s := range subs {
 		limit := s.Limit()
-		if use <= limit {
+		if use[i] <= limit {
 			continue
 		}
-		freed := s.strategy(s.user, use-limit)
+		freed := s.strategy(s.user, use[i]-limit)
 		s.shedB.Add(int64(freed))
 		s.shedEv.Add(1)
 		total += freed
 		if rec := m.flightRec.Load(); rec != nil {
-			rec.Record(rec.Ref(s.user.Name()), flight.KindShed, int64(freed), int64(use), int64(limit))
+			rec.Record(rec.Ref(s.user.Name()), flight.KindShed, int64(freed), int64(use[i]), int64(limit))
 		}
 	}
 	return total
@@ -228,11 +243,18 @@ func (m *Manager) Enforce() int {
 // per shed is fine.
 func (m *Manager) SetFlightRecorder(r *flight.Recorder) { m.flightRec.Store(r) }
 
-// Step is one manager cycle: redistribute then enforce. Call it from the
-// runtime loop (or Run).
+// Step is one manager cycle: redistribute then enforce, both judged by one
+// reading of each subscription's usage. A second reading would shed what
+// an operator gained in between, measured against a limit set before it
+// gained it (an empty join's limit is 0). Call it from the runtime loop
+// (or Run).
 func (m *Manager) Step() int {
-	m.Redistribute()
-	return m.Enforce()
+	m.mu.Lock()
+	subs := append([]*Subscription(nil), m.subs...)
+	use := usage(subs)
+	m.assignLocked(subs, use)
+	m.mu.Unlock()
+	return m.enforce(subs, use)
 }
 
 // Run steps the manager every interval until stop is closed.

@@ -189,6 +189,33 @@ func TestSubscribeValidation(t *testing.T) {
 	m.Subscribe(nil, nil, 1)
 }
 
+// growingUser outgrows its 2× headroom between any two reads of its
+// footprint, as an empty join does when its first frame lands.
+type growingUser struct{ fakeUser }
+
+func (g *growingUser) MemoryUsage() int {
+	g.usage = 3*g.usage + 64
+	return g.usage
+}
+
+// A step judges each operator by one reading: an operator that grows
+// between redistribution and enforcement is not shed under a budget it is
+// nowhere near.
+func TestStepReadsUsageOnce(t *testing.T) {
+	m := NewManager(1 << 20)
+	g := &growingUser{fakeUser{name: "join"}}
+	sub := m.Subscribe(g, DropState(), 1)
+	for i := 0; i < 5; i++ { // usage stays below 32 KiB
+
+		if freed := m.Step(); freed != 0 {
+			t.Fatalf("step %d shed %d bytes at usage %d, budget %d", i, freed, g.usage, m.Budget())
+		}
+	}
+	if sub.ShedEvents() != 0 {
+		t.Fatalf("%d shed events under a 1 MiB budget", sub.ShedEvents())
+	}
+}
+
 func TestTotalUsage(t *testing.T) {
 	m := NewManager(1000)
 	m.Subscribe(&fakeUser{name: "a", usage: 100}, nil, 1)

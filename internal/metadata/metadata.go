@@ -162,10 +162,11 @@ type options struct {
 // WithClock substitutes the block's time source (tests use FakeClock).
 func WithClock(c telemetry.Clock) Option { return func(o *options) { o.clock = c } }
 
-// WithTracer enables element-level tracing at the pipe: traced inputs get
-// an "in" span, outputs an "out" span, and trace contexts are re-attached
-// across operators that construct fresh elements. Tracing serialises the
-// pipe's traced elements (see OBSERVABILITY.md for the hand-off contract).
+// WithTracer enables element-level tracing at the pipe, at frame
+// granularity: a traced input gets an "in" span when its frame is
+// delivered, a traced output an "out" span when its frame is published.
+// The operator carries each trace from input to output (OBSERVABILITY.md,
+// "Element tracing"); the pipe only records.
 func WithTracer(t *telemetry.Tracer) Option { return func(o *options) { o.tracer = t } }
 
 // WithKinds restricts the exposed metrics to the given kinds. By default

@@ -1,8 +1,10 @@
 package metadata
 
 import (
+	"sync"
 	"testing"
 
+	"pipes/internal/aggregate"
 	"pipes/internal/ops"
 	"pipes/internal/pubsub"
 	"pipes/internal/telemetry"
@@ -11,10 +13,10 @@ import (
 
 // TestTraceSpanPropagationThroughChain follows one traced element through
 // a 3-operator monitored chain: a filter (forwards the element unchanged,
-// so the trace rides along), a map (constructs a fresh element, so its
-// block must re-attach the trace) and a second filter. Every hop must
-// append in/out spans in graph order and the element arriving at the sink
-// must still carry the context.
+// so the trace rides along), a map (constructs a fresh element through
+// temporal.Derive, which carries the trace) and a second filter. Every hop
+// must append in/out spans in graph order and the element arriving at the
+// sink must still carry the context.
 func TestTraceSpanPropagationThroughChain(t *testing.T) {
 	tracer := telemetry.NewTracer(1, 0)
 	f1 := ops.NewFilter("f1", func(any) bool { return true })
@@ -113,31 +115,18 @@ func TestUntracedElementsUnaffected(t *testing.T) {
 	}
 }
 
-// freshPipe rebuilds every element from scratch, dropping the trace slot,
-// so only the block's re-attachment can carry a trace across it.
-type freshPipe struct{ pubsub.PipeBase }
-
-func (p *freshPipe) ProcessBatch(b temporal.Batch, _ int) {
-	p.ProcMu.Lock()
-	defer p.ProcMu.Unlock()
-	for _, e := range b {
-		p.Emit(temporal.Element{Value: e.Value.(int) * 10, Interval: e.Interval, Trace: nil})
-	}
-	p.Flush()
-}
-
 // TestTracedElementsInsideAFrame pins trace attribution at frame
 // granularity: traced elements in the middle of a frame get their in/out
-// hops and — across an operator that builds fresh elements — their trace
-// re-attached to exactly their own output, while the untraced elements
-// around them stay untraced and every count stays per-element exact.
+// hops and — across a map, which builds fresh elements — exactly their own
+// output carries their trace, while the untraced elements around them stay
+// untraced and every count stays per-element exact.
 func TestTracedElementsInsideAFrame(t *testing.T) {
 	tracer := telemetry.NewTracer(1, 0)
-	f, fresh := ops.NewFilter("f", func(any) bool { return true }), &freshPipe{PipeBase: pubsub.NewPipeBase("fresh", 1)}
+	f, mp := ops.NewFilter("f", func(any) bool { return true }), ops.NewMap("m", func(v any) any { return v.(int) * 10 })
 	d1 := monitorFed(f, WithTracer(tracer))
-	d2 := Monitor(fresh, WithTracer(tracer))
+	d2 := Monitor(mp, WithTracer(tracer))
 	col := pubsub.NewCollector("out", 1)
-	if err := pubsub.Connect(f, fresh).Subscribe(col, 0); err != nil {
+	if err := pubsub.Connect(f, mp).Subscribe(col, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,16 +156,7 @@ func TestTracedElementsInsideAFrame(t *testing.T) {
 		}
 	}
 	for i, tr := range traces {
-		want := []struct{ op, event string }{{"f", "in"}, {"f", "out"}, {"fresh", "in"}, {"fresh", "out"}}
-		spans := tr.Spans()
-		if len(spans) != len(want) {
-			t.Fatalf("element %d: spans %v, want %d hops", i, spans, len(want))
-		}
-		for k, w := range want {
-			if spans[k].Op != w.op || spans[k].Event != w.event {
-				t.Fatalf("element %d span %d = %s/%s, want %s/%s", i, k, spans[k].Op, spans[k].Event, w.op, w.event)
-			}
-		}
+		wantSpans(t, tr, span{"f", "in", i}, span{"f", "out", i}, span{"m", "in", i}, span{"m", "out", i})
 	}
 	for _, d := range []*Monitored{d1.Monitored, d2} {
 		if in, _ := d.Get(InputCount); in != 8 {
@@ -184,6 +164,117 @@ func TestTracedElementsInsideAFrame(t *testing.T) {
 		}
 		if out, _ := d.Get(OutputCount); out != 8 {
 			t.Fatalf("%s counted %v outputs, want 8", d.Inner().Name(), out)
+		}
+	}
+}
+
+// span is one expected hop: operator, event and application time.
+type span struct {
+	op, event string
+	app       int
+}
+
+// wantSpans fails unless tr recorded exactly the hops want, in order.
+func wantSpans(t *testing.T, tr *telemetry.Trace, want ...span) {
+	t.Helper()
+	got := tr.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("trace %d: spans %v, want %v", tr.ID, got, want)
+	}
+	for k, w := range want {
+		if got[k].Op != w.op || got[k].Event != w.event || got[k].AppTime != temporal.Time(w.app) {
+			t.Fatalf("trace %d span %d = %s/%s@%d, want %s/%s@%d", tr.ID, k, got[k].Op, got[k].Event, got[k].AppTime, w.op, w.event, w.app)
+		}
+	}
+}
+
+// TestBufferedResultsKeepTheirOwnTrace feeds a monitored group-by an
+// untraced k0 element valid over [0,3), then a traced k1 element at t=10.
+// Processing k1 releases k0's buffered result: it must leave untraced, and
+// k1's trace must hold only its own hops — a trace crosses an operator
+// through the operator's trace slot, never by whatever input happens to be
+// inside it when a result is released.
+func TestBufferedResultsKeepTheirOwnTrace(t *testing.T) {
+	tracer := telemetry.NewTracer(1, 0)
+	g := ops.NewGroupBy("g", func(v any) any { return v }, aggregate.NewCount, nil)
+	d := monitorFed(g, WithTracer(tracer))
+	col := pubsub.NewCollector("out", 1)
+	if err := d.Subscribe(col, 0); err != nil {
+		t.Fatal(err)
+	}
+	tr := tracer.MaybeTrace()
+	d.ProcessBatch(temporal.Batch{temporal.NewElement("k0", 0, 3)}, 0)
+	d.ProcessBatch(temporal.Batch{telemetry.Attach(temporal.NewElement("k1", 10, 12), tr)}, 0)
+	d.Done(0)
+	col.Wait()
+
+	out := col.Elements()
+	if len(out) != 2 {
+		t.Fatalf("sink got %v, want one result per group", out)
+	}
+	for _, e := range out {
+		want := tr
+		if e.Value.(ops.GroupResult).Key == "k0" {
+			want = nil
+		}
+		if got := telemetry.FromElement(e); got != want {
+			t.Fatalf("result %v carries trace %p, want %p", e, got, want)
+		}
+	}
+	wantSpans(t, tr, span{"g", "in", 10}, span{"g", "out", 10})
+}
+
+// TestConcurrentTracedJoinInputs publishes traced frames into both inputs of
+// one monitored join from two goroutines at once: every traced element gets
+// exactly one "in" hop at the join, and under -race the block's traced
+// delivery path shows no data race.
+func TestConcurrentTracedJoinInputs(t *testing.T) {
+	const frames, size = 50, 8
+	tracer := telemetry.NewTracer(3, frames*size*2)
+	key := func(v any) any { return v }
+	j := ops.NewEquiJoin("j", key, key, func(l, r any) any { return [2]any{l, r} })
+	Monitor(j, WithTracer(tracer))
+	if err := j.Subscribe(pubsub.NewCounter("out", 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	srcs := [2]pubsub.SourceBase{pubsub.NewSourceBase("l"), pubsub.NewSourceBase("r")}
+	var wg sync.WaitGroup
+	for in := range srcs {
+		if err := srcs[in].Subscribe(j, in); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(src *pubsub.SourceBase) {
+			defer wg.Done()
+			frame := make(temporal.Batch, size)
+			for f := 0; f < frames; f++ {
+				for i := range frame {
+					ts := temporal.Time(f*size + i)
+					frame[i] = temporal.NewElement(i, ts, ts+4)
+					if tr := tracer.MaybeTrace(); tr != nil {
+						frame[i] = telemetry.Attach(frame[i], tr)
+					}
+				}
+				src.TransferBatch(frame)
+			}
+			src.SignalDone()
+		}(&srcs[in])
+	}
+	wg.Wait()
+
+	traces := tracer.Traces()
+	if want := frames * size * 2 / 3; len(traces) != want {
+		t.Fatalf("%d traces, want %d", len(traces), want)
+	}
+	for _, tr := range traces {
+		ins := 0
+		for _, s := range tr.Spans() {
+			if s.Op == "j" && s.Event == "in" {
+				ins++
+			}
+		}
+		if ins != 1 {
+			t.Fatalf("trace %d: %d j/in hops, want 1 (spans %v)", tr.ID, ins, tr.Spans())
 		}
 	}
 }

@@ -5,27 +5,10 @@ import (
 	"pipes/internal/temporal"
 )
 
-// IStream emits an instantaneous (chronon) element whenever a value enters
-// the snapshot — CQL's ISTREAM relation-to-stream operator, realised per
-// element: (v, [s,e)) ↦ (v, [s,s+1)).
-type IStream struct {
-	pubsub.PipeBase
-}
-
-// NewIStream returns an ISTREAM converter.
-func NewIStream(name string) *IStream {
-	return &IStream{PipeBase: pubsub.NewPipeBase(name, 1)}
-}
-
-// ProcessBatch implements pubsub.BatchSink.
-func (s *IStream) ProcessBatch(b temporal.Batch, _ int) {
-	s.ProcMu.Lock()
-	defer s.ProcMu.Unlock()
-	for _, e := range b {
-		s.Emit(e.WithInterval(temporal.NewInterval(e.Start, e.Start+1)))
-	}
-	s.Flush()
-}
+// NewIStream returns CQL's ISTREAM relation-to-stream converter: a chronon
+// element whenever a value enters the snapshot, realised per element as
+// (v, [s,e)) ↦ (v, [s,s+1)) — the NOW window's map.
+func NewIStream(name string) *NowWindow { return NewNowWindow(name) }
 
 // DStream emits a chronon element whenever a value leaves the snapshot —
 // CQL's DSTREAM: (v, [s,e)) ↦ (v, [e,e+1)). Because interval ends are not

@@ -283,7 +283,7 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 		return
 	}
 	if ref := s.fref.Load(); ref != nil {
-		b = ref.Out(b)
+		ref.Out(b)
 	}
 	if h := s.hook.Load(); h != nil {
 		// Hooks annotate elements (trace attachment), so they must not

@@ -32,10 +32,11 @@ const (
 	// WorkTiming times the consumer's ProcessBatch on the element stride
 	// (service-time histogram and the cost EWMA).
 	WorkTiming
-	// WorkTrace follows traced elements: an "in" hop and the hand-off
-	// delay on delivery, an "out" hop on publish, and the trace context
-	// re-attached to the fresh elements an operator builds from a traced
-	// input.
+	// WorkTrace follows traced elements at frame granularity: an "in" hop
+	// and the hand-off delay when their frame is delivered, an "out" hop
+	// when a frame carrying them is published. Carrying the trace context
+	// across the operator is the operator's job (temporal.Derive,
+	// WithInterval or a trace slot in its state), never the block's.
 	WorkTrace
 )
 
@@ -83,18 +84,6 @@ type OpRef struct {
 	samples atomic.Pointer[samples]         // allocated by the first SetViews that sets work
 	nowNano atomic.Int64                    // clock reading of the last sampled delivery, reused by Out
 	costNS  atomic.Uint64                   // math.Float64bits of the EWMA service ns/element
-
-	// While a traced input is inside the operator its context sits in
-	// active, so Out can attribute the fresh elements the operator builds
-	// (map/aggregate/join) to it. Traced inputs serialise on traceMu so two
-	// of them cannot swap attributions; untraced frames stay lock-free.
-	// Under the scheduler's single-owner activation contract an operator
-	// processes one frame at a time, so the attribution is exact; callers
-	// that drive one operator from several goroutines directly may, at
-	// worst, attribute a sampled span to a neighbouring element.
-	traceMu sync.Mutex
-	active  atomic.Pointer[telemetry.Trace]
-	scratch temporal.Batch // Out's re-attachment frame (the publisher is serial)
 }
 
 // samples is the strided in-side state, allocated only once a view needs
@@ -151,7 +140,7 @@ func (o *OpRef) SetViews(views, work uint32) {
 // metadata).
 func (o *OpRef) Views() uint32 { return o.views.Load() }
 
-// Work returns the active work bits.
+// Work returns the current work bits.
 func (o *OpRef) Work() uint32 { return o.work.Load() }
 
 // Frames returns the total frames published by the node.
@@ -219,15 +208,14 @@ func strideHits(prev, n int64) int64 {
 	return upTo(prev+n-1) - upTo(prev-1)
 }
 
-// Out records the non-empty frame b published by the node and returns the
-// frame to publish — b itself unless trace contexts had to be re-attached,
-// then a block-owned copy. The counts are exact; occupancy and the ring
-// event are sampled one frame in strideEvery. A block somebody reads as
-// metadata (views set) also keeps the stamp, exactly, and the output rate
-// on the element stride, stamped with the clock reading of the last
-// sampled delivery (outputs are emitted synchronously inside the
-// operator, so the skew is bounded by one stride).
-func (o *OpRef) Out(b temporal.Batch) temporal.Batch {
+// Out records the non-empty frame b published by the node. The counts are
+// exact; occupancy and the ring event are sampled one frame in
+// strideEvery. A block somebody reads as metadata (views set) also keeps
+// the stamp, exactly, and the output rate on the element stride, stamped
+// with the clock reading of the last sampled delivery (outputs are emitted
+// synchronously inside the operator, so the skew is bounded by one
+// stride).
+func (o *OpRef) Out(b temporal.Batch) {
 	n := int64(len(b))
 	prev := o.elems.Add(n) - n
 	if o.frames.Add(1)%strideEvery == 0 {
@@ -235,7 +223,7 @@ func (o *OpRef) Out(b temporal.Batch) temporal.Batch {
 		o.record(KindFrame, n, 0, 0)
 	}
 	if o.views.Load() == 0 {
-		return b
+		return
 	}
 	o.lastOut.Store(int64(b[n-1].Start))
 	work := o.work.Load()
@@ -245,40 +233,22 @@ func (o *OpRef) Out(b temporal.Batch) temporal.Batch {
 		}
 	}
 	if work&WorkTrace != 0 {
-		b = o.traceOut(b)
-	}
-	return b
-}
-
-// traceOut records the "out" hop of every traced element of an output
-// frame, re-attaching the active input's trace to the elements the
-// operator built fresh — into block-owned scratch, since the frame is
-// borrowed.
-func (o *OpRef) traceOut(b temporal.Batch) temporal.Batch {
-	act := o.active.Load()
-	if act != nil {
-		o.scratch = append(o.scratch[:0], b...)
-		b = o.scratch
-	}
-	for i, e := range b {
-		if tr := telemetry.FromElement(e); tr != nil {
-			// The operator forwarded the traced element itself.
-			tr.Hop(o.name, "out", e.Start)
-		} else if act != nil {
-			b[i] = telemetry.Attach(e, act)
-			act.Hop(o.name, "out", e.Start)
+		for _, e := range b {
+			if tr := telemetry.FromElement(e); tr != nil {
+				tr.Hop(o.name, "out", e.Start)
+			}
 		}
 	}
-	return b
 }
 
 // Deliver hands the non-empty frame b to sink — the node this block
 // belongs to. A block nobody reads as metadata only forwards; otherwise it
 // records the frame on the way: the input count and stamp exactly, the
 // input rate and the service time (the whole-frame measurement apportioned
-// per element) on the element stride. One clock reading per sampled
-// delivery serves the rate estimator, the service timer and, via nowNano,
-// Out's rate estimator.
+// per element) on the element stride, and the "in" hop of every traced
+// element before the operator sees the frame. One clock reading per
+// sampled delivery serves the rate estimator, the service timer and, via
+// nowNano, Out's rate estimator.
 func (o *OpRef) Deliver(sink FrameSink, b temporal.Batch, input int) {
 	if o.views.Load() == 0 {
 		sink.ProcessBatch(b, input)
@@ -305,10 +275,17 @@ func (o *OpRef) Deliver(sink FrameSink, b temporal.Batch, input int) {
 		}
 	}
 	if work&WorkTrace != 0 {
-		o.deliverTraced(sink, b, input, s)
-	} else {
-		sink.ProcessBatch(b, input)
+		for _, e := range b {
+			// The gap since the previous hop is the hand-off (queue) delay
+			// between the upstream publish and this operator.
+			if tr := telemetry.FromElement(e); tr != nil {
+				if gap := tr.Hop(o.name, "in", e.Start); gap > 0 {
+					s.queue.Observe(gap)
+				}
+			}
+		}
 	}
+	sink.ProcessBatch(b, input)
 	if hits > 0 && work&WorkTiming != 0 {
 		perElem := o.now().Sub(now).Nanoseconds() / n
 		s.svc.ObserveN(perElem, uint64(hits))
@@ -319,38 +296,6 @@ func (o *OpRef) Deliver(sink FrameSink, b temporal.Batch, input int) {
 			cost = 0.2*cost + 0.8*old
 		}
 		o.costNS.Store(math.Float64bits(cost))
-	}
-}
-
-// deliverTraced delivers a frame with every traced element as its own
-// one-element sub-frame, its context published in active while it is
-// inside the operator; the untraced runs between them pass as sub-frames
-// too (all views of the borrowed frame, which nests through synchronous
-// hops).
-func (o *OpRef) deliverTraced(sink FrameSink, b temporal.Batch, input int, s *samples) {
-	start := 0
-	for i, e := range b {
-		tr := telemetry.FromElement(e)
-		if tr == nil {
-			continue
-		}
-		if i > start {
-			sink.ProcessBatch(b[start:i], input)
-		}
-		// The gap since the previous hop is the hand-off (queue) delay
-		// between the upstream publish and this operator.
-		if gap := tr.Hop(o.name, "in", e.Start); gap > 0 {
-			s.queue.Observe(gap)
-		}
-		o.traceMu.Lock()
-		o.active.Store(tr)
-		sink.ProcessBatch(b[i:i+1], input)
-		o.active.Store(nil)
-		o.traceMu.Unlock()
-		start = i + 1
-	}
-	if start < len(b) {
-		sink.ProcessBatch(b[start:], input)
 	}
 }
 

@@ -104,6 +104,10 @@ func ParseCQL(query string) (*cql.Query, error) { return cql.Parse(query) }
 // inspection, XML persistence via internal/planio, or RegisterPlan).
 var PlanFromQuery = optimizer.FromQuery
 
+// memoryPeriod is how often a running engine with a MemoryBudget
+// redistributes the budget and sheds what exceeds it.
+const memoryPeriod = 10 * time.Millisecond
+
 // Config parameterises a DSMS prototype. The zero value is a sensible
 // single-threaded, unlimited-memory engine.
 type Config struct {
@@ -113,7 +117,8 @@ type Config struct {
 	Strategy sched.Factory
 	// BatchSize is the scheduler batch size (default 64).
 	BatchSize int
-	// MemoryBudget is the global state budget in bytes (0 = unlimited).
+	// MemoryBudget is the global state budget in bytes (0 = unlimited),
+	// enforced while the engine runs and once more when Wait returns.
 	MemoryBudget int
 	// Shedding is the load-shedding strategy applied to stateful
 	// operators when over budget (default: drop soonest-expiring state).
@@ -202,6 +207,7 @@ type DSMS struct {
 	mu      sync.Mutex
 	queries []*Query
 	tserver *listener // Config.TelemetryAddr (telemetry.go)
+	memStop func()    // ends the memory manager's cycle; nil when none runs
 
 	// Control plane (service.go; nil unless Config enables it).
 	service *service.Service
@@ -417,8 +423,9 @@ func (d *DSMS) Monitors() []*metadata.Monitored {
 }
 
 // Start launches the scheduler workers driving the registered emitters,
-// the autonomous sources' threads and, with Config.TelemetryAddr set, the
-// telemetry scrape endpoint.
+// the autonomous sources' threads, with Config.MemoryBudget set the memory
+// manager's cycle and, with Config.TelemetryAddr set, the telemetry scrape
+// endpoint.
 func (d *DSMS) Start() {
 	d.attachFlight()
 	if err := d.startListeners(); err != nil {
@@ -427,22 +434,49 @@ func (d *DSMS) Start() {
 	if d.Checkpoints != nil {
 		d.Checkpoints.Start(d.cfg.CheckpointInterval)
 	}
+	if d.cfg.MemoryBudget > 0 {
+		// Not a Scheduler.Go thread: the scheduler's Wait waits for those,
+		// and this cycle ends only when Wait or Stop ends it.
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			d.Memory.Run(stop, memoryPeriod)
+		}()
+		d.mu.Lock()
+		d.memStop = func() { close(stop); <-done }
+		d.mu.Unlock()
+	}
 	d.Scheduler.Start()
 }
 
-// Wait blocks until all scheduled work has finished, then runs a final
-// memory-manager step.
+// stopMemory ends the memory manager's cycle, if one runs, and waits for
+// it to exit.
+func (d *DSMS) stopMemory() {
+	d.mu.Lock()
+	stop := d.memStop
+	d.memStop = nil
+	d.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+}
+
+// Wait blocks until all scheduled work has finished, ends the memory
+// manager's cycle, then runs a final memory-manager step.
 func (d *DSMS) Wait() {
 	d.Scheduler.Wait()
+	d.stopMemory()
 	d.Memory.Step()
 	if d.Checkpoints != nil {
 		d.Checkpoints.Stop() // drains a queued round; idempotent
 	}
 }
 
-// Stop aborts the scheduler and closes the telemetry endpoint.
+// Stop aborts the scheduler, ends the memory manager's cycle and closes
+// the telemetry endpoint.
 func (d *DSMS) Stop() {
 	d.Scheduler.Stop()
+	d.stopMemory()
 	if d.Checkpoints != nil {
 		d.Checkpoints.Stop()
 	}

@@ -200,22 +200,95 @@ func TestMemoryManagedJoinQuery(t *testing.T) {
 	col := NewCounter("out", 1)
 	q.Subscribe(col)
 	dsms.Start()
-	// Enforce the budget while the query runs.
-	done := make(chan struct{})
-	go func() {
-		dsms.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-done:
-			if use := dsms.Memory.TotalUsage(); use > 64*200*4 {
-				t.Fatalf("memory after final step: %d", use)
-			}
-			return
-		default:
-			dsms.Memory.Step()
+	dsms.Wait()
+	if use := dsms.Memory.TotalUsage(); use > 64*200*4 {
+		t.Fatalf("memory after final step: %d", use)
+	}
+}
+
+// A memory budget is enforced while the engine runs, not only when Wait
+// returns: a join over two channel streams that are still open sheds state,
+// and Stop ends the manager's cycle along with everything else.
+func TestMemoryBudgetEnforcedWhileRunning(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const n = 200
+	dsms := NewDSMS(Config{MemoryBudget: 64 * 20})
+	a, b := make(chan Element, n), make(chan Element, n)
+	dsms.RegisterStream("a", NewChanSource("a", a), 1000)
+	dsms.RegisterStream("b", NewChanSource("b", b), 1000)
+	q, err := dsms.RegisterQuery(`SELECT a.k FROM a [RANGE 1000000], b [RANGE 1000000] WHERE a.k = b.k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Subscribe(NewCounter("out", 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		a <- At(Tuple{"k": i % 7}, Time(i))
+		b <- At(Tuple{"k": i % 7}, Time(i))
+	}
+	dsms.Start()
+	shed := func() (events int64) {
+		for _, s := range dsms.Memory.Stats().Subs {
+			events += s.ShedEvents
 		}
+		return events
+	}
+	for deadline := time.Now().Add(5 * time.Second); shed() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no shed in 5 s with both streams open: %+v", dsms.Memory.Stats())
+		}
+	}
+	dsms.Stop()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before the engine", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// The running memory cycle sheds nothing under a budget the state never
+// nears: a join over two live channel streams, fed while the cycle runs,
+// keeps every pair it should emit.
+func TestGenerousBudgetShedsNothingWhileRunning(t *testing.T) {
+	const n, keys = 400, 7
+	dsms := NewDSMS(Config{MemoryBudget: 64 << 20})
+	a, b := make(chan Element), make(chan Element)
+	dsms.RegisterStream("a", NewChanSource("a", a), 1000)
+	dsms.RegisterStream("b", NewChanSource("b", b), 1000)
+	q, err := dsms.RegisterQuery(`SELECT a.k FROM a [RANGE 1000000], b [RANGE 1000000] WHERE a.k = b.k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := NewCounter("out", 1)
+	if err := q.Subscribe(out); err != nil {
+		t.Fatal(err)
+	}
+	dsms.Start()
+	for i := 0; i < n; i++ {
+		a <- At(Tuple{"k": i % keys}, Time(i))
+		b <- At(Tuple{"k": i % keys}, Time(i))
+		if i%40 == 0 {
+			time.Sleep(2 * memoryPeriod) // let the cycle see the join grow
+		}
+	}
+	close(a)
+	close(b)
+	dsms.Wait()
+	out.Wait()
+	for _, s := range dsms.Memory.Stats().Subs {
+		if s.ShedEvents != 0 {
+			t.Fatalf("%s shed %d times (%d B) under a 64 MiB budget", s.Name, s.ShedEvents, s.ShedBytes)
+		}
+	}
+	// Every a/b pair with equal keys: the windows outlast the input.
+	want := int64(0)
+	for k := 0; k < keys; k++ {
+		c := int64((n - k + keys - 1) / keys)
+		want += c * c
+	}
+	if got := out.Count(); got != want {
+		t.Fatalf("join emitted %d results, want %d", got, want)
 	}
 }
 
