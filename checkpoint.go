@@ -92,8 +92,7 @@ func (d *DSMS) registerCheckpointed(p pubsub.Pipe) {
 // empty). Recovery needs it before the graph exists: the per-source
 // replay offsets decide what to feed the rebuilt engine, so the order is
 // LatestCheckpoint → RegisterStream(replay sources) → RegisterQuery/
-// RegisterPlan → Recover(cp) → Start, which resolves the store's delta
-// chain once.
+// RegisterPlan → Recover(cp) → Start, which reads the store once.
 func (d *DSMS) LatestCheckpoint() (*Checkpoint, error) {
 	if d.ckptStore == nil {
 		return nil, fmt.Errorf("pipes: checkpointing not configured")

@@ -206,8 +206,7 @@ func TestCheckpointMetricsExposed(t *testing.T) {
 // checkpoint directory: checkpoint → crash → recover → checkpoint again →
 // crash → recover. The second life seals fewer rounds than the first, so
 // if its IDs restarted at 1 the store's newest ID would still be the
-// first life's — stale, and chained onto parents the second life
-// overwrote. The second recovery must restore the second life's newest
+// first life's — stale, and naming origins the second life overwrote. The second recovery must restore the second life's newest
 // round, and the three lives' outputs, each cut at the checkpoint the next
 // one recovered from, must stitch to the uninterrupted run's.
 func TestCheckpointIDsContinueAcrossRestarts(t *testing.T) {
@@ -356,6 +355,56 @@ func TestCheckpointRoundOnIdleChanStream(t *testing.T) {
 	}
 	if got := cp.Offset("bids"); got != fed {
 		t.Fatalf("round %d sealed at offset %d, want the %d fed", id, got, fed)
+	}
+	close(feed)
+	d.Wait()
+}
+
+// Deregistering a query takes the operators it alone used out of the
+// checkpoint rounds: they no longer receive barriers, so a round that
+// waited for their acks would never seal, and every later Trigger would
+// find it still in flight.
+func TestCheckpointAfterDeregisterQuery(t *testing.T) {
+	d := NewDSMS(Config{CheckpointDir: t.TempDir()})
+	defer d.Stop()
+	feed := make(chan Element)
+	d.RegisterStream("bids", NewChanSource("bids", feed), 100)
+	if _, err := d.RegisterQuery(`SELECT auction, AVG(price) FROM bids [RANGE 50] GROUP BY auction`); err != nil {
+		t.Fatal(err)
+	}
+	gone, err := d.RegisterQuery(`SELECT auction, MAX(price) FROM bids [RANGE 50] GROUP BY auction`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	for _, e := range bidStream(25) {
+		feed <- e
+	}
+	if err := d.DeregisterQuery(gone); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		id, err := d.Checkpoints.Trigger()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(3 * time.Second); d.Checkpoints.LastCheckpointID() != id; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d never sealed after DeregisterQuery", id)
+			}
+		}
+	}
+	cp, err := d.LatestCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.States) == 0 {
+		t.Fatal("the remaining query's state is not checkpointed")
+	}
+	for _, p := range gone.Instance.Created {
+		if _, ok := cp.States[p.Name()]; ok {
+			t.Fatalf("checkpoint %d holds state of %s, which left with its query", cp.ID, p.Name())
+		}
 	}
 	close(feed)
 	d.Wait()

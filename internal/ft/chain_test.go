@@ -2,6 +2,7 @@ package ft_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,17 +15,17 @@ import (
 
 // sealRounds runs one manager's life over store: a source feeding a count
 // window (values from, from+1, …) in rounds+1 stretches of 512 elements,
-// with a manually triggered round ahead of every stretch but the first. It
-// checks after every seal that the store resolves the round to the
-// window's full encoding at its cut — whatever mix of base, delta and
-// unchanged entries the round wrote — and returns the stopped manager,
-// the sealed IDs and those encodings, in round order.
+// with a manually triggered round ahead of every stretch but the first,
+// and an idle count window behind a filter that passes nothing, whose
+// state never changes. It checks after every seal that the store resolves
+// the round to both windows' full encodings at its cut — whether the
+// round wrote the idle one whole or as unchanged — and returns the
+// stopped manager, the sealed IDs and the busy window's encodings, in
+// round order.
 func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from int) (mgr *ft.Manager, ids []uint64, snaps [][]byte) {
 	t.Helper()
 	mgr = ft.NewManager(store)
 	mgr.SetBaseEvery(baseEvery)
-	// A stretch is long enough that every round's delta against the last
-	// comes out smaller than the full state, so chains form.
 	const perRound = 512
 	es := manyElements((rounds + 1) * perRound)
 	for i := range es {
@@ -32,12 +33,21 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 	}
 	src := ft.NewCheckpointSource(pubsub.NewSliceSource("src", es))
 	win := ops.NewCountWindow("win", 4096)
+	none := ops.NewFilter("none", func(any) bool { return false })
+	idle := ops.NewCountWindow("idle", 4096)
 	sink := ft.NewCheckpointSink("sink")
 	mustSub(src, win, 0)
 	mustSub(win, sink, 0)
+	mustSub(src, none, 0)
+	mustSub(none, idle, 0)
 	mgr.RegisterSource(src)
 	mgr.RegisterOperator(win, win)
+	mgr.RegisterOperator(idle, idle)
 	mgr.RegisterSink(sink)
+	idleFull, err := ft.EncodeState(idle)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mgr.Start(0)
 	defer mgr.Stop()
 	for i := 0; i < perRound; i++ {
@@ -58,9 +68,14 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 			src.EmitNext() // Trigger injected the barrier ahead of these
 		}
 		waitSealed(t, mgr, id)
-		if cp := mustLatest(t, store, id); !bytes.Equal(cp.States["win"], full) {
+		cp := mustLatest(t, store, id)
+		if !bytes.Equal(cp.States["win"], full) {
 			t.Fatalf("round %d: resolved state (%dB) differs from the cut's full encoding (%dB)",
 				id, len(cp.States["win"]), len(full))
+		}
+		if !bytes.Equal(cp.States["idle"], idleFull) {
+			t.Fatalf("round %d: the idle window resolved to %dB, not its %dB encoding",
+				id, len(cp.States["idle"]), len(idleFull))
 		}
 		ids = append(ids, id)
 		snaps = append(snaps, full)
@@ -71,13 +86,14 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 // The restart scenario: a second manager over a store that already holds
 // sealed rounds. Its rounds are numbered above them — it neither
 // overwrites a sealed checkpoint nor seals a newer state under an older
-// ID, so a chain never resolves against another run's parent — its first
-// round is a base, the old run's newest rounds stay until the new run has
-// two of its own, and every LatestComplete in between returns a state one
-// of the two runs actually held.
+// ID, so an unchanged entry never resolves to another run's origin — its
+// first round is a base, the old run's newest rounds stay until the new
+// run has two of its own, and every LatestComplete in between returns a
+// state one of the two runs actually held.
 func TestManagerContinuesAboveSealedIDs(t *testing.T) {
 	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-		// Run A: rounds 1‥7, bases at 1 and 6, 7 a delta against 6.
+		// Run A: rounds 1‥7, bases at 1 and 6, the idle window of 7
+		// unchanged since 6.
 		_, idsA, snapsA := sealRounds(t, open(), 5, 7, 0)
 		if want := []uint64{1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(idsA, want) {
 			t.Fatalf("run A sealed %v, want %v", idsA, want)
@@ -95,7 +111,7 @@ func TestManagerContinuesAboveSealedIDs(t *testing.T) {
 		}
 		store = open()
 		mustIDs(t, store, 6, 7, 8) // one sealed round of B: A's stay as the fallback
-		if m, err := store.RawGet(8, ft.ManifestName); err != nil || strings.Contains(string(m), `"parent"`) {
+		if m, err := store.RawGet(8, ft.ManifestName); err != nil || strings.Contains(string(m), `"origin"`) {
 			t.Fatalf("a new manager's first round must be a base (err %v):\n%s", err, m)
 		}
 
@@ -105,33 +121,71 @@ func TestManagerContinuesAboveSealedIDs(t *testing.T) {
 			t.Fatalf("run C sealed %v, want %v", idsC, want)
 		}
 		store = open()
-		mustIDs(t, store, 9, 10, 11, 12, 13, 14) // base 9, deltas 10‥13, base 14: 13 needs its whole chain
+		mustIDs(t, store, 9, 13, 14) // bases 9 and 14: 13's idle window names 9
 		if err := store.RawRemove(14); err != nil {
 			t.Fatal(err)
 		}
 		if cp := mustLatest(t, store, 13); !bytes.Equal(cp.States["win"], snapsC[4]) {
-			t.Fatal("run C's chained round does not resolve to its cut")
+			t.Fatal("run C's round 13 does not resolve to its cut")
 		}
 	})
 }
 
-// End-to-end: a manager writes base rounds at the configured cadence and
-// delta/unchanged rounds in between, retention keeps every live chain
-// resolvable, and the resolved state at each round is byte-identical to
-// the full encoding the operator would have written.
-func TestManagerWritesDeltaChain(t *testing.T) {
+// An idle operator writes nothing between bases: its entry is a same
+// marker naming the base round, BaseEvery−1 rounds later still one hop
+// away, and the next base writes it whole again.
+func TestManagerWritesUnchangedStates(t *testing.T) {
 	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-		mgr, ids, _ := sealRounds(t, open(), 3, 6, 0)
-		if want := []uint64{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(ids, want) {
+		const baseEvery = 4
+		mgr, ids, _ := sealRounds(t, open(), baseEvery, baseEvery+1, 0)
+		if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(ids, want) {
 			t.Fatalf("sealed %v, want %v", ids, want)
 		}
-		// baseEvery=3 over 6 sealed rounds: rounds 1 and 4 are bases, the
-		// rest chain. (Round 1 has no parent; the cadence restarts there.)
-		if mgr.FullBytesTotal() <= mgr.WrittenBytesTotal() {
-			t.Fatalf("written %dB >= full %dB: chain never compressed a round",
-				mgr.WrittenBytesTotal(), mgr.FullBytesTotal())
+		store := open()
+		mustIDs(t, store, 1, 4, 5) // 4 names base 1
+		want := map[uint64][2]any{1: {"state", uint64(0)}, 4: {"same", uint64(1)}, 5: {"state", uint64(0)}}
+		for id, w := range want {
+			if kind, origin := entryOf(t, store, id, "idle"); kind != w[0] || origin != w[1] {
+				t.Fatalf("round %d's idle entry is %q naming %d, want %q naming %d", id, kind, origin, w[0], w[1])
+			}
+			if kind, _ := entryOf(t, store, id, "win"); kind != "state" {
+				t.Fatalf("round %d's busy entry is %q, want state", id, kind)
+			}
+		}
+		// Rounds 2‥4 wrote the idle window as same entries, which write
+		// no bytes: everything else was written whole.
+		idle := int64(len(mustLatest(t, store, 5).States["idle"]))
+		if saved := mgr.FullBytesTotal() - mgr.WrittenBytesTotal(); idle == 0 || saved != (baseEvery-1)*idle {
+			t.Fatalf("full %dB − written %dB = %dB, want %d same entries of %dB",
+				mgr.FullBytesTotal(), mgr.WrittenBytesTotal(), saved, baseEvery-1, idle)
 		}
 	})
+}
+
+// entryOf returns the kind and origin of op's entry in checkpoint id's
+// manifest.
+func entryOf(t *testing.T, s *ft.Store, id uint64, op string) (kind string, origin uint64) {
+	t.Helper()
+	raw, err := s.RawGet(id, ft.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Entries []struct {
+			Kind, Name string
+			Origin     uint64
+		}
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m.Entries {
+		if e.Name == op {
+			return e.Kind, e.Origin
+		}
+	}
+	t.Fatalf("checkpoint %d has no entry for %s", id, op)
+	return "", 0
 }
 
 // The SnapshotState closure runs on the checkpoint writer while the

@@ -32,9 +32,9 @@ type Event struct {
 	ID    uint64
 }
 
-// DefaultBaseEvery is the default full-base cadence of the incremental
-// checkpoint chain: one full snapshot every this many sealed rounds, with
-// delta/unchanged entries in between. See SetBaseEvery.
+// DefaultBaseEvery is the default full-base cadence: every this many
+// sealed rounds, unchanged states are written in full as well. See
+// SetBaseEvery.
 const DefaultBaseEvery = 8
 
 // Manager coordinates checkpoint rounds over one query graph: it injects
@@ -46,32 +46,33 @@ const DefaultBaseEvery = 8
 // Operators publish a copy-on-write snapshot handle at the barrier (cheap
 // collection copies, no serialisation — the StateSaver contract); the
 // background writer encodes the handle after the gates release and writes
-// only a binary delta against the previous sealed round, with a full base
-// every SetBaseEvery rounds.
+// the full encoding, or, when it equals the last sealed round's, a marker
+// naming the round that holds those bytes (every SetBaseEvery rounds it
+// writes those in full too).
 //
 // Configure (RegisterSource/RegisterOperator/RegisterSink/OnEvent/
-// SetBaseEvery) before Start; Trigger and the periodic
-// ticker drive rounds afterwards.
+// SetBaseEvery) before Start; Trigger and the periodic ticker drive rounds
+// afterwards. Operators and sinks may also register, and Unregister, while
+// rounds run.
 type Manager struct {
 	store CheckpointStore
 
 	sources []*CheckpointSource
+	mu      sync.Mutex
 	savers  map[string]StateSaver
 	ackers  map[string]bool // every participant that must ack (operators + sinks)
-
-	mu      sync.Mutex
 	nextID  uint64
 	cur     *pending
 	onEvent func(Event)
 	started bool
 
-	// baseEvery is the full-base cadence of the delta chain (<=1 writes
-	// every round full). Set before Start.
+	// baseEvery is the full-base cadence (<=1 writes every round full).
+	// Set before Start.
 	baseEvery int
 
 	// Writer-goroutine state (plus Stop's post-Wait drain — never
-	// concurrent): per-operator encode and delta buffers, reused round
-	// after round, and the base cadence.
+	// concurrent): per-operator encode buffers, reused round after round,
+	// and the base cadence.
 	enc          map[string]*opScratch
 	prevSealedID uint64 // last round this manager sealed (0 when none)
 	sinceBase    int    // sealed rounds since the last full base
@@ -98,8 +99,7 @@ type Manager struct {
 	completed     atomic.Int64
 	failed        atomic.Int64
 	skipped       atomic.Int64 // Trigger calls skipped: round in flight
-	baseRounds    atomic.Int64
-	deltaRounds   atomic.Int64
+	baseRounds    atomic.Int64 // rounds that name no origin
 	sameStates    atomic.Int64 // unchanged per-operator entries
 	fullBytesTot  atomic.Int64
 	writtenTot    atomic.Int64
@@ -107,30 +107,17 @@ type Manager struct {
 	encNanosTot   atomic.Int64 // cumulative off-barrier encode time
 }
 
-// opScratch holds one operator's buffers, reused across rounds: bufs
-// double-buffers its encoded state — cur receives this round's encoding
-// while the other buffer still holds the previous *sealed* round's bytes,
-// the delta parent — and delta receives the delta between the two. The
-// state buffers flip only on a successful seal, so a failed round never
-// corrupts the parent. Reuse is safe because the store copies or writes
-// out every payload before PutState/PutStateDelta return.
+// opScratch holds one operator's encode buffers, reused across rounds:
+// bufs[cur] receives this round's encoding while the other buffer still
+// holds the last sealed round's, whose state entry sits in round origin.
+// The buffers flip, and origin moves to next, only on a successful seal,
+// so a failed round never loses the origin. Reuse is safe because the
+// store copies or writes out every payload before PutState returns.
 type opScratch struct {
-	bufs     [2][]byte
-	delta    []byte
-	cur      int
-	havePrev bool
-}
-
-func (s *opScratch) prev() []byte {
-	if !s.havePrev {
-		return nil
-	}
-	return s.bufs[1-s.cur]
-}
-
-func (s *opScratch) flip() {
-	s.cur = 1 - s.cur
-	s.havePrev = true
+	bufs   [2][]byte
+	cur    int
+	origin uint64 // 0: nothing sealed yet
+	next   uint64 // origin once this round seals; 0 when not encoded in it
 }
 
 // pending is one in-flight checkpoint round.
@@ -150,8 +137,9 @@ type pending struct {
 
 // NewManager returns a Manager persisting to store. Its rounds are
 // numbered above every checkpoint the store already holds, and its first
-// round is a full base: a restarted process extends the store, it never
-// overwrites or chains onto what an earlier one sealed.
+// round writes every state in full: a restarted process extends the
+// store, it never overwrites or names as origin what an earlier one
+// sealed.
 func NewManager(store CheckpointStore) *Manager {
 	return &Manager{
 		store:     store,
@@ -167,9 +155,10 @@ func NewManager(store CheckpointStore) *Manager {
 	}
 }
 
-// SetBaseEvery sets the full-base cadence of the incremental chain: one
-// full snapshot every k sealed rounds, deltas in between (k <= 1 writes
-// every round full — no chains). Must be called before Start.
+// SetBaseEvery sets the full-base cadence: every k sealed rounds,
+// unchanged states are written in full as well, so no old round stays
+// pinned as an origin for long (k <= 1 writes every state in full every
+// round). Must be called before Start.
 func (m *Manager) SetBaseEvery(k int) {
 	if k < 1 {
 		k = 1
@@ -190,8 +179,10 @@ func (m *Manager) RegisterSource(cs *CheckpointSource) {
 // satisfy BarrierHooked (every ops operator does, via pubsub.PipeBase).
 func (m *Manager) RegisterOperator(op BarrierHooked, saver StateSaver) {
 	name := op.Name()
+	m.mu.Lock()
 	m.savers[name] = saver
 	m.ackers[name] = true
+	m.mu.Unlock()
 	op.SetBarrierHooks(
 		func(b pubsub.Barrier) { m.saveState(b, name, saver) },
 		func(b pubsub.Barrier) { m.acked(b, name) },
@@ -202,8 +193,33 @@ func (m *Manager) RegisterOperator(op BarrierHooked, saver StateSaver) {
 // is complete only after its barrier reached every output and the cut
 // indexes are recorded.
 func (m *Manager) RegisterSink(s *CheckpointSink) {
+	m.mu.Lock()
 	m.ackers[s.Name()] = true
+	m.mu.Unlock()
 	s.setAck(func(b pubsub.Barrier) { m.acked(b, s.Name()) })
+}
+
+// Unregister removes the operator or sink registered under name — a node
+// spliced out of the graph, which no barrier reaches any more. No round
+// waits for its ack from now on, the round in flight included, and its
+// state leaves the checkpoints; the writer frees its buffers.
+func (m *Manager) Unregister(name string) {
+	m.mu.Lock()
+	delete(m.savers, name)
+	delete(m.ackers, name)
+	p := m.cur
+	m.mu.Unlock()
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	if !p.completed { // a complete round is the writer's
+		delete(p.needAcks, name)
+		delete(p.handles, name)
+		delete(p.failed, name)
+	}
+	p.mu.Unlock()
+	m.maybeComplete(p)
 }
 
 // OnEvent installs an observer of round progress (fault-injection
@@ -414,6 +430,12 @@ func (m *Manager) saveState(b pubsub.Barrier, name string, saver StateSaver) {
 	stall := m.now() - start
 	m.phase(name, flight.KindSnapshot, b.ID, stall, 0)
 	p.mu.Lock()
+	if !p.needAcks[name] {
+		// Unregistered, or registered after the round began: the round
+		// does not wait for it, so it holds no state of it either.
+		p.mu.Unlock()
+		return
+	}
 	if err != nil {
 		// A state that cannot snapshot poisons the round: let it fail at
 		// write time.
@@ -472,9 +494,9 @@ func (m *Manager) maybeComplete(p *pending) {
 // roundStats summarises what one store write actually did.
 type roundStats struct {
 	fullBytes    int64 // logical size: sum of full encodings
-	writtenBytes int64 // bytes put to the store (full entries + deltas)
+	writtenBytes int64 // bytes put to the store (state entries)
 	encodeNS     int64 // off-barrier encode time
-	usedParent   bool  // any delta/same entry references the parent
+	sameStates   int64 // same entries, which name an origin
 }
 
 // write persists one completed round and retires it.
@@ -485,28 +507,35 @@ func (m *Manager) write(p *pending) {
 	if m.cur == p {
 		m.cur = nil // round retired: the next Trigger may proceed
 	}
+	for name := range m.enc {
+		if _, ok := m.savers[name]; !ok {
+			delete(m.enc, name) // unregistered
+		}
+	}
 	m.mu.Unlock()
+	// On a seal this round's encodings become what the next round
+	// compares against.
+	for _, sc := range m.enc {
+		if err == nil && sc.next != 0 {
+			sc.cur, sc.origin = 1-sc.cur, sc.next
+		}
+		sc.next = 0
+	}
 	if err != nil {
 		m.failed.Add(1)
 		m.emit(Event{Stage: "failed", ID: p.id})
 		return
 	}
-	// Seal succeeded: this round's encodings become the next round's
-	// delta parents, and the base cadence advances.
-	for _, sc := range m.enc {
-		sc.flip()
-	}
-	if stats.usedParent {
+	if stats.sameStates > 0 {
 		m.sinceBase++
-		m.deltaRounds.Add(1)
 	} else {
 		m.sinceBase = 0
 		m.baseRounds.Add(1)
 	}
+	m.sameStates.Add(stats.sameStates)
 	// Retention: the last two sealed checkpoints stay (recovery falls
-	// back at most one on a torn write); the store keeps every chain
-	// ancestor either still needs. Best-effort: a failed drop never fails
-	// the round.
+	// back at most one on a torn write); the store keeps every origin
+	// either names. Best-effort: a failed drop never fails the round.
 	if m.prevSealedID > 1 {
 		_ = m.store.Drop(m.prevSealedID - 1)
 	}
@@ -536,7 +565,7 @@ func (m *Manager) write(p *pending) {
 }
 
 // writeStore encodes the round's handles (off-barrier, on this writer
-// goroutine), decides full/delta/unchanged per operator and stages
+// goroutine), decides full or unchanged per operator and stages
 // everything into one store writer, sealing at the end.
 func (m *Manager) writeStore(p *pending) (roundStats, error) {
 	var stats roundStats
@@ -544,10 +573,8 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	parent := m.prevSealedID
-	// A base round: no parent to delta against, chains disabled, or the
-	// cadence is due.
-	isBase := parent == 0 || m.baseEvery <= 1 || m.sinceBase >= m.baseEvery-1
+	// A base round writes every state in full.
+	isBase := m.baseEvery <= 1 || m.sinceBase >= m.baseEvery-1
 
 	p.mu.Lock()
 	for name, err := range p.failed {
@@ -574,32 +601,17 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 		stats.fullBytes += int64(len(cur))
 
 		sc := m.enc[name]
-		prev := sc.prev()
-		switch {
-		case isBase || prev == nil:
-			if err := w.PutState(name, cur); err != nil {
-				return stats, err
-			}
+		if !isBase && sc.origin != 0 && bytes.Equal(sc.bufs[1-sc.cur], cur) {
+			err = w.PutStateUnchanged(name, sc.origin, cur)
+			sc.next = sc.origin
+			stats.sameStates++
+		} else {
+			err = w.PutState(name, cur)
+			sc.next = p.id
 			stats.writtenBytes += int64(len(cur))
-		case bytes.Equal(prev, cur):
-			if err := w.PutStateUnchanged(name, parent, cur); err != nil {
-				return stats, err
-			}
-			stats.usedParent = true
-			m.sameStates.Add(1)
-		default:
-			if sc.delta = MakeDelta(sc.delta[:0], prev, cur); len(sc.delta) > 0 {
-				if err := w.PutStateDelta(name, parent, sc.delta, cur); err != nil {
-					return stats, err
-				}
-				stats.writtenBytes += int64(len(sc.delta))
-				stats.usedParent = true
-			} else {
-				if err := w.PutState(name, cur); err != nil {
-					return stats, err
-				}
-				stats.writtenBytes += int64(len(cur))
-			}
+		}
+		if err != nil {
+			return stats, err
 		}
 	}
 	for name, off := range offsets {
@@ -612,7 +624,7 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 
 // encodeState produces one operator's full encoding for this round into
 // its double-buffered scratch (the off-barrier encode), where it survives
-// as the next round's delta parent.
+// for the next round to compare against.
 func (m *Manager) encodeState(p *pending, name string) ([]byte, int64, error) {
 	sc := m.enc[name]
 	if sc == nil {
@@ -640,13 +652,13 @@ func (m *Manager) LastCheckpointID() uint64 { return m.lastID.Load() }
 func (m *Manager) Completed() int64 { return m.completed.Load() }
 
 // LastBytes returns the full (logical) serialised size of the last sealed
-// checkpoint — what a reader reconstructs, regardless of how little the
-// delta chain actually wrote.
+// checkpoint — what a reader reconstructs, regardless of how little its
+// unchanged entries actually wrote.
 func (m *Manager) LastBytes() int64 { return m.lastBytes.Load() }
 
 // LastWrittenBytes returns the bytes physically written to the store for
-// the last sealed checkpoint (full entries plus delta blobs; unchanged
-// entries write nothing).
+// the last sealed checkpoint (state entries; unchanged entries write
+// nothing).
 func (m *Manager) LastWrittenBytes() int64 { return m.lastWritten.Load() }
 
 // WrittenBytesTotal returns the cumulative bytes written to the store
@@ -654,7 +666,7 @@ func (m *Manager) LastWrittenBytes() int64 { return m.lastWritten.Load() }
 func (m *Manager) WrittenBytesTotal() int64 { return m.writtenTot.Load() }
 
 // FullBytesTotal returns the cumulative full-encoding bytes across all
-// sealed rounds — the denominator of the delta chain's write reduction.
+// sealed rounds — the denominator of what unchanged entries save.
 func (m *Manager) FullBytesTotal() int64 { return m.fullBytesTot.Load() }
 
 // StallNanosTotal returns the cumulative barrier-side stall spent in
@@ -668,7 +680,7 @@ func (m *Manager) EncodeNanosTotal() int64 { return m.encNanosTot.Load() }
 // RegisterMetrics exposes checkpoint health on the telemetry registry:
 // round duration and barrier-stall histograms, last sealed ID, last
 // checkpoint sizes (full and written), last success wall time, and
-// completed/failed/skipped/base/delta counters.
+// completed/failed/skipped/base/unchanged counters.
 func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterCollector(func(c *telemetry.Collect) {
 		c.Histogram("pipes_checkpoint_duration_nanos", nil, m.durHist)
@@ -681,7 +693,6 @@ func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
 		c.Counter("pipes_checkpoint_failed_total", nil, m.failed.Load())
 		c.Counter("pipes_checkpoint_skipped_total", nil, m.skipped.Load())
 		c.Counter("pipes_checkpoint_base_rounds_total", nil, m.baseRounds.Load())
-		c.Counter("pipes_checkpoint_delta_rounds_total", nil, m.deltaRounds.Load())
 		c.Counter("pipes_checkpoint_unchanged_states_total", nil, m.sameStates.Load())
 		c.Counter("pipes_checkpoint_full_bytes_total", nil, m.fullBytesTot.Load())
 		c.Counter("pipes_checkpoint_written_bytes_total", nil, m.writtenTot.Load())

@@ -8,9 +8,8 @@ import "fmt"
 // ones) to the new operator instance. Every state entry must find its
 // loader; loaders without a state entry are left empty (an operator that
 // held no state when the checkpoint was cut has no entry). cp.States is
-// always the fully resolved state image: the store reconstructs
-// base+delta chains in LatestComplete (ApplyDelta along the recorded
-// parents), so restoration never sees a partial delta entry.
+// always the full state image: LatestComplete reads an unchanged entry's
+// bytes from the origin it names, so restoration never sees a marker.
 func RestoreStates(cp *Checkpoint, loaders map[string]StateLoader) error {
 	if cp == nil {
 		return ErrNoCheckpoint

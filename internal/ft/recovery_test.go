@@ -226,7 +226,7 @@ func testCrashRecovery(t *testing.T, sh shape, inputs [][]temporal.Element, poin
 	// Checkpointed run with fault injection. The store sits on the map
 	// backend most runs and on the directory backend on some, and the
 	// full-base cadence varies so the fault windows strike base rounds,
-	// delta rounds and chain-free (baseEvery=1) runs alike.
+	// rounds with unchanged entries and all-full (baseEvery=1) runs alike.
 	inner, backend := ft.NewMemStore(), "mem"
 	if rng.Intn(3) == 0 {
 		fs, err := ft.NewFileStore(t.TempDir())
@@ -376,12 +376,12 @@ func testCrashRecovery(t *testing.T, sh shape, inputs [][]temporal.Element, poin
 	}
 }
 
-// Satellite: recovery across a base+delta chain whose tail delta is torn.
-// A crash that corrupts the newest checkpoint's delta payload after seal
-// must not poison recovery — the store falls back to the last intact
-// sealed prefix of the chain, and the state it resolves (base plus the
-// surviving deltas) must be byte-identical to the direct EncodeState
-// snapshot captured at that cut.
+// Recovery when the newest round is torn and the rounds before it hold
+// unchanged entries. A crash that corrupts the newest checkpoint's
+// payloads after seal must not poison recovery — the store falls back to
+// the previous sealed round, resolves its unchanged entry through the base
+// it names, and the state it returns must be byte-identical to the direct
+// EncodeState snapshot captured at that cut.
 func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	store, err := ft.NewFileStore(dir)
@@ -389,17 +389,22 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := ft.NewManager(store)
-	mgr.SetBaseEvery(10) // one base round; every later round chains a delta
+	mgr.SetBaseEvery(10) // one base round; later rounds write the idle window as unchanged
 
 	const perRound = 256
 	const rounds = 3
 	src := ft.NewCheckpointSource(pubsub.NewSliceSource("src", manyElements(rounds*perRound)))
 	win := ops.NewCountWindow("win", 4096)
+	none := ops.NewFilter("none", func(any) bool { return false })
+	idle := ops.NewCountWindow("idle", 4096)
 	sink := ft.NewCheckpointSink("sink")
 	mustSub(src, win, 0)
 	mustSub(win, sink, 0)
+	mustSub(src, none, 0)
+	mustSub(none, idle, 0)
 	mgr.RegisterSource(src)
 	mgr.RegisterOperator(win, win)
+	mgr.RegisterOperator(idle, idle)
 	mgr.RegisterSink(sink)
 	mgr.Start(0)
 
@@ -428,7 +433,7 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 		t.Fatalf("sealed %d rounds, want %d", lastID, rounds)
 	}
 	if mgr.WrittenBytesTotal() >= mgr.FullBytesTotal() {
-		t.Fatalf("written %dB >= full %dB: no round actually chained a delta",
+		t.Fatalf("written %dB >= full %dB: no round wrote an unchanged entry",
 			mgr.WrittenBytesTotal(), mgr.FullBytesTotal())
 	}
 	tailDir := filepath.Join(dir, fmt.Sprintf("cp-%d", lastID))
@@ -436,11 +441,11 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(man), `"kind":"delta"`) {
-		t.Fatalf("tail checkpoint holds no delta entry — the torn-tail case needs a chained tail:\n%s", man)
+	if !strings.Contains(string(man), `"kind":"same"`) {
+		t.Fatalf("tail checkpoint holds no unchanged entry:\n%s", man)
 	}
 
-	// Tear the tail: truncate the delta payload of the newest checkpoint.
+	// Tear the tail: truncate the payloads of the newest checkpoint.
 	payloads, err := filepath.Glob(filepath.Join(tailDir, "state-*.bin"))
 	if err != nil || len(payloads) == 0 {
 		t.Fatalf("no state payloads in %s (err %v)", tailDir, err)
@@ -452,8 +457,8 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	}
 
 	// A recovering process opens the directory fresh: the torn tail is
-	// skipped without error and the previous sealed checkpoint wins,
-	// resolved through its own surviving chain.
+	// skipped without error and the previous sealed checkpoint wins, its
+	// unchanged entry resolved through the base it names.
 	reopened, err := ft.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +481,7 @@ func TestDeltaChainRecoveryTornTail(t *testing.T) {
 	// The resolved image restores into a fresh operator and re-encodes
 	// byte-identically — the full scalar round trip.
 	fresh := ops.NewCountWindow("win", 4096)
-	if err := ft.RestoreStates(cp, map[string]ft.StateLoader{"win": fresh}); err != nil {
+	if err := ft.RestoreStates(cp, map[string]ft.StateLoader{"win": fresh, "idle": ops.NewCountWindow("idle", 4096)}); err != nil {
 		t.Fatal(err)
 	}
 	again, err := ft.EncodeState(fresh)

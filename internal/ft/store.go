@@ -11,9 +11,8 @@ import (
 
 // Checkpoint is one sealed, complete checkpoint: per-source replay
 // offsets and per-operator serialised state, keyed by node name. State
-// entries are always the *full* reconstructed encoding — the store
-// resolves base+delta chains internally, so readers never see chain
-// plumbing.
+// entries are always the full encoding — the store resolves unchanged
+// entries to their origin's bytes internally.
 type Checkpoint struct {
 	ID      uint64
 	Offsets map[string]int
@@ -26,18 +25,16 @@ type Checkpoint struct {
 // readers skip it). Byte slices are the caller's again once a method
 // returns.
 //
-// An operator's state is staged in one of three forms: the full encoding
-// (PutState), a MakeDelta blob against the same operator's entry in the
-// sealed checkpoint parent (PutStateDelta), or a marker that it is
-// byte-identical to the parent's (PutStateUnchanged). The chained forms
-// also take the full encoding they stand for: its checksum is sealed with
-// the link, so a reader can tell a link applied to the parent it was cut
-// against from one applied to another checkpoint of the same ID.
+// An operator's state is staged in one of two forms: the full encoding
+// (PutState), or a marker that it is byte-identical to the full encoding
+// the sealed checkpoint origin holds for the same operator
+// (PutStateUnchanged). The marker also takes the encoding it stands for:
+// its checksum is sealed with the marker, so a reader can tell the origin
+// it was cut against from another checkpoint of the same ID.
 type CheckpointWriter interface {
 	PutOffset(source string, offset int) error
 	PutState(op string, state []byte) error
-	PutStateDelta(op string, parent uint64, delta, state []byte) error
-	PutStateUnchanged(op string, parent uint64, state []byte) error
+	PutStateUnchanged(op string, origin uint64, state []byte) error
 	// Seal atomically publishes the checkpoint as complete.
 	Seal() error
 }
@@ -49,18 +46,18 @@ type CheckpointStore interface {
 	// overwritten (ErrSealed); unsealed debris under id is discarded.
 	Begin(id uint64) (CheckpointWriter, error)
 	// LatestComplete returns the newest sealed checkpoint whose every
-	// entry (including its base+delta chain) verifies, or nil when the
-	// store is empty. Newer corrupt checkpoints are skipped in favour of
-	// older intact ones — the caller's fallback path; an error is
-	// returned only when sealed checkpoints exist but none can be
-	// reconstructed (a corrupt chain with nothing to fall back to), or
+	// entry (including the origins its unchanged entries name) verifies,
+	// or nil when the store is empty. Newer corrupt checkpoints are
+	// skipped in favour of older intact ones — the caller's fallback path;
+	// an error is returned only when sealed checkpoints exist but none can
+	// be reconstructed (nothing intact to fall back to), or
 	// when the newest readable one was sealed under another StateVersion
 	// (ErrStateVersion: nothing older is tried, nothing is restored).
 	LatestComplete() (*Checkpoint, error)
 	// Drop removes superseded checkpoints with ID at or below id —
 	// retention management once a newer checkpoint is sealed. A
-	// checkpoint referenced by a surviving checkpoint's delta chain is
-	// retained regardless of its ID: dropping it would tear the chain.
+	// checkpoint a surviving checkpoint names as an origin is retained
+	// regardless of its ID: dropping it would tear the survivor.
 	Drop(id uint64) error
 	// LastID returns the highest ID sealed in the store, by this process
 	// or one before it (0 when none). A writer numbers its checkpoints
@@ -73,8 +70,8 @@ type CheckpointStore interface {
 var ErrNoCheckpoint = errors.New("ft: no complete checkpoint")
 
 // ErrSealed is wrapped by Begin when the ID already names a sealed
-// checkpoint: chains refer to their parents by ID, so a sealed ID is
-// never reused.
+// checkpoint: unchanged entries refer to their origins by ID, so a sealed
+// ID is never reused.
 var ErrSealed = errors.New("ft: checkpoint already sealed")
 
 // StateVersion is stamped on every sealed checkpoint. State entries are
@@ -87,17 +84,14 @@ var ErrSealed = errors.New("ft: checkpoint already sealed")
 // before the field existed; 1 — CQL plans carry source tuples, pairs and
 // rows between operators and have no qualifier node; 2 — every chain link
 // records the checksum of the full state it resolves to; 3 — state is
-// written with the engine's value codec (internal/wire) instead of gob.
-const StateVersion = 3
+// written with the engine's value codec (internal/wire) instead of gob;
+// 4 — an entry is a full state or an unchanged marker naming its origin,
+// and byte deltas and chains are gone.
+const StateVersion = 4
 
 // ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint,
-// or a link of its delta chain, carries another StateVersion.
+// or an origin one of its entries names, carries another StateVersion.
 var ErrStateVersion = errors.New("ft: checkpoint state version mismatch")
-
-// maxChainDepth bounds base+delta chain resolution — a defence against a
-// corrupt store with a reference cycle, far above any real chain (the
-// Manager writes a full base every few rounds).
-const maxChainDepth = 4096
 
 const manifestName = "MANIFEST.json"
 
@@ -105,21 +99,20 @@ const manifestName = "MANIFEST.json"
 const (
 	entryOffset    = "offset"
 	entryState     = "state" // full encoding
-	entryDelta     = "delta" // MakeDelta blob against the parent's entry
-	entryUnchanged = "same"  // byte-identical to the parent's entry
+	entryUnchanged = "same"  // byte-identical to the origin's state entry
 )
 
 type manifestEntry struct {
 	File string `json:"file"`
-	Kind string `json:"kind"` // "offset", "state", "delta" or "same"
+	Kind string `json:"kind"` // "offset", "state" or "same"
 	Name string `json:"name"` // node name
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc32"` // of the payload in File
 	// Offset is inlined for offset entries (File empty).
 	Offset int `json:"offset,omitempty"`
-	// Parent is the checkpoint ID a delta/same entry resolves against,
-	// StateCRC the checksum of the full state it must resolve to.
-	Parent   uint64 `json:"parent,omitempty"`
+	// Origin is the older checkpoint whose state entry holds the bytes a
+	// same entry stands for, StateCRC their checksum.
+	Origin   uint64 `json:"origin,omitempty"`
 	StateCRC uint32 `json:"state_crc32,omitempty"`
 }
 
@@ -140,20 +133,8 @@ func (m *manifest) state(op string) (manifestEntry, bool) {
 	return manifestEntry{}, false
 }
 
-// parent returns the checkpoint m's chained entries resolve against (0
-// for a base). The entries of one round share one parent.
-func (m *manifest) parent() uint64 {
-	var p uint64
-	for _, e := range m.Entries {
-		if e.Kind == entryDelta || e.Kind == entryUnchanged {
-			p = max(p, e.Parent)
-		}
-	}
-	return p
-}
-
 // backend is where a Store's bytes live: named payloads grouped under
-// checkpoint IDs. It knows nothing of entry kinds, chains or versions;
+// checkpoint IDs. It knows nothing of entry kinds, origins or versions;
 // the one structure it keeps is that a group is committed exactly when it
 // holds a payload called manifestName, and that commit makes it appear
 // atomically.
@@ -172,16 +153,16 @@ type backend interface {
 }
 
 // Store is the CheckpointStore: it owns the manifest format, the
-// newest-first fallback, chain resolution and retention, over a backend
+// newest-first fallback, origin resolution and retention, over a backend
 // that only stores bytes — a directory (NewFileStore) or a map
 // (NewMemStore).
 //
-// Sealing writes a manifest (entry list with sizes, checksums and chain
-// parents) through the backend's atomic commit. LatestComplete verifies
-// every entry, transitively down the chain, against the manifests, so a
-// torn or corrupted write — crash mid-write, truncated payload, flipped
-// bits, a missing or replaced chain parent — demotes the checkpoint to
-// incomplete and recovery falls back to the previous one.
+// Sealing writes a manifest (entry list with sizes, checksums and
+// origins) through the backend's atomic commit. LatestComplete verifies
+// every entry, and the origin entry an unchanged one names, against the
+// manifests, so a torn or corrupted write — crash mid-write, truncated
+// payload, flipped bits, a missing or replaced origin — demotes the
+// checkpoint to incomplete and recovery falls back to the previous one.
 type Store struct {
 	mu   sync.Mutex
 	b    backend
@@ -222,14 +203,12 @@ func (w *writer) PutOffset(source string, offset int) error {
 	return nil
 }
 
-// putPayload stores one payload-carrying entry (full state or delta).
-func (w *writer) putPayload(e manifestEntry, data []byte) error {
+func (w *writer) PutState(op string, state []byte) error {
 	w.seq++
-	e.File = fmt.Sprintf("state-%d.bin", w.seq)
-	e.Size = int64(len(data))
-	e.CRC = crc32.ChecksumIEEE(data)
+	e := manifestEntry{Kind: entryState, Name: op, File: fmt.Sprintf("state-%d.bin", w.seq),
+		Size: int64(len(state)), CRC: crc32.ChecksumIEEE(state)}
 	w.s.mu.Lock()
-	err := w.s.b.put(w.m.ID, e.File, data)
+	err := w.s.b.put(w.m.ID, e.File, state)
 	w.s.mu.Unlock()
 	if err != nil {
 		return err
@@ -238,16 +217,8 @@ func (w *writer) putPayload(e manifestEntry, data []byte) error {
 	return nil
 }
 
-func (w *writer) PutState(op string, state []byte) error {
-	return w.putPayload(manifestEntry{Kind: entryState, Name: op}, state)
-}
-
-func (w *writer) PutStateDelta(op string, parent uint64, delta, state []byte) error {
-	return w.putPayload(manifestEntry{Kind: entryDelta, Name: op, Parent: parent, StateCRC: crc32.ChecksumIEEE(state)}, delta)
-}
-
-func (w *writer) PutStateUnchanged(op string, parent uint64, state []byte) error {
-	w.m.Entries = append(w.m.Entries, manifestEntry{Kind: entryUnchanged, Name: op, Parent: parent, StateCRC: crc32.ChecksumIEEE(state)})
+func (w *writer) PutStateUnchanged(op string, origin uint64, state []byte) error {
+	w.m.Entries = append(w.m.Entries, manifestEntry{Kind: entryUnchanged, Name: op, Origin: origin, StateCRC: crc32.ChecksumIEEE(state)})
 	return nil
 }
 
@@ -270,8 +241,8 @@ func (w *writer) Seal() error {
 }
 
 // LatestComplete implements CheckpointStore: newest ID first, the first
-// checkpoint whose manifest exists and whose every entry — including its
-// delta chain — verifies. IDs without a manifest (a writer in flight,
+// checkpoint whose manifest exists and whose every entry — including the
+// origins it names — verifies. IDs without a manifest (a writer in flight,
 // debris of a failed round) are skipped silently; sealed-but-unloadable
 // checkpoints are skipped in favour of older intact ones, and only when
 // nothing loads at all does the corruption surface as an error.
@@ -343,9 +314,9 @@ func (s *Store) payload(id uint64, e manifestEntry) ([]byte, error) {
 	return b, nil
 }
 
-// load verifies one sealed checkpoint and resolves its delta chains; any
-// missing payload, size mismatch, checksum failure or broken chain link
-// is an error (the checkpoint is torn).
+// load verifies one sealed checkpoint and resolves its unchanged entries;
+// any missing payload, size mismatch, checksum failure or broken origin is
+// an error (the checkpoint is torn).
 func (s *Store) load(m *manifest, mans map[uint64]*manifest) (*Checkpoint, error) {
 	cp := &Checkpoint{ID: m.ID, Offsets: map[string]int{}, States: map[string][]byte{}}
 	for _, e := range m.Entries {
@@ -353,7 +324,7 @@ func (s *Store) load(m *manifest, mans map[uint64]*manifest) (*Checkpoint, error
 			cp.Offsets[e.Name] = e.Offset
 			continue
 		}
-		b, err := s.resolve(m.ID, e, mans, 0)
+		b, err := s.resolve(m.ID, e, mans)
 		if err != nil {
 			return nil, err
 		}
@@ -362,45 +333,34 @@ func (s *Store) load(m *manifest, mans map[uint64]*manifest) (*Checkpoint, error
 	return cp, nil
 }
 
-// resolve reconstructs the full state entry e of checkpoint id stands for
-// by walking its base+delta chain.
-func (s *Store) resolve(id uint64, e manifestEntry, mans map[uint64]*manifest, depth int) ([]byte, error) {
+// resolve returns the full state entry e of checkpoint id stands for: its
+// own payload, or for a same entry the payload of the state entry its
+// origin holds — one hop, never further.
+func (s *Store) resolve(id uint64, e manifestEntry, mans map[uint64]*manifest) ([]byte, error) {
 	switch e.Kind {
 	case entryState:
 		return s.payload(id, e)
-	case entryDelta, entryUnchanged:
+	case entryUnchanged:
 	default:
 		return nil, fmt.Errorf("ft: checkpoint %d entry %q has unknown kind %q", id, e.Name, e.Kind)
 	}
-	if depth >= maxChainDepth {
-		return nil, fmt.Errorf("ft: checkpoint %d: chain for %q exceeds depth %d", id, e.Name, maxChainDepth)
+	if e.Origin >= id {
+		return nil, fmt.Errorf("ft: checkpoint %d entry %q names origin %d, not an older checkpoint", id, e.Name, e.Origin)
 	}
-	if e.Parent >= id {
-		return nil, fmt.Errorf("ft: checkpoint %d entry %q references non-ancestor %d", id, e.Name, e.Parent)
-	}
-	pm, err := s.manifest(e.Parent, mans)
+	om, err := s.manifest(e.Origin, mans)
 	if err != nil {
-		return nil, fmt.Errorf("ft: chain for %q: checkpoint %d: %w", e.Name, e.Parent, err)
+		return nil, fmt.Errorf("ft: checkpoint %d entry %q: origin %d: %w", id, e.Name, e.Origin, err)
 	}
-	pe, ok := pm.state(e.Name)
-	if !ok {
-		return nil, fmt.Errorf("ft: checkpoint %d has no state entry for %q", e.Parent, e.Name)
+	oe, ok := om.state(e.Name)
+	if !ok || oe.Kind != entryState {
+		return nil, fmt.Errorf("ft: origin %d of checkpoint %d holds no state entry for %q", e.Origin, id, e.Name)
 	}
-	state, err := s.resolve(e.Parent, pe, mans, depth+1)
+	state, err := s.payload(e.Origin, oe)
 	if err != nil {
 		return nil, err
 	}
-	if e.Kind == entryDelta {
-		d, err := s.payload(id, e)
-		if err != nil {
-			return nil, err
-		}
-		if state, err = ApplyDelta(state, d); err != nil {
-			return nil, err
-		}
-	}
 	if crc32.ChecksumIEEE(state) != e.StateCRC {
-		return nil, fmt.Errorf("ft: checkpoint %d entry %q does not resolve to the state it was cut from: checkpoint %d is not the parent it was written against", id, e.Name, e.Parent)
+		return nil, fmt.Errorf("ft: checkpoint %d entry %q does not match its origin %d: the origin is not the checkpoint it was written against", id, e.Name, e.Origin)
 	}
 	return state, nil
 }
@@ -415,24 +375,23 @@ func (s *Store) Drop(id uint64) error {
 	if err != nil {
 		return err
 	}
+	// A survivor protects the origins it names; an unreadable manifest
+	// protects nothing (the checkpoint is torn and will be skipped by
+	// loads).
 	protected := map[uint64]bool{}
 	mans := map[uint64]*manifest{}
 	for _, cur := range ids {
 		if cur <= id {
 			continue
 		}
-		// Walk the survivor's chain; an unreadable manifest protects
-		// nothing (the checkpoint is torn and will be skipped by loads).
-		for {
-			m, err := s.manifest(cur, mans)
-			if err != nil {
-				break
+		m, err := s.manifest(cur, mans)
+		if err != nil {
+			continue
+		}
+		for _, e := range m.Entries {
+			if e.Kind == entryUnchanged {
+				protected[e.Origin] = true
 			}
-			cur = m.parent()
-			if cur == 0 || protected[cur] {
-				break
-			}
-			protected[cur] = true
 		}
 	}
 	for _, i := range ids {

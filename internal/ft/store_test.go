@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -36,16 +37,15 @@ func eachBackend(t *testing.T, fn func(t *testing.T, open func() *ft.Store)) {
 	})
 }
 
-// link is one chained state entry: a delta against parent's entry, or
-// (delta nil) a marker that the state is the parent's.
-type link struct {
-	parent uint64
-	delta  []byte
-	state  []byte // the full state the link stands for
+// same is one unchanged entry: a marker that the state is the one origin's
+// state entry holds.
+type same struct {
+	origin uint64
+	state  []byte // the full state the marker stands for
 }
 
-// mustSeal stages full states, chain links and offsets, then seals.
-func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]int, full map[string][]byte, links map[string]link) {
+// mustSeal stages full states, unchanged entries and offsets, then seals.
+func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]int, full map[string][]byte, unchanged map[string]same) {
 	t.Helper()
 	w, err := s.Begin(id)
 	if err != nil {
@@ -61,13 +61,8 @@ func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]
 			t.Fatal(err)
 		}
 	}
-	for op, l := range links {
-		if l.delta == nil {
-			err = w.PutStateUnchanged(op, l.parent, l.state)
-		} else {
-			err = w.PutStateDelta(op, l.parent, l.delta, l.state)
-		}
-		if err != nil {
+	for op, u := range unchanged {
+		if err := w.PutStateUnchanged(op, u.origin, u.state); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,103 +144,86 @@ func TestStoreSkipsTornCheckpoints(t *testing.T) {
 	})
 }
 
-// varied returns n bytes of varied content (CDC needs content entropy to
-// place chunk boundaries).
-func varied(n, salt int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i*131 + i>>8 + salt)
-	}
-	return b
-}
-
-// The store must resolve a base+delta+unchanged chain back to the full
-// state image, byte-identical to what a full write would have stored,
-// over either backend.
-func TestStoreResolvesDeltaChains(t *testing.T) {
-	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-		store := open()
-		// Mutated by tail appends like a filling window.
-		base := varied(32<<10, 0)
-		v2 := append(append([]byte(nil), base...), []byte("round-two-suffix")...)
-		v3 := append(append([]byte(nil), v2...), []byte("round-three-suffix")...)
-		d2 := ft.MakeDelta(nil, base, v2)
-		d3 := ft.MakeDelta(nil, v2, v3)
-		if d2 == nil || d3 == nil {
-			t.Fatal("tail-append states produced no deltas")
-		}
-		idle := []byte("idle")
-
-		mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"win": base, "quiet": idle}, nil)
-		mustSeal(t, store, 2, map[string]int{"src": 20}, nil,
-			map[string]link{"win": {1, d2, v2}, "quiet": {1, nil, idle}})
-		mustSeal(t, store, 3, map[string]int{"src": 30}, nil,
-			map[string]link{"win": {2, d3, v3}, "quiet": {2, nil, idle}})
-
-		cp := mustLatest(t, store, 3)
-		if !bytes.Equal(cp.States["win"], v3) {
-			t.Fatalf("win resolved to %dB, want %dB (v3)", len(cp.States["win"]), len(v3))
-		}
-		if string(cp.States["quiet"]) != "idle" {
-			t.Fatalf("quiet resolved to %q through unchanged chain", cp.States["quiet"])
-		}
-		if cp.Offsets["src"] != 30 {
-			t.Fatalf("offsets = %v", cp.Offsets)
-		}
-
-		// Retention must refuse to tear the live chain: every ancestor
-		// of checkpoint 3 survives a Drop(2).
-		if err := store.Drop(2); err != nil {
-			t.Fatal(err)
-		}
-		cp = mustLatest(t, store, 3)
-		if !bytes.Equal(cp.States["win"], v3) {
-			t.Fatal("chain torn by Drop: win no longer resolves")
-		}
-		mustIDs(t, store, 1, 2, 3)
-	})
-}
-
-// A chain link applies only to the parent it was cut against. A parent
-// swapped for another self-consistent checkpoint of the same ID — what a
-// writer reusing sealed IDs leaves behind — has valid payload checksums
-// and a state of the right length, so the delta applies and a marker
-// resolves; only the link's full-state checksum tells. The link is then
-// torn: recovery falls back to the next older checkpoint that resolves.
-func TestStoreRefusesLinkToAnotherParent(t *testing.T) {
-	base, other := varied(32<<10, 0), varied(32<<10, 7)
-	v2 := append(append([]byte(nil), base...), []byte("round-two-suffix")...)
-	d2 := ft.MakeDelta(nil, base, v2)
-	if d2 == nil {
-		t.Fatal("tail-append state produced no delta")
-	}
-	if wrong, err := ft.ApplyDelta(other, d2); err != nil || bytes.Equal(wrong, v2) {
-		t.Fatalf("the delta must apply to the other parent and yield another state (err %v)", err)
-	}
-	for name, links := range map[string]map[string]link{
-		"delta": {"op": {1, d2, v2}},
-		"same":  {"op": {1, nil, base}},
+// An unchanged entry resolves in one hop: to the bytes of the state entry
+// its origin holds, checked against the checksum sealed with it. Whatever
+// breaks that hop makes the round unreconstructable, and recovery falls
+// back to the next older round. Round 1 holds state a, round 2 (the
+// fallback) state b, and round 3 an unchanged entry under test.
+func TestStoreResolvesUnchangedInOneHop(t *testing.T) {
+	a, b := []byte("state of round 1"), []byte("state of round 2")
+	for name, c := range map[string]struct {
+		seal  func(t *testing.T, s *ft.Store) // rounds 2 and 3, over round 1
+		want  uint64                          // the round LatestComplete returns
+		state []byte                          // and its resolved state
+	}{
+		"intact": {func(t *testing.T, s *ft.Store) {
+			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
+			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {1, a}})
+			// Retention keeps the origin a survivor names.
+			if err := s.Drop(2); err != nil {
+				t.Fatal(err)
+			}
+			mustIDs(t, s, 1, 3)
+		}, 3, a},
+		"origin missing": {func(t *testing.T, s *ft.Store) {
+			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
+			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {1, a}})
+			if err := s.RawRemove(1); err != nil {
+				t.Fatal(err)
+			}
+		}, 2, b},
+		"origin not older": {func(t *testing.T, s *ft.Store) {
+			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
+			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {3, a}})
+		}, 2, b},
+		"origin entry is same": {func(t *testing.T, s *ft.Store) {
+			mustSeal(t, s, 2, nil, nil, map[string]same{"op": {1, a}})
+			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {2, a}})
+		}, 2, a},
+		"origin fails state_crc32": {func(t *testing.T, s *ft.Store) {
+			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
+			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {1, []byte("not the state of round 1")}})
+		}, 2, b},
 	} {
 		t.Run(name, func(t *testing.T) {
 			eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-				store := open()
-				mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": base}, nil)
-				mustSeal(t, store, 2, map[string]int{"src": 20}, nil, links)
-				if cp := mustLatest(t, store, 2); !bytes.Equal(cp.States["op"], links["op"].state) {
-					t.Fatal("intact chain does not resolve")
-				}
-
-				if err := store.RawRemove(1); err != nil {
-					t.Fatal(err)
-				}
-				mustSeal(t, store, 1, map[string]int{"src": 11}, map[string][]byte{"op": other}, nil)
-				cp := mustLatest(t, open(), 1)
-				if !bytes.Equal(cp.States["op"], other) || cp.Offsets["src"] != 11 {
-					t.Fatal("fallback did not return the replaced checkpoint 1 as sealed")
+				s := open()
+				mustSeal(t, s, 1, map[string]int{"src": 10}, map[string][]byte{"op": a}, nil)
+				c.seal(t, s)
+				if cp := mustLatest(t, open(), c.want); !bytes.Equal(cp.States["op"], c.state) {
+					t.Fatalf("round %d resolved to %q, want %q", c.want, cp.States["op"], c.state)
 				}
 			})
 		})
 	}
+}
+
+// A marker applies only to the origin it was cut against. An origin
+// swapped for another self-consistent checkpoint of the same ID — what a
+// writer reusing sealed IDs leaves behind — has valid payload checksums,
+// so only the marker's full-state checksum tells. The marker is then
+// torn: recovery falls back to the next older checkpoint that resolves.
+func TestStoreRefusesLinkToAnotherParent(t *testing.T) {
+	base, other := []byte("state cut against"), []byte("another state")
+	t.Run("same", func(t *testing.T) {
+		eachBackend(t, func(t *testing.T, open func() *ft.Store) {
+			store := open()
+			mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": base}, nil)
+			mustSeal(t, store, 2, map[string]int{"src": 20}, nil, map[string]same{"op": {1, base}})
+			if cp := mustLatest(t, store, 2); !bytes.Equal(cp.States["op"], base) {
+				t.Fatal("intact marker does not resolve")
+			}
+
+			if err := store.RawRemove(1); err != nil {
+				t.Fatal(err)
+			}
+			mustSeal(t, store, 1, map[string]int{"src": 11}, map[string][]byte{"op": other}, nil)
+			cp := mustLatest(t, open(), 1)
+			if !bytes.Equal(cp.States["op"], other) || cp.Offsets["src"] != 11 {
+				t.Fatal("fallback did not return the replaced checkpoint 1 as sealed")
+			}
+		})
+	})
 }
 
 // A sealed checkpoint is never mutated: Begin refuses its ID by name, in
@@ -423,7 +401,7 @@ func sealVersioned(t *testing.T, s *ft.Store, id uint64, version int) {
 // numbered them ("γ#5" there is not "γ#5" here) and records what that
 // build's manifests recorded. It must be refused with both versions
 // named, never handed to RestoreStates — also when an older checkpoint
-// would load, and also when only a delta parent is old.
+// would load, and also when only an origin is old.
 func TestStoreRefusesOtherStateVersion(t *testing.T) {
 	refused := func(t *testing.T, s *ft.Store, sealedUnder int) {
 		t.Helper()
@@ -464,10 +442,27 @@ func TestStoreRefusesOtherStateVersion(t *testing.T) {
 			sealVersioned(t, s, 2, 0)
 			refused(t, s, 0)
 		},
-		"old delta parent": func(t *testing.T, s *ft.Store) {
+		"old origin": func(t *testing.T, s *ft.Store) {
 			sealVersioned(t, s, 1, 0)
-			mustSeal(t, s, 2, nil, nil, map[string]link{"γ#5": {1, nil, []byte("state")}})
+			mustSeal(t, s, 2, nil, nil, map[string]same{"γ#5": {1, []byte("state")}})
 			refused(t, s, 0)
+		},
+		// Version 3 wrote byte deltas against a parent round; this build
+		// has no decoder for them.
+		"version 3 delta entry": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, 3)
+			delta := []byte("PD1\x02\x00\x05")
+			if err := s.RawPut(2, "state-1.bin", delta); err != nil {
+				t.Fatal(err)
+			}
+			manifest := fmt.Sprintf(`{"id":2,"state_version":3,"entries":[`+
+				`{"file":"","kind":"offset","name":"src","size":0,"crc32":0,"offset":9},`+
+				`{"file":"state-1.bin","kind":"delta","name":"γ#5","size":%d,"crc32":%d,"parent":1,"state_crc32":%d}]}`,
+				len(delta), crc32.ChecksumIEEE(delta), crc32.ChecksumIEEE([]byte("state")))
+			if err := s.RawCommit(2, []byte(manifest)); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, s, 3)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -66,6 +66,11 @@ type Instance struct {
 	// Created lists the newly created pipes (for memory-manager,
 	// checkpoint and monitoring registration).
 	Created []pubsub.Pipe
+	// Removed lists the nodes RemoveQuery spliced out of the running graph
+	// when it released this instance: those no query references any more,
+	// whether this one created them or shared them (for checkpoint
+	// deregistration).
+	Removed []pubsub.Source
 
 	// sigs are the signatures of every node this instance references
 	// (created or shared) — the refcounting unit for RemoveQuery.
@@ -403,6 +408,7 @@ func (o *Optimizer) RemoveQuery(inst *Instance) error {
 		if !ok {
 			continue
 		}
+		inst.Removed = append(inst.Removed, e.node)
 		for _, w := range e.upstreams {
 			if err := w.src.Unsubscribe(sink, w.input); err != nil && firstErr == nil {
 				// Upstream may itself already be removed this round; a

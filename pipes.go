@@ -147,11 +147,12 @@ type Config struct {
 	// dir with interval 0 enables on-demand checkpoints only
 	// (Checkpoints.Trigger).
 	CheckpointDir string
-	// CheckpointBaseEvery sets the full-base cadence of the incremental
-	// checkpoint chain: one full snapshot every K sealed rounds, binary
-	// deltas against the previous round in between (0 = the ft default; 1
-	// = every round full, chains disabled). See FAULT_TOLERANCE.md's
-	// delta-chain section.
+	// CheckpointBaseEvery sets the full-base cadence: a round writes a
+	// state that changed in full and one that did not as a marker naming
+	// the round that holds its bytes, and every K sealed rounds it writes
+	// the unchanged ones in full as well, so no old round stays pinned
+	// for long (0 = the ft default; 1 = every state in full every round).
+	// See FAULT_TOLERANCE.md's unchanged-entries section.
 	CheckpointBaseEvery int
 	// ServiceTenants enables the multi-tenant continuous-query service
 	// (SERVICE.md): an HTTP control plane where the listed tenants submit
@@ -359,7 +360,8 @@ func (d *DSMS) instrument(created []pubsub.Pipe) {
 
 // DeregisterQuery removes a query from the engine: its plan drops its
 // references and operators no other query needs are spliced out of the
-// running graph and released from the memory manager.
+// running graph, released from the memory manager and no longer
+// checkpointed.
 func (d *DSMS) DeregisterQuery(q *Query) error {
 	if q == nil || q.dsms != d {
 		return fmt.Errorf("pipes: query not registered with this engine")
@@ -377,7 +379,13 @@ func (d *DSMS) DeregisterQuery(q *Query) error {
 	}
 	q.memSubs = nil
 	q.dsms = nil // marks the query as deregistered
-	return d.Optimizer.RemoveQuery(q.Instance)
+	err := d.Optimizer.RemoveQuery(q.Instance)
+	if d.Checkpoints != nil {
+		for _, n := range q.Instance.Removed {
+			d.Checkpoints.Unregister(n.Name())
+		}
+	}
+	return err
 }
 
 // RegisterPlan instantiates a pre-built logical plan (e.g. loaded from an

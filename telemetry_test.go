@@ -276,7 +276,6 @@ var (
 	scrapeScalarFamilies = []string{
 		"pipes_checkpoint_base_rounds_total",
 		"pipes_checkpoint_completed_total",
-		"pipes_checkpoint_delta_rounds_total",
 		"pipes_checkpoint_encode_nanos_total",
 		"pipes_checkpoint_failed_total",
 		"pipes_checkpoint_full_bytes_total",
