@@ -53,9 +53,6 @@ func (d *DSMS) initCheckpoints() error {
 		d.ckptStore = ft.NewMemStore()
 	}
 	d.Checkpoints = ft.NewManager(d.ckptStore)
-	if d.cfg.CheckpointBaseEvery > 0 {
-		d.Checkpoints.SetBaseEvery(d.cfg.CheckpointBaseEvery)
-	}
 	d.Checkpoints.RegisterMetrics(d.Registry)
 	return nil
 }

@@ -206,8 +206,9 @@ func TestCheckpointMetricsExposed(t *testing.T) {
 // checkpoint directory: checkpoint → crash → recover → checkpoint again →
 // crash → recover. The second life seals fewer rounds than the first, so
 // if its IDs restarted at 1 the store's newest ID would still be the
-// first life's — stale, and naming origins the second life overwrote. The second recovery must restore the second life's newest
-// round, and the three lives' outputs, each cut at the checkpoint the next
+// first life's — stale. The second recovery must restore the second
+// life's newest round, and the three lives' outputs, each cut at the
+// checkpoint the next
 // one recovered from, must stitch to the uninterrupted run's.
 func TestCheckpointIDsContinueAcrossRestarts(t *testing.T) {
 	const query = `SELECT auction, AVG(price) FROM bids [RANGE 50] GROUP BY auction`

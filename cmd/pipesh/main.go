@@ -194,7 +194,7 @@ func (s *session) cmdRun() {
 	// With -checkpoint set, say exactly what the store gave us before the
 	// run: the restored checkpoint ID, or an explicit cold start. A store
 	// that holds sealed checkpoints but cannot reconstruct any of them (a
-	// corrupt manifest or a missing origin) is an error, not a silent cold
+	// corrupt manifest or a torn payload) is an error, not a silent cold
 	// start.
 	if s.dsms.Checkpoints != nil {
 		switch cp, err := s.dsms.RecoverLatest(); {

@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"maps"
@@ -13,7 +14,11 @@ import (
 
 // dirBackend keeps one directory per checkpoint (`cp-<id>/`) under its
 // root, one file per payload. commit writes the manifest to a temp file
-// and renames it into place — the atomic commit point.
+// and renames it into place — the atomic commit point. Every payload and
+// the manifest temp file are synced before the rename, the `cp-<id>`
+// directory after it, and the root whenever a `cp-<id>` directory is
+// created, so a manifest that survives a power loss names payloads that
+// survived it too.
 type dirBackend string
 
 // NewFileStore returns the durable store rooted at dir, creating it if
@@ -33,8 +38,12 @@ func NewFileStore(dir string) (*Store, error) {
 	return &Store{b: d, last: last}, nil
 }
 
+func (d dirBackend) dir(id uint64) string {
+	return filepath.Join(string(d), "cp-"+strconv.FormatUint(id, 10))
+}
+
 func (d dirBackend) path(id uint64, name string) string {
-	return filepath.Join(string(d), "cp-"+strconv.FormatUint(id, 10), name)
+	return filepath.Join(d.dir(id), name)
 }
 
 // sweepUnsealed removes unsealed checkpoint directories and stale
@@ -64,12 +73,29 @@ func (d dirBackend) sweepUnsealed() (last uint64, err error) {
 	return last, nil
 }
 
+// put writes one payload and syncs it.
 func (d dirBackend) put(id uint64, name string, data []byte) error {
-	p := d.path(id, name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	switch err := os.Mkdir(d.dir(id), 0o755); {
+	case err == nil:
+		// A new cp-<id> entry in the root.
+		if err := syncDir(string(d)); err != nil {
+			return err
+		}
+	case !errors.Is(err, fs.ErrExist):
 		return err
 	}
-	return os.WriteFile(p, data, 0o644)
+	f, err := os.OpenFile(d.path(id, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (d dirBackend) get(id uint64, name string) ([]byte, error) {
@@ -80,7 +106,23 @@ func (d dirBackend) commit(id uint64, manifest []byte) error {
 	if err := d.put(id, manifestName+".tmp", manifest); err != nil {
 		return err
 	}
-	return os.Rename(d.path(id, manifestName+".tmp"), d.path(id, manifestName))
+	if err := os.Rename(d.path(id, manifestName+".tmp"), d.path(id, manifestName)); err != nil {
+		return err
+	}
+	return syncDir(d.dir(id))
+}
+
+// syncDir makes the entries of directory dir durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (d dirBackend) ids() ([]uint64, error) {
@@ -104,7 +146,7 @@ func (d dirBackend) ids() ([]uint64, error) {
 }
 
 func (d dirBackend) remove(id uint64) error {
-	return os.RemoveAll(filepath.Dir(d.path(id, manifestName)))
+	return os.RemoveAll(d.dir(id))
 }
 
 // memBackend is the same layout in a map: checkpoints survive a simulated

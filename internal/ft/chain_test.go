@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"pipes/internal/ft"
@@ -17,15 +16,13 @@ import (
 // window (values from, from+1, …) in rounds+1 stretches of 512 elements,
 // with a manually triggered round ahead of every stretch but the first,
 // and an idle count window behind a filter that passes nothing, whose
-// state never changes. It checks after every seal that the store resolves
-// the round to both windows' full encodings at its cut — whether the
-// round wrote the idle one whole or as unchanged — and returns the
-// stopped manager, the sealed IDs and the busy window's encodings, in
-// round order.
-func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from int) (mgr *ft.Manager, ids []uint64, snaps [][]byte) {
+// state never changes. It checks after every seal that both windows'
+// entries are whole state entries and that the store returns both
+// windows' encodings at the round's cut, and returns the sealed IDs and
+// the busy window's encodings, in round order.
+func sealRounds(t *testing.T, store *ft.Store, rounds, from int) (ids []uint64, snaps [][]byte) {
 	t.Helper()
-	mgr = ft.NewManager(store)
-	mgr.SetBaseEvery(baseEvery)
+	mgr := ft.NewManager(store)
 	const perRound = 512
 	es := manyElements((rounds + 1) * perRound)
 	for i := range es {
@@ -68,124 +65,102 @@ func sealRounds(t *testing.T, store ft.CheckpointStore, baseEvery, rounds, from 
 			src.EmitNext() // Trigger injected the barrier ahead of these
 		}
 		waitSealed(t, mgr, id)
+		for _, op := range []string{"win", "idle"} {
+			if kind := entryKind(t, store, id, op); kind != "state" {
+				t.Fatalf("round %d's %s entry is %q, want state", id, op, kind)
+			}
+		}
 		cp := mustLatest(t, store, id)
 		if !bytes.Equal(cp.States["win"], full) {
-			t.Fatalf("round %d: resolved state (%dB) differs from the cut's full encoding (%dB)",
+			t.Fatalf("round %d: stored state (%dB) differs from the cut's full encoding (%dB)",
 				id, len(cp.States["win"]), len(full))
 		}
 		if !bytes.Equal(cp.States["idle"], idleFull) {
-			t.Fatalf("round %d: the idle window resolved to %dB, not its %dB encoding",
+			t.Fatalf("round %d: the idle window stored %dB, not its %dB encoding",
 				id, len(cp.States["idle"]), len(idleFull))
 		}
 		ids = append(ids, id)
 		snaps = append(snaps, full)
 	}
-	return mgr, ids, snaps
+	return ids, snaps
 }
 
 // The restart scenario: a second manager over a store that already holds
 // sealed rounds. Its rounds are numbered above them — it neither
 // overwrites a sealed checkpoint nor seals a newer state under an older
-// ID, so an unchanged entry never resolves to another run's origin — its
-// first round is a base, the old run's newest rounds stay until the new
-// run has two of its own, and every LatestComplete in between returns a
-// state one of the two runs actually held.
+// ID — the old run's newest rounds stay until the new run has two of its
+// own, and every LatestComplete in between returns a state one of the two
+// runs actually held.
 func TestManagerContinuesAboveSealedIDs(t *testing.T) {
 	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-		// Run A: rounds 1‥7, bases at 1 and 6, the idle window of 7
-		// unchanged since 6.
-		_, idsA, snapsA := sealRounds(t, open(), 5, 7, 0)
+		// Run A: rounds 1‥7.
+		idsA, snapsA := sealRounds(t, open(), 7, 0)
 		if want := []uint64{1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(idsA, want) {
 			t.Fatalf("run A sealed %v, want %v", idsA, want)
 		}
 		store := open()
 		mustIDs(t, store, 6, 7)
 		if cp := mustLatest(t, store, 7); !bytes.Equal(cp.States["win"], snapsA[6]) {
-			t.Fatal("run A's last round does not resolve to its cut")
+			t.Fatal("run A's last round does not hold its cut")
 		}
 
 		// Run B, other data, same store: one round, then a crash.
-		_, idsB, _ := sealRounds(t, store, 5, 1, 100000)
+		idsB, _ := sealRounds(t, store, 1, 100000)
 		if want := []uint64{8}; !reflect.DeepEqual(idsB, want) {
 			t.Fatalf("run B sealed %v over a store holding 1‥7, want %v", idsB, want)
 		}
 		store = open()
 		mustIDs(t, store, 6, 7, 8) // one sealed round of B: A's stay as the fallback
-		if m, err := store.RawGet(8, ft.ManifestName); err != nil || strings.Contains(string(m), `"origin"`) {
-			t.Fatalf("a new manager's first round must be a base (err %v):\n%s", err, m)
-		}
 
 		// Run C: six more rounds; retention now lets go of A and B.
-		_, idsC, snapsC := sealRounds(t, store, 5, 6, 200000)
+		idsC, snapsC := sealRounds(t, store, 6, 200000)
 		if want := []uint64{9, 10, 11, 12, 13, 14}; !reflect.DeepEqual(idsC, want) {
 			t.Fatalf("run C sealed %v, want %v", idsC, want)
 		}
 		store = open()
-		mustIDs(t, store, 9, 13, 14) // bases 9 and 14: 13's idle window names 9
+		mustIDs(t, store, 13, 14)
 		if err := store.RawRemove(14); err != nil {
 			t.Fatal(err)
 		}
 		if cp := mustLatest(t, store, 13); !bytes.Equal(cp.States["win"], snapsC[4]) {
-			t.Fatal("run C's round 13 does not resolve to its cut")
+			t.Fatal("run C's round 13 does not hold its cut")
 		}
 	})
 }
 
-// An idle operator writes nothing between bases: its entry is a same
-// marker naming the base round, BaseEvery−1 rounds later still one hop
-// away, and the next base writes it whole again.
+// An idle operator's state is written whole in every round, like a busy
+// one's (sealRounds checks each entry), and retention keeps exactly the
+// two newest rounds: no round stays behind for a later one to refer to.
 func TestManagerWritesUnchangedStates(t *testing.T) {
 	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-		const baseEvery = 4
-		mgr, ids, _ := sealRounds(t, open(), baseEvery, baseEvery+1, 0)
+		ids, _ := sealRounds(t, open(), 5, 0)
 		if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(ids, want) {
 			t.Fatalf("sealed %v, want %v", ids, want)
 		}
-		store := open()
-		mustIDs(t, store, 1, 4, 5) // 4 names base 1
-		want := map[uint64][2]any{1: {"state", uint64(0)}, 4: {"same", uint64(1)}, 5: {"state", uint64(0)}}
-		for id, w := range want {
-			if kind, origin := entryOf(t, store, id, "idle"); kind != w[0] || origin != w[1] {
-				t.Fatalf("round %d's idle entry is %q naming %d, want %q naming %d", id, kind, origin, w[0], w[1])
-			}
-			if kind, _ := entryOf(t, store, id, "win"); kind != "state" {
-				t.Fatalf("round %d's busy entry is %q, want state", id, kind)
-			}
-		}
-		// Rounds 2‥4 wrote the idle window as same entries, which write
-		// no bytes: everything else was written whole.
-		idle := int64(len(mustLatest(t, store, 5).States["idle"]))
-		if saved := mgr.FullBytesTotal() - mgr.WrittenBytesTotal(); idle == 0 || saved != (baseEvery-1)*idle {
-			t.Fatalf("full %dB − written %dB = %dB, want %d same entries of %dB",
-				mgr.FullBytesTotal(), mgr.WrittenBytesTotal(), saved, baseEvery-1, idle)
-		}
+		mustIDs(t, open(), 4, 5)
 	})
 }
 
-// entryOf returns the kind and origin of op's entry in checkpoint id's
-// manifest.
-func entryOf(t *testing.T, s *ft.Store, id uint64, op string) (kind string, origin uint64) {
+// entryKind returns the kind of op's entry in checkpoint id's manifest.
+func entryKind(t *testing.T, s *ft.Store, id uint64, op string) string {
 	t.Helper()
 	raw, err := s.RawGet(id, ft.ManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var m struct {
-		Entries []struct {
-			Kind, Name string
-			Origin     uint64
-		}
+		Entries []struct{ Kind, Name string }
 	}
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range m.Entries {
 		if e.Name == op {
-			return e.Kind, e.Origin
+			return e.Kind
 		}
 	}
 	t.Fatalf("checkpoint %d has no entry for %s", id, op)
-	return "", 0
+	return ""
 }
 
 // The SnapshotState closure runs on the checkpoint writer while the

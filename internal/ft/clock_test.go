@@ -1,7 +1,9 @@
 package ft_test
 
 import (
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,5 +88,63 @@ func TestRoundTimedOnRecorderClock(t *testing.T) {
 	}
 	if !found {
 		t.Error("pipes_checkpoint_duration_nanos_sum not exported")
+	}
+}
+
+// endingClock is a frozen clock that runs onNow once, on the first Now
+// call after armed is set.
+type endingClock struct {
+	telemetry.Clock
+	armed atomic.Bool
+	onNow func()
+}
+
+func (c *endingClock) Now() time.Time {
+	if c.armed.CompareAndSwap(true, false) {
+		c.onNow()
+	}
+	return c.Clock.Now()
+}
+
+// A source that ends after Trigger starts but before its barrier goes in
+// must not have its post-flush state sealed: whether the source has ended
+// is decided at the injection itself, so the round finds no live source,
+// is retired unsealed, and Trigger reports ErrStreamEnded. The recorder's
+// clock ends the stream on the now() call Trigger makes before it
+// injects.
+func TestTriggerRetiresRoundWhenSourceEndsBeforeInjection(t *testing.T) {
+	src := ft.NewCheckpointSource(pubsub.NewSliceSource("src", []temporal.Element{el(1, 1, 10), el(2, 2, 10)}))
+	win := ops.NewCountWindow("win", 4)
+	sink := ft.NewCheckpointSink("sink")
+	mustSub(src, win, 0)
+	mustSub(win, sink, 0)
+	clk := &endingClock{Clock: telemetry.NewFakeClock(time.Unix(1000, 0)), onNow: func() {
+		for src.EmitNext() {
+		}
+	}}
+	rec := flight.New(0)
+	rec.SetClock(clk)
+	store := ft.NewMemStore()
+	mgr := ft.NewManager(store)
+	mgr.SetFlightRecorder(rec)
+	mgr.RegisterSource(src)
+	mgr.RegisterOperator(win, win)
+	mgr.RegisterSink(sink)
+	mgr.Start(0)
+
+	clk.armed.Store(true)
+	_, err := mgr.Trigger()
+	mgr.Stop()
+	if !src.Ended() {
+		t.Fatal("the clock did not end the source")
+	}
+	if !errors.Is(err, ft.ErrStreamEnded) {
+		t.Errorf("Trigger = %v, want ErrStreamEnded", err)
+	}
+	if n := mgr.Completed(); n != 0 {
+		t.Fatalf("%d round(s) sealed a snapshot taken after the source ended", n)
+	}
+	if cp, err := store.LatestComplete(); err != nil || cp != nil {
+		t.Fatalf("store holds %+v (err %v), want nothing", cp, err)
 	}
 }

@@ -1,7 +1,6 @@
 package ft
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -32,11 +31,6 @@ type Event struct {
 	ID    uint64
 }
 
-// DefaultBaseEvery is the default full-base cadence: every this many
-// sealed rounds, unchanged states are written in full as well. See
-// SetBaseEvery.
-const DefaultBaseEvery = 8
-
 // Manager coordinates checkpoint rounds over one query graph: it injects
 // barriers at the registered sources, collects operator snapshots and
 // acks, and hands complete rounds to a background writer that persists
@@ -45,15 +39,13 @@ const DefaultBaseEvery = 8
 //
 // Operators publish a copy-on-write snapshot handle at the barrier (cheap
 // collection copies, no serialisation — the StateSaver contract); the
-// background writer encodes the handle after the gates release and writes
-// the full encoding, or, when it equals the last sealed round's, a marker
-// naming the round that holds those bytes (every SetBaseEvery rounds it
-// writes those in full too).
+// background writer encodes each handle after the gates release and
+// writes the full encoding, so every sealed round is self-contained.
 //
-// Configure (RegisterSource/RegisterOperator/RegisterSink/OnEvent/
-// SetBaseEvery) before Start; Trigger and the periodic ticker drive rounds
-// afterwards. Operators and sinks may also register, and Unregister, while
-// rounds run.
+// Configure (RegisterSource/RegisterOperator/RegisterSink/OnEvent) before
+// Start; Trigger and the periodic ticker drive rounds afterwards.
+// Operators and sinks may also register, and Unregister, while rounds
+// run.
 type Manager struct {
 	store CheckpointStore
 
@@ -66,16 +58,12 @@ type Manager struct {
 	onEvent func(Event)
 	started bool
 
-	// baseEvery is the full-base cadence (<=1 writes every round full).
-	// Set before Start.
-	baseEvery int
-
 	// Writer-goroutine state (plus Stop's post-Wait drain — never
-	// concurrent): per-operator encode buffers, reused round after round,
-	// and the base cadence.
-	enc          map[string]*opScratch
+	// concurrent): one encode buffer per operator, reused round after
+	// round. Reuse is safe because the store copies or writes out every
+	// payload before PutState returns.
+	enc          map[string][]byte
 	prevSealedID uint64 // last round this manager sealed (0 when none)
-	sinceBase    int    // sealed rounds since the last full base
 
 	writeCh chan *pending
 	stopCh  chan struct{}
@@ -93,31 +81,14 @@ type Manager struct {
 	durHist       *telemetry.Histogram
 	stallHist     *telemetry.Histogram // per-round barrier-side stall (capture/encode under ProcMu)
 	lastID        atomic.Uint64
-	lastBytes     atomic.Int64 // full (logical) size of the last sealed checkpoint
-	lastWritten   atomic.Int64 // bytes actually written to the store for it
+	lastBytes     atomic.Int64 // size of the last sealed checkpoint's state entries
 	lastUnixNanos atomic.Int64
 	completed     atomic.Int64
 	failed        atomic.Int64
 	skipped       atomic.Int64 // Trigger calls skipped: round in flight
-	baseRounds    atomic.Int64 // rounds that name no origin
-	sameStates    atomic.Int64 // unchanged per-operator entries
 	fullBytesTot  atomic.Int64
-	writtenTot    atomic.Int64
 	stallNanosTot atomic.Int64 // cumulative barrier-side stall
 	encNanosTot   atomic.Int64 // cumulative off-barrier encode time
-}
-
-// opScratch holds one operator's encode buffers, reused across rounds:
-// bufs[cur] receives this round's encoding while the other buffer still
-// holds the last sealed round's, whose state entry sits in round origin.
-// The buffers flip, and origin moves to next, only on a successful seal,
-// so a failed round never loses the origin. Reuse is safe because the
-// store copies or writes out every payload before PutState returns.
-type opScratch struct {
-	bufs   [2][]byte
-	cur    int
-	origin uint64 // 0: nothing sealed yet
-	next   uint64 // origin once this round seals; 0 when not encoded in it
 }
 
 // pending is one in-flight checkpoint round.
@@ -132,13 +103,13 @@ type pending struct {
 	stallNS     int64            // summed barrier-side capture time
 	needOffsets map[string]bool
 	needAcks    map[string]bool
+	injecting   bool // Trigger is still injecting: the round may yet be retired
 	completed   bool
 }
 
 // NewManager returns a Manager persisting to store. Its rounds are
-// numbered above every checkpoint the store already holds, and its first
-// round writes every state in full: a restarted process extends the
-// store, it never overwrites or names as origin what an earlier one
+// numbered above every checkpoint the store already holds: a restarted
+// process extends the store, it never overwrites what an earlier one
 // sealed.
 func NewManager(store CheckpointStore) *Manager {
 	return &Manager{
@@ -150,20 +121,8 @@ func NewManager(store CheckpointStore) *Manager {
 		stallHist: telemetry.NewHistogram(),
 		writeCh:   make(chan *pending, 1),
 		stopCh:    make(chan struct{}),
-		enc:       map[string]*opScratch{},
-		baseEvery: DefaultBaseEvery,
+		enc:       map[string][]byte{},
 	}
-}
-
-// SetBaseEvery sets the full-base cadence: every k sealed rounds,
-// unchanged states are written in full as well, so no old round stays
-// pinned as an origin for long (k <= 1 writes every state in full every
-// round). Must be called before Start.
-func (m *Manager) SetBaseEvery(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.baseEvery = k
 }
 
 // RegisterSource adds a source to the rounds: every Trigger injects the
@@ -202,7 +161,7 @@ func (m *Manager) RegisterSink(s *CheckpointSink) {
 // Unregister removes the operator or sink registered under name — a node
 // spliced out of the graph, which no barrier reaches any more. No round
 // waits for its ack from now on, the round in flight included, and its
-// state leaves the checkpoints; the writer frees its buffers.
+// state leaves the checkpoints; the writer frees its buffer.
 func (m *Manager) Unregister(name string) {
 	m.mu.Lock()
 	delete(m.savers, name)
@@ -342,40 +301,27 @@ func (m *Manager) tickLoop(interval time.Duration) {
 // alignment protocol's contract).
 var ErrRoundInFlight = errors.New("ft: checkpoint round in flight")
 
-// ErrStreamEnded is returned by Trigger once every registered source has
-// ended. Operators flush on end-of-stream (windows emit their still-open
-// aggregates), so a barrier injected after done has propagated would
-// snapshot post-flush state at the final offset — a checkpoint that
-// double-counts the flushed windows when recovery replays further input
-// into it. A barrier goes in when it is requested, so a round Trigger
-// starts while a source is live reaches that source ahead of its done;
-// only a source that ends between this check and the injection sees the
-// barrier after done, at its final offset.
+// ErrStreamEnded is returned by Trigger when every registered source had
+// ended when its barrier went in. Operators flush on end-of-stream
+// (windows emit their still-open aggregates), so a barrier that follows
+// done through the graph would snapshot post-flush state at the final
+// offset — a checkpoint that double-counts the flushed windows when
+// recovery replays further input into it. Each source decides under its
+// publish lock, at the injection itself, whether it has ended, so a
+// round that finds some source live reaches it ahead of its done, and a
+// round that finds none live is retired unsealed.
 var ErrStreamEnded = errors.New("ft: all sources ended; no further checkpoint rounds")
 
 // Trigger starts one checkpoint round: it allocates the next barrier ID
-// and requests injection at every registered source. It returns the
-// round's ID, or ErrRoundInFlight when the previous round is still
-// collecting.
+// and injects the barrier at every registered source. It returns the
+// round's ID, ErrRoundInFlight when the previous round is still
+// collecting, or ErrStreamEnded when no source was live at the injection.
 func (m *Manager) Trigger() (uint64, error) {
 	m.mu.Lock()
 	if m.cur != nil {
 		m.mu.Unlock()
 		m.skipped.Add(1)
 		return 0, ErrRoundInFlight
-	}
-	if len(m.sources) > 0 {
-		live := false
-		for _, cs := range m.sources {
-			if !cs.Ended() {
-				live = true
-				break
-			}
-		}
-		if !live {
-			m.mu.Unlock()
-			return 0, ErrStreamEnded
-		}
 	}
 	m.nextID++
 	id := m.nextID
@@ -387,6 +333,7 @@ func (m *Manager) Trigger() (uint64, error) {
 		handles:     map[string]func(dst []byte) ([]byte, error){},
 		needOffsets: map[string]bool{},
 		needAcks:    map[string]bool{},
+		injecting:   true,
 	}
 	for _, cs := range m.sources {
 		p.needOffsets[cs.Name()] = true
@@ -398,10 +345,25 @@ func (m *Manager) Trigger() (uint64, error) {
 	m.mu.Unlock()
 
 	b := pubsub.Barrier{ID: id}
+	live := len(m.sources) == 0 // a graph without sources has nothing to end
 	for _, cs := range m.sources {
-		cs.RequestBarrier(b)
+		if cs.RequestBarrier(b) {
+			live = true
+		}
 	}
-	m.maybeComplete(p) // a graph with no sources/ackers completes empty
+	p.mu.Lock()
+	p.injecting = false
+	p.completed = !live // retired: never handed to the writer
+	p.mu.Unlock()
+	if !live {
+		m.mu.Lock()
+		if m.cur == p {
+			m.cur = nil
+		}
+		m.mu.Unlock()
+		return 0, ErrStreamEnded
+	}
+	m.maybeComplete(p) // every offset and ack may have arrived during the injection
 	return id, nil
 }
 
@@ -475,12 +437,13 @@ func (m *Manager) offsetRecorded(b pubsub.Barrier, source string, offset int) {
 	m.maybeComplete(p)
 }
 
-// maybeComplete queues the round for writing once every offset and ack
-// arrived. The hand-off to the writer channel is the boundary between
-// the synchronous graph side and the I/O side.
+// maybeComplete queues the round for writing once Trigger has finished
+// injecting and every offset and ack arrived. The hand-off to the writer
+// channel is the boundary between the synchronous graph side and the I/O
+// side.
 func (m *Manager) maybeComplete(p *pending) {
 	p.mu.Lock()
-	if p.completed || len(p.needOffsets) > 0 || len(p.needAcks) > 0 {
+	if p.completed || p.injecting || len(p.needOffsets) > 0 || len(p.needAcks) > 0 {
 		p.mu.Unlock()
 		return
 	}
@@ -491,18 +454,10 @@ func (m *Manager) maybeComplete(p *pending) {
 	m.writeCh <- p
 }
 
-// roundStats summarises what one store write actually did.
-type roundStats struct {
-	fullBytes    int64 // logical size: sum of full encodings
-	writtenBytes int64 // bytes put to the store (state entries)
-	encodeNS     int64 // off-barrier encode time
-	sameStates   int64 // same entries, which name an origin
-}
-
 // write persists one completed round and retires it.
 func (m *Manager) write(p *pending) {
 	writeStart := m.now()
-	stats, err := m.writeStore(p)
+	size, encNS, err := m.writeStore(p)
 	m.mu.Lock()
 	if m.cur == p {
 		m.cur = nil // round retired: the next Trigger may proceed
@@ -513,29 +468,14 @@ func (m *Manager) write(p *pending) {
 		}
 	}
 	m.mu.Unlock()
-	// On a seal this round's encodings become what the next round
-	// compares against.
-	for _, sc := range m.enc {
-		if err == nil && sc.next != 0 {
-			sc.cur, sc.origin = 1-sc.cur, sc.next
-		}
-		sc.next = 0
-	}
 	if err != nil {
 		m.failed.Add(1)
 		m.emit(Event{Stage: "failed", ID: p.id})
 		return
 	}
-	if stats.sameStates > 0 {
-		m.sinceBase++
-	} else {
-		m.sinceBase = 0
-		m.baseRounds.Add(1)
-	}
-	m.sameStates.Add(stats.sameStates)
 	// Retention: the last two sealed checkpoints stay (recovery falls
-	// back at most one on a torn write); the store keeps every origin
-	// either names. Best-effort: a failed drop never fails the round.
+	// back at most one on a torn write). Best-effort: a failed drop never
+	// fails the round.
 	if m.prevSealedID > 1 {
 		_ = m.store.Drop(m.prevSealedID - 1)
 	}
@@ -549,37 +489,31 @@ func (m *Manager) write(p *pending) {
 	p.mu.Unlock()
 	m.stallHist.Observe(stallNS)
 	m.stallNanosTot.Add(stallNS)
-	m.encNanosTot.Add(stats.encodeNS)
-	m.fullBytesTot.Add(stats.fullBytes)
-	m.writtenTot.Add(stats.writtenBytes)
+	m.encNanosTot.Add(encNS)
+	m.fullBytesTot.Add(size)
 	if m.storeRef != nil {
-		m.storeRef.Phase(flight.KindStoreWrite, int64(p.id), end-writeStart, stats.writtenBytes)
-		m.storeRef.Phase(flight.KindRoundDone, int64(p.id), roundNS, stats.fullBytes)
+		m.storeRef.Phase(flight.KindStoreWrite, int64(p.id), end-writeStart, size)
+		m.storeRef.Phase(flight.KindRoundDone, int64(p.id), roundNS, size)
 	}
 	m.lastID.Store(p.id)
-	m.lastBytes.Store(stats.fullBytes)
-	m.lastWritten.Store(stats.writtenBytes)
+	m.lastBytes.Store(size)
 	m.lastUnixNanos.Store(end)
 	m.completed.Add(1)
 	m.emit(Event{Stage: "sealed", ID: p.id})
 }
 
 // writeStore encodes the round's handles (off-barrier, on this writer
-// goroutine), decides full or unchanged per operator and stages
-// everything into one store writer, sealing at the end.
-func (m *Manager) writeStore(p *pending) (roundStats, error) {
-	var stats roundStats
+// goroutine) and stages each state whole into one store writer, sealing
+// at the end. It returns the bytes of state written and the encode time.
+func (m *Manager) writeStore(p *pending) (size, encNS int64, err error) {
 	w, err := m.store.Begin(p.id)
 	if err != nil {
-		return stats, err
+		return 0, 0, err
 	}
-	// A base round writes every state in full.
-	isBase := m.baseEvery <= 1 || m.sinceBase >= m.baseEvery-1
-
 	p.mu.Lock()
 	for name, err := range p.failed {
 		p.mu.Unlock()
-		return stats, fmt.Errorf("ft: round %d: state of %s failed to snapshot: %w", p.id, name, err)
+		return 0, 0, fmt.Errorf("ft: round %d: state of %s failed to snapshot: %w", p.id, name, err)
 	}
 	names := make([]string, 0, len(p.handles))
 	for name := range p.handles {
@@ -593,53 +527,36 @@ func (m *Manager) writeStore(p *pending) (roundStats, error) {
 	sort.Strings(names) // deterministic store layout
 
 	for _, name := range names {
-		cur, encNS, err := m.encodeState(p, name)
+		state, ns, err := m.encodeState(p, name)
 		if err != nil {
-			return stats, err
+			return size, encNS, err
 		}
-		stats.encodeNS += encNS
-		stats.fullBytes += int64(len(cur))
-
-		sc := m.enc[name]
-		if !isBase && sc.origin != 0 && bytes.Equal(sc.bufs[1-sc.cur], cur) {
-			err = w.PutStateUnchanged(name, sc.origin, cur)
-			sc.next = sc.origin
-			stats.sameStates++
-		} else {
-			err = w.PutState(name, cur)
-			sc.next = p.id
-			stats.writtenBytes += int64(len(cur))
-		}
-		if err != nil {
-			return stats, err
+		encNS += ns
+		size += int64(len(state))
+		if err := w.PutState(name, state); err != nil {
+			return size, encNS, err
 		}
 	}
 	for name, off := range offsets {
 		if err := w.PutOffset(name, off); err != nil {
-			return stats, err
+			return size, encNS, err
 		}
 	}
-	return stats, w.Seal()
+	return size, encNS, w.Seal()
 }
 
 // encodeState produces one operator's full encoding for this round into
-// its double-buffered scratch (the off-barrier encode), where it survives
-// for the next round to compare against.
+// its reused buffer (the off-barrier encode).
 func (m *Manager) encodeState(p *pending, name string) ([]byte, int64, error) {
-	sc := m.enc[name]
-	if sc == nil {
-		sc = &opScratch{}
-		m.enc[name] = sc
-	}
 	p.mu.Lock()
 	fn := p.handles[name]
 	p.mu.Unlock()
 	start := m.now()
-	buf, err := fn(sc.bufs[sc.cur][:0])
+	buf, err := fn(m.enc[name][:0])
 	if err != nil {
 		return nil, 0, fmt.Errorf("ft: round %d: state of %s failed to serialise: %w", p.id, name, err)
 	}
-	sc.bufs[sc.cur] = buf
+	m.enc[name] = buf
 	encNS := m.now() - start
 	m.phase(name, flight.KindEncode, p.id, encNS, int64(len(buf)))
 	return buf, encNS, nil
@@ -651,22 +568,18 @@ func (m *Manager) LastCheckpointID() uint64 { return m.lastID.Load() }
 // Completed returns the number of sealed rounds.
 func (m *Manager) Completed() int64 { return m.completed.Load() }
 
-// LastBytes returns the full (logical) serialised size of the last sealed
-// checkpoint — what a reader reconstructs, regardless of how little its
-// unchanged entries actually wrote.
+// LastBytes returns the serialised size of the last sealed checkpoint's
+// state entries.
 func (m *Manager) LastBytes() int64 { return m.lastBytes.Load() }
 
-// LastWrittenBytes returns the bytes physically written to the store for
-// the last sealed checkpoint (state entries; unchanged entries write
-// nothing).
-func (m *Manager) LastWrittenBytes() int64 { return m.lastWritten.Load() }
+// WrittenBytesTotal returns FullBytesTotal: every round writes each state
+// whole.
+//
+// Deprecated: use FullBytesTotal.
+func (m *Manager) WrittenBytesTotal() int64 { return m.fullBytesTot.Load() }
 
-// WrittenBytesTotal returns the cumulative bytes written to the store
+// FullBytesTotal returns the cumulative bytes of state entries written
 // across all sealed rounds.
-func (m *Manager) WrittenBytesTotal() int64 { return m.writtenTot.Load() }
-
-// FullBytesTotal returns the cumulative full-encoding bytes across all
-// sealed rounds — the denominator of what unchanged entries save.
 func (m *Manager) FullBytesTotal() int64 { return m.fullBytesTot.Load() }
 
 // StallNanosTotal returns the cumulative barrier-side stall spent in
@@ -679,23 +592,19 @@ func (m *Manager) EncodeNanosTotal() int64 { return m.encNanosTot.Load() }
 
 // RegisterMetrics exposes checkpoint health on the telemetry registry:
 // round duration and barrier-stall histograms, last sealed ID, last
-// checkpoint sizes (full and written), last success wall time, and
-// completed/failed/skipped/base/unchanged counters.
+// checkpoint size, last success wall time, completed/failed/skipped
+// counters and the byte and encode-time totals.
 func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterCollector(func(c *telemetry.Collect) {
 		c.Histogram("pipes_checkpoint_duration_nanos", nil, m.durHist)
 		c.Histogram("pipes_checkpoint_barrier_stall_nanos", nil, m.stallHist)
 		c.Gauge("pipes_checkpoint_last_id", nil, float64(m.lastID.Load()))
 		c.Gauge("pipes_checkpoint_last_bytes", nil, float64(m.lastBytes.Load()))
-		c.Gauge("pipes_checkpoint_last_written_bytes", nil, float64(m.lastWritten.Load()))
 		c.Gauge("pipes_checkpoint_last_success_unix_nanos", nil, float64(m.lastUnixNanos.Load()))
 		c.Counter("pipes_checkpoint_completed_total", nil, m.completed.Load())
 		c.Counter("pipes_checkpoint_failed_total", nil, m.failed.Load())
 		c.Counter("pipes_checkpoint_skipped_total", nil, m.skipped.Load())
-		c.Counter("pipes_checkpoint_base_rounds_total", nil, m.baseRounds.Load())
-		c.Counter("pipes_checkpoint_unchanged_states_total", nil, m.sameStates.Load())
 		c.Counter("pipes_checkpoint_full_bytes_total", nil, m.fullBytesTot.Load())
-		c.Counter("pipes_checkpoint_written_bytes_total", nil, m.writtenTot.Load())
 		c.Counter("pipes_checkpoint_encode_nanos_total", nil, m.encNanosTot.Load())
 	})
 }

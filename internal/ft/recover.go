@@ -7,9 +7,8 @@ import "fmt"
 // checkpointed run — the optimizer's deterministic names, or explicit
 // ones) to the new operator instance. Every state entry must find its
 // loader; loaders without a state entry are left empty (an operator that
-// held no state when the checkpoint was cut has no entry). cp.States is
-// always the full state image: LatestComplete reads an unchanged entry's
-// bytes from the origin it names, so restoration never sees a marker.
+// held no state when the checkpoint was cut has no entry). cp.States
+// holds each operator's full state image.
 func RestoreStates(cp *Checkpoint, loaders map[string]StateLoader) error {
 	if cp == nil {
 		return ErrNoCheckpoint

@@ -74,13 +74,16 @@ func (cs *CheckpointSource) EmitNext() bool { _, more := cs.EmitBatch(1); return
 // which must be an emitter; its frame comes back through the tap.
 func (cs *CheckpointSource) EmitBatch(max int) (int, bool) { return cs.emit.EmitBatch(max) }
 
-// RequestBarrier injects b at once, between two frames (after done, the
-// barrier passes through at the final offset). The offset callback
+// RequestBarrier injects b at once, between two frames, and reports
+// whether the stream was still live at the injection. Done is published
+// under the same lock, so a live stream gets b ahead of its done; after
+// done, b passes through at the final offset. The offset callback
 // installed via setOnRequest fires with the element count before the
 // barrier — the replay offset of this source for round b. It must not be
 // called from inside the wrapper's own publish.
-func (cs *CheckpointSource) RequestBarrier(b pubsub.Barrier) {
+func (cs *CheckpointSource) RequestBarrier(b pubsub.Barrier) (live bool) {
 	cs.pub.Lock()
+	live = !cs.IsDone()
 	cs.mu.Lock()
 	onReq, off := cs.onReq, cs.offset
 	cs.mu.Unlock()
@@ -89,6 +92,7 @@ func (cs *CheckpointSource) RequestBarrier(b pubsub.Barrier) {
 	if onReq != nil {
 		onReq(b, cs.Name(), off)
 	}
+	return live
 }
 
 // setOnRequest installs the Manager's offset callback.

@@ -10,9 +10,8 @@ import (
 )
 
 // Checkpoint is one sealed, complete checkpoint: per-source replay
-// offsets and per-operator serialised state, keyed by node name. State
-// entries are always the full encoding — the store resolves unchanged
-// entries to their origin's bytes internally.
+// offsets and per-operator serialised state (the full encoding), keyed by
+// node name.
 type Checkpoint struct {
 	ID      uint64
 	Offsets map[string]int
@@ -23,19 +22,12 @@ type Checkpoint struct {
 // order; nothing is visible to readers until Seal. A writer that is
 // abandoned without Seal leaves no complete checkpoint (a torn write —
 // readers skip it). Byte slices are the caller's again once a method
-// returns.
-//
-// An operator's state is staged in one of two forms: the full encoding
-// (PutState), or a marker that it is byte-identical to the full encoding
-// the sealed checkpoint origin holds for the same operator
-// (PutStateUnchanged). The marker also takes the encoding it stands for:
-// its checksum is sealed with the marker, so a reader can tell the origin
-// it was cut against from another checkpoint of the same ID.
+// returns. Every operator's state is staged whole, so a sealed checkpoint
+// is self-contained: no entry refers to another checkpoint.
 type CheckpointWriter interface {
 	PutOffset(source string, offset int) error
 	PutState(op string, state []byte) error
-	PutStateUnchanged(op string, origin uint64, state []byte) error
-	// Seal atomically publishes the checkpoint as complete.
+	// Seal atomically and durably publishes the checkpoint as complete.
 	Seal() error
 }
 
@@ -46,18 +38,16 @@ type CheckpointStore interface {
 	// overwritten (ErrSealed); unsealed debris under id is discarded.
 	Begin(id uint64) (CheckpointWriter, error)
 	// LatestComplete returns the newest sealed checkpoint whose every
-	// entry (including the origins its unchanged entries name) verifies,
-	// or nil when the store is empty. Newer corrupt checkpoints are
-	// skipped in favour of older intact ones — the caller's fallback path;
-	// an error is returned only when sealed checkpoints exist but none can
-	// be reconstructed (nothing intact to fall back to), or
-	// when the newest readable one was sealed under another StateVersion
-	// (ErrStateVersion: nothing older is tried, nothing is restored).
+	// entry verifies, or nil when the store is empty. Newer corrupt
+	// checkpoints are skipped in favour of older intact ones — the
+	// caller's fallback path; an error is returned only when sealed
+	// checkpoints exist but none verifies (nothing intact to fall back
+	// to), or when the newest readable one was sealed under another
+	// StateVersion (ErrStateVersion: nothing older is tried, nothing is
+	// restored).
 	LatestComplete() (*Checkpoint, error)
 	// Drop removes superseded checkpoints with ID at or below id —
-	// retention management once a newer checkpoint is sealed. A
-	// checkpoint a surviving checkpoint names as an origin is retained
-	// regardless of its ID: dropping it would tear the survivor.
+	// retention management once a newer checkpoint is sealed.
 	Drop(id uint64) error
 	// LastID returns the highest ID sealed in the store, by this process
 	// or one before it (0 when none). A writer numbers its checkpoints
@@ -70,8 +60,7 @@ type CheckpointStore interface {
 var ErrNoCheckpoint = errors.New("ft: no complete checkpoint")
 
 // ErrSealed is wrapped by Begin when the ID already names a sealed
-// checkpoint: unchanged entries refer to their origins by ID, so a sealed
-// ID is never reused.
+// checkpoint: a sealed checkpoint is never overwritten.
 var ErrSealed = errors.New("ft: checkpoint already sealed")
 
 // StateVersion is stamped on every sealed checkpoint. State entries are
@@ -86,34 +75,30 @@ var ErrSealed = errors.New("ft: checkpoint already sealed")
 // records the checksum of the full state it resolves to; 3 — state is
 // written with the engine's value codec (internal/wire) instead of gob;
 // 4 — an entry is a full state or an unchanged marker naming its origin,
-// and byte deltas and chains are gone.
-const StateVersion = 4
+// and byte deltas and chains are gone; 5 — every state entry is the full
+// encoding, and no entry names another checkpoint.
+const StateVersion = 5
 
-// ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint,
-// or an origin one of its entries names, carries another StateVersion.
+// ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint
+// carries another StateVersion.
 var ErrStateVersion = errors.New("ft: checkpoint state version mismatch")
 
 const manifestName = "MANIFEST.json"
 
 // Entry kinds of the manifest.
 const (
-	entryOffset    = "offset"
-	entryState     = "state" // full encoding
-	entryUnchanged = "same"  // byte-identical to the origin's state entry
+	entryOffset = "offset"
+	entryState  = "state" // full encoding
 )
 
 type manifestEntry struct {
 	File string `json:"file"`
-	Kind string `json:"kind"` // "offset", "state" or "same"
+	Kind string `json:"kind"` // "offset" or "state"
 	Name string `json:"name"` // node name
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc32"` // of the payload in File
 	// Offset is inlined for offset entries (File empty).
 	Offset int `json:"offset,omitempty"`
-	// Origin is the older checkpoint whose state entry holds the bytes a
-	// same entry stands for, StateCRC their checksum.
-	Origin   uint64 `json:"origin,omitempty"`
-	StateCRC uint32 `json:"state_crc32,omitempty"`
 }
 
 type manifest struct {
@@ -123,28 +108,18 @@ type manifest struct {
 	Entries      []manifestEntry `json:"entries"`
 }
 
-// state returns the state entry of op.
-func (m *manifest) state(op string) (manifestEntry, bool) {
-	for _, e := range m.Entries {
-		if e.Name == op && e.Kind != entryOffset {
-			return e, true
-		}
-	}
-	return manifestEntry{}, false
-}
-
 // backend is where a Store's bytes live: named payloads grouped under
-// checkpoint IDs. It knows nothing of entry kinds, origins or versions;
-// the one structure it keeps is that a group is committed exactly when it
-// holds a payload called manifestName, and that commit makes it appear
-// atomically.
+// checkpoint IDs. It knows nothing of entry kinds or versions; the one
+// structure it keeps is that a group is committed exactly when it holds a
+// payload called manifestName, and that commit makes it appear atomically
+// and durably, together with every payload put under it before.
 type backend interface {
 	// put stores one payload under id. data is the caller's on return.
 	put(id uint64, name string, data []byte) error
 	// get returns a payload (read-only), or an error matching
 	// fs.ErrNotExist.
 	get(id uint64, name string) ([]byte, error)
-	// commit atomically stores id's manifest.
+	// commit atomically and durably stores id's manifest.
 	commit(id uint64, manifest []byte) error
 	// ids lists the IDs present, committed or not, ascending.
 	ids() ([]uint64, error)
@@ -153,16 +128,14 @@ type backend interface {
 }
 
 // Store is the CheckpointStore: it owns the manifest format, the
-// newest-first fallback, origin resolution and retention, over a backend
-// that only stores bytes — a directory (NewFileStore) or a map
-// (NewMemStore).
+// newest-first fallback and retention, over a backend that only stores
+// bytes — a directory (NewFileStore) or a map (NewMemStore).
 //
-// Sealing writes a manifest (entry list with sizes, checksums and
-// origins) through the backend's atomic commit. LatestComplete verifies
-// every entry, and the origin entry an unchanged one names, against the
-// manifests, so a torn or corrupted write — crash mid-write, truncated
-// payload, flipped bits, a missing or replaced origin — demotes the
-// checkpoint to incomplete and recovery falls back to the previous one.
+// Sealing writes a manifest (entry list with sizes and checksums) through
+// the backend's atomic commit. LatestComplete verifies every entry against
+// the manifest, so a torn or corrupted write — crash mid-write, truncated
+// payload, flipped bits — demotes the checkpoint to incomplete and
+// recovery falls back to the previous one.
 type Store struct {
 	mu   sync.Mutex
 	b    backend
@@ -217,11 +190,6 @@ func (w *writer) PutState(op string, state []byte) error {
 	return nil
 }
 
-func (w *writer) PutStateUnchanged(op string, origin uint64, state []byte) error {
-	w.m.Entries = append(w.m.Entries, manifestEntry{Kind: entryUnchanged, Name: op, Origin: origin, StateCRC: crc32.ChecksumIEEE(state)})
-	return nil
-}
-
 func (w *writer) Seal() error {
 	if w.done {
 		return fmt.Errorf("%w: checkpoint %d", ErrSealed, w.m.ID)
@@ -241,11 +209,11 @@ func (w *writer) Seal() error {
 }
 
 // LatestComplete implements CheckpointStore: newest ID first, the first
-// checkpoint whose manifest exists and whose every entry — including the
-// origins it names — verifies. IDs without a manifest (a writer in flight,
-// debris of a failed round) are skipped silently; sealed-but-unloadable
-// checkpoints are skipped in favour of older intact ones, and only when
-// nothing loads at all does the corruption surface as an error.
+// checkpoint whose manifest exists and whose every entry verifies. IDs
+// without a manifest (a writer in flight, debris of a failed round) are
+// skipped silently; sealed-but-unloadable checkpoints are skipped in
+// favour of older intact ones, and only when nothing loads at all does the
+// corruption surface as an error.
 func (s *Store) LatestComplete() (*Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,16 +221,15 @@ func (s *Store) LatestComplete() (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	mans := map[uint64]*manifest{}
 	var firstErr error
 	for i := len(ids) - 1; i >= 0; i-- {
-		m, err := s.manifest(ids[i], mans)
+		m, err := s.manifest(ids[i])
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		var cp *Checkpoint
 		if err == nil {
-			cp, err = s.load(m, mans)
+			cp, err = s.load(m)
 		}
 		if err == nil {
 			return cp, nil
@@ -275,17 +242,14 @@ func (s *Store) LatestComplete() (*Checkpoint, error) {
 		}
 	}
 	if firstErr != nil {
-		return nil, fmt.Errorf("ft: no reconstructable checkpoint: %w", firstErr)
+		return nil, fmt.Errorf("ft: no intact checkpoint: %w", firstErr)
 	}
 	return nil, nil
 }
 
-// manifest parses id's manifest, caching in mans across one scan, and
-// refuses one sealed under another state version.
-func (s *Store) manifest(id uint64, mans map[uint64]*manifest) (*manifest, error) {
-	if m, ok := mans[id]; ok {
-		return m, nil
-	}
+// manifest parses id's manifest and refuses one sealed under another
+// state version.
+func (s *Store) manifest(id uint64) (*manifest, error) {
 	data, err := s.b.get(id, manifestName)
 	if err != nil {
 		return nil, err
@@ -298,71 +262,32 @@ func (s *Store) manifest(id uint64, mans map[uint64]*manifest) (*manifest, error
 		return nil, fmt.Errorf("%w: checkpoint %d was sealed under state version %d, this build reads version %d; its state cannot be restored — recover from the sources or with the build that wrote it",
 			ErrStateVersion, id, m.StateVersion, StateVersion)
 	}
-	mans[id] = &m
 	return &m, nil
 }
 
-// payload reads and verifies the payload of entry e of checkpoint id.
-func (s *Store) payload(id uint64, e manifestEntry) ([]byte, error) {
-	b, err := s.b.get(id, e.File)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(b)) != e.Size || crc32.ChecksumIEEE(b) != e.CRC {
-		return nil, fmt.Errorf("ft: checkpoint %d entry %s is torn", id, e.Name)
-	}
-	return b, nil
-}
-
-// load verifies one sealed checkpoint and resolves its unchanged entries;
-// any missing payload, size mismatch, checksum failure or broken origin is
-// an error (the checkpoint is torn).
-func (s *Store) load(m *manifest, mans map[uint64]*manifest) (*Checkpoint, error) {
+// load verifies one sealed checkpoint and reads its state payloads; any
+// missing payload, size mismatch, checksum failure or unknown entry kind
+// is an error (the checkpoint is torn).
+func (s *Store) load(m *manifest) (*Checkpoint, error) {
 	cp := &Checkpoint{ID: m.ID, Offsets: map[string]int{}, States: map[string][]byte{}}
 	for _, e := range m.Entries {
-		if e.Kind == entryOffset {
+		switch e.Kind {
+		case entryOffset:
 			cp.Offsets[e.Name] = e.Offset
-			continue
+		case entryState:
+			b, err := s.b.get(m.ID, e.File)
+			if err != nil {
+				return nil, err
+			}
+			if int64(len(b)) != e.Size || crc32.ChecksumIEEE(b) != e.CRC {
+				return nil, fmt.Errorf("ft: checkpoint %d entry %s is torn", m.ID, e.Name)
+			}
+			cp.States[e.Name] = b
+		default:
+			return nil, fmt.Errorf("ft: checkpoint %d entry %q has unknown kind %q", m.ID, e.Name, e.Kind)
 		}
-		b, err := s.resolve(m.ID, e, mans)
-		if err != nil {
-			return nil, err
-		}
-		cp.States[e.Name] = b
 	}
 	return cp, nil
-}
-
-// resolve returns the full state entry e of checkpoint id stands for: its
-// own payload, or for a same entry the payload of the state entry its
-// origin holds — one hop, never further.
-func (s *Store) resolve(id uint64, e manifestEntry, mans map[uint64]*manifest) ([]byte, error) {
-	switch e.Kind {
-	case entryState:
-		return s.payload(id, e)
-	case entryUnchanged:
-	default:
-		return nil, fmt.Errorf("ft: checkpoint %d entry %q has unknown kind %q", id, e.Name, e.Kind)
-	}
-	if e.Origin >= id {
-		return nil, fmt.Errorf("ft: checkpoint %d entry %q names origin %d, not an older checkpoint", id, e.Name, e.Origin)
-	}
-	om, err := s.manifest(e.Origin, mans)
-	if err != nil {
-		return nil, fmt.Errorf("ft: checkpoint %d entry %q: origin %d: %w", id, e.Name, e.Origin, err)
-	}
-	oe, ok := om.state(e.Name)
-	if !ok || oe.Kind != entryState {
-		return nil, fmt.Errorf("ft: origin %d of checkpoint %d holds no state entry for %q", e.Origin, id, e.Name)
-	}
-	state, err := s.payload(e.Origin, oe)
-	if err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(state) != e.StateCRC {
-		return nil, fmt.Errorf("ft: checkpoint %d entry %q does not match its origin %d: the origin is not the checkpoint it was written against", id, e.Name, e.Origin)
-	}
-	return state, nil
 }
 
 // Drop implements CheckpointStore. The scan is driven by the backend's
@@ -375,30 +300,12 @@ func (s *Store) Drop(id uint64) error {
 	if err != nil {
 		return err
 	}
-	// A survivor protects the origins it names; an unreadable manifest
-	// protects nothing (the checkpoint is torn and will be skipped by
-	// loads).
-	protected := map[uint64]bool{}
-	mans := map[uint64]*manifest{}
-	for _, cur := range ids {
-		if cur <= id {
-			continue
-		}
-		m, err := s.manifest(cur, mans)
-		if err != nil {
-			continue
-		}
-		for _, e := range m.Entries {
-			if e.Kind == entryUnchanged {
-				protected[e.Origin] = true
-			}
-		}
-	}
 	for _, i := range ids {
-		if i <= id && !protected[i] {
-			if err := s.b.remove(i); err != nil {
-				return err
-			}
+		if i > id {
+			break
+		}
+		if err := s.b.remove(i); err != nil {
+			return err
 		}
 	}
 	return nil

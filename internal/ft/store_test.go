@@ -37,15 +37,8 @@ func eachBackend(t *testing.T, fn func(t *testing.T, open func() *ft.Store)) {
 	})
 }
 
-// same is one unchanged entry: a marker that the state is the one origin's
-// state entry holds.
-type same struct {
-	origin uint64
-	state  []byte // the full state the marker stands for
-}
-
-// mustSeal stages full states, unchanged entries and offsets, then seals.
-func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]int, full map[string][]byte, unchanged map[string]same) {
+// mustSeal stages states and offsets, then seals.
+func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]int, states map[string][]byte) {
 	t.Helper()
 	w, err := s.Begin(id)
 	if err != nil {
@@ -56,13 +49,8 @@ func mustSeal(t *testing.T, s ft.CheckpointStore, id uint64, offsets map[string]
 			t.Fatal(err)
 		}
 	}
-	for op, st := range full {
+	for op, st := range states {
 		if err := w.PutState(op, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for op, u := range unchanged {
-		if err := w.PutStateUnchanged(op, u.origin, u.state); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,8 +88,8 @@ func TestStoreRoundTrip(t *testing.T) {
 		if cp, err := store.LatestComplete(); err != nil || cp != nil {
 			t.Fatalf("empty store: got %v, %v", cp, err)
 		}
-		mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": []byte("one")}, nil)
-		mustSeal(t, store, 2, map[string]int{"src": 25}, map[string][]byte{"op": []byte("two")}, nil)
+		mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": []byte("one")})
+		mustSeal(t, store, 2, map[string]int{"src": 25}, map[string][]byte{"op": []byte("two")})
 		cp := mustLatest(t, store, 2)
 		if cp.Offsets["src"] != 25 || string(cp.States["op"]) != "two" {
 			t.Fatalf("latest: got %+v", cp)
@@ -120,7 +108,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreSkipsTornCheckpoints(t *testing.T) {
 	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
 		store := open()
-		mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")}, nil)
+		mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")})
 
 		// Torn write: state written, no manifest.
 		w, err := store.Begin(2)
@@ -133,7 +121,7 @@ func TestStoreSkipsTornCheckpoints(t *testing.T) {
 		mustLatest(t, store, 1)
 
 		// Sealed but corrupted: overwrite the one payload's content.
-		mustSeal(t, store, 3, map[string]int{"src": 9}, map[string][]byte{"op": []byte("later")}, nil)
+		mustSeal(t, store, 3, map[string]int{"src": 9}, map[string][]byte{"op": []byte("later")})
 		if b, err := store.RawGet(3, "state-1.bin"); err != nil || string(b) != "later" {
 			t.Fatalf("payload of checkpoint 3: %q, %v", b, err)
 		}
@@ -144,95 +132,13 @@ func TestStoreSkipsTornCheckpoints(t *testing.T) {
 	})
 }
 
-// An unchanged entry resolves in one hop: to the bytes of the state entry
-// its origin holds, checked against the checksum sealed with it. Whatever
-// breaks that hop makes the round unreconstructable, and recovery falls
-// back to the next older round. Round 1 holds state a, round 2 (the
-// fallback) state b, and round 3 an unchanged entry under test.
-func TestStoreResolvesUnchangedInOneHop(t *testing.T) {
-	a, b := []byte("state of round 1"), []byte("state of round 2")
-	for name, c := range map[string]struct {
-		seal  func(t *testing.T, s *ft.Store) // rounds 2 and 3, over round 1
-		want  uint64                          // the round LatestComplete returns
-		state []byte                          // and its resolved state
-	}{
-		"intact": {func(t *testing.T, s *ft.Store) {
-			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
-			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {1, a}})
-			// Retention keeps the origin a survivor names.
-			if err := s.Drop(2); err != nil {
-				t.Fatal(err)
-			}
-			mustIDs(t, s, 1, 3)
-		}, 3, a},
-		"origin missing": {func(t *testing.T, s *ft.Store) {
-			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
-			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {1, a}})
-			if err := s.RawRemove(1); err != nil {
-				t.Fatal(err)
-			}
-		}, 2, b},
-		"origin not older": {func(t *testing.T, s *ft.Store) {
-			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
-			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {3, a}})
-		}, 2, b},
-		"origin entry is same": {func(t *testing.T, s *ft.Store) {
-			mustSeal(t, s, 2, nil, nil, map[string]same{"op": {1, a}})
-			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {2, a}})
-		}, 2, a},
-		"origin fails state_crc32": {func(t *testing.T, s *ft.Store) {
-			mustSeal(t, s, 2, nil, map[string][]byte{"op": b}, nil)
-			mustSeal(t, s, 3, nil, nil, map[string]same{"op": {1, []byte("not the state of round 1")}})
-		}, 2, b},
-	} {
-		t.Run(name, func(t *testing.T) {
-			eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-				s := open()
-				mustSeal(t, s, 1, map[string]int{"src": 10}, map[string][]byte{"op": a}, nil)
-				c.seal(t, s)
-				if cp := mustLatest(t, open(), c.want); !bytes.Equal(cp.States["op"], c.state) {
-					t.Fatalf("round %d resolved to %q, want %q", c.want, cp.States["op"], c.state)
-				}
-			})
-		})
-	}
-}
-
-// A marker applies only to the origin it was cut against. An origin
-// swapped for another self-consistent checkpoint of the same ID — what a
-// writer reusing sealed IDs leaves behind — has valid payload checksums,
-// so only the marker's full-state checksum tells. The marker is then
-// torn: recovery falls back to the next older checkpoint that resolves.
-func TestStoreRefusesLinkToAnotherParent(t *testing.T) {
-	base, other := []byte("state cut against"), []byte("another state")
-	t.Run("same", func(t *testing.T) {
-		eachBackend(t, func(t *testing.T, open func() *ft.Store) {
-			store := open()
-			mustSeal(t, store, 1, map[string]int{"src": 10}, map[string][]byte{"op": base}, nil)
-			mustSeal(t, store, 2, map[string]int{"src": 20}, nil, map[string]same{"op": {1, base}})
-			if cp := mustLatest(t, store, 2); !bytes.Equal(cp.States["op"], base) {
-				t.Fatal("intact marker does not resolve")
-			}
-
-			if err := store.RawRemove(1); err != nil {
-				t.Fatal(err)
-			}
-			mustSeal(t, store, 1, map[string]int{"src": 11}, map[string][]byte{"op": other}, nil)
-			cp := mustLatest(t, open(), 1)
-			if !bytes.Equal(cp.States["op"], other) || cp.Offsets["src"] != 11 {
-				t.Fatal("fallback did not return the replaced checkpoint 1 as sealed")
-			}
-		})
-	})
-}
-
 // A sealed checkpoint is never mutated: Begin refuses its ID by name, in
 // this process and the next. Unsealed debris under an ID is not a
 // checkpoint — Begin starts clean over it.
 func TestBeginRefusesSealedID(t *testing.T) {
 	eachBackend(t, func(t *testing.T, open func() *ft.Store) {
 		store := open()
-		mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("first")}, nil)
+		mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("first")})
 		manifest, err := store.RawGet(1, ft.ManifestName)
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +167,7 @@ func TestBeginRefusesSealedID(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mustSeal(t, store, 2, nil, map[string][]byte{"c": []byte("retried")}, nil)
+		mustSeal(t, store, 2, nil, map[string][]byte{"c": []byte("retried")})
 		if _, err := store.RawGet(2, "state-2.bin"); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("debris payload survived Begin (err %v)", err)
 		}
@@ -286,7 +192,7 @@ func TestDirSweepsUnsealedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")}, nil)
+	mustSeal(t, store, 1, map[string]int{"src": 5}, map[string][]byte{"op": []byte("good")})
 	for _, f := range []string{"state-1.bin", "MANIFEST.json"} {
 		if _, err := os.Stat(filepath.Join(dir, "cp-1", f)); err != nil {
 			t.Fatalf("sealed layout: %v", err)
@@ -321,7 +227,7 @@ func TestDirSweepsUnsealedOnOpen(t *testing.T) {
 	mustLatest(t, reopened, 1)
 
 	// The swept ID was never sealed, so it is free.
-	mustSeal(t, reopened, 2, map[string]int{"src": 9}, map[string][]byte{"op": []byte("retried")}, nil)
+	mustSeal(t, reopened, 2, map[string]int{"src": 9}, map[string][]byte{"op": []byte("retried")})
 	if cp := mustLatest(t, reopened, 2); string(cp.States["op"]) != "retried" {
 		t.Fatalf("ID reused after sweep: %+v", cp)
 	}
@@ -350,7 +256,7 @@ func TestStoreDropHandlesGappedLayout(t *testing.T) {
 		store := open()
 		// Sparse IDs: failed rounds 2, 4-6 left gaps, 5 left payloads.
 		for _, id := range []uint64{1, 3, 7} {
-			mustSeal(t, store, id, map[string]int{"src": int(id)}, map[string][]byte{"op": {byte(id)}}, nil)
+			mustSeal(t, store, id, map[string]int{"src": int(id)}, map[string][]byte{"op": {byte(id)}})
 		}
 		w, err := store.Begin(5)
 		if err != nil {
@@ -373,7 +279,7 @@ func TestStoreDropHandlesGappedLayout(t *testing.T) {
 // have left it (absent from the manifest for 0).
 func sealVersioned(t *testing.T, s *ft.Store, id uint64, version int) {
 	t.Helper()
-	mustSeal(t, s, id, map[string]int{"src": 7}, map[string][]byte{"γ#5": []byte("state")}, nil)
+	mustSeal(t, s, id, map[string]int{"src": 7}, map[string][]byte{"γ#5": []byte("state")})
 	if version == ft.StateVersion {
 		return
 	}
@@ -401,7 +307,7 @@ func sealVersioned(t *testing.T, s *ft.Store, id uint64, version int) {
 // numbered them ("γ#5" there is not "γ#5" here) and records what that
 // build's manifests recorded. It must be refused with both versions
 // named, never handed to RestoreStates — also when an older checkpoint
-// would load, and also when only an origin is old.
+// would load.
 func TestStoreRefusesOtherStateVersion(t *testing.T) {
 	refused := func(t *testing.T, s *ft.Store, sealedUnder int) {
 		t.Helper()
@@ -442,10 +348,19 @@ func TestStoreRefusesOtherStateVersion(t *testing.T) {
 			sealVersioned(t, s, 2, 0)
 			refused(t, s, 0)
 		},
+		// Version 4 wrote a same marker naming the older round (its
+		// origin) whose state entry held the bytes; this build reads
+		// every entry from its own payload.
 		"old origin": func(t *testing.T, s *ft.Store) {
-			sealVersioned(t, s, 1, 0)
-			mustSeal(t, s, 2, nil, nil, map[string]same{"γ#5": {1, []byte("state")}})
-			refused(t, s, 0)
+			sealVersioned(t, s, 1, 4)
+			manifest := fmt.Sprintf(`{"id":2,"state_version":4,"entries":[`+
+				`{"file":"","kind":"offset","name":"src","size":0,"crc32":0,"offset":9},`+
+				`{"file":"","kind":"same","name":"γ#5","size":0,"crc32":0,"origin":1,"state_crc32":%d}]}`,
+				crc32.ChecksumIEEE([]byte("state")))
+			if err := s.RawCommit(2, []byte(manifest)); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, s, 4)
 		},
 		// Version 3 wrote byte deltas against a parent round; this build
 		// has no decoder for them.

@@ -147,12 +147,10 @@ type Config struct {
 	// dir with interval 0 enables on-demand checkpoints only
 	// (Checkpoints.Trigger).
 	CheckpointDir string
-	// CheckpointBaseEvery sets the full-base cadence: a round writes a
-	// state that changed in full and one that did not as a marker naming
-	// the round that holds its bytes, and every K sealed rounds it writes
-	// the unchanged ones in full as well, so no old round stays pinned
-	// for long (0 = the ft default; 1 = every state in full every round).
-	// See FAULT_TOLERANCE.md's unchanged-entries section.
+	// CheckpointBaseEvery is ignored: every checkpoint round writes each
+	// operator's state in full.
+	//
+	// Deprecated: it has no effect and will be removed.
 	CheckpointBaseEvery int
 	// ServiceTenants enables the multi-tenant continuous-query service
 	// (SERVICE.md): an HTTP control plane where the listed tenants submit

@@ -274,7 +274,6 @@ func TestScrapeSurfaceFamilies(t *testing.T) {
 // (pipes_edge_queue_depth) are absent from its single-chain workload.
 var (
 	scrapeScalarFamilies = []string{
-		"pipes_checkpoint_base_rounds_total",
 		"pipes_checkpoint_completed_total",
 		"pipes_checkpoint_encode_nanos_total",
 		"pipes_checkpoint_failed_total",
@@ -282,10 +281,7 @@ var (
 		"pipes_checkpoint_last_bytes",
 		"pipes_checkpoint_last_id",
 		"pipes_checkpoint_last_success_unix_nanos",
-		"pipes_checkpoint_last_written_bytes",
 		"pipes_checkpoint_skipped_total",
-		"pipes_checkpoint_unchanged_states_total",
-		"pipes_checkpoint_written_bytes_total",
 		"pipes_edge_elements_total",
 		"pipes_edge_frames_total",
 		"pipes_goroutines",
