@@ -1,6 +1,7 @@
 package pipes
 
 import (
+	"slices"
 	"testing"
 
 	"pipes/internal/nexmark"
@@ -148,5 +149,75 @@ func TestRegisterPlanSubscribesMemory(t *testing.T) {
 				t.Fatalf("%d memory subscriptions left after DeregisterQuery, want 0", got)
 			}
 		})
+	}
+}
+
+// TestFailedRegistrationLeavesGraphUntouched registers a join whose left
+// window is built before the right stream turns out to be unknown: the
+// failed registration leaves no operator registered and nothing
+// subscribed to the live stream, and hands back the operator names it
+// drew, so the next query is named as on an engine that never saw it.
+func TestFailedRegistrationLeavesGraphUntouched(t *testing.T) {
+	const next = `SELECT * FROM a [RANGE 10]`
+	names := func(d *DSMS) []string {
+		q, err := d.RegisterQuery(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, p := range q.Instance.Created {
+			out = append(out, p.Name())
+		}
+		return out
+	}
+	dsms := NewDSMS(Config{})
+	a := NewSliceSource("a", nil)
+	dsms.RegisterStream("a", a, 10)
+	ops, subs := dsms.Optimizer.OperatorCount(), len(a.Subscriptions())
+	if _, err := dsms.RegisterQuery(`SELECT * FROM a [RANGE 10] AS x, nosuch [RANGE 10] AS y WHERE x.k = y.k`); err == nil {
+		t.Fatal("a query over an unknown stream registered")
+	}
+	if got := dsms.Optimizer.OperatorCount(); got != ops {
+		t.Fatalf("failed registration left operators: %d -> %d", ops, got)
+	}
+	if got := len(a.Subscriptions()); got != subs {
+		t.Fatalf("failed registration left subscriptions on a: %d -> %d", subs, got)
+	}
+
+	fresh := NewDSMS(Config{})
+	fresh.RegisterStream("a", NewSliceSource("a", nil), 10)
+	if got, want := names(dsms), names(fresh); !slices.Equal(got, want) {
+		t.Fatalf("operators after a failed registration are named %v, want %v", got, want)
+	}
+}
+
+// TestSharedJoinStaysBudgeted registers one join twice: the second
+// query shares the first one's operators, so the join stays under the
+// memory manager until the last query using it leaves.
+func TestSharedJoinStaysBudgeted(t *testing.T) {
+	const text = `SELECT * FROM a [RANGE 10], b [RANGE 10] WHERE a.k = b.k`
+	dsms := NewDSMS(Config{MemoryBudget: 1 << 20})
+	dsms.RegisterStream("a", NewSliceSource("a", nil), 10)
+	dsms.RegisterStream("b", NewSliceSource("b", nil), 10)
+	q1, err := dsms.RegisterQuery(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := dsms.RegisterQuery(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dsms.DeregisterQuery(q1); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(dsms.Memory.Stats().Subs); got != 1 {
+		t.Fatalf("%d memory subscriptions while %d operators still run, want 1",
+			got, dsms.Optimizer.OperatorCount())
+	}
+	if err := dsms.DeregisterQuery(q2); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(dsms.Memory.Stats().Subs); got != 0 {
+		t.Fatalf("%d memory subscriptions after the last query left, want 0", got)
 	}
 }

@@ -219,3 +219,29 @@ func TestDisableFlight(t *testing.T) {
 		t.Fatalf("/flight.json with flight disabled: %d %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestFlightRefsFollowQueries registers and deregisters a group-by query
+// over and over: each cycle's operators leave the recorder's blocks, and
+// their pipes_edge_* series the scrape, with the query that built them.
+func TestFlightRefsFollowQueries(t *testing.T) {
+	dsms := NewDSMS(Config{})
+	dsms.RegisterStream("s", NewSliceSource("s", nil), 10)
+	before := len(dsms.Flight.Refs())
+	for i := 0; i < 50; i++ {
+		q, err := dsms.RegisterQuery(`SELECT k, COUNT(*) AS n FROM s [RANGE 10] GROUP BY k`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dsms.DeregisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(dsms.Flight.Refs()); got != before {
+		t.Fatalf("flight refs went from %d to %d over 50 register/deregister cycles", before, got)
+	}
+	rec := httptest.NewRecorder()
+	dsms.TelemetryHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if body := rec.Body.String(); strings.Contains(body, "γ#") {
+		t.Fatalf("the scrape still names a removed group-by:\n%s", body)
+	}
+}

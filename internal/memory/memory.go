@@ -128,12 +128,13 @@ func (m *Manager) Subscribe(u User, strategy Strategy, weight float64) *Subscrip
 	return sub
 }
 
-// Unsubscribe removes a subscription and redistributes its budget.
-func (m *Manager) Unsubscribe(sub *Subscription) {
+// Unsubscribe removes u's subscription, if it has one, and redistributes
+// its budget.
+func (m *Manager) Unsubscribe(u User) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, s := range m.subs {
-		if s == sub {
+		if s.user == u {
 			m.subs = append(m.subs[:i], m.subs[i+1:]...)
 			m.redistributeLocked()
 			return

@@ -112,10 +112,10 @@ func TestUnsubscribeRestoresBudget(t *testing.T) {
 	a := &fakeUser{name: "a", usage: 2000}
 	b := &fakeUser{name: "b", usage: 2000}
 	sa := m.Subscribe(a, DropState(), 1)
-	sb := m.Subscribe(b, DropState(), 1)
+	m.Subscribe(b, DropState(), 1)
 	m.Redistribute()
 	half := sa.Limit()
-	m.Unsubscribe(sb)
+	m.Unsubscribe(b)
 	m.Redistribute()
 	if sa.Limit() <= half {
 		t.Fatalf("limit %d did not grow after peer unsubscribed", sa.Limit())

@@ -63,18 +63,18 @@ type Instance struct {
 	// NewNodes and SharedNodes count physical operators created vs reused.
 	NewNodes    int
 	SharedNodes int
-	// Created lists the newly created pipes (for memory-manager,
-	// checkpoint and monitoring registration).
+	// Created lists the newly created pipes in build order (for
+	// memory-manager, checkpoint, flight and monitoring registration).
 	Created []pubsub.Pipe
 	// Removed lists the nodes RemoveQuery spliced out of the running graph
 	// when it released this instance: those no query references any more,
-	// whether this one created them or shared them (for checkpoint
-	// deregistration).
-	Removed []pubsub.Source
+	// whether this one created them or shared them (for memory-manager,
+	// checkpoint and flight deregistration).
+	Removed []pubsub.Pipe
 
-	// sigs are the signatures of every node this instance references
-	// (created or shared) — the refcounting unit for RemoveQuery.
-	sigs []string
+	// refs holds one entry per node reference this instance took (created
+	// or shared) — the refcounting unit for RemoveQuery.
+	refs []*regEntry
 }
 
 // Optimizer owns the signature registry of the running query graph and
@@ -101,10 +101,12 @@ type Optimizer struct {
 }
 
 // regEntry is one registered physical subplan with its upstream wiring
-// (needed to splice it back out), a query refcount and its meter.
+// (subscribed once its query is admitted, needed again to splice it back
+// out), a query refcount and its meter.
 type regEntry struct {
-	node      pubsub.Source
+	node      pubsub.Pipe
 	upstreams []wiring
+	wired     bool
 	refs      int
 	meter     meter
 }
@@ -191,109 +193,93 @@ func (o *Optimizer) AddQuery(q *cql.Query) (*Instance, error) {
 	return o.AddQueryAdmitted(q, nil)
 }
 
-// Admission vets a planned query before any physical operator is built.
-// It receives the node counts of the chosen plan against the current
-// registry: newNodes physical operators would be created, sharedNodes
-// reused. Returning a non-nil error aborts the add with the running
-// graph untouched; the error is returned to the caller verbatim. The
-// callback runs under the optimizer's mutation lock, so the counts
-// cannot be invalidated by a concurrent add or remove — this is the
+// Admission vets a query after its physical operators are built and
+// registered but before any of them is subscribed to the running graph.
+// It receives the built instance's own counts: newNodes physical
+// operators were created, sharedNodes reused. Returning a non-nil error
+// releases the instance the way RemoveQuery does — the running graph is
+// left as it was — and the error is returned to the caller verbatim. The
+// callback runs under the optimizer's mutation lock, so the counts cannot
+// be invalidated by a concurrent add or remove — this is the
 // admission-control seam of the multi-tenant query service
 // (internal/service, SERVICE.md).
 type Admission func(newNodes, sharedNodes int) error
 
-// AddQueryAdmitted is AddQuery with an admission gate: after planning
-// and costing but before the first physical operator is built, admit
-// (if non-nil) decides whether the query may enter the graph.
+// AddQueryAdmitted is AddQuery with an admission gate: after the chosen
+// plan is built but before it is wired into the running graph, admit (if
+// non-nil) decides whether the query may enter it.
 func (o *Optimizer) AddQueryAdmitted(q *cql.Query, admit Admission) (*Instance, error) {
 	plan, err := FromQuery(q)
 	if err != nil {
 		return nil, err
 	}
+	return o.add(plan, Enumerate(plan), admit)
+}
+
+// AddPlan instantiates an already-built logical plan (e.g. one loaded
+// from XML via planio) against the running graph, with the same sharing
+// semantics as AddQuery.
+func (o *Optimizer) AddPlan(p Plan) (*Instance, error) {
+	p, err := delivered(p)
+	if err != nil {
+		return nil, err
+	}
+	return o.add(p, nil, nil)
+}
+
+// add is the one body of AddQuery, AddQueryAdmitted and AddPlan: it
+// builds the cheapest of plan and its variants, registering every node,
+// lets admit see the counts, then subscribes the new nodes to their
+// upstreams, bottom-up. A build error, a rejection or a wiring error
+// releases whatever was built, as RemoveQuery would, and hands the node
+// names back so a rebuilt graph names its operators as the original did.
+func (o *Optimizer) add(plan Plan, variants []Plan, admit Admission) (*Instance, error) {
 	o.addMu.Lock()
 	defer o.addMu.Unlock()
 	o.mu.Lock()
 	o.pass++
 	best, bestCost := plan, o.cost(plan)
-	for _, v := range Enumerate(plan) {
+	for _, v := range variants {
 		if c := o.cost(v); c < bestCost {
 			best, bestCost = v, c
 		}
 	}
+	seq := o.seq
 	o.mu.Unlock()
-
-	if admit != nil {
-		newN, sharedN := o.previewCounts(best)
-		if err := admit(newN, sharedN); err != nil {
-			return nil, err
-		}
-	}
 
 	inst := &Instance{Plan: best, Cost: bestCost}
 	root, err := o.instantiate(best, inst)
+	if err == nil && admit != nil {
+		err = admit(inst.NewNodes, inst.SharedNodes)
+	}
+	if err == nil {
+		err = wire(inst)
+	}
 	if err != nil {
+		_ = o.release(inst) // the add's own error is the one to report
+		o.mu.Lock()
+		o.seq = seq
+		o.mu.Unlock()
 		return nil, err
 	}
 	inst.Root = root
 	return inst, nil
 }
 
-// previewCounts walks a plan the way instantiate will and predicts how
-// many physical nodes would be created vs reused, without building
-// anything. Caller holds addMu, so the prediction holds until the build.
-func (o *Optimizer) previewCounts(p Plan) (newNodes, sharedNodes int) {
-	var sigs []string
-	planSignatures(p, &sigs)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	seen := map[string]bool{}
-	for _, sig := range sigs {
-		if seen[sig] {
-			// Second occurrence within this plan: instantiate registers
-			// the first build immediately, so the repeat is a share.
-			sharedNodes++
+// wire subscribes each node inst built to its upstreams, in build order.
+func wire(inst *Instance) error {
+	for _, e := range inst.refs {
+		if e.wired {
 			continue
 		}
-		seen[sig] = true
-		if _, ok := o.registry[sig]; ok {
-			sharedNodes++
-		} else {
-			newNodes++
+		e.wired = true
+		for _, w := range e.upstreams {
+			if err := w.src.Subscribe(e.node, w.input); err != nil {
+				return err
+			}
 		}
 	}
-	return newNodes, sharedNodes
-}
-
-// planSignatures appends the registry signatures instantiate would look
-// up for p, bottom-up in instantiation order. The Scan case mirrors
-// buildScan: a windowless scan is the raw source itself and builds
-// nothing.
-func planSignatures(p Plan, sigs *[]string) {
-	switch v := p.(type) {
-	case *Scan:
-		if v.Window.Kind != cql.WindowNone {
-			*sigs = append(*sigs, v.Signature())
-		}
-	case *Select:
-		planSignatures(v.Input, sigs)
-		*sigs = append(*sigs, v.Signature())
-	case *Join:
-		planSignatures(v.Left, sigs)
-		planSignatures(v.Right, sigs)
-		*sigs = append(*sigs, v.Signature())
-	case *Group:
-		planSignatures(v.Input, sigs)
-		*sigs = append(*sigs, v.Signature())
-	case *Project:
-		planSignatures(v.Input, sigs)
-		*sigs = append(*sigs, v.Signature())
-	case *Distinct:
-		planSignatures(v.Input, sigs)
-		*sigs = append(*sigs, v.Signature())
-	case *Rel:
-		planSignatures(v.Input, sigs)
-		*sigs = append(*sigs, v.Signature())
-	}
+	return nil
 }
 
 // OperatorCount returns the number of registered physical subplans — the
@@ -311,22 +297,22 @@ func (o *Optimizer) nodeName(prefix string) string {
 	return fmt.Sprintf("%s#%d", prefix, o.seq)
 }
 
-// wiring is one upstream subscription of a node under construction.
+// wiring is one upstream subscription of a registered node.
 type wiring struct {
 	src   pubsub.Source
 	input int
 }
 
-// lookupOrBuild returns a registered node for sig or builds one with mk,
-// wires the given upstream subscriptions into it, and registers it with a
-// query refcount.
+// lookupOrBuild returns a registered node for sig, or builds one with mk
+// and registers it, with its upstream subscriptions still to be wired,
+// under one query reference.
 func (o *Optimizer) lookupOrBuild(sig string, inst *Instance, mk func() (pubsub.Pipe, error), inputs ...wiring) (pubsub.Source, error) {
 	o.mu.Lock()
 	if e, ok := o.registry[sig]; ok {
 		e.refs++
 		o.mu.Unlock()
 		inst.SharedNodes++
-		inst.sigs = append(inst.sigs, sig)
+		inst.refs = append(inst.refs, e)
 		return e.node, nil
 	}
 	o.mu.Unlock()
@@ -335,41 +321,14 @@ func (o *Optimizer) lookupOrBuild(sig string, inst *Instance, mk func() (pubsub.
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range inputs {
-		if err := w.src.Subscribe(p, w.input); err != nil {
-			return nil, err
-		}
-	}
+	e := &regEntry{node: p, upstreams: inputs, refs: 1}
 	o.mu.Lock()
-	o.registry[sig] = &regEntry{node: p, upstreams: inputs, refs: 1}
+	o.registry[sig] = e
 	o.mu.Unlock()
 	inst.NewNodes++
 	inst.Created = append(inst.Created, p)
-	inst.sigs = append(inst.sigs, sig)
+	inst.refs = append(inst.refs, e)
 	return p, nil
-}
-
-// AddPlan instantiates an already-built logical plan (e.g. one loaded
-// from XML via planio) against the running graph, with the same sharing
-// semantics as AddQuery.
-func (o *Optimizer) AddPlan(p Plan) (*Instance, error) {
-	p, err := delivered(p)
-	if err != nil {
-		return nil, err
-	}
-	o.addMu.Lock()
-	defer o.addMu.Unlock()
-	o.mu.Lock()
-	o.pass++
-	cost := o.cost(p)
-	o.mu.Unlock()
-	inst := &Instance{Plan: p, Cost: cost}
-	root, err := o.instantiate(p, inst)
-	if err != nil {
-		return nil, err
-	}
-	inst.Root = root
-	return inst, nil
 }
 
 // RemoveQuery releases an instance returned by AddQuery/AddPlan: every
@@ -386,13 +345,17 @@ func (o *Optimizer) RemoveQuery(inst *Instance) error {
 	// AddQuery cannot re-reference a subplan that is mid-splice.
 	o.addMu.Lock()
 	defer o.addMu.Unlock()
+	return o.release(inst)
+}
+
+// release drops every reference inst holds and splices out, into
+// inst.Removed, each node no query references any more. Caller holds
+// addMu.
+func (o *Optimizer) release(inst *Instance) error {
 	o.mu.Lock()
-	for _, sig := range inst.sigs {
-		if e, ok := o.registry[sig]; ok {
-			e.refs--
-		}
+	for _, e := range inst.refs {
+		e.refs--
 	}
-	// Collect and splice out every dead node.
 	var dead []*regEntry
 	for sig, e := range o.registry {
 		if e.refs <= 0 {
@@ -401,21 +364,15 @@ func (o *Optimizer) RemoveQuery(inst *Instance) error {
 		}
 	}
 	o.mu.Unlock()
-	inst.sigs = nil
+	inst.refs = nil
 	var firstErr error
 	for _, e := range dead {
-		sink, ok := e.node.(pubsub.Sink)
-		if !ok {
-			continue
-		}
 		inst.Removed = append(inst.Removed, e.node)
 		for _, w := range e.upstreams {
-			if err := w.src.Unsubscribe(sink, w.input); err != nil && firstErr == nil {
-				// Upstream may itself already be removed this round; a
-				// missing subscription is then expected.
-				if err != pubsub.ErrNotSubscribed {
-					firstErr = err
-				}
+			// The upstream may itself be gone already this round, or the
+			// node was never wired: a missing subscription is expected.
+			if err := w.src.Unsubscribe(e.node, w.input); err != nil && err != pubsub.ErrNotSubscribed && firstErr == nil {
+				firstErr = err
 			}
 		}
 	}

@@ -114,9 +114,9 @@ func TestConcurrentAddRemoveWhileStreaming(t *testing.T) {
 	}
 }
 
-// TestAdmissionCountsMatchInstantiation holds the previewCounts contract
-// to the truth: the node counts handed to the admission callback must
-// equal the NewNodes/SharedNodes the build then reports, across a
+// TestAdmissionCountsMatchInstantiation holds the admission contract to
+// the truth: the node counts handed to the admission callback must equal
+// the NewNodes/SharedNodes the returned instance reports, across a
 // sequence of overlapping adds and interleaved removals.
 func TestAdmissionCountsMatchInstantiation(t *testing.T) {
 	var stop atomic.Bool
@@ -145,7 +145,7 @@ func TestAdmissionCountsMatchInstantiation(t *testing.T) {
 			}
 			insts = append(insts, inst)
 		}
-		// Remove half before the second round so previews run against a
+		// Remove half before the second round so admission runs against a
 		// registry with dropped entries too.
 		for i := 0; i < len(insts)/2; i++ {
 			if err := o.RemoveQuery(insts[i]); err != nil {
@@ -158,12 +158,13 @@ func TestAdmissionCountsMatchInstantiation(t *testing.T) {
 
 // TestAdmissionRejectLeavesGraphUntouched verifies the admission
 // contract the service's quota enforcement relies on: a rejecting
-// callback aborts the add with the registry byte-for-byte unchanged and
-// the callback's error returned verbatim.
+// callback aborts the add with the callback's error returned verbatim,
+// and the nodes built before admission are released — the registry and
+// the source's subscriptions are as they were.
 func TestAdmissionRejectLeavesGraphUntouched(t *testing.T) {
 	var stop atomic.Bool
 	stop.Store(true)
-	cat, _ := newStreamingCatalog(&stop)
+	cat, src := newStreamingCatalog(&stop)
 	o := New(cat)
 
 	q1, err := cql.Parse(overlappingQueries[0])
@@ -175,6 +176,7 @@ func TestAdmissionRejectLeavesGraphUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := o.OperatorCount()
+	subsBefore := len(src.Subscriptions())
 
 	sentinel := &rejectionError{}
 	q2, err := cql.Parse(overlappingQueries[2])
@@ -196,8 +198,14 @@ func TestAdmissionRejectLeavesGraphUntouched(t *testing.T) {
 	if got := o.OperatorCount(); got != before {
 		t.Fatalf("rejected add changed the registry: %d -> %d operators", before, got)
 	}
+	if got := len(src.Subscriptions()); got != subsBefore {
+		t.Fatalf("rejected add changed the source's subscriptions: %d -> %d", subsBefore, got)
+	}
 	if err := o.RemoveQuery(inst); err != nil {
 		t.Fatal(err)
+	}
+	if got := o.OperatorCount(); got != 0 {
+		t.Fatalf("%d registry entries remain after the admitted query left", got)
 	}
 }
 

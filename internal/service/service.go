@@ -54,10 +54,10 @@ type EngineQuery interface {
 // query integration.
 type Engine interface {
 	// SubmitQuery compiles CQL text into the running graph. admit runs
-	// under the graph mutation lock after planning but before any
-	// physical operator is built; returning an error aborts the
-	// submission with the graph untouched, and the error is returned
-	// verbatim.
+	// under the graph mutation lock with the counts of the built but
+	// unwired query; returning an error aborts the submission, releases
+	// what was built so the graph is as it was, and is returned
+	// verbatim. A build error comes before admit runs.
 	SubmitQuery(text string, admit func(newNodes, sharedNodes int) error) (EngineQuery, error)
 	// KillQuery removes a standing query: operators no other query
 	// references are spliced out of the running graph.
@@ -201,8 +201,9 @@ func (s *Service) Tenants() []string {
 // Submit admits and compiles one CQL query for tenant, returning its
 // registered info or a structured error. bufBytes sizes the result
 // buffer (0 = DefaultBufferBytes). Admission — quota checks and
-// reservation — runs inside the engine's mutation lock, so a rejection
-// is guaranteed to leave the running graph untouched.
+// reservation — runs inside the engine's mutation lock on the counts of
+// the built but unwired query, so it prices exactly what the query adds,
+// and a rejection leaves the running graph as it was.
 func (s *Service) Submit(tenant, text string, bufBytes int) (QueryInfo, *Error) {
 	if bufBytes <= 0 {
 		bufBytes = DefaultBufferBytes
@@ -231,8 +232,8 @@ func (s *Service) Submit(tenant, text string, bufBytes int) (QueryInfo, *Error) 
 			return QueryInfo{}, serr // admission rejection, counted in reserve
 		}
 		if reserved {
-			// Admitted but the build failed: the engine guarantees the
-			// graph is untouched, so refund the full reservation.
+			// Admitted but wiring failed: the engine released what it
+			// built, so refund the full reservation.
 			s.release(ts, reservedOps, bufBytes)
 		}
 		return QueryInfo{}, errInvalidQuery(err)

@@ -65,7 +65,7 @@ func (q *fakeQuery) finish() {
 
 // fakeEngine implements Engine with scripted per-query node counts:
 // "new=3,shared=2" in the text sets the counts, "bad" fails the parse,
-// "lateFail" fails after admission (build failure).
+// "lateFail" fails after admission (a wiring failure).
 type fakeEngine struct {
 	mu     sync.Mutex
 	live   map[*fakeQuery]bool
@@ -98,7 +98,7 @@ func (e *fakeEngine) SubmitQuery(text string, admit func(newNodes, sharedNodes i
 		}
 	}
 	if strings.Contains(text, "lateFail") {
-		return nil, errors.New("build failed after admission")
+		return nil, errors.New("wiring failed after admission")
 	}
 	q := &fakeQuery{text: text, newN: newN, sharedN: sharedN}
 	e.mu.Lock()

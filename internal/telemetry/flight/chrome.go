@@ -34,37 +34,37 @@ type chromeEvent struct {
 // track; phase events carrying a duration (alignment hold, state encode,
 // store write, round completion) become complete slices spanning
 // [wall-dur, wall]. Track names are emitted as thread_name metadata.
+// A forgotten operator's track is named where its first event still in
+// the ring appears.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	events := []chromeEvent{{
-		Name:  "thread_name",
-		Phase: "M",
-		PID:   1,
-		TID:   barrierTID,
-		Args:  map[string]any{"name": "checkpoint rounds"},
-	}}
+	events := []chromeEvent{trackName(barrierTID, "checkpoint rounds")}
+	named := map[uint64]bool{barrierTID: true}
 	for _, ref := range r.Refs() {
-		events = append(events, chromeEvent{
-			Name:  "thread_name",
-			Phase: "M",
-			PID:   1,
-			TID:   uint64(ref.idx) + 1,
-			Args:  map[string]any{"name": ref.name},
-		})
+		named[uint64(ref.idx)+1] = true
+		events = append(events, trackName(uint64(ref.idx)+1, ref.name))
 	}
 	for _, ev := range r.Events() {
-		events = append(events, chromeify(r, ev))
+		ce := chromeify(ev)
+		if !named[ce.TID] {
+			named[ce.TID] = true
+			events = append(events, trackName(ce.TID, ev.Op))
+		}
+		events = append(events, ce)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": events, "displayTimeUnit": "ns"})
 }
 
+// trackName is the thread_name metadata record naming track tid.
+func trackName(tid uint64, name string) chromeEvent {
+	return chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: tid, Args: map[string]any{"name": name}}
+}
+
 // chromeify converts one ring event to its trace_event form.
-func chromeify(r *Recorder, ev Event) chromeEvent {
+func chromeify(ev Event) chromeEvent {
 	tid := uint64(barrierTID)
 	if ev.Op != "" {
-		if ref, ok := r.lookup(ev.Op); ok {
-			tid = uint64(ref.idx) + 1
-		}
+		tid = uint64(ev.idx) + 1
 	}
 	ce := chromeEvent{
 		PID:      1,
@@ -116,12 +116,4 @@ func chromeify(r *Recorder, ev Event) chromeEvent {
 		}
 	}
 	return ce
-}
-
-// lookup resolves an interned name back to its handle.
-func (r *Recorder) lookup(name string) (*OpRef, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ref, ok := r.refs[name]
-	return ref, ok
 }

@@ -27,6 +27,8 @@
 package flight
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,6 +120,8 @@ type Event struct {
 	A      int64  // kind-specific payloads — see the Kind constants
 	B      int64
 	C      int64
+
+	idx uint32 // Op's intern index: its /flight.json track
 }
 
 // slot is one ring entry. Every field is atomic so concurrent writers and
@@ -142,7 +146,9 @@ const minRingSize = 256
 
 // Recorder is the flight ring plus the operator intern table and the
 // always-on aggregate surfaces (per-edge counters/histograms, checkpoint
-// phase histograms) the scrape endpoint exports.
+// phase histograms) the scrape endpoint exports. The table holds a block
+// from Ref until Forget; the name stays behind under its intern index, so
+// ring events recorded for a forgotten operator still decode.
 type Recorder struct {
 	cursor atomic.Uint64
 	mask   uint64
@@ -150,9 +156,9 @@ type Recorder struct {
 
 	clock atomic.Pointer[telemetry.Clock]
 
-	mu   sync.Mutex
-	refs map[string]*OpRef
-	byID []*OpRef
+	mu    sync.Mutex
+	refs  map[string]*OpRef // the live blocks, by name
+	names []string          // every name ever interned, by intern index
 
 	// Checkpoint round phase histograms (ns), fed by Record so the ft
 	// instrumentation sites stay one-liners. Exported as
@@ -221,8 +227,8 @@ func (r *Recorder) PhaseHistograms() (align, snapshot, encode, write *telemetry.
 }
 
 // Ref interns name and returns the block this recorder rings for under
-// it. Idempotent; the block is valid for the recorder's lifetime. Call at
-// wiring time, not on the hot path.
+// it. Idempotent until Forget(name); a block keeps recording after it is
+// forgotten. Call at wiring time, not on the hot path.
 func (r *Recorder) Ref(name string) *OpRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -230,18 +236,31 @@ func (r *Recorder) Ref(name string) *OpRef {
 		return ref
 	}
 	ref := NewRef(name)
-	ref.rec, ref.idx = r, uint32(len(r.byID))
+	ref.rec, ref.idx = r, uint32(len(r.names))
 	r.refs[name] = ref
-	r.byID = append(r.byID, ref)
+	r.names = append(r.names, name)
 	return ref
 }
 
-// Refs snapshots the interned blocks in intern order.
-func (r *Recorder) Refs() []*OpRef {
+// Forget drops name's block from Refs, and so from the scrape, when its
+// operator leaves the graph. The intern index keeps the name: events the
+// block recorded, or still records, decode under it. A later Ref(name)
+// interns a fresh block.
+func (r *Recorder) Forget(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*OpRef, len(r.byID))
-	copy(out, r.byID)
+	delete(r.refs, name)
+}
+
+// Refs snapshots the blocks not forgotten, in intern order.
+func (r *Recorder) Refs() []*OpRef {
+	r.mu.Lock()
+	out := make([]*OpRef, 0, len(r.refs))
+	for _, ref := range r.refs {
+		out = append(out, ref)
+	}
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b *OpRef) int { return cmp.Compare(a.idx, b.idx) })
 	return out
 }
 
@@ -250,8 +269,8 @@ func (r *Recorder) Refs() []*OpRef {
 func (r *Recorder) opName(idx uint32) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(idx) < len(r.byID) {
-		return r.byID[idx].name
+	if int(idx) < len(r.names) {
+		return r.names[idx]
 	}
 	return ""
 }
@@ -313,7 +332,8 @@ func (r *Recorder) Events() []Event {
 				continue // torn: a writer landed mid-copy, retry once
 			}
 			ev.Kind = Kind(meta >> 32)
-			ev.Op = r.opName(uint32(meta))
+			ev.idx = uint32(meta)
+			ev.Op = r.opName(ev.idx)
 			events = append(events, ev)
 			break
 		}

@@ -1,6 +1,8 @@
 package flight_test
 
 import (
+	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,5 +194,32 @@ func TestSampledSurfacesKeepTheirOwnStride(t *testing.T) {
 	}
 	if n := op.DepthHistogram().Count(); n != 2 {
 		t.Fatalf("depth waterline sampled %d times, want 2", n)
+	}
+}
+
+// TestForgetKeepsEventsDecodable forgets a block that has recorded: it
+// leaves Refs, its events still decode under its name and onto its own
+// /flight.json track, and interning the name again yields a fresh block.
+func TestForgetKeepsEventsDecodable(t *testing.T) {
+	rec := flight.New(0)
+	op := rec.Ref("join")
+	rec.Ref("src")
+	rec.Record(op, flight.KindShed, 1, 2, 3)
+	rec.Forget("join")
+	if refs := rec.Refs(); len(refs) != 1 || refs[0].Name() != "src" {
+		t.Fatalf("Refs() = %v after Forget, want [src]", refs)
+	}
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Op != "join" {
+		t.Fatalf("Events() = %+v, want one event on join", evs)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"tid":1,"args":{"name":"join"}`) {
+		t.Fatalf("forgotten operator's track is not named in:\n%s", buf.String())
+	}
+	if rec.Ref("join") == op {
+		t.Fatal("Ref after Forget returned the forgotten block")
 	}
 }

@@ -16,8 +16,8 @@
 //     applications register through RegisterType.
 //
 // Map keys are written in byte order, so an encoding is a pure function
-// of the value: the checkpoint delta chain compares consecutive rounds
-// byte for byte.
+// of the value: the frame-size differential (internal/harness) compares
+// snapshots byte for byte.
 package wire
 
 import (

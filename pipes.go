@@ -119,10 +119,8 @@ type Config struct {
 	BatchSize int
 	// MemoryBudget is the global state budget in bytes (0 = unlimited),
 	// enforced while the engine runs and once more when Wait returns.
+	// Over budget, a stateful operator sheds its soonest-expiring state.
 	MemoryBudget int
-	// Shedding is the load-shedding strategy applied to stateful
-	// operators when over budget (default: drop soonest-expiring state).
-	Shedding memory.Strategy
 	// MonitorQueries turns the secondary-metadata framework on for every
 	// newly created query operator (all kinds; see OBSERVABILITY.md).
 	MonitorQueries bool
@@ -220,14 +218,10 @@ type Query struct {
 	// Instance carries the chosen plan, cost and sharing statistics.
 	Instance *optimizer.Instance
 	dsms     *DSMS
-	memSubs  []*memory.Subscription
 }
 
 // NewDSMS assembles a prototype engine.
 func NewDSMS(cfg Config) *DSMS {
-	if cfg.Shedding == nil {
-		cfg.Shedding = memory.DropState()
-	}
 	if cfg.TelemetryAddr != "" {
 		cfg.MonitorQueries = true
 		if cfg.TraceEvery == 0 {
@@ -294,18 +288,18 @@ func (d *DSMS) RegisterStream(name string, src pubsub.Source, rate float64) {
 
 // RegisterQuery parses, optimises and instantiates a CQL query against
 // the running graph, sharing operators with earlier queries where
-// signatures match. Stateful new operators are subscribed to the memory
-// manager; with MonitorQueries set every new operator is monitored
-// (retrievable via Monitors).
+// signatures match. Its new operators are attached to the memory manager,
+// the checkpoint manager and the flight recorder; with MonitorQueries set
+// every new operator is monitored (retrievable via Monitors).
 func (d *DSMS) RegisterQuery(text string) (*Query, error) {
 	return d.RegisterQueryAdmitted(text, nil)
 }
 
-// RegisterQueryAdmitted is RegisterQuery with an admission gate: after
-// planning but before any physical operator is built, admit (if
-// non-nil) sees the would-be created/reused node counts and may abort
-// the registration with the graph untouched — the quota seam of the
-// multi-tenant service (SERVICE.md).
+// RegisterQueryAdmitted is RegisterQuery with an admission gate: once the
+// plan is built but before it is wired into the running graph, admit (if
+// non-nil) sees the created/reused node counts and may abort the
+// registration, which releases what was built and leaves the graph as it
+// was — the quota seam of the multi-tenant service (SERVICE.md).
 func (d *DSMS) RegisterQueryAdmitted(text string, admit optimizer.Admission) (*Query, error) {
 	parsed, err := cql.Parse(text)
 	if err != nil {
@@ -319,36 +313,36 @@ func (d *DSMS) RegisterQueryAdmitted(text string, admit optimizer.Admission) (*Q
 }
 
 // register is the one registration step behind RegisterQueryAdmitted and
-// RegisterPlan: it records the instantiated query, subscribes its new
-// stateful operators (joins etc.) to the memory manager and instruments
-// them. Holding d.mu serialises concurrent registrations' wiring.
+// RegisterPlan: it attaches the instance's new operators, then records
+// the query. Holding d.mu serialises concurrent registrations' attaches,
+// and no caller can deregister the query before its attach is done.
 func (d *DSMS) register(text string, inst *optimizer.Instance) *Query {
 	q := &Query{Text: text, Instance: inst, dsms: d}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.attach(inst.Created)
 	d.queries = append(d.queries, q)
-	for _, p := range inst.Created {
-		if _, isShedder := p.(memory.Shedder); isShedder {
-			if u, ok := p.(memory.User); ok {
-				q.memSubs = append(q.memSubs, d.Memory.Subscribe(u, d.cfg.Shedding, 1))
-			}
-		}
-	}
-	d.instrument(inst.Created)
 	return q
 }
 
-// instrument registers newly built query operators with the checkpoint
-// manager, hands every node of the live graph its flight block and, with
-// MonitorQueries, turns the metadata kinds on over the new operators'
+// attach enters newly built query operators into the components that
+// follow an operator's lifetime: stateful ones are subscribed to the
+// memory manager, those with serialisable state to the checkpoint
+// manager, and every node of the live graph gets its flight block. With
+// MonitorQueries it turns the metadata kinds on over the new operators'
 // blocks. It takes no DSMS lock.
-func (d *DSMS) instrument(created []pubsub.Pipe) {
+func (d *DSMS) attach(created []pubsub.Pipe) {
 	d.attachFlight()
 	var opts []metadata.Option
 	if d.Tracer != nil {
 		opts = append(opts, metadata.WithTracer(d.Tracer))
 	}
 	for _, p := range created {
+		if _, isShedder := p.(memory.Shedder); isShedder {
+			if u, ok := p.(memory.User); ok {
+				d.Memory.Subscribe(u, memory.DropState(), 1)
+			}
+		}
 		d.registerCheckpointed(p)
 		if d.cfg.MonitorQueries {
 			metadata.Monitor(p, opts...)
@@ -356,10 +350,26 @@ func (d *DSMS) instrument(created []pubsub.Pipe) {
 	}
 }
 
+// detach takes operators the optimizer spliced out — those no query
+// references any more — out of the memory manager, the checkpoint manager
+// and the flight recorder's scrape: the counterpart of attach.
+func (d *DSMS) detach(removed []pubsub.Pipe) {
+	for _, p := range removed {
+		if u, ok := p.(memory.User); ok {
+			d.Memory.Unsubscribe(u)
+		}
+		if d.Checkpoints != nil {
+			d.Checkpoints.Unregister(p.Name())
+		}
+		if d.Flight != nil {
+			d.Flight.Forget(p.Name())
+		}
+	}
+}
+
 // DeregisterQuery removes a query from the engine: its plan drops its
 // references and operators no other query needs are spliced out of the
-// running graph, released from the memory manager and no longer
-// checkpointed.
+// running graph and detached.
 func (d *DSMS) DeregisterQuery(q *Query) error {
 	if q == nil || q.dsms != d {
 		return fmt.Errorf("pipes: query not registered with this engine")
@@ -372,17 +382,9 @@ func (d *DSMS) DeregisterQuery(q *Query) error {
 		}
 	}
 	d.mu.Unlock()
-	for _, sub := range q.memSubs {
-		d.Memory.Unsubscribe(sub)
-	}
-	q.memSubs = nil
 	q.dsms = nil // marks the query as deregistered
 	err := d.Optimizer.RemoveQuery(q.Instance)
-	if d.Checkpoints != nil {
-		for _, n := range q.Instance.Removed {
-			d.Checkpoints.Unregister(n.Name())
-		}
-	}
+	d.detach(q.Instance.Removed)
 	return err
 }
 
