@@ -5,10 +5,10 @@ import "fmt"
 // Resolver binds a name an expression mentions — a field, qualified or
 // not, or an aggregate call by its canonical string — to an accessor over
 // the values of one plan edge. What those values are (a source's tuple, a
-// join pair, a group row) is the resolver's business; a name the edge
-// cannot supply resolves to an accessor that yields nil, never to nil
-// itself. internal/optimizer derives a Resolver from every plan edge
-// (SEMANTICS.md §5).
+// join pair, a group-by's group) is the resolver's business; a name the
+// edge cannot supply resolves to an accessor that yields nil, never to nil
+// itself. internal/optimizer derives a Resolver from every plan edge and
+// every group-by (SEMANTICS.md §5).
 type Resolver func(name string) func(v any) any
 
 // Compile resolves every name in e once and returns a closure that

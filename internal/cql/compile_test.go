@@ -5,9 +5,11 @@ package cql_test
 // give, on the value that edge carries, what Expr.Eval gives on the
 // merged, qualified map the edge carried before shapes existed. The
 // oracle therefore pins both halves of the contract in SEMANTICS.md §5:
-// the kernels Compile shares with Eval, and the four shapes' resolution
+// the kernels Compile shares with Eval, and the three shapes' resolution
 // rules (own qualifier, other qualifier, missing field, a name both join
-// sides have, group slots, projected names).
+// sides have, a group's canonical column names, projected names). The
+// group view a γ node's HAVING and select list read is unexported; its
+// half of the oracle is FuzzGroupViewMatchesEval in internal/optimizer.
 
 import (
 	"math"
@@ -91,16 +93,11 @@ func edges(rng *rand.Rand) []edge {
 	tq, tr, ts := randomTuple(rng), randomTuple(rng), randomTuple(rng)
 	mq, mr, ms := qualified("q", tq), qualified("r", tr), qualified("s", ts)
 
+	// A group no projection closes delivers SELECT * under its columns'
+	// canonical names.
 	keys := []cql.Expr{cql.Field{Name: "q.k"}, cql.Field{Name: "b"}}
 	calls := []cql.Call{{Fn: "COUNT", Star: true}, {Fn: "AVG", Arg: cql.Field{Name: "q.a"}}}
-	row := []any{mq["q.k"], tq["b"], int64(rng.Intn(5)), randomValue(rng)}
-	rowMerged := cql.Tuple{}
-	for i, k := range keys {
-		rowMerged[k.String()] = row[i]
-	}
-	for i, c := range calls {
-		rowMerged[c.String()] = row[len(keys)+i]
-	}
+	grouped := cql.Tuple{"q.k": mq["q.k"], "b": tq["b"], "COUNT(*)": int64(rng.Intn(5)), "AVG(q.a)": randomValue(rng)}
 
 	projected := cql.Tuple{"a": randomValue(rng), "q.b": randomValue(rng), "r.b": randomValue(rng), "n": randomValue(rng)}
 
@@ -112,7 +109,7 @@ func edges(rng *rand.Rand) []edge {
 			ops.Pair{Left: ops.Pair{Left: tq, Right: tr}, Right: ts}, merge(mq, mr, ms)},
 		{"right-deep pair", &optimizer.Join{Left: scan("s"), Right: &optimizer.Join{Left: scan("q"), Right: scan("r")}},
 			ops.Pair{Left: ts, Right: ops.Pair{Left: tq, Right: tr}}, merge(mq, mr, ms)},
-		{"group row", &optimizer.Group{Input: scan("q"), Keys: keys, Calls: calls}, row, rowMerged},
+		{"group tuple", &optimizer.Group{Input: scan("q"), Keys: keys, Calls: calls}, grouped, grouped},
 		{"selected pair", &optimizer.Select{Pred: cql.Literal{V: true}, Input: &optimizer.Join{Left: scan("q"), Right: scan("r")}},
 			ops.Pair{Left: tq, Right: tr}, merge(mq, mr)},
 		{"projected tuple", &optimizer.Project{Input: scan("q"), Items: []cql.SelectItem{{Star: true}}},
@@ -181,7 +178,7 @@ func TestCompileMatchesEvalOnEveryEdge(t *testing.T) {
 	for _, text := range []string{
 		"a", "q.a", "r.a", "s.a", "nobody.a", "missing", "q.missing", // own, other, unknown qualifier; absent field
 		"k = q.k", "q.k = r.k", "a = a", // a name both join sides may have
-		"COUNT(*) > 1", "AVG(q.a) / 2", "AVG(a)", "b", "q.b", "k", // group slots, by exact name and by suffix
+		"COUNT(*) > 1", "AVG(q.a) / 2", "AVG(a)", "b", "q.b", "k", // group columns, by exact name and by suffix
 		"n", "q.b + r.b", // projected names
 		"a % 0.5", "a / 0", "-a", "NOT a", "a <> b", "a >= 'sa'", "'sa' < 'sb'", "a = NULL",
 	} {

@@ -42,6 +42,13 @@ func FuzzPlanExecute(f *testing.F) {
 		"SELECT * FROM s [NOW], r [UNBOUNDED] WHERE s.k = r.k",
 		"ISTREAM(SELECT b FROM s [RANGE 15] WHERE b < 4)",
 		"SELECT MAX(celsius) FROM r [PARTITION BY k ROWS 2]",
+		// A group-by delivers its query's tuples: HAVING, SELECT * and
+		// arithmetic over calls compile into the γ node, and DISTINCT
+		// reads the tuples it delivers.
+		"SELECT k, COUNT(*) AS n FROM s [RANGE 40] GROUP BY k HAVING COUNT(*) > 1",
+		"SELECT * FROM s [RANGE 20] GROUP BY s.k",
+		"SELECT SUM(x) / COUNT(*) AS mean FROM s [ROWS 4]",
+		"SELECT DISTINCT b, COUNT(*) AS n FROM s [RANGE 30] GROUP BY b",
 	} {
 		f.Add(seed)
 	}

@@ -15,6 +15,54 @@ import (
 	"pipes/internal/temporal"
 )
 
+// The barrier phases of an operator are recorded on the block it carries:
+// a round that snapshots and encodes an operator the recorder has already
+// forgotten records both phases under its name without putting the name
+// back into Refs (and the scrape).
+func TestPhasesAfterForgetStayForgotten(t *testing.T) {
+	rec := flight.New(0)
+	mgr := ft.NewManager(ft.NewMemStore())
+	mgr.SetFlightRecorder(rec)
+	src := ft.NewCheckpointSource(pubsub.NewSliceSource("src", []temporal.Element{el(1, 1, 10), el(2, 2, 10)}))
+	win := ops.NewCountWindow("win", 4)
+	win.SetFlightRef(rec.Ref("win"))
+	sink := ft.NewCheckpointSink("sink")
+	if err := src.Subscribe(win, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := win.Subscribe(sink, 0); err != nil {
+		t.Fatal(err)
+	}
+	mgr.RegisterSource(src)
+	mgr.RegisterOperator(win, win)
+	mgr.RegisterSink(sink)
+	mgr.Start(0)
+	defer mgr.Stop()
+	rec.Forget("win")
+
+	id, err := mgr.Trigger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.EmitNext()
+	waitSealed(t, mgr, id)
+
+	for _, ref := range rec.Refs() {
+		if ref.Name() == "win" {
+			t.Fatal("a barrier phase put the forgotten operator back into Refs")
+		}
+	}
+	seen := map[flight.Kind]bool{}
+	for _, ev := range rec.Events() {
+		if ev.Op == "win" {
+			seen[ev.Kind] = true
+		}
+	}
+	if !seen[flight.KindSnapshot] || !seen[flight.KindEncode] {
+		t.Fatalf("phases on the window's block: %v, want snapshot and encode", seen)
+	}
+}
+
 // TestRoundTimedOnRecorderClock pins the Manager's one clock: with the
 // flight recorder on a frozen fake clock, every phase of a sealed round —
 // the per-operator snapshot and encode, the store write and the round as a
@@ -30,6 +78,7 @@ func TestRoundTimedOnRecorderClock(t *testing.T) {
 
 	src := ft.NewCheckpointSource(pubsub.NewSliceSource("src", []temporal.Element{el(1, 1, 10), el(2, 2, 10)}))
 	join := ops.NewEquiJoin("join", func(v any) any { return v }, func(v any) any { return v }, nil)
+	join.SetFlightRef(rec.Ref("join")) // the operator's phases land on its own block
 	sink := ft.NewCheckpointSink("sink")
 	if err := src.Subscribe(join, 0); err != nil {
 		t.Fatal(err)

@@ -91,6 +91,13 @@ type Manager struct {
 	encNanosTot   atomic.Int64 // cumulative off-barrier encode time
 }
 
+// handle is one operator's state captured at a barrier: its encoder, and
+// the operator's flight block, where the encode is recorded.
+type handle struct {
+	encode func(dst []byte) ([]byte, error)
+	block  *flight.OpRef
+}
+
 // pending is one in-flight checkpoint round.
 type pending struct {
 	id    uint64
@@ -98,7 +105,7 @@ type pending struct {
 
 	mu          sync.Mutex
 	offsets     map[string]int
-	handles     map[string]func(dst []byte) ([]byte, error)
+	handles     map[string]handle
 	failed      map[string]error // operators whose SnapshotState failed: the round cannot seal
 	stallNS     int64            // summed barrier-side capture time
 	needOffsets map[string]bool
@@ -143,7 +150,7 @@ func (m *Manager) RegisterOperator(op BarrierHooked, saver StateSaver) {
 	m.ackers[name] = true
 	m.mu.Unlock()
 	op.SetBarrierHooks(
-		func(b pubsub.Barrier) { m.saveState(b, name, saver) },
+		func(b pubsub.Barrier) { m.saveState(b, op, saver) },
 		func(b pubsub.Barrier) { m.acked(b, name) },
 	)
 }
@@ -201,12 +208,15 @@ func (m *Manager) SetFlightRecorder(r *flight.Recorder) {
 // metrics and the flight slices alike, and the system clock otherwise.
 func (m *Manager) now() int64 { return m.flightRec.NowNS() }
 
-// phase records one barrier-phase event on name's flight track, if a
-// recorder is attached.
-func (m *Manager) phase(name string, k flight.Kind, id uint64, ns, c int64) {
-	if m.flightRec != nil {
-		m.flightRec.Ref(name).Phase(k, int64(id), ns, c)
+// blockOf returns the flight block op carries (nil when it carries none).
+// Its barrier phases are recorded there, not under a block looked up by
+// name: an operator spliced out and forgotten by the recorder keeps its
+// block, and looking it up again would intern the name anew.
+func blockOf(op pubsub.Node) *flight.OpRef {
+	if b, ok := op.(interface{ FlightRef() *flight.OpRef }); ok {
+		return b.FlightRef()
 	}
+	return nil
 }
 
 func (m *Manager) emit(ev Event) {
@@ -330,7 +340,7 @@ func (m *Manager) Trigger() (uint64, error) {
 		begun:       m.now(),
 		offsets:     map[string]int{},
 		failed:      map[string]error{},
-		handles:     map[string]func(dst []byte) ([]byte, error){},
+		handles:     map[string]handle{},
 		needOffsets: map[string]bool{},
 		needAcks:    map[string]bool{},
 		injecting:   true,
@@ -382,15 +392,16 @@ func (m *Manager) current(b pubsub.Barrier) *pending {
 // ProcMu at barrier alignment, so whatever it does is barrier stall —
 // only the copy-on-write capture; the encode moves to the writer
 // goroutine.
-func (m *Manager) saveState(b pubsub.Barrier, name string, saver StateSaver) {
+func (m *Manager) saveState(b pubsub.Barrier, op pubsub.Node, saver StateSaver) {
 	p := m.current(b)
 	if p == nil {
 		return
 	}
+	name, block := op.Name(), blockOf(op)
 	start := m.now()
 	fn, err := saver.SnapshotState()
 	stall := m.now() - start
-	m.phase(name, flight.KindSnapshot, b.ID, stall, 0)
+	block.Phase(flight.KindSnapshot, int64(b.ID), stall, 0)
 	p.mu.Lock()
 	if !p.needAcks[name] {
 		// Unregistered, or registered after the round began: the round
@@ -403,7 +414,7 @@ func (m *Manager) saveState(b pubsub.Barrier, name string, saver StateSaver) {
 		// write time.
 		p.failed[name] = err
 	} else {
-		p.handles[name] = fn
+		p.handles[name] = handle{encode: fn, block: block}
 	}
 	p.stallNS += stall
 	p.mu.Unlock()
@@ -549,16 +560,16 @@ func (m *Manager) writeStore(p *pending) (size, encNS int64, err error) {
 // its reused buffer (the off-barrier encode).
 func (m *Manager) encodeState(p *pending, name string) ([]byte, int64, error) {
 	p.mu.Lock()
-	fn := p.handles[name]
+	h := p.handles[name]
 	p.mu.Unlock()
 	start := m.now()
-	buf, err := fn(m.enc[name][:0])
+	buf, err := h.encode(m.enc[name][:0])
 	if err != nil {
 		return nil, 0, fmt.Errorf("ft: round %d: state of %s failed to serialise: %w", p.id, name, err)
 	}
 	m.enc[name] = buf
 	encNS := m.now() - start
-	m.phase(name, flight.KindEncode, p.id, encNS, int64(len(buf)))
+	h.block.Phase(flight.KindEncode, int64(p.id), encNS, int64(len(buf)))
 	return buf, encNS, nil
 }
 

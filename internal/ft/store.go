@@ -76,8 +76,10 @@ var ErrSealed = errors.New("ft: checkpoint already sealed")
 // written with the engine's value codec (internal/wire) instead of gob;
 // 4 — an entry is a full state or an unchanged marker naming its origin,
 // and byte deltas and chains are gone; 5 — every state entry is the full
-// encoding, and no entry names another checkpoint.
-const StateVersion = 5
+// encoding, and no entry names another checkpoint; 6 — a group-by's
+// pending output holds the tuples its query delivers, not []any group
+// rows, and a grouped query's γ is numbered where its projection was.
+const StateVersion = 6
 
 // ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint
 // carries another StateVersion.

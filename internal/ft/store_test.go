@@ -348,6 +348,12 @@ func TestStoreRefusesOtherStateVersion(t *testing.T) {
 			sealVersioned(t, s, 2, 0)
 			refused(t, s, 0)
 		},
+		// Version 5 held []any group rows in a group-by's pending output,
+		// which a tuple sink of this build would fail to read.
+		"version 5 group rows": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, 5)
+			refused(t, s, 5)
+		},
 		// Version 4 wrote a same marker naming the older round (its
 		// origin) whose state entry held the bytes; this build reads
 		// every entry from its own payload.

@@ -99,9 +99,6 @@ type Manager struct {
 	mu    sync.Mutex
 	total int
 	subs  []*Subscription
-
-	// flightRec records shed events (nil = detached).
-	flightRec atomic.Pointer[flight.Recorder]
 }
 
 // NewManager returns a manager with a global budget of total bytes
@@ -230,19 +227,16 @@ func (m *Manager) enforce(subs []*Subscription, use []int) int {
 		s.shedB.Add(int64(freed))
 		s.shedEv.Add(1)
 		total += freed
-		if rec := m.flightRec.Load(); rec != nil {
-			rec.Record(rec.Ref(s.user.Name()), flight.KindShed, int64(freed), int64(use[i]), int64(limit))
+		// A shed lands a KindShed event — bytes freed, usage before the
+		// shed, the assigned limit — on the flight block the operator
+		// carries, if any. An operator the recorder has forgotten keeps
+		// its block, where a lookup by name would intern the name again.
+		if b, ok := s.user.(interface{ FlightRef() *flight.OpRef }); ok {
+			b.FlightRef().Phase(flight.KindShed, int64(freed), int64(use[i]), int64(limit))
 		}
 	}
 	return total
 }
-
-// SetFlightRecorder attaches the flight recorder (nil detaches): every
-// shed lands a KindShed event carrying bytes freed, usage before the shed
-// and the assigned limit on the shedding operator's track. Enforce runs
-// on the manager cycle, not the element hot path, so the intern lookup
-// per shed is fine.
-func (m *Manager) SetFlightRecorder(r *flight.Recorder) { m.flightRec.Store(r) }
 
 // Step is one manager cycle: redistribute then enforce, both judged by one
 // reading of each subscription's usage. A second reading would shed what

@@ -6,6 +6,7 @@ import (
 
 	"pipes/internal/ops"
 	"pipes/internal/pubsub"
+	"pipes/internal/telemetry/flight"
 	"pipes/internal/temporal"
 )
 
@@ -40,6 +41,41 @@ func TestEnforceShedsExcess(t *testing.T) {
 	}
 	if u.usage > 1000 {
 		t.Fatalf("usage %d still above global budget", u.usage)
+	}
+}
+
+// blockUser is a fakeUser carrying a flight block, as every operator of a
+// recorded graph does.
+type blockUser struct {
+	fakeUser
+	ref *flight.OpRef
+}
+
+func (b *blockUser) FlightRef() *flight.OpRef { return b.ref }
+
+// A shed is recorded on the block the operator carries, so one that lands
+// after the recorder forgot the operator does not put its name back into
+// Refs (and the scrape).
+func TestShedAfterForgetStaysForgotten(t *testing.T) {
+	rec := flight.New(0)
+	u := &blockUser{fakeUser: fakeUser{name: "join", usage: 1500}, ref: rec.Ref("join")}
+	m := NewManager(1000)
+	m.Subscribe(u, DropState(), 1)
+	rec.Forget("join")
+	if m.Step() == 0 {
+		t.Fatal("nothing shed despite over-budget usage")
+	}
+	if refs := rec.Refs(); len(refs) != 0 {
+		t.Fatalf("the shed put %d block(s) back into Refs, first %q", len(refs), refs[0].Name())
+	}
+	sheds := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == flight.KindShed && ev.Op == "join" {
+			sheds++
+		}
+	}
+	if sheds != 1 {
+		t.Fatalf("%d shed events on the join's block, want 1", sheds)
 	}
 }
 

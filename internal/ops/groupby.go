@@ -25,13 +25,16 @@ type globalGroup struct{}
 // maintained incrementally; others (min/max/quantiles) are recomputed from
 // the group's live multiset at each boundary.
 //
-// Output elements carry outFn(key, aggregateValue); the default outFn
-// yields GroupResult (or the bare aggregate value for ungrouped use).
+// Each span's output value is outFn(key, agg), read off the group's
+// aggregate when the span closes; a span outFn declines emits nothing
+// (a HAVING clause compiled into the node). The default outFn yields
+// GroupResult{key, agg.Value()} (or the bare aggregate value for
+// ungrouped use) for every span.
 type GroupBy struct {
 	pubsub.PipeBase
 	key     KeyFunc
 	factory aggregate.Factory
-	outFn   func(key, agg any) any
+	outFn   func(key any, agg aggregate.Aggregate) (any, bool)
 	groups  map[any]*group
 	expiry  *xds.Heap[expiryEvent]
 	lows    *xds.Heap[lowEntry]
@@ -57,8 +60,9 @@ type lowEntry struct {
 }
 
 // NewGroupBy returns a grouped aggregation. key may be nil for a single
-// global group; outFn may be nil for the default output shape.
-func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(key, agg any) any) *GroupBy {
+// global group; outFn may be nil for the default output shape. outFn runs
+// under the node's processing lock and must not keep agg.
+func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(key any, agg aggregate.Aggregate) (any, bool)) *GroupBy {
 	if factory == nil {
 		panic("ops: group-by requires an aggregate factory")
 	}
@@ -68,9 +72,9 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 	}
 	if outFn == nil {
 		if grouped {
-			outFn = func(k, a any) any { return GroupResult{Key: k, Agg: a} }
+			outFn = func(k any, a aggregate.Aggregate) (any, bool) { return GroupResult{Key: k, Agg: a.Value()}, true }
 		} else {
-			outFn = func(_, a any) any { return a }
+			outFn = func(_ any, a aggregate.Aggregate) (any, bool) { return a.Value(), true }
 		}
 	}
 	g := &GroupBy{
@@ -183,10 +187,15 @@ func (g *GroupBy) recompute(grp *group) {
 	}
 }
 
-// emitSpan buffers one output element for [grp.lb, to).
+// emitSpan buffers one output element for [grp.lb, to), unless outFn
+// declines the span.
 func (g *GroupBy) emitSpan(key any, grp *group, to temporal.Time) {
+	v, ok := g.outFn(key, grp.agg)
+	if !ok {
+		return
+	}
 	g.out.add(temporal.Element{
-		Value:    g.outFn(key, grp.agg.Value()),
+		Value:    v,
 		Interval: temporal.NewInterval(grp.lb, to),
 		Trace:    grp.trace,
 	})

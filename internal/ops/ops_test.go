@@ -394,6 +394,29 @@ func TestGroupByKeyedAvg(t *testing.T) {
 	})
 }
 
+// An output function that declines a span drops exactly that span: every
+// span it accepts carries the value and interval the default output
+// gives it.
+func TestGroupByDeclinedSpansEmitNothing(t *testing.T) {
+	key := func(v any) any { return v.(int) % 2 }
+	in := []temporal.Element{el(1, 0, 10), el(2, 2, 6), el(3, 4, 12), el(4, 5, 8), el(5, 9, 14)}
+	all := runSingle(NewGroupBy("g", key, aggregate.NewCount, nil), in)
+	var want []temporal.Element
+	for _, e := range all {
+		if e.Value.(GroupResult).Agg.(int64) >= 2 {
+			want = append(want, e)
+		}
+	}
+	if len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("the input should give spans on both sides of the cut: %v", all)
+	}
+	atLeastTwo := func(k any, a aggregate.Aggregate) (any, bool) {
+		n := a.Value().(int64)
+		return GroupResult{Key: k, Agg: n}, n >= 2
+	}
+	sameElements(t, runSingle(NewGroupBy("g", key, aggregate.NewCount, atLeastTwo), in), want)
+}
+
 func TestGroupByMinRecomputeOnExpiry(t *testing.T) {
 	// Min is non-invertible: after the minimum expires, the aggregate must
 	// be recomputed from the survivors.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pipes/internal/aggregate"
 	"pipes/internal/cql"
 	"pipes/internal/ops"
 	"pipes/internal/pubsub"
@@ -415,6 +416,9 @@ func delivered(p Plan) (Plan, error) {
 // nothing an operator runs per element resolves a name, renames a field
 // or formats a key.
 func (o *Optimizer) instantiate(p Plan, inst *Instance) (pubsub.Source, error) {
+	if top, having, g := groupTop(p); g != nil {
+		return o.buildGroup(top, having, g, inst)
+	}
 	switch v := p.(type) {
 	case *Scan:
 		return o.buildScan(v, inst)
@@ -438,23 +442,6 @@ func (o *Optimizer) instantiate(p Plan, inst *Instance) (pubsub.Source, error) {
 		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
 			return o.buildJoin(v, lshape, rshape), nil
 		}, wiring{left, 0}, wiring{right, 1})
-	case *Group:
-		in, shape, err := o.input(v.Input, inst)
-		if err != nil {
-			return nil, err
-		}
-		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
-			factory, err := newRowAggFactory(v.Keys, v.Calls, shape)
-			if err != nil {
-				return nil, err
-			}
-			var key ops.KeyFunc
-			if len(v.Keys) > 0 {
-				key = keyFn(v.Keys, shape)
-			}
-			return ops.NewGroupBy(o.nodeName("γ"), key, factory,
-				func(_, row any) any { return row }), nil
-		}, wiring{in, 0})
 	case *Project:
 		in, shape, err := o.input(v.Input, inst)
 		if err != nil {
@@ -494,6 +481,58 @@ func (o *Optimizer) instantiate(p Plan, inst *Instance) (pubsub.Source, error) {
 		}, wiring{in, 0})
 	}
 	return nil, fmt.Errorf("optimizer: unknown plan node %T", p)
+}
+
+// groupTop matches the part of a plan one γ node builds: a Group g, the
+// HAVING selection directly above it and the projection top above that.
+// A Group no projection closes delivers SELECT * (SEMANTICS.md §5), so top
+// is always what the node delivers, and its signature what the node is
+// shared under. g is nil when p is no such part.
+func groupTop(p Plan) (top *Project, having cql.Expr, g *Group) {
+	below := p
+	if pr, ok := p.(*Project); ok {
+		top, below = pr, pr.Input
+	}
+	if s, ok := below.(*Select); ok {
+		having, below = s.Pred, s.Input
+	}
+	if g, _ = below.(*Group); g != nil && top == nil {
+		top = &Project{Input: p, Items: []cql.SelectItem{{Star: true}}}
+	}
+	return top, having, g
+}
+
+// buildGroup builds the γ node of a groupTop match: HAVING and the select
+// list are compiled against the group's view, so a span whose HAVING is
+// false emits nothing and every other span delivers its projected tuple.
+func (o *Optimizer) buildGroup(top *Project, having cql.Expr, g *Group, inst *Instance) (pubsub.Source, error) {
+	in, shape, err := o.input(g.Input, inst)
+	if err != nil {
+		return nil, err
+	}
+	return o.lookupOrBuild(top.Signature(), inst, func() (pubsub.Pipe, error) {
+		factory, err := newRowAggFactory(g.Keys, g.Calls, shape)
+		if err != nil {
+			return nil, err
+		}
+		var key ops.KeyFunc
+		if len(g.Keys) > 0 {
+			key = keyFn(g.Keys, shape)
+		}
+		view := newGroupView(g)
+		keep := func(any) bool { return true }
+		if having != nil {
+			keep = predFn(having, view)
+		}
+		project := projectFn(top.Items, view)
+		return ops.NewGroupBy(o.nodeName("γ"), key, factory, func(_ any, agg aggregate.Aggregate) (any, bool) {
+			grp := agg.Value()
+			if !keep(grp) {
+				return nil, false
+			}
+			return project(grp), true
+		}), nil
+	}, wiring{in, 0})
 }
 
 // input instantiates a node's input and derives the shape of the edge
@@ -572,7 +611,7 @@ func compileAll(exprs []cql.Expr, in Shape) []func(v any) any {
 }
 
 // predFn compiles a boolean expression into an ops predicate.
-func predFn(e cql.Expr, in Shape) ops.Predicate {
+func predFn(e cql.Expr, in view) ops.Predicate {
 	eval := cql.Compile(e, in.Resolve)
 	return func(v any) bool {
 		b, _ := eval(v).(bool)
@@ -603,7 +642,7 @@ func keyFn(keys []cql.Expr, in Shape) func(v any) any {
 
 // projectFn compiles a select list: the one place a plan builds a
 // cql.Tuple.
-func projectFn(items []cql.SelectItem, in Shape) ops.Mapper {
+func projectFn(items []cql.SelectItem, in view) ops.Mapper {
 	type column struct {
 		name string
 		eval func(v any) any

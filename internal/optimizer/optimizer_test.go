@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -377,6 +378,98 @@ func TestGroupByQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// A group-by is one node with the HAVING and select list above it: a
+// grouped query builds its window and γ, nothing else.
+func TestGroupBuildsOneNode(t *testing.T) {
+	for _, c := range []struct{ query, root string }{
+		{`SELECT k, COUNT(*) AS n FROM s [RANGE 10] GROUP BY k`, "γ#2"},
+		{`SELECT k, COUNT(*) AS n FROM s [RANGE 10] GROUP BY k HAVING COUNT(*) > 1`, "γ#2"},
+		{`SELECT SUM(x) / COUNT(*) AS mean FROM s [RANGE 10]`, "γ#2"},
+	} {
+		cat := NewCatalog()
+		cat.Register("s", tupleSource("s", nil), 100)
+		inst, err := New(cat).AddQuery(parse(t, c.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.NewNodes != 2 || len(inst.Created) != 2 {
+			t.Errorf("%s: built %d operators, want 2 (window, γ)", c.query, inst.NewNodes)
+		}
+		if name := inst.Root.(pubsub.Node).Name(); name != c.root {
+			t.Errorf("%s: root is %s, want %s", c.query, name, c.root)
+		}
+	}
+}
+
+// HAVING compiled into γ drops the spans it is false on and leaves every
+// other span as the group-by without it emitted it.
+func TestHavingDropsSpansKeepsIntervals(t *testing.T) {
+	tuples := []cql.Tuple{{"k": 1, "x": 1}, {"k": 1, "x": 2}, {"k": 2, "x": 3}, {"k": 1, "x": 4}, {"k": 2, "x": 5}}
+	spans := func(query string) []temporal.Element {
+		cat := NewCatalog()
+		src := tupleSource("s", tuples)
+		cat.Register("s", src, 100)
+		inst, err := New(cat).AddQuery(parse(t, query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := pubsub.NewCollector("col", 1)
+		inst.Root.Subscribe(col, 0)
+		pubsub.Drive(src)
+		col.Wait()
+		return col.Elements()
+	}
+	all := spans(`SELECT k, COUNT(*) AS n FROM s [RANGE 3] GROUP BY k`)
+	got := spans(`SELECT k, COUNT(*) AS n FROM s [RANGE 3] GROUP BY k HAVING COUNT(*) > 1`)
+	var want []string
+	for _, e := range all {
+		if e.Value.(cql.Tuple)["n"].(int64) > 1 {
+			want = append(want, e.String())
+		}
+	}
+	if len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("the input should give spans on both sides of HAVING: %v", all)
+	}
+	var have []string
+	for _, e := range got {
+		have = append(have, e.String())
+	}
+	sort.Strings(want)
+	sort.Strings(have)
+	if strings.Join(have, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("HAVING spans:\n%s\nwant:\n%s", strings.Join(have, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// γ is registered under what it delivers: identical grouped queries share
+// it, and a different select list over the same GROUP BY builds its own.
+func TestGroupSharedByWhatItDelivers(t *testing.T) {
+	cat := NewCatalog()
+	cat.Register("s", tupleSource("s", nil), 100)
+	o := New(cat)
+	add := func(query string) *Instance {
+		inst, err := o.AddQuery(parse(t, query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	first := add(`SELECT k, COUNT(*) AS n FROM s [RANGE 10] GROUP BY k`)
+	same := add(`SELECT k, COUNT(*) AS n FROM s [RANGE 10] GROUP BY k`)
+	if same.NewNodes != 0 || same.SharedNodes != 2 || same.Root != first.Root {
+		t.Fatalf("identical query: new=%d shared=%d, same root %v; want 0, 2, true",
+			same.NewNodes, same.SharedNodes, same.Root == first.Root)
+	}
+	other := add(`SELECT k, COUNT(*) AS m FROM s [RANGE 10] GROUP BY k`)
+	if other.NewNodes != 1 || other.SharedNodes != 1 || other.Root == first.Root {
+		t.Fatalf("other select list: new=%d shared=%d, same root %v; want 1, 1, false",
+			other.NewNodes, other.SharedNodes, other.Root == first.Root)
+	}
+	if n := o.OperatorCount(); n != 3 {
+		t.Fatalf("%d operators, want 3: one window, two γ", n)
+	}
+}
+
 func fmtKey(v any) string {
 	switch x := v.(type) {
 	case int:
@@ -426,11 +519,20 @@ func TestPartitionedWindowQuery(t *testing.T) {
 	}
 }
 
+// groupRow reads every column of a group through g's view, the way a γ
+// node's SELECT * does.
+func groupRow(g *Group, agg any) cql.Tuple {
+	row := cql.Tuple{}
+	newGroupView(g).star()(agg, row)
+	return row
+}
+
 func TestInvertibleRowAgg(t *testing.T) {
-	factory, err := newRowAggFactory(nil, []cql.Call{
+	g := &Group{Calls: []cql.Call{
 		{Fn: "COUNT", Star: true},
 		{Fn: "SUM", Arg: cql.Field{Name: "x"}},
-	}, scanShape{qual: "s"})
+	}}
+	factory, err := newRowAggFactory(g.Keys, g.Calls, scanShape{qual: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,16 +547,17 @@ func TestInvertibleRowAgg(t *testing.T) {
 	agg.Insert(cql.Tuple{"x": 5})
 	agg.Insert(cql.Tuple{"x": 3})
 	agg.Remove(cql.Tuple{"x": 5})
-	row := agg.Value().([]any)
-	if len(row) != 2 || row[0] != int64(1) || row[1] != 3.0 {
+	row := groupRow(g, agg.Value())
+	if len(row) != 2 || row["COUNT(*)"] != int64(1) || row["SUM(x)"] != 3.0 {
 		t.Fatalf("agg row = %v", row)
 	}
 }
 
 func TestNonInvertibleRowAgg(t *testing.T) {
-	factory, err := newRowAggFactory([]cql.Expr{cql.Field{Name: "s.k"}}, []cql.Call{
+	g := &Group{Keys: []cql.Expr{cql.Field{Name: "s.k"}}, Calls: []cql.Call{
 		{Fn: "MIN", Arg: cql.Field{Name: "x"}},
-	}, scanShape{qual: "s"})
+	}}
+	factory, err := newRowAggFactory(g.Keys, g.Calls, scanShape{qual: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +567,8 @@ func TestNonInvertibleRowAgg(t *testing.T) {
 	}
 	agg.Insert(cql.Tuple{"x": 5, "k": "a"})
 	agg.Insert(cql.Tuple{"x": 3, "k": "a"})
-	row := agg.Value().([]any)
-	if len(row) != 2 || row[0] != "a" || row[1] != 3.0 {
+	row := groupRow(g, agg.Value())
+	if len(row) != 2 || row["s.k"] != "a" || row["MIN(x)"] != 3.0 {
 		t.Fatalf("agg row = %v, want key then MIN", row)
 	}
 }

@@ -103,8 +103,11 @@ func (j *Join) Qualifiers() map[string]bool {
 	return out
 }
 
-// Group is grouped aggregation: output rows carry one column per key
-// expression and one per aggregate call, named by their canonical strings.
+// Group is grouped aggregation: a group has one column per key expression
+// and one per aggregate call, named by their canonical strings. It is
+// built as one γ node with the HAVING selection and the projection above
+// it, which read the columns through the group's view; a Group no
+// projection closes delivers them as SELECT * (SEMANTICS.md §5).
 type Group struct {
 	Input Plan
 	Keys  []cql.Expr

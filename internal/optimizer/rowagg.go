@@ -7,9 +7,8 @@ import (
 
 // rowAgg folds the values of one group: one sub-aggregate per CQL call,
 // fed by the call's argument compiled against the group's input edge.
-// Value materialises the group's output row — key columns (read off any
-// member: all share them), then call results — in the slot order
-// rowShape names at plan time.
+// Nothing is materialised per span: the γ node's HAVING and select list
+// read the group's columns off it through its groupView.
 type rowAgg struct {
 	keys []func(v any) any
 	args []func(v any) any // nil for COUNT(*)
@@ -68,17 +67,9 @@ func (a *rowAgg) Insert(v any) {
 	}
 }
 
-// Value implements aggregate.Aggregate: the group's output row.
-func (a *rowAgg) Value() any {
-	row := make([]any, 0, len(a.keys)+len(a.subs))
-	for _, k := range a.keys {
-		row = append(row, k(a.rep))
-	}
-	for _, s := range a.subs {
-		row = append(row, s.Value())
-	}
-	return row
-}
+// Value implements aggregate.Aggregate: the group itself, the value a
+// groupView reads.
+func (a *rowAgg) Value() any { return a }
 
 // Reset implements aggregate.Aggregate.
 func (a *rowAgg) Reset() {
@@ -106,6 +97,72 @@ func (a *invertibleRowAgg) Remove(v any) {
 			inv.Remove(int64(1))
 		} else if val := arg(v); val != nil {
 			inv.Remove(val)
+		}
+	}
+}
+
+// groupView is how a γ node's HAVING and select list read a group: by the
+// canonical strings of the group's keys and calls (k.String(),
+// c.String()), a key column off the group's representative member (all
+// members share it), a call off its sub-aggregate — straight off the
+// rowAgg when the span closes, with no row in between. A name resolves to
+// a column by Tuple.Get's rule over those strings: exact, else the one
+// column it is the unqualified suffix of.
+type groupView struct {
+	names []string // key columns, then calls
+	keys  int
+}
+
+func newGroupView(g *Group) groupView {
+	names := make([]string, 0, len(g.Keys)+len(g.Calls))
+	for _, k := range g.Keys {
+		names = append(names, k.String())
+	}
+	for _, c := range g.Calls {
+		names = append(names, c.String())
+	}
+	return groupView{names: names, keys: len(g.Keys)}
+}
+
+func (g groupView) slot(name string) int {
+	cols := make(cql.Tuple, len(g.names))
+	for i := len(g.names) - 1; i >= 0; i-- {
+		cols[g.names[i]] = i // of two columns named alike, the first
+	}
+	if i, ok := cols.Get(name); ok {
+		return i.(int)
+	}
+	return -1
+}
+
+// column reads column i off a group (*rowAgg).
+func (g groupView) column(i int) func(v any) any {
+	if i < g.keys {
+		return func(v any) any {
+			a := v.(*rowAgg)
+			return a.keys[i](a.rep)
+		}
+	}
+	i -= g.keys
+	return func(v any) any { return v.(*rowAgg).subs[i].Value() }
+}
+
+func (g groupView) Resolve(name string) func(v any) any {
+	i := g.slot(name)
+	if i < 0 {
+		return func(any) any { return nil }
+	}
+	return g.column(i)
+}
+
+func (g groupView) star() func(v any, out cql.Tuple) {
+	cols := make([]func(any) any, len(g.names))
+	for i := range cols {
+		cols[i] = g.column(i)
+	}
+	return func(v any, out cql.Tuple) {
+		for i, col := range cols {
+			out[g.names[i]] = col(v)
 		}
 	}
 }

@@ -11,29 +11,38 @@ import (
 // Shape is the plan-time description of the values on one plan edge
 // (SEMANTICS.md §5): it says what Go value an element carries there and
 // binds every name an expression may mention to an accessor over that
-// value, once, before the first element flows. There are four:
+// value, once, before the first element flows. There are three:
 //
 //   - a scan edge carries the source's own cql.Tuple, unqualified and
 //     untouched; the qualifier is a fact about the edge, not a key prefix;
 //   - a join edge carries ops.Pair{Left, Right} of its inputs' values;
-//   - a group edge carries a []any row: key columns, then aggregate calls;
 //   - a projection edge carries the cql.Tuple the query delivers.
 //
-// Selection, DISTINCT and the relation-to-stream operators pass their
-// input's shape through. A shape is a pure function of the plan subtree,
-// so every query sharing a physical node by signature compiled against
-// the same shape.
+// A group-by has no edge of its own: the HAVING and select list above it
+// are compiled into the γ node against the group's groupView (rowagg.go),
+// and the node delivers the projected tuple — SELECT * under the columns'
+// canonical names when no projection closes it, so its edge is a
+// projection edge. Selection, DISTINCT and the relation-to-stream
+// operators pass their input's shape through. A shape is a pure function
+// of the plan subtree, so every query sharing a physical node by
+// signature compiled against the same shape.
 type Shape interface {
-	// Resolve is the edge's cql.Resolver: nil for a name no field of the
-	// edge answers to or, across a join, more than one does.
-	Resolve(name string) func(v any) any
+	view
 	// lookup is Resolve with the match count kept, which is what the
 	// enclosing pair needs to apply the ambiguity rule across its sides.
 	lookup(name string) lookupFn
 	// owns reports whether a scan with this qualifier feeds the edge.
 	owns(qualifier string) bool
-	// star returns the SELECT * materialiser: it writes every field of an
-	// edge value into out under the name a query delivers it by.
+}
+
+// view is what a compiled expression or select list reads: an edge's
+// Shape, or a γ node's groupView.
+type view interface {
+	// Resolve is the view's cql.Resolver: nil for a name no field answers
+	// to or, across a join, more than one does.
+	Resolve(name string) func(v any) any
+	// star returns the SELECT * materialiser: it writes every field of a
+	// value into out under the name a query delivers it by.
 	star() func(v any, out cql.Tuple)
 }
 
@@ -66,9 +75,8 @@ func ShapeOf(p Plan) (Shape, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch in.(type) {
-		case pairShape, rowShape:
-			return nil, fmt.Errorf("optimizer: DISTINCT compares tuples; put a projection between it and the join or group below")
+		if _, ok := in.(pairShape); ok {
+			return nil, fmt.Errorf("optimizer: DISTINCT compares tuples; put a projection between it and the join below")
 		}
 		return in, nil
 	case *Rel:
@@ -88,20 +96,8 @@ func ShapeOf(p Plan) (Shape, error) {
 			}
 		}
 		return pairShape{l: l, r: r}, nil
-	case *Group:
-		if _, err := ShapeOf(v.Input); err != nil {
-			return nil, err
-		}
-		names := make([]string, 0, len(v.Keys)+len(v.Calls))
-		for _, k := range v.Keys {
-			names = append(names, k.String())
-		}
-		for _, c := range v.Calls {
-			names = append(names, c.String())
-		}
-		return rowShape{names: names}, nil
-	case *Project:
-		if _, err := ShapeOf(v.Input); err != nil {
+	case *Group, *Project:
+		if _, err := ShapeOf(p.Children()[0]); err != nil {
 			return nil, err
 		}
 		return tupleShape{}, nil
@@ -198,49 +194,6 @@ func (p pairShape) star() func(v any, out cql.Tuple) {
 		pr := v.(ops.Pair)
 		l(pr.Left, out)
 		r(pr.Right, out)
-	}
-}
-
-// rowShape: the value is a []any whose columns are named at plan time by
-// the canonical strings of the group's keys and calls. A name resolves to
-// a slot index by Tuple.Get's rule over those names: exact, else the one
-// column it is the unqualified suffix of.
-type rowShape struct{ names []string }
-
-func (r rowShape) slot(name string) int {
-	cols := make(cql.Tuple, len(r.names))
-	for i := len(r.names) - 1; i >= 0; i-- {
-		cols[r.names[i]] = i // of two columns named alike, the first
-	}
-	if i, ok := cols.Get(name); ok {
-		return i.(int)
-	}
-	return -1
-}
-
-func (r rowShape) Resolve(name string) func(v any) any {
-	i := r.slot(name)
-	if i < 0 {
-		return func(any) any { return nil }
-	}
-	return func(v any) any { return v.([]any)[i] }
-}
-
-func (r rowShape) lookup(name string) lookupFn {
-	i := r.slot(name)
-	if i < 0 {
-		return func(any) (any, int) { return nil, 0 }
-	}
-	return func(v any) (any, int) { return v.([]any)[i], 1 }
-}
-
-func (rowShape) owns(string) bool { return false }
-
-func (r rowShape) star() func(v any, out cql.Tuple) {
-	return func(v any, out cql.Tuple) {
-		for i, x := range v.([]any) {
-			out[r.names[i]] = x
-		}
 	}
 }
 

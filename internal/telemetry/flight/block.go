@@ -320,8 +320,12 @@ func (o *OpRef) Drained(n, d int) {
 }
 
 // Phase records one rare, unconditional event (barrier phases, replays,
-// sheds, steals) attributed to this block.
-func (o *OpRef) Phase(k Kind, a, b, c int64) { o.record(k, a, b, c) }
+// sheds, steals) attributed to this block. A nil block records nothing.
+func (o *OpRef) Phase(k Kind, a, b, c int64) {
+	if o != nil {
+		o.record(k, a, b, c)
+	}
+}
 
 // Rate is one reading of a rate estimator, in elements per second.
 type Rate struct {

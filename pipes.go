@@ -248,7 +248,6 @@ func NewDSMS(cfg Config) *DSMS {
 	if !cfg.DisableFlight {
 		d.Flight = flight.New(flight.DefaultRingSize)
 		d.Scheduler.SetFlightRecorder(d.Flight)
-		d.Memory.SetFlightRecorder(d.Flight)
 	}
 	if err := d.initCheckpoints(); err != nil {
 		panic(err.Error())
