@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 	"pipes/internal/xds"
 )
@@ -15,12 +14,10 @@ import (
 // With the identity key, Coalesce is the temporal duplicate elimination δ:
 // at every snapshot each key appears at most once — see NewDistinct.
 type Coalesce struct {
-	pubsub.PipeBase
+	ordered
 	key     KeyFunc
 	pending map[any]*span
-	lows    *xds.Heap[lowEntry] // holdback: earliest pending span start
 	ends    *xds.Heap[endEntry] // finalisation: pending spans ordered by End
-	out     *orderBuffer
 }
 
 type span struct {
@@ -39,14 +36,11 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 		key = func(v any) any { return v }
 	}
 	c := &Coalesce{
-		PipeBase: pubsub.NewPipeBase(name, 1),
-		key:      key,
-		pending:  map[any]*span{},
-		lows:     xds.NewHeap[lowEntry](func(a, b lowEntry) bool { return a.lb < b.lb }),
-		ends:     xds.NewHeap[endEntry](func(a, b endEntry) bool { return a.end < b.end }),
-		out:      newOrderBuffer(1),
+		key:     key,
+		pending: map[any]*span{},
+		ends:    xds.NewHeap[endEntry](func(a, b endEntry) bool { return a.end < b.end }),
 	}
-	c.OnAllDone = c.finish
+	c.init(name, 1, c.liveLow, c.finish)
 	return c
 }
 
@@ -78,7 +72,7 @@ func (c *Coalesce) processOne(e temporal.Element) {
 		if p == nil || p.value.End != top.end {
 			continue // stale: span was extended or already emitted
 		}
-		c.out.add(p.value)
+		c.add(p.value)
 		delete(c.pending, top.key)
 	}
 
@@ -89,40 +83,24 @@ func (c *Coalesce) processOne(e temporal.Element) {
 				p.value.End = e.End
 				c.ends.Push(endEntry{end: p.value.End, key: k})
 			}
-			c.out.observe(0, e.Start)
-			c.out.release(c.bound(), c.Emit)
+			c.progress(0, e.Start)
 			return
 		}
 		// Gap: the old span is final.
-		c.out.add(p.value)
+		c.add(p.value)
 		delete(c.pending, k)
 	}
 	c.pending[k] = &span{value: e}
 	c.ends.Push(endEntry{end: e.End, key: k})
-	c.lows.Push(lowEntry{lb: e.Start, key: k})
-
-	c.out.observe(0, e.Start)
-	c.out.release(c.bound(), c.Emit)
+	c.holdBack(e.Start, k)
+	c.progress(0, e.Start)
 }
 
-// bound is min(watermark, earliest pending span start).
-func (c *Coalesce) bound() temporal.Time {
-	wm := c.out.watermark()
-	for {
-		low, ok := c.lows.Peek()
-		if !ok {
-			return wm
-		}
-		p := c.pending[low.key]
-		if p == nil || p.value.Start != low.lb {
-			c.lows.Pop() // stale
-			continue
-		}
-		if low.lb < wm {
-			return low.lb
-		}
-		return wm
-	}
+// liveLow reports whether a holdback entry is still its key's pending
+// span start: the earliest one holds back release.
+func (c *Coalesce) liveLow(low lowEntry) bool {
+	p := c.pending[low.key]
+	return p != nil && p.value.Start == low.lb
 }
 
 func (c *Coalesce) finish() {
@@ -134,10 +112,9 @@ func (c *Coalesce) finish() {
 	}
 	sortByKey(keys, func(k any) any { return k })
 	for _, k := range keys {
-		c.out.add(c.pending[k].value)
+		c.add(c.pending[k].value)
 		delete(c.pending, k)
 	}
-	c.out.flush(c.Emit)
 }
 
 // PendingSpans returns the number of open spans — for memory accounting.
@@ -151,5 +128,5 @@ func (c *Coalesce) PendingSpans() int {
 func (c *Coalesce) MemoryUsage() int {
 	c.ProcMu.Lock()
 	defer c.ProcMu.Unlock()
-	return len(c.pending)*64 + c.out.len()*64
+	return len(c.pending)*64 + c.buffered()*64
 }

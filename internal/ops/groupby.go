@@ -2,7 +2,6 @@ package ops
 
 import (
 	"pipes/internal/aggregate"
-	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 	"pipes/internal/xds"
 )
@@ -31,14 +30,12 @@ type globalGroup struct{}
 // GroupResult{key, agg.Value()} (or the bare aggregate value for
 // ungrouped use) for every span.
 type GroupBy struct {
-	pubsub.PipeBase
+	ordered
 	key     KeyFunc
 	factory aggregate.Factory
 	outFn   func(key any, agg aggregate.Aggregate) (any, bool)
 	groups  map[any]*group
 	expiry  *xds.Heap[expiryEvent]
-	lows    *xds.Heap[lowEntry]
-	out     *orderBuffer
 }
 
 type group struct {
@@ -51,11 +48,6 @@ type group struct {
 
 type expiryEvent struct {
 	end temporal.Time
-	key any
-}
-
-type lowEntry struct {
-	lb  temporal.Time
 	key any
 }
 
@@ -78,16 +70,16 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 		}
 	}
 	g := &GroupBy{
-		PipeBase: pubsub.NewPipeBase(name, 1),
-		key:      key,
-		factory:  factory,
-		outFn:    outFn,
-		groups:   map[any]*group{},
-		expiry:   xds.NewHeap[expiryEvent](func(a, b expiryEvent) bool { return a.end < b.end }),
-		lows:     xds.NewHeap[lowEntry](func(a, b lowEntry) bool { return a.lb < b.lb }),
-		out:      newOrderBuffer(1),
+		key:     key,
+		factory: factory,
+		outFn:   outFn,
+		groups:  map[any]*group{},
+		expiry:  xds.NewHeap[expiryEvent](func(a, b expiryEvent) bool { return a.end < b.end }),
 	}
-	g.OnAllDone = g.finish
+	// Groups holding elements valid forever never see a closing boundary
+	// before the end; advance(MaxTime) pops their expiry events and emits
+	// their final spans.
+	g.init(name, 1, g.liveLow, func() { g.advance(temporal.MaxTime) })
 	return g
 }
 
@@ -132,10 +124,8 @@ func (g *GroupBy) processOne(e temporal.Element) {
 		grp.trace = e.Trace
 	}
 	g.expiry.Push(expiryEvent{end: e.End, key: k})
-	g.lows.Push(lowEntry{lb: grp.lb, key: k})
-
-	g.out.observe(0, e.Start)
-	g.out.release(g.bound(), g.Emit)
+	g.holdBack(grp.lb, k)
+	g.progress(0, e.Start)
 }
 
 // advance processes every interval end up to and including t, emitting the
@@ -176,7 +166,7 @@ func (g *GroupBy) advance(t temporal.Time) {
 			g.recompute(grp)
 		}
 		grp.lb = ev.end
-		g.lows.Push(lowEntry{lb: grp.lb, key: ev.key})
+		g.holdBack(grp.lb, ev.key)
 	}
 }
 
@@ -194,41 +184,18 @@ func (g *GroupBy) emitSpan(key any, grp *group, to temporal.Time) {
 	if !ok {
 		return
 	}
-	g.out.add(temporal.Element{
+	g.add(temporal.Element{
 		Value:    v,
 		Interval: temporal.NewInterval(grp.lb, to),
 		Trace:    grp.trace,
 	})
 }
 
-// bound returns the release bound: no future output can start before
-// min(input watermark, earliest open span start).
-func (g *GroupBy) bound() temporal.Time {
-	wm := g.out.watermark()
-	for {
-		low, ok := g.lows.Peek()
-		if !ok {
-			return wm
-		}
-		grp := g.groups[low.key]
-		if grp == nil || grp.lb != low.lb {
-			g.lows.Pop() // stale
-			continue
-		}
-		if low.lb < wm {
-			return low.lb
-		}
-		return wm
-	}
-}
-
-// finish drains all remaining boundaries and flushes pending output.
-func (g *GroupBy) finish() {
-	g.advance(temporal.MaxTime)
-	// Groups containing elements valid forever never see a closing
-	// boundary; advance(MaxTime) pops their expiry events (end==MaxTime)
-	// and emits their final spans, so nothing remains here.
-	g.out.flush(g.Emit)
+// liveLow reports whether a holdback entry is still its group's open
+// span start: no future output can start before the earliest one.
+func (g *GroupBy) liveLow(low lowEntry) bool {
+	grp := g.groups[low.key]
+	return grp != nil && grp.lb == low.lb
 }
 
 // GroupCount returns the number of live groups — exposed for memory
@@ -247,5 +214,5 @@ func (g *GroupBy) MemoryUsage() int {
 	for _, grp := range g.groups {
 		n += grp.active.Len()
 	}
-	return n*64 + len(g.groups)*48 + g.out.len()*64
+	return n*64 + len(g.groups)*48 + g.buffered()*64
 }

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 
-	"pipes/internal/pubsub"
 	"pipes/internal/sweeparea"
 	"pipes/internal/temporal"
 )
@@ -31,12 +30,10 @@ type Predicate2 func(left, right any) bool
 // The SweepArea choice fixes the join type: hash areas give an equi-join,
 // tree areas a band join, list areas an arbitrary theta join.
 type Join struct {
-	pubsub.PipeBase
+	ordered
 	areas   [2]sweeparea.SweepArea
 	pred    Predicate2
 	combine Combiner
-	out     *orderBuffer
-	inDone  [2]bool
 }
 
 // NewJoin returns a join over the given areas. pred may be nil when the
@@ -49,19 +46,8 @@ func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, comb
 	if combine == nil {
 		combine = func(l, r any) any { return Pair{Left: l, Right: r} }
 	}
-	j := &Join{
-		PipeBase: pubsub.NewPipeBase(name, 2),
-		areas:    [2]sweeparea.SweepArea{left, right},
-		pred:     pred,
-		combine:  combine,
-		out:      newOrderBuffer(2),
-	}
-	j.OnInputDone = func(input int) {
-		j.inDone[input] = true
-		j.out.markDone(input)
-		j.out.release(j.out.watermark(), j.Emit)
-	}
-	j.OnAllDone = func() { j.out.flush(j.Emit) }
+	j := &Join{areas: [2]sweeparea.SweepArea{left, right}, pred: pred, combine: combine}
+	j.init(name, 2, nil, nil)
 	return j
 }
 
@@ -115,22 +101,21 @@ func (j *Join) processOne(e temporal.Element, input int) {
 		if !ok {
 			return
 		}
-		j.out.add(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
+		j.add(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
 	})
-	if !j.inDone[opp] || j.areas[opp].Len() > 0 {
+	if !j.InputDone(opp) || j.areas[opp].Len() > 0 {
 		// Insert only while results remain possible: once the opposite
 		// input is done and its area drained, stored entries are garbage.
 		j.areas[input].Insert(e)
 	}
-	j.out.observe(input, e.Start)
-	j.out.release(j.out.watermark(), j.Emit)
+	j.progress(input, e.Start)
 }
 
 // MemoryUsage reports the footprint of both areas plus pending results.
 func (j *Join) MemoryUsage() int {
 	j.ProcMu.Lock()
 	defer j.ProcMu.Unlock()
-	return j.areas[0].MemoryUsage() + j.areas[1].MemoryUsage() + j.out.len()*64
+	return j.areas[0].MemoryUsage() + j.areas[1].MemoryUsage() + j.buffered()*64
 }
 
 // Shed releases memory by dropping the soonest-expiring entries, starting

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 
-	"pipes/internal/pubsub"
 	"pipes/internal/sweeparea"
 	"pipes/internal/temporal"
 )
@@ -16,10 +15,9 @@ import (
 // intersection of all constituent intervals. Experiment E6 compares MJoin
 // against the binary join tree.
 type MJoin struct {
-	pubsub.PipeBase
+	ordered
 	key   KeyFunc
 	areas []*sweeparea.Hash
-	out   *orderBuffer
 }
 
 // NewMJoin returns an n-way equi-join on key, n >= 2.
@@ -30,21 +28,12 @@ func NewMJoin(name string, inputs int, key KeyFunc) *MJoin {
 	if key == nil {
 		panic("ops: mjoin requires a key function")
 	}
-	m := &MJoin{
-		PipeBase: pubsub.NewPipeBase(name, inputs),
-		key:      key,
-		areas:    make([]*sweeparea.Hash, inputs),
-		out:      newOrderBuffer(inputs),
-	}
+	m := &MJoin{key: key, areas: make([]*sweeparea.Hash, inputs)}
+	m.init(name, inputs, nil, nil)
 	k := sweeparea.KeyFunc(func(v any) any { return key(v) })
 	for i := range m.areas {
 		m.areas[i] = sweeparea.NewHash(k, k)
 	}
-	m.OnInputDone = func(input int) {
-		m.out.markDone(input)
-		m.out.release(m.out.watermark(), m.Emit)
-	}
-	m.OnAllDone = func() { m.out.flush(m.Emit) }
 	return m
 }
 
@@ -73,15 +62,14 @@ func (m *MJoin) processOne(e temporal.Element, input int) {
 	m.expand(e, input, 0, partial, e.Interval)
 
 	m.areas[input].Insert(e)
-	m.out.observe(input, e.Start)
-	m.out.release(m.out.watermark(), m.Emit)
+	m.progress(input, e.Start)
 }
 
 func (m *MJoin) expand(probe temporal.Element, origin, i int, partial []any, iv temporal.Interval) {
 	if i == len(m.areas) {
 		tuple := make([]any, len(partial))
 		copy(tuple, partial)
-		m.out.add(temporal.Derive(tuple, iv, probe))
+		m.add(temporal.Derive(tuple, iv, probe))
 		return
 	}
 	if i == origin {
@@ -118,7 +106,7 @@ func (m *MJoin) MemoryUsage() int {
 	for _, a := range m.areas {
 		n += a.MemoryUsage()
 	}
-	return n + m.out.len()*64
+	return n + m.buffered()*64
 }
 
 func (m *MJoin) String() string { return fmt.Sprintf("%s[mjoin/%d]", m.Name(), len(m.areas)) }

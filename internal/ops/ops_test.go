@@ -559,43 +559,83 @@ func TestDStreamSkipsUnbounded(t *testing.T) {
 	}
 }
 
+// newTestCore returns an ordered core publishing into a collector, and
+// a function that flushes the core's frame and returns everything the
+// collector holds.
+func newTestCore(t *testing.T, inputs int, live func(lowEntry) bool) (*ordered, func() []temporal.Element) {
+	t.Helper()
+	c := &ordered{}
+	c.init("o", inputs, live, nil)
+	col := pubsub.NewCollector("col", 1)
+	if err := c.Subscribe(col, 0); err != nil {
+		t.Fatal(err)
+	}
+	return c, func() []temporal.Element {
+		c.Flush()
+		return col.Elements()
+	}
+}
+
+// The release bound is the minimum watermark over open inputs: a silent
+// input holds every result back, and a done input no longer counts.
 func TestOrderBufferWatermarks(t *testing.T) {
-	b := newOrderBuffer(2)
-	if wm := b.watermark(); wm != temporal.MinTime {
-		t.Fatalf("initial watermark = %v", wm)
+	c, released := newTestCore(t, 2, nil)
+	c.add(el("a", 4, 5))
+	c.add(el("b", 10, 11))
+	c.progress(0, 10)
+	if got := released(); len(got) != 0 {
+		t.Fatalf("released %v with one silent input", got)
 	}
-	b.observe(0, 10)
-	if wm := b.watermark(); wm != temporal.MinTime {
-		t.Fatalf("watermark with one silent input = %v, want MinTime", wm)
+	c.progress(1, 4)
+	if got := released(); len(got) != 1 || got[0].Value != "a" {
+		t.Fatalf("released %v at watermark 4, want a", got)
 	}
-	b.observe(1, 4)
-	if wm := b.watermark(); wm != 4 {
-		t.Fatalf("watermark = %v, want 4", wm)
+	c.Done(1)
+	if got := released(); len(got) != 2 || got[1].Value != "b" {
+		t.Fatalf("released %v after input 1 is done, want a, b", got)
 	}
-	b.markDone(1)
-	if wm := b.watermark(); wm != 10 {
-		t.Fatalf("watermark after done = %v, want 10", wm)
-	}
-	b.markDone(0)
-	if wm := b.watermark(); wm != temporal.MaxTime {
-		t.Fatalf("watermark all done = %v, want MaxTime", wm)
+	c.add(el("c", 12, 13))
+	c.Done(0)
+	if got := released(); len(got) != 3 || got[2].Value != "c" {
+		t.Fatalf("released %v after every input is done, want a, b, c", got)
 	}
 }
 
 func TestOrderBufferReleaseOrder(t *testing.T) {
-	b := newOrderBuffer(1)
-	b.add(el("c", 5, 6))
-	b.add(el("a", 1, 2))
-	b.add(el("b", 3, 4))
-	var got []temporal.Element
-	b.observe(0, 3)
-	b.release(b.watermark(), func(e temporal.Element) { got = append(got, e) })
-	if len(got) != 2 || got[0].Value != "a" || got[1].Value != "b" {
+	c, released := newTestCore(t, 1, nil)
+	c.add(el("c", 5, 6))
+	c.add(el("a", 1, 2))
+	c.add(el("b", 3, 4))
+	c.progress(0, 3)
+	if got := released(); len(got) != 2 || got[0].Value != "a" || got[1].Value != "b" {
 		t.Fatalf("released %v", got)
 	}
-	b.flush(func(e temporal.Element) { got = append(got, e) })
-	if len(got) != 3 || got[2].Value != "c" {
+	c.Done(0)
+	if got := released(); len(got) != 3 || got[2].Value != "c" {
 		t.Fatalf("flushed %v", got)
+	}
+}
+
+// The holdback is the earliest live entry: a stale entry is dropped when
+// it reaches the top and no longer holds a result back.
+func TestOrderBufferHoldbackPrunesStale(t *testing.T) {
+	open := map[any]temporal.Time{"k": 2}
+	c, released := newTestCore(t, 1, func(low lowEntry) bool { return open[low.key] == low.lb })
+	c.holdBack(2, "k")
+	c.add(el("a", 1, 2))
+	c.add(el("b", 3, 4))
+	c.progress(0, 10)
+	if got := released(); len(got) != 1 || got[0].Value != "a" {
+		t.Fatalf("released %v under holdback 2, want a", got)
+	}
+	open["k"] = 5 // the entry at 2 is stale now
+	c.holdBack(5, "k")
+	c.progress(0, 10)
+	if got := released(); len(got) != 2 || got[1].Value != "b" {
+		t.Fatalf("released %v under holdback 5, want a, b", got)
+	}
+	if c.lows.Len() != 1 {
+		t.Fatalf("%d holdback entries left, want the live one", c.lows.Len())
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 // that downstream granule-wise evaluation (tumbling reports, historical
 // bulk loads) sees uniform pieces.
 type Split struct {
-	pubsub.PipeBase
+	ordered
 	granule temporal.Time
-	out     *orderBuffer
 }
 
 // NewSplit returns a splitter with the given positive granule.
@@ -22,8 +21,8 @@ func NewSplit(name string, granule temporal.Time) *Split {
 	if granule <= 0 {
 		panic("ops: split granule must be positive")
 	}
-	s := &Split{PipeBase: pubsub.NewPipeBase(name, 1), granule: granule, out: newOrderBuffer(1)}
-	s.OnAllDone = func() { s.out.flush(s.Emit) }
+	s := &Split{granule: granule}
+	s.init(name, 1, nil, nil)
 	return s
 }
 
@@ -38,11 +37,10 @@ func (s *Split) ProcessBatch(b temporal.Batch, _ int) {
 			if next > e.End || next < cur { // clamp tail and MaxTime overflow
 				next = e.End
 			}
-			s.out.add(e.WithInterval(temporal.NewInterval(cur, next)))
+			s.add(e.WithInterval(temporal.NewInterval(cur, next)))
 			cur = next
 		}
-		s.out.observe(0, e.Start)
-		s.out.release(s.out.watermark(), s.Emit)
+		s.progress(0, e.Start)
 	}
 	s.Flush()
 }

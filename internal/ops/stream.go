@@ -1,9 +1,6 @@
 package ops
 
-import (
-	"pipes/internal/pubsub"
-	"pipes/internal/temporal"
-)
+import "pipes/internal/temporal"
 
 // NewIStream returns CQL's ISTREAM relation-to-stream converter: a chronon
 // element whenever a value enters the snapshot, realised per element as
@@ -14,15 +11,12 @@ func NewIStream(name string) *NowWindow { return NewNowWindow(name) }
 // CQL's DSTREAM: (v, [s,e)) ↦ (v, [e,e+1)). Because interval ends are not
 // arrival-ordered, results pass through an order buffer. Elements with
 // unbounded validity never leave and produce no output.
-type DStream struct {
-	pubsub.PipeBase
-	out *orderBuffer
-}
+type DStream struct{ ordered }
 
 // NewDStream returns a DSTREAM converter.
 func NewDStream(name string) *DStream {
-	d := &DStream{PipeBase: pubsub.NewPipeBase(name, 1), out: newOrderBuffer(1)}
-	d.OnAllDone = func() { d.out.flush(d.Emit) }
+	d := &DStream{}
+	d.init(name, 1, nil, nil)
 	return d
 }
 
@@ -32,10 +26,9 @@ func (d *DStream) ProcessBatch(b temporal.Batch, _ int) {
 	defer d.ProcMu.Unlock()
 	for _, e := range b {
 		if e.End != temporal.MaxTime {
-			d.out.add(e.WithInterval(temporal.NewInterval(e.End, e.End+1)))
+			d.add(e.WithInterval(temporal.NewInterval(e.End, e.End+1)))
 		}
-		d.out.observe(0, e.Start)
-		d.out.release(d.out.watermark(), d.Emit)
+		d.progress(0, e.Start)
 	}
 	d.Flush()
 }

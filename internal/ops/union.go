@@ -1,30 +1,20 @@
 package ops
 
-import (
-	"pipes/internal/pubsub"
-	"pipes/internal/temporal"
-)
+import "pipes/internal/temporal"
 
 // Union merges any number of input streams into one (multiset union per
 // snapshot). Inputs are individually ordered by Start; Union restores the
 // global order by buffering each element until every other open input's
 // watermark has passed it.
-type Union struct {
-	pubsub.PipeBase
-	out *orderBuffer
-}
+type Union struct{ ordered }
 
 // NewUnion returns a union over `inputs` streams (inputs >= 2).
 func NewUnion(name string, inputs int) *Union {
 	if inputs < 2 {
 		panic("ops: union needs at least two inputs")
 	}
-	u := &Union{PipeBase: pubsub.NewPipeBase(name, inputs), out: newOrderBuffer(inputs)}
-	u.OnInputDone = func(input int) {
-		u.out.markDone(input)
-		u.out.release(u.out.watermark(), u.Emit)
-	}
-	u.OnAllDone = func() { u.out.flush(u.Emit) }
+	u := &Union{}
+	u.init(name, inputs, nil, nil)
 	return u
 }
 
@@ -33,9 +23,8 @@ func (u *Union) ProcessBatch(b temporal.Batch, input int) {
 	u.ProcMu.Lock()
 	defer u.ProcMu.Unlock()
 	for _, e := range b {
-		u.out.add(e)
-		u.out.observe(input, e.Start)
-		u.out.release(u.out.watermark(), u.Emit)
+		u.add(e)
+		u.progress(input, e.Start)
 	}
 	u.Flush()
 }
@@ -45,7 +34,7 @@ func (u *Union) ProcessBatch(b temporal.Batch, input int) {
 func (u *Union) Pending() int {
 	u.ProcMu.Lock()
 	defer u.ProcMu.Unlock()
-	return u.out.len()
+	return u.buffered()
 }
 
 // MemoryUsage implements the metadata/memory reporter.

@@ -193,19 +193,10 @@ func (w *CountWindow) fflush() {
 // Because displacements interleave across partitions, emissions pass
 // through an order buffer held back by the oldest still-buffered element.
 type PartitionedWindow struct {
-	pubsub.PipeBase
+	ordered
 	key  KeyFunc
 	n    int
 	part map[any]xds.Queue[temporal.Element]
-	// heads lazily tracks the start of each partition's oldest element —
-	// the holdback bound for ordered release.
-	heads *xds.Heap[partHead]
-	out   *orderBuffer
-}
-
-type partHead struct {
-	start temporal.Time
-	key   any
 }
 
 // NewPartitionedWindow returns a per-key ROWS-n window.
@@ -216,15 +207,8 @@ func NewPartitionedWindow(name string, key KeyFunc, n int) *PartitionedWindow {
 	if n <= 0 {
 		panic("ops: partition window size must be positive")
 	}
-	w := &PartitionedWindow{
-		PipeBase: pubsub.NewPipeBase(name, 1),
-		key:      key,
-		n:        n,
-		part:     map[any]xds.Queue[temporal.Element]{},
-		heads:    xds.NewHeap[partHead](func(a, b partHead) bool { return a.start < b.start }),
-		out:      newOrderBuffer(1),
-	}
-	w.OnAllDone = w.fflush
+	w := &PartitionedWindow{key: key, n: n, part: map[any]xds.Queue[temporal.Element]{}}
+	w.init(name, 1, w.liveLow, w.fflush)
 	return w
 }
 
@@ -252,42 +236,28 @@ func (w *PartitionedWindow) processOne(e temporal.Element) {
 		if end <= old.Start {
 			end = old.Start + 1
 		}
-		w.out.add(old.WithInterval(temporal.NewInterval(old.Start, end)))
+		w.add(old.WithInterval(temporal.NewInterval(old.Start, end)))
 		if head, ok := q.Peek(); ok {
-			w.heads.Push(partHead{start: head.Start, key: k})
+			w.holdBack(head.Start, k)
 		}
 	}
 	if q.Len() == 0 {
-		w.heads.Push(partHead{start: e.Start, key: k})
+		w.holdBack(e.Start, k)
 	}
 	q.Enqueue(e)
-	w.out.observe(0, e.Start)
-	w.out.release(w.holdback(e.Start), w.Emit)
+	w.progress(0, e.Start)
 }
 
-// holdback returns min(arrival watermark, oldest buffered element start):
-// no future displacement or flush can emit below it.
-func (w *PartitionedWindow) holdback(wm temporal.Time) temporal.Time {
-	for {
-		top, ok := w.heads.Peek()
-		if !ok {
-			return wm
-		}
-		q, present := w.part[top.key]
-		if !present {
-			w.heads.Pop()
-			continue
-		}
-		head, nonEmpty := q.Peek()
-		if !nonEmpty || head.Start != top.start {
-			w.heads.Pop() // stale entry
-			continue
-		}
-		if top.start < wm {
-			return top.start
-		}
-		return wm
+// liveLow reports whether a holdback entry is still its partition's
+// oldest element start: no future displacement or flush can emit below
+// the earliest one.
+func (w *PartitionedWindow) liveLow(low lowEntry) bool {
+	q, present := w.part[low.key]
+	if !present {
+		return false
 	}
+	head, nonEmpty := q.Peek()
+	return nonEmpty && head.Start == low.lb
 }
 
 func (w *PartitionedWindow) fflush() {
@@ -306,10 +276,9 @@ func (w *PartitionedWindow) fflush() {
 			if !ok {
 				break
 			}
-			w.out.add(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
+			w.add(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 		}
 	}
-	w.out.flush(w.Emit)
 }
 
 // String describes the window for EXPLAIN output.

@@ -396,11 +396,12 @@ type PipeBase struct {
 	OnInputDone func(input int)
 
 	inputs int
-	closed []bool
 	open   int
 
-	// closedMask mirrors closed as an atomic bitmask so barrier alignment
-	// (control.go) can treat done inputs as aligned without taking ProcMu.
+	// closedMask is the one record of which inputs have signalled done,
+	// one bit per input. Done sets a bit under ProcMu; it is atomic so
+	// barrier alignment (control.go) and InputDone read it without
+	// taking ProcMu.
 	closedMask atomic.Uint64
 
 	// Barrier-alignment state (control.go). gate parks elements of blocked
@@ -423,7 +424,6 @@ func NewPipeBase(name string, inputs int) PipeBase {
 	return PipeBase{
 		SourceBase: NewSourceBase(name),
 		inputs:     inputs,
-		closed:     make([]bool, inputs),
 		open:       inputs,
 	}
 }
@@ -461,11 +461,10 @@ func (p *PipeBase) Flush() {
 // crash the runtime).
 func (p *PipeBase) Done(input int) {
 	p.ProcMu.Lock()
-	if input < 0 || input >= p.inputs || p.closed[input] {
+	if input < 0 || input >= p.inputs || p.InputDone(input) {
 		p.ProcMu.Unlock()
 		return
 	}
-	p.closed[input] = true
 	p.closedMask.Store(p.closedMask.Load() | 1<<uint(input))
 	p.open--
 	last := p.open == 0
@@ -483,11 +482,11 @@ func (p *PipeBase) Done(input int) {
 	}
 }
 
-// InputDone reports whether the given input has signalled done.
+// InputDone reports whether the given input has signalled done. It takes
+// no lock: an operator reads it under ProcMu, where it is exact, since
+// Done records the input before it runs the done hooks.
 func (p *PipeBase) InputDone(input int) bool {
-	p.ProcMu.Lock()
-	defer p.ProcMu.Unlock()
-	return input >= 0 && input < p.inputs && p.closed[input]
+	return input >= 0 && input < p.inputs && p.closedMask.Load()&(1<<uint(input)) != 0
 }
 
 // Connect subscribes each pipe in the chain to its predecessor and returns
