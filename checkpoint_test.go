@@ -7,7 +7,9 @@ import (
 
 	"pipes/internal/archive"
 	"pipes/internal/harness"
+	"pipes/internal/ops"
 	"pipes/internal/planio"
+	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 )
 
@@ -30,13 +32,95 @@ func bidStream(n int) []Element {
 // uninterrupted run. The group plan checkpoints live source tuples and
 // pending output rows, the self-join both sweep areas and pending pairs:
 // every value a plan edge carries (SEMANTICS.md §5) goes through a store.
+// DISTINCT checkpoints its pending spans, DSTREAM its pending chronons
+// and RSTREAM its live tuples and next boundary.
 func TestCheckpointRecoveryThroughFacade(t *testing.T) {
 	for name, query := range map[string]string{
 		"group": `SELECT auction, AVG(price) FROM bids [RANGE 50] GROUP BY auction`,
 		"join": `SELECT hi.price AS hi, lo.price AS lo FROM bids [RANGE 50] AS hi, bids [RANGE 20] AS lo
 			WHERE hi.auction = lo.auction AND hi.price > lo.price`,
+		"distinct": `SELECT DISTINCT auction FROM bids [RANGE 50]`,
+		"dstream":  `DSTREAM(SELECT auction, price FROM bids [RANGE 50])`,
+		"rstream":  `RSTREAM(SELECT auction FROM bids [RANGE 50], SLIDE 7)`,
 	} {
 		t.Run(name, func(t *testing.T) { recoverThroughFacade(t, query) })
+	}
+}
+
+// TestEveryPlannedOperatorIsCheckpointed builds, with checkpointing on,
+// one query per kind of node the optimizer plans and requires every
+// operator the queries created to have its state in a sealed
+// checkpoint, unless it is of a kind that holds no state. An operator
+// that holds state but falls out of the checkpoint is recovered empty
+// without an error, so this fails loudly instead.
+func TestEveryPlannedOperatorIsCheckpointed(t *testing.T) {
+	stateless := func(p pubsub.Pipe) bool {
+		switch p.(type) {
+		case *ops.Filter, *ops.Map, *ops.TimeWindow, *ops.NowWindow, *ops.TumblingWindow, *ops.UnboundedWindow:
+			return true
+		}
+		return false
+	}
+	queries := []string{
+		`SELECT * FROM bids [RANGE 10]`,
+		`SELECT * FROM bids [NOW]`,
+		`SELECT * FROM bids [RANGE 10 SLIDE 10]`,
+		`SELECT * FROM bids [UNBOUNDED]`,
+		`SELECT * FROM bids [ROWS 3]`,
+		`SELECT * FROM bids [PARTITION BY auction ROWS 2]`,
+		`SELECT * FROM bids [RANGE 20] WHERE price > 110`,
+		`SELECT price FROM bids [RANGE 30]`,
+		`SELECT auction, COUNT(*) FROM bids [RANGE 40] GROUP BY auction`,
+		`SELECT a.price AS p, b.price AS q FROM bids [RANGE 50] AS a, bids [RANGE 60] AS b WHERE a.auction = b.auction`,
+		`SELECT DISTINCT auction FROM bids [RANGE 70]`,
+		`ISTREAM(SELECT auction FROM bids [RANGE 80])`,
+		`DSTREAM(SELECT auction FROM bids [RANGE 90])`,
+		`RSTREAM(SELECT auction FROM bids [RANGE 100], SLIDE 7)`,
+	}
+	d := NewDSMS(Config{CheckpointInterval: time.Millisecond})
+	feed := make(chan Element, 60)
+	d.RegisterStream("bids", NewChanSource("bids", feed), 100)
+	var created []pubsub.Pipe
+	for _, text := range queries {
+		q, err := d.RegisterQuery(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		created = append(created, q.Instance.Created...)
+	}
+	kinds := map[string]bool{}
+	for _, p := range created {
+		kinds[strings.SplitN(p.Name(), "#", 2)[0]] = true
+	}
+	for _, kind := range []string{"ω-range", "ω-now", "ω-tumble", "ω-unbounded", "ω-rows", "ω-part",
+		"σ", "π", "γ", "⋈", "δ", "istream", "dstream", "rstream"} {
+		if !kinds[kind] {
+			t.Fatalf("no query built a %s node (built %v)", kind, kinds)
+		}
+	}
+
+	for _, e := range bidStream(60) {
+		feed <- e
+	}
+	d.Start()
+	deadline := time.Now().Add(10 * time.Second)
+	for d.Checkpoints.Completed() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint sealed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(feed)
+	d.Wait()
+	d.Stop()
+	cp, err := d.LatestCheckpoint()
+	if err != nil || cp == nil {
+		t.Fatalf("latest checkpoint: %v, %v", cp, err)
+	}
+	for _, p := range created {
+		if _, saved := cp.States[p.Name()]; !saved && !stateless(p) {
+			t.Errorf("%s (%T) holds state but is not checkpointed", p.Name(), p)
+		}
 	}
 }
 

@@ -135,6 +135,25 @@ func shapes(rng *rand.Rand) []shape {
 				return builtGraph{out: d, stateful: map[string]pubsub.Pipe{"diff": d}}
 			},
 		},
+		{
+			// DISTINCT: the union's merged stream collapses into one span
+			// per value, so the coalesce holds pending spans and finished
+			// ones held back behind them.
+			name:   "window-union-distinct",
+			inputs: 2,
+			build: func(srcs []pubsub.Source) builtGraph {
+				w0 := ops.NewTimeWindow("w0", wsize)
+				w1 := ops.NewTimeWindow("w1", wsize)
+				u := ops.NewUnion("union", 2)
+				dst := ops.NewDistinct("distinct")
+				mustSub(srcs[0], w0, 0)
+				mustSub(srcs[1], w1, 0)
+				mustSub(w0, u, 0)
+				mustSub(w1, u, 1)
+				mustSub(u, dst, 0)
+				return builtGraph{out: dst, stateful: map[string]pubsub.Pipe{"union": u, "distinct": dst}}
+			},
+		},
 	}
 }
 

@@ -78,8 +78,10 @@ var ErrSealed = errors.New("ft: checkpoint already sealed")
 // and byte deltas and chains are gone; 5 — every state entry is the full
 // encoding, and no entry names another checkpoint; 6 — a group-by's
 // pending output holds the tuples its query delivers, not []any group
-// rows, and a grouped query's γ is numbered where its projection was.
-const StateVersion = 6
+// rows, and a grouped query's γ is numbered where its projection was;
+// 7 — coalesce (δ), DSTREAM, RSTREAM and split save their state, which a
+// version-6 store has no entries for.
+const StateVersion = 7
 
 // ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint
 // carries another StateVersion.

@@ -348,6 +348,12 @@ func TestStoreRefusesOtherStateVersion(t *testing.T) {
 			sealVersioned(t, s, 2, 0)
 			refused(t, s, 0)
 		},
+		// Version 6 has no entries for δ, DSTREAM and RSTREAM: restoring
+		// it would leave them empty without an error.
+		"version 6 without δ, DSTREAM or RSTREAM state": func(t *testing.T, s *ft.Store) {
+			sealVersioned(t, s, 1, 6)
+			refused(t, s, 6)
+		},
 		// Version 5 held []any group rows in a group-by's pending output,
 		// which a tuple sink of this build would fail to read.
 		"version 5 group rows": func(t *testing.T, s *ft.Store) {

@@ -76,6 +76,21 @@ func stateCases() []stateCase {
 		{"partitionedwindow", func() statefulOp { return NewPartitionedWindow("op", tupKey, 2) }, []feedStep{
 			{el(tup(1, 1), 1, 1), 0}, {el(tup(2, 2), 2, 2), 0}, {el(tup(1, 3), 3, 3), 0}, {el(tup(1, 4), 4, 4), 0},
 		}},
+		{"coalesce", func() statefulOp { return NewCoalesce("op", tupKey) }, []feedStep{
+			{el(tup(1, 2.5), 1, 10), 0}, {el(tup(2, "b"), 2, 3), 0}, {el(tup(2, nil), 5, 7), 0}, {el(tup(1, true), 6, 12), 0},
+		}},
+		{"distinct", func() statefulOp { return NewDistinct("op") }, []feedStep{
+			{el(1, 1, 10), 0}, {el("x", 2, 3), 0}, {el("x", 5, 7), 0}, {el(2.5, 6, 8), 0},
+		}},
+		{"dstream", func() statefulOp { return NewDStream("op") }, []feedStep{
+			{el(tup(1, "a"), 1, 20), 0}, {el("b", 2, 5), 0}, {el(int64(-4), 3, temporal.MaxTime), 0}, {el(false, 3, 9), 0},
+		}},
+		{"sample", func() statefulOp { return NewSample("op", 3) }, []feedStep{
+			{el(tup(1, 0.5), 1, 10), 0}, {el("s", 2, 4), 0}, {el(uint64(7), 5, 9), 0},
+		}},
+		{"split", func() statefulOp { return NewSplit("op", 4) }, []feedStep{
+			{el(tup(1, "y"), 1, 10), 0}, {el(3, 2, 3), 0}, {el(nil, 2, 6), 0},
+		}},
 	}
 }
 
@@ -121,7 +136,7 @@ func TestStateLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestStateEncodingGolden pins the bytes of three small states. Recovery
+// TestStateEncodingGolden pins the bytes of small states. Recovery
 // loads a checkpoint into whatever operator now bears its name, so a
 // change to these bytes is a change to what older checkpoints mean.
 func TestStateEncodingGolden(t *testing.T) {
@@ -129,6 +144,11 @@ func TestStateEncodingGolden(t *testing.T) {
 		"groupby":     "0202020a011002016b020201760208060e02060c011002016b02060176038080808080400c1200010c",
 		"join":        "021002016b0202017605000000000000044002141002016b0202017601010812021002016b0202017606016204141002016b0204017600061001111002016b0202017601011002016b020201760601620812020806",
 		"countwindow": "030407040406017a060601000808",
+		"coalesce":    "021002016b0202017605000000000000044002181002016b02040176000a0e011002016b020401760601620406010c",
+		"distinct":    "03020202140500000000000004400c100601780a0e010601780406010c",
+		"dstream":     "030601620a0c1002016b02020176060161282a010012140106",
+		"sample":      "010c0306017304081002016b0202017605000000000000e03f021404070a12",
+		"split":       "0300080c1002016b0202017606017910141002016b0202017606017908100104",
 	}
 	for _, c := range stateCases() {
 		want, ok := golden[c.name]
