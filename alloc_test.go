@@ -51,7 +51,10 @@ func allocsPerElement(t *testing.T, n int, queries ...string) float64 {
 // resolved at plan time (5.9, 21.8 and 16.1 allocations per element then,
 // against 1.0, 10.0 and 4.1). So does a group row between γ and the
 // projection: the group-by read 10.0 with one, 6.1 since γ delivers the
-// projected tuple itself.
+// projected tuple itself. And so does state rebuilt each time a key
+// empties: the churning group-by read 9.9 and the churning self-join 8.9
+// (the equi-join 4.1, with a closure per probe) before emptied groups and
+// hash buckets were recycled.
 func TestPlanAllocationBudget(t *testing.T) {
 	const n = 4000
 	for _, c := range []struct {
@@ -61,7 +64,11 @@ func TestPlanAllocationBudget(t *testing.T) {
 	}{
 		{"filter→project", `SELECT auction AS auction, price AS price FROM bids [RANGE 100] WHERE price > 500`, 2},
 		{"group-by", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 100] GROUP BY bidder`, 8},
-		{"equi-join", `SELECT b.price AS price, a.category AS category FROM bids [RANGE 100] AS b, auctions [UNBOUNDED] AS a WHERE b.auction = a.id`, 7},
+		{"equi-join", `SELECT b.price AS price, a.category AS category FROM bids [RANGE 100] AS b, auctions [UNBOUNDED] AS a WHERE b.auction = a.id`, 4},
+		// Churning keys: a 10-tick window over 97 bidders empties a key's
+		// group or hash bucket about as often as it fills one.
+		{"group-by, churning", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 10] GROUP BY bidder`, 4},
+		{"self equi-join, churning", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.bidder = y.bidder`, 6},
 	} {
 		got := allocsPerElement(t, n, c.query)
 		t.Logf("%s: %.2f allocations per element (ceiling %.1f)", c.name, got, c.ceiling)

@@ -22,7 +22,9 @@ type Aggregate interface {
 	// values return nil (SQL semantics: empty aggregate is NULL), except
 	// Count which returns 0.
 	Value() any
-	// Reset restores the empty state.
+	// Reset restores the state a fresh aggregate from the same factory
+	// has: a group-by recycles an emptied group's aggregate for the next
+	// new key, so nothing inserted before Reset may show after it.
 	Reset()
 }
 

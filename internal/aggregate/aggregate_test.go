@@ -3,6 +3,7 @@ package aggregate
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,42 @@ func TestReset(t *testing.T) {
 		empty := f().Value()
 		if got := a.Value(); got != empty && !(got == nil && empty == nil) {
 			t.Errorf("%s after Reset = %v, want %v", name, got, empty)
+		}
+	}
+}
+
+// TestResetRestoresFresh: Reset must leave an aggregate indistinguishable
+// from a new one of the same factory — a group-by hands a reset aggregate
+// to the next new key.
+func TestResetRestoresFresh(t *testing.T) {
+	factories := map[string]Factory{
+		"reservoir": func() Aggregate { return NewReservoir(3, 7) },
+		"p2-0.9":    func() Aggregate { return NewP2Quantile(0.9) },
+	}
+	for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX", "VAR", "VARIANCE", "STDDEV", "MEDIAN"} {
+		f, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factories[name] = f
+	}
+	vals := make([]float64, 40)
+	for i := range vals {
+		vals[i] = float64(i*7%13) + 0.5
+	}
+	for name, f := range factories {
+		a := f()
+		feed(a, vals...)
+		a.Reset()
+		if fresh := f(); !reflect.DeepEqual(a, fresh) {
+			t.Errorf("%s after Reset = %#v, want a fresh instance %#v", name, a, fresh)
+		}
+		// And it goes on as a fresh one does.
+		fresh := f()
+		feed(a, vals...)
+		feed(fresh, vals...)
+		if got, want := a.Value(), fresh.Value(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s refilled after Reset = %v, a fresh instance %v", name, got, want)
 		}
 	}
 }

@@ -127,6 +127,7 @@ type Reservoir struct {
 	k      int
 	n      int64
 	sample []any
+	seed   int64
 	rng    *rand.Rand
 }
 
@@ -135,7 +136,7 @@ func NewReservoir(k int, seed int64) *Reservoir {
 	if k <= 0 {
 		panic("aggregate: reservoir capacity must be positive")
 	}
-	return &Reservoir{k: k, rng: rand.New(rand.NewSource(seed))}
+	return &Reservoir{k: k, seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Insert implements Aggregate.
@@ -160,8 +161,11 @@ func (r *Reservoir) Value() any {
 // Seen returns the number of observed values.
 func (r *Reservoir) Seen() int64 { return r.n }
 
-// Reset implements Aggregate.
+// Reset implements Aggregate: the sample is dropped (its values are no
+// longer referenced) and the rng reseeded, so a reset reservoir samples
+// exactly as a new one with the same seed.
 func (r *Reservoir) Reset() {
 	r.n = 0
-	r.sample = r.sample[:0]
+	r.sample = nil
+	r.rng.Seed(r.seed)
 }

@@ -22,7 +22,9 @@ type globalGroup struct{}
 // non-blocking: a span is emitted as soon as its right boundary has
 // certainly passed. Invertible aggregates (count/sum/avg/variance) are
 // maintained incrementally; others (min/max/quantiles) are recomputed from
-// the group's live multiset at each boundary.
+// the group's live multiset at each boundary. A group whose last element
+// expires is reset and kept on a spare list (at most as many as there are
+// live groups), and the next new key takes it, heap capacity and all.
 //
 // Each span's output value is outFn(key, agg), read off the group's
 // aggregate when the span closes; a span outFn declines emits nothing
@@ -35,6 +37,7 @@ type GroupBy struct {
 	factory aggregate.Factory
 	outFn   func(key any, agg aggregate.Aggregate) (any, bool)
 	groups  map[any]*group
+	spare   []*group // emptied groups, reset; ProcMu
 	expiry  *xds.Heap[expiryEvent]
 }
 
@@ -105,14 +108,7 @@ func (g *GroupBy) processOne(e temporal.Element) {
 	k := g.key(e.Value)
 	grp := g.groups[k]
 	if grp == nil {
-		agg := g.factory()
-		inv, _ := agg.(aggregate.Invertible)
-		grp = &group{
-			active: xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
-			agg:    agg,
-			inv:    inv,
-			lb:     e.Start,
-		}
+		grp = g.newGroup(e.Start)
 		g.groups[k] = grp
 	} else if grp.active.Len() > 0 && grp.lb < e.Start {
 		g.emitSpan(k, grp, e.Start)
@@ -159,7 +155,7 @@ func (g *GroupBy) advance(t temporal.Time) {
 			}
 		}
 		if grp.active.Len() == 0 {
-			delete(g.groups, ev.key)
+			g.retire(ev.key, grp)
 			continue
 		}
 		if grp.inv == nil {
@@ -168,6 +164,39 @@ func (g *GroupBy) advance(t temporal.Time) {
 		grp.lb = ev.end
 		g.holdBack(grp.lb, ev.key)
 	}
+}
+
+// newGroup returns an empty group whose open span starts at lb: a spare
+// one if there is one, else a new one.
+func (g *GroupBy) newGroup(lb temporal.Time) *group {
+	if n := len(g.spare); n > 0 {
+		grp := g.spare[n-1]
+		g.spare[n-1] = nil
+		g.spare = g.spare[:n-1]
+		grp.lb = lb
+		return grp
+	}
+	agg := g.factory()
+	inv, _ := agg.(aggregate.Invertible)
+	return &group{
+		active: xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
+		agg:    agg,
+		inv:    inv,
+		lb:     lb,
+	}
+}
+
+// retire drops the emptied group of key k and keeps it as a spare while
+// spares are fewer than live groups. Its aggregate is reset to a fresh
+// one's state (aggregate.Aggregate.Reset) and its trace dropped; its
+// empty heap keeps its backing array.
+func (g *GroupBy) retire(k any, grp *group) {
+	if len(g.spare) < len(g.groups) {
+		grp.agg.Reset()
+		grp.trace = nil
+		g.spare = append(g.spare, grp)
+	}
+	delete(g.groups, k)
 }
 
 func (g *GroupBy) recompute(grp *group) {
@@ -206,7 +235,8 @@ func (g *GroupBy) GroupCount() int {
 	return len(g.groups)
 }
 
-// MemoryUsage implements the metadata/memory reporter.
+// MemoryUsage implements the metadata/memory reporter. Spare groups
+// count as groups: they stay allocated.
 func (g *GroupBy) MemoryUsage() int {
 	g.ProcMu.Lock()
 	defer g.ProcMu.Unlock()
@@ -214,5 +244,5 @@ func (g *GroupBy) MemoryUsage() int {
 	for _, grp := range g.groups {
 		n += grp.active.Len()
 	}
-	return n*64 + len(g.groups)*48 + g.buffered()*64
+	return n*64 + (len(g.groups)+len(g.spare))*48 + g.buffered()*64
 }

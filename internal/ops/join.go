@@ -34,6 +34,11 @@ type Join struct {
 	areas   [2]sweeparea.SweepArea
 	pred    Predicate2
 	combine Combiner
+	// The element being probed and its input, read by match: one callback
+	// bound at construction instead of a closure per element. ProcMu.
+	probe   temporal.Element
+	probeIn int
+	match   func(stored temporal.Element)
 }
 
 // NewJoin returns a join over the given areas. pred may be nil when the
@@ -47,6 +52,7 @@ func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, comb
 		combine = func(l, r any) any { return Pair{Left: l, Right: r} }
 	}
 	j := &Join{areas: [2]sweeparea.SweepArea{left, right}, pred: pred, combine: combine}
+	j.match = j.matchProbe
 	j.init(name, 2, nil, nil)
 	return j
 }
@@ -87,28 +93,32 @@ func (j *Join) ProcessBatch(b temporal.Batch, input int) {
 func (j *Join) processOne(e temporal.Element, input int) {
 	opp := 1 - input
 	j.areas[opp].Reorganize(e.Start)
-	j.areas[opp].Probe(e, func(s temporal.Element) {
-		var l, r temporal.Element
-		if input == 0 {
-			l, r = e, s
-		} else {
-			l, r = s, e
-		}
-		if j.pred != nil && !j.pred(l.Value, r.Value) {
-			return
-		}
-		iv, ok := l.Intersect(r.Interval)
-		if !ok {
-			return
-		}
-		j.add(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
-	})
+	j.probe, j.probeIn = e, input
+	j.areas[opp].Probe(e, j.match)
+	j.probe.Value, j.probe.Trace = nil, nil // release what it references
 	if !j.InputDone(opp) || j.areas[opp].Len() > 0 {
 		// Insert only while results remain possible: once the opposite
 		// input is done and its area drained, stored entries are garbage.
 		j.areas[input].Insert(e)
 	}
 	j.progress(input, e.Start)
+}
+
+// matchProbe emits the result of j.probe and one stored match from the
+// opposite area, if their values and intervals join.
+func (j *Join) matchProbe(s temporal.Element) {
+	l, r := j.probe, s
+	if j.probeIn == 1 {
+		l, r = s, j.probe
+	}
+	if j.pred != nil && !j.pred(l.Value, r.Value) {
+		return
+	}
+	iv, ok := l.Intersect(r.Interval)
+	if !ok {
+		return
+	}
+	j.add(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
 }
 
 // MemoryUsage reports the footprint of both areas plus pending results.

@@ -18,6 +18,10 @@ type MJoin struct {
 	ordered
 	key   KeyFunc
 	areas []*sweeparea.Hash
+	// partial is the cross product's scratch row, one slot per input,
+	// reused by every probe; a slot is cleared once its expansion ends.
+	// ProcMu.
+	partial []any
 }
 
 // NewMJoin returns an n-way equi-join on key, n >= 2.
@@ -28,7 +32,7 @@ func NewMJoin(name string, inputs int, key KeyFunc) *MJoin {
 	if key == nil {
 		panic("ops: mjoin requires a key function")
 	}
-	m := &MJoin{key: key, areas: make([]*sweeparea.Hash, inputs)}
+	m := &MJoin{key: key, areas: make([]*sweeparea.Hash, inputs), partial: make([]any, inputs)}
 	m.init(name, inputs, nil, nil)
 	k := sweeparea.KeyFunc(func(v any) any { return key(v) })
 	for i := range m.areas {
@@ -57,23 +61,23 @@ func (m *MJoin) processOne(e temporal.Element, input int) {
 
 	// Build the cross product over the other inputs' matching entries,
 	// intersecting validity as we go.
-	partial := make([]any, len(m.areas))
-	partial[input] = e.Value
-	m.expand(e, input, 0, partial, e.Interval)
+	m.partial[input] = e.Value
+	m.expand(e, input, 0, e.Interval)
+	m.partial[input] = nil
 
 	m.areas[input].Insert(e)
 	m.progress(input, e.Start)
 }
 
-func (m *MJoin) expand(probe temporal.Element, origin, i int, partial []any, iv temporal.Interval) {
+func (m *MJoin) expand(probe temporal.Element, origin, i int, iv temporal.Interval) {
 	if i == len(m.areas) {
-		tuple := make([]any, len(partial))
-		copy(tuple, partial)
+		tuple := make([]any, len(m.partial))
+		copy(tuple, m.partial)
 		m.add(temporal.Derive(tuple, iv, probe))
 		return
 	}
 	if i == origin {
-		m.expand(probe, origin, i+1, partial, iv)
+		m.expand(probe, origin, i+1, iv)
 		return
 	}
 	m.areas[i].Probe(probe, func(s temporal.Element) {
@@ -81,9 +85,9 @@ func (m *MJoin) expand(probe temporal.Element, origin, i int, partial []any, iv 
 		if !ok {
 			return
 		}
-		partial[i] = s.Value
-		m.expand(probe, origin, i+1, partial, next)
-		partial[i] = nil
+		m.partial[i] = s.Value
+		m.expand(probe, origin, i+1, next)
+		m.partial[i] = nil
 	})
 }
 

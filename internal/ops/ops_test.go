@@ -417,6 +417,38 @@ func TestGroupByDeclinedSpansEmitNothing(t *testing.T) {
 	sameElements(t, runSingle(NewGroupBy("g", key, aggregate.NewCount, atLeastTwo), in), want)
 }
 
+// A new key that takes over an emptied group starts from a fresh
+// aggregate and no trace: nothing of the old key shows in its spans.
+func TestGroupByRecycledGroupStartsFresh(t *testing.T) {
+	key := func(v any) any { return v.(int) % 10 }
+	traced := el(100, 0, 5)
+	traced.Trace = "old"
+	in := []temporal.Element{traced, el(1, 1, 20), el(2, 6, 10)}
+	g := NewGroupBy("max", key, aggregate.NewMax, nil)
+	col := pubsub.NewCollector("col", 1)
+	g.Subscribe(col, 0)
+	g.ProcessBatch(temporal.Batch{in[0]}, 0)
+	old := g.groups[0]
+	in = in[1:]
+	for _, e := range in {
+		g.ProcessBatch(temporal.Batch{e}, 0)
+	}
+	if g.groups[2] != old {
+		t.Fatal("key 2 did not take over key 0's emptied group")
+	}
+	g.Done(0)
+	col.Wait()
+	var spans []temporal.Element
+	for _, e := range col.Elements() {
+		if e.Value.(GroupResult).Key == 2 {
+			spans = append(spans, e)
+		}
+	}
+	if len(spans) != 1 || spans[0].Value.(GroupResult).Agg != 2.0 || spans[0].Trace != nil || spans[0].Interval != temporal.NewInterval(6, 10) {
+		t.Errorf("key 2 emitted %v, want one span of max 2 over [6,10) untraced", spans)
+	}
+}
+
 func TestGroupByMinRecomputeOnExpiry(t *testing.T) {
 	// Min is non-invertible: after the minimum expires, the aggregate must
 	// be recomputed from the survivors.

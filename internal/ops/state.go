@@ -44,7 +44,6 @@ import (
 	"slices"
 	"strings"
 
-	"pipes/internal/aggregate"
 	"pipes/internal/temporal"
 	"pipes/internal/wire"
 	"pipes/internal/xds"
@@ -367,14 +366,7 @@ func (g *GroupBy) LoadState(state []byte) error {
 		var es []temporal.Element
 		for n := d.Count(); n > 0 && d.Err() == nil; n-- {
 			key := d.Value()
-			agg := g.factory()
-			inv, _ := agg.(aggregate.Invertible)
-			grp := &group{
-				active: xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
-				agg:    agg,
-				inv:    inv,
-				lb:     temporal.Time(d.Varint()),
-			}
+			grp := g.newGroup(temporal.Time(d.Varint()))
 			es = readElems(d, es)
 			for _, e := range es {
 				grp.active.Push(e)

@@ -16,11 +16,15 @@ type KeyFunc func(v any) any
 // output sequences and state bytes exactly. Expiration uses a min-heap on
 // interval end with lazy tombstones, keeping Reorganize amortised
 // O(removed · log n); dead slots are compacted once they outnumber the
-// live ones.
+// live ones. A bucket whose last live slot goes is cleared and kept on a
+// spare list (at most as many as there are live buckets), and the next
+// new key reuses it with its slot capacity.
 type Hash struct {
 	probeKey  KeyFunc // key of the probing (opposite-input) value
 	storedKey KeyFunc // key of stored values
 	buckets   map[any]*hashBucket
+	spare     []*hashBucket // emptied buckets, slots cleared and truncated
+	spareCap  int           // slot capacity the spare buckets retain
 	expiry    *xds.Heap[hashEntry]
 	seq       int64
 	size      int
@@ -67,7 +71,7 @@ func (h *Hash) Insert(e temporal.Element) {
 	k := h.storedKey(e.Value)
 	b := h.buckets[k]
 	if b == nil {
-		b = &hashBucket{}
+		b = h.newBucket()
 		h.buckets[k] = b
 	}
 	h.seq++
@@ -105,18 +109,20 @@ func (h *Hash) Reorganize(t temporal.Time) int {
 	}
 }
 
-// Shed implements SweepArea: pops the soonest-expiring entries.
+// Shed implements SweepArea: pops the soonest-expiring entries. The
+// spare buckets go too: they are memory the area holds but does not use.
 func (h *Hash) Shed(n int) int {
 	removed := 0
 	for removed < n {
 		top, ok := h.expiry.Pop()
 		if !ok {
-			return removed
+			break
 		}
 		if h.remove(top) {
 			removed++
 		}
 	}
+	h.spare, h.spareCap = nil, 0
 	return removed
 }
 
@@ -143,7 +149,7 @@ func (h *Hash) remove(he hashEntry) bool {
 	b.live--
 	h.size--
 	if b.live == 0 {
-		delete(h.buckets, he.key)
+		h.retire(he.key, b)
 		return true
 	}
 	// Compact once tombstones dominate; in-place filtering preserves
@@ -158,6 +164,32 @@ func (h *Hash) remove(he hashEntry) bool {
 		b.slots = kept
 	}
 	return true
+}
+
+// newBucket takes a spare bucket, or makes one.
+func (h *Hash) newBucket() *hashBucket {
+	n := len(h.spare)
+	if n == 0 {
+		return &hashBucket{}
+	}
+	b := h.spare[n-1]
+	h.spare[n-1] = nil
+	h.spare = h.spare[:n-1]
+	h.spareCap -= cap(b.slots)
+	return b
+}
+
+// retire drops the emptied bucket of key k and keeps it as a spare while
+// spares are fewer than live buckets. Its whole slot capacity is cleared
+// first, so a spare holds no expired value.
+func (h *Hash) retire(k any, b *hashBucket) {
+	if len(h.spare) < len(h.buckets) {
+		b.slots = b.slots[:0]
+		clear(b.slots[:cap(b.slots)])
+		h.spare = append(h.spare, b)
+		h.spareCap += cap(b.slots)
+	}
+	delete(h.buckets, k)
 }
 
 // Items implements SweepArea.
@@ -180,5 +212,6 @@ func (h *Hash) Len() int { return h.size }
 func (h *Hash) MemoryUsage() int {
 	// Live entries plus heap bookkeeping (heap may hold tombstoned
 	// entries); dead slots linger until compaction but hold no value.
-	return h.size*bytesPerEntry + h.expiry.Len()*24
+	// Spare buckets' slot capacity counts as entries: it stays allocated.
+	return (h.size+h.spareCap)*bytesPerEntry + h.expiry.Len()*24
 }

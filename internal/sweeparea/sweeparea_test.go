@@ -162,6 +162,68 @@ func TestHashTombstonesAfterShed(t *testing.T) {
 	}
 }
 
+// TestHashReusesEmptiedBuckets: keys that empty and refill cost the hash
+// area nothing per insert/expire cycle once their buckets are recycled.
+func TestHashReusesEmptiedBuckets(t *testing.T) {
+	h := NewHash(intKey, intKey)
+	ts := temporal.Time(0)
+	cycle := func() {
+		// Each key holds one element for 10 ticks: at every tick one
+		// bucket empties and the next insert refills a key.
+		h.Reorganize(ts)
+		h.Insert(elem(int(ts%200), ts, ts+10))
+		ts++
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Errorf("hash area allocates %.2f per insert/expire cycle, want 0", got)
+	}
+	if h.Len() != 10 {
+		t.Errorf("Len = %d, want 10", h.Len())
+	}
+	// Shedding releases the spares along with the entries.
+	h.Reorganize(ts + 5)
+	if len(h.spare) == 0 {
+		t.Fatal("no bucket was kept for reuse")
+	}
+	h.Shed(1)
+	if len(h.spare) != 0 || h.MemoryUsage() != h.Len()*bytesPerEntry+h.expiry.Len()*24 {
+		t.Errorf("after Shed: %d spare buckets, memory %d for %d entries", len(h.spare), h.MemoryUsage(), h.Len())
+	}
+}
+
+// TestHashReusedBucketProbesLiveEntries: a probe into a recycled bucket
+// returns exactly its live entries, in insertion order — the order a list
+// area, which never recycles, returns them in — and nothing stale.
+func TestHashReusedBucketProbesLiveEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	h, l := NewHash(intKey, intKey), NewList(eqPred)
+	inOrder := func(a SweepArea, key int) []int {
+		var got []int
+		a.Probe(elem(key, 0, 1), func(s temporal.Element) { got = append(got, s.Value.(int)) })
+		return got
+	}
+	for ts := temporal.Time(0); ts < 3000; ts++ {
+		h.Reorganize(ts)
+		l.Reorganize(ts)
+		for n := rng.Intn(3); n > 0; n-- {
+			e := elem(rng.Intn(1000), ts, ts+1+temporal.Time(rng.Intn(20)))
+			h.Insert(e)
+			l.Insert(e)
+		}
+		for key := 0; key < 10; key++ {
+			if got, want := inOrder(h, key), inOrder(l, key); !equalInts(got, want) {
+				t.Fatalf("t=%d: hash probe(%d) = %v, want %v", ts, key, got, want)
+			}
+		}
+	}
+	if len(h.spare) == 0 {
+		t.Error("no bucket was kept for reuse")
+	}
+}
+
 func TestTreeBandJoin(t *testing.T) {
 	tr := NewTree(numKey, numKey, 2.5)
 	for _, v := range []int{1, 3, 5, 8, 10} {
