@@ -151,9 +151,13 @@ func (a *Avg) Value() any {
 func (a *Avg) Reset() { *a = Avg{} }
 
 // Min tracks the minimum. Not invertible; sliding windows recompute.
+// When the minimum arrived as a float64, the input's own interface value
+// is kept and returned, so Value does not box it again; other numeric
+// kinds box at Value.
 type Min struct {
-	n   int64
-	min float64
+	n     int64
+	min   float64
+	boxed any // the float64 input that set min, or nil
 }
 
 // NewMin returns a MIN aggregate.
@@ -163,7 +167,7 @@ func NewMin() Aggregate { return &Min{} }
 func (m *Min) Insert(v any) {
 	f := mustFloat(v)
 	if m.n == 0 || f < m.min {
-		m.min = f
+		m.min, m.boxed = f, keepFloat(v)
 	}
 	m.n++
 }
@@ -173,6 +177,9 @@ func (m *Min) Value() any {
 	if m.n == 0 {
 		return nil
 	}
+	if m.boxed != nil {
+		return m.boxed
+	}
 	return m.min
 }
 
@@ -180,9 +187,11 @@ func (m *Min) Value() any {
 func (m *Min) Reset() { *m = Min{} }
 
 // Max tracks the maximum. Not invertible; sliding windows recompute.
+// Like Min, it keeps a float64 input's own interface value.
 type Max struct {
-	n   int64
-	max float64
+	n     int64
+	max   float64
+	boxed any // the float64 input that set max, or nil
 }
 
 // NewMax returns a MAX aggregate.
@@ -192,7 +201,7 @@ func NewMax() Aggregate { return &Max{} }
 func (m *Max) Insert(v any) {
 	f := mustFloat(v)
 	if m.n == 0 || f > m.max {
-		m.max = f
+		m.max, m.boxed = f, keepFloat(v)
 	}
 	m.n++
 }
@@ -202,11 +211,23 @@ func (m *Max) Value() any {
 	if m.n == 0 {
 		return nil
 	}
+	if m.boxed != nil {
+		return m.boxed
+	}
 	return m.max
 }
 
 // Reset implements Aggregate.
 func (m *Max) Reset() { *m = Max{} }
+
+// keepFloat returns v if it is a float64, which Value can return as it
+// is, and nil otherwise.
+func keepFloat(v any) any {
+	if _, ok := v.(float64); ok {
+		return v
+	}
+	return nil
+}
 
 // Variance computes the population variance with Welford's online
 // algorithm (numerically stable); removal uses the inverse update, making

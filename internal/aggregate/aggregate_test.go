@@ -58,6 +58,37 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+var valueSink any
+
+// MIN and MAX hand back a float64 input's own interface value, so Value
+// on float input does not allocate. Other numeric kinds box at Value, to
+// the float64 value and type they always had.
+func TestMinMaxKeepFloatInput(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		f          Factory
+		float, mix any
+	}{{"min", NewMin, -2.0, -1.0}, {"max", NewMax, 9.5, 10.0}} {
+		a := c.f()
+		for _, v := range []any{3.5, 1.25, 9.5, -2.0} {
+			a.Insert(v)
+		}
+		if got := a.Value(); got != c.float {
+			t.Errorf("%s over floats = %#v, want %#v", c.name, got, c.float)
+		}
+		if n := testing.AllocsPerRun(100, func() { valueSink = a.Value() }); n != 0 {
+			t.Errorf("%s: Value over float input makes %.0f allocations, want 0", c.name, n)
+		}
+		m := c.f()
+		for _, v := range []any{int64(4), 2.5, 10, float32(-1)} {
+			m.Insert(v)
+		}
+		if got := m.Value(); got != c.mix {
+			t.Errorf("%s over mixed kinds = %#v, want %#v", c.name, got, c.mix)
+		}
+	}
+}
+
 func TestVarianceMatchesDirectFormula(t *testing.T) {
 	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	v := NewVariance()

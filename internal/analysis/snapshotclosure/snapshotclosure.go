@@ -89,11 +89,13 @@ func returnsFunc(info *types.Info, fd *ast.FuncDecl) bool {
 
 // sharesStorage reports whether a value of type t aliases underlying
 // storage when copied by assignment: reference headers and pointers do,
-// scalars and flat structs do not.
+// and so do arrays of them; scalars and flat structs do not.
 func sharesStorage(t types.Type) bool {
-	switch types.Unalias(t).Underlying().(type) {
+	switch u := types.Unalias(t).Underlying().(type) {
 	case *types.Map, *types.Slice, *types.Chan, *types.Pointer:
 		return true
+	case *types.Array:
+		return sharesStorage(u.Elem())
 	}
 	return false
 }
@@ -117,7 +119,7 @@ func checkMethod(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) 
 	// one. Call results are exempt by contract (capture helpers copy).
 	tainted := map[types.Object]bool{recv: true}
 
-	var aliasesState func(e ast.Expr) bool
+	var aliasesState, inArrayField func(e ast.Expr) bool
 	aliasesState = func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
 		case *ast.Ident:
@@ -136,7 +138,8 @@ func checkMethod(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) 
 			return aliasesState(e.X)
 		case *ast.IndexExpr:
 			// Element of a tainted container: tainted only if the element
-			// itself shares storage (e.g. a []map[K]V element).
+			// itself shares storage (e.g. a []map[K]V element, or a
+			// pointer read out of an array field).
 			if tv, ok := info.Types[e]; ok && sharesStorage(tv.Type) {
 				return aliasesState(e.X)
 			}
@@ -150,7 +153,7 @@ func checkMethod(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) 
 						return true
 					}
 				case *ast.IndexExpr:
-					return aliasesState(x.X)
+					return aliasesState(x.X) || inArrayField(x.X)
 				}
 			}
 			return false
@@ -171,6 +174,21 @@ func checkMethod(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) 
 		default:
 			return false
 		}
+	}
+
+	// inArrayField reports whether e is an array field of a tainted value:
+	// its elements live in the receiver's own storage.
+	inArrayField = func(e ast.Expr) bool {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		base, ok := ast.Unparen(sel.X).(*ast.Ident)
+		if !ok || !tainted[info.Uses[base]] {
+			return false
+		}
+		_, isArray := types.Unalias(info.TypeOf(sel)).Underlying().(*types.Array)
+		return isArray
 	}
 
 	for changed := true; changed; {

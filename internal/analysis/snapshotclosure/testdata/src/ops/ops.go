@@ -60,7 +60,57 @@ func (m *methodOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	}, nil
 }
 
+type buffer struct{ items []int }
+
+type arrayOp struct {
+	rec    [2]*buffer
+	counts [2]int
+}
+
+// Bad: an array field is copied by value, but its pointer elements, and
+// the address of any element, still reach the receiver's storage.
+func (j *arrayOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	r := j.rec[0]
+	n := &j.counts[1]
+	return func(dst []byte) ([]byte, error) {
+		dst = fmt.Appendf(dst, "%v", r.items)  // want `references state aliased from the receiver`
+		return fmt.Appendf(dst, "%d", *n), nil // want `references state aliased from the receiver`
+	}, nil
+}
+
 // --- sanctioned patterns below: no diagnostics expected ---
+
+type recycler struct{ spare *buffer }
+
+type lease struct {
+	home *recycler
+	buf  *buffer
+}
+
+// lease hands out the kept buffer: a method call's result, so the
+// capture helper contract applies.
+func (r *recycler) lease() *lease { return &lease{home: r, buf: &buffer{}} }
+
+func (l *lease) release() { l.home.spare, l.buf = l.buf, nil }
+
+type leasingOp struct {
+	q      []int
+	counts [2]int
+	snaps  recycler
+}
+
+// Good: array elements of scalar type are copies, and a leased buffer
+// filled under the barrier is the closure's to encode and hand back.
+func (o *leasingOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	n := o.counts[0]
+	counts := o.counts
+	l := o.snaps.lease()
+	l.buf.items = append(l.buf.items, o.q...)
+	return func(dst []byte) ([]byte, error) {
+		defer l.release()
+		return fmt.Appendf(dst, "%d %v %v", n, counts, l.buf.items), nil
+	}, nil
+}
 
 type goodOp struct {
 	q     []int

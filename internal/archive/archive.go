@@ -8,7 +8,7 @@
 package archive
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"pipes/internal/cursor"
@@ -110,10 +110,21 @@ func (a *Archive) bucketOf(t temporal.Time) int64 {
 // Range returns a cursor over the archived elements whose validity
 // overlaps iv, in Start order.
 func (a *Archive) Range(iv temporal.Interval) cursor.Cursor {
+	es := a.overlapping(iv)
+	out := make([]any, len(es))
+	for i, e := range es {
+		out[i] = e
+	}
+	return cursor.FromSlice(out)
+}
+
+// overlapping copies out the archived elements whose validity overlaps
+// iv, in Start order, under the read lock.
+func (a *Archive) overlapping(iv temporal.Interval) []temporal.Element {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.count == 0 || !iv.Valid() {
-		return cursor.FromSlice(nil)
+		return nil
 	}
 	// Elements overlapping iv start no earlier than iv.Start − longest
 	// duration (unless unbounded elements exist — then scan from the
@@ -141,8 +152,8 @@ func (a *Archive) Range(iv temporal.Interval) cursor.Cursor {
 			keys = append(keys, b)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var out []any
+	slices.Sort(keys)
+	var out []temporal.Element
 	for _, b := range keys {
 		for _, e := range a.buckets[b] {
 			if e.Overlaps(iv) {
@@ -150,36 +161,20 @@ func (a *Archive) Range(iv temporal.Interval) cursor.Cursor {
 			}
 		}
 	}
-	return cursor.FromSlice(out)
+	return out
 }
 
 // Snapshot returns the multiset of values valid at instant t — the
 // historical-query primitive.
 func (a *Archive) Snapshot(t temporal.Time) []any {
-	var elems []temporal.Element
-	cur := a.Range(temporal.NewInterval(t, t+1))
-	for {
-		v, ok := cur.Next()
-		if !ok {
-			break
-		}
-		elems = append(elems, v.(temporal.Element))
-	}
-	return snapshot.At(elems, t)
+	return snapshot.At(a.overlapping(temporal.NewInterval(t, t+1)), t)
 }
 
 // Replay returns an emitter re-publishing the archived elements whose
 // validity overlaps iv into a live graph, in Start order — historical
 // data re-entering data-driven processing.
 func (a *Archive) Replay(name string, iv temporal.Interval) pubsub.Emitter {
-	cur := a.Range(iv)
-	return pubsub.NewFuncSource(name, func() (temporal.Element, bool) {
-		v, ok := cur.Next()
-		if !ok {
-			return temporal.Element{}, false
-		}
-		return v.(temporal.Element), true
-	})
+	return replay(name, a.overlapping(iv))
 }
 
 // ReplayFrom returns an emitter re-publishing every archived element
@@ -187,20 +182,23 @@ func (a *Archive) Replay(name string, iv temporal.Interval) pubsub.Emitter {
 // subscribed at a source records elements in arrival order — which the
 // stream invariant makes Start order — skipping offset elements resumes
 // the stream exactly where a recorded per-source checkpoint offset left
-// it. Recovery (internal/ft) uses this as the replay source.
+// it. Recovery (internal/ft) uses this as the replay source. The elements
+// are copied once, unboxed, and the first offset of them skipped by
+// slicing.
 func (a *Archive) ReplayFrom(name string, offset int) pubsub.Emitter {
-	cur := a.Range(temporal.NewInterval(temporal.MinTime, temporal.MaxTime))
-	for i := 0; i < offset; i++ {
-		if _, ok := cur.Next(); !ok {
-			break
-		}
-	}
+	es := a.overlapping(temporal.NewInterval(temporal.MinTime, temporal.MaxTime))
+	return replay(name, es[min(max(offset, 0), len(es)):])
+}
+
+// replay returns an emitter publishing es in order.
+func replay(name string, es []temporal.Element) pubsub.Emitter {
 	return pubsub.NewFuncSource(name, func() (temporal.Element, bool) {
-		v, ok := cur.Next()
-		if !ok {
+		if len(es) == 0 {
 			return temporal.Element{}, false
 		}
-		return v.(temporal.Element), true
+		e := es[0]
+		es = es[1:]
+		return e, true
 	})
 }
 

@@ -1,6 +1,8 @@
 package archive
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pipes/internal/aggregate"
@@ -129,5 +131,42 @@ func TestReplayFromIntoFreshOperatorGraph(t *testing.T) {
 	want := run(pubsub.NewSliceSource("direct", all[offset:]))
 	if err := harness.Equivalent(want, got); err != nil {
 		t.Fatalf("replayed graph output differs from direct run: %v", err)
+	}
+}
+
+// ReplayFrom copies the archive once, unboxed, and skips offset elements
+// by slicing: at any offset it must emit exactly what the boxed Range
+// cursor over the whole time line yields after its first offset
+// elements, in the same order and under the same overlap filter.
+func TestReplayFromMatchesRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		a := New("arch", temporal.Time(1+rng.Intn(16)))
+		n := rng.Intn(60)
+		start := temporal.Time(rng.Intn(50) - 25)
+		for i := 0; i < n; i++ {
+			start += temporal.Time(rng.Intn(4))
+			end := start + 1 + temporal.Time(rng.Intn(40))
+			if rng.Intn(10) == 0 {
+				end = temporal.MaxTime
+			}
+			fill(a, el(i, start, end))
+		}
+		cur := a.Range(temporal.NewInterval(temporal.MinTime, temporal.MaxTime))
+		var ranged []temporal.Element
+		for v, ok := cur.Next(); ok; v, ok = cur.Next() {
+			ranged = append(ranged, v.(temporal.Element))
+		}
+		for _, offset := range []int{0, rng.Intn(n + 1), rng.Intn(n + 1), n, n + 1 + rng.Intn(3)} {
+			col := pubsub.NewCollector("col", 1)
+			rep := a.ReplayFrom("replay", offset)
+			rep.Subscribe(col, 0)
+			pubsub.Drive(rep)
+			col.Wait()
+			want := ranged[min(offset, len(ranged)):]
+			if got := col.Elements(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, offset %d of %d: ReplayFrom emitted %v, Range yields %v", trial, offset, n, got, want)
+			}
+		}
 	}
 }

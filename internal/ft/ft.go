@@ -58,6 +58,12 @@ package ft
 // — the dominant cost of a large snapshot — leaves the barrier stall
 // entirely; the writer passes a buffer it reuses round after round.
 //
+// The closure runs at most once. An operator may copy into buffers it
+// keeps between rounds, leased to the capture and handed back by the
+// closure's one call; a second call returns an error, because those
+// buffers may already hold the next capture. A closure never called only
+// leaves its buffers to the garbage collector.
+//
 // SnapshotState is called with the operator quiescent (under ProcMu,
 // inputs aligned); it takes no locks and does no I/O. The returned closure
 // must depend only on the captured copies (and on element values, which

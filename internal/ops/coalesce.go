@@ -128,5 +128,5 @@ func (c *Coalesce) PendingSpans() int {
 func (c *Coalesce) MemoryUsage() int {
 	c.ProcMu.Lock()
 	defer c.ProcMu.Unlock()
-	return len(c.pending)*64 + c.buffered()*64
+	return len(c.pending)*64 + c.heldBytes()
 }

@@ -236,7 +236,8 @@ func (g *GroupBy) GroupCount() int {
 }
 
 // MemoryUsage implements the metadata/memory reporter. Spare groups
-// count as groups: they stay allocated.
+// count as groups and kept capture buffers count too: they stay
+// allocated.
 func (g *GroupBy) MemoryUsage() int {
 	g.ProcMu.Lock()
 	defer g.ProcMu.Unlock()
@@ -244,5 +245,5 @@ func (g *GroupBy) MemoryUsage() int {
 	for _, grp := range g.groups {
 		n += grp.active.Len()
 	}
-	return n*64 + (len(g.groups)+len(g.spare))*48 + g.buffered()*64
+	return n*64 + (len(g.groups)+len(g.spare))*48 + g.heldBytes()
 }

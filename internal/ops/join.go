@@ -121,11 +121,12 @@ func (j *Join) matchProbe(s temporal.Element) {
 	j.add(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
 }
 
-// MemoryUsage reports the footprint of both areas plus pending results.
+// MemoryUsage reports the footprint of both areas plus pending results
+// and the kept capture buffers.
 func (j *Join) MemoryUsage() int {
 	j.ProcMu.Lock()
 	defer j.ProcMu.Unlock()
-	return j.areas[0].MemoryUsage() + j.areas[1].MemoryUsage() + j.buffered()*64
+	return j.areas[0].MemoryUsage() + j.areas[1].MemoryUsage() + j.heldBytes()
 }
 
 // Shed releases memory by dropping the soonest-expiring entries, starting
@@ -146,13 +147,18 @@ func (j *Join) Shed(n int) int {
 }
 
 // ShedBytes implements the memory manager's shedder capability in byte
-// terms, delegating to entry-wise Shed.
+// terms. The kept capture buffers go first, being no answer's state; if
+// they do not cover n, entry-wise Shed releases the rest.
 func (j *Join) ShedBytes(n int) int {
-	entries := n / 64
+	freed := j.snaps.drop()
+	if freed >= n {
+		return freed
+	}
+	entries := (n - freed) / 64
 	if entries < 1 {
 		entries = 1
 	}
-	return j.Shed(entries) * 64
+	return freed + j.Shed(entries)*64
 }
 
 // StateSize returns the number of stored entries across both areas.

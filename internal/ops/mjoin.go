@@ -110,7 +110,7 @@ func (m *MJoin) MemoryUsage() int {
 	for _, a := range m.areas {
 		n += a.MemoryUsage()
 	}
-	return n + m.buffered()*64
+	return n + m.heldBytes()
 }
 
 func (m *MJoin) String() string { return fmt.Sprintf("%s[mjoin/%d]", m.Name(), len(m.areas)) }

@@ -132,6 +132,8 @@ type ordered struct {
 	lows *xds.Heap[lowEntry]
 	live func(lowEntry) bool
 	hold func() temporal.Time
+	// snaps keeps the checkpoint capture's buffers between rounds.
+	snaps recycler
 }
 
 // lowEntry is one holdback entry: key may still emit from lb on.

@@ -189,5 +189,5 @@ func (d *setOp) liveLow(low lowEntry) bool {
 func (d *setOp) MemoryUsage() int {
 	d.ProcMu.Lock()
 	defer d.ProcMu.Unlock()
-	return len(d.state)*72 + d.buffered()*64 + (d.inQ[0].Len()+d.inQ[1].Len())*64
+	return len(d.state)*72 + d.heldBytes() + (d.inQ[0].Len()+d.inQ[1].Len())*64
 }

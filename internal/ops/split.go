@@ -59,6 +59,7 @@ type Sample struct {
 	active *xds.Heap[temporal.Element] // by End
 	nextB  temporal.Time
 	seeded bool
+	snaps  recycler // the checkpoint capture's buffers, kept between rounds
 }
 
 // NewSample returns a periodic snapshot sampler with positive period.

@@ -11,10 +11,17 @@
 //     checkpoint writer's goroutine. The closure reads only its captures
 //     and the immutable element values (the engine's purity contract), so
 //     it runs safely concurrent with post-barrier processing; sorting and
-//     encoding both move off the barrier stall. A capture allocates O(1)
-//     per operator: GroupBy and PartitionedWindow copy every live element
-//     into one shared slice and keep one (key, bounds) record per group
-//     or partition.
+//     encoding both move off the barrier stall. GroupBy and
+//     PartitionedWindow copy every live element into one shared slice and
+//     keep one (key, bounds) record per group or partition.
+//   - The copies go into buffers the operator keeps between rounds: a
+//     capture leases them from the operator's recycler, and the closure's
+//     one call hands them back, cleared, after it has appended the bytes.
+//     Rounds never overlap, so one kept set per operator suffices; a
+//     round abandoned before its encode never hands its lease back, and
+//     the next capture makes new buffers. A warmed capture allocates its
+//     lease and its closure, whatever the size of the state. The kept
+//     buffers count in the operator's MemoryUsage.
 //   - Each operator appends its fields in one fixed order with the state
 //     codec (internal/wire); values and keys carry the codec's tags.
 //     Map-derived collections are written in one canonical order (keyCmp,
@@ -40,9 +47,11 @@ package ops
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"pipes/internal/temporal"
 	"pipes/internal/wire"
@@ -233,31 +242,167 @@ func loadState(state []byte, load func(d *wire.Decoder)) (err error) {
 	return d.Finish()
 }
 
-// orderBufferCapture is the copy-on-write capture of the ordered core's
-// buffer: plain slice copies taken under ProcMu (xds.Heap.Items returns
-// its backing array, so the capture must copy). Its encoding is the
-// pending (unreleased) results and the per-input watermarks; done inputs
-// are re-established by the replayed inputs, and the holdback heap is
-// rebuilt by the operator that owns it.
-type orderBufferCapture struct {
-	pending []temporal.Element
+// image is one round's capture of an operator: copies of its live
+// collections, taken under ProcMu and encoded later on the checkpoint
+// writer. Each operator fills the fields its state has.
+type image struct {
+	elems   []temporal.Element // live elements, flat: areas, queues, groups, partitions
+	ends    []int              // where each area or queue ends in elems
+	groups  []groupCapture
+	parts   []partCapture
+	keys    []diffKeyState
+	expiry  []diffExpiry
+	spans   []spanCapture
+	pending []temporal.Element // the ordered core's unreleased results
 	wm      []temporal.Time
 }
 
-func (c *ordered) capture() orderBufferCapture {
-	return orderBufferCapture{
-		pending: append([]temporal.Element(nil), c.out.Items()...),
-		wm:      append([]temporal.Time(nil), c.wm...),
+// segment returns the i-th area or queue copied into elems.
+func (s *image) segment(i int) []temporal.Element {
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
 	}
+	return s.elems[start:s.ends[i]]
 }
 
-func (c orderBufferCapture) append(dst []byte) ([]byte, error) {
-	dst, err := appendElems(dst, c.pending)
+// cut ends the area or queue just appended to elems.
+func (s *image) cut() { s.ends = append(s.ends, len(s.elems)) }
+
+// reset truncates every buffer, clearing what it held first, so a kept
+// image pins no value of the round it captured.
+func (s *image) reset() {
+	s.elems = cleared(s.elems)
+	s.ends = cleared(s.ends)
+	s.groups = cleared(s.groups)
+	s.parts = cleared(s.parts)
+	s.keys = cleared(s.keys)
+	s.expiry = cleared(s.expiry)
+	s.spans = cleared(s.spans)
+	s.pending = cleared(s.pending)
+	s.wm = cleared(s.wm)
+}
+
+func cleared[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// reserve returns the empty buffer s with room for n, a new one if s is
+// too small.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s
+}
+
+// bytes is the capacity s holds, in the memory manager's estimates: 64
+// bytes an element, 48 a key record, 8 an offset or a watermark. A nil
+// image holds nothing.
+func (s *image) bytes() int {
+	if s == nil {
+		return 0
+	}
+	return (cap(s.elems)+cap(s.pending))*64 +
+		(cap(s.groups)+cap(s.parts)+cap(s.keys)+cap(s.expiry)+cap(s.spans))*48 +
+		(cap(s.ends)+cap(s.wm))*8
+}
+
+// recycler keeps one operator's capture buffers between rounds: the
+// barrier side leases them, the writer hands them back, so it locks.
+type recycler struct {
+	mu    sync.Mutex
+	spare *image
+}
+
+// take removes the kept buffers, nil if none are kept.
+func (r *recycler) take() *image {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.spare
+	r.spare = nil
+	return s
+}
+
+// lease hands out the kept buffers, or new ones when none are kept.
+func (r *recycler) lease() *lease {
+	s := r.take()
+	if s == nil {
+		s = new(image)
+	}
+	return &lease{home: r, img: s}
+}
+
+// put keeps s, cleared, for the next capture.
+func (r *recycler) put(s *image) {
+	s.reset()
+	r.mu.Lock()
+	r.spare = s
+	r.mu.Unlock()
+}
+
+// bytes is the capacity of the kept buffers.
+func (r *recycler) bytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.spare.bytes()
+}
+
+// drop lets the kept buffers go and returns their capacity: what a
+// memory-manager shed releases before any element.
+func (r *recycler) drop() int { return r.take().bytes() }
+
+// errEncodedTwice is a second call of an encode closure: its first call
+// handed the capture back.
+var errEncodedTwice = errors.New("ops: encode closure called twice; its capture was handed back after the first call")
+
+// lease is one round's hold on an operator's capture buffers. The
+// capture fills img; the encode closure's one call encodes it and hands
+// it back.
+type lease struct {
+	home *recycler
+	img  *image
+}
+
+// encode appends the leased capture's encoding with body, then hands the
+// buffers back to the recycler: the one call an encode closure makes. A
+// second call finds the lease spent and fails.
+func (l *lease) encode(dst []byte, body func(s *image, dst []byte) ([]byte, error)) ([]byte, error) {
+	s := l.img
+	if s == nil {
+		return dst, errEncodedTwice
+	}
+	l.img = nil
+	defer l.home.put(s)
+	return body(s, dst)
+}
+
+// capture leases the core's buffers and copies the order buffer into
+// them: plain slice copies taken under ProcMu (xds.Heap.Items returns its
+// backing array, so the capture must copy). Its encoding is the pending
+// (unreleased) results and the per-input watermarks; done inputs are
+// re-established by the replayed inputs, and the holdback heap is rebuilt
+// by the operator that owns it.
+func (c *ordered) capture() *lease {
+	l := c.snaps.lease()
+	l.img.pending = append(l.img.pending, c.out.Items()...)
+	l.img.wm = append(l.img.wm, c.wm...)
+	return l
+}
+
+// heldBytes is what the core holds: its pending results and the kept
+// capture buffers.
+func (c *ordered) heldBytes() int { return c.buffered()*64 + c.snaps.bytes() }
+
+// appendOut writes the order buffer's capture.
+func (s *image) appendOut(dst []byte) ([]byte, error) {
+	dst, err := appendElems(dst, s.pending)
 	if err != nil {
 		return dst, err
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.wm)))
-	for _, t := range c.wm {
+	dst = binary.AppendUvarint(dst, uint64(len(s.wm)))
+	for _, t := range s.wm {
 		dst = binary.AppendVarint(dst, int64(t))
 	}
 	return dst, nil
@@ -276,23 +421,31 @@ func (c *ordered) load(d *wire.Decoder) {
 	}
 }
 
-// SnapshotState implements the ft.StateSaver contract: both sweep areas
-// (SweepArea.Items already returns a fresh slice), then the pending
-// output. Area contents are written in canonical order — area semantics
-// are insertion-order independent — sorted in the closure, off the stall.
+// SnapshotState implements the ft.StateSaver contract: both sweep areas,
+// then the pending output. Area contents are written in canonical order —
+// area semantics are insertion-order independent — sorted in the
+// closure, off the stall.
 func (j *Join) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	a0, a1 := j.areas[0].Items(), j.areas[1].Items()
-	out := j.capture()
-	return func(dst []byte) ([]byte, error) {
-		for _, a := range [2][]temporal.Element{a0, a1} {
-			sortWire(a)
-			var err error
-			if dst, err = appendElems(dst, a); err != nil {
-				return dst, err
-			}
+	l := j.capture()
+	for _, a := range j.areas {
+		l.img.elems = a.AppendItems(l.img.elems)
+		l.img.cut()
+	}
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendJoin) }, nil
+}
+
+// appendJoin writes every captured area in canonical order, then the
+// pending output.
+func (s *image) appendJoin(dst []byte) ([]byte, error) {
+	for i := range s.ends {
+		a := s.segment(i)
+		sortWire(a)
+		var err error
+		if dst, err = appendElems(dst, a); err != nil {
+			return dst, err
 		}
-		return out.append(dst)
-	}, nil
+	}
+	return s.appendOut(dst)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -334,30 +487,33 @@ func (g *GroupBy) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	for _, grp := range g.groups {
 		n += grp.active.Len()
 	}
-	caps := make([]groupCapture, 0, len(g.groups))
-	elems := make([]temporal.Element, 0, n)
+	l := g.capture()
+	s := l.img
+	s.groups = reserve(s.groups, len(g.groups))
+	s.elems = reserve(s.elems, n)
 	for k, grp := range g.groups {
-		off := len(elems)
-		elems = append(elems, grp.active.Items()...)
-		caps = append(caps, groupCapture{key: k, lb: grp.lb, off: off, end: len(elems)})
+		off := len(s.elems)
+		s.elems = append(s.elems, grp.active.Items()...)
+		s.groups = append(s.groups, groupCapture{key: k, lb: grp.lb, off: off, end: len(s.elems)})
 	}
-	out := g.capture()
-	return func(dst []byte) ([]byte, error) {
-		sortByKey(caps, func(c groupCapture) any { return c.key })
-		dst = binary.AppendUvarint(dst, uint64(len(caps)))
-		for _, c := range caps {
-			active := elems[c.off:c.end]
-			sortWire(active)
-			var err error
-			if dst, err = wire.AppendValue(dst, c.key); err != nil {
-				return dst, err
-			}
-			if dst, err = appendElems(binary.AppendVarint(dst, int64(c.lb)), active); err != nil {
-				return dst, err
-			}
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendGroups) }, nil
+}
+
+func (s *image) appendGroups(dst []byte) ([]byte, error) {
+	sortByKey(s.groups, func(c groupCapture) any { return c.key })
+	dst = binary.AppendUvarint(dst, uint64(len(s.groups)))
+	for _, c := range s.groups {
+		active := s.elems[c.off:c.end]
+		sortWire(active)
+		var err error
+		if dst, err = wire.AppendValue(dst, c.key); err != nil {
+			return dst, err
 		}
-		return out.append(dst)
-	}, nil
+		if dst, err = appendElems(binary.AppendVarint(dst, int64(c.lb)), active); err != nil {
+			return dst, err
+		}
+	}
+	return s.appendOut(dst)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -392,37 +548,32 @@ type diffKeyState struct {
 	lb     temporal.Time
 }
 
-// diffCapture is the copy-on-write capture shared by Difference and
-// Intersect: per-key records and the expiry heap's backing array copied
-// flat; sorting happens in the encode closure. The expiry heap is
-// serialised verbatim: which interval ends remain pending per input is
-// not recoverable from the counters alone.
-type diffCapture struct {
-	keys   []diffKeyState
-	expiry []diffExpiry
-	inQ    [2][]temporal.Element
-	out    orderBufferCapture
-}
-
-func (d *setOp) captureDiffLike() diffCapture {
-	c := diffCapture{
-		expiry: append([]diffExpiry(nil), d.expiry.Items()...),
-		inQ:    [2][]temporal.Element{d.inQ[0].Items(), d.inQ[1].Items()},
-		out:    d.capture(),
+// SnapshotState implements the ft.StateSaver contract for Difference and
+// Intersect: per-key records, the expiry heap's backing array and both
+// input queues copied flat; sorting happens in the encode closure. The
+// expiry heap is serialised verbatim: which interval ends remain pending
+// per input is not recoverable from the counters alone.
+func (d *setOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	l := d.capture()
+	s := l.img
+	s.expiry = append(s.expiry, d.expiry.Items()...)
+	for _, q := range d.inQ {
+		s.elems = q.AppendTo(s.elems)
+		s.cut()
 	}
 	for k, ds := range d.state {
-		c.keys = append(c.keys, diffKeyState{key: k, value: ds.value, counts: ds.counts, lb: ds.lb})
+		s.keys = append(s.keys, diffKeyState{key: k, value: ds.value, counts: ds.counts, lb: ds.lb})
 	}
-	return c
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendDiff) }, nil
 }
 
-// append writes the per-key records in key order, the expiry heap, both
-// input queues and the pending output.
-func (c diffCapture) append(dst []byte) ([]byte, error) {
-	sortByKey(c.keys, func(k diffKeyState) any { return k.key })
+// appendDiff writes the per-key records in key order, the expiry heap,
+// both input queues and the pending output.
+func (s *image) appendDiff(dst []byte) ([]byte, error) {
+	sortByKey(s.keys, func(k diffKeyState) any { return k.key })
 	var err error
-	dst = binary.AppendUvarint(dst, uint64(len(c.keys)))
-	for _, k := range c.keys {
+	dst = binary.AppendUvarint(dst, uint64(len(s.keys)))
+	for _, k := range s.keys {
 		if dst, err = wire.AppendValue(dst, k.key); err != nil {
 			return dst, err
 		}
@@ -433,19 +584,19 @@ func (c diffCapture) append(dst []byte) ([]byte, error) {
 		dst = binary.AppendVarint(dst, int64(k.counts[1]))
 		dst = binary.AppendVarint(dst, int64(k.lb))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.expiry)))
-	for _, ev := range c.expiry {
+	dst = binary.AppendUvarint(dst, uint64(len(s.expiry)))
+	for _, ev := range s.expiry {
 		if dst, err = wire.AppendValue(binary.AppendVarint(dst, int64(ev.end)), ev.key); err != nil {
 			return dst, err
 		}
 		dst = binary.AppendUvarint(dst, uint64(ev.input))
 	}
-	for _, q := range c.inQ {
-		if dst, err = appendElems(dst, q); err != nil {
+	for i := range s.ends {
+		if dst, err = appendElems(dst, s.segment(i)); err != nil {
 			return dst, err
 		}
 	}
-	return c.out.append(dst)
+	return s.appendOut(dst)
 }
 
 func (d *setOp) loadDiffLike(dec *wire.Decoder) {
@@ -478,12 +629,6 @@ func (d *setOp) loadDiffLike(dec *wire.Decoder) {
 	d.load(dec)
 }
 
-// SnapshotState implements the ft.StateSaver contract for Difference and
-// Intersect.
-func (d *setOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	return d.captureDiffLike().append, nil
-}
-
 // LoadState implements the ft.StateLoader contract for Difference and
 // Intersect.
 func (d *setOp) LoadState(state []byte) error {
@@ -493,7 +638,8 @@ func (d *setOp) LoadState(state []byte) error {
 // SnapshotState implements the ft.StateSaver contract: a Union holds
 // only its pending output.
 func (u *Union) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	return u.capture().append, nil
+	l := u.capture()
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendOut) }, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -505,9 +651,13 @@ func (u *Union) LoadState(state []byte) error {
 // displaced elements. Arrival order is the state (displacement order), so
 // the capture is the queue copy as-is.
 func (w *CountWindow) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	buf := w.buf.Items()
-	return func(dst []byte) ([]byte, error) { return appendElems(dst, buf) }, nil
+	l := w.snaps.lease()
+	l.img.elems = w.buf.AppendTo(l.img.elems)
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendElems) }, nil
 }
+
+// appendElems writes the captured elements as they are.
+func (s *image) appendElems(dst []byte) ([]byte, error) { return appendElems(dst, s.elems) }
 
 // LoadState implements the ft.StateLoader contract.
 func (w *CountWindow) LoadState(state []byte) error {
@@ -522,22 +672,16 @@ func (w *CountWindow) LoadState(state []byte) error {
 // areas, one per input in canonical order like Join's, then the pending
 // output.
 func (m *MJoin) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	areas := make([][]temporal.Element, len(m.areas))
-	for i, a := range m.areas {
-		areas[i] = a.Items()
+	l := m.capture()
+	for _, a := range m.areas {
+		l.img.elems = a.AppendItems(l.img.elems)
+		l.img.cut()
 	}
-	out := m.capture()
-	return func(dst []byte) ([]byte, error) {
-		dst = binary.AppendUvarint(dst, uint64(len(areas)))
-		for _, es := range areas {
-			sortWire(es)
-			var err error
-			if dst, err = appendElems(dst, es); err != nil {
-				return dst, err
-			}
-		}
-		return out.append(dst)
-	}, nil
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendMJoin) }, nil
+}
+
+func (s *image) appendMJoin(dst []byte) ([]byte, error) {
+	return s.appendJoin(binary.AppendUvarint(dst, uint64(len(s.ends))))
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -575,28 +719,31 @@ func (w *PartitionedWindow) SnapshotState() (func(dst []byte) ([]byte, error), e
 	for _, q := range w.part {
 		n += q.Len()
 	}
-	caps := make([]partCapture, 0, len(w.part))
-	elems := make([]temporal.Element, 0, n)
+	l := w.capture()
+	s := l.img
+	s.parts = reserve(s.parts, len(w.part))
+	s.elems = reserve(s.elems, n)
 	for k, q := range w.part {
-		off := len(elems)
-		elems = q.AppendTo(elems)
-		caps = append(caps, partCapture{key: k, off: off, end: len(elems)})
+		off := len(s.elems)
+		s.elems = q.AppendTo(s.elems)
+		s.parts = append(s.parts, partCapture{key: k, off: off, end: len(s.elems)})
 	}
-	out := w.capture()
-	return func(dst []byte) ([]byte, error) {
-		sortByKey(caps, func(c partCapture) any { return c.key })
-		dst = binary.AppendUvarint(dst, uint64(len(caps)))
-		for _, c := range caps {
-			var err error
-			if dst, err = wire.AppendValue(dst, c.key); err != nil {
-				return dst, err
-			}
-			if dst, err = appendElems(dst, elems[c.off:c.end]); err != nil {
-				return dst, err
-			}
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendParts) }, nil
+}
+
+func (s *image) appendParts(dst []byte) ([]byte, error) {
+	sortByKey(s.parts, func(c partCapture) any { return c.key })
+	dst = binary.AppendUvarint(dst, uint64(len(s.parts)))
+	for _, c := range s.parts {
+		var err error
+		if dst, err = wire.AppendValue(dst, c.key); err != nil {
+			return dst, err
 		}
-		return out.append(dst)
-	}, nil
+		if dst, err = appendElems(dst, s.elems[c.off:c.end]); err != nil {
+			return dst, err
+		}
+	}
+	return s.appendOut(dst)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -633,22 +780,23 @@ type spanCapture struct {
 // the value), then the pending output. The end events and holdback
 // entries are rebuilt on load, one per span.
 func (c *Coalesce) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	spans := make([]spanCapture, 0, len(c.pending))
+	l := c.capture()
 	for k, p := range c.pending {
-		spans = append(spans, spanCapture{key: k, span: p.value})
+		l.img.spans = append(l.img.spans, spanCapture{key: k, span: p.value})
 	}
-	out := c.capture()
-	return func(dst []byte) ([]byte, error) {
-		sortByKey(spans, func(s spanCapture) any { return s.key })
-		dst = binary.AppendUvarint(dst, uint64(len(spans)))
-		for _, s := range spans {
-			var err error
-			if dst, err = wire.AppendElement(dst, s.span); err != nil {
-				return dst, err
-			}
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendSpans) }, nil
+}
+
+func (s *image) appendSpans(dst []byte) ([]byte, error) {
+	sortByKey(s.spans, func(sc spanCapture) any { return sc.key })
+	dst = binary.AppendUvarint(dst, uint64(len(s.spans)))
+	for _, sc := range s.spans {
+		var err error
+		if dst, err = wire.AppendElement(dst, sc.span); err != nil {
+			return dst, err
 		}
-		return out.append(dst)
-	}, nil
+	}
+	return s.appendOut(dst)
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -671,7 +819,8 @@ func (c *Coalesce) LoadState(state []byte) error {
 // SnapshotState implements the ft.StateSaver contract: a DStream holds
 // only its pending output.
 func (d *DStream) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	return d.capture().append, nil
+	l := d.capture()
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendOut) }, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -680,7 +829,8 @@ func (d *DStream) LoadState(state []byte) error { return loadState(state, d.load
 // SnapshotState implements the ft.StateSaver contract: a Split holds
 // only its pending output.
 func (s *Split) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	return s.capture().append, nil
+	l := s.capture()
+	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendOut) }, nil
 }
 
 // LoadState implements the ft.StateLoader contract.
@@ -696,10 +846,10 @@ func (s *Sample) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	if s.seeded {
 		seeded = 1
 	}
-	active := append([]temporal.Element(nil), s.active.Items()...)
+	l := s.snaps.lease()
+	l.img.elems = append(l.img.elems, s.active.Items()...)
 	return func(dst []byte) ([]byte, error) {
-		dst = binary.AppendVarint(binary.AppendUvarint(dst, seeded), int64(next))
-		return appendElems(dst, active)
+		return l.encode(binary.AppendVarint(binary.AppendUvarint(dst, seeded), int64(next)), (*image).appendElems)
 	}, nil
 }
 

@@ -3,12 +3,15 @@ package ops
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
 	"pipes/internal/aggregate"
 	"pipes/internal/cql"
+	"pipes/internal/ft"
 	"pipes/internal/temporal"
 	"pipes/internal/wire"
 )
@@ -30,18 +33,65 @@ func snapshotBytes(t testing.TB, op interface {
 	return b
 }
 
-// The allocation budget of a checkpoint snapshot. The capture under the
-// barrier copies every live element into one slice whatever the number
-// of groups or partitions; the encode closure orders that slice without
-// rendering a key and appends every value, cql.Tuple frames included,
-// into the writer's buffer. A capture slice per group, a formatted key
-// per comparison, or an allocation per encoded value or tuple breaks
-// these ceilings, as each did before: 1 003 and 10 003 capture
-// allocations, 22.7 and 30.0 encode allocations per group, and, with a
-// gob encoder over a reused buffer, 45 to 56 encode allocations for int
-// values and 2 054 to 20 066 for tuples.
+// roundAllocs runs checkpoint rounds of snap as the writer does —
+// capture, then the closure's one encode into a reused buffer — and
+// returns the median allocations of a capture into new buffers (drop
+// lets the kept ones go first), of a capture into kept buffers and of an
+// encode. Medians, because a garbage collection that starts inside a
+// measured call counts its own allocations there.
+func roundAllocs(t *testing.T, snap func() (func([]byte) ([]byte, error), error), drop func() int) (cold, warm, encode uint64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	var buf []byte
+	round := func() (capture, encode uint64) {
+		m0 := mallocs()
+		fn, err := snap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m1 := mallocs()
+		if buf, err = fn(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		return m1 - m0, mallocs() - m1
+	}
+	const rounds = 5
+	var colds, warms, encodes [rounds]uint64
+	for i := range colds {
+		drop()
+		colds[i], _ = round()
+	}
+	for i := range warms {
+		warms[i], encodes[i] = round()
+	}
+	median := func(a [rounds]uint64) uint64 {
+		slices.Sort(a[:])
+		return a[rounds/2]
+	}
+	return median(colds), median(warms), median(encodes)
+}
+
+// The allocation budget of a checkpoint round. The first capture copies
+// every live element into one slice whatever the number of groups or
+// partitions; later captures reuse the buffers the previous round's
+// encode handed back, so they allocate only their lease and closure. The
+// encode closure orders the copy without rendering a key and appends
+// every value, cql.Tuple frames included, into the writer's buffer. A
+// capture slice per group, a formatted key per comparison, or an
+// allocation per encoded value or tuple breaks these ceilings, as each
+// did before: 1 003 and 10 003 capture allocations, 22.7 and 30.0 encode
+// allocations per group, and, with a gob encoder over a reused buffer, 45
+// to 56 encode allocations for int values and 2 054 to 20 066 for tuples.
+// So does a capture that copies into new buffers every round, as each did
+// before its buffers were kept: 4 allocations a round, two of them the
+// size of the state.
 func TestSnapshotAllocationBudget(t *testing.T) {
-	const captureCeiling, encodeCeiling = 8, 4
+	const coldCeiling, captureCeiling, encodeCeiling = 8, 2, 4
 	for _, kind := range []struct {
 		name  string
 		value func(i int) any
@@ -63,30 +113,144 @@ func TestSnapshotAllocationBudget(t *testing.T) {
 			for _, op := range []struct {
 				name string
 				snap func() (func([]byte) ([]byte, error), error)
-			}{{"group-by", g.SnapshotState}, {"partitioned window", w.SnapshotState}} {
-				var fn func([]byte) ([]byte, error)
-				var buf []byte
-				capture := testing.AllocsPerRun(3, func() { fn, _ = op.snap() })
-				// AllocsPerRun's warm-up run grows buf; the measured runs
-				// reuse it, as the writer reuses its buffer round after round.
-				encode := testing.AllocsPerRun(3, func() {
-					var err error
-					if buf, err = fn(buf[:0]); err != nil {
-						t.Fatal(err)
+				drop func() int
+			}{{"group-by", g.SnapshotState, g.snaps.drop}, {"partitioned window", w.SnapshotState, w.snaps.drop}} {
+				cold, warm, encode := roundAllocs(t, op.snap, op.drop)
+				t.Logf("%s of %s values, %d groups: capture %d allocations into new buffers, %d into kept ones, encode %d",
+					op.name, kind.name, groups, cold, warm, encode)
+				for _, c := range []struct {
+					what    string
+					n       uint64
+					ceiling uint64
+				}{{"a capture into new buffers", cold, coldCeiling}, {"a capture into kept buffers", warm, captureCeiling}, {"an encode", encode, encodeCeiling}} {
+					if c.n > c.ceiling {
+						t.Errorf("%s of %s values, %d groups: %s makes %d allocations, over its ceiling of %d",
+							op.name, kind.name, groups, c.what, c.n, c.ceiling)
 					}
-				})
-				t.Logf("%s of %s values, %d groups: capture %.0f allocations, encode %.0f",
-					op.name, kind.name, groups, capture, encode)
-				if capture > captureCeiling {
-					t.Errorf("%s of %s values, %d groups: capture makes %.0f allocations, over its ceiling of %d",
-						op.name, kind.name, groups, capture, captureCeiling)
-				}
-				if encode > encodeCeiling {
-					t.Errorf("%s of %s values, %d groups: encode makes %.0f allocations, over its ceiling of %d",
-						op.name, kind.name, groups, encode, encodeCeiling)
 				}
 			}
 		}
+	}
+}
+
+// feedRound feeds c's input shifted r rounds later in time, so every
+// round adds state behind the one before it.
+func (c stateCase) feedRound(op statefulOp, r int) {
+	shift := temporal.Time(100 * r)
+	for _, s := range c.feed {
+		e := s.e
+		e.Start += shift
+		if e.End != temporal.MaxTime {
+			e.End += shift
+		}
+		op.ProcessBatch(temporal.Batch{e}, s.input)
+	}
+}
+
+// Round after round an operator's captures reuse one set of buffers, and
+// the operator processes the next round's input while the writer encodes
+// the last capture. Every round's closure must still write the state at
+// its own cut: the bytes ft.EncodeState, which captures and encodes at
+// once, writes there.
+func TestRecycledCapturesEncodeTheirCut(t *testing.T) {
+	const rounds = 5
+	for _, c := range stateCases() {
+		t.Run(c.name, func(t *testing.T) {
+			op := c.make()
+			c.feedRound(op, 0)
+			var buf []byte
+			for r := 1; r <= rounds; r++ {
+				want, err := ft.EncodeState(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fn, err := op.SnapshotState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				encoded := make(chan error)
+				go func() {
+					var err error
+					buf, err = fn(buf[:0])
+					encoded <- err
+				}()
+				c.feedRound(op, r) // post-barrier processing, beside the encode
+				if err := <-encoded; err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("round %d encoded\n\t%x\nthe cut's state is\n\t%x", r, buf, want)
+				}
+			}
+		})
+	}
+}
+
+// An encode closure runs at most once: its call hands the capture's
+// buffers back for the next round, so a second call fails, and it does
+// not disturb the capture that took the buffers over.
+func TestEncodeClosureRunsOnce(t *testing.T) {
+	for _, c := range stateCases() {
+		op := c.make()
+		c.feedRound(op, 0)
+		fn, err := op.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := fn(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := op.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fn(nil); !errors.Is(err, errEncodedTwice) {
+			t.Errorf("%s: a second encode call returned %v, want %v", c.name, err, errEncodedTwice)
+		}
+		if again, err := next(nil); err != nil || !bytes.Equal(again, first) {
+			t.Errorf("%s: the next capture encoded %x (%v), want %x", c.name, again, err, first)
+		}
+	}
+}
+
+// The buffers a round hands back count in MemoryUsage, and a
+// memory-manager shed releases them before it drops any element.
+func TestKeptCaptureCountsAndShedsFirst(t *testing.T) {
+	identity := func(v any) any { return v }
+	j := NewEquiJoin("j", identity, identity, nil)
+	g := NewGroupBy("g", identity, aggregate.NewCount, nil)
+	for i := 0; i < 200; i++ {
+		e := el(i%50, temporal.Time(i), temporal.Time(i+1000))
+		j.ProcessBatch(temporal.Batch{e}, i%2)
+		g.ProcessBatch(temporal.Batch{e}, 0)
+	}
+	for _, op := range []interface {
+		statefulOp
+		MemoryUsage() int
+	}{j, g} {
+		before := op.MemoryUsage()
+		snapshotBytes(t, op)
+		if op.MemoryUsage() <= before {
+			t.Errorf("%T: MemoryUsage %d after a round, %d before: the kept capture is not counted", op, op.MemoryUsage(), before)
+		}
+	}
+
+	j.snaps.drop()
+	before, entries := j.MemoryUsage(), j.StateSize()
+	snapshotBytes(t, j)
+	held := j.MemoryUsage() - before
+	if freed := j.ShedBytes(1); freed != held {
+		t.Errorf("shed freed %d bytes, the kept capture holds %d", freed, held)
+	}
+	if j.StateSize() != entries {
+		t.Errorf("shed dropped %d entries while a kept capture was there to free", entries-j.StateSize())
+	}
+	if j.MemoryUsage() != before {
+		t.Errorf("MemoryUsage %d after the shed, %d before the round", j.MemoryUsage(), before)
+	}
+	if j.ShedBytes(1); j.StateSize() >= entries {
+		t.Errorf("with no kept capture, a shed dropped no entry (%d stored)", j.StateSize())
 	}
 }
 

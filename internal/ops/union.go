@@ -38,4 +38,8 @@ func (u *Union) Pending() int {
 }
 
 // MemoryUsage implements the metadata/memory reporter.
-func (u *Union) MemoryUsage() int { return u.Pending() * 64 }
+func (u *Union) MemoryUsage() int {
+	u.ProcMu.Lock()
+	defer u.ProcMu.Unlock()
+	return u.heldBytes()
+}

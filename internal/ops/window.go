@@ -146,8 +146,9 @@ func floorDiv(a, b temporal.Time) temporal.Time {
 // forever and are emitted at end-of-stream.
 type CountWindow struct {
 	pubsub.PipeBase
-	n   int
-	buf xds.Queue[temporal.Element]
+	n     int
+	buf   xds.Queue[temporal.Element]
+	snaps recycler // the checkpoint capture's buffers, kept between rounds
 }
 
 // NewCountWindow returns a count window of n rows, n > 0.

@@ -1,6 +1,8 @@
 package sweeparea
 
 import (
+	"slices"
+
 	"pipes/internal/temporal"
 	"pipes/internal/xds"
 )
@@ -192,17 +194,17 @@ func (h *Hash) retire(k any, b *hashBucket) {
 	delete(h.buckets, k)
 }
 
-// Items implements SweepArea.
-func (h *Hash) Items() []temporal.Element {
-	out := make([]temporal.Element, 0, h.size)
+// AppendItems implements SweepArea.
+func (h *Hash) AppendItems(dst []temporal.Element) []temporal.Element {
+	dst = slices.Grow(dst, h.size)
 	for _, b := range h.buckets {
 		for i := range b.slots {
 			if !b.slots[i].dead {
-				out = append(out, b.slots[i].e)
+				dst = append(dst, b.slots[i].e)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Len implements SweepArea.

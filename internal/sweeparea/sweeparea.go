@@ -42,15 +42,16 @@ type SweepArea interface {
 	Len() int
 	// MemoryUsage returns the approximate footprint in bytes.
 	MemoryUsage() int
-	// Items returns a snapshot of every stored element, in unspecified
-	// order. The returned slice MUST be freshly allocated — it must not
-	// alias the area's backing storage: the checkpoint layer's
-	// copy-on-write captures (ops SnapshotState) hold it across the
-	// barrier and serialise it on the background writer, concurrent with
+	// AppendItems appends every stored element to dst, in unspecified
+	// order, and returns the extended slice. It copies the elements, so
+	// the result never aliases the area's backing storage: the checkpoint
+	// layer's copy-on-write captures (ops SnapshotState) append into
+	// buffers they keep round after round, hold them across the barrier
+	// and serialise them on the background writer, concurrent with
 	// post-barrier Insert/Extract mutations. Checkpointing serialises
 	// areas through it and restores them by re-Inserting — correct
 	// because area semantics are insertion-order independent.
-	Items() []temporal.Element
+	AppendItems(dst []temporal.Element) []temporal.Element
 }
 
 // bytesPerEntry is the bookkeeping estimate for one stored element
@@ -130,11 +131,9 @@ func (l *List) Shed(n int) int {
 	return n
 }
 
-// Items implements SweepArea.
-func (l *List) Items() []temporal.Element {
-	out := make([]temporal.Element, len(l.entries))
-	copy(out, l.entries)
-	return out
+// AppendItems implements SweepArea.
+func (l *List) AppendItems(dst []temporal.Element) []temporal.Element {
+	return append(dst, l.entries...)
 }
 
 // Len implements SweepArea.

@@ -114,13 +114,12 @@ func (t *Tree) Shed(n int) int {
 	return removed
 }
 
-// Items implements SweepArea.
-func (t *Tree) Items() []temporal.Element {
-	out := make([]temporal.Element, len(t.entries))
-	for i, te := range t.entries {
-		out[i] = te.elem
+// AppendItems implements SweepArea.
+func (t *Tree) AppendItems(dst []temporal.Element) []temporal.Element {
+	for _, te := range t.entries {
+		dst = append(dst, te.elem)
 	}
-	return out
+	return dst
 }
 
 // Len implements SweepArea.

@@ -24,13 +24,9 @@ type Queue[T any] interface {
 	Peek() (v T, ok bool)
 	// Len returns the number of buffered elements.
 	Len() int
-	// Items returns a snapshot of the buffered elements in FIFO order
-	// (oldest first) without consuming them. Checkpointing serialises
-	// queues through it.
-	Items() []T
-	// AppendTo appends the buffered elements to dst in FIFO order, like
-	// Items without a slice of its own: flat checkpoint captures copy
-	// many queues into one.
+	// AppendTo appends the buffered elements to dst in FIFO order
+	// (oldest first) without consuming them. Checkpoint captures copy
+	// queues through it, into buffers they keep round after round.
 	AppendTo(dst []T) []T
 }
 
@@ -87,8 +83,6 @@ func (q *ringQueue[T]) Peek() (T, bool) {
 }
 
 func (q *ringQueue[T]) Len() int { return q.size }
-
-func (q *ringQueue[T]) Items() []T { return q.AppendTo(make([]T, 0, q.size)) }
 
 func (q *ringQueue[T]) AppendTo(dst []T) []T {
 	if tail := q.head + q.size; tail <= len(q.buf) {
