@@ -3,10 +3,15 @@
 // (resultSink.ProcessBatch, which renders a frame and appends it in one
 // lock acquisition, or Append with an already-rendered result) NEVER
 // blocks — it appends to a byte-bounded ring and, when over budget, sheds
-// the oldest entries and counts what an attached reader loses. Consumers
-// (SSE streams, long-polls) read through cursor-positioned Readers that
-// wait on the buffer without ever backpressuring the shared graph: a
-// stalled consumer costs shed results, not graph throughput.
+// the oldest entries and counts what an attached reader loses. The ring
+// is a circular array of entries that grows by doubling only when full
+// and zeroes a slot as it evicts it, so in steady state an append costs
+// no allocation and an evicted frame's arena is unreachable from the
+// buffer at once. Consumers (SSE streams, long-polls) read through
+// cursor-positioned Readers that copy entry headers into a slice of
+// their own and wait on the buffer without ever backpressuring the
+// shared graph: a stalled consumer costs shed results, not graph
+// throughput.
 package service
 
 import (
@@ -16,8 +21,10 @@ import (
 	"pipes/internal/temporal"
 )
 
-// entryOverhead approximates the bookkeeping bytes an entry costs beyond
-// its payload, so capacity accounting is honest for tiny results.
+// entryOverhead is the bookkeeping an entry costs beyond its payload:
+// one ring slot, unsafe.Sizeof(Entry{}). Charging it per entry keeps
+// capacity accounting honest for tiny results and bounds the ring array
+// itself by capBytes.
 const entryOverhead = 48
 
 // Entry is one delivered result: a rendered JSON value plus the
@@ -27,10 +34,11 @@ type Entry struct {
 	Seq        uint64
 	Start, End temporal.Time
 	// Data is the compact JSON rendering of the result value, written to
-	// the wire verbatim. It is immutable once appended; readers may share
-	// it without copying. Entries appended by one resultSink frame are
-	// capped views of one shared arena, which stays alive until the last
-	// of them is evicted and released by every reader holding it.
+	// the wire verbatim. It is immutable once appended: readers copy the
+	// Entry but share Data's bytes. Entries appended by one resultSink
+	// frame are capped views of one shared arena, which stays alive until
+	// the last of them is evicted and every reader that copied one has
+	// moved past it.
 	Data []byte
 }
 
@@ -65,10 +73,14 @@ type ResultBuffer struct {
 	// while holding it, so the graph-facing Append path cannot deadlock
 	// against consumer-side waits.
 	//pipesvet:lockclass stats
-	mu      sync.Mutex
-	entries []Entry // contiguous seqs; entries[0] is the oldest retained
-	nextSeq uint64  // last assigned seq (0 = none yet)
-	bytes   int     // current ring occupancy incl. overhead
+	mu sync.Mutex
+	// ring holds the n retained entries, oldest at ring[head], wrapping
+	// at len(ring); their seqs are contiguous. Slots outside them are
+	// zero, so the ring keeps no evicted arena alive.
+	ring    []Entry
+	head, n int
+	nextSeq uint64 // last assigned seq (0 = none yet)
+	bytes   int    // current ring occupancy incl. overhead
 
 	total      int64
 	totalBytes int64
@@ -99,10 +111,27 @@ func NewResultBuffer(capBytes int) *ResultBuffer {
 // firstRetainedLocked returns the seq of the oldest retained entry, or
 // nextSeq+1 when the ring is empty.
 func (b *ResultBuffer) firstRetainedLocked() uint64 {
-	if len(b.entries) > 0 {
-		return b.entries[0].Seq
+	return b.nextSeq + 1 - uint64(b.n)
+}
+
+// slot returns the ring index of the i-th retained entry (0 = oldest).
+func (b *ResultBuffer) slot(i int) int {
+	if i += b.head; i >= len(b.ring) {
+		i -= len(b.ring)
 	}
-	return b.nextSeq + 1
+	return i
+}
+
+// growLocked doubles the full ring, unwrapping it so the oldest entry
+// lands at index 0. The new length never exceeds what capBytes can hold
+// at entryOverhead per entry (at least one), so the ring array stays
+// within the buffer's byte bound.
+func (b *ResultBuffer) growLocked() {
+	size := min(max(2*len(b.ring), 8), max(b.capBytes/entryOverhead, 1))
+	ring := make([]Entry, size)
+	k := copy(ring, b.ring[b.head:])
+	copy(ring[k:], b.ring[:b.head])
+	b.ring, b.head = ring, 0
 }
 
 // minCursorLocked returns the smallest attached-reader cursor, and
@@ -118,8 +147,8 @@ func (b *ResultBuffer) minCursorLocked() (uint64, bool) {
 }
 
 // Append renders nothing itself — data must already be an immutable,
-// compact JSON rendering — and never blocks. Appending after Done is
-// ignored.
+// compact JSON rendering, HTML-escaped as encoding/json renders it —
+// and never blocks. Appending after Done is ignored.
 func (b *ResultBuffer) Append(data []byte, start, end temporal.Time) {
 	b.mu.Lock()
 	if !b.done {
@@ -151,19 +180,24 @@ func (b *ResultBuffer) appendFrame(frame temporal.Batch, arena []byte, ends []in
 // not consumed.
 func (b *ResultBuffer) appendLocked(data []byte, start, end temporal.Time) {
 	size := len(data) + entryOverhead
-	if b.bytes+size > b.capBytes && len(b.entries) > 0 {
+	if b.bytes+size > b.capBytes && b.n > 0 {
 		minCursor, haveReader := b.minCursorLocked()
-		for b.bytes+size > b.capBytes && len(b.entries) > 0 {
-			evicted := b.entries[0]
-			b.entries = b.entries[1:]
+		for b.bytes+size > b.capBytes && b.n > 0 {
+			evicted := &b.ring[b.head]
 			b.bytes -= len(evicted.Data) + entryOverhead
 			if haveReader && evicted.Seq > minCursor {
 				b.shed++
 			}
+			*evicted = Entry{}
+			b.head, b.n = b.slot(1), b.n-1
 		}
 	}
+	if b.n == len(b.ring) {
+		b.growLocked()
+	}
 	b.nextSeq++
-	b.entries = append(b.entries, Entry{Seq: b.nextSeq, Start: start, End: end, Data: data})
+	b.ring[b.slot(b.n)] = Entry{Seq: b.nextSeq, Start: start, End: end, Data: data}
+	b.n++
 	b.bytes += size
 	b.total++
 	b.totalBytes += int64(len(data))
@@ -205,7 +239,7 @@ func (b *ResultBuffer) Stats() BufferStats {
 		Results:       b.total,
 		ResultBytes:   b.totalBytes,
 		Shed:          b.shed,
-		Buffered:      len(b.entries),
+		Buffered:      b.n,
 		BufferedBytes: b.bytes,
 		CapBytes:      b.capBytes,
 		Readers:       len(b.readers),
@@ -214,11 +248,13 @@ func (b *ResultBuffer) Stats() BufferStats {
 }
 
 // Reader is one attached consumer cursor. While attached, entries
-// evicted past its cursor count as shed; Close detaches it.
+// evicted past its cursor count as shed; Close detaches it. A Reader is
+// used by one goroutine at a time.
 type Reader struct {
 	b      *ResultBuffer
 	cursor uint64 // last consumed seq
 	closed bool
+	out    []Entry // the last batch handed out, reused by the next read
 }
 
 // NewReader attaches a reader positioned after seq `after` (0 = from the
@@ -252,8 +288,11 @@ func (r *Reader) Close() {
 // collectLocked returns up to max available entries past the cursor and
 // advances it, reporting how many were lost to eviction since the last
 // read and whether the stream is complete (done and fully consumed).
+// The entries are copied into r.out, which the next read clears first,
+// so a reader keeps no arena alive past the batch it was last handed.
 func (r *Reader) collectLocked(max int) (out []Entry, dropped int64, done bool) {
 	b := r.b
+	clear(r.out)
 	first := b.firstRetainedLocked()
 	if r.cursor+1 < first {
 		dropped = int64(first - 1 - r.cursor)
@@ -262,13 +301,19 @@ func (r *Reader) collectLocked(max int) (out []Entry, dropped int64, done bool) 
 	// Retained seqs are contiguous from first, so the entry after the
 	// cursor sits at a known index. A cursor ahead of the stream (a
 	// client-supplied ?after=) has nothing to read yet.
-	if skip := r.cursor + 1 - first; skip < uint64(len(b.entries)) {
-		n := min(max, len(b.entries)-int(skip))
-		// A view, not a copy: entries are immutable once appended,
-		// eviction re-slices and Append writes only past len, so the view
-		// stays valid after the lock is released; its capped capacity
-		// keeps a caller's append out of the ring.
-		out = b.entries[skip:][:n:n]
+	if skip := r.cursor + 1 - first; skip < uint64(b.n) {
+		n := min(max, b.n-int(skip))
+		// A copy of the headers, not a view: eviction zeroes ring slots
+		// and appends reuse them, so a view would change under a reader
+		// that released the lock. Data's bytes are immutable and shared.
+		// The capped capacity keeps a caller's append out of r.out.
+		lo := b.slot(int(skip))
+		hi := lo + n
+		r.out = append(r.out[:0], b.ring[lo:min(hi, len(b.ring))]...)
+		if hi > len(b.ring) {
+			r.out = append(r.out, b.ring[:hi-len(b.ring)]...)
+		}
+		out = r.out[:n:n]
 		r.cursor += uint64(n)
 	}
 	// >=, not ==: a cursor ahead of a finished stream (a stale ?after=)
@@ -278,7 +323,8 @@ func (r *Reader) collectLocked(max int) (out []Entry, dropped int64, done bool) 
 }
 
 // TryNext returns whatever is immediately available (possibly nothing)
-// without waiting.
+// without waiting. The returned slice is the reader's own and is valid
+// until its next TryNext or Next.
 func (r *Reader) TryNext(max int) (out []Entry, dropped int64, done bool) {
 	r.b.mu.Lock()
 	defer r.b.mu.Unlock()
@@ -288,7 +334,8 @@ func (r *Reader) TryNext(max int) (out []Entry, dropped int64, done bool) {
 // Next returns the next batch of entries, waiting until at least one
 // entry, a shed gap or end-of-stream is observable, or ctx ends. It
 // waits on the buffer's notify channel outside the lock: a waiting
-// reader costs the graph nothing.
+// reader costs the graph nothing. The returned slice is the reader's own
+// and is valid until its next Next or TryNext.
 func (r *Reader) Next(ctx context.Context, max int) (out []Entry, dropped int64, done bool, err error) {
 	for {
 		r.b.mu.Lock()

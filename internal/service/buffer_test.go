@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pipes/internal/cql"
 	"pipes/internal/temporal"
@@ -279,7 +282,241 @@ func TestResultSinkFrameAllocations(t *testing.T) {
 	for i := 0; i < 200; i++ { // fill the ring: steady state evicts
 		deliver()
 	}
-	if got := testing.AllocsPerRun(200, deliver); got > 2 {
-		t.Fatalf("%.1f allocations per 64-result frame, want <= 2", got)
+	if got := testing.AllocsPerRun(200, deliver); got > 1 {
+		t.Fatalf("%.1f allocations per 64-result frame, want <= 1", got)
+	}
+}
+
+// One ring slot is what an entry is charged beyond its payload, so the
+// ring array is bounded by the buffer's byte budget.
+func TestEntryOverheadCoversRingSlot(t *testing.T) {
+	if size := unsafe.Sizeof(Entry{}); entryOverhead < size {
+		t.Fatalf("entryOverhead = %d, below the %d bytes of one ring slot", entryOverhead, size)
+	}
+}
+
+// checkRing asserts the ring's shape: no slot outside [head, head+n)
+// keeps Data (so no evicted arena stays reachable), the retained seqs are
+// contiguous and end at nextSeq, and the array stays within capBytes.
+func checkRing(t *testing.T, b *ResultBuffer) {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.ring) > max(b.capBytes/entryOverhead, 1) {
+		t.Fatalf("ring of %d slots exceeds %d bytes at %d per slot", len(b.ring), b.capBytes, entryOverhead)
+	}
+	live := make([]bool, len(b.ring))
+	for i := 0; i < b.n; i++ {
+		j := b.slot(i)
+		live[j] = true
+		if want := b.nextSeq - uint64(b.n-1-i); b.ring[j].Seq != want {
+			t.Fatalf("retained entry %d has seq %d, want %d", i, b.ring[j].Seq, want)
+		}
+	}
+	for j, e := range b.ring {
+		if !live[j] && (e.Data != nil || e.Seq != 0) {
+			t.Fatalf("slot %d outside [head=%d, +%d) of %d still holds seq %d", j, b.head, b.n, len(b.ring), e.Seq)
+		}
+	}
+}
+
+// Results of mixed sizes make one append evict several entries, leaving
+// free slots behind the head that must hold nothing.
+func TestBufferEvictionZeroesSlots(t *testing.T) {
+	b := NewResultBuffer(16 * (10 + entryOverhead))
+	for i := 0; i < 100; i++ {
+		appendN(b, 1+i%7, 10+i%5*60)
+		checkRing(t, b)
+	}
+	appendN(b, 16, 10)
+	if st := b.Stats(); st.Buffered != 16 {
+		t.Fatalf("buffered %d, want 16", st.Buffered)
+	}
+}
+
+// A batch handed out by Next is the reader's own: the ring wrapping over
+// the slots it was read from, many times, leaves it as it was.
+func TestBufferEntriesSurviveRingWrap(t *testing.T) {
+	b := NewResultBuffer(8 * (4 + entryOverhead))
+	for i := 0; i < 8; i++ {
+		b.Append([]byte(fmt.Sprintf(`"%02d"`, i)), temporal.Time(i), temporal.Time(i+1))
+	}
+	r := b.NewReader(0)
+	defer r.Close()
+	out, _, _, err := r.Next(context.Background(), 8)
+	if err != nil || len(out) != 8 {
+		t.Fatalf("Next = %d entries, err %v", len(out), err)
+	}
+	for i := 8; i < 8*10; i++ {
+		b.Append([]byte(fmt.Sprintf(`"%02d"`, i)), temporal.Time(i), temporal.Time(i+1))
+	}
+	for i, e := range out {
+		want := Entry{Seq: uint64(i + 1), Start: temporal.Time(i), End: temporal.Time(i + 1), Data: []byte(fmt.Sprintf(`"%02d"`, i))}
+		if e.Seq != want.Seq || e.Start != want.Start || e.End != want.End || !bytes.Equal(e.Data, want.Data) {
+			t.Fatalf("entry %d = %+v after the ring wrapped, want %+v", i, e, want)
+		}
+	}
+}
+
+// modelReader is a reader of the plain-slice model, with the last batch
+// its Reader handed out and a copy of it as it was handed out.
+type modelReader struct {
+	r            *Reader
+	cursor       uint64
+	held, copied []Entry
+}
+
+// TestBufferRingMatchesModel drives buffers of many sizes with random
+// appends, frames, readers, reads, closes and MarkDone, across many
+// wraps and regrowths, against a plain slice that re-slices on eviction:
+// every read's seqs, values and dropped count, and the buffer's Shed,
+// Buffered, BufferedBytes and Done must agree. A batch a reader was
+// handed must be unchanged until that reader reads again. Run it with
+// -race -count=10.
+func TestBufferRingMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 40; round++ {
+		capBytes := entryOverhead + rng.Intn(40*(entryOverhead+16))
+		b := NewResultBuffer(capBytes)
+		var (
+			model      []Entry
+			bytes, seq int
+			shed       int64
+			done       bool
+			readers    []*modelReader
+			nextStart  temporal.Time
+		)
+		payload := func() []byte { return []byte(fmt.Sprintf(`"%d"`, rng.Intn(1<<rng.Intn(40)))) }
+		modelAppend := func(data []byte, start temporal.Time) {
+			size := len(data) + entryOverhead
+			minCursor, haveReader := uint64(0), false
+			for _, m := range readers {
+				if !haveReader || m.cursor < minCursor {
+					minCursor, haveReader = m.cursor, true
+				}
+			}
+			for bytes+size > capBytes && len(model) > 0 {
+				if haveReader && model[0].Seq > minCursor {
+					shed++
+				}
+				bytes -= len(model[0].Data) + entryOverhead
+				model = model[1:]
+			}
+			seq++
+			model = append(model, Entry{Seq: uint64(seq), Start: start, End: start + 1, Data: data})
+			bytes += size
+		}
+		checkHeld := func(m *modelReader) {
+			for i, e := range m.held {
+				c := m.copied[i]
+				if e.Seq != c.Seq || e.Start != c.Start || e.End != c.End || string(e.Data) != string(c.Data) {
+					t.Fatalf("round %d: held entry %d changed to %+v, was %+v", round, i, e, c)
+				}
+			}
+		}
+		read := func(m *modelReader, max int) {
+			checkHeld(m)
+			first := uint64(seq + 1 - len(model))
+			var wantDropped int64
+			if m.cursor+1 < first {
+				wantDropped = int64(first - 1 - m.cursor)
+				m.cursor = first - 1
+			}
+			var want []Entry
+			if skip := m.cursor + 1 - first; skip < uint64(len(model)) {
+				want = model[skip:][:min(max, len(model)-int(skip))]
+			}
+			wantDone := done && m.cursor+uint64(len(want)) >= uint64(seq)
+			var (
+				out     []Entry
+				dropped int64
+				gotDone bool
+			)
+			// Next waits when nothing is due: only TryNext reads then.
+			if due := len(want) > 0 || wantDropped > 0 || wantDone; !due || rng.Intn(2) == 0 {
+				out, dropped, gotDone = m.r.TryNext(max)
+			} else {
+				var err error
+				if out, dropped, gotDone, err = m.r.Next(context.Background(), max); err != nil {
+					t.Fatalf("round %d: Next: %v", round, err)
+				}
+			}
+			if dropped != wantDropped || gotDone != wantDone || len(out) != len(want) {
+				t.Fatalf("round %d: read(%d) at cursor %d = %d entries, dropped %d, done %v; want %d, %d, %v",
+					round, max, m.cursor, len(out), dropped, gotDone, len(want), wantDropped, wantDone)
+			}
+			for i, e := range out {
+				if w := want[i]; e.Seq != w.Seq || e.Start != w.Start || string(e.Data) != string(w.Data) {
+					t.Fatalf("round %d: entry %d = %+v, want %+v", round, i, e, w)
+				}
+			}
+			m.cursor += uint64(len(want))
+			if r := m.r.Cursor(); r != m.cursor {
+				t.Fatalf("round %d: Cursor = %d, want %d", round, r, m.cursor)
+			}
+			for _, e := range m.r.out[:cap(m.r.out)][len(out):] {
+				if e.Data != nil {
+					t.Fatalf("round %d: the reader's slice keeps seq %d past the batch it handed out", round, e.Seq)
+				}
+			}
+			m.held, m.copied = out, append([]Entry(nil), out...)
+		}
+
+		for op := 0; op < 600; op++ {
+			switch k := rng.Intn(20); {
+			case k < 6:
+				data := payload()
+				b.Append(data, nextStart, nextStart+1)
+				if !done {
+					modelAppend(data, nextStart)
+				}
+				nextStart++
+			case k < 10:
+				n := 1 + rng.Intn(12)
+				frame := make(temporal.Batch, n)
+				var arena []byte
+				ends := make([]int, n)
+				for i := range frame {
+					frame[i] = temporal.NewElement(nil, nextStart, nextStart+1)
+					arena = append(arena, payload()...)
+					ends[i] = len(arena)
+					nextStart++
+				}
+				b.appendFrame(frame, arena, ends)
+				if !done {
+					lo := 0
+					for i, e := range frame {
+						modelAppend(arena[lo:ends[i]], e.Start)
+						lo = ends[i]
+					}
+				}
+			case k < 12 && len(readers) < 4:
+				after := uint64(0)
+				if seq > 0 && rng.Intn(3) > 0 {
+					after = uint64(rng.Intn(seq + 8))
+				}
+				readers = append(readers, &modelReader{r: b.NewReader(after), cursor: after})
+			case k < 17 && len(readers) > 0:
+				read(readers[rng.Intn(len(readers))], 1+rng.Intn(20))
+			case k < 19 && len(readers) > 0:
+				i := rng.Intn(len(readers))
+				readers[i].r.Close()
+				readers[i].r.Close() // idempotent
+				readers = append(readers[:i], readers[i+1:]...)
+			case k == 19 && op > 400:
+				b.MarkDone()
+				done = true
+			}
+			checkRing(t, b)
+			st := b.Stats()
+			if st.Shed != shed || st.Buffered != len(model) || st.BufferedBytes != bytes || st.Done != done || st.Readers != len(readers) {
+				t.Fatalf("round %d op %d: stats %+v; model shed %d buffered %d bytes %d done %v readers %d",
+					round, op, st, shed, len(model), bytes, done, len(readers))
+			}
+		}
+		for _, m := range readers {
+			checkHeld(m)
+			m.r.Close()
+		}
 	}
 }

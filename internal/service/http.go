@@ -15,12 +15,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -38,23 +42,6 @@ type submitRequest struct {
 	CQL string `json:"cql"`
 	// BufferBytes sizes the query's result buffer (0 = service default).
 	BufferBytes int `json:"buffer_bytes"`
-}
-
-// resultItem is one delivered result on the wire.
-type resultItem struct {
-	Seq   uint64          `json:"seq"`
-	Start int64           `json:"start"`
-	End   int64           `json:"end"`
-	Value json.RawMessage `json:"value"`
-}
-
-// resultPage is the long-poll response: results past the cursor, how
-// many were shed out from under it, and the cursor for the next call.
-type resultPage struct {
-	Results []resultItem `json:"results"`
-	Dropped int64        `json:"dropped"`
-	Next    uint64       `json:"next"`
-	Done    bool         `json:"done"`
 }
 
 // Handler returns the service's HTTP handler, rooted at "/".
@@ -173,10 +160,32 @@ func (s *Service) handleTenant(w http.ResponseWriter, _ *http.Request, tenant st
 	writeError(w, errUnauthorized())
 }
 
+// queryValue returns the first value of the parameter name in a raw URL
+// query, as url.ParseQuery(raw).Get(name) does — pairs with a semicolon
+// or a malformed escape are skipped — without building url.Values.
+// Nothing is allocated unless the pair needs unescaping.
+func queryValue(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // queryUint parses an unsigned query parameter, returning def when
 // absent.
 func queryUint(r *http.Request, name string, def uint64) (uint64, *Error) {
-	return parseUint(r.URL.Query().Get(name), name, "parameter", def)
+	return parseUint(queryValue(r.URL.RawQuery, name), name, "parameter", def)
 }
 
 // parseUint parses raw, the value of the request's name parameter or
@@ -196,7 +205,7 @@ func parseUint(raw, name, kind string, def uint64) (uint64, *Error) {
 // given, else the Last-Event-ID header an EventSource sends when it
 // reconnects (SSE ids are seqs), else 0.
 func resumeCursor(r *http.Request) (uint64, *Error) {
-	if raw := r.URL.Query().Get("after"); raw != "" {
+	if raw := queryValue(r.URL.RawQuery, "after"); raw != "" {
 		return parseUint(raw, "after", "parameter", 0)
 	}
 	return parseUint(r.Header.Get("Last-Event-ID"), "Last-Event-ID", "header", 0)
@@ -223,7 +232,7 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request, tenant s
 	}
 	defer reader.Close()
 
-	if r.URL.Query().Get("stream") == "sse" ||
+	if queryValue(r.URL.RawQuery, "stream") == "sse" ||
 		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		s.serveSSE(w, r, reader, int(max))
 		return
@@ -235,7 +244,7 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request, tenant s
 // (default 10s, "0" = return immediately) for the first entry.
 func (s *Service) serveLongPoll(w http.ResponseWriter, r *http.Request, reader *Reader, batch int) {
 	wait := longPollDefault
-	if raw := r.URL.Query().Get("wait"); raw != "" {
+	if raw := queryValue(r.URL.RawQuery, "wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil {
 			writeError(w, errBadRequest(fmt.Sprintf("invalid %q parameter: %v", "wait", err)))
@@ -263,19 +272,80 @@ func (s *Service) serveLongPoll(w http.ResponseWriter, r *http.Request, reader *
 			entries, dropped, done = nil, 0, false
 		}
 	}
-	page := resultPage{Results: make([]resultItem, 0, len(entries)), Dropped: dropped, Done: done}
-	next := reader.Cursor()
+	pb := pagePool.Get().(*pageBuffers)
+	defer pagePool.Put(pb)
+	// Sized up front, so a pool miss (the pool empties over two garbage
+	// collections) costs one allocation per buffer, not a growth series.
+	size := pageFixed
 	for _, e := range entries {
-		page.Results = append(page.Results, resultItem{
-			Seq: e.Seq, Start: int64(e.Start), End: int64(e.End), Value: json.RawMessage(e.Data),
-		})
+		size += itemFixed + len(e.Data)
 	}
-	page.Next = next
-	writeJSON(w, http.StatusOK, page)
+	pb.compact = appendPage(slices.Grow(pb.compact[:0], size), entries, dropped, reader.Cursor(), done)
+	// The page's bytes are those json.Encoder with SetIndent("", "  ")
+	// writes for the same document: the indented page and a newline.
+	// Indent cannot fail: every Data is a valid JSON rendering.
+	pb.indented.Reset()
+	_ = json.Indent(&pb.indented, pb.compact, "", "  ")
+	pb.indented.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(pb.indented.Bytes())
+}
+
+// pageBuffers are the two buffers a long-poll page is built in, reused
+// across requests through pagePool: the compact page and its indented
+// rendering.
+type pageBuffers struct {
+	compact  []byte
+	indented bytes.Buffer
+}
+
+var pagePool = sync.Pool{New: func() any { return new(pageBuffers) }}
+
+// pageFixed and itemFixed bound the bytes appendPage writes around the
+// results and appendItem around a value: the keys, the punctuation and
+// three integers of at most 20 digits and a sign.
+const (
+	pageFixed = len(`{"results":[],"dropped":,"next":,"done":false}`) + 2*21
+	itemFixed = len(`,{"seq":,"start":,"end":,"value":}`) + 3*21
+)
+
+// appendPage appends the compact long-poll page to dst: the results
+// past the cursor, how many were shed out from under it, the cursor for
+// the next call, and whether the stream is complete.
+func appendPage(dst []byte, entries []Entry, dropped int64, next uint64, done bool) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i, e := range entries {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendItem(dst, e)
+	}
+	dst = append(dst, `],"dropped":`...)
+	dst = strconv.AppendInt(dst, dropped, 10)
+	dst = append(dst, `,"next":`...)
+	dst = strconv.AppendUint(dst, next, 10)
+	dst = append(dst, `,"done":`...)
+	dst = strconv.AppendBool(dst, done)
+	return append(dst, '}')
+}
+
+// appendItem appends one result's wire object to dst, with Data spliced
+// in verbatim as its value: {"seq":…,"start":…,"end":…,"value":…}.
+func appendItem(dst []byte, e Entry) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	dst = append(dst, `,"start":`...)
+	dst = strconv.AppendInt(dst, int64(e.Start), 10)
+	dst = append(dst, `,"end":`...)
+	dst = strconv.AppendInt(dst, int64(e.End), 10)
+	dst = append(dst, `,"value":`...)
+	dst = append(dst, e.Data...)
+	return append(dst, '}')
 }
 
 // serveSSE streams results as server-sent events until end-of-stream or
-// client disconnect. Frames: `event: result` with the resultItem JSON,
+// client disconnect. Frames: `event: result` with appendItem's object,
 // `event: shed` with {"dropped":n} when the cursor skipped evicted
 // entries, `event: done` at end-of-stream. Each batch is framed into
 // one reused buffer and written once.
@@ -311,8 +381,7 @@ func (s *Service) serveSSE(w http.ResponseWriter, r *http.Request, reader *Reade
 
 // appendSSE appends one batch's events to dst: a shed event when dropped
 // is positive, one result event per entry, and the done event last. A
-// result's data line is the resultItem's JSON, with Data spliced in
-// verbatim as its value.
+// result's data line is appendItem's object.
 func appendSSE(dst []byte, entries []Entry, dropped int64, done bool) []byte {
 	if dropped > 0 {
 		dst = append(dst, "event: shed\ndata: {\"dropped\":"...)
@@ -322,15 +391,9 @@ func appendSSE(dst []byte, entries []Entry, dropped int64, done bool) []byte {
 	for _, e := range entries {
 		dst = append(dst, "id: "...)
 		dst = strconv.AppendUint(dst, e.Seq, 10)
-		dst = append(dst, "\nevent: result\ndata: {\"seq\":"...)
-		dst = strconv.AppendUint(dst, e.Seq, 10)
-		dst = append(dst, `,"start":`...)
-		dst = strconv.AppendInt(dst, int64(e.Start), 10)
-		dst = append(dst, `,"end":`...)
-		dst = strconv.AppendInt(dst, int64(e.End), 10)
-		dst = append(dst, `,"value":`...)
-		dst = append(dst, e.Data...)
-		dst = append(dst, "}\n\n"...)
+		dst = append(dst, "\nevent: result\ndata: "...)
+		dst = appendItem(dst, e)
+		dst = append(dst, "\n\n"...)
 	}
 	if done {
 		dst = append(dst, "event: done\ndata: {}\n\n"...)

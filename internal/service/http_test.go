@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,25 @@ import (
 	"pipes/internal/cql"
 	"pipes/internal/temporal"
 )
+
+// resultItem is one delivered result on the wire.
+type resultItem struct {
+	Seq   uint64          `json:"seq"`
+	Start int64           `json:"start"`
+	End   int64           `json:"end"`
+	Value json.RawMessage `json:"value"`
+}
+
+// resultPage is the long-poll response: results past the cursor, how
+// many were shed out from under it, and the cursor for the next call.
+// Encoded with json.Encoder and SetIndent("", "  "), it is the oracle of
+// the appended page.
+type resultPage struct {
+	Results []resultItem `json:"results"`
+	Dropped int64        `json:"dropped"`
+	Next    uint64       `json:"next"`
+	Done    bool         `json:"done"`
+}
 
 // httpFixture spins an httptest server over a fresh service.
 type httpFixture struct {
@@ -482,6 +503,168 @@ func TestHTTPResultWireGolden(t *testing.T) {
 		r.Close()
 		if got := rec.Body.String(); got != tc.want {
 			t.Errorf("%s bytes:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// randomValue returns a result value of one of the shapes results take:
+// tuples, scalars, strings that need HTML escaping, nested maps and
+// arrays, nulls.
+func randomValue(rng *rand.Rand, depth int) any {
+	switch k := rng.Intn(9); {
+	case k == 0 && depth < 3:
+		return cql.Tuple{"id": rng.Intn(1000), "price": rng.Float64() * 1e3, "name": "bid & <ask>"}
+	case k == 1 && depth < 3:
+		m := map[string]any{}
+		for i := rng.Intn(4); i > 0; i-- {
+			m[fmt.Sprint("k", i)] = randomValue(rng, depth+1)
+		}
+		return m
+	case k == 2 && depth < 3:
+		a := make([]any, rng.Intn(4))
+		for i := range a {
+			a[i] = randomValue(rng, depth+1)
+		}
+		return a
+	case k == 3:
+		return "x<y"
+	case k == 4:
+		return rng.Int63n(1<<40) - 1<<39
+	case k == 5:
+		return rng.NormFloat64() * 1e20
+	case k == 6:
+		return rng.Intn(2) == 0
+	case k == 7:
+		return nil
+	}
+	return fmt.Sprintf("s%d\t\"q\"", rng.Intn(100))
+}
+
+// TestLongPollPageMatchesEncoder checks the appended long-poll page
+// against json.Encoder with SetIndent("", "  ") over resultPage, on
+// random buffers: empty pages, pages after a shed gap, finished streams,
+// cursors ahead of the stream, and values that need HTML escaping.
+func TestLongPollPageMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := &Service{}
+	var empty, shed, finished, ahead int
+	for round := 0; round < 300; round++ {
+		b := NewResultBuffer(entryOverhead + rng.Intn(4096))
+		sink := newResultSink(b)
+		n := rng.Intn(40)
+		for i := 0; i < n; {
+			frame := make(temporal.Batch, min(1+rng.Intn(5), n-i))
+			for j := range frame {
+				frame[j] = temporal.NewElement(randomValue(rng, 0), temporal.Time(i), temporal.Time(i+1+rng.Intn(9)))
+				i++
+			}
+			sink.ProcessBatch(frame, 0)
+		}
+		if rng.Intn(3) == 0 {
+			sink.Done(0)
+		}
+		after := uint64(rng.Intn(n + 5))
+		if rng.Intn(3) == 0 {
+			after = 0
+		}
+		batch := 1 + rng.Intn(50)
+
+		oracle := b.NewReader(after)
+		entries, dropped, done := oracle.TryNext(batch)
+		page := resultPage{Results: []resultItem{}, Dropped: dropped, Next: oracle.Cursor(), Done: done}
+		for _, e := range entries {
+			page.Results = append(page.Results, resultItem{
+				Seq: e.Seq, Start: int64(e.Start), End: int64(e.End), Value: json.RawMessage(e.Data),
+			})
+		}
+		oracle.Close()
+		empty += btoi(len(entries) == 0)
+		shed += btoi(dropped > 0)
+		finished += btoi(done)
+		ahead += btoi(after > uint64(n))
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(page); err != nil {
+			t.Fatal(err)
+		}
+
+		r := b.NewReader(after)
+		rec := httptest.NewRecorder()
+		s.serveLongPoll(rec, httptest.NewRequest("GET", "/v1/queries/q1/results?wait=0", nil), r, batch)
+		r.Close()
+		if got := rec.Body.String(); got != want.String() {
+			t.Fatalf("round %d (after %d, max %d): page\n%s\nwant\n%s", round, after, batch, got, want.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" || rec.Code != http.StatusOK {
+			t.Fatalf("round %d: status %d, content type %q", round, rec.Code, ct)
+		}
+	}
+	if empty == 0 || shed == 0 || finished == 0 || ahead == 0 {
+		t.Fatalf("cases not all covered: %d empty, %d shed, %d done, %d ahead", empty, shed, finished, ahead)
+	}
+	t.Logf("%d empty pages, %d after a shed gap, %d done, %d ahead of the stream", empty, shed, finished, ahead)
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// discardResponse is a ResponseWriter that keeps nothing, so an
+// allocation count sees only the page path.
+type discardResponse struct{ h http.Header }
+
+func (d discardResponse) Header() http.Header         { return d.h }
+func (d discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardResponse) WriteHeader(int)             {}
+
+// A 256-result ?wait=0 page, its Reader included, costs a handful of
+// allocations: the Reader, its batch slice and the response header. The
+// page buffers are pooled, and a pool miss costs one per buffer.
+func TestLongPollPageAllocations(t *testing.T) {
+	b := NewResultBuffer(DefaultBufferBytes)
+	sink := newResultSink(b)
+	frame := make(temporal.Batch, 64)
+	for f := 0; f < 4; f++ {
+		for i := range frame {
+			frame[i] = temporal.At(cql.Tuple{"id": 64*f + i, "price": 100.5, "name": "bid"}, temporal.Time(64*f+i))
+		}
+		sink.ProcessBatch(frame, 0)
+	}
+	s := &Service{}
+	req := httptest.NewRequest("GET", "/v1/queries/q1/results?wait=0&max=256", nil)
+	w := discardResponse{h: http.Header{}}
+	page := func() {
+		r := b.NewReader(0)
+		s.serveLongPoll(w, req, r, 256)
+		if r.Cursor() != 256 {
+			t.Fatalf("page ended at cursor %d, want 256", r.Cursor())
+		}
+		r.Close()
+	}
+	page()
+	got := testing.AllocsPerRun(100, page)
+	if got > 8 {
+		t.Fatalf("%.1f allocations per 256-result page, want <= 8", got)
+	}
+	t.Logf("%.1f allocations per 256-result page", got)
+}
+
+// queryValue reads a parameter as url.ParseQuery(raw).Get does.
+func TestQueryValueMatchesParseQuery(t *testing.T) {
+	for _, raw := range []string{
+		"", "after=5", "wait=1s&max=256&after=12", "after=&after=3", "after=3&after=4",
+		"aft%65r=7", "after=1%2", "after=1%2&after=9", "after=1;x=2&after=8", "a+b=c+d&after=%31",
+		"&&after=2&", "=5&after", "after", "stream=sse&stream=x", "max=%zz&max=4",
+	} {
+		want, _ := url.ParseQuery(raw)
+		for _, name := range []string{"after", "max", "wait", "stream", "a b"} {
+			if got := queryValue(raw, name); got != want.Get(name) {
+				t.Errorf("queryValue(%q, %q) = %q, want %q", raw, name, got, want.Get(name))
+			}
 		}
 	}
 }
