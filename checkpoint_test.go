@@ -56,7 +56,7 @@ func TestCheckpointRecoveryThroughFacade(t *testing.T) {
 func TestEveryPlannedOperatorIsCheckpointed(t *testing.T) {
 	stateless := func(p pubsub.Pipe) bool {
 		switch p.(type) {
-		case *ops.Filter, *ops.Map, *ops.TimeWindow, *ops.NowWindow, *ops.TumblingWindow, *ops.UnboundedWindow:
+		case *ops.Filter, *ops.Map, *ops.Project[Tuple], *ops.TimeWindow, *ops.NowWindow, *ops.TumblingWindow, *ops.UnboundedWindow:
 			return true
 		}
 		return false

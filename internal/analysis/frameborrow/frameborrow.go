@@ -19,6 +19,15 @@
 //   - capturing an alias inside a function literal that escapes the call
 //     (returned, or stored into a field or package-level variable).
 //
+// A sink that declares pubsub.ValueBorrower (a BorrowsValues method) is
+// lent the values too, not just the frame: the publisher refills them
+// once TransferBatch returns. In its ProcessBatch the analyzer also
+// flags storing what reaches into a value — an element (b[i], a range
+// variable over b), its Value, a type assertion of that, a map, slice,
+// pointer or interface read from it, or an append or composite literal
+// holding any of these — into a field, a field's element (as element or
+// as map key) or a package-level variable.
+//
 // Copies do not propagate the taint: `append(dst, b...)` aliases dst, not
 // b, so the idiomatic scratch compaction
 // (`o.scratch = append(o.scratch[:0], b...)`, PipeBase.Emit) and the
@@ -43,7 +52,7 @@ const name = "frameborrow"
 // Analyzer is the frameborrow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc:  "flags temporal.Batch frame storage retained past the borrowing call (SEMANTICS.md §3.7): frames must be copied, not kept",
+	Doc:  "flags temporal.Batch frame storage, and a ValueBorrower's element values, retained past the borrowing call (SEMANTICS.md §3.7): frames must be copied, not kept",
 	Run:  run,
 }
 
@@ -279,6 +288,166 @@ func checkFunc(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) {
 				report(id, "a closure escaping the call captures a temporal.Batch view and")
 				return true
 			})
+		}
+		return true
+	})
+
+	if declaresBorrow(pass, fd) {
+		checkBorrowedValues(pass, allow, fd, aliases, escapes)
+	}
+}
+
+// declaresBorrow reports whether fd is the ProcessBatch of a type with a
+// BorrowsValues method (pubsub.ValueBorrower).
+func declaresBorrow(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || fd.Name.Name != "ProcessBatch" {
+		return false
+	}
+	recv := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
+	if recv == nil {
+		return false
+	}
+	if _, ok := recv.(*types.Pointer); !ok {
+		recv = types.NewPointer(recv)
+	}
+	obj, _, _ := types.LookupFieldOrMethod(recv, true, pass.Pkg, "BorrowsValues")
+	_, ok := obj.(*types.Func)
+	return ok
+}
+
+// shares reports whether a value of type t may share storage with what
+// it was read from: a map, a slice, a pointer, or an interface that may
+// hold one.
+func shares(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Map, *types.Slice, *types.Pointer, *types.Interface:
+		return true
+	}
+	return false
+}
+
+// checkBorrowedValues flags a ValueBorrower's ProcessBatch keeping what
+// reaches into a lent value; aliases and escapes are checkFunc's frame
+// alias test and retention test.
+func checkBorrowedValues(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl,
+	aliases func(ast.Expr) bool, escapes func(ast.Expr) bool) {
+	info := pass.TypesInfo
+	// lent is the may-reach set: locals holding an element of the frame
+	// or something read from an element's value.
+	lent := map[types.Object]bool{}
+	var reaches func(e ast.Expr) bool
+	reaches = func(e ast.Expr) bool {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return lent[info.Uses[e]]
+		case *ast.IndexExpr:
+			// b[i] is an element; x[k] of a lent map or slice is part of
+			// the value when it may be a reference itself.
+			return aliases(e.X) || reaches(e.X) && shares(info.TypeOf(e))
+		case *ast.SelectorExpr:
+			// e.Value, and any field of a value that may be a reference;
+			// scalars read out (e.Start, a struct's int) are copies.
+			return reaches(e.X) && shares(info.TypeOf(e))
+		case *ast.TypeAssertExpr:
+			return reaches(e.X) && shares(info.TypeOf(e))
+		case *ast.SliceExpr:
+			return reaches(e.X)
+		case *ast.StarExpr:
+			return reaches(e.X) && shares(info.TypeOf(e))
+		case *ast.UnaryExpr:
+			return e.Op == token.AND && reaches(e.X)
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" {
+				for i, a := range e.Args {
+					if reaches(a) || i > 0 && e.Ellipsis != token.NoPos && aliases(a) {
+						return true
+					}
+				}
+				return false
+			}
+			if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+				return reaches(e.Args[0])
+			}
+			return false
+		case *ast.CompositeLit:
+			for _, el := range e.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				if reaches(el) {
+					return true
+				}
+			}
+			return false
+		}
+		return false
+	}
+	mark := func(id ast.Expr) bool {
+		ident, ok := ast.Unparen(id).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		obj := info.Defs[ident]
+		if obj == nil {
+			obj = info.Uses[ident]
+		}
+		if obj == nil || lent[obj] {
+			return false
+		}
+		lent[obj] = true
+		return true
+	}
+	// The same flow-insensitive fixpoint as the frame aliases, over
+	// assignments and range statements.
+	for changed := true; changed; {
+		changed = false
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if i < len(n.Rhs) && reaches(n.Rhs[i]) && mark(lhs) {
+						changed = true
+					}
+				}
+			case *ast.RangeStmt:
+				if n.Value == nil {
+					break
+				}
+				if aliases(n.X) || reaches(n.X) && shares(info.TypeOf(n.Value)) {
+					if mark(n.Value) {
+						changed = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	report := func(n ast.Node) {
+		if allow.Allowed(n.Pos()) {
+			return
+		}
+		pass.Reportf(n.Pos(),
+			"storing a lent element value retains it past the call: this sink declares BorrowsValues, so its publisher refills the value once TransferBatch returns — keep a copy, or drop the declaration (SEMANTICS.md §3.7)")
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			if i >= len(as.Rhs) {
+				break
+			}
+			if reaches(as.Rhs[i]) && escapes(lhs) {
+				report(as)
+				continue
+			}
+			if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && reaches(ix.Index) && escapes(ix.X) {
+				report(as) // the value kept as a map key
+			}
 		}
 		return true
 	})

@@ -8,5 +8,5 @@ import (
 )
 
 func TestFrameborrow(t *testing.T) {
-	analyzertest.Run(t, "testdata", frameborrow.Analyzer, "ops", "pubsub", "other", "allowdir")
+	analyzertest.Run(t, "testdata", frameborrow.Analyzer, "ops", "pubsub", "service", "other", "allowdir")
 }

@@ -153,7 +153,11 @@ func (a *Archive) overlapping(iv temporal.Interval) []temporal.Element {
 		}
 	}
 	slices.Sort(keys)
-	var out []temporal.Element
+	n := 0
+	for _, b := range keys {
+		n += len(a.buckets[b])
+	}
+	out := make([]temporal.Element, 0, n) // at most every selected element: one copy, never regrown
 	for _, b := range keys {
 		for _, e := range a.buckets[b] {
 			if e.Overlaps(iv) {
@@ -174,7 +178,7 @@ func (a *Archive) Snapshot(t temporal.Time) []any {
 // validity overlaps iv into a live graph, in Start order — historical
 // data re-entering data-driven processing.
 func (a *Archive) Replay(name string, iv temporal.Interval) pubsub.Emitter {
-	return replay(name, a.overlapping(iv))
+	return pubsub.NewSliceSource(name, a.overlapping(iv))
 }
 
 // ReplayFrom returns an emitter re-publishing every archived element
@@ -183,23 +187,11 @@ func (a *Archive) Replay(name string, iv temporal.Interval) pubsub.Emitter {
 // stream invariant makes Start order — skipping offset elements resumes
 // the stream exactly where a recorded per-source checkpoint offset left
 // it. Recovery (internal/ft) uses this as the replay source. The elements
-// are copied once, unboxed, and the first offset of them skipped by
-// slicing.
+// are copied once, unboxed, into a copy sized up front; the first offset
+// of them are skipped by slicing and the rest published as views of it.
 func (a *Archive) ReplayFrom(name string, offset int) pubsub.Emitter {
 	es := a.overlapping(temporal.NewInterval(temporal.MinTime, temporal.MaxTime))
-	return replay(name, es[min(max(offset, 0), len(es)):])
-}
-
-// replay returns an emitter publishing es in order.
-func replay(name string, es []temporal.Element) pubsub.Emitter {
-	return pubsub.NewFuncSource(name, func() (temporal.Element, bool) {
-		if len(es) == 0 {
-			return temporal.Element{}, false
-		}
-		e := es[0]
-		es = es[1:]
-		return e, true
-	})
+	return pubsub.NewSliceSource(name, es[min(max(offset, 0), len(es)):])
 }
 
 // Vacuum drops every element whose validity ended at or before t and

@@ -168,5 +168,10 @@ func TestReplayFromMatchesRange(t *testing.T) {
 				t.Fatalf("trial %d, offset %d of %d: ReplayFrom emitted %v, Range yields %v", trial, offset, n, got, want)
 			}
 		}
+		// The copy is sized from the selected buckets up front: a full
+		// replay is the bucket keys, the copy and the emitter.
+		if allocs := testing.AllocsPerRun(20, func() { a.ReplayFrom("replay", 0) }); allocs > 3 {
+			t.Fatalf("trial %d: a full replay of %d elements costs %.0f allocations, want <= 3", trial, n, allocs)
+		}
 	}
 }

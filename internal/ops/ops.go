@@ -26,6 +26,8 @@
 package ops
 
 import (
+	"maps"
+
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 	"pipes/internal/xds"
@@ -102,6 +104,48 @@ func (m *Map) ProcessBatch(b temporal.Batch, _ int) {
 		m.Emit(temporal.Derive(m.fn(e.Value), e.Interval, e))
 	}
 	m.Flush()
+}
+
+// Project is the planner's temporal projection π over map-shaped rows:
+// Map with a mapper that writes each result into a row the node owns
+// instead of returning a fresh one. Row i of the pending output frame is
+// pool slot i, cleared and refilled only once the frame that held it has
+// been published, so the pool never exceeds one frame. The node lends its
+// rows (pubsub.SourceBase.Lend): a subscriber that only reads values in
+// the call (pubsub.ValueBorrower) gets them as they are, every other one
+// a maps.Clone per row — what a fresh row per element cost before.
+type Project[M ~map[string]any] struct {
+	pubsub.PipeBase
+	fill func(v any, row M)
+	rows []M
+}
+
+// NewProject returns a projection operator; fill writes the result for v
+// into an empty row.
+func NewProject[M ~map[string]any](name string, fill func(v any, row M)) *Project[M] {
+	if fill == nil {
+		panic("ops: nil projection")
+	}
+	p := &Project[M]{PipeBase: pubsub.NewPipeBase(name, 1), fill: fill}
+	p.Lend(func(v any) any { return maps.Clone(v.(M)) })
+	return p
+}
+
+// ProcessBatch implements pubsub.BatchSink.
+func (p *Project[M]) ProcessBatch(b temporal.Batch, _ int) {
+	p.ProcMu.Lock()
+	defer p.ProcMu.Unlock()
+	for _, e := range b {
+		i := p.Pending()
+		if i == len(p.rows) {
+			p.rows = append(p.rows, make(M))
+		}
+		row := p.rows[i]
+		clear(row)
+		p.fill(e.Value, row)
+		p.Emit(temporal.Derive(row, e.Interval, e))
+	}
+	p.Flush()
 }
 
 // ordered is the ordered-output core of every operator whose raw results

@@ -448,7 +448,7 @@ func (o *Optimizer) instantiate(p Plan, inst *Instance) (pubsub.Source, error) {
 			return nil, err
 		}
 		return o.lookupOrBuild(v.Signature(), inst, func() (pubsub.Pipe, error) {
-			return ops.NewMap(o.nodeName("π"), projectFn(v.Items, shape)), nil
+			return ops.NewProject(o.nodeName("π"), projectInto(v.Items, shape)), nil
 		}, wiring{in, 0})
 	case *Distinct:
 		in, err := o.instantiate(v.Input, inst)
@@ -640,9 +640,22 @@ func keyFn(keys []cql.Expr, in Shape) func(v any) any {
 	}
 }
 
-// projectFn compiles a select list: the one place a plan builds a
-// cql.Tuple.
+// projectFn compiles a select list into a mapper returning a fresh
+// tuple per value, for γ: it buffers its outputs in the ordered core,
+// so it cannot lend reused rows the way π does.
 func projectFn(items []cql.SelectItem, in view) ops.Mapper {
+	fill := projectInto(items, in)
+	return func(v any) any {
+		out := make(cql.Tuple, len(items))
+		fill(v, out)
+		return out
+	}
+}
+
+// projectInto compiles a select list into a function writing the
+// projected tuple for v into out: the one place a plan builds a
+// cql.Tuple.
+func projectInto(items []cql.SelectItem, in view) func(v any, out cql.Tuple) {
 	type column struct {
 		name string
 		eval func(v any) any
@@ -656,8 +669,7 @@ func projectFn(items []cql.SelectItem, in view) ops.Mapper {
 		}
 		cols[i] = column{name: it.OutName(), eval: cql.Compile(it.Expr, in.Resolve)}
 	}
-	return func(v any) any {
-		out := make(cql.Tuple, len(cols))
+	return func(v any, out cql.Tuple) {
 		for _, c := range cols {
 			if c.star != nil {
 				c.star(v, out)
@@ -665,7 +677,6 @@ func projectFn(items []cql.SelectItem, in view) ops.Mapper {
 			}
 			out[c.name] = c.eval(v)
 		}
-		return out
 	}
 }
 

@@ -69,6 +69,17 @@ type ElementSink interface {
 	Process(e temporal.Element, input int)
 }
 
+// ValueBorrower is implemented by sinks that read element values only
+// during ProcessBatch and keep nothing reachable from them: every value
+// is consumed in the call (rendered, encoded, counted), never stored. A
+// lending publisher (SourceBase.Lend) hands such a sink its frame as is,
+// values included, and gives every other subscriber owned copies. The
+// declaration is a promise about the whole call tree ProcessBatch runs
+// (pipesvet's frameborrow checks the sink's own body).
+type ValueBorrower interface {
+	BorrowsValues()
+}
+
 // elementEdge is the edge adapter delivering frames to an ElementSink
 // one element at a time.
 type elementEdge struct{ ElementSink }
@@ -129,6 +140,11 @@ type Subscription struct {
 	// likewise. Nil for sinks that are not SourceBase nodes (terminal
 	// sinks): nothing records their input side.
 	block *atomic.Pointer[flight.OpRef]
+
+	// borrows caches whether the sink may be handed a lending publisher's
+	// values as they are (ValueBorrower). A gated sink never borrows: a
+	// frame parked during barrier alignment outlives the call.
+	borrows bool
 }
 
 // ref returns the sink's block, nil when detached (one pointer load).
@@ -188,6 +204,13 @@ type SourceBase struct {
 	// must not write through).
 	one         [1]temporal.Element
 	hookScratch temporal.Batch
+
+	// lend, when set (Lend), marks the published values as the
+	// publisher's own, reused after TransferBatch returns: subscribers
+	// that do not borrow get owned copies, made by lend into ownScratch
+	// once per frame and shared among them.
+	lend       func(v any) any
+	ownScratch temporal.Batch
 }
 
 // TransferHook observes — and may annotate — every element a source
@@ -236,6 +259,8 @@ func (s *SourceBase) Subscribe(sink Sink, input int) error {
 	if g, ok := sink.(Gated); ok {
 		sub.gate = g.BarrierGate()
 	}
+	_, borrower := sink.(ValueBorrower)
+	sub.borrows = borrower && sub.gate == nil
 	if n, ok := sink.(interface {
 		flightBlock() *atomic.Pointer[flight.OpRef]
 	}); ok {
@@ -277,7 +302,7 @@ func (s *SourceBase) Subscriptions() []Subscription { return s.loadSubs() }
 // sampling counts elements whatever the frame size. The frame is only
 // borrowed by the subscribers (temporal.Batch): when the call returns,
 // ownership is back with the caller, which may reuse the backing array
-// for its next frame.
+// for its next frame — and, after Lend, the values in it.
 func (s *SourceBase) TransferBatch(b temporal.Batch) {
 	if len(b) == 0 {
 		return
@@ -297,20 +322,51 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 		b = hb
 	}
 	subs := s.loadSubs()
+	var owned temporal.Batch // b with owned values, built for the first owner
 	for i := range subs {
 		sub := &subs[i]
-		if sub.gate != nil && sub.gate.park(b, *sub) {
+		fb := b
+		if s.lend != nil && !sub.borrows {
+			// Decided from the snapshot being delivered: a sink that
+			// subscribed after the load is not in it, one that is in it
+			// gets what its own entry says.
+			if owned == nil {
+				owned = s.own(b)
+			}
+			fb = owned
+		}
+		if sub.gate != nil && sub.gate.park(fb, *sub) {
 			continue // held during barrier alignment; replayed on release
 		}
 		// deliver, spelled out: it is past the inlining budget, and the
 		// detached path should cost a pointer load, not a call.
 		if ref := sub.ref(); ref != nil {
-			ref.Deliver(sub.frames, b, sub.Input)
+			ref.Deliver(sub.frames, fb, sub.Input)
 		} else {
-			sub.frames.ProcessBatch(b, sub.Input)
+			sub.frames.ProcessBatch(fb, sub.Input)
 		}
 	}
 }
+
+// own copies b into the publisher's scratch with every value passed
+// through lend: the frame the owning subscribers share.
+func (s *SourceBase) own(b temporal.Batch) temporal.Batch {
+	ob := s.ownScratch[:0]
+	for _, e := range b {
+		e.Value = s.lend(e.Value)
+		ob = append(ob, e)
+	}
+	s.ownScratch = ob
+	return ob
+}
+
+// Lend declares that the values this publisher publishes are its own and
+// reused once TransferBatch returns. Subscribers that are ValueBorrowers
+// (and not gated) then receive the published frame as is; every other
+// subscriber receives, per frame, one copy whose values went through
+// clone, shared among them. Call it once, before the node is wired into
+// a graph; publishers that never lend pay one nil check per subscriber.
+func (s *SourceBase) Lend(clone func(v any) any) { s.lend = clone }
 
 // Transfer publishes e as a one-element frame: the paper's per-element
 // call, kept as the edge adapter for sources that produce one element at a
@@ -446,6 +502,10 @@ func (p *PipeBase) Emit(e temporal.Element) {
 		p.Flush()
 	}
 }
+
+// Pending returns the length of the pending output frame: the slot the
+// next Emit fills. Callers hold ProcMu.
+func (p *PipeBase) Pending() int { return len(p.out) }
 
 // Flush publishes the pending output as one downstream frame. Callers
 // hold ProcMu.

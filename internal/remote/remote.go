@@ -70,6 +70,10 @@ func (w *Writer) ProcessBatch(b temporal.Batch, _ int) {
 	w.write(buf)
 }
 
+// BorrowsValues implements pubsub.ValueBorrower: a frame's values are
+// encoded within ProcessBatch and only their bytes are written.
+func (w *Writer) BorrowsValues() {}
+
 // write hands buf to the underlying writer, latching its error.
 func (w *Writer) write(buf []byte) {
 	if len(buf) == 0 {
@@ -251,6 +255,10 @@ func (s *serverSink) ProcessBatch(b temporal.Batch, _ int) {
 		}
 	}
 }
+
+// BorrowsValues implements pubsub.ValueBorrower: every client's Writer
+// encodes the frame within the call.
+func (s *serverSink) BorrowsValues() {}
 
 // Done implements pubsub.Sink: send end-of-stream and close clients.
 func (s *serverSink) Done(_ int) {

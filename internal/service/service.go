@@ -517,6 +517,11 @@ func (k *resultSink) ProcessBatch(b temporal.Batch, _ int) {
 	k.buf.appendFrame(b, bytes.Clone(k.scratch), k.ends)
 }
 
+// BorrowsValues implements pubsub.ValueBorrower: a value is rendered
+// within ProcessBatch and only its bytes are kept, so a lending
+// projection hands the sink its rows without copies.
+func (k *resultSink) BorrowsValues() {}
+
 // Done implements pubsub.Sink.
 func (k *resultSink) Done(_ int) { k.buf.MarkDone() }
 
