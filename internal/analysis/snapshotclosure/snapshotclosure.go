@@ -7,10 +7,13 @@
 // receiver — a map or slice field, a pointer to state, or a method call —
 // therefore reads live mutable state concurrently with ProcessBatch, which is
 // both a data race and a torn snapshot (the bytes written mix pre- and
-// post-barrier state).
+// post-barrier state). The same holds for the encoder a state part's
+// capture method returns (internal/ops): it runs on the writer too.
 //
-// Within each SnapshotState method that returns a func-typed result, the
-// analyzer flags references inside the returned closure to:
+// Within each SnapshotState or capture method that returns a func-typed
+// result, the analyzer flags references inside the returned closure — or
+// any other returned func-valued expression, such as a method value
+// bound to the receiver — to:
 //
 //   - the receiver itself (field reads and method calls alike: any use
 //     means the closure escaped the barrier with live state);
@@ -58,7 +61,7 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, f := range vetutil.SourceFiles(pass) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Name.Name != "SnapshotState" || fd.Recv == nil {
+			if !ok || fd.Body == nil || fd.Recv == nil || !capturing[fd.Name.Name] {
 				continue
 			}
 			if !returnsFunc(pass.TypesInfo, fd) {
@@ -70,9 +73,14 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
+// capturing names the methods that run under the barrier and return
+// what runs after it: an operator's SnapshotState and a state part's
+// capture.
+var capturing = map[string]bool{"SnapshotState": true, "capture": true}
+
 // returnsFunc reports whether fd has at least one func-typed result — the
-// encode-closure shape; SnapshotState spellings without one have nothing
-// escaping the barrier.
+// encode-closure shape; spellings without one have nothing escaping the
+// barrier.
 func returnsFunc(info *types.Info, fd *ast.FuncDecl) bool {
 	if fd.Type.Results == nil {
 		return false
@@ -219,25 +227,37 @@ func checkMethod(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) 
 		})
 	}
 
-	// Collect the locals that are ever returned, so closures bound to a
-	// variable before `return encode, nil` are checked like directly
-	// returned literals.
+	// Collect the func-valued expressions returned — literals, method
+	// values, calls that build a func — and follow returned locals to what
+	// was assigned to them, so an encoder bound to a variable before
+	// `return encode, nil` is checked like a directly returned one. A
+	// package-level function needs no check: it reaches only what it is
+	// given.
 	returnedVars := map[types.Object]bool{}
-	var returnedLits []*ast.FuncLit
+	var returned []ast.Expr
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false // a nested literal's returns are its own
+		}
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
 			return true
 		}
 		for _, res := range ret.Results {
-			switch res := ast.Unparen(res).(type) {
-			case *ast.FuncLit:
-				returnedLits = append(returnedLits, res)
-			case *ast.Ident:
-				if obj := info.Uses[res]; obj != nil {
+			t := info.TypeOf(res)
+			if t == nil {
+				continue
+			}
+			if _, isFunc := types.Unalias(t).Underlying().(*types.Signature); !isFunc {
+				continue
+			}
+			if id, ok := ast.Unparen(res).(*ast.Ident); ok {
+				if obj, ok := info.Uses[id].(*types.Var); ok {
 					returnedVars[obj] = true
 				}
+				continue
 			}
+			returned = append(returned, res)
 		}
 		return true
 	})
@@ -258,18 +278,15 @@ func checkMethod(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) 
 			if obj == nil {
 				obj = info.Uses[id]
 			}
-			if obj == nil || !returnedVars[obj] {
-				continue
-			}
-			if fl, ok := ast.Unparen(as.Rhs[i]).(*ast.FuncLit); ok {
-				returnedLits = append(returnedLits, fl)
+			if obj != nil && returnedVars[obj] {
+				returned = append(returned, as.Rhs[i])
 			}
 		}
 		return true
 	})
 
-	for _, fl := range returnedLits {
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
+	for _, res := range returned {
+		ast.Inspect(res, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
@@ -283,7 +300,7 @@ func checkMethod(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) 
 				what = "the receiver"
 			}
 			pass.Reportf(id.Pos(),
-				"encode closure references %s: it runs off-barrier on the checkpoint writer while the operator processes — capture a copy under the barrier in SnapshotState and close over that (FAULT_TOLERANCE.md)",
+				"encode closure references %s: it runs off-barrier on the checkpoint writer while the operator processes — copy what it needs under the barrier and close over the copy (FAULT_TOLERANCE.md)",
 				what)
 			return true
 		})

@@ -78,7 +78,63 @@ func (j *arrayOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 	}, nil
 }
 
+// capture is a state part's slot in a round's image; encoder writes it.
+type capture struct{ n int }
+
+type encoder func(c *capture, dst []byte) ([]byte, error)
+
+type liveTable struct{ m map[int]int }
+
+// Bad: a part's encoder runs off-barrier too, and this one reads the
+// live map through the receiver.
+func (t *liveTable) capture(c *capture) encoder {
+	return func(c *capture, dst []byte) ([]byte, error) {
+		return fmt.Appendf(dst, "%v", t.m), nil // want `encode closure references the receiver`
+	}
+}
+
+type aliasTable struct{ m map[int]int }
+
+// Bad: the local shares the receiver's map.
+func (t aliasTable) capture(c *capture) encoder {
+	m := t.m
+	enc := func(c *capture, dst []byte) ([]byte, error) {
+		return fmt.Appendf(dst, "%v", m), nil // want `references state aliased from the receiver`
+	}
+	return enc
+}
+
+type boundTable struct{ m map[int]int }
+
+func (t *boundTable) encode(c *capture, dst []byte) ([]byte, error) {
+	return fmt.Appendf(dst, "%v", t.m), nil
+}
+
+// Bad: a method value carries the receiver to the writer.
+func (t *boundTable) capture(c *capture) encoder {
+	return t.encode // want `encode closure references the receiver`
+}
+
 // --- sanctioned patterns below: no diagnostics expected ---
+
+type countTable struct{ m map[int]int }
+
+// Good: the part copies what it needs into its slot under the barrier
+// and returns a package-level encoder, which reaches only the slot.
+func (t *countTable) capture(c *capture) encoder {
+	c.n = len(t.m)
+	return encodeCount
+}
+
+func encodeCount(c *capture, dst []byte) ([]byte, error) { return fmt.Appendf(dst, "%d", c.n), nil }
+
+type sizeTable struct{ m map[int]int }
+
+// Good: a closure over a scalar copy made under the barrier.
+func (t sizeTable) capture(c *capture) encoder {
+	n := len(t.m)
+	return func(c *capture, dst []byte) ([]byte, error) { return fmt.Appendf(dst, "%d %d", n, c.n), nil }
+}
 
 type recycler struct{ spare *buffer }
 

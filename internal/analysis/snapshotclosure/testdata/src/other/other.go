@@ -10,3 +10,11 @@ func (o *op) SnapshotState() (func(dst []byte) ([]byte, error), error) {
 		return fmt.Appendf(dst, "%v", o.m), nil // out of scope: no diagnostic
 	}, nil
 }
+
+type encoder func(dst []byte) ([]byte, error)
+
+func (o *op) capture() encoder {
+	return func(dst []byte) ([]byte, error) {
+		return fmt.Appendf(dst, "%v", o.m), nil // out of scope: no diagnostic
+	}
+}

@@ -239,36 +239,6 @@ func IsInterfaceCall(info *types.Info, call *ast.CallExpr) bool {
 	return ok && s.Kind() == types.MethodVal && types.IsInterface(s.Recv())
 }
 
-// EnclosingFunc returns the function declaration whose body contains pos,
-// using the file set for range checks.
-func EnclosingFunc(files []*ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, f := range files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil &&
-				pos >= fd.Body.Pos() && pos <= fd.Body.End() {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
-// ReceiverType returns the named receiver type of a method declaration
-// (unwrapping the pointer), or nil for plain functions.
-func ReceiverType(fd *ast.FuncDecl, info *types.Info) *types.Named {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	tv, ok := info.Types[fd.Recv.List[0].Type]
-	if !ok {
-		return nil
-	}
-	return NamedOf(tv.Type)
-}
-
 // NamedOf unwraps pointers and aliases down to the *types.Named beneath,
 // or nil.
 func NamedOf(t types.Type) *types.Named {

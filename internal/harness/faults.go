@@ -91,20 +91,14 @@ func (c *Crash) Fired() bool {
 type TornStore struct {
 	ft.CheckpointStore
 	failSeal atomic.Bool
-	torn     atomic.Int64
 }
 
 // NewTornStore wraps inner.
 func NewTornStore(inner ft.CheckpointStore) *TornStore { return &TornStore{CheckpointStore: inner} }
 
-// ArmSealFailure makes every subsequent Seal fail (until Disarm).
+// ArmSealFailure makes every subsequent Seal fail, for the rest of the
+// store's life.
 func (s *TornStore) ArmSealFailure() { s.failSeal.Store(true) }
-
-// Disarm restores normal sealing.
-func (s *TornStore) Disarm() { s.failSeal.Store(false) }
-
-// TornSeals returns how many seals were suppressed.
-func (s *TornStore) TornSeals() int64 { return s.torn.Load() }
 
 // Begin implements ft.CheckpointStore.
 func (s *TornStore) Begin(id uint64) (ft.CheckpointWriter, error) {
@@ -122,7 +116,6 @@ type tornWriter struct {
 
 func (w *tornWriter) Seal() error {
 	if w.store.failSeal.Load() {
-		w.store.torn.Add(1)
 		return errTornSeal
 	}
 	return w.CheckpointWriter.Seal()

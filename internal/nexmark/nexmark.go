@@ -226,30 +226,6 @@ func (g *Generator) BidSource(name string) *pubsub.FuncSource {
 	})
 }
 
-// EventSource returns an emitter publishing every event as a tuple with a
-// "kind" field.
-func (g *Generator) EventSource(name string) *pubsub.FuncSource {
-	return pubsub.NewFuncSource(name, func() (temporal.Element, bool) {
-		ev, ok := g.Next()
-		if !ok {
-			return temporal.Element{}, false
-		}
-		var t cql.Tuple
-		switch ev.Kind {
-		case EvPerson:
-			t = PersonTuple(ev.Person)
-			t["kind"] = "person"
-		case EvAuction:
-			t = AuctionTuple(ev.Auction)
-			t["kind"] = "auction"
-		default:
-			t = BidTuple(ev.Bid)
-			t["kind"] = "bid"
-		}
-		return temporal.At(t, ev.Time), true
-	})
-}
-
 // Store is the persistent person/auction side of the scenario, accessed
 // demand-driven via cursors (XXL-style) or published into the graph as a
 // relation.

@@ -40,7 +40,7 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 		pending: map[any]*span{},
 		ends:    xds.NewHeap[endEntry](func(a, b endEntry) bool { return a.end < b.end }),
 	}
-	c.init(name, 1, c.liveLow, c.finish)
+	c.init(name, 1, c.liveLow, c.finish, spanTable{c})
 	return c
 }
 
@@ -122,11 +122,4 @@ func (c *Coalesce) PendingSpans() int {
 	c.ProcMu.Lock()
 	defer c.ProcMu.Unlock()
 	return len(c.pending)
-}
-
-// MemoryUsage implements the metadata/memory reporter.
-func (c *Coalesce) MemoryUsage() int {
-	c.ProcMu.Lock()
-	defer c.ProcMu.Unlock()
-	return len(c.pending)*64 + c.heldBytes()
 }

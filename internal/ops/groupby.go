@@ -82,7 +82,7 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 	// Groups holding elements valid forever never see a closing boundary
 	// before the end; advance(MaxTime) pops their expiry events and emits
 	// their final spans.
-	g.init(name, 1, g.liveLow, func() { g.advance(temporal.MaxTime) })
+	g.init(name, 1, g.liveLow, func() { g.advance(temporal.MaxTime) }, groupTable{g})
 	return g
 }
 
@@ -233,17 +233,4 @@ func (g *GroupBy) GroupCount() int {
 	g.ProcMu.Lock()
 	defer g.ProcMu.Unlock()
 	return len(g.groups)
-}
-
-// MemoryUsage implements the metadata/memory reporter. Spare groups
-// count as groups and kept capture buffers count too: they stay
-// allocated.
-func (g *GroupBy) MemoryUsage() int {
-	g.ProcMu.Lock()
-	defer g.ProcMu.Unlock()
-	n := 0
-	for _, grp := range g.groups {
-		n += grp.active.Len()
-	}
-	return n*64 + (len(g.groups)+len(g.spare))*48 + g.heldBytes()
 }

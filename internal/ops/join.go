@@ -53,7 +53,7 @@ func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, comb
 	}
 	j := &Join{areas: [2]sweeparea.SweepArea{left, right}, pred: pred, combine: combine}
 	j.match = j.matchProbe
-	j.init(name, 2, nil, nil)
+	j.init(name, 2, nil, nil, area{left}, area{right})
 	return j
 }
 
@@ -119,14 +119,6 @@ func (j *Join) matchProbe(s temporal.Element) {
 		return
 	}
 	j.add(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
-}
-
-// MemoryUsage reports the footprint of both areas plus pending results
-// and the kept capture buffers.
-func (j *Join) MemoryUsage() int {
-	j.ProcMu.Lock()
-	defer j.ProcMu.Unlock()
-	return j.areas[0].MemoryUsage() + j.areas[1].MemoryUsage() + j.heldBytes()
 }
 
 // Shed releases memory by dropping the soonest-expiring entries, starting

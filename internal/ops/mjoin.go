@@ -33,11 +33,13 @@ func NewMJoin(name string, inputs int, key KeyFunc) *MJoin {
 		panic("ops: mjoin requires a key function")
 	}
 	m := &MJoin{key: key, areas: make([]*sweeparea.Hash, inputs), partial: make([]any, inputs)}
-	m.init(name, inputs, nil, nil)
 	k := sweeparea.KeyFunc(func(v any) any { return key(v) })
+	ps := []part{arity(inputs)}
 	for i := range m.areas {
 		m.areas[i] = sweeparea.NewHash(k, k)
+		ps = append(ps, area{m.areas[i]})
 	}
+	m.init(name, inputs, nil, nil, ps...)
 	return m
 }
 
@@ -100,17 +102,6 @@ func (m *MJoin) StateSize() int {
 		n += a.Len()
 	}
 	return n
-}
-
-// MemoryUsage implements the metadata/memory reporter.
-func (m *MJoin) MemoryUsage() int {
-	m.ProcMu.Lock()
-	defer m.ProcMu.Unlock()
-	n := 0
-	for _, a := range m.areas {
-		n += a.MemoryUsage()
-	}
-	return n + m.heldBytes()
 }
 
 func (m *MJoin) String() string { return fmt.Sprintf("%s[mjoin/%d]", m.Name(), len(m.areas)) }

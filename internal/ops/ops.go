@@ -150,11 +150,11 @@ func (p *Project[M]) ProcessBatch(b temporal.Batch, _ int) {
 
 // ordered is the ordered-output core of every operator whose raw results
 // can be produced out of Start order: join, mjoin, union, difference and
-// intersect, group-by, coalesce, DSTREAM, split and the partitioned
-// window. It is a PipeBase plus the order buffer plus the one release
-// rule. Pending results wait in a min-heap on Start and leave once no
-// future result can precede them: a result is released when its Start is
-// at most
+// intersect, group-by, coalesce, DSTREAM, split, the partitioned window
+// and the sequencer. It is a PipeBase plus the order buffer plus the one
+// release rule. Pending results wait in a min-heap on Start and leave
+// once no future result can precede them: a result is released when its
+// Start is at most
 //
 //	min(the minimum watermark over open inputs, the operator's holdback)
 //
@@ -164,20 +164,22 @@ func (p *Project[M]) ProcessBatch(b temporal.Batch, _ int) {
 // changes, and supplies live, which reports whether an entry still
 // describes its key; stale entries are popped when they reach the top.
 // An operator may also supply hold, an extra holdback term computed at
-// each release.
+// each release. The core records the start it released last: no later
+// result starts below it.
 //
 // The core owns the done wiring: an input's done releases, and the end
 // of the stream runs the operator's tail (which may add results), then
-// flushes every pending result in Start order.
+// flushes every pending result in Start order. It also carries the
+// operator's checkpointable state (parts), itself the last part.
 type ordered struct {
 	pubsub.PipeBase
-	out  *xds.Heap[temporal.Element]
-	wm   []temporal.Time
-	lows *xds.Heap[lowEntry]
-	live func(lowEntry) bool
-	hold func() temporal.Time
-	// snaps keeps the checkpoint capture's buffers between rounds.
-	snaps recycler
+	parts
+	out      *xds.Heap[temporal.Element]
+	wm       []temporal.Time
+	lows     *xds.Heap[lowEntry]
+	live     func(lowEntry) bool
+	hold     func() temporal.Time
+	released temporal.Time
 }
 
 // lowEntry is one holdback entry: key may still emit from lb on.
@@ -188,14 +190,17 @@ type lowEntry struct {
 
 // init sets the core up in place (the done hooks capture its address).
 // live may be nil for an operator without a holdback, tail for one
-// whose end of stream only flushes.
-func (c *ordered) init(name string, inputs int, live func(lowEntry) bool, tail func()) {
+// whose end of stream only flushes. ps are the operator's other parts;
+// the core follows them.
+func (c *ordered) init(name string, inputs int, live func(lowEntry) bool, tail func(), ps ...part) {
 	c.PipeBase = pubsub.NewPipeBase(name, inputs)
+	c.declare(&c.ProcMu, append(ps, c)...)
 	c.out = xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.Start < b.Start })
 	c.wm = make([]temporal.Time, inputs)
 	for i := range c.wm {
 		c.wm[i] = temporal.MinTime
 	}
+	c.released = temporal.MinTime
 	if live != nil {
 		c.live = live
 		c.lows = xds.NewHeap[lowEntry](func(a, b lowEntry) bool { return a.lb < b.lb })
@@ -205,13 +210,7 @@ func (c *ordered) init(name string, inputs int, live func(lowEntry) bool, tail f
 		if tail != nil {
 			tail()
 		}
-		for {
-			e, ok := c.out.Pop()
-			if !ok {
-				return
-			}
-			c.Emit(e)
-		}
+		c.releaseTo(temporal.MaxTime)
 	}
 }
 
@@ -245,12 +244,19 @@ func (c *ordered) release() {
 	if lb, ok := c.low(); ok {
 		bound = min(bound, lb)
 	}
+	c.releaseTo(bound)
+}
+
+// releaseTo emits, in Start order, every pending result that starts at
+// or before bound.
+func (c *ordered) releaseTo(bound temporal.Time) {
 	for {
 		top, ok := c.out.Peek()
 		if !ok || top.Start > bound {
 			return
 		}
 		c.out.Pop()
+		c.released = top.Start
 		c.Emit(top)
 	}
 }

@@ -71,7 +71,8 @@ func (d *setOp) setup(name string, key KeyFunc, mult func(m0, m1 int) int) {
 	d.state = map[any]*diffState{}
 	d.expiry = xds.NewHeap[diffExpiry](func(a, b diffExpiry) bool { return a.end < b.end })
 	d.inQ = [2]xds.Queue[temporal.Element]{xds.NewQueue[temporal.Element](), xds.NewQueue[temporal.Element]()}
-	d.init(name, 2, d.liveLow, func() { d.advance(temporal.MaxTime) })
+	d.init(name, 2, d.liveLow, func() { d.advance(temporal.MaxTime) },
+		setKeys{d}, setExpiry{d}, queue{d.inQ[0]}, queue{d.inQ[1]})
 	d.hold = d.pump
 }
 
@@ -183,11 +184,4 @@ func (d *setOp) emitSpan(st *diffState, to temporal.Time) {
 func (d *setOp) liveLow(low lowEntry) bool {
 	st := d.state[low.key]
 	return st != nil && st.lb == low.lb
-}
-
-// MemoryUsage implements the metadata/memory reporter.
-func (d *setOp) MemoryUsage() int {
-	d.ProcMu.Lock()
-	defer d.ProcMu.Unlock()
-	return len(d.state)*72 + d.heldBytes() + (d.inQ[0].Len()+d.inQ[1].Len())*64
 }

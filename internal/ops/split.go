@@ -55,11 +55,11 @@ func (s *Split) ProcessBatch(b temporal.Batch, _ int) {
 // the last finite boundary observed at end-of-stream.
 type Sample struct {
 	pubsub.PipeBase
+	parts
 	every  temporal.Time
 	active *xds.Heap[temporal.Element] // by End
 	nextB  temporal.Time
 	seeded bool
-	snaps  recycler // the checkpoint capture's buffers, kept between rounds
 }
 
 // NewSample returns a periodic snapshot sampler with positive period.
@@ -72,6 +72,7 @@ func NewSample(name string, every temporal.Time) *Sample {
 		every:    every,
 		active:   xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
 	}
+	s.declare(&s.ProcMu, sampler{s})
 	s.OnAllDone = s.finish
 	return s
 }

@@ -1,20 +1,24 @@
-// Checkpoint state serialisation for the stateful operators. Each
-// operator exposes SnapshotState/LoadState (the structural contract
-// internal/ft declares as StateSaver/StateLoader — declared there, not
-// here, so ops stays free of an ft import) encoding exactly the
-// information a rebuilt operator needs to continue from a barrier cut:
+// Checkpoint state serialisation for the stateful operators. An
+// operator's state is a list of parts — the ordered core, sweep areas,
+// arrival-ordered queues, MJoin's arity and one table per keyed structure
+// — that it declares once, in its constructor. Each part captures,
+// encodes, loads and counts itself; the embedded parts type turns the
+// list into the operator's SnapshotState, LoadState and MemoryUsage
+// (ft.StateSaver/StateLoader and the memory reporter, declared elsewhere
+// so ops stays free of an ft import). The encoding is the parts'
+// encodings in list order, the core always last:
 //
 //   - SnapshotState is the copy-on-write capture: invoked by the barrier
-//     save hook under ProcMu, it copies the live collections — flat slice
-//     copies, no canonical ordering, no encoding — and returns a closure
-//     that appends the captured copies to a buffer later, on the
-//     checkpoint writer's goroutine. The closure reads only its captures
-//     and the immutable element values (the engine's purity contract), so
-//     it runs safely concurrent with post-barrier processing; sorting and
-//     encoding both move off the barrier stall. GroupBy and
-//     PartitionedWindow copy every live element into one shared slice and
-//     keep one (key, bounds) record per group or partition.
-//   - The copies go into buffers the operator keeps between rounds: a
+//     save hook under ProcMu, it has each part copy its live collections
+//     — flat slice copies, no canonical ordering, no encoding — into its
+//     own capture and return an encoder that reads only that capture. The
+//     returned closure runs the encoders later, on the checkpoint writer's
+//     goroutine, concurrent with post-barrier processing; it reads only
+//     the captures and the immutable element values (the engine's purity
+//     contract), so sorting and encoding both stay off the barrier stall.
+//     Keyed tables copy every live element into one slice and keep one
+//     (key, bounds) record per key.
+//   - The captures live in buffers the operator keeps between rounds: a
 //     capture leases them from the operator's recycler, and the closure's
 //     one call hands them back, cleared, after it has appended the bytes.
 //     Rounds never overlap, so one kept set per operator suffices; a
@@ -22,7 +26,7 @@
 //     the next capture makes new buffers. A warmed capture allocates its
 //     lease and its closure, whatever the size of the state. The kept
 //     buffers count in the operator's MemoryUsage.
-//   - Each operator appends its fields in one fixed order with the state
+//   - Each part appends its fields in one fixed order with the state
 //     codec (internal/wire); values and keys carry the codec's tags.
 //     Map-derived collections are written in one canonical order (keyCmp,
 //     sortByKey), which compares typed keys by value and renders a key
@@ -30,7 +34,7 @@
 //     sort, never inside a comparator.
 //   - LoadState runs on a freshly constructed, not-yet-started operator.
 //     Corrupt state is an error, never a panic, and so are bytes left over
-//     after the operator's fields.
+//     after the last part.
 //   - Trace slots are dropped: element traces are diagnostic context of
 //     the run that produced them and do not survive a crash (restored
 //     elements carry an explicit nil trace).
@@ -53,6 +57,7 @@ import (
 	"strings"
 	"sync"
 
+	"pipes/internal/sweeparea"
 	"pipes/internal/temporal"
 	"pipes/internal/wire"
 	"pipes/internal/xds"
@@ -242,45 +247,53 @@ func loadState(state []byte, load func(d *wire.Decoder)) (err error) {
 	return d.Finish()
 }
 
-// image is one round's capture of an operator: copies of its live
-// collections, taken under ProcMu and encoded later on the checkpoint
-// writer. Each operator fills the fields its state has.
-type image struct {
-	elems   []temporal.Element // live elements, flat: areas, queues, groups, partitions
-	ends    []int              // where each area or queue ends in elems
-	groups  []groupCapture
-	parts   []partCapture
-	keys    []diffKeyState
-	expiry  []diffExpiry
-	spans   []spanCapture
-	pending []temporal.Element // the ordered core's unreleased results
-	wm      []temporal.Time
+// part is one piece of an operator's checkpointable state.
+type part interface {
+	// capture copies the piece into c, under ProcMu, and returns the
+	// encoder that writes the copy. The encoder reads only c: it runs
+	// later, on the checkpoint writer, beside post-barrier processing.
+	capture(c *capture) encoder
+	// load reads the piece back into a freshly constructed operator.
+	load(d *wire.Decoder)
+	// bytes is what the piece holds, in the memory manager's estimates:
+	// 64 bytes an element, 48 a key record.
+	bytes() int
 }
 
-// segment returns the i-th area or queue copied into elems.
-func (s *image) segment(i int) []temporal.Element {
-	start := 0
-	if i > 0 {
-		start = s.ends[i-1]
-	}
-	return s.elems[start:s.ends[i]]
+// encoder appends the encoding of one part's capture.
+type encoder func(c *capture, dst []byte) ([]byte, error)
+
+// capture is one part's copy in a round's image: the elements, keyed
+// records and numbers it holds, and the encoder that writes them.
+type capture struct {
+	elems []temporal.Element
+	recs  []record
+	vals  []any // set-operation values, indexed by their records' off
+	nums  []int64
+	enc   encoder
 }
 
-// cut ends the area or queue just appended to elems.
-func (s *image) cut() { s.ends = append(s.ends, len(s.elems)) }
+// record is one keyed entry of a capture, kept as narrow as the keyed
+// tables need: a key, a time and two offsets — a group's or partition's
+// elements elems[off:end], a span's element elems[off], a set-operation
+// key's value vals[off] and counts nums[2off:2off+2], an expiry event's
+// input.
+type record struct {
+	key      any
+	t        temporal.Time
+	off, end int
+}
+
+func recKey(r record) any { return r.key }
 
 // reset truncates every buffer, clearing what it held first, so a kept
-// image pins no value of the round it captured.
-func (s *image) reset() {
-	s.elems = cleared(s.elems)
-	s.ends = cleared(s.ends)
-	s.groups = cleared(s.groups)
-	s.parts = cleared(s.parts)
-	s.keys = cleared(s.keys)
-	s.expiry = cleared(s.expiry)
-	s.spans = cleared(s.spans)
-	s.pending = cleared(s.pending)
-	s.wm = cleared(s.wm)
+// capture pins no value of the round it captured.
+func (c *capture) reset() {
+	c.elems = cleared(c.elems)
+	c.recs = cleared(c.recs)
+	c.vals = cleared(c.vals)
+	c.nums = cleared(c.nums)
+	c.enc = nil
 }
 
 func cleared[T any](s []T) []T {
@@ -297,113 +310,164 @@ func reserve[T any](s []T, n int) []T {
 	return s
 }
 
-// bytes is the capacity s holds, in the memory manager's estimates: 64
-// bytes an element, 48 a key record, 8 an offset or a watermark. A nil
-// image holds nothing.
-func (s *image) bytes() int {
-	if s == nil {
-		return 0
-	}
-	return (cap(s.elems)+cap(s.pending))*64 +
-		(cap(s.groups)+cap(s.parts)+cap(s.keys)+cap(s.expiry)+cap(s.spans))*48 +
-		(cap(s.ends)+cap(s.wm))*8
+// bytes is the capacity c holds: 64 bytes an element, 48 a record, 16 a
+// value, 8 a number.
+func (c *capture) bytes() int {
+	return cap(c.elems)*64 + cap(c.recs)*48 + cap(c.vals)*16 + cap(c.nums)*8
 }
 
-// recycler keeps one operator's capture buffers between rounds: the
-// barrier side leases them, the writer hands them back, so it locks.
+// parts is an operator's checkpointable state, declared once as the list
+// of pieces it is made of. Its methods are the operator's ft.StateSaver,
+// ft.StateLoader and memory reporter.
+type parts struct {
+	lock  *sync.Mutex // the operator's ProcMu
+	list  []part
+	snaps recycler // the captures, kept between rounds
+}
+
+// declare lists the operator's parts; lock is its ProcMu.
+func (p *parts) declare(lock *sync.Mutex, list ...part) { p.lock, p.list = lock, list }
+
+// SnapshotState implements the ft.StateSaver contract: every part
+// captures into its slot of one leased image, and the closure encodes
+// the slots in list order.
+func (p *parts) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	l := p.snaps.lease(len(p.list))
+	for i, pt := range p.list {
+		l.img[i].enc = pt.capture(&l.img[i])
+	}
+	return l.encode, nil
+}
+
+// LoadState implements the ft.StateLoader contract.
+func (p *parts) LoadState(state []byte) error {
+	return loadState(state, func(d *wire.Decoder) {
+		for _, pt := range p.list {
+			if d.Err() != nil {
+				return
+			}
+			pt.load(d)
+		}
+	})
+}
+
+// MemoryUsage implements the metadata/memory reporter: what the parts
+// hold, and the kept captures, which stay allocated.
+func (p *parts) MemoryUsage() int {
+	p.lock.Lock()
+	defer p.lock.Unlock()
+	n := p.snaps.bytes()
+	for _, pt := range p.list {
+		n += pt.bytes()
+	}
+	return n
+}
+
+// recycler keeps one operator's image — a capture per part — between
+// rounds: the barrier side leases it, the writer hands it back, so it
+// locks.
 type recycler struct {
 	mu    sync.Mutex
-	spare *image
+	spare []capture
 }
 
-// take removes the kept buffers, nil if none are kept.
-func (r *recycler) take() *image {
+// take removes the kept image, nil if none is kept.
+func (r *recycler) take() []capture {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.spare
+	img := r.spare
 	r.spare = nil
-	return s
+	return img
 }
 
-// lease hands out the kept buffers, or new ones when none are kept.
-func (r *recycler) lease() *lease {
-	s := r.take()
-	if s == nil {
-		s = new(image)
+// lease hands out the kept image, or a new one of n captures when none
+// is kept.
+func (r *recycler) lease(n int) *lease {
+	img := r.take()
+	if img == nil {
+		img = make([]capture, n)
 	}
-	return &lease{home: r, img: s}
+	return &lease{home: r, img: img}
 }
 
-// put keeps s, cleared, for the next capture.
-func (r *recycler) put(s *image) {
-	s.reset()
+// put keeps img, cleared, for the next round.
+func (r *recycler) put(img []capture) {
+	for i := range img {
+		img[i].reset()
+	}
 	r.mu.Lock()
-	r.spare = s
+	r.spare = img
 	r.mu.Unlock()
 }
 
-// bytes is the capacity of the kept buffers.
+// bytes is the capacity of the kept image.
 func (r *recycler) bytes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.spare.bytes()
+	return imageBytes(r.spare)
 }
 
-// drop lets the kept buffers go and returns their capacity: what a
+// drop lets the kept image go and returns its capacity: what a
 // memory-manager shed releases before any element.
-func (r *recycler) drop() int { return r.take().bytes() }
+func (r *recycler) drop() int { return imageBytes(r.take()) }
+
+func imageBytes(img []capture) int {
+	n := 0
+	for i := range img {
+		n += img[i].bytes()
+	}
+	return n
+}
 
 // errEncodedTwice is a second call of an encode closure: its first call
 // handed the capture back.
 var errEncodedTwice = errors.New("ops: encode closure called twice; its capture was handed back after the first call")
 
-// lease is one round's hold on an operator's capture buffers. The
-// capture fills img; the encode closure's one call encodes it and hands
-// it back.
+// lease is one round's hold on an operator's image.
 type lease struct {
 	home *recycler
-	img  *image
+	img  []capture
 }
 
-// encode appends the leased capture's encoding with body, then hands the
-// buffers back to the recycler: the one call an encode closure makes. A
-// second call finds the lease spent and fails.
-func (l *lease) encode(dst []byte, body func(s *image, dst []byte) ([]byte, error)) ([]byte, error) {
-	s := l.img
-	if s == nil {
+// encode appends every part's capture with its encoder, then hands the
+// image back to the recycler: the encode closure's one call. A second
+// call finds the lease spent and fails.
+func (l *lease) encode(dst []byte) ([]byte, error) {
+	img := l.img
+	if img == nil {
 		return dst, errEncodedTwice
 	}
 	l.img = nil
-	defer l.home.put(s)
-	return body(s, dst)
+	defer l.home.put(img)
+	for i := range img {
+		var err error
+		if dst, err = img[i].enc(&img[i], dst); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
-// capture leases the core's buffers and copies the order buffer into
-// them: plain slice copies taken under ProcMu (xds.Heap.Items returns its
-// backing array, so the capture must copy). Its encoding is the pending
-// (unreleased) results and the per-input watermarks; done inputs are
-// re-established by the replayed inputs, and the holdback heap is rebuilt
-// by the operator that owns it.
-func (c *ordered) capture() *lease {
-	l := c.snaps.lease()
-	l.img.pending = append(l.img.pending, c.out.Items()...)
-	l.img.wm = append(l.img.wm, c.wm...)
-	return l
+// capture copies the order buffer: the pending (unreleased) results and
+// the per-input watermarks (xds.Heap.Items returns its backing array, so
+// the capture must copy). Done inputs are re-established by the replayed
+// inputs, and the holdback heap is rebuilt by the parts before the core.
+func (c *ordered) capture(cp *capture) encoder {
+	cp.elems = append(cp.elems, c.out.Items()...)
+	for _, w := range c.wm {
+		cp.nums = append(cp.nums, int64(w))
+	}
+	return encodeCore
 }
 
-// heldBytes is what the core holds: its pending results and the kept
-// capture buffers.
-func (c *ordered) heldBytes() int { return c.buffered()*64 + c.snaps.bytes() }
-
-// appendOut writes the order buffer's capture.
-func (s *image) appendOut(dst []byte) ([]byte, error) {
-	dst, err := appendElems(dst, s.pending)
+func encodeCore(c *capture, dst []byte) ([]byte, error) {
+	dst, err := appendElems(dst, c.elems)
 	if err != nil {
 		return dst, err
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(s.wm)))
-	for _, t := range s.wm {
-		dst = binary.AppendVarint(dst, int64(t))
+	dst = binary.AppendUvarint(dst, uint64(len(c.nums)))
+	for _, n := range c.nums {
+		dst = binary.AppendVarint(dst, n)
 	}
 	return dst, nil
 }
@@ -421,193 +485,314 @@ func (c *ordered) load(d *wire.Decoder) {
 	}
 }
 
-// SnapshotState implements the ft.StateSaver contract: both sweep areas,
-// then the pending output. Area contents are written in canonical order —
-// area semantics are insertion-order independent — sorted in the
-// closure, off the stall.
-func (j *Join) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := j.capture()
-	for _, a := range j.areas {
-		l.img.elems = a.AppendItems(l.img.elems)
-		l.img.cut()
+func (c *ordered) bytes() int { return c.out.Len() * 64 }
+
+// area is a sweep area as a part. Its contents are written in canonical
+// order — area semantics are insertion-order independent — sorted by the
+// encoder, off the stall.
+type area struct{ sweeparea.SweepArea }
+
+func (a area) capture(c *capture) encoder {
+	c.elems = a.AppendItems(c.elems)
+	return encodeArea
+}
+
+func encodeArea(c *capture, dst []byte) ([]byte, error) {
+	sortWire(c.elems)
+	return appendElems(dst, c.elems)
+}
+
+func (a area) load(d *wire.Decoder) {
+	for _, e := range readElems(d, nil) {
+		a.Insert(e)
 	}
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendJoin) }, nil
 }
 
-// appendJoin writes every captured area in canonical order, then the
-// pending output.
-func (s *image) appendJoin(dst []byte) ([]byte, error) {
-	for i := range s.ends {
-		a := s.segment(i)
-		sortWire(a)
-		var err error
-		if dst, err = appendElems(dst, a); err != nil {
-			return dst, err
-		}
+func (a area) bytes() int { return a.MemoryUsage() }
+
+// queue is an arrival-ordered queue as a part: its elements as they are,
+// since their order is the state.
+type queue struct{ xds.Queue[temporal.Element] }
+
+func (q queue) capture(c *capture) encoder {
+	c.elems = q.AppendTo(c.elems)
+	return encodeQueue
+}
+
+func encodeQueue(c *capture, dst []byte) ([]byte, error) { return appendElems(dst, c.elems) }
+
+func (q queue) load(d *wire.Decoder) {
+	for _, e := range readElems(d, nil) {
+		q.Enqueue(e)
 	}
-	return s.appendOut(dst)
 }
 
-// LoadState implements the ft.StateLoader contract.
-func (j *Join) LoadState(state []byte) error {
-	return loadState(state, func(d *wire.Decoder) {
-		var es []temporal.Element
-		for _, area := range j.areas {
-			es = readElems(d, es)
-			for _, e := range es {
-				area.Insert(e)
-			}
-		}
-		j.load(d)
-	})
+func (q queue) bytes() int { return q.Len() * 64 }
+
+// arity is MJoin's number of inputs as a part, written before its areas:
+// a state of another arity is refused.
+type arity int
+
+func (a arity) capture(c *capture) encoder {
+	c.nums = append(c.nums, int64(a))
+	return encodeArity
 }
 
-// groupCapture is one live group's record in a flat capture: its key,
-// open-span left boundary and the bounds of its live elements in the
-// capture's shared element slice.
-type groupCapture struct {
-	key      any
-	lb       temporal.Time
-	off, end int
+func encodeArity(c *capture, dst []byte) ([]byte, error) {
+	return binary.AppendUvarint(dst, uint64(c.nums[0])), nil
 }
 
-// SnapshotState implements the ft.StateSaver contract. Under the barrier
-// it copies every group's live elements into one slice. The closure
-// writes the groups in key order, each as its key, open-span left
-// boundary and live element multiset, then the pending output. The
-// aggregate is rebuilt on load by re-inserting the live elements (for
-// invertible aggregates every expired removal has already been applied,
-// so the live multiset reproduces the aggregate exactly). The multisets
-// are canonically sorted in the closure (they are reloaded by
-// re-insertion, so their order is free) — that both moves the sort off the
-// barrier and gives consecutive rounds byte-stable encodings for the delta
-// chain, where raw heap layout would shuffle unchanged groups.
-func (g *GroupBy) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+func (a arity) load(d *wire.Decoder) {
+	if n := d.Count(); n != int(a) {
+		d.Fail(fmt.Errorf("ops: state has %d join areas, the operator %d", n, a))
+	}
+}
+
+func (a arity) bytes() int { return 0 }
+
+// groupTable is GroupBy's groups as a part: in key order, each its key,
+// open-span left boundary and live element multiset. The capture copies
+// every group's live elements into one slice. The aggregate is rebuilt on
+// load by re-inserting the live elements (for invertible aggregates every
+// expired removal has already been applied, so the live multiset
+// reproduces the aggregate exactly), and so are the expiry events and
+// holdback entries. The multisets are canonically sorted by the encoder
+// (they are reloaded by re-insertion, so their order is free), which
+// gives consecutive rounds byte-stable encodings where raw heap layout
+// would shuffle unchanged groups.
+type groupTable struct{ g *GroupBy }
+
+func (t groupTable) capture(c *capture) encoder {
 	n := 0
-	for _, grp := range g.groups {
+	for _, grp := range t.g.groups {
 		n += grp.active.Len()
 	}
-	l := g.capture()
-	s := l.img
-	s.groups = reserve(s.groups, len(g.groups))
-	s.elems = reserve(s.elems, n)
-	for k, grp := range g.groups {
-		off := len(s.elems)
-		s.elems = append(s.elems, grp.active.Items()...)
-		s.groups = append(s.groups, groupCapture{key: k, lb: grp.lb, off: off, end: len(s.elems)})
+	c.recs = reserve(c.recs, len(t.g.groups))
+	c.elems = reserve(c.elems, n)
+	for k, grp := range t.g.groups {
+		off := len(c.elems)
+		c.elems = append(c.elems, grp.active.Items()...)
+		c.recs = append(c.recs, record{key: k, t: grp.lb, off: off, end: len(c.elems)})
 	}
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendGroups) }, nil
+	return encodeGroups
 }
 
-func (s *image) appendGroups(dst []byte) ([]byte, error) {
-	sortByKey(s.groups, func(c groupCapture) any { return c.key })
-	dst = binary.AppendUvarint(dst, uint64(len(s.groups)))
-	for _, c := range s.groups {
-		active := s.elems[c.off:c.end]
-		sortWire(active)
+func encodeGroups(c *capture, dst []byte) ([]byte, error) { return c.appendKeyed(dst, true) }
+
+// appendKeyed writes the records in key order, each as its key, then —
+// for a group — its time, then its elements: a group's multiset in
+// canonical order, a partition's queue in arrival order.
+func (c *capture) appendKeyed(dst []byte, group bool) ([]byte, error) {
+	sortByKey(c.recs, recKey)
+	dst = binary.AppendUvarint(dst, uint64(len(c.recs)))
+	for _, r := range c.recs {
+		es := c.elems[r.off:r.end]
 		var err error
-		if dst, err = wire.AppendValue(dst, c.key); err != nil {
+		if dst, err = wire.AppendValue(dst, r.key); err != nil {
 			return dst, err
 		}
-		if dst, err = appendElems(binary.AppendVarint(dst, int64(c.lb)), active); err != nil {
+		if group {
+			sortWire(es)
+			dst = binary.AppendVarint(dst, int64(r.t))
+		}
+		if dst, err = appendElems(dst, es); err != nil {
 			return dst, err
 		}
 	}
-	return s.appendOut(dst)
+	return dst, nil
 }
 
-// LoadState implements the ft.StateLoader contract.
-func (g *GroupBy) LoadState(state []byte) error {
-	return loadState(state, func(d *wire.Decoder) {
-		var es []temporal.Element
-		for n := d.Count(); n > 0 && d.Err() == nil; n-- {
-			key := d.Value()
-			grp := g.newGroup(temporal.Time(d.Varint()))
-			es = readElems(d, es)
-			for _, e := range es {
-				grp.active.Push(e)
-				grp.agg.Insert(e.Value)
-				// One expiry event per live element: exactly the non-stale
-				// subset of the original heap.
-				g.expiry.Push(expiryEvent{end: e.End, key: key})
-			}
-			if d.Err() == nil {
-				g.groups[key] = grp
-				g.holdBack(grp.lb, key)
-			}
+func (t groupTable) load(d *wire.Decoder) {
+	g := t.g
+	var es []temporal.Element
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		key := d.Value()
+		grp := g.newGroup(temporal.Time(d.Varint()))
+		es = readElems(d, es)
+		for _, e := range es {
+			grp.active.Push(e)
+			grp.agg.Insert(e.Value)
+			// One expiry event per live element: exactly the non-stale
+			// subset of the original heap.
+			g.expiry.Push(expiryEvent{end: e.End, key: key})
 		}
-		g.load(d)
-	})
+		if d.Err() == nil {
+			g.groups[key] = grp
+			g.holdBack(grp.lb, key)
+		}
+	}
 }
 
-// diffKeyState is one per-key multiplicity record of Difference/Intersect.
-type diffKeyState struct {
-	key    any
-	value  any
-	counts [2]int
-	lb     temporal.Time
+// bytes counts spare groups as groups: they stay allocated.
+func (t groupTable) bytes() int {
+	n := 0
+	for _, grp := range t.g.groups {
+		n += grp.active.Len()
+	}
+	return n*64 + (len(t.g.groups)+len(t.g.spare))*48
 }
 
-// SnapshotState implements the ft.StateSaver contract for Difference and
-// Intersect: per-key records, the expiry heap's backing array and both
-// input queues copied flat; sorting happens in the encode closure. The
-// expiry heap is serialised verbatim: which interval ends remain pending
-// per input is not recoverable from the counters alone.
-func (d *setOp) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := d.capture()
-	s := l.img
-	s.expiry = append(s.expiry, d.expiry.Items()...)
-	for _, q := range d.inQ {
-		s.elems = q.AppendTo(s.elems)
-		s.cut()
+// partitionTable is PartitionedWindow's partitions as a part, captured
+// flat like groupTable: in key order, each its key and its elements in
+// arrival order — that order IS the partition's state. The holdback
+// entries are rebuilt on load from the restored queue heads.
+type partitionTable struct{ w *PartitionedWindow }
+
+func (t partitionTable) capture(c *capture) encoder {
+	n := 0
+	for _, q := range t.w.part {
+		n += q.Len()
 	}
-	for k, ds := range d.state {
-		s.keys = append(s.keys, diffKeyState{key: k, value: ds.value, counts: ds.counts, lb: ds.lb})
+	c.recs = reserve(c.recs, len(t.w.part))
+	c.elems = reserve(c.elems, n)
+	for k, q := range t.w.part {
+		off := len(c.elems)
+		c.elems = q.AppendTo(c.elems)
+		c.recs = append(c.recs, record{key: k, off: off, end: len(c.elems)})
 	}
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendDiff) }, nil
+	return encodePartitions
 }
 
-// appendDiff writes the per-key records in key order, the expiry heap,
-// both input queues and the pending output.
-func (s *image) appendDiff(dst []byte) ([]byte, error) {
-	sortByKey(s.keys, func(k diffKeyState) any { return k.key })
-	var err error
-	dst = binary.AppendUvarint(dst, uint64(len(s.keys)))
-	for _, k := range s.keys {
-		if dst, err = wire.AppendValue(dst, k.key); err != nil {
-			return dst, err
+func encodePartitions(c *capture, dst []byte) ([]byte, error) { return c.appendKeyed(dst, false) }
+
+func (t partitionTable) load(d *wire.Decoder) {
+	var es []temporal.Element
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		key := d.Value()
+		es = readElems(d, es)
+		if d.Err() != nil {
+			return
 		}
-		if dst, err = wire.AppendValue(dst, k.value); err != nil {
-			return dst, err
+		q := xds.NewQueue[temporal.Element]()
+		for _, e := range es {
+			q.Enqueue(e)
 		}
-		dst = binary.AppendVarint(dst, int64(k.counts[0]))
-		dst = binary.AppendVarint(dst, int64(k.counts[1]))
-		dst = binary.AppendVarint(dst, int64(k.lb))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(s.expiry)))
-	for _, ev := range s.expiry {
-		if dst, err = wire.AppendValue(binary.AppendVarint(dst, int64(ev.end)), ev.key); err != nil {
-			return dst, err
-		}
-		dst = binary.AppendUvarint(dst, uint64(ev.input))
-	}
-	for i := range s.ends {
-		if dst, err = appendElems(dst, s.segment(i)); err != nil {
-			return dst, err
+		t.w.part[key] = q
+		if head, ok := q.Peek(); ok {
+			t.w.holdBack(head.Start, key)
 		}
 	}
-	return s.appendOut(dst)
 }
 
-func (d *setOp) loadDiffLike(dec *wire.Decoder) {
+func (t partitionTable) bytes() int {
+	n := 0
+	for _, q := range t.w.part {
+		n += q.Len()
+	}
+	return n*64 + len(t.w.part)*48
+}
+
+// spanTable is Coalesce's pending spans as a part: in key order, each as
+// its element alone (load derives the key from the value). The end
+// events and holdback entries are rebuilt on load, one per span.
+type spanTable struct{ c *Coalesce }
+
+func (t spanTable) capture(c *capture) encoder {
+	for k, p := range t.c.pending {
+		c.recs = append(c.recs, record{key: k, off: len(c.elems)})
+		c.elems = append(c.elems, p.value)
+	}
+	return encodeSpans
+}
+
+func encodeSpans(c *capture, dst []byte) ([]byte, error) {
+	sortByKey(c.recs, recKey)
+	dst = binary.AppendUvarint(dst, uint64(len(c.recs)))
+	for _, r := range c.recs {
+		var err error
+		if dst, err = wire.AppendElement(dst, c.elems[r.off]); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+func (t spanTable) load(d *wire.Decoder) {
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		e := d.Element()
+		if d.Err() != nil {
+			return
+		}
+		k := t.c.key(e.Value)
+		t.c.pending[k] = &span{value: e}
+		t.c.ends.Push(endEntry{end: e.End, key: k})
+		t.c.holdBack(e.Start, k)
+	}
+}
+
+func (t spanTable) bytes() int { return len(t.c.pending) * 64 }
+
+// setKeys is Difference's and Intersect's per-key multiplicity records as
+// a part: in key order, each its key, value, two counts and open-span
+// left boundary.
+type setKeys struct{ d *setOp }
+
+func (t setKeys) capture(c *capture) encoder {
+	for k, st := range t.d.state {
+		c.recs = append(c.recs, record{key: k, t: st.lb, off: len(c.vals)})
+		c.vals = append(c.vals, st.value)
+		c.nums = append(c.nums, int64(st.counts[0]), int64(st.counts[1]))
+	}
+	return encodeSetKeys
+}
+
+func encodeSetKeys(c *capture, dst []byte) ([]byte, error) {
+	sortByKey(c.recs, recKey)
+	dst = binary.AppendUvarint(dst, uint64(len(c.recs)))
+	for _, r := range c.recs {
+		var err error
+		if dst, err = wire.AppendValue(dst, r.key); err != nil {
+			return dst, err
+		}
+		if dst, err = wire.AppendValue(dst, c.vals[r.off]); err != nil {
+			return dst, err
+		}
+		dst = binary.AppendVarint(dst, c.nums[2*r.off])
+		dst = binary.AppendVarint(dst, c.nums[2*r.off+1])
+		dst = binary.AppendVarint(dst, int64(r.t))
+	}
+	return dst, nil
+}
+
+func (t setKeys) load(dec *wire.Decoder) {
 	for n := dec.Count(); n > 0 && dec.Err() == nil; n-- {
 		key, value := dec.Value(), dec.Value()
 		ds := &diffState{value: value, counts: [2]int{int(dec.Varint()), int(dec.Varint())}, lb: temporal.Time(dec.Varint())}
 		if dec.Err() == nil {
-			d.state[key] = ds
-			d.holdBack(ds.lb, key)
+			t.d.state[key] = ds
+			t.d.holdBack(ds.lb, key)
 		}
 	}
+}
+
+// bytes is 72 bytes a key, its pending expiry events included.
+func (t setKeys) bytes() int { return len(t.d.state) * 72 }
+
+// setExpiry is Difference's and Intersect's expiry heap as a part,
+// written verbatim: which interval ends remain pending per input is not
+// recoverable from the counters alone.
+type setExpiry struct{ d *setOp }
+
+func (t setExpiry) capture(c *capture) encoder {
+	for _, ev := range t.d.expiry.Items() {
+		c.recs = append(c.recs, record{key: ev.key, t: ev.end, off: ev.input})
+	}
+	return encodeSetExpiry
+}
+
+func encodeSetExpiry(c *capture, dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(c.recs)))
+	for _, r := range c.recs {
+		var err error
+		if dst, err = wire.AppendValue(binary.AppendVarint(dst, int64(r.t)), r.key); err != nil {
+			return dst, err
+		}
+		dst = binary.AppendUvarint(dst, uint64(r.off))
+	}
+	return dst, nil
+}
+
+func (t setExpiry) load(dec *wire.Decoder) {
 	for n := dec.Count(); n > 0 && dec.Err() == nil; n-- {
 		ev := diffExpiry{end: temporal.Time(dec.Varint()), key: dec.Value()}
 		if input := dec.Uvarint(); input > 1 {
@@ -616,254 +801,65 @@ func (d *setOp) loadDiffLike(dec *wire.Decoder) {
 			ev.input = int(input)
 		}
 		if dec.Err() == nil {
-			d.expiry.Push(ev)
+			t.d.expiry.Push(ev)
 		}
 	}
-	var es []temporal.Element
-	for _, q := range d.inQ {
-		es = readElems(dec, es)
-		for _, e := range es {
-			q.Enqueue(e)
-		}
-	}
-	d.load(dec)
 }
 
-// LoadState implements the ft.StateLoader contract for Difference and
-// Intersect.
-func (d *setOp) LoadState(state []byte) error {
-	return loadState(state, d.loadDiffLike)
-}
+// bytes is nothing of its own: setKeys' estimate covers the events.
+func (t setExpiry) bytes() int { return 0 }
 
-// SnapshotState implements the ft.StateSaver contract: a Union holds
-// only its pending output.
-func (u *Union) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := u.capture()
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendOut) }, nil
-}
+// sampler is Sample's state as a part: whether it has seen an element,
+// its next boundary, then its live elements in heap order. Pushing them
+// back in that order rebuilds the same heap, so a restored sampler emits
+// each boundary in the order the original would have.
+type sampler struct{ s *Sample }
 
-// LoadState implements the ft.StateLoader contract.
-func (u *Union) LoadState(state []byte) error {
-	return loadState(state, u.load)
-}
-
-// SnapshotState implements the ft.StateSaver contract: the not-yet-
-// displaced elements. Arrival order is the state (displacement order), so
-// the capture is the queue copy as-is.
-func (w *CountWindow) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := w.snaps.lease()
-	l.img.elems = w.buf.AppendTo(l.img.elems)
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendElems) }, nil
-}
-
-// appendElems writes the captured elements as they are.
-func (s *image) appendElems(dst []byte) ([]byte, error) { return appendElems(dst, s.elems) }
-
-// LoadState implements the ft.StateLoader contract.
-func (w *CountWindow) LoadState(state []byte) error {
-	return loadState(state, func(d *wire.Decoder) {
-		for _, e := range readElems(d, nil) {
-			w.buf.Enqueue(e)
-		}
-	})
-}
-
-// SnapshotState implements the ft.StateSaver contract: the number of
-// areas, one per input in canonical order like Join's, then the pending
-// output.
-func (m *MJoin) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := m.capture()
-	for _, a := range m.areas {
-		l.img.elems = a.AppendItems(l.img.elems)
-		l.img.cut()
-	}
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendMJoin) }, nil
-}
-
-func (s *image) appendMJoin(dst []byte) ([]byte, error) {
-	return s.appendJoin(binary.AppendUvarint(dst, uint64(len(s.ends))))
-}
-
-// LoadState implements the ft.StateLoader contract.
-func (m *MJoin) LoadState(state []byte) error {
-	return loadState(state, func(d *wire.Decoder) {
-		if n := d.Count(); n != len(m.areas) {
-			d.Fail(fmt.Errorf("ops: state has %d join areas, the operator %d", n, len(m.areas)))
-			return
-		}
-		var es []temporal.Element
-		for _, area := range m.areas {
-			es = readElems(d, es)
-			for _, e := range es {
-				area.Insert(e)
-			}
-		}
-		m.load(d)
-	})
-}
-
-// partCapture is one partition's record in a flat capture: its key and
-// the bounds of its elements in the capture's shared element slice. The
-// elements stay in arrival order — that order IS the partition's state.
-type partCapture struct {
-	key      any
-	off, end int
-}
-
-// SnapshotState implements the ft.StateSaver contract, capturing flat
-// like GroupBy's: the partitions in key order, each as its key and its
-// elements, then the pending output. The holdback entries are rebuilt on
-// load from the restored queue heads.
-func (w *PartitionedWindow) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	n := 0
-	for _, q := range w.part {
-		n += q.Len()
-	}
-	l := w.capture()
-	s := l.img
-	s.parts = reserve(s.parts, len(w.part))
-	s.elems = reserve(s.elems, n)
-	for k, q := range w.part {
-		off := len(s.elems)
-		s.elems = q.AppendTo(s.elems)
-		s.parts = append(s.parts, partCapture{key: k, off: off, end: len(s.elems)})
-	}
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendParts) }, nil
-}
-
-func (s *image) appendParts(dst []byte) ([]byte, error) {
-	sortByKey(s.parts, func(c partCapture) any { return c.key })
-	dst = binary.AppendUvarint(dst, uint64(len(s.parts)))
-	for _, c := range s.parts {
-		var err error
-		if dst, err = wire.AppendValue(dst, c.key); err != nil {
-			return dst, err
-		}
-		if dst, err = appendElems(dst, s.elems[c.off:c.end]); err != nil {
-			return dst, err
-		}
-	}
-	return s.appendOut(dst)
-}
-
-// LoadState implements the ft.StateLoader contract.
-func (w *PartitionedWindow) LoadState(state []byte) error {
-	return loadState(state, func(d *wire.Decoder) {
-		var es []temporal.Element
-		for n := d.Count(); n > 0 && d.Err() == nil; n-- {
-			key := d.Value()
-			es = readElems(d, es)
-			if d.Err() != nil {
-				return
-			}
-			q := xds.NewQueue[temporal.Element]()
-			for _, e := range es {
-				q.Enqueue(e)
-			}
-			w.part[key] = q
-			if head, ok := q.Peek(); ok {
-				w.holdBack(head.Start, key)
-			}
-		}
-		w.load(d)
-	})
-}
-
-// spanCapture is one pending Coalesce span in a capture.
-type spanCapture struct {
-	key  any
-	span temporal.Element
-}
-
-// SnapshotState implements the ft.StateSaver contract: the pending spans
-// in key order, each as its element alone (LoadState derives the key from
-// the value), then the pending output. The end events and holdback
-// entries are rebuilt on load, one per span.
-func (c *Coalesce) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := c.capture()
-	for k, p := range c.pending {
-		l.img.spans = append(l.img.spans, spanCapture{key: k, span: p.value})
-	}
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendSpans) }, nil
-}
-
-func (s *image) appendSpans(dst []byte) ([]byte, error) {
-	sortByKey(s.spans, func(sc spanCapture) any { return sc.key })
-	dst = binary.AppendUvarint(dst, uint64(len(s.spans)))
-	for _, sc := range s.spans {
-		var err error
-		if dst, err = wire.AppendElement(dst, sc.span); err != nil {
-			return dst, err
-		}
-	}
-	return s.appendOut(dst)
-}
-
-// LoadState implements the ft.StateLoader contract.
-func (c *Coalesce) LoadState(state []byte) error {
-	return loadState(state, func(d *wire.Decoder) {
-		for n := d.Count(); n > 0 && d.Err() == nil; n-- {
-			e := d.Element()
-			if d.Err() != nil {
-				return
-			}
-			k := c.key(e.Value)
-			c.pending[k] = &span{value: e}
-			c.ends.Push(endEntry{end: e.End, key: k})
-			c.holdBack(e.Start, k)
-		}
-		c.load(d)
-	})
-}
-
-// SnapshotState implements the ft.StateSaver contract: a DStream holds
-// only its pending output.
-func (d *DStream) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := d.capture()
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendOut) }, nil
-}
-
-// LoadState implements the ft.StateLoader contract.
-func (d *DStream) LoadState(state []byte) error { return loadState(state, d.load) }
-
-// SnapshotState implements the ft.StateSaver contract: a Split holds
-// only its pending output.
-func (s *Split) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	l := s.capture()
-	return func(dst []byte) ([]byte, error) { return l.encode(dst, (*image).appendOut) }, nil
-}
-
-// LoadState implements the ft.StateLoader contract.
-func (s *Split) LoadState(state []byte) error { return loadState(state, s.load) }
-
-// SnapshotState implements the ft.StateSaver contract: whether the
-// sampler has seen an element, its next boundary, then its live elements
-// in heap order. Pushing them back in that order rebuilds the same heap,
-// so a restored sampler emits each boundary in the order the original
-// would have.
-func (s *Sample) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	seeded, next := uint64(0), s.nextB
-	if s.seeded {
+func (t sampler) capture(c *capture) encoder {
+	seeded := int64(0)
+	if t.s.seeded {
 		seeded = 1
 	}
-	l := s.snaps.lease()
-	l.img.elems = append(l.img.elems, s.active.Items()...)
-	return func(dst []byte) ([]byte, error) {
-		return l.encode(binary.AppendVarint(binary.AppendUvarint(dst, seeded), int64(next)), (*image).appendElems)
-	}, nil
+	c.nums = append(c.nums, seeded, int64(t.s.nextB))
+	c.elems = append(c.elems, t.s.active.Items()...)
+	return encodeSampler
 }
 
-// LoadState implements the ft.StateLoader contract.
-func (s *Sample) LoadState(state []byte) error {
-	return loadState(state, func(d *wire.Decoder) {
-		if seeded := d.Uvarint(); seeded > 1 {
-			d.Fail(fmt.Errorf("ops: sampler seeded flag %d", seeded))
-		} else {
-			s.seeded = seeded == 1
-		}
-		s.nextB = temporal.Time(d.Varint())
-		for _, e := range readElems(d, nil) {
-			s.active.Push(e)
-		}
-	})
+func encodeSampler(c *capture, dst []byte) ([]byte, error) {
+	dst = binary.AppendVarint(binary.AppendUvarint(dst, uint64(c.nums[0])), c.nums[1])
+	return appendElems(dst, c.elems)
 }
+
+func (t sampler) load(d *wire.Decoder) {
+	if seeded := d.Uvarint(); seeded > 1 {
+		d.Fail(fmt.Errorf("ops: sampler seeded flag %d", seeded))
+	} else {
+		t.s.seeded = seeded == 1
+	}
+	t.s.nextB = temporal.Time(d.Varint())
+	for _, e := range readElems(d, nil) {
+		t.s.active.Push(e)
+	}
+}
+
+func (t sampler) bytes() int { return t.s.active.Len() * 64 }
+
+// lateDrops is the Sequencer's count of late elements as a part, with the
+// core's released bound, which decides what is late.
+type lateDrops struct{ s *Sequencer }
+
+func (t lateDrops) capture(c *capture) encoder {
+	c.nums = append(c.nums, t.s.late, int64(t.s.released))
+	return encodeLateDrops
+}
+
+func encodeLateDrops(c *capture, dst []byte) ([]byte, error) {
+	return binary.AppendVarint(binary.AppendUvarint(dst, uint64(c.nums[0])), c.nums[1]), nil
+}
+
+func (t lateDrops) load(d *wire.Decoder) {
+	t.s.late = int64(d.Uvarint())
+	t.s.released = temporal.Time(d.Varint())
+}
+
+func (t lateDrops) bytes() int { return 0 }

@@ -398,3 +398,30 @@ func TestSnapshotOrderDeterministic(t *testing.T) {
 		t.Fatal("a loaded state encodes differently from the one it was loaded from")
 	}
 }
+
+// Every stateful operator reports what it holds: after its feed,
+// MemoryUsage is positive, and before any checkpoint round it is the
+// figure the memory manager has always budgeted. The method is asserted
+// through an interface, so an operator without one fails here.
+func TestEveryStatefulOperatorReportsMemory(t *testing.T) {
+	want := map[string]int{
+		"join": 416, "mjoin": 416, "groupby": 224, "difference": 208, "intersect": 208,
+		"union": 64, "coalesce": 192, "distinct": 256,
+	}
+	for _, c := range stateCases() {
+		op := c.make()
+		c.feedRound(op, 0)
+		m, ok := op.(interface{ MemoryUsage() int })
+		if !ok {
+			t.Errorf("%s (%T) reports no MemoryUsage", c.name, op)
+			continue
+		}
+		got := m.MemoryUsage()
+		if got <= 0 {
+			t.Errorf("%s holds state but reports MemoryUsage %d", c.name, got)
+		}
+		if w, ok := want[c.name]; ok && got != w {
+			t.Errorf("%s reports MemoryUsage %d before any round, want %d", c.name, got, w)
+		}
+	}
+}

@@ -36,10 +36,3 @@ func (u *Union) Pending() int {
 	defer u.ProcMu.Unlock()
 	return u.buffered()
 }
-
-// MemoryUsage implements the metadata/memory reporter.
-func (u *Union) MemoryUsage() int {
-	u.ProcMu.Lock()
-	defer u.ProcMu.Unlock()
-	return u.heldBytes()
-}

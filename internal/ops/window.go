@@ -146,9 +146,9 @@ func floorDiv(a, b temporal.Time) temporal.Time {
 // forever and are emitted at end-of-stream.
 type CountWindow struct {
 	pubsub.PipeBase
-	n     int
-	buf   xds.Queue[temporal.Element]
-	snaps recycler // the checkpoint capture's buffers, kept between rounds
+	parts
+	n   int
+	buf xds.Queue[temporal.Element]
 }
 
 // NewCountWindow returns a count window of n rows, n > 0.
@@ -157,6 +157,7 @@ func NewCountWindow(name string, n int) *CountWindow {
 		panic("ops: count window size must be positive")
 	}
 	w := &CountWindow{PipeBase: pubsub.NewPipeBase(name, 1), n: n, buf: xds.NewQueue[temporal.Element]()}
+	w.declare(&w.ProcMu, queue{w.buf})
 	w.OnAllDone = w.fflush
 	return w
 }
@@ -209,7 +210,7 @@ func NewPartitionedWindow(name string, key KeyFunc, n int) *PartitionedWindow {
 		panic("ops: partition window size must be positive")
 	}
 	w := &PartitionedWindow{key: key, n: n, part: map[any]xds.Queue[temporal.Element]{}}
-	w.init(name, 1, w.liveLow, w.fflush)
+	w.init(name, 1, w.liveLow, w.fflush, partitionTable{w})
 	return w
 }
 

@@ -226,18 +226,6 @@ func (g *Generator) Source(name string) *pubsub.FuncSource {
 	})
 }
 
-// ReadingSource returns an emitter publishing raw Reading values (for
-// native operator pipelines).
-func (g *Generator) ReadingSource(name string) *pubsub.FuncSource {
-	return pubsub.NewFuncSource(name, func() (temporal.Element, bool) {
-		r, ok := g.Next()
-		if !ok {
-			return temporal.Element{}, false
-		}
-		return temporal.At(r, r.Timestamp), true
-	})
-}
-
 // The demonstration's continuous queries, as CQL text over the stream
 // registered as "traffic" (timestamps in milliseconds).
 const (
