@@ -17,16 +17,11 @@ type Coalesce struct {
 	ordered
 	key     KeyFunc
 	pending map[any]*span
-	ends    *xds.Heap[endEntry] // finalisation: pending spans ordered by End
+	ends    xds.Heap[temporal.Time, any] // finalisation: pending span keys by End
 }
 
 type span struct {
 	value temporal.Element
-}
-
-type endEntry struct {
-	end temporal.Time
-	key any
 }
 
 // NewCoalesce returns a coalescing operator; a nil key coalesces elements
@@ -38,7 +33,6 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 	c := &Coalesce{
 		key:     key,
 		pending: map[any]*span{},
-		ends:    xds.NewHeap[endEntry](func(a, b endEntry) bool { return a.end < b.end }),
 	}
 	c.init(name, 1, c.liveLow, c.finish, spanTable{c})
 	return c
@@ -63,17 +57,17 @@ func (c *Coalesce) processOne(e temporal.Element) {
 	// Finalise pending spans no future element can extend: their End lies
 	// strictly before the new watermark.
 	for {
-		top, ok := c.ends.Peek()
-		if !ok || top.end >= e.Start {
+		end, key, ok := c.ends.Peek()
+		if !ok || end >= e.Start {
 			break
 		}
 		c.ends.Pop()
-		p := c.pending[top.key]
-		if p == nil || p.value.End != top.end {
+		p := c.pending[key]
+		if p == nil || p.value.End != end {
 			continue // stale: span was extended or already emitted
 		}
 		c.add(p.value)
-		delete(c.pending, top.key)
+		delete(c.pending, key)
 	}
 
 	k := c.key(e.Value)
@@ -81,7 +75,7 @@ func (c *Coalesce) processOne(e temporal.Element) {
 		if e.Start <= p.value.End { // overlap or adjacency: extend
 			if e.End > p.value.End {
 				p.value.End = e.End
-				c.ends.Push(endEntry{end: p.value.End, key: k})
+				c.ends.Push(p.value.End, k)
 			}
 			c.progress(0, e.Start)
 			return
@@ -91,16 +85,16 @@ func (c *Coalesce) processOne(e temporal.Element) {
 		delete(c.pending, k)
 	}
 	c.pending[k] = &span{value: e}
-	c.ends.Push(endEntry{end: e.End, key: k})
+	c.ends.Push(e.End, k)
 	c.holdBack(e.Start, k)
 	c.progress(0, e.Start)
 }
 
 // liveLow reports whether a holdback entry is still its key's pending
 // span start: the earliest one holds back release.
-func (c *Coalesce) liveLow(low lowEntry) bool {
-	p := c.pending[low.key]
-	return p != nil && p.value.Start == low.lb
+func (c *Coalesce) liveLow(lb temporal.Time, key any) bool {
+	p := c.pending[key]
+	return p != nil && p.value.Start == lb
 }
 
 func (c *Coalesce) finish() {

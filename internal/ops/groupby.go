@@ -37,21 +37,16 @@ type GroupBy struct {
 	factory aggregate.Factory
 	outFn   func(key any, agg aggregate.Aggregate) (any, bool)
 	groups  map[any]*group
-	spare   []*group // emptied groups, reset; ProcMu
-	expiry  *xds.Heap[expiryEvent]
+	spare   []*group                     // emptied groups, reset; ProcMu
+	expiry  xds.Heap[temporal.Time, any] // group keys by the End of a live element
 }
 
 type group struct {
-	active *xds.Heap[temporal.Element] // live elements ordered by End
+	active xds.Heap[temporal.Time, temporal.Element] // live elements by End
 	agg    aggregate.Aggregate
 	inv    aggregate.Invertible // non-nil fast path
 	lb     temporal.Time        // left boundary of the open span
 	trace  any                  // trace slot of the latest traced contributor
-}
-
-type expiryEvent struct {
-	end temporal.Time
-	key any
 }
 
 // NewGroupBy returns a grouped aggregation. key may be nil for a single
@@ -77,7 +72,6 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 		factory: factory,
 		outFn:   outFn,
 		groups:  map[any]*group{},
-		expiry:  xds.NewHeap[expiryEvent](func(a, b expiryEvent) bool { return a.end < b.end }),
 	}
 	// Groups holding elements valid forever never see a closing boundary
 	// before the end; advance(MaxTime) pops their expiry events and emits
@@ -113,13 +107,13 @@ func (g *GroupBy) processOne(e temporal.Element) {
 	} else if grp.active.Len() > 0 && grp.lb < e.Start {
 		g.emitSpan(k, grp, e.Start)
 	}
-	grp.active.Push(e)
+	grp.active.Push(e.End, e)
 	grp.agg.Insert(e.Value)
 	grp.lb = e.Start
 	if e.Trace != nil {
 		grp.trace = e.Trace
 	}
-	g.expiry.Push(expiryEvent{end: e.End, key: k})
+	g.expiry.Push(e.End, k)
 	g.holdBack(grp.lb, k)
 	g.progress(0, e.Start)
 }
@@ -128,41 +122,40 @@ func (g *GroupBy) processOne(e temporal.Element) {
 // spans those boundaries close.
 func (g *GroupBy) advance(t temporal.Time) {
 	for {
-		ev, ok := g.expiry.Peek()
-		if !ok || ev.end > t {
+		end, key, ok := g.expiry.Peek()
+		if !ok || end > t {
 			return
 		}
 		g.expiry.Pop()
-		grp := g.groups[ev.key]
+		grp := g.groups[key]
 		if grp == nil {
 			continue // group fully expired by an earlier event at this end
 		}
-		top, ok := grp.active.Peek()
-		if !ok || top.End > ev.end {
+		if first, _, ok := grp.active.Peek(); !ok || first > end {
 			continue // stale duplicate event
 		}
-		if grp.lb < ev.end {
-			g.emitSpan(ev.key, grp, ev.end)
+		if grp.lb < end {
+			g.emitSpan(key, grp, end)
 		}
 		for {
-			top, ok := grp.active.Peek()
-			if !ok || top.End > ev.end {
+			first, _, ok := grp.active.Peek()
+			if !ok || first > end {
 				break
 			}
-			expired, _ := grp.active.Pop()
+			_, expired, _ := grp.active.Pop()
 			if grp.inv != nil {
 				grp.inv.Remove(expired.Value)
 			}
 		}
 		if grp.active.Len() == 0 {
-			g.retire(ev.key, grp)
+			g.retire(key, grp)
 			continue
 		}
 		if grp.inv == nil {
 			g.recompute(grp)
 		}
-		grp.lb = ev.end
-		g.holdBack(grp.lb, ev.key)
+		grp.lb = end
+		g.holdBack(grp.lb, key)
 	}
 }
 
@@ -178,12 +171,7 @@ func (g *GroupBy) newGroup(lb temporal.Time) *group {
 	}
 	agg := g.factory()
 	inv, _ := agg.(aggregate.Invertible)
-	return &group{
-		active: xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
-		agg:    agg,
-		inv:    inv,
-		lb:     lb,
-	}
+	return &group{agg: agg, inv: inv, lb: lb}
 }
 
 // retire drops the emptied group of key k and keeps it as a spare while
@@ -201,7 +189,7 @@ func (g *GroupBy) retire(k any, grp *group) {
 
 func (g *GroupBy) recompute(grp *group) {
 	grp.agg.Reset()
-	for _, e := range grp.active.Items() {
+	for _, e := range grp.active.All() {
 		grp.agg.Insert(e.Value)
 	}
 }
@@ -222,9 +210,9 @@ func (g *GroupBy) emitSpan(key any, grp *group, to temporal.Time) {
 
 // liveLow reports whether a holdback entry is still its group's open
 // span start: no future output can start before the earliest one.
-func (g *GroupBy) liveLow(low lowEntry) bool {
-	grp := g.groups[low.key]
-	return grp != nil && grp.lb == low.lb
+func (g *GroupBy) liveLow(lb temporal.Time, key any) bool {
+	grp := g.groups[key]
+	return grp != nil && grp.lb == lb
 }
 
 // GroupCount returns the number of live groups — exposed for memory

@@ -174,37 +174,27 @@ func (p *Project[M]) ProcessBatch(b temporal.Batch, _ int) {
 type ordered struct {
 	pubsub.PipeBase
 	parts
-	out      *xds.Heap[temporal.Element]
+	out      xds.Heap[temporal.Time, temporal.Element] // by Start
 	wm       []temporal.Time
-	lows     *xds.Heap[lowEntry]
-	live     func(lowEntry) bool
+	lows     xds.Heap[temporal.Time, any] // key may still emit from lb on
+	live     func(lb temporal.Time, key any) bool
 	hold     func() temporal.Time
 	released temporal.Time
-}
-
-// lowEntry is one holdback entry: key may still emit from lb on.
-type lowEntry struct {
-	lb  temporal.Time
-	key any
 }
 
 // init sets the core up in place (the done hooks capture its address).
 // live may be nil for an operator without a holdback, tail for one
 // whose end of stream only flushes. ps are the operator's other parts;
 // the core follows them.
-func (c *ordered) init(name string, inputs int, live func(lowEntry) bool, tail func(), ps ...part) {
+func (c *ordered) init(name string, inputs int, live func(lb temporal.Time, key any) bool, tail func(), ps ...part) {
 	c.PipeBase = pubsub.NewPipeBase(name, inputs)
 	c.declare(&c.ProcMu, append(ps, c)...)
-	c.out = xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.Start < b.Start })
+	c.live = live
 	c.wm = make([]temporal.Time, inputs)
 	for i := range c.wm {
 		c.wm[i] = temporal.MinTime
 	}
 	c.released = temporal.MinTime
-	if live != nil {
-		c.live = live
-		c.lows = xds.NewHeap[lowEntry](func(a, b lowEntry) bool { return a.lb < b.lb })
-	}
 	c.OnInputDone = func(int) { c.release() }
 	c.OnAllDone = func() {
 		if tail != nil {
@@ -215,10 +205,10 @@ func (c *ordered) init(name string, inputs int, live func(lowEntry) bool, tail f
 }
 
 // add buffers a pending result.
-func (c *ordered) add(e temporal.Element) { c.out.Push(e) }
+func (c *ordered) add(e temporal.Element) { c.out.Push(e.Start, e) }
 
 // holdBack records that key may still emit from lb on.
-func (c *ordered) holdBack(lb temporal.Time, key any) { c.lows.Push(lowEntry{lb: lb, key: key}) }
+func (c *ordered) holdBack(lb temporal.Time, key any) { c.lows.Push(lb, key) }
 
 // progress advances input's watermark to start (watermarks never
 // regress) and releases: the one call per processed element.
@@ -251,12 +241,12 @@ func (c *ordered) release() {
 // or before bound.
 func (c *ordered) releaseTo(bound temporal.Time) {
 	for {
-		top, ok := c.out.Peek()
-		if !ok || top.Start > bound {
+		start, _, ok := c.out.Peek()
+		if !ok || start > bound {
 			return
 		}
-		c.out.Pop()
-		c.released = top.Start
+		_, top, _ := c.out.Pop()
+		c.released = start
 		c.Emit(top)
 	}
 }
@@ -265,9 +255,9 @@ func (c *ordered) releaseTo(bound temporal.Time) {
 // entries above it; ok is false when nothing holds back.
 func (c *ordered) low() (lb temporal.Time, ok bool) {
 	for c.live != nil {
-		top, ok := c.lows.Peek()
-		if !ok || c.live(top) {
-			return top.lb, ok
+		lb, key, ok := c.lows.Peek()
+		if !ok || c.live(lb, key) {
+			return lb, ok
 		}
 		c.lows.Pop()
 	}

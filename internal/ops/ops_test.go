@@ -594,7 +594,7 @@ func TestDStreamSkipsUnbounded(t *testing.T) {
 // newTestCore returns an ordered core publishing into a collector, and
 // a function that flushes the core's frame and returns everything the
 // collector holds.
-func newTestCore(t *testing.T, inputs int, live func(lowEntry) bool) (*ordered, func() []temporal.Element) {
+func newTestCore(t *testing.T, inputs int, live func(lb temporal.Time, key any) bool) (*ordered, func() []temporal.Element) {
 	t.Helper()
 	c := &ordered{}
 	c.init("o", inputs, live, nil)
@@ -652,7 +652,7 @@ func TestOrderBufferReleaseOrder(t *testing.T) {
 // it reaches the top and no longer holds a result back.
 func TestOrderBufferHoldbackPrunesStale(t *testing.T) {
 	open := map[any]temporal.Time{"k": 2}
-	c, released := newTestCore(t, 1, func(low lowEntry) bool { return open[low.key] == low.lb })
+	c, released := newTestCore(t, 1, func(lb temporal.Time, key any) bool { return open[key] == lb })
 	c.holdBack(2, "k")
 	c.add(el("a", 1, 2))
 	c.add(el("b", 3, 4))

@@ -20,7 +20,7 @@ type setOp struct {
 	mult   func(m0, m1 int) int
 	inQ    [2]xds.Queue[temporal.Element]
 	state  map[any]*diffState
-	expiry *xds.Heap[diffExpiry]
+	expiry xds.Heap[temporal.Time, diffExpiry] // by End
 }
 
 // Difference computes the temporal multiset difference S₀ ∖ S₁: at every
@@ -40,8 +40,8 @@ type diffState struct {
 	trace  any // trace slot of the latest traced contributor
 }
 
+// diffExpiry is a pending interval end: one element of key on input.
 type diffExpiry struct {
-	end   temporal.Time
 	key   any
 	input int
 }
@@ -69,10 +69,8 @@ func (d *setOp) setup(name string, key KeyFunc, mult func(m0, m1 int) int) {
 	}
 	d.key, d.mult = key, mult
 	d.state = map[any]*diffState{}
-	d.expiry = xds.NewHeap[diffExpiry](func(a, b diffExpiry) bool { return a.end < b.end })
-	d.inQ = [2]xds.Queue[temporal.Element]{xds.NewQueue[temporal.Element](), xds.NewQueue[temporal.Element]()}
 	d.init(name, 2, d.liveLow, func() { d.advance(temporal.MaxTime) },
-		setKeys{d}, setExpiry{d}, queue{d.inQ[0]}, queue{d.inQ[1]})
+		setKeys{d}, setExpiry{d}, queue{&d.inQ[0]}, queue{&d.inQ[1]})
 	d.hold = d.pump
 }
 
@@ -102,8 +100,8 @@ func (d *setOp) pump() temporal.Time {
 		d.apply(i, e)
 	}
 	bound := temporal.MaxTime
-	for _, q := range d.inQ {
-		if h, ok := q.Peek(); ok && h.Start < bound {
+	for i := range d.inQ {
+		if h, ok := d.inQ[i].Peek(); ok && h.Start < bound {
 			bound = h.Start
 		}
 	}
@@ -142,15 +140,15 @@ func (d *setOp) apply(input int, e temporal.Element) {
 	if e.Trace != nil {
 		st.trace = e.Trace
 	}
-	d.expiry.Push(diffExpiry{end: e.End, key: k, input: input})
+	d.expiry.Push(e.End, diffExpiry{key: k, input: input})
 	d.holdBack(st.lb, k)
 }
 
 // advance processes expiry boundaries up to and including t.
 func (d *setOp) advance(t temporal.Time) {
 	for {
-		ev, ok := d.expiry.Peek()
-		if !ok || ev.end > t {
+		end, ev, ok := d.expiry.Peek()
+		if !ok || end > t {
 			return
 		}
 		d.expiry.Pop()
@@ -158,9 +156,9 @@ func (d *setOp) advance(t temporal.Time) {
 		if st == nil {
 			continue
 		}
-		if st.lb < ev.end {
-			d.emitSpan(st, ev.end)
-			st.lb = ev.end
+		if st.lb < end {
+			d.emitSpan(st, end)
+			st.lb = end
 			d.holdBack(st.lb, ev.key)
 		}
 		st.counts[ev.input]--
@@ -181,7 +179,7 @@ func (d *setOp) emitSpan(st *diffState, to temporal.Time) {
 
 // liveLow reports whether a holdback entry is still its key's open span
 // start.
-func (d *setOp) liveLow(low lowEntry) bool {
-	st := d.state[low.key]
-	return st != nil && st.lb == low.lb
+func (d *setOp) liveLow(lb temporal.Time, key any) bool {
+	st := d.state[key]
+	return st != nil && st.lb == lb
 }

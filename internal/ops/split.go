@@ -57,7 +57,7 @@ type Sample struct {
 	pubsub.PipeBase
 	parts
 	every  temporal.Time
-	active *xds.Heap[temporal.Element] // by End
+	active xds.Heap[temporal.Time, temporal.Element] // by End
 	nextB  temporal.Time
 	seeded bool
 }
@@ -70,7 +70,6 @@ func NewSample(name string, every temporal.Time) *Sample {
 	s := &Sample{
 		PipeBase: pubsub.NewPipeBase(name, 1),
 		every:    every,
-		active:   xds.NewHeap[temporal.Element](func(a, b temporal.Element) bool { return a.End < b.End }),
 	}
 	s.declare(&s.ProcMu, sampler{s})
 	s.OnAllDone = s.finish
@@ -92,7 +91,7 @@ func (s *Sample) ProcessBatch(b temporal.Batch, _ int) {
 		// Emit all boundaries strictly before the new element's start: no
 		// further element can contribute to them.
 		s.emitBoundaries(e.Start)
-		s.active.Push(e)
+		s.active.Push(e.End, e)
 	}
 	s.Flush()
 }
@@ -103,13 +102,13 @@ func (s *Sample) emitBoundaries(limit temporal.Time) {
 		b := s.nextB
 		// Purge expired, then emit the snapshot at b.
 		for {
-			top, ok := s.active.Peek()
-			if !ok || top.End > b {
+			end, _, ok := s.active.Peek()
+			if !ok || end > b {
 				break
 			}
 			s.active.Pop()
 		}
-		for _, e := range s.active.Items() {
+		for _, e := range s.active.All() {
 			if e.Start <= b {
 				s.Emit(e.WithInterval(temporal.NewInterval(b, b+s.every)))
 			}
@@ -122,9 +121,9 @@ func (s *Sample) finish() {
 	// Drain boundaries covered by bounded elements; unbounded elements
 	// would otherwise keep the sampler alive forever.
 	maxEnd := temporal.MinTime
-	for _, e := range s.active.Items() {
-		if e.End != temporal.MaxTime && e.End > maxEnd {
-			maxEnd = e.End
+	for end := range s.active.All() {
+		if end != temporal.MaxTime && end > maxEnd {
+			maxEnd = end
 		}
 	}
 	if maxEnd > temporal.MinTime {

@@ -448,12 +448,12 @@ func (l *lease) encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// capture copies the order buffer: the pending (unreleased) results and
-// the per-input watermarks (xds.Heap.Items returns its backing array, so
-// the capture must copy). Done inputs are re-established by the replayed
-// inputs, and the holdback heap is rebuilt by the parts before the core.
+// capture copies the order buffer: the pending (unreleased) results in
+// heap array order, and the per-input watermarks. Done inputs are
+// re-established by the replayed inputs, and the holdback heap is rebuilt
+// by the parts before the core.
 func (c *ordered) capture(cp *capture) encoder {
-	cp.elems = append(cp.elems, c.out.Items()...)
+	cp.elems = c.out.AppendTo(cp.elems)
 	for _, w := range c.wm {
 		cp.nums = append(cp.nums, int64(w))
 	}
@@ -474,7 +474,7 @@ func encodeCore(c *capture, dst []byte) ([]byte, error) {
 
 func (c *ordered) load(d *wire.Decoder) {
 	for _, e := range readElems(d, nil) {
-		c.out.Push(e)
+		c.out.Push(e.Start, e)
 	}
 	if n := d.Count(); n != len(c.wm) {
 		d.Fail(fmt.Errorf("ops: state has %d watermarks, the operator %d inputs", n, len(c.wm)))
@@ -512,7 +512,7 @@ func (a area) bytes() int { return a.MemoryUsage() }
 
 // queue is an arrival-ordered queue as a part: its elements as they are,
 // since their order is the state.
-type queue struct{ xds.Queue[temporal.Element] }
+type queue struct{ *xds.Queue[temporal.Element] }
 
 func (q queue) capture(c *capture) encoder {
 	c.elems = q.AppendTo(c.elems)
@@ -571,7 +571,7 @@ func (t groupTable) capture(c *capture) encoder {
 	c.elems = reserve(c.elems, n)
 	for k, grp := range t.g.groups {
 		off := len(c.elems)
-		c.elems = append(c.elems, grp.active.Items()...)
+		c.elems = grp.active.AppendTo(c.elems)
 		c.recs = append(c.recs, record{key: k, t: grp.lb, off: off, end: len(c.elems)})
 	}
 	return encodeGroups
@@ -610,11 +610,11 @@ func (t groupTable) load(d *wire.Decoder) {
 		grp := g.newGroup(temporal.Time(d.Varint()))
 		es = readElems(d, es)
 		for _, e := range es {
-			grp.active.Push(e)
+			grp.active.Push(e.End, e)
 			grp.agg.Insert(e.Value)
 			// One expiry event per live element: exactly the non-stale
 			// subset of the original heap.
-			g.expiry.Push(expiryEvent{end: e.End, key: key})
+			g.expiry.Push(e.End, key)
 		}
 		if d.Err() == nil {
 			g.groups[key] = grp
@@ -663,7 +663,7 @@ func (t partitionTable) load(d *wire.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		q := xds.NewQueue[temporal.Element]()
+		q := new(xds.Queue[temporal.Element])
 		for _, e := range es {
 			q.Enqueue(e)
 		}
@@ -715,7 +715,7 @@ func (t spanTable) load(d *wire.Decoder) {
 		}
 		k := t.c.key(e.Value)
 		t.c.pending[k] = &span{value: e}
-		t.c.ends.Push(endEntry{end: e.End, key: k})
+		t.c.ends.Push(e.End, k)
 		t.c.holdBack(e.Start, k)
 	}
 }
@@ -774,8 +774,8 @@ func (t setKeys) bytes() int { return len(t.d.state) * 72 }
 type setExpiry struct{ d *setOp }
 
 func (t setExpiry) capture(c *capture) encoder {
-	for _, ev := range t.d.expiry.Items() {
-		c.recs = append(c.recs, record{key: ev.key, t: ev.end, off: ev.input})
+	for end, ev := range t.d.expiry.All() {
+		c.recs = append(c.recs, record{key: ev.key, t: end, off: ev.input})
 	}
 	return encodeSetExpiry
 }
@@ -794,14 +794,15 @@ func encodeSetExpiry(c *capture, dst []byte) ([]byte, error) {
 
 func (t setExpiry) load(dec *wire.Decoder) {
 	for n := dec.Count(); n > 0 && dec.Err() == nil; n-- {
-		ev := diffExpiry{end: temporal.Time(dec.Varint()), key: dec.Value()}
+		end := temporal.Time(dec.Varint())
+		ev := diffExpiry{key: dec.Value()}
 		if input := dec.Uvarint(); input > 1 {
 			dec.Fail(fmt.Errorf("ops: expiry event of input %d", input))
 		} else {
 			ev.input = int(input)
 		}
 		if dec.Err() == nil {
-			t.d.expiry.Push(ev)
+			t.d.expiry.Push(end, ev)
 		}
 	}
 }
@@ -821,7 +822,7 @@ func (t sampler) capture(c *capture) encoder {
 		seeded = 1
 	}
 	c.nums = append(c.nums, seeded, int64(t.s.nextB))
-	c.elems = append(c.elems, t.s.active.Items()...)
+	c.elems = t.s.active.AppendTo(c.elems)
 	return encodeSampler
 }
 
@@ -838,7 +839,7 @@ func (t sampler) load(d *wire.Decoder) {
 	}
 	t.s.nextB = temporal.Time(d.Varint())
 	for _, e := range readElems(d, nil) {
-		t.s.active.Push(e)
+		t.s.active.Push(e.End, e)
 	}
 }
 

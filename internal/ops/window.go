@@ -156,8 +156,8 @@ func NewCountWindow(name string, n int) *CountWindow {
 	if n <= 0 {
 		panic("ops: count window size must be positive")
 	}
-	w := &CountWindow{PipeBase: pubsub.NewPipeBase(name, 1), n: n, buf: xds.NewQueue[temporal.Element]()}
-	w.declare(&w.ProcMu, queue{w.buf})
+	w := &CountWindow{PipeBase: pubsub.NewPipeBase(name, 1), n: n}
+	w.declare(&w.ProcMu, queue{&w.buf})
 	w.OnAllDone = w.fflush
 	return w
 }
@@ -198,7 +198,7 @@ type PartitionedWindow struct {
 	ordered
 	key  KeyFunc
 	n    int
-	part map[any]xds.Queue[temporal.Element]
+	part map[any]*xds.Queue[temporal.Element]
 }
 
 // NewPartitionedWindow returns a per-key ROWS-n window.
@@ -209,7 +209,7 @@ func NewPartitionedWindow(name string, key KeyFunc, n int) *PartitionedWindow {
 	if n <= 0 {
 		panic("ops: partition window size must be positive")
 	}
-	w := &PartitionedWindow{key: key, n: n, part: map[any]xds.Queue[temporal.Element]{}}
+	w := &PartitionedWindow{key: key, n: n, part: map[any]*xds.Queue[temporal.Element]{}}
 	w.init(name, 1, w.liveLow, w.fflush, partitionTable{w})
 	return w
 }
@@ -229,7 +229,7 @@ func (w *PartitionedWindow) processOne(e temporal.Element) {
 	k := w.key(e.Value)
 	q := w.part[k]
 	if q == nil {
-		q = xds.NewQueue[temporal.Element]()
+		q = new(xds.Queue[temporal.Element])
 		w.part[k] = q
 	}
 	if q.Len() == w.n {
@@ -253,13 +253,13 @@ func (w *PartitionedWindow) processOne(e temporal.Element) {
 // liveLow reports whether a holdback entry is still its partition's
 // oldest element start: no future displacement or flush can emit below
 // the earliest one.
-func (w *PartitionedWindow) liveLow(low lowEntry) bool {
-	q, present := w.part[low.key]
+func (w *PartitionedWindow) liveLow(lb temporal.Time, key any) bool {
+	q, present := w.part[key]
 	if !present {
 		return false
 	}
 	head, nonEmpty := q.Peek()
-	return nonEmpty && head.Start == low.lb
+	return nonEmpty && head.Start == lb
 }
 
 func (w *PartitionedWindow) fflush() {

@@ -55,7 +55,7 @@ type Buffer struct {
 
 // NewBuffer returns an unbounded buffer.
 func NewBuffer(name string) *Buffer {
-	return &Buffer{SourceBase: NewSourceBase(name), q: xds.NewQueue[*chunk]()}
+	return &Buffer{SourceBase: NewSourceBase(name)}
 }
 
 // ProcessBatch implements BatchSink by enqueueing a copy of the frame
@@ -79,7 +79,7 @@ func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 			c = &chunk{b: make(temporal.Batch, 0, max(frameCap, len(batch)))}
 		}
 		c.b = append(c.b, batch...)
-		b.q.Enqueue(c) // unbounded queue: cannot fail
+		b.q.Enqueue(c)
 		b.tail = c
 	}
 	b.count += len(batch)

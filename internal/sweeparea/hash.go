@@ -25,9 +25,9 @@ type Hash struct {
 	probeKey  KeyFunc // key of the probing (opposite-input) value
 	storedKey KeyFunc // key of stored values
 	buckets   map[any]*hashBucket
-	spare     []*hashBucket // emptied buckets, slots cleared and truncated
-	spareCap  int           // slot capacity the spare buckets retain
-	expiry    *xds.Heap[hashEntry]
+	spare     []*hashBucket                      // emptied buckets, slots cleared and truncated
+	spareCap  int                                // slot capacity the spare buckets retain
+	expiry    xds.Heap[temporal.Time, hashEntry] // by End
 	seq       int64
 	size      int
 }
@@ -46,8 +46,9 @@ type hashSlot struct {
 	dead bool
 }
 
+// hashEntry is an inserted element's expiry entry: the slot seq of
+// key's bucket.
 type hashEntry struct {
-	end temporal.Time
 	seq int64
 	key any
 }
@@ -64,7 +65,6 @@ func NewHash(probeKey, storedKey KeyFunc) *Hash {
 		probeKey:  probeKey,
 		storedKey: storedKey,
 		buckets:   map[any]*hashBucket{},
-		expiry:    xds.NewHeap[hashEntry](func(a, b hashEntry) bool { return a.end < b.end }),
 	}
 }
 
@@ -79,7 +79,7 @@ func (h *Hash) Insert(e temporal.Element) {
 	h.seq++
 	b.slots = append(b.slots, hashSlot{seq: h.seq, e: e})
 	b.live++
-	h.expiry.Push(hashEntry{end: e.End, seq: h.seq, key: k})
+	h.expiry.Push(e.End, hashEntry{seq: h.seq, key: k})
 	h.size++
 }
 
@@ -100,8 +100,8 @@ func (h *Hash) Probe(probe temporal.Element, emit func(temporal.Element)) {
 func (h *Hash) Reorganize(t temporal.Time) int {
 	removed := 0
 	for {
-		top, ok := h.expiry.Peek()
-		if !ok || top.end > t {
+		end, top, ok := h.expiry.Peek()
+		if !ok || end > t {
 			return removed
 		}
 		h.expiry.Pop()
@@ -116,7 +116,7 @@ func (h *Hash) Reorganize(t temporal.Time) int {
 func (h *Hash) Shed(n int) int {
 	removed := 0
 	for removed < n {
-		top, ok := h.expiry.Pop()
+		_, top, ok := h.expiry.Pop()
 		if !ok {
 			break
 		}

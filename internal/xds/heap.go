@@ -1,62 +1,89 @@
 package xds
 
-// Heap is a comparator-based binary min-heap. PIPES uses heaps for
-// priority scheduling and for ordering pending results by timestamp
-// (e.g. the aggregation operator's output heap).
-type Heap[T any] struct {
-	less func(a, b T) bool
-	data []T
+import (
+	"cmp"
+	"iter"
+	"slices"
+)
+
+// Heap is a binary min-heap whose entries each carry the key they are
+// ordered by; the engine keys its heaps by a time (a Start, an End or a
+// holdback bound). The zero value is an empty heap.
+//
+// Entries with equal keys keep no insertion order: where they sit in the
+// backing array follows from the sequence of pushes and pops alone, so
+// two heaps fed the same operations hold the same array.
+type Heap[K cmp.Ordered, V any] struct {
+	data []entry[K, V]
 }
 
-// NewHeap returns an empty heap ordered by less (a min-heap with respect
-// to the comparator: Pop returns the smallest element).
-func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+type entry[K cmp.Ordered, V any] struct {
+	k K
+	v V
 }
 
-// Len returns the number of stored elements.
-func (h *Heap[T]) Len() int { return len(h.data) }
+// Len returns the number of stored entries.
+func (h *Heap[K, V]) Len() int { return len(h.data) }
 
-// Items exposes the backing slice in heap order (NOT sorted). Callers must
-// treat it as read-only; it is invalidated by the next Push or Pop.
-func (h *Heap[T]) Items() []T { return h.data }
-
-// Push inserts v.
-func (h *Heap[T]) Push(v T) {
-	h.data = append(h.data, v)
+// Push adds v under key k.
+func (h *Heap[K, V]) Push(k K, v V) {
+	h.data = append(h.data, entry[K, V]{k, v})
 	h.up(len(h.data) - 1)
 }
 
-// Peek returns the minimum without removing it.
-func (h *Heap[T]) Peek() (T, bool) {
-	var zero T
+// Peek returns the entry of the smallest key without removing it; ok is
+// false when the heap is empty.
+func (h *Heap[K, V]) Peek() (k K, v V, ok bool) {
 	if len(h.data) == 0 {
-		return zero, false
+		return k, v, false
 	}
-	return h.data[0], true
+	return h.data[0].k, h.data[0].v, true
 }
 
-// Pop removes and returns the minimum element.
-func (h *Heap[T]) Pop() (T, bool) {
-	var zero T
+// Pop removes and returns the entry of the smallest key; ok is false
+// when the heap is empty.
+func (h *Heap[K, V]) Pop() (k K, v V, ok bool) {
 	n := len(h.data)
 	if n == 0 {
-		return zero, false
+		return k, v, false
 	}
-	v := h.data[0]
+	top := h.data[0]
 	h.data[0] = h.data[n-1]
-	h.data[n-1] = zero
+	h.data[n-1] = entry[K, V]{} // release the value for GC
 	h.data = h.data[:n-1]
 	if len(h.data) > 0 {
 		h.down(0)
 	}
-	return v, true
+	return top.k, top.v, true
 }
 
-func (h *Heap[T]) up(i int) {
+// AppendTo appends the values to dst in array order (not sorted) and
+// returns the extended slice. Pushing them back in that order under
+// their keys rebuilds the same array.
+func (h *Heap[K, V]) AppendTo(dst []V) []V {
+	dst = slices.Grow(dst, len(h.data))
+	for i := range h.data {
+		dst = append(dst, h.data[i].v)
+	}
+	return dst
+}
+
+// All visits the entries in array order (not sorted). The heap must not
+// change during the visit.
+func (h *Heap[K, V]) All() iter.Seq2[K, V] {
+	return func(yield func(K, V) bool) {
+		for i := range h.data {
+			if !yield(h.data[i].k, h.data[i].v) {
+				return
+			}
+		}
+	}
+}
+
+func (h *Heap[K, V]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.data[i], h.data[parent]) {
+		if !(h.data[i].k < h.data[parent].k) {
 			return
 		}
 		h.data[i], h.data[parent] = h.data[parent], h.data[i]
@@ -64,15 +91,15 @@ func (h *Heap[T]) up(i int) {
 	}
 }
 
-func (h *Heap[T]) down(i int) {
+func (h *Heap[K, V]) down(i int) {
 	n := len(h.data)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && h.less(h.data[l], h.data[smallest]) {
+		if l < n && h.data[l].k < h.data[smallest].k {
 			smallest = l
 		}
-		if r < n && h.less(h.data[r], h.data[smallest]) {
+		if r < n && h.data[r].k < h.data[smallest].k {
 			smallest = r
 		}
 		if smallest == i {
