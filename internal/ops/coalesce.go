@@ -34,7 +34,7 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 		key:     key,
 		pending: map[any]*span{},
 	}
-	c.init(name, 1, c.liveLow, c.finish, spanTable{c})
+	c.init(name, 1, c.processOne, c.liveLow, c.finish, spanTable{c})
 	return c
 }
 
@@ -42,18 +42,8 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 // values: the snapshot at any instant contains each value at most once.
 func NewDistinct(name string) *Coalesce { return NewCoalesce(name, nil) }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (c *Coalesce) ProcessBatch(b temporal.Batch, _ int) {
-	c.ProcMu.Lock()
-	defer c.ProcMu.Unlock()
-	for _, e := range b {
-		c.processOne(e)
-	}
-	c.Flush()
-}
-
 // processOne is the per-element body, under ProcMu.
-func (c *Coalesce) processOne(e temporal.Element) {
+func (c *Coalesce) processOne(_ int, e temporal.Element) {
 	// Finalise pending spans no future element can extend: their End lies
 	// strictly before the new watermark.
 	for {
@@ -77,7 +67,6 @@ func (c *Coalesce) processOne(e temporal.Element) {
 				p.value.End = e.End
 				c.ends.Push(p.value.End, k)
 			}
-			c.progress(0, e.Start)
 			return
 		}
 		// Gap: the old span is final.
@@ -87,7 +76,6 @@ func (c *Coalesce) processOne(e temporal.Element) {
 	c.pending[k] = &span{value: e}
 	c.ends.Push(e.End, k)
 	c.holdBack(e.Start, k)
-	c.progress(0, e.Start)
 }
 
 // liveLow reports whether a holdback entry is still its key's pending

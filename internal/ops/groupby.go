@@ -76,7 +76,7 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 	// Groups holding elements valid forever never see a closing boundary
 	// before the end; advance(MaxTime) pops their expiry events and emits
 	// their final spans.
-	g.init(name, 1, g.liveLow, func() { g.advance(temporal.MaxTime) }, groupTable{g})
+	g.init(name, 1, g.processOne, g.liveLow, func() { g.advance(temporal.MaxTime) }, groupTable{g})
 	return g
 }
 
@@ -85,18 +85,8 @@ func NewAggregate(name string, factory aggregate.Factory) *GroupBy {
 	return NewGroupBy(name, nil, factory, nil)
 }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (g *GroupBy) ProcessBatch(b temporal.Batch, _ int) {
-	g.ProcMu.Lock()
-	defer g.ProcMu.Unlock()
-	for _, e := range b {
-		g.processOne(e)
-	}
-	g.Flush()
-}
-
 // processOne is the per-element body, under ProcMu.
-func (g *GroupBy) processOne(e temporal.Element) {
+func (g *GroupBy) processOne(_ int, e temporal.Element) {
 	g.advance(e.Start)
 
 	k := g.key(e.Value)
@@ -115,7 +105,6 @@ func (g *GroupBy) processOne(e temporal.Element) {
 	}
 	g.expiry.Push(e.End, k)
 	g.holdBack(grp.lb, k)
-	g.progress(0, e.Start)
 }
 
 // advance processes every interval end up to and including t, emitting the

@@ -24,8 +24,9 @@ type Predicate2 func(left, right any) bool
 // arriving element purges the opposite area of entries that can no longer
 // overlap (Reorganize), probes it for value matches, emits one result per
 // match whose validity intervals intersect (the result carries the
-// intersection), and is inserted into its own area. Results flow through
-// an order buffer so the output is Start-ordered.
+// intersection), and is inserted into its own area. The ordered core
+// applies both inputs merged in Start order, so every result starts at
+// its probe's Start and leaves at once.
 //
 // The SweepArea choice fixes the join type: hash areas give an equi-join,
 // tree areas a band join, list areas an arbitrary theta join.
@@ -53,7 +54,7 @@ func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, comb
 	}
 	j := &Join{areas: [2]sweeparea.SweepArea{left, right}, pred: pred, combine: combine}
 	j.match = j.matchProbe
-	j.init(name, 2, nil, nil, area{left}, area{right})
+	j.init(name, 2, j.processOne, nil, nil, area{left}, area{right})
 	return j
 }
 
@@ -79,29 +80,19 @@ func NewEquiJoin(name string, leftKey, rightKey sweeparea.KeyFunc, combine Combi
 	return NewJoin(name, left, right, nil, combine)
 }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (j *Join) ProcessBatch(b temporal.Batch, input int) {
-	j.ProcMu.Lock()
-	defer j.ProcMu.Unlock()
-	for _, e := range b {
-		j.processOne(e, input)
-	}
-	j.Flush()
-}
-
 // processOne is the per-element body, under ProcMu.
-func (j *Join) processOne(e temporal.Element, input int) {
+func (j *Join) processOne(input int, e temporal.Element) {
 	opp := 1 - input
 	j.areas[opp].Reorganize(e.Start)
 	j.probe, j.probeIn = e, input
 	j.areas[opp].Probe(e, j.match)
 	j.probe.Value, j.probe.Trace = nil, nil // release what it references
-	if !j.InputDone(opp) || j.areas[opp].Len() > 0 {
+	if !j.InputDone(opp) || j.areas[opp].Len() > 0 || j.in[opp].Len() > 0 {
 		// Insert only while results remain possible: once the opposite
-		// input is done and its area drained, stored entries are garbage.
+		// input is done and its area and queue drained, stored entries
+		// are garbage.
 		j.areas[input].Insert(e)
 	}
-	j.progress(input, e.Start)
 }
 
 // matchProbe emits the result of j.probe and one stored match from the
@@ -118,12 +109,13 @@ func (j *Join) matchProbe(s temporal.Element) {
 	if !ok {
 		return
 	}
-	j.add(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
+	j.Emit(temporal.Derive(j.combine(l.Value, r.Value), iv, l, r))
 }
 
 // Shed releases memory by dropping the soonest-expiring entries, starting
-// with the larger area — the load-shedding hook the memory manager calls.
-// It returns how many entries were dropped.
+// with the larger area, then the oldest queued arrivals — the
+// load-shedding hook the memory manager calls. It returns how many
+// entries were dropped.
 func (j *Join) Shed(n int) int {
 	j.ProcMu.Lock()
 	defer j.ProcMu.Unlock()
@@ -134,6 +126,11 @@ func (j *Join) Shed(n int) int {
 	dropped := big.Shed(n)
 	if dropped < n {
 		dropped += small.Shed(n - dropped)
+	}
+	for i := range j.in {
+		for ; dropped < n && j.in[i].Len() > 0; dropped++ {
+			j.in[i].Dequeue()
+		}
 	}
 	return dropped
 }
@@ -153,11 +150,12 @@ func (j *Join) ShedBytes(n int) int {
 	return freed + j.Shed(entries)*64
 }
 
-// StateSize returns the number of stored entries across both areas.
+// StateSize returns the number of stored entries across both areas and
+// queues.
 func (j *Join) StateSize() int {
 	j.ProcMu.Lock()
 	defer j.ProcMu.Unlock()
-	return j.areas[0].Len() + j.areas[1].Len()
+	return j.areas[0].Len() + j.areas[1].Len() + j.in[0].Len() + j.in[1].Len()
 }
 
 func (j *Join) String() string { return fmt.Sprintf("%s[join]", j.Name()) }

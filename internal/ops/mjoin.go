@@ -39,22 +39,14 @@ func NewMJoin(name string, inputs int, key KeyFunc) *MJoin {
 		m.areas[i] = sweeparea.NewHash(k, k)
 		ps = append(ps, area{m.areas[i]})
 	}
-	m.init(name, inputs, nil, nil, ps...)
+	m.init(name, inputs, m.processOne, nil, nil, ps...)
 	return m
 }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (m *MJoin) ProcessBatch(b temporal.Batch, input int) {
-	m.ProcMu.Lock()
-	defer m.ProcMu.Unlock()
-	for _, e := range b {
-		m.processOne(e, input)
-	}
-	m.Flush()
-}
-
-// processOne is the per-element body, under ProcMu.
-func (m *MJoin) processOne(e temporal.Element, input int) {
+// processOne is the per-element body, under ProcMu: the core's merge
+// applies inputs in Start order, so each result starts at its probe's
+// Start and leaves at once.
+func (m *MJoin) processOne(input int, e temporal.Element) {
 	for i, a := range m.areas {
 		if i != input {
 			a.Reorganize(e.Start)
@@ -68,14 +60,13 @@ func (m *MJoin) processOne(e temporal.Element, input int) {
 	m.partial[input] = nil
 
 	m.areas[input].Insert(e)
-	m.progress(input, e.Start)
 }
 
 func (m *MJoin) expand(probe temporal.Element, origin, i int, iv temporal.Interval) {
 	if i == len(m.areas) {
 		tuple := make([]any, len(m.partial))
 		copy(tuple, m.partial)
-		m.add(temporal.Derive(tuple, iv, probe))
+		m.Emit(temporal.Derive(tuple, iv, probe))
 		return
 	}
 	if i == origin {

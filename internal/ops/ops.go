@@ -12,17 +12,21 @@
 // and the test suite checks the equivalence on randomized inputs.
 //
 // All operators preserve the stream invariant (non-decreasing Start).
-// Multi-input and reordering operators buffer pending results in an
-// internal heap and release them as input watermarks advance; sources with
-// unbounded validity intervals therefore require window operators upstream
-// of stateful operators, exactly as the paper prescribes.
+// Multi-input operators apply their inputs merged in (Start, input) order,
+// and reordering operators buffer pending results in an internal heap and
+// release them as the watermark advances; sources with unbounded validity
+// intervals therefore require window operators upstream of stateful
+// operators, exactly as the paper prescribes.
 //
-// Every operator states its logic once, as ProcessBatch: it takes the
-// processing lock once per frame, runs its per-element body in frame
+// A stateless operator states its logic once, as ProcessBatch: it takes
+// the processing lock once per frame, runs its per-element body in frame
 // order, Emits results into the PipeBase output frame and Flushes them as
-// one downstream frame. Processing a frame is by definition processing its
-// elements one by one, so behaviour never depends on how a stream is cut
-// into frames (SEMANTICS.md §3.7; internal/harness checks the invariance).
+// one downstream frame. An ordered operator states only its per-element
+// body; the ordered core runs the frames through it the same way, merging
+// the inputs first when there are several. Processing a frame is by
+// definition processing its elements one by one, so behaviour never
+// depends on how a stream is cut into frames (SEMANTICS.md §3.7;
+// internal/harness checks the invariance).
 package ops
 
 import (
@@ -148,34 +152,48 @@ func (p *Project[M]) ProcessBatch(b temporal.Batch, _ int) {
 	p.Flush()
 }
 
-// ordered is the ordered-output core of every operator whose raw results
-// can be produced out of Start order: join, mjoin, union, difference and
-// intersect, group-by, coalesce, DSTREAM, split, the partitioned window
-// and the sequencer. It is a PipeBase plus the order buffer plus the one
-// release rule. Pending results wait in a min-heap on Start and leave
-// once no future result can precede them: a result is released when its
-// Start is at most
+// ordered is the core of every operator that keeps Start order itself:
+// join, mjoin, union, difference and intersect, group-by, coalesce,
+// DSTREAM, split, the partitioned window and the sequencer. It is a
+// PipeBase, the operator's one ProcessBatch, the order buffer and the one
+// release rule. An operator states only its per-element body, apply; the
+// core runs each frame through it under ProcMu and Flushes once.
 //
-//	min(the minimum watermark over open inputs, the operator's holdback)
+// With one input the core applies a frame's elements in frame order. With
+// more it queues each input's arrivals and applies them merged: the
+// queued head that sorts first by (Start, input), once every open input
+// has an arrival queued (a done input holds nothing back). So a
+// multi-input body sees one Start-ordered stream whose ties leave in
+// input order, whatever the interleaving of the frames that brought them.
 //
-// where a done input (PipeBase's one done record) counts as +inf. The
-// holdback is one lazily pruned heap of (start, key) entries: an operator
-// pushes an entry whenever a key's earliest start it may still emit from
-// changes, and supplies live, which reports whether an entry still
-// describes its key; stale entries are popped when they reach the top.
-// An operator may also supply hold, an extra holdback term computed at
-// each release. The core records the start it released last: no later
-// result starts below it.
+// After each applied element the core advances its watermark, the
+// element's Start, and releases. Pending results wait in a min-heap on
+// Start and leave once no future result can precede them: a result is
+// released when its Start is at most
 //
-// The core owns the done wiring: an input's done releases, and the end
-// of the stream runs the operator's tail (which may add results), then
-// flushes every pending result in Start order. It also carries the
-// operator's checkpointable state (parts), itself the last part.
+//	min(the watermark, the operator's holdback)
+//
+// The holdback is one lazily pruned heap of (start, key) entries: an
+// operator pushes an entry whenever a key's earliest start it may still
+// emit from changes, and supplies live, which reports whether an entry
+// still describes its key; stale entries are popped when they reach the
+// top. An operator may also supply hold, an extra holdback term computed
+// at each release. The core records the start it released last: no later
+// result starts below it. A body whose results start at its element's
+// Start (union, join, mjoin) Emits them instead.
+//
+// The core owns the done wiring: an input's done applies what its
+// queue held back, and the end of the stream runs the operator's tail
+// (which may add results), then flushes every pending result in Start
+// order. It also carries the operator's checkpointable state (parts):
+// the operator's parts, then the input queues, then the core itself.
 type ordered struct {
 	pubsub.PipeBase
 	parts
+	apply    func(input int, e temporal.Element)
+	in       []xds.Queue[temporal.Element]             // one per input; nil with one input
 	out      xds.Heap[temporal.Time, temporal.Element] // by Start
-	wm       []temporal.Time
+	wm       temporal.Time
 	lows     xds.Heap[temporal.Time, any] // key may still emit from lb on
 	live     func(lb temporal.Time, key any) bool
 	hold     func() temporal.Time
@@ -183,24 +201,68 @@ type ordered struct {
 }
 
 // init sets the core up in place (the done hooks capture its address).
-// live may be nil for an operator without a holdback, tail for one
-// whose end of stream only flushes. ps are the operator's other parts;
-// the core follows them.
-func (c *ordered) init(name string, inputs int, live func(lb temporal.Time, key any) bool, tail func(), ps ...part) {
+// apply is the operator's per-element body; live may be nil for an
+// operator without a holdback, tail for one whose end of stream only
+// flushes. ps are the operator's other parts.
+func (c *ordered) init(name string, inputs int, apply func(input int, e temporal.Element), live func(lb temporal.Time, key any) bool, tail func(), ps ...part) {
 	c.PipeBase = pubsub.NewPipeBase(name, inputs)
-	c.declare(&c.ProcMu, append(ps, c)...)
-	c.live = live
-	c.wm = make([]temporal.Time, inputs)
-	for i := range c.wm {
-		c.wm[i] = temporal.MinTime
+	c.apply, c.live = apply, live
+	if inputs > 1 {
+		c.in = make([]xds.Queue[temporal.Element], inputs)
+		for i := range c.in {
+			ps = append(ps, queue{&c.in[i]})
+		}
 	}
-	c.released = temporal.MinTime
-	c.OnInputDone = func(int) { c.release() }
+	c.declare(&c.ProcMu, append(ps, c)...)
+	c.wm, c.released = temporal.MinTime, temporal.MinTime
+	c.OnInputDone = func(int) { c.pump() }
 	c.OnAllDone = func() {
 		if tail != nil {
 			tail()
 		}
 		c.releaseTo(temporal.MaxTime)
+	}
+}
+
+// ProcessBatch implements pubsub.BatchSink for every ordered operator.
+func (c *ordered) ProcessBatch(b temporal.Batch, input int) {
+	c.ProcMu.Lock()
+	defer c.ProcMu.Unlock()
+	if c.in == nil {
+		for _, e := range b {
+			c.apply(input, e)
+			c.progress(e.Start)
+		}
+	} else {
+		for _, e := range b {
+			c.in[input].Enqueue(e)
+		}
+		c.pump()
+	}
+	c.Flush()
+}
+
+// pump applies queued arrivals in (Start, input) order for as long as
+// every open input has one queued: until then an open input's next
+// arrival may still sort first.
+func (c *ordered) pump() {
+	for {
+		next, first := -1, temporal.MaxTime
+		for i := range c.in {
+			h, ok := c.in[i].Peek()
+			switch {
+			case !ok && !c.InputDone(i):
+				return
+			case ok && (next < 0 || h.Start < first):
+				next, first = i, h.Start
+			}
+		}
+		if next < 0 {
+			return
+		}
+		e, _ := c.in[next].Dequeue()
+		c.apply(next, e)
+		c.progress(e.Start)
 	}
 }
 
@@ -210,11 +272,11 @@ func (c *ordered) add(e temporal.Element) { c.out.Push(e.Start, e) }
 // holdBack records that key may still emit from lb on.
 func (c *ordered) holdBack(lb temporal.Time, key any) { c.lows.Push(lb, key) }
 
-// progress advances input's watermark to start (watermarks never
-// regress) and releases: the one call per processed element.
-func (c *ordered) progress(input int, start temporal.Time) {
-	if start > c.wm[input] {
-		c.wm[input] = start
+// progress advances the watermark to start (it never regresses) and
+// releases: the one call per applied element.
+func (c *ordered) progress(start temporal.Time) {
+	if start > c.wm {
+		c.wm = start
 	}
 	c.release()
 }
@@ -222,12 +284,7 @@ func (c *ordered) progress(input int, start temporal.Time) {
 // release emits, in Start order, every pending result no future result
 // can precede. Callers hold ProcMu.
 func (c *ordered) release() {
-	bound := temporal.MaxTime
-	for i, w := range c.wm {
-		if w < bound && !c.InputDone(i) {
-			bound = w
-		}
-	}
+	bound := c.wm
 	if c.hold != nil {
 		bound = min(bound, c.hold())
 	}
@@ -264,5 +321,11 @@ func (c *ordered) low() (lb temporal.Time, ok bool) {
 	return 0, false
 }
 
-// buffered returns the number of pending results.
-func (c *ordered) buffered() int { return c.out.Len() }
+// buffered returns the number of pending results and queued arrivals.
+func (c *ordered) buffered() int {
+	n := c.out.Len()
+	for i := range c.in {
+		n += c.in[i].Len()
+	}
+	return n
+}

@@ -23,29 +23,23 @@ func NewSequencer(name string, slack temporal.Time) *Sequencer {
 		panic("ops: sequencer slack must be non-negative")
 	}
 	s := &Sequencer{slack: slack}
-	s.init(name, 1, nil, nil, lateDrops{s})
+	s.init(name, 1, s.processOne, nil, nil, lateDrops{s})
 	s.hold = func() temporal.Time {
-		if s.wm[0] < temporal.MinTime+s.slack {
+		if s.wm < temporal.MinTime+s.slack {
 			return temporal.MinTime
 		}
-		return s.wm[0] - s.slack
+		return s.wm - s.slack
 	}
 	return s
 }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (s *Sequencer) ProcessBatch(b temporal.Batch, _ int) {
-	s.ProcMu.Lock()
-	defer s.ProcMu.Unlock()
-	for _, e := range b {
-		if e.Start < s.released {
-			s.late++ // too late: releasing it would violate the invariant
-			continue
-		}
-		s.add(e)
-		s.progress(0, e.Start)
+// processOne is the per-element body, under ProcMu.
+func (s *Sequencer) processOne(_ int, e temporal.Element) {
+	if e.Start < s.released {
+		s.late++ // too late: releasing it would violate the invariant
+		return
 	}
-	s.Flush()
+	s.add(e)
 }
 
 // LateDrops returns how many elements arrived beyond the slack and were

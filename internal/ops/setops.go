@@ -11,14 +11,13 @@ import (
 // Values are compared via the key function (identity by default; values
 // must be comparable).
 //
-// Both inputs are internally merged into global Start order; per key the
-// operator tracks the two active multiplicities and emits one batch of
-// output copies per maximal span of constant multiplicity.
+// The ordered core applies both inputs merged in global Start order; per
+// key the operator tracks the two active multiplicities and emits one
+// batch of output copies per maximal span of constant multiplicity.
 type setOp struct {
 	ordered
 	key    KeyFunc
 	mult   func(m0, m1 int) int
-	inQ    [2]xds.Queue[temporal.Element]
 	state  map[any]*diffState
 	expiry xds.Heap[temporal.Time, diffExpiry] // by End
 }
@@ -69,63 +68,12 @@ func (d *setOp) setup(name string, key KeyFunc, mult func(m0, m1 int) int) {
 	}
 	d.key, d.mult = key, mult
 	d.state = map[any]*diffState{}
-	d.init(name, 2, d.liveLow, func() { d.advance(temporal.MaxTime) },
-		setKeys{d}, setExpiry{d}, queue{&d.inQ[0]}, queue{&d.inQ[1]})
-	d.hold = d.pump
+	d.init(name, 2, d.processOne, d.liveLow, func() { d.advance(temporal.MaxTime) },
+		setKeys{d}, setExpiry{d})
 }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (d *setOp) ProcessBatch(b temporal.Batch, input int) {
-	d.ProcMu.Lock()
-	defer d.ProcMu.Unlock()
-	for _, e := range b {
-		d.inQ[input].Enqueue(e)
-		d.progress(input, e.Start)
-	}
-	d.Flush()
-}
-
-// pump is the core's extra holdback term, run at every release: it
-// applies queued arrivals in global Start order — an arrival is
-// applicable once the other input's queue has a head (or is done) that
-// proves no earlier element can arrive — and returns the earliest
-// arrival still queued, which holds back emission too.
-func (d *setOp) pump() temporal.Time {
-	for {
-		i := d.nextInput()
-		if i < 0 {
-			break
-		}
-		e, _ := d.inQ[i].Dequeue()
-		d.apply(i, e)
-	}
-	bound := temporal.MaxTime
-	for i := range d.inQ {
-		if h, ok := d.inQ[i].Peek(); ok && h.Start < bound {
-			bound = h.Start
-		}
-	}
-	return bound
-}
-
-func (d *setOp) nextInput() int {
-	h0, ok0 := d.inQ[0].Peek()
-	h1, ok1 := d.inQ[1].Peek()
-	switch {
-	case ok0 && ok1:
-		if h0.Start <= h1.Start {
-			return 0
-		}
-		return 1
-	case ok0 && d.InputDone(1):
-		return 0
-	case ok1 && d.InputDone(0):
-		return 1
-	}
-	return -1
-}
-
-func (d *setOp) apply(input int, e temporal.Element) {
+// processOne is the per-element body, under ProcMu.
+func (d *setOp) processOne(input int, e temporal.Element) {
 	d.advance(e.Start)
 	k := d.key(e.Value)
 	st := d.state[k]

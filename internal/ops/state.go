@@ -449,14 +449,12 @@ func (l *lease) encode(dst []byte) ([]byte, error) {
 }
 
 // capture copies the order buffer: the pending (unreleased) results in
-// heap array order, and the per-input watermarks. Done inputs are
-// re-established by the replayed inputs, and the holdback heap is rebuilt
-// by the parts before the core.
+// heap array order, and the watermark, written as a list of one. Done
+// inputs are re-established by the replayed inputs, and the holdback
+// heap is rebuilt by the parts before the core.
 func (c *ordered) capture(cp *capture) encoder {
 	cp.elems = c.out.AppendTo(cp.elems)
-	for _, w := range c.wm {
-		cp.nums = append(cp.nums, int64(w))
-	}
+	cp.nums = append(cp.nums, int64(c.wm))
 	return encodeCore
 }
 
@@ -476,13 +474,11 @@ func (c *ordered) load(d *wire.Decoder) {
 	for _, e := range readElems(d, nil) {
 		c.out.Push(e.Start, e)
 	}
-	if n := d.Count(); n != len(c.wm) {
-		d.Fail(fmt.Errorf("ops: state has %d watermarks, the operator %d inputs", n, len(c.wm)))
+	if n := d.Count(); n != 1 {
+		d.Fail(fmt.Errorf("ops: state has %d watermarks, want 1", n))
 		return
 	}
-	for i := range c.wm {
-		c.wm[i] = temporal.Time(d.Varint())
-	}
+	c.wm = temporal.Time(d.Varint())
 }
 
 func (c *ordered) bytes() int { return c.out.Len() * 64 }

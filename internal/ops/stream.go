@@ -16,19 +16,13 @@ type DStream struct{ ordered }
 // NewDStream returns a DSTREAM converter.
 func NewDStream(name string) *DStream {
 	d := &DStream{}
-	d.init(name, 1, nil, nil)
+	d.init(name, 1, d.processOne, nil, nil)
 	return d
 }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (d *DStream) ProcessBatch(b temporal.Batch, _ int) {
-	d.ProcMu.Lock()
-	defer d.ProcMu.Unlock()
-	for _, e := range b {
-		if e.End != temporal.MaxTime {
-			d.add(e.WithInterval(temporal.NewInterval(e.End, e.End+1)))
-		}
-		d.progress(0, e.Start)
+// processOne is the per-element body, under ProcMu.
+func (d *DStream) processOne(_ int, e temporal.Element) {
+	if e.End != temporal.MaxTime {
+		d.add(e.WithInterval(temporal.NewInterval(e.End, e.End+1)))
 	}
-	d.Flush()
 }

@@ -3,9 +3,9 @@ package ops
 import "pipes/internal/temporal"
 
 // Union merges any number of input streams into one (multiset union per
-// snapshot). Inputs are individually ordered by Start; Union restores the
-// global order by buffering each element until every other open input's
-// watermark has passed it.
+// snapshot). Inputs are individually ordered by Start; the ordered core's
+// input merge restores the global order, so Union forwards each element
+// as the merge applies it.
 type Union struct{ ordered }
 
 // NewUnion returns a union over `inputs` streams (inputs >= 2).
@@ -14,22 +14,14 @@ func NewUnion(name string, inputs int) *Union {
 		panic("ops: union needs at least two inputs")
 	}
 	u := &Union{}
-	u.init(name, inputs, nil, nil)
+	u.init(name, inputs, u.processOne, nil, nil)
 	return u
 }
 
-// ProcessBatch implements pubsub.BatchSink.
-func (u *Union) ProcessBatch(b temporal.Batch, input int) {
-	u.ProcMu.Lock()
-	defer u.ProcMu.Unlock()
-	for _, e := range b {
-		u.add(e)
-		u.progress(input, e.Start)
-	}
-	u.Flush()
-}
+// processOne is the per-element body, under ProcMu.
+func (u *Union) processOne(_ int, e temporal.Element) { u.Emit(e) }
 
-// Pending returns the number of buffered (not yet releasable) elements —
+// Pending returns the number of queued (not yet applicable) elements —
 // exposed for memory accounting and tests.
 func (u *Union) Pending() int {
 	u.ProcMu.Lock()
