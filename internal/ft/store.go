@@ -80,8 +80,10 @@ var ErrSealed = errors.New("ft: checkpoint already sealed")
 // pending output holds the tuples its query delivers, not []any group
 // rows, and a grouped query's γ is numbered where its projection was;
 // 7 — coalesce (δ), DSTREAM, RSTREAM and split save their state, which a
-// version-6 store has no entries for.
-const StateVersion = 7
+// version-6 store has no entries for; 8 — a multi-input operator saves
+// one queue of arrivals per input and one watermark, where a version-7
+// store holds pending results and one watermark per input.
+const StateVersion = 8
 
 // ErrStateVersion is wrapped by LatestComplete when a sealed checkpoint
 // carries another StateVersion.

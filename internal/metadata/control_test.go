@@ -91,10 +91,14 @@ func TestMonitoredBarrierAlignmentReplayCounted(t *testing.T) {
 	}
 	right.Transfer(temporal.NewElement(1, 1, 11)) // joins with the first left element
 	right.TransferControl(b)                      // aligns: barrier emitted, held element replayed
+	left.SignalDone()                             // lets the queued right element through
 
-	// The first pair sits in the join's output order-buffer until the left
-	// watermark advances (i.e. until the held element is replayed), so both
-	// pairs surface after the barrier — consistently: the pending pair is
+	// The join applies its inputs merged in (Start, input) order, once
+	// both have an arrival queued. The right element waits in its queue
+	// until input 0 is past Start 1 or done: the replayed left element
+	// ties with it at Start 1 and goes first, so only input 0's done lets
+	// it through. It then probes both left elements, so both pairs
+	// surface after the barrier — consistently: the queued element is
 	// part of the join state a checkpoint at this barrier captures.
 	pair := ops.Pair{Left: 1, Right: 1}
 	want := []any{b, pair, pair}

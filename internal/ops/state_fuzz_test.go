@@ -167,22 +167,22 @@ func TestStateLoadRejectsTruncation(t *testing.T) {
 func TestStateEncodingGolden(t *testing.T) {
 	golden := map[string]string{
 		"groupby":           "0202020a011002016b020201760208060e02060c011002016b02060176038080808080400c1200010c",
-		"join":              "021002016b0202017605000000000000044002141002016b0202017601010812021002016b0202017606016204141002016b0204017600061001111002016b0202017601011002016b020201760601620812020806",
+		"join":              "011002016b020201760500000000000004400214021002016b0202017606016204141002016b02040176000610011002016b020201760101081200000106",
 		"countwindow":       "030407040406017a060601000808",
 		"coalesce":          "021002016b0202017605000000000000044002181002016b02040176000a0e011002016b020401760601620406010c",
 		"distinct":          "03020202140500000000000004400c100601780a0e010601780406010c",
 		"dstream":           "030601620a0c1002016b02020176060161282a010012140106",
 		"sample":            "010c0306017304081002016b0202017605000000000000e03f021404070a12",
 		"split":             "0300080c1002016b0202017606017910141002016b0202017606017908100104",
-		"mjoin":             "0302020202140204081201020204140102020614010703020202020202061403080406",
-		"difference":        "02060161060161020204060162060162020006030c0601610112060161000e060162000001060163081000020608",
-		"intersect":         "020202020202020402040204020006030c020201120202000e02040000010206081000020608",
-		"union":             "0107020202060179080e020806",
+		"mjoin":             "0301020202140102020414000102040812000102020614000104",
+		"difference":        "02060161060161020204060162060162020006030c0601610112060161000e0601620000010601630810000106",
+		"intersect":         "020202020202020402040204020006030c020201120202000e020400000102060810000106",
+		"union":             "0107020202060179080e00000106",
 		"partitionedwindow": "020202021002016b02020176020606061002016b02020176020808080204011002016b0204017602040404000108",
 		"sequencer":         "010a0203040e1205000000000000f8bf12180112",
-		"difference_ties":   "0602000200040208020202020204080204020404020a020602060202060208020804020a060468656c64060468656c640200000f2a0200002c0208002e0204002e020600300202012e02060132020001b401060468656c640032020200300204013402000036020801320202013202040036020800000202060a3802000c3603020002040204020602080408020a0c",
+		"difference_ties":   "0602000200040208020202020204080204020404020a020602060202060208020804020a060468656c64060468656c640200000f2a0200002c0208002e0204002e020600300202012e02060132020001b401060468656c640032020200300204013402000036020801320202013202040036020800000202060a3802000c3603020002040204020602080408010a",
 		"sample_ties":       "0110100200022a0208042c0204022e0210062e0206042e020a0432020c0632020e06300202023002120836021408340216083202180a32021a0a38021c0a36021e0c36",
-		"union_ties":        "0d1002016b020201760208042c1002016b02000176020c06321002016b020001760206042e1002016b02020176020e06301002016b02000176021208361002016b02040176021608321002016b02040176020a04321002016b02000176021e0c361002016b020401760210062e1002016b02020176021a0a381002016b02020176021408341002016b02040176021c0a361002016b0200017602180a32020c02",
+		"union_ties":        "0d1002016b020001760206042e1002016b020201760208042c1002016b02040176020a04321002016b02000176020c06321002016b02020176020e06301002016b020401760210062e1002016b02000176021208361002016b02020176021408341002016b02040176021608321002016b0200017602180a321002016b02020176021a0a381002016b02040176021c0a361002016b02000176021e0c3600000102",
 		"groupby_ties":      "04020000011002016b02000176060468656c6400b40102020c041002016b020201760200022a1002016b02020176020a04321002016b02020176021408341002016b02020176021e0c3602040a061002016b02040176020202301002016b020401760208042c1002016b02040176020c06321002016b02040176021608321002016b02040176021208361002016b02040176021c0a36020a0a061002016b020a01760204022e1002016b020a01760206042e1002016b020a01760210062e1002016b020a0176020e06301002016b020a017602180a321002016b020a0176021a0a380a12020a0302020412020403020204120202030202041202040304040612020a03040406120204030606081202020304040812020a0308060a120204030a080a1202020306080c010c",
 	}
 	for _, c := range stateCases() {

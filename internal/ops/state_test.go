@@ -405,7 +405,7 @@ func TestSnapshotOrderDeterministic(t *testing.T) {
 // through an interface, so an operator without one fails here.
 func TestEveryStatefulOperatorReportsMemory(t *testing.T) {
 	want := map[string]int{
-		"join": 416, "mjoin": 416, "groupby": 224, "difference": 208, "intersect": 208,
+		"join": 328, "mjoin": 304, "groupby": 224, "difference": 208, "intersect": 208,
 		"union": 64, "coalesce": 192, "distinct": 256,
 	}
 	for _, c := range stateCases() {
