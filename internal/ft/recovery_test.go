@@ -61,9 +61,9 @@ func shapes(rng *rand.Rand) []shape {
 			},
 		},
 		{
-			// Count windows sit upstream of the union: a CountWindow's output
-			// depends on physical arrival order, which is only deterministic
-			// on a single-source chain (and replay preserves per-source order).
+			// A CountWindow's output depends on the order of its input:
+			// here each one sees a single source, whose order replay
+			// preserves; union-countwindow-groupby puts one below the union.
 			name:   "countwindow-union-groupby",
 			inputs: 2,
 			build: func(srcs []pubsub.Source) builtGraph {
@@ -152,6 +152,24 @@ func shapes(rng *rand.Rand) []shape {
 				mustSub(w1, u, 1)
 				mustSub(u, dst, 0)
 				return builtGraph{out: dst, stateful: map[string]pubsub.Pipe{"union": u, "distinct": dst}}
+			},
+		},
+		{
+			// The count window sees the union's output: the union applies
+			// its inputs merged in (Start, input) order, so which elements
+			// share a window does not depend on how the two sources'
+			// frames interleave, in the reference run or after recovery.
+			name:   "union-countwindow-groupby",
+			inputs: 2,
+			build: func(srcs []pubsub.Source) builtGraph {
+				u := ops.NewUnion("union", 2)
+				cw := ops.NewCountWindow("cw", cwn)
+				gb := ops.NewGroupBy("gb", mod, aggregate.NewCount, nil)
+				mustSub(srcs[0], u, 0)
+				mustSub(srcs[1], u, 1)
+				mustSub(u, cw, 0)
+				mustSub(cw, gb, 0)
+				return builtGraph{out: gb, stateful: map[string]pubsub.Pipe{"union": u, "cw": cw, "gb": gb}}
 			},
 		},
 	}

@@ -17,12 +17,6 @@
 // randomized per-source element offset — the offset cuts the current
 // frame (the punctuation-cut rule) — and the barrier save hooks capture
 // each stateful operator's encoded snapshot for comparison.
-//
-// Limitation: the exact-equality argument requires that every multi-input
-// operator's inputs descend from disjoint sources. A diamond (one source
-// reaching one operator on two inputs) interleaves its edges per frame,
-// so its physical emission order varies with the frame size; such plans
-// need the snapshot-equivalence oracle (Stress), not this driver.
 package harness
 
 import (

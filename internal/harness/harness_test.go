@@ -108,6 +108,40 @@ func plans(t *testing.T) []harness.Plan {
 				return g, tasks, nil
 			},
 		},
+		{
+			// A diamond: one source reaches both join inputs, through
+			// windows of two sizes, so every element ties with itself.
+			Name:   "self-join-diamond",
+			Inputs: [][]temporal.Element{randStream(rng, 50, 6, 1)},
+			Build: func(in []pubsub.Source) (pubsub.Source, []sched.Task, error) {
+				var tasks []sched.Task
+				w6 := ops.NewTimeWindow("w6", 6)
+				w4 := ops.NewTimeWindow("w4", 4)
+				boundary(t, "b.w6", in[0], w6, 0, &tasks)
+				boundary(t, "b.w4", in[0], w4, 0, &tasks)
+				j := ops.NewEquiJoin("j", mod3, mod3, combine)
+				boundary(t, "b.j0", w6, j, 0, &tasks)
+				boundary(t, "b.j1", w4, j, 1, &tasks)
+				return j, tasks, nil
+			},
+		},
+		{
+			// A diamond: one source reaches both union inputs, through a
+			// filter and a map.
+			Name:   "union-diamond",
+			Inputs: [][]temporal.Element{randStream(rng, 50, 10, 8)},
+			Build: func(in []pubsub.Source) (pubsub.Source, []sched.Task, error) {
+				var tasks []sched.Task
+				f := ops.NewFilter("f", func(v any) bool { return v.(int)%2 == 0 })
+				m := ops.NewMap("m", func(v any) any { return v.(int) * 10 })
+				boundary(t, "b.f", in[0], f, 0, &tasks)
+				boundary(t, "b.m", in[0], m, 0, &tasks)
+				u := ops.NewUnion("u", 2)
+				boundary(t, "b.u0", f, u, 0, &tasks)
+				boundary(t, "b.u1", m, u, 1, &tasks)
+				return u, tasks, nil
+			},
+		},
 	}
 }
 
