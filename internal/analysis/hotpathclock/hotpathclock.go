@@ -8,8 +8,9 @@
 //
 // A function is "hot" when it is a ProcessBatch, TransferBatch or Drain
 // method of a scoped package (or one of the per-element edge adapters,
-// Process and Transfer), or is statically reachable from one within the
-// same package. Inside hot functions, calls to time.Now / time.Since /
+// Process and Transfer, or an ordered operator's per-element body,
+// processOne), or is statically reachable from one within the same
+// package. Inside hot functions, calls to time.Now / time.Since /
 // time.Until are flagged unless:
 //
 //   - the call sits lexically inside an if-statement whose condition
@@ -52,10 +53,12 @@ var scope = []string{"ops", "pubsub", "aggregate", "metadata", "sweeparea", "tem
 // drain — a clock read there repeats per frame, which at small frame
 // sizes is per-element cost in disguise — plus the per-element edge
 // adapters, Process (a user sink behind the Subscribe-time wrapper) and
-// Transfer (a one-element frame).
+// Transfer (a one-element frame), and processOne, the per-element body an
+// ordered operator hands its core: the core calls it through a function
+// field, which no static call edge follows.
 var hotRoots = map[string]bool{
 	"ProcessBatch": true, "TransferBatch": true, "Drain": true,
-	"Process": true, "Transfer": true,
+	"Process": true, "Transfer": true, "processOne": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -1,7 +1,8 @@
 // Package ops exercises the hot-path clock contract: ProcessBatch/
-// TransferBatch/Drain (and the per-element edge adapter Transfer) and
-// everything statically reachable from them must not read the wall clock
-// outside the sanctioned patterns.
+// TransferBatch/Drain (and the per-element edge adapter Transfer, and an
+// ordered operator's per-element body processOne) and everything
+// statically reachable from them must not read the wall clock outside the
+// sanctioned patterns.
 package ops
 
 import "time"
@@ -40,6 +41,35 @@ func (o *op) TransferBatch(xs []int) {
 
 func (o *op) Transfer(x int) {
 	_ = time.Now() // want `raw time.Now on the hot path`
+}
+
+// core runs each element through the body its operator hands it, a
+// function field: no static call edge leads from ProcessBatch to it.
+type core struct {
+	apply func(x int)
+}
+
+func (c *core) ProcessBatch(xs []int) {
+	for _, x := range xs {
+		c.apply(x)
+	}
+}
+
+// grouped is an ordered operator: its per-element body is hot although
+// only the core's function field reaches it.
+type grouped struct {
+	core
+	last time.Time
+}
+
+func newGrouped() *grouped {
+	g := &grouped{}
+	g.apply = g.processOne
+	return g
+}
+
+func (g *grouped) processOne(x int) {
+	g.last = time.Now() // want `raw time.Now on the hot path`
 }
 
 // sysClock is a Clock implementation: the injection point for real time,
