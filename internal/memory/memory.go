@@ -4,8 +4,7 @@
 // redistributes budgets at runtime as demand shifts, and when an operator
 // exceeds its assignment it applies that subscription's user-defined
 // load-shedding strategy [cf. Aurora, 8] — dropping soonest-expiring
-// state, dropping randomly, or shrinking windows — trading exact answers
-// for bounded memory (experiment E7).
+// state — trading exact answers for bounded memory (experiment E7).
 package memory
 
 import (
@@ -33,13 +32,6 @@ type Shedder interface {
 	ShedBytes(n int) int
 }
 
-// WindowShrinker is the capability to reduce an upstream window so less
-// state accumulates in the first place.
-type WindowShrinker interface {
-	// Shrink scales the window length by factor ∈ (0,1).
-	Shrink(factor float64)
-}
-
 // Strategy reduces a user's footprint by roughly excess bytes and returns
 // the bytes actually released (0 if the strategy does not apply).
 type Strategy func(u User, excess int) int
@@ -53,25 +45,6 @@ func DropState() Strategy {
 		return 0
 	}
 }
-
-// ShrinkWindow shrinks the user's window by factor if it is a
-// WindowShrinker and additionally sheds state to realise the reduction
-// immediately.
-func ShrinkWindow(factor float64) Strategy {
-	return func(u User, excess int) int {
-		if w, ok := u.(WindowShrinker); ok {
-			w.Shrink(factor)
-		}
-		if s, ok := u.(Shedder); ok {
-			return s.ShedBytes(excess)
-		}
-		return 0
-	}
-}
-
-// NoShedding never releases anything; the subscription only participates
-// in budget accounting. Useful for monitoring-only subscriptions.
-func NoShedding() Strategy { return func(User, int) int { return 0 } }
 
 // Subscription is one managed operator. Its fields are atomics because
 // the manager's Enforce loop, Redistribute and external readers (monitor,

@@ -12,9 +12,8 @@ import (
 
 // fakeUser is a controllable memory user.
 type fakeUser struct {
-	name   string
-	usage  int
-	shrunk float64
+	name  string
+	usage int
 }
 
 func (f *fakeUser) Name() string     { return f.name }
@@ -27,8 +26,6 @@ func (f *fakeUser) ShedBytes(n int) int {
 	f.usage -= n
 	return n
 }
-
-func (f *fakeUser) Shrink(factor float64) { f.shrunk = factor }
 
 func TestEnforceShedsExcess(t *testing.T) {
 	m := NewManager(1000)
@@ -114,32 +111,6 @@ func TestUnlimitedBudget(t *testing.T) {
 	m.Redistribute()
 	if freed := m.Enforce(); freed != 0 {
 		t.Fatalf("unlimited manager shed %d bytes", freed)
-	}
-}
-
-func TestShrinkWindowStrategy(t *testing.T) {
-	m := NewManager(100)
-	u := &fakeUser{name: "w", usage: 500}
-	m.Subscribe(u, ShrinkWindow(0.5), 1)
-	m.Step()
-	if u.shrunk != 0.5 {
-		t.Fatalf("window not shrunk: %v", u.shrunk)
-	}
-	if u.usage > 100 {
-		t.Fatalf("usage %d not reduced", u.usage)
-	}
-}
-
-func TestNoSheddingStrategy(t *testing.T) {
-	m := NewManager(100)
-	u := &fakeUser{name: "u", usage: 500}
-	sub := m.Subscribe(u, NoShedding(), 1)
-	m.Step()
-	if u.usage != 500 {
-		t.Fatal("NoShedding modified the user")
-	}
-	if sub.ShedEvents() != 1 || sub.ShedBytesTotal() != 0 {
-		t.Fatalf("accounting: events=%d bytes=%d", sub.ShedEvents(), sub.ShedBytesTotal())
 	}
 }
 

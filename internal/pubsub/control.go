@@ -48,11 +48,9 @@ type Control interface {
 
 // Barrier is the checkpoint punctuation of the fault-tolerance subsystem:
 // all state changes caused by elements published before the barrier
-// belong to checkpoint ID, all later ones do not. Payload carries the
-// coordinator's per-round state (opaque to pubsub).
+// belong to checkpoint ID, all later ones do not.
 type Barrier struct {
-	ID      uint64
-	Payload any
+	ID uint64
 }
 
 // ControlString implements Control.

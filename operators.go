@@ -120,12 +120,9 @@ var (
 	NewBufferTask  = sched.NewBufferTask
 )
 
-// Load-shedding strategies for the memory manager.
-var (
-	DropState    = memory.DropState
-	ShrinkWindow = memory.ShrinkWindow
-	NoShedding   = memory.NoShedding
-)
+// DropState is the memory manager's load-shedding strategy: an operator
+// over its budget drops its soonest-expiring state.
+var DropState = memory.DropState
 
 // Stream connectivity: persistence to io.Writer/Reader and TCP transport.
 var (
