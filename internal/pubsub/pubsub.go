@@ -447,8 +447,8 @@ type PipeBase struct {
 
 	// OnInputDone, if non-nil, runs under ProcMu when an individual input
 	// first signals done (before OnAllDone for the last input).
-	// Multi-input operators use it to advance that input's watermark to
-	// infinity and release buffered results.
+	// The ordered core of internal/ops uses it to apply the arrivals the
+	// input's silence held back.
 	OnInputDone func(input int)
 
 	inputs int
