@@ -2,6 +2,7 @@ package pipes
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,8 +44,50 @@ func TestCheckpointRecoveryThroughFacade(t *testing.T) {
 		"dstream":  `DSTREAM(SELECT auction, price FROM bids [RANGE 50])`,
 		"rstream":  `RSTREAM(SELECT auction FROM bids [RANGE 50], SLIDE 7)`,
 	} {
-		t.Run(name, func(t *testing.T) { recoverThroughFacade(t, query) })
+		t.Run(name, func(t *testing.T) { recoverThroughFacade(t, query, false) })
 	}
+}
+
+// A GROUP BY lends its result rows while a borrowing sink is subscribed
+// (SEMANTICS.md §3.7), and its pending rows are checkpoint state: the
+// recovery workflow must stitch a snapshot-equivalent output with such a
+// sink on both engines, and every row the recovered engine lent must
+// have rendered as the copy its owner kept.
+func TestLentGroupRowsRecoverThroughFacade(t *testing.T) {
+	recoverThroughFacade(t, `SELECT auction, COUNT(*) AS n, AVG(price) FROM bids [RANGE 50] GROUP BY auction`, true)
+}
+
+// renderSink borrows the rows a query lends it: it renders each one in
+// the call and keeps only the text, as the service's result sink does.
+type renderSink struct {
+	mu  sync.Mutex
+	out []string
+}
+
+func (s *renderSink) Name() string   { return "render" }
+func (s *renderSink) Done(int)       {}
+func (s *renderSink) BorrowsValues() {}
+
+func (s *renderSink) ProcessBatch(b temporal.Batch, _ int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range b {
+		s.out = append(s.out, render(e.Value))
+	}
+}
+
+func (s *renderSink) rendered() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.out
+}
+
+func render(v any) string {
+	js, ok := v.(Tuple).AppendJSON(nil)
+	if !ok {
+		return "unrendered"
+	}
+	return string(js)
 }
 
 // TestEveryPlannedOperatorIsCheckpointed builds, with checkpointing on,
@@ -124,7 +167,7 @@ func TestEveryPlannedOperatorIsCheckpointed(t *testing.T) {
 	}
 }
 
-func recoverThroughFacade(t *testing.T, query string) {
+func recoverThroughFacade(t *testing.T, query string, borrow bool) {
 	const total = 120
 	const fed = 60
 	input := bidStream(total)
@@ -157,6 +200,11 @@ func recoverThroughFacade(t *testing.T, query string) {
 		t.Fatal(err)
 	}
 	a.Checkpoints.RegisterSink(sinkA)
+	if borrow {
+		if err := qa.Subscribe(&renderSink{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, e := range input[:fed] {
 		feed <- e
@@ -198,12 +246,30 @@ func recoverThroughFacade(t *testing.T, query string) {
 	if err := qb.Subscribe(colB); err != nil {
 		t.Fatal(err)
 	}
+	lentB := &renderSink{}
+	if borrow {
+		if err := qb.Subscribe(lentB); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := b.Recover(cp); err != nil {
 		t.Fatal(err)
 	}
 	b.Start()
 	b.Wait()
 	colB.Wait()
+
+	if borrow {
+		lent := lentB.rendered()
+		if len(lent) != len(colB.Elements()) {
+			t.Fatalf("the borrower rendered %d rows, the owner kept %d", len(lent), len(colB.Elements()))
+		}
+		for i, v := range colB.Values() {
+			if got := render(v); got != lent[i] {
+				t.Fatalf("row %d: the owner kept %s, the borrower was lent %s", i, got, lent[i])
+			}
+		}
+	}
 
 	cut, ok := sinkA.Cut(cp.ID)
 	if !ok {

@@ -80,6 +80,33 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 	return g
 }
 
+// NewGroupInto returns a grouped aggregation whose spans deliver rows
+// it lends (rows, SEMANTICS.md §3.7): the planner's γ. fill writes the
+// result for the group of key into an empty row when its span closes and
+// reports whether the span emits at all (a HAVING clause compiled into
+// the node); it runs under the node's processing lock and must not keep
+// agg. A row a borrower returns is reused only once no checkpoint
+// capture of the node is out: its pending rows are state, and the
+// capture's encode reads them after the barrier.
+func NewGroupInto[M ~map[string]any](name string, key KeyFunc, factory aggregate.Factory, fill func(key any, agg aggregate.Aggregate, row M) bool) *GroupBy {
+	if fill == nil {
+		panic("ops: nil group projection")
+	}
+	r := new(rows[M])
+	g := NewGroupBy(name, key, factory, func(k any, agg aggregate.Aggregate) (any, bool) {
+		row := r.get()
+		if !fill(k, agg, row) {
+			r.keep(row)
+			return nil, false
+		}
+		return row, true
+	})
+	r.core = &g.ordered
+	r.lend(&g.SourceBase)
+	g.free = r
+	return g
+}
+
 // NewAggregate returns an ungrouped aggregation (a single global group).
 func NewAggregate(name string, factory aggregate.Factory) *GroupBy {
 	return NewGroupBy(name, nil, factory, nil)

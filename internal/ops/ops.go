@@ -30,8 +30,6 @@
 package ops
 
 import (
-	"maps"
-
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 	"pipes/internal/xds"
@@ -111,17 +109,17 @@ func (m *Map) ProcessBatch(b temporal.Batch, _ int) {
 }
 
 // Project is the planner's temporal projection π over map-shaped rows:
-// Map with a mapper that writes each result into a row the node owns
-// instead of returning a fresh one. Row i of the pending output frame is
-// pool slot i, cleared and refilled only once the frame that held it has
-// been published, so the pool never exceeds one frame. The node lends its
-// rows (pubsub.SourceBase.Lend): a subscriber that only reads values in
-// the call (pubsub.ValueBorrower) gets them as they are, every other one
-// a maps.Clone per row — what a fresh row per element cost before.
+// Map with a mapper that writes each result into a row the node takes
+// from its free list instead of returning a fresh one. The node lends its
+// rows (rows, pubsub.SourceBase.Lend): while a subscriber that only reads
+// values in the call (pubsub.ValueBorrower) is subscribed, rows come back
+// after each frame and are refilled, and every other subscriber gets a
+// maps.Clone per row; while none is, every row is a new one, the
+// subscribers'.
 type Project[M ~map[string]any] struct {
 	pubsub.PipeBase
 	fill func(v any, row M)
-	rows []M
+	rows rows[M]
 }
 
 // NewProject returns a projection operator; fill writes the result for v
@@ -131,7 +129,7 @@ func NewProject[M ~map[string]any](name string, fill func(v any, row M)) *Projec
 		panic("ops: nil projection")
 	}
 	p := &Project[M]{PipeBase: pubsub.NewPipeBase(name, 1), fill: fill}
-	p.Lend(func(v any) any { return maps.Clone(v.(M)) })
+	p.rows.lend(&p.SourceBase)
 	return p
 }
 
@@ -140,16 +138,18 @@ func (p *Project[M]) ProcessBatch(b temporal.Batch, _ int) {
 	p.ProcMu.Lock()
 	defer p.ProcMu.Unlock()
 	for _, e := range b {
-		i := p.Pending()
-		if i == len(p.rows) {
-			p.rows = append(p.rows, make(M))
-		}
-		row := p.rows[i]
-		clear(row)
+		row := p.rows.get()
 		p.fill(e.Value, row)
 		p.Emit(temporal.Derive(row, e.Interval, e))
 	}
 	p.Flush()
+}
+
+// MemoryUsage implements the metadata/memory reporter: the free rows.
+func (p *Project[M]) MemoryUsage() int {
+	p.ProcMu.Lock()
+	defer p.ProcMu.Unlock()
+	return p.rows.bytes()
 }
 
 // ordered is the core of every operator that keeps Start order itself:

@@ -56,6 +56,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"pipes/internal/sweeparea"
 	"pipes/internal/temporal"
@@ -323,6 +324,9 @@ type parts struct {
 	lock  *sync.Mutex // the operator's ProcMu
 	list  []part
 	snaps recycler // the captures, kept between rounds
+	// free is what the operator keeps beside its state, nil if nothing:
+	// the free rows of a γ that lends them (NewGroupInto).
+	free interface{ bytes() int }
 }
 
 // declare lists the operator's parts; lock is its ProcMu.
@@ -352,11 +356,14 @@ func (p *parts) LoadState(state []byte) error {
 }
 
 // MemoryUsage implements the metadata/memory reporter: what the parts
-// hold, and the kept captures, which stay allocated.
+// hold, and the kept captures and free rows, which stay allocated.
 func (p *parts) MemoryUsage() int {
 	p.lock.Lock()
 	defer p.lock.Unlock()
 	n := p.snaps.bytes()
+	if p.free != nil {
+		n += p.free.bytes()
+	}
 	for _, pt := range p.list {
 		n += pt.bytes()
 	}
@@ -369,6 +376,11 @@ func (p *parts) MemoryUsage() int {
 type recycler struct {
 	mu    sync.Mutex
 	spare []capture
+	// out is the latest lease until its image comes back: while it is
+	// set, a capture may still refer to values the operator published
+	// since. A round abandoned before its encode stays out until the
+	// next lease replaces it.
+	out atomic.Pointer[lease]
 }
 
 // take removes the kept image, nil if none is kept.
@@ -387,17 +399,23 @@ func (r *recycler) lease(n int) *lease {
 	if img == nil {
 		img = make([]capture, n)
 	}
-	return &lease{home: r, img: img}
+	l := &lease{home: r, img: img}
+	r.out.Store(l)
+	return l
 }
 
-// put keeps img, cleared, for the next round.
-func (r *recycler) put(img []capture) {
+// leased reports whether the latest lease's image has not come back.
+func (r *recycler) leased() bool { return r.out.Load() != nil }
+
+// put keeps l's image img, cleared, for the next round.
+func (r *recycler) put(l *lease, img []capture) {
 	for i := range img {
 		img[i].reset()
 	}
 	r.mu.Lock()
 	r.spare = img
 	r.mu.Unlock()
+	r.out.CompareAndSwap(l, nil)
 }
 
 // bytes is the capacity of the kept image.
@@ -438,7 +456,7 @@ func (l *lease) encode(dst []byte) ([]byte, error) {
 		return dst, errEncodedTwice
 	}
 	l.img = nil
-	defer l.home.put(img)
+	defer l.home.put(l, img)
 	for i := range img {
 		var err error
 		if dst, err = img[i].enc(&img[i], dst); err != nil {

@@ -504,7 +504,8 @@ func groupTop(p Plan) (top *Project, having cql.Expr, g *Group) {
 
 // buildGroup builds the γ node of a groupTop match: HAVING and the select
 // list are compiled against the group's view, so a span whose HAVING is
-// false emits nothing and every other span delivers its projected tuple.
+// false emits nothing and every other span delivers its projected tuple,
+// written into a row the node lends as π does (ops.NewGroupInto).
 func (o *Optimizer) buildGroup(top *Project, having cql.Expr, g *Group, inst *Instance) (pubsub.Source, error) {
 	in, shape, err := o.input(g.Input, inst)
 	if err != nil {
@@ -524,13 +525,14 @@ func (o *Optimizer) buildGroup(top *Project, having cql.Expr, g *Group, inst *In
 		if having != nil {
 			keep = predFn(having, view)
 		}
-		project := projectFn(top.Items, view)
-		return ops.NewGroupBy(o.nodeName("γ"), key, factory, func(_ any, agg aggregate.Aggregate) (any, bool) {
+		project := projectInto(top.Items, view)
+		return ops.NewGroupInto(o.nodeName("γ"), key, factory, func(_ any, agg aggregate.Aggregate, row cql.Tuple) bool {
 			grp := agg.Value()
 			if !keep(grp) {
-				return nil, false
+				return false
 			}
-			return project(grp), true
+			project(grp, row)
+			return true
 		}), nil
 	}, wiring{in, 0})
 }
@@ -637,18 +639,6 @@ func keyFn(keys []cql.Expr, in Shape) func(v any) any {
 			buf = cql.AppendKey(buf, col(v))
 		}
 		return string(buf)
-	}
-}
-
-// projectFn compiles a select list into a mapper returning a fresh
-// tuple per value, for γ: it buffers its outputs in the ordered core,
-// so it cannot lend reused rows the way π does.
-func projectFn(items []cql.SelectItem, in view) ops.Mapper {
-	fill := projectInto(items, in)
-	return func(v any) any {
-		out := make(cql.Tuple, len(items))
-		fill(v, out)
-		return out
 	}
 }
 

@@ -132,7 +132,7 @@ func (g *Group) Signature() string {
 // Qualifiers implements Plan.
 func (g *Group) Qualifiers() map[string]bool { return g.Input.Qualifiers() }
 
-// Project evaluates the select list into fresh tuples.
+// Project evaluates the select list into the tuples the query delivers.
 type Project struct {
 	Input Plan
 	Items []cql.SelectItem

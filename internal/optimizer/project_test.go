@@ -77,10 +77,10 @@ func selectList(rng *rand.Rand, quals []string) []cql.SelectItem {
 }
 
 // π's rows are reused across frames: cleared and refilled by
-// projectInto, they must render byte for byte what projectFn's fresh
-// tuples render, over a scan edge and over a join edge, whatever the
-// select list and the rows before — and a user sink beside the
-// borrowing one must keep rows that still render so after the run.
+// projectInto, they must render byte for byte what the same select list
+// writes into a fresh tuple, over a scan edge and over a join edge,
+// whatever the select list and the rows before — and a user sink beside
+// the borrowing one must keep rows that still render so after the run.
 func TestReusedRowsRenderLikeFreshTuples(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -93,8 +93,13 @@ func TestReusedRowsRenderLikeFreshTuples(t *testing.T) {
 			value = func() any { return ops.Pair{Left: sourceRow(rng), Right: sourceRow(rng)} }
 		}
 		items := selectList(rng, quals)
-		fresh := projectFn(items, in)
-		pi := ops.NewProject("π", projectInto(items, in))
+		fill := projectInto(items, in)
+		fresh := func(v any) cql.Tuple {
+			row := cql.Tuple{}
+			fill(v, row)
+			return row
+		}
+		pi := ops.NewProject("π", fill)
 		sink, kept := &renderSink{}, pubsub.NewCollector("user", 1)
 		if err := pi.Subscribe(sink, 0); err != nil {
 			t.Fatal(err)
@@ -108,7 +113,7 @@ func TestReusedRowsRenderLikeFreshTuples(t *testing.T) {
 			for i := range frame {
 				v := value()
 				frame[i] = temporal.At(v, temporal.Time(frames))
-				want = append(want, renderRow(fresh(v).(cql.Tuple)))
+				want = append(want, renderRow(fresh(v)))
 			}
 			pi.ProcessBatch(frame, 0)
 		}

@@ -60,23 +60,23 @@ func NewBuffer(name string) *Buffer {
 
 // ProcessBatch implements BatchSink by enqueueing a copy of the frame
 // (the published frame is only borrowed for this call). A small frame is
-// appended to the tail chunk, up to frameCap elements, rather than given
+// appended to the tail chunk, up to FrameCap elements, rather than given
 // its own, which makes the buffer a re-framing point: elements enqueued
-// one by one leave in frames (a published frame larger than frameCap is
+// one by one leave in frames (a published frame larger than FrameCap is
 // kept whole).
 func (b *Buffer) ProcessBatch(batch temporal.Batch, _ int) {
 	if len(batch) == 0 {
 		return
 	}
 	b.mu.Lock()
-	if t := b.tail; t != nil && len(t.b)+len(batch) <= frameCap {
+	if t := b.tail; t != nil && len(t.b)+len(batch) <= FrameCap {
 		t.b = append(t.b, batch...)
 	} else {
 		var c *chunk
 		if n := len(b.free); n > 0 {
 			c, b.free = b.free[n-1], b.free[:n-1]
 		} else {
-			c = &chunk{b: make(temporal.Batch, 0, max(frameCap, len(batch)))}
+			c = &chunk{b: make(temporal.Batch, 0, max(FrameCap, len(batch)))}
 		}
 		c.b = append(c.b, batch...)
 		b.q.Enqueue(c)

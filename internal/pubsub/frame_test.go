@@ -22,9 +22,9 @@ func (s *frameSink) ProcessBatch(b temporal.Batch, _ int) {
 
 // A boundary fed one element at a time is a re-framing point: the
 // one-element frames coalesce into the buffer-owned tail chunk and leave
-// as frames of up to frameCap, in order.
+// as frames of up to FrameCap, in order.
 func TestBufferReframesOneElementFrames(t *testing.T) {
-	const n = 2*frameCap + 10
+	const n = 2*FrameCap + 10
 	src := NewSliceSource("s", batchElems(n))
 	buf := NewBuffer("q")
 	sink := &frameSink{}
@@ -41,7 +41,7 @@ func TestBufferReframesOneElementFrames(t *testing.T) {
 	if got := buf.Drain(0); got != n {
 		t.Fatalf("Drain(0) = %d, want %d", got, n)
 	}
-	want := []int{frameCap, frameCap, 10}
+	want := []int{FrameCap, FrameCap, 10}
 	if len(sink.sizes) != len(want) {
 		t.Fatalf("drained frames of %v elements, want %v", sink.sizes, want)
 	}
@@ -100,10 +100,10 @@ func TestDrainSplitsChunkAtQuantum(t *testing.T) {
 }
 
 // Run publishes one element waited for plus what is already queued behind
-// it, up to frameCap, as one frame: frameCap+6 queued elements on a closed
-// channel leave as frames of frameCap and 6, in order, then done.
+// it, up to FrameCap, as one frame: FrameCap+6 queued elements on a closed
+// channel leave as frames of FrameCap and 6, in order, then done.
 func TestChanSourceRunFramesWhatIsQueued(t *testing.T) {
-	const n = frameCap + 6
+	const n = FrameCap + 6
 	ch := make(chan temporal.Element, n)
 	for _, e := range batchElems(n) {
 		ch <- e
@@ -120,8 +120,8 @@ func TestChanSourceRunFramesWhatIsQueued(t *testing.T) {
 	if !src.IsDone() {
 		t.Fatal("closed channel did not signal done")
 	}
-	if len(sink.sizes) != 2 || sink.sizes[0] != frameCap || sink.sizes[1] != 6 {
-		t.Fatalf("published frames of %v elements, want [%d 6]", sink.sizes, frameCap)
+	if len(sink.sizes) != 2 || sink.sizes[0] != FrameCap || sink.sizes[1] != 6 {
+		t.Fatalf("published frames of %v elements, want [%d 6]", sink.sizes, FrameCap)
 	}
 	for i, e := range sink.elems {
 		if e.Value != i {

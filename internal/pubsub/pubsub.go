@@ -73,9 +73,10 @@ type ElementSink interface {
 // during ProcessBatch and keep nothing reachable from them: every value
 // is consumed in the call (rendered, encoded, counted), never stored. A
 // lending publisher (SourceBase.Lend) hands such a sink its frame as is,
-// values included, and gives every other subscriber owned copies. The
-// declaration is a promise about the whole call tree ProcessBatch runs
-// (pipesvet's frameborrow checks the sink's own body).
+// values included, gives every other subscriber owned copies and takes
+// its values back once the frame is delivered. The declaration is a
+// promise about the whole call tree ProcessBatch runs (pipesvet's
+// frameborrow checks the sink's own body).
 type ValueBorrower interface {
 	BorrowsValues()
 }
@@ -205,11 +206,13 @@ type SourceBase struct {
 	one         [1]temporal.Element
 	hookScratch temporal.Batch
 
-	// lend, when set (Lend), marks the published values as the
-	// publisher's own, reused after TransferBatch returns: subscribers
-	// that do not borrow get owned copies, made by lend into ownScratch
-	// once per frame and shared among them.
+	// lend and reclaim, when set (Lend), make the publisher a lender: a
+	// frame delivered from a snapshot that holds a borrower gives the
+	// other subscribers copies, made by lend into ownScratch once per
+	// frame and shared among them, and hands every published value back
+	// to reclaim once the frame is delivered.
 	lend       func(v any) any
+	reclaim    func(v any)
 	ownScratch temporal.Batch
 }
 
@@ -302,7 +305,10 @@ func (s *SourceBase) Subscriptions() []Subscription { return s.loadSubs() }
 // sampling counts elements whatever the frame size. The frame is only
 // borrowed by the subscribers (temporal.Batch): when the call returns,
 // ownership is back with the caller, which may reuse the backing array
-// for its next frame — and, after Lend, the values in it.
+// for its next frame. After Lend the values are lent only when the
+// snapshot delivered from holds a borrower; they then come back through
+// reclaim before TransferBatch returns, and otherwise belong to the
+// subscribers.
 func (s *SourceBase) TransferBatch(b temporal.Batch) {
 	if len(b) == 0 {
 		return
@@ -322,14 +328,15 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 		b = hb
 	}
 	subs := s.loadSubs()
+	// Decided from the snapshot being delivered: a sink that subscribed
+	// after the load is not in it, one that is in it gets what its own
+	// entry says.
+	lending := s.lend != nil && borrowed(subs)
 	var owned temporal.Batch // b with owned values, built for the first owner
 	for i := range subs {
 		sub := &subs[i]
 		fb := b
-		if s.lend != nil && !sub.borrows {
-			// Decided from the snapshot being delivered: a sink that
-			// subscribed after the load is not in it, one that is in it
-			// gets what its own entry says.
+		if lending && !sub.borrows {
 			if owned == nil {
 				owned = s.own(b)
 			}
@@ -346,6 +353,21 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 			sub.frames.ProcessBatch(fb, sub.Input)
 		}
 	}
+	if lending {
+		for _, e := range b {
+			s.reclaim(e.Value)
+		}
+	}
+}
+
+// borrowed reports whether a snapshot holds a borrower.
+func borrowed(subs []Subscription) bool {
+	for i := range subs {
+		if subs[i].borrows {
+			return true
+		}
+	}
+	return false
 }
 
 // own copies b into the publisher's scratch with every value passed
@@ -360,13 +382,21 @@ func (s *SourceBase) own(b temporal.Batch) temporal.Batch {
 	return ob
 }
 
-// Lend declares that the values this publisher publishes are its own and
-// reused once TransferBatch returns. Subscribers that are ValueBorrowers
-// (and not gated) then receive the published frame as is; every other
-// subscriber receives, per frame, one copy whose values went through
-// clone, shared among them. Call it once, before the node is wired into
-// a graph; publishers that never lend pay one nil check per subscriber.
-func (s *SourceBase) Lend(clone func(v any) any) { s.lend = clone }
+// Lend declares that the values this publisher publishes are its own,
+// lent to the subscribers that borrow (SEMANTICS.md §3.7). A frame
+// published while the subscription snapshot holds a ValueBorrower (not
+// gated) is lent: borrowers receive it as is; every other subscriber
+// receives one copy whose values went through clone, shared among them;
+// and once every subscriber has returned, each published value is handed
+// to reclaim, under the publisher's serialisation, for the publisher to
+// reuse. A frame published while no subscriber borrows is not lent:
+// every subscriber receives the publisher's values, which are theirs to
+// keep, nothing is cloned and nothing comes back. Call Lend once, before
+// the node is wired into a graph; publishers that never lend pay one nil
+// check per frame.
+func (s *SourceBase) Lend(clone func(v any) any, reclaim func(v any)) {
+	s.lend, s.reclaim = clone, reclaim
+}
 
 // Transfer publishes e as a one-element frame: the paper's per-element
 // call, kept as the edge adapter for sources that produce one element at a
@@ -487,18 +517,18 @@ func NewPipeBase(name string, inputs int) PipeBase {
 // Inputs returns the operator arity.
 func (p *PipeBase) Inputs() int { return p.inputs }
 
-// frameCap bounds the frames the engine forms itself — the scheduler's
+// FrameCap bounds the frames the engine forms itself — the scheduler's
 // default batch size. An operator with unbounded fan-out (a join) publishes
 // its results in frames of this size instead of materialising them all,
 // and a Buffer coalesces small frames into chunks of it, so frame storage
 // stays bounded along the graph whatever a source publishes.
-const frameCap = 64
+const FrameCap = 64
 
 // Emit appends one result to the pending output frame, publishing it when
 // full. Callers hold ProcMu.
 func (p *PipeBase) Emit(e temporal.Element) {
 	p.out = append(p.out, e)
-	if len(p.out) >= frameCap {
+	if len(p.out) >= FrameCap {
 		p.Flush()
 	}
 }

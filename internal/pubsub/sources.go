@@ -178,7 +178,7 @@ func NewChanSource(name string, ch <-chan temporal.Element) *ChanSource {
 // Run publishes frames until the channel closes (then signals done) or ctx
 // is cancelled (then signals done without draining). A frame is one
 // element waited for plus what is already queued behind it, up to
-// frameCap: it never waits to fill. Run returns ctx.Err() on cancellation
+// FrameCap: it never waits to fill. Run returns ctx.Err() on cancellation
 // and nil on clean channel closure, and must be the channel's only
 // receiver.
 func (s *ChanSource) Run(ctx context.Context) error {
@@ -199,7 +199,7 @@ func (s *ChanSource) Run(ctx context.Context) error {
 		frame := append(s.frame[:0], e)
 		// Run is the only receiver, so the len(ch) queued elements are
 		// there to take without waiting.
-		for n := min(len(s.ch), frameCap-1); n > 0; n-- {
+		for n := min(len(s.ch), FrameCap-1); n > 0; n-- {
 			frame = append(frame, <-s.ch) //pipesvet:allow nogoroutine receive of an element already queued, on the source's own thread
 		}
 		s.frame = frame

@@ -6,13 +6,15 @@ import (
 
 	"pipes/internal/cql"
 	"pipes/internal/ops"
+	"pipes/internal/optimizer"
 	"pipes/internal/pubsub"
 	"pipes/internal/temporal"
 )
 
-// A tenant projection lends its rows to the result sink (SEMANTICS.md
-// §3.7): these tests hold that a sink keeping values — a user sink
-// subscribed beside it — still only ever keeps rows of its own.
+// A tenant projection or group-by lends its rows to the result sink
+// (SEMANTICS.md §3.7): these tests hold that a sink keeping values — a
+// user sink subscribed beside it — still only ever keeps rows of its
+// own.
 
 func bidRow(i int) cql.Tuple {
 	return cql.Tuple{"id": i, "price": float64(i) + 0.5, "name": "bid"}
@@ -171,5 +173,114 @@ func TestProjectedFrameAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, deliver); got > 1 {
 		t.Fatalf("%.1f allocations per 64-row projected frame, want <= 1", got)
+	}
+}
+
+// The result sink subscribes while frames flow and unsubscribes again:
+// the projection lends its rows only meanwhile, and the user sink beside
+// it, there throughout, must keep rows of its own whether a frame was
+// lent or not.
+func TestBorrowerSubscribingMidStreamLeavesOwnersTheirRows(t *testing.T) {
+	const n, on, off = 6000, 1000, 3000
+	steps := []int{on, off}
+	step, done := make(chan struct{}), make(chan struct{})
+	next := 0
+	src := pubsub.NewFuncSource("bids", func() (temporal.Element, bool) {
+		if next == n {
+			return temporal.Element{}, false
+		}
+		if len(steps) > 0 && next == steps[0] {
+			steps = steps[1:]
+			step <- struct{}{} // the subscriber side acts while frames wait
+			<-step
+		}
+		e := temporal.At(bidRow(next), temporal.Time(next))
+		next++
+		return e, true
+	})
+	pi := ops.NewProject("π", projectBid)
+	kept := pubsub.NewCollector("user", 1)
+	pubsub.Connect(src, pi)
+	if err := pi.Subscribe(kept, 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := NewResultBuffer(4 << 20)
+	r := buf.NewReader(0)
+	defer r.Close()
+	results := newResultSink(buf)
+	go func() {
+		defer close(done)
+		pubsub.DriveBatched(src, 64)
+	}()
+	<-step
+	if err := pi.Subscribe(results, 0); err != nil {
+		t.Fatal(err)
+	}
+	step <- struct{}{}
+	<-step
+	if err := pi.Unsubscribe(results, 0); err != nil {
+		t.Fatal(err)
+	}
+	step <- struct{}{} // the frames left are given, not lent
+	<-done
+	kept.Wait()
+	if starts := checkKept(t, kept.Elements()); len(starts) != n {
+		t.Fatalf("the user sink kept %d of %d results", len(starts), n)
+	}
+	out, _, _ := r.TryNext(n)
+	if len(out) == 0 || len(out) > off-on+64 {
+		t.Fatalf("the result sink got %d results while subscribed for %d inputs", len(out), off-on)
+	}
+}
+
+// A tenant γ lends its span rows to the result sink as π does: in the
+// steady state a frame of 64 spans costs the arena and nothing per span
+// (about two allocations a span when γ built a fresh tuple for each).
+func TestGroupedFrameAllocations(t *testing.T) {
+	const groups, width = 8, 16 // each group's element expires as its next arrives
+	cat := optimizer.NewCatalog()
+	cat.Register("bids", pubsub.NewSliceSource("bids", nil), 1)
+	q, err := cql.Parse(`SELECT k AS k, COUNT(*) AS n FROM bids [RANGE 16] GROUP BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := optimizer.New(cat).AddQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma, ok := inst.Root.(*ops.GroupBy)
+	if !ok {
+		t.Fatalf("the query's root is %T, want the γ node", inst.Root)
+	}
+	b := NewResultBuffer(DefaultBufferBytes)
+	if err := gamma.Subscribe(newResultSink(b), 0); err != nil {
+		t.Fatal(err)
+	}
+	r := b.NewReader(0)
+	defer r.Close()
+	in := make([]cql.Tuple, groups)
+	for k := range in {
+		in[k] = cql.Tuple{"k": k, "price": 1.5}
+	}
+	frame := make(temporal.Batch, 64)
+	next, spans := 0, 0
+	deliver := func() {
+		for i := range frame {
+			frame[i] = temporal.NewElement(in[next%groups], temporal.Time(next), temporal.Time(next+width))
+			next++
+		}
+		gamma.ProcessBatch(frame, 0)
+		out, _, _ := r.TryNext(2 * len(frame))
+		spans = len(out)
+	}
+	for i := 0; i < 200; i++ { // fill the ring: steady state evicts
+		deliver()
+	}
+	got := testing.AllocsPerRun(200, deliver)
+	if spans != len(frame) {
+		t.Fatalf("read %d spans for a %d-element frame, want one each", spans, len(frame))
+	}
+	if got > 1 {
+		t.Fatalf("%.1f allocations per 64-span grouped frame, want <= 1", got)
 	}
 }
