@@ -186,12 +186,32 @@ func (a *Archive) Replay(name string, iv temporal.Interval) pubsub.Emitter {
 // subscribed at a source records elements in arrival order — which the
 // stream invariant makes Start order — skipping offset elements resumes
 // the stream exactly where a recorded per-source checkpoint offset left
-// it. Recovery (internal/ft) uses this as the replay source. The elements
-// are copied once, unboxed, into a copy sized up front; the first offset
-// of them are skipped by slicing and the rest published as views of it.
+// it. Recovery (internal/ft) uses this as the replay source. Only the
+// elements from offset on are copied, unboxed, into a copy sized up
+// front: whole buckets are skipped by their counts, then the rest of the
+// first one kept.
 func (a *Archive) ReplayFrom(name string, offset int) pubsub.Emitter {
-	es := a.overlapping(temporal.NewInterval(temporal.MinTime, temporal.MaxTime))
-	return pubsub.NewSliceSource(name, es[min(max(offset, 0), len(es)):])
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	keys := make([]int64, 0, len(a.buckets))
+	for b := range a.buckets {
+		keys = append(keys, b)
+	}
+	slices.Sort(keys)
+	skip := max(offset, 0)
+	for len(keys) > 0 && skip >= len(a.buckets[keys[0]]) {
+		skip -= len(a.buckets[keys[0]])
+		keys = keys[1:]
+	}
+	out := make([]temporal.Element, 0, max(a.count-max(offset, 0), 0))
+	for i, b := range keys {
+		es := a.buckets[b]
+		if i == 0 {
+			es = es[skip:]
+		}
+		out = append(out, es...)
+	}
+	return pubsub.NewSliceSource(name, out)
 }
 
 // Vacuum drops every element whose validity ended at or before t and

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -138,6 +139,28 @@ func TestReplayFromIntoFreshOperatorGraph(t *testing.T) {
 // by slicing: at any offset it must emit exactly what the boxed Range
 // cursor over the whole time line yields after its first offset
 // elements, in the same order and under the same overlap filter.
+// A replay from an offset copies only the elements it publishes: the
+// skipped prefix is neither copied nor kept reachable. Resuming k
+// elements before the end allocates k elements' 48 bytes, rounded up by
+// the allocator, plus the sorted bucket keys and the emitter.
+func TestReplayFromCopiesOnlyTheTail(t *testing.T) {
+	const n, slack = 10000, 12 << 10
+	a := New("arch", 100)
+	for i := 0; i < n; i++ {
+		fill(a, el(i, temporal.Time(i), temporal.Time(i+50)))
+	}
+	for _, k := range []int{0, 1, 99, 100, 101, 2500, n} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := a.ReplayFrom("replay", n-k)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(k*48+slack); got > limit {
+			t.Errorf("ReplayFrom(%d) of %d elements allocates %d bytes, want at most %d", n-k, n, got, limit)
+		}
+		runtime.KeepAlive(rep)
+	}
+}
+
 func TestReplayFromMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {

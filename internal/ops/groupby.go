@@ -38,11 +38,12 @@ type GroupBy struct {
 	outFn   func(key any, agg aggregate.Aggregate) (any, bool)
 	groups  map[any]*group
 	spare   []*group                     // emptied groups, reset; ProcMu
+	elems   xds.Slab[temporal.Element]   // every group's live elements
 	expiry  xds.Heap[temporal.Time, any] // group keys by the End of a live element
 }
 
 type group struct {
-	active xds.Heap[temporal.Time, temporal.Element] // live elements by End
+	active xds.Heap[temporal.Time, int32] // slots of live elements in elems, by End
 	agg    aggregate.Aggregate
 	inv    aggregate.Invertible // non-nil fast path
 	lb     temporal.Time        // left boundary of the open span
@@ -124,7 +125,7 @@ func (g *GroupBy) processOne(_ int, e temporal.Element) {
 	} else if grp.active.Len() > 0 && grp.lb < e.Start {
 		g.emitSpan(k, grp, e.Start)
 	}
-	grp.active.Push(e.End, e)
+	grp.active.Push(e.End, g.elems.Put(e))
 	grp.agg.Insert(e.Value)
 	grp.lb = e.Start
 	if e.Trace != nil {
@@ -158,7 +159,8 @@ func (g *GroupBy) advance(t temporal.Time) {
 			if !ok || first > end {
 				break
 			}
-			_, expired, _ := grp.active.Pop()
+			_, slot, _ := grp.active.Pop()
+			expired := g.elems.Take(slot)
 			if grp.inv != nil {
 				grp.inv.Remove(expired.Value)
 			}
@@ -205,8 +207,8 @@ func (g *GroupBy) retire(k any, grp *group) {
 
 func (g *GroupBy) recompute(grp *group) {
 	grp.agg.Reset()
-	for _, e := range grp.active.All() {
-		grp.agg.Insert(e.Value)
+	for _, slot := range grp.active.All() {
+		grp.agg.Insert(g.elems.At(slot).Value)
 	}
 }
 

@@ -167,9 +167,10 @@ func (p *Project[M]) MemoryUsage() int {
 // input order, whatever the interleaving of the frames that brought them.
 //
 // After each applied element the core advances its watermark, the
-// element's Start, and releases. Pending results wait in a min-heap on
-// Start and leave once no future result can precede them: a result is
-// released when its Start is at most
+// element's Start, and releases. Pending results are stored once, in a
+// slab, and wait as slots in a min-heap on Start, so a sift moves 16
+// pointer-free bytes, not an element. They leave once no future result
+// can precede them: a result is released when its Start is at most
 //
 //	min(the watermark, the operator's holdback)
 //
@@ -191,8 +192,9 @@ type ordered struct {
 	pubsub.PipeBase
 	parts
 	apply    func(input int, e temporal.Element)
-	in       []xds.Queue[temporal.Element]             // one per input; nil with one input
-	out      xds.Heap[temporal.Time, temporal.Element] // by Start
+	in       []xds.Queue[temporal.Element]  // one per input; nil with one input
+	results  xds.Slab[temporal.Element]     // the pending results
+	out      xds.Heap[temporal.Time, int32] // their slots, by Start
 	wm       temporal.Time
 	lows     xds.Heap[temporal.Time, any] // key may still emit from lb on
 	live     func(lb temporal.Time, key any) bool
@@ -267,7 +269,7 @@ func (c *ordered) pump() {
 }
 
 // add buffers a pending result.
-func (c *ordered) add(e temporal.Element) { c.out.Push(e.Start, e) }
+func (c *ordered) add(e temporal.Element) { c.out.Push(e.Start, c.results.Put(e)) }
 
 // holdBack records that key may still emit from lb on.
 func (c *ordered) holdBack(lb temporal.Time, key any) { c.lows.Push(lb, key) }
@@ -302,9 +304,9 @@ func (c *ordered) releaseTo(bound temporal.Time) {
 		if !ok || start > bound {
 			return
 		}
-		_, top, _ := c.out.Pop()
+		_, slot, _ := c.out.Pop()
 		c.released = start
-		c.Emit(top)
+		c.Emit(c.results.Take(slot))
 	}
 }
 
@@ -321,9 +323,12 @@ func (c *ordered) low() (lb temporal.Time, ok bool) {
 	return 0, false
 }
 
+// pending returns the number of pending results.
+func (c *ordered) pending() int { return c.out.Len() }
+
 // buffered returns the number of pending results and queued arrivals.
 func (c *ordered) buffered() int {
-	n := c.out.Len()
+	n := c.pending()
 	for i := range c.in {
 		n += c.in[i].Len()
 	}

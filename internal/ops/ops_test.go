@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -707,6 +708,49 @@ func TestGroupCountAndMemory(t *testing.T) {
 	}
 	if g.MemoryUsage() <= 0 {
 		t.Fatal("memory usage not reported")
+	}
+}
+
+// Pending results are stored once: a held-back γ that closes 10 000
+// spans at one boundary grows a 16-byte slot heap (about 68 bytes a
+// result, growth copies included) and a slab whose chunks are never
+// copied (about 56: a 256-element chunk is 12 288 bytes, which the
+// allocator's 8-byte header for pointerful objects puts in its 13 568
+// class), under 130 bytes a result. A heap of whole elements, grown by
+// copying 56-byte entries, allocated about 265. The first round declines
+// its spans, so the groups' own structures are warm and the second round
+// measures the pending results alone.
+func TestHeldBackGroupByStoresResultsOnce(t *testing.T) {
+	const n = 10000
+	keep := false
+	g := NewGroupBy("g", func(v any) any { return v }, aggregate.NewCount,
+		func(k any, _ aggregate.Aggregate) (any, bool) { return k, keep })
+	round := func(r temporal.Time) (bytes uint64) {
+		// Group 0 holds every later span back; groups 1..n each hold
+		// one element that ends at the round's boundary, and the last
+		// element closes them all.
+		base := r * (n + 2)
+		in := temporal.Batch{el(0, base, base+n+2)}
+		for i := 1; i <= n; i++ {
+			in = append(in, el(i, base+temporal.Time(i), base+n+1))
+		}
+		g.ProcessBatch(in, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g.ProcessBatch(temporal.Batch{el(-1, base+n+1, base+n+2)}, 0)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	round(0)
+	keep = true
+	bytes := round(1)
+	if got := g.pending(); got != n {
+		t.Fatalf("%d results pending, want %d", got, n)
+	}
+	perResult := float64(bytes) / n
+	t.Logf("%.1f bytes allocated a pending result", perResult)
+	if perResult >= 130 {
+		t.Fatalf("holding %d results back allocates %.1f bytes a result, want under 130", n, perResult)
 	}
 }
 

@@ -65,7 +65,7 @@ func (r *rows[M]) put(v any) {
 func (r *rows[M]) keep(row M) {
 	limit := pubsub.FrameCap
 	if r.core != nil {
-		limit += r.core.out.Len()
+		limit += r.core.pending()
 	}
 	if len(r.free) < limit {
 		clear(row)

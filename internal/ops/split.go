@@ -51,7 +51,8 @@ type Sample struct {
 	pubsub.PipeBase
 	parts
 	every  temporal.Time
-	active xds.Heap[temporal.Time, temporal.Element] // by End
+	elems  xds.Slab[temporal.Element]     // the live elements
+	active xds.Heap[temporal.Time, int32] // their slots, by End
 	nextB  temporal.Time
 	seeded bool
 }
@@ -85,7 +86,7 @@ func (s *Sample) ProcessBatch(b temporal.Batch, _ int) {
 		// Emit all boundaries strictly before the new element's start: no
 		// further element can contribute to them.
 		s.emitBoundaries(e.Start)
-		s.active.Push(e.End, e)
+		s.active.Push(e.End, s.elems.Put(e))
 	}
 	s.Flush()
 }
@@ -96,14 +97,15 @@ func (s *Sample) emitBoundaries(limit temporal.Time) {
 		b := s.nextB
 		// Purge expired, then emit the snapshot at b.
 		for {
-			end, _, ok := s.active.Peek()
+			end, slot, ok := s.active.Peek()
 			if !ok || end > b {
 				break
 			}
 			s.active.Pop()
+			s.elems.Take(slot)
 		}
-		for _, e := range s.active.All() {
-			if e.Start <= b {
+		for _, slot := range s.active.All() {
+			if e := s.elems.At(slot); e.Start <= b {
 				s.Emit(e.WithInterval(temporal.NewInterval(b, b+s.every)))
 			}
 		}

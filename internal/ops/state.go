@@ -257,7 +257,8 @@ type part interface {
 	// load reads the piece back into a freshly constructed operator.
 	load(d *wire.Decoder)
 	// bytes is what the piece holds, in the memory manager's estimates:
-	// 64 bytes an element, 48 a key record.
+	// an element slab's every slot, free ones included, and a slot heap's
+	// array as allocated; elsewhere 64 bytes an element, 48 a key record.
 	bytes() int
 }
 
@@ -302,13 +303,20 @@ func cleared[T any](s []T) []T {
 	return s[:0]
 }
 
-// reserve returns the empty buffer s with room for n, a new one if s is
-// too small.
-func reserve[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
+// reserve returns the empty buffer s with room for n. A buffer too
+// small grows geometrically, so a state that grows a little every round
+// reallocates its buffers in a few rounds, not in each.
+func reserve[T any](s []T, n int) []T { return slices.Grow(s[:0], n) }
+
+// appendSlots appends the elements of the heap's slots to dst in heap
+// array order: the values a heap of elements would hold there, since a
+// heap's sifts follow its keys alone.
+func appendSlots(dst []temporal.Element, h *xds.Heap[temporal.Time, int32], s *xds.Slab[temporal.Element]) []temporal.Element {
+	dst = slices.Grow(dst, h.Len())
+	for _, slot := range h.All() {
+		dst = append(dst, s.At(slot))
 	}
-	return s
+	return dst
 }
 
 // bytes is the capacity c holds: 64 bytes an element, 48 a record, 16 a
@@ -471,7 +479,7 @@ func (l *lease) encode(dst []byte) ([]byte, error) {
 // inputs are re-established by the replayed inputs, and the holdback
 // heap is rebuilt by the parts before the core.
 func (c *ordered) capture(cp *capture) encoder {
-	cp.elems = c.out.AppendTo(cp.elems)
+	cp.elems = appendSlots(cp.elems, &c.out, &c.results)
 	cp.nums = append(cp.nums, int64(c.wm))
 	return encodeCore
 }
@@ -490,7 +498,7 @@ func encodeCore(c *capture, dst []byte) ([]byte, error) {
 
 func (c *ordered) load(d *wire.Decoder) {
 	for _, e := range readElems(d, nil) {
-		c.out.Push(e.Start, e)
+		c.add(e)
 	}
 	if n := d.Count(); n != 1 {
 		d.Fail(fmt.Errorf("ops: state has %d watermarks, want 1", n))
@@ -499,7 +507,8 @@ func (c *ordered) load(d *wire.Decoder) {
 	c.wm = temporal.Time(d.Varint())
 }
 
-func (c *ordered) bytes() int { return c.out.Len() * 64 }
+// bytes is the slab, free slots included, and the heap's slot array.
+func (c *ordered) bytes() int { return c.results.Bytes() + c.out.Bytes() }
 
 // area is a sweep area as a part. Its contents are written in canonical
 // order — area semantics are insertion-order independent — sorted by the
@@ -585,7 +594,7 @@ func (t groupTable) capture(c *capture) encoder {
 	c.elems = reserve(c.elems, n)
 	for k, grp := range t.g.groups {
 		off := len(c.elems)
-		c.elems = grp.active.AppendTo(c.elems)
+		c.elems = appendSlots(c.elems, &grp.active, &t.g.elems)
 		c.recs = append(c.recs, record{key: k, t: grp.lb, off: off, end: len(c.elems)})
 	}
 	return encodeGroups
@@ -624,7 +633,7 @@ func (t groupTable) load(d *wire.Decoder) {
 		grp := g.newGroup(temporal.Time(d.Varint()))
 		es = readElems(d, es)
 		for _, e := range es {
-			grp.active.Push(e.End, e)
+			grp.active.Push(e.End, g.elems.Put(e))
 			grp.agg.Insert(e.Value)
 			// One expiry event per live element: exactly the non-stale
 			// subset of the original heap.
@@ -637,13 +646,17 @@ func (t groupTable) load(d *wire.Decoder) {
 	}
 }
 
-// bytes counts spare groups as groups: they stay allocated.
+// bytes is the slab, free slots included, and 48 bytes and the slot
+// array a group. Spare groups count as groups: they stay allocated.
 func (t groupTable) bytes() int {
-	n := 0
+	n := t.g.elems.Bytes() + (len(t.g.groups)+len(t.g.spare))*48
 	for _, grp := range t.g.groups {
-		n += grp.active.Len()
+		n += grp.active.Bytes()
 	}
-	return n*64 + (len(t.g.groups)+len(t.g.spare))*48
+	for _, grp := range t.g.spare {
+		n += grp.active.Bytes()
+	}
+	return n
 }
 
 // partitionTable is PartitionedWindow's partitions as a part, captured
@@ -836,7 +849,7 @@ func (t sampler) capture(c *capture) encoder {
 		seeded = 1
 	}
 	c.nums = append(c.nums, seeded, int64(t.s.nextB))
-	c.elems = t.s.active.AppendTo(c.elems)
+	c.elems = appendSlots(c.elems, &t.s.active, &t.s.elems)
 	return encodeSampler
 }
 
@@ -853,11 +866,12 @@ func (t sampler) load(d *wire.Decoder) {
 	}
 	t.s.nextB = temporal.Time(d.Varint())
 	for _, e := range readElems(d, nil) {
-		t.s.active.Push(e.End, e)
+		t.s.active.Push(e.End, t.s.elems.Put(e))
 	}
 }
 
-func (t sampler) bytes() int { return t.s.active.Len() * 64 }
+// bytes is the slab, free slots included, and the heap's slot array.
+func (t sampler) bytes() int { return t.s.elems.Bytes() + t.s.active.Bytes() }
 
 // lateDrops is the Sequencer's count of late elements as a part, with the
 // core's released bound, which decides what is late.

@@ -131,6 +131,38 @@ func TestSnapshotAllocationBudget(t *testing.T) {
 			}
 		}
 	}
+
+	// A state that grows by one group a round outgrows its kept buffers
+	// every round. They grow geometrically, so over 256 rounds they are
+	// reallocated in about log(rounds) of them, where an exact-size
+	// buffer a round was reallocated in each.
+	const rounds = 256
+	g := NewGroupBy("g", func(v any) any { return v }, aggregate.NewCount, nil)
+	var buf []byte
+	var caps, last []int
+	grew := 0
+	for r := range rounds {
+		g.ProcessBatch(temporal.Batch{el(r, temporal.Time(r), 2*rounds)}, 0)
+		fn, err := g.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = fn(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		caps = caps[:0]
+		for _, c := range g.snaps.spare {
+			caps = append(caps, cap(c.elems), cap(c.recs), cap(c.vals), cap(c.nums))
+		}
+		if last != nil && !slices.Equal(caps, last) {
+			grew++
+		}
+		last = append(last[:0], caps...)
+	}
+	t.Logf("a state growing by one group a round: its kept buffers grew in %d of %d rounds", grew, rounds)
+	if limit := 4 * 8; grew > limit {
+		t.Errorf("a state growing by one group a round: its kept buffers grew in %d of %d rounds, over 4·log2(rounds) = %d", grew, rounds, limit)
+	}
 }
 
 // feedRound feeds c's input shifted r rounds later in time, so every
@@ -400,13 +432,16 @@ func TestSnapshotOrderDeterministic(t *testing.T) {
 }
 
 // Every stateful operator reports what it holds: after its feed,
-// MemoryUsage is positive, and before any checkpoint round it is the
-// figure the memory manager has always budgeted. The method is asserted
-// through an interface, so an operator without one fails here.
+// MemoryUsage is positive, and before any checkpoint round it is the room
+// its containers have allocated — element slabs with their free slots,
+// 16-byte slot arrays, 48 bytes a key record, 64 an element elsewhere.
+// A node that has released every pending result keeps its slab, so it
+// still reports it. The method is asserted through an interface, so an
+// operator without one fails here.
 func TestEveryStatefulOperatorReportsMemory(t *testing.T) {
 	want := map[string]int{
-		"join": 328, "mjoin": 304, "groupby": 224, "difference": 208, "intersect": 208,
-		"union": 64, "coalesce": 192, "distinct": 256,
+		"join": 568, "mjoin": 592, "groupby": 576, "difference": 424, "intersect": 208,
+		"union": 64, "coalesce": 336, "distinct": 400,
 	}
 	for _, c := range stateCases() {
 		op := c.make()
@@ -422,6 +457,24 @@ func TestEveryStatefulOperatorReportsMemory(t *testing.T) {
 		}
 		if w, ok := want[c.name]; ok && got != w {
 			t.Errorf("%s reports MemoryUsage %d before any round, want %d", c.name, got, w)
+		}
+		core, ok := op.(interface {
+			pending() int
+			buffered() int
+			Inputs() int
+			Done(input int)
+		})
+		if !ok || core.pending() == 0 {
+			continue
+		}
+		for i := range core.Inputs() {
+			core.Done(i)
+		}
+		if n := core.buffered(); n != 0 {
+			t.Fatalf("%s holds %d pending results after the end of its inputs", c.name, n)
+		}
+		if got := m.MemoryUsage(); got <= 0 {
+			t.Errorf("%s released its pending results and reports MemoryUsage %d, not its slab", c.name, got)
 		}
 	}
 }

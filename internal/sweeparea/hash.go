@@ -2,6 +2,7 @@ package sweeparea
 
 import (
 	"slices"
+	"unsafe"
 
 	"pipes/internal/temporal"
 	"pipes/internal/xds"
@@ -11,22 +12,25 @@ import (
 type KeyFunc func(v any) any
 
 // Hash is the equi-join SweepArea: entries are bucketed by join key, so a
-// probe touches only its own bucket. Buckets are insertion-ordered slices
-// (not maps): probes scan contiguously and — crucially — emit matches in
-// deterministic insertion order, which makes join output reproducible
-// run-to-run and lets the frame-size invariance harness compare
-// output sequences and state bytes exactly. Expiration uses a min-heap on
-// interval end with lazy tombstones, keeping Reorganize amortised
-// O(removed · log n); dead slots are compacted once they outnumber the
-// live ones. A bucket whose last live slot goes is cleared and kept on a
-// spare list (at most as many as there are live buckets), and the next
-// new key reuses it with its slot capacity.
+// probe touches only its own bucket. Each element is stored once, in the
+// area's slab; a bucket is an insertion-ordered slice of 16-byte,
+// pointer-free slots that refer to it (not a map): probes scan
+// contiguously and — crucially — emit matches in deterministic insertion
+// order, which makes join output reproducible run-to-run and lets the
+// frame-size invariance harness compare output sequences and state bytes
+// exactly. Expiration uses a min-heap on interval end with lazy
+// tombstones, keeping Reorganize amortised O(removed · log n); dead slots
+// are compacted once they outnumber the live ones. A bucket whose last
+// live slot goes is truncated and kept on a spare list (at most as many
+// as there are live buckets), and the next new key reuses it with its
+// slot capacity.
 type Hash struct {
 	probeKey  KeyFunc // key of the probing (opposite-input) value
 	storedKey KeyFunc // key of stored values
 	buckets   map[any]*hashBucket
-	spare     []*hashBucket                      // emptied buckets, slots cleared and truncated
-	spareCap  int                                // slot capacity the spare buckets retain
+	spare     []*hashBucket                      // emptied buckets, slots truncated
+	slotCap   int                                // slot capacity of every bucket, spares included
+	elems     xds.Slab[temporal.Element]         // the stored elements
 	expiry    xds.Heap[temporal.Time, hashEntry] // by End
 	seq       int64
 	size      int
@@ -40,9 +44,11 @@ type hashBucket struct {
 	live  int
 }
 
+// hashSlot is one inserted element: its seq and its slot in the area's
+// slab, which a dead slot has given back.
 type hashSlot struct {
 	seq  int64
-	e    temporal.Element
+	ref  int32
 	dead bool
 }
 
@@ -77,7 +83,9 @@ func (h *Hash) Insert(e temporal.Element) {
 		h.buckets[k] = b
 	}
 	h.seq++
-	b.slots = append(b.slots, hashSlot{seq: h.seq, e: e})
+	c := cap(b.slots)
+	b.slots = append(b.slots, hashSlot{seq: h.seq, ref: h.elems.Put(e)})
+	h.slotCap += cap(b.slots) - c
 	b.live++
 	h.expiry.Push(e.End, hashEntry{seq: h.seq, key: k})
 	h.size++
@@ -91,7 +99,7 @@ func (h *Hash) Probe(probe temporal.Element, emit func(temporal.Element)) {
 	}
 	for i := range b.slots {
 		if !b.slots[i].dead {
-			emit(b.slots[i].e)
+			emit(h.elems.At(b.slots[i].ref))
 		}
 	}
 }
@@ -112,7 +120,9 @@ func (h *Hash) Reorganize(t temporal.Time) int {
 }
 
 // Shed implements SweepArea: pops the soonest-expiring entries. The
-// spare buckets go too: they are memory the area holds but does not use.
+// spare buckets, dead slots and the slab's free slots go too: they are
+// memory the area holds but does not use. The live elements move into a
+// slab and slot arrays just their size, so a shed frees what it reports.
 func (h *Hash) Shed(n int) int {
 	removed := 0
 	for removed < n {
@@ -124,7 +134,18 @@ func (h *Hash) Shed(n int) int {
 			removed++
 		}
 	}
-	h.spare, h.spareCap = nil, 0
+	h.spare = nil
+	var elems xds.Slab[temporal.Element]
+	for _, b := range h.buckets {
+		live := make([]hashSlot, 0, b.live)
+		for _, s := range b.slots {
+			if !s.dead {
+				live = append(live, hashSlot{seq: s.seq, ref: elems.Put(h.elems.At(s.ref))})
+			}
+		}
+		b.slots = live
+	}
+	h.elems, h.slotCap = elems, h.size
 	return removed
 }
 
@@ -147,7 +168,7 @@ func (h *Hash) remove(he hashEntry) bool {
 		return false // tombstone: already shed/purged
 	}
 	b.slots[lo].dead = true
-	b.slots[lo].e = temporal.Element{} // release the value for GC
+	h.elems.Take(b.slots[lo].ref)
 	b.live--
 	h.size--
 	if b.live == 0 {
@@ -177,19 +198,17 @@ func (h *Hash) newBucket() *hashBucket {
 	b := h.spare[n-1]
 	h.spare[n-1] = nil
 	h.spare = h.spare[:n-1]
-	h.spareCap -= cap(b.slots)
 	return b
 }
 
 // retire drops the emptied bucket of key k and keeps it as a spare while
-// spares are fewer than live buckets. Its whole slot capacity is cleared
-// first, so a spare holds no expired value.
+// spares are fewer than live buckets.
 func (h *Hash) retire(k any, b *hashBucket) {
 	if len(h.spare) < len(h.buckets) {
 		b.slots = b.slots[:0]
-		clear(b.slots[:cap(b.slots)])
 		h.spare = append(h.spare, b)
-		h.spareCap += cap(b.slots)
+	} else {
+		h.slotCap -= cap(b.slots)
 	}
 	delete(h.buckets, k)
 }
@@ -200,7 +219,7 @@ func (h *Hash) AppendItems(dst []temporal.Element) []temporal.Element {
 	for _, b := range h.buckets {
 		for i := range b.slots {
 			if !b.slots[i].dead {
-				dst = append(dst, b.slots[i].e)
+				dst = append(dst, h.elems.At(b.slots[i].ref))
 			}
 		}
 	}
@@ -212,8 +231,8 @@ func (h *Hash) Len() int { return h.size }
 
 // MemoryUsage implements SweepArea.
 func (h *Hash) MemoryUsage() int {
-	// Live entries plus heap bookkeeping (heap may hold tombstoned
-	// entries); dead slots linger until compaction but hold no value.
-	// Spare buckets' slot capacity counts as entries: it stays allocated.
-	return (h.size+h.spareCap)*bytesPerEntry + h.expiry.Len()*24
+	// The slab, free slots included; every bucket's slot array, spares
+	// and slots dead until compaction included; and the expiry heap's
+	// entries, tombstoned ones included.
+	return h.elems.Bytes() + h.slotCap*int(unsafe.Sizeof(hashSlot{})) + h.expiry.Len()*24
 }

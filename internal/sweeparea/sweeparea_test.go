@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"pipes/internal/temporal"
+	"pipes/internal/xds"
 )
 
 func elem(v int, start, end temporal.Time) temporal.Element {
@@ -183,14 +184,20 @@ func TestHashReusesEmptiedBuckets(t *testing.T) {
 	if h.Len() != 10 {
 		t.Errorf("Len = %d, want 10", h.Len())
 	}
-	// Shedding releases the spares along with the entries.
+	// Shedding releases the spares, the dead slots and the slab's free
+	// slots along with the entries: what is left is a slab and slot
+	// arrays just the live entries' size, and the expiry entries.
 	h.Reorganize(ts + 5)
 	if len(h.spare) == 0 {
 		t.Fatal("no bucket was kept for reuse")
 	}
 	h.Shed(1)
-	if len(h.spare) != 0 || h.MemoryUsage() != h.Len()*bytesPerEntry+h.expiry.Len()*24 {
-		t.Errorf("after Shed: %d spare buckets, memory %d for %d entries", len(h.spare), h.MemoryUsage(), h.Len())
+	var packed xds.Slab[temporal.Element]
+	for range h.Len() {
+		packed.Put(temporal.Element{})
+	}
+	if want := packed.Bytes() + h.Len()*16 + h.expiry.Len()*24; len(h.spare) != 0 || h.MemoryUsage() != want {
+		t.Errorf("after Shed: %d spare buckets, memory %d for %d entries, want %d", len(h.spare), h.MemoryUsage(), h.Len(), want)
 	}
 }
 

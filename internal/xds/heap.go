@@ -3,7 +3,7 @@ package xds
 import (
 	"cmp"
 	"iter"
-	"slices"
+	"unsafe"
 )
 
 // Heap is a binary min-heap whose entries each carry the key they are
@@ -24,6 +24,9 @@ type entry[K cmp.Ordered, V any] struct {
 
 // Len returns the number of stored entries.
 func (h *Heap[K, V]) Len() int { return len(h.data) }
+
+// Bytes returns the size of the backing array, used or not.
+func (h *Heap[K, V]) Bytes() int { return cap(h.data) * int(unsafe.Sizeof(entry[K, V]{})) }
 
 // Push adds v under key k.
 func (h *Heap[K, V]) Push(k K, v V) {
@@ -55,17 +58,6 @@ func (h *Heap[K, V]) Pop() (k K, v V, ok bool) {
 		h.down(0)
 	}
 	return top.k, top.v, true
-}
-
-// AppendTo appends the values to dst in array order (not sorted) and
-// returns the extended slice. Pushing them back in that order under
-// their keys rebuilds the same array.
-func (h *Heap[K, V]) AppendTo(dst []V) []V {
-	dst = slices.Grow(dst, len(h.data))
-	for i := range h.data {
-		dst = append(dst, h.data[i].v)
-	}
-	return dst
 }
 
 // All visits the entries in array order (not sorted). The heap must not

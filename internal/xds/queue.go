@@ -1,8 +1,10 @@
-// Package xds provides the two containers PIPES borrows from XXL: a FIFO
-// queue on a growable ring and a binary min-heap keyed by an ordered key.
-// Both are concrete types whose zero value is ready to use; neither is
-// safe for concurrent use, so their owners lock (an operator its
-// processing lock, the pub-sub buffer its own).
+// Package xds provides the containers PIPES borrows from XXL: a FIFO
+// queue on a growable ring, a binary min-heap keyed by an ordered key and
+// a slab that stores values in fixed chunks under int32 slots, so that a
+// heap or an index can order slots instead of the values. All are
+// concrete types whose zero value is ready to use; none is safe for
+// concurrent use, so their owners lock (an operator its processing lock,
+// the pub-sub buffer its own).
 package xds
 
 // Queue is an unbounded FIFO backed by a growable circular buffer. The

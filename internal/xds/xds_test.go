@@ -169,11 +169,17 @@ func TestHeapProperty(t *testing.T) {
 // operators walk their heaps on the hot path.
 func TestHeapAllVisitsArrayOrder(t *testing.T) {
 	var h Heap[int, int]
+	oracle := oracleHeap[keyed]{less: func(a, b keyed) bool { return a.k < b.k }}
 	for i := 0; i < 20; i++ {
 		h.Push(i%4, i)
+		oracle.push(keyed{i % 4, i})
 	}
 	h.Pop()
-	want := h.AppendTo(nil)
+	oracle.pop()
+	var want []int
+	for _, e := range oracle.data {
+		want = append(want, e.seq)
+	}
 	var got []int
 	for k, v := range h.All() {
 		if k != v%4 {
@@ -182,7 +188,7 @@ func TestHeapAllVisitsArrayOrder(t *testing.T) {
 		got = append(got, v)
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("All visited %v, AppendTo gave %v", got, want)
+		t.Fatalf("All visited %v, the array is %v", got, want)
 	}
 	sum := 0
 	if n := testing.AllocsPerRun(100, func() {
@@ -267,7 +273,10 @@ func checkHeapOrder(t *testing.T, ops []byte, keys int) {
 				t.Fatalf("op %d: Pop = (%d,%d,%v), the oracle (%d,%d,%v)", i, k, seq, ok, want.k, want.seq, wantOK)
 			}
 		}
-		arr = h.AppendTo(arr[:0])
+		arr = arr[:0]
+		for _, seq := range h.All() {
+			arr = append(arr, seq)
+		}
 		if len(arr) != len(oracle.data) {
 			t.Fatalf("op %d: heap holds %d, the oracle %d", i, len(arr), len(oracle.data))
 		}
@@ -296,5 +305,122 @@ func FuzzHeapOrder(f *testing.F) {
 	f.Add([]byte{8, 7, 6, 5, 4, 3, 2, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(1))
 	f.Fuzz(func(t *testing.T, ops []byte, keys uint8) {
 		checkHeapOrder(t, ops, 1+int(keys%8))
+	})
+}
+
+// checkSlab runs ops on a slab and on a map from slot to value. Each op
+// byte puts (its low bit clear) the next value or takes the live slot
+// that op>>1 picks. After every op each live slot must read its value,
+// and a put must reuse the slot taken last while one is free.
+func checkSlab(t *testing.T, ops []byte) {
+	t.Helper()
+	var s Slab[int]
+	model := map[int32]int{}
+	var live, freed []int32 // live slots in put order; taken slots, last last
+	fresh := int32(0)
+	for i, op := range ops {
+		if op&1 == 0 || len(live) == 0 {
+			slot := s.Put(i)
+			want := fresh
+			if n := len(freed); n > 0 {
+				want, freed = freed[n-1], freed[:n-1]
+			} else {
+				fresh++
+			}
+			if slot != want {
+				t.Fatalf("op %d: Put returned slot %d, want %d", i, slot, want)
+			}
+			if _, ok := model[slot]; ok {
+				t.Fatalf("op %d: Put returned live slot %d", i, slot)
+			}
+			model[slot] = i
+			live = append(live, slot)
+		} else {
+			j := int(op>>1) % len(live)
+			slot := live[j]
+			live = append(live[:j], live[j+1:]...)
+			if v := s.Take(slot); v != model[slot] {
+				t.Fatalf("op %d: Take(%d) = %d, the model %d", i, slot, v, model[slot])
+			}
+			delete(model, slot)
+			freed = append(freed, slot)
+		}
+		for slot, v := range model {
+			if got := s.At(slot); got != v {
+				t.Fatalf("op %d: At(%d) = %d, the model %d", i, slot, got, v)
+			}
+		}
+	}
+}
+
+func TestSlabMatchesMapModel(t *testing.T) {
+	f := func(ops []byte) bool {
+		checkSlab(t, ops)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	// Past the first chunk: fill three chunks, empty them in a scattered
+	// order, refill.
+	ops := make([]byte, 0, 4*slabChunk*3)
+	for i := 0; i < 3*slabChunk; i++ {
+		ops = append(ops, 0)
+	}
+	for i := 0; i < 3*slabChunk; i++ {
+		ops = append(ops, byte(2*i+1))
+	}
+	for i := 0; i < 3*slabChunk; i++ {
+		ops = append(ops, 0)
+	}
+	checkSlab(t, ops)
+}
+
+// A slab's chunks are never copied once the first is full, a taken slot
+// pins nothing, and a drained slab refills without allocating.
+func TestSlabChunksStayPut(t *testing.T) {
+	var s Slab[*int]
+	slots := make([]int32, 3*slabChunk)
+	for i := range slots {
+		slots[i] = s.Put(new(int))
+	}
+	second := &s.chunks[1][0]
+	for range 2 * slabChunk {
+		s.Put(nil)
+	}
+	if &s.chunks[1][0] != second {
+		t.Fatal("a later chunk moved while the slab grew")
+	}
+	for _, slot := range slots {
+		s.Take(slot)
+	}
+	for i := range slots {
+		if p := s.chunks[slots[i]>>slabShift][slots[i]&slabMask]; p != nil {
+			t.Fatalf("taken slot %d still holds %p", slots[i], p)
+		}
+	}
+	bytes := s.Bytes()
+	if n := testing.AllocsPerRun(10, func() {
+		for i := range slots {
+			slots[i] = s.Put(nil)
+		}
+		for _, slot := range slots {
+			s.Take(slot)
+		}
+	}); n != 0 {
+		t.Fatalf("refilling freed slots allocates %v times", n)
+	}
+	if want := 5*slabChunk*8 + cap(s.free)*4; bytes != want || s.Bytes() != want {
+		t.Fatalf("Bytes = %d then %d, want %d: five chunks of pointers and the free list", bytes, s.Bytes(), want)
+	}
+}
+
+// FuzzSlab drives random put/take sequences through the slab and the
+// map model.
+func FuzzSlab(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 3, 0, 0, 5, 1, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		checkSlab(t, ops)
 	})
 }
