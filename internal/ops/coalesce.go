@@ -20,8 +20,11 @@ type Coalesce struct {
 	ends    xds.Heap[temporal.Time, any] // finalisation: pending span keys by End
 }
 
+// span is one key's pending span and its holdback entry at the span's
+// Start.
 type span struct {
 	value temporal.Element
+	hold  int32
 }
 
 // NewCoalesce returns a coalescing operator; a nil key coalesces elements
@@ -34,7 +37,7 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 		key:     key,
 		pending: map[any]*span{},
 	}
-	c.init(name, 1, c.processOne, c.liveLow, c.finish, spanTable{c})
+	c.init(name, 1, c.processOne, c.finish, spanTable{c})
 	return c
 }
 
@@ -57,32 +60,27 @@ func (c *Coalesce) processOne(_ int, e temporal.Element) {
 			continue // stale: span was extended or already emitted
 		}
 		c.add(p.value)
+		c.holds.Remove(p.hold)
 		delete(c.pending, key)
 	}
 
 	k := c.key(e.Value)
-	if p := c.pending[k]; p != nil {
-		if e.Start <= p.value.End { // overlap or adjacency: extend
-			if e.End > p.value.End {
-				p.value.End = e.End
-				c.ends.Push(p.value.End, k)
-			}
-			return
+	p := c.pending[k]
+	switch {
+	case p == nil:
+		c.pending[k] = &span{value: e, hold: c.holds.Push(e.Start)}
+	case e.Start <= p.value.End: // overlap or adjacency: extend
+		if e.End > p.value.End {
+			p.value.End = e.End
+			c.ends.Push(p.value.End, k)
 		}
-		// Gap: the old span is final.
+		return
+	default: // gap: the old span is final, and e opens the key's next
 		c.add(p.value)
-		delete(c.pending, k)
+		p.value = e
+		c.holds.Set(p.hold, e.Start)
 	}
-	c.pending[k] = &span{value: e}
 	c.ends.Push(e.End, k)
-	c.holdBack(e.Start, k)
-}
-
-// liveLow reports whether a holdback entry is still its key's pending
-// span start: the earliest one holds back release.
-func (c *Coalesce) liveLow(lb temporal.Time, key any) bool {
-	p := c.pending[key]
-	return p != nil && p.value.Start == lb
 }
 
 func (c *Coalesce) finish() {
@@ -94,7 +92,9 @@ func (c *Coalesce) finish() {
 	}
 	sortByKey(keys, func(k any) any { return k })
 	for _, k := range keys {
-		c.add(c.pending[k].value)
+		p := c.pending[k]
+		c.add(p.value)
+		c.holds.Remove(p.hold)
 		delete(c.pending, k)
 	}
 }

@@ -22,9 +22,14 @@ type globalGroup struct{}
 // non-blocking: a span is emitted as soon as its right boundary has
 // certainly passed. Invertible aggregates (count/sum/avg/variance) are
 // maintained incrementally; others (min/max/quantiles) are recomputed from
-// the group's live multiset at each boundary. A group whose last element
-// expires is reset and kept on a spare list (at most as many as there are
-// live groups), and the next new key takes it, heap capacity and all.
+// the group's live elements, in arrival order, before a span reads them.
+//
+// A group is a list in one node slab (xds.Lists): its record is the
+// list's, its live elements the list's nodes. One expiry heap orders
+// every live element's node by End, so a boundary pops exactly the
+// elements it expires. A group whose last element expires gives its id
+// back, and the next new key takes it; its aggregate is reset and kept
+// for a new key while such spares are fewer than the live groups.
 //
 // Each span's output value is outFn(key, agg), read off the group's
 // aggregate when the span closes; a span outFn declines emits nothing
@@ -36,18 +41,20 @@ type GroupBy struct {
 	key     KeyFunc
 	factory aggregate.Factory
 	outFn   func(key any, agg aggregate.Aggregate) (any, bool)
-	groups  map[any]*group
-	spare   []*group                     // emptied groups, reset; ProcMu
-	elems   xds.Slab[temporal.Element]   // every group's live elements
-	expiry  xds.Heap[temporal.Time, any] // group keys by the End of a live element
+	groups  map[any]int32                      // key → group id
+	elems   xds.Lists[temporal.Element, group] // each group's record and live elements, by group id
+	expiry  xds.Heap[temporal.Time, int32]     // every live element's node, by End
+	spare   []aggregate.Aggregate              // emptied groups' aggregates, reset
 }
 
+// group is one group's record.
 type group struct {
-	active xds.Heap[temporal.Time, int32] // slots of live elements in elems, by End
-	agg    aggregate.Aggregate
-	inv    aggregate.Invertible // non-nil fast path
-	lb     temporal.Time        // left boundary of the open span
-	trace  any                  // trace slot of the latest traced contributor
+	key   any
+	agg   aggregate.Aggregate
+	lb    temporal.Time // left boundary of the open span
+	trace any           // trace slot of the latest traced contributor
+	hold  int32         // the core's holdback entry at lb
+	stale bool          // agg still counts expired elements
 }
 
 // NewGroupBy returns a grouped aggregation. key may be nil for a single
@@ -72,12 +79,12 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 		key:     key,
 		factory: factory,
 		outFn:   outFn,
-		groups:  map[any]*group{},
+		groups:  map[any]int32{},
 	}
 	// Groups holding elements valid forever never see a closing boundary
 	// before the end; advance(MaxTime) pops their expiry events and emits
 	// their final spans.
-	g.init(name, 1, g.processOne, g.liveLow, func() { g.advance(temporal.MaxTime) }, groupTable{g})
+	g.init(name, 1, g.processOne, func() { g.advance(temporal.MaxTime) }, groupTable{g})
 	return g
 }
 
@@ -118,104 +125,93 @@ func (g *GroupBy) processOne(_ int, e temporal.Element) {
 	g.advance(e.Start)
 
 	k := g.key(e.Value)
-	grp := g.groups[k]
-	if grp == nil {
-		grp = g.newGroup(e.Start)
-		g.groups[k] = grp
-	} else if grp.active.Len() > 0 && grp.lb < e.Start {
-		g.emitSpan(k, grp, e.Start)
+	id, ok := g.groups[k]
+	if !ok {
+		id = g.newGroup(k, e.Start)
+		g.groups[k] = id
+	} else if g.elems.Rec(id).lb < e.Start {
+		g.emitSpan(id, e.Start)
 	}
-	grp.active.Push(e.End, g.elems.Put(e))
+	grp := g.elems.Rec(id)
+	g.expiry.Push(e.End, g.elems.Append(id, e))
 	grp.agg.Insert(e.Value)
-	grp.lb = e.Start
+	if grp.lb != e.Start {
+		grp.lb = e.Start
+		g.holds.Set(grp.hold, e.Start)
+	}
 	if e.Trace != nil {
 		grp.trace = e.Trace
 	}
-	g.expiry.Push(e.End, k)
-	g.holdBack(grp.lb, k)
 }
 
 // advance processes every interval end up to and including t, emitting the
-// spans those boundaries close.
+// spans those boundaries close: a group's first element to expire at a
+// boundary closes its span, before any of them leaves the group.
 func (g *GroupBy) advance(t temporal.Time) {
 	for {
-		end, key, ok := g.expiry.Peek()
+		end, slot, ok := g.expiry.Peek()
 		if !ok || end > t {
 			return
 		}
 		g.expiry.Pop()
-		grp := g.groups[key]
-		if grp == nil {
-			continue // group fully expired by an earlier event at this end
-		}
-		if first, _, ok := grp.active.Peek(); !ok || first > end {
-			continue // stale duplicate event
-		}
+		id := g.elems.ListOf(slot)
+		grp := g.elems.Rec(id)
 		if grp.lb < end {
-			g.emitSpan(key, grp, end)
+			g.emitSpan(id, end)
+			grp.lb = end
+			g.holds.Set(grp.hold, end)
 		}
-		for {
-			first, _, ok := grp.active.Peek()
-			if !ok || first > end {
-				break
-			}
-			_, slot, _ := grp.active.Pop()
-			expired := g.elems.Take(slot)
-			if grp.inv != nil {
-				grp.inv.Remove(expired.Value)
-			}
+		expired := g.elems.Remove(slot)
+		if g.elems.Count(id) == 0 {
+			g.retire(id)
+		} else if inv, ok := grp.agg.(aggregate.Invertible); ok {
+			inv.Remove(expired.Value)
+		} else {
+			grp.stale = true
 		}
-		if grp.active.Len() == 0 {
-			g.retire(key, grp)
-			continue
-		}
-		if grp.inv == nil {
-			g.recompute(grp)
-		}
-		grp.lb = end
-		g.holdBack(grp.lb, key)
 	}
 }
 
-// newGroup returns an empty group whose open span starts at lb: a spare
-// one if there is one, else a new one.
-func (g *GroupBy) newGroup(lb temporal.Time) *group {
+// newGroup returns the id of a new group of key k whose open span starts
+// at lb, with a spare aggregate if there is one.
+func (g *GroupBy) newGroup(k any, lb temporal.Time) int32 {
+	var agg aggregate.Aggregate
 	if n := len(g.spare); n > 0 {
-		grp := g.spare[n-1]
+		agg = g.spare[n-1]
 		g.spare[n-1] = nil
 		g.spare = g.spare[:n-1]
-		grp.lb = lb
-		return grp
+	} else {
+		agg = g.factory()
 	}
-	agg := g.factory()
-	inv, _ := agg.(aggregate.Invertible)
-	return &group{agg: agg, inv: inv, lb: lb}
+	return g.elems.New(group{key: k, agg: agg, lb: lb, hold: g.holds.Push(lb)})
 }
 
-// retire drops the emptied group of key k and keeps it as a spare while
-// spares are fewer than live groups. Its aggregate is reset to a fresh
-// one's state (aggregate.Aggregate.Reset) and its trace dropped; its
-// empty heap keeps its backing array.
-func (g *GroupBy) retire(k any, grp *group) {
+// retire drops the emptied group id and keeps its aggregate, reset to a
+// fresh one's state (aggregate.Aggregate.Reset), while spares are fewer
+// than live groups.
+func (g *GroupBy) retire(id int32) {
+	grp := g.elems.Rec(id)
 	if len(g.spare) < len(g.groups) {
 		grp.agg.Reset()
-		grp.trace = nil
-		g.spare = append(g.spare, grp)
+		g.spare = append(g.spare, grp.agg)
 	}
-	delete(g.groups, k)
+	delete(g.groups, grp.key)
+	g.holds.Remove(grp.hold)
+	g.elems.Drop(id)
 }
 
-func (g *GroupBy) recompute(grp *group) {
-	grp.agg.Reset()
-	for _, slot := range grp.active.All() {
-		grp.agg.Insert(g.elems.At(slot).Value)
+// emitSpan buffers one output element of group id for [lb, to), unless
+// outFn declines the span. A stale aggregate is recomputed first.
+func (g *GroupBy) emitSpan(id int32, to temporal.Time) {
+	grp := g.elems.Rec(id)
+	if grp.stale {
+		grp.agg.Reset()
+		for s := g.elems.Head(id); s >= 0; s = g.elems.Next(s) {
+			grp.agg.Insert(g.elems.At(s).Value)
+		}
+		grp.stale = false
 	}
-}
-
-// emitSpan buffers one output element for [grp.lb, to), unless outFn
-// declines the span.
-func (g *GroupBy) emitSpan(key any, grp *group, to temporal.Time) {
-	v, ok := g.outFn(key, grp.agg)
+	v, ok := g.outFn(grp.key, grp.agg)
 	if !ok {
 		return
 	}
@@ -224,13 +220,6 @@ func (g *GroupBy) emitSpan(key any, grp *group, to temporal.Time) {
 		Interval: temporal.NewInterval(grp.lb, to),
 		Trace:    grp.trace,
 	})
-}
-
-// liveLow reports whether a holdback entry is still its group's open
-// span start: no future output can start before the earliest one.
-func (g *GroupBy) liveLow(lb temporal.Time, key any) bool {
-	grp := g.groups[key]
-	return grp != nil && grp.lb == lb
 }
 
 // GroupCount returns the number of live groups — exposed for memory

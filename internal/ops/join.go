@@ -54,7 +54,7 @@ func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, comb
 	}
 	j := &Join{areas: [2]sweeparea.SweepArea{left, right}, pred: pred, combine: combine}
 	j.match = j.matchProbe
-	j.init(name, 2, j.processOne, nil, nil, area{left}, area{right})
+	j.init(name, 2, j.processOne, nil, area{left}, area{right})
 	return j
 }
 

@@ -39,7 +39,7 @@ func NewMJoin(name string, inputs int, key KeyFunc) *MJoin {
 		m.areas[i] = sweeparea.NewHash(k, k)
 		ps = append(ps, area{m.areas[i]})
 	}
-	m.init(name, inputs, m.processOne, nil, nil, ps...)
+	m.init(name, inputs, m.processOne, nil, ps...)
 	return m
 }
 

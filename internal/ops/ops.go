@@ -174,14 +174,15 @@ func (p *Project[M]) MemoryUsage() int {
 //
 //	min(the watermark, the operator's holdback)
 //
-// The holdback is one lazily pruned heap of (start, key) entries: an
-// operator pushes an entry whenever a key's earliest start it may still
-// emit from changes, and supplies live, which reports whether an entry
-// still describes its key; stale entries are popped when they reach the
-// top. An operator may also supply hold, an extra holdback term computed
-// at each release. The core records the start it released last: no later
-// result starts below it. A body whose results start at its element's
-// Start (union, join, mjoin) Emits them instead.
+// The holdback is an indexed min-heap with one entry per key that may
+// still emit, at the earliest start it may emit from: an operator pushes
+// a key's entry when the key appears, keeps the handle in the key's
+// record, moves the entry whenever that start changes and removes it
+// with the key, so the heap holds exactly its live keys. An operator may
+// also supply hold, an extra holdback term computed at each release. The
+// core records the start it released last: no later result starts below
+// it. A body whose results start at its element's Start (union, join,
+// mjoin) Emits them instead.
 //
 // The core owns the done wiring: an input's done applies what its
 // queue held back, and the end of the stream runs the operator's tail
@@ -196,19 +197,18 @@ type ordered struct {
 	results  xds.Slab[temporal.Element]     // the pending results
 	out      xds.Heap[temporal.Time, int32] // their slots, by Start
 	wm       temporal.Time
-	lows     xds.Heap[temporal.Time, any] // key may still emit from lb on
-	live     func(lb temporal.Time, key any) bool
+	holds    xds.IndexedHeap[temporal.Time] // each key's earliest start it may emit from
 	hold     func() temporal.Time
 	released temporal.Time
 }
 
 // init sets the core up in place (the done hooks capture its address).
-// apply is the operator's per-element body; live may be nil for an
-// operator without a holdback, tail for one whose end of stream only
-// flushes. ps are the operator's other parts.
-func (c *ordered) init(name string, inputs int, apply func(input int, e temporal.Element), live func(lb temporal.Time, key any) bool, tail func(), ps ...part) {
+// apply is the operator's per-element body; tail may be nil for an
+// operator whose end of stream only flushes. ps are the operator's other
+// parts.
+func (c *ordered) init(name string, inputs int, apply func(input int, e temporal.Element), tail func(), ps ...part) {
 	c.PipeBase = pubsub.NewPipeBase(name, inputs)
-	c.apply, c.live = apply, live
+	c.apply = apply
 	if inputs > 1 {
 		c.in = make([]xds.Queue[temporal.Element], inputs)
 		for i := range c.in {
@@ -271,9 +271,6 @@ func (c *ordered) pump() {
 // add buffers a pending result.
 func (c *ordered) add(e temporal.Element) { c.out.Push(e.Start, c.results.Put(e)) }
 
-// holdBack records that key may still emit from lb on.
-func (c *ordered) holdBack(lb temporal.Time, key any) { c.lows.Push(lb, key) }
-
 // progress advances the watermark to start (it never regresses) and
 // releases: the one call per applied element.
 func (c *ordered) progress(start temporal.Time) {
@@ -290,7 +287,7 @@ func (c *ordered) release() {
 	if c.hold != nil {
 		bound = min(bound, c.hold())
 	}
-	if lb, ok := c.low(); ok {
+	if lb, ok := c.holds.Peek(); ok {
 		bound = min(bound, lb)
 	}
 	c.releaseTo(bound)
@@ -308,19 +305,6 @@ func (c *ordered) releaseTo(bound temporal.Time) {
 		c.released = start
 		c.Emit(c.results.Take(slot))
 	}
-}
-
-// low returns the earliest live holdback start, popping the stale
-// entries above it; ok is false when nothing holds back.
-func (c *ordered) low() (lb temporal.Time, ok bool) {
-	for c.live != nil {
-		lb, key, ok := c.lows.Peek()
-		if !ok || c.live(lb, key) {
-			return lb, ok
-		}
-		c.lows.Pop()
-	}
-	return 0, false
 }
 
 // pending returns the number of pending results.

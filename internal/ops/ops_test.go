@@ -597,10 +597,10 @@ func TestDStreamSkipsUnbounded(t *testing.T) {
 // per-element body buffers the element as a pending result, and a
 // function that flushes the core's frame and returns everything the
 // collector holds.
-func newTestCore(t *testing.T, inputs int, live func(lb temporal.Time, key any) bool) (*ordered, func() []temporal.Element) {
+func newTestCore(t *testing.T, inputs int) (*ordered, func() []temporal.Element) {
 	t.Helper()
 	c := &ordered{}
-	c.init("o", inputs, func(_ int, e temporal.Element) { c.add(e) }, live, nil)
+	c.init("o", inputs, func(_ int, e temporal.Element) { c.add(e) }, nil)
 	col := pubsub.NewCollector("col", 1)
 	if err := c.Subscribe(col, 0); err != nil {
 		t.Fatal(err)
@@ -616,7 +616,7 @@ func newTestCore(t *testing.T, inputs int, live func(lb temporal.Time, key any) 
 // silent input holds every result back, and a done input no longer
 // counts.
 func TestOrderBufferWatermarks(t *testing.T) {
-	c, released := newTestCore(t, 2, nil)
+	c, released := newTestCore(t, 2)
 	c.ProcessBatch(temporal.Batch{el("b", 10, 11)}, 0)
 	if got := released(); len(got) != 0 {
 		t.Fatalf("released %v with one silent input", got)
@@ -637,7 +637,7 @@ func TestOrderBufferWatermarks(t *testing.T) {
 }
 
 func TestOrderBufferReleaseOrder(t *testing.T) {
-	c, released := newTestCore(t, 1, nil)
+	c, released := newTestCore(t, 1)
 	c.add(el("c", 5, 6))
 	c.add(el("a", 1, 2))
 	c.add(el("b", 3, 4))
@@ -651,26 +651,46 @@ func TestOrderBufferReleaseOrder(t *testing.T) {
 	}
 }
 
-// The holdback is the earliest live entry: a stale entry is dropped when
-// it reaches the top and no longer holds a result back.
-func TestOrderBufferHoldbackPrunesStale(t *testing.T) {
-	open := map[any]temporal.Time{"k": 2}
-	c, released := newTestCore(t, 1, func(lb temporal.Time, key any) bool { return open[key] == lb })
-	c.holdBack(2, "k")
+// The holdback is the earliest entry of its indexed heap: moving a key's
+// entry up releases what it held back, and removing it leaves nothing
+// behind.
+func TestOrderBufferHoldbackIsExact(t *testing.T) {
+	c, released := newTestCore(t, 1)
+	k := c.holds.Push(2)
 	c.add(el("a", 1, 2))
 	c.add(el("b", 3, 4))
+	c.add(el("c", 6, 7))
 	c.progress(10)
 	if got := released(); len(got) != 1 || got[0].Value != "a" {
 		t.Fatalf("released %v under holdback 2, want a", got)
 	}
-	open["k"] = 5 // the entry at 2 is stale now
-	c.holdBack(5, "k")
+	c.holds.Set(k, 5)
 	c.progress(10)
 	if got := released(); len(got) != 2 || got[1].Value != "b" {
 		t.Fatalf("released %v under holdback 5, want a, b", got)
 	}
-	if c.lows.Len() != 1 {
-		t.Fatalf("%d holdback entries left, want the live one", c.lows.Len())
+	c.holds.Remove(k)
+	c.progress(10)
+	if got := released(); len(got) != 3 || c.holds.Len() != 0 {
+		t.Fatalf("released %v with %d holdback entries left, want a, b, c and none", got, c.holds.Len())
+	}
+}
+
+// A γ held back by one long element keeps one holdback entry per group,
+// however many spans its other groups close behind it: ten thousand
+// elements over three other keys leave four entries, not one per span.
+func TestHeldBackGroupByHoldsOneEntryPerGroup(t *testing.T) {
+	g := NewGroupBy("g", func(v any) any { return v.(int) % 4 }, aggregate.NewCount, nil)
+	in := temporal.Batch{el(0, 0, 1<<40)}
+	for i := 1; i <= 10000; i++ {
+		in = append(in, el(4*i+1+i%3, temporal.Time(i), temporal.Time(i+5)))
+	}
+	g.ProcessBatch(in, 0)
+	if g.pending() == 0 {
+		t.Fatal("the long element held nothing back")
+	}
+	if n := g.holds.Len(); n > 4 {
+		t.Fatalf("%d holdback entries for %d groups, want one a group", n, g.GroupCount())
 	}
 }
 
@@ -712,14 +732,14 @@ func TestGroupCountAndMemory(t *testing.T) {
 }
 
 // Pending results are stored once: a held-back γ that closes 10 000
-// spans at one boundary grows a 16-byte slot heap (about 68 bytes a
+// spans at one boundary grows a 16-byte slot heap (about 69 bytes a
 // result, growth copies included) and a slab whose chunks are never
-// copied (about 56: a 256-element chunk is 12 288 bytes, which the
-// allocator's 8-byte header for pointerful objects puts in its 13 568
-// class), under 130 bytes a result. A heap of whole elements, grown by
-// copying 56-byte entries, allocated about 265. The first round declines
-// its spans, so the groups' own structures are warm and the second round
-// measures the pending results alone.
+// copied (about 54: the first chunk doubles to 1 024 elements, and every
+// later one is 49 152 bytes, six whole pages, which the allocator rounds
+// not at all), under 124 bytes a result. A heap of whole elements, grown
+// by copying 56-byte entries, allocated about 265. The first round
+// declines its spans, so the groups' own structures are warm and the
+// second round measures the pending results alone.
 func TestHeldBackGroupByStoresResultsOnce(t *testing.T) {
 	const n = 10000
 	keep := false
@@ -749,8 +769,35 @@ func TestHeldBackGroupByStoresResultsOnce(t *testing.T) {
 	}
 	perResult := float64(bytes) / n
 	t.Logf("%.1f bytes allocated a pending result", perResult)
-	if perResult >= 130 {
-		t.Fatalf("holding %d results back allocates %.1f bytes a result, want under 130", n, perResult)
+	if perResult >= 124 {
+		t.Fatalf("holding %d results back allocates %.1f bytes a result, want under 124", n, perResult)
+	}
+}
+
+// A new group costs its aggregate and nothing else of its own: its
+// elements go into the node slab's chunks, its record into one slice and
+// its holdback entry into one heap, all grown amortized. N distinct keys
+// through a COUNT γ allocate one COUNT each and the amortized growth.
+func TestGroupByKeysAllocateOnlyTheirAggregate(t *testing.T) {
+	const n = 20000
+	in := make(temporal.Batch, n)
+	for i := range in {
+		in[i] = el(1000+i, temporal.Time(i), temporal.Time(i+n))
+	}
+	g := NewGroupBy("g", func(v any) any { return v }, aggregate.NewCount, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i += pubsub.FrameCap {
+		g.ProcessBatch(in[i:min(i+pubsub.FrameCap, n)], 0)
+	}
+	runtime.ReadMemStats(&after)
+	if g.GroupCount() != n {
+		t.Fatalf("%d groups, want %d", g.GroupCount(), n)
+	}
+	perKey := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.3f allocations a key", perKey)
+	if perKey > 1.05 {
+		t.Errorf("%d distinct keys allocate %.3f times a key, want one aggregate and amortized growth", n, perKey)
 	}
 }
 

@@ -23,7 +23,7 @@ func NewSequencer(name string, slack temporal.Time) *Sequencer {
 		panic("ops: sequencer slack must be non-negative")
 	}
 	s := &Sequencer{slack: slack}
-	s.init(name, 1, s.processOne, nil, nil, lateDrops{s})
+	s.init(name, 1, s.processOne, nil, lateDrops{s})
 	s.hold = func() temporal.Time {
 		if s.wm < temporal.MinTime+s.slack {
 			return temporal.MinTime

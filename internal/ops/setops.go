@@ -36,7 +36,8 @@ type diffState struct {
 	value  any // representative output value for the key
 	counts [2]int
 	lb     temporal.Time
-	trace  any // trace slot of the latest traced contributor
+	trace  any   // trace slot of the latest traced contributor
+	hold   int32 // the core's holdback entry at lb
 }
 
 // diffExpiry is a pending interval end: one element of key on input.
@@ -68,7 +69,7 @@ func (d *setOp) setup(name string, key KeyFunc, mult func(m0, m1 int) int) {
 	}
 	d.key, d.mult = key, mult
 	d.state = map[any]*diffState{}
-	d.init(name, 2, d.processOne, d.liveLow, func() { d.advance(temporal.MaxTime) },
+	d.init(name, 2, d.processOne, func() { d.advance(temporal.MaxTime) },
 		setKeys{d}, setExpiry{d})
 }
 
@@ -78,18 +79,18 @@ func (d *setOp) processOne(input int, e temporal.Element) {
 	k := d.key(e.Value)
 	st := d.state[k]
 	if st == nil {
-		st = &diffState{value: e.Value, lb: e.Start}
+		st = &diffState{value: e.Value, lb: e.Start, hold: d.holds.Push(e.Start)}
 		d.state[k] = st
 	} else if st.lb < e.Start {
 		d.emitSpan(st, e.Start)
 		st.lb = e.Start
+		d.holds.Set(st.hold, st.lb)
 	}
 	st.counts[input]++
 	if e.Trace != nil {
 		st.trace = e.Trace
 	}
 	d.expiry.Push(e.End, diffExpiry{key: k, input: input})
-	d.holdBack(st.lb, k)
 }
 
 // advance processes expiry boundaries up to and including t.
@@ -107,10 +108,11 @@ func (d *setOp) advance(t temporal.Time) {
 		if st.lb < end {
 			d.emitSpan(st, end)
 			st.lb = end
-			d.holdBack(st.lb, ev.key)
+			d.holds.Set(st.hold, st.lb)
 		}
 		st.counts[ev.input]--
 		if st.counts[0] == 0 && st.counts[1] == 0 {
+			d.holds.Remove(st.hold)
 			delete(d.state, ev.key)
 		}
 	}
@@ -123,11 +125,4 @@ func (d *setOp) emitSpan(st *diffState, to temporal.Time) {
 	for i := 0; i < m; i++ {
 		d.add(temporal.Element{Value: st.value, Interval: temporal.NewInterval(st.lb, to), Trace: st.trace})
 	}
-}
-
-// liveLow reports whether a holdback entry is still its key's open span
-// start.
-func (d *setOp) liveLow(lb temporal.Time, key any) bool {
-	st := d.state[key]
-	return st != nil && st.lb == lb
 }

@@ -22,7 +22,7 @@ func NewSplit(name string, granule temporal.Time) *Split {
 		panic("ops: split granule must be positive")
 	}
 	s := &Split{granule: granule}
-	s.init(name, 1, s.processOne, nil, nil)
+	s.init(name, 1, s.processOne, nil)
 	return s
 }
 

@@ -257,8 +257,9 @@ type part interface {
 	// load reads the piece back into a freshly constructed operator.
 	load(d *wire.Decoder)
 	// bytes is what the piece holds, in the memory manager's estimates:
-	// an element slab's every slot, free ones included, and a slot heap's
-	// array as allocated; elsewhere 64 bytes an element, 48 a key record.
+	// a slab's every slot, free ones included — element slabs, list-node
+	// slabs and list tables — and a heap's array as allocated; elsewhere
+	// 64 bytes an element, 48 a key record.
 	bytes() int
 }
 
@@ -507,8 +508,9 @@ func (c *ordered) load(d *wire.Decoder) {
 	c.wm = temporal.Time(d.Varint())
 }
 
-// bytes is the slab, free slots included, and the heap's slot array.
-func (c *ordered) bytes() int { return c.results.Bytes() + c.out.Bytes() }
+// bytes is the slab, free slots included, the heap's slot array and the
+// holdback's arrays.
+func (c *ordered) bytes() int { return c.results.Bytes() + c.out.Bytes() + c.holds.Bytes() }
 
 // area is a sweep area as a part. Its contents are written in canonical
 // order — area semantics are insertion-order independent — sorted by the
@@ -578,24 +580,20 @@ func (a arity) bytes() int { return 0 }
 // every group's live elements into one slice. The aggregate is rebuilt on
 // load by re-inserting the live elements (for invertible aggregates every
 // expired removal has already been applied, so the live multiset
-// reproduces the aggregate exactly), and so are the expiry events and
+// reproduces the aggregate exactly), and so are the expiry entries and
 // holdback entries. The multisets are canonically sorted by the encoder
 // (they are reloaded by re-insertion, so their order is free), which
-// gives consecutive rounds byte-stable encodings where raw heap layout
+// gives consecutive rounds byte-stable encodings where raw list order
 // would shuffle unchanged groups.
 type groupTable struct{ g *GroupBy }
 
 func (t groupTable) capture(c *capture) encoder {
-	n := 0
-	for _, grp := range t.g.groups {
-		n += grp.active.Len()
-	}
 	c.recs = reserve(c.recs, len(t.g.groups))
-	c.elems = reserve(c.elems, n)
-	for k, grp := range t.g.groups {
+	c.elems = reserve(c.elems, t.g.elems.Len())
+	for k, id := range t.g.groups {
 		off := len(c.elems)
-		c.elems = appendSlots(c.elems, &grp.active, &t.g.elems)
-		c.recs = append(c.recs, record{key: k, t: grp.lb, off: off, end: len(c.elems)})
+		c.elems = t.g.elems.AppendTo(c.elems, id)
+		c.recs = append(c.recs, record{key: k, t: t.g.elems.Rec(id).lb, off: off, end: len(c.elems)})
 	}
 	return encodeGroups
 }
@@ -625,39 +623,43 @@ func (c *capture) appendKeyed(dst []byte, group bool) ([]byte, error) {
 	return dst, nil
 }
 
+// errRepeatedKey is a state that holds one key twice: a keyed table
+// writes each of its keys once.
+func errRepeatedKey(key any) error { return fmt.Errorf("ops: state repeats key %v", key) }
+
 func (t groupTable) load(d *wire.Decoder) {
 	g := t.g
 	var es []temporal.Element
 	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
 		key := d.Value()
-		grp := g.newGroup(temporal.Time(d.Varint()))
+		lb := temporal.Time(d.Varint())
 		es = readElems(d, es)
-		for _, e := range es {
-			grp.active.Push(e.End, g.elems.Put(e))
-			grp.agg.Insert(e.Value)
-			// One expiry event per live element: exactly the non-stale
-			// subset of the original heap.
-			g.expiry.Push(e.End, key)
+		switch _, dup := g.groups[key]; {
+		case d.Err() != nil:
+			return
+		case dup:
+			d.Fail(errRepeatedKey(key))
+			return
+		case len(es) == 0:
+			d.Fail(fmt.Errorf("ops: group %v holds no elements", key))
+			return
 		}
-		if d.Err() == nil {
-			g.groups[key] = grp
-			g.holdBack(grp.lb, key)
+		id := g.newGroup(key, lb)
+		g.groups[key] = id
+		grp := g.elems.Rec(id)
+		for _, e := range es {
+			// One expiry entry per live element, pushed in the order
+			// the encoding holds them.
+			g.expiry.Push(e.End, g.elems.Append(id, e))
+			grp.agg.Insert(e.Value)
 		}
 	}
 }
 
-// bytes is the slab, free slots included, and 48 bytes and the slot
-// array a group. Spare groups count as groups: they stay allocated.
-func (t groupTable) bytes() int {
-	n := t.g.elems.Bytes() + (len(t.g.groups)+len(t.g.spare))*48
-	for _, grp := range t.g.groups {
-		n += grp.active.Bytes()
-	}
-	for _, grp := range t.g.spare {
-		n += grp.active.Bytes()
-	}
-	return n
-}
+// bytes is the node slab and the list table of group records, free
+// slots included, and the expiry heap's array. Spare aggregates are not
+// counted, as no aggregate is.
+func (t groupTable) bytes() int { return t.g.elems.Bytes() + t.g.expiry.Bytes() }
 
 // partitionTable is PartitionedWindow's partitions as a part, captured
 // flat like groupTable: in key order, each its key and its elements in
@@ -667,14 +669,14 @@ type partitionTable struct{ w *PartitionedWindow }
 
 func (t partitionTable) capture(c *capture) encoder {
 	n := 0
-	for _, q := range t.w.part {
-		n += q.Len()
+	for _, p := range t.w.part {
+		n += p.q.Len()
 	}
 	c.recs = reserve(c.recs, len(t.w.part))
 	c.elems = reserve(c.elems, n)
-	for k, q := range t.w.part {
+	for k, p := range t.w.part {
 		off := len(c.elems)
-		c.elems = q.AppendTo(c.elems)
+		c.elems = p.q.AppendTo(c.elems)
 		c.recs = append(c.recs, record{key: k, off: off, end: len(c.elems)})
 	}
 	return encodePartitions
@@ -690,21 +692,27 @@ func (t partitionTable) load(d *wire.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		q := new(xds.Queue[temporal.Element])
+		if _, dup := t.w.part[key]; dup {
+			d.Fail(errRepeatedKey(key))
+			return
+		}
+		p := &partition{}
 		for _, e := range es {
-			q.Enqueue(e)
+			p.q.Enqueue(e)
 		}
-		t.w.part[key] = q
-		if head, ok := q.Peek(); ok {
-			t.w.holdBack(head.Start, key)
+		lb := temporal.MaxTime
+		if head, ok := p.q.Peek(); ok {
+			lb = head.Start
 		}
+		p.hold = t.w.holds.Push(lb)
+		t.w.part[key] = p
 	}
 }
 
 func (t partitionTable) bytes() int {
 	n := 0
-	for _, q := range t.w.part {
-		n += q.Len()
+	for _, p := range t.w.part {
+		n += p.q.Len()
 	}
 	return n*64 + len(t.w.part)*48
 }
@@ -741,9 +749,12 @@ func (t spanTable) load(d *wire.Decoder) {
 			return
 		}
 		k := t.c.key(e.Value)
-		t.c.pending[k] = &span{value: e}
+		if _, dup := t.c.pending[k]; dup {
+			d.Fail(errRepeatedKey(k))
+			return
+		}
+		t.c.pending[k] = &span{value: e, hold: t.c.holds.Push(e.Start)}
 		t.c.ends.Push(e.End, k)
-		t.c.holdBack(e.Start, k)
 	}
 }
 
@@ -785,10 +796,15 @@ func (t setKeys) load(dec *wire.Decoder) {
 	for n := dec.Count(); n > 0 && dec.Err() == nil; n-- {
 		key, value := dec.Value(), dec.Value()
 		ds := &diffState{value: value, counts: [2]int{int(dec.Varint()), int(dec.Varint())}, lb: temporal.Time(dec.Varint())}
-		if dec.Err() == nil {
-			t.d.state[key] = ds
-			t.d.holdBack(ds.lb, key)
+		if dec.Err() != nil {
+			return
 		}
+		if _, dup := t.d.state[key]; dup {
+			dec.Fail(errRepeatedKey(key))
+			return
+		}
+		ds.hold = t.d.holds.Push(ds.lb)
+		t.d.state[key] = ds
 	}
 }
 

@@ -433,15 +433,16 @@ func TestSnapshotOrderDeterministic(t *testing.T) {
 
 // Every stateful operator reports what it holds: after its feed,
 // MemoryUsage is positive, and before any checkpoint round it is the room
-// its containers have allocated — element slabs with their free slots,
-// 16-byte slot arrays, 48 bytes a key record, 64 an element elsewhere.
+// its containers have allocated — element and list-node slabs with their
+// free slots, list tables, 16-byte slot and holdback arrays, γ's group
+// records, 48 bytes a key record elsewhere, 64 an element elsewhere.
 // A node that has released every pending result keeps its slab, so it
 // still reports it. The method is asserted through an interface, so an
 // operator without one fails here.
 func TestEveryStatefulOperatorReportsMemory(t *testing.T) {
 	want := map[string]int{
-		"join": 568, "mjoin": 592, "groupby": 576, "difference": 424, "intersect": 208,
-		"union": 64, "coalesce": 336, "distinct": 400,
+		"join": 880, "mjoin": 928, "groupby": 936, "difference": 464, "intersect": 248,
+		"union": 64, "coalesce": 384, "distinct": 488,
 	}
 	for _, c := range stateCases() {
 		op := c.make()

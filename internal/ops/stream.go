@@ -16,7 +16,7 @@ type DStream struct{ ordered }
 // NewDStream returns a DSTREAM converter.
 func NewDStream(name string) *DStream {
 	d := &DStream{}
-	d.init(name, 1, d.processOne, nil, nil)
+	d.init(name, 1, d.processOne, nil)
 	return d
 }
 

@@ -14,7 +14,7 @@ func NewUnion(name string, inputs int) *Union {
 		panic("ops: union needs at least two inputs")
 	}
 	u := &Union{}
-	u.init(name, inputs, u.processOne, nil, nil)
+	u.init(name, inputs, u.processOne, nil)
 	return u
 }
 

@@ -175,7 +175,14 @@ type PartitionedWindow struct {
 	ordered
 	key  KeyFunc
 	n    int
-	part map[any]*xds.Queue[temporal.Element]
+	part map[any]*partition
+}
+
+// partition is one key's window and its holdback entry: at the oldest
+// element's Start, at MaxTime while the window is empty.
+type partition struct {
+	q    xds.Queue[temporal.Element]
+	hold int32
 }
 
 // NewPartitionedWindow returns a per-key ROWS-n window.
@@ -186,46 +193,30 @@ func NewPartitionedWindow(name string, key KeyFunc, n int) *PartitionedWindow {
 	if n <= 0 {
 		panic("ops: partition window size must be positive")
 	}
-	w := &PartitionedWindow{key: key, n: n, part: map[any]*xds.Queue[temporal.Element]{}}
-	w.init(name, 1, w.processOne, w.liveLow, w.fflush, partitionTable{w})
+	w := &PartitionedWindow{key: key, n: n, part: map[any]*partition{}}
+	w.init(name, 1, w.processOne, w.fflush, partitionTable{w})
 	return w
 }
 
 // processOne is the per-element body, under ProcMu.
 func (w *PartitionedWindow) processOne(_ int, e temporal.Element) {
 	k := w.key(e.Value)
-	q := w.part[k]
-	if q == nil {
-		q = new(xds.Queue[temporal.Element])
-		w.part[k] = q
+	p := w.part[k]
+	if p == nil {
+		p = &partition{hold: w.holds.Push(e.Start)}
+		w.part[k] = p
 	}
-	if q.Len() == w.n {
-		old, _ := q.Dequeue()
+	if p.q.Len() == w.n {
+		old, _ := p.q.Dequeue()
 		end := e.Start
 		if end <= old.Start {
 			end = old.Start + 1
 		}
 		w.add(old.WithInterval(temporal.NewInterval(old.Start, end)))
-		if head, ok := q.Peek(); ok {
-			w.holdBack(head.Start, k)
-		}
 	}
-	if q.Len() == 0 {
-		w.holdBack(e.Start, k)
-	}
-	q.Enqueue(e)
-}
-
-// liveLow reports whether a holdback entry is still its partition's
-// oldest element start: no future displacement or flush can emit below
-// the earliest one.
-func (w *PartitionedWindow) liveLow(lb temporal.Time, key any) bool {
-	q, present := w.part[key]
-	if !present {
-		return false
-	}
-	head, nonEmpty := q.Peek()
-	return nonEmpty && head.Start == lb
+	p.q.Enqueue(e)
+	head, _ := p.q.Peek()
+	w.holds.Set(p.hold, head.Start)
 }
 
 func (w *PartitionedWindow) fflush() {
@@ -238,14 +229,15 @@ func (w *PartitionedWindow) fflush() {
 	}
 	sortByKey(keys, func(k any) any { return k })
 	for _, k := range keys {
-		q := w.part[k]
+		p := w.part[k]
 		for {
-			old, ok := q.Dequeue()
+			old, ok := p.q.Dequeue()
 			if !ok {
 				break
 			}
 			w.add(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 		}
+		w.holds.Set(p.hold, temporal.MaxTime)
 	}
 }
 

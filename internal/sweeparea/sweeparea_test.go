@@ -3,12 +3,12 @@ package sweeparea
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"pipes/internal/temporal"
-	"pipes/internal/xds"
 )
 
 func elem(v int, start, end temporal.Time) temporal.Element {
@@ -147,7 +147,7 @@ func TestMemoryUsageTracksLen(t *testing.T) {
 }
 
 func TestHashTombstonesAfterShed(t *testing.T) {
-	// Shed then Reorganize must not double-count tombstoned entries.
+	// Shed then Reorganize must not count a shed entry again.
 	h := NewHash(intKey, intKey)
 	h.Insert(elem(1, 0, 5))
 	h.Insert(elem(2, 0, 6))
@@ -164,7 +164,7 @@ func TestHashTombstonesAfterShed(t *testing.T) {
 }
 
 // TestHashReusesEmptiedBuckets: keys that empty and refill cost the hash
-// area nothing per insert/expire cycle once their buckets are recycled.
+// area nothing per insert/expire cycle once their list ids are reused.
 func TestHashReusesEmptiedBuckets(t *testing.T) {
 	h := NewHash(intKey, intKey)
 	ts := temporal.Time(0)
@@ -184,20 +184,50 @@ func TestHashReusesEmptiedBuckets(t *testing.T) {
 	if h.Len() != 10 {
 		t.Errorf("Len = %d, want 10", h.Len())
 	}
-	// Shedding releases the spares, the dead slots and the slab's free
-	// slots along with the entries: what is left is a slab and slot
-	// arrays just the live entries' size, and the expiry entries.
+	// At most 10 live keys of one element each: 16 slots of nodes and of
+	// list table and their free lists, unless emptied ones were not
+	// reused.
+	if n := h.items.Bytes(); n > 16*(64+32+2*4) {
+		t.Fatalf("the area's lists hold %d bytes for at most 10 live keys: emptied slots were not reused", n)
+	}
+	// Shedding releases the slab's free slots and the dropped list ids
+	// along with the entries: what is left is a slab just the live
+	// entries' size, 64 bytes a node, their 16-byte expiry entries, and
+	// a 32-byte list table entry, its key its record, a live bucket.
 	h.Reorganize(ts + 5)
-	if len(h.spare) == 0 {
-		t.Fatal("no bucket was kept for reuse")
-	}
 	h.Shed(1)
-	var packed xds.Slab[temporal.Element]
-	for range h.Len() {
-		packed.Put(temporal.Element{})
+	if want := h.Len()*(64+16) + len(h.buckets)*32; h.MemoryUsage() != want {
+		t.Errorf("after Shed: %d entries in %d buckets hold %d bytes, want %d", h.Len(), len(h.buckets), h.MemoryUsage(), want)
 	}
-	if want := packed.Bytes() + h.Len()*16 + h.expiry.Len()*24; len(h.spare) != 0 || h.MemoryUsage() != want {
-		t.Errorf("after Shed: %d spare buckets, memory %d for %d entries, want %d", len(h.spare), h.MemoryUsage(), h.Len(), want)
+	if h.Shed(h.Len()); h.MemoryUsage() != 0 {
+		t.Errorf("an area shed empty holds %d bytes", h.MemoryUsage())
+	}
+}
+
+// N distinct keys cost the area no allocation of their own: their
+// elements go into slab chunks and their lists into one table, both
+// grown amortized, and only the key map grows besides.
+func TestHashKeysAllocateOnlyAmortizedChunks(t *testing.T) {
+	const n = 20000
+	in := make([]temporal.Element, n)
+	for i := range in {
+		in[i] = elem(1000+i, temporal.Time(i), temporal.Time(i+n))
+	}
+	id := func(v any) any { return v }
+	h := NewHash(id, id)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, e := range in {
+		h.Insert(e)
+	}
+	runtime.ReadMemStats(&after)
+	if h.Len() != n || len(h.buckets) != n {
+		t.Fatalf("%d entries in %d buckets, want %d in %d", h.Len(), len(h.buckets), n, n)
+	}
+	perKey := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.3f allocations a key", perKey)
+	if perKey > 0.05 {
+		t.Errorf("%d distinct keys allocate %.3f times a key, want amortized growth alone", n, perKey)
 	}
 }
 
@@ -226,8 +256,11 @@ func TestHashReusedBucketProbesLiveEntries(t *testing.T) {
 			}
 		}
 	}
-	if len(h.spare) == 0 {
-		t.Error("no bucket was kept for reuse")
+	// At most 2 inserts a tick, each live under 20 ticks: at most 40
+	// entries under 40 keys, 64 slots of nodes and of list table and
+	// their free lists, unless emptied ones were not reused.
+	if n := h.items.Bytes(); n > 64*(64+32+2*4) {
+		t.Errorf("the area's lists hold %d bytes for at most 40 live entries: emptied slots were not reused", n)
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package xds provides the containers PIPES borrows from XXL: a FIFO
-// queue on a growable ring, a binary min-heap keyed by an ordered key and
-// a slab that stores values in fixed chunks under int32 slots, so that a
-// heap or an index can order slots instead of the values. All are
-// concrete types whose zero value is ready to use; none is safe for
-// concurrent use, so their owners lock (an operator its processing lock,
-// the pub-sub buffer its own).
+// queue on a growable ring; a binary min-heap keyed by an ordered key,
+// and an indexed one whose entries their owners move and remove by
+// handle; a slab that stores values in fixed chunks under int32 slots, so
+// that a heap or an index can order slots instead of the values; and
+// per-key lists whose nodes share one slab. All are concrete types whose
+// zero value is ready to use; none is safe for concurrent use, so their
+// owners lock (an operator its processing lock, the pub-sub buffer its
+// own).
 package xds
 
 // Queue is an unbounded FIFO backed by a growable circular buffer. The

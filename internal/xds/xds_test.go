@@ -1,11 +1,15 @@
 package xds
 
 import (
+	"maps"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestQueueFIFOOrder(t *testing.T) {
@@ -310,8 +314,9 @@ func FuzzHeapOrder(f *testing.F) {
 
 // checkSlab runs ops on a slab and on a map from slot to value. Each op
 // byte puts (its low bit clear) the next value or takes the live slot
-// that op>>1 picks. After every op each live slot must read its value,
-// and a put must reuse the slot taken last while one is free.
+// that op>>1 picks. After every op each live slot must read its value
+// (past 256 live slots, after every 256th op and the last), and a put
+// must reuse the slot taken last while one is free.
 func checkSlab(t *testing.T, ops []byte) {
 	t.Helper()
 	var s Slab[int]
@@ -345,6 +350,9 @@ func checkSlab(t *testing.T, ops []byte) {
 			delete(model, slot)
 			freed = append(freed, slot)
 		}
+		if len(model) > 256 && i%256 != 255 && i != len(ops)-1 {
+			continue // a large slab is read in full every 256 ops and at the end
+		}
 		for slot, v := range model {
 			if got := s.At(slot); got != v {
 				t.Fatalf("op %d: At(%d) = %d, the model %d", i, slot, got, v)
@@ -363,14 +371,15 @@ func TestSlabMatchesMapModel(t *testing.T) {
 	}
 	// Past the first chunk: fill three chunks, empty them in a scattered
 	// order, refill.
-	ops := make([]byte, 0, 4*slabChunk*3)
-	for i := 0; i < 3*slabChunk; i++ {
+	chunk := 1 << chunkShift(8)
+	ops := make([]byte, 0, 3*chunk*3)
+	for i := 0; i < 3*chunk; i++ {
 		ops = append(ops, 0)
 	}
-	for i := 0; i < 3*slabChunk; i++ {
+	for i := 0; i < 3*chunk; i++ {
 		ops = append(ops, byte(2*i+1))
 	}
-	for i := 0; i < 3*slabChunk; i++ {
+	for i := 0; i < 3*chunk; i++ {
 		ops = append(ops, 0)
 	}
 	checkSlab(t, ops)
@@ -380,12 +389,13 @@ func TestSlabMatchesMapModel(t *testing.T) {
 // pins nothing, and a drained slab refills without allocating.
 func TestSlabChunksStayPut(t *testing.T) {
 	var s Slab[*int]
-	slots := make([]int32, 3*slabChunk)
+	chunk := 1 << chunkShift(8)
+	slots := make([]int32, 3*chunk)
 	for i := range slots {
 		slots[i] = s.Put(new(int))
 	}
 	second := &s.chunks[1][0]
-	for range 2 * slabChunk {
+	for range 2 * chunk {
 		s.Put(nil)
 	}
 	if &s.chunks[1][0] != second {
@@ -395,7 +405,7 @@ func TestSlabChunksStayPut(t *testing.T) {
 		s.Take(slot)
 	}
 	for i := range slots {
-		if p := s.chunks[slots[i]>>slabShift][slots[i]&slabMask]; p != nil {
+		if p := *s.ptr(slots[i]); p != nil {
 			t.Fatalf("taken slot %d still holds %p", slots[i], p)
 		}
 	}
@@ -410,8 +420,70 @@ func TestSlabChunksStayPut(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("refilling freed slots allocates %v times", n)
 	}
-	if want := 5*slabChunk*8 + cap(s.free)*4; bytes != want || s.Bytes() != want {
+	if want := 5*chunk*8 + cap(s.free)*4; bytes != want || s.Bytes() != want {
 		t.Fatalf("Bytes = %d then %d, want %d: five chunks of pointers and the free list", bytes, s.Bytes(), want)
+	}
+}
+
+// element48 is the shape of a temporal.Element: two interface words
+// and an interval.
+type element48 struct {
+	a, b any
+	s, e int64
+}
+
+// node64 is the size of a list node of elements: 48 bytes of value with
+// two interface words, and three int32 links.
+type node64 struct {
+	a, b    any
+	s, e    int64
+	l, p, n int32
+}
+
+// A full chunk allocates exactly its slots' bytes, for values with and
+// without pointers: the allocator rounds nothing up.
+func TestSlabChunkAllocatesItsSlotBytes(t *testing.T) {
+	t.Run("node64", func(t *testing.T) { checkChunkBytes[node64](t) })
+	t.Run("element48", func(t *testing.T) {
+		checkChunkBytes[struct {
+			a, b any
+			s, e int64
+		}](t)
+	})
+	t.Run("pointer", func(t *testing.T) { checkChunkBytes[*int](t) })
+	t.Run("int32", func(t *testing.T) { checkChunkBytes[int32](t) })
+	t.Run("twelve", func(t *testing.T) { checkChunkBytes[[3]int32](t) })
+}
+
+func checkChunkBytes[T any](t *testing.T) {
+	var zero T
+	size := uint64(unsafe.Sizeof(zero))
+	// The fourth chunk: the chunk list has room for it, so the Put that
+	// opens it allocates the chunk alone. Another goroutine of the test
+	// binary may allocate meanwhile, so the fewest bytes of three tries
+	// count.
+	got, chunk := uint64(math.MaxUint64), 0
+	for range 3 {
+		var s Slab[T]
+		s.Put(zero)
+		chunk = 1 << s.shift
+		for range 3*chunk - 1 {
+			s.Put(zero)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Put(zero)
+		runtime.ReadMemStats(&after)
+		if len(s.chunks) != 4 || cap(s.chunks) != 4 {
+			t.Fatalf("%d chunks (room for %d), want the fourth opened in place", len(s.chunks), cap(s.chunks))
+		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if chunk < 1024 || uint64(chunk)*size%pageBytes != 0 {
+		t.Fatalf("a chunk of %d %d-byte slots fills no whole pages", chunk, size)
+	}
+	if want := uint64(chunk) * size; got != want {
+		t.Fatalf("opening a chunk of %d slots allocated %d bytes, want its %d slot bytes", chunk, got, want)
 	}
 }
 
@@ -422,5 +494,248 @@ func FuzzSlab(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkSlab(t, ops)
+	})
+}
+
+// checkLists runs ops on a set of lists and on a model of slices of
+// (slot, value) pairs, one per list id, and of records. Each op byte
+// picks, by its low two bits, a new list, an append to the list op>>2
+// picks, a removal of the live node op>>2 picks, or, once every eighth
+// op, a repack; an emptied list is dropped. After every op each model
+// list must walk in order and carry its record, every node must name its
+// list, and a new list must reuse the id dropped last.
+func checkLists(t *testing.T, ops []byte) {
+	t.Helper()
+	type item struct {
+		slot int32
+		v    int
+	}
+	var l Lists[int, int]
+	model := map[int32][]item{}
+	recs := map[int32]int{}
+	var ids, dropped []int32 // live list ids; dropped ids, last last
+	for i, op := range ops {
+		switch {
+		case i%8 == 7:
+			slots, lists := l.Repack()
+			repacked, moved := map[int32][]item{}, map[int32]int{}
+			for id, items := range model {
+				if len(items) == 0 {
+					if lists[id] != -1 {
+						t.Fatalf("op %d: repack kept empty list %d as %d", i, id, lists[id])
+					}
+					continue
+				}
+				for j := range items {
+					items[j].slot = slots[items[j].slot]
+				}
+				repacked[lists[id]], moved[lists[id]] = items, recs[id]
+			}
+			model, recs, dropped = repacked, moved, nil
+			ids = ids[:0]
+			for id := range model {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+		case op&3 == 0 || len(ids) == 0:
+			id := l.New(-i)
+			if n := len(dropped); n > 0 {
+				if want := dropped[n-1]; id != want {
+					t.Fatalf("op %d: New returned list %d, want dropped %d", i, id, want)
+				}
+				dropped = dropped[:n-1]
+			}
+			if _, ok := model[id]; ok {
+				t.Fatalf("op %d: New returned live list %d", i, id)
+			}
+			model[id], recs[id] = nil, -i
+			ids = append(ids, id)
+		case op&3 == 1 || l.Len() == 0:
+			id := ids[int(op>>2)%len(ids)]
+			model[id] = append(model[id], item{l.Append(id, i), i})
+		default:
+			var all []int32
+			for _, id := range ids {
+				for _, it := range model[id] {
+					all = append(all, it.slot)
+				}
+			}
+			slot := all[int(op>>2)%len(all)]
+			id := l.ListOf(slot)
+			j := slices.IndexFunc(model[id], func(it item) bool { return it.slot == slot })
+			if j < 0 {
+				t.Fatalf("op %d: node %d names list %d, which does not hold it", i, slot, id)
+			}
+			if v := l.Remove(slot); v != model[id][j].v {
+				t.Fatalf("op %d: Remove(%d) = %d, the model %d", i, slot, v, model[id][j].v)
+			}
+			model[id] = slices.Delete(model[id], j, j+1)
+			if len(model[id]) == 0 {
+				l.Drop(id)
+				delete(model, id)
+				delete(recs, id)
+				ids = slices.DeleteFunc(ids, func(x int32) bool { return x == id })
+				dropped = append(dropped, id)
+			}
+		}
+		n := 0
+		for id, items := range model {
+			n += len(items)
+			if l.Count(id) != len(items) || *l.Rec(id) != recs[id] {
+				t.Fatalf("op %d: list %d counts %d and carries %d, the model %d and %d", i, id, l.Count(id), *l.Rec(id), len(items), recs[id])
+			}
+			s := l.Head(id)
+			for _, it := range items {
+				if s != it.slot || l.At(s) != it.v || l.ListOf(s) != id {
+					t.Fatalf("op %d: list %d walks to slot %d, the model (%d, %d)", i, id, s, it.slot, it.v)
+				}
+				s = l.Next(s)
+			}
+			if s != -1 {
+				t.Fatalf("op %d: list %d runs on past its %d values", i, id, len(items))
+			}
+			got := l.AppendTo(nil, id)
+			for j, it := range items {
+				if got[j] != it.v {
+					t.Fatalf("op %d: AppendTo(%d) = %v, the model %v", i, id, got, items)
+				}
+			}
+		}
+		if l.Len() != n {
+			t.Fatalf("op %d: Len = %d, the model %d", i, l.Len(), n)
+		}
+	}
+}
+
+func TestListsMatchModel(t *testing.T) {
+	f := func(ops []byte) bool {
+		checkLists(t, ops)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A repack leaves a slab just the live nodes' size and a table just the
+// nonempty lists' number, and lists keep appending after it.
+func TestListsRepackIsExact(t *testing.T) {
+	var l Lists[element48, string]
+	if n := unsafe.Sizeof(listNode[element48]{}); n != 64 {
+		t.Fatalf("a list node of elements is %d bytes, want 64", n)
+	}
+	a, _, b := l.New("a"), l.New("empty"), l.New("b")
+	var slots []int32
+	for i := range 3000 {
+		slots = append(slots, l.Append([]int32{a, b}[i%2], element48{s: int64(i)}))
+	}
+	for _, s := range slots[:2000] {
+		l.Remove(s)
+	}
+	_, lists := l.Repack()
+	if got, want := l.Bytes(), 1000*64+2*32; got != want {
+		t.Fatalf("repacked lists of 1000 nodes in two lists hold %d bytes, want %d", got, want)
+	}
+	if lists[a] != 0 || lists[1] != -1 || lists[b] != 1 || *l.Rec(0) != "a" || *l.Rec(1) != "b" {
+		t.Fatalf("repack renumbered lists 0, 1, 2 as %v carrying %q, %q; want 0, -1, 1 carrying a, b", lists, *l.Rec(0), *l.Rec(1))
+	}
+	a = lists[a]
+	l.Append(a, element48{s: 3000})
+	var starts []int64
+	for _, v := range l.AppendTo(nil, a) {
+		starts = append(starts, v.s)
+	}
+	if len(starts) != 501 || starts[0] != 2000 || starts[499] != 2998 || starts[500] != 3000 {
+		t.Fatalf("list after repack and append holds starts %v…, want 2000, 2002, … 2998, 3000", starts[:3])
+	}
+}
+
+// FuzzLists drives random list operations through the lists and the
+// model.
+func FuzzLists(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 0, 5, 2, 6, 9, 2, 2, 0, 1})
+	f.Add([]byte{0, 0, 0, 1, 5, 9, 13, 2, 6, 10, 14, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		checkLists(t, ops)
+	})
+}
+
+// checkIndexedHeap runs ops on an indexed heap and on a map from handle
+// to key, over keys 0..keys-1 so that ties are frequent. Each op byte
+// picks, by its low two bits, a push, a move of the entry op>>2 picks to
+// a new key, its removal, or a removal of the smallest. After every op
+// the array must be a heap whose index finds every entry, and the top
+// must be the model's smallest key.
+func checkIndexedHeap(t *testing.T, ops []byte, keys int) {
+	t.Helper()
+	var h IndexedHeap[int]
+	model := map[int32]int{}
+	var live, freed []int32
+	for i, op := range ops {
+		k := int(op>>2) % keys
+		switch {
+		case op&3 == 0 || len(live) == 0:
+			id := h.Push(k)
+			if n := len(freed); n > 0 {
+				if id != freed[n-1] {
+					t.Fatalf("op %d: Push returned handle %d, want freed %d", i, id, freed[n-1])
+				}
+				freed = freed[:n-1]
+			}
+			if _, ok := model[id]; ok {
+				t.Fatalf("op %d: Push returned live handle %d", i, id)
+			}
+			model[id] = k
+			live = append(live, id)
+		case op&3 == 1:
+			id := live[int(op>>2)%len(live)]
+			h.Set(id, (k*7+i)%keys)
+			model[id] = (k*7 + i) % keys
+		default:
+			j := int(op>>2) % len(live)
+			if op&3 == 3 { // the smallest: any handle holding the top key
+				top, _ := h.Peek()
+				j = slices.IndexFunc(live, func(id int32) bool { return model[id] == top && h.data[0].h == id })
+			}
+			id := live[j]
+			h.Remove(id)
+			delete(model, id)
+			live = slices.Delete(live, j, j+1)
+			freed = append(freed, id)
+		}
+		if h.Len() != len(model) {
+			t.Fatalf("op %d: Len = %d, the model %d", i, h.Len(), len(model))
+		}
+		for j, e := range h.data {
+			if j > 0 && e.k < h.data[(j-1)/2].k {
+				t.Fatalf("op %d: entry %d (%d) sorts before its parent (%d)", i, j, e.k, h.data[(j-1)/2].k)
+			}
+			if int(h.at[e.h]) != j || model[e.h] != e.k {
+				t.Fatalf("op %d: entry %d holds handle %d key %d; the index says %d, the model %d", i, j, e.h, e.k, h.at[e.h], model[e.h])
+			}
+		}
+		if top, ok := h.Peek(); ok != (len(model) > 0) || ok && top != slices.Min(slices.Collect(maps.Values(model))) {
+			t.Fatalf("op %d: Peek = (%d, %v), the model's smallest of %v", i, top, ok, model)
+		}
+	}
+}
+
+func TestIndexedHeapMatchesModel(t *testing.T) {
+	f := func(ops []byte, keys uint8) bool {
+		checkIndexedHeap(t, ops, 1+int(keys%8))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzIndexedHeap drives random push/set/remove sequences through the
+// indexed heap and the model.
+func FuzzIndexedHeap(f *testing.F) {
+	f.Add([]byte{0, 4, 8, 1, 5, 2, 3, 0, 12, 7, 3, 3}, uint8(3))
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3}, uint8(1))
+	f.Fuzz(func(t *testing.T, ops []byte, keys uint8) {
+		checkIndexedHeap(t, ops, 1+int(keys%8))
 	})
 }
