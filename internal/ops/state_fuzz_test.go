@@ -104,6 +104,16 @@ func stateCases() []stateCase {
 			feedStep{el(tup(3, "late"), 1, 21), 1}, feedStep{el(tup(4, nil), 1, 23), 1})},
 		{"groupby_ties", func() statefulOp { return NewGroupBy("op", tupKey, aggregate.NewCount, nil) }, append(
 			[]feedStep{{el(tup(0, "held"), 0, 90), 0}}, tieFeed(1, func(i int) any { return tup(1+(i*i)%5, i) })...)},
+		// Three values, each span extended by four or five later arrivals,
+		// two spans ending at 27: the arrival at 40 finalises all three,
+		// equal-Start spans the open "held" span keeps in the order buffer.
+		{"distinct_ties", func() statefulOp { return NewDistinct("op") }, append(append(
+			[]feedStep{{el("held", 0, 90), 0}}, tieFeed(1, func(i int) any { return i % 3 })...),
+			feedStep{el("x", 40, 50), 0}, feedStep{el(0, 41, 45), 0}, feedStep{el(1, 41, 45), 0})},
+		// The "held" partition's one element holds back every displaced
+		// element; those of one run of Starts tie in the order buffer.
+		{"partitionedwindow_ties", func() statefulOp { return NewPartitionedWindow("op", tupKey, 2) }, append(
+			[]feedStep{{el(tup(9, "held"), 0, 0), 0}}, tieFeed(1, func(i int) any { return tup(i%3, i) })...)},
 	}
 }
 
@@ -184,6 +194,11 @@ func TestStateEncodingGolden(t *testing.T) {
 		"sample_ties":       "0110100200022a0208042c0204022e0210062e0206042e020a0432020c0632020e06300202023002120836021408340216083202180a32021a0a38021c0a36021e0c36",
 		"union_ties":        "0d1002016b020001760206042e1002016b020201760208042c1002016b02040176020a04321002016b02000176020c06321002016b02020176020e06301002016b020401760210062e1002016b02000176021208361002016b02020176021408341002016b02040176021608321002016b0200017602180a321002016b02020176021a0a381002016b02040176021c0a361002016b02000176021e0c3600000102",
 		"groupby_ties":      "04020000011002016b02000176060468656c6400b40102020c041002016b020201760200022a1002016b02020176020a04321002016b02020176021408341002016b02020176021e0c3602040a061002016b02040176020202301002016b020401760208042c1002016b02040176020c06321002016b02040176021608321002016b02040176021208361002016b02040176021c0a36020a0a061002016b020a01760204022e1002016b020a01760206042e1002016b020a01760210062e1002016b020a0176020e06301002016b020a017602180a321002016b020a0176021a0a380a12020a0302020412020403020204120202030202041202040304040612020a03040406120204030606081202020304040812020a0308060a120204030a080a1202020306080c010c",
+
+		// The tie cases of the keyed tables: the order buffer holds
+		// equal-Start results that the tables' flushes and end heaps add.
+		"distinct_ties":          "040200525a0202525a060468656c6400b4010601785064030204023602000236020202380152",
+		"partitionedwindow_ties": "040200021002016b0200017602180a321002016b02000176021e0c360202021002016b02020176021408341002016b02020176021a0a380204021002016b02040176021608321002016b02040176021c0a360212011002016b02120176060468656c6400000a1002016b02000176020002061002016b02020176020202061002016b02040176020402061002016b02000176020604081002016b02020176020804081002016b02040176020a04081002016b02000176020c060a1002016b02020176020e060a1002016b020401760210060a1002016b020001760212080c010c",
 	}
 	for _, c := range stateCases() {
 		want, ok := golden[c.name]
