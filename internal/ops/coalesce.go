@@ -13,18 +13,21 @@ import (
 //
 // With the identity key, Coalesce is the temporal duplicate elimination δ:
 // at every snapshot each key appears at most once — see NewDistinct.
+//
+// A key's pending span is the record of its list in the keyed table; the
+// end heap holds one entry per pending span, by span id, moved when the
+// span is extended and removed when it is emitted.
 type Coalesce struct {
 	ordered
-	key     KeyFunc
-	pending map[any]*span
-	ends    xds.Heap[temporal.Time, any] // finalisation: pending span keys by End
+	key   KeyFunc
+	spans keyed[span]
+	ends  xds.IndexedHeap[temporal.Time] // each pending span's End, by span id
 }
 
-// span is one key's pending span and its holdback entry at the span's
-// Start.
+// span is one key's pending span.
 type span struct {
+	key   any
 	value temporal.Element
-	hold  int32
 }
 
 // NewCoalesce returns a coalescing operator; a nil key coalesces elements
@@ -33,11 +36,10 @@ func NewCoalesce(name string, key KeyFunc) *Coalesce {
 	if key == nil {
 		key = func(v any) any { return v }
 	}
-	c := &Coalesce{
-		key:     key,
-		pending: map[any]*span{},
-	}
-	c.init(name, 1, c.processOne, c.finish, spanTable{c})
+	c := &Coalesce{key: key}
+	c.spans = keyed[span]{ids: map[any]int32{}, holds: &c.holds, heap: &c.ends,
+		copy: captureSpan, entry: appendSpan, read: c.readSpans}
+	c.init(name, 1, c.processOne, func() { c.spans.inKeyOrder(c.emit) }, &c.spans)
 	return c
 }
 
@@ -50,58 +52,43 @@ func (c *Coalesce) processOne(_ int, e temporal.Element) {
 	// Finalise pending spans no future element can extend: their End lies
 	// strictly before the new watermark.
 	for {
-		end, key, ok := c.ends.Peek()
+		end, id, ok := c.ends.Peek()
 		if !ok || end >= e.Start {
 			break
 		}
-		c.ends.Pop()
-		p := c.pending[key]
-		if p == nil || p.value.End != end {
-			continue // stale: span was extended or already emitted
-		}
-		c.add(p.value)
-		c.holds.Remove(p.hold)
-		delete(c.pending, key)
+		c.emit(id)
 	}
 
 	k := c.key(e.Value)
-	p := c.pending[k]
-	switch {
-	case p == nil:
-		c.pending[k] = &span{value: e, hold: c.holds.Push(e.Start)}
-	case e.Start <= p.value.End: // overlap or adjacency: extend
+	id, ok := c.spans.ids[k]
+	if !ok {
+		c.open(k, e)
+		return
+	}
+	p := c.spans.Rec(id)
+	if e.Start <= p.value.End { // overlap or adjacency: extend
 		if e.End > p.value.End {
 			p.value.End = e.End
-			c.ends.Push(p.value.End, k)
+			c.ends.Set(id, e.End)
 		}
 		return
-	default: // gap: the old span is final, and e opens the key's next
-		c.add(p.value)
-		p.value = e
-		c.holds.Set(p.hold, e.Start)
 	}
-	c.ends.Push(e.End, k)
+	// A gap: the old span is final, and e opens the key's next.
+	c.add(p.value)
+	p.value = e
+	c.holds.Set(id, e.Start)
+	c.ends.Set(id, e.End)
 }
 
-func (c *Coalesce) finish() {
-	// Canonical key order: equal-Start spans tie in the order buffer by
-	// insertion sequence, so flushing in map order would be nondeterministic.
-	keys := make([]any, 0, len(c.pending))
-	for k := range c.pending {
-		keys = append(keys, k)
-	}
-	sortByKey(keys, func(k any) any { return k })
-	for _, k := range keys {
-		p := c.pending[k]
-		c.add(p.value)
-		c.holds.Remove(p.hold)
-		delete(c.pending, k)
-	}
+// open makes e the pending span of key k, which has none.
+func (c *Coalesce) open(k any, e temporal.Element) {
+	c.ends.Push(c.spans.add(k, span{key: k, value: e}, e.Start), e.End)
 }
 
-// PendingSpans returns the number of open spans — for memory accounting.
-func (c *Coalesce) PendingSpans() int {
-	c.ProcMu.Lock()
-	defer c.ProcMu.Unlock()
-	return len(c.pending)
+// emit buffers the pending span id, which is final, and drops it.
+func (c *Coalesce) emit(id int32) {
+	p := c.spans.Rec(id)
+	c.add(p.value)
+	c.ends.Remove(id)
+	c.spans.drop(p.key, id)
 }

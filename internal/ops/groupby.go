@@ -24,8 +24,8 @@ type globalGroup struct{}
 // maintained incrementally; others (min/max/quantiles) are recomputed from
 // the group's live elements, in arrival order, before a span reads them.
 //
-// A group is a list in one node slab (xds.Lists): its record is the
-// list's, its live elements the list's nodes. One expiry heap orders
+// A group is a list of the keyed table (keyed, over xds.Lists): its
+// record is the list's, its live elements the list's nodes. One expiry heap orders
 // every live element's node by End, so a boundary pops exactly the
 // elements it expires. A group whose last element expires gives its id
 // back, and the next new key takes it; its aggregate is reset and kept
@@ -41,10 +41,9 @@ type GroupBy struct {
 	key     KeyFunc
 	factory aggregate.Factory
 	outFn   func(key any, agg aggregate.Aggregate) (any, bool)
-	groups  map[any]int32                      // key → group id
-	elems   xds.Lists[temporal.Element, group] // each group's record and live elements, by group id
-	expiry  xds.Heap[temporal.Time, int32]     // every live element's node, by End
-	spare   []aggregate.Aggregate              // emptied groups' aggregates, reset
+	groups  keyed[group]                   // each group's record and live elements, by group id
+	expiry  xds.Heap[temporal.Time, int32] // every live element's node, by End
+	spare   []aggregate.Aggregate          // emptied groups' aggregates, reset
 }
 
 // group is one group's record.
@@ -53,7 +52,6 @@ type group struct {
 	agg   aggregate.Aggregate
 	lb    temporal.Time // left boundary of the open span
 	trace any           // trace slot of the latest traced contributor
-	hold  int32         // the core's holdback entry at lb
 	stale bool          // agg still counts expired elements
 }
 
@@ -75,16 +73,13 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 			outFn = func(_ any, a aggregate.Aggregate) (any, bool) { return a.Value(), true }
 		}
 	}
-	g := &GroupBy{
-		key:     key,
-		factory: factory,
-		outFn:   outFn,
-		groups:  map[any]int32{},
-	}
+	g := &GroupBy{key: key, factory: factory, outFn: outFn}
+	g.groups = keyed[group]{ids: map[any]int32{}, holds: &g.holds, heap: &g.expiry,
+		copy: captureGroup, entry: appendGroup, read: g.readGroups}
 	// Groups holding elements valid forever never see a closing boundary
 	// before the end; advance(MaxTime) pops their expiry events and emits
 	// their final spans.
-	g.init(name, 1, g.processOne, func() { g.advance(temporal.MaxTime) }, groupTable{g})
+	g.init(name, 1, g.processOne, func() { g.advance(temporal.MaxTime) }, &g.groups)
 	return g
 }
 
@@ -125,19 +120,18 @@ func (g *GroupBy) processOne(_ int, e temporal.Element) {
 	g.advance(e.Start)
 
 	k := g.key(e.Value)
-	id, ok := g.groups[k]
+	id, ok := g.groups.ids[k]
 	if !ok {
 		id = g.newGroup(k, e.Start)
-		g.groups[k] = id
-	} else if g.elems.Rec(id).lb < e.Start {
+	} else if g.groups.Rec(id).lb < e.Start {
 		g.emitSpan(id, e.Start)
 	}
-	grp := g.elems.Rec(id)
-	g.expiry.Push(e.End, g.elems.Append(id, e))
+	grp := g.groups.Rec(id)
+	g.expiry.Push(e.End, g.groups.Append(id, e))
 	grp.agg.Insert(e.Value)
 	if grp.lb != e.Start {
 		grp.lb = e.Start
-		g.holds.Set(grp.hold, e.Start)
+		g.holds.Set(id, e.Start)
 	}
 	if e.Trace != nil {
 		grp.trace = e.Trace
@@ -154,15 +148,15 @@ func (g *GroupBy) advance(t temporal.Time) {
 			return
 		}
 		g.expiry.Pop()
-		id := g.elems.ListOf(slot)
-		grp := g.elems.Rec(id)
+		id := g.groups.ListOf(slot)
+		grp := g.groups.Rec(id)
 		if grp.lb < end {
 			g.emitSpan(id, end)
 			grp.lb = end
-			g.holds.Set(grp.hold, end)
+			g.holds.Set(id, end)
 		}
-		expired := g.elems.Remove(slot)
-		if g.elems.Count(id) == 0 {
+		expired := g.groups.Remove(slot)
+		if g.groups.Count(id) == 0 {
 			g.retire(id)
 		} else if inv, ok := grp.agg.(aggregate.Invertible); ok {
 			inv.Remove(expired.Value)
@@ -172,8 +166,8 @@ func (g *GroupBy) advance(t temporal.Time) {
 	}
 }
 
-// newGroup returns the id of a new group of key k whose open span starts
-// at lb, with a spare aggregate if there is one.
+// newGroup adds a group of key k whose open span starts at lb, with a
+// spare aggregate if there is one, and returns its id.
 func (g *GroupBy) newGroup(k any, lb temporal.Time) int32 {
 	var agg aggregate.Aggregate
 	if n := len(g.spare); n > 0 {
@@ -183,31 +177,29 @@ func (g *GroupBy) newGroup(k any, lb temporal.Time) int32 {
 	} else {
 		agg = g.factory()
 	}
-	return g.elems.New(group{key: k, agg: agg, lb: lb, hold: g.holds.Push(lb)})
+	return g.groups.add(k, group{key: k, agg: agg, lb: lb}, lb)
 }
 
 // retire drops the emptied group id and keeps its aggregate, reset to a
 // fresh one's state (aggregate.Aggregate.Reset), while spares are fewer
 // than live groups.
 func (g *GroupBy) retire(id int32) {
-	grp := g.elems.Rec(id)
-	if len(g.spare) < len(g.groups) {
+	grp := g.groups.Rec(id)
+	if len(g.spare) < len(g.groups.ids) {
 		grp.agg.Reset()
 		g.spare = append(g.spare, grp.agg)
 	}
-	delete(g.groups, grp.key)
-	g.holds.Remove(grp.hold)
-	g.elems.Drop(id)
+	g.groups.drop(grp.key, id)
 }
 
 // emitSpan buffers one output element of group id for [lb, to), unless
 // outFn declines the span. A stale aggregate is recomputed first.
 func (g *GroupBy) emitSpan(id int32, to temporal.Time) {
-	grp := g.elems.Rec(id)
+	grp := g.groups.Rec(id)
 	if grp.stale {
 		grp.agg.Reset()
-		for s := g.elems.Head(id); s >= 0; s = g.elems.Next(s) {
-			grp.agg.Insert(g.elems.At(s).Value)
+		for s := g.groups.Head(id); s >= 0; s = g.groups.Next(s) {
+			grp.agg.Insert(g.groups.At(s).Value)
 		}
 		grp.stale = false
 	}
@@ -227,5 +219,5 @@ func (g *GroupBy) emitSpan(id int32, to temporal.Time) {
 func (g *GroupBy) GroupCount() int {
 	g.ProcMu.Lock()
 	defer g.ProcMu.Unlock()
-	return len(g.groups)
+	return len(g.groups.ids)
 }

@@ -175,14 +175,14 @@ func (p *Project[M]) MemoryUsage() int {
 //	min(the watermark, the operator's holdback)
 //
 // The holdback is an indexed min-heap with one entry per key that may
-// still emit, at the earliest start it may emit from: an operator pushes
-// a key's entry when the key appears, keeps the handle in the key's
-// record, moves the entry whenever that start changes and removes it
-// with the key, so the heap holds exactly its live keys. An operator may
-// also supply hold, an extra holdback term computed at each release. The
-// core records the start it released last: no later result starts below
-// it. A body whose results start at its element's Start (union, join,
-// mjoin) Emits them instead.
+// still emit, at the earliest start it may emit from, owned by the key's
+// id in the operator's keyed table: the table pushes a key's entry when
+// the key appears and removes it with the key, and the operator moves it
+// whenever that start changes, so the heap holds exactly its live keys.
+// An operator may also supply hold, an extra holdback term computed at
+// each release. The core records the start it released last: no later
+// result starts below it. A body whose results start at its element's
+// Start (union, join, mjoin) Emits them instead.
 //
 // The core owns the done wiring: an input's done applies what its
 // queue held back, and the end of the stream runs the operator's tail
@@ -287,7 +287,7 @@ func (c *ordered) release() {
 	if c.hold != nil {
 		bound = min(bound, c.hold())
 	}
-	if lb, ok := c.holds.Peek(); ok {
+	if lb, _, ok := c.holds.Peek(); ok {
 		bound = min(bound, lb)
 	}
 	c.releaseTo(bound)

@@ -430,12 +430,12 @@ func TestGroupByRecycledGroupStartsFresh(t *testing.T) {
 	col := pubsub.NewCollector("col", 1)
 	g.Subscribe(col, 0)
 	g.ProcessBatch(temporal.Batch{in[0]}, 0)
-	old := g.groups[0]
+	old := g.groups.ids[0]
 	in = in[1:]
 	for _, e := range in {
 		g.ProcessBatch(temporal.Batch{e}, 0)
 	}
-	if g.groups[2] != old {
+	if g.groups.ids[2] != old {
 		t.Fatal("key 2 did not take over key 0's emptied group")
 	}
 	g.Done(0)
@@ -656,7 +656,8 @@ func TestOrderBufferReleaseOrder(t *testing.T) {
 // behind.
 func TestOrderBufferHoldbackIsExact(t *testing.T) {
 	c, released := newTestCore(t, 1)
-	k := c.holds.Push(2)
+	const k = 0 // the key's owner id
+	c.holds.Push(k, 2)
 	c.add(el("a", 1, 2))
 	c.add(el("b", 3, 4))
 	c.add(el("c", 6, 7))
@@ -774,30 +775,99 @@ func TestHeldBackGroupByStoresResultsOnce(t *testing.T) {
 	}
 }
 
-// A new group costs its aggregate and nothing else of its own: its
-// elements go into the node slab's chunks, its record into one slice and
-// its holdback entry into one heap, all grown amortized. N distinct keys
-// through a COUNT γ allocate one COUNT each and the amortized growth.
-func TestGroupByKeysAllocateOnlyTheirAggregate(t *testing.T) {
+// A new key allocates nothing of its own in a keyed operator but what
+// the operator keeps outside its table, γ's aggregate: the key's elements
+// go into the node slab's chunks, its record into the table's chunks and
+// its heap entries into arrays, all grown amortized. N distinct keys
+// through a COUNT γ allocate one COUNT each and the amortized growth;
+// through DISTINCT, a Difference (input 1 done) and a ROWS-4
+// PartitionedWindow, the amortized growth alone. A map of pointers to
+// per-key structs allocated one a key (1.011) and a queue a partition
+// besides (2.010). Every key costs at least 16 bytes of MemoryUsage, so
+// an operator that kept none is caught too.
+func TestKeysAllocateOnlyWhatTheyKeep(t *testing.T) {
 	const n = 20000
 	in := make(temporal.Batch, n)
 	for i := range in {
 		in[i] = el(1000+i, temporal.Time(i), temporal.Time(i+n))
 	}
-	g := NewGroupBy("g", func(v any) any { return v }, aggregate.NewCount, nil)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	identity := func(v any) any { return v }
+	difference := func() frameOp {
+		d := NewDifference("d", nil)
+		d.Done(1)
+		return d
+	}
+	for _, c := range []struct {
+		name  string
+		make  func() frameOp
+		limit float64
+	}{
+		{"group-by", func() frameOp { return NewGroupBy("g", identity, aggregate.NewCount, nil) }, 1.05},
+		{"distinct", func() frameOp { return NewDistinct("d") }, 0.05},
+		{"difference", difference, 0.05},
+		{"partitioned window", func() frameOp { return NewPartitionedWindow("w", identity, 4) }, 0.05},
+	} {
+		op := c.make()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i += pubsub.FrameCap {
+			op.ProcessBatch(in[i:min(i+pubsub.FrameCap, n)], 0)
+		}
+		runtime.ReadMemStats(&after)
+		if keys := op.(interface{ MemoryUsage() int }).MemoryUsage(); keys < n*16 {
+			t.Fatalf("%s holds %d bytes after %d keys", c.name, keys, n)
+		}
+		perKey := float64(after.Mallocs-before.Mallocs) / n
+		t.Logf("%s: %.3f allocations a key", c.name, perKey)
+		if perKey > c.limit {
+			t.Errorf("%s: %d distinct keys allocate %.3f times a key, want at most %.2f", c.name, n, perKey, c.limit)
+		}
+	}
+}
+
+// DISTINCT over few values keeps one end entry per pending span: an
+// extended span moves its entry, so a window of same-value arrivals does
+// not pile up entries that wait to be skipped. Ten thousand elements of
+// three values, each valid 1 000 ticks, leave three spans and three end
+// entries, where a heap pushed at each extension held 1 001. The end
+// heap counts in MemoryUsage.
+func TestDistinctHoldsOneEndEntryPerSpan(t *testing.T) {
+	const n = 10000
+	in := make(temporal.Batch, n)
+	for i := range in {
+		in[i] = el(i%3, temporal.Time(i), temporal.Time(i+1000))
+	}
+	c := NewDistinct("d")
 	for i := 0; i < n; i += pubsub.FrameCap {
-		g.ProcessBatch(in[i:min(i+pubsub.FrameCap, n)], 0)
+		c.ProcessBatch(in[i:min(i+pubsub.FrameCap, n)], 0)
 	}
-	runtime.ReadMemStats(&after)
-	if g.GroupCount() != n {
-		t.Fatalf("%d groups, want %d", g.GroupCount(), n)
+	if spans, ends := len(c.spans.ids), c.ends.Len(); spans != 3 || ends != spans {
+		t.Fatalf("%d end entries for %d pending spans, want one a span and 3 spans", ends, spans)
 	}
-	perKey := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("%.3f allocations a key", perKey)
-	if perKey > 1.05 {
-		t.Errorf("%d distinct keys allocate %.3f times a key, want one aggregate and amortized growth", n, perKey)
+	if got, want := c.MemoryUsage(), c.ends.Bytes()+c.spans.Lists.Bytes(); got < want {
+		t.Fatalf("MemoryUsage %d, below the end heap's %d bytes and the span table's", got, want)
+	}
+}
+
+// A set operation's expiry heap counts in its MemoryUsage: one key with
+// 10 000 live elements holds 10 000 entries. They share one Start, so the
+// key's open span stays open and the test emits nothing.
+func TestSetOperationCountsItsExpiryHeap(t *testing.T) {
+	const n = 10000
+	d := NewDifference("d", nil)
+	d.Done(1)
+	in := make(temporal.Batch, n)
+	for i := range in {
+		in[i] = el("a", 0, temporal.Time(1+(i*7919)%n))
+	}
+	for i := 0; i < n; i += pubsub.FrameCap {
+		d.ProcessBatch(in[i:min(i+pubsub.FrameCap, n)], 0)
+	}
+	if d.expiry.Len() != n {
+		t.Fatalf("%d expiry entries for %d live elements", d.expiry.Len(), n)
+	}
+	if got, want := d.MemoryUsage(), d.expiry.Bytes(); got < want {
+		t.Fatalf("MemoryUsage %d, below the expiry heap's %d bytes", got, want)
 	}
 }
 

@@ -13,13 +13,16 @@ import (
 //
 // The ordered core applies both inputs merged in global Start order; per
 // key the operator tracks the two active multiplicities and emits one
-// batch of output copies per maximal span of constant multiplicity.
+// batch of output copies per maximal span of constant multiplicity. A
+// key's counts are the record of its list in the keyed table; the expiry
+// heap holds one pointer-free entry per live element: its End, its key's
+// id and its input.
 type setOp struct {
 	ordered
 	key    KeyFunc
 	mult   func(m0, m1 int) int
-	state  map[any]*diffState
-	expiry xds.Heap[temporal.Time, diffExpiry] // by End
+	keys   keyed[setKey]
+	expiry xds.Heap[temporal.Time, setEnd] // every live element's end, by End
 }
 
 // Difference computes the temporal multiset difference S₀ ∖ S₁: at every
@@ -32,19 +35,17 @@ type Difference struct{ setOp }
 // the extended relational algebra alongside Union and Difference.
 type Intersect struct{ setOp }
 
-type diffState struct {
+// setKey is one key's record.
+type setKey struct {
+	key    any
 	value  any // representative output value for the key
 	counts [2]int
 	lb     temporal.Time
-	trace  any   // trace slot of the latest traced contributor
-	hold   int32 // the core's holdback entry at lb
+	trace  any // trace slot of the latest traced contributor
 }
 
-// diffExpiry is a pending interval end: one element of key on input.
-type diffExpiry struct {
-	key   any
-	input int
-}
+// setEnd is a pending interval end: one element of key id on input.
+type setEnd struct{ id, input int32 }
 
 // NewDifference returns the difference operator (input 0 minus input 1).
 // A nil key compares whole values.
@@ -62,67 +63,62 @@ func NewIntersect(name string, key KeyFunc) *Intersect {
 	return in
 }
 
-// setup sets d up in place: the done hooks capture its address.
-func (d *setOp) setup(name string, key KeyFunc, mult func(m0, m1 int) int) {
+// setup sets o up in place: the done hooks capture its address.
+func (o *setOp) setup(name string, key KeyFunc, mult func(m0, m1 int) int) {
 	if key == nil {
 		key = func(v any) any { return v }
 	}
-	d.key, d.mult = key, mult
-	d.state = map[any]*diffState{}
-	d.init(name, 2, d.processOne, func() { d.advance(temporal.MaxTime) },
-		setKeys{d}, setExpiry{d})
+	o.key, o.mult = key, mult
+	o.keys = keyed[setKey]{ids: map[any]int32{}, holds: &o.holds,
+		copy: captureSetKey, entry: appendSetKey, read: o.readKeys}
+	o.init(name, 2, o.processOne, func() { o.advance(temporal.MaxTime) }, &o.keys, setExpiry{o})
 }
 
 // processOne is the per-element body, under ProcMu.
-func (d *setOp) processOne(input int, e temporal.Element) {
-	d.advance(e.Start)
-	k := d.key(e.Value)
-	st := d.state[k]
-	if st == nil {
-		st = &diffState{value: e.Value, lb: e.Start, hold: d.holds.Push(e.Start)}
-		d.state[k] = st
-	} else if st.lb < e.Start {
-		d.emitSpan(st, e.Start)
-		st.lb = e.Start
-		d.holds.Set(st.hold, st.lb)
+func (o *setOp) processOne(input int, e temporal.Element) {
+	o.advance(e.Start)
+	k := o.key(e.Value)
+	id, ok := o.keys.ids[k]
+	if !ok {
+		id = o.keys.add(k, setKey{key: k, value: e.Value, lb: e.Start}, e.Start)
+	} else {
+		o.emitSpan(id, e.Start)
 	}
+	st := o.keys.Rec(id)
 	st.counts[input]++
 	if e.Trace != nil {
 		st.trace = e.Trace
 	}
-	d.expiry.Push(e.End, diffExpiry{key: k, input: input})
+	o.expiry.Push(e.End, setEnd{id: id, input: int32(input)})
 }
 
 // advance processes expiry boundaries up to and including t.
-func (d *setOp) advance(t temporal.Time) {
+func (o *setOp) advance(t temporal.Time) {
 	for {
-		end, ev, ok := d.expiry.Peek()
+		end, ev, ok := o.expiry.Peek()
 		if !ok || end > t {
 			return
 		}
-		d.expiry.Pop()
-		st := d.state[ev.key]
-		if st == nil {
-			continue
-		}
-		if st.lb < end {
-			d.emitSpan(st, end)
-			st.lb = end
-			d.holds.Set(st.hold, st.lb)
-		}
-		st.counts[ev.input]--
-		if st.counts[0] == 0 && st.counts[1] == 0 {
-			d.holds.Remove(st.hold)
-			delete(d.state, ev.key)
+		o.expiry.Pop()
+		o.emitSpan(ev.id, end)
+		st := o.keys.Rec(ev.id)
+		if st.counts[ev.input]--; st.counts == [2]int{} {
+			o.keys.drop(st.key, ev.id)
 		}
 	}
 }
 
-// emitSpan buffers mult(m₀, m₁) copies of the key's value over
-// [st.lb, to).
-func (d *setOp) emitSpan(st *diffState, to temporal.Time) {
-	m := d.mult(st.counts[0], st.counts[1])
-	for i := 0; i < m; i++ {
-		d.add(temporal.Element{Value: st.value, Interval: temporal.NewInterval(st.lb, to), Trace: st.trace})
+// emitSpan buffers mult(m₀, m₁) copies of key id's value over [lb, to)
+// and moves its open span's left boundary to to, if it lies before.
+func (o *setOp) emitSpan(id int32, to temporal.Time) {
+	st := o.keys.Rec(id)
+	if st.lb >= to {
+		return
 	}
+	m := o.mult(st.counts[0], st.counts[1])
+	for i := 0; i < m; i++ {
+		o.add(temporal.Element{Value: st.value, Interval: temporal.NewInterval(st.lb, to), Trace: st.trace})
+	}
+	st.lb = to
+	o.holds.Set(id, to)
 }

@@ -38,11 +38,14 @@
 //   - Trace slots are dropped: element traces are diagnostic context of
 //     the run that produced them and do not survive a crash (restored
 //     elements carry an explicit nil trace).
-//   - Auxiliary structures derivable from the primary state (group
-//     expiry events, coalesce end events, the holdback heap) are rebuilt
-//     rather than serialised; the difference/intersect expiry heap is the one
+//   - The keyed operators — γ, Coalesce, Difference and Intersect,
+//     PartitionedWindow — share one keyed part (keyed): each writes its
+//     keys in key order, one entry a key of the operator's own fields.
+//     Auxiliary structures derivable from that state (γ's expiry heap,
+//     Coalesce's end heap, the holdback heap) are rebuilt rather than
+//     serialised; the difference/intersect expiry heap is the one
 //     exception — its entries cannot be recovered from the per-key
-//     counters — and is serialised verbatim.
+//     counters — and is serialised verbatim, each entry with its key.
 //   - Input-done flags are NOT saved: recovery replays every source, so
 //     end-of-stream is re-signalled (or not) by the replayed inputs
 //     themselves.
@@ -258,8 +261,8 @@ type part interface {
 	load(d *wire.Decoder)
 	// bytes is what the piece holds, in the memory manager's estimates:
 	// a slab's every slot, free ones included — element slabs, list-node
-	// slabs and list tables — and a heap's array as allocated; elsewhere
-	// 64 bytes an element, 48 a key record.
+	// slabs and list tables — and a heap's arrays as allocated; an
+	// arrival queue's 64 bytes an element.
 	bytes() int
 }
 
@@ -267,20 +270,23 @@ type part interface {
 type encoder func(c *capture, dst []byte) ([]byte, error)
 
 // capture is one part's copy in a round's image: the elements, keyed
-// records and numbers it holds, and the encoder that writes them.
+// records, values and numbers it holds, and the encoder that writes them.
 type capture struct {
 	elems []temporal.Element
 	recs  []record
 	vals  []any // set-operation values, indexed by their records' off
 	nums  []int64
 	enc   encoder
+	entry entryWriter // a keyed part's, for encodeKeyed
 }
 
 // record is one keyed entry of a capture, kept as narrow as the keyed
-// tables need: a key, a time and two offsets — a group's or partition's
-// elements elems[off:end], a span's element elems[off], a set-operation
-// key's value vals[off] and counts nums[2off:2off+2], an expiry event's
-// input.
+// parts need: a key, a time and two offsets. The keyed skeleton sets the
+// key and the elements elems[off:end] — a group's or partition's live
+// elements, a span's element — and the operator's copy the rest: a
+// group's left boundary in t, a set-operation key's left boundary in t,
+// its value in vals[off] and counts in nums[2off:2off+2]. A set
+// operation's expiry entry keeps its End in t and its input in off.
 type record struct {
 	key      any
 	t        temporal.Time
@@ -296,7 +302,7 @@ func (c *capture) reset() {
 	c.recs = cleared(c.recs)
 	c.vals = cleared(c.vals)
 	c.nums = cleared(c.nums)
-	c.enc = nil
+	c.enc, c.entry = nil, nil
 }
 
 func cleared[T any](s []T) []T {
@@ -575,250 +581,252 @@ func (a arity) load(d *wire.Decoder) {
 
 func (a arity) bytes() int { return 0 }
 
-// groupTable is GroupBy's groups as a part: in key order, each its key,
-// open-span left boundary and live element multiset. The capture copies
-// every group's live elements into one slice. The aggregate is rebuilt on
-// load by re-inserting the live elements (for invertible aggregates every
-// expired removal has already been applied, so the live multiset
-// reproduces the aggregate exactly), and so are the expiry entries and
-// holdback entries. The multisets are canonically sorted by the encoder
-// (they are reloaded by re-insertion, so their order is free), which
-// gives consecutive rounds byte-stable encodings where raw list order
-// would shuffle unchanged groups.
-type groupTable struct{ g *GroupBy }
-
-func (t groupTable) capture(c *capture) encoder {
-	c.recs = reserve(c.recs, len(t.g.groups))
-	c.elems = reserve(c.elems, t.g.elems.Len())
-	for k, id := range t.g.groups {
-		off := len(c.elems)
-		c.elems = t.g.elems.AppendTo(c.elems, id)
-		c.recs = append(c.recs, record{key: k, t: t.g.elems.Rec(id).lb, off: off, end: len(c.elems)})
-	}
-	return encodeGroups
+// keyed is the table of a keyed operator — γ's groups, Coalesce's
+// pending spans, a set operation's keys, PartitionedWindow's partitions —
+// and its part. Each key maps to the id of a list (xds.Lists) whose
+// record R holds the key's own fields and whose nodes hold its live
+// elements in arrival order. The id is also the key's owner id in the
+// core's holdback and in any indexed heap of the operator's.
+//
+// The skeleton is shared: a capture copies every key's elements into one
+// slice beside one record a key, the encoder writes the records in key
+// order after their count, a load refuses a key it has already added, an
+// end-of-stream flush visits the keys in key order, and bytes counts what
+// the lists and the operator's heap have allocated. The operator states
+// only its own fields, in its fixed order: copy copies them from a key's
+// record into the capture, entry writes a key's entry, read loads the
+// entries back and rebuilds what is derived from them.
+type keyed[R any] struct {
+	ids map[any]int32 // each key's list id
+	xds.Lists[temporal.Element, R]
+	holds *xds.IndexedHeap[temporal.Time] // the core's holdback
+	heap  interface{ Bytes() int }        // the heap the operator orders its keys' entries by, if any
+	copy  func(c *capture, r *record, rec *R)
+	entry entryWriter
+	read  func(d *wire.Decoder)
 }
 
-func encodeGroups(c *capture, dst []byte) ([]byte, error) { return c.appendKeyed(dst, true) }
+// entryWriter appends one key's entry of a keyed capture: the record r
+// and what it indexes in c.
+type entryWriter func(c *capture, dst []byte, r record) ([]byte, error)
 
-// appendKeyed writes the records in key order, each as its key, then —
-// for a group — its time, then its elements: a group's multiset in
-// canonical order, a partition's queue in arrival order.
-func (c *capture) appendKeyed(dst []byte, group bool) ([]byte, error) {
+// add gives key k a new list carrying rec, with its holdback entry at
+// lb, and returns its id.
+func (t *keyed[R]) add(k any, rec R, lb temporal.Time) int32 {
+	id := t.New(rec)
+	t.ids[k] = id
+	t.holds.Push(id, lb)
+	return id
+}
+
+// drop removes key k and its list id, which must be empty.
+func (t *keyed[R]) drop(k any, id int32) {
+	delete(t.ids, k)
+	t.holds.Remove(id)
+	t.Drop(id)
+}
+
+// inKeyOrder calls f with every key's id in canonical key order: the
+// results an end-of-stream flush adds tie in the order buffer by
+// insertion, so map order would vary the output from run to run.
+func (t *keyed[R]) inKeyOrder(f func(id int32)) {
+	rs := make([]record, 0, len(t.ids))
+	for k, id := range t.ids {
+		rs = append(rs, record{key: k, off: int(id)}) // off: the id
+	}
+	sortByKey(rs, recKey)
+	for _, r := range rs {
+		f(int32(r.off))
+	}
+}
+
+func (t *keyed[R]) capture(c *capture) encoder {
+	c.recs = reserve(c.recs, len(t.ids))
+	c.elems = reserve(c.elems, t.Len())
+	for k, id := range t.ids {
+		c.recs = append(c.recs, record{key: k, off: len(c.elems)})
+		r := &c.recs[len(c.recs)-1] // copy appends to every buffer but this
+		c.elems = t.AppendTo(c.elems, id)
+		if t.copy != nil {
+			t.copy(c, r, t.Rec(id))
+		}
+		r.end = len(c.elems)
+	}
+	c.entry = t.entry
+	return encodeKeyed
+}
+
+// encodeKeyed writes a keyed capture's records in key order after their
+// count, each with its part's entry writer.
+func encodeKeyed(c *capture, dst []byte) ([]byte, error) {
 	sortByKey(c.recs, recKey)
 	dst = binary.AppendUvarint(dst, uint64(len(c.recs)))
 	for _, r := range c.recs {
-		es := c.elems[r.off:r.end]
 		var err error
-		if dst, err = wire.AppendValue(dst, r.key); err != nil {
-			return dst, err
-		}
-		if group {
-			sortWire(es)
-			dst = binary.AppendVarint(dst, int64(r.t))
-		}
-		if dst, err = appendElems(dst, es); err != nil {
+		if dst, err = c.entry(c, dst, r); err != nil {
 			return dst, err
 		}
 	}
 	return dst, nil
 }
 
-// errRepeatedKey is a state that holds one key twice: a keyed table
-// writes each of its keys once.
-func errRepeatedKey(key any) error { return fmt.Errorf("ops: state repeats key %v", key) }
+func (t *keyed[R]) load(d *wire.Decoder) { t.read(d) }
 
-func (t groupTable) load(d *wire.Decoder) {
-	g := t.g
+// fresh reports whether key k may be loaded: d holds no error and the
+// table no k. A repeated key fails d, as a table writes each key once.
+func (t *keyed[R]) fresh(d *wire.Decoder, k any) bool {
+	if _, dup := t.ids[k]; dup && d.Err() == nil {
+		d.Fail(fmt.Errorf("ops: state repeats key %v", k))
+	}
+	return d.Err() == nil
+}
+
+// bytes is the lists' node slab and record table, free slots included,
+// and the arrays of the operator's heap.
+func (t *keyed[R]) bytes() int {
+	if t.heap == nil {
+		return t.Lists.Bytes()
+	}
+	return t.Lists.Bytes() + t.heap.Bytes()
+}
+
+// γ's groups: each its key, its open span's left boundary and its live
+// elements. The elements are sorted canonically by the encoder — they
+// are reloaded by re-insertion, so their order is free, and sorting gives
+// consecutive rounds byte-stable encodings where list order would shuffle
+// unchanged groups. The aggregate, the expiry entries and the holdback
+// entries are rebuilt on load by re-inserting the live elements (for
+// invertible aggregates every expired removal has already been applied,
+// so the live multiset reproduces the aggregate exactly).
+func captureGroup(_ *capture, r *record, g *group) { r.t = g.lb }
+
+func appendGroup(c *capture, dst []byte, r record) ([]byte, error) {
+	dst, err := wire.AppendValue(dst, r.key)
+	if err != nil {
+		return dst, err
+	}
+	es := c.elems[r.off:r.end]
+	sortWire(es)
+	return appendElems(binary.AppendVarint(dst, int64(r.t)), es)
+}
+
+func (g *GroupBy) readGroups(d *wire.Decoder) {
 	var es []temporal.Element
 	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
-		key := d.Value()
-		lb := temporal.Time(d.Varint())
-		es = readElems(d, es)
-		switch _, dup := g.groups[key]; {
-		case d.Err() != nil:
+		key, lb := d.Value(), temporal.Time(d.Varint())
+		if es = readElems(d, es); !g.groups.fresh(d, key) {
 			return
-		case dup:
-			d.Fail(errRepeatedKey(key))
-			return
-		case len(es) == 0:
+		}
+		if len(es) == 0 {
 			d.Fail(fmt.Errorf("ops: group %v holds no elements", key))
 			return
 		}
 		id := g.newGroup(key, lb)
-		g.groups[key] = id
-		grp := g.elems.Rec(id)
+		grp := g.groups.Rec(id)
 		for _, e := range es {
-			// One expiry entry per live element, pushed in the order
-			// the encoding holds them.
-			g.expiry.Push(e.End, g.elems.Append(id, e))
+			// One expiry entry per live element, pushed in the order the
+			// encoding holds them.
+			g.expiry.Push(e.End, g.groups.Append(id, e))
 			grp.agg.Insert(e.Value)
 		}
 	}
 }
 
-// bytes is the node slab and the list table of group records, free
-// slots included, and the expiry heap's array. Spare aggregates are not
-// counted, as no aggregate is.
-func (t groupTable) bytes() int { return t.g.elems.Bytes() + t.g.expiry.Bytes() }
-
-// partitionTable is PartitionedWindow's partitions as a part, captured
-// flat like groupTable: in key order, each its key and its elements in
-// arrival order — that order IS the partition's state. The holdback
-// entries are rebuilt on load from the restored queue heads.
-type partitionTable struct{ w *PartitionedWindow }
-
-func (t partitionTable) capture(c *capture) encoder {
-	n := 0
-	for _, p := range t.w.part {
-		n += p.q.Len()
+// PartitionedWindow's partitions: each its key and its elements in
+// arrival order — that order is the partition's state. The holdback
+// entries are rebuilt from the restored heads.
+func appendPartition(c *capture, dst []byte, r record) ([]byte, error) {
+	dst, err := wire.AppendValue(dst, r.key)
+	if err != nil {
+		return dst, err
 	}
-	c.recs = reserve(c.recs, len(t.w.part))
-	c.elems = reserve(c.elems, n)
-	for k, p := range t.w.part {
-		off := len(c.elems)
-		c.elems = p.q.AppendTo(c.elems)
-		c.recs = append(c.recs, record{key: k, off: off, end: len(c.elems)})
-	}
-	return encodePartitions
+	return appendElems(dst, c.elems[r.off:r.end])
 }
 
-func encodePartitions(c *capture, dst []byte) ([]byte, error) { return c.appendKeyed(dst, false) }
-
-func (t partitionTable) load(d *wire.Decoder) {
+func (w *PartitionedWindow) readPartitions(d *wire.Decoder) {
 	var es []temporal.Element
 	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
 		key := d.Value()
-		es = readElems(d, es)
-		if d.Err() != nil {
+		if es = readElems(d, es); !w.windows.fresh(d, key) {
 			return
 		}
-		if _, dup := t.w.part[key]; dup {
-			d.Fail(errRepeatedKey(key))
+		if len(es) > w.n { // a window that full would never displace again
+			d.Fail(fmt.Errorf("ops: partition %v holds %d elements, the window %d", key, len(es), w.n))
 			return
-		}
-		p := &partition{}
-		for _, e := range es {
-			p.q.Enqueue(e)
 		}
 		lb := temporal.MaxTime
-		if head, ok := p.q.Peek(); ok {
-			lb = head.Start
+		if len(es) > 0 {
+			lb = es[0].Start
 		}
-		p.hold = t.w.holds.Push(lb)
-		t.w.part[key] = p
-	}
-}
-
-func (t partitionTable) bytes() int {
-	n := 0
-	for _, p := range t.w.part {
-		n += p.q.Len()
-	}
-	return n*64 + len(t.w.part)*48
-}
-
-// spanTable is Coalesce's pending spans as a part: in key order, each as
-// its element alone (load derives the key from the value). The end
-// events and holdback entries are rebuilt on load, one per span.
-type spanTable struct{ c *Coalesce }
-
-func (t spanTable) capture(c *capture) encoder {
-	for k, p := range t.c.pending {
-		c.recs = append(c.recs, record{key: k, off: len(c.elems)})
-		c.elems = append(c.elems, p.value)
-	}
-	return encodeSpans
-}
-
-func encodeSpans(c *capture, dst []byte) ([]byte, error) {
-	sortByKey(c.recs, recKey)
-	dst = binary.AppendUvarint(dst, uint64(len(c.recs)))
-	for _, r := range c.recs {
-		var err error
-		if dst, err = wire.AppendElement(dst, c.elems[r.off]); err != nil {
-			return dst, err
+		id := w.windows.add(key, struct{}{}, lb)
+		for _, e := range es {
+			w.windows.Append(id, e)
 		}
 	}
-	return dst, nil
 }
 
-func (t spanTable) load(d *wire.Decoder) {
+// Coalesce's pending spans: each as its element alone (load derives the
+// key from the value). The end and holdback entries are rebuilt on load.
+func captureSpan(c *capture, _ *record, s *span) { c.elems = append(c.elems, s.value) }
+
+func appendSpan(c *capture, dst []byte, r record) ([]byte, error) {
+	return wire.AppendElement(dst, c.elems[r.off])
+}
+
+func (c *Coalesce) readSpans(d *wire.Decoder) {
 	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
 		e := d.Element()
 		if d.Err() != nil {
 			return
 		}
-		k := t.c.key(e.Value)
-		if _, dup := t.c.pending[k]; dup {
-			d.Fail(errRepeatedKey(k))
+		if k := c.key(e.Value); c.spans.fresh(d, k) {
+			c.open(k, e)
+		}
+	}
+}
+
+// Difference's and Intersect's keys: each its key, value, two counts and
+// open span's left boundary.
+func captureSetKey(c *capture, r *record, k *setKey) {
+	r.t, r.off = k.lb, len(c.vals)
+	c.vals = append(c.vals, k.value)
+	c.nums = append(c.nums, int64(k.counts[0]), int64(k.counts[1]))
+}
+
+func appendSetKey(c *capture, dst []byte, r record) ([]byte, error) {
+	dst, err := appendTwo(dst, r.key, c.vals[r.off])
+	if err != nil {
+		return dst, err
+	}
+	dst = binary.AppendVarint(binary.AppendVarint(dst, c.nums[2*r.off]), c.nums[2*r.off+1])
+	return binary.AppendVarint(dst, int64(r.t)), nil
+}
+
+func (o *setOp) readKeys(d *wire.Decoder) {
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		key, value := d.Value(), d.Value()
+		k := setKey{key: key, value: value, counts: [2]int{int(d.Varint()), int(d.Varint())}, lb: temporal.Time(d.Varint())}
+		if !o.keys.fresh(d, key) {
 			return
 		}
-		t.c.pending[k] = &span{value: e, hold: t.c.holds.Push(e.Start)}
-		t.c.ends.Push(e.End, k)
-	}
-}
-
-func (t spanTable) bytes() int { return len(t.c.pending) * 64 }
-
-// setKeys is Difference's and Intersect's per-key multiplicity records as
-// a part: in key order, each its key, value, two counts and open-span
-// left boundary.
-type setKeys struct{ d *setOp }
-
-func (t setKeys) capture(c *capture) encoder {
-	for k, st := range t.d.state {
-		c.recs = append(c.recs, record{key: k, t: st.lb, off: len(c.vals)})
-		c.vals = append(c.vals, st.value)
-		c.nums = append(c.nums, int64(st.counts[0]), int64(st.counts[1]))
-	}
-	return encodeSetKeys
-}
-
-func encodeSetKeys(c *capture, dst []byte) ([]byte, error) {
-	sortByKey(c.recs, recKey)
-	dst = binary.AppendUvarint(dst, uint64(len(c.recs)))
-	for _, r := range c.recs {
-		var err error
-		if dst, err = wire.AppendValue(dst, r.key); err != nil {
-			return dst, err
-		}
-		if dst, err = wire.AppendValue(dst, c.vals[r.off]); err != nil {
-			return dst, err
-		}
-		dst = binary.AppendVarint(dst, c.nums[2*r.off])
-		dst = binary.AppendVarint(dst, c.nums[2*r.off+1])
-		dst = binary.AppendVarint(dst, int64(r.t))
-	}
-	return dst, nil
-}
-
-func (t setKeys) load(dec *wire.Decoder) {
-	for n := dec.Count(); n > 0 && dec.Err() == nil; n-- {
-		key, value := dec.Value(), dec.Value()
-		ds := &diffState{value: value, counts: [2]int{int(dec.Varint()), int(dec.Varint())}, lb: temporal.Time(dec.Varint())}
-		if dec.Err() != nil {
+		if k.counts == [2]int{} { // setExpiry's load checks every other count
+			d.Fail(fmt.Errorf("ops: key %v counts no element", key))
 			return
 		}
-		if _, dup := t.d.state[key]; dup {
-			dec.Fail(errRepeatedKey(key))
-			return
-		}
-		ds.hold = t.d.holds.Push(ds.lb)
-		t.d.state[key] = ds
+		o.keys.add(key, k, k.lb)
 	}
 }
-
-// bytes is 72 bytes a key, its pending expiry events included.
-func (t setKeys) bytes() int { return len(t.d.state) * 72 }
 
 // setExpiry is Difference's and Intersect's expiry heap as a part,
 // written verbatim: which interval ends remain pending per input is not
-// recoverable from the counters alone.
-type setExpiry struct{ d *setOp }
+// recoverable from the counters alone. An entry is written with its key,
+// and a load requires every key's entries on each input to match its
+// count.
+type setExpiry struct{ o *setOp }
 
 func (t setExpiry) capture(c *capture) encoder {
-	for end, ev := range t.d.expiry.All() {
-		c.recs = append(c.recs, record{key: ev.key, t: end, off: ev.input})
+	for end, ev := range t.o.expiry.All() {
+		c.recs = append(c.recs, record{key: t.o.keys.Rec(ev.id).key, t: end, off: int(ev.input)})
 	}
 	return encodeSetExpiry
 }
@@ -835,23 +843,33 @@ func encodeSetExpiry(c *capture, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (t setExpiry) load(dec *wire.Decoder) {
-	for n := dec.Count(); n > 0 && dec.Err() == nil; n-- {
-		end := temporal.Time(dec.Varint())
-		ev := diffExpiry{key: dec.Value()}
-		if input := dec.Uvarint(); input > 1 {
-			dec.Fail(fmt.Errorf("ops: expiry event of input %d", input))
-		} else {
-			ev.input = int(input)
+func (t setExpiry) load(d *wire.Decoder) {
+	keys := &t.o.keys
+	left := make([][2]int, len(keys.ids)) // by id: a fresh table's ids are 0 to n-1
+	for _, id := range keys.ids {
+		left[id] = keys.Rec(id).counts
+	}
+	for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+		end, key, input := temporal.Time(d.Varint()), d.Value(), d.Uvarint()
+		id, held := keys.ids[key]
+		switch {
+		case d.Err() != nil:
+			return
+		case input > 1 || !held || left[id][input] == 0:
+			d.Fail(fmt.Errorf("ops: expiry event of key %v on input %d beyond its count", key, input))
+			return
 		}
-		if dec.Err() == nil {
-			t.d.expiry.Push(end, ev)
+		left[id][input]--
+		t.o.expiry.Push(end, setEnd{id: id, input: int32(input)})
+	}
+	for key, id := range keys.ids {
+		if left[id] != [2]int{} && d.Err() == nil {
+			d.Fail(fmt.Errorf("ops: key %v counts %v elements with no expiry event", key, left[id]))
 		}
 	}
 }
 
-// bytes is nothing of its own: setKeys' estimate covers the events.
-func (t setExpiry) bytes() int { return 0 }
+func (t setExpiry) bytes() int { return t.o.expiry.Bytes() }
 
 // sampler is Sample's state as a part: whether it has seen an element,
 // its next boundary, then its live elements in heap order. Pushing them

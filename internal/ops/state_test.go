@@ -3,6 +3,7 @@ package ops
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -286,6 +287,54 @@ func TestKeptCaptureCountsAndShedsFirst(t *testing.T) {
 	}
 }
 
+// A set operation's expiry entries name their key's record, so a state
+// whose entries and counts disagree is refused: an entry beyond its key's
+// count, one of a key the state does not hold, a count no entry stands
+// for, and a key that counts no element.
+func TestSetStateRejectsUnmatchedExpiry(t *testing.T) {
+	state := func(c0 int64, events ...any) []byte {
+		b, _ := appendTwo([]byte{1}, "a", "a") // one key, its value
+		b = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(b, c0), 0), 1)
+		b = binary.AppendUvarint(b, uint64(len(events)))
+		for _, k := range events {
+			b, _ = wire.AppendValue(binary.AppendVarint(b, 9), k)
+			b = append(b, 0) // input 0
+		}
+		return append(b, 0, 0, 0, 1, 0) // empty arrival queues and order buffer, watermark 0
+	}
+	if err := NewDifference("d", nil).LoadState(state(1, "a")); err != nil {
+		t.Fatalf("a consistent state: %v", err)
+	}
+	for name, s := range map[string][]byte{
+		"an entry beyond its key's count": state(1, "a", "a"),
+		"an entry of a key not held":      state(1, "b"),
+		"a count with no entry":           state(2, "a"),
+		"a key that counts no element":    state(0),
+	} {
+		if err := NewDifference("d", nil).LoadState(s); err == nil {
+			t.Errorf("a state with %s loaded", name)
+		}
+	}
+}
+
+// A partition holding more elements than its window has rows is refused:
+// the window displaces only when a partition is exactly full, so a ROWS 2
+// window loading a ROWS 5 partition would keep every later element too.
+func TestPartitionStateRejectsOverfullWindow(t *testing.T) {
+	key := func(any) any { return 0 }
+	rows5 := NewPartitionedWindow("w", key, 5)
+	for i := range 5 {
+		rows5.ProcessBatch(temporal.Batch{el(i, temporal.Time(i), temporal.Time(i))}, 0)
+	}
+	state := snapshotBytes(t, rows5)
+	if err := NewPartitionedWindow("w", key, 5).LoadState(state); err != nil {
+		t.Fatalf("a full partition: %v", err)
+	}
+	if err := NewPartitionedWindow("w", key, 2).LoadState(state); err == nil {
+		t.Fatal("a ROWS 2 window loaded a partition of 5 elements")
+	}
+}
+
 // otherKey is a key of a kind outside keyCmp's typed set.
 type otherKey struct{ N int64 }
 
@@ -434,15 +483,15 @@ func TestSnapshotOrderDeterministic(t *testing.T) {
 // Every stateful operator reports what it holds: after its feed,
 // MemoryUsage is positive, and before any checkpoint round it is the room
 // its containers have allocated — element and list-node slabs with their
-// free slots, list tables, 16-byte slot and holdback arrays, γ's group
-// records, 48 bytes a key record elsewhere, 64 an element elsewhere.
+// free slots, the keyed tables' record slabs, slot, expiry, end and
+// holdback heap arrays, 64 bytes an element in an arrival queue.
 // A node that has released every pending result keeps its slab, so it
 // still reports it. The method is asserted through an interface, so an
 // operator without one fails here.
 func TestEveryStatefulOperatorReportsMemory(t *testing.T) {
 	want := map[string]int{
-		"join": 880, "mjoin": 928, "groupby": 936, "difference": 464, "intersect": 248,
-		"union": 64, "coalesce": 384, "distinct": 488,
+		"join": 880, "mjoin": 928, "groupby": 928, "difference": 736, "intersect": 520,
+		"union": 64, "coalesce": 616, "distinct": 696,
 	}
 	for _, c := range stateCases() {
 		op := c.make()

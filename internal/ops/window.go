@@ -171,18 +171,13 @@ func (w *CountWindow) fflush() {
 // PARTITION BY key ROWS n): an independent ROWS-n window per key value.
 // Because displacements interleave across partitions, emissions pass
 // through an order buffer held back by the oldest still-buffered element.
+// A partition is a list of at most n nodes in the keyed table, its
+// holdback entry at its oldest element's Start (MaxTime once flushed).
 type PartitionedWindow struct {
 	ordered
-	key  KeyFunc
-	n    int
-	part map[any]*partition
-}
-
-// partition is one key's window and its holdback entry: at the oldest
-// element's Start, at MaxTime while the window is empty.
-type partition struct {
-	q    xds.Queue[temporal.Element]
-	hold int32
+	key     KeyFunc
+	n       int
+	windows keyed[struct{}] // each partition's elements in arrival order
 }
 
 // NewPartitionedWindow returns a per-key ROWS-n window.
@@ -193,52 +188,39 @@ func NewPartitionedWindow(name string, key KeyFunc, n int) *PartitionedWindow {
 	if n <= 0 {
 		panic("ops: partition window size must be positive")
 	}
-	w := &PartitionedWindow{key: key, n: n, part: map[any]*partition{}}
-	w.init(name, 1, w.processOne, w.fflush, partitionTable{w})
+	w := &PartitionedWindow{key: key, n: n}
+	w.windows = keyed[struct{}]{ids: map[any]int32{}, holds: &w.holds,
+		entry: appendPartition, read: w.readPartitions}
+	w.init(name, 1, w.processOne, w.fflush, &w.windows)
 	return w
 }
 
 // processOne is the per-element body, under ProcMu.
 func (w *PartitionedWindow) processOne(_ int, e temporal.Element) {
 	k := w.key(e.Value)
-	p := w.part[k]
-	if p == nil {
-		p = &partition{hold: w.holds.Push(e.Start)}
-		w.part[k] = p
-	}
-	if p.q.Len() == w.n {
-		old, _ := p.q.Dequeue()
+	id, ok := w.windows.ids[k]
+	if !ok {
+		id = w.windows.add(k, struct{}{}, e.Start)
+	} else if w.windows.Count(id) == w.n {
+		old := w.windows.Remove(w.windows.Head(id))
 		end := e.Start
 		if end <= old.Start {
 			end = old.Start + 1
 		}
 		w.add(old.WithInterval(temporal.NewInterval(old.Start, end)))
 	}
-	p.q.Enqueue(e)
-	head, _ := p.q.Peek()
-	w.holds.Set(p.hold, head.Start)
+	w.windows.Append(id, e)
+	w.holds.Set(id, w.windows.At(w.windows.Head(id)).Start)
 }
 
 func (w *PartitionedWindow) fflush() {
-	// Flush partitions in canonical key order: equal-Start survivors tie in
-	// the order buffer by insertion sequence, so map iteration here would
-	// make the end-of-stream output order vary run-to-run.
-	keys := make([]any, 0, len(w.part))
-	for k := range w.part {
-		keys = append(keys, k)
-	}
-	sortByKey(keys, func(k any) any { return k })
-	for _, k := range keys {
-		p := w.part[k]
-		for {
-			old, ok := p.q.Dequeue()
-			if !ok {
-				break
-			}
+	w.windows.inKeyOrder(func(id int32) {
+		for s := w.windows.Head(id); s >= 0; s = w.windows.Head(id) {
+			old := w.windows.Remove(s)
 			w.add(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 		}
-		w.holds.Set(p.hold, temporal.MaxTime)
-	}
+		w.holds.Set(id, temporal.MaxTime)
+	})
 }
 
 // String describes the window for EXPLAIN output.

@@ -102,21 +102,20 @@ func (h *Heap[K, V]) down(i int) {
 	}
 }
 
-// IndexedHeap is a binary min-heap of keys, each entry addressed by a
-// handle that stays its own while the entry moves: the owner of an entry
-// keeps its handle and moves the entry to a new key (Set) or removes it
-// (Remove) in O(log n), so the heap holds exactly one entry per owner
-// and never a stale one. Handles of removed entries are reused. It holds
-// no pointer while K holds none. The zero value is an empty heap.
+// IndexedHeap is a binary min-heap of keys with at most one entry per
+// owner, an int32 id the caller picks (a keyed record's id): the owner
+// pushes its entry, moves it to a new key (Set) or removes it (Remove) in
+// O(log n), so the heap holds exactly one entry per owner and never a
+// stale one, and the top names its owner. It holds no pointer while K
+// holds none. The zero value is an empty heap.
 type IndexedHeap[K cmp.Ordered] struct {
-	data []handleEntry[K]
-	at   []int32 // by handle: its entry's index in data, -1 once removed
-	free []int32 // removed handles, reused last in, first out
+	data []ownedEntry[K]
+	at   []int32 // by owner: its entry's index in data, -1 while it has none
 }
 
-type handleEntry[K cmp.Ordered] struct {
-	k K
-	h int32
+type ownedEntry[K cmp.Ordered] struct {
+	k  K
+	id int32
 }
 
 // Len returns the number of entries.
@@ -124,34 +123,29 @@ func (h *IndexedHeap[K]) Len() int { return len(h.data) }
 
 // Bytes returns the size of the backing arrays, used or not.
 func (h *IndexedHeap[K]) Bytes() int {
-	return cap(h.data)*int(unsafe.Sizeof(handleEntry[K]{})) + (cap(h.at)+cap(h.free))*4
+	return cap(h.data)*int(unsafe.Sizeof(ownedEntry[K]{})) + cap(h.at)*4
 }
 
-// Push adds an entry of key k and returns its handle.
-func (h *IndexedHeap[K]) Push(k K) int32 {
-	var id int32
-	if n := len(h.free); n > 0 {
-		id = h.free[n-1]
-		h.free = h.free[:n-1]
-	} else {
-		id = int32(len(h.at))
-		h.at = append(h.at, 0)
+// Push adds the entry of owner id, which must have none, at key k.
+func (h *IndexedHeap[K]) Push(id int32, k K) {
+	for int(id) >= len(h.at) {
+		h.at = append(h.at, -1)
 	}
-	h.data = append(h.data, handleEntry[K]{k, id})
+	h.data = append(h.data, ownedEntry[K]{k, id})
 	h.at[id] = int32(len(h.data) - 1)
 	h.up(len(h.data) - 1)
-	return id
 }
 
-// Peek returns the smallest key; ok is false when the heap is empty.
-func (h *IndexedHeap[K]) Peek() (k K, ok bool) {
+// Peek returns the smallest key and its owner; ok is false when the heap
+// is empty.
+func (h *IndexedHeap[K]) Peek() (k K, id int32, ok bool) {
 	if len(h.data) == 0 {
-		return k, false
+		return k, -1, false
 	}
-	return h.data[0].k, true
+	return h.data[0].k, h.data[0].id, true
 }
 
-// Set moves the entry of handle id, which must be live, to key k.
+// Set moves the entry of owner id, which must have one, to key k.
 func (h *IndexedHeap[K]) Set(id int32, k K) {
 	i := int(h.at[id])
 	old := h.data[i].k
@@ -164,15 +158,13 @@ func (h *IndexedHeap[K]) Set(id int32, k K) {
 	}
 }
 
-// Remove removes the entry of handle id, which must be live, and frees
-// the handle.
+// Remove removes the entry of owner id, which must have one.
 func (h *IndexedHeap[K]) Remove(id int32) {
 	i, last := int(h.at[id]), len(h.data)-1
 	h.at[id] = -1
-	h.free = append(h.free, id)
 	if i != last {
 		h.data[i] = h.data[last]
-		h.at[h.data[i].h] = int32(i)
+		h.at[h.data[i].id] = int32(i)
 	}
 	h.data = h.data[:last]
 	if i < last {
@@ -183,7 +175,7 @@ func (h *IndexedHeap[K]) Remove(id int32) {
 
 func (h *IndexedHeap[K]) swap(i, j int) {
 	h.data[i], h.data[j] = h.data[j], h.data[i]
-	h.at[h.data[i].h], h.at[h.data[j].h] = int32(i), int32(j)
+	h.at[h.data[i].id], h.at[h.data[j].id] = int32(i), int32(j)
 }
 
 func (h *IndexedHeap[K]) up(i int) {

@@ -8,7 +8,11 @@ package xds
 // nodes nor records are ever copied once their first chunk is full. A new
 // key costs a table slot, reused once dropped; a value costs a node slot,
 // and a value leaves its list in O(1) by its slot, wherever it sits.
-// Lists keep insertion order. The zero value holds no list.
+// Lists keep insertion order. The keyed operators' tables — γ's groups,
+// Coalesce's pending spans, the set operations' keys, PartitionedWindow's
+// partitions — and the hash sweep area's buckets are Lists; a key whose
+// fields are all it keeps (a span, a set key) has a record and no nodes.
+// The zero value holds no list.
 type Lists[T, R any] struct {
 	nodes Slab[listNode[T]]
 	lists Slab[listHead[R]] // by list id

@@ -1,12 +1,15 @@
 // Package xds provides the containers PIPES borrows from XXL: a FIFO
-// queue on a growable ring; a binary min-heap keyed by an ordered key,
-// and an indexed one whose entries their owners move and remove by
-// handle; a slab that stores values in fixed chunks under int32 slots, so
-// that a heap or an index can order slots instead of the values; and
-// per-key lists whose nodes share one slab. All are concrete types whose
-// zero value is ready to use; none is safe for concurrent use, so their
-// owners lock (an operator its processing lock, the pub-sub buffer its
-// own).
+// queue on a growable ring (multi-input operators' arrivals, CountWindow,
+// the pub-sub buffer); a binary min-heap keyed by an ordered key (the
+// order buffer, the expiry heaps, Sample's live elements), and an indexed
+// one holding one entry per owner id, which the owner moves and removes
+// (the holdback, Coalesce's end heap); a slab that stores values in fixed
+// chunks under int32 slots, so that a heap or an index can order slots
+// instead of the values; and per-key lists whose nodes share one slab
+// (the keyed operators' tables and the hash sweep area's buckets). All
+// are concrete types whose zero value is ready to use; none is safe for
+// concurrent use, so their owners lock (an operator its processing lock,
+// the pub-sub buffer its own).
 package xds
 
 // Queue is an unbounded FIFO backed by a growable circular buffer. The

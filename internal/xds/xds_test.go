@@ -660,31 +660,28 @@ func FuzzLists(f *testing.F) {
 	})
 }
 
-// checkIndexedHeap runs ops on an indexed heap and on a map from handle
-// to key, over keys 0..keys-1 so that ties are frequent. Each op byte
-// picks, by its low two bits, a push, a move of the entry op>>2 picks to
-// a new key, its removal, or a removal of the smallest. After every op
-// the array must be a heap whose index finds every entry, and the top
-// must be the model's smallest key.
+// checkIndexedHeap runs ops on an indexed heap and on a map from owner
+// to key, over keys 0..keys-1 so that ties are frequent and owners
+// 0..15 so that ids are reused. Each op byte picks, by its low two bits,
+// a push for the owner op>>2 picks (the lowest free one if it has an
+// entry), a move of the entry op>>2 picks to a new key, its removal, or
+// a removal of the top's owner. After every op the array must be a heap
+// whose index finds every entry and no other owner, and Peek must name
+// an owner of the model's smallest key.
 func checkIndexedHeap(t *testing.T, ops []byte, keys int) {
 	t.Helper()
 	var h IndexedHeap[int]
 	model := map[int32]int{}
-	var live, freed []int32
+	var live []int32
 	for i, op := range ops {
 		k := int(op>>2) % keys
 		switch {
-		case op&3 == 0 || len(live) == 0:
-			id := h.Push(k)
-			if n := len(freed); n > 0 {
-				if id != freed[n-1] {
-					t.Fatalf("op %d: Push returned handle %d, want freed %d", i, id, freed[n-1])
-				}
-				freed = freed[:n-1]
+		case op&3 == 0 && len(live) < 16 || len(live) == 0:
+			id := int32(op>>2) % 16
+			for slices.Contains(live, id) {
+				id = (id + 1) % 16
 			}
-			if _, ok := model[id]; ok {
-				t.Fatalf("op %d: Push returned live handle %d", i, id)
-			}
+			h.Push(id, k)
 			model[id] = k
 			live = append(live, id)
 		case op&3 == 1:
@@ -693,15 +690,14 @@ func checkIndexedHeap(t *testing.T, ops []byte, keys int) {
 			model[id] = (k*7 + i) % keys
 		default:
 			j := int(op>>2) % len(live)
-			if op&3 == 3 { // the smallest: any handle holding the top key
-				top, _ := h.Peek()
-				j = slices.IndexFunc(live, func(id int32) bool { return model[id] == top && h.data[0].h == id })
+			if op&3 == 3 { // the top's owner
+				_, top, _ := h.Peek()
+				j = slices.Index(live, top)
 			}
 			id := live[j]
 			h.Remove(id)
 			delete(model, id)
 			live = slices.Delete(live, j, j+1)
-			freed = append(freed, id)
 		}
 		if h.Len() != len(model) {
 			t.Fatalf("op %d: Len = %d, the model %d", i, h.Len(), len(model))
@@ -710,12 +706,18 @@ func checkIndexedHeap(t *testing.T, ops []byte, keys int) {
 			if j > 0 && e.k < h.data[(j-1)/2].k {
 				t.Fatalf("op %d: entry %d (%d) sorts before its parent (%d)", i, j, e.k, h.data[(j-1)/2].k)
 			}
-			if int(h.at[e.h]) != j || model[e.h] != e.k {
-				t.Fatalf("op %d: entry %d holds handle %d key %d; the index says %d, the model %d", i, j, e.h, e.k, h.at[e.h], model[e.h])
+			if int(h.at[e.id]) != j || model[e.id] != e.k {
+				t.Fatalf("op %d: entry %d holds owner %d key %d; the index says %d, the model %d", i, j, e.id, e.k, h.at[e.id], model[e.id])
 			}
 		}
-		if top, ok := h.Peek(); ok != (len(model) > 0) || ok && top != slices.Min(slices.Collect(maps.Values(model))) {
-			t.Fatalf("op %d: Peek = (%d, %v), the model's smallest of %v", i, top, ok, model)
+		for id, at := range h.at {
+			if _, ok := model[int32(id)]; !ok && at != -1 {
+				t.Fatalf("op %d: owner %d has no entry, but the index says %d", i, id, at)
+			}
+		}
+		top, id, ok := h.Peek()
+		if ok != (len(model) > 0) || ok && (top != slices.Min(slices.Collect(maps.Values(model))) || model[id] != top) {
+			t.Fatalf("op %d: Peek = (%d, owner %d, %v), the model's smallest of %v", i, top, id, ok, model)
 		}
 	}
 }
@@ -731,7 +733,7 @@ func TestIndexedHeapMatchesModel(t *testing.T) {
 }
 
 // FuzzIndexedHeap drives random push/set/remove sequences through the
-// indexed heap and the model.
+// indexed heap and the model, Peek's owner included.
 func FuzzIndexedHeap(f *testing.F) {
 	f.Add([]byte{0, 4, 8, 1, 5, 2, 3, 0, 12, 7, 3, 3}, uint8(3))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3}, uint8(1))
