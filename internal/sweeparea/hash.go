@@ -73,19 +73,25 @@ func (h *Hash) Reorganize(t temporal.Time) int {
 	for {
 		end, slot, ok := h.expiry.Peek()
 		if !ok || end > t {
-			return removed
+			break
 		}
 		h.expiry.Pop()
 		h.remove(slot)
 		removed++
 	}
+	if removed > 0 && h.items.Len() == 0 {
+		// An area the purge emptied gives its arrays back, so what it
+		// reports holding falls with its state.
+		h.items, h.expiry = xds.Lists[temporal.Element, any]{}, xds.Heap[temporal.Time, int32]{}
+	}
+	return removed
 }
 
 // Shed implements SweepArea: pops the soonest-expiring entries. The
 // slab's free slots and the dropped list ids go too: they are memory the
-// area holds but does not use. The live elements move into a slab, and
-// their buckets into a list table, just their size, so a shed frees what
-// it reports.
+// area holds but does not use. The live elements move into a slab, their
+// buckets into a list table and their expiry entries into a heap array,
+// each just their size, so a shed frees what it reports.
 func (h *Hash) Shed(n int) int {
 	removed := 0
 	for ; removed < n; removed++ {
@@ -96,14 +102,10 @@ func (h *Hash) Shed(n int) int {
 		h.remove(slot)
 	}
 	slots, lists := h.items.Repack()
-	var expiry xds.Heap[temporal.Time, int32]
-	for end, slot := range h.expiry.All() {
-		expiry.Push(end, slots[slot]) // array order: the same heap
-	}
+	h.expiry.Remap(func(slot int32) int32 { return slots[slot] })
 	for k, id := range h.buckets {
 		h.buckets[k] = lists[id]
 	}
-	h.expiry = expiry
 	return removed
 }
 
@@ -130,6 +132,6 @@ func (h *Hash) AppendItems(dst []temporal.Element) []temporal.Element {
 // Len implements SweepArea.
 func (h *Hash) Len() int { return h.items.Len() }
 
-// MemoryUsage implements SweepArea: the node slab and the list table,
-// free slots included, and 16 bytes a live expiry entry.
-func (h *Hash) MemoryUsage() int { return h.items.Bytes() + h.expiry.Len()*16 }
+// MemoryUsage implements SweepArea: the node slab, the list table and
+// the expiry heap's array, free slots included.
+func (h *Hash) MemoryUsage() int { return h.items.Bytes() + h.expiry.Bytes() }

@@ -146,6 +146,24 @@ func TestMemoryUsageTracksLen(t *testing.T) {
 	}
 }
 
+// A hash area's expiry heap keeps the array it grew to after its
+// entries expire, and MemoryUsage counts that array, not the live
+// entries alone.
+func TestHashCountsItsExpiryArray(t *testing.T) {
+	h := NewHash(intKey, intKey)
+	const n, live = 10000, 5
+	for i := 0; i < n; i++ {
+		h.Insert(elem(i%100, temporal.Time(i), temporal.Time(i+1)))
+	}
+	h.Reorganize(n - live)
+	if h.Len() != live {
+		t.Fatalf("Len = %d after reorganizing, want %d", h.Len(), live)
+	}
+	if got, heap := h.MemoryUsage()-h.items.Bytes(), h.expiry.Bytes(); got < heap {
+		t.Fatalf("MemoryUsage counts %d bytes beside the lists with %d live elements, below the expiry heap's %d-byte array", got, live, heap)
+	}
+}
+
 func TestHashTombstonesAfterShed(t *testing.T) {
 	// Shed then Reorganize must not count a shed entry again.
 	h := NewHash(intKey, intKey)

@@ -72,6 +72,16 @@ func (h *Heap[K, V]) All() iter.Seq2[K, V] {
 	}
 }
 
+// Remap replaces every entry's value v with f(v), keeping each key where
+// it is, in a new array just the heap's size.
+func (h *Heap[K, V]) Remap(f func(V) V) {
+	data := make([]entry[K, V], len(h.data))
+	for i, e := range h.data {
+		data[i] = entry[K, V]{e.k, f(e.v)}
+	}
+	h.data = data
+}
+
 func (h *Heap[K, V]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
