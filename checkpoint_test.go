@@ -64,9 +64,8 @@ type renderSink struct {
 	out []string
 }
 
-func (s *renderSink) Name() string   { return "render" }
-func (s *renderSink) Done(int)       {}
-func (s *renderSink) BorrowsValues() {}
+func (s *renderSink) Name() string { return "render" }
+func (s *renderSink) Done(int)     {}
 
 func (s *renderSink) ProcessBatch(b temporal.Batch, _ int) {
 	s.mu.Lock()

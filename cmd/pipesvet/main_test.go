@@ -194,6 +194,12 @@ type Map struct {
 	frame temporal.Batch
 }
 
+// Map is an operator, so a Source: it owns the values it is handed, and
+// only the frame borrow applies to it.
+func (m *Map) Subscribe(s any, input int) error   { return nil }
+func (m *Map) Unsubscribe(s any, input int) error { return nil }
+func (m *Map) Subscriptions() []any               { return nil }
+
 // ProcessBatch is the operator's one frame method and a hot root: the raw
 // time.Now inside is the seeded hotpathclock violation. It also carries
 // the seeded frameborrow violation — the borrowed frame's header is

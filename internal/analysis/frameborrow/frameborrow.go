@@ -19,19 +19,23 @@
 //   - capturing an alias inside a function literal that escapes the call
 //     (returned, or stored into a field or package-level variable).
 //
-// A sink that declares pubsub.ValueBorrower (a BorrowsValues method) is
-// lent the values too, not just the frame: the publisher refills them
-// once TransferBatch returns. In its ProcessBatch the analyzer also
-// flags storing what reaches into a value — an element (b[i], a range
-// variable over b), its Value, a type assertion of that, a map, slice,
-// pointer or interface read from it, or an append or composite literal
-// holding any of these — into a field, a field's element (as element or
-// as map key) or a package-level variable.
+// A terminal sink borrows the values too, not just the frame, unless it
+// declares pubsub.ValueKeeper (a KeepsValues method): a lending publisher
+// refills them once TransferBatch returns. So in the ProcessBatch of
+// every type that is not a Source (no Subscribe, Unsubscribe and
+// Subscriptions methods), has no BarrierGate method and declares no
+// KeepsValues, the analyzer also flags storing what reaches into a
+// value — an element (b[i], a range variable over b), its Value, a type
+// assertion of that, a map, slice, pointer or interface read from it, or
+// an append or composite literal holding any of these — into a field, a
+// field's element (as element or as map key) or a package-level
+// variable.
 //
-// Copies do not propagate the taint: `append(dst, b...)` aliases dst, not
-// b, so the idiomatic scratch compaction
+// Copies do not propagate the frame taint: `append(dst, b...)` aliases
+// dst, not b, so the idiomatic scratch compaction
 // (`o.scratch = append(o.scratch[:0], b...)`, PipeBase.Emit) and the
-// Buffer's copy at enqueue are both clean. Forwarding the frame to another call
+// Buffer's copy at enqueue are both clean (a borrower's copied elements
+// still carry the lent values). Forwarding the frame to another call
 // (`s.TransferBatch(b)`, `sink.ProcessBatch(b, i)`) is clean too: the
 // borrow nests through synchronous hops.
 package frameborrow
@@ -52,16 +56,18 @@ const name = "frameborrow"
 // Analyzer is the frameborrow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc:  "flags temporal.Batch frame storage, and a ValueBorrower's element values, retained past the borrowing call (SEMANTICS.md §3.7): frames must be copied, not kept",
+	Doc:  "flags temporal.Batch frame storage, and a borrowing sink's element values, retained past the borrowing call (SEMANTICS.md §3.7): frames must be copied, not kept",
 	Run:  run,
 }
 
-// scope is where frames are consumed and forwarded — every package with a
-// ProcessBatch: the operators, the checkpoint taps, pubsub, the service
-// result sink and the remote writers — plus the telemetry packages they
-// call into with frames in hand (the flight block delivers and re-frames
-// them).
-var scope = []string{"ops", "ft", "pubsub", "telemetry", "flight", "aggregate", "service", "remote"}
+// scope is where frames are consumed and forwarded — every package that
+// defines a sink: the operators, the checkpoint taps and sink, pubsub,
+// the service result sink, the remote writers, the differential
+// harness's sink and the per-element sinks of the adapters, cursors and
+// archive — plus the telemetry packages they call into with frames in
+// hand (the flight block delivers and re-frames them).
+var scope = []string{"ops", "ft", "pubsub", "telemetry", "flight", "aggregate", "service", "remote",
+	"harness", "adapter", "cursor", "archive"}
 
 func run(pass *analysis.Pass) (any, error) {
 	allow := vetutil.NewAllower(pass, name) // before the scope check: directive misuse is validated everywhere
@@ -292,14 +298,15 @@ func checkFunc(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) {
 		return true
 	})
 
-	if declaresBorrow(pass, fd) {
+	if borrowsValues(pass, fd) {
 		checkBorrowedValues(pass, allow, fd, aliases, escapes)
 	}
 }
 
-// declaresBorrow reports whether fd is the ProcessBatch of a type with a
-// BorrowsValues method (pubsub.ValueBorrower).
-func declaresBorrow(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+// borrowsValues reports whether fd is the ProcessBatch of a type that
+// borrows lent values (pubsub's Subscribe rule): not a Source, no
+// barrier gate, no KeepsValues declaration.
+func borrowsValues(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || fd.Name.Name != "ProcessBatch" {
 		return false
 	}
@@ -310,9 +317,13 @@ func declaresBorrow(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if _, ok := recv.(*types.Pointer); !ok {
 		recv = types.NewPointer(recv)
 	}
-	obj, _, _ := types.LookupFieldOrMethod(recv, true, pass.Pkg, "BorrowsValues")
-	_, ok := obj.(*types.Func)
-	return ok
+	has := func(method string) bool {
+		obj, _, _ := types.LookupFieldOrMethod(recv, true, pass.Pkg, method)
+		_, ok := obj.(*types.Func)
+		return ok
+	}
+	source := has("Subscribe") && has("Unsubscribe") && has("Subscriptions")
+	return !source && !has("BarrierGate") && !has("KeepsValues")
 }
 
 // shares reports whether a value of type t may share storage with what
@@ -329,7 +340,7 @@ func shares(t types.Type) bool {
 	return false
 }
 
-// checkBorrowedValues flags a ValueBorrower's ProcessBatch keeping what
+// checkBorrowedValues flags a borrowing sink's ProcessBatch keeping what
 // reaches into a lent value; aliases and escapes are checkFunc's frame
 // alias test and retention test.
 func checkBorrowedValues(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl,
@@ -430,7 +441,7 @@ func checkBorrowedValues(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.Fu
 			return
 		}
 		pass.Reportf(n.Pos(),
-			"storing a lent element value retains it past the call: this sink declares BorrowsValues, so its publisher refills the value once TransferBatch returns — keep a copy, or drop the declaration (SEMANTICS.md §3.7)")
+			"storing a lent element value retains it past the call: this sink borrows lent values, so its publisher refills the value once TransferBatch returns — keep a copy, or declare KeepsValues (SEMANTICS.md §3.7)")
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)

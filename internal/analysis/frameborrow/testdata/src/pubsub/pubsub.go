@@ -9,7 +9,14 @@ type buffer struct {
 	q           []temporal.Batch
 	free        []temporal.Batch
 	hookScratch temporal.Batch
+	subs        []any
 }
+
+// The buffer is a Source: what it queues goes on to its own subscribers,
+// so it owns the values it is handed.
+func (b *buffer) Subscribe(s any, input int) error   { b.subs = append(b.subs, s); return nil }
+func (b *buffer) Unsubscribe(s any, input int) error { return nil }
+func (b *buffer) Subscriptions() []any               { return b.subs }
 
 func (b *buffer) alloc() temporal.Batch {
 	if n := len(b.free); n > 0 {

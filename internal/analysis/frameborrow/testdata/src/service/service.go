@@ -1,6 +1,7 @@
-// Package service exercises frameborrow's value rule: a sink declaring
-// BorrowsValues is lent the element values as well as the frame, so
-// nothing reachable from a value may outlive ProcessBatch.
+// Package service exercises frameborrow's value rule: a terminal sink
+// that does not declare KeepsValues is lent the element values as well
+// as the frame, so nothing reachable from a value may outlive
+// ProcessBatch.
 package service
 
 import "temporal"
@@ -9,8 +10,8 @@ type row map[string]any
 
 var lastValue any
 
-// keeper declares BorrowsValues and then keeps values in every way the
-// rule covers.
+// keeper declares nothing and then keeps values in every way the rule
+// covers.
 type keeper struct {
 	last  any
 	row   row
@@ -21,8 +22,6 @@ type keeper struct {
 	byKey map[string]any
 	inner []any
 }
-
-func (k *keeper) BorrowsValues() {}
 
 func (k *keeper) ProcessBatch(b temporal.Batch, _ int) {
 	k.last = b[0].Value // want `storing a lent element value`
@@ -40,8 +39,16 @@ func (k *keeper) ProcessBatch(b temporal.Batch, _ int) {
 	}
 }
 
-// reader declares BorrowsValues and keeps only what it derives: scalars
-// read out of a value, renderings, counts.
+// collector copies whole elements out of the frame: the spread copies
+// the elements, but their values are still the lent ones.
+type collector struct{ elems []temporal.Element }
+
+func (c *collector) ProcessBatch(b temporal.Batch, _ int) {
+	c.elems = append(c.elems, b...) // want `storing a lent element value`
+}
+
+// reader declares nothing and keeps only what it derives: scalars read
+// out of a value, renderings, counts.
 type reader struct {
 	n      int
 	buf    []byte
@@ -49,8 +56,6 @@ type reader struct {
 	name   string
 	starts []temporal.Time
 }
-
-func (r *reader) BorrowsValues() {}
 
 func (r *reader) ProcessBatch(b temporal.Batch, _ int) {
 	for _, e := range b {
@@ -65,9 +70,11 @@ func (r *reader) ProcessBatch(b temporal.Batch, _ int) {
 
 func render(dst []byte, v any) []byte { return append(dst, '.') }
 
-// owner does not declare BorrowsValues: it is handed owned values and
-// may keep them.
+// owner declares KeepsValues: it is handed owned values and may keep
+// them.
 type owner struct{ vals []any }
+
+func (o *owner) KeepsValues() {}
 
 func (o *owner) ProcessBatch(b temporal.Batch, _ int) {
 	for _, e := range b {
@@ -75,10 +82,38 @@ func (o *owner) ProcessBatch(b temporal.Batch, _ int) {
 	}
 }
 
+// pipe is a Source: what it is handed goes on to its own subscribers, so
+// it owns it, and may queue values, without declaring anything.
+type pipe struct {
+	queued []any
+	subs   []any
+}
+
+func (p *pipe) Subscribe(s any, input int) error   { p.subs = append(p.subs, s); return nil }
+func (p *pipe) Unsubscribe(s any, input int) error { return nil }
+func (p *pipe) Subscriptions() []any               { return p.subs }
+
+func (p *pipe) ProcessBatch(b temporal.Batch, _ int) {
+	for _, e := range b {
+		p.queued = append(p.queued, e.Value)
+	}
+}
+
+// gated has a barrier gate: a frame it parks during alignment outlives
+// the call, so it owns what it is handed without declaring anything.
+type gated struct {
+	parked []temporal.Element
+	gate   struct{}
+}
+
+func (g *gated) BarrierGate() *struct{} { return &g.gate }
+
+func (g *gated) ProcessBatch(b temporal.Batch, _ int) {
+	g.parked = append(g.parked, b...)
+}
+
 // audited keeps a value behind a reviewed exception.
 type audited struct{ last any }
-
-func (a *audited) BorrowsValues() {}
 
 func (a *audited) ProcessBatch(b temporal.Batch, _ int) {
 	//pipesvet:allow frameborrow fixture exercises the audited-retention escape hatch

@@ -154,6 +154,10 @@ func (s *CheckpointSink) ProcessBatch(b temporal.Batch, _ int) {
 	s.mu.Unlock()
 }
 
+// KeepsValues implements pubsub.ValueKeeper: the sink records what it
+// is handed, so a lending publisher gives it owned copies.
+func (s *CheckpointSink) KeepsValues() {}
+
 // Done implements pubsub.Sink.
 func (s *CheckpointSink) Done(_ int) {
 	s.mu.Lock()

@@ -193,6 +193,7 @@ type diffSink struct {
 func (s *diffSink) Name() string                         { return "diff-sink" }
 func (s *diffSink) ProcessBatch(b temporal.Batch, _ int) { s.elems = append(s.elems, b...) }
 func (s *diffSink) Done(_ int)                           {}
+func (s *diffSink) KeepsValues()                         {} // the sequence is compared after the run
 func (s *diffSink) HandleControl(c pubsub.Control, _ int) {
 	if b, ok := c.(pubsub.Barrier); ok {
 		if _, dup := s.cuts[b.ID]; !dup {

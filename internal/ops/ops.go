@@ -111,11 +111,11 @@ func (m *Map) ProcessBatch(b temporal.Batch, _ int) {
 // Project is the planner's temporal projection π over map-shaped rows:
 // Map with a mapper that writes each result into a row the node takes
 // from its free list instead of returning a fresh one. The node lends its
-// rows (rows, pubsub.SourceBase.Lend): while a subscriber that only reads
-// values in the call (pubsub.ValueBorrower) is subscribed, rows come back
-// after each frame and are refilled, and every other subscriber gets a
-// maps.Clone per row; while none is, every row is a new one, the
-// subscribers'.
+// rows (rows, pubsub.SourceBase.Lend): while a borrower is subscribed —
+// a terminal sink that does not declare pubsub.ValueKeeper — rows come
+// back after each frame and are refilled, and every other subscriber (a
+// keeper, a pipe, a buffer) gets a maps.Clone per row; while none is,
+// every row is a new one, the subscribers'.
 type Project[M ~map[string]any] struct {
 	pubsub.PipeBase
 	fill func(v any, row M)

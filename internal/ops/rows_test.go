@@ -14,9 +14,8 @@ import (
 // and keeps only how many it read.
 type rowReader struct{ n int }
 
-func (r *rowReader) Name() string   { return "reader" }
-func (r *rowReader) Done(int)       {}
-func (r *rowReader) BorrowsValues() {}
+func (r *rowReader) Name() string { return "reader" }
+func (r *rowReader) Done(int)     {}
 
 func (r *rowReader) ProcessBatch(b temporal.Batch, _ int) {
 	for _, e := range b {
@@ -135,5 +134,47 @@ func TestLentRowsCountInMemory(t *testing.T) {
 	}
 	if got, want := g.MemoryUsage(), plain.MemoryUsage()+free*rowBytes; got != want {
 		t.Fatalf("γ reports MemoryUsage %d, want its state's %d and its free rows' %d", got, plain.MemoryUsage(), free*rowBytes)
+	}
+}
+
+// rowKeeper keeps every row it is handed without declaring
+// pubsub.ValueKeeper: the mistake the poison exposes.
+type rowKeeper struct{ kept []map[string]any }
+
+func (k *rowKeeper) Name() string { return "keeper" }
+func (k *rowKeeper) Done(int)     {}
+
+func (k *rowKeeper) ProcessBatch(b temporal.Batch, _ int) {
+	for _, e := range b {
+		k.kept = append(k.kept, e.Value.(map[string]any))
+	}
+}
+
+// A sink that keeps rows without declaring KeepsValues is lent them like
+// any borrower, and once π takes them back it holds the poison, not the
+// fields it was handed. A Collector beside it declares KeepsValues and
+// keeps intact copies.
+func TestLentRowKeptByUndeclaredSinkIsPoisoned(t *testing.T) {
+	pi := NewProject("π", func(v any, row map[string]any) { row["v"] = v })
+	undeclared, declared := &rowKeeper{}, pubsub.NewCollector("declared", 1)
+	for _, s := range []pubsub.Sink{undeclared, declared} {
+		if err := pi.Subscribe(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := temporal.Batch{el(1, 0, 1), el(2, 1, 2), el(3, 2, 3)}
+	pi.ProcessBatch(in, 0)
+	if len(undeclared.kept) != len(in) {
+		t.Fatalf("the undeclared sink kept %d rows, want %d", len(undeclared.kept), len(in))
+	}
+	for i, row := range undeclared.kept {
+		if _, poisoned := row[poisonField]; !poisoned || len(row) != 1 {
+			t.Fatalf("row %d kept past the call holds %v, want only the poison", i, row)
+		}
+	}
+	for i, v := range declared.Values() {
+		if row := v.(map[string]any); len(row) != 1 || row["v"] != in[i].Value {
+			t.Fatalf("the declared keeper's row %d holds %v, want v=%v", i, row, in[i].Value)
+		}
 	}
 }

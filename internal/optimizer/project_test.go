@@ -16,9 +16,8 @@ import (
 // way the service's result sink does.
 type renderSink struct{ out [][]byte }
 
-func (s *renderSink) Name() string   { return "render" }
-func (s *renderSink) Done(int)       {}
-func (s *renderSink) BorrowsValues() {}
+func (s *renderSink) Name() string { return "render" }
+func (s *renderSink) Done(int)     {}
 
 func (s *renderSink) ProcessBatch(b temporal.Batch, _ int) {
 	for _, e := range b {

@@ -7,20 +7,52 @@ import (
 	"pipes/internal/temporal"
 )
 
-// borrowSink records the values it was handed; it declares that it keeps
-// nothing reachable from them (the test only compares their identity).
-type borrowSink struct {
-	*Collector
+// recorder is a terminal sink's bookkeeping: the values it was handed,
+// in order (the tests compare their identity).
+type recorder struct {
+	name string
+	vals []any
 }
 
-func (s *borrowSink) BorrowsValues() {}
+func (r *recorder) Name() string { return r.name }
+func (r *recorder) Done(int)     {}
 
-// gatedBorrower claims to borrow but blocks during barrier alignment.
-type gatedBorrower struct {
-	*mergePipe
+// borrowSink is a terminal frame sink that declares nothing, so a lender
+// lends it its values.
+type borrowSink struct{ recorder }
+
+func newBorrowSink(name string) *borrowSink { return &borrowSink{recorder{name: name}} }
+
+func (s *borrowSink) ProcessBatch(b temporal.Batch, _ int) {
+	for _, e := range b {
+		s.vals = append(s.vals, e.Value)
+	}
 }
 
-func (gatedBorrower) BorrowsValues() {}
+// elementOwner is a per-element sink: it declares nothing, yet owns
+// what it is handed, since Process may keep it.
+type elementOwner struct{ recorder }
+
+func (s *elementOwner) Process(e temporal.Element, _ int) { s.vals = append(s.vals, e.Value) }
+
+// gatedSink is a terminal frame sink with a barrier gate: it declares
+// nothing, yet owns what it is handed, since a frame it parks during
+// alignment outlives the call.
+type gatedSink struct {
+	borrowSink
+	gate Gate
+}
+
+func (s *gatedSink) BarrierGate() *Gate { return &s.gate }
+
+// relay is a single-input pipe forwarding each frame: it declares
+// nothing and has no gate, yet owns what it is handed, since what it
+// publishes reaches sinks of its own.
+type relay struct{ PipeBase }
+
+func newRelay(name string) *relay { return &relay{NewPipeBase(name, 1)} }
+
+func (r *relay) ProcessBatch(b temporal.Batch, _ int) { r.TransferBatch(b) }
 
 // lender is a publisher that lends *int values and counts what it
 // clones and gets back.
@@ -62,40 +94,57 @@ func subscribeAll(t *testing.T, src Source, sinks ...Sink) {
 	}
 }
 
-// A lending publisher hands its own values to borrowers only: owners —
-// plain sinks and a borrower behind a barrier gate — share one copy per
-// element, made once whatever their number, and a publisher that does
-// not lend copies nothing.
+// owners subscribes, besides a Collector, one sink of every kind that
+// owns without declaring it: a per-element sink, a gated terminal sink
+// and a pipe, with a Collector behind the pipe. It returns what each
+// kind was handed.
+func owners(t *testing.T, src Source) (collector *Collector, handed map[string]func() []any) {
+	t.Helper()
+	collector = NewCollector("collector", 1)
+	element := &elementOwner{recorder{name: "element"}}
+	gated := &gatedSink{borrowSink: *newBorrowSink("gated")}
+	pipe, behindPipe := newRelay("pipe"), NewCollector("behind-pipe", 1)
+	subscribeAll(t, src, collector, element, gated, pipe)
+	subscribeAll(t, pipe, behindPipe)
+	return collector, map[string]func() []any{
+		"a Collector":            collector.Values,
+		"a per-element sink":     func() []any { return element.vals },
+		"a gated sink":           func() []any { return gated.vals },
+		"the sink behind a pipe": behindPipe.Values,
+	}
+}
+
+// A lending publisher hands its own values to the sinks that borrow — a
+// terminal frame sink that declares nothing — and only to them: owners,
+// the Collector that declares KeepsValues and the sinks that never
+// borrow, share one copy per element, made once whatever their number,
+// and a publisher that does not lend copies nothing.
 func TestLendHandsBorrowersTheFrameAndOwnersCopies(t *testing.T) {
 	lent := newLender("lent")
-	borrower := &borrowSink{NewCollector("borrower", 1)}
-	owner1, owner2 := NewCollector("owner1", 1), NewCollector("owner2", 1)
-	gated := gatedBorrower{newMergePipe("gated")}
-	behindGate := NewCollector("behind-gate", 1)
-	subscribeAll(t, lent, borrower, owner1, owner2, gated)
-	subscribeAll(t, gated, behindGate)
+	borrower := newBorrowSink("borrower")
+	subscribeAll(t, lent, borrower)
+	collector, handed := owners(t, lent)
 	frame, vals := intFrame(2)
 	lent.TransferBatch(frame)
 	if lent.clones != len(frame) {
-		t.Fatalf("%d clones for a %d-element frame and three owners, want one per element", lent.clones, len(frame))
+		t.Fatalf("%d clones for a %d-element frame and %d owners, want one per element", lent.clones, len(frame), len(handed))
 	}
-	for i, v := range borrower.Values() {
+	for i, v := range borrower.vals {
 		if v.(*int) != vals[i] {
 			t.Fatalf("the borrower was handed a copy")
 		}
 	}
-	owned := owner1.Values()
+	owned := collector.Values()
 	for i, v := range owned {
 		if v.(*int) == vals[i] || *v.(*int) != *vals[i] {
-			t.Fatalf("owner got %p=%d, want a copy of %p=%d", v, *v.(*int), vals[i], *vals[i])
-		}
-		if owner2.Values()[i] != v {
-			t.Fatalf("owners got different copies of element %d", i)
+			t.Fatalf("the Collector got %p=%d, want a copy of %p=%d", v, *v.(*int), vals[i], *vals[i])
 		}
 	}
-	for i, v := range behindGate.Values() {
-		if v.(*int) == vals[i] {
-			t.Fatalf("a gated borrower was handed the lent value")
+	for kind, got := range handed {
+		for i, v := range got() {
+			if v != owned[i] {
+				t.Fatalf("%s was not handed the owners' copy of element %d", kind, i)
+			}
 		}
 	}
 
@@ -110,34 +159,30 @@ func TestLendHandsBorrowersTheFrameAndOwnersCopies(t *testing.T) {
 	}
 }
 
-// A lender whose snapshot holds only owners — plain sinks and a borrower
-// behind a barrier gate — lends nothing: every subscriber gets its own
-// values, nothing is cloned and nothing comes back.
+// A lender whose snapshot holds only owners lends nothing: every
+// subscriber gets the publisher's values, nothing is cloned and nothing
+// comes back.
 func TestLenderWithoutBorrowerGivesItsValues(t *testing.T) {
 	lent := newLender("lent")
-	owner := NewCollector("owner", 1)
-	gated := gatedBorrower{newMergePipe("gated")}
-	behindGate := NewCollector("behind-gate", 1)
-	subscribeAll(t, lent, owner, gated)
-	subscribeAll(t, gated, behindGate)
+	_, handed := owners(t, lent)
 	frame, vals := intFrame(5)
 	lent.TransferBatch(frame)
 	if lent.clones != 0 || len(lent.reclaims) != 0 {
 		t.Fatalf("%d clones and %d values reclaimed with no borrower subscribed, want none", lent.clones, len(lent.reclaims))
 	}
-	for _, c := range []*Collector{owner, behindGate} {
-		for i, v := range c.Values() {
+	for kind, got := range handed {
+		for i, v := range got() {
 			if v.(*int) != vals[i] {
-				t.Fatalf("%s was handed a copy, want the publisher's value", c.Name())
+				t.Fatalf("%s was handed a copy, want the publisher's value", kind)
 			}
 		}
 	}
 }
 
-// reclaimWatch is a subscriber that fails if any value of the frame it
-// is handed has come back to the publisher already.
+// reclaimWatch is a borrowing subscriber that fails if any value of the
+// frame it is handed has come back to the publisher already.
 type reclaimWatch struct {
-	*Collector
+	borrowSink
 	t    *testing.T
 	lent *lender
 }
@@ -146,13 +191,13 @@ func (w *reclaimWatch) ProcessBatch(b temporal.Batch, input int) {
 	if n := len(w.lent.reclaims); n != 0 {
 		w.t.Errorf("%s was handed a frame after %d of its values came back", w.Name(), n)
 	}
-	w.Collector.ProcessBatch(b, input)
+	w.borrowSink.ProcessBatch(b, input)
 }
 
-// borrowingWatch is a reclaimWatch that borrows.
-type borrowingWatch struct{ *reclaimWatch }
+// keepingWatch is a reclaimWatch that keeps.
+type keepingWatch struct{ *reclaimWatch }
 
-func (borrowingWatch) BorrowsValues() {}
+func (keepingWatch) KeepsValues() {}
 
 // With a borrower subscribed, every lent value comes back exactly once,
 // after every subscriber — borrowers before and after the owner — has
@@ -160,9 +205,9 @@ func (borrowingWatch) BorrowsValues() {}
 func TestLenderReclaimsEveryLentValueOnce(t *testing.T) {
 	lent := newLender("lent")
 	watch := func(name string) *reclaimWatch {
-		return &reclaimWatch{Collector: NewCollector(name, 1), t: t, lent: lent}
+		return &reclaimWatch{borrowSink: *newBorrowSink(name), t: t, lent: lent}
 	}
-	first, owner, last := borrowingWatch{watch("first")}, watch("owner"), borrowingWatch{watch("last")}
+	first, owner, last := watch("first"), keepingWatch{watch("owner")}, watch("last")
 	subscribeAll(t, lent, first, owner, last)
 	frame, vals := intFrame(9)
 	lent.TransferBatch(frame)
@@ -174,21 +219,23 @@ func TestLenderReclaimsEveryLentValueOnce(t *testing.T) {
 			t.Fatalf("value %d came back %d times, want once", i, n)
 		}
 	}
-	for i, v := range owner.Values() {
-		if lent.reclaims[v.(*int)] != 0 {
+	for i, v := range owner.vals {
+		if v == vals[i] || lent.reclaims[v.(*int)] != 0 {
 			t.Fatalf("the owner's value %d came back to the publisher", i)
 		}
 	}
 }
 
-// keeper is an owner that records every value it is handed and the
-// number the value held then.
+// keeper is an owner: it declares KeepsValues and records every value
+// it is handed and the number the value held then.
 type keeper struct {
-	*Collector
+	recorder
 	kept  []*int
 	seen  []int
 	owned map[*int]bool
 }
+
+func (k *keeper) KeepsValues() {}
 
 func (k *keeper) ProcessBatch(b temporal.Batch, _ int) {
 	for _, e := range b {
@@ -204,7 +251,7 @@ func (k *keeper) ProcessBatch(b temporal.Batch, _ int) {
 // under it.
 func TestBorrowerTogglingMidStreamNeverReclaimsOwnedValues(t *testing.T) {
 	const width, minFrames, maxFrames = 8, 200, 1 << 16
-	owner := &keeper{Collector: NewCollector("owner", 1), owned: map[*int]bool{}}
+	owner := &keeper{recorder: recorder{name: "owner"}, owned: map[*int]bool{}}
 	lent := NewSourceBase("lent")
 	var free []*int
 	lentNow, stolen := false, 0
@@ -220,7 +267,7 @@ func TestBorrowerTogglingMidStreamNeverReclaimsOwnedValues(t *testing.T) {
 		free = append(free, p)
 	})
 	subscribeAll(t, &lent, owner)
-	borrower := &borrowSink{NewCollector("borrower", 1)}
+	borrower := newBorrowSink("borrower")
 
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {

@@ -56,7 +56,8 @@ type Sink interface {
 // publishing sources. The frame is borrowed for the duration of the call
 // (see temporal.Batch): the sink may forward it downstream synchronously,
 // but must copy out any element it keeps and must not retain or mutate
-// the slice after returning.
+// the slice after returning. A terminal BatchSink borrows the values as
+// well, unless it declares ValueKeeper.
 type BatchSink interface {
 	Sink
 	ProcessBatch(b temporal.Batch, input int)
@@ -69,16 +70,19 @@ type ElementSink interface {
 	Process(e temporal.Element, input int)
 }
 
-// ValueBorrower is implemented by sinks that read element values only
-// during ProcessBatch and keep nothing reachable from them: every value
-// is consumed in the call (rendered, encoded, counted), never stored. A
-// lending publisher (SourceBase.Lend) hands such a sink its frame as is,
-// values included, gives every other subscriber owned copies and takes
-// its values back once the frame is delivered. The declaration is a
-// promise about the whole call tree ProcessBatch runs (pipesvet's
-// frameborrow checks the sink's own body).
-type ValueBorrower interface {
-	BorrowsValues()
+// ValueKeeper is implemented by terminal BatchSinks that keep element
+// values past ProcessBatch: they store what they are handed (Collector)
+// or hand it to code that may (FuncSink). A terminal BatchSink that does
+// not declare it borrows: a lending publisher (SourceBase.Lend) hands it
+// the frame as is, values included, and takes the values back once the
+// frame is delivered, so it must consume every value in the call
+// (render, encode, count) and keep nothing reachable from one. Keepers,
+// and every sink that cannot borrow (Subscribe), get owned copies
+// instead. Borrowing is a promise about the whole call tree ProcessBatch
+// runs (pipesvet's frameborrow checks the sink's own body; SEMANTICS.md
+// §3.7).
+type ValueKeeper interface {
+	KeepsValues()
 }
 
 // elementEdge is the edge adapter delivering frames to an ElementSink
@@ -142,9 +146,9 @@ type Subscription struct {
 	// sinks): nothing records their input side.
 	block *atomic.Pointer[flight.OpRef]
 
-	// borrows caches whether the sink may be handed a lending publisher's
-	// values as they are (ValueBorrower). A gated sink never borrows: a
-	// frame parked during barrier alignment outlives the call.
+	// borrows caches whether the sink is handed a lending publisher's
+	// values as they are: it is a terminal BatchSink with no barrier gate
+	// that does not declare KeepsValues (Subscribe).
 	borrows bool
 }
 
@@ -262,8 +266,7 @@ func (s *SourceBase) Subscribe(sink Sink, input int) error {
 	if g, ok := sink.(Gated); ok {
 		sub.gate = g.BarrierGate()
 	}
-	_, borrower := sink.(ValueBorrower)
-	sub.borrows = borrower && sub.gate == nil
+	sub.borrows = borrows(sink, sub.gate)
 	if n, ok := sink.(interface {
 		flightBlock() *atomic.Pointer[flight.OpRef]
 	}); ok {
@@ -272,6 +275,19 @@ func (s *SourceBase) Subscribe(sink Sink, input int) error {
 	next[len(cur)] = sub
 	s.subs.Store(&next)
 	return nil
+}
+
+// borrows reports whether sink borrows lent values (SEMANTICS.md §3.7).
+// Only a terminal BatchSink can: an ElementSink's Process may keep what
+// it is handed one element at a time, a Source forwards or queues its
+// values, and a gated sink parks frames during barrier alignment past
+// the call. Of the rest, every sink that does not declare KeepsValues
+// borrows.
+func borrows(sink Sink, gate *Gate) bool {
+	_, batch := sink.(BatchSink)
+	_, source := sink.(Source)
+	_, keeper := sink.(ValueKeeper)
+	return batch && !source && gate == nil && !keeper
 }
 
 // Unsubscribe implements Source.
@@ -306,9 +322,9 @@ func (s *SourceBase) Subscriptions() []Subscription { return s.loadSubs() }
 // borrowed by the subscribers (temporal.Batch): when the call returns,
 // ownership is back with the caller, which may reuse the backing array
 // for its next frame. After Lend the values are lent only when the
-// snapshot delivered from holds a borrower; they then come back through
-// reclaim before TransferBatch returns, and otherwise belong to the
-// subscribers.
+// snapshot delivered from holds a borrower (a terminal BatchSink that
+// does not declare KeepsValues); they then come back through reclaim
+// before TransferBatch returns, and otherwise belong to the subscribers.
 func (s *SourceBase) TransferBatch(b temporal.Batch) {
 	if len(b) == 0 {
 		return
@@ -384,12 +400,13 @@ func (s *SourceBase) own(b temporal.Batch) temporal.Batch {
 
 // Lend declares that the values this publisher publishes are its own,
 // lent to the subscribers that borrow (SEMANTICS.md §3.7). A frame
-// published while the subscription snapshot holds a ValueBorrower (not
-// gated) is lent: borrowers receive it as is; every other subscriber
-// receives one copy whose values went through clone, shared among them;
-// and once every subscriber has returned, each published value is handed
-// to reclaim, under the publisher's serialisation, for the publisher to
-// reuse. A frame published while no subscriber borrows is not lent:
+// published while the subscription snapshot holds a borrower (a terminal
+// BatchSink, not gated, that does not declare KeepsValues) is lent:
+// borrowers receive it as is; every other subscriber receives one copy
+// whose values went through clone, shared among them; and once every
+// subscriber has returned, each published value is handed to reclaim,
+// under the publisher's serialisation, for the publisher to reuse. A
+// frame published while no subscriber borrows is not lent:
 // every subscriber receives the publisher's values, which are theirs to
 // keep, nothing is cloned and nothing comes back. Call Lend once, before
 // the node is wired into a graph; publishers that never lend pay one nil

@@ -40,6 +40,10 @@ func (c *Collector) ProcessBatch(b temporal.Batch, _ int) {
 	c.mu.Unlock()
 }
 
+// KeepsValues implements ValueKeeper: the collector stores what it is
+// handed, so a lending publisher gives it owned copies.
+func (c *Collector) KeepsValues() {}
+
 // Done implements Sink.
 func (c *Collector) Done(_ int) {
 	c.mu.Lock()
@@ -113,6 +117,10 @@ func (s *FuncSink) ProcessBatch(b temporal.Batch, input int) {
 		s.fn(e, input)
 	}
 }
+
+// KeepsValues implements ValueKeeper: the callback may keep what it
+// sees, so a lending publisher gives the sink owned copies.
+func (s *FuncSink) KeepsValues() {}
 
 // Done implements Sink.
 func (s *FuncSink) Done(_ int) {

@@ -49,7 +49,9 @@ func (w *Writer) Name() string { return w.name }
 
 // ProcessBatch implements pubsub.BatchSink. An element whose value cannot
 // be encoded latches the error: the records before it are written, the
-// element and everything after it are not.
+// element and everything after it are not. Values are encoded within the
+// call and only their bytes are written, so the writer borrows lent
+// values (SEMANTICS.md §3.7) and declares no KeepsValues.
 func (w *Writer) ProcessBatch(b temporal.Batch, _ int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -69,10 +71,6 @@ func (w *Writer) ProcessBatch(b temporal.Batch, _ int) {
 	w.buf = buf
 	w.write(buf)
 }
-
-// BorrowsValues implements pubsub.ValueBorrower: a frame's values are
-// encoded within ProcessBatch and only their bytes are written.
-func (w *Writer) BorrowsValues() {}
 
 // write hands buf to the underlying writer, latching its error.
 func (w *Writer) write(buf []byte) {
@@ -243,6 +241,8 @@ type serverSink Server
 func (s *serverSink) Name() string { return (*Server)(s).name }
 
 // ProcessBatch implements pubsub.BatchSink: fan out to every live client.
+// Every client's Writer encodes the frame within the call, so the sink
+// borrows lent values.
 func (s *serverSink) ProcessBatch(b temporal.Batch, _ int) {
 	srv := (*Server)(s)
 	srv.mu.Lock()
@@ -255,10 +255,6 @@ func (s *serverSink) ProcessBatch(b temporal.Batch, _ int) {
 		}
 	}
 }
-
-// BorrowsValues implements pubsub.ValueBorrower: every client's Writer
-// encodes the frame within the call.
-func (s *serverSink) BorrowsValues() {}
 
 // Done implements pubsub.Sink: send end-of-stream and close clients.
 func (s *serverSink) Done(_ int) {

@@ -507,7 +507,8 @@ func (k *resultSink) Name() string { return "service-results" }
 // buffer's entries share, so a frame costs one allocation and one lock
 // acquisition. Rendering copies everything the sink keeps, honouring the
 // frame borrow contract (SEMANTICS.md §3.7): nothing of b is retained
-// after return.
+// after return. So the sink borrows lent values and declares no
+// KeepsValues: a lending projection hands it its rows without copies.
 func (k *resultSink) ProcessBatch(b temporal.Batch, _ int) {
 	k.scratch, k.ends = k.scratch[:0], k.ends[:0]
 	for _, e := range b {
@@ -516,11 +517,6 @@ func (k *resultSink) ProcessBatch(b temporal.Batch, _ int) {
 	}
 	k.buf.appendFrame(b, bytes.Clone(k.scratch), k.ends)
 }
-
-// BorrowsValues implements pubsub.ValueBorrower: a value is rendered
-// within ProcessBatch and only its bytes are kept, so a lending
-// projection hands the sink its rows without copies.
-func (k *resultSink) BorrowsValues() {}
 
 // Done implements pubsub.Sink.
 func (k *resultSink) Done(_ int) { k.buf.MarkDone() }

@@ -20,7 +20,9 @@ package temporal
 //     it and forward it further downstream within the same call (the
 //     borrow nests through synchronous hops), but it must copy out any
 //     element it keeps and must not retain or mutate the slice after its
-//     ProcessBatch returns.
+//     ProcessBatch returns. A terminal sink that does not declare
+//     pubsub.ValueKeeper borrows the element values too, when the
+//     producer lends them (pubsub.SourceBase.Lend, SEMANTICS.md §3.7).
 //   - The one asynchronous consumer, pubsub.Buffer, copies the frame into
 //     buffer-owned storage at enqueue (recycled through a free list after
 //     drain). Between its Drain and the consuming ProcessBatch call that
