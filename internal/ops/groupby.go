@@ -88,9 +88,10 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 // result for the group of key into an empty row when its span closes and
 // reports whether the span emits at all (a HAVING clause compiled into
 // the node); it runs under the node's processing lock and must not keep
-// agg. A row a borrower returns is reused only once no checkpoint
-// capture of the node is out: its pending rows are state, and the
-// capture's encode reads them after the barrier.
+// agg. Its pending rows are checkpoint state, which a capture's encode
+// reads after the barrier: a row pending at the latest capture leaves
+// as a copy while that capture is out (rows.swap), so a row a borrower
+// returns is reused at once.
 func NewGroupInto[M ~map[string]any](name string, key KeyFunc, factory aggregate.Factory, fill func(key any, agg aggregate.Aggregate, row M) bool) *GroupBy {
 	if fill == nil {
 		panic("ops: nil group projection")
@@ -105,6 +106,7 @@ func NewGroupInto[M ~map[string]any](name string, key KeyFunc, factory aggregate
 		return row, true
 	})
 	r.core = &g.ordered
+	g.swap = r.swap
 	r.lend(&g.SourceBase)
 	g.free = r
 	return g

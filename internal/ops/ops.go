@@ -189,6 +189,13 @@ func (p *Project[M]) MemoryUsage() int {
 // (which may add results), then flushes every pending result in Start
 // order. It also carries the operator's checkpointable state (parts):
 // the operator's parts, then the input queues, then the core itself.
+//
+// A capture's image refers to the values of the results pending when
+// it was taken. γ reuses the rows it lends (NewGroupInto), so it sets
+// swap: each capture then marks the slots it images, and a marked
+// result released while the latest capture is out leaves as swap's
+// copy. A slot's mark goes when its result is released, so a marked
+// slot has been pending since the latest capture.
 type ordered struct {
 	pubsub.PipeBase
 	parts
@@ -200,6 +207,8 @@ type ordered struct {
 	holds    xds.IndexedHeap[temporal.Time] // each key's earliest start it may emit from
 	hold     func() temporal.Time
 	released temporal.Time
+	swap     func(v any) any // copies a value an image still out may read; nil if none is reused
+	imaged   slotBits        // the slots the latest capture imaged and that are still pending; only with swap
 }
 
 // init sets the core up in place (the done hooks capture its address).
@@ -294,7 +303,8 @@ func (c *ordered) release() {
 }
 
 // releaseTo emits, in Start order, every pending result that starts at
-// or before bound.
+// or before bound. A result in the image of a capture still out leaves
+// as swap's copy.
 func (c *ordered) releaseTo(bound temporal.Time) {
 	for {
 		start, _, ok := c.out.Peek()
@@ -303,8 +313,36 @@ func (c *ordered) releaseTo(bound temporal.Time) {
 		}
 		_, slot, _ := c.out.Pop()
 		c.released = start
-		c.Emit(c.results.Take(slot))
+		e := c.results.Take(slot)
+		if c.imaged.take(slot) && c.snaps.leased() {
+			e.Value = c.swap(e.Value)
+		}
+		c.Emit(e)
 	}
+}
+
+// slotBits is a set of slots, a bit each.
+type slotBits []uint64
+
+// add adds slot.
+func (b *slotBits) add(slot int32) {
+	w := int(slot >> 6)
+	if w >= len(*b) {
+		*b = append(*b, make(slotBits, w+1-len(*b))...)
+	}
+	(*b)[w] |= 1 << (slot & 63)
+}
+
+// take removes slot and reports whether it was in the set.
+func (b slotBits) take(slot int32) bool {
+	w := int(slot >> 6)
+	if w >= len(b) {
+		return false
+	}
+	bit := uint64(1) << (slot & 63)
+	in := b[w]&bit != 0
+	b[w] &^= bit
+	return in
 }
 
 // pending returns the number of pending results.

@@ -340,8 +340,11 @@ type parts struct {
 	list  []part
 	snaps recycler // the captures, kept between rounds
 	// free is what the operator keeps beside its state, nil if nothing:
-	// the free rows of a γ that lends them (NewGroupInto).
-	free interface{ bytes() int }
+	// the free and held rows of a γ that lends them (NewGroupInto).
+	free interface {
+		bytes() int
+		settle()
+	}
 }
 
 // declare lists the operator's parts; lock is its ProcMu.
@@ -349,8 +352,12 @@ func (p *parts) declare(lock *sync.Mutex, list ...part) { p.lock, p.list = lock,
 
 // SnapshotState implements the ft.StateSaver contract: every part
 // captures into its slot of one leased image, and the closure encodes
-// the slots in list order.
+// the slots in list order. Rows held for the previous image are freed
+// first if it is back: the new lease would hide that it is.
 func (p *parts) SnapshotState() (func(dst []byte) ([]byte, error), error) {
+	if p.free != nil {
+		p.free.settle()
+	}
 	l := p.snaps.lease(len(p.list))
 	for i, pt := range p.list {
 		l.img[i].enc = pt.capture(&l.img[i])
@@ -484,8 +491,14 @@ func (l *lease) encode(dst []byte) ([]byte, error) {
 // capture copies the order buffer: the pending (unreleased) results in
 // heap array order, and the watermark, written as a list of one. Done
 // inputs are re-established by the replayed inputs, and the holdback
-// heap is rebuilt by the parts before the core.
+// heap is rebuilt by the parts before the core. With swap set it marks
+// the slots it images.
 func (c *ordered) capture(cp *capture) encoder {
+	if c.swap != nil {
+		for _, slot := range c.out.All() {
+			c.imaged.add(slot)
+		}
+	}
 	cp.elems = appendSlots(cp.elems, &c.out, &c.results)
 	cp.nums = append(cp.nums, int64(c.wm))
 	return encodeCore
@@ -514,9 +527,11 @@ func (c *ordered) load(d *wire.Decoder) {
 	c.wm = temporal.Time(d.Varint())
 }
 
-// bytes is the slab, free slots included, the heap's slot array and the
-// holdback's arrays.
-func (c *ordered) bytes() int { return c.results.Bytes() + c.out.Bytes() + c.holds.Bytes() }
+// bytes is the slab, free slots included, the heap's slot array, the
+// holdback's arrays and the imaged slots' bits.
+func (c *ordered) bytes() int {
+	return c.results.Bytes() + c.out.Bytes() + c.holds.Bytes() + cap(c.imaged)*8
+}
 
 // area is a sweep area as a part. Its contents are written in canonical
 // order — area semantics are insertion-order independent — sorted by the
