@@ -76,10 +76,9 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 	g := &GroupBy{key: key, factory: factory, outFn: outFn}
 	g.groups = keyed[group]{ids: map[any]int32{}, holds: &g.holds, heap: &g.expiry,
 		copy: captureGroup, entry: appendGroup, read: g.readGroups}
-	// Groups holding elements valid forever never see a closing boundary
-	// before the end; advance(MaxTime) pops their expiry events and emits
-	// their final spans.
-	g.init(name, 1, g.processOne, func() { g.advance(temporal.MaxTime) }, &g.groups)
+	// Every live group, one holding elements valid forever included, has
+	// a span left to close at the end of the stream.
+	g.init(name, 1, g.processOne, func() { drain(&g.ordered, &g.expiry, g.advance) }, &g.groups)
 	return g
 }
 

@@ -186,9 +186,13 @@ func (p *Project[M]) MemoryUsage() int {
 //
 // The core owns the done wiring: an input's done applies what its
 // queue held back, and the end of the stream runs the operator's tail
-// (which may add results), then flushes every pending result in Start
-// order. It also carries the operator's checkpointable state (parts):
-// the operator's parts, then the input queues, then the core itself.
+// (which may add results), then flushes what is still pending in Start
+// order. A tail that closes expiry boundaries runs through drain, which
+// steps to each next boundary and releases after each what the holdback
+// allows, so the end of the stream keeps no more pending than the
+// holdback does mid-stream. The core also carries the operator's
+// checkpointable state (parts): the operator's parts, then the input
+// queues, then the core itself.
 //
 // A capture's image refers to the values of the results pending when
 // it was taken. γ reuses the rows it lends (NewGroupInto), so it sets
@@ -291,15 +295,37 @@ func (c *ordered) progress(start temporal.Time) {
 
 // release emits, in Start order, every pending result no future result
 // can precede. Callers hold ProcMu.
-func (c *ordered) release() {
-	bound := c.wm
+func (c *ordered) release() { c.releaseTo(min(c.wm, c.holdback())) }
+
+// holdback returns the earliest start a result may still be added at,
+// input aside: the least of the keys' holdback and hold; MaxTime if
+// nothing holds back.
+func (c *ordered) holdback() temporal.Time {
+	bound := temporal.MaxTime
 	if c.hold != nil {
-		bound = min(bound, c.hold())
+		bound = c.hold()
 	}
 	if lb, _, ok := c.holds.Peek(); ok {
 		bound = min(bound, lb)
 	}
-	c.releaseTo(bound)
+	return bound
+}
+
+// drain is the tail of an operator that closes expiry boundaries (γ,
+// difference, intersect): ends holds its live elements by End, and
+// advance closes every boundary up to a time. No input remains, so drain
+// advances to each next boundary in turn and releases after each what
+// the holdback allows, the watermark no longer bounding it: pending
+// results stay bounded by the holdback, as mid-stream.
+func drain[V any](c *ordered, ends *xds.Heap[temporal.Time, V], advance func(temporal.Time)) {
+	for {
+		t, _, ok := ends.Peek()
+		if !ok {
+			return
+		}
+		advance(t)
+		c.releaseTo(c.holdback())
+	}
 }
 
 // releaseTo emits, in Start order, every pending result that starts at

@@ -71,7 +71,7 @@ func (o *setOp) setup(name string, key KeyFunc, mult func(m0, m1 int) int) {
 	o.key, o.mult = key, mult
 	o.keys = keyed[setKey]{ids: map[any]int32{}, holds: &o.holds,
 		copy: captureSetKey, entry: appendSetKey, read: o.readKeys}
-	o.init(name, 2, o.processOne, func() { o.advance(temporal.MaxTime) }, &o.keys, setExpiry{o})
+	o.init(name, 2, o.processOne, func() { drain(&o.ordered, &o.expiry, o.advance) }, &o.keys, setExpiry{o})
 }
 
 // processOne is the per-element body, under ProcMu.
