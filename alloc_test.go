@@ -58,15 +58,18 @@ func allocsPerElement(t *testing.T, n int, borrow bool, queries ...string) float
 }
 
 // The allocation budget of a CQL plan, per input element. What a plan may
-// still allocate is the boxed aggregate values (SEMANTICS.md §5) and, for
-// a sink that keeps values, the result tuple copied for it; a sink that
-// declares nothing borrows the tuples π and γ lend and refill (§3.7), so
-// a filter→project plan delivering into one allocates next to nothing
-// (it read 1.0 allocations per element, and the group-by 6.1, while such
-// a sink was handed copies too). A rename map per element, a formatted key or a
-// merged join tuple breaks these ceilings, as each did before names were
-// resolved at plan time (5.9, 21.8 and 16.1 allocations per element then,
-// against 1.0, 10.0 and 4.1). So does a group row between γ and the
+// still allocate is, for a sink that keeps values, the result tuple
+// copied for it (SEMANTICS.md §5); a sink that declares nothing borrows
+// the tuples π and γ lend and refill (§3.7), so a filter→project plan
+// delivering into one allocates next to nothing (it read 1.0 allocations
+// per element, and the group-by 6.1, while such a sink was handed copies
+// too). γ's numeric results go into chunks of 64 its node owns
+// (aggregate.Boxes): a box per result put the borrowing group-by at 2.16
+// and the ungrouped COUNT past 255 with an AVG at 2.40, the group-by into
+// a FuncSink at 5.98 and the churning one at 2.99. A rename map per
+// element, a formatted key or a merged join tuple breaks these ceilings,
+// as each did before names were resolved at plan time (5.9, 21.8 and 16.1
+// allocations per element then, against 1.0, 10.0 and 4.1). So does a group row between γ and the
 // projection: the group-by read 10.0 with one, 6.1 since γ delivers the
 // projected tuple itself. And so does state rebuilt each time a key
 // empties: the churning group-by read 9.9 and the churning self-join 8.9
@@ -81,15 +84,17 @@ func TestPlanAllocationBudget(t *testing.T) {
 		ceiling float64
 	}{
 		{"filter→project", `SELECT auction AS auction, price AS price FROM bids [RANGE 100] WHERE price > 500`, false, 2},
-		{"group-by", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 100] GROUP BY bidder`, false, 8},
+		{"group-by", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 100] GROUP BY bidder`, false, 5},
 		// A sink that declares nothing borrows the rows π and γ lend, so
 		// they are refilled instead of copied.
 		{"filter→project, borrowing sink", `SELECT auction AS auction, price AS price FROM bids [RANGE 100] WHERE price > 500`, true, 0.2},
-		{"group-by, borrowing sink", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 100] GROUP BY bidder`, true, 3},
+		{"group-by, borrowing sink", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 100] GROUP BY bidder`, true, 0.5},
+		// One span an element, each with a COUNT past 255 and an AVG.
+		{"aggregate, borrowing sink", `SELECT COUNT(*) AS n, AVG(price) AS mean FROM bids [RANGE 1000]`, true, 0.25},
 		{"equi-join", `SELECT b.price AS price, a.category AS category FROM bids [RANGE 100] AS b, auctions [UNBOUNDED] AS a WHERE b.auction = a.id`, false, 4},
 		// Churning keys: a 10-tick window over 97 bidders empties a key's
 		// group or hash bucket about as often as it fills one.
-		{"group-by, churning", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 10] GROUP BY bidder`, false, 4},
+		{"group-by, churning", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 10] GROUP BY bidder`, false, 2.5},
 		{"self equi-join, churning", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.bidder = y.bidder`, false, 6},
 	} {
 		got := allocsPerElement(t, n, c.borrow, c.query)

@@ -72,6 +72,26 @@ func ToFloat(v any) (float64, bool) {
 	return 0, false
 }
 
+// floatResult is implemented by the built-in aggregates whose Value is
+// a float64 or nil. It states the result once, for Value and for
+// Boxes.Value: ok is false when Value is nil; otherwise held, when not
+// nil, is a float64 interface value the aggregate already holds and both
+// return as it is, and else the result is f.
+type floatResult interface {
+	floatResult() (f float64, held any, ok bool)
+}
+
+// boxFloat is Value over a floatResult: the runtime boxes f.
+func boxFloat(f float64, held any, ok bool) any {
+	switch {
+	case !ok:
+		return nil
+	case held != nil:
+		return held
+	}
+	return f
+}
+
 func mustFloat(v any) float64 {
 	f, ok := ToFloat(v)
 	if !ok {
@@ -93,7 +113,10 @@ func (c *Count) Insert(any) { c.n++ }
 func (c *Count) Remove(any) { c.n-- }
 
 // Value implements Aggregate; it returns an int64.
-func (c *Count) Value() any { return c.n }
+func (c *Count) Value() any { return c.intResult() }
+
+// intResult is the count, for Value and Boxes.Value.
+func (c *Count) intResult() int64 { return c.n }
 
 // Reset implements Aggregate.
 func (c *Count) Reset() { c.n = 0 }
@@ -114,12 +137,9 @@ func (s *Sum) Insert(v any) { s.n++; s.sum += mustFloat(v) }
 func (s *Sum) Remove(v any) { s.n--; s.sum -= mustFloat(v) }
 
 // Value implements Aggregate; it returns a float64 or nil when empty.
-func (s *Sum) Value() any {
-	if s.n == 0 {
-		return nil
-	}
-	return s.sum
-}
+func (s *Sum) Value() any { return boxFloat(s.floatResult()) }
+
+func (s *Sum) floatResult() (float64, any, bool) { return s.sum, nil, s.n != 0 }
 
 // Reset implements Aggregate.
 func (s *Sum) Reset() { *s = Sum{} }
@@ -140,11 +160,13 @@ func (a *Avg) Insert(v any) { a.n++; a.sum += mustFloat(v) }
 func (a *Avg) Remove(v any) { a.n--; a.sum -= mustFloat(v) }
 
 // Value implements Aggregate.
-func (a *Avg) Value() any {
+func (a *Avg) Value() any { return boxFloat(a.floatResult()) }
+
+func (a *Avg) floatResult() (float64, any, bool) {
 	if a.n == 0 {
-		return nil
+		return 0, nil, false
 	}
-	return a.sum / float64(a.n)
+	return a.sum / float64(a.n), nil, true
 }
 
 // Reset implements Aggregate.
@@ -173,15 +195,9 @@ func (m *Min) Insert(v any) {
 }
 
 // Value implements Aggregate.
-func (m *Min) Value() any {
-	if m.n == 0 {
-		return nil
-	}
-	if m.boxed != nil {
-		return m.boxed
-	}
-	return m.min
-}
+func (m *Min) Value() any { return boxFloat(m.floatResult()) }
+
+func (m *Min) floatResult() (float64, any, bool) { return m.min, m.boxed, m.n != 0 }
 
 // Reset implements Aggregate.
 func (m *Min) Reset() { *m = Min{} }
@@ -207,15 +223,9 @@ func (m *Max) Insert(v any) {
 }
 
 // Value implements Aggregate.
-func (m *Max) Value() any {
-	if m.n == 0 {
-		return nil
-	}
-	if m.boxed != nil {
-		return m.boxed
-	}
-	return m.max
-}
+func (m *Max) Value() any { return boxFloat(m.floatResult()) }
+
+func (m *Max) floatResult() (float64, any, bool) { return m.max, m.boxed, m.n != 0 }
 
 // Reset implements Aggregate.
 func (m *Max) Reset() { *m = Max{} }
@@ -268,11 +278,13 @@ func (v *Variance) Remove(val any) {
 }
 
 // Value implements Aggregate.
-func (v *Variance) Value() any {
+func (v *Variance) Value() any { return boxFloat(v.floatResult()) }
+
+func (v *Variance) floatResult() (float64, any, bool) {
 	if v.n == 0 {
-		return nil
+		return 0, nil, false
 	}
-	return v.m2 / float64(v.n)
+	return v.m2 / float64(v.n), nil, true
 }
 
 // Reset implements Aggregate.
@@ -285,10 +297,9 @@ type StdDev struct{ Variance }
 func NewStdDev() Aggregate { return &StdDev{} }
 
 // Value implements Aggregate.
-func (s *StdDev) Value() any {
-	v := s.Variance.Value()
-	if v == nil {
-		return nil
-	}
-	return math.Sqrt(v.(float64))
+func (s *StdDev) Value() any { return boxFloat(s.floatResult()) }
+
+func (s *StdDev) floatResult() (float64, any, bool) {
+	v, _, ok := s.Variance.floatResult()
+	return math.Sqrt(v), nil, ok
 }

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -100,20 +101,23 @@ func (q *P2Quantile) linear(i int, d float64) float64 {
 
 // Value implements Aggregate. Before five observations arrive it returns
 // the exact quantile of the buffered values.
-func (q *P2Quantile) Value() any {
+func (q *P2Quantile) Value() any { return boxFloat(q.floatResult()) }
+
+func (q *P2Quantile) floatResult() (float64, any, bool) {
 	if q.n == 0 {
-		return nil
+		return 0, nil, false
 	}
 	if len(q.initial) < 5 {
-		sorted := append([]float64(nil), q.initial...)
-		sort.Float64s(sorted)
+		var buf [5]float64
+		sorted := buf[:copy(buf[:], q.initial)]
+		slices.Sort(sorted)
 		idx := int(q.p * float64(len(sorted)))
 		if idx >= len(sorted) {
 			idx = len(sorted) - 1
 		}
-		return sorted[idx]
+		return sorted[idx], nil, true
 	}
-	return q.q[2]
+	return q.q[2], nil, true
 }
 
 // Reset implements Aggregate.

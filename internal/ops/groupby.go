@@ -35,7 +35,8 @@ type globalGroup struct{}
 // aggregate when the span closes; a span outFn declines emits nothing
 // (a HAVING clause compiled into the node). The default outFn yields
 // GroupResult{key, agg.Value()} (or the bare aggregate value for
-// ungrouped use) for every span.
+// ungrouped use) for every span, its numeric result boxed into the
+// node's chunks (aggregate.Boxes).
 type GroupBy struct {
 	ordered
 	key     KeyFunc
@@ -44,6 +45,7 @@ type GroupBy struct {
 	groups  keyed[group]                   // each group's record and live elements, by group id
 	expiry  xds.Heap[temporal.Time, int32] // every live element's node, by End
 	spare   []aggregate.Aggregate          // emptied groups' aggregates, reset
+	boxes   aggregate.Boxes                // the default outFn's results
 }
 
 // group is one group's record.
@@ -66,14 +68,16 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 	if key == nil {
 		key = func(any) any { return globalGroup{} }
 	}
+	g := &GroupBy{key: key, factory: factory, outFn: outFn}
 	if outFn == nil {
 		if grouped {
-			outFn = func(k any, a aggregate.Aggregate) (any, bool) { return GroupResult{Key: k, Agg: a.Value()}, true }
+			g.outFn = func(k any, a aggregate.Aggregate) (any, bool) {
+				return GroupResult{Key: k, Agg: g.boxes.Value(a)}, true
+			}
 		} else {
-			outFn = func(_ any, a aggregate.Aggregate) (any, bool) { return a.Value(), true }
+			g.outFn = func(_ any, a aggregate.Aggregate) (any, bool) { return g.boxes.Value(a), true }
 		}
 	}
-	g := &GroupBy{key: key, factory: factory, outFn: outFn}
 	g.groups = keyed[group]{ids: map[any]int32{}, holds: &g.holds, heap: &g.expiry,
 		copy: captureGroup, entry: appendGroup, read: g.readGroups}
 	// Every live group, one holding elements valid forever included, has

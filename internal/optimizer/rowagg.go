@@ -10,17 +10,20 @@ import (
 // Nothing is materialised per span: the γ node's HAVING and select list
 // read the group's columns off it through its groupView.
 type rowAgg struct {
-	keys []func(v any) any
-	args []func(v any) any // nil for COUNT(*)
-	subs []aggregate.Aggregate
-	rep  any // representative member carrying the key values
-	n    int64
+	keys  []func(v any) any
+	args  []func(v any) any // nil for COUNT(*)
+	subs  []aggregate.Aggregate
+	boxes *aggregate.Boxes // the node's, shared by all its groups
+	rep   any              // representative member carrying the key values
+	n     int64
 }
 
 // newRowAggFactory compiles keys and call arguments against the input
 // shape and returns the group-by's aggregate factory. When every
 // sub-aggregate is invertible the factory produces Invertible composites
-// and the group-by takes its incremental fast path.
+// and the group-by takes its incremental fast path. Every group it makes
+// boxes its calls' results into one aggregate.Boxes, which the node uses
+// under its processing lock.
 func newRowAggFactory(keys []cql.Expr, calls []cql.Call, in Shape) (aggregate.Factory, error) {
 	keyFns := compileAll(keys, in)
 	argFns := make([]func(any) any, len(calls))
@@ -39,12 +42,13 @@ func newRowAggFactory(keys []cql.Expr, calls []cql.Call, in Shape) (aggregate.Fa
 			argFns[i] = cql.Compile(c.Arg, in.Resolve)
 		}
 	}
+	boxes := new(aggregate.Boxes)
 	mk := func() rowAgg {
 		subs := make([]aggregate.Aggregate, len(subFactories))
 		for i, f := range subFactories {
 			subs[i] = f()
 		}
-		return rowAgg{keys: keyFns, args: argFns, subs: subs}
+		return rowAgg{keys: keyFns, args: argFns, subs: subs, boxes: boxes}
 	}
 	if invertible {
 		return func() aggregate.Aggregate { return &invertibleRowAgg{rowAgg: mk()} }, nil
@@ -104,8 +108,9 @@ func (a *invertibleRowAgg) Remove(v any) {
 // groupView is how a γ node's HAVING and select list read a group: by the
 // canonical strings of the group's keys and calls (k.String(),
 // c.String()), a key column off the group's representative member (all
-// members share it), a call off its sub-aggregate — straight off the
-// rowAgg when the span closes, with no row in between. A name resolves to
+// members share it), a call off its sub-aggregate through the node's
+// Boxes — straight off the rowAgg when the span closes, with no row in
+// between. A name resolves to
 // a column by Tuple.Get's rule over those strings: exact, else the one
 // column it is the unqualified suffix of.
 type groupView struct {
@@ -144,7 +149,10 @@ func (g groupView) column(i int) func(v any) any {
 		}
 	}
 	i -= g.keys
-	return func(v any) any { return v.(*rowAgg).subs[i].Value() }
+	return func(v any) any {
+		a := v.(*rowAgg)
+		return a.boxes.Value(a.subs[i])
+	}
 }
 
 func (g groupView) Resolve(name string) func(v any) any {
