@@ -23,8 +23,7 @@
 // declares pubsub.ValueKeeper (a KeepsValues method): a lending publisher
 // refills them once TransferBatch returns. So in the ProcessBatch of
 // every type that is not a Source (no Subscribe, Unsubscribe and
-// Subscriptions methods), has no BarrierGate method and declares no
-// KeepsValues, the analyzer also flags storing what reaches into a
+// Subscriptions methods) and declares no KeepsValues, the analyzer also flags storing what reaches into a
 // value — an element (b[i], a range variable over b), its Value, a type
 // assertion of that, a map, slice, pointer or interface read from it, or
 // an append or composite literal holding any of these — into a field, a
@@ -305,7 +304,7 @@ func checkFunc(pass *analysis.Pass, allow *vetutil.Allower, fd *ast.FuncDecl) {
 
 // borrowsValues reports whether fd is the ProcessBatch of a type that
 // borrows lent values (pubsub's Subscribe rule): not a Source, no
-// barrier gate, no KeepsValues declaration.
+// KeepsValues declaration.
 func borrowsValues(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || fd.Name.Name != "ProcessBatch" {
 		return false
@@ -323,7 +322,7 @@ func borrowsValues(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		return ok
 	}
 	source := has("Subscribe") && has("Unsubscribe") && has("Subscriptions")
-	return !source && !has("BarrierGate") && !has("KeepsValues")
+	return !source && !has("KeepsValues")
 }
 
 // shares reports whether a value of type t may share storage with what

@@ -99,19 +99,6 @@ func (p *pipe) ProcessBatch(b temporal.Batch, _ int) {
 	}
 }
 
-// gated has a barrier gate: a frame it parks during alignment outlives
-// the call, so it owns what it is handed without declaring anything.
-type gated struct {
-	parked []temporal.Element
-	gate   struct{}
-}
-
-func (g *gated) BarrierGate() *struct{} { return &g.gate }
-
-func (g *gated) ProcessBatch(b temporal.Batch, _ int) {
-	g.parked = append(g.parked, b...)
-}
-
 // audited keeps a value behind a reviewed exception.
 type audited struct{ last any }
 

@@ -59,9 +59,10 @@ func TestMonitoredForwardsControlsInStreamOrder(t *testing.T) {
 }
 
 // TestMonitoredBarrierAlignmentReplayCounted monitors a two-input operator
-// and checks the gate still aligns: after the barrier arrives on input 0,
-// further input-0 elements are held until input 1 delivers its barrier,
-// and the replayed elements are counted when they are replayed.
+// and checks it still aligns: after the barrier arrives on input 0,
+// further input-0 elements are held in the operator's input queue until
+// input 1 delivers its barrier. A held element reaches the operator, and
+// its input count, when it arrives; it is applied on release.
 func TestMonitoredBarrierAlignmentReplayCounted(t *testing.T) {
 	left := pubsub.NewSourceBase("left")
 	right := pubsub.NewSourceBase("right")
@@ -82,20 +83,20 @@ func TestMonitoredBarrierAlignmentReplayCounted(t *testing.T) {
 	b := pubsub.Barrier{ID: 3}
 	left.Transfer(temporal.NewElement(1, 0, 10)) // no match yet
 	left.TransferControl(b)                      // blocks input 0 (not aligned)
-	left.Transfer(temporal.NewElement(1, 1, 11)) // must be held by the gate
+	left.Transfer(temporal.NewElement(1, 1, 11)) // must be held by the operator
 	if len(rec.order) != 0 {
 		t.Fatalf("output crossed an un-aligned barrier: %v", rec.order)
 	}
-	if got, _ := m.Get(InputCount); got != 1 {
-		t.Fatalf("held element counted before its replay: %v", got)
+	if got, _ := m.Get(InputCount); got != 2 {
+		t.Fatalf("held element not counted on arrival: %v", got)
 	}
 	right.Transfer(temporal.NewElement(1, 1, 11)) // joins with the first left element
-	right.TransferControl(b)                      // aligns: barrier emitted, held element replayed
+	right.TransferControl(b)                      // aligns: barrier emitted, held element applied
 	left.SignalDone()                             // lets the queued right element through
 
 	// The join applies its inputs merged in (Start, input) order, once
 	// both have an arrival queued. The right element waits in its queue
-	// until input 0 is past Start 1 or done: the replayed left element
+	// until input 0 is past Start 1 or done: the released left element
 	// ties with it at Start 1 and goes first, so only input 0's done lets
 	// it through. It then probes both left elements, so both pairs
 	// surface after the barrier — consistently: the queued element is
@@ -111,7 +112,7 @@ func TestMonitoredBarrierAlignmentReplayCounted(t *testing.T) {
 		}
 	}
 	if got, _ := m.Get(InputCount); got != 3 {
-		t.Fatalf("replayed element missed the input count: %v", got)
+		t.Fatalf("input count: %v", got)
 	}
 	if got, _ := m.Get(OutputCount); got != 2 {
 		t.Fatalf("output count: %v", got)

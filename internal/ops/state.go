@@ -557,11 +557,19 @@ func (a area) load(d *wire.Decoder) {
 func (a area) bytes() int { return a.MemoryUsage() }
 
 // queue is an arrival-ordered queue as a part: its elements as they are,
-// since their order is the state.
-type queue struct{ *xds.Queue[temporal.Element] }
+// since their order is the state. Of an input a barrier holds, only the
+// arrivals before the barrier are the barrier's state.
+type queue struct {
+	*xds.Queue[temporal.Element]
+	held *int // the input's held count (see input); nil for CountWindow's
+}
 
 func (q queue) capture(c *capture) encoder {
-	c.elems = q.AppendTo(c.elems)
+	n := q.Len()
+	if q.held != nil && *q.held >= 0 {
+		n = *q.held
+	}
+	c.elems = q.AppendTo(c.elems, n)
 	return encodeQueue
 }
 

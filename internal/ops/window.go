@@ -134,7 +134,7 @@ func NewCountWindow(name string, n int) *CountWindow {
 		panic("ops: count window size must be positive")
 	}
 	w := &CountWindow{PipeBase: pubsub.NewPipeBase(name, 1), n: n}
-	w.declare(&w.ProcMu, queue{&w.buf})
+	w.declare(&w.ProcMu, queue{Queue: &w.buf})
 	w.OnAllDone = w.fflush
 	return w
 }

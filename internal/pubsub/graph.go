@@ -40,15 +40,6 @@ func (g *Graph) AddRoot(s Source) {
 	g.roots = append(g.roots, s)
 }
 
-// Roots returns the registered root sources.
-func (g *Graph) Roots() []Source {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Source, len(g.roots))
-	copy(out, g.roots)
-	return out
-}
-
 // Nodes returns every node reachable from the roots, in BFS order.
 func (g *Graph) Nodes() []Node {
 	nodes, _ := g.walk()

@@ -35,18 +35,8 @@ type elementOwner struct{ recorder }
 
 func (s *elementOwner) Process(e temporal.Element, _ int) { s.vals = append(s.vals, e.Value) }
 
-// gatedSink is a terminal frame sink with a barrier gate: it declares
-// nothing, yet owns what it is handed, since a frame it parks during
-// alignment outlives the call.
-type gatedSink struct {
-	borrowSink
-	gate Gate
-}
-
-func (s *gatedSink) BarrierGate() *Gate { return &s.gate }
-
 // relay is a single-input pipe forwarding each frame: it declares
-// nothing and has no gate, yet owns what it is handed, since what it
+// nothing, yet owns what it is handed, since what it
 // publishes reaches sinks of its own.
 type relay struct{ PipeBase }
 
@@ -95,21 +85,18 @@ func subscribeAll(t *testing.T, src Source, sinks ...Sink) {
 }
 
 // owners subscribes, besides a Collector, one sink of every kind that
-// owns without declaring it: a per-element sink, a gated terminal sink
-// and a pipe, with a Collector behind the pipe. It returns what each
+// owns without declaring it: a per-element sink and a pipe, with a Collector behind the pipe. It returns what each
 // kind was handed.
 func owners(t *testing.T, src Source) (collector *Collector, handed map[string]func() []any) {
 	t.Helper()
 	collector = NewCollector("collector", 1)
 	element := &elementOwner{recorder{name: "element"}}
-	gated := &gatedSink{borrowSink: *newBorrowSink("gated")}
 	pipe, behindPipe := newRelay("pipe"), NewCollector("behind-pipe", 1)
-	subscribeAll(t, src, collector, element, gated, pipe)
+	subscribeAll(t, src, collector, element, pipe)
 	subscribeAll(t, pipe, behindPipe)
 	return collector, map[string]func() []any{
 		"a Collector":            collector.Values,
 		"a per-element sink":     func() []any { return element.vals },
-		"a gated sink":           func() []any { return gated.vals },
 		"the sink behind a pipe": behindPipe.Values,
 	}
 }

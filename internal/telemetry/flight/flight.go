@@ -10,10 +10,10 @@
 //   - the ring (this file): a fixed-size, lock-free record of *system*
 //     events — strided frame transfers with occupancy, buffer enqueue/drain
 //     depth waterlines, checkpoint barrier phases (alignment hold, state
-//     encode, store write), gate replays, memory sheds and scheduler
-//     steals. Where the element tracer (internal/telemetry.Tracer) follows
-//     sampled *data* through the graph, the ring watches the machinery move
-//     underneath it.
+//     encode, store write), releases of held arrivals, memory sheds and
+//     scheduler steals. Where the element tracer
+//     (internal/telemetry.Tracer) follows sampled *data* through the
+//     graph, the ring watches the machinery move underneath it.
 //
 // A node without a block pays one atomic pointer load per frame on each
 // side.
@@ -65,8 +65,9 @@ const (
 	// KindRoundDone: a checkpoint round fully acked and durable.
 	// A = round ID, B = end-to-end round duration ns.
 	KindRoundDone
-	// KindGateReplay: elements parked during alignment were replayed.
-	// A = round ID, B = replayed element count.
+	// KindGateReplay: the arrivals a multi-input operator held in its
+	// input queues during alignment were applied on release.
+	// A = round ID, B = released element count.
 	KindGateReplay
 	// KindShed: the memory manager shed state from an operator.
 	// A = bytes freed, B = usage before shedding, C = assigned limit.

@@ -54,15 +54,15 @@ func (q *Queue[T]) Peek() (v T, ok bool) {
 // Len returns the number of buffered elements.
 func (q *Queue[T]) Len() int { return q.size }
 
-// AppendTo appends the buffered elements to dst in FIFO order (oldest
-// first) without consuming them. Checkpoint captures copy queues through
-// it, into buffers they keep round after round.
-func (q *Queue[T]) AppendTo(dst []T) []T {
-	if tail := q.head + q.size; tail <= len(q.buf) {
+// AppendTo appends the n oldest buffered elements, n at most Len, to dst
+// in FIFO order without consuming them. Checkpoint captures copy queues
+// through it, into buffers they keep round after round.
+func (q *Queue[T]) AppendTo(dst []T, n int) []T {
+	if tail := q.head + n; tail <= len(q.buf) {
 		return append(dst, q.buf[q.head:tail]...)
 	}
 	dst = append(dst, q.buf[q.head:]...)
-	return append(dst, q.buf[:q.head+q.size-len(q.buf)]...)
+	return append(dst, q.buf[:q.head+n-len(q.buf)]...)
 }
 
 func (q *Queue[T]) grow() {
@@ -70,6 +70,6 @@ func (q *Queue[T]) grow() {
 	if n == 0 {
 		n = 8
 	}
-	q.buf = q.AppendTo(make([]T, 0, n))[:n]
+	q.buf = q.AppendTo(make([]T, 0, n), q.size)[:n]
 	q.head = 0
 }

@@ -47,14 +47,19 @@ func TestQueueInterleaved(t *testing.T) {
 			}
 			expect++
 		}
-		// AppendTo copies the live window across the wrap, after dst.
-		got := q.AppendTo([]int{-1})
-		if len(got) != q.Len()+1 || got[0] != -1 {
-			t.Fatalf("step %d: AppendTo = %v, want -1 then %d..%d", step, got, expect, next-1)
+		// AppendTo copies the live window, or its oldest n, across the
+		// wrap, after dst.
+		n := q.Len()
+		if step%2 == 1 {
+			n = step % (q.Len() + 1)
+		}
+		got := q.AppendTo([]int{-1}, n)
+		if len(got) != n+1 || got[0] != -1 {
+			t.Fatalf("step %d: AppendTo(%d) = %v, want -1 then %d..%d", step, n, got, expect, expect+n-1)
 		}
 		for i, v := range got[1:] {
 			if v != expect+i {
-				t.Fatalf("step %d: AppendTo = %v, want -1 then %d..%d", step, got, expect, next-1)
+				t.Fatalf("step %d: AppendTo(%d) = %v, want -1 then %d..%d", step, n, got, expect, expect+n-1)
 			}
 		}
 	}
