@@ -114,8 +114,10 @@ func (j *Join) matchProbe(s temporal.Element) {
 
 // Shed releases memory by dropping the soonest-expiring entries, starting
 // with the larger area, then the oldest queued arrivals — the
-// load-shedding hook the memory manager calls. It returns how many
-// entries were dropped.
+// load-shedding hook the memory manager calls. A held input sheds its
+// pre-barrier arrivals first, as they are the oldest; the barrier's
+// position in its queue moves with them. It returns how many entries
+// were dropped.
 func (j *Join) Shed(n int) int {
 	j.ProcMu.Lock()
 	defer j.ProcMu.Unlock()
@@ -129,7 +131,7 @@ func (j *Join) Shed(n int) int {
 	}
 	for i := range j.in {
 		for ; dropped < n && j.in[i].Len() > 0; dropped++ {
-			j.in[i].Dequeue()
+			j.in[i].dequeue()
 		}
 	}
 	return dropped
