@@ -87,29 +87,35 @@ func NewGroupBy(name string, key KeyFunc, factory aggregate.Factory, outFn func(
 }
 
 // NewGroupInto returns a grouped aggregation whose spans deliver rows
-// it lends (rows, SEMANTICS.md §3.7): the planner's γ. fill writes the
-// result for the group of key into an empty row when its span closes and
-// reports whether the span emits at all (a HAVING clause compiled into
-// the node); it runs under the node's processing lock and must not keep
-// agg. Its pending rows are checkpoint state, which a capture's encode
-// reads after the barrier: a row pending at the latest capture leaves
-// as a copy while that capture is out (rows.swap), so a row a borrower
-// returns is reused at once.
-func NewGroupInto[M ~map[string]any](name string, key KeyFunc, factory aggregate.Factory, fill func(key any, agg aggregate.Aggregate, row M) bool) *GroupBy {
+// of the columns cols, which it lends (rows, SEMANTICS.md §3.7): the
+// planner's γ. cols are the rows' field names in byte order, each once.
+// fill writes the result for the group of key into one cell a column,
+// vals[i] the value of cols[i], when its span closes, and reports
+// whether the span emits at all (a HAVING clause compiled into the
+// node); it runs under the node's processing lock and must not keep agg
+// or vals. A pending result is its cells (cells): the row it leaves in is
+// taken from the free list only when the core releases it, and comes
+// back after the frame, so the node never holds more than a frame of
+// rows. A capture copies the cells, and writes each as the row it
+// becomes.
+func NewGroupInto[M ~map[string]any](name string, key KeyFunc, factory aggregate.Factory, cols []string, fill func(key any, agg aggregate.Aggregate, vals []any) bool) *GroupBy {
 	if fill == nil {
 		panic("ops: nil group projection")
 	}
 	r := new(rows[M])
-	g := NewGroupBy(name, key, factory, func(k any, agg aggregate.Aggregate) (any, bool) {
-		row := r.get()
-		if !fill(k, agg, row) {
-			r.keep(row)
+	cs := newCells(cols, r)
+	var g *GroupBy
+	// The span's cells are the ones of the slot its result takes: emitSpan
+	// adds the result right after this returns.
+	g = NewGroupBy(name, key, factory, func(k any, agg aggregate.Aggregate) (any, bool) {
+		vals := cs.at(g.results.Next())
+		if !fill(k, agg, vals) {
+			clear(vals)
 			return nil, false
 		}
-		return row, true
+		return nil, true
 	})
-	r.core = &g.ordered
-	g.swap = r.swap
+	g.cells = cs
 	r.lend(&g.SourceBase)
 	g.free = r
 	return g

@@ -198,12 +198,11 @@ func (p *Project[M]) MemoryUsage() int {
 // checkpointable state (parts): the operator's parts, then the input
 // queues, then the core itself.
 //
-// A capture's image refers to the values of the results pending when
-// it was taken. γ reuses the rows it lends (NewGroupInto), so it sets
-// swap: each capture then marks the slots it images, and a marked
-// result released while the latest capture is out leaves as swap's
-// copy. A slot's mark goes when its result is released, so a marked
-// slot has been pending since the latest capture.
+// A result's value is stored with it, except γ's rows (NewGroupInto):
+// their values wait in cells, one a column at the result's slot, and
+// releaseTo hands each released result's slot to them for the row it
+// leaves in. No row is ever pending, so a capture copies the cells, and
+// a row reused after its release is never in an image.
 type ordered struct {
 	pubsub.PipeBase
 	parts
@@ -215,8 +214,7 @@ type ordered struct {
 	holds    xds.IndexedHeap[temporal.Time] // each key's earliest start it may emit from
 	hold     func() temporal.Time
 	released temporal.Time
-	swap     func(v any) any // copies a value an image still out may read; nil if none is reused
-	imaged   slotBits        // the slots the latest capture imaged and that are still pending; only with swap
+	cells    *cells // the pending results' values when they are γ's rows; nil if the results carry them
 }
 
 // init sets the core up in place (the done hooks capture its address).
@@ -371,8 +369,8 @@ func drain[V any](c *ordered, ends *xds.Heap[temporal.Time, V], advance func(tem
 }
 
 // releaseTo emits, in Start order, every pending result that starts at
-// or before bound. A result in the image of a capture still out leaves
-// as swap's copy.
+// or before bound. A result whose value waits in cells leaves in the
+// row they fill.
 func (c *ordered) releaseTo(bound temporal.Time) {
 	for {
 		start, _, ok := c.out.Peek()
@@ -382,35 +380,11 @@ func (c *ordered) releaseTo(bound temporal.Time) {
 		_, slot, _ := c.out.Pop()
 		c.released = start
 		e := c.results.Take(slot)
-		if c.imaged.take(slot) && c.snaps.leased() {
-			e.Value = c.swap(e.Value)
+		if c.cells != nil {
+			e.Value = c.cells.release(slot)
 		}
 		c.Emit(e)
 	}
-}
-
-// slotBits is a set of slots, a bit each.
-type slotBits []uint64
-
-// add adds slot.
-func (b *slotBits) add(slot int32) {
-	w := int(slot >> 6)
-	if w >= len(*b) {
-		*b = append(*b, make(slotBits, w+1-len(*b))...)
-	}
-	(*b)[w] |= 1 << (slot & 63)
-}
-
-// take removes slot and reports whether it was in the set.
-func (b slotBits) take(slot int32) bool {
-	w := int(slot >> 6)
-	if w >= len(b) {
-		return false
-	}
-	bit := uint64(1) << (slot & 63)
-	in := b[w]&bit != 0
-	b[w] &^= bit
-	return in
 }
 
 // pending returns the number of pending results.

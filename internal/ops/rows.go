@@ -1,10 +1,17 @@
 package ops
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"pipes/internal/pubsub"
+	"pipes/internal/temporal"
+	"pipes/internal/wire"
+	"pipes/internal/xds"
 )
 
 // rowBytes is what one free row holds in the memory manager's
@@ -12,47 +19,28 @@ import (
 // slot group.
 const rowBytes = 336
 
-// rows is the free list of a node that builds its results in map-shaped
-// rows and lends them (pubsub.SourceBase.Lend; SEMANTICS.md §3.7): the
-// planner's π (Project) and γ (NewGroupInto). A row goes out with a
-// frame and comes back, cleared, once a frame lent to a borrower (a
-// terminal sink that does not declare pubsub.ValueKeeper) has been
-// delivered; a row published while nobody borrows belongs to the
-// subscribers and never comes back, so the next row is a new one. The
-// list is the node's, guarded by its ProcMu: get runs in the node's
-// body, put from its TransferBatch, settle also from its capture.
+// rows is the free list of a node that delivers its results in
+// map-shaped rows and lends them (pubsub.SourceBase.Lend; SEMANTICS.md
+// §3.7): the planner's π (Project) and γ (NewGroupInto). A row is filled
+// when its result leaves the node: π's as it maps an element, γ's as
+// its core releases a span. It goes out with a frame and comes back,
+// cleared, once a frame lent to a borrower (a terminal sink that does
+// not declare pubsub.ValueKeeper) has been delivered; a row published
+// while nobody borrows belongs to the subscribers and never comes back,
+// so the next row is a new one. A frame holds at most pubsub.FrameCap
+// results, so that many free rows cover the next frame: the list is
+// allocated once at that capacity and keeps no more. It is the node's,
+// guarded by its ProcMu: get runs in the node's body, put from its
+// TransferBatch.
 //
-// In a test binary a row that comes back, or a held row once freed, is
-// poisoned: cleared and holding only poisonField, which get removes
-// again. A sink that keeps a lent row without declaring KeepsValues then
-// finds the poison, or the row's next contents, instead of its fields,
-// and fails its checksum or the differential instead of passing while
-// the row happens not to be reused.
-//
-// γ's pending rows are checkpoint state, and the writer encodes a
-// capture's image after the barrier, beside later processing. So a row
-// that was pending at the latest capture never leaves while that image
-// is out: the core releases a copy in a free row (swap) and the list
-// holds the imaged row, untouched, until the writer hands the image
-// back (settle). Every row a borrower returns is therefore free at once.
-//
-// The list keeps a row only while it holds fewer than pubsub.FrameCap
-// rows more than the most the node has had pending or held at once. π
-// has none and publishes frames of at most FrameCap rows, so one frame's
-// worth covers its next frame. γ's rows are pending in its core until
-// the holdback lets them go, and a stale group holds back every later
-// span, so they come back in bursts of many frames, before the spans
-// that reuse them are made: a frame's worth would drop most of a burst,
-// and a bound that followed what is pending now would drop most of it
-// once the burst drains, for the next burst to allocate again. Either
-// way the free rows never outnumber the most rows the node has held as
-// state by more than a frame, and they and the held rows count in its
-// MemoryUsage.
+// In a test binary a row that comes back is poisoned: cleared and
+// holding only poisonField, which get removes again. A sink that keeps a
+// lent row without declaring KeepsValues then finds the poison, or the
+// row's next contents, instead of its fields, and fails its checksum or
+// the differential instead of passing while the row happens not to be
+// reused.
 type rows[M ~map[string]any] struct {
 	free []M
-	held []M      // imaged rows swapped out while their capture is out
-	peak int      // the most rows γ has had pending or held at once
-	core *ordered // γ's ordered core, nil for π
 }
 
 // lend makes s lend the rows: owners get maps.Clone copies, and lent rows
@@ -70,10 +58,6 @@ const poisonField = "\x00reclaimed"
 
 // get returns an empty row: a free one if there is one, else a new one.
 func (r *rows[M]) get() M {
-	if r.core != nil {
-		r.settle()
-		r.peak = max(r.peak, r.core.pending()+len(r.held)+1)
-	}
 	if n := len(r.free); n > 0 {
 		row := r.free[n-1]
 		r.free = r.free[:n-1]
@@ -85,46 +69,165 @@ func (r *rows[M]) get() M {
 	return make(M)
 }
 
-// put takes back a row that was lent. No lent row is in an image still
-// out (swap), so it is reused at once.
+// put takes back a row that was lent: cleared, and kept unless the list
+// is full.
 func (r *rows[M]) put(v any) {
 	row := v.(M)
-	r.keep(row)
+	clear(row)
 	if poisonRows {
 		row[poisonField] = "a lent row its lender took back"
 	}
-}
-
-// keep clears row and adds it to the free list, unless the list is full.
-func (r *rows[M]) keep(row M) {
-	clear(row)
-	if len(r.free) < pubsub.FrameCap+r.peak {
+	if r.free == nil {
+		r.free = make([]M, 0, pubsub.FrameCap)
+	}
+	if len(r.free) < pubsub.FrameCap {
 		r.free = append(r.free, row)
 	}
 }
 
-// settle frees the held rows once the writer has handed their image
-// back: at the next get, or at the next capture, whichever comes first,
-// so the rows one image holds are freed before the next image holds any.
-func (r *rows[M]) settle() {
-	if len(r.held) == 0 || r.core.snaps.leased() {
-		return
-	}
-	for _, row := range r.held {
-		r.put(row)
-	}
-	r.held = cleared(r.held)
+// bytes is what the free rows hold.
+func (r *rows[M]) bytes() int { return len(r.free) * rowBytes }
+
+// cellShift is log2 of the slots in a full chunk of cells: 1 024, the
+// core's slab's chunk for its 48-byte elements.
+const cellShift = 10
+
+// cells holds the values of γ's pending rows (NewGroupInto): w cells a
+// result, one a column, at the result's slot in the core. No row exists
+// while a result is pending; release fills one from the node's free
+// list when the core releases the result, and clears the slot's cells
+// for the next result the slot takes. The cells are in chunks of 1 024
+// slots that are never copied once full; the first grows by doubling up
+// to that, as the core's slab does. They are the node's, guarded by its
+// ProcMu.
+type cells struct {
+	shape  *rowShape
+	chunks [][]any
+	row    func(vals []any) any               // a free row holding vals under the columns
+	fields func(v any) (map[string]any, bool) // a decoded pending value's fields, if it is a row
 }
 
-// swap returns a copy of v, a γ row in the image of a capture still
-// out, in a row of the list's, and holds v as it is until the image
-// comes back: the writer may still be encoding it.
-func (r *rows[M]) swap(v any) any {
-	row := r.get()
-	maps.Copy(row, v.(M))
-	r.held = append(r.held, v.(M))
+// rowShape is what the state codec needs to write a row it holds as
+// cells: the columns and the tag of the row's type. It never changes
+// once the node is built, so a capture refers to it.
+type rowShape struct {
+	cols []string // in byte order, each once
+	tag  byte
+}
+
+// newCells returns the cells of a γ whose rows are Ms holding the
+// columns cols, which must be in byte order, each once: the order a
+// row's encoding writes its fields in. A row is encoded from its cells
+// as the state codec writes an M, so M must be a map[string]any or a
+// type registered under AppendMap's payload (cql.Tuple).
+func newCells[M ~map[string]any](cols []string, r *rows[M]) *cells {
+	if !slices.IsSorted(cols) || len(slices.Compact(slices.Clone(cols))) != len(cols) {
+		panic(fmt.Sprintf("ops: γ's columns %q are not in byte order, each once", cols))
+	}
+	probe := M{"a": 1}
+	enc, err := wire.AppendValue(nil, probe)
+	if err != nil || len(enc) == 0 {
+		panic(fmt.Sprintf("ops: γ's rows are %T, which the state codec cannot write", probe))
+	}
+	if want, _ := wire.AppendMap([]byte{enc[0]}, probe); !bytes.Equal(enc, want) {
+		panic(fmt.Sprintf("ops: the state codec writes γ's rows, %T, as no map", probe))
+	}
+	return &cells{
+		shape: &rowShape{cols: cols, tag: enc[0]},
+		row: func(vals []any) any {
+			row := r.get()
+			for i, c := range cols {
+				row[c] = vals[i]
+			}
+			return row
+		},
+		fields: func(v any) (map[string]any, bool) {
+			m, ok := v.(M)
+			return m, ok
+		},
+	}
+}
+
+// at returns slot's cells, growing the store to hold them.
+func (s *cells) at(slot int32) []any {
+	w := len(s.shape.cols)
+	c, i := int(slot>>cellShift), int(slot&(1<<cellShift-1))*w
+	for c >= len(s.chunks) {
+		n := 1 << cellShift
+		if len(s.chunks) == 0 {
+			n = 4
+		}
+		s.chunks = append(s.chunks, make([]any, n*w))
+	}
+	if ch := s.chunks[c]; i+w > len(ch) { // only the first chunk is ever short
+		grown := make([]any, min(max(2*len(ch), i+w), w<<cellShift))
+		copy(grown, ch)
+		s.chunks[c] = grown
+	}
+	return s.chunks[c][i : i+w : i+w]
+}
+
+// release returns the row of the result the core releases from slot,
+// filled from the slot's cells, which it clears.
+func (s *cells) release(slot int32) any {
+	vals := s.at(slot)
+	row := s.row(vals)
+	clear(vals)
 	return row
 }
 
-// bytes is what the free and held rows hold.
-func (r *rows[M]) bytes() int { return (len(r.free) + len(r.held)) * rowBytes }
+// appendSlots appends the cells of the heap's slots to dst in heap
+// array order: a capture's copy of the pending rows.
+func (s *cells) appendSlots(dst []any, h *xds.Heap[temporal.Time, int32]) []any {
+	dst = reserve(dst, h.Len()*len(s.shape.cols))
+	for _, slot := range h.All() {
+		dst = append(dst, s.at(slot)...)
+	}
+	return dst
+}
+
+// load writes the pending value v, read back from a state, into slot's
+// cells. v must be a row holding exactly the node's columns.
+func (s *cells) load(slot int32, v any) error {
+	m, ok := s.fields(v)
+	if !ok || len(m) != len(s.shape.cols) {
+		return fmt.Errorf("ops: pending result %v is not a row of the columns %q", v, s.shape.cols)
+	}
+	vals := s.at(slot)
+	for i, c := range s.shape.cols {
+		if vals[i], ok = m[c]; !ok {
+			clear(vals)
+			return fmt.Errorf("ops: pending row %v lacks the column %q", v, c)
+		}
+	}
+	return nil
+}
+
+// bytes is what the chunks hold: 16 bytes a cell.
+func (s *cells) bytes() int {
+	if s == nil {
+		return 0
+	}
+	n := 0
+	for _, ch := range s.chunks {
+		n += len(ch)
+	}
+	return n * 16
+}
+
+// appendElems appends what appendElems appends for es whose values are
+// rows of this shape, es[i]'s held in vals[i*w:(i+1)*w]: each value as
+// the state codec writes the row, then the interval as
+// wire.AppendElement does.
+func (r *rowShape) appendElems(dst []byte, es []temporal.Element, vals []any) ([]byte, error) {
+	w := len(r.cols)
+	dst = binary.AppendUvarint(dst, uint64(len(es)))
+	for i, e := range es {
+		var err error
+		if dst, err = wire.AppendFields(append(dst, r.tag), r.cols, vals[i*w:(i+1)*w]); err != nil {
+			return dst, err
+		}
+		dst = binary.AppendVarint(binary.AppendVarint(dst, int64(e.Start)), int64(e.End))
+	}
+	return dst, nil
+}

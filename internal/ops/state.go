@@ -59,7 +59,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"pipes/internal/sweeparea"
 	"pipes/internal/temporal"
@@ -274,10 +273,11 @@ type encoder func(c *capture, dst []byte) ([]byte, error)
 type capture struct {
 	elems []temporal.Element
 	recs  []record
-	vals  []any // set-operation values, indexed by their records' off
+	vals  []any // set-operation values, indexed by their records' off; γ's pending rows' cells
 	nums  []int64
 	enc   encoder
 	entry entryWriter // a keyed part's, for encodeKeyed
+	row   *rowShape   // the core's, when its elements' values are rows in vals
 }
 
 // record is one keyed entry of a capture, kept as narrow as the keyed
@@ -302,7 +302,7 @@ func (c *capture) reset() {
 	c.recs = cleared(c.recs)
 	c.vals = cleared(c.vals)
 	c.nums = cleared(c.nums)
-	c.enc, c.entry = nil, nil
+	c.enc, c.entry, c.row = nil, nil, nil
 }
 
 func cleared[T any](s []T) []T {
@@ -340,11 +340,8 @@ type parts struct {
 	list  []part
 	snaps recycler // the captures, kept between rounds
 	// free is what the operator keeps beside its state, nil if nothing:
-	// the free and held rows of a γ that lends them (NewGroupInto).
-	free interface {
-		bytes() int
-		settle()
-	}
+	// the free rows of a γ that lends them (NewGroupInto).
+	free interface{ bytes() int }
 }
 
 // declare lists the operator's parts; lock is its ProcMu.
@@ -352,12 +349,8 @@ func (p *parts) declare(lock *sync.Mutex, list ...part) { p.lock, p.list = lock,
 
 // SnapshotState implements the ft.StateSaver contract: every part
 // captures into its slot of one leased image, and the closure encodes
-// the slots in list order. Rows held for the previous image are freed
-// first if it is back: the new lease would hide that it is.
+// the slots in list order.
 func (p *parts) SnapshotState() (func(dst []byte) ([]byte, error), error) {
-	if p.free != nil {
-		p.free.settle()
-	}
 	l := p.snaps.lease(len(p.list))
 	for i, pt := range p.list {
 		l.img[i].enc = pt.capture(&l.img[i])
@@ -398,11 +391,6 @@ func (p *parts) MemoryUsage() int {
 type recycler struct {
 	mu    sync.Mutex
 	spare []capture
-	// out is the latest lease until its image comes back: while it is
-	// set, a capture may still refer to values the operator published
-	// since. A round abandoned before its encode stays out until the
-	// next lease replaces it.
-	out atomic.Pointer[lease]
 }
 
 // take removes the kept image, nil if none is kept.
@@ -421,23 +409,17 @@ func (r *recycler) lease(n int) *lease {
 	if img == nil {
 		img = make([]capture, n)
 	}
-	l := &lease{home: r, img: img}
-	r.out.Store(l)
-	return l
+	return &lease{home: r, img: img}
 }
 
-// leased reports whether the latest lease's image has not come back.
-func (r *recycler) leased() bool { return r.out.Load() != nil }
-
-// put keeps l's image img, cleared, for the next round.
-func (r *recycler) put(l *lease, img []capture) {
+// put keeps the image img, cleared, for the next round.
+func (r *recycler) put(img []capture) {
 	for i := range img {
 		img[i].reset()
 	}
 	r.mu.Lock()
 	r.spare = img
 	r.mu.Unlock()
-	r.out.CompareAndSwap(l, nil)
 }
 
 // bytes is the capacity of the kept image.
@@ -478,7 +460,7 @@ func (l *lease) encode(dst []byte) ([]byte, error) {
 		return dst, errEncodedTwice
 	}
 	l.img = nil
-	defer l.home.put(l, img)
+	defer l.home.put(img)
 	for i := range img {
 		var err error
 		if dst, err = img[i].enc(&img[i], dst); err != nil {
@@ -491,21 +473,25 @@ func (l *lease) encode(dst []byte) ([]byte, error) {
 // capture copies the order buffer: the pending (unreleased) results in
 // heap array order, and the watermark, written as a list of one. Done
 // inputs are re-established by the replayed inputs, and the holdback
-// heap is rebuilt by the parts before the core. With swap set it marks
-// the slots it images.
+// heap is rebuilt by the parts before the core. γ's pending rows are
+// copied as their cells, and written as the rows they will fill.
 func (c *ordered) capture(cp *capture) encoder {
-	if c.swap != nil {
-		for _, slot := range c.out.All() {
-			c.imaged.add(slot)
-		}
-	}
 	cp.elems = appendSlots(cp.elems, &c.out, &c.results)
+	if c.cells != nil {
+		cp.vals = c.cells.appendSlots(cp.vals, &c.out)
+		cp.row = c.cells.shape
+	}
 	cp.nums = append(cp.nums, int64(c.wm))
 	return encodeCore
 }
 
 func encodeCore(c *capture, dst []byte) ([]byte, error) {
-	dst, err := appendElems(dst, c.elems)
+	var err error
+	if c.row != nil {
+		dst, err = c.row.appendElems(dst, c.elems, c.vals)
+	} else {
+		dst, err = appendElems(dst, c.elems)
+	}
 	if err != nil {
 		return dst, err
 	}
@@ -518,6 +504,13 @@ func encodeCore(c *capture, dst []byte) ([]byte, error) {
 
 func (c *ordered) load(d *wire.Decoder) {
 	for _, e := range readElems(d, nil) {
+		if c.cells != nil {
+			if err := c.cells.load(c.results.Next(), e.Value); err != nil {
+				d.Fail(err)
+				return
+			}
+			e.Value = nil
+		}
 		c.add(e)
 	}
 	if n := d.Count(); n != 1 {
@@ -528,9 +521,9 @@ func (c *ordered) load(d *wire.Decoder) {
 }
 
 // bytes is the slab, free slots included, the heap's slot array, the
-// holdback's arrays and the imaged slots' bits.
+// holdback's arrays and γ's cells.
 func (c *ordered) bytes() int {
-	return c.results.Bytes() + c.out.Bytes() + c.holds.Bytes() + cap(c.imaged)*8
+	return c.results.Bytes() + c.out.Bytes() + c.holds.Bytes() + c.cells.bytes()
 }
 
 // area is a sweep area as a part. Its contents are written in canonical

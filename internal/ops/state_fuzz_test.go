@@ -45,6 +45,33 @@ func tup(k int, v any) cql.Tuple { return cql.Tuple{"k": k, "v": v} }
 
 func tupKey(v any) any { return v.(cql.Tuple)["k"] }
 
+// groupInto returns the maker of a γ that lends cql.Tuple rows of the
+// columns cols, in byte order: "k" the group's key, "n" its count, any
+// other column its own name.
+func groupInto(cols ...string) func() statefulOp {
+	return func() statefulOp {
+		return NewGroupInto[cql.Tuple]("op", tupKey, aggregate.NewCount, cols, func(k any, agg aggregate.Aggregate, vals []any) bool {
+			for i, c := range cols {
+				switch c {
+				case "k":
+					vals[i] = k
+				case "n":
+					vals[i] = agg.Value()
+				default:
+					vals[i] = c
+				}
+			}
+			return true
+		})
+	}
+}
+
+// heldGroupFeed is 16 elements over five keys behind one element of key
+// 0 that holds every span back: the order buffer holds spans that tie.
+func heldGroupFeed() []feedStep {
+	return append([]feedStep{{el(tup(0, "held"), 0, 90), 0}}, tieFeed(1, func(i int) any { return tup(1+(i*i)%5, i) })...)
+}
+
 // stateCases is one case per stateful operator. Values mix the codec's
 // kinds — tuples with int, float, string, bool and nil fields, plain
 // ints and strings — and the outputs the order buffers hold carry pairs,
@@ -102,8 +129,9 @@ func stateCases() []stateCase {
 		{"sample_ties", func() statefulOp { return NewSample("op", 4) }, tieFeed(1, func(i int) any { return i })},
 		{"union_ties", func() statefulOp { return NewUnion("op", 2) }, append(tieFeed(1, func(i int) any { return tup(i%3, i) }),
 			feedStep{el(tup(3, "late"), 1, 21), 1}, feedStep{el(tup(4, nil), 1, 23), 1})},
-		{"groupby_ties", func() statefulOp { return NewGroupBy("op", tupKey, aggregate.NewCount, nil) }, append(
-			[]feedStep{{el(tup(0, "held"), 0, 90), 0}}, tieFeed(1, func(i int) any { return tup(1+(i*i)%5, i) })...)},
+		{"groupby_ties", func() statefulOp { return NewGroupBy("op", tupKey, aggregate.NewCount, nil) }, heldGroupFeed()},
+		// The planner's γ: its pending spans are rows it holds as cells.
+		{"groupinto", groupInto("k", "n", "tag"), heldGroupFeed()},
 		// Three values, each span extended by four or five later arrivals,
 		// two spans ending at 27: the arrival at 40 finalises all three,
 		// equal-Start spans the open "held" span keeps in the order buffer.
@@ -137,6 +165,12 @@ func FuzzLoadState(f *testing.F) {
 	cases := stateCases()
 	for i, c := range cases {
 		f.Add(uint8(i), c.snapshot(f))
+		if c.name == "groupinto" {
+			// Pending rows that lack a column, and that have one more.
+			for _, other := range []func() statefulOp{groupInto("k", "n"), groupInto("k", "n", "tag", "x")} {
+				f.Add(uint8(i), stateCase{c.name, other, c.feed}.snapshot(f))
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, state []byte) {
 		op := cases[int(which)%len(cases)].make()
@@ -208,6 +242,41 @@ func TestStateEncodingGolden(t *testing.T) {
 		if got := hex.EncodeToString(c.snapshot(t)); got != want {
 			t.Errorf("%s state encodes as\n\t%s\nwant\n\t%s\nThe state format changed: bump ft.StateVersion (internal/ft/store.go), so stores written in the old format are refused, then update these bytes.", c.name, got, want)
 		}
+	}
+}
+
+// A γ that holds its pending rows as cells loads only rows of exactly
+// its columns: a state written by a γ of other columns — one fewer, one
+// more, or as many with one named otherwise — is refused.
+func TestGroupStateRefusesRowsOfOtherColumns(t *testing.T) {
+	feed := heldGroupFeed()
+	state := func(cols ...string) []byte { return stateCase{"groupinto", groupInto(cols...), feed}.snapshot(t) }
+	if err := groupInto("k", "n", "tag")().LoadState(state("k", "n", "tag")); err != nil {
+		t.Fatalf("a state of its own columns: %v", err)
+	}
+	for _, cols := range [][]string{{"k", "n"}, {"k", "n", "tag", "x"}, {"k", "n", "x"}} {
+		err := groupInto("k", "n", "tag")().LoadState(state(cols...))
+		if err == nil {
+			t.Fatalf("a γ of columns [k n tag] loaded pending rows of %v", cols)
+		}
+		t.Logf("rows of %v: %v", cols, err)
+	}
+}
+
+// γ's pending rows are written from their cells exactly as the state
+// codec writes the rows themselves: a γ whose results carry the same
+// cql.Tuple rows, fed the same, writes the same bytes.
+func TestGroupCellsEncodeAsTheirRows(t *testing.T) {
+	feed := heldGroupFeed()
+	carried := func() statefulOp {
+		return NewGroupBy("op", tupKey, aggregate.NewCount, func(k any, agg aggregate.Aggregate) (any, bool) {
+			return cql.Tuple{"k": k, "n": agg.Value(), "tag": "tag"}, true
+		})
+	}
+	got := stateCase{"cells", groupInto("k", "n", "tag"), feed}.snapshot(t)
+	want := stateCase{"carried", carried, feed}.snapshot(t)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("γ's cells encode as\n\t%x\nthe rows they fill as\n\t%x", got, want)
 	}
 }
 

@@ -149,9 +149,32 @@ func AppendMap(dst []byte, m map[string]any) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		var err error
-		if dst, err = AppendValue(appendString(dst, k), m[k]); err != nil {
-			return dst, fmt.Errorf("field %q: %w", k, err)
+		if dst, err = appendField(dst, k, m[k]); err != nil {
+			return dst, err
 		}
+	}
+	return dst, nil
+}
+
+// AppendFields appends what AppendMap appends for the map that holds
+// vals[i] under names[i], for names in byte order, each once: a row
+// kept as its values beside the names it shares with other rows.
+func AppendFields(dst []byte, names []string, vals []any) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for i, k := range names {
+		var err error
+		if dst, err = appendField(dst, k, vals[i]); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// appendField appends one field of a map: its name and its value.
+func appendField(dst []byte, name string, v any) ([]byte, error) {
+	dst, err := AppendValue(appendString(dst, name), v)
+	if err != nil {
+		return dst, fmt.Errorf("field %q: %w", name, err)
 	}
 	return dst, nil
 }

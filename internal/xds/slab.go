@@ -72,6 +72,14 @@ func (s *Slab[T]) Put(v T) int32 {
 	return slot
 }
 
+// Next returns the slot the next Put returns.
+func (s *Slab[T]) Next() int32 {
+	if n := len(s.free); n > 0 {
+		return s.free[n-1]
+	}
+	return s.top
+}
+
 // reserve gives an empty slab a first chunk of room for n values, up to
 // a full chunk.
 func (s *Slab[T]) reserve(n int) {

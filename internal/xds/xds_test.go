@@ -330,7 +330,11 @@ func checkSlab(t *testing.T, ops []byte) {
 	fresh := int32(0)
 	for i, op := range ops {
 		if op&1 == 0 || len(live) == 0 {
+			next := s.Next()
 			slot := s.Put(i)
+			if slot != next {
+				t.Fatalf("op %d: Next said slot %d, Put returned %d", i, next, slot)
+			}
 			want := fresh
 			if n := len(freed); n > 0 {
 				want, freed = freed[n-1], freed[:n-1]
