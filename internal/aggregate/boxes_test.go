@@ -112,3 +112,40 @@ func TestBoxesAllocateOncePerChunk(t *testing.T) {
 		t.Fatalf("boxing %d results allocates %.4f times each, want at most 1/32", len(keep), per)
 	}
 }
+
+// Boxed boxes a type in place only when an interface value holds a
+// pointer to it: it refuses the pointer-shaped types, whose interface
+// value is the value itself, and a type of no size. Any other type's
+// values read back as what was boxed, equal in dynamic type and value.
+func TestBoxesRefusePointerShapedTypes(t *testing.T) {
+	refused := func(name string, box func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s was boxed in place", name)
+			}
+		}()
+		box()
+	}
+	x := 1
+	refused("*int", func() { new(Boxed[*int]).Box(&x) })
+	refused("map", func() { new(Boxed[map[string]int]).Box(nil) })
+	refused("chan", func() { new(Boxed[chan int]).Box(nil) })
+	refused("func", func() { new(Boxed[func()]).Box(nil) })
+	refused("struct of one pointer", func() { new(Boxed[struct{ p *int }]).Box(struct{ p *int }{&x}) })
+	refused("array of one map", func() { new(Boxed[[1]map[int]int]).Box([1]map[int]int{}) })
+	refused("struct of no size", func() { new(Boxed[struct{}]).Box(struct{}{}) })
+
+	type two struct{ a, b *int }
+	var b Boxed[two]
+	var got, want []any
+	for i := 0; i < 3*chunkBytes/16; i++ {
+		v := two{&x, nil}
+		got, want = append(got, b.Box(v)), append(want, any(v))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("value %d reads %#v, want %#v", i, got[i], want[i])
+		}
+	}
+}

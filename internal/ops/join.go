@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 
+	"pipes/internal/aggregate"
 	"pipes/internal/sweeparea"
 	"pipes/internal/temporal"
 )
@@ -40,19 +41,21 @@ type Join struct {
 	probe   temporal.Element
 	probeIn int
 	match   func(stored temporal.Element)
+	pairs   aggregate.Boxed[Pair] // the default combiner's results
 }
 
 // NewJoin returns a join over the given areas. pred may be nil when the
 // areas already enforce the predicate (hash/tree); combine may be nil to
-// produce Pair values.
+// produce Pair values, which the node writes into chunks it owns
+// (aggregate.Boxed), under its processing lock.
 func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, combine Combiner) *Join {
 	if left == nil || right == nil {
 		panic("ops: join requires two sweep areas")
 	}
-	if combine == nil {
-		combine = func(l, r any) any { return Pair{Left: l, Right: r} }
-	}
 	j := &Join{areas: [2]sweeparea.SweepArea{left, right}, pred: pred, combine: combine}
+	if combine == nil {
+		j.combine = func(l, r any) any { return j.pairs.Box(Pair{Left: l, Right: r}) }
+	}
 	j.match = j.matchProbe
 	j.init(name, 2, j.processOne, nil, area{left}, area{right})
 	return j

@@ -1140,3 +1140,65 @@ func TestShedderRuntimeAdjustment(t *testing.T) {
 		t.Fatalf("dropped %d after p=1", s.Dropped())
 	}
 }
+
+// The join's default Pairs are written into chunks the node owns. Every
+// Pair handed out reads the values it joined after more chunks have
+// filled, a collection has run and freed memory has been reused, and a
+// run of matches costs one allocation a chunk, not one a match.
+func TestJoinPairsReadBackAfterCollection(t *testing.T) {
+	const n = 3000
+	key := func(v any) any { return v.(int) % 3 }
+	j := NewEquiJoin("j", key, key, nil)
+	col := &valueKeeper{vals: make([]any, 0, n)}
+	if err := j.Subscribe(col, 0); err != nil {
+		t.Fatal(err)
+	}
+	var left temporal.Batch
+	for i := 0; i < n; i++ {
+		left = append(left, el(i, temporal.Time(i), temporal.Time(n+10)))
+	}
+	j.ProcessBatch(left, 0)
+	j.ProcessBatch(temporal.Batch{el(n, n, n+10)}, 1) // matches the n/3 lefts of key 0
+	// The merge applies input 1's element once input 0 can bring nothing
+	// before it.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j.Done(0)
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	junk := make([][]Pair, 256)
+	for i := range junk {
+		junk[i] = make([]Pair, 16)
+		for k := range junk[i] {
+			junk[i][k] = Pair{Left: "junk", Right: -1}
+		}
+	}
+	got := col.vals
+	if len(got) != n/3 {
+		t.Fatalf("%d matches, want %d", len(got), n/3)
+	}
+	for i, v := range got {
+		if want := (Pair{Left: 3 * i, Right: n}); v != any(want) {
+			t.Fatalf("match %d reads %#v after more chunks and a collection, want %#v", i, v, want)
+		}
+	}
+	runtime.KeepAlive(junk)
+	per := float64(after.Mallocs-before.Mallocs) / float64(len(got))
+	t.Logf("%d matches: %.3f allocations each", len(got), per)
+	if per > 1.0/8 {
+		t.Fatalf("a match allocates %.3f times, want about one allocation a chunk of 16", per)
+	}
+}
+
+// valueKeeper keeps every value it is handed in room made beforehand.
+type valueKeeper struct{ vals []any }
+
+func (k *valueKeeper) Name() string      { return "keeper" }
+func (k *valueKeeper) Done(int)          {}
+func (k *valueKeeper) KeepsValues() bool { return true }
+
+func (k *valueKeeper) ProcessBatch(b temporal.Batch, _ int) {
+	for _, e := range b {
+		k.vals = append(k.vals, e.Value)
+	}
+}
