@@ -88,8 +88,7 @@ func checkGroupView(t *testing.T, e cql.Expr, rng *rand.Rand) {
 	if got, want := cql.Compile(e, view.Resolve)(agg), e.Eval(merged); !sameValue(got, want) {
 		t.Fatalf("%s\n compiled over the group = %#v\n Eval over %#v = %#v", e, got, merged, want)
 	}
-	star := cql.Tuple{}
-	view.star()(agg, star)
+	star := groupRow(viewGroup, agg)
 	if len(star) != len(merged) {
 		t.Fatalf("SELECT * over the group = %v, want %v", star, merged)
 	}

@@ -27,23 +27,17 @@ import (
 // of the plan subtree, so every query sharing a physical node by
 // signature compiled against the same shape.
 type Shape interface {
-	view
+	// Resolve is the edge's cql.Resolver: nil for a name no field
+	// answers to or, across a join, more than one does.
+	Resolve(name string) func(v any) any
+	// star returns the SELECT * materialiser: it writes every field of a
+	// value into out under the name a query delivers it by.
+	star() func(v any, out cql.Tuple)
 	// lookup is Resolve with the match count kept, which is what the
 	// enclosing pair needs to apply the ambiguity rule across its sides.
 	lookup(name string) lookupFn
 	// owns reports whether a scan with this qualifier feeds the edge.
 	owns(qualifier string) bool
-}
-
-// view is what a compiled expression or select list reads: an edge's
-// Shape, or a γ node's groupView.
-type view interface {
-	// Resolve is the view's cql.Resolver: nil for a name no field answers
-	// to or, across a join, more than one does.
-	Resolve(name string) func(v any) any
-	// star returns the SELECT * materialiser: it writes every field of a
-	// value into out under the name a query delivers it by.
-	star() func(v any, out cql.Tuple)
 }
 
 // lookupFn reads one name off an edge value and reports how many fields
