@@ -101,6 +101,11 @@ func TestPlanAllocationBudget(t *testing.T) {
 		// group or hash bucket about as often as it fills one.
 		{"group-by, churning", `SELECT bidder AS bidder, SUM(price) AS spent, COUNT(*) AS n FROM bids [RANGE 10] GROUP BY bidder`, false, 2.1},
 		{"self equi-join, churning", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.bidder = y.bidder`, false, 2.5},
+		// A residual predicate tests each candidate pair in place: the
+		// self-join's candidates, and every pair in the theta join's
+		// windows, allocate nothing; the theta join still boxes `+ 800`.
+		{"self equi-join, residual, borrowing sink", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.bidder = y.bidder AND x.price >= y.price`, true, 0.3},
+		{"theta join, borrowing sink", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.price > y.price + 800`, true, 20},
 	} {
 		got := allocsPerElement(t, n, c.borrow, c.query)
 		t.Logf("%s: %.2f allocations per element (ceiling %.1f)", c.name, got, c.ceiling)

@@ -98,7 +98,7 @@ func render(v any) string {
 func TestEveryPlannedOperatorIsCheckpointed(t *testing.T) {
 	stateless := func(p pubsub.Pipe) bool {
 		switch p.(type) {
-		case *ops.Filter, *ops.Map, *ops.Project[Tuple], *ops.TimeWindow, *ops.NowWindow, *ops.TumblingWindow, *ops.UnboundedWindow:
+		case *ops.Filter, *ops.Map, *ops.Project[Tuple], *ops.TimeWindow:
 			return true
 		}
 		return false

@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"unsafe"
 )
@@ -12,7 +11,7 @@ import (
 // without a header.
 const chunkBytes = 512
 
-// chunkSize is the number of results one chunk of a Boxes holds.
+// chunkSize is the number of 8-byte results one chunk of a Boxes holds.
 const chunkSize = chunkBytes / 8
 
 // Boxes hands out the results of the built-in aggregates as interface
@@ -22,19 +21,15 @@ const chunkSize = chunkBytes / 8
 // and value, nil when empty. A slot is written once and never reused; a
 // chunk lives as long as any value pointing into it is referenced.
 //
-// Only float64 and int64 results are written into slots, each boxed
-// where it is (boxedType.at).
+// Only float64 and int64 results are written into slots, each type by a
+// Boxed of its own.
 //
 // The zero Boxes is ready to use. A Boxes is not safe for concurrent
 // use: an operator keeps one and uses it under its processing lock.
 type Boxes struct {
-	free []uint64 // the current chunk's unwritten slots
+	floats Boxed[float64]
+	ints   Boxed[int64]
 }
-
-var (
-	floatType = typeOf[float64]()
-	intType   = typeOf[int64]()
-)
 
 // Value returns a.Value(), boxed into a slot for a built-in aggregate's
 // numeric result. Other aggregates' results are a.Value() itself.
@@ -45,27 +40,15 @@ func (b *Boxes) Value(a Aggregate) any {
 		if uint64(n) < 256 {
 			return n // the runtime boxes these without allocating
 		}
-		return b.box(intType, uint64(n))
+		return b.ints.Box(n)
 	case floatResult:
 		f, held, ok := r.floatResult()
 		if !ok || held != nil {
 			return boxFloat(f, held, ok)
 		}
-		return b.box(floatType, math.Float64bits(f))
+		return b.floats.Box(f)
 	}
 	return a.Value()
-}
-
-// box writes bits into the next slot and returns the interface value of
-// type t that points at it.
-func (b *Boxes) box(t boxedType, bits uint64) any {
-	if len(b.free) == 0 {
-		b.free = new([chunkSize]uint64)[:]
-	}
-	slot := &b.free[0]
-	*slot = bits
-	b.free = b.free[1:]
-	return t.at(unsafe.Pointer(slot))
 }
 
 // Boxed hands out values of T as interface values that point into
@@ -93,7 +76,7 @@ func (b *Boxed[T]) Box(v T) any {
 }
 
 // boxedType is the dynamic-type word of a type whose interface values
-// hold a pointer to the value: the type Boxes and Boxed box in place.
+// hold a pointer to the value: the type a Boxed boxes in place.
 type boxedType struct{ typ unsafe.Pointer }
 
 // eface is the layout of an interface value without methods.

@@ -180,6 +180,41 @@ func TestTumblingWindowNegativeTimes(t *testing.T) {
 	sameElements(t, out, []temporal.Element{el("a", -20, -10), el("b", -10, 0)})
 }
 
+// Every interval window maps an element starting at s to SEMANTICS.md's
+// interval for it, and at the edges of time to a valid one: an end past
+// MaxTime is clamped to MaxTime, a granule beginning before MinTime
+// starts at MinTime, and UNBOUNDED ends at MaxTime from any Start.
+func TestIntervalWindowEdges(t *testing.T) {
+	const maxT, minT = temporal.MaxTime, temporal.MinTime
+	for _, c := range []struct {
+		name       string
+		w          frameOp
+		s          temporal.Time
+		start, end temporal.Time
+	}{
+		{"range 100 at MaxTime-1", NewTimeWindow("w", 100), maxT - 1, maxT - 1, maxT},
+		{"range 100 at MaxTime-100", NewTimeWindow("w", 100), maxT - 100, maxT - 100, maxT},
+		{"range 100 at MaxTime-101", NewTimeWindow("w", 100), maxT - 101, maxT - 101, maxT - 1},
+		{"range 100 at MinTime", NewTimeWindow("w", 100), minT, minT, minT + 100},
+		{"now at MaxTime-1", NewNowWindow("w"), maxT - 1, maxT - 1, maxT},
+		{"now at MaxTime-2", NewNowWindow("w"), maxT - 2, maxT - 2, maxT - 1},
+		{"istream at MaxTime-1", NewIStream("w"), maxT - 1, maxT - 1, maxT},
+		{"unbounded at -5", NewUnboundedWindow("w"), -5, -5, maxT},
+		{"unbounded at MinTime", NewUnboundedWindow("w"), minT, minT, maxT},
+		{"unbounded at MaxTime-1", NewUnboundedWindow("w"), maxT - 1, maxT - 1, maxT},
+		{"tumbling 10 at MaxTime-1", NewTumblingWindow("w", 10), maxT - 1, maxT - 7, maxT},
+		{"tumbling 10 at -1", NewTumblingWindow("w", 10), -1, -10, 0},
+		{"tumbling 10 at -10", NewTumblingWindow("w", 10), -10, -10, 0},
+		{"tumbling 10 at -11", NewTumblingWindow("w", 10), -11, -20, -10},
+		{"tumbling 10 at MinTime", NewTumblingWindow("w", 10), minT, minT, minT + 8},
+	} {
+		out := runSingle(c.w, []temporal.Element{el("a", c.s, c.s+1)})
+		if len(out) != 1 || !out[0].Valid() || out[0].Start != c.start || out[0].End != c.end {
+			t.Errorf("%s: got %v, want [%d, %d)", c.name, out, c.start, c.end)
+		}
+	}
+}
+
 func TestCountWindowDisplacement(t *testing.T) {
 	in := []temporal.Element{el("a", 0, 1), el("b", 5, 6), el("c", 9, 10)}
 	out := runSingle(NewCountWindow("c", 2), in)

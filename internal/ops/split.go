@@ -126,3 +126,11 @@ func (s *Sample) finish() {
 		s.emitBoundaries(maxEnd)
 	}
 }
+
+func floorDiv(a, b temporal.Time) temporal.Time {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}

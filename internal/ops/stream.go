@@ -5,7 +5,7 @@ import "pipes/internal/temporal"
 // NewIStream returns CQL's ISTREAM relation-to-stream converter: a chronon
 // element whenever a value enters the snapshot, realised per element as
 // (v, [s,e)) ↦ (v, [s,s+1)) — the NOW window's map.
-func NewIStream(name string) *NowWindow { return NewNowWindow(name) }
+func NewIStream(name string) *TimeWindow { return NewNowWindow(name) }
 
 // DStream emits a chronon element whenever a value leaves the snapshot —
 // CQL's DSTREAM: (v, [s,e)) ↦ (v, [e,e+1)). Because interval ends are not

@@ -8,20 +8,50 @@ import (
 	"pipes/internal/xds"
 )
 
-// TimeWindow implements the sliding time window (CQL: RANGE size): each
-// element's validity is extended to [Start, Start+size), so at any instant
-// t the snapshot contains the values that arrived during (t-size, t].
+// TimeWindow is the interval window: it rewrites each element's validity
+// and nothing else, so it holds no state. An element starting at s is
+// valid during [s', s'+size), where s' is s floored to a multiple of the
+// granule (s itself for granule 1). An end past MaxTime is clamped to it,
+// a start floored past MinTime to MinTime, and a size of MaxTime is
+// unbounded: every element then ends at MaxTime, whatever its Start. The
+// constructors below are the CQL windows it covers.
 type TimeWindow struct {
 	pubsub.PipeBase
-	size temporal.Time
+	size, granule temporal.Time
 }
 
-// NewTimeWindow returns a sliding time window of the given positive size.
-func NewTimeWindow(name string, size temporal.Time) *TimeWindow {
+func newTimeWindow(name string, size, granule temporal.Time) *TimeWindow {
 	if size <= 0 {
-		panic("ops: time window size must be positive")
+		panic("ops: window size must be positive")
 	}
-	return &TimeWindow{PipeBase: pubsub.NewPipeBase(name, 1), size: size}
+	return &TimeWindow{PipeBase: pubsub.NewPipeBase(name, 1), size: size, granule: granule}
+}
+
+// NewTimeWindow returns a sliding time window of the given positive size
+// (CQL: RANGE size): at any instant t the snapshot contains the values
+// that arrived during (t-size, t].
+func NewTimeWindow(name string, size temporal.Time) *TimeWindow {
+	return newTimeWindow(name, size, 1)
+}
+
+// NewTumblingWindow returns a tumbling window of the given positive size
+// (CQL: RANGE size SLIDE size): an element arriving at s is valid exactly
+// during its granule [⌊s/size⌋·size, ⌊s/size⌋·size + size). Combined with
+// a downstream aggregate this yields the classic "report every g the last
+// g" query shape.
+func NewTumblingWindow(name string, size temporal.Time) *TimeWindow {
+	return newTimeWindow(name, size, size)
+}
+
+// NewNowWindow returns a NOW window (CQL: NOW), which restricts each
+// element to the single instant of its arrival.
+func NewNowWindow(name string) *TimeWindow { return newTimeWindow(name, 1, 1) }
+
+// NewUnboundedWindow returns an unbounded window (CQL: RANGE UNBOUNDED),
+// which gives every element unbounded validity — the stream-to-relation
+// mapping for monotone accumulation.
+func NewUnboundedWindow(name string) *TimeWindow {
+	return newTimeWindow(name, temporal.MaxTime, 1)
 }
 
 // ProcessBatch implements pubsub.BatchSink.
@@ -29,92 +59,27 @@ func (w *TimeWindow) ProcessBatch(b temporal.Batch, _ int) {
 	w.ProcMu.Lock()
 	defer w.ProcMu.Unlock()
 	for _, e := range b {
-		end := e.Start + w.size
-		if end < e.Start { // overflow
-			end = temporal.MaxTime
+		w.Emit(e.WithInterval(w.interval(e.Start)))
+	}
+	w.Flush()
+}
+
+// interval is the window's one rule: s's granule start, plus the size.
+func (w *TimeWindow) interval(s temporal.Time) temporal.Interval {
+	var r temporal.Time // s's offset into its granule
+	if w.granule > 1 {
+		if r = s % w.granule; r < 0 {
+			r += w.granule
 		}
-		w.Emit(e.WithInterval(temporal.NewInterval(e.Start, end)))
 	}
-	w.Flush()
-}
-
-// UnboundedWindow gives every element unbounded validity (CQL: RANGE
-// UNBOUNDED) — the stream-to-relation mapping for monotone accumulation.
-type UnboundedWindow struct {
-	pubsub.PipeBase
-}
-
-// NewUnboundedWindow returns an unbounded window.
-func NewUnboundedWindow(name string) *UnboundedWindow {
-	return &UnboundedWindow{PipeBase: pubsub.NewPipeBase(name, 1)}
-}
-
-// ProcessBatch implements pubsub.BatchSink.
-func (w *UnboundedWindow) ProcessBatch(b temporal.Batch, _ int) {
-	w.ProcMu.Lock()
-	defer w.ProcMu.Unlock()
-	for _, e := range b {
-		w.Emit(e.WithInterval(temporal.NewInterval(e.Start, temporal.MaxTime)))
+	start, end := s-r, s+(w.size-r)
+	if start > s { // the granule begins before MinTime
+		start = temporal.MinTime
 	}
-	w.Flush()
-}
-
-// NowWindow restricts each element to the single instant of its arrival
-// (CQL: NOW).
-type NowWindow struct {
-	pubsub.PipeBase
-}
-
-// NewNowWindow returns a NOW window.
-func NewNowWindow(name string) *NowWindow {
-	return &NowWindow{PipeBase: pubsub.NewPipeBase(name, 1)}
-}
-
-// ProcessBatch implements pubsub.BatchSink.
-func (w *NowWindow) ProcessBatch(b temporal.Batch, _ int) {
-	w.ProcMu.Lock()
-	defer w.ProcMu.Unlock()
-	for _, e := range b {
-		w.Emit(e.WithInterval(temporal.NewInterval(e.Start, e.Start+1)))
+	if end < s || w.size == temporal.MaxTime {
+		end = temporal.MaxTime
 	}
-	w.Flush()
-}
-
-// TumblingWindow assigns each element to its fixed, gap-free time granule
-// of the given size (CQL: RANGE size SLIDE size): an element arriving at s
-// is valid exactly during [⌊s/size⌋·size, ⌊s/size⌋·size + size). Combined
-// with a downstream aggregate this yields the classic "report every g the
-// last g" query shape.
-type TumblingWindow struct {
-	pubsub.PipeBase
-	size temporal.Time
-}
-
-// NewTumblingWindow returns a tumbling window of the given positive size.
-func NewTumblingWindow(name string, size temporal.Time) *TumblingWindow {
-	if size <= 0 {
-		panic("ops: tumbling window size must be positive")
-	}
-	return &TumblingWindow{PipeBase: pubsub.NewPipeBase(name, 1), size: size}
-}
-
-// ProcessBatch implements pubsub.BatchSink.
-func (w *TumblingWindow) ProcessBatch(b temporal.Batch, _ int) {
-	w.ProcMu.Lock()
-	defer w.ProcMu.Unlock()
-	for _, e := range b {
-		start := floorDiv(e.Start, w.size) * w.size
-		w.Emit(e.WithInterval(temporal.NewInterval(start, start+w.size)))
-	}
-	w.Flush()
-}
-
-func floorDiv(a, b temporal.Time) temporal.Time {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
+	return temporal.NewInterval(start, end)
 }
 
 // CountWindow implements the count-based window (CQL: ROWS n): an element
@@ -224,4 +189,6 @@ func (w *PartitionedWindow) fflush() {
 }
 
 // String describes the window for EXPLAIN output.
-func (w *TimeWindow) String() string { return fmt.Sprintf("%s[range=%d]", w.Name(), w.size) }
+func (w *TimeWindow) String() string {
+	return fmt.Sprintf("%s[range=%d slide=%d]", w.Name(), w.size, w.granule)
+}

@@ -587,13 +587,18 @@ func (o *Optimizer) buildScan(s *Scan, inst *Instance) (pubsub.Source, error) {
 
 // buildJoin creates the physical join for a logical join node. Its value
 // is the pair of its inputs' values (the join's default combiner), so a
-// match copies nothing.
+// match copies nothing. The residual predicate tests each candidate in
+// one pair the node owns, so a test allocates nothing: the join calls it
+// under its processing lock, and the pair is cleared after each test.
 func (o *Optimizer) buildJoin(v *Join, l, r Shape) *ops.Join {
 	var pred ops.Predicate2
 	if v.Residual != nil {
 		residual := cql.Compile(v.Residual, pairShape{l: l, r: r}.Resolve)
+		cand := new(ops.Pair)
 		pred = func(lv, rv any) bool {
-			b, _ := residual(ops.Pair{Left: lv, Right: rv}).(bool)
+			cand.Left, cand.Right = lv, rv
+			b, _ := residual(cand).(bool)
+			*cand = ops.Pair{}
 			return b
 		}
 	}

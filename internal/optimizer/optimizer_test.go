@@ -850,3 +850,13 @@ func chronons(n int) temporal.Batch {
 	}
 	return b
 }
+
+// sortedQuals renders a qualifier set deterministically.
+func sortedQuals(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for q := range m {
+		out = append(out, q)
+	}
+	sort.Strings(out)
+	return out
+}

@@ -12,7 +12,6 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pipes/internal/cql"
@@ -467,14 +466,4 @@ func rewriteName(name string, m map[string]string) string {
 		}
 	}
 	return name
-}
-
-// sortedQuals renders a qualifier set deterministically (testing helper).
-func sortedQuals(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for q := range m {
-		out = append(out, q)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -164,13 +164,13 @@ func (p pairShape) lookup(name string) lookupFn {
 	if side, left, ok := p.side(name); ok {
 		inner := side.lookup(name)
 		if left {
-			return func(v any) (any, int) { return inner(v.(ops.Pair).Left) }
+			return func(v any) (any, int) { return inner(sides(v).Left) }
 		}
-		return func(v any) (any, int) { return inner(v.(ops.Pair).Right) }
+		return func(v any) (any, int) { return inner(sides(v).Right) }
 	}
 	l, r := p.l.lookup(name), p.r.lookup(name)
 	return func(v any) (any, int) {
-		pr := v.(ops.Pair)
+		pr := sides(v)
 		lv, ln := l(pr.Left)
 		rv, rn := r(pr.Right)
 		if ln == 0 {
@@ -178,6 +178,16 @@ func (p pairShape) lookup(name string) lookupFn {
 		}
 		return lv, ln + rn
 	}
+}
+
+// sides returns the pair a join edge's value is: an ops.Pair the join
+// emitted, or the *ops.Pair its residual predicate tests a candidate in
+// (buildJoin).
+func sides(v any) ops.Pair {
+	if pr, ok := v.(*ops.Pair); ok {
+		return *pr
+	}
+	return v.(ops.Pair)
 }
 
 func (p pairShape) owns(q string) bool { return p.l.owns(q) || p.r.owns(q) }

@@ -156,18 +156,6 @@ func (sub *Subscription) ref() *flight.OpRef {
 	return sub.block.Load()
 }
 
-// deliver hands a published frame to the subscribed sink — through the
-// sink's instrumentation block when it has one, which records the
-// operator's input side (OBSERVABILITY.md) without a node of its own in
-// the graph.
-func (sub *Subscription) deliver(b temporal.Batch) {
-	if ref := sub.ref(); ref != nil {
-		ref.Deliver(sub.frames, b, sub.Input)
-	} else {
-		sub.frames.ProcessBatch(b, sub.Input)
-	}
-}
-
 // ErrDone is returned by Subscribe when the source has already signalled
 // end-of-stream; new subscribers would never receive anything.
 var ErrDone = errors.New("pubsub: source already signalled done")
@@ -346,8 +334,9 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 			}
 			fb = owned
 		}
-		// deliver, spelled out: it is past the inlining budget, and the
-		// detached path should cost a pointer load, not a call.
+		// Through the sink's instrumentation block when it has one, which
+		// records the operator's input side (OBSERVABILITY.md) without a
+		// node of its own in the graph; detached, a pointer load.
 		if ref := sub.ref(); ref != nil {
 			ref.Deliver(sub.frames, fb, sub.Input)
 		} else {
