@@ -15,7 +15,7 @@ func (s countSink) ProcessBatch(b Batch, _ int) { *s.n += len(b) }
 
 // allocsPerElement runs queries over the bid stream through the facade
 // and returns heap allocations per input element between Start and the
-// end of the run. Each query delivers into a FuncSink, which declares
+// end of the run. Bids carry a fresh "seq" each. Each query delivers into a FuncSink, which declares
 // that it keeps values, or with borrow set into a countSink.
 func allocsPerElement(t *testing.T, n int, borrow bool, queries ...string) float64 {
 	t.Helper()
@@ -23,7 +23,7 @@ func allocsPerElement(t *testing.T, n int, borrow bool, queries ...string) float
 	defer d.Stop()
 	bids := make([]Element, n)
 	for i := range bids {
-		bids[i] = NewElement(Tuple{"auction": 1000 + i%50, "bidder": 2000 + i%97, "price": float64(100 + i%900)},
+		bids[i] = NewElement(Tuple{"auction": 1000 + i%50, "bidder": 2000 + i%97, "price": float64(100 + i%900), "seq": i},
 			Time(i), Time(i+1))
 	}
 	auctions := make([]Element, 50)
@@ -71,7 +71,10 @@ func allocsPerElement(t *testing.T, n int, borrow bool, queries ...string) float
 // frame's worth: a row per pending span put the borrowing group-by at
 // 0.24. The join writes its Pairs into chunks of 16 it owns: a Pair per
 // match put the equi-join at 3.00 and the churning self-join at 2.99. A
-// rename map per
+// new group's record and aggregates come from chunks its node owns: a
+// record, a COUNT and a SUM per group put the fresh-key group-by at 3.06.
+// Arithmetic in a comparison is computed unboxed: a box per `+ 800` put
+// the theta join at 18.79. A rename map per
 // element, a formatted key or a merged join tuple breaks these ceilings,
 // as each did before names were resolved at plan time (5.9, 21.8 and 16.1
 // allocations per element then, against 1.0, 10.0 and 4.1). So does a group row between γ and the
@@ -103,14 +106,47 @@ func TestPlanAllocationBudget(t *testing.T) {
 		{"self equi-join, churning", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.bidder = y.bidder`, false, 2.5},
 		// A residual predicate tests each candidate pair in place: the
 		// self-join's candidates, and every pair in the theta join's
-		// windows, allocate nothing; the theta join still boxes `+ 800`.
+		// windows, allocate nothing, and the theta join computes `+ 800`
+		// unboxed.
 		{"self equi-join, residual, borrowing sink", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.bidder = y.bidder AND x.price >= y.price`, true, 0.3},
-		{"theta join, borrowing sink", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.price > y.price + 800`, true, 20},
+		{"theta join, borrowing sink", `SELECT x.price AS price, y.auction AS auction FROM bids [RANGE 10] AS x, bids [RANGE 10] AS y WHERE x.price > y.price + 800`, true, 0.2},
+		// A group a bid: no group empties during the run, so each takes a
+		// new record and new aggregates from its node's chunks.
+		{"group-by, fresh keys, borrowing sink", groupsOver("seq", `COUNT(*) AS n, SUM(price) AS spent`), true, 0.2},
 	} {
 		got := allocsPerElement(t, n, c.borrow, c.query)
 		t.Logf("%s: %.2f allocations per element (ceiling %.1f)", c.name, got, c.ceiling)
 		if got > c.ceiling {
 			t.Errorf("%s allocates %.2f times per element, over its ceiling of %.1f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// groupsOver is a group-by on key with the given calls, in a window
+// longer than the run: no group empties while it runs.
+func groupsOver(key, calls string) string {
+	return `SELECT ` + key + ` AS k, ` + calls + ` FROM bids [RANGE 1000000] GROUP BY ` + key
+}
+
+// A planner γ takes a new group's record, its sub-aggregates and their
+// slice from chunks its node owns, so a new key costs a fraction of an
+// allocation where it cost three (a record, a COUNT, a SUM), and five
+// with three calls (and the slice of them). Each query runs twice into a
+// borrowing sink: grouped on "seq", every bid a new group, and on
+// "bidder", 97 groups. Both close about a span a bid, so the difference
+// per bid is what a new group costs.
+func TestNewGroupsShareChunks(t *testing.T) {
+	const n = 8000
+	for _, c := range []struct{ name, calls string }{
+		{"COUNT(*)+SUM", `COUNT(*) AS n, SUM(price) AS spent`},
+		{"MAX+COUNT, not invertible", `MAX(price) AS top, COUNT(*) AS n`},
+		{"three calls", `COUNT(*) AS n, SUM(price) AS spent, AVG(price) AS mean`},
+	} {
+		fresh := allocsPerElement(t, n, true, groupsOver("seq", c.calls))
+		known := allocsPerElement(t, n, true, groupsOver("bidder", c.calls))
+		t.Logf("%s: %.3f allocations per bid over new groups, %.3f over 97", c.name, fresh, known)
+		if per := fresh - known; per > 0.1 {
+			t.Errorf("%s allocates %.3f times per new group, want at most 0.1", c.name, per)
 		}
 	}
 }

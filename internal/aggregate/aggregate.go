@@ -37,7 +37,7 @@ type Invertible interface {
 }
 
 // Factory constructs fresh aggregate instances; group-by operators call it
-// once per group.
+// for each new group that finds no spare.
 type Factory func() Aggregate
 
 // ToFloat coerces any Go numeric value to float64. The second result is

@@ -200,7 +200,7 @@ func TestResetRestoresFresh(t *testing.T) {
 		"p2-0.9":    func() Aggregate { return NewP2Quantile(0.9) },
 	}
 	for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX", "VAR", "VARIANCE", "STDDEV", "MEDIAN"} {
-		f, err := ByName(name)
+		f, _, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestReservoirUniformity(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"count", "SUM", "Avg", "MIN", "max", "VAR", "VARIANCE", "STDDEV", "median"} {
-		f, err := ByName(name)
+		f, _, err := ByName(name)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
 			continue
@@ -327,7 +327,7 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) returned nil factory", name)
 		}
 	}
-	if _, err := ByName("frobnicate"); err == nil {
+	if _, _, err := ByName("frobnicate"); err == nil {
 		t.Error("ByName accepted unknown aggregate")
 	}
 }

@@ -75,6 +75,38 @@ func (b *Boxed[T]) Box(v T) any {
 	return b.t.at(unsafe.Pointer(slot))
 }
 
+// Chunks hands out runs of T from write-once []T chunks it owns, so a
+// run costs a fraction of an allocation instead of one: the first chunk
+// holds firstRuns runs and each next one twice as many, up to maxRuns,
+// so an owner that takes one or two runs holds a few, not a full chunk.
+// A run is never handed out twice; its memory comes back only when
+// nothing references any run of its chunk. The zero Chunks is ready to
+// use; it is not safe for concurrent use.
+type Chunks[T any] struct {
+	free []T
+	runs int // runs the last chunk held
+}
+
+const (
+	firstRuns = 4
+	maxRuns   = 64
+)
+
+// New returns a pointer to a zero T in the next slot.
+func (c *Chunks[T]) New() *T { return &c.Take(1)[0] }
+
+// Take returns the next k zero Ts, of capacity k. An owner takes runs of
+// one length, so a chunk holds a whole number of them.
+func (c *Chunks[T]) Take(k int) []T {
+	if len(c.free) < k {
+		c.runs = min(max(2*c.runs, firstRuns), maxRuns)
+		c.free = make([]T, c.runs*k)
+	}
+	run := c.free[:k:k]
+	c.free = c.free[k:]
+	return run
+}
+
 // boxedType is the dynamic-type word of a type whose interface values
 // hold a pointer to the value: the type a Boxed boxes in place.
 type boxedType struct{ typ unsafe.Pointer }

@@ -25,7 +25,7 @@ func TestBoxesMatchValue(t *testing.T) {
 	var out []boxed
 	for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX", "VAR", "STDDEV", "MEDIAN"} {
 		for _, input := range []string{"int", "float64"} {
-			f, err := ByName(name)
+			f, _, err := ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,6 +146,55 @@ func TestBoxesRefusePointerShapedTypes(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("value %d reads %#v, want %#v", i, got[i], want[i])
+		}
+	}
+}
+
+// The aggregates a ByName factory takes from its chunks act as fresh
+// ones. Each of 300 (chunks of 4 slots, doubling to 64) folds values of
+// its own; every other one is then reset and refilled, as a group-by
+// reuses a spare; 300 more fill further chunks; a collection runs. Each
+// still reads what an aggregate from the plain constructor reads after
+// the same inserts. ByName's invertible says what its aggregates are.
+func TestChunkedAggregatesActFresh(t *testing.T) {
+	plain := map[string]Factory{"COUNT": NewCount, "SUM": NewSum, "AVG": NewAvg, "MIN": NewMin,
+		"MAX": NewMax, "VAR": NewVariance, "STDDEV": NewStdDev, "MEDIAN": NewMedian}
+	for name, fresh := range plain {
+		f, invertible, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := f().(Invertible); ok != invertible {
+			t.Errorf("%s: ByName says invertible %v, its aggregates %v", name, invertible, ok)
+		}
+		type pair struct{ got, want Aggregate }
+		fill := func(p pair, i int) {
+			for j := 0; j <= i%7; j++ {
+				v := float64((i*31+j*7)%97) - 40
+				p.got.Insert(v)
+				p.want.Insert(v)
+			}
+		}
+		var all []pair
+		add := func(n int) {
+			for i := len(all); n > 0; i, n = i+1, n-1 {
+				p := pair{f(), fresh()}
+				fill(p, i)
+				all = append(all, p)
+			}
+		}
+		add(300)
+		for i := 0; i < len(all); i += 2 {
+			all[i].got.Reset()
+			all[i].want = fresh()
+			fill(all[i], i+1)
+		}
+		add(300)
+		runtime.GC()
+		for i, p := range all {
+			if got, want := p.got.Value(), p.want.Value(); got != want {
+				t.Fatalf("%s: aggregate %d reads %v, a fresh one %v", name, i, got, want)
+			}
 		}
 	}
 }

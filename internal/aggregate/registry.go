@@ -7,25 +7,47 @@ import (
 
 // ByName resolves an SQL aggregate-function name to a Factory; it backs
 // the CQL front end. Recognised names (case-insensitive): COUNT, SUM, AVG,
-// MIN, MAX, VAR, VARIANCE, STDDEV, MEDIAN.
-func ByName(name string) (Factory, error) {
+// MIN, MAX, VAR, VARIANCE, STDDEV, MEDIAN. invertible reports whether
+// every aggregate the factory makes is Invertible; it is read off the
+// type, so asking makes no aggregate.
+//
+// Each call returns a new factory. For every name but MEDIAN it takes its
+// aggregates from chunks it owns (Chunks), so a new group costs a
+// fraction of an allocation; like the chunks, such a factory is not safe
+// for concurrent use. A group-by calls it where it adds a group, under
+// its processing lock or while it loads its state, as it uses its Boxes.
+func ByName(name string) (f Factory, invertible bool, err error) {
 	switch strings.ToUpper(name) {
 	case "COUNT":
-		return NewCount, nil
+		f, invertible = chunked[Count]()
 	case "SUM":
-		return NewSum, nil
+		f, invertible = chunked[Sum]()
 	case "AVG":
-		return NewAvg, nil
+		f, invertible = chunked[Avg]()
 	case "MIN":
-		return NewMin, nil
+		f, invertible = chunked[Min]()
 	case "MAX":
-		return NewMax, nil
+		f, invertible = chunked[Max]()
 	case "VAR", "VARIANCE":
-		return NewVariance, nil
+		f, invertible = chunked[Variance]()
 	case "STDDEV":
-		return NewStdDev, nil
+		f, invertible = chunked[StdDev]()
 	case "MEDIAN":
-		return NewMedian, nil
+		_, invertible = Aggregate((*P2Quantile)(nil)).(Invertible)
+		f = NewMedian
+	default:
+		return nil, false, fmt.Errorf("aggregate: unknown aggregate function %q", name)
 	}
-	return nil, fmt.Errorf("aggregate: unknown aggregate function %q", name)
+	return f, invertible, nil
+}
+
+// chunked returns a factory of zero Ts taken from chunks it owns, and
+// whether *T is Invertible.
+func chunked[T any, P interface {
+	*T
+	Aggregate
+}]() (Factory, bool) {
+	var c Chunks[T]
+	_, invertible := Aggregate(P(nil)).(Invertible)
+	return func() Aggregate { return P(c.New()) }, invertible
 }

@@ -213,22 +213,28 @@ func FuzzCompileMatchesEval(f *testing.F) {
 
 // A compiled predicate over a scan tuple allocates nothing: the field is
 // read where the source put it, the literal was boxed at plan time, and
-// the comparison kernel works on what it is handed.
+// the comparison kernel works on what it is handed. Arithmetic and
+// negation inside a comparison run on float64s and box nothing.
 func TestCompiledScanPredicateDoesNotAllocate(t *testing.T) {
 	shape, err := optimizer.ShapeOf(scan("bids"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := cql.ParseExpr(`bids.price > 500 AND auction < 1000000 OR bidder = 7`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := cql.Compile(e, shape.Resolve)
-	var tuple any = cql.Tuple{"auction": 17, "bidder": 4, "price": 612.0}
-	if pred(tuple) != true {
-		t.Fatalf("predicate = %v, want true", pred(tuple))
-	}
-	if allocs := testing.AllocsPerRun(1000, func() { pred(tuple) }); allocs != 0 {
-		t.Fatalf("compiled predicate allocates %.1f times per tuple", allocs)
+	for _, text := range []string{
+		`bids.price > 500 AND auction < 1000000 OR bidder = 7`,
+		`bids.price > bidder * 100 + 200 AND -price < auction % 5 - 600 AND price / 2 != 'x'`,
+	} {
+		e, err := cql.ParseExpr(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := cql.Compile(e, shape.Resolve)
+		var tuple any = cql.Tuple{"auction": 17, "bidder": 4, "price": 612.0}
+		if pred(tuple) != true {
+			t.Fatalf("%s = %v, want true", text, pred(tuple))
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { pred(tuple) }); allocs != 0 {
+			t.Fatalf("%s allocates %.1f times per tuple", text, allocs)
+		}
 	}
 }

@@ -209,20 +209,7 @@ func compare(op binOp, l, r any) bool {
 	lf, lnum := aggregate.ToFloat(l)
 	rf, rnum := aggregate.ToFloat(r)
 	if lnum && rnum {
-		switch op {
-		case opEq:
-			return lf == rf
-		case opNe:
-			return lf != rf
-		case opLt:
-			return lf < rf
-		case opLe:
-			return lf <= rf
-		case opGt:
-			return lf > rf
-		default:
-			return lf >= rf
-		}
+		return compareFloats(op, lf, rf)
 	}
 	switch op {
 	case opEq:
@@ -247,6 +234,24 @@ func compare(op binOp, l, r any) bool {
 	}
 }
 
+// compareFloats is compare over two numbers.
+func compareFloats(op binOp, lf, rf float64) bool {
+	switch op {
+	case opEq:
+		return lf == rf
+	case opNe:
+		return lf != rf
+	case opLt:
+		return lf < rf
+	case opLe:
+		return lf <= rf
+	case opGt:
+		return lf > rf
+	default:
+		return lf >= rf
+	}
+}
+
 // arith is the arithmetic kernel: float64 results, nil for a non-numeric
 // operand or a zero divisor.
 func arith(op binOp, l, r any) any {
@@ -255,26 +260,34 @@ func arith(op binOp, l, r any) any {
 	if !lok || !rok {
 		return nil
 	}
+	if f, ok := arithFloat(op, lf, rf); ok {
+		return f
+	}
+	return nil
+}
+
+// arithFloat is arith over two numbers, ok false for a zero divisor.
+func arithFloat(op binOp, lf, rf float64) (float64, bool) {
 	switch op {
 	case opAdd:
-		return lf + rf
+		return lf + rf, true
 	case opSub:
-		return lf - rf
+		return lf - rf, true
 	case opMul:
-		return lf * rf
+		return lf * rf, true
 	}
 	if op == opDiv {
 		if rf == 0 {
-			return nil
+			return 0, false
 		}
-		return lf / rf
+		return lf / rf, true
 	}
 	// Modulo is over the integer parts, so a divisor in (-1, 1) is zero too.
 	d := int64(rf)
 	if d == 0 {
-		return nil
+		return 0, false
 	}
-	return float64(int64(lf) % d)
+	return float64(int64(lf) % d), true
 }
 
 func negate(v any) any {

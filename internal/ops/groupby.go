@@ -31,6 +31,14 @@ type globalGroup struct{}
 // back, and the next new key takes it; its aggregate is reset and kept
 // for a new key while such spares are fewer than the live groups.
 //
+// The factory runs only where a group is added: under the node's
+// processing lock, and in LoadState. It need not be safe for concurrent
+// use, and the planner's is not: it takes its records and aggregates
+// from chunks it owns (aggregate.Chunks). A dropped aggregate of such a
+// factory gives its memory back only when nothing references any slot of
+// its chunk: a node's groups hold at most one chunk (64 records or
+// aggregates) for each one still live or spare.
+//
 // Each span's output value is outFn(key, agg), read off the group's
 // aggregate when the span closes; a span outFn declines emits nothing
 // (a HAVING clause compiled into the node). The default outFn yields

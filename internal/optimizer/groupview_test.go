@@ -59,7 +59,7 @@ func viewCase(rng *rand.Rand) (*rowAgg, cql.Tuple) {
 			member[f], qualified["q."+f] = v, v
 		}
 	}
-	agg := &rowAgg{keys: compileAll(viewGroup.Keys, scanShape{qual: "q"}), boxes: new(aggregate.Boxes), rep: member}
+	agg := &rowAgg{node: &rowNode{keys: compileAll(viewGroup.Keys, scanShape{qual: "q"})}, rep: member}
 	merged := cql.Tuple{}
 	for _, k := range viewGroup.Keys {
 		merged[k.String()] = k.Eval(qualified)

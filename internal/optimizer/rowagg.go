@@ -10,65 +10,68 @@ import (
 // Nothing is materialised per span: the γ node's HAVING and select list
 // read the group's columns off it through its groupView.
 type rowAgg struct {
-	keys  []func(v any) any
-	args  []func(v any) any // nil for COUNT(*)
-	subs  []aggregate.Aggregate
-	boxes *aggregate.Boxes // the node's, shared by all its groups
-	rep   any              // representative member carrying the key values
-	n     int64
-	few   [fewSubs]aggregate.Aggregate // subs' storage when there are at most fewSubs
+	node *rowNode // the node's, shared by all its groups
+	subs []aggregate.Aggregate
+	rep  any // representative member carrying the key values
+	n    int64
 }
 
-// fewSubs is how many sub-aggregates a group holds in its own record:
-// a group of up to that many calls is one allocation beside its
-// aggregates.
-const fewSubs = 2
+// rowNode is what every group of one γ node shares: its keys and call
+// arguments compiled against the input edge, and the Boxes its calls'
+// results are boxed into.
+type rowNode struct {
+	keys  []func(v any) any
+	args  []func(v any) any // nil for COUNT(*)
+	boxes aggregate.Boxes
+}
 
 // newRowAggFactory compiles keys and call arguments against the input
 // shape and returns the group-by's aggregate factory. When every
 // sub-aggregate is invertible the factory produces Invertible composites
-// and the group-by takes its incremental fast path. Every group it makes
-// boxes its calls' results into one aggregate.Boxes, which the node uses
-// under its processing lock.
+// and the group-by takes its incremental fast path.
+//
+// A new group costs a fraction of an allocation: the factory takes its
+// record and its subs from chunks it owns (aggregate.Chunks), and each
+// call's aggregate from the chunks of that call's own factory
+// (aggregate.ByName). A group's memory comes back only with its whole
+// chunk. Like those chunks and the node's Boxes, the factory is not safe
+// for concurrent use: the γ node calls it where it adds a group, under
+// its processing lock or while it loads its state.
 func newRowAggFactory(keys []cql.Expr, calls []cql.Call, in Shape) (aggregate.Factory, error) {
-	keyFns := compileAll(keys, in)
-	argFns := make([]func(any) any, len(calls))
+	node := &rowNode{keys: compileAll(keys, in), args: make([]func(any) any, len(calls))}
 	subFactories := make([]aggregate.Factory, len(calls))
 	invertible := true
 	for i, c := range calls {
-		f, err := aggregate.ByName(c.Fn)
+		f, inv, err := aggregate.ByName(c.Fn)
 		if err != nil {
 			return nil, err
 		}
 		subFactories[i] = f
-		if _, ok := f().(aggregate.Invertible); !ok {
-			invertible = false
-		}
+		invertible = invertible && inv
 		if !c.Star {
-			argFns[i] = cql.Compile(c.Arg, in.Resolve)
+			node.args[i] = cql.Compile(c.Arg, in.Resolve)
 		}
 	}
-	boxes := new(aggregate.Boxes)
-	// build sets a new group up in place: its subs may be its own few.
+	var subs aggregate.Chunks[aggregate.Aggregate]
+	// build sets a new group up in place.
 	build := func(a *rowAgg) *rowAgg {
-		a.keys, a.args, a.boxes = keyFns, argFns, boxes
-		a.subs = a.few[:0]
-		if len(subFactories) > fewSubs {
-			a.subs = make([]aggregate.Aggregate, 0, len(subFactories))
-		}
-		for _, f := range subFactories {
-			a.subs = append(a.subs, f())
+		a.node = node
+		a.subs = subs.Take(len(subFactories))
+		for i, f := range subFactories {
+			a.subs[i] = f()
 		}
 		return a
 	}
 	if invertible {
+		var recs aggregate.Chunks[invertibleRowAgg]
 		return func() aggregate.Aggregate {
-			a := new(invertibleRowAgg)
+			a := recs.New()
 			build(&a.rowAgg)
 			return a
 		}, nil
 	}
-	return func() aggregate.Aggregate { return build(new(rowAgg)) }, nil
+	var recs aggregate.Chunks[rowAgg]
+	return func() aggregate.Aggregate { return build(recs.New()) }, nil
 }
 
 // Insert implements aggregate.Aggregate.
@@ -77,7 +80,7 @@ func (a *rowAgg) Insert(v any) {
 		a.rep = v
 	}
 	a.n++
-	for i, arg := range a.args {
+	for i, arg := range a.node.args {
 		if arg == nil {
 			a.subs[i].Insert(int64(1))
 		} else if val := arg(v); val != nil {
@@ -110,7 +113,7 @@ func (a *invertibleRowAgg) Remove(v any) {
 	if a.n == 0 {
 		a.rep = nil
 	}
-	for i, arg := range a.args {
+	for i, arg := range a.node.args {
 		inv := a.subs[i].(aggregate.Invertible)
 		if arg == nil {
 			inv.Remove(int64(1))
@@ -160,13 +163,13 @@ func (g groupView) column(i int) func(v any) any {
 	if i < g.keys {
 		return func(v any) any {
 			a := v.(*rowAgg)
-			return a.keys[i](a.rep)
+			return a.node.keys[i](a.rep)
 		}
 	}
 	i -= g.keys
 	return func(v any) any {
 		a := v.(*rowAgg)
-		return a.boxes.Value(a.subs[i])
+		return a.node.boxes.Value(a.subs[i])
 	}
 }
 
